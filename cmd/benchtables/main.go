@@ -20,90 +20,33 @@
 // count, and each sweep reports live cell progress to stderr. Ctrl-C
 // cancels the run cleanly between sweep cells.
 //
-// -json additionally writes BENCH_tables.json: per-artifact wall time, the
-// simulation-kernel cost (events executed, events/sec, heap allocations
-// aggregated over the artifact's sweep workers) and the headline metrics
-// (latencies, requirements, costs), so the repo's performance trajectory is
-// tracked run over run.
+// What the simulator costs to run is measured by benchmark/ (see its README),
+// not here.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"time"
 
 	"partialtor"
 )
 
-// artifact is one regenerable piece of the evaluation: its renderer plus
-// the headline metrics the JSON report tracks.
+// artifact is one regenerable piece of the evaluation and its renderer.
 type artifact struct {
 	name string
-	run  func(ctx context.Context) (render string, metrics map[string]float64, err error)
-}
-
-// kernelRecord is the simulation-kernel cost of one artifact: how many
-// events its scenarios executed, the resulting throughput, and the heap
-// churn (runtime.MemStats deltas). This is the repo's perf trajectory — the
-// numbers future kernel optimizations are measured against.
-type kernelRecord struct {
-	Events       uint64  `json:"events"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	Mallocs      uint64  `json:"mallocs"`
-	AllocBytes   uint64  `json:"alloc_bytes"`
-}
-
-// benchRecord is one artifact's entry in BENCH_tables.json.
-type benchRecord struct {
-	Name    string             `json:"name"`
-	WallMS  float64            `json:"wall_ms"`
-	Kernel  kernelRecord       `json:"kernel"`
-	Metrics map[string]float64 `json:"metrics,omitempty"`
-}
-
-// measureKernel snapshots the process-wide kernel counters; calling the
-// returned function yields the deltas since the snapshot.
-func measureKernel() func(wall time.Duration) kernelRecord {
-	steps0 := partialtor.KernelSteps()
-	var ms0 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
-	return func(wall time.Duration) kernelRecord {
-		var ms1 runtime.MemStats
-		runtime.ReadMemStats(&ms1)
-		rec := kernelRecord{
-			Events:     partialtor.KernelSteps() - steps0,
-			Mallocs:    ms1.Mallocs - ms0.Mallocs,
-			AllocBytes: ms1.TotalAlloc - ms0.TotalAlloc,
-		}
-		if s := wall.Seconds(); s > 0 {
-			rec.EventsPerSec = float64(rec.Events) / s
-		}
-		return rec
-	}
-}
-
-// benchReport is the file's top-level shape.
-type benchReport struct {
-	GeneratedBy string        `json:"generated_by"`
-	Quick       bool          `json:"quick"`
-	Workers     int           `json:"workers"`
-	TotalMS     float64       `json:"total_ms"`
-	Artifacts   []benchRecord `json:"artifacts"`
+	run  func(ctx context.Context) (render string, err error)
 }
 
 func main() {
 	var (
-		quick    = flag.Bool("quick", false, "run reduced sweeps (seconds instead of minutes)")
-		only     = flag.String("only", "", "comma-separated subset: fig1,fig6,fig7,fig10,fig11,tab1,tab2,cost,regional,gossip,ablation")
-		workers  = flag.Int("workers", 0, "sweep worker pool (0 = all cores, 1 = serial)")
-		jsonOut  = flag.Bool("json", false, "write BENCH_tables.json with per-artifact wall time + headline metrics")
-		jsonPath = flag.String("json-path", "BENCH_tables.json", "where -json writes the report")
+		quick   = flag.Bool("quick", false, "run reduced sweeps (seconds instead of minutes)")
+		only    = flag.String("only", "", "comma-separated subset: fig1,fig6,fig7,fig10,fig11,tab1,tab2,cost,regional,gossip,ablation")
+		workers = flag.Int("workers", 0, "sweep worker pool (0 = all cores, 1 = serial)")
 	)
 	flag.Parse()
 
@@ -128,58 +71,17 @@ func main() {
 	}
 	sel := func(k string) bool { return len(want) == 0 || want[k] }
 
-	report := benchReport{GeneratedBy: "benchtables", Quick: *quick, Workers: *workers}
-	start := time.Now()
 	for _, a := range artifacts {
 		if !sel(a.name) {
 			continue
 		}
-		t0 := time.Now()
-		kernel := measureKernel()
-		render, metrics, err := a.run(ctx)
-		wall := time.Since(t0)
+		render, err := a.run(ctx)
 		if err != nil {
-			// A failed (or Ctrl-C'd) artifact must not discard the wall
-			// times already measured, nor leave a stale report lying about
-			// this build: flush what completed before exiting.
 			fmt.Fprintf(os.Stderr, "benchtables: %s: %v\n", a.name, err)
-			report.TotalMS = float64(time.Since(start).Microseconds()) / 1e3
-			if *jsonOut {
-				writeReport(*jsonPath, report)
-			}
 			os.Exit(1)
 		}
 		fmt.Println(render)
-		report.Artifacts = append(report.Artifacts, benchRecord{
-			Name:    a.name,
-			WallMS:  float64(wall.Microseconds()) / 1e3,
-			Kernel:  kernel(wall),
-			Metrics: metrics,
-		})
 	}
-	report.TotalMS = float64(time.Since(start).Microseconds()) / 1e3
-
-	if *jsonOut {
-		if !writeReport(*jsonPath, report) {
-			os.Exit(1)
-		}
-	}
-}
-
-// writeReport writes the JSON perf report, reporting success.
-func writeReport(path string, report benchReport) bool {
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchtables: marshal report: %v\n", err)
-		return false
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "benchtables: write %s: %v\n", path, err)
-		return false
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s (%d artifacts)\n", path, len(report.Artifacts))
-	return true
 }
 
 // progressFor returns a sweep progress callback that keeps one live
@@ -201,58 +103,32 @@ func progressFor(name string) func(done, total int, cellErr error) {
 // order matches the paper's presentation (cheap artifacts first).
 func buildArtifacts(quick bool, workers int) []artifact {
 	return []artifact{
-		{name: "fig6", run: func(context.Context) (string, map[string]float64, error) {
-			r := partialtor.Figure6()
-			return r.Render(), map[string]float64{"avg_relays": r.Average}, nil
+		{name: "fig6", run: func(context.Context) (string, error) {
+			return partialtor.Figure6().Render(), nil
 		}},
-		{name: "cost", run: func(context.Context) (string, map[string]float64, error) {
-			r := partialtor.CostTable()
-			return r.Render(), map[string]float64{
-				"usd_per_instance": r.CostPerInstance,
-				"usd_per_month":    r.CostPerMonth,
-			}, nil
+		{name: "cost", run: func(context.Context) (string, error) {
+			return partialtor.CostTable().Render(), nil
 		}},
-		{name: "tab2", run: func(ctx context.Context) (string, map[string]float64, error) {
-			r, err := partialtor.Table2(ctx)
-			if err != nil {
-				return "", nil, err
-			}
-			return r.Render(), map[string]float64{"rounds_total": float64(r.Total)}, nil
+		{name: "tab2", run: func(ctx context.Context) (string, error) {
+			return rendered(partialtor.Table2(ctx))
 		}},
-		{name: "fig1", run: func(ctx context.Context) (string, map[string]float64, error) {
+		{name: "fig1", run: func(ctx context.Context) (string, error) {
 			p := partialtor.Figure1Params{}
 			if quick {
 				p = partialtor.Figure1Params{Relays: 400, Round: 15 * time.Second, Residual: 5e3}
 			}
-			r, err := partialtor.Figure1(ctx, p)
-			if err != nil {
-				return "", nil, err
-			}
-			return r.Render(), map[string]float64{
-				"log_lines":      float64(len(r.Lines)),
-				"attack_success": boolMetric(!r.Run.Success),
-			}, nil
+			return rendered(partialtor.Figure1(ctx, p))
 		}},
-		{name: "tab1", run: func(ctx context.Context) (string, map[string]float64, error) {
+		{name: "tab1", run: func(ctx context.Context) (string, error) {
 			p := partialtor.Table1Params{}
 			if quick {
 				p = partialtor.Table1Params{Relays: 300, Bandwidth: 100e6, Round: 20 * time.Second}
 			}
 			p.Workers = workers
 			p.OnCell = progressFor("tab1")
-			r, err := partialtor.Table1(ctx, p)
-			if err != nil {
-				return "", nil, err
-			}
-			metrics := map[string]float64{}
-			for _, row := range r.Rows {
-				key := strings.ToLower(row.Protocol.String())
-				metrics[key+"_bytes"] = float64(row.MeasuredBytes)
-				metrics[key+"_messages"] = float64(row.MeasuredMessages)
-			}
-			return r.Render(), metrics, nil
+			return rendered(partialtor.Table1(ctx, p))
 		}},
-		{name: "fig7", run: func(ctx context.Context) (string, map[string]float64, error) {
+		{name: "fig7", run: func(ctx context.Context) (string, error) {
 			p := partialtor.Figure7Params{}
 			if quick {
 				p = partialtor.Figure7Params{
@@ -264,29 +140,9 @@ func buildArtifacts(quick bool, workers int) []artifact {
 			}
 			p.Workers = workers
 			p.OnCell = progressFor("fig7")
-			r, err := partialtor.Figure7(ctx, p)
-			if err != nil {
-				return "", nil, err
-			}
-			// RequiredMbit < 0 is the "above the search ceiling" sentinel,
-			// not a bandwidth; track those rows separately so the report
-			// never plots -1 as a requirement.
-			metrics := map[string]float64{}
-			maxReq, unbounded := -1.0, 0
-			for _, row := range r.Rows {
-				if row.RequiredMbit < 0 {
-					unbounded++
-				} else if row.RequiredMbit > maxReq {
-					maxReq = row.RequiredMbit
-				}
-			}
-			if maxReq >= 0 {
-				metrics["max_required_mbit"] = maxReq
-			}
-			metrics["above_ceiling_rows"] = float64(unbounded)
-			return r.Render(), metrics, nil
+			return rendered(partialtor.Figure7(ctx, p))
 		}},
-		{name: "fig10", run: func(ctx context.Context) (string, map[string]float64, error) {
+		{name: "fig10", run: func(ctx context.Context) (string, error) {
 			p := partialtor.Figure10Params{}
 			if quick {
 				p = partialtor.Figure10Params{
@@ -297,52 +153,18 @@ func buildArtifacts(quick bool, workers int) []artifact {
 			}
 			p.Workers = workers
 			p.OnCell = progressFor("fig10")
-			r, err := partialtor.Figure10(ctx, p)
-			if err != nil {
-				return "", nil, err
-			}
-			failures := 0
-			for _, c := range r.Cells {
-				if !c.Success {
-					failures++
-				}
-			}
-			return r.Render(), map[string]float64{
-				"cells":        float64(len(r.Cells)),
-				"failed_cells": float64(failures),
-			}, nil
+			return rendered(partialtor.Figure10(ctx, p))
 		}},
-		{name: "fig11", run: func(ctx context.Context) (string, map[string]float64, error) {
+		{name: "fig11", run: func(ctx context.Context) (string, error) {
 			p := partialtor.Figure11Params{}
 			if quick {
 				p = partialtor.Figure11Params{RelayCounts: []int{200, 800}, Outage: time.Minute}
 			}
 			p.Workers = workers
 			p.OnCell = progressFor("fig11")
-			r, err := partialtor.Figure11(ctx, p)
-			if err != nil {
-				return "", nil, err
-			}
-			// Recovery == Never is a sentinel, not an instant recovery:
-			// only report max_recovery_s over rows that recovered, and
-			// count the rest so the trajectory can't read a total failure
-			// as a perfect run.
-			metrics := map[string]float64{"baseline_s": partialtor.FallbackLatency.Seconds()}
-			worst, neverRecovered := time.Duration(-1), 0
-			for _, row := range r.Rows {
-				if row.Recovery == partialtor.Never {
-					neverRecovered++
-				} else if row.Recovery > worst {
-					worst = row.Recovery
-				}
-			}
-			if worst >= 0 {
-				metrics["max_recovery_s"] = worst.Seconds()
-			}
-			metrics["never_recovered_rows"] = float64(neverRecovered)
-			return r.Render(), metrics, nil
+			return rendered(partialtor.Figure11(ctx, p))
 		}},
-		{name: "regional", run: func(ctx context.Context) (string, map[string]float64, error) {
+		{name: "regional", run: func(ctx context.Context) (string, error) {
 			p := partialtor.RegionalParams{}
 			if quick {
 				p = partialtor.RegionalParams{
@@ -353,27 +175,9 @@ func buildArtifacts(quick bool, workers int) []artifact {
 			}
 			p.Workers = workers
 			p.OnCell = progressFor("regional")
-			r, err := partialtor.RegionalTable(ctx, p)
-			if err != nil {
-				return "", nil, err
-			}
-			// Track each flooded cell's coverage and the racing overhead;
-			// T99 == Never is a sentinel, so only report reached cells.
-			metrics := map[string]float64{}
-			for _, row := range r.Rows {
-				if !row.Flood {
-					continue
-				}
-				key := fmt.Sprintf("flood_k%d", row.RaceK)
-				metrics[key+"_coverage"] = row.Coverage
-				if row.T99 != partialtor.Never {
-					metrics[key+"_t99_s"] = row.T99.Seconds()
-				}
-				metrics[key+"_waste_mb"] = float64(row.WasteBytes) / 1e6
-			}
-			return r.Render(), metrics, nil
+			return rendered(partialtor.RegionalTable(ctx, p))
 		}},
-		{name: "gossip", run: func(ctx context.Context) (string, map[string]float64, error) {
+		{name: "gossip", run: func(ctx context.Context) (string, error) {
 			p := partialtor.GossipParams{}
 			if quick {
 				p = partialtor.GossipParams{
@@ -384,30 +188,9 @@ func buildArtifacts(quick bool, workers int) []artifact {
 			}
 			p.Workers = workers
 			p.OnCell = progressFor("gossip")
-			r, err := partialtor.GossipTable(ctx, p)
-			if err != nil {
-				return "", nil, err
-			}
-			// Track the baseline's stranding and each mesh cell's recovery;
-			// T95 == Never is a sentinel, so only report reached cells.
-			metrics := map[string]float64{}
-			for _, row := range r.Rows {
-				key := fmt.Sprintf("fanout%d", row.Fanout)
-				if row.Fanout < 0 {
-					key = "baseline"
-				}
-				metrics[key+"_coverage"] = row.Coverage
-				if row.T95 != partialtor.Never {
-					metrics[key+"_t95_s"] = row.T95.Seconds()
-				}
-				if row.Fanout >= 0 {
-					metrics[key+"_mesh_mb"] = float64(row.MeshBytes) / 1e6
-					metrics[key+"_partition_usd"] = row.PartitionCost
-				}
-			}
-			return r.Render(), metrics, nil
+			return rendered(partialtor.GossipTable(ctx, p))
 		}},
-		{name: "ablation", run: func(ctx context.Context) (string, map[string]float64, error) {
+		{name: "ablation", run: func(ctx context.Context) (string, error) {
 			es := partialtor.EntrySizeParams{}
 			dp := partialtor.DeltaParams{}
 			tp := partialtor.TimeoutParams{}
@@ -427,26 +210,25 @@ func buildArtifacts(quick bool, workers int) []artifact {
 			tp.OnCell = progressFor("ablation/timeout")
 			esr, err := partialtor.AblationEntrySize(ctx, es)
 			if err != nil {
-				return "", nil, err
+				return "", err
 			}
 			dpr, err := partialtor.AblationDelta(ctx, dp)
 			if err != nil {
-				return "", nil, err
+				return "", err
 			}
 			tpr, err := partialtor.AblationTimeout(ctx, tp)
 			if err != nil {
-				return "", nil, err
+				return "", err
 			}
-			out := esr.Render() + "\n" + dpr.Render() + "\n" + tpr.Render()
-			return out, nil, nil
+			return esr.Render() + "\n" + dpr.Render() + "\n" + tpr.Render(), nil
 		}},
 	}
 }
 
-// boolMetric folds a verdict into the numeric metrics map.
-func boolMetric(b bool) float64 {
-	if b {
-		return 1
+// rendered turns a generator's (result, error) pair into the artifact's.
+func rendered[R interface{ Render() string }](r R, err error) (string, error) {
+	if err != nil {
+		return "", err
 	}
-	return 0
+	return r.Render(), nil
 }

@@ -72,6 +72,22 @@ func main() {
 	)
 	flag.Parse()
 
+	// authorities is the scenario's authority count (the Scenario default).
+	const authorities = 9
+	for _, f := range []struct {
+		name string
+		frac float64
+	}{{"-crash", *crashFrac}, {"-churn", *churnFrac}} {
+		if f.frac < 0 || f.frac > 1 {
+			fmt.Fprintf(os.Stderr, "tordirsim: %s %g outside [0, 1]\n", f.name, f.frac)
+			os.Exit(2)
+		}
+	}
+	if *showLog < -1 || *showLog >= authorities {
+		fmt.Fprintf(os.Stderr, "tordirsim: -log %d outside [-1, %d): there are %d authorities\n", *showLog, authorities, authorities)
+		os.Exit(2)
+	}
+
 	var proto partialtor.Protocol
 	switch strings.ToLower(*protoName) {
 	case "current", "dirv3":
@@ -122,10 +138,6 @@ func main() {
 		const window = 30 * time.Minute
 		var plan partialtor.FaultPlan
 		if *crashFrac > 0 {
-			if *crashFrac > 1 {
-				fmt.Fprintf(os.Stderr, "tordirsim: -crash %g outside [0, 1]\n", *crashFrac)
-				os.Exit(2)
-			}
 			n := max(1, int(*crashFrac*float64(*caches)+0.5))
 			plan.Faults = append(plan.Faults, partialtor.FaultSpec{
 				Kind:    partialtor.FaultCrash,
@@ -136,10 +148,6 @@ func main() {
 			})
 		}
 		if *churnFrac > 0 {
-			if *churnFrac > 1 {
-				fmt.Fprintf(os.Stderr, "tordirsim: -churn %g outside [0, 1]\n", *churnFrac)
-				os.Exit(2)
-			}
 			if *gossipFanout <= 0 {
 				fmt.Fprintln(os.Stderr, "tordirsim: -churn needs -gossip: churn is mirrors leaving the mesh")
 				os.Exit(2)
@@ -154,7 +162,7 @@ func main() {
 			})
 		}
 		if len(plan.Faults) > 0 {
-			s.Faults = &plan
+			s.Distribution.Faults = &plan
 		}
 	} else if *raceK > 0 || *gossipFanout > 0 || *crashFrac > 0 || *churnFrac > 0 || *backoffOn {
 		fmt.Fprintln(os.Stderr, "tordirsim: -race, -gossip, -crash, -churn and -backoff need a distribution phase; set -clients")
@@ -167,7 +175,7 @@ func main() {
 	}
 	if *doAttack {
 		plan := partialtor.AttackPlan{
-			Targets:  partialtor.MajorityTargets(9),
+			Targets:  partialtor.MajorityTargets(authorities),
 			Start:    0,
 			End:      time.Duration(*attackMinutes * float64(time.Minute)),
 			Residual: *residualMbit * 1e6,
@@ -217,7 +225,7 @@ func main() {
 		}
 		fmt.Printf("trace: %d events -> %s\n", rec.Len(), *tracePath)
 	}
-	if *showLog >= 0 && *showLog < 9 {
+	if *showLog >= 0 {
 		fmt.Printf("\n--- authority %d log ---\n", *showLog)
 		for _, e := range res.Net.NodeLog(simnet.NodeID(*showLog)) {
 			fmt.Printf("%10.3fs [%s] %s\n", e.At.Seconds(), e.Level, e.Text)

@@ -66,11 +66,12 @@ func FiveMinuteOutage(targets []int) Plan {
 	return Plan{Targets: targets, Start: 0, End: 5 * time.Minute, Residual: 0}
 }
 
-// Validate rejects malformed plans: an unknown tier, an inverted window, a
-// negative start, negative residual bandwidth, or a negative target index.
+// Validate rejects malformed plans: an invalid target scope, a negative
+// start, an inverted window or negative residual bandwidth. An empty window
+// (End == Start) is a valid plan that floods nobody.
 func (p *Plan) Validate() error {
-	if p.Tier != TierAuthority && p.Tier != TierCache {
-		return fmt.Errorf("attack: unknown tier %v", p.Tier)
+	if err := ValidateScope(p.Tier, p.Targets, p.TargetRegion); err != nil {
+		return fmt.Errorf("attack: %w", err)
 	}
 	if p.Start < 0 {
 		return fmt.Errorf("attack: window starts at negative time %v", p.Start)
@@ -81,59 +82,26 @@ func (p *Plan) Validate() error {
 	if p.Residual < 0 {
 		return errors.New("attack: negative residual bandwidth")
 	}
-	for _, t := range p.Targets {
-		if t < 0 {
-			return fmt.Errorf("attack: negative target index %d", t)
-		}
-	}
-	if p.TargetRegion != "" && len(p.Targets) > 0 {
-		return errors.New("attack: plan carries both explicit Targets and a TargetRegion; pick one")
-	}
 	return nil
 }
 
-// ResolveRegion expands a region-scoped plan against the run's topology:
-// Targets becomes every node of the plan's n-node tier the topology places
-// in TargetRegion. It is a no-op for index-scoped plans, and an error when
-// the region name is unknown, the run is flat (nil topology), or the region
-// holds none of the tier's nodes — a flood of nobody would silently report
-// resilience it never tested. Callers price and Compile the plan after
-// resolution, so region floods go through the same cost model as any other.
+// ResolveRegion expands a region-scoped plan against the run's topology
+// (ResolveScope): Targets becomes every node of the plan's tierSize-node tier
+// placed in TargetRegion, and the region name is cleared — a resolved plan is
+// a plain index plan, so a caller that resolved early (e.g. to price the
+// flood) can hand the same plan to a runner that resolves again.
 func (p *Plan) ResolveRegion(t topo.Topology, tierSize int) error {
-	if p.TargetRegion == "" {
-		return nil
-	}
-	if len(p.Targets) > 0 {
-		return errors.New("attack: plan carries both explicit Targets and a TargetRegion; pick one")
-	}
-	if t == nil {
-		return fmt.Errorf("attack: region-scoped plan (%q) needs a topology; the flat model has no regions", p.TargetRegion)
-	}
-	r, err := topo.RegionByName(t, p.TargetRegion)
+	targets, err := ResolveScope(p.Tier, p.Targets, p.TargetRegion, t, tierSize)
 	if err != nil {
 		return fmt.Errorf("attack: %w", err)
 	}
-	targets := topo.RegionTargets(t, r, tierSize)
-	if len(targets) == 0 {
-		return fmt.Errorf("attack: region %q holds none of the %d-node %v tier", p.TargetRegion, tierSize, p.Tier)
-	}
-	// A resolved plan is a plain index plan; clearing the region name makes
-	// resolution idempotent, so a caller that resolved early (e.g. to price
-	// the flood) can hand the same plan to a runner that resolves again.
-	p.Targets = targets
-	p.TargetRegion = ""
+	p.Targets, p.TargetRegion = targets, ""
 	return nil
 }
 
 // Compile precomputes the target-membership set so IsTarget is O(1). Call
 // it again after mutating Targets; the compiled set does not track them.
-func (p *Plan) Compile() {
-	set := make(map[int]struct{}, len(p.Targets))
-	for _, t := range p.Targets {
-		set[t] = struct{}{}
-	}
-	p.targets = set
-}
+func (p *Plan) Compile() { p.targets = TargetSet(p.Targets) }
 
 // Throttle applies the plan to one node's pipes. It is a no-op for
 // non-targets, so callers can apply the plan uniformly across their tier.
@@ -148,21 +116,9 @@ func (p *Plan) Throttle(index int, up, down *simnet.Profile) {
 }
 
 // IsTarget reports whether the tier-relative node index is attacked by this
-// plan. A compiled plan answers in O(1); an uncompiled one falls back to a
-// linear scan. IsTarget never mutates the plan, so plans are safe to share
+// plan (InScope). It never mutates the plan, so plans are safe to share
 // across goroutines (Compile once up front for both speed and that safety).
-func (p *Plan) IsTarget(index int) bool {
-	if p.targets != nil {
-		_, ok := p.targets[index]
-		return ok
-	}
-	for _, t := range p.Targets {
-		if t == index {
-			return true
-		}
-	}
-	return false
-}
+func (p *Plan) IsTarget(index int) bool { return InScope(p.targets, p.Targets, index) }
 
 // Duration returns the window length.
 func (p *Plan) Duration() time.Duration { return p.End - p.Start }
@@ -243,10 +199,8 @@ func (p *CompromisePlan) Validate() error {
 	if p.ForkFleetFraction < 0 || p.ForkFleetFraction > 1 {
 		return fmt.Errorf("attack: fork fleet fraction %g outside [0, 1]", p.ForkFleetFraction)
 	}
-	for _, t := range p.Targets {
-		if t < 0 {
-			return fmt.Errorf("attack: negative compromise target %d", t)
-		}
+	if err := ValidateScope(TierCache, p.Targets, ""); err != nil {
+		return fmt.Errorf("attack: compromise: %w", err)
 	}
 	return nil
 }
@@ -302,7 +256,7 @@ type CostModel struct {
 	RequiredMbit float64
 	// CacheLinkMbit is the estimated per-cache link capacity for pricing
 	// TierCache floods: 200, matching the distribution tier's default
-	// cache bandwidth (dircache.Spec.CacheBandwidth).
+	// cache bandwidth (a constant of internal/dircache).
 	CacheLinkMbit float64
 	// CachePerMonth is the monthly price of operating (or renting) one
 	// malicious directory cache for a CompromisePlan: $40, a commodity VPS

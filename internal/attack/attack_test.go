@@ -75,6 +75,10 @@ func TestPlanValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid plan rejected: %v", err)
 	}
+	// Unlike a fault, a flood may have an empty window: it floods nobody.
+	if err := (&Plan{Targets: []int{0}, Start: time.Minute, End: time.Minute}).Validate(); err != nil {
+		t.Fatalf("empty-window plan rejected: %v", err)
+	}
 	cases := []Plan{
 		{Start: 2 * time.Minute, End: time.Minute}, // inverted window
 		{Start: -time.Second, End: time.Minute},    // negative start
@@ -154,7 +158,7 @@ func TestTierAwareLinkCapacity(t *testing.T) {
 		t.Fatalf("authority link %.0f, want 250", m.LinkMbit(TierAuthority))
 	}
 	if m.LinkMbit(TierCache) != 200 {
-		t.Fatalf("cache link %.0f, want 200 (dircache's default CacheBandwidth)", m.LinkMbit(TierCache))
+		t.Fatalf("cache link %.0f, want 200 (dircache's cache bandwidth)", m.LinkMbit(TierCache))
 	}
 }
 

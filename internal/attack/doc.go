@@ -19,16 +19,14 @@
 // only the proposal-239 verification path (internal/chain, client.Verifier)
 // lets clients catch.
 //
-// The harness routes either kind per experiment period:
-// partialtor.WithAttack sends a Plan to its tier's phase, and
-// partialtor.WithCompromise sends a CompromisePlan into the Distribute
-// phase from its onset period onward.
+// The harness routes either kind per experiment period: WithAttack sends a
+// Plan to its tier's phase, WithCompromise a CompromisePlan into the
+// Distribute phase from its onset period onward. Both name their victims by
+// one target scope, shared with faults.Fault (scope.go).
 //
 // CostModel prices all of it on one scale — stressor Mbit-hours for floods
 // (PlanCost/PlansCost/CostPerInstance), VPS-months for compromise
 // (CompromiseCostPerMonth) — so every attacked sweep cell (cmd/cachesweep,
 // cmd/attackcost) carries its dollar price and the defense economics of a
-// wide mirror tier are directly comparable across attack styles. The facade
-// re-exports the surface as partialtor.AttackPlan, partialtor.CompromisePlan
-// and partialtor.CostModel.
+// wide mirror tier are directly comparable across attack styles.
 package attack

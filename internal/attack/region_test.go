@@ -35,49 +35,3 @@ func TestResolveRegionFillsTargetsFromPlacement(t *testing.T) {
 		t.Fatalf("region flood cost %.4f, want %d x %.4f", got, len(p.Targets), per)
 	}
 }
-
-func TestResolveRegionNoopWithoutRegion(t *testing.T) {
-	p := Plan{Tier: TierCache, Targets: []int{1, 2}}
-	if err := p.ResolveRegion(nil, 20); err != nil {
-		t.Fatal(err)
-	}
-	if len(p.Targets) != 2 {
-		t.Fatalf("targets mutated: %v", p.Targets)
-	}
-}
-
-func TestResolveRegionErrors(t *testing.T) {
-	c := topo.Continents()
-	cases := []struct {
-		name string
-		plan Plan
-		topo topo.Topology
-	}{
-		{"flat run", Plan{TargetRegion: "eu"}, nil},
-		{"unknown region", Plan{TargetRegion: "atlantis"}, c},
-		{"both targets and region", Plan{TargetRegion: "eu", Targets: []int{0}}, c},
-	}
-	for _, tc := range cases {
-		p := tc.plan
-		if err := p.ResolveRegion(tc.topo, 20); err == nil {
-			t.Errorf("%s: resolution accepted", tc.name)
-		}
-	}
-	// A region that exists but holds no node of a tiny tier must refuse:
-	// continents places a 1-node tier entirely in the largest-share region.
-	p := Plan{TargetRegion: "oc"}
-	if err := p.ResolveRegion(c, 1); err == nil {
-		t.Error("empty region target set accepted")
-	}
-}
-
-func TestValidateRejectsAmbiguousRegionPlan(t *testing.T) {
-	p := Plan{TargetRegion: "eu", Targets: []int{3}}
-	if err := p.Validate(); err == nil {
-		t.Fatal("plan with both Targets and TargetRegion validated")
-	}
-	ok := Plan{TargetRegion: "eu"}
-	if err := ok.Validate(); err != nil {
-		t.Fatalf("unresolved region plan rejected: %v", err)
-	}
-}

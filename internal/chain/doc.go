@@ -16,13 +16,12 @@
 //     when an experiment asks for it (partialtor.WithChain), signed by the
 //     majority that signed the consensus;
 //   - the distribution tier's verifying clients (client.Verifier, enabled
-//     by dircache.Spec.VerifyClients / partialtor.WithVerifiedClients)
-//     check every fetched document's Link against their chain position,
+//     by dircache.Spec.VerifyClients / harness.WithVerifiedClients) check
+//     every fetched document's Link against their chain position,
 //     reject stale or forked documents, and turn equivocation by
 //     compromised caches into ForkProofs — DetectFork validates both sides,
 //     Culprits names the authorities that signed both.
 //
 // Links and proofs survive persistence: EncodeLinks/DecodeLinks (codec.go)
-// round-trip the evidence, and internal/store writes it to disk. The facade
-// re-exports the proof type as partialtor.ForkProof.
+// round-trip the evidence.
 package chain

@@ -200,7 +200,7 @@ func (c *cacheNode) requestNext(ctx *simnet.Context) {
 	seq := c.attempt
 	ctx.Trace(obs.Event{Type: obs.EvCacheFetch, Peer: int(auth), A: int64(seq)})
 	ctx.Send(auth, dirRequest{seq: seq})
-	ctx.After(c.spec.CacheFetchTimeout, func() {
+	ctx.After(cacheFetchTimeout, func() {
 		if !c.have && c.attempt == seq {
 			ctx.Logf("info", "authority %d timed out, falling back", auth)
 			ctx.Trace(obs.Event{Type: obs.EvCacheFallback, Peer: int(auth), A: int64(seq)})
@@ -231,7 +231,7 @@ func (c *cacheNode) Deliver(ctx *simnet.Context, from simnet.NodeID, msg simnet.
 			return
 		}
 		seq := m.seq
-		ctx.After(c.spec.CacheRetry, func() {
+		ctx.After(cacheRetry, func() {
 			if !c.have && c.attempt == seq {
 				c.requestNext(ctx)
 			}
@@ -273,7 +273,7 @@ func (c *cacheNode) serve(ctx *simnet.Context, from simnet.NodeID, m *fleetFetch
 	}
 	c.fullsServed += m.fulls
 	c.diffsServed += m.diffs
-	bytes := int64(m.fulls)*c.spec.DocBytes + int64(m.diffs)*c.spec.DiffBytes
+	bytes := int64(m.fulls)*c.spec.DocBytes + int64(m.diffs)*c.spec.DiffBytes()
 	ctx.Trace(obs.Event{Type: obs.EvServe, Peer: int(from), A: int64(m.fulls), B: int64(m.diffs)})
 	ctx.Send(from, &docBatch{fulls: m.fulls, diffs: m.diffs, bytes: bytes, link: link, race: m.race})
 }

@@ -314,7 +314,7 @@ func TestStaleCacheServesWithoutFetching(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The stale caches served before the genuine consensus even existed.
-	first := res.Spec.RunLimit
+	first := res.Spec.RunLimit()
 	for _, p := range res.Points {
 		if p.At < first {
 			first = p.At

@@ -27,6 +27,26 @@ const (
 	nackBytes = 64
 )
 
+// The tier's fixed shape: values no scenario varies, so they are constants
+// rather than Spec fields.
+const (
+	// authorityBandwidth is each authority's access capacity in bits/s
+	// (§4.3); cacheBandwidth each cache's (attack.CostModel.CacheLinkMbit
+	// prices floods against it); fleetBandwidth one fleet node's downlink,
+	// which aggregates many clients' access links.
+	authorityBandwidth = 250e6
+	cacheBandwidth     = 200e6
+	fleetBandwidth     = 2e9
+	// retryDelay is how long a refused client batch waits before retrying
+	// when no Spec.Backoff replaces the fixed delay.
+	retryDelay = time.Minute
+	// cacheFetchTimeout is a cache's per-authority give-up delay before
+	// falling back to the next authority; cacheRetry how long it waits after
+	// a "not ready" refusal before asking the next one.
+	cacheFetchTimeout = 15 * time.Second
+	cacheRetry        = 10 * time.Second
+)
+
 // Spec configures one distribution phase.
 type Spec struct {
 	// Authorities is the number of consensus sources (default 9).
@@ -38,16 +58,6 @@ type Spec struct {
 	Fleets int
 	// Clients is the total modelled client population (default 1e6).
 	Clients int
-
-	// AuthorityBandwidth is each authority's access capacity in bits/s
-	// (default 250 Mbit/s, §4.3).
-	AuthorityBandwidth float64
-	// CacheBandwidth is each cache's access capacity in bits/s (default
-	// 200 Mbit/s).
-	CacheBandwidth float64
-	// FleetBandwidth is one fleet node's aggregate downlink in bits/s
-	// (default 2 Gbit/s; it aggregates many clients' access links).
-	FleetBandwidth float64
 
 	// Weights biases the fleets' cache selection; len(Weights) == Caches,
 	// nil means uniform. Weights need not be normalized.
@@ -78,11 +88,9 @@ type Spec struct {
 	// caches (default 20s).
 	RaceTimeout time.Duration
 
-	// DocBytes is the full consensus size; 0 selects DefaultDocBytes.
+	// DocBytes is the full consensus size; 0 selects DefaultDocBytes. The
+	// consensus diff scales with it (DiffBytes).
 	DocBytes int64
-	// DiffBytes is the consensus-diff size; 0 scales DefaultDiffBytes by
-	// DocBytes so the diff stays ~2% of the document at any scale.
-	DiffBytes int64
 	// DiffFraction is the share of clients that hold the previous consensus
 	// and therefore fetch only a diff (default 0.8; set negative for 0).
 	DiffFraction float64
@@ -96,15 +104,6 @@ type Spec struct {
 	FetchWindow time.Duration
 	// Tick is the aggregation granularity of fleet arrivals (default 10s).
 	Tick time.Duration
-	// RetryDelay is how long a refused client batch waits before retrying
-	// (default 60s).
-	RetryDelay time.Duration
-	// CacheFetchTimeout is a cache's per-authority give-up delay before
-	// falling back to the next authority (default 15s).
-	CacheFetchTimeout time.Duration
-	// CacheRetry is how long a cache waits after a "not ready" refusal
-	// before asking the next authority (default 10s).
-	CacheRetry time.Duration
 
 	// TargetCoverage is the population fraction defining "distributed"
 	// (default 0.95).
@@ -155,7 +154,7 @@ type Spec struct {
 	// extra RNG draws, no extra events.
 	Faults *faults.Plan
 
-	// Backoff, if non-nil, replaces the fleets' fixed RetryDelay coalesced
+	// Backoff, if non-nil, replaces the fleets' fixed-delay coalesced
 	// retry with a capped, seeded-jitter exponential backoff and an optional
 	// per-fleet retry budget — desynchronizing the retry bursts that land on
 	// a flooded tier as one synchronized spike. nil keeps the historical
@@ -164,8 +163,6 @@ type Spec struct {
 
 	// Seed drives all randomness (default 1).
 	Seed int64
-	// RunLimit bounds the simulation (default FetchWindow + 30 min).
-	RunLimit time.Duration
 
 	// Tracer receives the run's observability events (nil = tracing off).
 	// Run stamps every event with the "dist" layer; recording never
@@ -191,27 +188,8 @@ func (s Spec) withDefaults() Spec {
 	if s.Clients == 0 {
 		s.Clients = 1_000_000
 	}
-	if s.AuthorityBandwidth == 0 {
-		s.AuthorityBandwidth = 250e6
-	}
-	if s.CacheBandwidth == 0 {
-		s.CacheBandwidth = 200e6
-	}
-	if s.FleetBandwidth == 0 {
-		s.FleetBandwidth = 2e9
-	}
 	if s.DocBytes == 0 {
 		s.DocBytes = DefaultDocBytes
-	}
-	if s.DiffBytes == 0 {
-		// Scale the diff with the document so a scaled-down consensus
-		// (e.g. derived from a small-relay protocol run) keeps Tor's ~2%
-		// diff-to-document ratio instead of a "diff" larger than the
-		// document it summarizes.
-		s.DiffBytes = s.DocBytes * DefaultDiffBytes / DefaultDocBytes
-		if s.DiffBytes < 1 {
-			s.DiffBytes = 1
-		}
 	}
 	if s.DiffFraction == 0 {
 		s.DiffFraction = 0.8
@@ -223,15 +201,6 @@ func (s Spec) withDefaults() Spec {
 	}
 	if s.Tick == 0 {
 		s.Tick = 10 * time.Second
-	}
-	if s.RetryDelay == 0 {
-		s.RetryDelay = time.Minute
-	}
-	if s.CacheFetchTimeout == 0 {
-		s.CacheFetchTimeout = 15 * time.Second
-	}
-	if s.CacheRetry == 0 {
-		s.CacheRetry = 10 * time.Second
 	}
 	if s.RaceTimeout == 0 {
 		s.RaceTimeout = 20 * time.Second
@@ -245,9 +214,6 @@ func (s Spec) withDefaults() Spec {
 	if s.Seed == 0 {
 		s.Seed = 1
 	}
-	if s.RunLimit == 0 {
-		s.RunLimit = s.FetchWindow + 30*time.Minute
-	}
 	if s.Chain == nil && (s.VerifyClients || s.activeCompromise() != nil) {
 		s.Chain = SynthChain(s.Seed, s.Authorities, sig.Digest{})
 	}
@@ -260,6 +226,26 @@ func (s Spec) withDefaults() Spec {
 		s.Backoff = &b
 	}
 	return s
+}
+
+// DiffBytes is the consensus-diff size: DefaultDiffBytes scaled with DocBytes,
+// so a scaled-down consensus (e.g. derived from a small-relay protocol run)
+// keeps Tor's ~2% diff-to-document ratio instead of a "diff" larger than the
+// document it summarizes. Call it on a defaulted spec (Result.Spec is one).
+func (s *Spec) DiffBytes() int64 {
+	return max(1, s.DocBytes*DefaultDiffBytes/DefaultDocBytes)
+}
+
+// RunLimit bounds the simulation: the fetch window plus 30 minutes for the
+// stragglers' retries. Call it on a defaulted spec.
+func (s *Spec) RunLimit() time.Duration { return s.FetchWindow + 30*time.Minute }
+
+// tierSize is the node count of the tier a plan or fault names.
+func (s *Spec) tierSize(t attack.Tier) int {
+	if t == attack.TierCache {
+		return s.Caches
+	}
+	return s.Authorities
 }
 
 // activeCompromise returns the compromise plan if it is active in this run's
@@ -280,14 +266,10 @@ func (s Spec) Validate() error {
 	if s0.Fleets > s0.Clients {
 		return fmt.Errorf("dircache: %d fleets cannot split %d clients", s0.Fleets, s0.Clients)
 	}
-	if s.AuthorityBandwidth < 0 || s.CacheBandwidth < 0 || s.FleetBandwidth < 0 {
-		return errors.New("dircache: negative bandwidth")
-	}
-	if s.DocBytes < 0 || s.DiffBytes < 0 {
+	if s.DocBytes < 0 {
 		return errors.New("dircache: negative document size")
 	}
-	for _, d := range []time.Duration{s.PublishAt, s.FetchWindow, s.Tick,
-		s.RetryDelay, s.CacheFetchTimeout, s.CacheRetry, s.RunLimit, s.RaceTimeout} {
+	for _, d := range []time.Duration{s.PublishAt, s.FetchWindow, s.Tick, s.RaceTimeout} {
 		if d < 0 {
 			return errors.New("dircache: negative duration")
 		}
@@ -314,26 +296,8 @@ func (s Spec) Validate() error {
 		if err := p.Validate(); err != nil {
 			return fmt.Errorf("dircache: attack %d: %w", i, err)
 		}
-		// A target index beyond the tier would silently under-throttle:
-		// the sweep would report resilience the flood never tested.
-		var tierSize int
-		switch p.Tier {
-		case attack.TierAuthority:
-			tierSize = s0.Authorities
-		case attack.TierCache:
-			tierSize = s0.Caches
-		default:
-			return fmt.Errorf("dircache: attack %d: unknown tier %v", i, p.Tier)
-		}
-		if p.TargetRegion != "" && s.Topology == nil {
-			return fmt.Errorf("dircache: attack %d: region %q needs a topology; the flat model has no regions",
-				i, p.TargetRegion)
-		}
-		for _, t := range p.Targets {
-			if t >= tierSize {
-				return fmt.Errorf("dircache: attack %d: target %d beyond the %d-node %v tier",
-					i, t, tierSize, p.Tier)
-			}
+		if err := attack.CheckScope(p.Tier, p.Targets, p.TargetRegion, s0.tierSize(p.Tier), s.Topology); err != nil {
+			return fmt.Errorf("dircache: attack %d: %w", i, err)
 		}
 	}
 	if s.Period < 0 {
@@ -343,12 +307,8 @@ func (s Spec) Validate() error {
 		if err := p.Validate(); err != nil {
 			return fmt.Errorf("dircache: compromise: %w", err)
 		}
-		for _, t := range p.Targets {
-			// An out-of-tier target would silently shrink the compromise:
-			// the sweep would report detection coverage it never tested.
-			if t >= s0.Caches {
-				return fmt.Errorf("dircache: compromise target %d beyond the %d-cache tier", t, s0.Caches)
-			}
+		if err := attack.CheckScope(attack.TierCache, p.Targets, "", s0.Caches, nil); err != nil {
+			return fmt.Errorf("dircache: compromise: %w", err)
 		}
 	}
 	if c := s.Chain; c != nil {
@@ -367,21 +327,8 @@ func (s Spec) Validate() error {
 		}
 		for i := range fp.Faults {
 			f := &fp.Faults[i]
-			// An out-of-tier target would silently shrink the fault: the run
-			// would report resilience the chaos never tested.
-			tierSize := s0.Authorities
-			if f.Tier == attack.TierCache {
-				tierSize = s0.Caches
-			}
-			if f.TargetRegion != "" && s.Topology == nil {
-				return fmt.Errorf("dircache: fault %d: region %q needs a topology; the flat model has no regions",
-					i, f.TargetRegion)
-			}
-			for _, t := range f.Targets {
-				if t >= tierSize {
-					return fmt.Errorf("dircache: fault %d: target %d beyond the %d-node %v tier",
-						i, t, tierSize, f.Tier)
-				}
+			if err := attack.CheckScope(f.Tier, f.Targets, f.TargetRegion, s0.tierSize(f.Tier), s.Topology); err != nil {
+				return fmt.Errorf("dircache: fault %d: %w", i, err)
 			}
 			if f.Kind == faults.Churn && s.Gossip == nil {
 				return fmt.Errorf("dircache: fault %d: churn needs a gossip mesh to leave", i)

@@ -47,7 +47,7 @@ func TestHealthyDistributionCoversPopulation(t *testing.T) {
 			res.AuthorityEgress, res.CacheEgress, res.FleetEgress)
 	}
 	// The caches must move roughly the population's worth of documents.
-	expect := int64(float64(res.TotalClients) * (0.2*float64(res.Spec.DocBytes) + 0.8*float64(res.Spec.DiffBytes)))
+	expect := int64(float64(res.TotalClients) * (0.2*float64(res.Spec.DocBytes) + 0.8*float64(res.Spec.DiffBytes())))
 	if res.CacheEgress < expect/2 || res.CacheEgress > 2*expect {
 		t.Fatalf("cache egress %d, expected near %d", res.CacheEgress, expect)
 	}
@@ -242,7 +242,7 @@ func TestCoverageCurveMonotonic(t *testing.T) {
 	if res.Points[len(res.Points)-1].Count != res.Covered {
 		t.Fatal("curve does not end at the covered total")
 	}
-	if got := res.CoverageAt(res.Spec.RunLimit); got != res.Coverage() {
+	if got := res.CoverageAt(res.Spec.RunLimit()); got != res.Coverage() {
 		t.Fatalf("CoverageAt(end)=%.3f, Coverage()=%.3f", got, res.Coverage())
 	}
 	if res.CoverageAt(0) != 0 {
@@ -296,7 +296,6 @@ func TestSpecValidate(t *testing.T) {
 		{Authorities: 5, Attacks: []attack.Plan{{Targets: []int{5}, End: time.Hour}}},
 		{Attacks: []attack.Plan{{Tier: attack.Tier(3), Targets: []int{0}, End: time.Hour}}},
 		{Clients: 1000, Tick: -10 * time.Second},
-		{CacheBandwidth: -5},
 		{DocBytes: -1},
 	}
 	for i, s := range bad {

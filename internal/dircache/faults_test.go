@@ -62,12 +62,12 @@ func TestBackoffDesynchronizesFleetRetries(t *testing.T) {
 	if len(lfleets) != legacy.Fleets {
 		t.Fatalf("retry events from %d fleets, want %d", len(lfleets), legacy.Fleets)
 	}
-	// Legacy re-arms at the fixed Spec.RetryDelay: after the first burst,
+	// Legacy re-arms at the fixed retryDelay: after the first burst,
 	// consecutive retries within one fleet sit exactly one delay apart.
 	for node, instants := range lfleets {
 		for i := 2; i < len(instants); i++ {
-			if gap := instants[i] - instants[i-1]; gap != lres.Spec.RetryDelay {
-				t.Fatalf("fleet %d legacy retry gap %v, want fixed %v", node, gap, lres.Spec.RetryDelay)
+			if gap := instants[i] - instants[i-1]; gap != retryDelay {
+				t.Fatalf("fleet %d legacy retry gap %v, want fixed %v", node, gap, retryDelay)
 			}
 		}
 	}

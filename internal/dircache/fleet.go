@@ -708,9 +708,9 @@ func (f *fleetNode) dropForkBlame(d sig.Digest) {
 }
 
 // armRetry coalesces refused fetches into one pending retry burst. Without
-// a Spec.Backoff the burst fires after the fixed RetryDelay — the legacy
+// a Spec.Backoff the burst fires after the fixed retryDelay — the legacy
 // schedule, kept byte for byte: every fleet refused in the same tick
-// re-arms at the same multiple of RetryDelay, so the bursts land on the
+// re-arms at the same multiple of retryDelay, so the bursts land on the
 // flooded tier as one synchronized spike. With a Backoff the delay grows
 // exponentially per consecutive burst, capped, and jittered from the run's
 // deterministic RNG — fleets desynchronize, and an optional budget sheds
@@ -721,7 +721,7 @@ func (f *fleetNode) armRetry(ctx *simnet.Context) {
 	if f.retryArmed {
 		return
 	}
-	delay := f.spec.RetryDelay
+	delay := retryDelay
 	if b := f.spec.Backoff; b != nil {
 		if b.Budget > 0 && f.retryBursts >= b.Budget {
 			// Budget spent: shed the pool instead of hammering a tier that

@@ -179,7 +179,7 @@ func (c *cacheNode) gossipPull(ctx *simnet.Context, from simnet.NodeID, epoch ui
 	g.pulls++
 	ctx.Trace(obs.Event{Type: obs.EvGossipPull, Peer: int(from), A: int64(epoch)})
 	ctx.Send(from, gossipPull{have: g.eng.Epoch()})
-	ctx.After(c.spec.CacheFetchTimeout, func() {
+	ctx.After(cacheFetchTimeout, func() {
 		if g.eng.PullExpired(seq) {
 			ctx.Logf("info", "gossip pull of epoch %d from node %d expired", epoch, from)
 		}
@@ -198,7 +198,7 @@ func (c *cacheNode) onGossipPull(ctx *simnet.Context, from simnet.NodeID, m goss
 		return
 	}
 	g.serves++
-	bytes := c.spec.DiffBytes
+	bytes := c.spec.DiffBytes()
 	if full {
 		bytes = c.spec.DocBytes
 	}

@@ -285,7 +285,7 @@ func collect(spec Spec, net *simnet.Network, authIDs, cacheIDs, fleetIDs []simne
 	res.TimeToTarget = res.TimeToCoverage(spec.TargetCoverage)
 	if spec.Faults != nil {
 		res.FaultEvents = spec.Faults.Events()
-		res.TimeBelowTarget = timeBelow(res.Points, res.TotalClients, spec.TargetCoverage, spec.RunLimit)
+		res.TimeBelowTarget = timeBelow(res.Points, res.TotalClients, spec.TargetCoverage, spec.RunLimit())
 		for i := range spec.Faults.Faults {
 			end := spec.Faults.Faults[i].End
 			res.Recoveries = append(res.Recoveries, faults.Recovery{

@@ -47,11 +47,7 @@ func Run(spec Spec) (*Result, error) {
 	// else.
 	attacks := append([]attack.Plan(nil), spec.Attacks...)
 	for i := range attacks {
-		tierSize := spec.Authorities
-		if attacks[i].Tier == attack.TierCache {
-			tierSize = spec.Caches
-		}
-		if err := attacks[i].ResolveRegion(tp, tierSize); err != nil {
+		if err := attacks[i].ResolveRegion(tp, spec.tierSize(attacks[i].Tier)); err != nil {
 			return nil, fmt.Errorf("dircache: attack %d: %w", i, err)
 		}
 		attacks[i].Compile()
@@ -76,7 +72,7 @@ func Run(spec Spec) (*Result, error) {
 	authIDs := make([]simnet.NodeID, spec.Authorities)
 	for i := range authIDs {
 		stub := &authorityStub{spec: &spec, publishAt: spec.PublishAt}
-		region, bw := nodePlacement(tp, authRegions, i, spec.AuthorityBandwidth)
+		region, bw := nodePlacement(tp, authRegions, i, authorityBandwidth)
 		up := simnet.NewProfile(bw)
 		down := simnet.NewProfile(bw)
 		applyAttacks(attacks, attack.TierAuthority, i, up, down)
@@ -112,7 +108,7 @@ func Run(spec Spec) (*Result, error) {
 			// Start onward, when the whole tier exists.
 			c.gossip = newGossipState(&spec, mesh, cacheIDs, i, roles[i])
 		}
-		region, bw := nodePlacement(tp, cacheRegions, i, spec.CacheBandwidth)
+		region, bw := nodePlacement(tp, cacheRegions, i, cacheBandwidth)
 		up := simnet.NewProfile(bw)
 		down := simnet.NewProfile(bw)
 		applyAttacks(attacks, attack.TierCache, i, up, down)
@@ -131,7 +127,7 @@ func Run(spec Spec) (*Result, error) {
 	for i := range fleets {
 		f := &fleetNode{spec: &spec, clients: fleetClients[i], caches: cacheIDs,
 			weights: weights, chainCtx: spec.Chain}
-		region, bw := nodePlacement(tp, fleetRegions, i, spec.FleetBandwidth)
+		region, bw := nodePlacement(tp, fleetRegions, i, fleetBandwidth)
 		if tp != nil {
 			f.region = region
 			f.weights = biasWeights(tp, region, cacheRegions, weights)
@@ -161,7 +157,7 @@ func Run(spec Spec) (*Result, error) {
 		installPartitions(net, spec.Faults, authIDs, cacheIDs)
 	}
 
-	net.Run(spec.RunLimit)
+	net.Run(spec.RunLimit())
 	return collect(spec, net, authIDs, cacheIDs, fleetIDs, caches, fleets), nil
 }
 

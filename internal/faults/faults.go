@@ -53,11 +53,12 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// Fault is one fault window against a set of nodes in one tier. It follows
-// the attack.Plan idiom: Validate up front, ResolveRegion against the run's
-// topology, Compile the membership set, then the runner applies it at
-// wiring time — so a faulted run schedules everything before the clock
-// starts and stays byte-identically deterministic.
+// Fault is one fault window against a set of nodes in one tier. Its target
+// scope — Tier, Targets, TargetRegion — follows the rules of attack.Plan's
+// (attack.ValidateScope and friends): Validate up front, then Plan.Resolve
+// against the run's topology, then the runner applies it at wiring time — so
+// a faulted run schedules everything before the clock starts and stays
+// byte-identically deterministic.
 type Fault struct {
 	// Kind selects the failure mode.
 	Kind Kind
@@ -80,28 +81,21 @@ type Fault struct {
 	// ignore it.
 	Period time.Duration
 
-	// targets is the membership index built by Compile; nil until then.
+	// targets is the membership index built by Plan.Resolve; nil until then.
 	targets map[int]struct{}
 }
 
-// Validate rejects malformed faults.
+// Validate rejects malformed faults. Unlike a flood plan, a fault's window
+// must not be empty: a fault that never turns on has no recovery to measure.
 func (f *Fault) Validate() error {
-	if f.Tier != attack.TierAuthority && f.Tier != attack.TierCache {
-		return fmt.Errorf("faults: unknown tier %v", f.Tier)
+	if err := attack.ValidateScope(f.Tier, f.Targets, f.TargetRegion); err != nil {
+		return fmt.Errorf("faults: %w", err)
 	}
 	if f.Start < 0 {
 		return fmt.Errorf("faults: %v window starts at negative time %v", f.Kind, f.Start)
 	}
 	if f.End <= f.Start {
 		return fmt.Errorf("faults: %v window ends (%v) at or before its start (%v)", f.Kind, f.End, f.Start)
-	}
-	for _, t := range f.Targets {
-		if t < 0 {
-			return fmt.Errorf("faults: negative target index %d", t)
-		}
-	}
-	if f.TargetRegion != "" && len(f.Targets) > 0 {
-		return errors.New("faults: fault carries both explicit Targets and a TargetRegion; pick one")
 	}
 	switch f.Kind {
 	case Crash, Partition:
@@ -123,57 +117,8 @@ func (f *Fault) Validate() error {
 	return nil
 }
 
-// ResolveRegion expands a region-scoped fault against the run's topology:
-// Targets becomes every node of the fault's n-node tier the topology places
-// in TargetRegion. It is a no-op for index-scoped faults, and an error when
-// the region is unknown, the run is flat, or the region holds none of the
-// tier's nodes.
-func (f *Fault) ResolveRegion(t topo.Topology, tierSize int) error {
-	if f.TargetRegion == "" {
-		return nil
-	}
-	if len(f.Targets) > 0 {
-		return errors.New("faults: fault carries both explicit Targets and a TargetRegion; pick one")
-	}
-	if t == nil {
-		return fmt.Errorf("faults: region-scoped fault (%q) needs a topology; the flat model has no regions", f.TargetRegion)
-	}
-	r, err := topo.RegionByName(t, f.TargetRegion)
-	if err != nil {
-		return fmt.Errorf("faults: %w", err)
-	}
-	targets := topo.RegionTargets(t, r, tierSize)
-	if len(targets) == 0 {
-		return fmt.Errorf("faults: region %q holds none of the %d-node %v tier", f.TargetRegion, tierSize, f.Tier)
-	}
-	f.Targets = targets
-	f.TargetRegion = ""
-	return nil
-}
-
-// Compile precomputes the target-membership set so IsTarget is O(1).
-func (f *Fault) Compile() {
-	set := make(map[int]struct{}, len(f.Targets))
-	for _, t := range f.Targets {
-		set[t] = struct{}{}
-	}
-	f.targets = set
-}
-
-// IsTarget reports whether the tier-relative node index is hit by this
-// fault. A compiled fault answers in O(1); an uncompiled one scans.
-func (f *Fault) IsTarget(index int) bool {
-	if f.targets != nil {
-		_, ok := f.targets[index]
-		return ok
-	}
-	for _, t := range f.Targets {
-		if t == index {
-			return true
-		}
-	}
-	return false
-}
+// IsTarget reports whether the fault hits the tier-relative node index.
+func (f *Fault) IsTarget(index int) bool { return attack.InScope(f.targets, f.Targets, index) }
 
 // Duration returns the window length.
 func (f *Fault) Duration() time.Duration { return f.End - f.Start }
@@ -240,7 +185,8 @@ func (p *Plan) Validate() error {
 }
 
 // Resolve expands every region-scoped fault against the run's topology and
-// tier sizes, then compiles every fault's membership set.
+// tier sizes (attack.ResolveScope), then compiles every fault's membership
+// set. A resolved fault is a plain index fault, so resolving twice is safe.
 func (p *Plan) Resolve(t topo.Topology, authorities, caches int) error {
 	for i := range p.Faults {
 		f := &p.Faults[i]
@@ -248,10 +194,12 @@ func (p *Plan) Resolve(t topo.Topology, authorities, caches int) error {
 		if f.Tier == attack.TierCache {
 			size = caches
 		}
-		if err := f.ResolveRegion(t, size); err != nil {
-			return fmt.Errorf("fault %d: %w", i, err)
+		targets, err := attack.ResolveScope(f.Tier, f.Targets, f.TargetRegion, t, size)
+		if err != nil {
+			return fmt.Errorf("fault %d: faults: %w", i, err)
 		}
-		f.Compile()
+		f.Targets, f.TargetRegion = targets, ""
+		f.targets = attack.TargetSet(targets)
 	}
 	return nil
 }

@@ -170,7 +170,9 @@ func TestWorstMTTR(t *testing.T) {
 
 func TestPlanCloneIsDeep(t *testing.T) {
 	p := &Plan{Faults: []Fault{{Kind: Crash, Tier: attack.TierCache, Targets: []int{1, 2}, Start: 0, End: time.Minute}}}
-	p.Faults[0].Compile()
+	if err := p.Resolve(nil, 9, 10); err != nil {
+		t.Fatal(err)
+	}
 	c := p.Clone()
 	c.Faults[0].Targets[0] = 99
 	if p.Faults[0].Targets[0] != 1 {
@@ -216,8 +218,11 @@ func TestPlanHelpers(t *testing.T) {
 }
 
 func TestFaultThrottle(t *testing.T) {
-	f := Fault{Kind: Flap, Tier: attack.TierCache, Targets: []int{0}, Start: 0, End: 10 * time.Second, Period: 4 * time.Second}
-	f.Compile()
+	p := Plan{Faults: []Fault{{Kind: Flap, Tier: attack.TierCache, Targets: []int{0}, Start: 0, End: 10 * time.Second, Period: 4 * time.Second}}}
+	if err := p.Resolve(nil, 9, 10); err != nil {
+		t.Fatal(err)
+	}
+	f := &p.Faults[0]
 	up := simnet.NewProfile(1000)
 	down := simnet.NewProfile(1000)
 	f.Throttle(0, up, down)

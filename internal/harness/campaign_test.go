@@ -3,10 +3,46 @@ package harness
 import (
 	"testing"
 	"time"
+
+	"partialtor/internal/attack"
+	"partialtor/internal/client"
 )
 
+// campaign runs the scaled multi-period experiment these tests share: 150
+// relays, 15 s rounds, the hash chain and the availability model on, and —
+// in the periods attacked marks (nil = none) — the majority of the
+// authorities flooded down to residual for the two vote rounds.
+func campaign(t *testing.T, proto Protocol, periods int, residual float64, attacked func(int) bool) *ExperimentResult {
+	t.Helper()
+	opts := []ExperimentOption{
+		WithScenario(Scenario{Protocol: proto, Relays: 150, EntryPadding: -1, Round: 15 * time.Second, Seed: 1}),
+		WithPeriods(periods),
+		WithAvailability(client.DefaultPolicy()),
+		WithChain(),
+	}
+	if attacked != nil {
+		opts = append(opts,
+			WithAttack(attack.Plan{Targets: attack.MajorityTargets(9), End: 30 * time.Second, Residual: residual}),
+			WithAttackSchedule(attacked))
+	}
+	exp, err := NewExperiment(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := exp.Run(bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Runs) != periods || len(r.Outcomes) != periods {
+		t.Fatalf("runs=%d outcomes=%d, want %d each", len(r.Runs), len(r.Outcomes), periods)
+	}
+	return r
+}
+
+func afterFirst(i int) bool { return i > 0 }
+
 func TestCampaignHealthy(t *testing.T) {
-	r := Campaign(CampaignParams{Protocol: ICPS, Periods: 5, Relays: 150})
+	r := campaign(t, ICPS, 5, 0, nil)
 	if r.Successes != 5 {
 		t.Fatalf("successes=%d of 5: %v", r.Successes, r.Outcomes)
 	}
@@ -29,12 +65,7 @@ func TestCampaignSustainedAttackOnCurrent(t *testing.T) {
 	// Period 0 healthy, every later period attacked: the current protocol
 	// loses them all, the chain freezes at one link, and the network goes
 	// down exactly three hours after the only consensus.
-	r := Campaign(CampaignParams{
-		Protocol: Current,
-		Periods:  6,
-		Relays:   150,
-		Attacked: func(i int) bool { return i > 0 },
-	})
+	r := campaign(t, Current, 6, 5e3, afterFirst)
 	if r.Successes != 1 {
 		t.Fatalf("successes=%d, want 1: %v", r.Successes, r.Outcomes)
 	}
@@ -53,12 +84,7 @@ func TestCampaignSustainedAttackOnICPS(t *testing.T) {
 	// The same attack schedule against the partially synchronous protocol:
 	// every period still produces a consensus (the attack only delays it),
 	// the chain grows every hour and the network never goes down.
-	r := Campaign(CampaignParams{
-		Protocol: ICPS,
-		Periods:  6,
-		Relays:   150,
-		Attacked: func(i int) bool { return i > 0 },
-	})
+	r := campaign(t, ICPS, 6, 5e3, afterFirst)
 	if r.Successes != 6 {
 		t.Fatalf("successes=%d of 6: %v", r.Successes, r.Outcomes)
 	}
@@ -80,7 +106,7 @@ func TestCrossProtocolConsensusAgreement(t *testing.T) {
 	// all nine votes.
 	digest := map[Protocol]string{}
 	for _, proto := range []Protocol{Current, Synchronous, ICPS} {
-		run := Run(Scenario{
+		run := mustRun(t, Scenario{
 			Protocol:     proto,
 			Relays:       120,
 			EntryPadding: 0,
@@ -101,33 +127,11 @@ func TestCrossProtocolConsensusAgreement(t *testing.T) {
 	}
 }
 
-// TestCampaignResidualConvention pins the DiffFraction-style convention on
-// CampaignParams.Residual: the zero value keeps selecting the scaled
-// default, a negative value means a literal 0 — the paper's knock-offline
-// full outage, which "0 means default" left unrepresentable.
-func TestCampaignResidualConvention(t *testing.T) {
-	if got := (CampaignParams{}).withDefaults().Residual; got != 5e3 {
-		t.Fatalf("zero-value Residual resolved to %g, want the 5e3 default", got)
-	}
-	if got := (CampaignParams{Residual: -1}).withDefaults().Residual; got != 0 {
-		t.Fatalf("negative Residual resolved to %g, want 0 (full outage)", got)
-	}
-	if got := (CampaignParams{Residual: 7e4}).withDefaults().Residual; got != 7e4 {
-		t.Fatalf("explicit Residual overridden: %g", got)
-	}
-}
-
-// TestCampaignFullOutage runs the knock-offline case end to end: with
-// Residual < 0 the attacked periods flood the majority down to zero
+// TestCampaignFullOutage runs the knock-offline case end to end: with a
+// zero residual the attacked periods flood the majority down to zero
 // bandwidth, and the current protocol still loses every attacked period.
 func TestCampaignFullOutage(t *testing.T) {
-	r := Campaign(CampaignParams{
-		Protocol: Current,
-		Periods:  5,
-		Relays:   150,
-		Residual: -1,
-		Attacked: func(i int) bool { return i > 0 },
-	})
+	r := campaign(t, Current, 5, 0, afterFirst)
 	if r.Successes != 1 {
 		t.Fatalf("successes=%d, want only the healthy period: %v", r.Successes, r.Outcomes)
 	}

@@ -22,7 +22,7 @@ func testDistSpec() *dircache.Spec {
 }
 
 func TestScenarioWithDistribution(t *testing.T) {
-	res := Run(Scenario{
+	res := mustRun(t, Scenario{
 		Protocol:     Current,
 		Relays:       300,
 		EntryPadding: -1,
@@ -63,7 +63,7 @@ func TestAuthorityAttackStarvesDistribution(t *testing.T) {
 		End:      40 * time.Second, // covers both scaled vote rounds
 		Residual: 0,
 	}
-	res := Run(Scenario{
+	res := mustRun(t, Scenario{
 		Protocol:     Current,
 		Relays:       300,
 		EntryPadding: -1,
@@ -101,11 +101,11 @@ func TestAuthorityAttackStarvesDistribution(t *testing.T) {
 	}
 }
 
-// TestInvalidScenarioReturnsError pins the redesign's error contract: every
-// configuration bug that used to panic inside Run now comes back as an
-// error from RunE — a cache-tier plan on Scenario.Attack, a malformed
-// window, a target beyond the authority set, an unregistered protocol —
-// so one bad cell costs one row of a sweep, never the sweep.
+// TestInvalidScenarioReturnsError pins the error contract: every
+// configuration bug comes back as an error from RunE — a cache-tier plan on
+// Scenario.Attack, a malformed window, a target beyond the authority set, an
+// unregistered protocol — so one bad cell costs one row of a sweep, never
+// the sweep.
 func TestInvalidScenarioReturnsError(t *testing.T) {
 	scen := func(plan attack.Plan) Scenario {
 		return Scenario{
@@ -136,7 +136,7 @@ func TestInvalidScenarioReturnsError(t *testing.T) {
 		{"target beyond tier", scen(attack.Plan{
 			Targets: []int{12},
 			End:     30 * time.Second,
-		}), "beyond the 9 authorities"},
+		}), "beyond the 9-node authority tier"},
 		{"unregistered protocol", Scenario{Protocol: Protocol(987), Relays: 100}, "no driver registered"},
 	}
 	for _, tc := range cases {
@@ -152,22 +152,6 @@ func TestInvalidScenarioReturnsError(t *testing.T) {
 			t.Errorf("%s: error %q missing %q", tc.name, err, tc.want)
 		}
 	}
-}
-
-// TestRunWrapperPanicsOnError pins the compatibility contract: the old Run
-// entry point still fails loudly on the same configuration bugs.
-func TestRunWrapperPanicsOnError(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Run accepted a cache-tier plan")
-		}
-	}()
-	plan := attack.Plan{
-		Tier:    attack.TierCache,
-		Targets: attack.MajorityTargets(9),
-		End:     40 * time.Second,
-	}
-	Run(Scenario{Protocol: Current, Relays: 300, EntryPadding: -1, Round: 15 * time.Second, Attack: &plan, Seed: 3})
 }
 
 // --- effectiveDistribution edge cases -------------------------------------

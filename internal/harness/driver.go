@@ -38,8 +38,7 @@ type ProtocolRun struct {
 	// scenario's authorities; the harness wires node i to authority i's
 	// bandwidth profiles. len(Nodes) must equal Scenario.N.
 	Nodes []simnet.Handler
-	// EndTime is the simulation limit used when the scenario leaves
-	// RunLimit zero.
+	// EndTime is the simulation limit.
 	EndTime time.Duration
 	// Collect extracts the outcome after the network has run past EndTime.
 	Collect func() Outcome

@@ -35,28 +35,26 @@ const (
 // Experiment is the declarative spec of the paper's evaluation pipeline:
 // one scenario, repeated over periods, with optional distribution and
 // availability phases — Generate → Distribute → Avail. It unifies what
-// Scenario, CampaignParams and the per-figure Params structs each encoded a
-// slice of: a single run is a one-period experiment, a campaign is a
-// multi-period one with a chain, a Figure-7-style distribution surface is a
-// sweep whose cells are one-period experiments with a Distribute phase.
+// Scenario and the per-figure Params structs each encoded a slice of: a
+// single run is a one-period experiment, a campaign is a multi-period one
+// with a chain, a Figure-7-style distribution surface is a sweep whose cells
+// are one-period experiments with a Distribute phase.
 //
 // Build one with NewExperiment and functional options; configuration is
 // validated eagerly, so an invalid spec fails at construction, before any
 // simulation time is spent.
 type Experiment struct {
-	base       Scenario
-	periods    int
-	attacked   func(int) bool
-	attack     *attack.Plan
-	compromise *attack.CompromisePlan
-	verify     bool
-	dist       *dircache.Spec
-	gossip     *gossip.Config
-	faults     *faults.Plan
-	backoff    *faults.Backoff
-	policy     client.Policy
-	avail      bool
-	chain      bool
+	base     Scenario
+	periods  int
+	attacked func(int) bool
+	attack   *attack.Plan
+	// dist is the Distribute phase's spec (nil = no such phase); distEdits
+	// are what the onDistribution options do to it once every option has run.
+	dist      *dircache.Spec
+	distEdits []func() error
+	policy    client.Policy
+	avail     bool
+	chain     bool
 }
 
 // ExperimentOption configures an Experiment under construction.
@@ -115,16 +113,40 @@ func WithAttackSchedule(attacked func(i int) bool) ExperimentOption {
 	}
 }
 
+// onDistribution is an option that edits the Distribute phase's spec. The
+// edit runs once every option has — WithDistribution may come later in the
+// list — and fails when there is no such phase; what names the feature in
+// that error.
+func onDistribution(what string, edit func(*dircache.Spec) error) ExperimentOption {
+	return func(e *Experiment) error {
+		e.distEdits = append(e.distEdits, func() error {
+			if e.dist == nil {
+				return fmt.Errorf("harness: %s needs a distribution phase (WithDistribution)", what)
+			}
+			return edit(e.dist)
+		})
+		return nil
+	}
+}
+
+// errTwice reports a feature set both on the distribution spec and by option.
+func errTwice(what, option string) error {
+	return fmt.Errorf("harness: %s specified twice — on the distribution spec and via %s", what, option)
+}
+
 // WithCompromise routes a cache-compromise plan into the Distribute phase:
 // from period plan.Onset onward the plan's caches serve stale or forked
 // directory data (attack.CompromiseStale / attack.CompromiseEquivocate).
 // Pair it with WithVerifiedClients to measure detection instead of damage.
 func WithCompromise(p attack.CompromisePlan) ExperimentOption {
-	return func(e *Experiment) error {
+	return onDistribution("cache compromise", func(d *dircache.Spec) error {
+		if d.Compromise != nil {
+			return errTwice("compromise", "WithCompromise")
+		}
 		pc := p
-		e.compromise = &pc
+		d.Compromise = &pc
 		return nil
-	}
+	})
 }
 
 // WithVerifiedClients switches the Distribute phase's client fleets to the
@@ -133,10 +155,10 @@ func WithCompromise(p attack.CompromisePlan) ExperimentOption {
 // serving cache is distrusted and the clients re-fetch elsewhere), and fork
 // proofs are recorded in each period's DistributionResult.
 func WithVerifiedClients() ExperimentOption {
-	return func(e *Experiment) error {
-		e.verify = true
+	return onDistribution("client verification", func(d *dircache.Spec) error {
+		d.VerifyClients = true
 		return nil
-	}
+	})
 }
 
 // WithDistribution adds the Distribute phase: every period's consensus
@@ -158,11 +180,14 @@ func WithDistribution(spec dircache.Spec) ExperimentOption {
 // peers. Needs a distribution phase (WithDistribution or a spec on the base
 // scenario).
 func WithGossip(cfg gossip.Config) ExperimentOption {
-	return func(e *Experiment) error {
+	return onDistribution("a gossip mesh", func(d *dircache.Spec) error {
+		if d.Gossip != nil {
+			return errTwice("gossip", "WithGossip")
+		}
 		gc := cfg
-		e.gossip = &gc
+		d.Gossip = &gc
 		return nil
-	}
+	})
 }
 
 // WithFaults injects the fault plan into every period's distribution phase:
@@ -173,10 +198,13 @@ func WithGossip(cfg gossip.Config) ExperimentOption {
 // targets). Needs a distribution phase (WithDistribution or a spec on the
 // base scenario).
 func WithFaults(p faults.Plan) ExperimentOption {
-	return func(e *Experiment) error {
-		e.faults = p.Clone()
+	return onDistribution("a fault plan", func(d *dircache.Spec) error {
+		if d.Faults != nil {
+			return errTwice("faults", "WithFaults")
+		}
+		d.Faults = p.Clone()
 		return nil
-	}
+	})
 }
 
 // WithBackoff replaces every fleet's fixed coalesced-retry delay with the
@@ -184,11 +212,14 @@ func WithFaults(p faults.Plan) ExperimentOption {
 // half of the chaos layer: desynchronized retries stop re-flooding a
 // recovering tier the instant it comes back. Needs a distribution phase.
 func WithBackoff(b faults.Backoff) ExperimentOption {
-	return func(e *Experiment) error {
+	return onDistribution("retry backoff", func(d *dircache.Spec) error {
+		if d.Backoff != nil {
+			return errTwice("backoff", "WithBackoff")
+		}
 		bc := b
-		e.backoff = &bc
+		d.Backoff = &bc
 		return nil
-	}
+	})
 }
 
 // WithTopology places every period's networks on the given regional map
@@ -264,40 +295,10 @@ func NewExperiment(opts ...ExperimentOption) (*Experiment, error) {
 		e.attack = &plan
 		e.base.Attack = nil // scenarioFor reattaches e.attack per attacked period
 	}
-	if e.compromise != nil || e.verify {
-		if e.dist == nil {
-			return nil, fmt.Errorf("harness: cache compromise and client verification need a distribution phase (WithDistribution)")
+	for _, edit := range e.distEdits {
+		if err := edit(); err != nil {
+			return nil, err
 		}
-		if e.compromise != nil && e.dist.Compromise != nil {
-			return nil, fmt.Errorf("harness: compromise specified twice — on the distribution spec and via WithCompromise")
-		}
-	}
-	if e.gossip != nil {
-		if e.dist == nil {
-			return nil, fmt.Errorf("harness: a gossip mesh needs a distribution phase (WithDistribution)")
-		}
-		if e.dist.Gossip != nil {
-			return nil, fmt.Errorf("harness: gossip specified twice — on the distribution spec and via WithGossip")
-		}
-		e.dist.Gossip = e.gossip
-	}
-	if e.faults != nil {
-		if e.dist == nil {
-			return nil, fmt.Errorf("harness: a fault plan needs a distribution phase (WithDistribution)")
-		}
-		if e.dist.Faults != nil {
-			return nil, fmt.Errorf("harness: faults specified twice — on the distribution spec and via WithFaults")
-		}
-		e.dist.Faults = e.faults
-	}
-	if e.backoff != nil {
-		if e.dist == nil {
-			return nil, fmt.Errorf("harness: retry backoff needs a distribution phase (WithDistribution)")
-		}
-		if e.dist.Backoff != nil {
-			return nil, fmt.Errorf("harness: backoff specified twice — on the distribution spec and via WithBackoff")
-		}
-		e.dist.Backoff = e.backoff
 	}
 	if e.attacked == nil {
 		attackSet := e.attack != nil
@@ -309,7 +310,7 @@ func NewExperiment(opts ...ExperimentOption) (*Experiment, error) {
 	if e.attack != nil {
 		switch e.attack.Tier {
 		case attack.TierAuthority:
-			if err := validateAuthorityAttack(e.attack, e.base.withDefaults().N); err != nil {
+			if err := validateAuthorityAttack(e.attack, e.base.withDefaults().N, e.base.Topology); err != nil {
 				return nil, err
 			}
 		case attack.TierCache:
@@ -324,8 +325,8 @@ func NewExperiment(opts ...ExperimentOption) (*Experiment, error) {
 	// configuration period 0 already carried: both attack states, and —
 	// when a compromise plan has a later onset — the period it activates.
 	periods := []int{0}
-	if e.compromise != nil && e.compromise.Onset > 0 {
-		periods = append(periods, e.compromise.Onset)
+	if e.dist != nil && e.dist.Compromise != nil && e.dist.Compromise.Onset > 0 {
+		periods = append(periods, e.dist.Compromise.Onset)
 	}
 	for _, period := range periods {
 		for _, attacked := range []bool{false, true} {
@@ -361,21 +362,14 @@ func (e *Experiment) Periods() int { return e.periods }
 func (e *Experiment) hasAvail() bool { return e.avail }
 
 // scenarioFor assembles the scenario one period runs: the base scenario,
-// the distribution spec if the Distribute phase is on (with the period's
-// compromise and verification state), and — when the period is attacked —
-// the attack plan routed to its tier.
+// the distribution spec if the Distribute phase is on (stamped with the
+// period, which a compromise plan's onset is checked against), and — when
+// the period is attacked — the attack plan routed to its tier.
 func (e *Experiment) scenarioFor(period int, attacked bool) Scenario {
 	s := e.base
 	if e.dist != nil {
 		spec := *e.dist
 		spec.Period = period
-		if e.compromise != nil {
-			pc := *e.compromise
-			spec.Compromise = &pc
-		}
-		if e.verify {
-			spec.VerifyClients = true
-		}
 		s.Distribution = &spec
 	}
 	if e.attack != nil && attacked {

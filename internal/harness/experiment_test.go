@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"partialtor/internal/attack"
-	"partialtor/internal/client"
 	"partialtor/internal/dircache"
 )
 
@@ -48,58 +47,6 @@ func TestExperimentPhases(t *testing.T) {
 	}
 	if full.Periods() != 3 {
 		t.Fatalf("periods %d", full.Periods())
-	}
-}
-
-// TestExperimentMatchesCampaign pins the unification: a campaign expressed
-// as an Experiment produces the same outcomes, chain and availability as
-// the CampaignParams front end (which now delegates to it).
-func TestExperimentMatchesCampaign(t *testing.T) {
-	attacked := func(i int) bool { return i > 0 }
-	camp, err := CampaignE(context.Background(), CampaignParams{
-		Protocol: Current,
-		Periods:  4,
-		Relays:   150,
-		Attacked: attacked,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exp, err := NewExperiment(
-		WithScenario(Scenario{Protocol: Current, Relays: 150, EntryPadding: -1, Round: 15 * time.Second, Seed: 1}),
-		WithPeriods(4),
-		WithAttack(attack.Plan{Targets: attack.MajorityTargets(9), End: 30 * time.Second, Residual: 5e3}),
-		WithAttackSchedule(attacked),
-		WithAvailability(client.DefaultPolicy()),
-		WithChain(),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	er, err := exp.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(er.Runs) != 4 || len(er.Outcomes) != 4 {
-		t.Fatalf("runs=%d outcomes=%d", len(er.Runs), len(er.Outcomes))
-	}
-	for i, ok := range er.Outcomes {
-		if ok != camp.Outcomes[i] {
-			t.Fatalf("period %d diverged: experiment %v campaign %v", i, er.Outcomes, camp.Outcomes)
-		}
-	}
-	if er.Successes != camp.Successes {
-		t.Fatalf("successes %d vs %d", er.Successes, camp.Successes)
-	}
-	if er.Chain == nil || er.Chain.Len() != camp.Chain.Len() {
-		t.Fatalf("chain lengths diverged")
-	}
-	if err := er.Chain.Verify(); err != nil {
-		t.Fatalf("experiment chain invalid: %v", err)
-	}
-	if er.Availability != camp.Availability || er.FirstOutage != camp.FirstOutage {
-		t.Fatalf("availability %v/%v vs campaign %v/%v",
-			er.Availability, er.FirstOutage, camp.Availability, camp.FirstOutage)
 	}
 }
 
@@ -229,7 +176,7 @@ func TestExperimentValidationErrors(t *testing.T) {
 		}, "window"},
 		{"attack beyond authorities", []ExperimentOption{
 			WithAttack(attack.Plan{Targets: []int{11}, End: time.Minute}),
-		}, "beyond the 9 authorities"},
+		}, "beyond the 9-node authority tier"},
 		{"invalid distribution spec", []ExperimentOption{
 			WithDistribution(dircache.Spec{TargetCoverage: 2}),
 		}, "target coverage"},

@@ -126,10 +126,9 @@ func TestExperimentWithFaults(t *testing.T) {
 	}
 }
 
-// TestScenarioFaultsCarryOver checks the scenario-level field: a fault plan
-// on the Scenario rides into the effective distribution spec unless the spec
-// already carries its own.
-func TestScenarioFaultsCarryOver(t *testing.T) {
+// TestScenarioDistributionFaults checks the one way a bare scenario names a
+// fault plan: on its distribution spec, which RunE runs as given.
+func TestScenarioDistributionFaults(t *testing.T) {
 	plan := &faults.Plan{Faults: []faults.Fault{{
 		Kind:    faults.Degrade,
 		Tier:    attack.TierCache,
@@ -143,13 +142,13 @@ func TestScenarioFaultsCarryOver(t *testing.T) {
 		Relays:   60,
 		Round:    15 * time.Second,
 		Seed:     3,
-		Faults:   plan,
 		Distribution: &dircache.Spec{
 			Clients:     2_000,
 			Caches:      6,
 			Fleets:      1,
 			FetchWindow: 3 * time.Minute,
 			Tick:        5 * time.Second,
+			Faults:      plan,
 		},
 	}
 	res, err := RunE(t.Context(), s)
@@ -157,6 +156,6 @@ func TestScenarioFaultsCarryOver(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Distribution.FaultEvents != 2 {
-		t.Fatalf("FaultEvents = %d, want 2 (scenario plan did not carry over)", res.Distribution.FaultEvents)
+		t.Fatalf("FaultEvents = %d, want 2 (the spec's plan did not run)", res.Distribution.FaultEvents)
 	}
 }

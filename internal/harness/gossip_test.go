@@ -25,7 +25,7 @@ func TestGossipOutageRecovery(t *testing.T) {
 	if got := d.Coverage(); got < 0.95 {
 		t.Fatalf("gossip mesh covered %.1f%% of the fleet, want >= 95%%", 100*got)
 	}
-	if d.TimeToTarget == simnet.Never || d.TimeToTarget > d.Spec.RunLimit {
+	if d.TimeToTarget == simnet.Never || d.TimeToTarget > d.Spec.RunLimit() {
 		t.Fatalf("gossip mesh never reached target coverage (t=%v)", d.TimeToTarget)
 	}
 	if d.CachesFromPeers < 25 {

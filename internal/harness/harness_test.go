@@ -15,6 +15,16 @@ import (
 // has its own tests.
 var bg = context.Background()
 
+// mustRun is RunE for tests whose scenario is valid by construction.
+func mustRun(t *testing.T, s Scenario) *RunResult {
+	t.Helper()
+	res, err := RunE(bg, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestFigure1LogShape(t *testing.T) {
 	r, err := Figure1(bg, Figure1Params{
 		Relays:   400,
@@ -286,7 +296,7 @@ func TestInputsCaching(t *testing.T) {
 }
 
 func TestRunProducesTransportStats(t *testing.T) {
-	run := Run(Scenario{Protocol: Current, Relays: 100, EntryPadding: 0, Round: 10 * time.Second})
+	run := mustRun(t, Scenario{Protocol: Current, Relays: 100, EntryPadding: 0, Round: 10 * time.Second})
 	if !run.Success {
 		t.Fatal("small healthy run failed")
 	}

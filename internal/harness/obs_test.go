@@ -23,7 +23,7 @@ func TestRunSurfacesDetections(t *testing.T) {
 	}
 	rec := obs.NewRecorder(1 << 18)
 	det := obs.NewDetector(obs.DetectorConfig{})
-	res := Run(Scenario{
+	res := mustRun(t, Scenario{
 		Protocol:     Current,
 		Relays:       300,
 		EntryPadding: -1,
@@ -61,7 +61,7 @@ func TestRunSurfacesDetections(t *testing.T) {
 // the same scenario must not flag anything.
 func TestRunNoFalsePositives(t *testing.T) {
 	det := obs.NewDetector(obs.DetectorConfig{})
-	res := Run(Scenario{
+	res := mustRun(t, Scenario{
 		Protocol:     Current,
 		Relays:       300,
 		EntryPadding: -1,

@@ -11,8 +11,7 @@
 //     variant joins every scenario and sweep via NewProtocol;
 //   - RunE executes one scenario with (result, error) semantics: invalid
 //     configuration comes back as an error instead of a panic, so a bad
-//     cell costs one row of a 10k-cell sweep, never the sweep. Run is the
-//     thin compatibility wrapper that panics on error;
+//     cell costs one row of a 10k-cell sweep, never the sweep;
 //   - Experiment (experiment.go) chains the phases declaratively —
 //     Generate → Distribute → Avail — unifying single runs, multi-period
 //     campaigns and distribution scenarios on one spec.
@@ -38,7 +37,6 @@ import (
 	"partialtor/internal/attack"
 	"partialtor/internal/dircache"
 	"partialtor/internal/dirv3"
-	"partialtor/internal/faults"
 	"partialtor/internal/obs"
 	"partialtor/internal/relay"
 	"partialtor/internal/sig"
@@ -117,16 +115,8 @@ type Scenario struct {
 	// unless Distribution.Topology is set explicitly. Nil keeps the
 	// historical flat model, bit for bit.
 	Topology topo.Topology
-	// Faults, if non-nil, schedules deterministic fault injection over the
-	// distribution phase: crash+restart, link degradation and flapping,
-	// partitions, gossip-mesh churn (see internal/faults). It carries over
-	// into the distribution spec unless Distribution.Faults is set
-	// explicitly, and composes with Attack, Gossip and Topology.
-	Faults *faults.Plan
 	// Seed drives all randomness.
 	Seed int64
-	// RunLimit bounds the simulation; 0 derives a sensible limit.
-	RunLimit time.Duration
 	// Tracer receives the run's observability events (nil = tracing off).
 	// The protocol network's events carry the "consensus" layer, the
 	// distribution phase's the "dist" layer. Recording never perturbs the
@@ -300,20 +290,18 @@ func buildNetwork(s Scenario) (*simnet.Network, []*simnet.Profile, []*simnet.Pro
 }
 
 // validateAuthorityAttack is the single validated path for an authority-tier
-// plan against a tier of n authorities — the protocol phase and the
-// distribution carry-over both check through here, so the bounds rule cannot
-// drift between the two.
-func validateAuthorityAttack(p *attack.Plan, n int) error {
+// plan against a tier of n authorities placed on t — the protocol phase and
+// the distribution carry-over both check through here, so the bounds rule
+// cannot drift between the two.
+func validateAuthorityAttack(p *attack.Plan, n int, t topo.Topology) error {
 	if err := p.Validate(); err != nil {
 		return fmt.Errorf("harness: %w", err)
 	}
 	if p.Tier != attack.TierAuthority {
 		return fmt.Errorf("harness: Scenario.Attack must be an authority-tier plan; cache plans belong in Distribution.Attacks")
 	}
-	for _, t := range p.Targets {
-		if t >= n {
-			return fmt.Errorf("harness: attack target %d beyond the %d authorities", t, n)
-		}
+	if err := attack.CheckScope(p.Tier, p.Targets, p.TargetRegion, n, t); err != nil {
+		return fmt.Errorf("harness: attack: %w", err)
 	}
 	return nil
 }
@@ -324,7 +312,7 @@ func (s Scenario) validate() error {
 	if s.Attack != nil {
 		// A malformed or mis-tiered plan is a configuration bug: silently
 		// running the healthy network would hand back wrong experiment data.
-		if err := validateAuthorityAttack(s.Attack, s.N); err != nil {
+		if err := validateAuthorityAttack(s.Attack, s.N, s.Topology); err != nil {
 			return err
 		}
 	}
@@ -349,7 +337,7 @@ func RunE(ctx context.Context, s Scenario) (*RunResult, error) {
 		if err := pc.ResolveRegion(s.Topology, s.N); err != nil {
 			return nil, fmt.Errorf("harness: %w", err)
 		}
-		if err := validateAuthorityAttack(&pc, s.N); err != nil {
+		if err := validateAuthorityAttack(&pc, s.N, s.Topology); err != nil {
 			return nil, err
 		}
 		s.Attack = &pc
@@ -383,11 +371,7 @@ func RunE(ctx context.Context, s Scenario) (*RunResult, error) {
 	for i, node := range pr.Nodes {
 		net.AddNodeIn(node, ups[i], downs[i], regions[i])
 	}
-	limit := s.RunLimit
-	if limit == 0 {
-		limit = pr.EndTime
-	}
-	net.Run(limit)
+	net.Run(pr.EndTime)
 
 	out := pr.Collect()
 	res := &RunResult{
@@ -420,16 +404,6 @@ func RunE(ctx context.Context, s Scenario) (*RunResult, error) {
 	return res, nil
 }
 
-// Run is the compatibility wrapper around RunE: same execution, but a
-// configuration error panics. New code should call RunE.
-func Run(s Scenario) *RunResult {
-	res, err := RunE(context.Background(), s)
-	if err != nil {
-		panic(err.Error())
-	}
-	return res
-}
-
 // effectiveDistribution resolves the distribution-spec fields knowable
 // before the protocol phase — seed, the authority tier sized to the run, and
 // the carried-over authority attack — validating as it goes so configuration
@@ -453,14 +427,11 @@ func effectiveDistribution(s Scenario) (dircache.Spec, error) {
 		// The client tier lives on the same planet as the authorities.
 		spec.Topology = s.Topology
 	}
-	if spec.Faults == nil {
-		spec.Faults = s.Faults
-	}
 	if err := spec.Validate(); err != nil {
 		return dircache.Spec{}, fmt.Errorf("harness: %w", err)
 	}
 	if s.Attack != nil && !hasAuthorityPlan(spec.Attacks) {
-		if err := validateAuthorityAttack(s.Attack, spec.Authorities); err != nil {
+		if err := validateAuthorityAttack(s.Attack, spec.Authorities, spec.Topology); err != nil {
 			return dircache.Spec{}, fmt.Errorf("%w; size Distribution.Authorities to the protocol run or set Distribution.Attacks explicitly", err)
 		}
 		spec.Attacks = append(append([]attack.Plan(nil), spec.Attacks...), *s.Attack)

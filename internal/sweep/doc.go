@@ -9,8 +9,8 @@
 // cmd/cachesweep, cmd/benchtables and cmd/attackcost, is a sweep over
 // scenario cells; each cell typically runs one harness.Experiment or
 // dircache distribution. The facade re-exports the engine as
-// partialtor.SweepGrid / partialtor.RunSweep / partialtor.RunSweepCtx with
-// axis constructors (SweepInts, SweepFloats, SweepDurations) and flag
+// partialtor.MustNewSweepGrid / partialtor.RunSweep / partialtor.RunSweepCtx
+// with axis constructors (SweepInts, SweepFloats, SweepDurations) and flag
 // parsers (ParseSweepCounts, ParseSweepFloats) for the cmd tools.
 //
 // # Execution model

@@ -38,9 +38,10 @@
 // the "flood the mirrors, not the authorities" family. Beyond floods, a
 // CompromisePlan subverts mirrors outright — stale caches re-serving the
 // previous epoch, equivocating caches serving an adversary-signed fork —
-// and the proposal-239 chain-verifying client path (WithVerifiedClients,
-// ClientVerifier) detects both: stale documents are rejected, forks become
-// cryptographic ForkProofs, and the clients fall back to honest caches.
+// and the proposal-239 chain-verifying client path
+// (DistributionSpec.VerifyClients) detects both: stale documents are
+// rejected, forks become cryptographic fork proofs, and the clients fall
+// back to honest caches.
 // The tier-aware cost model prices every attack style: the paper's
 // $0.074-per-instance authority flood, the far more expensive job of
 // flooding thousands of mirrors, and the monthly rent of owning them. The
@@ -49,13 +50,12 @@
 //
 // The experiment API is a composable pipeline:
 //
-//   - protocols are pluggable drivers behind a registry — RegisterDriver /
-//     NewProtocol add a variant that then works in every scenario, sweep
-//     and figure generator;
+//   - protocols are pluggable drivers behind a registry
+//     (internal/harness): a registered variant works in every scenario,
+//     sweep and figure generator;
 //   - RunE executes one scenario with (result, error) semantics and a
 //     context: invalid configuration is an error, not a panic, and a
-//     cancelled context aborts cleanly. Run remains as the panicking
-//     compatibility wrapper;
+//     cancelled context aborts cleanly;
 //   - Experiment chains the evaluation phases declaratively — Generate →
 //     Distribute → Avail — from functional options, unifying single runs,
 //     multi-period campaigns and distribution scenarios on one spec;
@@ -64,15 +64,16 @@
 //
 // Every parameter sweep — the figure generators, the ablations,
 // cmd/cachesweep — runs on one grid engine (internal/sweep, re-exported
-// here as SweepGrid/RunSweep/RunSweepCtx): named axes spanning a cartesian
+// here as MustNewSweepGrid/RunSweep/RunSweepCtx): named axes spanning a cartesian
 // grid, a bounded worker pool, deterministic result ordering (parallel and
 // serial runs render byte-identical tables), per-cell error capture, and
 // cancellation that keeps every completed cell.
 //
-// This package is the stable facade used by the examples, the commands in
-// cmd/, and the benchmarks: it re-exports the scenario runner, the attack
-// model, the distribution tier, the sweep engine and the per-figure
-// generators.
+// This package is the facade the examples, the commands in cmd/ and
+// benchmark/ use, and nothing more: it re-exports the scenario runner, the
+// attack model, the distribution tier, the sweep engine and the per-figure
+// generators, and TestFacadeNamesAreReferenced fails on a name none of them
+// mentions. Anything else is one import of an internal package away.
 //
 // Quick start:
 //
@@ -86,12 +87,10 @@ package partialtor
 
 import (
 	"context"
-	"crypto/ed25519"
 	"io"
 	"time"
 
 	"partialtor/internal/attack"
-	"partialtor/internal/chain"
 	"partialtor/internal/client"
 	"partialtor/internal/dircache"
 	"partialtor/internal/faults"
@@ -99,7 +98,6 @@ import (
 	"partialtor/internal/harness"
 	"partialtor/internal/obs"
 	"partialtor/internal/relay"
-	"partialtor/internal/sig"
 	"partialtor/internal/simnet"
 	"partialtor/internal/sweep"
 	"partialtor/internal/topo"
@@ -127,9 +125,6 @@ type RunResult = harness.RunResult
 
 // AttackPlan is a DDoS window against a set of nodes in one tier.
 type AttackPlan = attack.Plan
-
-// AttackTier selects which layer of the directory system a plan floods.
-type AttackTier = attack.Tier
 
 // The attackable tiers.
 const (
@@ -164,49 +159,6 @@ const (
 	CompromiseEquivocate = attack.CompromiseEquivocate
 )
 
-// ForkDetection is one equivocation the verifying clients caught: the
-// proposal-239 fork proof plus the caches that served the losing side.
-type ForkDetection = dircache.ForkDetection
-
-// ForkProof is the cryptographic evidence of a consensus fork: two validly
-// signed successors of the same chain head (Culprits names the authorities
-// that signed both).
-type ForkProof = chain.ForkProof
-
-// ChainContext is the hash-chain material a distribution phase serves and
-// verifies against; SynthDistributionChain builds deterministic material
-// for standalone runs.
-type ChainContext = dircache.ChainContext
-
-// ClientVerifier is the proposal-239 chain-verifying client path: it checks
-// each fetched consensus against the expected chain position, rejects stale
-// and forked documents, and records fork proofs.
-type ClientVerifier = client.Verifier
-
-// ClientVerdict classifies one fetched document (accept / stale / invalid /
-// fork).
-type ClientVerdict = client.Verdict
-
-// The verifier's verdicts.
-const (
-	VerdictAccept  = client.VerdictAccept
-	VerdictStale   = client.VerdictStale
-	VerdictInvalid = client.VerdictInvalid
-	VerdictFork    = client.VerdictFork
-)
-
-// ClientPolicy models the consensus lifetime rules (fresh 1h, valid 3h).
-type ClientPolicy = client.Policy
-
-// ClientTimeline is the availability timeline a sequence of consensus
-// periods produces under a ClientPolicy.
-type ClientTimeline = client.Timeline
-
-// CostModel reproduces the paper's §4.3 attack pricing, extended with the
-// gossip-mesh economics: CostModel.MeshPartitionCost prices cutting one
-// mirror out of a mesh of a given degree.
-type CostModel = attack.CostModel
-
 // --- gossip-mesh re-exports ---
 //
 // The cache-to-cache dissemination layer (internal/gossip) meshes the
@@ -219,20 +171,8 @@ type CostModel = attack.CostModel
 
 // GossipConfig tunes the cache dissemination mesh (fanout, TTL, mesh
 // degree, push and anti-entropy cadence, seeded caches). The zero value
-// selects the defaults; set DistributionSpec.Gossip or use WithGossip.
+// selects the defaults; set DistributionSpec.Gossip.
 type GossipConfig = gossip.Config
-
-// BuildGossipMesh derives the deterministic cache mesh itself: a connected
-// ring plus seeded random links until every node has the requested degree,
-// optionally biased by a pairwise weight (the distribution tier biases
-// toward low-latency pairs under a topology).
-func BuildGossipMesh(n, degree int, seed int64, bias func(a, b int) float64) [][]int {
-	return gossip.BuildMesh(n, degree, seed, bias)
-}
-
-// WithGossip joins every period's cache tier into a dissemination mesh;
-// needs a distribution phase.
-func WithGossip(cfg GossipConfig) ExperimentOption { return harness.WithGossip(cfg) }
 
 // --- fault-injection re-exports ---
 //
@@ -246,14 +186,11 @@ func WithGossip(cfg GossipConfig) ExperimentOption { return harness.WithGossip(c
 // keep the historical behavior, bit for bit.
 
 // FaultPlan is a declarative set of faults scheduled against one
-// distribution run; set DistributionSpec.Faults or use WithFaults.
+// distribution run; set DistributionSpec.Faults.
 type FaultPlan = faults.Plan
 
 // FaultSpec is one fault: a kind, a tier, a target set and a window.
 type FaultSpec = faults.Fault
-
-// FaultKind selects how a fault manifests.
-type FaultKind = faults.Kind
 
 // The fault kinds.
 const (
@@ -261,13 +198,6 @@ const (
 	// their behavioral state (a crash loses in-flight fetches; a restarted
 	// cache re-fetches and catches up over the mesh).
 	FaultCrash = faults.Crash
-	// FaultDegrade scales the targets' bandwidth by Factor.
-	FaultDegrade = faults.Degrade
-	// FaultFlap alternates the targets between dead and healthy each
-	// half-Period.
-	FaultFlap = faults.Flap
-	// FaultPartition drops every message crossing the target-set boundary.
-	FaultPartition = faults.Partition
 	// FaultChurn makes cache targets leave the gossip mesh (and service)
 	// for the window and rejoin via anti-entropy afterwards.
 	FaultChurn = faults.Churn
@@ -275,30 +205,16 @@ const (
 
 // RetryBackoff replaces the fleets' fixed retry delay with capped,
 // seeded-jitter exponential backoff and an optional per-fleet retry
-// budget; set DistributionSpec.Backoff or use WithBackoff.
+// budget; set DistributionSpec.Backoff.
 type RetryBackoff = faults.Backoff
 
-// FaultRecovery is one fault's graceful-degradation record: when it
-// cleared and how long the tier took to recover to target coverage
-// (MTTR).
-type FaultRecovery = faults.Recovery
-
-// WorstMTTR returns the largest MTTR across recoveries (Never if any
-// fault left the tier stranded, 0 for none).
-func WorstMTTR(recoveries []FaultRecovery) time.Duration { return faults.WorstMTTR(recoveries) }
+// WorstMTTR returns the largest MTTR across a distribution result's fault
+// recoveries (Never if any fault left the tier stranded, 0 for none).
+func WorstMTTR(recoveries []faults.Recovery) time.Duration { return faults.WorstMTTR(recoveries) }
 
 // SpreadTargets returns count target indices spread evenly across
 // [first, n) — "crash every third mirror" as a one-liner.
 func SpreadTargets(first, n, count int) []int { return faults.SpreadTargets(first, n, count) }
-
-// WithFaults schedules the fault plan into every period's distribution
-// phase; needs a distribution phase and composes with WithAttack,
-// WithGossip and WithTopology.
-func WithFaults(p FaultPlan) ExperimentOption { return harness.WithFaults(p) }
-
-// WithBackoff switches every period's fleets to jittered exponential
-// retry backoff; needs a distribution phase.
-func WithBackoff(b RetryBackoff) ExperimentOption { return harness.WithBackoff(b) }
 
 // --- topology re-exports ---
 //
@@ -307,42 +223,15 @@ func WithBackoff(b RetryBackoff) ExperimentOption { return harness.WithBackoff(b
 // tiers. A nil Topology anywhere keeps the historical flat model, bit for
 // bit — the golden corpus enforces it.
 
-// Topology places nodes in regions and prices region-pair links.
-type Topology = topo.Topology
-
-// Region indexes one region of a Topology.
-type Region = topo.Region
-
-// TopologyMap is a concrete Topology: region names, placement shares, a
-// latency matrix and bandwidth scale factors.
-type TopologyMap = topo.Map
-
-// RegionCoverage is one region's slice of a distribution outcome: client
-// population, coverage, and the p50/p99 time-to-coverage marks.
-type RegionCoverage = dircache.RegionCoverage
-
 // Continents returns the builtin six-region continental topology.
-func Continents() *TopologyMap { return topo.Continents() }
+func Continents() *topo.Map { return topo.Continents() }
 
 // TopologyByName resolves a topology flag value: "" and "flat" select the
 // flat model (nil), "continents" the builtin continental map.
-func TopologyByName(name string) (Topology, error) { return topo.ByName(name) }
-
-// RegionNames lists a topology's region names in region order.
-func RegionNames(t Topology) []string { return topo.RegionNames(t) }
-
-// WithTopology places every period's networks on the given regional map; nil
-// keeps the flat model.
-func WithTopology(t Topology) ExperimentOption { return harness.WithTopology(t) }
+func TopologyByName(name string) (topo.Topology, error) { return topo.ByName(name) }
 
 // Never marks an event that did not happen (e.g. latency of a failed run).
 const Never = simnet.Never
-
-// KernelSteps returns the total number of simulation events executed by
-// every scheduler in the process so far. Deltas around a workload give the
-// kernel's event throughput — cmd/benchtables records them per figure in
-// BENCH_tables.json.
-func KernelSteps() uint64 { return simnet.GlobalSteps() }
 
 // ResidualUnderDDoS is the bandwidth left to a flooded node (0.5 Mbit/s,
 // Jansen et al.).
@@ -358,46 +247,18 @@ const FallbackLatency = harness.FallbackLatency
 // aborts between the pipeline's phases.
 func RunE(ctx context.Context, s Scenario) (*RunResult, error) { return harness.RunE(ctx, s) }
 
-// Run is the compatibility wrapper around RunE: same execution, but a
-// configuration error panics. New code should call RunE.
-func Run(s Scenario) *RunResult { return harness.Run(s) }
-
 // --- experiment pipeline re-exports ---
-
-// Experiment is the declarative experiment pipeline: one scenario, repeated
-// over periods, with optional distribution and availability phases
-// (Generate → Distribute → Avail). Build one with NewExperiment.
-type Experiment = harness.Experiment
 
 // ExperimentOption configures an Experiment under construction.
 type ExperimentOption = harness.ExperimentOption
 
-// ExperimentResult is the outcome of an experiment's full phase chain.
-type ExperimentResult = harness.ExperimentResult
-
-// ExperimentPhase names one stage of the pipeline.
-type ExperimentPhase = harness.Phase
-
-// The pipeline's phases.
-const (
-	// PhaseGenerate runs the directory protocol, one consensus per period.
-	PhaseGenerate = harness.PhaseGenerate
-	// PhaseDistribute pushes each consensus through the cache tier.
-	PhaseDistribute = harness.PhaseDistribute
-	// PhaseAvail folds period outcomes into client availability.
-	PhaseAvail = harness.PhaseAvail
-)
-
 // NewExperiment assembles and eagerly validates an experiment from options.
-func NewExperiment(opts ...ExperimentOption) (*Experiment, error) {
+func NewExperiment(opts ...ExperimentOption) (*harness.Experiment, error) {
 	return harness.NewExperiment(opts...)
 }
 
 // WithScenario sets the base scenario every period runs.
 func WithScenario(s Scenario) ExperimentOption { return harness.WithScenario(s) }
-
-// WithProtocol selects the protocol without replacing the base scenario.
-func WithProtocol(p Protocol) ExperimentOption { return harness.WithProtocol(p) }
 
 // WithPeriods runs n hourly consensus periods and enables the Avail phase.
 func WithPeriods(n int) ExperimentOption { return harness.WithPeriods(n) }
@@ -418,79 +279,29 @@ func WithDistribution(spec DistributionSpec) ExperimentOption {
 }
 
 // WithAvailability adds the Avail phase under the given lifetime policy.
-func WithAvailability(p ClientPolicy) ExperimentOption { return harness.WithAvailability(p) }
+func WithAvailability(p client.Policy) ExperimentOption { return harness.WithAvailability(p) }
 
 // WithChain links successful periods into the proposal-239 hash chain.
 func WithChain() ExperimentOption { return harness.WithChain() }
-
-// WithCompromise routes a cache-compromise plan into the Distribute phase:
-// from period plan.Onset onward the plan's caches serve stale or forked
-// directory data.
-func WithCompromise(p CompromisePlan) ExperimentOption { return harness.WithCompromise(p) }
-
-// WithVerifiedClients switches the Distribute phase's fleets to the
-// chain-verifying client path: stale and forked documents are rejected, the
-// serving caches distrusted, and fork proofs recorded per period.
-func WithVerifiedClients() ExperimentOption { return harness.WithVerifiedClients() }
 
 // WithTracer attaches an observability tracer to every phase of every
 // period; recording never changes results (see the observability
 // re-exports below).
 func WithTracer(t Tracer) ExperimentOption { return harness.WithTracer(t) }
 
-// --- protocol driver re-exports ---
-
-// ProtocolDriver builds runnable instances of one directory protocol; see
-// harness.Driver. Registering a driver makes a new protocol variant usable
-// in every scenario, sweep and figure generator.
-type ProtocolDriver = harness.Driver
-
-// ProtocolRun is one prepared protocol instance a driver built.
-type ProtocolRun = harness.ProtocolRun
-
-// ProtocolOutcome is the protocol-independent result a driver collects.
-type ProtocolOutcome = harness.Outcome
-
-// RegisterDriver installs d as the driver for p, replacing any existing
-// registration.
-func RegisterDriver(p Protocol, d ProtocolDriver) { harness.RegisterDriver(p, d) }
-
-// NewProtocol allocates a fresh Protocol value for d and registers it.
-func NewProtocol(d ProtocolDriver) Protocol { return harness.NewProtocol(d) }
-
-// DriverFor returns the registered driver for p.
-func DriverFor(p Protocol) (ProtocolDriver, error) { return harness.DriverFor(p) }
-
-// Protocols lists every registered protocol in ascending order.
-func Protocols() []Protocol { return harness.Protocols() }
-
 // RunDistribution executes one standalone distribution phase: authorities
 // publish at the spec's PublishAt, caches fetch with fallback, aggregated
 // client fleets drain the population through the caches.
 func RunDistribution(s DistributionSpec) (*DistributionResult, error) { return dircache.Run(s) }
 
-// SynthDistributionChain builds deterministic proposal-239 chain material
-// for a standalone distribution run: seeded authority keys, the previous
-// epoch's link, the genuine current link (committing to the given digest,
-// or a synthesized one if zero) and an adversary fork.
-func SynthDistributionChain(seed int64, authorities int, genuine sig.Digest) *ChainContext {
-	return dircache.SynthChain(seed, authorities, genuine)
-}
-
-// NewClientVerifier anchors a chain-verifying client at one chain position:
-// the epoch the next consensus must carry and the digest it must commit to.
-func NewClientVerifier(pubs []ed25519.PublicKey, threshold int, epoch uint64, prev sig.Digest) *ClientVerifier {
-	return client.NewVerifier(pubs, threshold, epoch, prev)
-}
-
 // FleetTimeline assembles the end-to-end availability timeline of a
 // sequence of consensus periods, one distribution result per period.
-func FleetTimeline(p ClientPolicy, results []*DistributionResult) *ClientTimeline {
+func FleetTimeline(p client.Policy, results []*DistributionResult) *client.Timeline {
 	return dircache.FleetTimeline(p, results)
 }
 
 // DefaultClientPolicy returns the deployed consensus lifetimes.
-func DefaultClientPolicy() ClientPolicy { return client.DefaultPolicy() }
+func DefaultClientPolicy() client.Policy { return client.DefaultPolicy() }
 
 // FiveMinuteOutage is the paper's headline attack: the majority of the
 // authorities knocked offline for five minutes.
@@ -504,7 +315,7 @@ func MajorityTargets(n int) []int { return attack.MajorityTargets(n) }
 func FirstTargets(n int) []int { return attack.FirstTargets(n) }
 
 // DefaultCostModel returns the paper's pricing constants.
-func DefaultCostModel() CostModel { return attack.DefaultCostModel() }
+func DefaultCostModel() attack.CostModel { return attack.DefaultCostModel() }
 
 // AuthorityNames lists the nine live directory authority nicknames.
 func AuthorityNames() []string { return append([]string(nil), relay.AuthorityNames...) }
@@ -518,12 +329,6 @@ func AuthorityNames() []string { return append([]string(nil), relay.AuthorityNam
 // byte-identical tables, and per-cell error capture so one bad
 // configuration costs one cell instead of the sweep.
 
-// SweepGrid is the cartesian product of named axes.
-type SweepGrid = sweep.Grid
-
-// SweepAxis is one named dimension of a sweep grid.
-type SweepAxis = sweep.Axis
-
 // SweepCell is one grid point, addressed by axis name.
 type SweepCell = sweep.Cell
 
@@ -531,35 +336,32 @@ type SweepCell = sweep.Cell
 // error).
 type SweepResult[T any] = sweep.Result[T]
 
-// NewSweepGrid assembles a grid, rejecting unnamed, empty or duplicate
-// axes.
-func NewSweepGrid(axes ...SweepAxis) (SweepGrid, error) { return sweep.New(axes...) }
-
-// MustNewSweepGrid is NewSweepGrid for statically known axes.
-func MustNewSweepGrid(axes ...SweepAxis) SweepGrid { return sweep.MustNew(axes...) }
+// MustNewSweepGrid assembles a grid from statically known axes; an unnamed,
+// empty or duplicate axis panics.
+func MustNewSweepGrid(axes ...sweep.Axis) sweep.Grid { return sweep.MustNew(axes...) }
 
 // SweepInts builds an integer axis (relay counts, cache counts, ...).
-func SweepInts(name string, vals ...int) SweepAxis { return sweep.Ints(name, vals...) }
+func SweepInts(name string, vals ...int) sweep.Axis { return sweep.Ints(name, vals...) }
 
 // SweepFloats builds a float axis (bandwidths, residuals, ...).
-func SweepFloats(name string, vals ...float64) SweepAxis { return sweep.Floats(name, vals...) }
+func SweepFloats(name string, vals ...float64) sweep.Axis { return sweep.Floats(name, vals...) }
 
 // SweepDurations builds a duration axis (attack windows, timeouts, ...).
-func SweepDurations(name string, vals ...time.Duration) SweepAxis {
+func SweepDurations(name string, vals ...time.Duration) sweep.Axis {
 	return sweep.Durations(name, vals...)
 }
 
 // RunSweep evaluates fn on every cell of the grid with `workers`
 // goroutines (0 selects all cores, 1 is the serial baseline). Results come
 // back in cell-rank order independent of completion order.
-func RunSweep[T any](g SweepGrid, workers int, fn func(SweepCell) (T, error)) []SweepResult[T] {
+func RunSweep[T any](g sweep.Grid, workers int, fn func(SweepCell) (T, error)) []SweepResult[T] {
 	return sweep.Run(g, workers, fn)
 }
 
 // RunSweepCtx is RunSweep with cancellation: once ctx is cancelled no new
 // cell starts, completed cells keep their results, and never-started cells
-// carry SweepCellSkipped wrapping the context error.
-func RunSweepCtx[T any](ctx context.Context, g SweepGrid, workers int, fn func(context.Context, SweepCell) (T, error)) []SweepResult[T] {
+// carry sweep.ErrCellSkipped wrapping the context error.
+func RunSweepCtx[T any](ctx context.Context, g sweep.Grid, workers int, fn func(context.Context, SweepCell) (T, error)) []SweepResult[T] {
 	return sweep.RunCtx(ctx, g, workers, fn)
 }
 
@@ -570,22 +372,13 @@ type SweepParams = sweep.Params
 
 // RunSweepParams is RunSweepCtx with a SweepParams block, for sweeps that
 // report live progress (cmd/cachesweep, cmd/benchtables).
-func RunSweepParams[T any](ctx context.Context, g SweepGrid, p SweepParams, fn func(context.Context, SweepCell) (T, error)) []SweepResult[T] {
+func RunSweepParams[T any](ctx context.Context, g sweep.Grid, p SweepParams, fn func(context.Context, SweepCell) (T, error)) []SweepResult[T] {
 	return sweep.RunParams(ctx, g, p, fn)
 }
 
-// SweepCellSkipped marks cells a cancelled context prevented from running;
-// test with errors.Is.
-var SweepCellSkipped = sweep.ErrCellSkipped
-
 // SweepFirstErr returns the first genuinely failed cell's error, or nil.
-// Cells skipped by cancellation are not failures; use SweepSkipped to tell
-// a cancelled sweep from a complete one.
+// Cells skipped by cancellation are not failures.
 func SweepFirstErr[T any](results []SweepResult[T]) error { return sweep.FirstErr(results) }
-
-// SweepSkipped counts the cells a cancelled context kept from running; a
-// sweep is complete iff it returns 0.
-func SweepSkipped[T any](results []SweepResult[T]) int { return sweep.Skipped(results) }
 
 // ParseSweepInts parses a comma-separated integer axis flag ("10,20,40"),
 // reporting the offending element on error.
@@ -612,9 +405,6 @@ func ParseSweepFloats(s string) ([]float64, error) { return sweep.ParseFloats(s)
 // Tracer receives observability events; nil means tracing is off.
 type Tracer = obs.Tracer
 
-// TraceEvent is one typed observability event.
-type TraceEvent = obs.Event
-
 // TraceRecorder is a bounded in-memory event sink that can replay to JSONL
 // or a Chrome trace.
 type TraceRecorder = obs.Recorder
@@ -628,7 +418,7 @@ func TraceTee(sinks ...Tracer) Tracer { return obs.Tee(sinks...) }
 
 // WriteChromeTrace renders recorded events in Chrome trace-event format
 // (load the file in chrome://tracing or Perfetto).
-func WriteChromeTrace(w io.Writer, events []TraceEvent) error {
+func WriteChromeTrace(w io.Writer, events []obs.Event) error {
 	return obs.WriteChromeTrace(w, events)
 }
 
@@ -644,12 +434,9 @@ type DetectorConfig = obs.DetectorConfig
 // select the defaults).
 func NewDetector(cfg DetectorConfig) *Detector { return obs.NewDetector(cfg) }
 
-// Detection is one flagged attack onset with its detection latency.
-type Detection = obs.Detection
-
 // FirstDetection returns the earliest detection (ok reports whether one
 // exists).
-func FirstDetection(dets []Detection) (Detection, bool) { return obs.First(dets) }
+func FirstDetection(dets []obs.Detection) (obs.Detection, bool) { return obs.First(dets) }
 
 // --- evaluation re-exports (one per paper artifact) ---
 //
@@ -719,14 +506,8 @@ type (
 	RegionalParams = harness.RegionalParams
 	// GossipParams scales the gossip-outage experiment.
 	GossipParams = harness.GossipParams
-	// GossipResult is its outcome (one GossipRow per mesh cell).
-	GossipResult = harness.GossipResult
-	// GossipRow is one cell: fanout, coverage, mesh spread and cost.
-	GossipRow = harness.GossipRow
 	// Table1Params scales the Table 1 measurement.
 	Table1Params = harness.Table1Params
-	// CampaignParams configures a multi-period campaign.
-	CampaignParams = harness.CampaignParams
 	// EntrySizeParams configures the entry-size ablation.
 	EntrySizeParams = harness.EntrySizeParams
 	// DeltaParams configures the Δ ablation.
@@ -734,18 +515,6 @@ type (
 	// TimeoutParams configures the pacemaker-timeout ablation.
 	TimeoutParams = harness.TimeoutParams
 )
-
-// CampaignE simulates a sequence of hourly consensus periods, feeding the
-// outcomes into the consensus hash chain (proposal 239 extension) and the
-// client availability model. It is a convenience front end for the
-// Experiment pipeline.
-func CampaignE(ctx context.Context, p CampaignParams) (*harness.CampaignResult, error) {
-	return harness.CampaignE(ctx, p)
-}
-
-// Campaign is the compatibility wrapper around CampaignE; configuration
-// errors panic.
-func Campaign(p CampaignParams) *harness.CampaignResult { return harness.Campaign(p) }
 
 // AblationEntrySize sweeps the current protocol's failure threshold across
 // vote entry sizes (DESIGN.md §6 calibration justification).
@@ -763,6 +532,3 @@ func AblationDelta(ctx context.Context, p DeltaParams) (*harness.DeltaResult, er
 func AblationTimeout(ctx context.Context, p TimeoutParams) (*harness.TimeoutResult, error) {
 	return harness.AblationTimeout(ctx, p)
 }
-
-// Seconds renders a duration as float seconds (helper for reporting).
-func Seconds(d time.Duration) float64 { return d.Seconds() }
