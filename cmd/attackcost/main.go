@@ -40,7 +40,7 @@ func costGrid(ctx context.Context, m attack.CostModel, tier attack.Tier, residua
 		partialtor.SweepInts("targets", targets...),
 		partialtor.SweepDurations("window", windows...),
 	)
-	results := partialtor.RunSweepCtx(ctx, grid, 0, func(_ context.Context, c partialtor.SweepCell) (priced, error) {
+	results := partialtor.RunSweepParams(ctx, grid, partialtor.SweepParams{}, func(_ context.Context, c partialtor.SweepCell) (priced, error) {
 		n, d := c.Int("targets"), c.Duration("window")
 		plan := attack.Plan{
 			Tier:     tier,

@@ -1,0 +1,54 @@
+package main
+
+import (
+	"bytes"
+	"io"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"partialtor"
+)
+
+// TestGoldenQuickArtifacts pins `benchtables -quick` byte for byte, one
+// golden per artifact; concatenated in registry order they are the whole
+// -quick output. The goldens were captured from the binary of the commit
+// before the artifact registry existed, so they prove the registry, the
+// sweep-table helper and every preset carried over reproduce the hand-written
+// generators exactly. Under -short the three multi-second sweeps are skipped.
+func TestGoldenQuickArtifacts(t *testing.T) {
+	slow := map[string]bool{"fig7": true, "fig10": true, "ablation": true}
+	for _, a := range partialtor.Artifacts() {
+		t.Run(a.Name, func(t *testing.T) {
+			if slow[a.Name] && testing.Short() {
+				t.Skip("multi-second sweep")
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", a.Name+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Serial and all-cores runs must both match; the slow sweeps run
+			// once (harness.TestParallelSweepByteIdentical covers them).
+			workers := []string{"1", "0"}
+			if slow[a.Name] {
+				workers = []string{"0"}
+			}
+			for _, w := range workers {
+				var out bytes.Buffer
+				if code := run([]string{"-quick", "-only", a.Name, "-workers", w}, &out, io.Discard); code != 0 {
+					t.Fatalf("-workers %s: exit %d", w, code)
+				}
+				if !bytes.Equal(out.Bytes(), want) {
+					t.Errorf("-workers %s: output differs from testdata/%s.golden:\n%s", w, a.Name, out.Bytes())
+				}
+			}
+		})
+	}
+}
+
+func TestUnknownArtifact(t *testing.T) {
+	var errOut bytes.Buffer
+	if code := run([]string{"-only", "fig99"}, io.Discard, &errOut); code != 2 {
+		t.Fatalf("exit %d, want 2 (%s)", code, errOut.String())
+	}
+}

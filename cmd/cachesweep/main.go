@@ -62,8 +62,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"os/signal"
@@ -71,11 +73,6 @@ import (
 
 	"partialtor"
 )
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "cachesweep: "+format+"\n", args...)
-	os.Exit(1)
-}
 
 // fmtDuration renders a time-to-coverage cell; Never means the fraction was
 // not reached within the fetch window.
@@ -86,7 +83,16 @@ func fmtDuration(d time.Duration) string {
 	return d.Round(time.Second).String()
 }
 
-// cellRow is one sweep cell's rendered outcome.
+// fmtPrice renders a dollar amount at the given precision; a negative price
+// means "not applicable to this cell".
+func fmtPrice(prec int, usd float64) string {
+	if usd < 0 {
+		return "-"
+	}
+	return fmt.Sprintf("$%.*f", prec, usd)
+}
+
+// cellRow is one sweep cell's outcome.
 type cellRow struct {
 	result *partialtor.DistributionResult
 	cost   float64 // stressor price of the cell's flood; <0 = no flood
@@ -94,62 +100,167 @@ type cellRow struct {
 	cut    float64 // price of cutting one mirror out of the mesh; <0 = n/a
 }
 
-// fracCount converts an axis fraction into a target count, at least one.
-func fracCount(frac float64, n int) int {
-	c := int(math.Round(frac * float64(n)))
-	if c < 1 {
-		c = 1
-	}
-	return c
+// column is one table column, spelled once for the header, the result rows
+// and the ERROR rows. An axis column renders a grid coordinate and prints in
+// every row; a value column renders a measurement, and in the row of a
+// failed cell prints onErr instead ("-" when empty).
+type column struct {
+	head  string
+	width int
+	axis  func(partialtor.SweepCell) string
+	value func(cellRow) string
+	onErr string
 }
 
-func main() {
+func intAxis(name string) func(partialtor.SweepCell) string {
+	return func(c partialtor.SweepCell) string { return fmt.Sprint(c.Int(name)) }
+}
+
+func percentAxis(name string) func(partialtor.SweepCell) string {
+	return func(c partialtor.SweepCell) string { return fmt.Sprintf("%.0f%%", 100*c.Float(name)) }
+}
+
+// tableColumns lists every column in print order: the base group always, the
+// mesh columns under -gossip (plus the cut price under -flood-seeds), the
+// graceful-degradation columns when a chaos axis or -backoff is on.
+func tableColumns(gossip, floodSeeds, chaos bool) []column {
+	groups := []struct {
+		on   bool
+		cols []column
+	}{
+		{true, []column{
+			{head: "caches", width: 8, axis: intAxis("caches")},
+			{head: "clients", width: 10, axis: intAxis("clients")},
+			{head: "residual", width: 12, axis: func(c partialtor.SweepCell) string {
+				if res := c.Float("residual"); res >= 0 {
+					return fmt.Sprintf("%.1fMbit", res/1e6)
+				}
+				return "none"
+			}},
+			{head: "comp", width: 6, axis: percentAxis("comp")},
+			{head: "race", width: 5, axis: intAxis("race")},
+			{head: "t95", width: 12, onErr: "ERROR", value: func(r cellRow) string { return fmtDuration(r.result.TimeToTarget) }},
+			{head: "p99", width: 12, value: func(r cellRow) string { return fmtDuration(r.result.TimeToCoverage(0.99)) }},
+			{head: "coverage", width: 10, value: func(r cellRow) string { return fmt.Sprintf("%.1f%%", 100*r.result.Coverage()) }},
+			{head: "naive", width: 10, value: func(r cellRow) string { return fmt.Sprintf("%.1f%%", 100*r.result.NaiveCoverage()) }},
+			{head: "forks", width: 7, value: func(r cellRow) string { return fmt.Sprint(len(r.result.ForkDetections)) }},
+			{head: "cost", width: 10, value: func(r cellRow) string { return fmtPrice(2, r.cost) }},
+			{head: "rent/mo", width: 10, value: func(r cellRow) string { return fmtPrice(0, r.rent) }},
+		}},
+		{gossip, []column{
+			{head: "fanout", width: 7, axis: intAxis("fanout")},
+			{head: "pushes", width: 8, value: func(r cellRow) string { return fmt.Sprint(r.result.GossipPushes) }},
+			{head: "pulls", width: 7, value: func(r cellRow) string { return fmt.Sprint(r.result.GossipPulls) }},
+			{head: "ae", width: 8, value: func(r cellRow) string { return fmt.Sprint(r.result.GossipRounds) }},
+			{head: "mesh", width: 10, value: func(r cellRow) string { return fmt.Sprintf("%.1fMB", float64(r.result.GossipBytes)/1e6) }},
+		}},
+		{gossip && floodSeeds, []column{
+			{head: "cutcost", width: 10, value: func(r cellRow) string { return fmtPrice(2, r.cut) }},
+		}},
+		{chaos, []column{
+			{head: "fault", width: 6, axis: percentAxis("fault")},
+			{head: "churn", width: 6, axis: percentAxis("churn")},
+			{head: "events", width: 7, value: func(r cellRow) string { return fmt.Sprint(r.result.FaultEvents) }},
+			{head: "mttr", width: 10, value: func(r cellRow) string { return fmtDuration(partialtor.WorstMTTR(r.result.Recoveries)) }},
+			{head: "below", width: 10, value: func(r cellRow) string { return r.result.TimeBelowTarget.Round(time.Second).String() }},
+			{head: "dropped", width: 8, value: func(r cellRow) string { return fmt.Sprint(r.result.RetryDropped) }},
+		}},
+	}
+	var cols []column
+	for _, g := range groups {
+		if g.on {
+			cols = append(cols, g.cols...)
+		}
+	}
+	return cols
+}
+
+// printRow prints one table line: every column's text left-aligned in its
+// width, single-space separated.
+func printRow(w io.Writer, cols []column, text func(column) string) {
+	for i, c := range cols {
+		if i > 0 {
+			fmt.Fprint(w, " ")
+		}
+		fmt.Fprintf(w, "%-*s", c.width, text(c))
+	}
+	fmt.Fprintln(w)
+}
+
+// fracCount converts an axis fraction into a target count, at least one.
+func fracCount(frac float64, n int) int {
+	return max(1, int(math.Round(frac*float64(n))))
+}
+
+// fractions parses a comma-separated axis of fractions in [0, 1].
+func fractions(s string) ([]float64, error) {
+	fracs, err := partialtor.ParseSweepFloats(s)
+	if err != nil {
+		return nil, err
+	}
+	for _, f := range fracs {
+		if f < 0 || f > 1 {
+			return nil, fmt.Errorf("fraction %g outside [0, 1]", f)
+		}
+	}
+	return fracs, nil
+}
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("cachesweep", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		cachesFlag    = flag.String("caches", "10,20,40", "cache counts to sweep")
-		clientsFlag   = flag.String("clients", "100000,1000000", "client populations to sweep")
-		residualsFlag = flag.String("residuals", "-1,500000,0", "attack residual bits/s (-1 = no attack)")
-		compFlag      = flag.String("compromised", "0,0.25,0.6", "compromised-cache fractions to sweep")
-		modeFlag      = flag.String("mode", "equivocate", "compromise mode: stale or equivocate")
-		topoFlag      = flag.String("topology", "flat", "topology: flat or continents")
-		raceFlag      = flag.String("race", "0", "racing-client widths K to sweep (0 = legacy client)")
-		floodFlag     = flag.String("flood-region", "", "flood only this region's caches (requires -topology)")
-		gossipOn      = flag.Bool("gossip", false, "mesh the cache tier into the gossip dissemination layer")
-		fanoutFlag    = flag.String("fanout", "1,3", "gossip push fanouts to sweep (needs -gossip)")
-		gossipSeeds   = flag.Int("gossip-seeds", 1, "caches pre-seeded with the current consensus (needs -gossip)")
-		authResidual  = flag.Float64("authority-residual", -1, "flood every authority to this residual bits/s for the whole run (-1 = off)")
-		faultsFlag    = flag.String("faults", "0", "crashed-mirror fractions to sweep (0 = no crash fault)")
-		churnFlag     = flag.String("churn", "0", "churned-mesh fractions to sweep (0 = none; needs -gossip)")
-		backoffOn     = flag.Bool("backoff", false, "fleets retry with capped seeded-jitter exponential backoff")
-		floodSeeds    = flag.Bool("flood-seeds", false, "cache-tier flood targets the gossip-seeded mirrors (needs -gossip)")
-		verify        = flag.Bool("verify", true, "clients run proposal-239 chain verification")
-		window        = flag.Duration("window", 30*time.Minute, "client fetch window")
-		target        = flag.Float64("target", 0.95, "coverage fraction defining success")
-		seed          = flag.Int64("seed", 42, "simulation seed")
-		workers       = flag.Int("workers", 0, "sweep worker pool (0 = all cores, 1 = serial)")
-		tracePath     = flag.String("trace", "", "write a Chrome trace of the first grid cell (chrome://tracing, Perfetto)")
+		cachesFlag    = fs.String("caches", "10,20,40", "cache counts to sweep")
+		clientsFlag   = fs.String("clients", "100000,1000000", "client populations to sweep")
+		residualsFlag = fs.String("residuals", "-1,500000,0", "attack residual bits/s (-1 = no attack)")
+		compFlag      = fs.String("compromised", "0,0.25,0.6", "compromised-cache fractions to sweep")
+		modeFlag      = fs.String("mode", "equivocate", "compromise mode: stale or equivocate")
+		topoFlag      = fs.String("topology", "flat", "topology: flat or continents")
+		raceFlag      = fs.String("race", "0", "racing-client widths K to sweep (0 = legacy client)")
+		floodFlag     = fs.String("flood-region", "", "flood only this region's caches (requires -topology)")
+		gossipOn      = fs.Bool("gossip", false, "mesh the cache tier into the gossip dissemination layer")
+		fanoutFlag    = fs.String("fanout", "1,3", "gossip push fanouts to sweep (needs -gossip)")
+		gossipSeeds   = fs.Int("gossip-seeds", 1, "caches pre-seeded with the current consensus (needs -gossip)")
+		authResidual  = fs.Float64("authority-residual", -1, "flood every authority to this residual bits/s for the whole run (-1 = off)")
+		faultsFlag    = fs.String("faults", "0", "crashed-mirror fractions to sweep (0 = no crash fault)")
+		churnFlag     = fs.String("churn", "0", "churned-mesh fractions to sweep (0 = none; needs -gossip)")
+		backoffOn     = fs.Bool("backoff", false, "fleets retry with capped seeded-jitter exponential backoff")
+		floodSeeds    = fs.Bool("flood-seeds", false, "cache-tier flood targets the gossip-seeded mirrors (needs -gossip)")
+		verify        = fs.Bool("verify", true, "clients run proposal-239 chain verification")
+		window        = fs.Duration("window", 30*time.Minute, "client fetch window")
+		target        = fs.Float64("target", 0.95, "coverage fraction defining success")
+		seed          = fs.Int64("seed", 42, "simulation seed")
+		workers       = fs.Int("workers", 0, "sweep worker pool (0 = all cores, 1 = serial)")
+		tracePath     = fs.String("trace", "", "write a Chrome trace of the first grid cell (chrome://tracing, Perfetto)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "cachesweep: "+format+"\n", args...)
+		return 1
+	}
 
 	cacheCounts, err := partialtor.ParseSweepCounts(*cachesFlag)
 	if err != nil {
-		fatalf("invalid -caches: %v", err)
+		return fail("invalid -caches: %v", err)
 	}
 	populations, err := partialtor.ParseSweepCounts(*clientsFlag)
 	if err != nil {
-		fatalf("invalid -clients: %v", err)
+		return fail("invalid -clients: %v", err)
 	}
 	residuals, err := partialtor.ParseSweepFloats(*residualsFlag)
 	if err != nil {
-		fatalf("invalid -residuals: %v", err)
+		return fail("invalid -residuals: %v", err)
 	}
-	fractions, err := partialtor.ParseSweepFloats(*compFlag)
+	compFracs, err := fractions(*compFlag)
 	if err != nil {
-		fatalf("invalid -compromised: %v", err)
-	}
-	for _, f := range fractions {
-		if f < 0 || f > 1 {
-			fatalf("invalid -compromised: fraction %g outside [0, 1]", f)
-		}
+		return fail("invalid -compromised: %v", err)
 	}
 	var mode partialtor.CompromiseMode
 	switch *modeFlag {
@@ -158,23 +269,23 @@ func main() {
 	case "equivocate":
 		mode = partialtor.CompromiseEquivocate
 	default:
-		fatalf("invalid -mode %q: want stale or equivocate", *modeFlag)
+		return fail("invalid -mode %q: want stale or equivocate", *modeFlag)
 	}
 	topology, err := partialtor.TopologyByName(*topoFlag)
 	if err != nil {
-		fatalf("invalid -topology: %v", err)
+		return fail("invalid -topology: %v", err)
 	}
 	races, err := partialtor.ParseSweepInts(*raceFlag)
 	if err != nil {
-		fatalf("invalid -race: %v", err)
+		return fail("invalid -race: %v", err)
 	}
 	for _, k := range races {
 		if k < 0 {
-			fatalf("invalid -race: width %d is negative", k)
+			return fail("invalid -race: width %d is negative", k)
 		}
 	}
 	if *floodFlag != "" && topology == nil {
-		fatalf("-flood-region %q needs -topology", *floodFlag)
+		return fail("-flood-region %q needs -topology", *floodFlag)
 	}
 	// Without -gossip the fanout axis collapses to a single placeholder
 	// cell, so the grid shape — and the table — match the pre-mesh tool.
@@ -182,48 +293,42 @@ func main() {
 	if *gossipOn {
 		fanouts, err = partialtor.ParseSweepCounts(*fanoutFlag)
 		if err != nil {
-			fatalf("invalid -fanout: %v", err)
+			return fail("invalid -fanout: %v", err)
 		}
 		if *gossipSeeds < 1 {
-			fatalf("invalid -gossip-seeds: need at least one seeded cache, got %d", *gossipSeeds)
+			return fail("invalid -gossip-seeds: need at least one seeded cache, got %d", *gossipSeeds)
 		}
 	}
 
 	// Like the fanout axis, the chaos axes default to a single placeholder
 	// value so a chaos-free invocation keeps the pre-chaos grid shape.
-	crashFracs, err := partialtor.ParseSweepFloats(*faultsFlag)
+	crashFracs, err := fractions(*faultsFlag)
 	if err != nil {
-		fatalf("invalid -faults: %v", err)
+		return fail("invalid -faults: %v", err)
 	}
-	churnFracs, err := partialtor.ParseSweepFloats(*churnFlag)
+	churnFracs, err := fractions(*churnFlag)
 	if err != nil {
-		fatalf("invalid -churn: %v", err)
+		return fail("invalid -churn: %v", err)
 	}
 	chaosOn := *backoffOn
 	for _, f := range crashFracs {
-		if f < 0 || f > 1 {
-			fatalf("invalid -faults: fraction %g outside [0, 1]", f)
-		}
 		chaosOn = chaosOn || f > 0
 	}
 	for _, f := range churnFracs {
-		if f < 0 || f > 1 {
-			fatalf("invalid -churn: fraction %g outside [0, 1]", f)
-		}
 		if f > 0 && !*gossipOn {
-			fatalf("-churn %g needs -gossip: churn is mirrors leaving the mesh", f)
+			return fail("-churn %g needs -gossip: churn is mirrors leaving the mesh", f)
 		}
 		chaosOn = chaosOn || f > 0
 	}
 	if *floodSeeds && !*gossipOn {
-		fatalf("-flood-seeds needs -gossip: it targets the seeded mirrors")
+		return fail("-flood-seeds needs -gossip: it targets the seeded mirrors")
 	}
 
 	grid := partialtor.MustNewSweepGrid(
 		partialtor.SweepInts("caches", cacheCounts...),
 		partialtor.SweepInts("clients", populations...),
 		partialtor.SweepFloats("residual", residuals...),
-		partialtor.SweepFloats("comp", fractions...),
+		partialtor.SweepFloats("comp", compFracs...),
 		partialtor.SweepInts("race", races...),
 		partialtor.SweepInts("fanout", fanouts...),
 		partialtor.SweepFloats("fault", crashFracs...),
@@ -246,9 +351,9 @@ func main() {
 			if cellErr != nil {
 				mark = " (error)"
 			}
-			fmt.Fprintf(os.Stderr, "cachesweep: %d/%d cells%s", done, total, mark)
+			fmt.Fprintf(stderr, "\rcachesweep: %d/%d cells%s", done, total, mark)
 			if done == total {
-				fmt.Fprintln(os.Stderr)
+				fmt.Fprintln(stderr)
 			}
 		},
 	}
@@ -282,21 +387,19 @@ func main() {
 		// the recovery, not just the outage.
 		var plan partialtor.FaultPlan
 		if frac := c.Float("fault"); frac > 0 {
-			n := fracCount(frac, spec.Caches)
 			plan.Faults = append(plan.Faults, partialtor.FaultSpec{
 				Kind:    partialtor.FaultCrash,
 				Tier:    partialtor.TierCache,
-				Targets: partialtor.SpreadTargets(1, spec.Caches, n),
+				Targets: partialtor.SpreadTargets(1, spec.Caches, fracCount(frac, spec.Caches)),
 				Start:   *window / 6,
 				End:     *window/6 + *window/4,
 			})
 		}
 		if frac := c.Float("churn"); frac > 0 {
-			n := fracCount(frac, spec.Caches)
 			plan.Faults = append(plan.Faults, partialtor.FaultSpec{
 				Kind:    partialtor.FaultChurn,
 				Tier:    partialtor.TierCache,
-				Targets: partialtor.SpreadTargets(2, spec.Caches, n),
+				Targets: partialtor.SpreadTargets(2, spec.Caches, fracCount(frac, spec.Caches)),
 				Start:   *window / 4,
 				End:     *window / 2,
 			})
@@ -339,19 +442,13 @@ func main() {
 				plan.Targets = partialtor.MajorityTargets(spec.Caches)
 			}
 			spec.Attacks = append(spec.Attacks, plan)
-			if row.cost < 0 {
-				row.cost = 0
-			}
-			row.cost += pricing.PlanCost(plan)
+			row.cost = max(row.cost, 0) + pricing.PlanCost(plan)
 			if *floodSeeds {
 				row.cut = pricing.MeshPartitionCost(spec.Gossip.Fanout, plan.End-plan.Start, res)
 			}
 		}
 		if frac := c.Float("comp"); frac > 0 {
-			n := int(math.Round(frac * float64(spec.Caches)))
-			if n < 1 {
-				n = 1
-			}
+			n := fracCount(frac, spec.Caches)
 			// Compromise the TOP of the cache index range: floods target the
 			// majority prefix (MajorityTargets), so the two axes stay
 			// independent — a flooded-offline cache cannot also be the one
@@ -376,90 +473,29 @@ func main() {
 		return row, nil
 	})
 
-	gossipHeader := ""
-	if *gossipOn {
-		gossipHeader = fmt.Sprintf(" %-7s %-8s %-7s %-8s %-10s",
-			"fanout", "pushes", "pulls", "ae", "mesh")
-		if *floodSeeds {
-			gossipHeader += fmt.Sprintf(" %-10s", "cutcost")
-		}
-	}
-	chaosHeader := ""
-	if chaosOn {
-		chaosHeader = fmt.Sprintf(" %-6s %-6s %-7s %-10s %-10s %-8s",
-			"fault", "churn", "events", "mttr", "below", "dropped")
-	}
-	fmt.Printf("%-8s %-10s %-12s %-6s %-5s %-12s %-12s %-10s %-10s %-7s %-10s %-10s%s%s\n",
-		"caches", "clients", "residual", "comp", "race", "t95", "p99", "coverage", "naive", "forks", "cost", "rent/mo", gossipHeader, chaosHeader)
+	cols := tableColumns(*gossipOn, *floodSeeds, chaosOn)
+	printRow(stdout, cols, func(c column) string { return c.head })
 	failed := 0
 	for _, r := range results {
-		nc, pop := r.Cell.Int("caches"), r.Cell.Int("clients")
-		res := r.Cell.Float("residual")
-		label := "none"
-		if res >= 0 {
-			label = fmt.Sprintf("%.1fMbit", res/1e6)
-		}
-		comp := fmt.Sprintf("%.0f%%", 100*r.Cell.Float("comp"))
-		race := r.Cell.Int("race")
 		if r.Err != nil {
 			failed++
-			tail := ""
-			if *gossipOn {
-				tail = fmt.Sprintf(" %-7d %-8s %-7s %-8s %-10s", r.Cell.Int("fanout"), "-", "-", "-", "-")
-				if *floodSeeds {
-					tail += fmt.Sprintf(" %-10s", "-")
-				}
+		}
+		printRow(stdout, cols, func(c column) string {
+			switch {
+			case c.axis != nil:
+				return c.axis(r.Cell)
+			case r.Err == nil:
+				return c.value(r.Value)
+			case c.onErr != "":
+				return c.onErr
 			}
-			if chaosOn {
-				tail += fmt.Sprintf(" %-6s %-6s %-7s %-10s %-10s %-8s",
-					fmt.Sprintf("%.0f%%", 100*r.Cell.Float("fault")),
-					fmt.Sprintf("%.0f%%", 100*r.Cell.Float("churn")),
-					"-", "-", "-", "-")
-			}
-			fmt.Printf("%-8d %-10d %-12s %-6s %-5d %-12s %-12s %-10s %-10s %-7s %-10s %-10s%s\n",
-				nc, pop, label, comp, race, "ERROR", "-", "-", "-", "-", "-", "-", tail)
+			return "-"
+		})
+		if r.Err != nil {
 			continue
 		}
-		cost, rent := "-", "-"
-		if r.Value.cost >= 0 {
-			cost = fmt.Sprintf("$%.2f", r.Value.cost)
-		}
-		if r.Value.rent >= 0 {
-			rent = fmt.Sprintf("$%.0f", r.Value.rent)
-		}
-		tail := ""
-		if *gossipOn {
-			d := r.Value.result
-			tail = fmt.Sprintf(" %-7d %-8d %-7d %-8d %-10s",
-				r.Cell.Int("fanout"), d.GossipPushes, d.GossipPulls, d.GossipRounds,
-				fmt.Sprintf("%.1fMB", float64(d.GossipBytes)/1e6))
-			if *floodSeeds {
-				cut := "-"
-				if r.Value.cut >= 0 {
-					cut = fmt.Sprintf("$%.2f", r.Value.cut)
-				}
-				tail += fmt.Sprintf(" %-10s", cut)
-			}
-		}
-		if chaosOn {
-			d := r.Value.result
-			tail += fmt.Sprintf(" %-6s %-6s %-7d %-10s %-10s %-8d",
-				fmt.Sprintf("%.0f%%", 100*r.Cell.Float("fault")),
-				fmt.Sprintf("%.0f%%", 100*r.Cell.Float("churn")),
-				d.FaultEvents,
-				fmtDuration(partialtor.WorstMTTR(d.Recoveries)),
-				d.TimeBelowTarget.Round(time.Second).String(),
-				d.RetryDropped)
-		}
-		fmt.Printf("%-8d %-10d %-12s %-6s %-5d %-12s %-12s %-10s %-10s %-7d %-10s %-10s%s\n",
-			nc, pop, label, comp, race,
-			fmtDuration(r.Value.result.TimeToTarget),
-			fmtDuration(r.Value.result.TimeToCoverage(0.99)),
-			fmt.Sprintf("%.1f%%", 100*r.Value.result.Coverage()),
-			fmt.Sprintf("%.1f%%", 100*r.Value.result.NaiveCoverage()),
-			len(r.Value.result.ForkDetections), cost, rent, tail)
 		for _, rc := range r.Value.result.Regions {
-			fmt.Printf("  region %-4s clients %-9d coverage %-7s p50 %-12s p99 %-12s\n",
+			fmt.Fprintf(stdout, "  region %-4s clients %-9d coverage %-7s p50 %-12s p99 %-12s\n",
 				rc.Name, rc.Clients,
 				fmt.Sprintf("%.1f%%", 100*rc.Coverage()),
 				fmtDuration(rc.P50), fmtDuration(rc.P99))
@@ -468,27 +504,28 @@ func main() {
 	if rec != nil {
 		f, err := os.Create(*tracePath)
 		if err != nil {
-			fatalf("%v", err)
+			return fail("%v", err)
 		}
 		werr := partialtor.WriteChromeTrace(f, rec.Events())
 		if cerr := f.Close(); werr == nil {
 			werr = cerr
 		}
 		if werr != nil {
-			fatalf("writing %s: %v", *tracePath, werr)
+			return fail("writing %s: %v", *tracePath, werr)
 		}
-		fmt.Fprintf(os.Stderr, "cachesweep: cell 0 trace: %d events -> %s\n", rec.Len(), *tracePath)
+		fmt.Fprintf(stderr, "cachesweep: cell 0 trace: %d events -> %s\n", rec.Len(), *tracePath)
 	}
 	// Timing goes to stderr: stdout is the table, byte-identical across
 	// worker counts and wall clocks.
-	fmt.Fprintf(os.Stderr, "\n%d cells in %v\n", grid.Size(), time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(stderr, "\n%d cells in %v\n", grid.Size(), time.Since(start).Round(time.Millisecond))
 	if failed > 0 {
 		for _, r := range results {
 			if r.Err != nil {
 				// The cell coordinates carry every axis, residual included.
-				fmt.Fprintf(os.Stderr, "cachesweep: cell %s: %v\n", r.Cell, r.Err)
+				fmt.Fprintf(stderr, "cachesweep: cell %s: %v\n", r.Cell, r.Err)
 			}
 		}
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

@@ -29,8 +29,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -49,28 +51,37 @@ func fmtCoverageTime(d time.Duration) string {
 	return d.Round(time.Second).String()
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tordirsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		protoName     = flag.String("protocol", "ours", "protocol: current | synchronous | ours")
-		relays        = flag.Int("relays", 8000, "number of relays in the synthetic population")
-		bandwidthMbit = flag.Float64("bandwidth", 250, "authority access bandwidth in Mbit/s")
-		round         = flag.Duration("round", 150*time.Second, "lock-step round length (baselines)")
-		doAttack      = flag.Bool("attack", false, "throttle the majority of the authorities")
-		attackMinutes = flag.Float64("attack-minutes", 5, "attack window length in minutes")
-		residualMbit  = flag.Float64("attack-residual", 0.5, "bandwidth left to attacked authorities (Mbit/s); 0 = offline")
-		seed          = flag.Int64("seed", 1, "simulation seed")
-		topoName      = flag.String("topology", "flat", "topology: flat or continents")
-		clients       = flag.Int("clients", 0, "run the distribution phase with this many clients (0 = skip)")
-		caches        = flag.Int("caches", 20, "directory caches in the distribution phase")
-		raceK         = flag.Int("race", 0, "racing-client width K (0 = legacy client)")
-		gossipFanout  = flag.Int("gossip", 0, "mesh the cache tier with this push fanout (0 = star topology)")
-		crashFrac     = flag.Float64("crash", 0, "crash this fraction of the mirrors mid-window (0 = none)")
-		churnFrac     = flag.Float64("churn", 0, "churn this fraction of the mesh membership (0 = none; needs -gossip)")
-		backoffOn     = flag.Bool("backoff", false, "fleets retry with capped seeded-jitter exponential backoff")
-		showLog       = flag.Int("log", -1, "print the protocol log of this authority (-1 = none)")
-		tracePath     = flag.String("trace", "", "write a Chrome trace of the run (chrome://tracing, Perfetto)")
+		protoName     = fs.String("protocol", "ours", "protocol: current | synchronous | ours")
+		relays        = fs.Int("relays", 8000, "number of relays in the synthetic population")
+		bandwidthMbit = fs.Float64("bandwidth", 250, "authority access bandwidth in Mbit/s")
+		round         = fs.Duration("round", 150*time.Second, "lock-step round length (baselines)")
+		doAttack      = fs.Bool("attack", false, "throttle the majority of the authorities")
+		attackMinutes = fs.Float64("attack-minutes", 5, "attack window length in minutes")
+		residualMbit  = fs.Float64("attack-residual", 0.5, "bandwidth left to attacked authorities (Mbit/s); 0 = offline")
+		seed          = fs.Int64("seed", 1, "simulation seed")
+		topoName      = fs.String("topology", "flat", "topology: flat or continents")
+		clients       = fs.Int("clients", 0, "run the distribution phase with this many clients (0 = skip)")
+		caches        = fs.Int("caches", 20, "directory caches in the distribution phase")
+		raceK         = fs.Int("race", 0, "racing-client width K (0 = legacy client)")
+		gossipFanout  = fs.Int("gossip", 0, "mesh the cache tier with this push fanout (0 = star topology)")
+		crashFrac     = fs.Float64("crash", 0, "crash this fraction of the mirrors mid-window (0 = none)")
+		churnFrac     = fs.Float64("churn", 0, "churn this fraction of the mesh membership (0 = none; needs -gossip)")
+		backoffOn     = fs.Bool("backoff", false, "fleets retry with capped seeded-jitter exponential backoff")
+		showLog       = fs.Int("log", -1, "print the protocol log of this authority (-1 = none)")
+		tracePath     = fs.String("trace", "", "write a Chrome trace of the run (chrome://tracing, Perfetto)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	// authorities is the scenario's authority count (the Scenario default).
 	const authorities = 9
@@ -79,13 +90,13 @@ func main() {
 		frac float64
 	}{{"-crash", *crashFrac}, {"-churn", *churnFrac}} {
 		if f.frac < 0 || f.frac > 1 {
-			fmt.Fprintf(os.Stderr, "tordirsim: %s %g outside [0, 1]\n", f.name, f.frac)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "tordirsim: %s %g outside [0, 1]\n", f.name, f.frac)
+			return 2
 		}
 	}
 	if *showLog < -1 || *showLog >= authorities {
-		fmt.Fprintf(os.Stderr, "tordirsim: -log %d outside [-1, %d): there are %d authorities\n", *showLog, authorities, authorities)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "tordirsim: -log %d outside [-1, %d): there are %d authorities\n", *showLog, authorities, authorities)
+		return 2
 	}
 
 	var proto partialtor.Protocol
@@ -97,14 +108,14 @@ func main() {
 	case "ours", "icps", "partial":
 		proto = partialtor.ICPS
 	default:
-		fmt.Fprintf(os.Stderr, "unknown protocol %q\n", *protoName)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown protocol %q\n", *protoName)
+		return 2
 	}
 
 	topology, err := partialtor.TopologyByName(*topoName)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tordirsim: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "tordirsim: %v\n", err)
+		return 2
 	}
 	s := partialtor.Scenario{
 		Protocol:     proto,
@@ -149,8 +160,8 @@ func main() {
 		}
 		if *churnFrac > 0 {
 			if *gossipFanout <= 0 {
-				fmt.Fprintln(os.Stderr, "tordirsim: -churn needs -gossip: churn is mirrors leaving the mesh")
-				os.Exit(2)
+				fmt.Fprintln(stderr, "tordirsim: -churn needs -gossip: churn is mirrors leaving the mesh")
+				return 2
 			}
 			n := max(1, int(*churnFrac*float64(*caches)+0.5))
 			plan.Faults = append(plan.Faults, partialtor.FaultSpec{
@@ -165,8 +176,8 @@ func main() {
 			s.Distribution.Faults = &plan
 		}
 	} else if *raceK > 0 || *gossipFanout > 0 || *crashFrac > 0 || *churnFrac > 0 || *backoffOn {
-		fmt.Fprintln(os.Stderr, "tordirsim: -race, -gossip, -crash, -churn and -backoff need a distribution phase; set -clients")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "tordirsim: -race, -gossip, -crash, -churn and -backoff need a distribution phase; set -clients")
+		return 2
 	}
 	var rec *partialtor.TraceRecorder
 	if *tracePath != "" {
@@ -181,30 +192,30 @@ func main() {
 			Residual: *residualMbit * 1e6,
 		}
 		s.Attack = &plan
-		fmt.Printf("attack: %d targets, window %v, residual %.2f Mbit/s\n",
+		fmt.Fprintf(stdout, "attack: %d targets, window %v, residual %.2f Mbit/s\n",
 			len(plan.Targets), plan.End, plan.Residual/1e6)
 	}
 
-	fmt.Printf("running %v with %d relays at %.2f Mbit/s (seed %d)...\n",
+	fmt.Fprintf(stdout, "running %v with %d relays at %.2f Mbit/s (seed %d)...\n",
 		proto, *relays, *bandwidthMbit, *seed)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	res, err := partialtor.RunE(ctx, s)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tordirsim: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "tordirsim: %v\n", err)
+		return 1
 	}
 
 	if res.Success {
-		fmt.Printf("SUCCESS: consensus generated, network-time latency %.1fs\n", res.Latency.Seconds())
+		fmt.Fprintf(stdout, "SUCCESS: consensus generated, network-time latency %.1fs\n", res.Latency.Seconds())
 	} else {
-		fmt.Println("FAILURE: no valid consensus document this period")
+		fmt.Fprintln(stdout, "FAILURE: no valid consensus document this period")
 	}
-	fmt.Printf("transport: %d messages, %.2f MB sent\n", res.Messages, float64(res.BytesSent)/1e6)
+	fmt.Fprintf(stdout, "transport: %d messages, %.2f MB sent\n", res.Messages, float64(res.BytesSent)/1e6)
 	if d := res.Distribution; d != nil {
-		fmt.Printf("distribution: %s\n", d.Summary())
+		fmt.Fprintf(stdout, "distribution: %s\n", d.Summary())
 		for _, rc := range d.Regions {
-			fmt.Printf("  region %-4s clients %-9d coverage %5.1f%%  p50 %-10s p99 %s\n",
+			fmt.Fprintf(stdout, "  region %-4s clients %-9d coverage %5.1f%%  p50 %-10s p99 %s\n",
 				rc.Name, rc.Clients, 100*rc.Coverage(),
 				fmtCoverageTime(rc.P50), fmtCoverageTime(rc.P99))
 		}
@@ -212,26 +223,27 @@ func main() {
 	if rec != nil {
 		f, err := os.Create(*tracePath)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "tordirsim: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "tordirsim: %v\n", err)
+			return 1
 		}
 		werr := partialtor.WriteChromeTrace(f, rec.Events())
 		if cerr := f.Close(); werr == nil {
 			werr = cerr
 		}
 		if werr != nil {
-			fmt.Fprintf(os.Stderr, "tordirsim: writing %s: %v\n", *tracePath, werr)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "tordirsim: writing %s: %v\n", *tracePath, werr)
+			return 1
 		}
-		fmt.Printf("trace: %d events -> %s\n", rec.Len(), *tracePath)
+		fmt.Fprintf(stdout, "trace: %d events -> %s\n", rec.Len(), *tracePath)
 	}
 	if *showLog >= 0 {
-		fmt.Printf("\n--- authority %d log ---\n", *showLog)
+		fmt.Fprintf(stdout, "\n--- authority %d log ---\n", *showLog)
 		for _, e := range res.Net.NodeLog(simnet.NodeID(*showLog)) {
-			fmt.Printf("%10.3fs [%s] %s\n", e.At.Seconds(), e.Level, e.Text)
+			fmt.Fprintf(stdout, "%10.3fs [%s] %s\n", e.At.Seconds(), e.Level, e.Text)
 		}
 	}
 	if !res.Success {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

@@ -80,7 +80,7 @@ func main() {
 		Caches:  caches,
 		Window:  window,
 		Fanouts: []int{1, 2, 3},
-	})
+	}, partialtor.SweepParams{})
 	if err != nil {
 		log.Fatalf("gossipoutage: %v", err)
 	}

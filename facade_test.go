@@ -161,13 +161,13 @@ func TestFacadeExperimentPipeline(t *testing.T) {
 	}
 }
 
-// TestFacadeSweepCancellation: RunSweepCtx keeps completed cells and marks
+// TestFacadeSweepCancellation: RunSweepParams keeps completed cells and marks
 // skipped ones with the context's error, which SweepFirstErr does not count
 // as a failure.
 func TestFacadeSweepCancellation(t *testing.T) {
 	grid := partialtor.MustNewSweepGrid(partialtor.SweepInts("i", 0, 1, 2, 3))
 	ctx, cancel := context.WithCancel(context.Background())
-	results := partialtor.RunSweepCtx(ctx, grid, 1, func(_ context.Context, c partialtor.SweepCell) (int, error) {
+	results := partialtor.RunSweepParams(ctx, grid, partialtor.SweepParams{Workers: 1}, func(_ context.Context, c partialtor.SweepCell) (int, error) {
 		if c.Int("i") == 1 {
 			cancel()
 		}
@@ -212,13 +212,6 @@ func TestFacadeHelpers(t *testing.T) {
 	}
 	if partialtor.ResidualUnderDDoS != 0.5e6 {
 		t.Fatal("residual constant wrong")
-	}
-}
-
-func TestFacadeFigure6(t *testing.T) {
-	f := partialtor.Figure6()
-	if math.Abs(f.Average-7141.79) > 0.05 {
-		t.Fatalf("average %.2f", f.Average)
 	}
 }
 
@@ -408,15 +401,16 @@ func ExampleNewExperiment() {
 	// successes: 2/2
 }
 
-// ExampleRunSweep shows the grid engine every sweep in this repository
+// ExampleRunSweepParams shows the grid engine every sweep in this repository
 // runs on: named axes spanning a cartesian grid, evaluated cell by cell
 // with results in deterministic rank order.
-func ExampleRunSweep() {
+func ExampleRunSweepParams() {
 	grid := partialtor.MustNewSweepGrid(
 		partialtor.SweepInts("caches", 10, 20),
 		partialtor.SweepFloats("residual", 0, 0.5e6),
 	)
-	results := partialtor.RunSweep(grid, 1, func(c partialtor.SweepCell) (string, error) {
+	serial := partialtor.SweepParams{Workers: 1}
+	results := partialtor.RunSweepParams(context.Background(), grid, serial, func(_ context.Context, c partialtor.SweepCell) (string, error) {
 		return fmt.Sprintf("%d caches at %.1f Mbit/s", c.Int("caches"), c.Float("residual")/1e6), nil
 	})
 	for _, r := range results {

@@ -20,8 +20,8 @@
 // lets clients catch.
 //
 // The harness routes either kind per experiment period: WithAttack sends a
-// Plan to its tier's phase, WithCompromise a CompromisePlan into the
-// Distribute phase from its onset period onward. Both name their victims by
+// Plan to its tier's phase, and the distribution spec's CompromisePlan acts
+// in the Distribute phase from its onset period onward. Both name their victims by
 // one target scope, shared with faults.Fault (scope.go).
 //
 // CostModel prices all of it on one scale — stressor Mbit-hours for floods

@@ -16,7 +16,7 @@
 //     when an experiment asks for it (partialtor.WithChain), signed by the
 //     majority that signed the consensus;
 //   - the distribution tier's verifying clients (client.Verifier, enabled
-//     by dircache.Spec.VerifyClients / harness.WithVerifiedClients) check
+//     by dircache.Spec.VerifyClients) check
 //     every fetched document's Link against their chain position,
 //     reject stale or forked documents, and turn equivocation by
 //     compromised caches into ForkProofs — DetectFork validates both sides,

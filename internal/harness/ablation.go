@@ -3,17 +3,36 @@ package harness
 import (
 	"context"
 	"fmt"
+	"strconv"
+	"strings"
 	"time"
 
 	"partialtor/internal/attack"
 	"partialtor/internal/core"
-	"partialtor/internal/simnet"
 	"partialtor/internal/sweep"
 )
 
 // This file holds the ablations DESIGN.md §6 calls out: how sensitive the
 // headline results are to (a) the calibrated vote entry size, (b) the ICPS
 // dissemination wait Δ, and (c) the agreement pacemaker's base timeout.
+
+// ablationArtifact groups the three ablations under one -only name, in the
+// order above.
+var ablationArtifact = Artifact{Name: "ablation", Run: func(ctx context.Context, quick bool, sp sweep.Params) (string, error) {
+	var parts []string
+	for _, a := range []Artifact{
+		artifact("entry-size", entrySizeQuick, AblationEntrySize),
+		artifact("delta", deltaQuick, AblationDelta),
+		artifact("timeout", timeoutQuick, AblationTimeout),
+	} {
+		text, err := a.Run(ctx, quick, sp)
+		if err != nil {
+			return "", err
+		}
+		parts = append(parts, text)
+	}
+	return strings.Join(parts, "\n"), nil
+}}
 
 // ---------------------------------------------------- entry-size ablation
 
@@ -24,49 +43,40 @@ type EntrySizeRow struct {
 	ThresholdRelays int // 0 = no failure within the sweep
 }
 
-// EntrySizeResult shows that the failure *threshold* scales inversely with
-// the per-relay byte cost while the qualitative shape is unchanged — the
-// justification for calibrating entries to 2.5 kB (DESIGN.md §2).
-type EntrySizeResult struct {
+// EntrySizeParams scales the ablation (unset fields = paper scale).
+type EntrySizeParams struct {
+	EntrySizes    []int
+	RelayCounts   []int // scanned in order for the threshold
 	BandwidthMbit float64
-	Relays        []int
-	Rows          []EntrySizeRow
+	Round         time.Duration
+	Seed          int64
 }
 
-// EntrySizeParams scales the ablation.
-type EntrySizeParams struct {
-	EntrySizes    []int         // default {625, 1250, 2500}
-	RelayCounts   []int         // sweep for thresholds
-	BandwidthMbit float64       // default 10
-	Round         time.Duration // default 150s
-	Seed          int64
-	Workers       int // sweep worker pool: 0 = all cores, 1 = serial
-	// OnCell, when set, observes sweep progress: called once per finished
-	// cell with the completion count, the grid size, and the cell's error.
-	OnCell func(done, total int, cellErr error)
-}
+var (
+	entrySizePaper = EntrySizeParams{
+		EntrySizes:    []int{625, 1250, 2500},
+		RelayCounts:   relayCounts(2000, 40000, 2000),
+		BandwidthMbit: 10,
+		Round:         150 * time.Second,
+	}
+	entrySizeQuick = EntrySizeParams{
+		EntrySizes:    []int{625, 2500},
+		RelayCounts:   []int{500, 1000, 2000, 4000, 8000},
+		BandwidthMbit: 10,
+		Round:         15 * time.Second,
+	}
+)
 
 // AblationEntrySize sweeps the current protocol's failure threshold across
-// entry sizes. The entry sizes fan out over the sweep engine; each cell's
-// threshold scan stays sequential because it stops at the first failure.
-func AblationEntrySize(ctx context.Context, p EntrySizeParams) (*EntrySizeResult, error) {
-	if len(p.EntrySizes) == 0 {
-		p.EntrySizes = []int{625, 1250, 2500}
-	}
-	if len(p.RelayCounts) == 0 {
-		for r := 2000; r <= 40000; r += 2000 {
-			p.RelayCounts = append(p.RelayCounts, r)
-		}
-	}
-	if p.BandwidthMbit == 0 {
-		p.BandwidthMbit = 10
-	}
-	if p.Round == 0 {
-		p.Round = 150 * time.Second
-	}
-	res := &EntrySizeResult{BandwidthMbit: p.BandwidthMbit, Relays: p.RelayCounts}
+// entry sizes, showing that the *threshold* scales inversely with the
+// per-relay byte cost while the qualitative shape is unchanged — the
+// justification for calibrating entries to 2.5 kB (DESIGN.md §2). The entry
+// sizes fan out over the sweep engine; each cell's threshold scan stays
+// sequential because it stops at the first failure.
+func AblationEntrySize(ctx context.Context, p EntrySizeParams, sp sweep.Params) (*Table[EntrySizeRow], error) {
+	p = overlay(p, entrySizePaper)
 	grid := sweep.MustNew(sweep.Ints("entry", p.EntrySizes...))
-	results, err := sweepE(ctx, grid, sweep.Params{Workers: p.Workers, OnCell: p.OnCell}, func(ctx context.Context, c sweep.Cell) (EntrySizeRow, error) {
+	return sweepTable(ctx, grid, sp, func(ctx context.Context, c sweep.Cell) (EntrySizeRow, error) {
 		entry := c.Int("entry")
 		threshold := 0
 		for _, relays := range p.RelayCounts {
@@ -87,78 +97,60 @@ func AblationEntrySize(ctx context.Context, p EntrySizeParams) (*EntrySizeResult
 			}
 		}
 		return EntrySizeRow{EntryBytes: entry, ThresholdRelays: threshold}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range results {
-		res.Rows = append(res.Rows, r.Value)
-	}
-	return res, nil
-}
-
-// Render prints the calibration table.
-func (r *EntrySizeResult) Render() string {
-	rows := make([][]string, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		th := fmt.Sprintf("%d", row.ThresholdRelays)
-		if row.ThresholdRelays == 0 {
-			th = "none in sweep"
-		}
-		rows = append(rows, []string{fmt.Sprintf("%d", row.EntryBytes), th})
-	}
-	title := fmt.Sprintf("Ablation: current-protocol failure threshold vs entry size (%g Mbit/s)", r.BandwidthMbit)
-	return renderTable(title, []string{"Entry bytes", "Failure threshold (relays)"}, rows)
+	}, layout[EntrySizeRow]{
+		title: fmt.Sprintf("Ablation: current-protocol failure threshold vs entry size (%g Mbit/s)", p.BandwidthMbit),
+		cols: []column[EntrySizeRow]{
+			{"Entry bytes", func(r EntrySizeRow) string { return strconv.Itoa(r.EntryBytes) }},
+			{"Failure threshold (relays)", func(r EntrySizeRow) string {
+				if r.ThresholdRelays == 0 {
+					return "none in sweep"
+				}
+				return strconv.Itoa(r.ThresholdRelays)
+			}},
+		},
+	}.render)
 }
 
 // ------------------------------------------------------------ Δ ablation
 
-// DeltaRow is one dissemination-wait measurement.
+// DeltaRow is one dissemination-wait measurement, with one authority crashed
+// or — the control — with none.
 type DeltaRow struct {
+	Crash   bool
 	Delta   time.Duration
 	Latency time.Duration
 	OKCount int
 }
 
-// DeltaResult shows the trade-off §5.2.1 encodes in Δ: with a crashed
-// authority the protocol cannot collect all n documents, so consensus waits
-// for Δ before settling for n−f — larger Δ buys nothing but latency once a
-// fault is real, while on healthy runs Δ never binds.
-type DeltaResult struct {
-	Rows        []DeltaRow
-	HealthyRows []DeltaRow // same sweep without the crash: Δ must not bind
-}
-
-// DeltaParams scales the ablation.
+// DeltaParams scales the ablation (unset fields = paper scale).
 type DeltaParams struct {
-	Deltas  []time.Duration // default {2s, 10s, 30s}
-	Relays  int             // default 500
-	Seed    int64
-	Workers int // sweep worker pool: 0 = all cores, 1 = serial
-	// OnCell, when set, observes sweep progress: called once per finished
-	// cell with the completion count, the grid size, and the cell's error.
-	OnCell func(done, total int, cellErr error)
+	Deltas []time.Duration
+	Relays int
+	Seed   int64
 }
 
-// AblationDelta sweeps Δ with one crashed authority (and, as control, with
-// none) — a crash × Δ grid on the sweep engine.
-func AblationDelta(ctx context.Context, p DeltaParams) (*DeltaResult, error) {
-	if len(p.Deltas) == 0 {
-		p.Deltas = []time.Duration{2 * time.Second, 10 * time.Second, 30 * time.Second}
-	}
-	if p.Relays == 0 {
-		p.Relays = 500
-	}
-	res := &DeltaResult{}
+var (
+	deltaPaper = DeltaParams{Deltas: []time.Duration{2 * time.Second, 10 * time.Second, 30 * time.Second}, Relays: 500}
+	deltaQuick = DeltaParams{Relays: 200}
+)
+
+// AblationDelta sweeps Δ with one crashed authority and, as control, with
+// none — a crash × Δ grid on the sweep engine, crashed rows first. It shows
+// the trade-off §5.2.1 encodes in Δ: with a crashed authority the protocol
+// cannot collect all n documents, so consensus waits for Δ before settling
+// for n−f — larger Δ buys nothing but latency once a fault is real, while on
+// healthy runs Δ never binds.
+func AblationDelta(ctx context.Context, p DeltaParams, sp sweep.Params) (*Table[DeltaRow], error) {
+	p = overlay(p, deltaPaper)
 	grid := sweep.MustNew(
 		sweep.Of("crash", true, false),
 		sweep.Durations("delta", p.Deltas...),
 	)
-	results, err := sweepE(ctx, grid, sweep.Params{Workers: p.Workers, OnCell: p.OnCell}, func(_ context.Context, c sweep.Cell) (DeltaRow, error) {
-		delta := c.Duration("delta")
+	return sweepTable(ctx, grid, sp, func(_ context.Context, c sweep.Cell) (DeltaRow, error) {
+		row := DeltaRow{Crash: c.Value("crash").(bool), Delta: c.Duration("delta")}
 		keys, docs := Inputs(Scenario{Relays: p.Relays, EntryPadding: -1, Seed: p.Seed}.withDefaults())
-		cfg := core.Config{Keys: keys, Docs: docs, Delta: delta, BaseTimeout: 10 * time.Second}
-		if c.Value("crash").(bool) {
+		cfg := core.Config{Keys: keys, Docs: docs, Delta: row.Delta, BaseTimeout: 10 * time.Second}
+		if row.Crash {
 			cfg.Silent = map[int]bool{8: true}
 		}
 		net, ups, downs, _ := buildNetwork(Scenario{N: 9, Bandwidth: DefaultBandwidth, Seed: p.Seed}.withDefaults())
@@ -168,35 +160,22 @@ func AblationDelta(ctx context.Context, p DeltaParams) (*DeltaResult, error) {
 		}
 		net.Run(time.Hour)
 		r := core.Collect(auths, cfg, func(i int) bool { return !cfg.Silent[i] })
-		return DeltaRow{Delta: delta, Latency: r.Latency, OKCount: r.OKCount}, nil
+		row.Latency, row.OKCount = r.Latency, r.OKCount
+		return row, nil
+	}, func(rows []DeltaRow) string {
+		crashed := len(rows) / 2 // crash is the slow axis, true first
+		panel := layout[DeltaRow]{
+			title: "Ablation: ICPS latency vs Δ with one crashed authority",
+			cols: []column[DeltaRow]{
+				{"Δ", func(r DeltaRow) string { return r.Delta.String() }},
+				{"Latency (s)", func(r DeltaRow) string { return fmtLatency(r.Latency) }},
+				{"OK entries", func(r DeltaRow) string { return strconv.Itoa(r.OKCount) }},
+			},
+		}
+		out := panel.render(rows[:crashed])
+		panel.title = "Control: same sweep, no faults (Δ must not bind)"
+		return out + "\n" + panel.render(rows[crashed:])
 	})
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range results {
-		if r.Cell.Value("crash").(bool) {
-			res.Rows = append(res.Rows, r.Value)
-		} else {
-			res.HealthyRows = append(res.HealthyRows, r.Value)
-		}
-	}
-	return res, nil
-}
-
-// Render prints both sweeps.
-func (r *DeltaResult) Render() string {
-	mk := func(rows []DeltaRow) [][]string {
-		out := make([][]string, 0, len(rows))
-		for _, row := range rows {
-			out = append(out, []string{row.Delta.String(), fmtLatency(row.Latency), fmt.Sprintf("%d", row.OKCount)})
-		}
-		return out
-	}
-	s := renderTable("Ablation: ICPS latency vs Δ with one crashed authority",
-		[]string{"Δ", "Latency (s)", "OK entries"}, mk(r.Rows))
-	s += "\n" + renderTable("Control: same sweep, no faults (Δ must not bind)",
-		[]string{"Δ", "Latency (s)", "OK entries"}, mk(r.HealthyRows))
-	return s
 }
 
 // ------------------------------------------------------ timeout ablation
@@ -207,42 +186,28 @@ type TimeoutRow struct {
 	Recovery    time.Duration // time to consensus after the outage ends
 }
 
-// TimeoutResult shows that recovery from an outage is insensitive to the
-// pacemaker's base timeout: the TC pacemaker cannot advance views while the
-// quorum is unreachable, so no timeout tuning is "burned" during the
-// attack; recovery is network-bound either way.
-type TimeoutResult struct {
-	Outage time.Duration
-	Rows   []TimeoutRow
+// TimeoutParams scales the ablation (unset fields = paper scale).
+type TimeoutParams struct {
+	BaseTimeouts []time.Duration
+	Outage       time.Duration
+	Relays       int
+	Seed         int64
 }
 
-// TimeoutParams scales the ablation.
-type TimeoutParams struct {
-	BaseTimeouts []time.Duration // default {5s, 20s, 80s}
-	Outage       time.Duration   // default 60s
-	Relays       int             // default 400
-	Seed         int64
-	Workers      int // sweep worker pool: 0 = all cores, 1 = serial
-	// OnCell, when set, observes sweep progress: called once per finished
-	// cell with the completion count, the grid size, and the cell's error.
-	OnCell func(done, total int, cellErr error)
-}
+var (
+	timeoutPaper = TimeoutParams{BaseTimeouts: []time.Duration{5 * time.Second, 20 * time.Second, 80 * time.Second}, Outage: time.Minute, Relays: 400}
+	timeoutQuick = TimeoutParams{Outage: 30 * time.Second, Relays: 150}
+)
 
 // AblationTimeout sweeps the pacemaker base timeout under an outage on the
-// sweep engine.
-func AblationTimeout(ctx context.Context, p TimeoutParams) (*TimeoutResult, error) {
-	if len(p.BaseTimeouts) == 0 {
-		p.BaseTimeouts = []time.Duration{5 * time.Second, 20 * time.Second, 80 * time.Second}
-	}
-	if p.Outage == 0 {
-		p.Outage = time.Minute
-	}
-	if p.Relays == 0 {
-		p.Relays = 400
-	}
-	res := &TimeoutResult{Outage: p.Outage}
+// sweep engine. It shows that recovery from an outage is insensitive to the
+// base timeout: the TC pacemaker cannot advance views while the quorum is
+// unreachable, so no timeout tuning is "burned" during the attack; recovery
+// is network-bound either way.
+func AblationTimeout(ctx context.Context, p TimeoutParams, sp sweep.Params) (*Table[TimeoutRow], error) {
+	p = overlay(p, timeoutPaper)
 	grid := sweep.MustNew(sweep.Durations("timeout", p.BaseTimeouts...))
-	results, err := sweepE(ctx, grid, sweep.Params{Workers: p.Workers, OnCell: p.OnCell}, func(ctx context.Context, c sweep.Cell) (TimeoutRow, error) {
+	return sweepTable(ctx, grid, sp, func(ctx context.Context, c sweep.Cell) (TimeoutRow, error) {
 		bt := c.Duration("timeout")
 		plan := attack.Plan{Targets: attack.MajorityTargets(9), Start: 0, End: p.Outage, Residual: 0}
 		run, err := RunE(ctx, Scenario{
@@ -256,30 +221,12 @@ func AblationTimeout(ctx context.Context, p TimeoutParams) (*TimeoutResult, erro
 		if err != nil {
 			return TimeoutRow{}, err
 		}
-		row := TimeoutRow{BaseTimeout: bt, Recovery: simnet.Never}
-		if run.Success && run.DoneAt != simnet.Never {
-			row.Recovery = run.DoneAt - p.Outage
-			if row.Recovery < 0 {
-				row.Recovery = 0
-			}
-		}
-		return row, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range results {
-		res.Rows = append(res.Rows, r.Value)
-	}
-	return res, nil
-}
-
-// Render prints the sweep.
-func (r *TimeoutResult) Render() string {
-	rows := make([][]string, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		rows = append(rows, []string{row.BaseTimeout.String(), fmtLatency(row.Recovery)})
-	}
-	title := fmt.Sprintf("Ablation: recovery after a %v outage vs pacemaker base timeout", r.Outage)
-	return renderTable(title, []string{"Base timeout", "Recovery (s)"}, rows)
+		return TimeoutRow{BaseTimeout: bt, Recovery: recoveryAfter(run, p.Outage)}, nil
+	}, layout[TimeoutRow]{
+		title: fmt.Sprintf("Ablation: recovery after a %v outage vs pacemaker base timeout", p.Outage),
+		cols: []column[TimeoutRow]{
+			{"Base timeout", func(r TimeoutRow) string { return r.BaseTimeout.String() }},
+			{"Recovery (s)", func(r TimeoutRow) string { return fmtLatency(r.Recovery) }},
+		},
+	}.render)
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"partialtor/internal/simnet"
+	"partialtor/internal/sweep"
 )
 
 func TestAblationEntrySizeThresholdScalesInversely(t *testing.T) {
@@ -14,7 +15,7 @@ func TestAblationEntrySizeThresholdScalesInversely(t *testing.T) {
 		RelayCounts:   []int{500, 1000, 2000, 4000, 8000},
 		BandwidthMbit: 10,
 		Round:         15 * time.Second,
-	})
+	}, sweep.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,28 +42,29 @@ func TestAblationDeltaBindsOnlyUnderFaults(t *testing.T) {
 	r, err := AblationDelta(bg, DeltaParams{
 		Deltas: []time.Duration{2 * time.Second, 20 * time.Second},
 		Relays: 200,
-	})
+	}, sweep.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Rows) != 2 || len(r.HealthyRows) != 2 {
-		t.Fatalf("rows=%d healthy=%d", len(r.Rows), len(r.HealthyRows))
+	if len(r.Rows) != 4 || !r.Rows[1].Crash || r.Rows[2].Crash {
+		t.Fatalf("want 2 crashed rows then 2 healthy ones, got %+v", r.Rows)
 	}
+	crashed, healthy := r.Rows[:2], r.Rows[2:]
 	// With a crashed authority, latency tracks Δ.
-	if r.Rows[1].Latency <= r.Rows[0].Latency {
+	if crashed[1].Latency <= crashed[0].Latency {
 		t.Fatalf("latency did not grow with Δ under a crash: %v vs %v",
-			r.Rows[0].Latency, r.Rows[1].Latency)
+			crashed[0].Latency, crashed[1].Latency)
 	}
-	if r.Rows[1].Latency < 20*time.Second {
-		t.Fatalf("latency %v below Δ=20s; Δ not respected", r.Rows[1].Latency)
+	if crashed[1].Latency < 20*time.Second {
+		t.Fatalf("latency %v below Δ=20s; Δ not respected", crashed[1].Latency)
 	}
-	for _, row := range r.Rows {
+	for _, row := range crashed {
 		if row.OKCount != 8 {
 			t.Fatalf("crash sweep OKCount=%d, want 8", row.OKCount)
 		}
 	}
 	// Healthy control: Δ must not bind (all documents arrive first).
-	for _, row := range r.HealthyRows {
+	for _, row := range healthy {
 		if row.Latency >= 20*time.Second {
 			t.Fatalf("healthy latency %v bound by Δ", row.Latency)
 		}
@@ -80,7 +82,7 @@ func TestAblationTimeoutRecoveryInsensitive(t *testing.T) {
 		BaseTimeouts: []time.Duration{5 * time.Second, 80 * time.Second},
 		Outage:       30 * time.Second,
 		Relays:       150,
-	})
+	}, sweep.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

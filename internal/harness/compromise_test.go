@@ -37,15 +37,13 @@ func compromiseDist() dircache.Spec {
 // compromise, and the verifying clients catch it while still reaching
 // target coverage through the honest caches.
 func TestExperimentCompromiseDetection(t *testing.T) {
-	exp, err := NewExperiment(
-		WithScenario(compromiseBase()),
-		WithDistribution(compromiseDist()),
-		WithCompromise(attack.CompromisePlan{
-			Targets: attack.FirstTargets(2),
-			Mode:    attack.CompromiseEquivocate,
-		}),
-		WithVerifiedClients(),
-	)
+	dist := compromiseDist()
+	dist.Compromise = &attack.CompromisePlan{
+		Targets: attack.FirstTargets(2),
+		Mode:    attack.CompromiseEquivocate,
+	}
+	dist.VerifyClients = true
+	exp, err := NewExperiment(WithScenario(compromiseBase()), WithDistribution(dist))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,17 +80,14 @@ func TestExperimentCompromiseDetection(t *testing.T) {
 // TestExperimentCompromiseOnset: the compromise activates at its onset
 // period, not before.
 func TestExperimentCompromiseOnset(t *testing.T) {
-	exp, err := NewExperiment(
-		WithScenario(compromiseBase()),
-		WithPeriods(2),
-		WithDistribution(compromiseDist()),
-		WithCompromise(attack.CompromisePlan{
-			Targets: attack.FirstTargets(3),
-			Mode:    attack.CompromiseStale,
-			Onset:   1,
-		}),
-		WithVerifiedClients(),
-	)
+	dist := compromiseDist()
+	dist.Compromise = &attack.CompromisePlan{
+		Targets: attack.FirstTargets(3),
+		Mode:    attack.CompromiseStale,
+		Onset:   1,
+	}
+	dist.VerifyClients = true
+	exp, err := NewExperiment(WithScenario(compromiseBase()), WithPeriods(2), WithDistribution(dist))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,44 +108,23 @@ func TestExperimentCompromiseOnset(t *testing.T) {
 
 // TestExperimentCompromiseValidation pins the configuration contract.
 func TestExperimentCompromiseValidation(t *testing.T) {
-	// Compromise without a distribution phase is unexecutable.
-	if _, err := NewExperiment(
-		WithScenario(compromiseBase()),
-		WithCompromise(attack.CompromisePlan{Targets: []int{0}, Mode: attack.CompromiseStale}),
-	); err == nil || !strings.Contains(err.Error(), "distribution phase") {
-		t.Fatalf("compromise without distribution: %v", err)
-	}
-	// So is verification.
-	if _, err := NewExperiment(
-		WithScenario(compromiseBase()),
-		WithVerifiedClients(),
-	); err == nil || !strings.Contains(err.Error(), "distribution phase") {
-		t.Fatalf("verification without distribution: %v", err)
+	with := func(p attack.CompromisePlan) ExperimentOption {
+		dist := compromiseDist()
+		dist.Compromise = &p
+		return WithDistribution(dist)
 	}
 	// A target beyond the cache tier fails eagerly, not at period N.
 	if _, err := NewExperiment(
 		WithScenario(compromiseBase()),
-		WithDistribution(compromiseDist()),
-		WithCompromise(attack.CompromisePlan{Targets: []int{99}, Mode: attack.CompromiseStale}),
+		with(attack.CompromisePlan{Targets: []int{99}, Mode: attack.CompromiseStale}),
 	); err == nil || !strings.Contains(err.Error(), "beyond") {
 		t.Fatalf("out-of-tier target: %v", err)
-	}
-	// Specifying the compromise both ways is ambiguous.
-	dist := compromiseDist()
-	dist.Compromise = &attack.CompromisePlan{Targets: []int{0}, Mode: attack.CompromiseStale}
-	if _, err := NewExperiment(
-		WithScenario(compromiseBase()),
-		WithDistribution(dist),
-		WithCompromise(attack.CompromisePlan{Targets: []int{1}, Mode: attack.CompromiseStale}),
-	); err == nil || !strings.Contains(err.Error(), "twice") {
-		t.Fatalf("double compromise: %v", err)
 	}
 	// An onset beyond the experiment still validates (it simply never
 	// activates) — the dry-validation must handle the active variant.
 	if _, err := NewExperiment(
 		WithScenario(compromiseBase()),
-		WithDistribution(compromiseDist()),
-		WithCompromise(attack.CompromisePlan{Targets: []int{0}, Mode: attack.CompromiseStale, Onset: 7}),
+		with(attack.CompromisePlan{Targets: []int{0}, Mode: attack.CompromiseStale, Onset: 7}),
 	); err != nil {
 		t.Fatalf("late-onset plan rejected: %v", err)
 	}
@@ -171,25 +145,18 @@ func TestCompromisedFractionSweep(t *testing.T) {
 		coverage float64
 		forks    int
 	}
-	results := sweep.Run(grid, 0, func(c sweep.Cell) (cell, error) {
+	results := sweep.RunParams(context.Background(), grid, sweep.Params{}, func(_ context.Context, c sweep.Cell) (cell, error) {
 		dist := compromiseDist()
 		frac := c.Float("frac")
-		opts := []ExperimentOption{
-			WithScenario(compromiseBase()),
-			WithDistribution(dist),
-		}
-		n := int(frac * float64(dist.Caches))
-		if n > 0 {
-			opts = append(opts, WithCompromise(attack.CompromisePlan{
+		if n := int(frac * float64(dist.Caches)); n > 0 {
+			dist.Compromise = &attack.CompromisePlan{
 				Targets:           attack.FirstTargets(n),
 				Mode:              attack.CompromiseEquivocate,
 				ForkFleetFraction: 1,
-			}))
+			}
 		}
-		if c.Value("verify").(bool) {
-			opts = append(opts, WithVerifiedClients())
-		}
-		exp, err := NewExperiment(opts...)
+		dist.VerifyClients = c.Value("verify").(bool)
+		exp, err := NewExperiment(WithScenario(compromiseBase()), WithDistribution(dist))
 		if err != nil {
 			return cell{}, err
 		}

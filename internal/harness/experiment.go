@@ -10,10 +10,8 @@ import (
 	"partialtor/internal/client"
 	"partialtor/internal/dircache"
 	"partialtor/internal/faults"
-	"partialtor/internal/gossip"
 	"partialtor/internal/obs"
 	"partialtor/internal/sig"
-	"partialtor/internal/topo"
 )
 
 // Phase names one stage of the experiment pipeline. Every experiment runs
@@ -48,13 +46,10 @@ type Experiment struct {
 	periods  int
 	attacked func(int) bool
 	attack   *attack.Plan
-	// dist is the Distribute phase's spec (nil = no such phase); distEdits
-	// are what the onDistribution options do to it once every option has run.
-	dist      *dircache.Spec
-	distEdits []func() error
-	policy    client.Policy
-	avail     bool
-	chain     bool
+	dist     *dircache.Spec // the Distribute phase's spec (nil = no such phase)
+	policy   client.Policy
+	avail    bool
+	chain    bool
 }
 
 // ExperimentOption configures an Experiment under construction.
@@ -65,14 +60,6 @@ type ExperimentOption func(*Experiment) error
 func WithScenario(s Scenario) ExperimentOption {
 	return func(e *Experiment) error {
 		e.base = s
-		return nil
-	}
-}
-
-// WithProtocol selects the protocol without replacing the base scenario.
-func WithProtocol(p Protocol) ExperimentOption {
-	return func(e *Experiment) error {
-		e.base.Protocol = p
 		return nil
 	}
 }
@@ -113,54 +100,6 @@ func WithAttackSchedule(attacked func(i int) bool) ExperimentOption {
 	}
 }
 
-// onDistribution is an option that edits the Distribute phase's spec. The
-// edit runs once every option has — WithDistribution may come later in the
-// list — and fails when there is no such phase; what names the feature in
-// that error.
-func onDistribution(what string, edit func(*dircache.Spec) error) ExperimentOption {
-	return func(e *Experiment) error {
-		e.distEdits = append(e.distEdits, func() error {
-			if e.dist == nil {
-				return fmt.Errorf("harness: %s needs a distribution phase (WithDistribution)", what)
-			}
-			return edit(e.dist)
-		})
-		return nil
-	}
-}
-
-// errTwice reports a feature set both on the distribution spec and by option.
-func errTwice(what, option string) error {
-	return fmt.Errorf("harness: %s specified twice — on the distribution spec and via %s", what, option)
-}
-
-// WithCompromise routes a cache-compromise plan into the Distribute phase:
-// from period plan.Onset onward the plan's caches serve stale or forked
-// directory data (attack.CompromiseStale / attack.CompromiseEquivocate).
-// Pair it with WithVerifiedClients to measure detection instead of damage.
-func WithCompromise(p attack.CompromisePlan) ExperimentOption {
-	return onDistribution("cache compromise", func(d *dircache.Spec) error {
-		if d.Compromise != nil {
-			return errTwice("compromise", "WithCompromise")
-		}
-		pc := p
-		d.Compromise = &pc
-		return nil
-	})
-}
-
-// WithVerifiedClients switches the Distribute phase's client fleets to the
-// proposal-239 chain-verifying path: fetched documents are checked against
-// the consensus hash chain, stale and forked documents are rejected (the
-// serving cache is distrusted and the clients re-fetch elsewhere), and fork
-// proofs are recorded in each period's DistributionResult.
-func WithVerifiedClients() ExperimentOption {
-	return onDistribution("client verification", func(d *dircache.Spec) error {
-		d.VerifyClients = true
-		return nil
-	})
-}
-
 // WithDistribution adds the Distribute phase: every period's consensus
 // propagates through a cache tier to aggregated client fleets under spec
 // (per-period publication instant and document size default to each run's
@@ -169,66 +108,6 @@ func WithDistribution(spec dircache.Spec) ExperimentOption {
 	return func(e *Experiment) error {
 		sp := spec
 		e.dist = &sp
-		return nil
-	}
-}
-
-// WithGossip joins every period's cache tier into a dissemination mesh under
-// cfg: caches push fresh-consensus digests to mesh peers, pull on digest
-// miss, and reconcile epoch vectors in periodic anti-entropy rounds — so a
-// mirror cut off from the flooded authorities still converges through its
-// peers. Needs a distribution phase (WithDistribution or a spec on the base
-// scenario).
-func WithGossip(cfg gossip.Config) ExperimentOption {
-	return onDistribution("a gossip mesh", func(d *dircache.Spec) error {
-		if d.Gossip != nil {
-			return errTwice("gossip", "WithGossip")
-		}
-		gc := cfg
-		d.Gossip = &gc
-		return nil
-	})
-}
-
-// WithFaults injects the fault plan into every period's distribution phase:
-// mirror crashes and restarts, degraded or flapping links, network
-// partitions, and gossip-mesh churn, all scheduled as deterministic simnet
-// events. Composes with WithAttack (faults and floods overlap freely),
-// WithGossip (churn needs the mesh) and WithTopology (region-scoped
-// targets). Needs a distribution phase (WithDistribution or a spec on the
-// base scenario).
-func WithFaults(p faults.Plan) ExperimentOption {
-	return onDistribution("a fault plan", func(d *dircache.Spec) error {
-		if d.Faults != nil {
-			return errTwice("faults", "WithFaults")
-		}
-		d.Faults = p.Clone()
-		return nil
-	})
-}
-
-// WithBackoff replaces every fleet's fixed coalesced-retry delay with the
-// given capped, seeded-jitter exponential backoff — the graceful-degradation
-// half of the chaos layer: desynchronized retries stop re-flooding a
-// recovering tier the instant it comes back. Needs a distribution phase.
-func WithBackoff(b faults.Backoff) ExperimentOption {
-	return onDistribution("retry backoff", func(d *dircache.Spec) error {
-		if d.Backoff != nil {
-			return errTwice("backoff", "WithBackoff")
-		}
-		bc := b
-		d.Backoff = &bc
-		return nil
-	})
-}
-
-// WithTopology places every period's networks on the given regional map
-// (authority placement and latencies in the consensus phase, cache and
-// fleet placement plus per-region coverage in the Distribute phase).
-// Passing nil keeps the flat model.
-func WithTopology(t topo.Topology) ExperimentOption {
-	return func(e *Experiment) error {
-		e.base.Topology = t
 		return nil
 	}
 }
@@ -294,11 +173,6 @@ func NewExperiment(opts ...ExperimentOption) (*Experiment, error) {
 		plan := *e.base.Attack
 		e.attack = &plan
 		e.base.Attack = nil // scenarioFor reattaches e.attack per attacked period
-	}
-	for _, edit := range e.distEdits {
-		if err := edit(); err != nil {
-			return nil, err
-		}
 	}
 	if e.attacked == nil {
 		attackSet := e.attack != nil

@@ -180,7 +180,7 @@ func TestExperimentValidationErrors(t *testing.T) {
 		{"invalid distribution spec", []ExperimentOption{
 			WithDistribution(dircache.Spec{TargetCoverage: 2}),
 		}, "target coverage"},
-		{"unknown protocol", []ExperimentOption{WithProtocol(Protocol(555))}, "no driver"},
+		{"unknown protocol", []ExperimentOption{WithScenario(Scenario{Protocol: Protocol(555)})}, "no driver"},
 	}
 	for _, tc := range cases {
 		if _, err := NewExperiment(tc.opts...); err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -61,33 +61,29 @@ func TestFaultsCompoundRecovery(t *testing.T) {
 	}
 }
 
-// TestExperimentWithFaults checks the option plumbing end to end: WithFaults
-// and WithBackoff route into the distribution spec, compose with WithAttack
-// and WithGossip, aggregate graceful-degradation totals on the experiment
-// result, and are rejected without a distribution phase or when specified
-// twice.
+// TestExperimentWithFaults checks the experiment end to end: a fault plan,
+// a gossip mesh and a backoff on the distribution spec run in every period
+// and aggregate graceful-degradation totals on the experiment result.
 func TestExperimentWithFaults(t *testing.T) {
-	dist := dircache.Spec{
-		Clients:        5_000,
-		Caches:         10,
-		Fleets:         2,
-		FetchWindow:    4 * time.Minute,
-		Tick:           5 * time.Second,
-		TargetCoverage: 0.9,
-	}
-	plan := faults.Plan{Faults: []faults.Fault{{
-		Kind:    faults.Crash,
-		Tier:    attack.TierCache,
-		Targets: faults.SpreadTargets(1, 10, 3),
-		Start:   30 * time.Second,
-		End:     90 * time.Second,
-	}}}
 	exp, err := NewExperiment(
 		WithScenario(Scenario{Protocol: Current, Relays: 60, Round: 15 * time.Second, Seed: 7}),
-		WithDistribution(dist),
-		WithGossip(gossip.Config{Fanout: 2, Seeds: []int{0}}),
-		WithFaults(plan),
-		WithBackoff(faults.Backoff{Base: 5 * time.Second, Cap: 30 * time.Second}),
+		WithDistribution(dircache.Spec{
+			Clients:        5_000,
+			Caches:         10,
+			Fleets:         2,
+			FetchWindow:    4 * time.Minute,
+			Tick:           5 * time.Second,
+			TargetCoverage: 0.9,
+			Gossip:         &gossip.Config{Fanout: 2, Seeds: []int{0}},
+			Backoff:        &faults.Backoff{Base: 5 * time.Second, Cap: 30 * time.Second},
+			Faults: &faults.Plan{Faults: []faults.Fault{{
+				Kind:    faults.Crash,
+				Tier:    attack.TierCache,
+				Targets: faults.SpreadTargets(1, 10, 3),
+				Start:   30 * time.Second,
+				End:     90 * time.Second,
+			}}},
+		}),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -101,28 +97,6 @@ func TestExperimentWithFaults(t *testing.T) {
 	}
 	if len(res.Distributions) != 1 || res.Distributions[0].RetryBursts < 0 {
 		t.Fatalf("distribution results missing: %+v", res.Distributions)
-	}
-
-	if _, err := NewExperiment(
-		WithScenario(Scenario{Protocol: Current, Relays: 60, Round: 15 * time.Second}),
-		WithFaults(plan),
-	); err == nil {
-		t.Fatal("WithFaults without a distribution phase should fail")
-	}
-	if _, err := NewExperiment(
-		WithScenario(Scenario{Protocol: Current, Relays: 60, Round: 15 * time.Second}),
-		WithBackoff(faults.Backoff{}),
-	); err == nil {
-		t.Fatal("WithBackoff without a distribution phase should fail")
-	}
-	twice := dist
-	twice.Faults = plan.Clone()
-	if _, err := NewExperiment(
-		WithScenario(Scenario{Protocol: Current, Relays: 60, Round: 15 * time.Second}),
-		WithDistribution(twice),
-		WithFaults(plan),
-	); err == nil {
-		t.Fatal("faults specified twice should fail")
 	}
 }
 

@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"time"
 
 	"partialtor/internal/simnet"
@@ -18,94 +19,93 @@ type Fig10Cell struct {
 	Latency       time.Duration // Never when the protocol failed
 }
 
-// Figure10Result is the full latency comparison (Figure 10: one panel per
-// bandwidth, one series per protocol, relays on the x axis).
-type Figure10Result struct {
-	Bandwidths []float64 // Mbit/s
-	Relays     []int
-	Protocols  []Protocol
-	Cells      []Fig10Cell
+// Figure10Params scales the grid (unset fields = paper scale).
+type Figure10Params struct {
+	BandwidthsMbit []float64
+	RelayCounts    []int
+	Protocols      []Protocol
+	Round          time.Duration
+	EntryPadding   int // -1 = calibrated
+	Seed           int64
 }
 
-// Figure10Params scales the grid (zero values = paper scale).
-type Figure10Params struct {
-	BandwidthsMbit []float64 // default {50, 20, 10, 1, 0.5}
-	RelayCounts    []int     // default 1000..10000 step 1000
-	Protocols      []Protocol
-	Round          time.Duration // default 150s
-	EntryPadding   int           // default calibrated
-	Seed           int64
-	Workers        int // sweep worker pool: 0 = all cores, 1 = serial
-	// OnCell, when set, observes sweep progress: called once per finished
-	// cell with the completion count, the grid size, and the cell's error.
-	OnCell func(done, total int, cellErr error)
-}
+var (
+	figure10Paper = Figure10Params{
+		BandwidthsMbit: []float64{50, 20, 10, 1, 0.5},
+		RelayCounts:    relayCounts(1000, 10000, 1000),
+		Protocols:      []Protocol{Current, Synchronous, ICPS},
+		Round:          150 * time.Second,
+		EntryPadding:   -1,
+	}
+	figure10Quick = Figure10Params{
+		BandwidthsMbit: []float64{100, 10, 1},
+		RelayCounts:    []int{300, 900, 1500},
+		Round:          15 * time.Second,
+	}
+
+	figure10Artifact = artifact("fig10", figure10Quick, Figure10)
+)
 
 // Figure10 measures the latency (or failure) of each protocol on every
 // (bandwidth, relays) cell. The full relays × bandwidth × protocol grid
 // fans out over the sweep engine; relays is the slowest axis so the cached
-// document sets (Inputs) are reused across the inner cells, and the result
-// order matches the serial nested loops regardless of worker count.
-func Figure10(ctx context.Context, p Figure10Params) (*Figure10Result, error) {
-	if len(p.BandwidthsMbit) == 0 {
-		p.BandwidthsMbit = []float64{50, 20, 10, 1, 0.5}
-	}
-	if len(p.RelayCounts) == 0 {
-		for r := 1000; r <= 10000; r += 1000 {
-			p.RelayCounts = append(p.RelayCounts, r)
-		}
-	}
-	if len(p.Protocols) == 0 {
-		p.Protocols = []Protocol{Current, Synchronous, ICPS}
-	}
-	if p.Round == 0 {
-		p.Round = 150 * time.Second
-	}
-	if p.EntryPadding == 0 {
-		p.EntryPadding = -1
-	}
-	res := &Figure10Result{Bandwidths: p.BandwidthsMbit, Relays: p.RelayCounts, Protocols: p.Protocols}
+// document sets (Inputs) are reused across the inner cells. It renders one
+// panel per bandwidth, one series per protocol, relays down the rows — the
+// paper's layout.
+func Figure10(ctx context.Context, p Figure10Params, sp sweep.Params) (*Table[Fig10Cell], error) {
+	p = overlay(p, figure10Paper)
 	grid := sweep.MustNew(
 		sweep.Ints("relays", p.RelayCounts...),
 		sweep.Floats("mbit", p.BandwidthsMbit...),
 		sweep.Of("protocol", p.Protocols...),
 	)
-	results, err := sweepE(ctx, grid, sweep.Params{Workers: p.Workers, OnCell: p.OnCell}, func(ctx context.Context, c sweep.Cell) (Fig10Cell, error) {
+	return sweepTable(ctx, grid, sp, func(ctx context.Context, c sweep.Cell) (Fig10Cell, error) {
+		cell := Fig10Cell{
+			Protocol:      c.Value("protocol").(Protocol),
+			BandwidthMbit: c.Float("mbit"),
+			Relays:        c.Int("relays"),
+			Latency:       simnet.Never,
+		}
 		run, err := RunE(ctx, Scenario{
-			Protocol:     c.Value("protocol").(Protocol),
-			Relays:       c.Int("relays"),
+			Protocol:     cell.Protocol,
+			Relays:       cell.Relays,
 			EntryPadding: p.EntryPadding,
-			Bandwidth:    c.Float("mbit") * 1e6,
+			Bandwidth:    cell.BandwidthMbit * 1e6,
 			Round:        p.Round,
 			Seed:         p.Seed,
 		})
 		if err != nil {
 			return Fig10Cell{}, err
 		}
-		lat := run.Latency
-		if !run.Success {
-			lat = simnet.Never
+		if cell.Success = run.Success; run.Success {
+			cell.Latency = run.Latency
 		}
-		return Fig10Cell{
-			Protocol:      c.Value("protocol").(Protocol),
-			BandwidthMbit: c.Float("mbit"),
-			Relays:        c.Int("relays"),
-			Success:       run.Success,
-			Latency:       lat,
-		}, nil
+		return cell, nil
+	}, func(cells []Fig10Cell) string {
+		out := ""
+		for _, mbit := range p.BandwidthsMbit {
+			panel := layout[int]{
+				title: fmt.Sprintf("Figure 10 panel: %s Mbit/s", fmtMbit(mbit*1e6)),
+				cols:  []column[int]{{"Relays", strconv.Itoa}},
+			}
+			for _, proto := range p.Protocols {
+				panel.cols = append(panel.cols, column[int]{proto.String() + " (s)", func(relays int) string {
+					c, ok := Fig10Lookup(cells, proto, mbit, relays)
+					if !ok {
+						return "-"
+					}
+					return fmtLatency(c.Latency)
+				}})
+			}
+			out += panel.render(p.RelayCounts) + "\n"
+		}
+		return out
 	})
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range results {
-		res.Cells = append(res.Cells, r.Value)
-	}
-	return res, nil
 }
 
-// Cell retrieves one measurement.
-func (r *Figure10Result) Cell(proto Protocol, mbit float64, relays int) (Fig10Cell, bool) {
-	for _, c := range r.Cells {
+// Fig10Lookup retrieves one measurement.
+func Fig10Lookup(cells []Fig10Cell, proto Protocol, mbit float64, relays int) (Fig10Cell, bool) {
+	for _, c := range cells {
 		if c.Protocol == proto && c.BandwidthMbit == mbit && c.Relays == relays {
 			return c, true
 		}
@@ -113,40 +113,13 @@ func (r *Figure10Result) Cell(proto Protocol, mbit float64, relays int) (Fig10Ce
 	return Fig10Cell{}, false
 }
 
-// FailureThreshold returns the smallest relay count at which the protocol
-// fails for the given bandwidth, or 0 if it never fails in the sweep.
-func (r *Figure10Result) FailureThreshold(proto Protocol, mbit float64) int {
-	for _, relays := range r.Relays {
-		if c, ok := r.Cell(proto, mbit, relays); ok && !c.Success {
-			return relays
+// Fig10FailureThreshold returns the first relay count of the sweep at which
+// the protocol fails for the given bandwidth, or 0 if it never fails.
+func Fig10FailureThreshold(cells []Fig10Cell, proto Protocol, mbit float64) int {
+	for _, c := range cells {
+		if c.Protocol == proto && c.BandwidthMbit == mbit && !c.Success {
+			return c.Relays
 		}
 	}
 	return 0
-}
-
-// Render prints one panel per bandwidth, matching the paper's layout.
-func (r *Figure10Result) Render() string {
-	out := ""
-	for _, mbit := range r.Bandwidths {
-		headers := []string{"Relays"}
-		for _, p := range r.Protocols {
-			headers = append(headers, p.String()+" (s)")
-		}
-		var rows [][]string
-		for _, relays := range r.Relays {
-			row := []string{fmt.Sprintf("%d", relays)}
-			for _, p := range r.Protocols {
-				c, ok := r.Cell(p, mbit, relays)
-				if !ok {
-					row = append(row, "-")
-					continue
-				}
-				row = append(row, fmtLatency(c.Latency))
-			}
-			rows = append(rows, row)
-		}
-		out += renderTable(fmt.Sprintf("Figure 10 panel: %s Mbit/s", fmtMbit(mbit*1e6)), headers, rows)
-		out += "\n"
-	}
-	return out
 }

@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"time"
 
 	"partialtor/internal/attack"
@@ -22,43 +23,29 @@ type Fig11Row struct {
 	Baseline time.Duration
 }
 
-// Figure11Result is the complete-outage experiment: five authorities
-// knocked offline for five minutes at the start of the protocol.
-type Figure11Result struct {
-	Outage time.Duration
-	Rows   []Fig11Row
-}
-
-// Figure11Params scales the experiment (zero values = paper scale).
+// Figure11Params scales the experiment (unset fields = paper scale).
 type Figure11Params struct {
-	RelayCounts  []int         // default 1000..10000 step 1000
-	Outage       time.Duration // default 5 minutes
-	EntryPadding int           // default calibrated
+	RelayCounts  []int
+	Outage       time.Duration
+	EntryPadding int // -1 = calibrated
 	Seed         int64
-	Workers      int // sweep worker pool: 0 = all cores, 1 = serial
-	// OnCell, when set, observes sweep progress: called once per finished
-	// cell with the completion count, the grid size, and the cell's error.
-	OnCell func(done, total int, cellErr error)
 }
 
-// Figure11 runs the ICPS protocol under a complete outage of the majority
-// of the authorities and reports how quickly consensus lands once the
+var (
+	figure11Paper = Figure11Params{RelayCounts: relayCounts(1000, 10000, 1000), Outage: 5 * time.Minute, EntryPadding: -1}
+	figure11Quick = Figure11Params{RelayCounts: []int{200, 800}, Outage: time.Minute}
+
+	figure11Artifact = artifact("fig11", figure11Quick, Figure11)
+)
+
+// Figure11 is the complete-outage experiment: it runs the ICPS protocol
+// with the majority of the authorities knocked offline for p.Outage at the
+// start of the protocol and reports how quickly consensus lands once the
 // attack ends. The relay counts fan out over the sweep engine.
-func Figure11(ctx context.Context, p Figure11Params) (*Figure11Result, error) {
-	if len(p.RelayCounts) == 0 {
-		for r := 1000; r <= 10000; r += 1000 {
-			p.RelayCounts = append(p.RelayCounts, r)
-		}
-	}
-	if p.Outage == 0 {
-		p.Outage = 5 * time.Minute
-	}
-	if p.EntryPadding == 0 {
-		p.EntryPadding = -1
-	}
-	res := &Figure11Result{Outage: p.Outage}
+func Figure11(ctx context.Context, p Figure11Params, sp sweep.Params) (*Table[Fig11Row], error) {
+	p = overlay(p, figure11Paper)
 	grid := sweep.MustNew(sweep.Ints("relays", p.RelayCounts...))
-	results, err := sweepE(ctx, grid, sweep.Params{Workers: p.Workers, OnCell: p.OnCell}, func(ctx context.Context, c sweep.Cell) (Fig11Row, error) {
+	return sweepTable(ctx, grid, sp, func(ctx context.Context, c sweep.Cell) (Fig11Row, error) {
 		relays := c.Int("relays")
 		plan := attack.FiveMinuteOutage(attack.MajorityTargets(9))
 		plan.End = p.Outage
@@ -72,38 +59,26 @@ func Figure11(ctx context.Context, p Figure11Params) (*Figure11Result, error) {
 		if err != nil {
 			return Fig11Row{}, err
 		}
-		row := Fig11Row{Relays: relays, Baseline: FallbackLatency}
-		if run.Success && run.DoneAt != simnet.Never {
+		row := Fig11Row{Relays: relays, Baseline: FallbackLatency, TotalLatency: simnet.Never}
+		if row.Recovery = recoveryAfter(run, p.Outage); row.Recovery != simnet.Never {
 			row.TotalLatency = run.DoneAt
-			row.Recovery = run.DoneAt - p.Outage
-			if row.Recovery < 0 {
-				row.Recovery = 0
-			}
-		} else {
-			row.TotalLatency = simnet.Never
-			row.Recovery = simnet.Never
 		}
 		return row, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range results {
-		res.Rows = append(res.Rows, r.Value)
-	}
-	return res, nil
+	}, layout[Fig11Row]{
+		title: fmt.Sprintf("Figure 11: consensus latency after a %v outage of 5 authorities", p.Outage),
+		cols: []column[Fig11Row]{
+			{"Relays", func(r Fig11Row) string { return strconv.Itoa(r.Relays) }},
+			{"Ours after attack (s)", func(r Fig11Row) string { return fmtLatency(r.Recovery) }},
+			{"Current/Synchronous (s)", func(r Fig11Row) string { return fmtLatency(r.Baseline) }},
+		},
+	}.render)
 }
 
-// Render prints the recovery table.
-func (r *Figure11Result) Render() string {
-	rows := make([][]string, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", row.Relays),
-			fmtLatency(row.Recovery),
-			fmtLatency(row.Baseline),
-		})
+// recoveryAfter is how long after the outage ended the run reached
+// consensus: 0 if it landed during the outage, Never if it never did.
+func recoveryAfter(run *RunResult, outage time.Duration) time.Duration {
+	if !run.Success || run.DoneAt == simnet.Never {
+		return simnet.Never
 	}
-	title := fmt.Sprintf("Figure 11: consensus latency after a %v outage of 5 authorities", r.Outage)
-	return renderTable(title, []string{"Relays", "Ours after attack (s)", "Current/Synchronous (s)"}, rows)
+	return max(run.DoneAt-outage, 0)
 }

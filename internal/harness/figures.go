@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -11,18 +12,6 @@ import (
 	"partialtor/internal/simnet"
 	"partialtor/internal/sweep"
 )
-
-// sweepE fans a figure generator's grid out over the sweep engine and
-// folds the first per-cell failure — a misconfigured cell, a cancelled
-// context — into one error, so every generator reports (result, error)
-// instead of panicking mid-sweep.
-func sweepE[T any](ctx context.Context, g sweep.Grid, sp sweep.Params, fn func(context.Context, sweep.Cell) (T, error)) ([]sweep.Result[T], error) {
-	results := sweep.RunParams(ctx, g, sp, fn)
-	if err := sweep.FirstErr(results); err != nil {
-		return nil, fmt.Errorf("harness: %w", err)
-	}
-	return results, nil
-}
 
 // ---------------------------------------------------------------- Figure 1
 
@@ -35,30 +24,28 @@ type Figure1Result struct {
 	Run      *RunResult
 }
 
-// Figure1Params scales the experiment (zero values = paper scale).
+// Figure1Params scales the experiment (unset fields = paper scale).
 type Figure1Params struct {
-	Relays       int           // default 8000
-	Round        time.Duration // default 150s
-	EntryPadding int           // default calibrated
-	Residual     float64       // attacker-imposed bandwidth; default 0.5 Mbit/s
+	Relays       int
+	Round        time.Duration
+	EntryPadding int     // -1 = calibrated
+	Residual     float64 // attacker-imposed bandwidth, bits/s
 	Seed         int64
 }
+
+var (
+	figure1Paper = Figure1Params{Relays: 8000, Round: 150 * time.Second, EntryPadding: -1, Residual: attack.ResidualUnderDDoS}
+	figure1Quick = Figure1Params{Relays: 400, Round: 15 * time.Second, Residual: 5e3}
+
+	figure1Artifact = artifact("fig1", figure1Quick, func(ctx context.Context, p Figure1Params, _ sweep.Params) (*Figure1Result, error) {
+		return Figure1(ctx, p)
+	})
+)
 
 // Figure1 runs the current protocol under the headline attack and renders a
 // healthy authority's log.
 func Figure1(ctx context.Context, p Figure1Params) (*Figure1Result, error) {
-	if p.Relays == 0 {
-		p.Relays = 8000
-	}
-	if p.Round == 0 {
-		p.Round = 150 * time.Second
-	}
-	if p.Residual == 0 {
-		p.Residual = attack.ResidualUnderDDoS
-	}
-	if p.EntryPadding == 0 {
-		p.EntryPadding = -1
-	}
+	p = overlay(p, figure1Paper)
 	plan := attack.Plan{
 		Targets:  attack.MajorityTargets(9),
 		Start:    0,
@@ -116,67 +103,54 @@ func Figure6() *Figure6Result {
 
 // Render prints date/count rows and the average.
 func (r *Figure6Result) Render() string {
-	rows := make([][]string, 0, len(r.Points))
-	for _, p := range r.Points {
-		rows = append(rows, []string{p.Date(), fmt.Sprintf("%d", p.Count)})
-	}
-	out := renderTable("Figure 6: number of Tor relays over time", []string{"Month", "Relays"}, rows)
-	return out + fmt.Sprintf("Average: %.2f (paper: %.2f)\n", r.Average, relay.Figure6Average)
+	return layout[relay.MetricPoint]{
+		title: "Figure 6: number of Tor relays over time",
+		cols: []column[relay.MetricPoint]{
+			{"Month", relay.MetricPoint.Date},
+			{"Relays", func(p relay.MetricPoint) string { return strconv.Itoa(p.Count) }},
+		},
+		footer: fmt.Sprintf("Average: %.2f (paper: %.2f)\n", r.Average, relay.Figure6Average),
+	}.render(r.Points)
 }
+
+var figure6Artifact = Artifact{Name: "fig6", Run: func(context.Context, bool, sweep.Params) (string, error) {
+	return Figure6().Render(), nil
+}}
 
 // ---------------------------------------------------------------- Figure 7
 
 // Fig7Row is one point of the bandwidth-requirement curve.
 type Fig7Row struct {
 	Relays       int
-	RequiredMbit float64 // minimal residual bandwidth for protocol success
+	RequiredMbit float64 // minimal residual bandwidth for protocol success; -1 = above the search ceiling
 }
 
-// Figure7Result is the bandwidth-requirement sweep.
-type Figure7Result struct {
-	Rows     []Fig7Row
-	Residual float64 // the dashed "under attack" line (0.5 Mbit/s)
-}
-
-// Figure7Params scales the sweep (zero values = paper scale).
+// Figure7Params scales the sweep (unset fields = paper scale).
 type Figure7Params struct {
-	RelayCounts  []int         // default 1000..10000 step 1000
-	Round        time.Duration // default 150s
-	EntryPadding int           // default calibrated
-	MaxMbit      float64       // search ceiling, default 30
-	Precision    float64       // Mbit, default 0.25
+	RelayCounts  []int
+	Round        time.Duration
+	EntryPadding int     // -1 = calibrated
+	MaxMbit      float64 // search ceiling
+	Precision    float64 // Mbit
 	Seed         int64
-	Workers      int // sweep worker pool: 0 = all cores, 1 = serial
-	// OnCell, when set, observes sweep progress: called once per finished
-	// cell with the completion count, the grid size, and the cell's error.
-	OnCell func(done, total int, cellErr error)
 }
+
+var (
+	figure7Paper = Figure7Params{RelayCounts: relayCounts(1000, 10000, 1000), Round: 150 * time.Second, EntryPadding: -1, MaxMbit: 30, Precision: 0.25}
+	figure7Quick = Figure7Params{RelayCounts: []int{200, 600, 1200}, Round: 15 * time.Second, MaxMbit: 60, Precision: 0.5}
+
+	figure7Artifact = artifact("fig7", figure7Quick, Figure7)
+)
 
 // Figure7 binary-searches, per relay count, the minimal bandwidth the five
 // attacked authorities need for the current protocol to still succeed. The
 // relay counts fan out over the sweep engine; each cell runs its own
-// (inherently sequential) binary search.
-func Figure7(ctx context.Context, p Figure7Params) (*Figure7Result, error) {
-	if len(p.RelayCounts) == 0 {
-		for r := 1000; r <= 10000; r += 1000 {
-			p.RelayCounts = append(p.RelayCounts, r)
-		}
-	}
-	if p.Round == 0 {
-		p.Round = 150 * time.Second
-	}
-	if p.MaxMbit == 0 {
-		p.MaxMbit = 30
-	}
-	if p.Precision == 0 {
-		p.Precision = 0.25
-	}
-	if p.EntryPadding == 0 {
-		p.EntryPadding = -1
-	}
-	res := &Figure7Result{Residual: attack.ResidualUnderDDoS / 1e6}
+// (inherently sequential) binary search. The footer is the dashed "under
+// attack" line (0.5 Mbit/s).
+func Figure7(ctx context.Context, p Figure7Params, sp sweep.Params) (*Table[Fig7Row], error) {
+	p = overlay(p, figure7Paper)
 	grid := sweep.MustNew(sweep.Ints("relays", p.RelayCounts...))
-	results, err := sweepE(ctx, grid, sweep.Params{Workers: p.Workers, OnCell: p.OnCell}, func(ctx context.Context, c sweep.Cell) (Fig7Row, error) {
+	return sweepTable(ctx, grid, sp, func(ctx context.Context, c sweep.Cell) (Fig7Row, error) {
 		relays := c.Int("relays")
 		succeeds := func(mbit float64) (bool, error) {
 			plan := attack.Plan{
@@ -219,27 +193,17 @@ func Figure7(ctx context.Context, p Figure7Params) (*Figure7Result, error) {
 			}
 		}
 		return Fig7Row{Relays: relays, RequiredMbit: hi}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range results {
-		res.Rows = append(res.Rows, r.Value)
-	}
-	return res, nil
-}
-
-// Render prints the requirement curve.
-func (r *Figure7Result) Render() string {
-	rows := make([][]string, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		req := fmt.Sprintf("%.2f", row.RequiredMbit)
-		if row.RequiredMbit < 0 {
-			req = ">search ceiling"
-		}
-		rows = append(rows, []string{fmt.Sprintf("%d", row.Relays), req})
-	}
-	out := renderTable("Figure 7: bandwidth requirement for the directory protocol (5 authorities attacked)",
-		[]string{"Relays", "Required Mbit/s"}, rows)
-	return out + fmt.Sprintf("Bandwidth under DDoS attack: %.1f Mbit/s (dashed line)\n", r.Residual)
+	}, layout[Fig7Row]{
+		title: "Figure 7: bandwidth requirement for the directory protocol (5 authorities attacked)",
+		cols: []column[Fig7Row]{
+			{"Relays", func(r Fig7Row) string { return strconv.Itoa(r.Relays) }},
+			{"Required Mbit/s", func(r Fig7Row) string {
+				if r.RequiredMbit < 0 {
+					return ">search ceiling"
+				}
+				return fmt.Sprintf("%.2f", r.RequiredMbit)
+			}},
+		},
+		footer: fmt.Sprintf("Bandwidth under DDoS attack: %.1f Mbit/s (dashed line)\n", attack.ResidualUnderDDoS/1e6),
+	}.render)
 }

@@ -267,12 +267,12 @@ func goldenCompromised(p Protocol, seed int64, tracer obs.Tracer) (*Experiment, 
 			Fleets:      2,
 			FetchWindow: 6 * time.Minute,
 			Tick:        5 * time.Second,
+			Compromise: &attack.CompromisePlan{
+				Targets: attack.FirstTargets(2),
+				Mode:    attack.CompromiseEquivocate,
+			},
+			VerifyClients: true,
 		}),
-		WithCompromise(attack.CompromisePlan{
-			Targets: attack.FirstTargets(2),
-			Mode:    attack.CompromiseEquivocate,
-		}),
-		WithVerifiedClients(),
 		WithTracer(tracer),
 	)
 }

@@ -3,12 +3,12 @@ package harness
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"time"
 
 	"partialtor/internal/attack"
 	"partialtor/internal/dircache"
 	"partialtor/internal/gossip"
-	"partialtor/internal/simnet"
 	"partialtor/internal/sweep"
 )
 
@@ -33,31 +33,31 @@ type GossipRow struct {
 	PartitionCost float64
 }
 
-// GossipResult compares the stranded baseline against gossip meshes of
-// increasing fanout under a total authority flood. The headline: with all
-// nine authorities down and a single cache seeded, the mesh carries the
-// fleet to coverage while the baseline strands, and partitioning the mesh
-// costs the attacker cache-tier floods instead of nine authority links.
-type GossipResult struct {
-	Window time.Duration
-	Degree int
-	Rows   []GossipRow
+// GossipParams scales the experiment (unset fields = demo scale).
+type GossipParams struct {
+	Clients int
+	Caches  int
+	Fleets  int
+	Window  time.Duration
+	Fanouts []int // mesh fanouts to sweep, after the no-gossip baseline
+	Degree  int   // mesh degree
+	Seed    int64
 }
 
-// GossipParams scales the experiment (zero values = demo scale).
-type GossipParams struct {
-	Clients int           // default 20 000
-	Caches  int           // default 30
-	Fleets  int           // default 2
-	Window  time.Duration // default 6 minutes
-	Fanouts []int         // mesh fanouts to sweep, default {1, 3}
-	Degree  int           // mesh degree, default gossip defaults (4)
-	Seed    int64         // default 42
-	Workers int           // sweep worker pool: 0 = all cores, 1 = serial
-	// OnCell, when set, observes sweep progress: called once per finished
-	// cell with the completion count, the grid size, and the cell's error.
-	OnCell func(done, total int, cellErr error)
-}
+var (
+	gossipPaper = GossipParams{
+		Clients: 20_000,
+		Caches:  30,
+		Fleets:  2,
+		Window:  6 * time.Minute,
+		Fanouts: []int{1, 3},
+		Degree:  (gossip.Config{}).WithDefaults().Degree,
+		Seed:    42,
+	}
+	gossipQuick = GossipParams{Clients: 5_000, Caches: 20, Fanouts: []int{3}}
+
+	gossipArtifact = artifact("gossip", gossipQuick, GossipTable)
+)
 
 // gossipOutageSpec is the experiment's distribution spec: authorities
 // flooded to zero residual for the whole run, cache 0 seeded with the fresh
@@ -81,36 +81,18 @@ func gossipOutageSpec(p GossipParams, cfg *gossip.Config) dircache.Spec {
 	}
 }
 
-// GossipTable runs the baseline and the fanout sweep and reports per-cell
-// coverage, mesh spread, wire cost and the partition price. Cells fan out
-// over the sweep engine.
-func GossipTable(ctx context.Context, p GossipParams) (*GossipResult, error) {
-	if p.Clients == 0 {
-		p.Clients = 20_000
-	}
-	if p.Caches == 0 {
-		p.Caches = 30
-	}
-	if p.Fleets == 0 {
-		p.Fleets = 2
-	}
-	if p.Window == 0 {
-		p.Window = 6 * time.Minute
-	}
-	if len(p.Fanouts) == 0 {
-		p.Fanouts = []int{1, 3}
-	}
-	if p.Seed == 0 {
-		p.Seed = 42
-	}
-	if p.Degree == 0 {
-		p.Degree = (gossip.Config{}).WithDefaults().Degree
-	}
-	res := &GossipResult{Window: p.Window, Degree: p.Degree}
+// GossipTable compares the stranded baseline against gossip meshes of
+// increasing fanout under a total authority flood, reporting per-cell
+// coverage, mesh spread, wire cost and the partition price. The headline:
+// with all nine authorities down and a single cache seeded, the mesh carries
+// the fleet to coverage while the baseline strands, and partitioning the
+// mesh costs the attacker cache-tier floods instead of nine authority
+// links. Cells fan out over the sweep engine.
+func GossipTable(ctx context.Context, p GossipParams, sp sweep.Params) (*Table[GossipRow], error) {
+	p = overlay(p, gossipPaper)
 	cost := attack.DefaultCostModel()
-	fanouts := append([]int{-1}, p.Fanouts...)
-	grid := sweep.MustNew(sweep.Ints("fanout", fanouts...))
-	results, err := sweepE(ctx, grid, sweep.Params{Workers: p.Workers, OnCell: p.OnCell}, func(_ context.Context, c sweep.Cell) (GossipRow, error) {
+	grid := sweep.MustNew(sweep.Ints("fanout", append([]int{-1}, p.Fanouts...)...))
+	return sweepTable(ctx, grid, sp, func(_ context.Context, c sweep.Cell) (GossipRow, error) {
 		row := GossipRow{Fanout: c.Int("fanout")}
 		var cfg *gossip.Config
 		if row.Fanout >= 0 {
@@ -122,19 +104,9 @@ func GossipTable(ctx context.Context, p GossipParams) (*GossipResult, error) {
 		}
 		row.Coverage = r.CoverageAt(p.Window)
 		row.T95 = r.TimeToCoverage(0.95)
-		row.MeshFill = simnet.Never
-		last := time.Duration(-1)
 		for _, at := range r.CacheFetchedAt {
-			if at == simnet.Never {
-				last = simnet.Never
-				break
-			}
-			if at > last {
-				last = at
-			}
-		}
-		if last != simnet.Never {
-			row.MeshFill = last
+			// Never is the largest Duration: one unfed mirror makes the fill Never.
+			row.MeshFill = max(row.MeshFill, at)
 		}
 		row.Pushes = r.GossipPushes
 		row.Pulls = r.GossipPulls
@@ -144,39 +116,27 @@ func GossipTable(ctx context.Context, p GossipParams) (*GossipResult, error) {
 			row.PartitionCost = cost.MeshPartitionCost(p.Degree, p.Window, 0)
 		}
 		return row, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range results {
-		res.Rows = append(res.Rows, r.Value)
-	}
-	return res, nil
-}
-
-// Render prints the comparison table.
-func (r *GossipResult) Render() string {
-	rows := make([][]string, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		mesh := fmt.Sprintf("fanout %d", row.Fanout)
-		cost := fmt.Sprintf("$%.3f", row.PartitionCost)
-		if row.Fanout < 0 {
-			mesh = "no gossip"
-			cost = "—"
-		}
-		rows = append(rows, []string{
-			mesh,
-			fmt.Sprintf("%.1f%%", 100*row.Coverage),
-			fmtLatency(row.T95),
-			fmtLatency(row.MeshFill),
-			fmt.Sprintf("%d", row.Pushes),
-			fmt.Sprintf("%d", row.Pulls),
-			fmtBytes(row.MeshBytes),
-			cost,
-		})
-	}
-	title := fmt.Sprintf("Gossip: authority flood vs cache mesh (degree %d, %v window)", r.Degree, r.Window)
-	return renderTable(title,
-		[]string{"Mesh", "Coverage", "t95 (s)", "Mesh fill (s)", "Pushes", "Pulls", "Mesh traffic", "Partition $"},
-		rows)
+	}, layout[GossipRow]{
+		title: fmt.Sprintf("Gossip: authority flood vs cache mesh (degree %d, %v window)", p.Degree, p.Window),
+		cols: []column[GossipRow]{
+			{"Mesh", func(r GossipRow) string {
+				if r.Fanout < 0 {
+					return "no gossip"
+				}
+				return fmt.Sprintf("fanout %d", r.Fanout)
+			}},
+			{"Coverage", func(r GossipRow) string { return fmt.Sprintf("%.1f%%", 100*r.Coverage) }},
+			{"t95 (s)", func(r GossipRow) string { return fmtLatency(r.T95) }},
+			{"Mesh fill (s)", func(r GossipRow) string { return fmtLatency(r.MeshFill) }},
+			{"Pushes", func(r GossipRow) string { return strconv.Itoa(r.Pushes) }},
+			{"Pulls", func(r GossipRow) string { return strconv.Itoa(r.Pulls) }},
+			{"Mesh traffic", func(r GossipRow) string { return fmtBytes(r.MeshBytes) }},
+			{"Partition $", func(r GossipRow) string {
+				if r.Fanout < 0 {
+					return "—"
+				}
+				return fmt.Sprintf("$%.3f", r.PartitionCost)
+			}},
+		},
+	}.render)
 }

@@ -5,9 +5,8 @@ import (
 	"testing"
 	"time"
 
-	"partialtor/internal/dircache"
-	"partialtor/internal/gossip"
 	"partialtor/internal/simnet"
+	"partialtor/internal/sweep"
 )
 
 // TestGossipOutageRecovery is the PR's acceptance criterion: with all nine
@@ -117,32 +116,6 @@ func TestGossipFanoutMonotonic(t *testing.T) {
 	}
 }
 
-// TestWithGossip: the experiment option routes the config into the
-// distribution spec, demands a Distribute phase, and rejects double
-// specification.
-func TestWithGossip(t *testing.T) {
-	cfg := gossip.Config{Fanout: 3, Seeds: []int{0}}
-	e, err := NewExperiment(
-		WithDistribution(dircache.Spec{Clients: 500, Caches: 10, FetchWindow: 3 * time.Minute}),
-		WithGossip(cfg),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.dist.Gossip == nil || e.dist.Gossip.Fanout != 3 {
-		t.Fatalf("WithGossip did not land on the distribution spec: %+v", e.dist.Gossip)
-	}
-	if _, err := NewExperiment(WithGossip(cfg)); err == nil {
-		t.Fatal("WithGossip without a distribution phase must fail")
-	}
-	if _, err := NewExperiment(
-		WithDistribution(dircache.Spec{Clients: 500, Caches: 10, FetchWindow: 3 * time.Minute, Gossip: &cfg}),
-		WithGossip(cfg),
-	); err == nil {
-		t.Fatal("gossip specified twice must fail")
-	}
-}
-
 // TestGossipTable smoke-runs the fanout sweep at demo scale: the baseline
 // row strands, every mesh row recovers, and the partition price is attached
 // to mesh rows only.
@@ -150,8 +123,7 @@ func TestGossipTable(t *testing.T) {
 	res, err := GossipTable(t.Context(), GossipParams{
 		Clients: 2_000,
 		Fanouts: []int{3},
-		Workers: 2,
-	})
+	}, sweep.Params{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +140,7 @@ func TestGossipTable(t *testing.T) {
 	if mesh.Coverage < 0.95 || mesh.PartitionCost <= 0 || mesh.Pushes == 0 {
 		t.Fatalf("mesh row did not recover with a priced mesh: %+v", mesh)
 	}
-	if mesh.MeshFill == simnet.Never || mesh.MeshFill > res.Window {
+	if mesh.MeshFill == simnet.Never || mesh.MeshFill > gossipPaper.Window {
 		t.Fatalf("mesh never filled within the window: %v", mesh.MeshFill)
 	}
 	if out := res.Render(); len(out) == 0 {

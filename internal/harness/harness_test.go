@@ -3,12 +3,15 @@ package harness
 import (
 	"context"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"partialtor/internal/attack"
 	"partialtor/internal/relay"
 	"partialtor/internal/simnet"
+	"partialtor/internal/sweep"
 )
 
 // bg is the context the generator tests run under; cancellation behaviour
@@ -77,7 +80,7 @@ func TestFigure7RequirementGrowsWithRelays(t *testing.T) {
 		Round:       15 * time.Second,
 		MaxMbit:     60,
 		Precision:   0.5,
-	})
+	}, sweep.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,8 +99,8 @@ func TestFigure7RequirementGrowsWithRelays(t *testing.T) {
 	}
 	// The largest configuration needs far more than the 0.5 Mbit/s left
 	// under DDoS — the attack effectiveness claim.
-	if r.Rows[2].RequiredMbit <= r.Residual {
-		t.Fatalf("requirement %.2f not above DDoS residual %.2f", r.Rows[2].RequiredMbit, r.Residual)
+	if residual := attack.ResidualUnderDDoS / 1e6; r.Rows[2].RequiredMbit <= residual {
+		t.Fatalf("requirement %.2f not above DDoS residual %.2f", r.Rows[2].RequiredMbit, residual)
 	}
 	if !strings.Contains(r.Render(), "Figure 7") {
 		t.Fatal("render missing title")
@@ -109,7 +112,7 @@ func TestFigure10ShapeScaled(t *testing.T) {
 		BandwidthsMbit: []float64{100, 10},
 		RelayCounts:    []int{300, 1500},
 		Round:          15 * time.Second,
-	})
+	}, sweep.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,45 +123,45 @@ func TestFigure10ShapeScaled(t *testing.T) {
 	// order of magnitude higher, cf. EXPERIMENTS.md).
 	for _, proto := range []Protocol{Current, ICPS} {
 		for _, relays := range []int{300, 1500} {
-			c, ok := r.Cell(proto, 100, relays)
+			c, ok := Fig10Lookup(r.Rows, proto, 100, relays)
 			if !ok || !c.Success {
 				t.Fatalf("%v failed at 100 Mbit/s with %d relays", proto, relays)
 			}
 		}
 	}
-	if c, _ := r.Cell(Synchronous, 100, 300); !c.Success {
+	if c, _ := Fig10Lookup(r.Rows, Synchronous, 100, 300); !c.Success {
 		t.Fatal("synchronous protocol failed at its comfortable load")
 	}
 	// At 10 Mbit/s: the current protocol fails only at the larger count;
 	// the synchronous protocol fails at both (n·d bundles); ours succeeds
 	// everywhere.
-	if c, _ := r.Cell(Current, 10, 300); !c.Success {
+	if c, _ := Fig10Lookup(r.Rows, Current, 10, 300); !c.Success {
 		t.Fatal("current protocol failed at its comfortable load")
 	}
-	if c, _ := r.Cell(Current, 10, 1500); c.Success {
+	if c, _ := Fig10Lookup(r.Rows, Current, 10, 1500); c.Success {
 		t.Fatal("current protocol succeeded past its deadline budget")
 	}
-	if c, _ := r.Cell(Synchronous, 10, 1500); c.Success {
+	if c, _ := Fig10Lookup(r.Rows, Synchronous, 10, 1500); c.Success {
 		t.Fatal("synchronous protocol succeeded past its deadline budget")
 	}
 	for _, relays := range []int{300, 1500} {
-		c, _ := r.Cell(ICPS, 10, relays)
+		c, _ := Fig10Lookup(r.Rows, ICPS, 10, relays)
 		if !c.Success {
 			t.Fatalf("ICPS failed at 10 Mbit/s with %d relays", relays)
 		}
 	}
 	// Failure thresholds are ordered: synchronous collapses first.
-	syncTh := r.FailureThreshold(Synchronous, 10)
-	curTh := r.FailureThreshold(Current, 10)
+	syncTh := Fig10FailureThreshold(r.Rows, Synchronous, 10)
+	curTh := Fig10FailureThreshold(r.Rows, Current, 10)
 	if syncTh == 0 || (curTh != 0 && syncTh > curTh) {
 		t.Fatalf("thresholds: sync=%d current=%d; want sync ≤ current", syncTh, curTh)
 	}
-	if r.FailureThreshold(ICPS, 10) != 0 {
+	if Fig10FailureThreshold(r.Rows, ICPS, 10) != 0 {
 		t.Fatal("ICPS has a failure threshold at 10 Mbit/s")
 	}
 	// Latency grows with relay count for the successful ICPS cells.
-	small, _ := r.Cell(ICPS, 10, 300)
-	big, _ := r.Cell(ICPS, 10, 1500)
+	small, _ := Fig10Lookup(r.Rows, ICPS, 10, 300)
+	big, _ := Fig10Lookup(r.Rows, ICPS, 10, 1500)
 	if big.Latency <= small.Latency {
 		t.Fatalf("ICPS latency not growing: %v vs %v", small.Latency, big.Latency)
 	}
@@ -171,7 +174,7 @@ func TestFigure11RecoveryScaled(t *testing.T) {
 	r, err := Figure11(bg, Figure11Params{
 		RelayCounts: []int{200, 800},
 		Outage:      time.Minute,
-	})
+	}, sweep.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +201,7 @@ func TestFigure11RecoveryScaled(t *testing.T) {
 }
 
 func TestTable1Comparison(t *testing.T) {
-	r, err := Table1(bg, Table1Params{Relays: 300, Bandwidth: 100e6, Round: 20 * time.Second})
+	r, err := Table1(bg, Table1Params{Relays: 300, Bandwidth: 100e6, Round: 20 * time.Second}, sweep.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,6 +275,18 @@ func TestCostTable(t *testing.T) {
 	}
 }
 
+// TestOverlayFillsUnsetFields pins the "unset fields = paper scale" rule the
+// generators share: zero fields and empty slices take the preset's value,
+// set fields win.
+func TestOverlayFillsUnsetFields(t *testing.T) {
+	got := overlay(Figure7Params{Round: time.Second, RelayCounts: []int{}}, figure7Paper)
+	want := figure7Paper
+	want.Round = time.Second
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("overlay = %+v, want %+v", got, want)
+	}
+}
+
 func TestScenarioDefaults(t *testing.T) {
 	s := Scenario{}.withDefaults()
 	if s.N != 9 || s.Relays != 8000 || s.Bandwidth != DefaultBandwidth || s.Round != 150*time.Second {
@@ -318,8 +333,7 @@ func TestParallelSweepByteIdentical(t *testing.T) {
 			BandwidthsMbit: []float64{100, 10},
 			RelayCounts:    []int{200, 400, 800},
 			Round:          15 * time.Second,
-			Workers:        workers,
-		})
+		}, sweep.Params{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -332,8 +346,7 @@ func TestParallelSweepByteIdentical(t *testing.T) {
 		r, err := Figure11(bg, Figure11Params{
 			RelayCounts: []int{150, 250, 350},
 			Outage:      time.Minute,
-			Workers:     workers,
-		})
+		}, sweep.Params{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"time"
 
 	"partialtor/internal/attack"
@@ -31,63 +32,47 @@ type RegionalRow struct {
 	Timeouts   int
 }
 
-// RegionalResult compares legacy and racing clients under a regional mirror
-// flood. The headline: under a flood that strands legacy clients for the
-// window, racing K>=2 keeps the flooded region near full coverage at the
-// price of duplicate cache egress.
-type RegionalResult struct {
-	Region string
-	Window time.Duration
-	Rows   []RegionalRow
-}
-
-// RegionalParams scales the experiment (zero values = demo scale).
+// RegionalParams scales the experiment (unset fields = demo scale).
 type RegionalParams struct {
-	Clients int           // default 200 000
-	Caches  int           // default 24
-	Fleets  int           // default two per continent
-	Window  time.Duration // default 30 minutes
-	Region  string        // flooded region, default "eu"
-	RaceKs  []int         // racing widths to sweep, default {0, 2}
-	Seed    int64         // default 42
-	Workers int           // sweep worker pool: 0 = all cores, 1 = serial
-	// OnCell, when set, observes sweep progress: called once per finished
-	// cell with the completion count, the grid size, and the cell's error.
-	OnCell func(done, total int, cellErr error)
+	Clients int
+	Caches  int
+	Fleets  int
+	Window  time.Duration
+	Region  string // the flooded region
+	RaceKs  []int  // racing widths to sweep
+	Seed    int64
 }
 
-// RegionalTable runs the flood × racing-width grid on the continental
-// topology and reports per-cell coverage, time to 99%, the flooded region's
-// p99 and the racing overhead. Cells fan out over the sweep engine.
-func RegionalTable(ctx context.Context, p RegionalParams) (*RegionalResult, error) {
+var (
+	regionalPaper = RegionalParams{
+		Clients: 200_000,
+		Caches:  24,
+		Fleets:  2 * topo.Continents().NumRegions(), // two per continent
+		Window:  30 * time.Minute,
+		Region:  "eu",
+		RaceKs:  []int{0, 2},
+		Seed:    42,
+	}
+	regionalQuick = RegionalParams{Clients: 50_000, Caches: 12, Window: 20 * time.Minute}
+
+	regionalArtifact = artifact("regional", regionalQuick, RegionalTable)
+)
+
+// RegionalTable compares legacy and racing clients under a regional mirror
+// flood: it runs the flood × racing-width grid on the continental topology
+// and reports per-cell coverage, time to 99%, the flooded region's p99 and
+// the racing overhead. The headline: under a flood that strands legacy
+// clients for the window, racing K>=2 keeps the flooded region near full
+// coverage at the price of duplicate cache egress. Cells fan out over the
+// sweep engine.
+func RegionalTable(ctx context.Context, p RegionalParams, sp sweep.Params) (*Table[RegionalRow], error) {
+	p = overlay(p, regionalPaper)
 	tp := topo.Continents()
-	if p.Clients == 0 {
-		p.Clients = 200_000
-	}
-	if p.Caches == 0 {
-		p.Caches = 24
-	}
-	if p.Fleets == 0 {
-		p.Fleets = 2 * tp.NumRegions()
-	}
-	if p.Window == 0 {
-		p.Window = 30 * time.Minute
-	}
-	if p.Region == "" {
-		p.Region = "eu"
-	}
-	if len(p.RaceKs) == 0 {
-		p.RaceKs = []int{0, 2}
-	}
-	if p.Seed == 0 {
-		p.Seed = 42
-	}
-	res := &RegionalResult{Region: p.Region, Window: p.Window}
 	grid := sweep.MustNew(
 		sweep.Of("flood", false, true),
 		sweep.Ints("race", p.RaceKs...),
 	)
-	results, err := sweepE(ctx, grid, sweep.Params{Workers: p.Workers, OnCell: p.OnCell}, func(_ context.Context, c sweep.Cell) (RegionalRow, error) {
+	return sweepTable(ctx, grid, sp, func(_ context.Context, c sweep.Cell) (RegionalRow, error) {
 		row := RegionalRow{Flood: c.Value("flood").(bool), RaceK: c.Int("race")}
 		spec := dircache.Spec{
 			Clients:     p.Clients,
@@ -122,36 +107,21 @@ func RegionalTable(ctx context.Context, p RegionalParams) (*RegionalResult, erro
 			}
 		}
 		return row, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range results {
-		res.Rows = append(res.Rows, r.Value)
-	}
-	return res, nil
-}
-
-// Render prints the comparison table.
-func (r *RegionalResult) Render() string {
-	rows := make([][]string, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		flood := "healthy"
-		if row.Flood {
-			flood = r.Region + " offline"
-		}
-		rows = append(rows, []string{
-			flood,
-			fmt.Sprintf("%d", row.RaceK),
-			fmt.Sprintf("%.1f%%", 100*row.Coverage),
-			fmtLatency(row.T99),
-			fmtLatency(row.RegionP99),
-			fmtBytes(row.WasteBytes),
-			fmt.Sprintf("%d", row.Timeouts),
-		})
-	}
-	title := fmt.Sprintf("Regional: %q mirror flood vs racing clients (continents, %v window)", r.Region, r.Window)
-	return renderTable(title,
-		[]string{"Tier", "Race K", "Coverage", "t99 (s)", r.Region + " p99 (s)", "Race waste", "Timeouts"},
-		rows)
+	}, layout[RegionalRow]{
+		title: fmt.Sprintf("Regional: %q mirror flood vs racing clients (continents, %v window)", p.Region, p.Window),
+		cols: []column[RegionalRow]{
+			{"Tier", func(r RegionalRow) string {
+				if r.Flood {
+					return p.Region + " offline"
+				}
+				return "healthy"
+			}},
+			{"Race K", func(r RegionalRow) string { return strconv.Itoa(r.RaceK) }},
+			{"Coverage", func(r RegionalRow) string { return fmt.Sprintf("%.1f%%", 100*r.Coverage) }},
+			{"t99 (s)", func(r RegionalRow) string { return fmtLatency(r.T99) }},
+			{p.Region + " p99 (s)", func(r RegionalRow) string { return fmtLatency(r.RegionP99) }},
+			{"Race waste", func(r RegionalRow) string { return fmtBytes(r.WasteBytes) }},
+			{"Timeouts", func(r RegionalRow) string { return strconv.Itoa(r.Timeouts) }},
+		},
+	}.render)
 }

@@ -14,18 +14,25 @@
 //     cell costs one row of a 10k-cell sweep, never the sweep;
 //   - Experiment (experiment.go) chains the phases declaratively —
 //     Generate → Distribute → Avail — unifying single runs, multi-period
-//     campaigns and distribution scenarios on one spec.
+//     campaigns and distribution scenarios on one spec: eight options, and
+//     everything about the distribution tier (topology, gossip, faults,
+//     backoff, compromise, verification) is a field of the one
+//     dircache.Spec handed to WithDistribution.
 //
-// Every figure and ablation sweep runs on the internal/sweep grid engine:
+// The figure/table layer is one registry and one helper (artifacts.go):
+// Artifacts lists every artifact by name with Run(ctx, quick, sweep.Params),
+// and each artifact's own file holds only its Params, its paper-scale and
+// quick presets side by side, its cell function and its column list. Every
+// sweep artifact runs through sweepTable on the internal/sweep grid engine:
 // the parameter grid (relays × bandwidth × protocol, entry sizes, Δ, ...)
 // fans out over a bounded worker pool — Inputs is concurrency-safe, so
-// cells share the cached multi-megabyte document sets — and results come
-// back in cell-rank order, so a parallel sweep renders the exact bytes the
-// serial nested loops used to produce. Each Params struct carries a
-// Workers knob (0 = all cores, 1 = the serial baseline) and every generator
-// takes a context: cancellation stops the sweep promptly and surfaces as
-// the generator's error (sweep.RunCtx, underneath, keeps completed cells
-// for callers that drive it directly).
+// cells share the cached multi-megabyte document sets — and the typed rows
+// come back in cell-rank order, so a parallel sweep renders the exact bytes
+// the serial nested loops used to produce. Generators take the caller's
+// sweep.Params (Workers: 0 = all cores, 1 = the serial baseline; OnCell for
+// progress) and a context: cancellation stops the sweep promptly and
+// surfaces as the generator's error (sweep.RunParams, underneath, keeps
+// completed cells for callers that drive it directly).
 package harness
 
 import (

@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"time"
 
 	"partialtor/internal/attack"
@@ -11,60 +12,47 @@ import (
 
 // ---------------------------------------------------------------- Table 1
 
-// Table1Row is one protocol's design summary plus measured transport cost.
+// Table1Row is one protocol's measured transport cost; table1Design holds
+// its design summary.
 type Table1Row struct {
 	Protocol         Protocol
-	NetworkModel     string
-	Security         string
-	Complexity       string // asymptotic, as the paper states it
 	MeasuredBytes    int64
 	MeasuredMessages int64
 	Success          bool
 }
 
-// Table1Result compares the three designs (paper Table 1) and backs the
-// asymptotic columns with measured byte counts on a common scenario.
-type Table1Result struct {
-	Relays        int
-	BandwidthMbit float64
-	Rows          []Table1Row
-}
-
-// Table1Params scales the measurement scenario (zero values = defaults
-// chosen so every protocol completes: 2000 relays at 50 Mbit/s).
+// Table1Params scales the measurement scenario (unset fields = a scale at
+// which every protocol completes; Round 0 = the scenario default).
 type Table1Params struct {
 	Relays       int
 	Bandwidth    float64
 	Round        time.Duration
-	EntryPadding int
+	EntryPadding int // -1 = calibrated
 	Seed         int64
-	Workers      int // sweep worker pool: 0 = all cores, 1 = serial
-	// OnCell, when set, observes sweep progress: called once per finished
-	// cell with the completion count, the grid size, and the cell's error.
-	OnCell func(done, total int, cellErr error)
 }
 
+var (
+	table1Paper = Table1Params{Relays: 2000, Bandwidth: 50e6, EntryPadding: -1}
+	table1Quick = Table1Params{Relays: 300, Bandwidth: 100e6, Round: 20 * time.Second}
+
+	table1Artifact = artifact("tab1", table1Quick, Table1)
+)
+
+// table1Design is each protocol's network model, security and asymptotic
+// complexity, as the paper states them.
 var table1Design = map[Protocol][3]string{
 	Current:     {"Bounded Synchrony", "Insecure (attacks monitored)", "O(n²d + n²κ)"},
 	Synchronous: {"Bounded Synchrony", "Secure (Interactive Consistency)", "O(n³d + n⁴κ)"},
 	ICPS:        {"Partial Synchrony", "Secure (IC under Partial Synchrony)", "O(n²d + n⁴κ)"},
 }
 
-// Table1 runs the three protocols on one scenario and reports design rows
-// with measured transport totals.
-func Table1(ctx context.Context, p Table1Params) (*Table1Result, error) {
-	if p.Relays == 0 {
-		p.Relays = 2000
-	}
-	if p.Bandwidth == 0 {
-		p.Bandwidth = 50e6
-	}
-	if p.EntryPadding == 0 {
-		p.EntryPadding = -1
-	}
-	res := &Table1Result{Relays: p.Relays, BandwidthMbit: p.Bandwidth / 1e6}
+// Table1 compares the three designs (paper Table 1): it runs the three
+// protocols on one scenario and backs the asymptotic columns with measured
+// transport totals.
+func Table1(ctx context.Context, p Table1Params, sp sweep.Params) (*Table[Table1Row], error) {
+	p = overlay(p, table1Paper)
 	grid := sweep.MustNew(sweep.Of("protocol", Current, Synchronous, ICPS))
-	results, err := sweepE(ctx, grid, sweep.Params{Workers: p.Workers, OnCell: p.OnCell}, func(ctx context.Context, c sweep.Cell) (Table1Row, error) {
+	return sweepTable(ctx, grid, sp, func(ctx context.Context, c sweep.Cell) (Table1Row, error) {
 		proto := c.Value("protocol").(Protocol)
 		run, err := RunE(ctx, Scenario{
 			Protocol:     proto,
@@ -77,42 +65,23 @@ func Table1(ctx context.Context, p Table1Params) (*Table1Result, error) {
 		if err != nil {
 			return Table1Row{}, err
 		}
-		d := table1Design[proto]
 		return Table1Row{
 			Protocol:         proto,
-			NetworkModel:     d[0],
-			Security:         d[1],
-			Complexity:       d[2],
 			MeasuredBytes:    run.BytesSent,
 			MeasuredMessages: run.Messages,
 			Success:          run.Success,
 		}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range results {
-		res.Rows = append(res.Rows, r.Value)
-	}
-	return res, nil
-}
-
-// Render prints the comparison.
-func (r *Table1Result) Render() string {
-	rows := make([][]string, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			row.Protocol.String(),
-			row.NetworkModel,
-			row.Security,
-			row.Complexity,
-			fmtBytes(row.MeasuredBytes),
-			fmt.Sprintf("%d", row.MeasuredMessages),
-		})
-	}
-	title := fmt.Sprintf("Table 1: design comparison (measured at %d relays, %g Mbit/s)", r.Relays, r.BandwidthMbit)
-	return renderTable(title,
-		[]string{"Protocol", "Network Model", "Security", "Complexity", "Bytes", "Messages"}, rows)
+	}, layout[Table1Row]{
+		title: fmt.Sprintf("Table 1: design comparison (measured at %d relays, %g Mbit/s)", p.Relays, p.Bandwidth/1e6),
+		cols: []column[Table1Row]{
+			{"Protocol", func(r Table1Row) string { return r.Protocol.String() }},
+			{"Network Model", func(r Table1Row) string { return table1Design[r.Protocol][0] }},
+			{"Security", func(r Table1Row) string { return table1Design[r.Protocol][1] }},
+			{"Complexity", func(r Table1Row) string { return table1Design[r.Protocol][2] }},
+			{"Bytes", func(r Table1Row) string { return fmtBytes(r.MeasuredBytes) }},
+			{"Messages", func(r Table1Row) string { return strconv.FormatInt(r.MeasuredMessages, 10) }},
+		},
+	}.render)
 }
 
 // ---------------------------------------------------------------- Table 2
@@ -170,6 +139,10 @@ func (r *Table2Result) Render() string {
 	return renderTable("Table 2: rounds of each sub-protocol", []string{"Sub-Protocol", "Rounds"}, rows)
 }
 
+var table2Artifact = artifact("tab2", struct{}{}, func(ctx context.Context, _ struct{}, _ sweep.Params) (*Table2Result, error) {
+	return Table2(ctx)
+})
+
 // ---------------------------------------------------------------- Cost
 
 // CostResult reproduces the §4.3 attack cost analysis.
@@ -211,3 +184,7 @@ func (r *CostResult) Render() string {
 	}
 	return renderTable("Attack cost (paper §4.3)", []string{"Quantity", "Value"}, rows)
 }
+
+var costArtifact = Artifact{Name: "cost", Run: func(context.Context, bool, sweep.Params) (string, error) {
+	return CostTable().Render(), nil
+}}

@@ -43,12 +43,12 @@ func TestScenarioTopologyThreadsThroughPhases(t *testing.T) {
 	}
 }
 
-// TestWithTopologyOption checks the experiment option reaches every period.
-func TestWithTopologyOption(t *testing.T) {
+// TestExperimentTopology checks the base scenario's topology reaches every
+// period's distribution phase.
+func TestExperimentTopology(t *testing.T) {
 	exp, err := NewExperiment(
 		WithScenario(Scenario{Protocol: Current, Relays: 150, EntryPadding: 0,
-			Round: 15 * time.Second, Seed: 5}),
-		WithTopology(topo.Continents()),
+			Round: 15 * time.Second, Seed: 5, Topology: topo.Continents()}),
 		WithDistribution(dircache.Spec{
 			Clients:     10_000,
 			Caches:      6,

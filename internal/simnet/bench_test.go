@@ -143,7 +143,7 @@ func TestSendPathNilTracerAllocFree(t *testing.T) {
 	// propagation, downlink contention, delivery — allocates nothing in
 	// steady state. The transit pool and pipe scratch absorb per-message
 	// state; the nil-tracer guard must stay a single untaken branch.
-	net := New(Config{Latency: fixedLatency(time.Millisecond)})
+	net := New(Config{Topology: fixedLatency(time.Millisecond)})
 	net.AddNode(nullHandler{}, NewProfile(1e9), NewProfile(1e9))
 	net.AddNode(nullHandler{}, NewProfile(1e9), NewProfile(1e9))
 	net.Start()

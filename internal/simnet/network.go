@@ -11,20 +11,13 @@ import (
 
 // Config parameterizes a Network.
 type Config struct {
-	// Latency returns the one-way propagation delay between two nodes.
-	//
-	// Deprecated: set Topology instead — the topology layer derives pair
-	// latencies from node placement, and a custom function bypasses it. The
-	// field is kept as an adapter for pre-topology callers: when set it wins
-	// over Topology, preserving old behavior bit for bit. Nil Latency + nil
-	// Topology selects DefaultLatency (the flat fallback).
-	Latency func(from, to NodeID) time.Duration
 	// Topology, if non-nil, derives pair latencies from node placement: the
 	// one-way delay between two nodes is the BaseLatency of their region
 	// pair plus deterministic per-pair jitter in [0, Jitter) hashed from the
-	// seed (the same construction as DefaultLatency, so no RNG draw order
+	// seed (the same construction as the flat sample, so no RNG draw order
 	// changes). Register each node's region with AddNodeIn; plain AddNode
-	// places it in region 0. Ignored while the deprecated Latency is set.
+	// places it in region 0. Nil selects the flat model: every pair's delay
+	// is sampled uniformly in [20ms, 150ms).
 	Topology topo.Topology
 	// LinkRate returns a per-transfer rate cap in bits/s between a pair
 	// (<= 0 means uncapped; only the access pipes then limit throughput).
@@ -113,15 +106,12 @@ func New(cfg Config) *Network {
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		kindIdx: make(map[string]int),
 	}
-	if n.cfg.Latency == nil && n.cfg.Topology == nil {
-		n.cfg.Latency = DefaultLatency(cfg.Seed)
-	}
 	return n
 }
 
 // pairHash is the cheap deterministic hash of (seed, lo, hi) behind every
-// per-pair latency sample — the flat DefaultLatency and the topology jitter
-// draw from the same construction, so neither touches the RNG stream.
+// per-pair latency sample — the flat model and the topology jitter draw from
+// the same construction, so neither touches the RNG stream.
 func pairHash(seed int64, lo, hi NodeID) uint64 {
 	h := uint64(seed)*0x9e3779b97f4a7c15 + uint64(lo)*0xbf58476d1ce4e5b9 + uint64(hi)*0x94d049bb133111eb
 	h ^= h >> 31
@@ -130,35 +120,25 @@ func pairHash(seed int64, lo, hi NodeID) uint64 {
 	return h
 }
 
-// DefaultLatency returns a symmetric latency function sampling one-way
-// delays uniformly in [20ms, 150ms) per unordered pair, deterministically
-// from the seed. This approximates the geographic spread of the nine Tor
-// directory authorities, and is the flat fallback used whenever neither
-// Config.Topology nor the deprecated Config.Latency is set.
-func DefaultLatency(seed int64) func(a, b NodeID) time.Duration {
-	return func(a, b NodeID) time.Duration {
-		if a == b {
-			return 0
-		}
-		lo, hi := a, b
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		h := pairHash(seed, lo, hi)
-		ms := 20 + float64(h%1000)/1000*130
-		return time.Duration(ms * float64(time.Millisecond))
-	}
-}
-
-// pairLatency resolves one pair's one-way propagation delay: the deprecated
-// Latency adapter when set (bit-identical to the pre-topology behavior),
-// the topology's region-pair floor plus per-pair jitter otherwise.
+// pairLatency resolves one pair's one-way propagation delay,
+// deterministically from the seed and symmetric in the pair. Under a nil
+// topology it is the flat sample, uniform in [20ms, 150ms) — approximately
+// the geographic spread of the nine Tor directory authorities; otherwise the
+// topology's region-pair floor plus per-pair jitter. The two formulas are
+// kept apart on purpose: a one-region topology spanning the same interval
+// rounds differently on about a tenth of the hash buckets.
 func (n *Network) pairLatency(from, to NodeID) time.Duration {
-	if n.cfg.Latency != nil {
-		return n.cfg.Latency(from, to)
-	}
 	if from == to {
 		return 0
+	}
+	lo, hi := from, to
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	bucket := float64(pairHash(n.cfg.Seed, lo, hi) % 1000)
+	if n.cfg.Topology == nil {
+		ms := 20 + bucket/1000*130
+		return time.Duration(ms * float64(time.Millisecond))
 	}
 	ra, rb := n.nodes[from].region, n.nodes[to].region
 	base := n.cfg.Topology.BaseLatency(ra, rb)
@@ -166,12 +146,7 @@ func (n *Network) pairLatency(from, to NodeID) time.Duration {
 	if span <= 0 {
 		return base
 	}
-	lo, hi := from, to
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	h := pairHash(n.cfg.Seed, lo, hi)
-	return base + time.Duration(float64(span)*float64(h%1000)/1000)
+	return base + time.Duration(float64(span)*bucket/1000)
 }
 
 // Scheduler exposes the underlying clock (for runners that need to schedule
@@ -220,8 +195,7 @@ func (n *Network) AddNode(h Handler, up, down *Profile) NodeID {
 
 // AddNodeIn is AddNode with explicit placement: the node lives in region r
 // of Config.Topology, which determines its pair latencies. The region is
-// ignored (but remembered) under a nil Topology or while the deprecated
-// Config.Latency adapter is in force.
+// ignored (but remembered) under a nil Topology.
 func (n *Network) AddNodeIn(h Handler, up, down *Profile, r topo.Region) NodeID {
 	if n.started {
 		panic("simnet: AddNode after Start")

@@ -3,6 +3,8 @@ package simnet
 import (
 	"testing"
 	"time"
+
+	"partialtor/internal/topo"
 )
 
 // testMsg is a minimal message for transport tests.
@@ -37,13 +39,14 @@ func (r *recorder) Deliver(ctx *Context, from NodeID, msg Message) {
 	r.got = append(r.got, delivery{at: ctx.Now(), from: from, msg: msg})
 }
 
-func fixedLatency(d time.Duration) func(a, b NodeID) time.Duration {
-	return func(a, b NodeID) time.Duration { return d }
+// fixedLatency is a one-region topology placing every pair exactly d apart.
+func fixedLatency(d time.Duration) *topo.Map {
+	return &topo.Map{Names: []string{"all"}, Lat: [][]time.Duration{{d}}, Jit: [][]time.Duration{{0}}}
 }
 
 func twoNodeNet(t *testing.T, rate float64, lat time.Duration) (*Network, *recorder, *recorder) {
 	t.Helper()
-	net := New(Config{Latency: fixedLatency(lat)})
+	net := New(Config{Topology: fixedLatency(lat)})
 	a, b := &recorder{}, &recorder{}
 	net.AddNode(a, NewProfile(rate), NewProfile(rate))
 	net.AddNode(b, NewProfile(rate), NewProfile(rate))
@@ -69,7 +72,7 @@ func TestNetworkEndToEndTiming(t *testing.T) {
 func TestNetworkConcurrentSendsShareUplink(t *testing.T) {
 	// Three messages to three receivers share the sender's uplink; each
 	// takes 3x the solo uplink time, then latency, then a solo downlink.
-	net := New(Config{Latency: fixedLatency(10 * time.Millisecond)})
+	net := New(Config{Topology: fixedLatency(10 * time.Millisecond)})
 	sender := &recorder{}
 	net.AddNode(sender, NewProfile(1e6), NewProfile(1e6))
 	receivers := make([]*recorder, 3)
@@ -92,7 +95,7 @@ func TestNetworkConcurrentSendsShareUplink(t *testing.T) {
 }
 
 func TestNetworkOverheadCounted(t *testing.T) {
-	net := New(Config{Latency: fixedLatency(0), Overhead: 500})
+	net := New(Config{Topology: fixedLatency(0), Overhead: 500})
 	a, b := &recorder{}, &recorder{}
 	net.AddNode(a, NewProfile(1e6), NewProfile(1e6))
 	net.AddNode(b, NewProfile(1e6), NewProfile(1e6))
@@ -141,7 +144,7 @@ func TestNetworkDelayFilter(t *testing.T) {
 func TestNetworkAttackWindowStallsTraffic(t *testing.T) {
 	// The receiver's downlink is dead for [0, 30s); a message sent at t=0
 	// arrives just after the window ends.
-	net := New(Config{Latency: fixedLatency(0)})
+	net := New(Config{Topology: fixedLatency(0)})
 	a, b := &recorder{}, &recorder{}
 	net.AddNode(a, NewProfile(1e6), NewProfile(1e6))
 	down := NewProfile(1e6)
@@ -197,18 +200,25 @@ func TestNetworkDeterminism(t *testing.T) {
 	}
 }
 
-func TestDefaultLatencyProperties(t *testing.T) {
-	lat := DefaultLatency(7)
+func TestFlatLatencyProperties(t *testing.T) {
+	flat := func(seed int64) *Network {
+		net := New(Config{Seed: seed})
+		for i := 0; i < 9; i++ {
+			net.AddNode(&recorder{}, NewProfile(1e9), NewProfile(1e9))
+		}
+		return net
+	}
+	net := flat(7)
 	for a := NodeID(0); a < 9; a++ {
 		for b := NodeID(0); b < 9; b++ {
-			d := lat(a, b)
+			d := net.pairLatency(a, b)
 			if a == b {
 				if d != 0 {
 					t.Fatalf("self latency %v", d)
 				}
 				continue
 			}
-			if d != lat(b, a) {
+			if d != net.pairLatency(b, a) {
 				t.Fatalf("asymmetric latency between %d and %d", a, b)
 			}
 			if d < 20*time.Millisecond || d >= 150*time.Millisecond {
@@ -216,9 +226,10 @@ func TestDefaultLatencyProperties(t *testing.T) {
 			}
 		}
 	}
-	if DefaultLatency(1)(0, 1) == DefaultLatency(2)(0, 1) &&
-		DefaultLatency(1)(0, 2) == DefaultLatency(2)(0, 2) &&
-		DefaultLatency(1)(1, 2) == DefaultLatency(2)(1, 2) {
+	n1, n2 := flat(1), flat(2)
+	if n1.pairLatency(0, 1) == n2.pairLatency(0, 1) &&
+		n1.pairLatency(0, 2) == n2.pairLatency(0, 2) &&
+		n1.pairLatency(1, 2) == n2.pairLatency(1, 2) {
 		t.Fatal("different seeds produced identical latency matrices")
 	}
 }

@@ -57,39 +57,6 @@ func TestTopologyLatencyDeterministic(t *testing.T) {
 	}
 }
 
-func TestDeprecatedLatencyAdapterWinsOverTopology(t *testing.T) {
-	// A caller still setting the deprecated Latency field must see exactly
-	// that function in force, topology or not.
-	net := New(Config{
-		Latency:  fixedLatency(7 * time.Millisecond),
-		Topology: topo.Continents(),
-	})
-	net.AddNodeIn(&recorder{}, NewProfile(1e9), NewProfile(1e9), topo.EU)
-	net.AddNodeIn(&recorder{}, NewProfile(1e9), NewProfile(1e9), topo.OC)
-	if got := net.pairLatency(0, 1); got != 7*time.Millisecond {
-		t.Fatalf("adapter bypassed: latency %v", got)
-	}
-}
-
-func TestNilTopologyFallsBackToDefaultLatency(t *testing.T) {
-	// The flat model is the zero value: nil Topology + nil Latency must
-	// reproduce DefaultLatency exactly (the golden corpus pins this at the
-	// run level; this is the direct check).
-	seed := int64(42)
-	net := New(Config{Seed: seed})
-	for i := 0; i < 4; i++ {
-		net.AddNode(&recorder{}, NewProfile(1e9), NewProfile(1e9))
-	}
-	want := DefaultLatency(seed)
-	for a := NodeID(0); a < 4; a++ {
-		for b := NodeID(0); b < 4; b++ {
-			if got := net.pairLatency(a, b); got != want(a, b) {
-				t.Fatalf("flat fallback drifted: %d->%d %v != %v", a, b, got, want(a, b))
-			}
-		}
-	}
-}
-
 func TestTopologyMessageTimingUsesRegionLatency(t *testing.T) {
 	// Two EU nodes vs an EU->OC pair: the trans-continent delivery must be
 	// slower by at least the base-latency gap, with bandwidth held fat.

@@ -9,22 +9,22 @@
 // cmd/cachesweep, cmd/benchtables and cmd/attackcost, is a sweep over
 // scenario cells; each cell typically runs one harness.Experiment or
 // dircache distribution. The facade re-exports the engine as
-// partialtor.MustNewSweepGrid / partialtor.RunSweep / partialtor.RunSweepCtx
-// with axis constructors (SweepInts, SweepFloats, SweepDurations) and flag
+// partialtor.MustNewSweepGrid / partialtor.RunSweepParams with axis
+// constructors (SweepInts, SweepFloats, SweepDurations) and flag
 // parsers (ParseSweepCounts, ParseSweepFloats) for the cmd tools.
 //
 // # Execution model
 //
 // A Grid is the cartesian product of named Axes, enumerated row-major (the
-// first axis varies slowest, exactly like the nested loops it replaces). Run
-// evaluates a callback on every cell with a bounded worker pool and returns
-// the results ordered by cell rank — independent of completion order, so a
-// parallel sweep renders byte-identically to a serial one. Failures are
-// captured per cell (including recovered panics) instead of aborting the
-// sweep: one bad configuration costs one cell, not the whole table. RunCtx
-// adds cancellation: a cancelled context stops dispatching new cells while
-// keeping every completed cell's result, so an interrupted 10k-cell sweep
-// hands back the work it already did.
+// first axis varies slowest, exactly like the nested loops it replaces).
+// RunParams evaluates a callback on every cell with a bounded worker pool
+// and returns the results ordered by cell rank — independent of completion
+// order, so a parallel sweep renders byte-identically to a serial one.
+// Failures are captured per cell (including recovered panics) instead of
+// aborting the sweep: one bad configuration costs one cell, not the whole
+// table. A cancelled context stops dispatching new cells while keeping every
+// completed cell's result, so an interrupted 10k-cell sweep hands back the
+// work it already did.
 //
 // # Error accounting
 //

@@ -115,7 +115,7 @@ func (g Grid) Cell(rank int) Cell {
 
 // Cell is one grid point: a rank plus a value per axis.
 type Cell struct {
-	// Rank is the cell's row-major position; Run's result slice is indexed
+	// Rank is the cell's row-major position; RunParams' result slice is indexed
 	// by it.
 	Rank   int
 	coords []int
@@ -174,30 +174,10 @@ type Result[T any] struct {
 	Err   error
 }
 
-// Run evaluates fn on every cell of the grid with a pool of `workers`
-// goroutines (workers <= 0 selects GOMAXPROCS; 1 is the serial baseline).
-// The returned slice is indexed by cell rank, so the result order is
-// deterministic and independent of completion order — a parallel run of a
-// deterministic fn is indistinguishable from a serial one. A panicking fn
-// fails its own cell only; the panic is captured as that cell's Err.
-func Run[T any](g Grid, workers int, fn func(Cell) (T, error)) []Result[T] {
-	return RunCtx(context.Background(), g, workers,
-		func(_ context.Context, c Cell) (T, error) { return fn(c) })
-}
-
-// RunCtx is Run with cancellation: the context is handed to every cell and
-// consulted between cells. Once ctx is cancelled no new cell starts; cells
-// already in flight run to completion (a deterministic fn may watch ctx to
-// abort early), their results are kept, and every never-started cell carries
-// ctx's error wrapped in ErrCellSkipped. Completed work is never discarded —
-// the property adaptive grids and long interactive sweeps rely on.
-func RunCtx[T any](ctx context.Context, g Grid, workers int, fn func(context.Context, Cell) (T, error)) []Result[T] {
-	return RunParams(ctx, g, Params{Workers: workers}, fn)
-}
-
 // Params configures a sweep run beyond the grid and the cell function.
 type Params struct {
-	// Workers bounds the worker pool (<= 0 selects GOMAXPROCS).
+	// Workers bounds the worker pool (<= 0 selects GOMAXPROCS; 1 is the
+	// serial baseline).
 	Workers int
 	// OnCell, when set, observes progress: it is called once per finished
 	// cell — including cells skipped by cancellation — with the running
@@ -208,8 +188,19 @@ type Params struct {
 	OnCell func(done, total int, cellErr error)
 }
 
-// RunParams is RunCtx with a Params block: the same pool, cancellation and
-// determinism contract, plus optional live progress reporting.
+// RunParams evaluates fn on every cell of the grid with a pool of p.Workers
+// goroutines. The returned slice is indexed by cell rank, so the result
+// order is deterministic and independent of completion order — a parallel
+// run of a deterministic fn is indistinguishable from a serial one. A
+// panicking fn fails its own cell only; the panic is captured as that cell's
+// Err.
+//
+// The context is handed to every cell and consulted between cells. Once ctx
+// is cancelled no new cell starts; cells already in flight run to completion
+// (a deterministic fn may watch ctx to abort early), their results are kept,
+// and every never-started cell carries ctx's error wrapped in
+// ErrCellSkipped. Completed work is never discarded — the property adaptive
+// grids and long interactive sweeps rely on.
 func RunParams[T any](ctx context.Context, g Grid, p Params, fn func(context.Context, Cell) (T, error)) []Result[T] {
 	n := g.Size()
 	results := make([]Result[T], n)

@@ -88,7 +88,7 @@ func TestNewRejectsMalformedGrids(t *testing.T) {
 // callback sleeps inversely to rank so late cells finish first.
 func TestParallelMatchesSerial(t *testing.T) {
 	g := MustNew(Ints("x", 0, 1, 2, 3), Ints("y", 0, 1, 2, 3, 4))
-	fn := func(c Cell) (string, error) {
+	fn := func(_ context.Context, c Cell) (string, error) {
 		// Finish in roughly reverse rank order to exercise reordering.
 		time.Sleep(time.Duration(g.Size()-c.Rank) * time.Millisecond)
 		if c.Int("x") == 2 && c.Int("y") == 3 {
@@ -96,8 +96,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 		}
 		return fmt.Sprintf("%d*%d", c.Int("x"), c.Int("y")), nil
 	}
-	serial := Run(g, 1, fn)
-	parallel := Run(g, 8, fn)
+	serial := RunParams(context.Background(), g, Params{Workers: 1}, fn)
+	parallel := RunParams(context.Background(), g, Params{Workers: 8}, fn)
 	if len(serial) != g.Size() || len(parallel) != g.Size() {
 		t.Fatalf("lengths %d/%d, want %d", len(serial), len(parallel), g.Size())
 	}
@@ -118,7 +118,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 func TestPerCellErrorCapture(t *testing.T) {
 	g := MustNew(Ints("i", 0, 1, 2, 3))
 	sentinel := errors.New("bad cell")
-	results := Run(g, 4, func(c Cell) (int, error) {
+	results := RunParams(context.Background(), g, Params{Workers: 4}, func(_ context.Context, c Cell) (int, error) {
 		switch c.Int("i") {
 		case 1:
 			return 0, sentinel
@@ -155,7 +155,7 @@ func TestPerCellErrorCapture(t *testing.T) {
 func TestWorkerPoolActuallyFansOut(t *testing.T) {
 	g := MustNew(Ints("i", 0, 1, 2, 3, 4, 5, 6, 7))
 	var running, peak atomic.Int32
-	results := Run(g, 8, func(c Cell) (int, error) {
+	results := RunParams(context.Background(), g, Params{Workers: 8}, func(_ context.Context, c Cell) (int, error) {
 		now := running.Add(1)
 		defer running.Add(-1)
 		for {
@@ -183,7 +183,7 @@ func TestWorkerPoolActuallyFansOut(t *testing.T) {
 func TestRunCtxCancellationKeepsCompletedCells(t *testing.T) {
 	g := MustNew(Ints("i", 0, 1, 2, 3, 4, 5, 6, 7))
 	ctx, cancel := context.WithCancel(context.Background())
-	results := RunCtx(ctx, g, 1, func(ctx context.Context, c Cell) (int, error) {
+	results := RunParams(ctx, g, Params{Workers: 1}, func(ctx context.Context, c Cell) (int, error) {
 		if c.Int("i") == 2 {
 			cancel() // die mid-sweep, with cells 0-2 complete
 		}
@@ -219,7 +219,7 @@ func TestRunCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran atomic.Int32
-	results := RunCtx(ctx, g, 4, func(context.Context, Cell) (int, error) {
+	results := RunParams(ctx, g, Params{Workers: 4}, func(context.Context, Cell) (int, error) {
 		ran.Add(1)
 		return 0, nil
 	})
@@ -242,7 +242,7 @@ func TestRunCtxPassesContextToCells(t *testing.T) {
 	type ctxKey struct{}
 	ctx := context.WithValue(context.Background(), ctxKey{}, "payload")
 	g := MustNew(Ints("i", 1))
-	results := RunCtx(ctx, g, 1, func(ctx context.Context, c Cell) (string, error) {
+	results := RunParams(ctx, g, Params{Workers: 1}, func(ctx context.Context, c Cell) (string, error) {
 		v, _ := ctx.Value(ctxKey{}).(string)
 		return v, nil
 	})
@@ -253,7 +253,7 @@ func TestRunCtxPassesContextToCells(t *testing.T) {
 
 func TestRunDefaultsWorkers(t *testing.T) {
 	g := MustNew(Ints("i", 1, 2, 3))
-	results := Run(g, 0, func(c Cell) (int, error) { return c.Int("i") * 2, nil })
+	results := RunParams(context.Background(), g, Params{Workers: 0}, func(_ context.Context, c Cell) (int, error) { return c.Int("i") * 2, nil })
 	for i, r := range results {
 		if r.Value != (i+1)*2 {
 			t.Fatalf("cell %d value %d", i, r.Value)
@@ -298,7 +298,7 @@ func TestParsePositiveInts(t *testing.T) {
 func TestFirstErrSkipsCancelledCells(t *testing.T) {
 	g := MustNew(Ints("i", 0, 1, 2, 3))
 	ctx, cancel := context.WithCancel(context.Background())
-	clean := RunCtx(ctx, g, 1, func(_ context.Context, c Cell) (int, error) {
+	clean := RunParams(ctx, g, Params{Workers: 1}, func(_ context.Context, c Cell) (int, error) {
 		if c.Int("i") == 1 {
 			cancel()
 		}
@@ -314,7 +314,7 @@ func TestFirstErrSkipsCancelledCells(t *testing.T) {
 	// A genuine failure is reported even with skipped cells ranked earlier.
 	sentinel := errors.New("cell failed for real")
 	ctx2, cancel2 := context.WithCancel(context.Background())
-	mixed := RunCtx(ctx2, g, 1, func(_ context.Context, c Cell) (int, error) {
+	mixed := RunParams(ctx2, g, Params{Workers: 1}, func(_ context.Context, c Cell) (int, error) {
 		if c.Int("i") == 1 {
 			cancel2()
 			return 0, sentinel

@@ -19,8 +19,8 @@
 //
 // A nil Topology everywhere (simnet.Config.Topology, dircache.Spec.Topology,
 // harness.Scenario.Topology) selects the historical flat model untouched:
-// simnet.DefaultLatency for latencies and the caller's nominal bandwidth for
-// every node. Every pre-topology scenario is byte-identical under a nil
+// simnet's flat per-pair latency sample and the caller's nominal bandwidth
+// for every node. Every pre-topology scenario is byte-identical under a nil
 // Topology — the golden determinism corpus (internal/harness golden tests)
 // pins that equivalence.
 //

@@ -64,15 +64,15 @@
 //
 // Every parameter sweep — the figure generators, the ablations,
 // cmd/cachesweep — runs on one grid engine (internal/sweep, re-exported
-// here as MustNewSweepGrid/RunSweep/RunSweepCtx): named axes spanning a cartesian
+// here as MustNewSweepGrid/RunSweepParams): named axes spanning a cartesian
 // grid, a bounded worker pool, deterministic result ordering (parallel and
 // serial runs render byte-identical tables), per-cell error capture, and
 // cancellation that keeps every completed cell.
 //
 // This package is the facade the examples, the commands in cmd/ and
 // benchmark/ use, and nothing more: it re-exports the scenario runner, the
-// attack model, the distribution tier, the sweep engine and the per-figure
-// generators, and TestFacadeNamesAreReferenced fails on a name none of them
+// attack model, the distribution tier, the sweep engine and the artifact
+// registry, and TestFacadeNamesAreReferenced fails on a name none of them
 // mentions. Anything else is one import of an internal package away.
 //
 // Quick start:
@@ -351,27 +351,16 @@ func SweepDurations(name string, vals ...time.Duration) sweep.Axis {
 	return sweep.Durations(name, vals...)
 }
 
-// RunSweep evaluates fn on every cell of the grid with `workers`
-// goroutines (0 selects all cores, 1 is the serial baseline). Results come
-// back in cell-rank order independent of completion order.
-func RunSweep[T any](g sweep.Grid, workers int, fn func(SweepCell) (T, error)) []SweepResult[T] {
-	return sweep.Run(g, workers, fn)
-}
-
-// RunSweepCtx is RunSweep with cancellation: once ctx is cancelled no new
-// cell starts, completed cells keep their results, and never-started cells
-// carry sweep.ErrCellSkipped wrapping the context error.
-func RunSweepCtx[T any](ctx context.Context, g sweep.Grid, workers int, fn func(context.Context, SweepCell) (T, error)) []SweepResult[T] {
-	return sweep.RunCtx(ctx, g, workers, fn)
-}
-
 // SweepParams configures a sweep run beyond the grid: the worker pool and
 // an optional per-cell progress callback (serialized; includes skipped
 // cells).
 type SweepParams = sweep.Params
 
-// RunSweepParams is RunSweepCtx with a SweepParams block, for sweeps that
-// report live progress (cmd/cachesweep, cmd/benchtables).
+// RunSweepParams evaluates fn on every cell of the grid on p.Workers
+// goroutines (0 selects all cores, 1 is the serial baseline). Results come
+// back in cell-rank order independent of completion order. Once ctx is
+// cancelled no new cell starts, completed cells keep their results, and
+// never-started cells carry sweep.ErrCellSkipped wrapping the context error.
 func RunSweepParams[T any](ctx context.Context, g sweep.Grid, p SweepParams, fn func(context.Context, SweepCell) (T, error)) []SweepResult[T] {
 	return sweep.RunParams(ctx, g, p, fn)
 }
@@ -438,97 +427,41 @@ func NewDetector(cfg DetectorConfig) *Detector { return obs.NewDetector(cfg) }
 // exists).
 func FirstDetection(dets []obs.Detection) (obs.Detection, bool) { return obs.First(dets) }
 
-// --- evaluation re-exports (one per paper artifact) ---
+// --- evaluation re-exports ---
 //
-// Every generator that simulates takes a context and returns an error:
-// invalid configuration fails fast, and cancelling the context aborts the
-// underlying sweep promptly (the generator then reports the cancellation
-// as its error; drive RunSweepCtx directly to keep completed cells).
+// The paper's artifacts — Figures 1, 6, 7, 10, 11, Tables 1–2, the §4.3
+// cost, the regional, gossip and ablation extensions — are one registry:
+// Artifacts lists them by name, each regenerable at paper scale or from its
+// quick preset, and cmd/benchtables is a loop over it. The generators
+// re-exported individually below are the ones the examples call with their
+// own parameters. Every generator that simulates takes a context and returns
+// an error: invalid configuration fails fast, and cancelling the context
+// aborts the underlying sweep promptly (the generator then reports the
+// cancellation as its error; drive RunSweepParams directly to keep completed
+// cells).
+
+// Artifacts lists every regenerable artifact of the evaluation in
+// presentation order; Run(ctx, quick, sweepParams) returns its rendered
+// text.
+func Artifacts() []harness.Artifact { return harness.Artifacts() }
+
+// Figure1Params scales the Figure 1 run.
+type Figure1Params = harness.Figure1Params
 
 // Figure1 renders an authority's log under the headline attack.
-func Figure1(ctx context.Context, p harness.Figure1Params) (*harness.Figure1Result, error) {
+func Figure1(ctx context.Context, p Figure1Params) (*harness.Figure1Result, error) {
 	return harness.Figure1(ctx, p)
 }
 
-// Figure6 synthesizes the relay-count series (average 7141.79).
-func Figure6() *harness.Figure6Result { return harness.Figure6() }
-
-// Figure7 sweeps the bandwidth requirement against the relay count.
-func Figure7(ctx context.Context, p harness.Figure7Params) (*harness.Figure7Result, error) {
-	return harness.Figure7(ctx, p)
-}
-
-// Figure10 measures the three protocols' latency across bandwidths.
-func Figure10(ctx context.Context, p harness.Figure10Params) (*harness.Figure10Result, error) {
-	return harness.Figure10(ctx, p)
-}
-
-// Figure11 measures recovery from the five-minute outage.
-func Figure11(ctx context.Context, p harness.Figure11Params) (*harness.Figure11Result, error) {
-	return harness.Figure11(ctx, p)
-}
-
-// RegionalTable compares legacy and racing clients under a regional mirror
-// flood on the continental topology.
-func RegionalTable(ctx context.Context, p harness.RegionalParams) (*harness.RegionalResult, error) {
-	return harness.RegionalTable(ctx, p)
-}
+// GossipParams scales the gossip-outage experiment.
+type GossipParams = harness.GossipParams
 
 // GossipTable compares the stranded no-gossip baseline against cache meshes
 // of increasing fanout under a total authority flood with one seeded
 // mirror, and prices partitioning each mesh.
-func GossipTable(ctx context.Context, p harness.GossipParams) (*harness.GossipResult, error) {
-	return harness.GossipTable(ctx, p)
+func GossipTable(ctx context.Context, p GossipParams, sp SweepParams) (*harness.Table[harness.GossipRow], error) {
+	return harness.GossipTable(ctx, p, sp)
 }
-
-// Table1 compares the three designs with measured transport cost.
-func Table1(ctx context.Context, p harness.Table1Params) (*harness.Table1Result, error) {
-	return harness.Table1(ctx, p)
-}
-
-// Table2 verifies the sub-protocol round counts (2 + 5 + 2).
-func Table2(ctx context.Context) (*harness.Table2Result, error) { return harness.Table2(ctx) }
 
 // CostTable evaluates the attack cost ($0.074/instance, $53.28/month).
 func CostTable() *harness.CostResult { return harness.CostTable() }
-
-// Figure1Params etc. are re-exported parameter types.
-type (
-	// Figure1Params scales the Figure 1 run.
-	Figure1Params = harness.Figure1Params
-	// Figure7Params scales the Figure 7 sweep.
-	Figure7Params = harness.Figure7Params
-	// Figure10Params scales the Figure 10 grid.
-	Figure10Params = harness.Figure10Params
-	// Figure11Params scales the Figure 11 experiment.
-	Figure11Params = harness.Figure11Params
-	// RegionalParams scales the regional-flood racing experiment.
-	RegionalParams = harness.RegionalParams
-	// GossipParams scales the gossip-outage experiment.
-	GossipParams = harness.GossipParams
-	// Table1Params scales the Table 1 measurement.
-	Table1Params = harness.Table1Params
-	// EntrySizeParams configures the entry-size ablation.
-	EntrySizeParams = harness.EntrySizeParams
-	// DeltaParams configures the Δ ablation.
-	DeltaParams = harness.DeltaParams
-	// TimeoutParams configures the pacemaker-timeout ablation.
-	TimeoutParams = harness.TimeoutParams
-)
-
-// AblationEntrySize sweeps the current protocol's failure threshold across
-// vote entry sizes (DESIGN.md §6 calibration justification).
-func AblationEntrySize(ctx context.Context, p EntrySizeParams) (*harness.EntrySizeResult, error) {
-	return harness.AblationEntrySize(ctx, p)
-}
-
-// AblationDelta sweeps the ICPS dissemination wait Δ.
-func AblationDelta(ctx context.Context, p DeltaParams) (*harness.DeltaResult, error) {
-	return harness.AblationDelta(ctx, p)
-}
-
-// AblationTimeout sweeps the agreement pacemaker's base timeout under an
-// outage.
-func AblationTimeout(ctx context.Context, p TimeoutParams) (*harness.TimeoutResult, error) {
-	return harness.AblationTimeout(ctx, p)
-}
