@@ -6,136 +6,102 @@
 // market charges to knock out a cache tier of hundreds or thousands of
 // nodes for a whole fetch window (the over-provisioning defense economics).
 //
-// Both pricing tables are targets × duration sweeps on the shared grid
-// engine, so adding axis values just grows the grid.
+// Both pricing tables are targets × duration grids; each cell is one
+// CostModel.PlanCost call.
 package main
 
 import (
-	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"os/signal"
 	"time"
 
 	"partialtor"
-	"partialtor/internal/attack"
 )
 
-// priced is one cell of a pricing sweep.
-type priced struct {
-	targets  int
-	window   time.Duration
-	instance float64
-	month    float64
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// costGrid prices every (targets, duration) cell of one tier's flood on
-// the sweep engine. residual is the bandwidth the attacker leaves each
-// target: the paper's authority attack floods to just below the protocol
-// requirement (250 − 10 = 240 Mbit/s of stressor traffic), a cache
-// knockout floods the whole link.
-func costGrid(ctx context.Context, m attack.CostModel, tier attack.Tier, residual float64, targets []int, windows []time.Duration) []priced {
-	grid := partialtor.MustNewSweepGrid(
-		partialtor.SweepInts("targets", targets...),
-		partialtor.SweepDurations("window", windows...),
-	)
-	results := partialtor.RunSweepParams(ctx, grid, partialtor.SweepParams{}, func(_ context.Context, c partialtor.SweepCell) (priced, error) {
-		n, d := c.Int("targets"), c.Duration("window")
-		plan := attack.Plan{
-			Tier:     tier,
-			Targets:  attack.FirstTargets(n),
-			Start:    0,
-			End:      d,
-			Residual: residual,
-		}
-		inst := m.PlanCost(plan)
-		return priced{targets: n, window: d, instance: inst, month: m.PerMonth(inst)}, nil
-	})
-	out := make([]priced, 0, len(results))
-	for _, r := range results {
-		if r.Err != nil {
-			fmt.Fprintf(os.Stderr, "attackcost: cell %s: %v\n", r.Cell, r.Err)
-			os.Exit(1)
-		}
-		out = append(out, r.Value)
-	}
-	return out
-}
-
-func printGrid(title string, rows []priced) {
-	fmt.Println(title)
-	fmt.Printf("%-9s %-10s %-14s %-14s\n", "targets", "window", "per-instance", "per-month")
-	for _, r := range rows {
-		fmt.Printf("%-9d %-10v $%-13.3f $%-13.2f\n", r.targets, r.window, r.instance, r.month)
-	}
-	fmt.Println()
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "attackcost: "+format+"\n", args...)
-	os.Exit(1)
-}
-
-// positiveInts parses a comma-separated count list and rejects values < 1.
-func positiveInts(flagName, s string) []int {
-	out, err := partialtor.ParseSweepCounts(s)
-	if err != nil {
-		fatalf("invalid -%s: %v", flagName, err)
-	}
-	return out
-}
-
-func main() {
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("attackcost", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	m := partialtor.DefaultCostModel()
 	var (
-		targets   = flag.String("targets", "5", "authority target counts to sweep (majority of 9 is 5)")
-		minutes   = flag.String("minutes", "5", "attack windows per consensus instance, minutes (fractions allowed)")
-		price     = flag.Float64("price", 0.00074, "stressor price per Mbit/s per hour ($)")
-		link      = flag.Float64("link", 250, "authority link capacity (Mbit/s)")
-		required  = flag.Float64("required", 10, "protocol bandwidth requirement (Mbit/s)")
-		caches    = flag.String("caches", "20,100,1000,5000", "cache-tier target counts to sweep")
-		cacheWin  = flag.Duration("cachewindow", time.Hour, "cache flood window (the client fetch window)")
-		cacheLink = flag.Float64("cachelink", partialtor.DefaultCostModel().CacheLinkMbit,
-			"cache link capacity (Mbit/s)")
+		targets  = fs.String("targets", "5", "authority target counts to sweep (majority of 9 is 5)")
+		minutes  = fs.String("minutes", "5", "attack windows per consensus instance, minutes (fractions allowed)")
+		caches   = fs.String("caches", "20,100,1000,5000", "cache-tier target counts to sweep")
+		cacheWin = fs.Duration("cachewindow", time.Hour, "cache flood window (the client fetch window)")
 	)
-	flag.Parse()
+	fs.Float64Var(&m.PricePerMbitHour, "price", m.PricePerMbitHour, "stressor price per Mbit/s per hour ($)")
+	fs.Float64Var(&m.AuthorityLinkMbit, "link", m.AuthorityLinkMbit, "authority link capacity (Mbit/s)")
+	fs.Float64Var(&m.RequiredMbit, "required", m.RequiredMbit, "protocol bandwidth requirement (Mbit/s)")
+	fs.Float64Var(&m.CacheLinkMbit, "cachelink", m.CacheLinkMbit, "cache link capacity (Mbit/s)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "attackcost: "+format+"\n", args...)
+		return 1
+	}
 
-	targetCounts := positiveInts("targets", *targets)
-	cacheCounts := positiveInts("caches", *caches)
+	targetCounts, err := partialtor.ParseSweepCounts(*targets)
+	if err != nil {
+		return fail("invalid -targets: %v", err)
+	}
+	cacheCounts, err := partialtor.ParseSweepCounts(*caches)
+	if err != nil {
+		return fail("invalid -caches: %v", err)
+	}
 	if *cacheWin <= 0 {
-		fatalf("invalid -cachewindow: %v must be positive", *cacheWin)
+		return fail("invalid -cachewindow: %v must be positive", *cacheWin)
 	}
 	mins, err := partialtor.ParseSweepFloats(*minutes)
 	if err != nil {
-		fatalf("invalid -minutes: %v", err)
+		return fail("invalid -minutes: %v", err)
 	}
 	var windows []time.Duration
-	for _, m := range mins {
-		if m <= 0 {
-			fatalf("invalid -minutes: window %g must be positive", m)
+	for _, w := range mins {
+		if w <= 0 {
+			return fail("invalid -minutes: window %g must be positive", w)
 		}
-		windows = append(windows, time.Duration(m*float64(time.Minute)))
+		windows = append(windows, time.Duration(w*float64(time.Minute)))
 	}
 
-	m := attack.CostModel{
-		PricePerMbitHour:  *price,
-		AuthorityLinkMbit: *link,
-		RequiredMbit:      *required,
-		CacheLinkMbit:     *cacheLink,
+	// printGrid prices every (targets, window) cell of one tier's flood.
+	// The template carries the tier and the residual bandwidth the attacker
+	// leaves each target: the paper's authority attack floods to just below
+	// the protocol requirement (250 − 10 = 240 Mbit/s of stressor traffic),
+	// a cache knockout floods the whole link.
+	printGrid := func(title string, template partialtor.AttackPlan, targets []int, windows []time.Duration) {
+		fmt.Fprintln(stdout, title)
+		fmt.Fprintf(stdout, "%-9s %-10s %-14s %-14s\n", "targets", "window", "per-instance", "per-month")
+		for _, n := range targets {
+			for _, d := range windows {
+				plan := template
+				plan.Targets, plan.End = partialtor.FirstTargets(n), d
+				inst := m.PlanCost(plan)
+				fmt.Fprintf(stdout, "%-9d %-10v $%-13.3f $%-13.2f\n", n, d, inst, m.PerMonth(inst))
+			}
+		}
+		fmt.Fprintln(stdout)
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
+
 	// The authority grid prices the paper's attack: flood each authority
 	// down to just below its protocol requirement, so with the defaults the
 	// 5-target 5-minute cell is the headline $0.074 / $53.28.
 	printGrid(
 		fmt.Sprintf("Authority-tier flood to below the %.0f Mbit/s requirement (%.0f Mbit/s links, $%.5f per Mbit/s/h):",
 			m.RequiredMbit, m.AuthorityLinkMbit, m.PricePerMbitHour),
-		costGrid(ctx, m, attack.TierAuthority, m.RequiredMbit*1e6, targetCounts, windows))
+		partialtor.AttackPlan{Tier: partialtor.TierAuthority, Residual: m.RequiredMbit * 1e6}, targetCounts, windows)
 	printGrid(
 		fmt.Sprintf("Cache-tier knockout for one %v fetch window (%.0f Mbit/s links fully flooded):", *cacheWin, m.CacheLinkMbit),
-		costGrid(ctx, m, attack.TierCache, 0, cacheCounts, []time.Duration{*cacheWin}))
+		partialtor.AttackPlan{Tier: partialtor.TierCache}, cacheCounts, []time.Duration{*cacheWin})
 
-	fmt.Printf("headline accounting: %s\n", m.Summary(5, 5*time.Minute))
-	fmt.Printf("with the paper's defaults: %s\n", partialtor.DefaultCostModel().Summary(5, 5*time.Minute))
+	fmt.Fprintf(stdout, "headline accounting: %s\n", m.Summary(5, 5*time.Minute))
+	fmt.Fprintf(stdout, "with the paper's defaults: %s\n", partialtor.DefaultCostModel().Summary(5, 5*time.Minute))
+	return 0
 }

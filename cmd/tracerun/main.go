@@ -25,8 +25,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -35,28 +37,36 @@ import (
 	"partialtor"
 )
 
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "tracerun: "+format+"\n", args...)
-	os.Exit(1)
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func main() {
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tracerun", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		protoName     = flag.String("protocol", "current", "protocol: current | synchronous | ours")
-		relays        = flag.Int("relays", 8000, "number of relays in the synthetic population")
-		bandwidthMbit = flag.Float64("bandwidth", 250, "authority access bandwidth in Mbit/s")
-		round         = flag.Duration("round", 150*time.Second, "lock-step round length (baselines)")
-		seed          = flag.Int64("seed", 1, "simulation seed")
-		noAttack      = flag.Bool("no-attack", false, "trace a healthy run instead of the flood")
-		attackStart   = flag.Duration("attack-start", 0, "flood onset")
-		attackMinutes = flag.Float64("attack-minutes", 5, "flood window length in minutes")
-		residualMbit  = flag.Float64("attack-residual", 0.5, "bandwidth left to flooded authorities (Mbit/s)")
-		tracePath     = flag.String("trace", "", "write a Chrome trace (chrome://tracing, Perfetto) to this file")
-		metricsPath   = flag.String("metrics", "", "write the event stream as JSONL to this file")
-		detect        = flag.Bool("detect", false, "run the flood detector and report detection latency")
-		events        = flag.Int("events", 1<<20, "recorder capacity (oldest events beyond it are dropped)")
+		protoName     = fs.String("protocol", "current", "protocol: current | synchronous | ours")
+		relays        = fs.Int("relays", 8000, "number of relays in the synthetic population")
+		bandwidthMbit = fs.Float64("bandwidth", 250, "authority access bandwidth in Mbit/s")
+		round         = fs.Duration("round", 150*time.Second, "lock-step round length (baselines)")
+		seed          = fs.Int64("seed", 1, "simulation seed")
+		noAttack      = fs.Bool("no-attack", false, "trace a healthy run instead of the flood")
+		attackStart   = fs.Duration("attack-start", 0, "flood onset")
+		attackMinutes = fs.Float64("attack-minutes", 5, "flood window length in minutes")
+		residualMbit  = fs.Float64("attack-residual", 0.5, "bandwidth left to flooded authorities (Mbit/s)")
+		tracePath     = fs.String("trace", "", "write a Chrome trace (chrome://tracing, Perfetto) to this file")
+		metricsPath   = fs.String("metrics", "", "write the event stream as JSONL to this file")
+		detect        = fs.Bool("detect", false, "run the flood detector and report detection latency")
+		events        = fs.Int("events", 1<<20, "recorder capacity (oldest events beyond it are dropped)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "tracerun: "+format+"\n", args...)
+		return 1
+	}
 
 	var proto partialtor.Protocol
 	switch strings.ToLower(*protoName) {
@@ -67,10 +77,10 @@ func main() {
 	case "ours", "icps", "partial":
 		proto = partialtor.ICPS
 	default:
-		fatalf("unknown protocol %q", *protoName)
+		return fail("unknown protocol %q", *protoName)
 	}
 	if *tracePath == "" && *metricsPath == "" && !*detect {
-		fatalf("nothing to do: give -trace, -metrics or -detect")
+		return fail("nothing to do: give -trace, -metrics or -detect")
 	}
 
 	// Assemble the tracer pipeline: a recorder for the export sinks, a
@@ -81,7 +91,7 @@ func main() {
 	}
 	var det *partialtor.Detector
 	if *detect {
-		det = partialtor.NewDetector(partialtor.DetectorConfig{})
+		det = partialtor.NewDetector()
 	}
 	var sinks []partialtor.Tracer
 	if rec != nil {
@@ -109,41 +119,41 @@ func main() {
 			Residual: *residualMbit * 1e6,
 		}
 		s.Attack = &plan
-		fmt.Printf("flood: %d targets, window %v..%v, residual %.2f Mbit/s\n",
+		fmt.Fprintf(stdout, "flood: %d targets, window %v..%v, residual %.2f Mbit/s\n",
 			len(plan.Targets), plan.Start, plan.End, plan.Residual/1e6)
 	}
 
-	fmt.Printf("running %v with %d relays at %.2f Mbit/s (seed %d)...\n",
+	fmt.Fprintf(stdout, "running %v with %d relays at %.2f Mbit/s (seed %d)...\n",
 		proto, *relays, *bandwidthMbit, *seed)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	res, err := partialtor.RunE(ctx, s)
 	if err != nil {
-		fatalf("%v", err)
+		return fail("%v", err)
 	}
 
 	if res.Success {
-		fmt.Printf("consensus generated, network-time latency %.1fs\n", res.Latency.Seconds())
+		fmt.Fprintf(stdout, "consensus generated, network-time latency %.1fs\n", res.Latency.Seconds())
 	} else {
-		fmt.Println("no valid consensus document this period")
+		fmt.Fprintln(stdout, "no valid consensus document this period")
 	}
 
 	if rec != nil {
 		evs := rec.Events()
 		if d := rec.Dropped(); d > 0 {
-			fmt.Fprintf(os.Stderr, "tracerun: recorder dropped %d events (raise -events)\n", d)
+			fmt.Fprintf(stderr, "tracerun: recorder dropped %d events (raise -events)\n", d)
 		}
 		if *metricsPath != "" {
 			if err := writeTo(*metricsPath, func(f *os.File) error { return rec.WriteJSONL(f) }); err != nil {
-				fatalf("writing %s: %v", *metricsPath, err)
+				return fail("writing %s: %v", *metricsPath, err)
 			}
-			fmt.Printf("metrics: %d events -> %s\n", len(evs), *metricsPath)
+			fmt.Fprintf(stdout, "metrics: %d events -> %s\n", len(evs), *metricsPath)
 		}
 		if *tracePath != "" {
 			if err := writeTo(*tracePath, func(f *os.File) error { return partialtor.WriteChromeTrace(f, evs) }); err != nil {
-				fatalf("writing %s: %v", *tracePath, err)
+				return fail("writing %s: %v", *tracePath, err)
 			}
-			fmt.Printf("trace: %d events -> %s (open in chrome://tracing or ui.perfetto.dev)\n",
+			fmt.Fprintf(stdout, "trace: %d events -> %s (open in chrome://tracing or ui.perfetto.dev)\n",
 				len(evs), *tracePath)
 		}
 	}
@@ -156,11 +166,12 @@ func main() {
 		if proto == partialtor.Current {
 			lost = 4 * *round
 		}
-		reportDetections(res, lost, *noAttack)
+		return reportDetections(stdout, res, lost, *noAttack)
 	}
-	if !res.Success && det == nil {
-		os.Exit(1)
+	if !res.Success {
+		return 1
 	}
+	return 0
 }
 
 // writeTo writes via fn to path, reporting the first error of fn and Close.
@@ -176,37 +187,38 @@ func writeTo(path string, fn func(*os.File) error) error {
 	return f.Close()
 }
 
-// reportDetections prints the detector's verdicts and exits nonzero when
-// the flood went undetected (or, on a failed run, was only detected after
-// the consensus was already lost).
-func reportDetections(res *partialtor.RunResult, lost time.Duration, noAttack bool) {
+// reportDetections prints the detector's verdicts and returns the exit
+// code: nonzero when the flood went undetected (or, on a failed run, was only
+// detected after the consensus was already lost).
+func reportDetections(w io.Writer, res *partialtor.RunResult, lost time.Duration, noAttack bool) int {
 	dets := res.Detections
 	if len(dets) == 0 {
 		if noAttack {
-			fmt.Println("detector: quiet (no attack, no false positives)")
-			return
+			fmt.Fprintln(w, "detector: quiet (no attack, no false positives)")
+			return 0
 		}
-		fmt.Println("detector: the flood went UNDETECTED")
-		os.Exit(1)
+		fmt.Fprintln(w, "detector: the flood went UNDETECTED")
+		return 1
 	}
 	first, _ := partialtor.FirstDetection(dets)
-	fmt.Printf("detector: %d signals flagged; first at %.1fs (node %d, %s, %s)\n",
+	fmt.Fprintf(w, "detector: %d signals flagged; first at %.1fs (node %d, %s, %s)\n",
 		len(dets), first.At.Seconds(), first.Node, first.Layer, first.Signal)
 	if noAttack {
-		fmt.Println("detector: FALSE POSITIVE on a healthy run")
-		os.Exit(1)
+		fmt.Fprintln(w, "detector: FALSE POSITIVE on a healthy run")
+		return 1
 	}
 	if first.Latency >= 0 {
-		fmt.Printf("detector: detection latency %.1fs after the flood began\n", first.Latency.Seconds())
+		fmt.Fprintf(w, "detector: detection latency %.1fs after the flood began\n", first.Latency.Seconds())
 	}
 	if !res.Success {
 		if first.At < lost {
-			fmt.Printf("detector: flagged %.1fs before the consensus was lost at %.1fs\n",
+			fmt.Fprintf(w, "detector: flagged %.1fs before the consensus was lost at %.1fs\n",
 				(lost - first.At).Seconds(), lost.Seconds())
 		} else {
-			fmt.Printf("detector: flagged only at %.1fs, AFTER the consensus was lost at %.1fs\n",
+			fmt.Fprintf(w, "detector: flagged only at %.1fs, AFTER the consensus was lost at %.1fs\n",
 				first.At.Seconds(), lost.Seconds())
-			os.Exit(1)
+			return 1
 		}
 	}
+	return 0
 }

@@ -30,7 +30,7 @@ func buildDocs(seed int64, relays int) ([]*sig.KeyPair, []*vote.Document) {
 	pop := relay.Population(relays, seed)
 	docs := make([]*vote.Document, n)
 	for i, k := range keys {
-		view := relay.View(pop, i, seed, relay.DefaultViewConfig())
+		view := relay.View(pop, i, seed)
 		docs[i] = vote.NewDocument(i, relay.AuthorityNames[i], k.Fingerprint, 1, view)
 		docs[i].EntryPadding = 0
 	}

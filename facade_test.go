@@ -266,26 +266,12 @@ func TestFacadeCompromisedCaches(t *testing.T) {
 	}
 }
 
-// TestFacadeNamesAreReferenced keeps the facade from regrowing: every
-// exported name of partialtor.go must be mentioned (as partialtor.Name) by a
-// file under cmd/, examples/ or benchmark/, or by an Example function of this
-// package. A name only tests use belongs to the internal package that
-// defines it.
-func TestFacadeNamesAreReferenced(t *testing.T) {
-	fset := token.NewFileSet()
-	used := map[string]bool{}
-	mentions := func(n ast.Node) {
-		ast.Inspect(n, func(n ast.Node) bool {
-			if sel, ok := n.(*ast.SelectorExpr); ok {
-				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "partialtor" {
-					used[sel.Sel.Name] = true
-				}
-			}
-			return true
-		})
-	}
-	for _, dir := range []string{"cmd", "examples", "benchmark"} {
-		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+// walkGo parses every .go file under the roots (directories or single files)
+// and hands it to visit.
+func walkGo(t *testing.T, fset *token.FileSet, visit func(path string, f *ast.File), roots ...string) {
+	t.Helper()
+	for _, root := range roots {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
 				return err
 			}
@@ -293,44 +279,50 @@ func TestFacadeNamesAreReferenced(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			mentions(f)
+			visit(filepath.ToSlash(path), f)
 			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	tests, err := filepath.Glob("*_test.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, path := range tests {
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
+}
+
+// mentions records every pkg.Name selector under n whose pkg is one of f's
+// imports, as used[import path][Name].
+func mentions(used map[string]map[string]bool, f *ast.File, n ast.Node) {
+	imports := map[string]string{}
+	for _, imp := range f.Imports {
+		path := strings.Trim(imp.Path.Value, `"`)
+		local := path[strings.LastIndex(path, "/")+1:]
+		if imp.Name != nil {
+			local = imp.Name.Name
 		}
-		for _, d := range f.Decls {
-			if fn, ok := d.(*ast.FuncDecl); ok && strings.HasPrefix(fn.Name.Name, "Example") {
-				mentions(fn)
+		imports[local] = path
+	}
+	ast.Inspect(n, func(n ast.Node) bool {
+		if sel, ok := n.(*ast.SelectorExpr); ok {
+			if pkg, ok := sel.X.(*ast.Ident); ok && imports[pkg.Name] != "" {
+				path := imports[pkg.Name]
+				if used[path] == nil {
+					used[path] = map[string]bool{}
+				}
+				used[path][sel.Sel.Name] = true
 			}
 		}
-	}
+		return true
+	})
+}
 
-	facade, err := parser.ParseFile(fset, "partialtor.go", nil, parser.SkipObjectResolution)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exported := 0
+// exportedDecls calls visit with the identifier of every exported top-level
+// func, type, var and const that f declares.
+func exportedDecls(f *ast.File, visit func(id *ast.Ident)) {
 	check := func(id *ast.Ident) {
-		if !id.IsExported() {
-			return
-		}
-		exported++
-		if !used[id.Name] {
-			t.Errorf("partialtor.%s is referenced by nothing under cmd/, examples/, benchmark/ or an Example: delete it from the facade", id.Name)
+		if id.IsExported() {
+			visit(id)
 		}
 	}
-	for _, d := range facade.Decls {
+	for _, d := range f.Decls {
 		switch d := d.(type) {
 		case *ast.FuncDecl:
 			if d.Recv == nil {
@@ -349,8 +341,151 @@ func TestFacadeNamesAreReferenced(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFacadeNamesAreReferenced keeps the facade from regrowing: every
+// exported name of partialtor.go must be mentioned (as partialtor.Name) by a
+// file under cmd/, examples/ or benchmark/, or by an Example function of this
+// package. A name only tests use belongs to the internal package that
+// defines it.
+func TestFacadeNamesAreReferenced(t *testing.T) {
+	fset := token.NewFileSet()
+	used := map[string]map[string]bool{}
+	walkGo(t, fset, func(_ string, f *ast.File) { mentions(used, f, f) }, "cmd", "examples", "benchmark")
+	tests, err := filepath.Glob("*_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	walkGo(t, fset, func(_ string, f *ast.File) {
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && strings.HasPrefix(fn.Name.Name, "Example") {
+				mentions(used, f, fn)
+			}
+		}
+	}, tests...)
+
+	facade, err := parser.ParseFile(fset, "partialtor.go", nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exported := 0
+	exportedDecls(facade, func(id *ast.Ident) {
+		exported++
+		if !used["partialtor"][id.Name] {
+			t.Errorf("partialtor.%s is referenced by nothing under cmd/, examples/, benchmark/ or an Example: delete it from the facade", id.Name)
+		}
+	})
 	if exported == 0 {
 		t.Fatal("found no exported name in partialtor.go: the test is looking in the wrong place")
+	}
+}
+
+// unreferencedOnPurpose is the allowlist of TestInternalExportsAreReferenced:
+// exported names under internal/ that no non-test file mentions, each with
+// the reason it stays. A key is "pkg.Name", or "pkg.*" for a whole package.
+//
+// Out of the guard's reach, and kept on purpose as well: the methods and
+// fields only adversarial tests turn — simnet.Network.SetDelayFilter (an
+// adversarial scheduler before GST), hotstuff.Config.Equivocator/AltPropose
+// and syncdir.Config.EquivocateLeader (Byzantine leaders).
+var unreferencedOnPurpose = map[string]string{
+	"testkit.*":             "the shared fixture package of the protocol tests",
+	"dirv3.EncodeMessage":   "wire-format reference: round-trip and fuzz tests compare Size() against it",
+	"dirv3.DecodeMessage":   "wire-format reference: round-trip and fuzz tests decode through it",
+	"syncdir.EncodeMessage": "wire-format reference: round-trip and fuzz tests compare Size() against it",
+	"syncdir.DecodeMessage": "wire-format reference: round-trip and fuzz tests decode through it",
+	"core.EncodeMessage":    "wire-format reference: round-trip and fuzz tests compare Size() against it",
+	"core.DecodeAny":        "wire-format reference: the fuzz target decodes arbitrary bytes through it",
+	"gossip.EncodeDigest":   "wire-format reference: the digest Size() the mesh charges is pinned against it",
+	"gossip.DecodeDigest":   "wire-format reference: round-trip and fuzz tests decode through it",
+	"gossip.EncodeVector":   "wire-format reference: the vector Size() the mesh charges is pinned against it",
+	"gossip.DecodeVector":   "wire-format reference: round-trip and fuzz tests decode through it",
+	"vote.ParseConsensus":   "wire-format reference: inverts Consensus.Encode in the round-trip and fuzz tests",
+	"topo.NA":               "region index of Continents(): tests place nodes by it",
+	"topo.EU":               "region index of Continents(): tests place nodes by it",
+	"topo.AS":               "region index of Continents(): tests place nodes by it",
+	"topo.SA":               "region index of Continents(): tests place nodes by it",
+	"topo.AF":               "region index of Continents(): tests place nodes by it",
+	"topo.OC":               "region index of Continents(): tests place nodes by it",
+}
+
+// TestInternalExportsAreReferenced keeps the internal surface from
+// regrowing: every exported top-level func, type, var and const under
+// internal/ must be mentioned by a non-test file of this module or of
+// benchmark/ — qualified from another package, or by name inside its own —
+// other than by its own declaration, or sit in unreferencedOnPurpose. An
+// exported name needs a non-test caller or an allowlist line with a reason.
+func TestInternalExportsAreReferenced(t *testing.T) {
+	fset := token.NewFileSet()
+	used := map[string]map[string]bool{} // import path -> names mentioned
+	type decl struct {
+		pkg string // import path
+		id  *ast.Ident
+	}
+	var decls []decl
+	walkGo(t, fset, func(path string, f *ast.File) {
+		if strings.HasSuffix(path, "_test.go") {
+			return
+		}
+		mentions(used, f, f)
+		if !strings.HasPrefix(path, "internal/") {
+			return
+		}
+		// Inside its own package a name is mentioned unqualified: count
+		// every identifier that is not a declaration, a selected member or
+		// a struct field name.
+		pkg := "partialtor/" + filepath.ToSlash(filepath.Dir(path))
+		if used[pkg] == nil {
+			used[pkg] = map[string]bool{}
+		}
+		declared := map[*ast.Ident]bool{}
+		exportedDecls(f, func(id *ast.Ident) {
+			declared[id] = true
+			decls = append(decls, decl{pkg, id})
+		})
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				declared[n.Sel] = true
+			case *ast.Field:
+				for _, id := range n.Names {
+					declared[id] = true
+				}
+			case *ast.Ident:
+				if !declared[n] {
+					used[pkg][n.Name] = true
+				}
+			}
+			return true
+		})
+	}, "partialtor.go", "cmd", "examples", "internal", "benchmark")
+	if len(decls) == 0 {
+		t.Fatal("found no exported name under internal/: the test is looking in the wrong place")
+	}
+
+	matched := map[string]bool{} // allowlist keys that name a declaration
+	for _, d := range decls {
+		short := strings.TrimPrefix(d.pkg, "partialtor/internal/")
+		key := short + "." + d.id.Name
+		if _, ok := unreferencedOnPurpose[short+".*"]; ok {
+			key = short + ".*"
+		}
+		reason, listed := unreferencedOnPurpose[key]
+		matched[key] = true
+		switch mentioned := used[d.pkg][d.id.Name]; {
+		case listed && reason == "":
+			t.Errorf("allowlist entry %s has no reason", key)
+		case listed && mentioned && !strings.HasSuffix(key, ".*"):
+			t.Errorf("%s has a non-test caller: drop it from unreferencedOnPurpose", key)
+		case !listed && !mentioned:
+			t.Errorf("%s (%s) is mentioned by no non-test file: delete it, unexport it, or allowlist it with a reason",
+				key, fset.Position(d.id.Pos()))
+		}
+	}
+	for key := range unreferencedOnPurpose {
+		if !matched[key] {
+			t.Errorf("allowlist entry %s names nothing declared under internal/", key)
+		}
 	}
 }
 

@@ -277,7 +277,7 @@ func DefaultCostModel() CostModel {
 }
 
 // CompromiseCostPerMonth prices a compromise plan: the monthly rent of every
-// compromised cache. The comparison against PlansCost/PerMonth is the
+// compromised cache. The comparison against PlanCost/PerMonth is the
 // defense economics of the mirror tier — flooding it is priced in stressor
 // Mbit-hours, subverting it in VPS-months.
 func (m CostModel) CompromiseCostPerMonth(p CompromisePlan) float64 {
@@ -359,16 +359,6 @@ func (m CostModel) MeshPartitionCost(degree int, window time.Duration, residual 
 		End:      window,
 		Residual: residual,
 	})
-}
-
-// PlansCost sums PlanCost over a slice of plans (one spec's Attacks) — the
-// price tag the sweep engine attaches to every attacked cell.
-func (m CostModel) PlansCost(plans []Plan) float64 {
-	total := 0.0
-	for i := range plans {
-		total += m.PlanCost(plans[i])
-	}
-	return total
 }
 
 // PerMonth scales a per-instance cost to the paper's monthly accounting:

@@ -241,19 +241,6 @@ func TestCacheTierFloodCostsMoreThanAuthorities(t *testing.T) {
 	}
 }
 
-func TestPlansCostSumsTiers(t *testing.T) {
-	m := DefaultCostModel()
-	a := FiveMinuteOutage(MajorityTargets(9))
-	c := Plan{Tier: TierCache, Targets: MajorityTargets(20), End: 30 * time.Minute}
-	want := m.PlanCost(a) + m.PlanCost(c)
-	if got := m.PlansCost([]Plan{a, c}); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("PlansCost %.6f, want %.6f", got, want)
-	}
-	if m.PlansCost(nil) != 0 {
-		t.Fatal("empty plan set has nonzero cost")
-	}
-}
-
 func TestFirstTargets(t *testing.T) {
 	if got := FirstTargets(3); len(got) != 3 || got[0] != 0 || got[2] != 2 {
 		t.Fatalf("FirstTargets(3) = %v", got)

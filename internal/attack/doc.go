@@ -25,7 +25,7 @@
 // one target scope, shared with faults.Fault (scope.go).
 //
 // CostModel prices all of it on one scale — stressor Mbit-hours for floods
-// (PlanCost/PlansCost/CostPerInstance), VPS-months for compromise
+// (PlanCost/CostPerInstance), VPS-months for compromise
 // (CompromiseCostPerMonth) — so every attacked sweep cell (cmd/cachesweep,
 // cmd/attackcost) carries its dollar price and the defense economics of a
 // wide mirror tier are directly comparable across attack styles.

@@ -21,7 +21,4 @@
 //     reject stale or forked documents, and turn equivocation by
 //     compromised caches into ForkProofs — DetectFork validates both sides,
 //     Culprits names the authorities that signed both.
-//
-// Links and proofs survive persistence: EncodeLinks/DecodeLinks (codec.go)
-// round-trip the evidence.
 package chain

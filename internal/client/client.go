@@ -25,8 +25,6 @@ import (
 type Policy struct {
 	// Interval is the time between consensus runs (1 hour).
 	Interval time.Duration
-	// FreshFor is how long a document is considered fresh (1 hour).
-	FreshFor time.Duration
 	// ValidFor is how long clients will still use it (3 hours).
 	ValidFor time.Duration
 }
@@ -35,7 +33,6 @@ type Policy struct {
 func DefaultPolicy() Policy {
 	return Policy{
 		Interval: time.Hour,
-		FreshFor: time.Hour,
 		ValidFor: 3 * time.Hour,
 	}
 }
@@ -101,12 +98,6 @@ func (tl *Timeline) lastSuccessBefore(t time.Duration) (Run, bool) {
 func (tl *Timeline) ValidAt(t time.Duration) bool {
 	r, ok := tl.lastSuccessBefore(t)
 	return ok && t < r.At+tl.Policy.ValidFor
-}
-
-// FreshAt reports whether the consensus at time t is still fresh.
-func (tl *Timeline) FreshAt(t time.Duration) bool {
-	r, ok := tl.lastSuccessBefore(t)
-	return ok && t < r.At+tl.Policy.FreshFor
 }
 
 // Horizon is the end of the timeline's observation window: one interval
@@ -179,13 +170,6 @@ func (tl *Timeline) Availability() float64 {
 		return 1
 	}
 	return 1 - float64(tl.DownTime())/float64(h)
-}
-
-// SustainedAttack models the paper's headline economics: every hourly run
-// from hour `firstAttacked` onward fails (five minutes of DDoS per run is
-// enough, §4). Runs before that succeed. The timeline spans `hours` runs.
-func SustainedAttack(p Policy, hours, firstAttacked int) *Timeline {
-	return HourlySchedule(p, hours, func(i int) bool { return i < firstAttacked })
 }
 
 // TraceTimeline emits the timeline's availability ground truth into a

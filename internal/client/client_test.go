@@ -8,7 +8,7 @@ import (
 
 func TestDefaultPolicy(t *testing.T) {
 	p := DefaultPolicy()
-	if p.Interval != time.Hour || p.FreshFor != time.Hour || p.ValidFor != 3*time.Hour {
+	if p.Interval != time.Hour || p.ValidFor != 3*time.Hour {
 		t.Fatalf("policy %+v", p)
 	}
 }
@@ -24,9 +24,15 @@ func TestAllRunsSucceedNoOutage(t *testing.T) {
 	if tl.FirstOutage() != -1 {
 		t.Fatalf("FirstOutage=%v", tl.FirstOutage())
 	}
-	if !tl.ValidAt(5*time.Hour) || !tl.FreshAt(30*time.Minute) {
-		t.Fatal("validity/freshness wrong on healthy timeline")
+	if !tl.ValidAt(5 * time.Hour) {
+		t.Fatal("validity wrong on healthy timeline")
 	}
+}
+
+// attackedFrom is the paper's headline schedule: every hourly run from hour
+// first onward fails (five minutes of DDoS per run is enough, §4).
+func attackedFrom(first int) func(int) bool {
+	return func(i int) bool { return i < first }
 }
 
 func TestSustainedAttackHaltsAfterThreeHours(t *testing.T) {
@@ -34,7 +40,7 @@ func TestSustainedAttackHaltsAfterThreeHours(t *testing.T) {
 	// generated at t=0 and expires 3 hours later — "a sustained lack of
 	// consensus documents for as little as three hours renders the whole
 	// network invalid" (§3.1).
-	tl := SustainedAttack(DefaultPolicy(), 12, 1)
+	tl := HourlySchedule(DefaultPolicy(), 12, attackedFrom(1))
 	first := tl.FirstOutage()
 	if first != 3*time.Hour {
 		t.Fatalf("network died at %v, want 3h", first)
@@ -53,19 +59,6 @@ func TestSustainedAttackHaltsAfterThreeHours(t *testing.T) {
 	}
 	if tl.Availability() >= 1 {
 		t.Fatal("availability did not drop")
-	}
-}
-
-func TestFreshnessTighterThanValidity(t *testing.T) {
-	tl := SustainedAttack(DefaultPolicy(), 6, 1)
-	if !tl.FreshAt(59 * time.Minute) {
-		t.Fatal("not fresh within the first hour")
-	}
-	if tl.FreshAt(90 * time.Minute) {
-		t.Fatal("fresh after one hour without a new consensus")
-	}
-	if !tl.ValidAt(90 * time.Minute) {
-		t.Fatal("invalid while within the 3h window")
 	}
 }
 
@@ -172,8 +165,8 @@ func TestQuickMoreFailuresNeverLessDowntime(t *testing.T) {
 
 func TestZeroRunsTimeline(t *testing.T) {
 	tl := NewTimeline(DefaultPolicy(), []Run{})
-	if tl.ValidAt(0) || tl.FreshAt(0) {
-		t.Fatal("validity/freshness without any run")
+	if tl.ValidAt(0) {
+		t.Fatal("validity without any run")
 	}
 	if outs := tl.Outages(); len(outs) != 0 {
 		t.Fatalf("outage windows on an empty observation span: %v", outs)
@@ -199,7 +192,7 @@ func TestAllFailedRunsSingleFullOutage(t *testing.T) {
 	if tl.DownTime() != tl.Horizon() {
 		t.Fatalf("downtime %v != horizon %v", tl.DownTime(), tl.Horizon())
 	}
-	if tl.ValidAt(0) || tl.FreshAt(tl.Horizon()-time.Nanosecond) {
+	if tl.ValidAt(0) || tl.ValidAt(tl.Horizon()-time.Nanosecond) {
 		t.Fatal("document considered usable despite universal failure")
 	}
 }
@@ -239,9 +232,9 @@ func TestSustainedAttackWindowsMatchValidForCutoff(t *testing.T) {
 	// The availability windows under a sustained attack must track the
 	// ValidFor lifetime exactly, whatever its value.
 	for _, validFor := range []time.Duration{2 * time.Hour, 3 * time.Hour, 5 * time.Hour} {
-		p := Policy{Interval: time.Hour, FreshFor: time.Hour, ValidFor: validFor}
+		p := Policy{Interval: time.Hour, ValidFor: validFor}
 		const hours = 12
-		tl := SustainedAttack(p, hours, 2) // hours 0,1 succeed, rest attacked
+		tl := HourlySchedule(p, hours, attackedFrom(2)) // hours 0,1 succeed, rest attacked
 		outs := tl.Outages()
 		if len(outs) != 1 {
 			t.Fatalf("ValidFor=%v: outages %v", validFor, outs)

@@ -547,9 +547,6 @@ func (a *Authority) Done() bool { return a.done }
 // DoneAt returns when it did (simnet.Never otherwise).
 func (a *Authority) DoneAt() time.Duration { return a.doneAt }
 
-// ReadyAt returns when dissemination became ready.
-func (a *Authority) ReadyAt() time.Duration { return a.readyAt }
-
 // DecidedAt returns when agreement decided.
 func (a *Authority) DecidedAt() time.Duration { return a.decidedAt }
 
@@ -562,9 +559,6 @@ func (a *Authority) DecidedView() int { return a.hs.DecidedView() }
 // Consensus returns the aggregated consensus document, if computed.
 func (a *Authority) Consensus() *vote.Consensus { return a.consensus }
 
-// ConsensusDigest returns the digest the authority signed.
-func (a *Authority) ConsensusDigest() sig.Digest { return a.consDigest }
-
 // OutputVector returns X_i: the agreed per-authority document digests
 // (zero = ⊥), or nil before decision.
 func (a *Authority) OutputVector() []sig.Digest {
@@ -573,6 +567,3 @@ func (a *Authority) OutputVector() []sig.Digest {
 	}
 	return a.decided.DigestVector()
 }
-
-// HeldDocuments returns how many documents the authority holds.
-func (a *Authority) HeldDocuments() int { return len(a.docs) }

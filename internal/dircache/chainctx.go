@@ -36,9 +36,6 @@ type ChainContext struct {
 	ForkSigners []int
 }
 
-// HasFork reports whether fork material is present.
-func (c *ChainContext) HasFork() bool { return len(c.Fork.Sigs) > 0 }
-
 // SynthChain builds deterministic chain material for a standalone
 // distribution run: the same seeded authority keys the protocol harness uses
 // (sig.Authorities), a previous-epoch link, the current epoch's genuine link

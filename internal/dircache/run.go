@@ -248,17 +248,13 @@ func splitClients(tp topo.Topology, fleetRegions []topo.Region, fleets, clients 
 	for _, r := range fleetRegions {
 		perRegion[r]++
 	}
-	// Region shares are not exposed directly; recover each region's share
-	// of a large placed tier, which is proportional by construction.
-	const probe = 1 << 16
-	regionShare := make([]float64, tp.NumRegions())
-	for i := 0; i < probe; i++ {
-		regionShare[tp.Place(i, probe)]++
-	}
+	// A region's share of the population is its share of a large placed
+	// tier, which is proportional by construction.
+	regionShare := tp.RegionCounts(1 << 16)
 	w := make([]float64, fleets)
 	total := 0.0
 	for i, r := range fleetRegions {
-		w[i] = regionShare[r] / float64(perRegion[r])
+		w[i] = float64(regionShare[r]) / float64(perRegion[r])
 		total += w[i]
 	}
 	if total <= 0 {

@@ -405,12 +405,6 @@ func (a *Authority) finish(ctx *simnet.Context) {
 	}
 }
 
-// Succeeded reports whether this authority published a valid consensus.
-func (a *Authority) Succeeded() bool { return a.succeeded }
-
-// Votes returns how many votes the authority held at collection time.
-func (a *Authority) Votes() int { return len(a.votes) }
-
 // --- results ---
 
 // Result summarizes one protocol run.

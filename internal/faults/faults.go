@@ -120,9 +120,6 @@ func (f *Fault) Validate() error {
 // IsTarget reports whether the fault hits the tier-relative node index.
 func (f *Fault) IsTarget(index int) bool { return attack.InScope(f.targets, f.Targets, index) }
 
-// Duration returns the window length.
-func (f *Fault) Duration() time.Duration { return f.End - f.Start }
-
 // Throttle applies the fault's capacity effect to one node's pipes. It is
 // a no-op for non-targets and for kinds without a capacity effect
 // (Partition breaks reachability, not links). The index is tier-relative.

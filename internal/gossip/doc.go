@@ -17,7 +17,9 @@
 //     peers, a peer that is behind pulls the document (or the diff when it
 //     is exactly one epoch back), and a periodic anti-entropy round
 //     exchanges epoch vectors with one peer at a time so partitioned mirrors
-//     converge after the partition heals. SelectPeers, the per-round peer
+//     converge after the partition heals. The schedule (TTL, PushInterval,
+//     PushRounds, AntiEntropyInterval) is constant; Config carries what
+//     runs actually vary: Fanout, Degree and Seeds. SelectPeers, the per-round peer
 //     selection, is the hot path: it draws from the caller's seeded RNG into
 //     an engine-owned scratch slice and never allocates.
 //

@@ -6,6 +6,21 @@ import (
 	"time"
 )
 
+// The mesh's schedule. Every run uses these values, so they are constants
+// rather than Config fields.
+const (
+	// TTL is the hop budget on relayed digests: an announcement travels at
+	// most TTL hops from its origin.
+	TTL = 4
+	// PushInterval spaces a holder's repeated digest announcements;
+	// PushRounds bounds how many it sends.
+	PushInterval = 30 * time.Second
+	PushRounds   = 3
+	// AntiEntropyInterval is the cadence of the epoch-vector reconciliation
+	// rounds.
+	AntiEntropyInterval = time.Minute
+)
+
 // Config tunes the dissemination mesh. The zero value of every field selects
 // the default; Fanout may be set negative to mean "no push at all" (the mesh
 // then converges through anti-entropy alone).
@@ -13,20 +28,10 @@ type Config struct {
 	// Fanout is how many peers a node pushes a digest to per round
 	// (default 3; negative for none).
 	Fanout int
-	// TTL is the hop budget on relayed digests: an announcement travels at
-	// most TTL hops from its origin (default 4).
-	TTL int
 	// Degree is the minimum mesh degree: every node gets its two ring
 	// neighbours plus random links until it has Degree peers (default 4,
 	// floor 2, capped at n-1).
 	Degree int
-	// PushInterval spaces a holder's repeated digest announcements
-	// (default 30s); PushRounds bounds how many it sends (default 3).
-	PushInterval time.Duration
-	PushRounds   int
-	// AntiEntropyInterval is the cadence of the epoch-vector reconciliation
-	// rounds (default 60s).
-	AntiEntropyInterval time.Duration
 	// Seeds are cache indices that already hold the current consensus at
 	// t=0 — the surviving publications an authority flood cannot take back.
 	Seeds []int
@@ -39,42 +44,17 @@ func (c Config) WithDefaults() Config {
 	} else if c.Fanout < 0 {
 		c.Fanout = 0
 	}
-	if c.TTL == 0 {
-		c.TTL = 4
-	}
 	if c.Degree == 0 {
 		c.Degree = 4
 	}
 	if c.Degree < 2 {
 		c.Degree = 2
 	}
-	if c.PushInterval == 0 {
-		c.PushInterval = 30 * time.Second
-	}
-	if c.PushRounds == 0 {
-		c.PushRounds = 3
-	}
-	if c.AntiEntropyInterval == 0 {
-		c.AntiEntropyInterval = time.Minute
-	}
 	return c
 }
 
 // Validate rejects configs the mesh cannot run over a tier of n caches.
 func (c Config) Validate(n int) error {
-	c0 := c.WithDefaults()
-	if c.TTL < 0 {
-		return fmt.Errorf("gossip: negative TTL %d", c.TTL)
-	}
-	if c0.TTL > 255 {
-		return fmt.Errorf("gossip: TTL %d exceeds the one-byte hop budget", c0.TTL)
-	}
-	if c.PushRounds < 0 {
-		return fmt.Errorf("gossip: negative push rounds %d", c.PushRounds)
-	}
-	if c.PushInterval < 0 || c.AntiEntropyInterval < 0 {
-		return fmt.Errorf("gossip: negative interval")
-	}
 	for _, s := range c.Seeds {
 		if s < 0 || s >= n {
 			return fmt.Errorf("gossip: seed cache %d beyond the %d-cache tier", s, n)
@@ -111,10 +91,6 @@ func NewEngine(self int, peers []int) *Engine {
 
 // Self returns the node's own mesh index.
 func (e *Engine) Self() int { return e.self }
-
-// Peers returns the node's mesh neighbours (not a copy; callers must not
-// mutate it).
-func (e *Engine) Peers() []int { return e.peers }
 
 // SetPeers replaces the node's mesh neighbours after a membership change
 // (churned mirrors leaving or rejoining). The anti-entropy cursor is kept:

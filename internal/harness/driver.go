@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -108,19 +107,6 @@ func DriverFor(p Protocol) (Driver, error) {
 		return nil, fmt.Errorf("harness: no driver registered for protocol %d", int(p))
 	}
 	return d, nil
-}
-
-// Protocols lists every registered protocol in ascending order — the
-// iteration set for "run this scenario on every known protocol" sweeps.
-func Protocols() []Protocol {
-	registry.mu.RLock()
-	out := make([]Protocol, 0, len(registry.m))
-	for p := range registry.m {
-		out = append(out, p)
-	}
-	registry.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // driverName resolves a registered protocol's display name, or "".

@@ -112,14 +112,3 @@ func Fig10Lookup(cells []Fig10Cell, proto Protocol, mbit float64, relays int) (F
 	}
 	return Fig10Cell{}, false
 }
-
-// Fig10FailureThreshold returns the first relay count of the sweep at which
-// the protocol fails for the given bandwidth, or 0 if it never fails.
-func Fig10FailureThreshold(cells []Fig10Cell, proto Protocol, mbit float64) int {
-	for _, c := range cells {
-		if c.Protocol == proto && c.BandwidthMbit == mbit && !c.Success {
-			return c.Relays
-		}
-	}
-	return 0
-}

@@ -451,7 +451,7 @@ func TestGoldenCorpusTracingNeutral(t *testing.T) {
 			name := fmt.Sprintf("%s/seed1/%s", p, kind)
 			t.Run(name, func(t *testing.T) {
 				rec := obs.NewRecorder(0)
-				tracer := obs.Tee(rec, obs.NewDetector(obs.DetectorConfig{}))
+				tracer := obs.Tee(rec, obs.NewDetector())
 				got := goldenDigest(t, p, 1, kind, tracer)
 				if want := goldenKernelDigests[name]; got != want {
 					t.Errorf("recording tracer perturbed the kernel for %s:\n  got  %s\n  want %s", name, got, want)

@@ -151,12 +151,12 @@ func TestFigure10ShapeScaled(t *testing.T) {
 		}
 	}
 	// Failure thresholds are ordered: synchronous collapses first.
-	syncTh := Fig10FailureThreshold(r.Rows, Synchronous, 10)
-	curTh := Fig10FailureThreshold(r.Rows, Current, 10)
+	syncTh := fig10FailureThreshold(r.Rows, Synchronous, 10)
+	curTh := fig10FailureThreshold(r.Rows, Current, 10)
 	if syncTh == 0 || (curTh != 0 && syncTh > curTh) {
 		t.Fatalf("thresholds: sync=%d current=%d; want sync ≤ current", syncTh, curTh)
 	}
-	if Fig10FailureThreshold(r.Rows, ICPS, 10) != 0 {
+	if fig10FailureThreshold(r.Rows, ICPS, 10) != 0 {
 		t.Fatal("ICPS has a failure threshold at 10 Mbit/s")
 	}
 	// Latency grows with relay count for the successful ICPS cells.
@@ -355,4 +355,15 @@ func TestParallelSweepByteIdentical(t *testing.T) {
 	if serial, parallel := fig11(1), fig11(8); serial != parallel {
 		t.Fatalf("Figure 11 diverged between serial and 8-worker runs:\n%s\nvs\n%s", serial, parallel)
 	}
+}
+
+// fig10FailureThreshold returns the first relay count of the sweep at which
+// the protocol fails for the given bandwidth, or 0 if it never fails.
+func fig10FailureThreshold(cells []Fig10Cell, proto Protocol, mbit float64) int {
+	for _, c := range cells {
+		if c.Protocol == proto && c.BandwidthMbit == mbit && !c.Success {
+			return c.Relays
+		}
+	}
+	return 0
 }

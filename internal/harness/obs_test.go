@@ -22,7 +22,7 @@ func TestRunSurfacesDetections(t *testing.T) {
 		Residual: 0.5e6,
 	}
 	rec := obs.NewRecorder(1 << 18)
-	det := obs.NewDetector(obs.DetectorConfig{})
+	det := obs.NewDetector()
 	res := mustRun(t, Scenario{
 		Protocol:     Current,
 		Relays:       300,
@@ -60,7 +60,7 @@ func TestRunSurfacesDetections(t *testing.T) {
 // TestRunNoFalsePositives pins the detector's other half: a healthy run of
 // the same scenario must not flag anything.
 func TestRunNoFalsePositives(t *testing.T) {
-	det := obs.NewDetector(obs.DetectorConfig{})
+	det := obs.NewDetector()
 	res := mustRun(t, Scenario{
 		Protocol:     Current,
 		Relays:       300,

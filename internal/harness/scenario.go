@@ -246,7 +246,7 @@ func Inputs(s Scenario) ([]*sig.KeyPair, []*vote.Document) {
 		pop := relay.Population(s.Relays, s.Seed)
 		e.docs = make([]*vote.Document, s.N)
 		for i, k := range e.keys {
-			view := relay.View(pop, i, s.Seed, relay.DefaultViewConfig())
+			view := relay.View(pop, i, s.Seed)
 			name := fmt.Sprintf("auth%d", i)
 			if i < len(relay.AuthorityNames) {
 				name = relay.AuthorityNames[i]

@@ -5,55 +5,32 @@ import (
 	"time"
 )
 
-// DetectorConfig tunes the Danner-style detector. The zero value selects
-// the defaults noted per field.
-type DetectorConfig struct {
-	// Window is the rolling baseline length in samples (default 30). At
-	// the kernel's one-second sample cadence that is a 30-second memory —
-	// long enough to absorb a protocol round's burstiness, short enough
-	// that a five-minute flood dominates it.
-	Window int
-	// K is the deviation threshold in standard deviations (default 3).
-	K float64
-	// M is how many consecutive deviating samples flag an attack
-	// (default 3) — a single queued burst is normal, a sustained one is
-	// not.
-	M int
-	// MinSamples is the minimum baseline size before any flagging
-	// (default 10): a victim needs to have seen healthy traffic to know
-	// what unhealthy looks like.
-	MinSamples int
-	// QueueFloor is the standard-deviation floor for the queue-depth
-	// signal (default 2 transfers). An idle pipe's baseline is all zeros
-	// with zero variance; without a floor the first queued message would
-	// be an "attack".
-	QueueFloor float64
-	// RateFloor is the standard-deviation floor for the throughput signal
-	// in bits per sample (default 1e6).
-	RateFloor float64
-}
-
-func (c DetectorConfig) withDefaults() DetectorConfig {
-	if c.Window <= 0 {
-		c.Window = 30
-	}
-	if c.K == 0 {
-		c.K = 3
-	}
-	if c.M <= 0 {
-		c.M = 3
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 10
-	}
-	if c.QueueFloor == 0 {
-		c.QueueFloor = 2
-	}
-	if c.RateFloor == 0 {
-		c.RateFloor = 1e6
-	}
-	return c
-}
+// The Danner-style detector's tuning. Every run uses these values, so they
+// are constants rather than configuration.
+const (
+	// detWindow is the rolling baseline length in samples. At the kernel's
+	// one-second sample cadence that is a 30-second memory — long enough to
+	// absorb a protocol round's burstiness, short enough that a five-minute
+	// flood dominates it.
+	detWindow = 30
+	// detK is the deviation threshold in standard deviations.
+	detK = 3.0
+	// detM is how many consecutive deviating samples flag an attack — a
+	// single queued burst is normal, a sustained one is not.
+	detM = 3
+	// detMinSamples is the minimum baseline size before any flagging: a
+	// victim needs to have seen healthy traffic to know what unhealthy
+	// looks like.
+	detMinSamples = 10
+	// detQueueFloor is the standard-deviation floor for the queue-depth
+	// signal, in transfers. An idle pipe's baseline is all zeros with zero
+	// variance; without a floor the first queued message would be an
+	// "attack".
+	detQueueFloor = 2.0
+	// detRateFloor is the standard-deviation floor for the throughput
+	// signal in bits per sample.
+	detRateFloor = 1e6
+)
 
 // Detection is one flagged attack onset, reported from the victim's chair:
 // the node saw its own pipes deviate from their rolling baseline, without
@@ -74,8 +51,8 @@ type Detection struct {
 
 // Detector consumes the metrics stream as a Tracer and flags attack onsets
 // Danner-style: per node and pipe direction it keeps a rolling baseline
-// (mean/std over the last Window samples) of queue depth and throughput,
-// and flags when M consecutive samples deviate by more than K standard
+// (mean/std over the last detWindow samples) of queue depth and throughput,
+// and flags when detM consecutive samples deviate by more than detK standard
 // deviations — queue depth deviating high, throughput deviating low while
 // the pipe's queue shows demand. Each (node, direction, signal) flags at
 // most once; detection latency is measured against the EvAttackOn events
@@ -84,7 +61,6 @@ type Detection struct {
 // Like every Tracer, a Detector observes without perturbing: it keeps all
 // state internally and never touches the simulation.
 type Detector struct {
-	cfg    DetectorConfig
 	states map[detKey]*baseline
 	onsets []Event
 	dets   []Detection
@@ -144,9 +120,9 @@ func (b *baseline) push(x float64) {
 	}
 }
 
-// NewDetector builds a detector (zero cfg = defaults).
-func NewDetector(cfg DetectorConfig) *Detector {
-	return &Detector{cfg: cfg.withDefaults(), states: make(map[detKey]*baseline)}
+// NewDetector builds a detector.
+func NewDetector() *Detector {
+	return &Detector{states: make(map[detKey]*baseline)}
 }
 
 // Event feeds one trace event into the detector. Only EvPipeSample and
@@ -157,8 +133,8 @@ func (d *Detector) Event(ev Event) {
 	case EvAttackOn:
 		d.onsets = append(d.onsets, ev)
 	case EvPipeSample:
-		d.sample(ev, 0, float64(ev.A), d.cfg.QueueFloor, false)
-		d.sample(ev, 1, float64(ev.B), d.cfg.RateFloor, true)
+		d.sample(ev, 0, float64(ev.A), detQueueFloor, false)
+		d.sample(ev, 1, float64(ev.B), detRateFloor, true)
 	}
 }
 
@@ -170,21 +146,21 @@ func (d *Detector) sample(ev Event, signal uint8, x, floor float64, low bool) {
 	key := detKey{layer: ev.Layer, node: ev.Node, dir: ev.Label, signal: signal}
 	b := d.states[key]
 	if b == nil {
-		b = &baseline{win: make([]float64, d.cfg.Window)}
+		b = &baseline{win: make([]float64, detWindow)}
 		d.states[key] = b
 	}
-	if b.count() >= d.cfg.MinSamples && !b.flagged {
+	if b.count() >= detMinSamples && !b.flagged {
 		mean, std := b.meanStd()
 		if std < floor {
 			std = floor
 		}
-		deviates := x > mean+d.cfg.K*std
+		deviates := x > mean+detK*std
 		if low {
-			deviates = x < mean-d.cfg.K*std && ev.A > 0
+			deviates = x < mean-detK*std && ev.A > 0
 		}
 		if deviates {
 			b.streak++
-			if b.streak >= d.cfg.M {
+			if b.streak >= detM {
 				b.flagged = true
 				d.flag(ev, signal)
 			}

@@ -97,7 +97,7 @@ func TestTeeFansOutAndDropsNils(t *testing.T) {
 }
 
 func TestTeeAndWithLayerForwardDetections(t *testing.T) {
-	det := NewDetector(DetectorConfig{})
+	det := NewDetector()
 	det.dets = append(det.dets, Detection{Node: 3})
 	wrapped := WithLayer(Tee(NewRecorder(4), det), "consensus")
 	ds, ok := wrapped.(DetectionSource)
@@ -185,8 +185,8 @@ func TestChromeTraceDeterministic(t *testing.T) {
 
 // detectorFeed pushes n baseline samples then m attack samples for one
 // node/pipe and returns the detections.
-func detectorFeed(cfg DetectorConfig, baseline, flood int64, n, m int) []Detection {
-	d := NewDetector(cfg)
+func detectorFeed(baseline, flood int64, n, m int) []Detection {
+	d := NewDetector()
 	at := time.Duration(0)
 	for i := 0; i < n; i++ {
 		at += time.Second
@@ -201,7 +201,7 @@ func detectorFeed(cfg DetectorConfig, baseline, flood int64, n, m int) []Detecti
 }
 
 func TestDetectorFlagsSustainedQueueGrowth(t *testing.T) {
-	dets := detectorFeed(DetectorConfig{}, 1, 40, 30, 10)
+	dets := detectorFeed(1, 40, 30, 10)
 	if len(dets) != 1 {
 		t.Fatalf("got %d detections, want exactly 1 (each signal flags once)", len(dets))
 	}
@@ -220,13 +220,13 @@ func TestDetectorFlagsSustainedQueueGrowth(t *testing.T) {
 }
 
 func TestDetectorQuietOnSteadyTraffic(t *testing.T) {
-	if dets := detectorFeed(DetectorConfig{}, 2, 2, 30, 30); len(dets) != 0 {
+	if dets := detectorFeed(2, 2, 30, 30); len(dets) != 0 {
 		t.Fatalf("steady traffic flagged: %v", dets)
 	}
 }
 
 func TestDetectorIgnoresSingleBurst(t *testing.T) {
-	d := NewDetector(DetectorConfig{})
+	d := NewDetector()
 	at := time.Duration(0)
 	for i := 0; i < 30; i++ {
 		at += time.Second
@@ -242,7 +242,7 @@ func TestDetectorIgnoresSingleBurst(t *testing.T) {
 }
 
 func TestDetectorThroughputCollapseNeedsDemand(t *testing.T) {
-	d := NewDetector(DetectorConfig{})
+	d := NewDetector()
 	at := time.Duration(0)
 	// Healthy baseline: pipe moves ~80 Mbit per sample with a busy queue.
 	for i := 0; i < 30; i++ {
@@ -269,7 +269,7 @@ func TestDetectorThroughputCollapseNeedsDemand(t *testing.T) {
 	}
 
 	// An idle pipe moving nothing must NOT flag: no demand, no attack.
-	idle := NewDetector(DetectorConfig{})
+	idle := NewDetector()
 	at = 0
 	for i := 0; i < 30; i++ {
 		at += time.Second
@@ -290,7 +290,7 @@ func TestDetectorNeedsMinSamples(t *testing.T) {
 	// Only 5 baseline samples (< MinSamples 10): the flood must not flag —
 	// a victim that has seen no healthy traffic has no baseline to deviate
 	// from — until enough samples accumulate.
-	d := NewDetector(DetectorConfig{})
+	d := NewDetector()
 	at := time.Duration(0)
 	for i := 0; i < 5; i++ {
 		at += time.Second

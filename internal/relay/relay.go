@@ -30,15 +30,13 @@ const (
 	FlagExit
 	FlagHSDir
 	FlagV2Dir
-	FlagAuthority
-	FlagBadExit
 
-	flagCount = 10
+	flagCount = 8
 )
 
 var flagNames = [flagCount]string{
 	"Running", "Valid", "Fast", "Stable", "Guard",
-	"Exit", "HSDir", "V2Dir", "Authority", "BadExit",
+	"Exit", "HSDir", "V2Dir",
 }
 
 // AllFlags lists every individual flag in canonical order.
@@ -197,37 +195,32 @@ func Population(n int, seed int64) []Descriptor {
 	return out
 }
 
-// ViewConfig controls how an authority's view of the population is
-// perturbed relative to ground truth.
-type ViewConfig struct {
-	DropRate      float64 // probability a relay is missing from the view
-	FlagFlipRate  float64 // probability one votable flag is toggled
-	MeasureJitter float64 // relative jitter applied to Measured
-	MeasureRate   float64 // probability this authority measured the relay
-}
-
-// DefaultViewConfig mirrors the mild disagreement between live authorities.
-func DefaultViewConfig() ViewConfig {
-	return ViewConfig{DropRate: 0.01, FlagFlipRate: 0.02, MeasureJitter: 0.10, MeasureRate: 0.85}
-}
+// How an authority's view of the population is perturbed relative to
+// ground truth: the mild disagreement between live authorities.
+const (
+	viewDropRate      = 0.01 // probability a relay is missing from the view
+	viewFlagFlipRate  = 0.02 // probability one votable flag is toggled
+	viewMeasureJitter = 0.10 // relative jitter applied to Measured
+	viewMeasureRate   = 0.85 // probability this authority measured the relay
+)
 
 // View derives authority `auth`'s perturbed copy of the population. The
 // result is sorted by identity, as votes list relays in fingerprint order.
-func View(pop []Descriptor, auth int, seed int64, cfg ViewConfig) []Descriptor {
+func View(pop []Descriptor, auth int, seed int64) []Descriptor {
 	rng := rand.New(rand.NewSource(seed*1000003 + int64(auth)))
 	out := make([]Descriptor, 0, len(pop))
 	votable := []Flags{FlagFast, FlagStable, FlagGuard, FlagExit, FlagHSDir, FlagV2Dir}
 	for _, d := range pop {
-		if rng.Float64() < cfg.DropRate {
+		if rng.Float64() < viewDropRate {
 			continue
 		}
 		c := d.Clone()
-		if rng.Float64() < cfg.FlagFlipRate {
+		if rng.Float64() < viewFlagFlipRate {
 			c.Flags ^= votable[rng.Intn(len(votable))]
 		}
-		if rng.Float64() < cfg.MeasureRate {
+		if rng.Float64() < viewMeasureRate {
 			c.HasMeasured = true
-			j := 1 + (rng.Float64()*2-1)*cfg.MeasureJitter
+			j := 1 + (rng.Float64()*2-1)*viewMeasureJitter
 			c.Measured = uint64(float64(d.Measured) * j)
 			if c.Measured == 0 {
 				c.Measured = 1

@@ -11,7 +11,7 @@ func TestFlagsStringRoundTrip(t *testing.T) {
 		0,
 		FlagRunning,
 		FlagRunning | FlagValid | FlagFast,
-		FlagGuard | FlagExit | FlagHSDir | FlagBadExit,
+		FlagGuard | FlagExit | FlagHSDir | FlagV2Dir,
 	}
 	for _, f := range cases {
 		got, err := ParseFlags(f.String())
@@ -89,9 +89,8 @@ func TestPopulationInvariants(t *testing.T) {
 
 func TestViewPerturbation(t *testing.T) {
 	pop := Population(1000, 3)
-	cfg := DefaultViewConfig()
-	v0 := View(pop, 0, 3, cfg)
-	v0again := View(pop, 0, 3, cfg)
+	v0 := View(pop, 0, 3)
+	v0again := View(pop, 0, 3)
 	if len(v0) != len(v0again) {
 		t.Fatal("View not deterministic in size")
 	}
@@ -101,12 +100,12 @@ func TestViewPerturbation(t *testing.T) {
 		}
 	}
 	if len(v0) == len(pop) {
-		t.Fatal("view dropped no relays; DropRate ineffective")
+		t.Fatal("view dropped no relays; viewDropRate ineffective")
 	}
 	if len(v0) < int(0.95*float64(len(pop))) {
 		t.Fatalf("view dropped too many relays: %d of %d", len(v0), len(pop))
 	}
-	v1 := View(pop, 1, 3, cfg)
+	v1 := View(pop, 1, 3)
 	diff := 0
 	// Compare overlapping identities' flags.
 	byID := make(map[Identity]Descriptor, len(v0))

@@ -27,7 +27,7 @@ func BenchmarkPipeConcurrentTransfers(b *testing.B) {
 		done := 0
 		s.At(0, func() {
 			for j := 0; j < 64; j++ {
-				p.enqueue(int64(1000+j*100), 0, func(time.Duration) { done++ })
+				p.enqueue(int64(1000+j*100), doneFunc(func(time.Duration) { done++ }))
 			}
 		})
 		s.Run()
@@ -47,7 +47,7 @@ func BenchmarkPipeThrottledTransfer(b *testing.B) {
 		s := NewScheduler()
 		p := newPipe(s, prof)
 		var doneAt time.Duration
-		s.At(0, func() { p.enqueue(50_000_000, 0, func(at time.Duration) { doneAt = at }) })
+		s.At(0, func() { p.enqueue(50_000_000, doneFunc(func(at time.Duration) { doneAt = at })) })
 		s.Run()
 		if doneAt == 0 {
 			b.Fatal("transfer never completed")
@@ -68,10 +68,10 @@ func BenchmarkPipeFloodFanIn(b *testing.B) {
 		s := NewScheduler()
 		p := newPipe(s, prof)
 		done := 0
-		cb := func(time.Duration) { done++ }
+		cb := doneFunc(func(time.Duration) { done++ })
 		s.At(0, func() {
 			for j := 0; j < fanIn; j++ {
-				p.enqueue(int64(2_000+j*37), 0, cb)
+				p.enqueue(int64(2_000+j*37), cb)
 			}
 		})
 		s.Run()
@@ -81,16 +81,16 @@ func BenchmarkPipeFloodFanIn(b *testing.B) {
 	}
 }
 
-func TestPipeUniformCapFastPathAllocFree(t *testing.T) {
-	// The equal-share fast path must be allocation-free once the pipe's
-	// scratch is warm: water-filling, completion planning and mid-segment
+func TestPipeEqualShareAllocFree(t *testing.T) {
+	// The fluid model must be allocation-free once the pipe's scratch is
+	// warm: share computation, completion planning and mid-segment
 	// accounting may not allocate per step, whatever the fan-in.
 	s := NewScheduler()
 	p := newPipe(s, NewProfile(1e6))
-	cb := func(time.Duration) {}
+	cb := doneFunc(func(time.Duration) {})
 	s.At(0, func() {
 		for j := 0; j < 128; j++ {
-			p.enqueue(1_000_000, 0, cb)
+			p.enqueue(1_000_000, cb)
 		}
 	})
 	s.RunUntil(0)
@@ -107,7 +107,7 @@ func TestPipeUniformCapFastPathAllocFree(t *testing.T) {
 		p.advance(now) // mid-transfer: drains bits, completes nothing
 		now += time.Millisecond
 	}); allocs != 0 {
-		t.Fatalf("uniform-cap fast path allocated %.1f times per step, want 0", allocs)
+		t.Fatalf("equal-share pipe allocated %.1f times per step, want 0", allocs)
 	}
 }
 

@@ -89,19 +89,6 @@ func TestNetworkDoubleStartPanics(t *testing.T) {
 	net.Start()
 }
 
-func TestTracerSeesSendAndDeliver(t *testing.T) {
-	net, a, _ := twoNodeNet(t, 1e6, 0)
-	a.onStart = func(ctx *Context) { ctx.Send(1, testMsg{size: 10, kind: "t"}) }
-	var events []string
-	net.SetTracer(func(ev string, at time.Duration, from, to NodeID, m Message) {
-		events = append(events, ev)
-	})
-	net.Run(time.Second)
-	if len(events) != 2 || events[0] != "send" || events[1] != "deliver" {
-		t.Fatalf("events=%v", events)
-	}
-}
-
 func TestZeroSizeMessageDelivered(t *testing.T) {
 	net, a, b := twoNodeNet(t, 1e6, 0)
 	a.onStart = func(ctx *Context) { ctx.Send(1, testMsg{size: 0, kind: "ping"}) }

@@ -19,9 +19,6 @@ type Config struct {
 	// places it in region 0. Nil selects the flat model: every pair's delay
 	// is sampled uniformly in [20ms, 150ms).
 	Topology topo.Topology
-	// LinkRate returns a per-transfer rate cap in bits/s between a pair
-	// (<= 0 means uncapped; only the access pipes then limit throughput).
-	LinkRate func(from, to NodeID) float64
 	// Overhead is added to every message's size, modelling framing/headers.
 	Overhead int64
 	// Seed drives all randomness (latency sampling, protocol RNG).
@@ -72,17 +69,14 @@ type Network struct {
 	delay   func(from, to NodeID, m Message) time.Duration
 	stats   Stats
 	started bool
-	tracer  func(ev string, at time.Duration, from, to NodeID, m Message)
 
 	// obs is the typed event tracer (nil = tracing disabled). Every emit
 	// site guards on the nil check, so the disabled path costs one branch.
 	obs obs.Tracer
 	// obsID numbers traced transfers so a start/end pair can be correlated;
 	// it only advances while obs is installed.
-	obsID int64
-	// sampleEvery is the metrics sample cadence (default one second).
-	sampleEvery time.Duration
-	sampleFn    func() // bound once; the sampler reschedules without allocating
+	obsID    int64
+	sampleFn func() // bound once; the sampler reschedules without allocating
 
 	// freeTransit is the pool of transit records: one value carries a
 	// message across its three legs (uplink, latency, downlink), and is
@@ -182,10 +176,6 @@ func (n *Network) NodeBytesSent(id NodeID) int64 { return n.nodes[id].sent }
 // NodeBytesReceived returns the bytes node id has received.
 func (n *Network) NodeBytesReceived(id NodeID) int64 { return n.nodes[id].received }
 
-// NodeRegion returns the region node id was placed in (0 unless AddNodeIn
-// said otherwise).
-func (n *Network) NodeRegion(id NodeID) topo.Region { return n.nodes[id].region }
-
 // AddNode registers a handler with its uplink/downlink capacity profiles and
 // returns its id. All nodes must be added before Start. The node lives in
 // region 0; runners placing nodes in a topology use AddNodeIn.
@@ -224,11 +214,6 @@ func (n *Network) SetDropFilter(f func(from, to NodeID, m Message) bool) { n.dro
 // adversarial scheduler before GST).
 func (n *Network) SetDelayFilter(f func(from, to NodeID, m Message) time.Duration) { n.delay = f }
 
-// SetTracer installs a callback invoked on "send" and "deliver" events.
-func (n *Network) SetTracer(f func(ev string, at time.Duration, from, to NodeID, m Message)) {
-	n.tracer = f
-}
-
 // SetObs installs the typed event tracer (nil disables tracing) and turns
 // on the per-pipe byte meters it samples. Install before Start: the
 // sampler and the capacity-schedule events are wired at network start.
@@ -242,14 +227,6 @@ func (n *Network) SetObs(t obs.Tracer) {
 		nd.down.metered = t != nil
 	}
 }
-
-// Obs returns the installed typed event tracer (nil when disabled). Runner
-// layers use it to emit their own events into the same stream.
-func (n *Network) Obs() obs.Tracer { return n.obs }
-
-// SetSampleEvery overrides the metrics sample cadence (default one
-// second). Call before Start.
-func (n *Network) SetSampleEvery(d time.Duration) { n.sampleEvery = d }
 
 // Start invokes every handler's Start at time zero.
 func (n *Network) Start() {
@@ -276,13 +253,14 @@ func (n *Network) Start() {
 				n.obs.Event(obs.Event{Type: obs.EvCapChange, At: at, Node: id, F: rate, Label: "down"})
 			})
 		}
-		if n.sampleEvery <= 0 {
-			n.sampleEvery = time.Second
-		}
 		n.sampleFn = n.sample
-		n.sched.At(n.sampleEvery, n.sampleFn)
+		n.sched.At(sampleEvery, n.sampleFn)
 	}
 }
+
+// sampleEvery is the cadence of the per-pipe metrics samples a traced run
+// emits.
+const sampleEvery = time.Second
 
 // sample emits one EvPipeSample per pipe direction per node, then
 // reschedules itself — unless the event queue has drained, so a finished
@@ -292,7 +270,7 @@ func (n *Network) Start() {
 // advance here would perturb its floating-point step boundaries).
 func (n *Network) sample() {
 	now := n.sched.Now()
-	interval := seconds(n.sampleEvery)
+	interval := seconds(sampleEvery)
 	for _, nd := range n.nodes {
 		n.samplePipe(nd, nd.up, &nd.upMovedPrev, "up", now, interval)
 		n.samplePipe(nd, nd.down, &nd.downMovedPrev, "down", now, interval)
@@ -300,7 +278,7 @@ func (n *Network) sample() {
 	if n.sched.Pending() == 0 {
 		return
 	}
-	n.sched.At(addDur(now, n.sampleEvery), n.sampleFn)
+	n.sched.At(addDur(now, sampleEvery), n.sampleFn)
 }
 
 func (n *Network) samplePipe(nd *node, p *pipe, prev *float64, dir string, now time.Duration, interval float64) {
@@ -352,16 +330,9 @@ func (n *Network) send(from, to NodeID, m Message) {
 	n.kindBytes[ki] += size
 	n.kindCount[ki]++
 	n.nodes[from].sent += size
-	if n.tracer != nil {
-		n.tracer("send", n.sched.Now(), from, to, m)
-	}
 	if n.drop != nil && n.drop(from, to, m) {
 		n.stats.MessagesDropped++
 		return
-	}
-	var linkCap float64
-	if n.cfg.LinkRate != nil {
-		linkCap = n.cfg.LinkRate(from, to)
 	}
 	lat := n.pairLatency(from, to)
 	if n.delay != nil {
@@ -369,7 +340,7 @@ func (n *Network) send(from, to NodeID, m Message) {
 	}
 	t := n.allocTransit()
 	t.from, t.to, t.msg = from, to, m
-	t.size, t.linkCap, t.lat = size, linkCap, lat
+	t.size, t.lat = size, lat
 	if n.obs != nil {
 		n.obsID++
 		t.id = n.obsID
@@ -378,7 +349,7 @@ func (n *Network) send(from, to NodeID, m Message) {
 			A: t.id, B: size, Label: m.Kind(),
 		})
 	}
-	n.nodes[from].up.enqueueC(size, linkCap, t)
+	n.nodes[from].up.enqueue(size, t)
 }
 
 // transit carries one message across the transport's three legs — uplink
@@ -392,7 +363,6 @@ type transit struct {
 	from, to NodeID
 	msg      Message
 	size     int64
-	linkCap  float64
 	lat      time.Duration
 	id       int64 // obs transfer id; 0 while tracing is disabled
 	stage    uint8
@@ -407,7 +377,7 @@ func (t *transit) complete(at time.Duration) {
 		t.net.sched.atCompletion(addDur(at, t.lat), t)
 	case 1: // arrived: contend for the receiver's downlink
 		t.stage = 2
-		t.net.nodes[t.to].down.enqueueC(t.size, t.linkCap, t)
+		t.net.nodes[t.to].down.enqueue(t.size, t)
 	default: // downlink drained: deliver
 		n := t.net
 		from, to, m, size, id := t.from, t.to, t.msg, t.size, t.id
@@ -416,9 +386,6 @@ func (t *transit) complete(at time.Duration) {
 		n.stats.BytesDelivered += size
 		dst := n.nodes[to]
 		dst.received += size
-		if n.tracer != nil {
-			n.tracer("deliver", at, from, to, m)
-		}
 		if n.obs != nil {
 			n.obs.Event(obs.Event{
 				Type: obs.EvTransferEnd, At: at, Node: int(from), Peer: int(to),
@@ -461,9 +428,6 @@ type Context struct {
 	net *Network
 	id  NodeID
 }
-
-// ID returns the node's id.
-func (c *Context) ID() NodeID { return c.id }
 
 // N returns the number of nodes in the network.
 func (c *Context) N() int { return c.net.N() }

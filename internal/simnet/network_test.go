@@ -190,8 +190,8 @@ func TestNetworkDeterminism(t *testing.T) {
 				ctx.Broadcast(testMsg{size: int64(1000 + i), kind: "t", tag: i})
 			}
 		}
-		net.Run(time.Minute)
-		return net.Scheduler().Steps(), net.Stats().BytesDelivered
+		net.Start()
+		return net.Scheduler().RunUntil(time.Minute), net.Stats().BytesDelivered
 	}
 	s1, b1 := run()
 	s2, b2 := run()

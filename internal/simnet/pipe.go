@@ -2,7 +2,7 @@ package simnet
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -10,32 +10,20 @@ import (
 // absorbs float rounding in the fluid model.
 const epsBits = 0.5
 
-// transfer is one in-flight transmission on a pipe. Exactly one of done
-// and c is set: done is the closure form, c the pooled completion-object
-// form the transport's transit records use.
+// transfer is one in-flight transmission on a pipe; c is advanced (via the
+// scheduler) when the last bit has moved.
 type transfer struct {
 	remaining float64 // bits still to move
-	maxRate   float64 // per-transfer cap in bits/s; <= 0 means uncapped
-	done      func(at time.Duration)
 	c         completion
 }
 
-// effCap returns the effective per-transfer rate cap (Inf when uncapped).
-func effCap(t *transfer) float64 {
-	if t.maxRate <= 0 {
-		return math.Inf(1)
-	}
-	return t.maxRate
-}
-
-// pipe is a max-min fair-shared resource (an access link direction) with a
+// pipe is a fair-shared resource (an access link direction) with a
 // piecewise-constant capacity profile. All in-flight transfers share the
-// instantaneous capacity by water-filling, honouring per-transfer caps.
+// instantaneous capacity equally: a flood is a drop in the profile, never a
+// cap on one transfer.
 //
-// The hot path is allocation-free: transfers are stored by value, the
-// water-filler writes into pipe-owned scratch buffers, and the cap-sorted
-// order the mixed-cap slow path needs is maintained incrementally across
-// enqueues and completions instead of being re-sorted per segment step.
+// The hot path is allocation-free: transfers are stored by value and the
+// share computation writes into pipe-owned scratch buffers.
 type pipe struct {
 	sched   *Scheduler
 	prof    *Profile
@@ -44,12 +32,8 @@ type pipe struct {
 	wakeSeq uint64        // invalidates stale scheduled wakeups
 	wakeAt  time.Duration // instant of the live wakeup; Never when none queued
 
-	capped int   // active transfers with a finite rate cap
-	order  []int // active indices sorted by (effective cap, index)
-
-	rates  []float64 // scratch: per-transfer allocation, indexed like active
-	rem    []float64 // scratch: nextCompletion's forward-simulated bits
-	idxMap []int     // scratch: old->new index map for compactions
+	rates []float64 // scratch: per-transfer allocation, indexed like active
+	rem   []float64 // scratch: nextCompletion's forward-simulated bits
 
 	// metered enables the observability meter: advance then accumulates the
 	// bits actually moved into moved. Off (the default) the meter costs one
@@ -57,50 +41,17 @@ type pipe struct {
 	// into the fluid model, so metering cannot perturb the simulation.
 	metered bool
 	moved   float64 // cumulative bits moved while metered
-
-	wakeFn func(time.Duration) // p.wake, bound once so reschedule never allocates
 }
 
 func newPipe(s *Scheduler, prof *Profile) *pipe {
-	p := &pipe{sched: s, prof: prof, wakeAt: Never}
-	p.wakeFn = p.wake
-	return p
+	return &pipe{sched: s, prof: prof, wakeAt: Never}
 }
 
-// insert adds t to the active set, keeping the cap bookkeeping and the
-// cap-sorted order current. The new transfer has the largest index, so
-// inserting before the first strictly greater cap reproduces exactly the
-// stable sort order (ties stay in index order).
-//
-//detlint:hotpath
-func (p *pipe) insert(t transfer) {
-	idx := len(p.active)
-	p.active = append(p.active, t)
-	if t.maxRate > 0 {
-		p.capped++
-	}
-	c := effCap(&t)
-	//detlint:hotpath ok(sort.Search closure captures stack-local state only; it does not escape and Go allocates it on the stack)
-	at := sort.Search(len(p.order), func(i int) bool { return effCap(&p.active[p.order[i]]) > c })
-	p.order = append(p.order, 0)
-	copy(p.order[at+1:], p.order[at:])
-	p.order[at] = idx
-}
-
-// enqueue adds a transfer of the given size; done fires (via the scheduler)
-// when the last bit has moved.
-func (p *pipe) enqueue(bytes int64, maxRate float64, done func(at time.Duration)) {
-	p.add(transfer{remaining: sizeBits(bytes), maxRate: maxRate, done: done})
-}
-
-// enqueueC is enqueue with a completion object in place of the closure.
-func (p *pipe) enqueueC(bytes int64, maxRate float64, c completion) {
-	p.add(transfer{remaining: sizeBits(bytes), maxRate: maxRate, c: c})
-}
-
-func (p *pipe) add(t transfer) {
+// enqueue adds a transfer of the given size; c completes (via the
+// scheduler) when the last bit has moved.
+func (p *pipe) enqueue(bytes int64, c completion) {
 	p.advance(p.sched.Now())
-	p.insert(t)
+	p.active = append(p.active, transfer{remaining: sizeBits(bytes), c: c})
 	p.reschedule()
 }
 
@@ -116,74 +67,39 @@ func sizeBits(bytes int64) float64 {
 // queued reports the number of in-flight transfers (for tests/metrics).
 func (p *pipe) queued() int { return len(p.active) }
 
-// allocate distributes capacity among the active transfers by max-min
-// fairness with per-transfer caps (progressive water-filling), writing into
-// the pipe's scratch buffer; the result is indexed like active and valid
-// until the next allocate call. When every transfer shares one effective
-// cap — the overwhelming common case; floods are modeled by Profile
-// throttling, so transfers are mostly uncapped — the progressive fill visits
-// transfers in index order and no sort order is needed at all. The loops
-// perform bit-identical arithmetic to the sorted general case.
+// allocate shares capacity equally among the active transfers, writing
+// into the pipe's scratch buffer; the result is indexed like active and
+// valid until the next allocate call. The fill is progressive — each
+// transfer takes an equal part of what the ones before it left — so the
+// last share is exactly what remains and float rounding never hands out
+// more than the capacity.
 //
 //detlint:hotpath
 func (p *pipe) allocate(capacity float64) []float64 {
 	n := len(p.active)
-	if cap(p.rates) < n {
-		//detlint:hotpath ok(amortized scratch growth: make runs only while the high-water mark rises)
-		p.rates = make([]float64, n)
-	}
-	rates := p.rates[:n]
-	p.rates = rates
-	if n == 0 || capacity <= 0 {
-		for i := range rates {
-			rates[i] = 0
-		}
+	p.rates = growScratch(p.rates, n)
+	rates := p.rates
+	if capacity <= 0 {
+		clear(rates)
 		return rates
 	}
-	if p.capped == 0 {
-		// Fast path: all uncapped, equal-share fill in index order.
-		remaining := capacity
-		for i := 0; i < n; i++ {
-			share := remaining / float64(n-i)
-			rates[i] = share
-			remaining -= share
-		}
-		return rates
-	}
-	if p.capped == n {
-		c0 := p.active[0].maxRate
-		uniform := true
-		for i := 1; i < n; i++ {
-			if p.active[i].maxRate != c0 {
-				uniform = false
-				break
-			}
-		}
-		if uniform {
-			// Fast path: one shared finite cap, fill in index order.
-			remaining := capacity
-			for i := 0; i < n; i++ {
-				r := remaining / float64(n-i)
-				if c0 < r {
-					r = c0
-				}
-				rates[i] = r
-				remaining -= r
-			}
-			return rates
-		}
-	}
-	// Mixed caps: walk the maintained cap-sorted order.
 	remaining := capacity
-	for k, i := range p.order {
-		r := remaining / float64(n-k)
-		if c := effCap(&p.active[i]); c < r {
-			r = c
-		}
-		rates[i] = r
-		remaining -= r
+	for i := range rates {
+		share := remaining / float64(n-i)
+		rates[i] = share
+		remaining -= share
 	}
 	return rates
+}
+
+// growScratch returns buf resized to n elements, contents unspecified.
+// Growth is geometric: a queue that builds up one transfer at a time (every
+// flooded or fan-in pipe) would otherwise reallocate the whole buffer per
+// arrival, O(n²) bytes for a queue of n.
+//
+//detlint:hotpath
+func growScratch(buf []float64, n int) []float64 {
+	return slices.Grow(buf[:0], n)[:n]
 }
 
 // advance moves the pipe's accounting from p.last to now, draining bits from
@@ -238,20 +154,10 @@ func (p *pipe) advance(now time.Duration) {
 	}
 }
 
-// collectDone removes finished transfers and schedules their callbacks,
-// compacting the cap-sorted order in place (compaction preserves relative
-// indices, so the order stays sorted without re-sorting).
+// collectDone removes finished transfers and schedules their completions.
 //
 //detlint:hotpath
 func (p *pipe) collectDone() {
-	n := len(p.active)
-	if cap(p.idxMap) < n {
-		//detlint:hotpath ok(amortized scratch growth: make runs only while the high-water mark rises)
-		p.idxMap = make([]int, n)
-	}
-	idxMap := p.idxMap[:n]
-	p.idxMap = idxMap
-	removed := false
 	kept := p.active[:0]
 	for i := range p.active {
 		t := &p.active[i]
@@ -260,33 +166,12 @@ func (p *pipe) collectDone() {
 			if sn := p.sched.Now(); at < sn {
 				at = sn
 			}
-			if t.c != nil {
-				p.sched.atCompletion(at, t.c)
-			} else {
-				p.sched.atTimed(at, t.done)
-			}
-			if t.maxRate > 0 {
-				p.capped--
-			}
-			idxMap[i] = -1
-			removed = true
+			p.sched.atCompletion(at, t.c)
 			continue
 		}
-		idxMap[i] = len(kept)
 		kept = append(kept, *t)
 	}
 	p.active = kept
-	if !removed {
-		return
-	}
-	k := 0
-	for _, oi := range p.order {
-		if ni := idxMap[oi]; ni >= 0 {
-			p.order[k] = ni
-			k++
-		}
-	}
-	p.order = p.order[:k]
 }
 
 // nextCompletion simulates forward from p.last (without mutating state) and
@@ -337,12 +222,8 @@ func (p *pipe) nextCompletion() time.Duration {
 			return finishAt
 		}
 		if rem == nil {
-			if cap(p.rem) < len(p.active) {
-				//detlint:hotpath ok(amortized scratch growth: make runs only while the high-water mark rises)
-				p.rem = make([]float64, len(p.active))
-			}
-			rem = p.rem[:len(p.active)]
-			p.rem = rem
+			p.rem = growScratch(p.rem, len(p.active))
+			rem = p.rem
 			for i := range p.active {
 				rem[i] = p.active[i].remaining
 			}
@@ -374,13 +255,13 @@ func (p *pipe) reschedule() {
 	if at == Never {
 		return
 	}
-	p.sched.atGuarded(at, &p.wakeSeq, p.wakeSeq, p.wakeFn)
+	p.sched.atGuarded(at, &p.wakeSeq, p.wakeSeq, p)
 }
 
-// wake is the live wakeup's callback (stale ones die on the wakeSeq guard):
+// complete is the live wakeup (stale ones die on the wakeSeq guard):
 // account progress up to now — completing at least the transfer the wakeup
 // was computed for — and plan the next one.
-func (p *pipe) wake(now time.Duration) {
+func (p *pipe) complete(now time.Duration) {
 	p.wakeAt = Never // consumed; reschedule must push anew
 	p.advance(now)
 	p.reschedule()

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -165,6 +166,11 @@ func TestProfileQuickProperties(t *testing.T) {
 	}
 }
 
+// doneFunc adapts a closure to the completion interface the pipe takes.
+type doneFunc func(at time.Duration)
+
+func (f doneFunc) complete(at time.Duration) { f(at) }
+
 // runPipe drives a pipe directly with the scheduler and records completions.
 func runPipe(prof *Profile) (*Scheduler, *pipe) {
 	s := NewScheduler()
@@ -175,7 +181,7 @@ func TestPipeSingleTransfer(t *testing.T) {
 	s, p := runPipe(NewProfile(1e6)) // 1 Mbit/s
 	var doneAt time.Duration = -1
 	s.At(0, func() {
-		p.enqueue(125000, 0, func(at time.Duration) { doneAt = at }) // 1e6 bits
+		p.enqueue(125000, doneFunc(func(at time.Duration) { doneAt = at })) // 1e6 bits
 	})
 	s.Run()
 	approxDur(t, doneAt, time.Second, time.Microsecond, "1Mbit over 1Mbit/s")
@@ -185,8 +191,8 @@ func TestPipeFairSharing(t *testing.T) {
 	s, p := runPipe(NewProfile(1e6))
 	var a, b time.Duration = -1, -1
 	s.At(0, func() {
-		p.enqueue(125000, 0, func(at time.Duration) { a = at })
-		p.enqueue(125000, 0, func(at time.Duration) { b = at })
+		p.enqueue(125000, doneFunc(func(at time.Duration) { a = at }))
+		p.enqueue(125000, doneFunc(func(at time.Duration) { b = at }))
 	})
 	s.Run()
 	// Two equal transfers sharing the pipe both finish at 2x the solo time.
@@ -197,9 +203,9 @@ func TestPipeFairSharing(t *testing.T) {
 func TestPipeLateArrivalSharing(t *testing.T) {
 	s, p := runPipe(NewProfile(1e6))
 	var a, b time.Duration = -1, -1
-	s.At(0, func() { p.enqueue(125000, 0, func(at time.Duration) { a = at }) })
+	s.At(0, func() { p.enqueue(125000, doneFunc(func(at time.Duration) { a = at })) })
 	// b arrives at 0.5s, when a has 0.5e6 bits left; they then share.
-	s.At(500*time.Millisecond, func() { p.enqueue(62500, 0, func(at time.Duration) { b = at }) })
+	s.At(500*time.Millisecond, func() { p.enqueue(62500, doneFunc(func(at time.Duration) { b = at })) })
 	s.Run()
 	// From 0.5s: a has 5e5 bits, b has 5e5 bits, each at 5e5 bit/s -> both
 	// finish at 1.5s.
@@ -212,7 +218,7 @@ func TestPipeZeroRateStall(t *testing.T) {
 	prof.SetRate(0, 10*time.Second, 0) // dead for the first 10s
 	s, p := runPipe(prof)
 	var doneAt time.Duration = -1
-	s.At(0, func() { p.enqueue(125000, 0, func(at time.Duration) { doneAt = at }) })
+	s.At(0, func() { p.enqueue(125000, doneFunc(func(at time.Duration) { doneAt = at })) })
 	s.Run()
 	approxDur(t, doneAt, 11*time.Second, time.Millisecond, "stalled transfer")
 }
@@ -220,7 +226,7 @@ func TestPipeZeroRateStall(t *testing.T) {
 func TestPipePermanentStallNeverCompletes(t *testing.T) {
 	s, p := runPipe(NewProfile(0))
 	done := false
-	s.At(0, func() { p.enqueue(1000, 0, func(time.Duration) { done = true }) })
+	s.At(0, func() { p.enqueue(1000, doneFunc(func(time.Duration) { done = true })) })
 	s.RunUntil(24 * time.Hour)
 	if done {
 		t.Fatal("transfer completed on a zero-capacity pipe")
@@ -235,40 +241,21 @@ func TestPipeRateDropMidTransfer(t *testing.T) {
 	prof.SetRate(500*time.Millisecond, Never, 0.5e6)
 	s, p := runPipe(prof)
 	var doneAt time.Duration = -1
-	s.At(0, func() { p.enqueue(125000, 0, func(at time.Duration) { doneAt = at }) })
+	s.At(0, func() { p.enqueue(125000, doneFunc(func(at time.Duration) { doneAt = at })) })
 	s.Run()
 	// 0.5e6 bits in the first 0.5s, remaining 0.5e6 bits at 0.5e6 bit/s = 1s.
 	approxDur(t, doneAt, 1500*time.Millisecond, time.Millisecond, "throttled transfer")
 }
 
-func TestPipePerTransferCap(t *testing.T) {
-	s, p := runPipe(NewProfile(10e6))
-	var a, b time.Duration = -1, -1
-	s.At(0, func() {
-		p.enqueue(125000, 1e6, func(at time.Duration) { a = at }) // capped at 1Mbit/s
-		p.enqueue(125000, 0, func(at time.Duration) { b = at })   // uncapped
-	})
-	s.Run()
-	// a is rate-limited to 1 Mbit/s -> 1s; b gets the remaining 9 Mbit/s
-	// -> 1e6/9e6 s.
-	approxDur(t, a, time.Second, 2*time.Millisecond, "capped transfer")
-	ninth := 9.0
-	wantB := time.Duration(float64(time.Second) / ninth)
-	approxDur(t, b, wantB, 2*time.Millisecond, "uncapped transfer")
-}
-
 func TestAllocateWaterFilling(t *testing.T) {
 	s := NewScheduler()
 	p := newPipe(s, NewProfile(9e6))
-	p.insert(transfer{remaining: 1, maxRate: 1e6})
-	p.insert(transfer{remaining: 1, maxRate: 0})
-	p.insert(transfer{remaining: 1, maxRate: 0})
+	p.active = make([]transfer, 3)
 	rates := p.allocate(9e6)
-	if rates[0] != 1e6 {
-		t.Fatalf("capped transfer got %v, want 1e6", rates[0])
-	}
-	if math.Abs(rates[1]-4e6) > 1 || math.Abs(rates[2]-4e6) > 1 {
-		t.Fatalf("uncapped transfers got %v/%v, want 4e6 each", rates[1], rates[2])
+	for i, r := range rates {
+		if math.Abs(r-3e6) > 1 {
+			t.Fatalf("transfer %d got %v, want an equal 3e6 share", i, r)
+		}
 	}
 	sum := rates[0] + rates[1] + rates[2]
 	if math.Abs(sum-9e6) > 1 {
@@ -279,8 +266,7 @@ func TestAllocateWaterFilling(t *testing.T) {
 func TestAllocateZeroCapacity(t *testing.T) {
 	s := NewScheduler()
 	p := newPipe(s, NewProfile(1e6))
-	p.insert(transfer{remaining: 1})
-	p.insert(transfer{remaining: 1})
+	p.active = make([]transfer, 2)
 	rates := p.allocate(0)
 	if rates[0] != 0 || rates[1] != 0 {
 		t.Fatalf("zero-capacity allocation %v, want zeros", rates)
@@ -295,7 +281,7 @@ func TestPipeQuickSingleTransferTime(t *testing.T) {
 		rate := (float64(mbit%100) + 1) * 1e6
 		s, p := runPipe(NewProfile(rate))
 		var doneAt time.Duration = -1
-		s.At(0, func() { p.enqueue(bytes, 0, func(at time.Duration) { doneAt = at }) })
+		s.At(0, func() { p.enqueue(bytes, doneFunc(func(at time.Duration) { doneAt = at })) })
 		s.Run()
 		want := float64(bytes) * 8 / rate
 		got := seconds(doneAt)
@@ -316,7 +302,7 @@ func TestPipeQuickCompletionMonotoneInSize(t *testing.T) {
 		run := func(bytes int64) time.Duration {
 			s, p := runPipe(NewProfile(rate))
 			var doneAt time.Duration = -1
-			s.At(0, func() { p.enqueue(bytes, 0, func(at time.Duration) { doneAt = at }) })
+			s.At(0, func() { p.enqueue(bytes, doneFunc(func(at time.Duration) { doneAt = at })) })
 			s.Run()
 			return doneAt
 		}
@@ -335,7 +321,7 @@ func TestPipeConservation(t *testing.T) {
 		finished := make([]time.Duration, 0, k)
 		s.At(0, func() {
 			for i := 0; i < k; i++ {
-				p.enqueue(1e6, 0, func(at time.Duration) { finished = append(finished, at) })
+				p.enqueue(1e6, doneFunc(func(at time.Duration) { finished = append(finished, at) }))
 			}
 		})
 		s.Run()
@@ -375,5 +361,32 @@ func TestProfileScale(t *testing.T) {
 	p.Scale(0, time.Second, -3)
 	if got := p.RateAt(500 * time.Millisecond); got != 0 {
 		t.Errorf("negative factor RateAt(0.5s)=%v, want clamped 0", got)
+	}
+}
+
+func TestPipeRampAllocatesLinearly(t *testing.T) {
+	// A queue that builds up one transfer at a time — every flooded or
+	// fan-in pipe — must grow its scratch geometrically. Exact-size growth
+	// reallocates each buffer on every arrival: 8·n²/2 bytes apiece, 16 MB
+	// at n = 2000, against a few hundred KB for the whole linear ramp.
+	prof := NewProfile(1e6)
+	// Completions cross a breakpoint, so nextCompletion's rem scratch is
+	// exercised along with allocate's rates.
+	prof.ThrottleMin(time.Second, time.Minute, 1e3)
+	s, p := runPipe(prof)
+	cb := doneFunc(func(time.Duration) {})
+	const n = 2000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		p.enqueue(1_000_000, cb)
+	}
+	runtime.ReadMemStats(&after)
+	if p.queued() != n || s.Pending() == 0 {
+		t.Fatalf("queued %d transfers, %d events pending", p.queued(), s.Pending())
+	}
+	const perTransfer = 1 << 10
+	if got := after.TotalAlloc - before.TotalAlloc; got > n*perTransfer {
+		t.Fatalf("ramping to %d transfers allocated %d bytes, want O(n) (at most %d)", n, got, n*perTransfer)
 	}
 }

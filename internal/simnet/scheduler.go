@@ -9,7 +9,8 @@ import (
 // completion is a stateful continuation: an object advanced at its
 // scheduled instant. The transport's pooled transit records implement it,
 // which is what lets a message's three legs (uplink, latency, downlink)
-// ride one reusable value instead of three per-send closures.
+// ride one reusable value instead of three per-send closures; a pipe
+// implements it for its guarded wake-up.
 type completion interface {
 	complete(at time.Duration)
 }
@@ -17,17 +18,14 @@ type completion interface {
 // event is a scheduled callback. Events with equal timestamps run in
 // scheduling order (seq), which keeps the simulation deterministic.
 //
-// A callback is one of fn (plain), tfn (timed: receives the virtual
-// instant, sparing callers the closure that would otherwise capture the
-// scheduler just to read Now) or c (a completion object). A non-nil guard
-// makes the event conditional: it fires only while *guard still equals
-// want — the allocation-free form of the "stale wakeup" closures the pipes
-// used to capture seq in.
+// A callback is either fn (plain) or c (a completion object, which
+// receives the virtual instant). A non-nil guard makes the event
+// conditional: it fires only while *guard still equals want — the
+// allocation-free form of a "stale wakeup" closure capturing seq.
 type event struct {
 	at    time.Duration
 	seq   uint64
 	fn    func()
-	tfn   func(time.Duration)
 	c     completion
 	guard *uint64
 	want  uint64
@@ -126,7 +124,6 @@ type Scheduler struct {
 	now   time.Duration
 	seq   uint64
 	queue eventQueue
-	steps uint64
 }
 
 // NewScheduler returns a scheduler at virtual time zero.
@@ -135,9 +132,6 @@ func NewScheduler() *Scheduler { return &Scheduler{} }
 // Now returns the current virtual time.
 func (s *Scheduler) Now() time.Duration { return s.now }
 
-// Steps returns the number of events executed so far.
-func (s *Scheduler) Steps() uint64 { return s.steps }
-
 // At schedules fn at virtual time t. Scheduling in the past is a bug in the
 // caller and panics; scheduling at Never is a no-op (the event can never
 // fire).
@@ -145,23 +139,17 @@ func (s *Scheduler) At(t time.Duration, fn func()) {
 	s.push(event{at: t, fn: fn})
 }
 
-// atTimed schedules fn at t; fn receives the firing instant, so callers
-// need no wrapper closure around a func(time.Duration) they already hold.
-func (s *Scheduler) atTimed(t time.Duration, fn func(time.Duration)) {
-	s.push(event{at: t, tfn: fn})
-}
-
-// atGuarded schedules fn at t, to fire only while *guard still equals want.
+// atGuarded schedules c at t, to fire only while *guard still equals want.
 // Bumping *guard invalidates the event in place — the queued entry stays
 // but pops as a no-op — which lets a caller reschedule without allocating
 // a seq-capturing closure per push.
-func (s *Scheduler) atGuarded(t time.Duration, guard *uint64, want uint64, fn func(time.Duration)) {
-	s.push(event{at: t, tfn: fn, guard: guard, want: want})
+func (s *Scheduler) atGuarded(t time.Duration, guard *uint64, want uint64, c completion) {
+	s.push(event{at: t, c: c, guard: guard, want: want})
 }
 
-// atCompletion schedules a completion object at t. Like atTimed it carries
-// no closure; unlike atTimed the callee is a value that can hold per-event
-// state (a transit record's current leg) across reschedules.
+// atCompletion schedules a completion object at t. It carries no closure:
+// the callee is a value that can hold per-event state (a transit record's
+// current leg) across reschedules.
 func (s *Scheduler) atCompletion(t time.Duration, c completion) {
 	s.push(event{at: t, c: c})
 }
@@ -198,16 +186,12 @@ func (s *Scheduler) RunUntil(limit time.Duration) uint64 {
 		next := s.queue.pop()
 		s.now = next.at
 		if next.guard == nil || *next.guard == next.want {
-			switch {
-			case next.fn != nil:
+			if next.fn != nil {
 				next.fn()
-			case next.tfn != nil:
-				next.tfn(s.now)
-			default:
+			} else {
 				next.c.complete(s.now)
 			}
 		}
-		s.steps++
 		executed++
 	}
 	if s.now < limit && limit != Never {

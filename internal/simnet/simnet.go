@@ -7,8 +7,7 @@
 //
 //   - every node owns an uplink and a downlink pipe;
 //   - a pipe has a piecewise-constant capacity profile (bits/second) and
-//     serves all in-flight transfers by max-min fair sharing (water-filling,
-//     honouring optional per-transfer rate caps);
+//     shares it equally among all in-flight transfers;
 //   - a message travels uplink -> per-pair propagation latency -> downlink;
 //   - a DDoS window is modelled by throttling a node's profiles to the
 //     residual bandwidth (possibly zero) for an interval: traffic stalls and
@@ -32,14 +31,10 @@
 //     4-ary heap purely as an optimization (no per-event allocation, no
 //     container/heap boxing, half the sift depth of a binary heap).
 //
-//   - Water-filling order. The max-min fair share visits transfers in
-//     ascending effective-cap order with index order breaking ties (the
-//     stable-sort order). Pipes maintain that order incrementally across
-//     enqueues and completions; when every active transfer shares one
-//     effective cap — the common case, since floods are modeled by Profile
-//     throttling rather than per-transfer caps — the fill runs in index
-//     order directly, performing bit-identical arithmetic to the sorted
-//     general case.
+//   - Equal share. A pipe divides its instantaneous capacity equally among
+//     its in-flight transfers, filling progressively in index order so the
+//     last share is exactly what remains. Nothing caps an individual
+//     transfer: a flood is a drop in a node's Profile, as in the paper.
 //
 //   - Completion planning. A pipe schedules exactly one live wakeup (the
 //     earliest completion); stale wakeups are invalidated in place via a
@@ -54,9 +49,10 @@
 //     every run builds its own, as the harness and dircache tiers do.
 //
 //   - Scratch reuse. Per-pipe buffers (rates, forward-simulated remaining
-//     bits, compaction index maps) are reused across steps; the uniform-cap
-//     hot path allocates nothing per step (asserted by
-//     TestPipeUniformCapFastPathAllocFree).
+//     bits) are reused across steps and grow geometrically; a warm pipe
+//     allocates nothing per step (TestPipeEqualShareAllocFree) and a queue
+//     built one arrival at a time allocates O(n) in total
+//     (TestPipeRampAllocatesLinearly).
 package simnet
 
 import (

@@ -26,7 +26,7 @@ func TestTopologyLatencyWithinJitterBand(t *testing.T) {
 				}
 				continue
 			}
-			ra, rb := net.NodeRegion(a), net.NodeRegion(b)
+			ra, rb := net.nodes[a].region, net.nodes[b].region
 			base, span := c.BaseLatency(ra, rb), c.Jitter(ra, rb)
 			if lat < base || lat >= base+span {
 				t.Fatalf("latency %v outside [%v, %v) for %s->%s",

@@ -6,11 +6,11 @@
 // # Role in the pipeline
 //
 // Every figure generator and ablation in internal/harness, plus
-// cmd/cachesweep, cmd/benchtables and cmd/attackcost, is a sweep over
+// cmd/cachesweep and cmd/benchtables, is a sweep over
 // scenario cells; each cell typically runs one harness.Experiment or
 // dircache distribution. The facade re-exports the engine as
 // partialtor.MustNewSweepGrid / partialtor.RunSweepParams with axis
-// constructors (SweepInts, SweepFloats, SweepDurations) and flag
+// constructors (SweepInts, SweepFloats) and flag
 // parsers (ParseSweepCounts, ParseSweepFloats) for the cmd tools.
 //
 // # Execution model
@@ -30,7 +30,7 @@
 //
 // A cell ends in exactly one of three states: a value, a genuine failure
 // (its Err), or skipped by cancellation (Err wraps ErrCellSkipped). FirstErr
-// reports only genuine failures; Skipped counts the cancelled remainder —
-// together they let a caller distinguish "failed", "cancelled but clean"
-// and "complete" without probing each cell.
+// reports only genuine failures; with the context's own error a caller
+// distinguishes "failed", "cancelled but clean" and "complete" without
+// probing each cell.
 package sweep

@@ -133,16 +133,6 @@ func (c Cell) Value(name string) any {
 	panic(fmt.Sprintf("sweep: no axis %q in cell %s", name, c))
 }
 
-// Index returns the cell's position along the named axis.
-func (c Cell) Index(name string) int {
-	for i, a := range c.axes {
-		if a.Name == name {
-			return c.coords[i]
-		}
-	}
-	panic(fmt.Sprintf("sweep: no axis %q in cell %s", name, c))
-}
-
 // Int returns the named axis value as an int.
 func (c Cell) Int(name string) int { return c.Value(name).(int) }
 
@@ -294,9 +284,9 @@ func runCell[T any](ctx context.Context, cell Cell, fn func(context.Context, Cel
 // cancelled context prevented, and the caller that cancelled already knows
 // why. Counting them here would make every interrupted sweep look broken
 // and bury the one real failure behind whatever skipped cell ranks first.
-// To tell a cancelled-but-clean sweep from a complete one, use Skipped (or
-// the context's own error); to inspect skipped cells individually, test
-// each Result.Err with errors.Is(err, ErrCellSkipped).
+// To tell a cancelled-but-clean sweep from a complete one, check the
+// context's own error; to inspect skipped cells individually, test each
+// Result.Err with errors.Is(err, ErrCellSkipped).
 func FirstErr[T any](results []Result[T]) error {
 	for _, r := range results {
 		if r.Err != nil && !errors.Is(r.Err, ErrCellSkipped) {
@@ -304,17 +294,4 @@ func FirstErr[T any](results []Result[T]) error {
 		}
 	}
 	return nil
-}
-
-// Skipped counts the cells a cancelled context kept from running. A sweep
-// is complete iff Skipped returns 0; FirstErr alone cannot tell a cancelled
-// sweep from a finished one, by design.
-func Skipped[T any](results []Result[T]) int {
-	n := 0
-	for _, r := range results {
-		if errors.Is(r.Err, ErrCellSkipped) {
-			n++
-		}
-	}
-	return n
 }

@@ -34,6 +34,9 @@ import (
 // DefaultRound is the lock-step round length (150 s, as deployed).
 const DefaultRound = 150 * time.Second
 
+// leader is the designated Dolev-Strong sender.
+const leader = 0
+
 // Signature domains.
 const (
 	domainDoc    = "syncdir/doc"
@@ -50,8 +53,6 @@ type Config struct {
 	Round time.Duration
 	// SyncRound is the Dolev-Strong round length; 0 means Round.
 	SyncRound time.Duration
-	// Leader is the designated Dolev-Strong sender (default 0).
-	Leader int
 	// EquivocateLeader makes the leader Byzantine: it builds two different
 	// bundles and initiates signature chains for both, one per peer parity.
 	EquivocateLeader bool
@@ -269,7 +270,7 @@ func (a *Authority) voteRound(ctx *simnet.Context) {
 	full := mk(a.docs)
 	ctx.Logf("notice", "Vote round: bundling %d documents.", len(full.Docs))
 	ctx.Trace(obs.Event{Type: obs.EvPhase, Label: "vote"})
-	if a.cfg.EquivocateLeader && a.index == a.cfg.Leader && len(a.docs) > 1 {
+	if a.cfg.EquivocateLeader && a.index == leader && len(a.docs) > 1 {
 		// Byzantine leader: odd peers get a truncated bundle.
 		partial := make(map[int]*vote.Document)
 		count := 0
@@ -287,7 +288,7 @@ func (a *Authority) voteRound(ctx *simnet.Context) {
 		return
 	}
 	send(full, all)
-	if a.index == a.cfg.Leader {
+	if a.index == leader {
 		a.leaderBundle = full
 		a.leaderBundleAt = ctx.Now()
 	}
@@ -295,7 +296,7 @@ func (a *Authority) voteRound(ctx *simnet.Context) {
 
 // startSync begins the Dolev-Strong broadcast of the leader's bundle digest.
 func (a *Authority) startSync(ctx *simnet.Context) {
-	if a.index != a.cfg.Leader || a.leaderBundle == nil {
+	if a.index != leader || a.leaderBundle == nil {
 		return
 	}
 	ctx.Logf("notice", "Synchronize rounds: broadcasting bundle digest %s.", a.leaderBundle.Digest.Short())
@@ -371,7 +372,7 @@ func (a *Authority) acceptDoc(ctx *simnet.Context, m *msgDoc) {
 // acceptBundle keeps the leader's bundle — but only when it arrives within
 // the vote round, the bounded-synchrony deadline this protocol relies on.
 func (a *Authority) acceptBundle(ctx *simnet.Context, m *msgBundle) {
-	if m.From != a.cfg.Leader || a.leaderBundle != nil {
+	if m.From != leader || a.leaderBundle != nil {
 		return
 	}
 	if ctx.Now() >= a.cfg.dsStart() {
@@ -410,7 +411,7 @@ func (a *Authority) acceptChain(ctx *simnet.Context, m *msgChain) {
 	if ctx.Now() > deadline {
 		return
 	}
-	if m.Chain[0].Signer != a.cfg.Leader {
+	if m.Chain[0].Signer != leader {
 		return
 	}
 	seen := make(map[int]bool, k)

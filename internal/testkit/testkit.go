@@ -22,7 +22,7 @@ func Docs(keys []*sig.KeyPair, relays int, seed int64, padding int) []*vote.Docu
 	pop := relay.Population(relays, seed)
 	docs := make([]*vote.Document, len(keys))
 	for i, k := range keys {
-		view := relay.View(pop, i, seed, relay.DefaultViewConfig())
+		view := relay.View(pop, i, seed)
 		name := "auth"
 		if i < len(relay.AuthorityNames) {
 			name = relay.AuthorityNames[i]

@@ -13,7 +13,8 @@
 // internal/dircache for the distribution tier) now place their nodes in a
 // Topology's regions: simnet derives pair latencies from the region pair
 // plus deterministic per-pair jitter, and the runners scale each node's
-// nominal bandwidth by its region's tier.
+// nominal bandwidth by its region's tier. A Topology is a *Map — there is
+// one implementation, so no interface stands between it and its callers.
 //
 // # The zero value is the flat model
 //
@@ -43,39 +44,18 @@ import (
 // integers so per-node placement can be stored in plain slices.
 type Region int
 
-// Topology models planet-scale structure for a simulation: a fixed set of
-// named regions, deterministic placement of a tier's nodes into them, a
-// region-pair latency matrix and per-region bandwidth tiers.
+// Topology is the planet-scale structure a simulation runs on, or nil for
+// the flat model. There is one implementation, so it is an alias rather than
+// an interface: a nil *Map is a nil Topology, with no typed-nil trap.
 //
-// Implementations must be pure: every method is a function of the receiver
-// and its arguments only, so a Topology is safe to share across concurrently
-// running simulations.
-type Topology interface {
-	// NumRegions returns the number of regions (>= 1).
-	NumRegions() int
-	// RegionName returns region r's short name (e.g. "eu").
-	RegionName(r Region) string
-	// Place returns the region of node i of an n-node tier. Placement is
-	// deterministic and tiers are placed independently: callers pass
-	// tier-local indices (authority 3 of 9, cache 7 of 20, ...).
-	Place(i, n int) Region
-	// BaseLatency is the one-way propagation floor between two regions
-	// (a == b gives the intra-region floor). Symmetric.
-	BaseLatency(a, b Region) time.Duration
-	// Jitter is the span of per-pair latency variation stacked on top of
-	// BaseLatency: a concrete node pair's one-way delay is sampled
-	// deterministically from [BaseLatency, BaseLatency+Jitter). Symmetric.
-	Jitter(a, b Region) time.Duration
-	// Bandwidth maps a node's nominal access bandwidth (bits/s) to what the
-	// node actually gets in region r — regional access tiers scale the flat
-	// model's uniform figure.
-	Bandwidth(r Region, nominal float64) float64
-}
+// A Map is never written after construction, so it is safe to share across
+// concurrently running simulations.
+type Topology = *Map
 
-// Map is a concrete Topology over named regions: placement shares, a
-// symmetric latency/jitter matrix and per-region bandwidth scales. The
-// builtin maps (Continents) are Maps; tests and callers can assemble their
-// own.
+// Map models planet-scale structure over named regions: deterministic
+// placement of a tier's nodes into them by share, a symmetric region-pair
+// latency/jitter matrix and per-region bandwidth scales. The builtin maps
+// (Continents) are Maps; tests and callers can assemble their own.
 type Map struct {
 	// Names are the region names; len(Names) is the region count.
 	Names []string
@@ -91,10 +71,10 @@ type Map struct {
 	Scale []float64
 }
 
-// NumRegions implements Topology.
+// NumRegions returns the number of regions.
 func (m *Map) NumRegions() int { return len(m.Names) }
 
-// RegionName implements Topology.
+// RegionName returns region r's short name (e.g. "eu").
 func (m *Map) RegionName(r Region) string {
 	if r < 0 || int(r) >= len(m.Names) {
 		return fmt.Sprintf("region%d", int(r))
@@ -102,27 +82,14 @@ func (m *Map) RegionName(r Region) string {
 	return m.Names[r]
 }
 
-// Place implements Topology: the tier is split into contiguous per-region
-// blocks sized by largest-remainder apportionment of the shares, so a
-// tier's region populations are within one node of proportional and a
-// region's nodes form an index range (which is what makes "flood the EU
-// mirrors" a contiguous target set).
-func (m *Map) Place(i, n int) Region {
-	if n <= 0 || i < 0 || i >= n {
-		return 0
-	}
-	counts := m.regionCounts(n)
-	for r, c := range counts {
-		if i < c {
-			return Region(r)
-		}
-		i -= c
-	}
-	return Region(len(counts) - 1)
-}
-
-// regionCounts apportions n nodes over the regions by largest remainder.
-func (m *Map) regionCounts(n int) []int {
+// RegionCounts apportions an n-node tier over the regions by largest
+// remainder of the shares: element r is how many nodes region r gets. The
+// tier is laid out as contiguous per-region blocks in region order
+// (PlaceTier), so a tier's region populations are within one node of
+// proportional and a region's nodes form an index range — which is what
+// makes "flood the EU mirrors" a contiguous target set. Tiers are placed
+// independently: callers pass tier-local sizes (9 authorities, 20 caches).
+func (m *Map) RegionCounts(n int) []int {
 	k := m.NumRegions()
 	counts := make([]int, k)
 	if k == 0 {
@@ -173,7 +140,8 @@ func (m *Map) share(r int) float64 {
 	return 0
 }
 
-// BaseLatency implements Topology.
+// BaseLatency is the one-way propagation floor between two regions (a == b
+// gives the intra-region floor). Symmetric.
 func (m *Map) BaseLatency(a, b Region) time.Duration {
 	if int(a) >= len(m.Lat) || int(b) >= len(m.Lat[a]) || a < 0 || b < 0 {
 		return 0
@@ -188,7 +156,9 @@ const (
 	defaultInterJitter = 35 * time.Millisecond
 )
 
-// Jitter implements Topology.
+// Jitter is the span of per-pair latency variation stacked on top of
+// BaseLatency: a concrete node pair's one-way delay is sampled
+// deterministically from [BaseLatency, BaseLatency+Jitter). Symmetric.
 func (m *Map) Jitter(a, b Region) time.Duration {
 	if m.Jit == nil {
 		if a == b {
@@ -202,7 +172,9 @@ func (m *Map) Jitter(a, b Region) time.Duration {
 	return m.Jit[a][b]
 }
 
-// Bandwidth implements Topology.
+// Bandwidth maps a node's nominal access bandwidth (bits/s) to what the
+// node actually gets in region r — regional access tiers scale the flat
+// model's uniform figure.
 func (m *Map) Bandwidth(r Region, nominal float64) float64 {
 	if m.Scale == nil || int(r) >= len(m.Scale) || r < 0 {
 		return nominal
@@ -233,8 +205,12 @@ func RegionNames(t Topology) []string {
 // PlaceTier places an n-node tier: element i is node i's region.
 func PlaceTier(t Topology, n int) []Region {
 	out := make([]Region, n)
-	for i := range out {
-		out[i] = t.Place(i, n)
+	i := 0
+	for r, c := range t.RegionCounts(n) {
+		for ; c > 0; c-- {
+			out[i] = Region(r)
+			i++
+		}
 	}
 	return out
 }
@@ -242,11 +218,17 @@ func PlaceTier(t Topology, n int) []Region {
 // RegionTargets returns the indices of an n-node tier that the topology
 // places in region r — the target set of a region-scoped flood.
 func RegionTargets(t Topology, r Region, n int) []int {
+	counts := t.RegionCounts(n)
+	if r < 0 || int(r) >= len(counts) {
+		return nil
+	}
+	first := 0
+	for _, c := range counts[:r] {
+		first += c
+	}
 	var out []int
-	for i := 0; i < n; i++ {
-		if t.Place(i, n) == r {
-			out = append(out, i)
-		}
+	for i := first; i < first+counts[r]; i++ {
+		out = append(out, i)
 	}
 	return out
 }

@@ -36,10 +36,9 @@ func TestPlaceApportionsShares(t *testing.T) {
 	c := Continents()
 	for _, n := range []int{1, 6, 20, 97, 1000} {
 		counts := make([]int, c.NumRegions())
-		for i := 0; i < n; i++ {
-			r := c.Place(i, n)
+		for i, r := range PlaceTier(c, n) {
 			if r < 0 || int(r) >= c.NumRegions() {
-				t.Fatalf("Place(%d, %d) = %d out of range", i, n, r)
+				t.Fatalf("PlaceTier(%d)[%d] = %d out of range", n, i, r)
 			}
 			counts[r]++
 		}
@@ -67,10 +66,8 @@ func TestPlaceApportionsShares(t *testing.T) {
 
 func TestPlaceIsContiguous(t *testing.T) {
 	c := Continents()
-	n := 40
-	prev := c.Place(0, n)
-	for i := 1; i < n; i++ {
-		r := c.Place(i, n)
+	prev := Region(0)
+	for i, r := range PlaceTier(c, 40) {
 		if r < prev {
 			t.Fatalf("placement not contiguous: node %d in region %d after region %d", i, r, prev)
 		}
@@ -89,8 +86,9 @@ func TestRegionTargetsMatchPlacement(t *testing.T) {
 	if len(targets) == 0 {
 		t.Fatal("no EU targets in a 20-node tier")
 	}
+	placed := PlaceTier(c, n)
 	for _, i := range targets {
-		if c.Place(i, n) != eu {
+		if placed[i] != eu {
 			t.Errorf("target %d not placed in eu", i)
 		}
 	}
@@ -126,7 +124,7 @@ func TestByName(t *testing.T) {
 
 func TestMapZeroValueDefaults(t *testing.T) {
 	m := &Map{Names: []string{"solo"}}
-	if m.Place(3, 10) != 0 {
+	if PlaceTier(m, 10)[3] != 0 {
 		t.Error("nil shares should place everything in region 0")
 	}
 	if got := m.Bandwidth(0, 5e6); got != 5e6 {

@@ -12,7 +12,7 @@ func benchDocs(b *testing.B, n, relays int) []*Document {
 	pop := relay.Population(relays, 1)
 	docs := make([]*Document, n)
 	for a := range docs {
-		view := relay.View(pop, a, 1, relay.DefaultViewConfig())
+		view := relay.View(pop, a, 1)
 		keys := sig.NewKeyPair(1, a)
 		docs[a] = NewDocument(a, relay.AuthorityNames[a], keys.Fingerprint, 1, view)
 	}

@@ -230,13 +230,3 @@ func (c *Consensus) EncodedSize() int64 { return int64(len(c.Encode())) }
 // Digest returns the SHA-256 digest of the encoded consensus; this is what
 // authorities sign.
 func (c *Consensus) Digest() sig.Digest { return sig.Hash(c.Encode()) }
-
-// FindRelay returns the consensus entry for an identity, if included.
-func (c *Consensus) FindRelay(id relay.Identity) (ConsensusRelay, bool) {
-	for _, r := range c.Relays {
-		if r.Identity == id {
-			return r, true
-		}
-	}
-	return ConsensusRelay{}, false
-}

@@ -13,7 +13,7 @@ func aggregated(t *testing.T, relays, voters int) *Consensus {
 	pop := relay.Population(relays, 21)
 	docs := make([]*Document, voters)
 	for a := range docs {
-		view := relay.View(pop, a, 21, relay.DefaultViewConfig())
+		view := relay.View(pop, a, 21)
 		keys := sig.NewKeyPair(21, a)
 		docs[a] = NewDocument(a, relay.AuthorityNames[a], keys.Fingerprint, 5, view)
 	}
@@ -63,7 +63,7 @@ func TestConsensusParseQuick(t *testing.T) {
 		pop := relay.Population(r, int64(r*31+v))
 		docs := make([]*Document, v)
 		for a := range docs {
-			view := relay.View(pop, a, int64(v), relay.DefaultViewConfig())
+			view := relay.View(pop, a, int64(v))
 			keys := sig.NewKeyPair(3, a)
 			docs[a] = NewDocument(a, relay.AuthorityNames[a], keys.Fingerprint, 1, view)
 		}

@@ -11,7 +11,7 @@ import (
 // anything that parses must re-encode and re-parse to the same digest.
 func FuzzParse(f *testing.F) {
 	keys := sig.NewKeyPair(1, 0)
-	view := relay.View(relay.Population(5, 1), 0, 1, relay.DefaultViewConfig())
+	view := relay.View(relay.Population(5, 1), 0, 1)
 	doc := NewDocument(0, "moria1", keys.Fingerprint, 1, view)
 	f.Add(doc.Encode())
 	doc2 := NewDocument(1, "tor26", keys.Fingerprint, 2, nil)

@@ -13,7 +13,7 @@ import (
 func testDoc(t *testing.T, authority, relays int, padding int) *Document {
 	t.Helper()
 	keys := sig.NewKeyPair(1, authority)
-	view := relay.View(relay.Population(relays, 1), authority, 1, relay.DefaultViewConfig())
+	view := relay.View(relay.Population(relays, 1), authority, 1)
 	d := NewDocument(authority, relay.AuthorityNames[authority], keys.Fingerprint, 42, view)
 	d.EntryPadding = padding
 	return d
@@ -43,7 +43,7 @@ func TestEncodeParseRoundTrip(t *testing.T) {
 func TestEncodeParseQuick(t *testing.T) {
 	f := func(auth uint8, n uint8, seed int64) bool {
 		a := int(auth) % 9
-		view := relay.View(relay.Population(int(n%40)+1, seed), a, seed, relay.DefaultViewConfig())
+		view := relay.View(relay.Population(int(n%40)+1, seed), a, seed)
 		keys := sig.NewKeyPair(seed, a)
 		d := NewDocument(a, relay.AuthorityNames[a], keys.Fingerprint, 7, view)
 		parsed, err := Parse(d.Encode())
@@ -275,7 +275,7 @@ func TestAggregateOrderIndependent(t *testing.T) {
 	pop := relay.Population(120, 5)
 	docs := make([]*Document, 5)
 	for a := range docs {
-		view := relay.View(pop, a, 5, relay.DefaultViewConfig())
+		view := relay.View(pop, a, 5)
 		keys := sig.NewKeyPair(5, a)
 		docs[a] = NewDocument(a, relay.AuthorityNames[a], keys.Fingerprint, 1, view)
 	}
@@ -300,7 +300,7 @@ func TestAggregateQuickPermutationInvariance(t *testing.T) {
 	pop := relay.Population(40, 11)
 	docs := make([]*Document, 4)
 	for a := range docs {
-		view := relay.View(pop, a, 11, relay.DefaultViewConfig())
+		view := relay.View(pop, a, 11)
 		keys := sig.NewKeyPair(11, a)
 		docs[a] = NewDocument(a, relay.AuthorityNames[a], keys.Fingerprint, 1, view)
 	}
@@ -384,13 +384,5 @@ func TestConsensusEncodeStable(t *testing.T) {
 	}
 	if c.EncodedSize() == 0 || c.Digest().IsZero() {
 		t.Fatal("empty encoding or digest")
-	}
-	if _, ok := c.FindRelay(votes[0].Relays[0].Identity); !ok {
-		t.Fatal("FindRelay missed an included relay")
-	}
-	var absent relay.Identity
-	absent[0] = 0xEE
-	if _, ok := c.FindRelay(absent); ok {
-		t.Fatal("FindRelay found an absent relay")
 	}
 }

@@ -9,7 +9,7 @@ func FuzzReader(f *testing.F) {
 	w.Uvarint(300)
 	w.String("hello")
 	w.BytesLP([]byte{1, 2, 3})
-	w.U64(42)
+	w.Varint(-42)
 	f.Add(w.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
@@ -19,7 +19,6 @@ func FuzzReader(f *testing.F) {
 		_ = r.Uvarint()
 		_ = r.String()
 		_ = r.BytesLP()
-		_ = r.U64()
 		_ = r.Varint()
 		_ = r.Bool()
 		_ = r.Raw(3)

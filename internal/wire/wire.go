@@ -26,20 +26,11 @@ func NewWriter(hint int) *Writer { return &Writer{buf: make([]byte, 0, hint)} }
 // Bytes returns the encoded buffer.
 func (w *Writer) Bytes() []byte { return w.buf }
 
-// Len returns the number of bytes written so far.
-func (w *Writer) Len() int { return len(w.buf) }
-
 // Uvarint appends a varint-encoded unsigned integer.
 func (w *Writer) Uvarint(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
 
 // Varint appends a varint-encoded signed integer.
 func (w *Writer) Varint(v int64) { w.buf = binary.AppendVarint(w.buf, v) }
-
-// U32 appends a fixed-width big-endian uint32.
-func (w *Writer) U32(v uint32) { w.buf = binary.BigEndian.AppendUint32(w.buf, v) }
-
-// U64 appends a fixed-width big-endian uint64.
-func (w *Writer) U64(v uint64) { w.buf = binary.BigEndian.AppendUint64(w.buf, v) }
 
 // Byte appends a single byte.
 func (w *Writer) Byte(b byte) { w.buf = append(w.buf, b) }
@@ -112,34 +103,6 @@ func (r *Reader) Varint() int64 {
 		return 0
 	}
 	r.off += n
-	return v
-}
-
-// U32 reads a fixed-width big-endian uint32.
-func (r *Reader) U32() uint32 {
-	if r.err != nil {
-		return 0
-	}
-	if r.Remaining() < 4 {
-		r.fail(ErrTruncated)
-		return 0
-	}
-	v := binary.BigEndian.Uint32(r.buf[r.off:])
-	r.off += 4
-	return v
-}
-
-// U64 reads a fixed-width big-endian uint64.
-func (r *Reader) U64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.Remaining() < 8 {
-		r.fail(ErrTruncated)
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.buf[r.off:])
-	r.off += 8
 	return v
 }
 

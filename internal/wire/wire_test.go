@@ -10,8 +10,6 @@ func TestRoundTrip(t *testing.T) {
 	w := NewWriter(64)
 	w.Uvarint(300)
 	w.Varint(-42)
-	w.U32(0xdeadbeef)
-	w.U64(1 << 40)
 	w.Byte(7)
 	w.Bool(true)
 	w.Bool(false)
@@ -25,12 +23,6 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if v := r.Varint(); v != -42 {
 		t.Fatalf("Varint=%d", v)
-	}
-	if v := r.U32(); v != 0xdeadbeef {
-		t.Fatalf("U32=%x", v)
-	}
-	if v := r.U64(); v != 1<<40 {
-		t.Fatalf("U64=%x", v)
 	}
 	if v := r.Byte(); v != 7 {
 		t.Fatalf("Byte=%d", v)
@@ -54,11 +46,11 @@ func TestRoundTrip(t *testing.T) {
 
 func TestTruncation(t *testing.T) {
 	w := NewWriter(8)
-	w.U64(12345)
+	w.Raw(make([]byte, 8))
 	r := NewReader(w.Bytes()[:4])
-	r.U64()
+	r.Raw(8)
 	if r.Err() == nil {
-		t.Fatal("truncated U64 not detected")
+		t.Fatal("truncated Raw not detected")
 	}
 }
 
@@ -81,7 +73,7 @@ func TestStickyError(t *testing.T) {
 		t.Fatal("no error after reading empty buffer")
 	}
 	// Further reads return zero values without panicking.
-	if r.Uvarint() != 0 || r.U32() != 0 || r.String() != "" {
+	if r.Uvarint() != 0 || r.Varint() != 0 || r.String() != "" {
 		t.Fatal("reads after error returned nonzero values")
 	}
 }
@@ -101,8 +93,8 @@ func TestUvarintLen(t *testing.T) {
 	for _, v := range []uint64{0, 1, 127, 128, 16383, 16384, 1 << 40, 1<<64 - 1} {
 		w := NewWriter(12)
 		w.Uvarint(v)
-		if got := UvarintLen(v); got != w.Len() {
-			t.Fatalf("UvarintLen(%d)=%d, encoded %d", v, got, w.Len())
+		if got := UvarintLen(v); got != len(w.Bytes()) {
+			t.Fatalf("UvarintLen(%d)=%d, encoded %d", v, got, len(w.Bytes()))
 		}
 	}
 }

@@ -169,9 +169,9 @@ const (
 // A nil GossipConfig anywhere keeps the historical star topology, bit for
 // bit — the golden corpus enforces it.
 
-// GossipConfig tunes the cache dissemination mesh (fanout, TTL, mesh
-// degree, push and anti-entropy cadence, seeded caches). The zero value
-// selects the defaults; set DistributionSpec.Gossip.
+// GossipConfig tunes the cache dissemination mesh (fanout, mesh degree,
+// seeded caches). The zero value selects the defaults; set
+// DistributionSpec.Gossip.
 type GossipConfig = gossip.Config
 
 // --- fault-injection re-exports ---
@@ -346,11 +346,6 @@ func SweepInts(name string, vals ...int) sweep.Axis { return sweep.Ints(name, va
 // SweepFloats builds a float axis (bandwidths, residuals, ...).
 func SweepFloats(name string, vals ...float64) sweep.Axis { return sweep.Floats(name, vals...) }
 
-// SweepDurations builds a duration axis (attack windows, timeouts, ...).
-func SweepDurations(name string, vals ...time.Duration) sweep.Axis {
-	return sweep.Durations(name, vals...)
-}
-
 // SweepParams configures a sweep run beyond the grid: the worker pool and
 // an optional per-cell progress callback (serialized; includes skipped
 // cells).
@@ -416,12 +411,8 @@ func WriteChromeTrace(w io.Writer, events []obs.Event) error {
 // deviations and scoring them against the attack onsets it observed.
 type Detector = obs.Detector
 
-// DetectorConfig tunes the detector's window, threshold and streak.
-type DetectorConfig = obs.DetectorConfig
-
-// NewDetector returns a detector with the given configuration (zero values
-// select the defaults).
-func NewDetector(cfg DetectorConfig) *Detector { return obs.NewDetector(cfg) }
+// NewDetector returns a detector.
+func NewDetector() *Detector { return obs.NewDetector() }
 
 // FirstDetection returns the earliest detection (ok reports whether one
 // exists).
