@@ -8,9 +8,8 @@
 //	go vet -vettool=$(pwd)/bin/detlint ./...
 //
 // which runs every analyzer over every package (test variants included)
-// with cmd/go's caching. It also runs standalone — `detlint ./...` —
-// loading packages via `go list -export`. Run `detlint help` for the
-// analyzer list and the waiver syntax.
+// with cmd/go's caching. Run `detlint help` for the analyzer list and the
+// waiver syntax.
 package main
 
 import (

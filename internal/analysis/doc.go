@@ -27,7 +27,7 @@
 // flagged line or the line above; the reason is mandatory. The driver in
 // driver.go speaks the cmd/go vet-tool protocol, so the suite runs as
 // `go vet -vettool=$(pwd)/bin/detlint ./...` with full build-cache
-// integration, and also standalone as `detlint ./...`.
+// integration.
 //
 // The Analyzer/Pass shape deliberately mirrors golang.org/x/tools/go/
 // analysis so the suite could migrate onto the upstream framework

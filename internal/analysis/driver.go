@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
@@ -12,42 +11,26 @@ import (
 	"go/types"
 	"io"
 	"os"
-	"os/exec"
 	"sort"
 	"strings"
 )
 
 // This file is the detlint driver: the glue that feeds packages to the
-// analyzer suite. It speaks two dialects:
-//
-//   - the cmd/go vet-tool protocol (`go vet -vettool=detlint ./...`): cmd/go
-//     probes the tool with -V=full (build-cache fingerprint) and -flags
-//     (supported analyzer flags, JSON), then invokes it once per package
-//     with a generated vet.cfg describing sources and export data;
-//   - a standalone mode (`detlint ./...`) that shells out to `go list
-//     -deps -export -json` and analyzes every matched package, for local
-//     runs without the vet harness.
-//
-// Both paths feed newPass → RunAnalyzers, so the diagnostics (and the
-// waiver semantics) are identical.
+// analyzer suite. It speaks the cmd/go vet-tool protocol (`go vet
+// -vettool=detlint ./...`): cmd/go probes the tool with -V=full (build-cache
+// fingerprint) and -flags (supported analyzer flags, JSON), then invokes it
+// once per package with a generated vet.cfg describing sources and export
+// data.
 
-// vetConfig mirrors the JSON config cmd/go writes for a vet tool
-// invocation (see cmd/go/internal/work.vetConfig).
+// vetConfig is the part detlint reads of the JSON config cmd/go writes for
+// a vet tool invocation (see cmd/go/internal/work.vetConfig).
 type vetConfig struct {
-	ID                        string
 	Compiler                  string
-	Dir                       string
 	ImportPath                string
 	GoVersion                 string
 	GoFiles                   []string
-	NonGoFiles                []string
-	IgnoredFiles              []string
-	ModulePath                string
-	ModuleVersion             string
 	ImportMap                 map[string]string
 	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
 	VetxOnly                  bool
 	VetxOutput                string
 	SucceedOnTypecheckFailure bool
@@ -72,17 +55,14 @@ func Main(args []string) int {
 			return runUnitchecker(args[0])
 		}
 	}
-	if len(args) == 0 {
-		printHelp()
-		return 1
-	}
-	return runStandalone(args)
+	// Anything else — package patterns included — is not how detlint runs.
+	printHelp()
+	return 1
 }
 
 func printHelp() {
 	fmt.Fprintf(os.Stderr, "detlint: static enforcement of the repo's determinism and hot-path invariants\n\n")
-	fmt.Fprintf(os.Stderr, "usage:\n  detlint ./...                     analyze packages (standalone)\n")
-	fmt.Fprintf(os.Stderr, "  go vet -vettool=$(which detlint) ./...   run under the go vet harness\n\nanalyzers:\n")
+	fmt.Fprintf(os.Stderr, "usage:\n  go vet -vettool=$(which detlint) ./...\n\nanalyzers:\n")
 	for _, a := range All() {
 		fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
 	}
@@ -244,103 +224,4 @@ func (u unsafeAware) Import(path string) (*types.Package, error) {
 		return types.Unsafe, nil
 	}
 	return u.imp.Import(path)
-}
-
-// listPackage is the subset of `go list -json` output the standalone
-// driver needs.
-type listPackage struct {
-	ImportPath string
-	Dir        string
-	Export     string
-	GoFiles    []string
-	Standard   bool
-	DepOnly    bool
-	ImportMap  map[string]string
-}
-
-// runStandalone analyzes the packages matching the given patterns using
-// `go list -deps -export -json` for file discovery and export data.
-func runStandalone(patterns []string) int {
-	args := append([]string{
-		"list", "-deps", "-export",
-		"-json=ImportPath,Dir,Export,GoFiles,Standard,DepOnly,ImportMap",
-	}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Stderr = os.Stderr
-	out, err := cmd.Output()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "detlint: go list: %v\n", err)
-		return 1
-	}
-	exports := make(map[string]string)
-	var targets []*listPackage
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		var p listPackage
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			fmt.Fprintf(os.Stderr, "detlint: decoding go list output: %v\n", err)
-			return 1
-		}
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-		if !p.DepOnly && !p.Standard && len(p.GoFiles) > 0 {
-			q := p
-			targets = append(targets, &q)
-		}
-	}
-	found := 0
-	for _, p := range targets {
-		n, ok := analyzeListed(p, exports)
-		if !ok {
-			return 1
-		}
-		found += n
-	}
-	if found > 0 {
-		fmt.Fprintf(os.Stderr, "detlint: %d finding(s)\n", found)
-		return 2
-	}
-	return 0
-}
-
-func analyzeListed(p *listPackage, exports map[string]string) (findings int, ok bool) {
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range p.GoFiles {
-		f, err := parser.ParseFile(fset, p.Dir+string(os.PathSeparator)+name, nil, parser.ParseComments)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 0, false
-		}
-		files = append(files, f)
-	}
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		if mapped, ok := p.ImportMap[path]; ok {
-			path = mapped
-		}
-		file, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	})
-	tcfg := &types.Config{Importer: unsafeAware{imp}, Error: func(error) {}}
-	info := newTypesInfo()
-	pkg, err := tcfg.Check(p.ImportPath, fset, files, info)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "detlint: typechecking %s: %v\n", p.ImportPath, err)
-		return 0, false
-	}
-	diags, err := RunAnalyzers(fset, files, pkg, info)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 0, false
-	}
-	for _, d := range diags {
-		fmt.Fprintf(os.Stderr, "%v: %s\n", fset.Position(d.Pos), d.Message)
-	}
-	return len(diags), true
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"partialtor/internal/obs"
+	"partialtor/internal/sig"
 	"partialtor/internal/simnet"
 	"partialtor/internal/topo"
 )
@@ -237,7 +238,7 @@ func MajorityTargets(n int) []int {
 	if n <= 0 {
 		return nil
 	}
-	return FirstTargets(n/2 + 1)
+	return FirstTargets(sig.Majority(n))
 }
 
 // CostModel reproduces the paper's §4.3 attack-cost estimate, and extends

@@ -25,25 +25,14 @@ func SignLink(k *sig.KeyPair, epoch uint64, digest, prev sig.Digest) sig.Signatu
 	return k.Sign("chain/link", LinkInput(epoch, digest, prev))
 }
 
-// verifySigs checks at least threshold distinct valid signatures.
-func verifySigs(pubs []ed25519.PublicKey, l Link, threshold int) error {
-	msg := LinkInput(l.Epoch, l.Digest, l.Prev)
-	seen := make(map[int]bool, len(l.Sigs))
-	good := 0
-	for _, s := range l.Sigs {
-		if seen[s.Signer] {
-			return fmt.Errorf("chain: duplicate signer %d", s.Signer)
-		}
-		if !sig.Verify(pubs, "chain/link", msg, s) {
-			return fmt.Errorf("chain: bad signature from %d", s.Signer)
-		}
-		seen[s.Signer] = true
-		good++
+// SignedLink builds a link carrying the signatures of the first
+// sig.Majority(len(keys)) authorities — the smallest set a verifier accepts.
+func SignedLink(keys []*sig.KeyPair, epoch uint64, digest, prev sig.Digest) Link {
+	l := Link{Epoch: epoch, Digest: digest, Prev: prev}
+	for _, k := range keys[:sig.Majority(len(keys))] {
+		l.Sigs = append(l.Sigs, SignLink(k, epoch, digest, prev))
 	}
-	if good < threshold {
-		return fmt.Errorf("chain: %d signatures, need %d", good, threshold)
-	}
-	return nil
+	return l
 }
 
 // VerifyLink checks one link's signature set in isolation: at least
@@ -51,7 +40,10 @@ func verifySigs(pubs []ed25519.PublicKey, l Link, threshold int) error {
 // chain-position context — callers (e.g. client.Verifier) check epoch and
 // predecessor themselves.
 func VerifyLink(pubs []ed25519.PublicKey, threshold int, l Link) error {
-	return verifySigs(pubs, l, threshold)
+	if err := sig.VerifyQuorum(pubs, "chain/link", LinkInput(l.Epoch, l.Digest, l.Prev), l.Sigs, threshold); err != nil {
+		return fmt.Errorf("chain: %w", err)
+	}
+	return nil
 }
 
 // Chain is a verified sequence of links.
@@ -82,7 +74,7 @@ func (c *Chain) Head() (Link, bool) {
 // zero; every later link must reference the current head's digest and
 // increment the epoch.
 func (c *Chain) Append(l Link) error {
-	if err := verifySigs(c.pubs, l, c.threshold); err != nil {
+	if err := VerifyLink(c.pubs, c.threshold, l); err != nil {
 		return err
 	}
 	head, ok := c.Head()
@@ -107,28 +99,14 @@ func (c *Chain) Append(l Link) error {
 	return nil
 }
 
-// Verify re-checks the full chain (e.g. after loading from disk).
+// Verify re-checks the full chain by replaying it, so Append's rules are
+// the only statement of what a valid chain is.
 func (c *Chain) Verify() error {
-	var prev sig.Digest
-	var lastEpoch uint64
+	replay := New(c.pubs, c.threshold)
 	for i, l := range c.links {
-		if err := verifySigs(c.pubs, l, c.threshold); err != nil {
+		if err := replay.Append(l); err != nil {
 			return fmt.Errorf("chain: link %d: %w", i, err)
 		}
-		if i == 0 {
-			if !l.Prev.IsZero() {
-				return fmt.Errorf("chain: link 0 has nonzero prev")
-			}
-		} else {
-			if l.Prev != prev {
-				return fmt.Errorf("chain: link %d breaks the chain", i)
-			}
-			if l.Epoch != lastEpoch+1 {
-				return fmt.Errorf("chain: link %d epoch gap", i)
-			}
-		}
-		prev = l.Digest
-		lastEpoch = l.Epoch
 	}
 	return nil
 }
@@ -146,7 +124,7 @@ func DetectFork(pubs []ed25519.PublicKey, threshold int, a, b Link) (*ForkProof,
 	if a.Epoch != b.Epoch || a.Prev != b.Prev || a.Digest == b.Digest {
 		return nil, false
 	}
-	if verifySigs(pubs, a, threshold) != nil || verifySigs(pubs, b, threshold) != nil {
+	if VerifyLink(pubs, threshold, a) != nil || VerifyLink(pubs, threshold, b) != nil {
 		return nil, false
 	}
 	return &ForkProof{A: a, B: b}, true

@@ -45,7 +45,7 @@ func (c *Config) F() int { return (c.n() - 1) / 3 }
 func (c *Config) Quorum() int { return c.n() - c.F() }
 
 // Majority is the Tor consensus-signature threshold ⌊n/2⌋+1.
-func (c *Config) Majority() int { return c.n()/2 + 1 }
+func (c *Config) Majority() int { return sig.Majority(c.n()) }
 
 func (c *Config) delta() time.Duration {
 	if c.Delta > 0 {
@@ -65,15 +65,14 @@ type Authority struct {
 	hs    *hotstuff.Replica
 
 	// Dissemination state.
-	docs         map[int]*vote.Document
-	ownerSigs    map[int]sig.Signature
-	ready        bool
-	readyAt      time.Duration
-	deltaPassed  bool
-	sentProposal map[int]bool
+	docs        map[int]*vote.Document
+	ownerSigs   map[int]sig.Signature
+	ready       bool
+	readyAt     time.Duration
+	deltaPassed bool
 
-	// Leader state: proposals received per view.
-	proposals map[int]map[int][]ProposalEntry
+	// Per agreement view: proposal sent, and proposals received as leader.
+	views map[int]*viewState
 
 	// Agreement outcome.
 	decided   *AgreementValue
@@ -85,14 +84,24 @@ type Authority struct {
 	consensus  *vote.Consensus
 	consDigest sig.Digest
 	signed     bool
-	consSigs   map[int]sigRecord
+	consSigs   *sig.Tally
 	done       bool
 	doneAt     time.Duration
 }
 
-type sigRecord struct {
-	digest sig.Digest
-	sg     sig.Signature
+type viewState struct {
+	sentProposal bool
+	proposals    map[int][]ProposalEntry // by proposer
+}
+
+// at returns the record of a view, creating it on first use.
+func (a *Authority) at(view int) *viewState {
+	vs := a.views[view]
+	if vs == nil {
+		vs = &viewState{proposals: make(map[int][]ProposalEntry)}
+		a.views[view] = vs
+	}
+	return vs
 }
 
 // NewAuthorities constructs the authority set sharing one hotstuff config.
@@ -116,10 +125,7 @@ func NewAuthorities(cfg Config) []*Authority {
 		},
 		Validate: func(v hotstuff.Value) bool {
 			av, ok := v.(*AgreementValue)
-			if !ok {
-				return false
-			}
-			return av.Verify(pubs, len(cfg.Keys), (len(cfg.Keys)-1)/3) == nil
+			return ok && av.Verify(pubs, cfg.n(), cfg.F()) == nil
 		},
 		OnDecide: func(ctx *simnet.Context, index int, v hotstuff.Value) {
 			auths[index].onDecide(ctx, v.(*AgreementValue))
@@ -130,21 +136,20 @@ func NewAuthorities(cfg Config) []*Authority {
 	}
 	for i := range auths {
 		auths[i] = &Authority{
-			cfg:          &cfg,
-			index:        i,
-			me:           cfg.Keys[i],
-			pubs:         pubs,
-			doc:          cfg.Docs[i],
-			hs:           hotstuff.NewReplica(hsCfg, i),
-			docs:         make(map[int]*vote.Document),
-			ownerSigs:    make(map[int]sig.Signature),
-			sentProposal: make(map[int]bool),
-			proposals:    make(map[int]map[int][]ProposalEntry),
-			aggDocs:      make(map[int]*vote.Document),
-			consSigs:     make(map[int]sigRecord),
-			readyAt:      simnet.Never,
-			decidedAt:    simnet.Never,
-			doneAt:       simnet.Never,
+			cfg:       &cfg,
+			index:     i,
+			me:        cfg.Keys[i],
+			pubs:      pubs,
+			doc:       cfg.Docs[i],
+			hs:        hotstuff.NewReplica(hsCfg, i),
+			docs:      make(map[int]*vote.Document),
+			ownerSigs: make(map[int]sig.Signature),
+			views:     make(map[int]*viewState),
+			aggDocs:   make(map[int]*vote.Document),
+			consSigs:  sig.NewTally(pubs, domainConsensus),
+			readyAt:   simnet.Never,
+			decidedAt: simnet.Never,
+			doneAt:    simnet.Never,
 		}
 	}
 	return auths
@@ -263,26 +268,18 @@ func (a *Authority) onEnterView(ctx *simnet.Context, view int) {
 
 // sendProposal reports the digests this node has seen to the view leader.
 func (a *Authority) sendProposal(ctx *simnet.Context, view int) {
-	if a.sentProposal[view] || a.decided != nil {
+	vs := a.at(view)
+	if vs.sentProposal || a.decided != nil {
 		return
 	}
-	a.sentProposal[view] = true
-	var zero sig.Digest
+	vs.sentProposal = true
 	entries := make([]ProposalEntry, a.cfg.n())
-	for j := 0; j < a.cfg.n(); j++ {
+	for j := range entries {
+		e := &entries[j] // the zero digest endorses ⊥
 		if d, ok := a.docs[j]; ok {
-			dg := d.Digest()
-			entries[j] = ProposalEntry{
-				Digest:   dg,
-				OwnerSig: a.ownerSigs[j],
-				Endorse:  a.me.Sign(domainEndorse, entryInput(j, dg)),
-			}
-		} else {
-			entries[j] = ProposalEntry{
-				Digest:  zero,
-				Endorse: a.me.Sign(domainEndorse, entryInput(j, zero)),
-			}
+			e.Digest, e.OwnerSig = d.Digest(), a.ownerSigs[j]
 		}
+		e.Endorse = a.me.Sign(domainEndorse, entryInput(j, e.Digest))
 	}
 	m := &MsgProposal{View: view, From: a.index, Entries: entries}
 	leader := (view - 1) % a.cfg.n()
@@ -311,20 +308,18 @@ func (a *Authority) acceptProposal(ctx *simnet.Context, m *MsgProposal) {
 			}
 		}
 	}
-	if a.proposals[m.View] == nil {
-		a.proposals[m.View] = make(map[int][]ProposalEntry)
-	}
-	if _, ok := a.proposals[m.View][m.From]; ok {
+	props := a.at(m.View).proposals
+	if _, ok := props[m.From]; ok {
 		return
 	}
-	a.proposals[m.View][m.From] = m.Entries
+	props[m.From] = m.Entries
 	a.hs.NotifyReady(ctx)
 }
 
 // buildValue assembles (H, π) from this view's proposals; nil if the leader
 // cannot yet prove n−f OK entries (it then waits for more proposals).
 func (a *Authority) buildValue(view int) *AgreementValue {
-	props := a.proposals[view]
+	props := a.at(view).proposals
 	if len(props) < a.cfg.Quorum() {
 		return nil
 	}
@@ -497,8 +492,7 @@ func (a *Authority) tryAggregate(ctx *simnet.Context) {
 	a.consensus = cons
 	a.consDigest = cons.Digest()
 	a.signed = true
-	own := a.me.Sign(domainConsensus, a.consDigest[:])
-	a.consSigs[a.index] = sigRecord{digest: a.consDigest, sg: own}
+	own := a.consSigs.Sign(a.me, a.consDigest)
 	ctx.Logf("notice", "Consensus aggregated from %d documents; digest %s.", len(docs), a.consDigest.Short())
 	ctx.Trace(obs.Event{Type: obs.EvPhase, Label: "signing", A: int64(len(docs))})
 	ctx.Broadcast(&MsgConsSig{Digest: a.consDigest, Sig: own})
@@ -506,31 +500,19 @@ func (a *Authority) tryAggregate(ctx *simnet.Context) {
 }
 
 func (a *Authority) acceptConsSig(ctx *simnet.Context, m *MsgConsSig) {
-	from := m.Sig.Signer
-	if from < 0 || from >= a.cfg.n() || from == a.index {
+	if m.Sig.Signer == a.index {
 		return
 	}
-	if !sig.Verify(a.pubs, domainConsensus, m.Digest[:], m.Sig) {
-		return
+	if _, added := a.consSigs.Add(m.Sig.Signer, m.Digest, m.Sig); added {
+		a.checkDone(ctx)
 	}
-	if _, ok := a.consSigs[from]; ok {
-		return
-	}
-	a.consSigs[from] = sigRecord{digest: m.Digest, sg: m.Sig}
-	a.checkDone(ctx)
 }
 
 func (a *Authority) checkDone(ctx *simnet.Context) {
 	if a.done || !a.signed {
 		return
 	}
-	matching := 0
-	for _, rec := range a.consSigs {
-		if rec.digest == a.consDigest {
-			matching++
-		}
-	}
-	if matching >= a.cfg.Majority() {
+	if matching := a.consSigs.Matching(a.consDigest); matching >= a.cfg.Majority() {
 		a.done = true
 		a.doneAt = ctx.Now()
 		ctx.Trace(obs.Event{Type: obs.EvPhase, Label: "published"})

@@ -49,10 +49,7 @@ func (h *leaderHarness) feed(from int, opinion func(j int) *sig.Digest) {
 	for j := range entries {
 		entries[j] = h.entryFor(from, j, opinion(j))
 	}
-	if leader.proposals[1] == nil {
-		leader.proposals[1] = make(map[int][]ProposalEntry)
-	}
-	leader.proposals[1][from] = entries
+	leader.at(1).proposals[from] = entries
 }
 
 func digestPtr(s string) *sig.Digest {
@@ -228,7 +225,7 @@ func TestBuildValueInvalidProposalRejected(t *testing.T) {
 	// Feed through the real acceptance path; the forged entry is rejected
 	// before any state (or the context) is touched.
 	leader.acceptProposal(nil, &MsgProposal{View: 1, From: 1, Entries: entries})
-	if len(leader.proposals[1]) != 0 {
+	if len(leader.at(1).proposals) != 0 {
 		t.Fatal("forged proposal accepted")
 	}
 }

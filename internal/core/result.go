@@ -48,8 +48,7 @@ func Collect(auths []*Authority, cfg Config, correct func(i int) bool) *Result {
 		Latency:  simnet.Never,
 		Success:  true,
 	}
-	var maxLat time.Duration
-	haveLat := false
+	honest := make([]bool, len(auths))
 	for i, a := range auths {
 		res.Done = append(res.Done, a.done)
 		res.ReadyAt = append(res.ReadyAt, a.readyAt)
@@ -67,23 +66,16 @@ func Collect(auths []*Authority, cfg Config, correct func(i int) bool) *Result {
 				res.OKCount = a.decided.OKCount()
 			}
 		}
-		if !correct(i) {
-			continue
-		}
-		if !a.done {
+		honest[i] = correct(i)
+		if honest[i] && !a.done {
 			res.Success = false
-			continue
-		}
-		haveLat = true
-		if a.doneAt > maxLat {
-			maxLat = a.doneAt
 		}
 	}
 	if res.DoneCount == 0 {
 		res.Success = false
 	}
-	if haveLat && res.Success {
-		res.Latency = maxLat
+	if res.Success {
+		res.Latency = simnet.Latest(res.DoneAt, honest)
 	}
 	return res
 }

@@ -177,11 +177,11 @@ func (v *AgreementValue) Verify(pubs []ed25519.PublicKey, n, f int) error {
 			if e.OwnerSig.Signer != j || !sig.Verify(pubs, domainDoc, entryInput(j, e.Digest), e.OwnerSig) {
 				return fmt.Errorf("core: entry %d owner signature invalid", j)
 			}
-			if err := verifyEndorsements(pubs, j, e.Digest, e.Endorsements, endorseQuorum); err != nil {
+			if err := sig.VerifyQuorum(pubs, domainEndorse, entryInput(j, e.Digest), e.Endorsements, endorseQuorum); err != nil {
 				return fmt.Errorf("core: entry %d: %w", j, err)
 			}
 		case EntryBotTimeout:
-			if err := verifyEndorsements(pubs, j, zero, e.Endorsements, endorseQuorum); err != nil {
+			if err := sig.VerifyQuorum(pubs, domainEndorse, entryInput(j, zero), e.Endorsements, endorseQuorum); err != nil {
 				return fmt.Errorf("core: entry %d (⊥ timeout): %w", j, err)
 			}
 		case EntryBotEquivocation:
@@ -197,24 +197,6 @@ func (v *AgreementValue) Verify(pubs []ed25519.PublicKey, n, f int) error {
 		default:
 			return fmt.Errorf("core: entry %d has unknown status %d", j, e.Status)
 		}
-	}
-	return nil
-}
-
-func verifyEndorsements(pubs []ed25519.PublicKey, j int, d sig.Digest, endorsements []sig.Signature, quorum int) error {
-	if len(endorsements) < quorum {
-		return fmt.Errorf("%d endorsements, need %d", len(endorsements), quorum)
-	}
-	msg := entryInput(j, d)
-	seen := make(map[int]bool, len(endorsements))
-	for _, s := range endorsements {
-		if seen[s.Signer] {
-			return fmt.Errorf("duplicate endorsement from %d", s.Signer)
-		}
-		if !sig.Verify(pubs, domainEndorse, msg, s) {
-			return fmt.Errorf("bad endorsement from %d", s.Signer)
-		}
-		seen[s.Signer] = true
 	}
 	return nil
 }

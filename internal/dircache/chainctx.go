@@ -3,6 +3,7 @@ package dircache
 import (
 	"crypto/ed25519"
 
+	"partialtor/internal/attack"
 	"partialtor/internal/chain"
 	"partialtor/internal/sig"
 )
@@ -49,18 +50,6 @@ type ChainContext struct {
 // that full signer set.
 func SynthChain(seed int64, authorities int, genuine sig.Digest) *ChainContext {
 	keys := sig.Authorities(seed, authorities)
-	threshold := authorities/2 + 1
-	signers := make([]int, threshold)
-	for i := range signers {
-		signers[i] = i
-	}
-	sign := func(epoch uint64, digest, prev sig.Digest) chain.Link {
-		l := chain.Link{Epoch: epoch, Digest: digest, Prev: prev}
-		for _, i := range signers {
-			l.Sigs = append(l.Sigs, chain.SignLink(keys[i], epoch, digest, prev))
-		}
-		return l
-	}
 	prevDigest := sig.HashParts([]byte("dircache-epoch-1"), int64Bytes(seed))
 	if genuine.IsZero() {
 		genuine = sig.HashParts([]byte("dircache-epoch-2"), int64Bytes(seed))
@@ -68,11 +57,11 @@ func SynthChain(seed int64, authorities int, genuine sig.Digest) *ChainContext {
 	forkDigest := sig.HashParts([]byte("dircache-fork"), int64Bytes(seed))
 	return &ChainContext{
 		Pubs:        sig.PublicSet(keys),
-		Threshold:   threshold,
-		Prev:        sign(1, prevDigest, sig.Digest{}),
-		Genuine:     sign(2, genuine, prevDigest),
-		Fork:        sign(2, forkDigest, prevDigest),
-		ForkSigners: signers,
+		Threshold:   sig.Majority(authorities),
+		Prev:        chain.SignedLink(keys, 1, prevDigest, sig.Digest{}),
+		Genuine:     chain.SignedLink(keys, 2, genuine, prevDigest),
+		Fork:        chain.SignedLink(keys, 2, forkDigest, prevDigest),
+		ForkSigners: attack.MajorityTargets(authorities),
 	}
 }
 

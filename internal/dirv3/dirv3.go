@@ -61,7 +61,7 @@ type Config struct {
 func (c *Config) n() int { return len(c.Keys) }
 
 // Majority is the signature/vote threshold: ⌊n/2⌋+1 (5 of 9).
-func (c *Config) Majority() int { return c.n()/2 + 1 }
+func (c *Config) Majority() int { return sig.Majority(c.n()) }
 
 func (c *Config) round() time.Duration {
 	if c.Round > 0 {
@@ -129,11 +129,6 @@ func (m *msgSigResponse) Kind() string { return "dirv3/sig-resp" }
 
 // --- authority ---
 
-type sigRecord struct {
-	digest sig.Digest
-	sg     sig.Signature
-}
-
 // Authority is one directory authority running the v3 protocol. It
 // implements simnet.Handler; node IDs must equal authority indices.
 type Authority struct {
@@ -145,7 +140,7 @@ type Authority struct {
 
 	votes    map[int]*vote.Document
 	voteSigs map[int]sig.Signature
-	sigs     map[int]sigRecord
+	sigs     *sig.Tally
 
 	consensus  *vote.Consensus
 	consDigest sig.Digest
@@ -178,7 +173,7 @@ func NewAuthorities(cfg Config) []*Authority {
 			doc:                 cfg.Docs[i],
 			votes:               make(map[int]*vote.Document),
 			voteSigs:            make(map[int]sig.Signature),
-			sigs:                make(map[int]sigRecord),
+			sigs:                sig.NewTally(pubs, domainConsensus),
 			voteFullAt:          simnet.Never,
 			sigFullAt:           simnet.Never,
 			respondedSinceFetch: make(map[simnet.NodeID]bool),
@@ -233,8 +228,8 @@ func (a *Authority) Deliver(ctx *simnet.Context, from simnet.NodeID, msg simnet.
 	case *msgSigResponse:
 		a.acceptSig(ctx, m.Of, m.Digest, m.Sig)
 	case *msgSigRequest:
-		if rec, ok := a.sigs[m.Want]; ok {
-			ctx.Send(from, &msgSigResponse{Of: m.Want, Digest: rec.digest, Sig: rec.sg})
+		if digest, s, ok := a.sigs.Lookup(m.Want); ok {
+			ctx.Send(from, &msgSigResponse{Of: m.Want, Digest: digest, Sig: s})
 		}
 	}
 }
@@ -268,15 +263,12 @@ func (a *Authority) acceptSig(ctx *simnet.Context, of int, digest sig.Digest, s 
 	if of < 0 || of >= a.cfg.n() || of == a.index {
 		return
 	}
-	if s.Signer != of || !sig.Verify(a.pubs, domainConsensus, digest[:], s) {
+	valid, added := a.sigs.Add(of, digest, s)
+	if !valid {
 		ctx.Logf("warn", "Rejecting consensus signature claimed from authority %d.", of)
 		return
 	}
-	if _, ok := a.sigs[of]; ok {
-		return
-	}
-	a.sigs[of] = sigRecord{digest: digest, sg: s}
-	if len(a.sigs) == a.cfg.n() && a.sigFullAt == simnet.Never {
+	if added && a.sigs.Len() == a.cfg.n() && a.sigFullAt == simnet.Never {
 		a.sigFullAt = ctx.Now()
 	}
 }
@@ -305,12 +297,7 @@ func (a *Authority) fetchVotes(ctx *simnet.Context) {
 	ctx.Logf("notice", "We're missing votes from %d authorities (%s). Asking every other authority for a copy.",
 		len(missing), strings.Join(fps, " "))
 	for _, j := range missing {
-		for p := 0; p < ctx.N(); p++ {
-			if p == a.index {
-				continue
-			}
-			ctx.Send(simnet.NodeID(p), &msgVoteRequest{Want: j})
-		}
+		ctx.Broadcast(&msgVoteRequest{Want: j})
 	}
 	ctx.After(a.cfg.fetchTimeout(), func() { a.logGiveUps(ctx) })
 }
@@ -361,8 +348,7 @@ func (a *Authority) computeConsensus(ctx *simnet.Context) {
 	a.consensus = cons
 	a.consDigest = cons.Digest()
 	a.computed = true
-	own := a.me.Sign(domainConsensus, a.consDigest[:])
-	a.sigs[a.index] = sigRecord{digest: a.consDigest, sg: own}
+	own := a.sigs.Sign(a.me, a.consDigest)
 	ctx.Logf("notice", "Consensus computed from %d votes; digest %s.", len(docs), a.consDigest.Short())
 	ctx.Broadcast(&msgSig{Digest: a.consDigest, Sig: own})
 }
@@ -371,14 +357,8 @@ func (a *Authority) fetchSignatures(ctx *simnet.Context) {
 	ctx.Logf("notice", "Time to fetch any signatures that we're missing.")
 	ctx.Trace(obs.Event{Type: obs.EvPhase, Label: "fetch-signatures"})
 	for j := 0; j < a.cfg.n(); j++ {
-		if _, ok := a.sigs[j]; ok {
-			continue
-		}
-		for p := 0; p < ctx.N(); p++ {
-			if p == a.index {
-				continue
-			}
-			ctx.Send(simnet.NodeID(p), &msgSigRequest{Want: j})
+		if _, _, ok := a.sigs.Lookup(j); !ok {
+			ctx.Broadcast(&msgSigRequest{Want: j})
 		}
 	}
 }
@@ -389,12 +369,7 @@ func (a *Authority) finish(ctx *simnet.Context) {
 		ctx.Logf("warn", "No consensus was computed this period.")
 		return
 	}
-	matching := 0
-	for _, rec := range a.sigs {
-		if rec.digest == a.consDigest {
-			matching++
-		}
-	}
+	matching := a.sigs.Matching(a.consDigest)
 	a.finalSigCount = matching
 	if matching >= a.cfg.Majority() {
 		a.succeeded = true
@@ -428,7 +403,6 @@ func Collect(auths []*Authority, cfg Config) *Result {
 	res := &Result{
 		N:        cfg.n(),
 		Majority: cfg.Majority(),
-		Latency:  simnet.Never,
 	}
 	round := cfg.round()
 	for _, a := range auths {
@@ -455,18 +429,6 @@ func Collect(auths []*Authority, cfg Config) *Result {
 		}
 	}
 	res.Success = res.SuccessCount > 0
-	var maxLat time.Duration
-	haveLat := false
-	for i, ok := range res.Succeeded {
-		if ok && res.Latencies[i] != simnet.Never {
-			haveLat = true
-			if res.Latencies[i] > maxLat {
-				maxLat = res.Latencies[i]
-			}
-		}
-	}
-	if haveLat {
-		res.Latency = maxLat
-	}
+	res.Latency = simnet.Latest(res.Latencies, res.Succeeded)
 	return res
 }

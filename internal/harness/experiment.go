@@ -307,16 +307,10 @@ type ExperimentResult struct {
 func (e *Experiment) Run(ctx context.Context) (*ExperimentResult, error) {
 	res := &ExperimentResult{FirstOutage: -1}
 
-	var ch *chain.Chain
 	var keys []*sig.KeyPair
-	var majority int
-	var prev sig.Digest
-	epoch := uint64(0)
 	if e.chain {
 		keys, _ = Inputs(e.base)
-		majority = len(keys)/2 + 1
-		ch = chain.New(sig.PublicSet(keys), majority)
-		res.Chain = ch
+		res.Chain = chain.New(sig.PublicSet(keys), sig.Majority(len(keys)))
 	}
 
 	var clientRuns []client.Run
@@ -356,16 +350,11 @@ func (e *Experiment) Run(ctx context.Context) (*ExperimentResult, error) {
 			if c == nil {
 				return nil, fmt.Errorf("harness: period %d succeeded without a consensus document (driver detail %T)", i, run.Detail)
 			}
-			digest := c.Digest()
-			epoch++
-			link := chain.Link{Epoch: epoch, Digest: digest, Prev: prev}
-			for k := 0; k < majority; k++ {
-				link.Sigs = append(link.Sigs, chain.SignLink(keys[k], epoch, digest, prev))
-			}
-			if err := ch.Append(link); err != nil {
+			// Before genesis the head is the zero link: epoch 1, no parent.
+			head, _ := res.Chain.Head()
+			if err := res.Chain.Append(chain.SignedLink(keys, head.Epoch+1, c.Digest(), head.Digest)); err != nil {
 				return nil, fmt.Errorf("harness: period %d: chain append failed: %w", i, err)
 			}
-			prev = digest
 		}
 	}
 

@@ -437,6 +437,17 @@ func goldenDigest(t *testing.T, p Protocol, seed int64, kind string, tracer obs.
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// timedDigest is goldenDigest with the cell's wall time logged (-v shows it):
+// the corpus is most of this package's test time, and its cells are unequal.
+func timedDigest(t *testing.T, p Protocol, seed int64, kind string, tracer obs.Tracer) string {
+	t.Helper()
+	start := time.Now() //detlint:wallclock ok(times the test around the simulation; never reaches a digest)
+	got := goldenDigest(t, p, seed, kind, tracer)
+	//detlint:wallclock ok(as above)
+	t.Logf("cell ran in %v", time.Since(start).Round(time.Millisecond))
+	return got
+}
+
 // TestGoldenCorpusTracingNeutral re-runs corpus cells with a recording
 // tracer (and a detector teed in) and demands the exact pinned digests: the
 // observability layer must not perturb the simulation by a single byte, in
@@ -450,9 +461,10 @@ func TestGoldenCorpusTracingNeutral(t *testing.T) {
 		for _, kind := range goldenKinds {
 			name := fmt.Sprintf("%s/seed1/%s", p, kind)
 			t.Run(name, func(t *testing.T) {
+				t.Parallel()
 				rec := obs.NewRecorder(0)
 				tracer := obs.Tee(rec, obs.NewDetector())
-				got := goldenDigest(t, p, 1, kind, tracer)
+				got := timedDigest(t, p, 1, kind, tracer)
 				if want := goldenKernelDigests[name]; got != want {
 					t.Errorf("recording tracer perturbed the kernel for %s:\n  got  %s\n  want %s", name, got, want)
 				}
@@ -472,7 +484,10 @@ func TestGoldenKernelCorpus(t *testing.T) {
 			for _, kind := range goldenKinds {
 				name := fmt.Sprintf("%s/seed%d/%s", p, seed, kind)
 				t.Run(name, func(t *testing.T) {
-					got := goldenDigest(t, p, seed, kind, nil)
+					if !record {
+						t.Parallel() // recording prints the cells in corpus order
+					}
+					got := timedDigest(t, p, seed, kind, nil)
 					if record {
 						fmt.Printf("\t%q: %q,\n", name, got)
 						return

@@ -159,18 +159,8 @@ func voteDomain(phase int) string {
 
 // Verify checks the certificate against the replica set.
 func (q *QC) Verify(pubs []ed25519.PublicKey, quorum int) bool {
-	if q == nil || len(q.Sigs) < quorum {
-		return false
-	}
-	msg := qcInput(q.Phase, q.View, q.Digest)
-	seen := make(map[int]bool, len(q.Sigs))
-	for _, s := range q.Sigs {
-		if seen[s.Signer] || !sig.Verify(pubs, voteDomain(q.Phase), msg, s) {
-			return false
-		}
-		seen[s.Signer] = true
-	}
-	return true
+	return q != nil &&
+		sig.VerifyQuorum(pubs, voteDomain(q.Phase), qcInput(q.Phase, q.View, q.Digest), q.Sigs, quorum) == nil
 }
 
 // TC is a timeout certificate: n−f signatures over a view number, plus the
@@ -194,16 +184,5 @@ func tcInput(view int) []byte { return []byte(fmt.Sprintf("timeout|%d", view)) }
 // Verify checks the certificate (the HighQC is checked separately when
 // used; safety never depends on it — replicas trust only their own locks).
 func (t *TC) Verify(pubs []ed25519.PublicKey, quorum int) bool {
-	if t == nil || len(t.Sigs) < quorum {
-		return false
-	}
-	msg := tcInput(t.View)
-	seen := make(map[int]bool, len(t.Sigs))
-	for _, s := range t.Sigs {
-		if seen[s.Signer] || !sig.Verify(pubs, domainTimeout, msg, s) {
-			return false
-		}
-		seen[s.Signer] = true
-	}
-	return true
+	return t != nil && sig.VerifyQuorum(pubs, domainTimeout, tcInput(t.View), t.Sigs, quorum) == nil
 }

@@ -83,7 +83,7 @@ func TestStaleProposalWithoutEntryTCIgnored(t *testing.T) {
 	if reps[1].View() != 1 {
 		t.Fatalf("replica jumped to view %d on an unproven proposal", reps[1].View())
 	}
-	if reps[1].votedPhase[7] != nil {
+	if reps[1].views[7] != nil {
 		t.Fatal("replica voted in an unproven view")
 	}
 }

@@ -2,7 +2,6 @@ package hotstuff
 
 import (
 	"crypto/ed25519"
-	"sort"
 	"time"
 
 	"partialtor/internal/obs"
@@ -25,19 +24,8 @@ type Replica struct {
 	lockedQC *QC
 	values   map[sig.Digest]Value
 
-	votedPhase map[int]map[int]bool // view -> phase -> voted?
-
-	// Leader-side collection state.
-	votes       map[int]map[int]map[sig.Digest][]sig.Signature // view -> phase -> digest -> sigs
-	lockSent    map[int]bool
-	decideSent  map[int]bool
-	proposalOut map[int]bool
-
-	// Pacemaker state.
-	timeouts   map[int]map[int]MsgTimeout // view -> signer -> share
-	tcFormed   map[int]bool
-	sentTimout map[int]bool
-	entryTC    *TC
+	views   map[int]*viewState
+	entryTC *TC
 
 	decided      bool
 	decidedValue Value
@@ -45,24 +33,49 @@ type Replica struct {
 	decidedAt    time.Duration
 }
 
+// viewState is everything a replica knows about one view.
+type viewState struct {
+	proposalOut bool
+	voted       [2]bool // by phase: 1, 2
+
+	// Leader-side collection state.
+	votes      map[voteKey][]sig.Signature
+	lockSent   bool
+	decideSent bool
+
+	// Pacemaker state.
+	timeouts    []*MsgTimeout // by signer; nil = no share yet
+	shares      int
+	tcFormed    bool
+	sentTimeout bool
+}
+
+type voteKey struct {
+	phase  int
+	digest sig.Digest
+}
+
 // NewReplica builds the replica with the given index into cfg.Keys.
 func NewReplica(cfg *Config, index int) *Replica {
 	return &Replica{
-		cfg:         cfg,
-		index:       index,
-		me:          cfg.Keys[index],
-		pubs:        sig.PublicSet(cfg.Keys),
-		values:      make(map[sig.Digest]Value),
-		votedPhase:  make(map[int]map[int]bool),
-		votes:       make(map[int]map[int]map[sig.Digest][]sig.Signature),
-		lockSent:    make(map[int]bool),
-		decideSent:  make(map[int]bool),
-		proposalOut: make(map[int]bool),
-		timeouts:    make(map[int]map[int]MsgTimeout),
-		tcFormed:    make(map[int]bool),
-		sentTimout:  make(map[int]bool),
-		decidedAt:   simnet.Never,
+		cfg:       cfg,
+		index:     index,
+		me:        cfg.Keys[index],
+		pubs:      sig.PublicSet(cfg.Keys),
+		values:    make(map[sig.Digest]Value),
+		views:     make(map[int]*viewState),
+		decidedAt: simnet.Never,
 	}
+}
+
+// at returns the record of view v, creating it on first use.
+func (r *Replica) at(v int) *viewState {
+	vs := r.views[v]
+	if vs == nil {
+		vs = &viewState{votes: make(map[voteKey][]sig.Signature), timeouts: make([]*MsgTimeout, r.cfg.N())}
+		r.views[v] = vs
+	}
+	return vs
 }
 
 // Decided reports the outcome, if any.
@@ -94,6 +107,17 @@ func (r *Replica) enterView(ctx *simnet.Context, v int) {
 	if v <= r.view || r.decided {
 		return
 	}
+	// Nothing reads a left view's proposal, vote or pacemaker state again:
+	// handleTimeout and handleTC return on View < r.view, everything else
+	// touches r.view only. What a leader collected stays — a late quorum for
+	// an old view still forms and broadcasts its lock QC.
+	for u := r.view; u < v; u++ {
+		if vs := r.views[u]; vs != nil && len(vs.votes) > 0 {
+			r.views[u] = &viewState{votes: vs.votes, lockSent: vs.lockSent, decideSent: vs.decideSent}
+		} else {
+			delete(r.views, u)
+		}
+	}
 	r.view = v
 	r.timerGen++
 	gen := r.timerGen
@@ -112,7 +136,8 @@ func (r *Replica) enterView(ctx *simnet.Context, v int) {
 // the parent for an input and silently waits when none is ready yet.
 func (r *Replica) tryPropose(ctx *simnet.Context) {
 	v := r.view
-	if r.proposalOut[v] || r.decided || r.byzSilent() {
+	vs := r.at(v)
+	if vs.proposalOut || r.decided || r.byzSilent() {
 		return
 	}
 	var value Value
@@ -129,24 +154,24 @@ func (r *Replica) tryPropose(ctx *simnet.Context) {
 	if value == nil {
 		return // input not ready; NotifyReady or the next leader will retry
 	}
-	r.proposalOut[v] = true
+	vs.proposalOut = true
+	m := &MsgProposal{View: v, Value: value, Justify: justify, EntryTC: r.entryTC}
 	if r.cfg.Equivocator[r.index] && r.cfg.AltPropose != nil {
-		alt := r.cfg.AltPropose(r.index, v)
+		alt := *m
+		alt.Value = r.cfg.AltPropose(r.index, v)
 		for p := 0; p < ctx.N(); p++ {
 			if p == r.index {
 				continue
 			}
-			val := value
+			pm := m
 			if p%2 == 1 {
-				val = alt
+				pm = &alt
 			}
-			ctx.Send(simnet.NodeID(p), &MsgProposal{View: v, Value: val, Justify: justify, EntryTC: r.entryTC})
+			ctx.Send(simnet.NodeID(p), pm)
 		}
-		r.handleProposal(ctx, &MsgProposal{View: v, Value: value, Justify: justify, EntryTC: r.entryTC})
-		return
+	} else {
+		ctx.Broadcast(m)
 	}
-	m := &MsgProposal{View: v, Value: value, Justify: justify, EntryTC: r.entryTC}
-	ctx.Broadcast(m)
 	r.handleProposal(ctx, m)
 }
 
@@ -202,13 +227,11 @@ func (r *Replica) handleProposal(ctx *simnet.Context, m *MsgProposal) {
 }
 
 func (r *Replica) castVote(ctx *simnet.Context, view, phase int, digest sig.Digest) {
-	if r.votedPhase[view] == nil {
-		r.votedPhase[view] = make(map[int]bool)
-	}
-	if r.votedPhase[view][phase] {
+	vs := r.at(view)
+	if vs.voted[phase-1] {
 		return
 	}
-	r.votedPhase[view][phase] = true
+	vs.voted[phase-1] = true
 	ctx.Trace(obs.Event{Type: obs.EvVote, A: int64(view), B: int64(phase)})
 	s := r.me.Sign(voteDomain(phase), qcInput(phase, view, digest))
 	v := &MsgVote{View: view, Phase: phase, Digest: digest, Sig: s}
@@ -227,38 +250,34 @@ func (r *Replica) handleVote(ctx *simnet.Context, m *MsgVote) {
 	if !sig.Verify(r.pubs, voteDomain(m.Phase), qcInput(m.Phase, m.View, m.Digest), m.Sig) {
 		return
 	}
-	if r.votes[m.View] == nil {
-		r.votes[m.View] = make(map[int]map[sig.Digest][]sig.Signature)
-	}
-	if r.votes[m.View][m.Phase] == nil {
-		r.votes[m.View][m.Phase] = make(map[sig.Digest][]sig.Signature)
-	}
-	bucket := r.votes[m.View][m.Phase][m.Digest]
+	vs := r.at(m.View)
+	key := voteKey{m.Phase, m.Digest}
+	bucket := vs.votes[key]
 	for _, s := range bucket {
 		if s.Signer == m.Sig.Signer {
 			return
 		}
 	}
 	bucket = append(bucket, m.Sig)
-	r.votes[m.View][m.Phase][m.Digest] = bucket
+	vs.votes[key] = bucket
 	if len(bucket) < r.cfg.Quorum() {
 		return
 	}
 	qc := &QC{Phase: m.Phase, View: m.View, Digest: m.Digest, Sigs: bucket}
 	switch m.Phase {
 	case 1:
-		if r.lockSent[m.View] {
+		if vs.lockSent {
 			return
 		}
-		r.lockSent[m.View] = true
+		vs.lockSent = true
 		lock := &MsgLock{View: m.View, Digest: m.Digest, QC: qc}
 		ctx.Broadcast(lock)
 		r.handleLock(ctx, lock)
 	case 2:
-		if r.decideSent[m.View] {
+		if vs.decideSent {
 			return
 		}
-		r.decideSent[m.View] = true
+		vs.decideSent = true
 		value, ok := r.values[m.Digest]
 		if !ok {
 			return
@@ -315,10 +334,11 @@ func (r *Replica) onLocalTimeout(ctx *simnet.Context, view int, gen int) {
 	if gen != r.timerGen || r.decided || view != r.view || r.byzSilent() {
 		return
 	}
-	if r.sentTimout[view] {
+	vs := r.at(view)
+	if vs.sentTimeout {
 		return
 	}
-	r.sentTimout[view] = true
+	vs.sentTimeout = true
 	ctx.Logf("info", "hotstuff: view %d timed out", view)
 	ctx.Trace(obs.Event{Type: obs.EvTimeout, A: int64(view), Label: "pacemaker"})
 	m := &MsgTimeout{View: view, HighQC: r.lockedQC, Sig: r.me.Sign(domainTimeout, tcInput(view))}
@@ -333,28 +353,23 @@ func (r *Replica) handleTimeout(ctx *simnet.Context, m *MsgTimeout) {
 	if !sig.Verify(r.pubs, domainTimeout, tcInput(m.View), m.Sig) {
 		return
 	}
-	if r.timeouts[m.View] == nil {
-		r.timeouts[m.View] = make(map[int]MsgTimeout)
-	}
-	if _, ok := r.timeouts[m.View][m.Sig.Signer]; ok {
+	vs := r.at(m.View)
+	if vs.timeouts[m.Sig.Signer] != nil {
 		return
 	}
-	r.timeouts[m.View][m.Sig.Signer] = *m
-	if len(r.timeouts[m.View]) < r.cfg.Quorum() || r.tcFormed[m.View] {
+	vs.timeouts[m.Sig.Signer] = m
+	vs.shares++
+	if vs.shares < r.cfg.Quorum() || vs.tcFormed {
 		return
 	}
-	r.tcFormed[m.View] = true
+	vs.tcFormed = true
 	tc := &TC{View: m.View}
-	// Collect shares in signer order: map order would randomize the TC's
-	// signature list (and which equal-view HighQC wins), breaking the
-	// byte-identical-output contract of the simulation.
-	signers := make([]int, 0, len(r.timeouts[m.View]))
-	for s := range r.timeouts[m.View] {
-		signers = append(signers, s)
-	}
-	sort.Ints(signers)
-	for _, s := range signers {
-		share := r.timeouts[m.View][s]
+	// Shares go in by signer, not by arrival: the TC's signature list, and
+	// which of two equal-view HighQCs wins, are part of the run's output.
+	for _, share := range vs.timeouts {
+		if share == nil {
+			continue
+		}
 		tc.Sigs = append(tc.Sigs, share.Sig)
 		if share.HighQC != nil && (tc.HighQC == nil || share.HighQC.View > tc.HighQC.View) {
 			tc.HighQC = share.HighQC

@@ -7,6 +7,11 @@
 // protocol) authenticate votes, proposals and consensus signatures with this
 // package. Keys are derived deterministically from (seed, authority index)
 // so simulations are reproducible.
+//
+// The rules about sets of signatures live here too, once: VerifyQuorum (k
+// distinct valid signatures over one message: every certificate, endorsement
+// set, signature chain and chain link), Tally (an authority's per-signer
+// consensus signatures) and Majority (the ⌊n/2⌋+1 a consensus needs).
 package sig
 
 import (
@@ -143,4 +148,93 @@ func PublicSet(keys []*KeyPair) []ed25519.PublicKey {
 		pubs[i] = k.Public
 	}
 	return pubs
+}
+
+// Majority is the Tor consensus-signature threshold ⌊n/2⌋+1 (5 of 9): the
+// rule all three directory protocols end in, and the threshold a
+// proposal-239 chain link needs.
+func Majority(n int) int { return n/2 + 1 }
+
+// VerifyQuorum is the one signature-set rule of the authority tier: sigs
+// holds at least k signatures, every one of them valid over (domain, msg)
+// and no two by the same signer. HotStuff QCs and TCs, ICPS endorsement
+// sets, Dolev–Strong chains and proposal-239 chain links are all this check
+// with their own domain, message and k.
+func VerifyQuorum(publics []ed25519.PublicKey, domain string, msg []byte, sigs []Signature, k int) error {
+	if len(sigs) < k {
+		return fmt.Errorf("%d signatures, need %d", len(sigs), k)
+	}
+	seen := make(map[int]bool, len(sigs))
+	for _, s := range sigs {
+		if seen[s.Signer] {
+			return fmt.Errorf("duplicate signer %d", s.Signer)
+		}
+		if !Verify(publics, domain, msg, s) {
+			return fmt.Errorf("bad signature from %d", s.Signer)
+		}
+		seen[s.Signer] = true
+	}
+	return nil
+}
+
+// Tally is one authority's record of the consensus signatures it holds: at
+// most one per signer — the first valid one wins — each over the digest its
+// signer computed, which under attack need not be ours. All three protocols
+// publish when Matching(own digest) reaches Majority(n).
+type Tally struct {
+	publics []ed25519.PublicKey
+	domain  string
+	held    map[int]tallied // by signer
+}
+
+type tallied struct {
+	digest Digest
+	sig    Signature
+}
+
+// NewTally returns an empty tally of signatures under domain by the
+// authorities in publics.
+func NewTally(publics []ed25519.PublicKey, domain string) *Tally {
+	return &Tally{publics: publics, domain: domain, held: make(map[int]tallied)}
+}
+
+// Sign records and returns k's own signature over digest.
+func (t *Tally) Sign(k *KeyPair, digest Digest) Signature {
+	s := k.Sign(t.domain, digest[:])
+	t.held[k.Index] = tallied{digest, s}
+	return s
+}
+
+// Add takes a signature over digest that arrived as authority from's. valid
+// reports that from signed it and it verifies; added that it was recorded,
+// which a second signature from the same signer is not.
+func (t *Tally) Add(from int, digest Digest, s Signature) (valid, added bool) {
+	if s.Signer != from || !Verify(t.publics, t.domain, digest[:], s) {
+		return false, false
+	}
+	if _, dup := t.held[from]; dup {
+		return true, false
+	}
+	t.held[from] = tallied{digest, s}
+	return true, true
+}
+
+// Len returns the number of signers on record.
+func (t *Tally) Len() int { return len(t.held) }
+
+// Lookup returns the digest and signature on record for signer.
+func (t *Tally) Lookup(signer int) (Digest, Signature, bool) {
+	h, ok := t.held[signer]
+	return h.digest, h.sig, ok
+}
+
+// Matching counts the recorded signatures that are over digest.
+func (t *Tally) Matching(digest Digest) int {
+	n := 0
+	for _, h := range t.held {
+		if h.digest == digest {
+			n++
+		}
+	}
+	return n
 }

@@ -120,3 +120,109 @@ func TestQuickTamperedMessageRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestMajority(t *testing.T) {
+	for _, c := range [][2]int{{1, 1}, {2, 2}, {4, 3}, {8, 5}, {9, 5}} {
+		if got := Majority(c[0]); got != c[1] {
+			t.Errorf("Majority(%d) = %d, want %d", c[0], got, c[1])
+		}
+	}
+}
+
+// TestVerifyQuorum covers, in one place, the rejections the QC, TC,
+// endorsement, Dolev–Strong and chain-link checks used to test separately.
+func TestVerifyQuorum(t *testing.T) {
+	keys := Authorities(3, 9)
+	pubs := PublicSet(keys)
+	msg := []byte("digest")
+	sign := func(signers ...int) []Signature {
+		var out []Signature
+		for _, i := range signers {
+			out = append(out, keys[i].Sign("qc", msg))
+		}
+		return out
+	}
+	corrupt := sign(0, 1, 2)
+	corrupt[1].Bytes[0] ^= 1
+	outOfRange := sign(0, 1, 2)
+	outOfRange[2].Signer = 9
+	relabelled := sign(0, 1, 2)
+	relabelled[2].Signer = 3 // a valid signature, claimed for another key
+
+	cases := []struct {
+		name   string
+		domain string
+		msg    []byte
+		sigs   []Signature
+		k      int
+		ok     bool
+	}{
+		{"exactly k", "qc", msg, sign(0, 1, 2), 3, true},
+		{"more than k", "qc", msg, sign(4, 0, 8, 2), 3, true},
+		{"k of zero, no signatures", "qc", msg, nil, 0, true},
+		{"fewer than k", "qc", msg, sign(0, 1), 3, false},
+		{"duplicate signer", "qc", msg, sign(0, 1, 1), 3, false},
+		{"duplicate beyond k", "qc", msg, sign(0, 1, 2, 0), 3, false},
+		{"bad signature", "qc", msg, corrupt, 3, false},
+		{"out-of-range signer", "qc", msg, outOfRange, 3, false},
+		{"signature under another signer's index", "qc", msg, relabelled, 3, false},
+		{"wrong domain", "tc", msg, sign(0, 1, 2), 3, false},
+		{"wrong message", "qc", []byte("other"), sign(0, 1, 2), 3, false},
+	}
+	for _, c := range cases {
+		err := VerifyQuorum(pubs, c.domain, c.msg, c.sigs, c.k)
+		if (err == nil) != c.ok {
+			t.Errorf("%s: err = %v, want ok=%v", c.name, err, c.ok)
+		}
+	}
+}
+
+func TestTally(t *testing.T) {
+	keys := Authorities(5, 4)
+	ours, theirs := Hash([]byte("ours")), Hash([]byte("theirs"))
+	tally := NewTally(PublicSet(keys), "cons")
+	sign := func(i int, d Digest) Signature { return keys[i].Sign("cons", d[:]) }
+
+	own := tally.Sign(keys[0], ours)
+	if d, s, ok := tally.Lookup(0); !ok || d != ours || s != own {
+		t.Fatal("own signature not on record")
+	}
+	if valid, added := tally.Add(1, ours, sign(1, ours)); !valid || !added {
+		t.Fatalf("valid signature: valid=%v added=%v", valid, added)
+	}
+	// First signature per signer wins: a second valid one, over any digest,
+	// is ignored.
+	if valid, added := tally.Add(1, theirs, sign(1, theirs)); !valid || added {
+		t.Fatalf("second signature from one signer: valid=%v added=%v", valid, added)
+	}
+	if valid, added := tally.Add(2, theirs, sign(2, theirs)); !valid || !added {
+		t.Fatalf("signature over another digest: valid=%v added=%v", valid, added)
+	}
+	rejected := []struct {
+		name   string
+		from   int
+		digest Digest
+		s      Signature
+	}{
+		{"wrong digest", 3, theirs, sign(3, ours)},
+		{"wrong domain", 3, ours, keys[3].Sign("vote", ours[:])},
+		{"attributed to another authority", 2, ours, sign(3, ours)},
+		{"out-of-range signer", 7, ours, Signature{Signer: 7}},
+		{"negative signer", -1, ours, Signature{Signer: -1}},
+	}
+	for _, c := range rejected {
+		if valid, added := tally.Add(c.from, c.digest, c.s); valid || added {
+			t.Errorf("%s: valid=%v added=%v, want rejected", c.name, valid, added)
+		}
+	}
+	if _, _, ok := tally.Lookup(3); ok {
+		t.Error("a rejected signature was stored")
+	}
+	if _, _, ok := tally.Lookup(7); ok {
+		t.Error("Lookup out of range reported a record")
+	}
+	if tally.Len() != 3 || tally.Matching(ours) != 2 || tally.Matching(theirs) != 1 {
+		t.Errorf("Len=%d Matching(ours)=%d Matching(theirs)=%d, want 3/2/1",
+			tally.Len(), tally.Matching(ours), tally.Matching(theirs))
+	}
+}

@@ -61,7 +61,7 @@ type Config struct {
 func (c *Config) n() int { return len(c.Keys) }
 
 // Majority is ⌊n/2⌋+1.
-func (c *Config) Majority() int { return c.n()/2 + 1 }
+func (c *Config) Majority() int { return sig.Majority(c.n()) }
 
 // MaxFaults is the synchronous tolerance f = ⌊(n−1)/2⌋ (4 of 9).
 func (c *Config) MaxFaults() int { return (c.n() - 1) / 2 }
@@ -152,11 +152,6 @@ func bundleDigest(docs []*vote.Document) sig.Digest {
 
 // --- authority ---
 
-type sigRecord struct {
-	digest sig.Digest
-	sg     sig.Signature
-}
-
 // Authority is one directory authority running the synchronous protocol.
 type Authority struct {
 	cfg   *Config
@@ -178,7 +173,7 @@ type Authority struct {
 	consensus  *vote.Consensus
 	consDigest sig.Digest
 	computed   bool
-	sigs       map[int]sigRecord
+	sigs       *sig.Tally
 
 	docsFullAt time.Duration
 	sigsFullAt time.Duration
@@ -208,7 +203,7 @@ func NewAuthorities(cfg Config) []*Authority {
 			docSigs:        make(map[int]sig.Signature),
 			extracted:      make(map[sig.Digest]bool),
 			relayed:        make(map[sig.Digest]bool),
-			sigs:           make(map[int]sigRecord),
+			sigs:           sig.NewTally(pubs, domainCons),
 			docsFullAt:     simnet.Never,
 			sigsFullAt:     simnet.Never,
 			leaderBundleAt: simnet.Never,
@@ -239,23 +234,6 @@ func (a *Authority) Start(ctx *simnet.Context) {
 // voteRound packs every document received so far into a bundle and sends it
 // to everyone.
 func (a *Authority) voteRound(ctx *simnet.Context) {
-	send := func(b *msgBundle, to []simnet.NodeID) {
-		for _, p := range to {
-			ctx.Send(p, b)
-		}
-	}
-	var even, odd, all []simnet.NodeID
-	for p := 0; p < ctx.N(); p++ {
-		if p == a.index {
-			continue
-		}
-		all = append(all, simnet.NodeID(p))
-		if p%2 == 0 {
-			even = append(even, simnet.NodeID(p))
-		} else {
-			odd = append(odd, simnet.NodeID(p))
-		}
-	}
 	mk := func(docs map[int]*vote.Document) *msgBundle {
 		b := &msgBundle{From: a.index}
 		for i := 0; i < a.cfg.n(); i++ {
@@ -280,17 +258,25 @@ func (a *Authority) voteRound(ctx *simnet.Context) {
 				count++
 			}
 		}
-		alt := mk(partial)
-		send(full, even)
-		send(alt, odd)
-		a.leaderBundle = full
-		a.leaderBundleAt = ctx.Now()
-		return
+		a.equivocate(ctx, full, mk(partial))
+	} else {
+		ctx.Broadcast(full)
 	}
-	send(full, all)
 	if a.index == leader {
 		a.leaderBundle = full
 		a.leaderBundleAt = ctx.Now()
+	}
+}
+
+// equivocate is the Byzantine leader's split: even to every even-numbered
+// peer, then odd to every odd-numbered one.
+func (a *Authority) equivocate(ctx *simnet.Context, even, odd simnet.Message) {
+	for parity, m := range []simnet.Message{even, odd} {
+		for p := parity; p < ctx.N(); p += 2 {
+			if p != a.index {
+				ctx.Send(simnet.NodeID(p), m)
+			}
+		}
 	}
 }
 
@@ -306,32 +292,15 @@ func (a *Authority) startSync(ctx *simnet.Context) {
 		a.relayed[d] = true
 		return &msgChain{Digest: d, Chain: []sig.Signature{a.me.Sign(domainChain, d[:])}}
 	}
+	full := mark(a.leaderBundle.Digest)
 	if a.cfg.EquivocateLeader {
-		var even, odd []simnet.NodeID
-		for p := 0; p < ctx.N(); p++ {
-			if p == a.index {
-				continue
-			}
-			if p%2 == 0 {
-				even = append(even, simnet.NodeID(p))
-			} else {
-				odd = append(odd, simnet.NodeID(p))
-			}
-		}
-		full := mark(a.leaderBundle.Digest)
 		// The alternate digest corresponds to the truncated bundle sent to
 		// odd peers during the vote round.
 		altDocs := a.leaderBundle.Docs[:len(a.leaderBundle.Docs)-1]
-		alt := mark(bundleDigest(altDocs))
-		for _, p := range even {
-			ctx.Send(p, full)
-		}
-		for _, p := range odd {
-			ctx.Send(p, alt)
-		}
+		a.equivocate(ctx, full, mark(bundleDigest(altDocs)))
 		return
 	}
-	ctx.Broadcast(mark(a.leaderBundle.Digest))
+	ctx.Broadcast(full)
 }
 
 // Deliver dispatches protocol messages.
@@ -414,12 +383,8 @@ func (a *Authority) acceptChain(ctx *simnet.Context, m *msgChain) {
 	if m.Chain[0].Signer != leader {
 		return
 	}
-	seen := make(map[int]bool, k)
-	for _, s := range m.Chain {
-		if seen[s.Signer] || !sig.Verify(a.pubs, domainChain, m.Digest[:], s) {
-			return
-		}
-		seen[s.Signer] = true
+	if sig.VerifyQuorum(a.pubs, domainChain, m.Digest[:], m.Chain, k) != nil {
+		return
 	}
 	if a.extracted[m.Digest] {
 		return
@@ -428,8 +393,13 @@ func (a *Authority) acceptChain(ctx *simnet.Context, m *msgChain) {
 	if a.extractedAt == simnet.Never {
 		a.extractedAt = ctx.Now()
 	}
-	if seen[a.index] || a.relayed[m.Digest] {
+	if a.relayed[m.Digest] {
 		return
+	}
+	for _, s := range m.Chain {
+		if s.Signer == a.index {
+			return
+		}
 	}
 	a.relayed[m.Digest] = true
 	ext := &msgChain{Digest: m.Digest, Chain: append(append([]sig.Signature{}, m.Chain...),
@@ -465,25 +435,17 @@ func (a *Authority) decide(ctx *simnet.Context) {
 	a.consensus = cons
 	a.consDigest = cons.Digest()
 	a.computed = true
-	own := a.me.Sign(domainCons, a.consDigest[:])
-	a.sigs[a.index] = sigRecord{digest: a.consDigest, sg: own}
+	own := a.sigs.Sign(a.me, a.consDigest)
 	ctx.Logf("notice", "Consensus computed from agreed bundle (%d documents); digest %s.",
 		len(a.leaderBundle.Docs), a.consDigest.Short())
 	ctx.Broadcast(&msgConsSig{Digest: a.consDigest, Sig: own})
 }
 
 func (a *Authority) acceptConsSig(ctx *simnet.Context, from int, m *msgConsSig) {
-	if from < 0 || from >= a.cfg.n() || from == a.index {
+	if from == a.index {
 		return
 	}
-	if m.Sig.Signer != from || !sig.Verify(a.pubs, domainCons, m.Digest[:], m.Sig) {
-		return
-	}
-	if _, ok := a.sigs[from]; ok {
-		return
-	}
-	a.sigs[from] = sigRecord{digest: m.Digest, sg: m.Sig}
-	if len(a.sigs) == a.cfg.n() && a.sigsFullAt == simnet.Never {
+	if _, added := a.sigs.Add(from, m.Digest, m.Sig); added && a.sigs.Len() == a.cfg.n() && a.sigsFullAt == simnet.Never {
 		a.sigsFullAt = ctx.Now()
 	}
 }
@@ -494,12 +456,7 @@ func (a *Authority) finish(ctx *simnet.Context) {
 		ctx.Logf("warn", "No consensus was computed this period.")
 		return
 	}
-	matching := 0
-	for _, rec := range a.sigs {
-		if rec.digest == a.consDigest {
-			matching++
-		}
-	}
+	matching := a.sigs.Matching(a.consDigest)
 	a.finalSigCount = matching
 	if matching >= a.cfg.Majority() {
 		a.succeeded = true
@@ -528,7 +485,7 @@ type Result struct {
 
 // Collect extracts the outcome after the network has run past EndTime.
 func Collect(auths []*Authority, cfg Config) *Result {
-	res := &Result{N: cfg.n(), Majority: cfg.Majority(), Latency: simnet.Never}
+	res := &Result{N: cfg.n(), Majority: cfg.Majority()}
 	for _, a := range auths {
 		res.Succeeded = append(res.Succeeded, a.succeeded)
 		res.Digests = append(res.Digests, a.consDigest)
@@ -559,18 +516,6 @@ func Collect(auths []*Authority, cfg Config) *Result {
 		}
 	}
 	res.Success = res.SuccessCount > 0
-	var maxLat time.Duration
-	have := false
-	for i, ok := range res.Succeeded {
-		if ok && res.Latencies[i] != simnet.Never {
-			have = true
-			if res.Latencies[i] > maxLat {
-				maxLat = res.Latencies[i]
-			}
-		}
-	}
-	if have {
-		res.Latency = maxLat
-	}
+	res.Latency = simnet.Latest(res.Latencies, res.Succeeded)
 	return res
 }
