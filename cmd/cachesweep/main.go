@@ -323,6 +323,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *floodSeeds && !*gossipOn {
 		return fail("-flood-seeds needs -gossip: it targets the seeded mirrors")
 	}
+	if *floodSeeds && *floodFlag != "" {
+		return fail("-flood-region %q contradicts -flood-seeds: a cache-tier flood has one target scope", *floodFlag)
+	}
 
 	grid := partialtor.MustNewSweepGrid(
 		partialtor.SweepInts("caches", cacheCounts...),
@@ -381,32 +384,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			// The zero value selects the backoff defaults at validation.
 			spec.Backoff = &partialtor.RetryBackoff{}
 		}
-		// The fault windows sit relative to the fetch window: the crash hits
-		// once the tier is warm and clears mid-run, the churn overlaps it and
-		// stretches to the window's midpoint — so every cell also measures
-		// the recovery, not just the outage.
-		var plan partialtor.FaultPlan
-		if frac := c.Float("fault"); frac > 0 {
-			plan.Faults = append(plan.Faults, partialtor.FaultSpec{
-				Kind:    partialtor.FaultCrash,
-				Tier:    partialtor.TierCache,
-				Targets: partialtor.SpreadTargets(1, spec.Caches, fracCount(frac, spec.Caches)),
-				Start:   *window / 6,
-				End:     *window/6 + *window/4,
-			})
-		}
-		if frac := c.Float("churn"); frac > 0 {
-			plan.Faults = append(plan.Faults, partialtor.FaultSpec{
-				Kind:    partialtor.FaultChurn,
-				Tier:    partialtor.TierCache,
-				Targets: partialtor.SpreadTargets(2, spec.Caches, fracCount(frac, spec.Caches)),
-				Start:   *window / 4,
-				End:     *window / 2,
-			})
-		}
-		if len(plan.Faults) > 0 {
-			spec.Faults = &plan
-		}
+		spec.Faults = partialtor.MidWindowChaos(spec.Caches, *window, c.Float("fault"), c.Float("churn"))
 		row := cellRow{cost: -1, rent: -1, cut: -1}
 		if *authResidual >= 0 {
 			plan := partialtor.AttackPlan{
@@ -502,16 +480,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if rec != nil {
-		f, err := os.Create(*tracePath)
-		if err != nil {
+		if err := partialtor.WriteTraceFile(*tracePath, rec.WriteChromeTrace); err != nil {
 			return fail("%v", err)
-		}
-		werr := partialtor.WriteChromeTrace(f, rec.Events())
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return fail("writing %s: %v", *tracePath, werr)
 		}
 		fmt.Fprintf(stderr, "cachesweep: cell 0 trace: %d events -> %s\n", rec.Len(), *tracePath)
 	}

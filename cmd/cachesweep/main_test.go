@@ -48,3 +48,20 @@ func TestGoldenTables(t *testing.T) {
 		})
 	}
 }
+
+// TestContradictoryFloodScopesRejected: a cache-tier flood has one target
+// scope. -flood-region with -flood-seeds used to flood the region and still
+// print a cutcost column priced for a seed flood; the pair is an error.
+func TestContradictoryFloodScopesRejected(t *testing.T) {
+	var out, errOut bytes.Buffer
+	args := strings.Fields("-gossip -caches 12 -clients 20000 -residuals=0 -compromised 0 -topology continents -flood-region eu -flood-seeds -window 6m")
+	if code := run(args, &out, &errOut); code != 1 {
+		t.Errorf("exit %d, want 1", code)
+	}
+	if want := `cachesweep: -flood-region "eu" contradicts -flood-seeds`; !strings.Contains(errOut.String(), want) {
+		t.Errorf("stderr %q does not contain %q", errOut.String(), want)
+	}
+	if out.Len() != 0 {
+		t.Errorf("a rejected invocation printed a table:\n%s", out.Bytes())
+	}
+}

@@ -17,6 +17,22 @@
 // the graceful-degradation numbers: fault events, time below target
 // coverage, worst MTTR.
 //
+// The observability flags record the run's full event stream — kernel
+// transfers and per-pipe samples, protocol phases, votes and timeouts, attack
+// windows — and export it as a Chrome trace (-trace, load in chrome://tracing
+// or https://ui.perfetto.dev) and/or a JSONL metrics log (-metrics). -detect
+// feeds the stream through the Danner-style detector and reports the
+// attack-detection latency from the victim's chair: how long after the flood
+// began the attacked authorities' own pipe baselines flagged it, and how far
+// ahead of the consensus loss that is. On the paper's Figure-10 flood
+// (-protocol current -attack) the flood slows the initial vote exchange to a
+// crawl; the detector's baselines absorb that crawl as "normal" but the
+// round-boundary traffic piling onto the still-throttled pipes deviates hard,
+// so the victims flag the attack hundreds of seconds before the v3 monitor
+// declares the consensus lost. With -detect the exit status is the detector's
+// verdict: nonzero when the flood went undetected or was flagged only after
+// the consensus was lost, or when a healthy run raised a false positive.
+//
 // Examples:
 //
 //	tordirsim -protocol current -relays 8000
@@ -25,6 +41,8 @@
 //	tordirsim -protocol ours -clients 100000 -topology continents -race 2
 //	tordirsim -protocol ours -clients 100000 -gossip 3 -crash 0.3 -churn 0.2 -backoff
 //	tordirsim -protocol current -attack -trace trace.json   # chrome://tracing
+//	tordirsim -protocol current -attack -detect
+//	tordirsim -attack -metrics events.jsonl -detect
 package main
 
 import (
@@ -75,6 +93,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		backoffOn     = fs.Bool("backoff", false, "fleets retry with capped seeded-jitter exponential backoff")
 		showLog       = fs.Int("log", -1, "print the protocol log of this authority (-1 = none)")
 		tracePath     = fs.String("trace", "", "write a Chrome trace of the run (chrome://tracing, Perfetto)")
+		metricsPath   = fs.String("metrics", "", "write the run's event stream as JSONL to this file")
+		detect        = fs.Bool("detect", false, "run the flood detector and report detection latency")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -143,47 +163,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 			// The zero value selects the backoff defaults at validation.
 			s.Distribution.Backoff = &partialtor.RetryBackoff{}
 		}
-		// The default fetch window, against which the fault windows sit: the
-		// crash hits once the tier is warm and clears mid-run, the churn
-		// overlaps it and stretches to the window's midpoint.
-		const window = 30 * time.Minute
-		var plan partialtor.FaultPlan
-		if *crashFrac > 0 {
-			n := max(1, int(*crashFrac*float64(*caches)+0.5))
-			plan.Faults = append(plan.Faults, partialtor.FaultSpec{
-				Kind:    partialtor.FaultCrash,
-				Tier:    partialtor.TierCache,
-				Targets: partialtor.SpreadTargets(1, *caches, n),
-				Start:   window / 6,
-				End:     window/6 + window/4,
-			})
+		if *churnFrac > 0 && *gossipFanout <= 0 {
+			fmt.Fprintln(stderr, "tordirsim: -churn needs -gossip: churn is mirrors leaving the mesh")
+			return 2
 		}
-		if *churnFrac > 0 {
-			if *gossipFanout <= 0 {
-				fmt.Fprintln(stderr, "tordirsim: -churn needs -gossip: churn is mirrors leaving the mesh")
-				return 2
-			}
-			n := max(1, int(*churnFrac*float64(*caches)+0.5))
-			plan.Faults = append(plan.Faults, partialtor.FaultSpec{
-				Kind:    partialtor.FaultChurn,
-				Tier:    partialtor.TierCache,
-				Targets: partialtor.SpreadTargets(2, *caches, n),
-				Start:   window / 4,
-				End:     window / 2,
-			})
-		}
-		if len(plan.Faults) > 0 {
-			s.Distribution.Faults = &plan
-		}
+		// The fault windows sit against the default fetch window.
+		s.Distribution.Faults = partialtor.MidWindowChaos(*caches, 30*time.Minute, *crashFrac, *churnFrac)
 	} else if *raceK > 0 || *gossipFanout > 0 || *crashFrac > 0 || *churnFrac > 0 || *backoffOn {
 		fmt.Fprintln(stderr, "tordirsim: -race, -gossip, -crash, -churn and -backoff need a distribution phase; set -clients")
 		return 2
 	}
+	// The tracer pipeline: a recorder for the export sinks, a detector when
+	// asked; with neither, a nil tracer.
 	var rec *partialtor.TraceRecorder
-	if *tracePath != "" {
+	var sinks []partialtor.Tracer
+	if *tracePath != "" || *metricsPath != "" {
 		rec = partialtor.NewTraceRecorder(1 << 20)
-		s.Tracer = rec
+		sinks = append(sinks, rec)
 	}
+	if *detect {
+		sinks = append(sinks, partialtor.NewDetector())
+	}
+	s.Tracer = partialtor.TraceTee(sinks...)
 	if *doAttack {
 		plan := partialtor.AttackPlan{
 			Targets:  partialtor.MajorityTargets(authorities),
@@ -221,20 +222,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if rec != nil {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			fmt.Fprintf(stderr, "tordirsim: %v\n", err)
-			return 1
+		if d := rec.Dropped(); d > 0 {
+			fmt.Fprintf(stderr, "tordirsim: the recorder dropped the %d oldest events\n", d)
 		}
-		werr := partialtor.WriteChromeTrace(f, rec.Events())
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
+		for _, out := range []struct {
+			name, path string
+			write      func(io.Writer) error
+		}{
+			{"metrics", *metricsPath, rec.WriteJSONL},
+			{"trace", *tracePath, rec.WriteChromeTrace},
+		} {
+			if out.path == "" {
+				continue
+			}
+			if err := partialtor.WriteTraceFile(out.path, out.write); err != nil {
+				fmt.Fprintf(stderr, "tordirsim: %v\n", err)
+				return 1
+			}
+			fmt.Fprintf(stdout, "%s: %d events -> %s\n", out.name, rec.Len(), out.path)
 		}
-		if werr != nil {
-			fmt.Fprintf(stderr, "tordirsim: writing %s: %v\n", *tracePath, werr)
-			return 1
-		}
-		fmt.Fprintf(stdout, "trace: %d events -> %s\n", rec.Len(), *tracePath)
 	}
 	if *showLog >= 0 {
 		fmt.Fprintf(stdout, "\n--- authority %d log ---\n", *showLog)
@@ -242,8 +248,55 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%10.3fs [%s] %s\n", e.At.Seconds(), e.Level, e.Text)
 		}
 	}
+	if *detect {
+		// The consensus this period is lost when the protocol's schedule
+		// ends without a document: the v3 monitor's final check at 4 rounds.
+		// Other protocols get the paper's fallback accounting.
+		lost := partialtor.FallbackLatency
+		if proto == partialtor.Current {
+			lost = 4 * *round
+		}
+		return reportDetections(stdout, res, lost, *doAttack)
+	}
 	if !res.Success {
 		return 1
+	}
+	return 0
+}
+
+// reportDetections prints the detector's verdicts and returns the exit
+// code: nonzero when the flood went undetected (or, on a failed run, was only
+// detected after the consensus was already lost), or when a run without a
+// flood flagged one.
+func reportDetections(w io.Writer, res *partialtor.RunResult, lost time.Duration, attacked bool) int {
+	dets := res.Detections
+	if len(dets) == 0 {
+		if !attacked {
+			fmt.Fprintln(w, "detector: quiet (no attack, no false positives)")
+			return 0
+		}
+		fmt.Fprintln(w, "detector: the flood went UNDETECTED")
+		return 1
+	}
+	first, _ := partialtor.FirstDetection(dets)
+	fmt.Fprintf(w, "detector: %d signals flagged; first at %.1fs (node %d, %s, %s)\n",
+		len(dets), first.At.Seconds(), first.Node, first.Layer, first.Signal)
+	if !attacked {
+		fmt.Fprintln(w, "detector: FALSE POSITIVE on a healthy run")
+		return 1
+	}
+	if first.Latency >= 0 {
+		fmt.Fprintf(w, "detector: detection latency %.1fs after the flood began\n", first.Latency.Seconds())
+	}
+	if !res.Success {
+		if first.At < lost {
+			fmt.Fprintf(w, "detector: flagged %.1fs before the consensus was lost at %.1fs\n",
+				(lost - first.At).Seconds(), lost.Seconds())
+		} else {
+			fmt.Fprintf(w, "detector: flagged only at %.1fs, AFTER the consensus was lost at %.1fs\n",
+				first.At.Seconds(), lost.Seconds())
+			return 1
+		}
 	}
 	return 0
 }

@@ -8,20 +8,49 @@ import (
 	"testing"
 )
 
-// TestGoldenDistributionRun pins the report of one run through every tier —
-// consensus, meshed caches, a mid-window crash, backoff fleets — byte for
-// byte against the output of the binary before main became run.
-func TestGoldenDistributionRun(t *testing.T) {
-	want, err := os.ReadFile("testdata/distribution.golden")
+// checkGolden runs the command, wants exit status 0 and compares stdout byte
+// for byte with testdata/<name>.golden.
+func checkGolden(t *testing.T, name, args string) {
+	t.Helper()
+	want, err := os.ReadFile("testdata/" + name + ".golden")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	args := strings.Fields("-clients 20000 -caches 12 -relays 300 -gossip 3 -crash 0.3 -backoff")
-	if code := run(args, &out, io.Discard); code != 0 {
+	if code := run(strings.Fields(args), &out, io.Discard); code != 0 {
 		t.Fatalf("exit %d", code)
 	}
 	if !bytes.Equal(out.Bytes(), want) {
-		t.Errorf("output differs from testdata/distribution.golden:\n%s", out.Bytes())
+		t.Errorf("output differs from testdata/%s.golden:\n%s", name, out.Bytes())
+	}
+}
+
+// TestGoldenDistributionRun pins the report of one run through every tier —
+// consensus, meshed caches, a mid-window crash, backoff fleets — byte for
+// byte against the output of the binary before main became run.
+func TestGoldenDistributionRun(t *testing.T) {
+	checkGolden(t, "distribution", "-clients 20000 -caches 12 -relays 300 -gossip 3 -crash 0.3 -backoff")
+}
+
+// TestGoldenDetect pins the detector's verdict on a scaled-down Figure-10
+// flood. The three detector lines are the ones the golden of this command's
+// traced fork carried before the fork was folded back in, and those were
+// captured from the binary whose detector was still configured through
+// obs.DetectorConfig: neither move changed a detection. The run loses its
+// consensus and still exits 0: under -detect the exit status is the
+// detector's verdict.
+func TestGoldenDetect(t *testing.T) {
+	checkGolden(t, "detect", "-protocol current -attack -relays 300 -round 15s -detect")
+}
+
+// TestDetectQuietOnHealthyRun: without -attack the detector must flag nothing,
+// say so, and exit 0 — a detection there would be a false positive.
+func TestDetectQuietOnHealthyRun(t *testing.T) {
+	var out bytes.Buffer
+	if code := run(strings.Fields("-relays 300 -round 15s -detect"), &out, io.Discard); code != 0 {
+		t.Fatalf("exit %d:\n%s", code, out.Bytes())
+	}
+	if want := "detector: quiet (no attack, no false positives)\n"; !strings.HasSuffix(out.String(), want) {
+		t.Errorf("output does not end in %q:\n%s", want, out.Bytes())
 	}
 }

@@ -9,7 +9,9 @@ import (
 	"go/token"
 	"io/fs"
 	"math"
+	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -377,6 +379,44 @@ func TestFacadeNamesAreReferenced(t *testing.T) {
 	})
 	if exported == 0 {
 		t.Fatal("found no exported name in partialtor.go: the test is looking in the wrong place")
+	}
+}
+
+// TestREADMEListsCommandsAndExamples keeps README.md and the tree from
+// drifting apart: every directory under cmd/ and examples/ must be listed —
+// open a table row ("| `examples/x`") or a bold entry ("**`cmd/x`**"), since a
+// passing mention in prose is how two examples stayed out of the table — and
+// every cmd/… or examples/… path README mentions anywhere must exist.
+func TestREADMEListsCommandsAndExamples(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	exists := map[string]bool{}
+	for _, root := range []string{"cmd", "examples"} {
+		entries, err := os.ReadDir(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if !e.IsDir() {
+				continue
+			}
+			dir := root + "/" + e.Name()
+			exists[dir] = true
+			listed := regexp.MustCompile("(?m)^(\\| ?|\\*\\*)`" + regexp.QuoteMeta(dir) + "`")
+			if !listed.Match(readme) {
+				t.Errorf("README.md does not list %s: give it a row of the examples table or an entry under \"Command-line tools\"", dir)
+			}
+		}
+	}
+	if !exists["cmd/tordirsim"] || !exists["examples/quickstart"] {
+		t.Fatalf("found %v: the test is looking in the wrong place", exists)
+	}
+	for _, path := range regexp.MustCompile(`\b(cmd|examples)/[a-z][a-z0-9_]*`).FindAll(readme, -1) {
+		if !exists[string(path)] {
+			t.Errorf("README.md mentions %s, which does not exist", path)
+		}
 	}
 }
 

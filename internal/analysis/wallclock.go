@@ -9,7 +9,7 @@ import (
 // simulationPackages are the import paths (and subtree roots) where the
 // determinism contract bans wall clocks and the global math/rand stream.
 // cmd/* and examples/* stay off the list on purpose: measuring real wall
-// time around a simulation (benchtables, tracerun) is exactly what those
+// time around a simulation (benchtables, cachesweep) is exactly what those
 // binaries are for.
 var simulationPackages = []string{
 	"partialtor/internal/simnet",

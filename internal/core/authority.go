@@ -68,15 +68,13 @@ type Authority struct {
 	docs        map[int]*vote.Document
 	ownerSigs   map[int]sig.Signature
 	ready       bool
-	readyAt     time.Duration
 	deltaPassed bool
 
 	// Per agreement view: proposal sent, and proposals received as leader.
 	views map[int]*viewState
 
 	// Agreement outcome.
-	decided   *AgreementValue
-	decidedAt time.Duration
+	decided *AgreementValue
 
 	// Aggregation state.
 	aggDocs    map[int]*vote.Document
@@ -147,8 +145,6 @@ func NewAuthorities(cfg Config) []*Authority {
 			views:     make(map[int]*viewState),
 			aggDocs:   make(map[int]*vote.Document),
 			consSigs:  sig.NewTally(pubs, domainConsensus),
-			readyAt:   simnet.Never,
-			decidedAt: simnet.Never,
 			doneAt:    simnet.Never,
 		}
 	}
@@ -250,7 +246,6 @@ func (a *Authority) checkReady(ctx *simnet.Context) {
 	}
 	if len(a.docs) == a.cfg.n() || (a.deltaPassed && len(a.docs) >= a.cfg.Quorum()) {
 		a.ready = true
-		a.readyAt = ctx.Now()
 		ctx.Logf("notice", "Dissemination ready with %d of %d documents.", len(a.docs), a.cfg.n())
 		ctx.Trace(obs.Event{Type: obs.EvPhase, Label: "agreement", A: int64(len(a.docs))})
 		a.sendProposal(ctx, a.hs.View())
@@ -409,7 +404,6 @@ func (a *Authority) onDecide(ctx *simnet.Context, v *AgreementValue) {
 		return
 	}
 	a.decided = v
-	a.decidedAt = ctx.Now()
 	ctx.Logf("notice", "Agreement decided: %d OK entries, %d ⊥.", v.OKCount(), a.cfg.n()-v.OKCount())
 	ctx.Trace(obs.Event{Type: obs.EvPhase, Label: "aggregation", A: int64(v.OKCount())})
 	// Seed aggregation with matching documents already held, then fetch
@@ -528,9 +522,6 @@ func (a *Authority) Done() bool { return a.done }
 
 // DoneAt returns when it did (simnet.Never otherwise).
 func (a *Authority) DoneAt() time.Duration { return a.doneAt }
-
-// DecidedAt returns when agreement decided.
-func (a *Authority) DecidedAt() time.Duration { return a.decidedAt }
 
 // Decided returns the agreed (H, π) value, if any.
 func (a *Authority) Decided() *AgreementValue { return a.decided }

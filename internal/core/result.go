@@ -10,19 +10,10 @@ import (
 
 // Result summarizes one ICPS run.
 type Result struct {
-	N        int
-	F        int
-	Quorum   int
-	Majority int
-
 	// Per-authority outcomes (index-aligned; Byzantine/silent authorities
 	// report zero values).
 	Done       []bool
-	ReadyAt    []time.Duration
-	DecidedAt  []time.Duration
 	DoneAt     []time.Duration
-	Views      []int
-	Vectors    [][]sig.Digest // X_i per authority
 	ConsDigest []sig.Digest
 
 	// Aggregate view.
@@ -40,22 +31,11 @@ func Collect(auths []*Authority, cfg Config, correct func(i int) bool) *Result {
 	if correct == nil {
 		correct = func(i int) bool { return !cfg.Silent[i] && cfg.Equivocators[i] == nil }
 	}
-	res := &Result{
-		N:        cfg.n(),
-		F:        cfg.F(),
-		Quorum:   cfg.Quorum(),
-		Majority: cfg.Majority(),
-		Latency:  simnet.Never,
-		Success:  true,
-	}
+	res := &Result{Latency: simnet.Never, Success: true}
 	honest := make([]bool, len(auths))
 	for i, a := range auths {
 		res.Done = append(res.Done, a.done)
-		res.ReadyAt = append(res.ReadyAt, a.readyAt)
-		res.DecidedAt = append(res.DecidedAt, a.decidedAt)
 		res.DoneAt = append(res.DoneAt, a.doneAt)
-		res.Views = append(res.Views, a.DecidedView())
-		res.Vectors = append(res.Vectors, a.OutputVector())
 		res.ConsDigest = append(res.ConsDigest, a.consDigest)
 		if a.done {
 			res.DoneCount++

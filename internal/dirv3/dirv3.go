@@ -384,26 +384,20 @@ func (a *Authority) finish(ctx *simnet.Context) {
 
 // Result summarizes one protocol run.
 type Result struct {
-	N            int
-	Majority     int
 	Succeeded    []bool
 	Success      bool // at least one authority published a valid consensus
 	SigCounts    []int
 	VoteCounts   []int
 	Digests      []sig.Digest
-	Latencies    []time.Duration // per-authority network-time metric
 	Latency      time.Duration   // max latency across succeeded authorities
 	Consensus    *vote.Consensus // from the lowest-index succeeded authority
-	FailedCount  int
 	SuccessCount int
 }
 
 // Collect extracts the outcome after the network has run past EndTime.
 func Collect(auths []*Authority, cfg Config) *Result {
-	res := &Result{
-		N:        cfg.n(),
-		Majority: cfg.Majority(),
-	}
+	res := &Result{}
+	var latencies []time.Duration
 	round := cfg.round()
 	for _, a := range auths {
 		res.Succeeded = append(res.Succeeded, a.succeeded)
@@ -418,17 +412,15 @@ func Collect(auths []*Authority, cfg Config) *Result {
 			}
 			lat = a.voteFullAt + sigPhase
 		}
-		res.Latencies = append(res.Latencies, lat)
+		latencies = append(latencies, lat)
 		if a.succeeded {
 			res.SuccessCount++
 			if res.Consensus == nil {
 				res.Consensus = a.consensus
 			}
-		} else {
-			res.FailedCount++
 		}
 	}
 	res.Success = res.SuccessCount > 0
-	res.Latency = simnet.Latest(res.Latencies, res.Succeeded)
+	res.Latency = simnet.Latest(latencies, res.Succeeded)
 	return res
 }

@@ -3,6 +3,7 @@ package faults
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -258,6 +259,31 @@ func (p *Plan) ChurnedAwayAt(cacheIndex int, t time.Duration) bool {
 		}
 	}
 	return false
+}
+
+// MidWindowChaos is the chaos plan the commands stress a tier of n caches
+// with, its windows placed relative to the client fetch window so that a run
+// measures the recovery, not just the outage: a spread crashFrac of the
+// mirrors crashes over [window/6, window/6+window/4) — once the tier is warm,
+// clearing mid-run — and a spread churnFrac leaves the mesh over
+// [window/4, window/2), overlapping the crash and stretching to the window's
+// midpoint. A positive fraction hits at least one mirror; crashes spare
+// mirror 0 (the seeded one) and churn mirror 1 as well. Both fractions zero
+// is no plan: nil.
+func MidWindowChaos(n int, window time.Duration, crashFrac, churnFrac float64) *Plan {
+	var faults []Fault
+	add := func(kind Kind, frac float64, first int, start, end time.Duration) {
+		if frac > 0 {
+			count := max(1, int(math.Round(frac*float64(n))))
+			faults = append(faults, Fault{Kind: kind, Tier: attack.TierCache, Targets: SpreadTargets(first, n, count), Start: start, End: end})
+		}
+	}
+	add(Crash, crashFrac, 1, window/6, window/6+window/4)
+	add(Churn, churnFrac, 2, window/4, window/2)
+	if faults == nil {
+		return nil
+	}
+	return &Plan{Faults: faults}
 }
 
 // Backoff configures the client fleets' retry schedule: a capped, seeded-

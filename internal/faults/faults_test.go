@@ -2,6 +2,7 @@ package faults
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -244,5 +245,77 @@ func TestFaultThrottle(t *testing.T) {
 	f.Throttle(1, spare, spare)
 	if r := spare.RateAt(time.Second); r != 1000 {
 		t.Errorf("non-target throttled to %g", r)
+	}
+}
+
+func TestMidWindowChaos(t *testing.T) {
+	if p := MidWindowChaos(12, 30*time.Minute, 0, 0); p != nil {
+		t.Errorf("both fractions zero built %+v, want nil", p)
+	}
+	for _, tc := range []struct {
+		n            int
+		window       time.Duration
+		crash, churn float64
+		counts       []int // targets per fault, in plan order
+	}{
+		{12, 30 * time.Minute, 0.3, 0, []int{4}},
+		{12, 10 * time.Minute, 0, 0.2, []int{2}},
+		{12, 10 * time.Minute, 0.3, 0.2, []int{4, 2}},
+		{20, 6 * time.Minute, 0.3, 0.2, []int{6, 4}},
+		{8, time.Hour, 0.01, 0.01, []int{1, 1}}, // a positive fraction hits at least one mirror
+		{5, time.Hour, 1, 1, []int{4, 3}},       // clamped to the mirrors the spread may hit
+	} {
+		p := MidWindowChaos(tc.n, tc.window, tc.crash, tc.churn)
+		if p == nil || len(p.Faults) != len(tc.counts) {
+			t.Errorf("%+v: plan %+v, want %d faults", tc, p, len(tc.counts))
+			continue
+		}
+		if err := p.Validate(); err != nil {
+			t.Errorf("%+v: %v", tc, err)
+		}
+		for i, f := range p.Faults {
+			first, start, end := 1, tc.window/6, tc.window/6+tc.window/4
+			if f.Kind == Churn {
+				first, start, end = 2, tc.window/4, tc.window/2
+			} else if f.Kind != Crash {
+				t.Errorf("%+v: fault %d is a %v", tc, i, f.Kind)
+			}
+			if f.Tier != attack.TierCache || f.Start != start || f.End != end {
+				t.Errorf("%+v: %v on tier %v over [%v, %v), want the cache tier over [%v, %v)", tc, f.Kind, f.Tier, f.Start, f.End, start, end)
+			}
+			if len(f.Targets) != tc.counts[i] {
+				t.Errorf("%+v: %v hits %v, want %d targets", tc, f.Kind, f.Targets, tc.counts[i])
+			}
+			for _, target := range f.Targets {
+				if target < first || target >= tc.n {
+					t.Errorf("%+v: %v target %d outside [%d, %d)", tc, f.Kind, target, first, tc.n)
+				}
+			}
+		}
+	}
+
+	// The plans behind cmd/cachesweep's chaos.golden (-caches 12 -faults 0,0.3
+	// -churn 0,0.2 -window 10m) and cmd/tordirsim's distribution.golden
+	// (-caches 12 -crash 0.3, the 30-minute default window), as the literals
+	// the two commands assembled field by field before this constructor.
+	window := 10 * time.Minute
+	crash := Fault{Kind: Crash, Tier: attack.TierCache, Targets: SpreadTargets(1, 12, 4), Start: window / 6, End: window/6 + window/4}
+	churn := Fault{Kind: Churn, Tier: attack.TierCache, Targets: SpreadTargets(2, 12, 2), Start: window / 4, End: window / 2}
+	for _, tc := range []struct {
+		crash, churn float64
+		want         *Plan
+	}{
+		{0.3, 0, &Plan{Faults: []Fault{crash}}},
+		{0, 0.2, &Plan{Faults: []Fault{churn}}},
+		{0.3, 0.2, &Plan{Faults: []Fault{crash, churn}}},
+	} {
+		if got := MidWindowChaos(12, window, tc.crash, tc.churn); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("cachesweep cell fault=%g churn=%g: plan %+v, want %+v", tc.crash, tc.churn, got, tc.want)
+		}
+	}
+	window = 30 * time.Minute
+	want := &Plan{Faults: []Fault{{Kind: Crash, Tier: attack.TierCache, Targets: SpreadTargets(1, 12, 4), Start: window / 6, End: window/6 + window/4}}}
+	if got := MidWindowChaos(12, window, 0.3, 0); !reflect.DeepEqual(got, want) {
+		t.Errorf("tordirsim -crash 0.3: plan %+v, want %+v", got, want)
 	}
 }

@@ -12,9 +12,10 @@ import (
 	"partialtor/internal/sweep"
 )
 
-// This file holds the ablations DESIGN.md §6 calls out: how sensitive the
-// headline results are to (a) the calibrated vote entry size, (b) the ICPS
-// dissemination wait Δ, and (c) the agreement pacemaker's base timeout.
+// This file holds the ablations (cmd/benchtables -only ablation): how
+// sensitive the headline results are to (a) the calibrated vote entry size,
+// (b) the ICPS dissemination wait Δ, and (c) the agreement pacemaker's base
+// timeout.
 
 // ablationArtifact groups the three ablations under one -only name, in the
 // order above.
@@ -70,9 +71,10 @@ var (
 // AblationEntrySize sweeps the current protocol's failure threshold across
 // entry sizes, showing that the *threshold* scales inversely with the
 // per-relay byte cost while the qualitative shape is unchanged — the
-// justification for calibrating entries to 2.5 kB (DESIGN.md §2). The entry
-// sizes fan out over the sweep engine; each cell's threshold scan stays
-// sequential because it stops at the first failure.
+// justification for calibrating entries to 2.5 kB (the calibration itself is
+// argued at vote.DefaultEntryPadding). The entry sizes fan out over the sweep
+// engine; each cell's threshold scan stays sequential because it stops at the
+// first failure.
 func AblationEntrySize(ctx context.Context, p EntrySizeParams, sp sweep.Params) (*Table[EntrySizeRow], error) {
 	p = overlay(p, entrySizePaper)
 	grid := sweep.MustNew(sweep.Ints("entry", p.EntrySizes...))

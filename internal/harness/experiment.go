@@ -281,20 +281,16 @@ type ExperimentResult struct {
 	// Detection totals over every period's DistributionResult (all zero
 	// without a compromise plan / verified clients): equivocations caught,
 	// stale/invalid downloads rejected, clients misled (non-verifying
-	// runs), and the re-fetch cost of verification.
+	// runs).
 	ForksDetected   int
 	StaleRejections int64
 	MisledClients   int
-	ExtraFetches    int64
 	// Graceful-degradation totals over every period's DistributionResult
-	// (zero without a fault plan / backoff config): fault events scheduled,
-	// simulated time the fleet coverage sat below target, the worst
+	// (zero without a fault plan): fault events scheduled and the worst
 	// post-fault recovery time across all periods (simnet.Never if any fault
-	// never recovered), and fetches shed by exhausted retry budgets.
-	FaultEvents     int
-	TimeBelowTarget time.Duration
-	WorstMTTR       time.Duration
-	RetryDropped    int64
+	// never recovered).
+	FaultEvents int
+	WorstMTTR   time.Duration
 	// Chain is the proposal-239 consensus hash chain (nil without
 	// WithChain).
 	Chain *chain.Chain
@@ -331,10 +327,7 @@ func (e *Experiment) Run(ctx context.Context) (*ExperimentResult, error) {
 				res.ForksDetected += len(d.ForkDetections)
 				res.StaleRejections += d.StaleRejections
 				res.MisledClients += d.Misled
-				res.ExtraFetches += d.ExtraFetches
 				res.FaultEvents += d.FaultEvents
-				res.TimeBelowTarget += d.TimeBelowTarget
-				res.RetryDropped += d.RetryDropped
 				if m := faults.WorstMTTR(d.Recoveries); m > res.WorstMTTR {
 					res.WorstMTTR = m
 				}

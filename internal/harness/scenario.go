@@ -157,8 +157,7 @@ func (s Scenario) withDefaults() Scenario {
 
 // RunResult is the protocol-independent outcome of one scenario.
 type RunResult struct {
-	Scenario Scenario
-	Success  bool
+	Success bool
 	// Latency is the paper's §6.2 metric: network time to a consensus
 	// document (simnet.Never on failure).
 	Latency time.Duration
@@ -382,7 +381,6 @@ func RunE(ctx context.Context, s Scenario) (*RunResult, error) {
 
 	out := pr.Collect()
 	res := &RunResult{
-		Scenario:  s,
 		Success:   out.Success,
 		Latency:   out.Latency,
 		DoneAt:    out.DoneAt,

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"io"
+	"os"
 )
 
 // DefaultRecorderCap is the ring capacity NewRecorder(0) selects. At the
@@ -72,4 +73,24 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// WriteChromeTrace renders the recorded events as a Chrome trace
+// (WriteChromeTrace over Events).
+func (r *Recorder) WriteChromeTrace(w io.Writer) error { return WriteChromeTrace(w, r.Events()) }
+
+// WriteFile creates (or truncates) the file at path, hands it to write — a
+// Recorder's WriteChromeTrace or WriteJSONL — and closes it, returning the
+// first error of the three: an export that did not reach the disk must not
+// pass for a written one. The *os.File errors name the path.
+func WriteFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	werr := write(f)
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
+	}
+	return werr
 }

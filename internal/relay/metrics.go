@@ -25,7 +25,7 @@ const Figure6Average = 7141.79
 // dip-and-recover shape, normalized so the average matches the paper's
 // 7141.79 to within a hundredth.
 //
-// Substitution note (DESIGN.md §2): the live series comes from Tor Metrics,
+// Substitution note: the live series comes from Tor Metrics,
 // which is unavailable offline; only the scale and the average feed the
 // other experiments.
 func MetricsSeries() []MetricPoint {

@@ -182,7 +182,6 @@ type Authority struct {
 	agreedDigest  sig.Digest
 	decidedBottom bool
 	succeeded     bool
-	finalSigCount int
 }
 
 // NewAuthorities constructs the authority set; authority i must be node i.
@@ -457,7 +456,6 @@ func (a *Authority) finish(ctx *simnet.Context) {
 		return
 	}
 	matching := a.sigs.Matching(a.consDigest)
-	a.finalSigCount = matching
 	if matching >= a.cfg.Majority() {
 		a.succeeded = true
 		ctx.Logf("notice", "Consensus published with %d of %d signatures.", matching, a.cfg.n())
@@ -470,26 +468,22 @@ func (a *Authority) finish(ctx *simnet.Context) {
 
 // Result summarizes one run.
 type Result struct {
-	N            int
-	Majority     int
 	Succeeded    []bool
 	Success      bool
 	SuccessCount int
 	Bottoms      int // authorities that output ⊥ from Dolev-Strong
 	Digests      []sig.Digest
-	SigCounts    []int
-	Latencies    []time.Duration
 	Latency      time.Duration
 	Consensus    *vote.Consensus
 }
 
 // Collect extracts the outcome after the network has run past EndTime.
 func Collect(auths []*Authority, cfg Config) *Result {
-	res := &Result{N: cfg.n(), Majority: cfg.Majority()}
+	res := &Result{}
+	var latencies []time.Duration
 	for _, a := range auths {
 		res.Succeeded = append(res.Succeeded, a.succeeded)
 		res.Digests = append(res.Digests, a.consDigest)
-		res.SigCounts = append(res.SigCounts, a.finalSigCount)
 		if a.decidedBottom {
 			res.Bottoms++
 		}
@@ -507,7 +501,7 @@ func Collect(auths []*Authority, cfg Config) *Result {
 				phase(a.extractedAt, cfg.dsStart()) +
 				phase(a.sigsFullAt, cfg.dsEnd())
 		}
-		res.Latencies = append(res.Latencies, lat)
+		latencies = append(latencies, lat)
 		if a.succeeded {
 			res.SuccessCount++
 			if res.Consensus == nil {
@@ -516,6 +510,6 @@ func Collect(auths []*Authority, cfg Config) *Result {
 		}
 	}
 	res.Success = res.SuccessCount > 0
-	res.Latency = simnet.Latest(res.Latencies, res.Succeeded)
+	res.Latency = simnet.Latest(latencies, res.Succeeded)
 	return res
 }

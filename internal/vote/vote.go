@@ -29,7 +29,9 @@ import (
 // effective transport cost of ≈2.5 kB per relay once HTTP/TLS framing,
 // compression inefficiency and retransmission under load are folded in.
 // We calibrate the document format to that effective size instead of
-// simulating TCP; see DESIGN.md §2 and §6.
+// simulating TCP; harness.AblationEntrySize shows what depends on the choice:
+// the failure threshold scales inversely with the entry size, the shape of
+// the results does not move.
 const DefaultEntryPadding = 2500
 
 // Document is one authority's status vote.

@@ -216,6 +216,14 @@ func WorstMTTR(recoveries []faults.Recovery) time.Duration { return faults.Worst
 // [first, n) — "crash every third mirror" as a one-liner.
 func SpreadTargets(first, n, count int) []int { return faults.SpreadTargets(first, n, count) }
 
+// MidWindowChaos builds the commands' chaos plan for a tier of n caches:
+// crashFrac of the mirrors crash over [window/6, window/6+window/4) and
+// churnFrac leave the mesh over [window/4, window/2), spread across the tier,
+// at least one mirror per positive fraction; nil when both are zero.
+func MidWindowChaos(n int, window time.Duration, crashFrac, churnFrac float64) *FaultPlan {
+	return faults.MidWindowChaos(n, window, crashFrac, churnFrac)
+}
+
 // --- topology re-exports ---
 //
 // The planet-scale topology layer (internal/topo) places nodes in regions
@@ -400,19 +408,18 @@ func NewTraceRecorder(capacity int) *TraceRecorder { return obs.NewRecorder(capa
 // TraceTee fans events out to several sinks.
 func TraceTee(sinks ...Tracer) Tracer { return obs.Tee(sinks...) }
 
-// WriteChromeTrace renders recorded events in Chrome trace-event format
-// (load the file in chrome://tracing or Perfetto).
-func WriteChromeTrace(w io.Writer, events []obs.Event) error {
-	return obs.WriteChromeTrace(w, events)
+// WriteTraceFile creates the file at path, fills it through write — a
+// recorder's WriteChromeTrace (load the file in chrome://tracing or Perfetto)
+// or its WriteJSONL — and reports the first error of create, write and close.
+func WriteTraceFile(path string, write func(io.Writer) error) error {
+	return obs.WriteFile(path, write)
 }
 
-// Detector is the Danner-style flood detector: rolling per-node baselines
-// over the kernel's queue-depth and throughput samples, flagging sustained
-// deviations and scoring them against the attack onsets it observed.
-type Detector = obs.Detector
-
-// NewDetector returns a detector.
-func NewDetector() *Detector { return obs.NewDetector() }
+// NewDetector returns the Danner-style flood detector, a Tracer: rolling
+// per-node baselines over the kernel's queue-depth and throughput samples,
+// flagging sustained deviations and scoring them against the attack onsets it
+// observed.
+func NewDetector() *obs.Detector { return obs.NewDetector() }
 
 // FirstDetection returns the earliest detection (ok reports whether one
 // exists).
