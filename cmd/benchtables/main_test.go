@@ -15,25 +15,15 @@ import (
 // -quick output. The goldens were captured from the binary of the commit
 // before the artifact registry existed, so they prove the registry, the
 // sweep-table helper and every preset carried over reproduce the hand-written
-// generators exactly. Under -short the three multi-second sweeps are skipped.
+// generators exactly. Every artifact is compared serially and on all cores.
 func TestGoldenQuickArtifacts(t *testing.T) {
-	slow := map[string]bool{"fig7": true, "fig10": true, "ablation": true}
 	for _, a := range partialtor.Artifacts() {
 		t.Run(a.Name, func(t *testing.T) {
-			if slow[a.Name] && testing.Short() {
-				t.Skip("multi-second sweep")
-			}
 			want, err := os.ReadFile(filepath.Join("testdata", a.Name+".golden"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Serial and all-cores runs must both match; the slow sweeps run
-			// once (harness.TestParallelSweepByteIdentical covers them).
-			workers := []string{"1", "0"}
-			if slow[a.Name] {
-				workers = []string{"0"}
-			}
-			for _, w := range workers {
+			for _, w := range []string{"1", "0"} {
 				var out bytes.Buffer
 				if code := run([]string{"-quick", "-only", a.Name, "-workers", w}, &out, io.Discard); code != 0 {
 					t.Fatalf("-workers %s: exit %d", w, code)

@@ -1,6 +1,6 @@
 // Command detlint is the multichecker for the repo's determinism and
-// hot-path invariants (internal/analysis): maporder, wallclock, hotpath
-// and tracerguard.
+// hot-path invariants (internal/analysis): maporder, wallclock, hotpath,
+// tracerguard and frozendoc.
 //
 // It speaks the cmd/go vet-tool protocol, so the canonical invocation is
 //

@@ -31,8 +31,9 @@ func buildDocs(seed int64, relays int) ([]*sig.KeyPair, []*vote.Document) {
 	docs := make([]*vote.Document, n)
 	for i, k := range keys {
 		view := relay.View(pop, i, seed)
-		docs[i] = vote.NewDocument(i, relay.AuthorityNames[i], k.Fingerprint, 1, view)
-		docs[i].EntryPadding = 0
+		d := vote.NewDocument(i, relay.AuthorityNames[i], k.Fingerprint, 1, view)
+		d.EntryPadding = 0
+		docs[i] = d
 	}
 	return keys, docs
 }

@@ -386,7 +386,8 @@ func TestFacadeNamesAreReferenced(t *testing.T) {
 // drifting apart: every directory under cmd/ and examples/ must be listed —
 // open a table row ("| `examples/x`") or a bold entry ("**`cmd/x`**"), since a
 // passing mention in prose is how two examples stayed out of the table — and
-// every cmd/… or examples/… path README mentions anywhere must exist.
+// every cmd/… or examples/… path README mentions anywhere must exist, and
+// every #anchor link into a file of this repository must resolve.
 func TestREADMEListsCommandsAndExamples(t *testing.T) {
 	readme, err := os.ReadFile("README.md")
 	if err != nil {
@@ -418,6 +419,38 @@ func TestREADMEListsCommandsAndExamples(t *testing.T) {
 			t.Errorf("README.md mentions %s, which does not exist", path)
 		}
 	}
+
+	// Every intra-repo [text](file.md#anchor) link must land on a heading:
+	// renaming "Architecture (as of PR n)" used to break README silently.
+	links := regexp.MustCompile(`\]\(([A-Za-z0-9_./-]*)#([^)\s]+)\)`).FindAllSubmatch(readme, -1)
+	if len(links) == 0 {
+		t.Fatal("found no #anchor link in README.md: the test is looking in the wrong place")
+	}
+	for _, m := range links {
+		file, anchor := string(m[1]), string(m[2])
+		if file == "" {
+			file = "README.md"
+		}
+		target, err := os.ReadFile(file)
+		if err != nil {
+			t.Errorf("README.md links to %s#%s: %v", file, anchor, err)
+			continue
+		}
+		if !headingAnchors(target)[anchor] {
+			t.Errorf("README.md links to %s#%s, but %s has no heading with that anchor", file, anchor, file)
+		}
+	}
+}
+
+// headingAnchors returns the anchors GitHub derives from a Markdown file's
+// headings: lower-cased, punctuation dropped, spaces turned into hyphens.
+func headingAnchors(markdown []byte) map[string]bool {
+	anchors := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^#+ +(.+?) *$`).FindAllSubmatch(markdown, -1) {
+		slug := regexp.MustCompile(`[^\p{L}\p{N} _-]`).ReplaceAllString(strings.ToLower(string(m[1])), "")
+		anchors[strings.ReplaceAll(slug, " ", "-")] = true
+	}
+	return anchors
 }
 
 // unreferencedOnPurpose is the allowlist of TestInternalExportsAreReferenced:

@@ -168,5 +168,5 @@ func isNilIdent(info *types.Info, e ast.Expr) bool {
 
 // All returns the detlint suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{MapOrder, WallClock, HotPath, TracerGuard}
+	return []*Analyzer{MapOrder, WallClock, HotPath, TracerGuard, FrozenDoc}
 }

@@ -7,6 +7,7 @@ func TestWallClock(t *testing.T)     { runFixture(t, WallClock, "wallclock.txt")
 func TestHotPath(t *testing.T)       { runFixture(t, HotPath, "hotpath.txt") }
 func TestHotPathGossip(t *testing.T) { runFixture(t, HotPath, "hotpath_gossip.txt") }
 func TestTracerGuard(t *testing.T)   { runFixture(t, TracerGuard, "tracerguard.txt") }
+func TestFrozenDoc(t *testing.T)     { runFixture(t, FrozenDoc, "frozendoc.txt") }
 
 func TestTxtarParse(t *testing.T) {
 	files := parseTxtar("comment line\n-- a/b.go --\npackage b\n-- c.txt --\nhello\n")

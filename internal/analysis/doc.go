@@ -5,7 +5,7 @@
 // seed — the golden corpus pins byte-identical outputs, and the perf
 // baselines pin AllocsPerRun==0 on the kernel paths. Those are dynamic
 // checks: they catch a violation only when a test happens to execute it.
-// This package is the static half of the contract. Four analyzers encode
+// This package is the static half of the contract. Five analyzers encode
 // the invariants the codebase has already paid to learn:
 //
 //   - maporder flags `for … range` over a map wherever iteration order can
@@ -22,6 +22,9 @@
 //     the pipe fluid model, the transit path and the fleet tick.
 //   - tracerguard requires direct obs.Tracer calls to be dominated by a
 //     receiver nil check, keeping tracing zero-cost when off.
+//   - frozendoc forbids writing a vote.Document or vote.Consensus field
+//     outside internal/vote (a local fresh from vote.NewDocument excepted):
+//     their bytes and digest are fixed once, and the run's memos key on them.
 //
 // A finding is suppressed by `//detlint:<analyzer> ok(<reason>)` on the
 // flagged line or the line above; the reason is mandatory. The driver in

@@ -1,7 +1,6 @@
 package chain
 
 import (
-	"crypto/ed25519"
 	"fmt"
 
 	"partialtor/internal/sig"
@@ -39,7 +38,7 @@ func SignedLink(keys []*sig.KeyPair, epoch uint64, digest, prev sig.Digest) Link
 // threshold distinct valid signatures, no duplicates. It carries no
 // chain-position context — callers (e.g. client.Verifier) check epoch and
 // predecessor themselves.
-func VerifyLink(pubs []ed25519.PublicKey, threshold int, l Link) error {
+func VerifyLink(pubs *sig.Registry, threshold int, l Link) error {
 	if err := sig.VerifyQuorum(pubs, "chain/link", LinkInput(l.Epoch, l.Digest, l.Prev), l.Sigs, threshold); err != nil {
 		return fmt.Errorf("chain: %w", err)
 	}
@@ -48,14 +47,14 @@ func VerifyLink(pubs []ed25519.PublicKey, threshold int, l Link) error {
 
 // Chain is a verified sequence of links.
 type Chain struct {
-	pubs      []ed25519.PublicKey
+	pubs      *sig.Registry
 	threshold int
 	links     []Link
 }
 
 // New builds an empty chain verified against the authority set with the
 // given signature threshold (Tor's majority: ⌊n/2⌋+1).
-func New(pubs []ed25519.PublicKey, threshold int) *Chain {
+func New(pubs *sig.Registry, threshold int) *Chain {
 	return &Chain{pubs: pubs, threshold: threshold}
 }
 
@@ -120,7 +119,7 @@ type ForkProof struct {
 
 // DetectFork checks two links for a fork: same epoch and parent, different
 // digests, both with valid signature sets.
-func DetectFork(pubs []ed25519.PublicKey, threshold int, a, b Link) (*ForkProof, bool) {
+func DetectFork(pubs *sig.Registry, threshold int, a, b Link) (*ForkProof, bool) {
 	if a.Epoch != b.Epoch || a.Prev != b.Prev || a.Digest == b.Digest {
 		return nil, false
 	}

@@ -1,8 +1,6 @@
 package client
 
 import (
-	"crypto/ed25519"
-
 	"partialtor/internal/chain"
 	"partialtor/internal/sig"
 )
@@ -53,7 +51,7 @@ func (v Verdict) String() string {
 // download. Verifier is not safe for concurrent use; each fleet holds its
 // own.
 type Verifier struct {
-	pubs      []ed25519.PublicKey
+	pubs      *sig.Registry
 	threshold int
 	epoch     uint64
 	prev      sig.Digest
@@ -66,7 +64,7 @@ type Verifier struct {
 
 // NewVerifier anchors a verifier at one chain position: the epoch the next
 // consensus must carry and the digest it must commit to as its predecessor.
-func NewVerifier(pubs []ed25519.PublicKey, threshold int, epoch uint64, prev sig.Digest) *Verifier {
+func NewVerifier(pubs *sig.Registry, threshold int, epoch uint64, prev sig.Digest) *Verifier {
 	return &Verifier{
 		pubs:      pubs,
 		threshold: threshold,

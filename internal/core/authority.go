@@ -1,7 +1,6 @@
 package core
 
 import (
-	"crypto/ed25519"
 	"sort"
 	"time"
 
@@ -60,7 +59,8 @@ type Authority struct {
 	cfg   *Config
 	index int
 	me    *sig.KeyPair
-	pubs  []ed25519.PublicKey
+	pubs  *sig.Registry
+	agg   vote.Aggregator
 	doc   *vote.Document
 	hs    *hotstuff.Replica
 
@@ -107,7 +107,6 @@ func NewAuthorities(cfg Config) []*Authority {
 	if len(cfg.Docs) != cfg.n() {
 		panic("core: len(Docs) != len(Keys)")
 	}
-	pubs := sig.PublicSet(cfg.Keys)
 	auths := make([]*Authority, cfg.n())
 	hsCfg := &hotstuff.Config{
 		Keys:        cfg.Keys,
@@ -121,10 +120,6 @@ func NewAuthorities(cfg Config) []*Authority {
 			}
 			return v
 		},
-		Validate: func(v hotstuff.Value) bool {
-			av, ok := v.(*AgreementValue)
-			return ok && av.Verify(pubs, cfg.n(), cfg.F()) == nil
-		},
 		OnDecide: func(ctx *simnet.Context, index int, v hotstuff.Value) {
 			auths[index].onDecide(ctx, v.(*AgreementValue))
 		},
@@ -132,12 +127,18 @@ func NewAuthorities(cfg Config) []*Authority {
 			auths[index].onEnterView(ctx, view)
 		},
 	}
+	pubs, agg := hsCfg.Pubs(), vote.Aggregator{}
+	hsCfg.Validate = func(v hotstuff.Value) bool {
+		av, ok := v.(*AgreementValue)
+		return ok && av.Verify(pubs, cfg.n(), cfg.F()) == nil
+	}
 	for i := range auths {
 		auths[i] = &Authority{
 			cfg:       &cfg,
 			index:     i,
 			me:        cfg.Keys[i],
 			pubs:      pubs,
+			agg:       agg,
 			doc:       cfg.Docs[i],
 			hs:        hotstuff.NewReplica(hsCfg, i),
 			docs:      make(map[int]*vote.Document),
@@ -478,7 +479,7 @@ func (a *Authority) tryAggregate(ctx *simnet.Context) {
 	for _, d := range a.aggDocs {
 		docs = append(docs, d)
 	}
-	cons, err := vote.Aggregate(docs, a.cfg.n())
+	cons, err := a.agg.Aggregate(docs, a.cfg.n())
 	if err != nil {
 		ctx.Logf("warn", "Aggregation failed: %v", err)
 		return

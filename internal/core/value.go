@@ -23,7 +23,6 @@
 package core
 
 import (
-	"crypto/ed25519"
 	"fmt"
 
 	"partialtor/internal/sig"
@@ -159,7 +158,7 @@ func (v *AgreementValue) DigestVector() []sig.Digest {
 // Verify checks the proof π entry by entry: this is the external-validity
 // predicate of the agreement sub-protocol. quorumOK is n−f (the minimum
 // number of OK entries), endorseQuorum is f+1.
-func (v *AgreementValue) Verify(pubs []ed25519.PublicKey, n, f int) error {
+func (v *AgreementValue) Verify(pubs *sig.Registry, n, f int) error {
 	if len(v.Entries) != n {
 		return fmt.Errorf("core: value has %d entries, want %d", len(v.Entries), n)
 	}

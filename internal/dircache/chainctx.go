@@ -1,8 +1,6 @@
 package dircache
 
 import (
-	"crypto/ed25519"
-
 	"partialtor/internal/attack"
 	"partialtor/internal/chain"
 	"partialtor/internal/sig"
@@ -19,7 +17,7 @@ import (
 type ChainContext struct {
 	// Pubs is the authority verification registry; Threshold the signature
 	// majority a link needs (⌊n/2⌋+1).
-	Pubs      []ed25519.PublicKey
+	Pubs      *sig.Registry
 	Threshold int
 
 	// Genuine is the current epoch's true link — the document the

@@ -312,8 +312,8 @@ func (s Spec) Validate() error {
 		}
 	}
 	if c := s.Chain; c != nil {
-		if c.Threshold < 1 || c.Threshold > len(c.Pubs) {
-			return fmt.Errorf("dircache: chain threshold %d over %d authorities", c.Threshold, len(c.Pubs))
+		if c.Threshold < 1 || c.Threshold > c.Pubs.Len() {
+			return fmt.Errorf("dircache: chain threshold %d over %d authorities", c.Threshold, c.Pubs.Len())
 		}
 	}
 	if g := s.Gossip; g != nil {

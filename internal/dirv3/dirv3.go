@@ -17,7 +17,6 @@
 package dirv3
 
 import (
-	"crypto/ed25519"
 	"fmt"
 	"sort"
 	"strings"
@@ -135,7 +134,8 @@ type Authority struct {
 	cfg   *Config
 	index int
 	me    *sig.KeyPair
-	pubs  []ed25519.PublicKey
+	pubs  *sig.Registry
+	agg   vote.Aggregator
 	doc   *vote.Document
 
 	votes    map[int]*vote.Document
@@ -162,7 +162,7 @@ func NewAuthorities(cfg Config) []*Authority {
 	if len(cfg.Docs) != cfg.n() {
 		panic("dirv3: len(Docs) != len(Keys)")
 	}
-	pubs := sig.PublicSet(cfg.Keys)
+	pubs, agg := sig.PublicSet(cfg.Keys), vote.Aggregator{}
 	out := make([]*Authority, cfg.n())
 	for i := range out {
 		out[i] = &Authority{
@@ -170,6 +170,7 @@ func NewAuthorities(cfg Config) []*Authority {
 			index:               i,
 			me:                  cfg.Keys[i],
 			pubs:                pubs,
+			agg:                 agg,
 			doc:                 cfg.Docs[i],
 			votes:               make(map[int]*vote.Document),
 			voteSigs:            make(map[int]sig.Signature),
@@ -193,16 +194,15 @@ func (a *Authority) Start(ctx *simnet.Context) {
 	a.voteSigs[a.index] = signDoc(a.me, a.doc)
 	ctx.Logf("notice", "Time to vote.")
 	ctx.Trace(obs.Event{Type: obs.EvPhase, Label: "vote"})
-	alt := a.cfg.Equivocators[a.index]
+	own := &msgVote{Doc: a.doc, Sig: a.voteSigs[a.index]}
+	byParity := [2]*msgVote{own, own}
+	if alt := a.cfg.Equivocators[a.index]; alt != nil {
+		byParity[1] = &msgVote{Doc: alt, Sig: signDoc(a.me, alt)}
+	}
 	for p := 0; p < ctx.N(); p++ {
-		if p == a.index {
-			continue
+		if p != a.index {
+			ctx.Send(simnet.NodeID(p), byParity[p%2])
 		}
-		d := a.doc
-		if alt != nil && p%2 == 1 {
-			d = alt
-		}
-		ctx.Send(simnet.NodeID(p), &msgVote{Doc: d, Sig: signDoc(a.me, d)})
 	}
 	r := a.cfg.round()
 	ctx.At(1*r, func() { a.fetchVotes(ctx) })
@@ -340,7 +340,7 @@ func (a *Authority) computeConsensus(ctx *simnet.Context) {
 	for _, d := range a.votes {
 		docs = append(docs, d)
 	}
-	cons, err := vote.Aggregate(docs, a.cfg.n())
+	cons, err := a.agg.Aggregate(docs, a.cfg.n())
 	if err != nil {
 		ctx.Logf("warn", "Consensus aggregation failed: %v", err)
 		return

@@ -14,6 +14,14 @@ import (
 func runScenario(t *testing.T, cfg Config, relays int, bandwidth float64,
 	shape func(*testkit.Net)) (*Result, *testkit.Net) {
 	t.Helper()
+	auths, tn := runAuthorities(t, cfg, bandwidth, shape)
+	return Collect(auths, cfg), tn
+}
+
+// runAuthorities executes a dirv3 run and returns the authorities as it
+// left them.
+func runAuthorities(t *testing.T, cfg Config, bandwidth float64, shape func(*testkit.Net)) ([]*Authority, *testkit.Net) {
+	t.Helper()
 	n := len(cfg.Keys)
 	tn := testkit.NewNet(n, bandwidth, 1)
 	if shape != nil {
@@ -26,7 +34,7 @@ func runScenario(t *testing.T, cfg Config, relays int, bandwidth float64,
 	}
 	tn.Attach(hs)
 	tn.Run(cfg.EndTime() + time.Second)
-	return Collect(auths, cfg), tn
+	return auths, tn
 }
 
 func baseConfig(t *testing.T, n, relays, padding int) Config {

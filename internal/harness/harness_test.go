@@ -2,14 +2,17 @@ package harness
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"partialtor/internal/attack"
 	"partialtor/internal/relay"
+	"partialtor/internal/sig"
 	"partialtor/internal/simnet"
 	"partialtor/internal/sweep"
 )
@@ -366,4 +369,64 @@ func fig10FailureThreshold(cells []Fig10Cell, proto Protocol, mbit float64) int 
 		}
 	}
 	return 0
+}
+
+// TestInputsDocumentsAreReadOnlyUnderAParallelSweep: Inputs hands the same
+// pre-encoded documents to every sweep worker, so once built their encoding,
+// size and digest may only ever be read. Under -race this fails if Encode or
+// Digest still writes a field on a document another goroutine holds.
+func TestInputsDocumentsAreReadOnlyUnderAParallelSweep(t *testing.T) {
+	base := Scenario{Relays: 120, EntryPadding: -1, Round: 15 * time.Second, Seed: 7}
+	_, docs := Inputs(base)
+	want := make([]sig.Digest, len(docs))
+	for i, d := range docs {
+		want[i] = sig.Hash(d.Encode())
+	}
+
+	sweeping := make(chan struct{})
+	var readers sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				for i, d := range docs {
+					if d.Digest() != want[i] || sig.Hash(d.Encode()) != want[i] || d.EncodedSize() != int64(len(d.Encode())) {
+						t.Errorf("document %d changed under a reader", i)
+						return
+					}
+				}
+				select {
+				case <-sweeping:
+					return
+				default:
+				}
+			}
+		}()
+	}
+
+	grid := sweep.MustNew(sweep.Of("protocol", Current, Synchronous, ICPS), sweep.Floats("mbit", 250, 100, 50))
+	results := sweep.RunParams(bg, grid, sweep.Params{Workers: 4}, func(ctx context.Context, c sweep.Cell) (sig.Digest, error) {
+		s := base
+		s.Protocol, s.Bandwidth = c.Value("protocol").(Protocol), c.Float("mbit")*1e6
+		if _, held := Inputs(s); held[0] != docs[0] {
+			return sig.Digest{}, fmt.Errorf("cell %v built its own documents", c)
+		}
+		res, err := RunE(ctx, s)
+		if err != nil || res.Consensus() == nil {
+			return sig.Digest{}, err
+		}
+		return res.Consensus().Digest(), nil
+	})
+	close(sweeping)
+	readers.Wait()
+	if err := sweep.FirstErr(results); err != nil {
+		t.Fatal(err)
+	}
+	// Same votes in, same consensus out, whichever protocol and worker.
+	for _, r := range results {
+		if r.Value != results[0].Value || r.Value.IsZero() {
+			t.Fatalf("cell %v: consensus digest %s, cell %v: %s", r.Cell, r.Value.Short(), results[0].Cell, results[0].Value.Short())
+		}
+	}
 }

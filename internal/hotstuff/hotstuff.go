@@ -23,7 +23,6 @@
 package hotstuff
 
 import (
-	"crypto/ed25519"
 	"fmt"
 	"time"
 
@@ -74,6 +73,16 @@ type Config struct {
 	Equivocator map[int]bool
 	// AltPropose supplies the equivocator's second value.
 	AltPropose func(index, view int) Value
+	pubs       *sig.Registry // built by Pubs
+}
+
+// Pubs returns the run's one verification registry, built from Keys on first
+// use: every replica of the Config and the parent embedding them share it.
+func (c *Config) Pubs() *sig.Registry {
+	if c.pubs == nil {
+		c.pubs = sig.PublicSet(c.Keys)
+	}
+	return c.pubs
 }
 
 // N returns the replica count.
@@ -158,7 +167,7 @@ func voteDomain(phase int) string {
 }
 
 // Verify checks the certificate against the replica set.
-func (q *QC) Verify(pubs []ed25519.PublicKey, quorum int) bool {
+func (q *QC) Verify(pubs *sig.Registry, quorum int) bool {
 	return q != nil &&
 		sig.VerifyQuorum(pubs, voteDomain(q.Phase), qcInput(q.Phase, q.View, q.Digest), q.Sigs, quorum) == nil
 }
@@ -183,6 +192,6 @@ func tcInput(view int) []byte { return []byte(fmt.Sprintf("timeout|%d", view)) }
 
 // Verify checks the certificate (the HighQC is checked separately when
 // used; safety never depends on it — replicas trust only their own locks).
-func (t *TC) Verify(pubs []ed25519.PublicKey, quorum int) bool {
+func (t *TC) Verify(pubs *sig.Registry, quorum int) bool {
 	return t != nil && sig.VerifyQuorum(pubs, domainTimeout, tcInput(t.View), t.Sigs, quorum) == nil
 }

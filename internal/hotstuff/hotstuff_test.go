@@ -365,3 +365,17 @@ func (foreignMsg) Size() int64 { return 1 }
 func (foreignMsg) Kind() string {
 	return "foreign"
 }
+
+func TestReplicasOfAConfigShareOneRegistry(t *testing.T) {
+	keys := sig.Authorities(1, 4)
+	cfg := &Config{Keys: keys}
+	pubs := cfg.Pubs()
+	for i := range keys {
+		if r := NewReplica(cfg, i); r.cfg.Pubs() != pubs {
+			t.Fatalf("replica %d verifies through its own registry", i)
+		}
+	}
+	if other := (&Config{Keys: keys}).Pubs(); other == pubs {
+		t.Fatal("two agreement instances share a registry: it must not outlive its run")
+	}
+}

@@ -1,7 +1,6 @@
 package hotstuff
 
 import (
-	"crypto/ed25519"
 	"time"
 
 	"partialtor/internal/obs"
@@ -16,7 +15,6 @@ type Replica struct {
 	cfg   *Config
 	index int
 	me    *sig.KeyPair
-	pubs  []ed25519.PublicKey
 
 	view     int
 	timerGen int
@@ -61,7 +59,6 @@ func NewReplica(cfg *Config, index int) *Replica {
 		cfg:       cfg,
 		index:     index,
 		me:        cfg.Keys[index],
-		pubs:      sig.PublicSet(cfg.Keys),
 		values:    make(map[sig.Digest]Value),
 		views:     make(map[int]*viewState),
 		decidedAt: simnet.Never,
@@ -203,7 +200,7 @@ func (r *Replica) handleProposal(ctx *simnet.Context, m *MsgProposal) {
 	}
 	// A proposal for a future view must prove the view change.
 	if m.View > r.view {
-		if m.EntryTC != nil && m.EntryTC.View == m.View-1 && m.EntryTC.Verify(r.pubs, r.cfg.Quorum()) {
+		if m.EntryTC != nil && m.EntryTC.View == m.View-1 && m.EntryTC.Verify(r.cfg.Pubs(), r.cfg.Quorum()) {
 			r.enterView(ctx, m.View)
 		} else {
 			return
@@ -219,7 +216,7 @@ func (r *Replica) handleProposal(ctx *simnet.Context, m *MsgProposal) {
 	// the lock's.
 	if r.lockedQC != nil && digest != r.lockedQC.Digest {
 		if m.Justify == nil || m.Justify.Phase != 1 || m.Justify.View < r.lockedQC.View ||
-			!m.Justify.Verify(r.pubs, r.cfg.Quorum()) {
+			!m.Justify.Verify(r.cfg.Pubs(), r.cfg.Quorum()) {
 			return
 		}
 	}
@@ -247,7 +244,7 @@ func (r *Replica) handleVote(ctx *simnet.Context, m *MsgVote) {
 	if r.cfg.Leader(m.View) != r.index || r.decided {
 		return
 	}
-	if !sig.Verify(r.pubs, voteDomain(m.Phase), qcInput(m.Phase, m.View, m.Digest), m.Sig) {
+	if !sig.Verify(r.cfg.Pubs(), voteDomain(m.Phase), qcInput(m.Phase, m.View, m.Digest), m.Sig) {
 		return
 	}
 	vs := r.at(m.View)
@@ -293,7 +290,7 @@ func (r *Replica) handleLock(ctx *simnet.Context, m *MsgLock) {
 		return
 	}
 	if m.QC == nil || m.QC.Phase != 1 || m.QC.View != m.View || m.QC.Digest != m.Digest ||
-		!m.QC.Verify(r.pubs, r.cfg.Quorum()) {
+		!m.QC.Verify(r.cfg.Pubs(), r.cfg.Quorum()) {
 		return
 	}
 	if r.lockedQC == nil || m.QC.View > r.lockedQC.View {
@@ -310,7 +307,7 @@ func (r *Replica) handleDecide(ctx *simnet.Context, m *MsgDecide) {
 		return
 	}
 	if m.QC == nil || m.QC.Phase != 2 || m.QC.View != m.View ||
-		m.QC.Digest != m.Value.Digest() || !m.QC.Verify(r.pubs, r.cfg.Quorum()) {
+		m.QC.Digest != m.Value.Digest() || !m.QC.Verify(r.cfg.Pubs(), r.cfg.Quorum()) {
 		return
 	}
 	if !r.cfg.validate(m.Value) {
@@ -350,7 +347,7 @@ func (r *Replica) handleTimeout(ctx *simnet.Context, m *MsgTimeout) {
 	if r.decided || m.View < r.view {
 		return
 	}
-	if !sig.Verify(r.pubs, domainTimeout, tcInput(m.View), m.Sig) {
+	if !sig.Verify(r.cfg.Pubs(), domainTimeout, tcInput(m.View), m.Sig) {
 		return
 	}
 	vs := r.at(m.View)
@@ -383,13 +380,13 @@ func (r *Replica) handleTC(ctx *simnet.Context, tc *TC) {
 	if r.decided || tc == nil || tc.View < r.view {
 		return
 	}
-	if !tc.Verify(r.pubs, r.cfg.Quorum()) {
+	if !tc.Verify(r.cfg.Pubs(), r.cfg.Quorum()) {
 		return
 	}
 	// Adopt the certificate's high lock if it beats ours and verifies.
 	if tc.HighQC != nil && tc.HighQC.Phase == 1 &&
 		(r.lockedQC == nil || tc.HighQC.View > r.lockedQC.View) &&
-		tc.HighQC.Verify(r.pubs, r.cfg.Quorum()) {
+		tc.HighQC.Verify(r.cfg.Pubs(), r.cfg.Quorum()) {
 		r.lockedQC = tc.HighQC
 	}
 	r.entryTC = tc

@@ -12,6 +12,12 @@
 // distinct valid signatures over one message: every certificate, endorsement
 // set, signature chain and chain link), Tally (an authority's per-signer
 // consensus signatures) and Majority (the ⌊n/2⌋+1 a consensus needs).
+//
+// All of them verify through a Registry (PublicSet): the public keys plus the
+// verdict, accept or reject, on every (signer, SHA-256 of domain‖0‖message,
+// signature bytes) judged so far, so a run pays Ed25519 once per distinct
+// signature. It is run-scoped and lock-free: a run is one goroutine, and no
+// Registry is shared between concurrent runs or sweep cells nor outlives its run.
 package sig
 
 import (
@@ -132,22 +138,42 @@ func (k *KeyPair) Sign(domain string, msg []byte) Signature {
 	return s
 }
 
-// Verify checks a signature against a public key registry (indexed by
-// authority). It returns false for out-of-range signers.
-func Verify(publics []ed25519.PublicKey, domain string, msg []byte, s Signature) bool {
-	if s.Signer < 0 || s.Signer >= len(publics) {
-		return false
-	}
-	return ed25519.Verify(publics[s.Signer], signingInput(domain, msg), s.Bytes[:])
+// Registry is one run's verification registry (see the package comment).
+type Registry struct {
+	keys     []ed25519.PublicKey
+	verdicts map[verdictKey]bool
 }
 
-// PublicSet extracts the verification registry from key pairs.
-func PublicSet(keys []*KeyPair) []ed25519.PublicKey {
-	pubs := make([]ed25519.PublicKey, len(keys))
-	for i, k := range keys {
-		pubs[i] = k.Public
+type verdictKey struct {
+	input Digest    // SHA-256 of domain‖0‖msg
+	sig   Signature // signer and bytes
+}
+
+// PublicSet builds a run's verification registry from its key pairs.
+func PublicSet(keys []*KeyPair) *Registry {
+	r := &Registry{verdicts: make(map[verdictKey]bool)}
+	for _, k := range keys {
+		r.keys = append(r.keys, k.Public)
 	}
-	return pubs
+	return r
+}
+
+// Len is the authority count, Memoised the distinct signatures judged so far.
+func (r *Registry) Len() int      { return len(r.keys) }
+func (r *Registry) Memoised() int { return len(r.verdicts) }
+
+// Verify checks a signature against the registry (indexed by authority). It
+// returns false for out-of-range signers, before any lookup.
+func Verify(r *Registry, domain string, msg []byte, s Signature) bool {
+	if s.Signer < 0 || s.Signer >= len(r.keys) {
+		return false
+	}
+	input := signingInput(domain, msg)
+	key := verdictKey{Hash(input), s}
+	if _, seen := r.verdicts[key]; !seen {
+		r.verdicts[key] = ed25519.Verify(r.keys[s.Signer], input, s.Bytes[:])
+	}
+	return r.verdicts[key]
 }
 
 // Majority is the Tor consensus-signature threshold ⌊n/2⌋+1 (5 of 9): the
@@ -160,7 +186,7 @@ func Majority(n int) int { return n/2 + 1 }
 // and no two by the same signer. HotStuff QCs and TCs, ICPS endorsement
 // sets, Dolev–Strong chains and proposal-239 chain links are all this check
 // with their own domain, message and k.
-func VerifyQuorum(publics []ed25519.PublicKey, domain string, msg []byte, sigs []Signature, k int) error {
+func VerifyQuorum(publics *Registry, domain string, msg []byte, sigs []Signature, k int) error {
 	if len(sigs) < k {
 		return fmt.Errorf("%d signatures, need %d", len(sigs), k)
 	}
@@ -182,7 +208,7 @@ func VerifyQuorum(publics []ed25519.PublicKey, domain string, msg []byte, sigs [
 // signer computed, which under attack need not be ours. All three protocols
 // publish when Matching(own digest) reaches Majority(n).
 type Tally struct {
-	publics []ed25519.PublicKey
+	publics *Registry
 	domain  string
 	held    map[int]tallied // by signer
 }
@@ -194,7 +220,7 @@ type tallied struct {
 
 // NewTally returns an empty tally of signatures under domain by the
 // authorities in publics.
-func NewTally(publics []ed25519.PublicKey, domain string) *Tally {
+func NewTally(publics *Registry, domain string) *Tally {
 	return &Tally{publics: publics, domain: domain, held: make(map[int]tallied)}
 }
 

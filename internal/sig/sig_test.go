@@ -169,18 +169,87 @@ func TestVerifyQuorum(t *testing.T) {
 		{"wrong domain", "tc", msg, sign(0, 1, 2), 3, false},
 		{"wrong message", "qc", []byte("other"), sign(0, 1, 2), 3, false},
 	}
-	for _, c := range cases {
-		err := VerifyQuorum(pubs, c.domain, c.msg, c.sigs, c.k)
-		if (err == nil) != c.ok {
-			t.Errorf("%s: err = %v, want ok=%v", c.name, err, c.ok)
+	// Twice over one registry: the second pass meets a memo that has already
+	// judged every signature of every row, and must reach the same verdicts.
+	for pass := 1; pass <= 2; pass++ {
+		for _, c := range cases {
+			err := VerifyQuorum(pubs, c.domain, c.msg, c.sigs, c.k)
+			if (err == nil) != c.ok {
+				t.Errorf("pass %d, %s: err = %v, want ok=%v", pass, c.name, err, c.ok)
+			}
 		}
 	}
 }
 
+// TestRegistryNeverLaundersAVerdict: a verdict is remembered for exactly the
+// (signer, domain, message, signature bytes) it was reached on, so nothing
+// accepted can vouch for anything else and nothing rejected can taint it.
+func TestRegistryNeverLaundersAVerdict(t *testing.T) {
+	keys := Authorities(3, 4)
+	msg := []byte("digest")
+	genuine := keys[1].Sign("qc", msg)
+	forged := genuine
+	forged.Bytes[5] ^= 1
+	relabelled := genuine
+	relabelled.Signer = 2
+	outOfRange := genuine
+	outOfRange.Signer = 4
+	negative := genuine
+	negative.Signer = -1
+
+	steps := []struct {
+		name    string
+		domain  string
+		msg     []byte
+		s       Signature
+		ok      bool
+		entries int // Memoised() after the step
+	}{
+		{"genuine", "qc", msg, genuine, true, 1},
+		{"forged after genuine", "qc", msg, forged, false, 2},
+		{"genuine again", "qc", msg, genuine, true, 2},
+		{"forged again", "qc", msg, forged, false, 2},
+		{"same bytes, another domain", "tc", msg, genuine, false, 3},
+		{"same bytes, another message", "qc", []byte("other"), genuine, false, 4},
+		{"same bytes, another signer", "qc", msg, relabelled, false, 5},
+		{"signer past the key set", "qc", msg, outOfRange, false, 5},
+		{"negative signer", "qc", msg, negative, false, 5},
+		{"genuine after all of them", "qc", msg, genuine, true, 5},
+	}
+	pubs := PublicSet(keys)
+	for _, c := range steps {
+		if got := Verify(pubs, c.domain, c.msg, c.s); got != c.ok {
+			t.Errorf("%s: Verify = %v, want %v", c.name, got, c.ok)
+		}
+		if got := pubs.Memoised(); got != c.entries {
+			t.Errorf("%s: registry holds %d verdicts, want %d", c.name, got, c.entries)
+		}
+	}
+
+	// The reverse order on a fresh registry: a rejection first must not taint
+	// the genuine signature over the same message.
+	pubs = PublicSet(keys)
+	if Verify(pubs, "qc", msg, forged) || !Verify(pubs, "qc", msg, genuine) || Verify(pubs, "qc", msg, forged) {
+		t.Error("forged-then-genuine: verdicts crossed")
+	}
+	if pubs.Len() != 4 || pubs.Memoised() != 2 {
+		t.Errorf("Len=%d Memoised=%d, want 4 and 2", pubs.Len(), pubs.Memoised())
+	}
+}
+
+// TestTally runs twice over one registry: the second tally meets a memo that
+// has already judged every signature, and must keep every rule.
 func TestTally(t *testing.T) {
 	keys := Authorities(5, 4)
+	pubs := PublicSet(keys)
+	for _, name := range []string{"cold registry", "warm registry"} {
+		t.Run(name, func(t *testing.T) { testTally(t, keys, pubs) })
+	}
+}
+
+func testTally(t *testing.T, keys []*KeyPair, pubs *Registry) {
 	ours, theirs := Hash([]byte("ours")), Hash([]byte("theirs"))
-	tally := NewTally(PublicSet(keys), "cons")
+	tally := NewTally(pubs, "cons")
 	sign := func(i int, d Digest) Signature { return keys[i].Sign("cons", d[:]) }
 
 	own := tally.Sign(keys[0], ours)

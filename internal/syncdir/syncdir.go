@@ -22,7 +22,6 @@
 package syncdir
 
 import (
-	"crypto/ed25519"
 	"time"
 
 	"partialtor/internal/obs"
@@ -157,7 +156,8 @@ type Authority struct {
 	cfg   *Config
 	index int
 	me    *sig.KeyPair
-	pubs  []ed25519.PublicKey
+	pubs  *sig.Registry
+	agg   vote.Aggregator
 	doc   *vote.Document
 
 	docs    map[int]*vote.Document
@@ -189,7 +189,7 @@ func NewAuthorities(cfg Config) []*Authority {
 	if len(cfg.Docs) != cfg.n() {
 		panic("syncdir: len(Docs) != len(Keys)")
 	}
-	pubs := sig.PublicSet(cfg.Keys)
+	pubs, agg := sig.PublicSet(cfg.Keys), vote.Aggregator{}
 	out := make([]*Authority, cfg.n())
 	for i := range out {
 		out[i] = &Authority{
@@ -197,6 +197,7 @@ func NewAuthorities(cfg Config) []*Authority {
 			index:          i,
 			me:             cfg.Keys[i],
 			pubs:           pubs,
+			agg:            agg,
 			doc:            cfg.Docs[i],
 			docs:           make(map[int]*vote.Document),
 			docSigs:        make(map[int]sig.Signature),
@@ -425,7 +426,7 @@ func (a *Authority) decide(ctx *simnet.Context) {
 		a.agreed = false
 		return
 	}
-	cons, err := vote.Aggregate(a.leaderBundle.Docs, a.cfg.n())
+	cons, err := a.agg.Aggregate(a.leaderBundle.Docs, a.cfg.n())
 	if err != nil {
 		ctx.Logf("warn", "Aggregation failed: %v", err)
 		a.agreed = false

@@ -10,6 +10,13 @@ import (
 
 func runScenario(t *testing.T, cfg Config, bandwidth float64, shape func(*testkit.Net)) (*Result, *testkit.Net) {
 	t.Helper()
+	auths, tn := runAuthorities(t, cfg, bandwidth, shape)
+	return Collect(auths, cfg), tn
+}
+
+// runAuthorities executes a run and returns the authorities as it left them.
+func runAuthorities(t *testing.T, cfg Config, bandwidth float64, shape func(*testkit.Net)) ([]*Authority, *testkit.Net) {
+	t.Helper()
 	n := len(cfg.Keys)
 	tn := testkit.NewNet(n, bandwidth, 1)
 	if shape != nil {
@@ -22,7 +29,7 @@ func runScenario(t *testing.T, cfg Config, bandwidth float64, shape func(*testki
 	}
 	tn.Attach(hs)
 	tn.Run(cfg.EndTime() + time.Second)
-	return Collect(auths, cfg), tn
+	return auths, tn
 }
 
 func baseConfig(t *testing.T, n, relays, padding int) Config {

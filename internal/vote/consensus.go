@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 
 	"partialtor/internal/relay"
 	"partialtor/internal/sig"
@@ -33,6 +35,7 @@ type Consensus struct {
 	Relays           []ConsensusRelay
 
 	encoded []byte
+	digest  sig.Digest // of encoded, fixed with it
 }
 
 // Aggregate combines status votes into a consensus document following the
@@ -102,6 +105,32 @@ func Aggregate(votes []*Document, totalAuthorities int) (*Consensus, error) {
 		c.Relays = append(c.Relays, aggregateRelay(id, s.entries, s.voters))
 	}
 	return c, nil
+}
+
+// Aggregator is Aggregate memoised for one run (see the package comment):
+// authorities holding the same vote set share one document, hashed once.
+type Aggregator map[string]*Consensus
+
+// Aggregate is Aggregate(votes, totalAuthorities) once per distinct vote set; errors are not stored.
+func (g Aggregator) Aggregate(votes []*Document, totalAuthorities int) (*Consensus, error) {
+	digests := make([]string, len(votes))
+	for i, v := range votes {
+		var dg sig.Digest // stays zero for a nil vote, which Aggregate rejects
+		if v != nil {
+			dg = v.Digest()
+		}
+		digests[i] = string(dg[:])
+	}
+	sort.Strings(digests)
+	key := strconv.Itoa(totalAuthorities) + strings.Join(digests, "")
+	if g[key] == nil {
+		c, err := Aggregate(votes, totalAuthorities)
+		if err != nil {
+			return nil, err
+		}
+		g[key] = c
+	}
+	return g[key], nil
 }
 
 // aggregateRelay applies the per-relay rules of Figure 2.
@@ -220,7 +249,7 @@ func (c *Consensus) Encode() []byte {
 		fmt.Fprintf(&b, "p %s\n", r.ExitPolicy)
 	}
 	fmt.Fprintf(&b, "directory-footer\n")
-	c.encoded = b.Bytes()
+	c.encoded, c.digest = b.Bytes(), sig.Hash(b.Bytes())
 	return c.encoded
 }
 
@@ -229,4 +258,4 @@ func (c *Consensus) EncodedSize() int64 { return int64(len(c.Encode())) }
 
 // Digest returns the SHA-256 digest of the encoded consensus; this is what
 // authorities sign.
-func (c *Consensus) Digest() sig.Digest { return sig.Hash(c.Encode()) }
+func (c *Consensus) Digest() sig.Digest { c.Encode(); return c.digest }

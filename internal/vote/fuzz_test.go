@@ -7,6 +7,16 @@ import (
 	"partialtor/internal/sig"
 )
 
+// digestIsHashOfEncoding is the hash-once invariant: the digest fixed beside
+// the cached encoding is the SHA-256 of exactly those bytes, whichever of
+// Digest and Encode is called first.
+func digestIsHashOfEncoding(t testing.TB, what string, digest func() sig.Digest, encode func() []byte) {
+	t.Helper()
+	if got, want := digest(), sig.Hash(encode()); got != want {
+		t.Fatalf("%s: Digest() = %s, sig.Hash(Encode()) = %s", what, got.Short(), want.Short())
+	}
+}
+
 // FuzzParse: arbitrary input must never panic the vote parser, and
 // anything that parses must re-encode and re-parse to the same digest.
 func FuzzParse(f *testing.F) {
@@ -17,6 +27,9 @@ func FuzzParse(f *testing.F) {
 	doc2 := NewDocument(1, "tor26", keys.Fingerprint, 2, nil)
 	doc2.EntryPadding = 0
 	f.Add(doc2.Encode())
+	digestIsHashOfEncoding(f, "built, encoded first", doc.Digest, doc.Encode)
+	doc3 := NewDocument(2, "dizum", keys.Fingerprint, 3, view)
+	digestIsHashOfEncoding(f, "built, digest first", doc3.Digest, doc3.Encode)
 	f.Add([]byte("network-status-version 3\nvote-status vote\ndirectory-footer\n"))
 	f.Add([]byte("r bad\n"))
 	f.Add([]byte{})
@@ -33,6 +46,8 @@ func FuzzParse(f *testing.F) {
 		if len(re.Relays) != len(d.Relays) {
 			t.Fatal("relay count unstable across round trip")
 		}
+		digestIsHashOfEncoding(t, "parsed and re-encoded", d.Digest, d.Encode)
+		digestIsHashOfEncoding(t, "re-parsed", re.Digest, re.Encode)
 	})
 }
 
@@ -43,6 +58,7 @@ func FuzzParseConsensus(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	digestIsHashOfEncoding(f, "aggregated, digest first", c.Digest, c.Encode)
 	f.Add(c.Encode())
 	f.Add([]byte("network-status-version 3\nvote-status consensus\ndirectory-footer\n"))
 	f.Add([]byte("voters x y\n"))
@@ -56,5 +72,6 @@ func FuzzParseConsensus(f *testing.F) {
 		if _, err := ParseConsensus(c.Encode()); err != nil {
 			t.Fatalf("re-parse of re-encoded consensus failed: %v", err)
 		}
+		digestIsHashOfEncoding(t, "parsed and re-encoded consensus", c.Digest, c.Encode)
 	})
 }

@@ -9,6 +9,12 @@
 // the largest authority ID; flags follow the popular vote with ties unset;
 // the largest version/protocol and the lexicographically larger exit policy
 // win ties; and bandwidth is the median of the measuring votes.
+//
+// Documents are frozen once built: Encode fixes their bytes and digest. An
+// Aggregator memoises Aggregate for one run, keyed by the authority count and
+// the sorted vote digests (a digest covers its vote's authority index). It is
+// run-scoped and lock-free: a run is one goroutine, and no Aggregator is
+// shared between concurrent runs or sweep cells nor outlives its run.
 package vote
 
 import (
@@ -43,7 +49,8 @@ type Document struct {
 	EntryPadding   int    // pad each relay entry to this many bytes; 0 = natural size
 	Relays         []relay.Descriptor
 
-	encoded []byte // cache
+	encoded []byte     // cache
+	digest  sig.Digest // of encoded, fixed with it
 }
 
 // NewDocument builds a vote for an authority over its relay view.
@@ -58,8 +65,8 @@ func NewDocument(authorityIndex int, name string, fp sig.Fingerprint, epoch uint
 	}
 }
 
-// Encode renders the vote in its text format. The result is cached: votes
-// are immutable once built.
+// Encode renders the vote in its text format. The result is cached, and its
+// digest fixed, on first use: votes are immutable once built.
 func (d *Document) Encode() []byte {
 	if d.encoded != nil {
 		return d.encoded
@@ -74,7 +81,7 @@ func (d *Document) Encode() []byte {
 		encodeEntry(&b, &d.Relays[i], d.EntryPadding)
 	}
 	fmt.Fprintf(&b, "directory-footer\n")
-	d.encoded = b.Bytes()
+	d.encoded, d.digest = b.Bytes(), sig.Hash(b.Bytes())
 	return d.encoded
 }
 
@@ -109,7 +116,7 @@ func encodeEntry(b *bytes.Buffer, r *relay.Descriptor, pad int) {
 func (d *Document) EncodedSize() int64 { return int64(len(d.Encode())) }
 
 // Digest returns the SHA-256 digest of the encoded vote.
-func (d *Document) Digest() sig.Digest { return sig.Hash(d.Encode()) }
+func (d *Document) Digest() sig.Digest { d.Encode(); return d.digest }
 
 // Parse inverts Encode.
 func Parse(data []byte) (*Document, error) {

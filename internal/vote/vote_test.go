@@ -366,6 +366,76 @@ func TestAggregateErrors(t *testing.T) {
 	}
 }
 
+// TestAggregatorSharesPerVoteSet: one document per distinct vote set,
+// whatever order the set arrives in, and nothing at all for a set Aggregate
+// rejects.
+func TestAggregatorSharesPerVoteSet(t *testing.T) {
+	docs := make([]*Document, 5)
+	for a := range docs {
+		docs[a] = mkVote(a, mkRelay(1, nil))
+	}
+	// Relay 3 makes the ⌊5/2⌋ threshold through authorities 2 and 3; the
+	// equivocator's second vote does not list it.
+	docs[2], docs[3] = mkVote(2, mkRelay(1, nil), mkRelay(3, nil)), mkVote(3, mkRelay(1, nil), mkRelay(3, nil))
+	alt := mkVote(2, mkRelay(1, nil))
+	agg := Aggregator{}
+	base, err := agg.Aggregate(docs, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pure, _ := Aggregate(docs, 9)
+	if base.Digest() != pure.Digest() {
+		t.Fatal("the aggregator's document differs from Aggregate's")
+	}
+	for _, perm := range [][]int{{3, 0, 4, 2, 1}, {4, 3, 2, 1, 0}, {0, 1, 2, 3, 4}} {
+		in := make([]*Document, len(perm))
+		for i, j := range perm {
+			in[i] = docs[j]
+		}
+		if c, err := agg.Aggregate(in, 9); err != nil || c != base {
+			t.Fatalf("order %v: got %p, %v; want the shared document %p", perm, c, err, base)
+		}
+	}
+	if len(agg) != 1 {
+		t.Fatalf("%d entries for one vote set", len(agg))
+	}
+
+	swapped := []*Document{docs[0], docs[1], alt, docs[3], docs[4]}
+	other, err := agg.Aggregate(swapped, 9)
+	if err != nil || other == base || other.Digest() == base.Digest() {
+		t.Fatalf("an alternate vote from authority 2 got the first set's document (err %v)", err)
+	}
+	if c, _ := agg.Aggregate(docs[:4], 9); c == base || c == other {
+		t.Fatal("a subset of the votes got another set's document")
+	}
+	if c, _ := agg.Aggregate(docs, 7); c == base {
+		t.Fatal("another authority count got the first set's document")
+	}
+	if len(agg) != 4 {
+		t.Fatalf("%d entries for four distinct vote sets", len(agg))
+	}
+
+	// Rejected sets: Aggregate's own error text, every time, nothing stored —
+	// not even when the set minus its nil vote is already on record.
+	for name, bad := range map[string][]*Document{
+		"empty":     {},
+		"nil slice": nil,
+		"nil vote":  {docs[0], docs[1], docs[2], docs[3], docs[4], nil},
+		"only nil":  {nil},
+		"duplicate": {docs[0], docs[1], docs[1]},
+	} {
+		_, want := Aggregate(bad, 9)
+		for try := 1; try <= 2; try++ {
+			if c, err := agg.Aggregate(bad, 9); c != nil || err == nil || err.Error() != want.Error() {
+				t.Errorf("%s, try %d: got %v, %v; want nil and %q", name, try, c, err, want)
+			}
+		}
+	}
+	if len(agg) != 4 {
+		t.Fatalf("a rejected vote set was stored: %d entries", len(agg))
+	}
+}
+
 func TestConsensusEncodeStable(t *testing.T) {
 	votes := []*Document{
 		mkVote(0, mkRelay(1, nil), mkRelay(2, nil)),
