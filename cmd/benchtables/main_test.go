@@ -36,6 +36,27 @@ func TestGoldenQuickArtifacts(t *testing.T) {
 	}
 }
 
+// TestGoldenPaperScaleFigure11 pins one artifact at the paper's own scale:
+// the quick presets stop at 300 relays, and this one builds, hashes and
+// aggregates the 25 MB votes of a 10 000-relay network. It is the only test
+// -short skips (CI's race job passes -short for that reason).
+func TestGoldenPaperScaleFigure11(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper scale: a 10 000-relay sweep")
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "paper_fig11.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if code := run([]string{"-only", "fig11"}, &out, io.Discard); code != 0 {
+		t.Fatalf("exit %d", code)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Errorf("output differs from testdata/paper_fig11.golden:\n%s", out.Bytes())
+	}
+}
+
 func TestUnknownArtifact(t *testing.T) {
 	var errOut bytes.Buffer
 	if code := run([]string{"-only", "fig99"}, io.Discard, &errOut); code != 2 {

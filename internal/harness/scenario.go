@@ -208,10 +208,14 @@ var inputsCache struct {
 	m  map[inputsKey]*inputsEntry
 }
 
-// inputsCacheLimit bounds the cache: entries are megabytes (nine pre-encoded
-// vote documents each), and the figure generators sweep Relays over ~10
-// values, so a small cap keeps a sweep's working set without letting a
-// long-lived process accumulate every combination it ever ran.
+// inputsCacheLimit bounds the cache. An entry is nine relay views and their
+// nine encoded votes, and the encodings are nearly all of it: 6.7 MB at 300
+// relays, 225 MB at the paper's 10 000, so a full cache is up to 1.8 GB at
+// paper scale. Each encoding is allocated at exactly its length (the doubling
+// buffer it used to grow in kept about twice that). The figure generators
+// sweep Relays over ~10 values, so a small cap keeps a sweep's working set
+// without letting a long-lived process accumulate every combination it ever
+// ran.
 const inputsCacheLimit = 8
 
 // Inputs builds (and caches) the authority keys and vote documents for a
@@ -253,7 +257,10 @@ func Inputs(s Scenario) ([]*sig.KeyPair, []*vote.Document) {
 			d := vote.NewDocument(i, name, k.Fingerprint, 1, view)
 			d.EntryPadding = s.EntryPadding
 			e.docs[i] = d
-			_ = d.Encode() // pre-encode so size accounting is O(1) afterwards
+			// Encode and hash here, once per key: every run on this key
+			// sends, sizes and signs these bytes, and concurrent sweep cells
+			// may only read a document that is already frozen.
+			_ = d.Encode()
 		}
 	})
 	return e.keys, e.docs

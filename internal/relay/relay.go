@@ -51,17 +51,38 @@ func AllFlags() []Flags {
 // Has reports whether all bits in q are set.
 func (f Flags) Has(q Flags) bool { return f&q == q }
 
-// String renders the set flags in Tor's "s" line order (alphabetical here,
-// matching the canonical names' order of declaration).
-func (f Flags) String() string {
-	var parts []string
+// AppendTo appends the set flags in Tor's "s" line order (alphabetical here,
+// matching the canonical names' order of declaration), space-separated.
+//
+//detlint:hotpath
+func (f Flags) AppendTo(dst []byte) []byte {
+	sep := false
+	for i := 0; i < flagCount; i++ {
+		if f&(1<<i) == 0 {
+			continue
+		}
+		if sep {
+			dst = append(dst, ' ')
+		}
+		dst = append(dst, flagNames[i]...)
+		sep = true
+	}
+	return dst
+}
+
+// EncodedLen is len(f.AppendTo(nil)), for sizing a buffer before filling it.
+func (f Flags) EncodedLen() int {
+	n := 0
 	for i := 0; i < flagCount; i++ {
 		if f&(1<<i) != 0 {
-			parts = append(parts, flagNames[i])
+			n += len(flagNames[i]) + 1
 		}
 	}
-	return strings.Join(parts, " ")
+	return max(n-1, 0)
 }
+
+// String is AppendTo as a string.
+func (f Flags) String() string { return string(f.AppendTo(make([]byte, 0, 48))) }
 
 // ParseFlags inverts String.
 func ParseFlags(s string) (Flags, error) {
@@ -88,16 +109,19 @@ func ParseFlags(s string) (Flags, error) {
 // Identity is a relay's 20-byte fingerprint.
 type Identity [20]byte
 
-// String renders the identity as 40 upper-case hex characters.
-func (id Identity) String() string {
+// AppendTo appends the identity as 40 upper-case hex characters.
+//
+//detlint:hotpath
+func (id Identity) AppendTo(dst []byte) []byte {
 	const hexUpper = "0123456789ABCDEF"
-	out := make([]byte, 40)
-	for i, b := range id {
-		out[2*i] = hexUpper[b>>4]
-		out[2*i+1] = hexUpper[b&0xf]
+	for _, b := range id {
+		dst = append(dst, hexUpper[b>>4], hexUpper[b&0xf])
 	}
-	return string(out)
+	return dst
 }
+
+// String is AppendTo as a string.
+func (id Identity) String() string { return string(id.AppendTo(make([]byte, 0, 2*len(id)))) }
 
 // Descriptor is one relay entry as it appears in an authority's status vote.
 type Descriptor struct {

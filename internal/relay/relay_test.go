@@ -2,6 +2,7 @@ package relay
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -35,6 +36,25 @@ func TestFlagsQuickRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFlagsAppendTo: every flag set, stray high bits included, appends after
+// what is already there, in the spelling of the old []string + strings.Join
+// String, at exactly EncodedLen bytes.
+func TestFlagsAppendTo(t *testing.T) {
+	for bits := 0; bits < 1<<16; bits += 7 {
+		f := Flags(bits)
+		var parts []string
+		for i, name := range flagNames {
+			if f&(1<<i) != 0 {
+				parts = append(parts, name)
+			}
+		}
+		want := strings.Join(parts, " ")
+		if got := string(f.AppendTo([]byte("s "))); got != "s "+want || f.String() != want || f.EncodedLen() != len(want) {
+			t.Fatalf("Flags(%#x): AppendTo %q, String %q, EncodedLen %d, want %q", bits, got, f.String(), f.EncodedLen(), want)
+		}
 	}
 }
 
@@ -164,6 +184,9 @@ func TestIdentityString(t *testing.T) {
 	s := id.String()
 	if len(s) != 40 || s[:2] != "AB" || s[38:] != "01" {
 		t.Fatalf("identity string %q", s)
+	}
+	if got := string(id.AppendTo([]byte("r "))); got != "r "+s {
+		t.Fatalf("AppendTo wrote %q after its prefix, String says %q", got, s)
 	}
 }
 

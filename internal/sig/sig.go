@@ -70,18 +70,20 @@ func (d Digest) IsZero() bool { return d == Digest{} }
 // Fingerprint identifies an authority, Tor-style (20 bytes, upper hex).
 type Fingerprint [FingerprintSize]byte
 
-// String renders the fingerprint as Tor does in logs: 40 upper-case hex
-// characters.
-func (f Fingerprint) String() string {
-	dst := make([]byte, hex.EncodedLen(len(f)))
-	hex.Encode(dst, f[:])
-	for i, c := range dst {
-		if c >= 'a' && c <= 'f' {
-			dst[i] = c - 'a' + 'A'
-		}
+// AppendTo appends the fingerprint as Tor renders it in logs and documents:
+// 40 upper-case hex characters.
+//
+//detlint:hotpath
+func (f Fingerprint) AppendTo(dst []byte) []byte {
+	const hexUpper = "0123456789ABCDEF"
+	for _, b := range f {
+		dst = append(dst, hexUpper[b>>4], hexUpper[b&0xf])
 	}
-	return string(dst)
+	return dst
 }
+
+// String is AppendTo as a string.
+func (f Fingerprint) String() string { return string(f.AppendTo(make([]byte, 0, 2*len(f)))) }
 
 // KeyPair is an authority's long-term signing identity.
 type KeyPair struct {

@@ -2,6 +2,8 @@ package sig
 
 import (
 	"bytes"
+	"encoding/hex"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -66,6 +68,12 @@ func TestFingerprintFormat(t *testing.T) {
 		if !(c >= '0' && c <= '9' || c >= 'A' && c <= 'F') {
 			t.Fatalf("fingerprint contains %q; want upper hex", c)
 		}
+	}
+	if want := strings.ToUpper(hex.EncodeToString(k.Fingerprint[:])); s != want {
+		t.Fatalf("fingerprint %q, want %q", s, want)
+	}
+	if got := string(k.Fingerprint.AppendTo([]byte("dir-source "))); got != "dir-source "+s {
+		t.Fatalf("AppendTo wrote %q after its prefix, String says %q", got, s)
 	}
 }
 

@@ -10,7 +10,12 @@
 // the largest version/protocol and the lexicographically larger exit policy
 // win ties; and bandwidth is the median of the measuring votes.
 //
-// Documents are frozen once built: Encode fixes their bytes and digest. An
+// Documents are frozen once built: Encode fixes their bytes and digest. Both
+// encoders size the document first and append it into one buffer of exactly
+// that length — no fmt, no growth, no capacity left over on the votes a run
+// caches — so their cost is the padding copy and the SHA-256. Aggregate walks
+// the votes, which list relays in identity order, as a k-way merge of pointers
+// into them: nothing is copied or indexed per relay. An
 // Aggregator memoises Aggregate for one run, keyed by the authority count and
 // the sorted vote digests (a digest covers its vote's authority index). It is
 // run-scoped and lock-free: a run is one goroutine, and no Aggregator is
@@ -18,7 +23,6 @@
 package vote
 
 import (
-	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -71,45 +75,116 @@ func (d *Document) Encode() []byte {
 	if d.encoded != nil {
 		return d.encoded
 	}
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "network-status-version 3\n")
-	fmt.Fprintf(&b, "vote-status vote\n")
-	fmt.Fprintf(&b, "valid-after %d\n", d.ValidAfter)
-	fmt.Fprintf(&b, "entry-padding %d\n", d.EntryPadding)
-	fmt.Fprintf(&b, "dir-source %s %s %d\n", d.AuthorityName, d.Fingerprint, d.AuthorityIndex)
+	var scratch [128]byte
+	header := d.appendHeader(scratch[:0])
+	size := len(header) + len(footer)
 	for i := range d.Relays {
-		encodeEntry(&b, &d.Relays[i], d.EntryPadding)
+		size += entrySize(&d.Relays[i], d.EntryPadding)
 	}
-	fmt.Fprintf(&b, "directory-footer\n")
-	d.encoded, d.digest = b.Bytes(), sig.Hash(b.Bytes())
+	b := append(make([]byte, 0, size), header...)
+	for i := range d.Relays {
+		b = appendEntry(b, &d.Relays[i], d.EntryPadding)
+	}
+	b = append(b, footer...)
+	d.encoded, d.digest = b, sig.Hash(b)
 	return d.encoded
 }
 
-func encodeEntry(b *bytes.Buffer, r *relay.Descriptor, pad int) {
-	start := b.Len()
-	fmt.Fprintf(b, "r %s %s %s %s %d %d\n",
-		r.Nickname, r.Identity, r.Digest, r.Address, r.ORPort, r.DirPort)
-	fmt.Fprintf(b, "s %s\n", r.Flags)
-	fmt.Fprintf(b, "v Tor %s\n", r.Version)
-	fmt.Fprintf(b, "pr %s\n", r.Protocols)
+const footer = "directory-footer\n"
+
+func (d *Document) appendHeader(b []byte) []byte {
+	b = append(b, "network-status-version 3\nvote-status vote\nvalid-after "...)
+	b = strconv.AppendUint(b, d.ValidAfter, 10)
+	b = append(b, "\nentry-padding "...)
+	b = strconv.AppendInt(b, int64(d.EntryPadding), 10)
+	b = append(b, "\ndir-source "...)
+	b = append(b, d.AuthorityName...)
+	b = append(b, ' ')
+	b = d.Fingerprint.AppendTo(b)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(d.AuthorityIndex), 10)
+	return append(b, '\n')
+}
+
+// filler is what "pad" lines are cut from: one copy per entry at any padding
+// up to its length, a short loop beyond.
+var filler = strings.Repeat("x", 2*DefaultEntryPadding)
+
+// minPadLine is len("pad x\n"), the shortest filler line there is: an entry
+// within that of its padding cannot be brought to it exactly and stays as is.
+const minPadLine = 6
+
+// appendEntry appends one relay entry, filled out to pad bytes when pad > 0
+// and the entry leaves room for a filler line.
+//
+//detlint:hotpath
+func appendEntry(b []byte, r *relay.Descriptor, pad int) []byte {
+	start := len(b)
+	b = append(b, "r "...)
+	b = append(b, r.Nickname...)
+	b = append(b, ' ')
+	b = r.Identity.AppendTo(b)
+	b = append(b, ' ')
+	b = r.Digest.AppendTo(b)
+	b = append(b, ' ')
+	b = append(b, r.Address...)
+	b = append(b, ' ')
+	b = strconv.AppendUint(b, uint64(r.ORPort), 10)
+	b = append(b, ' ')
+	b = strconv.AppendUint(b, uint64(r.DirPort), 10)
+	b = append(b, "\ns "...)
+	b = r.Flags.AppendTo(b)
+	b = append(b, "\nv Tor "...)
+	b = append(b, r.Version...)
+	b = append(b, "\npr "...)
+	b = append(b, r.Protocols...)
+	b = append(b, "\nw Bandwidth="...)
+	b = strconv.AppendUint(b, r.Bandwidth, 10)
 	if r.HasMeasured {
-		fmt.Fprintf(b, "w Bandwidth=%d Measured=%d\n", r.Bandwidth, r.Measured)
-	} else {
-		fmt.Fprintf(b, "w Bandwidth=%d\n", r.Bandwidth)
+		b = append(b, " Measured="...)
+		b = strconv.AppendUint(b, r.Measured, 10)
 	}
-	fmt.Fprintf(b, "p %s\n", r.ExitPolicy)
-	if pad > 0 {
-		used := b.Len() - start
-		// "pad <filler>\n" consumes the remaining budget exactly when
-		// possible (needs at least len("pad x\n") spare bytes).
-		if need := pad - used - 6; need >= 0 {
-			b.WriteString("pad ")
-			for i := 0; i < need+1; i++ {
-				b.WriteByte('x')
-			}
-			b.WriteByte('\n')
+	b = append(b, "\np "...)
+	b = append(b, r.ExitPolicy...)
+	b = append(b, '\n')
+	// pad > 0 first: a parsed padding may be negative enough for fill to wrap.
+	if fill := pad - (len(b) - start) - minPadLine + 1; pad > 0 && fill > 0 {
+		b = append(b, "pad "...)
+		for fill > 0 {
+			n := min(fill, len(filler))
+			b = append(b, filler[:n]...)
+			fill -= n
 		}
+		b = append(b, '\n')
 	}
+	return b
+}
+
+// entrySize is len(appendEntry(nil, r, pad)), computed without formatting.
+func entrySize(r *relay.Descriptor, pad int) int {
+	n := len("r ") + len(r.Nickname) + 1 + 2*len(r.Identity) + 1 + 2*len(r.Digest) + 1 + len(r.Address) +
+		1 + decimalLen(uint64(r.ORPort)) + 1 + decimalLen(uint64(r.DirPort)) +
+		len("\ns ") + r.Flags.EncodedLen() +
+		len("\nv Tor ") + len(r.Version) +
+		len("\npr ") + len(r.Protocols) +
+		len("\nw Bandwidth=") + decimalLen(r.Bandwidth) +
+		len("\np ") + len(r.ExitPolicy) + 1
+	if r.HasMeasured {
+		n += len(" Measured=") + decimalLen(r.Measured)
+	}
+	if n+minPadLine <= pad {
+		return pad
+	}
+	return n
+}
+
+// decimalLen is len(strconv.AppendUint(nil, v, 10)).
+func decimalLen(v uint64) int {
+	n := 1
+	for ; v >= 10; v /= 10 {
+		n++
+	}
+	return n
 }
 
 // EncodedSize returns the vote's wire size in bytes.
