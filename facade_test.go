@@ -5,13 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -456,11 +459,7 @@ func headingAnchors(markdown []byte) map[string]bool {
 // unreferencedOnPurpose is the allowlist of TestInternalExportsAreReferenced:
 // exported names under internal/ that no non-test file mentions, each with
 // the reason it stays. A key is "pkg.Name", or "pkg.*" for a whole package.
-//
-// Out of the guard's reach, and kept on purpose as well: the methods and
-// fields only adversarial tests turn — simnet.Network.SetDelayFilter (an
-// adversarial scheduler before GST), hotstuff.Config.Equivocator/AltPropose
-// and syncdir.Config.EquivocateLeader (Byzantine leaders).
+// Methods and struct fields are TestInternalFieldsAreSetAndRead's, below.
 var unreferencedOnPurpose = map[string]string{
 	"testkit.*":             "the shared fixture package of the protocol tests",
 	"dirv3.EncodeMessage":   "wire-format reference: round-trip and fuzz tests compare Size() against it",
@@ -562,6 +561,339 @@ func TestInternalExportsAreReferenced(t *testing.T) {
 	}
 }
 
+// typedTree type-checks the non-test files of this module and of benchmark/
+// into one types.Info. Packages of the tree are checked here, from their
+// directories (the import path partialtor/x/y is the directory x/y, in both
+// modules), so that a field or method is one object however many packages
+// mention it; the standard library comes from one shared source importer.
+type typedTree struct {
+	fset  *token.FileSet
+	std   types.Importer
+	info  *types.Info
+	pkgs  map[string]*types.Package
+	files []*ast.File
+}
+
+func (tt *typedTree) Import(path string) (*types.Package, error) {
+	if path != "partialtor" && !strings.HasPrefix(path, "partialtor/") {
+		return tt.std.Import(path)
+	}
+	if pkg, ok := tt.pkgs[path]; ok {
+		return pkg, nil
+	}
+	dir := "." + strings.TrimPrefix(path, "partialtor")
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(tt.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	pkg, err := (&types.Config{Importer: tt}).Check(path, tt.fset, files, tt.info)
+	if err != nil {
+		return nil, err
+	}
+	tt.pkgs[path] = pkg
+	tt.files = append(tt.files, files...)
+	return pkg, nil
+}
+
+// setAndReadOnPurpose is the allowlist of TestInternalFieldsAreSetAndRead:
+// exported fields and methods under internal/ that no non-test file writes,
+// reads or calls, each with the reason it stays. A key is "pkg.Type.Name", or
+// "pkg.Type" for every field and method of a type.
+var setAndReadOnPurpose = map[string]string{
+	"analysis.vetConfig": "encoding/json fills it from the vet.cfg file cmd/go writes",
+	"obs.chromeEvent":    "encoding/json reads it into the Chrome trace",
+	"testkit.Net":        "the shared fixture type of the protocol tests",
+
+	"hotstuff.Config.Equivocator":     "adversarial hook: the safety tests make a leader Byzantine with it",
+	"hotstuff.Config.AltPropose":      "adversarial hook: the value an Equivocator shows the odd-indexed peers",
+	"syncdir.Config.EquivocateLeader": "adversarial hook: the Dolev-Strong tests make the leader sign two bundles",
+	"simnet.Network.SetDelayFilter":   "adversarial hook: an adversarial scheduler before GST, which partial synchrony allows",
+	"simnet.Network.SetDropFilter":    "adversarial hook of unit tests alone: no runner drops, TestDistributionNeverDrops holds them to it",
+
+	"faults.Backoff.Budget": "without it Result.RetryDropped, pinned in the frozen benchmark's digests, and cachesweep's dropped column can only read 0",
+
+	"core.Authority.DecidedView":       "the view-change tests assert which view decided",
+	"core.AgreementValue.DigestVector": "the X_i of Definition 5.1: the agreement tests compare it across authorities",
+	"simnet.Network.Now":               "the GST tests' adversarial delay filters read the clock",
+	"syncdir.Result.Bottoms":           "the Dolev-Strong tests assert how many authorities output ⊥, an outcome no table prints",
+	"sig.Registry.Memoised":            "the sharing tests pin how many distinct signatures a run verifies",
+	"simnet.Profile.Clone":             "the profile tests edit a copy to show the original untouched",
+	"simnet.Profile.SetRate":           "the pipe tests shape capacity exactly; runners only ever cap it (ThrottleMin)",
+}
+
+// TestInternalFieldsAreSetAndRead is the typed guard beside the two above,
+// for what they cannot see. Every exported field of a struct declared under
+// internal/ must be written by a non-test file of this module or of
+// benchmark/ (a composite-literal key or position, an assignment, ++/--, a
+// copy into it, its address taken) and read by one (any other mention); every
+// exported method must be called by one, or belong to an interface its type
+// implements. An input nobody sets is a constant, a result nobody reads is
+// dead, and either goes or sits in setAndReadOnPurpose with a reason.
+func TestInternalFieldsAreSetAndRead(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the tree and the standard library from source")
+	}
+	fset := token.NewFileSet()
+	tt := &typedTree{
+		fset: fset,
+		std:  importer.ForCompiler(fset, "source", nil),
+		info: &types.Info{
+			Types: map[ast.Expr]types.TypeAndValue{},
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+		},
+		pkgs: map[string]*types.Package{},
+	}
+	walkGo(t, fset, func(path string, _ *ast.File) {
+		if strings.HasSuffix(path, "_test.go") || strings.Contains(path, "/testdata/") {
+			return
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		if _, err := tt.Import(strings.TrimSuffix("partialtor/"+dir, "/.")); err != nil {
+			t.Fatal(err)
+		}
+	}, "partialtor.go", "cmd", "examples", "internal", "benchmark")
+	info := tt.info
+
+	// What is held to the rule, under the name the allowlist knows it by.
+	name := map[types.Object]string{}
+	var tracked []types.Object
+	track := func(obj types.Object, owner string) {
+		if !obj.Exported() || !strings.HasPrefix(obj.Pkg().Path(), "partialtor/internal/") {
+			return
+		}
+		short := strings.TrimPrefix(obj.Pkg().Path(), "partialtor/internal/")
+		name[obj] = short + "." + owner + "." + obj.Name()
+		tracked = append(tracked, obj)
+	}
+	for _, f := range tt.files {
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if fn := info.Defs[d.Name].(*types.Func); d.Recv != nil {
+					recv := fn.Type().(*types.Signature).Recv().Type()
+					if p, ok := recv.(*types.Pointer); ok {
+						recv = p.Elem()
+					}
+					track(fn, recv.(*types.Named).Obj().Name())
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					spec, ok := spec.(*ast.TypeSpec)
+					if !ok {
+						continue
+					}
+					ast.Inspect(spec.Type, func(n ast.Node) bool {
+						if st, ok := n.(*ast.StructType); ok {
+							for _, field := range st.Fields.List {
+								for _, id := range field.Names {
+									track(info.Defs[id], spec.Name.Name)
+								}
+							}
+						}
+						return true
+					})
+				}
+			}
+		}
+	}
+	if len(tracked) == 0 {
+		t.Fatal("found no exported field or method under internal/: the test is looking in the wrong place")
+	}
+
+	// Writes first, so that the identifiers they go through are not taken
+	// for reads below.
+	written, read := map[types.Object]bool{}, map[types.Object]bool{}
+	writes := map[*ast.Ident]bool{}
+	field := func(e ast.Expr) (*ast.Ident, types.Object) {
+		if sel, ok := e.(*ast.SelectorExpr); ok {
+			if v, ok := info.Uses[sel.Sel].(*types.Var); ok && v.IsField() {
+				return sel.Sel, v.Origin()
+			}
+		}
+		return nil, nil
+	}
+	write := func(e ast.Expr) {
+		for {
+			switch x := e.(type) {
+			case *ast.ParenExpr:
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.SliceExpr:
+				e = x.X
+			case *ast.StarExpr:
+				e = x.X
+			default:
+				if id, v := field(e); v != nil {
+					written[v], writes[id] = true, true
+				}
+				return
+			}
+		}
+	}
+	builtin := func(call *ast.CallExpr, name string) bool {
+		id, ok := call.Fun.(*ast.Ident)
+		_, isBuiltin := info.Uses[id].(*types.Builtin)
+		return ok && isBuiltin && id.Name == name
+	}
+	for _, f := range tt.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				typ := info.TypeOf(n)
+				if p, ok := typ.Underlying().(*types.Pointer); ok {
+					typ = p.Elem()
+				}
+				st, ok := typ.Underlying().(*types.Struct)
+				if !ok {
+					break
+				}
+				for i, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						key := kv.Key.(*ast.Ident)
+						written[info.Uses[key].(*types.Var).Origin()], writes[key] = true, true
+					} else {
+						written[st.Field(i).Origin()] = true
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					write(lhs)
+				}
+			case *ast.IncDecStmt:
+				write(n.X)
+			case *ast.CallExpr:
+				if builtin(n, "copy") {
+					write(n.Args[0])
+				}
+			case *ast.UnaryExpr:
+				// An address escapes: whoever holds it may do either.
+				if _, v := field(n.X); n.Op == token.AND && v != nil {
+					written[v] = true
+				}
+			}
+			return true
+		})
+	}
+	for id, obj := range info.Uses {
+		switch obj := obj.(type) {
+		case *types.Var:
+			if obj.IsField() && !writes[id] {
+				read[obj.Origin()] = true
+			}
+		case *types.Func:
+			read[obj.Origin()] = true
+		}
+	}
+
+	// A method called through an interface is a use of the interface's
+	// method, not of the concrete one: every interface the checker met, in
+	// the tree or in a package it imports, by the names of its methods.
+	ifaces := map[string][]*types.Interface{}
+	seen := map[*types.Interface]bool{}
+	addIface := func(typ types.Type) {
+		if _, param := typ.(*types.TypeParam); param || typ == nil {
+			return
+		}
+		if it, ok := typ.Underlying().(*types.Interface); ok && !seen[it] {
+			seen[it] = true
+			for i := 0; i < it.NumMethods(); i++ {
+				ifaces[it.Method(i).Name()] = append(ifaces[it.Method(i).Name()], it)
+			}
+		}
+	}
+	addIface(types.Universe.Lookup("error").Type())
+	for _, tv := range info.Types {
+		addIface(tv.Type)
+	}
+	visited := map[*types.Package]bool{}
+	var visit func(pkg *types.Package)
+	visit = func(pkg *types.Package) {
+		if visited[pkg] {
+			return
+		}
+		visited[pkg] = true
+		for _, n := range pkg.Scope().Names() {
+			if tn, ok := pkg.Scope().Lookup(n).(*types.TypeName); ok {
+				addIface(tn.Type())
+			}
+		}
+		for _, imp := range pkg.Imports() {
+			visit(imp)
+		}
+	}
+	for _, pkg := range tt.pkgs {
+		visit(pkg)
+	}
+	viaInterface := func(fn *types.Func) bool {
+		recv := fn.Type().(*types.Signature).Recv().Type()
+		if p, ok := recv.(*types.Pointer); ok {
+			recv = p.Elem()
+		}
+		for _, it := range ifaces[fn.Name()] {
+			if types.Implements(recv, it) || types.Implements(types.NewPointer(recv), it) {
+				return true
+			}
+		}
+		return false
+	}
+
+	sort.Slice(tracked, func(i, j int) bool { return name[tracked[i]] < name[tracked[j]] })
+	matched := map[string]bool{}
+	for _, obj := range tracked {
+		var missing string
+		switch obj := obj.(type) {
+		case *types.Var:
+			switch {
+			case !written[obj] && !read[obj]:
+				missing = "neither written nor read"
+			case !written[obj]:
+				missing = "never written"
+			case !read[obj]:
+				missing = "never read"
+			}
+		case *types.Func:
+			if !read[obj] && !viaInterface(obj) {
+				missing = "never called"
+			}
+		}
+		key := name[obj]
+		whole := key[:strings.LastIndex(key, ".")]
+		if _, ok := setAndReadOnPurpose[whole]; ok {
+			key = whole
+		}
+		reason, listed := setAndReadOnPurpose[key]
+		matched[key] = true
+		switch {
+		case listed && reason == "":
+			t.Errorf("allowlist entry %s has no reason", key)
+		case listed && missing == "" && key != whole:
+			t.Errorf("%s is set and read by non-test files: drop it from setAndReadOnPurpose", key)
+		case !listed && missing != "":
+			t.Errorf("%s (%s) is %s by a non-test file: delete it, make it a constant, or allowlist it with a reason",
+				key, fset.Position(obj.Pos()), missing)
+		}
+	}
+	for key := range setAndReadOnPurpose {
+		if !matched[key] {
+			t.Errorf("allowlist entry %s names no exported field or method under internal/", key)
+		}
+	}
+}
+
 // ExampleRunE runs one scenario end to end: the paper's partially
 // synchronous protocol (ICPS) over a healthy nine-authority network.
 func ExampleRunE() {
@@ -603,7 +935,7 @@ func ExampleNewExperiment() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("successes: %d/%d\n", res.Successes, exp.Periods())
+	fmt.Printf("successes: %d/%d\n", res.Successes, len(res.Runs))
 	// Output:
 	// phases: [generate avail]
 	// successes: 2/2

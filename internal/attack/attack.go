@@ -168,7 +168,7 @@ func (m CompromiseMode) String() string {
 }
 
 // CompromisePlan is the adversary's cache-compromise campaign: which caches
-// misbehave, how, and from which consensus period onward. It is the
+// misbehave and how, in every period of the run that carries it. It is the
 // TierCache analogue of a flood Plan for an adversary that owns mirrors
 // instead of renting stressor traffic (TorMult-style relay inflation mapped
 // onto the mirror tier).
@@ -178,15 +178,6 @@ type CompromisePlan struct {
 	Targets []int
 	// Mode selects the misbehavior.
 	Mode CompromiseMode
-	// Onset is the first consensus period (0-based) in which the caches
-	// misbehave; earlier periods run honestly. Single-period runs treat any
-	// Onset > 0 as "not yet active".
-	Onset int
-	// ForkFleetFraction is the fraction of client fleets an equivocating
-	// cache serves the fork to (the rest get the genuine document, which is
-	// what makes it an equivocation rather than a uniform substitution).
-	// 0 selects the default 0.5. Ignored by CompromiseStale.
-	ForkFleetFraction float64
 }
 
 // Validate rejects malformed compromise plans.
@@ -194,27 +185,10 @@ func (p *CompromisePlan) Validate() error {
 	if p.Mode != CompromiseStale && p.Mode != CompromiseEquivocate {
 		return fmt.Errorf("attack: unknown compromise mode %v", p.Mode)
 	}
-	if p.Onset < 0 {
-		return fmt.Errorf("attack: negative compromise onset %d", p.Onset)
-	}
-	if p.ForkFleetFraction < 0 || p.ForkFleetFraction > 1 {
-		return fmt.Errorf("attack: fork fleet fraction %g outside [0, 1]", p.ForkFleetFraction)
-	}
 	if err := ValidateScope(TierCache, p.Targets, ""); err != nil {
 		return fmt.Errorf("attack: compromise: %w", err)
 	}
 	return nil
-}
-
-// ActiveIn reports whether the plan's caches misbehave in the given period.
-func (p *CompromisePlan) ActiveIn(period int) bool { return period >= p.Onset }
-
-// EffectiveForkFraction resolves the fork-fleet fraction default.
-func (p *CompromisePlan) EffectiveForkFraction() float64 {
-	if p.ForkFleetFraction == 0 {
-		return 0.5
-	}
-	return p.ForkFleetFraction
 }
 
 // FirstTargets returns the first n node indices — the target set for a

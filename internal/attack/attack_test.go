@@ -286,30 +286,12 @@ func TestCompromisePlanValidate(t *testing.T) {
 	}
 	bad := []CompromisePlan{
 		{Mode: CompromiseMode(7)},
-		{Mode: CompromiseStale, Onset: -1},
-		{Mode: CompromiseEquivocate, ForkFleetFraction: 1.5},
-		{Mode: CompromiseEquivocate, ForkFleetFraction: -0.1},
 		{Mode: CompromiseStale, Targets: []int{-2}},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
 			t.Fatalf("case %d: invalid plan %+v accepted", i, p)
 		}
-	}
-}
-
-func TestCompromisePlanActivation(t *testing.T) {
-	p := CompromisePlan{Targets: []int{1}, Mode: CompromiseStale, Onset: 2}
-	for period, want := range map[int]bool{0: false, 1: false, 2: true, 5: true} {
-		if got := p.ActiveIn(period); got != want {
-			t.Fatalf("ActiveIn(%d) = %v, want %v", period, got, want)
-		}
-	}
-	if f := (&CompromisePlan{}).EffectiveForkFraction(); f != 0.5 {
-		t.Fatalf("default fork fraction %g, want 0.5", f)
-	}
-	if f := (&CompromisePlan{ForkFleetFraction: 0.25}).EffectiveForkFraction(); f != 0.25 {
-		t.Fatalf("explicit fork fraction %g, want 0.25", f)
 	}
 }
 

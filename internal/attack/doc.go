@@ -21,8 +21,8 @@
 //
 // The harness routes either kind per experiment period: WithAttack sends a
 // Plan to its tier's phase, and the distribution spec's CompromisePlan acts
-// in the Distribute phase from its onset period onward. Both name their victims by
-// one target scope, shared with faults.Fault (scope.go).
+// in the Distribute phase of every period. Both name their victims by one
+// target scope, shared with faults.Fault (scope.go).
 //
 // CostModel prices all of it on one scale — stressor Mbit-hours for floods
 // (PlanCost/CostPerInstance), VPS-months for compromise

@@ -24,9 +24,8 @@ type Config struct {
 	Docs []*vote.Document
 	// Delta is the dissemination wait; 0 means DefaultDelta.
 	Delta time.Duration
-	// BaseTimeout/MaxTimeout configure the agreement pacemaker.
+	// BaseTimeout configures the agreement pacemaker.
 	BaseTimeout time.Duration
-	MaxTimeout  time.Duration
 	// Silent marks crash-faulty authorities that never send anything.
 	Silent map[int]bool
 	// Equivocators maps a Byzantine authority to the alternate document it
@@ -111,7 +110,6 @@ func NewAuthorities(cfg Config) []*Authority {
 	hsCfg := &hotstuff.Config{
 		Keys:        cfg.Keys,
 		BaseTimeout: cfg.BaseTimeout,
-		MaxTimeout:  cfg.MaxTimeout,
 		Silent:      cfg.Silent,
 		Propose: func(index, view int) hotstuff.Value {
 			v := auths[index].buildValue(view)
@@ -516,28 +514,8 @@ func (a *Authority) checkDone(ctx *simnet.Context) {
 	}
 }
 
-// --- accessors used by results, harness and tests ---
-
-// Done reports whether the authority published a majority-signed consensus.
-func (a *Authority) Done() bool { return a.done }
-
-// DoneAt returns when it did (simnet.Never otherwise).
-func (a *Authority) DoneAt() time.Duration { return a.doneAt }
-
 // Decided returns the agreed (H, π) value, if any.
 func (a *Authority) Decided() *AgreementValue { return a.decided }
 
 // DecidedView returns the agreement view of the decision.
 func (a *Authority) DecidedView() int { return a.hs.DecidedView() }
-
-// Consensus returns the aggregated consensus document, if computed.
-func (a *Authority) Consensus() *vote.Consensus { return a.consensus }
-
-// OutputVector returns X_i: the agreed per-authority document digests
-// (zero = ⊥), or nil before decision.
-func (a *Authority) OutputVector() []sig.Digest {
-	if a.decided == nil {
-		return nil
-	}
-	return a.decided.DigestVector()
-}

@@ -25,7 +25,7 @@ func BenchmarkICPSFullRun(b *testing.B) {
 		}
 		tn.Attach(hs)
 		tn.Run(2 * time.Minute)
-		if !auths[0].Done() {
+		if !auths[0].done {
 			b.Fatal("run incomplete")
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -53,10 +54,10 @@ func assertDefinition51(t *testing.T, auths []*Authority, cfg Config, correct fu
 			continue
 		}
 		// Termination.
-		if !a.Done() {
+		if !a.done {
 			t.Fatalf("authority %d did not terminate", i)
 		}
-		vec := a.OutputVector()
+		vec := a.decided.DigestVector()
 		if len(vec) != cfg.n() {
 			t.Fatalf("authority %d output vector of size %d", i, len(vec))
 		}
@@ -102,7 +103,7 @@ func TestHappyPathICPS(t *testing.T) {
 		t.Fatalf("OKCount=%d, want 9 under GST=0", res.OKCount)
 	}
 	for i, a := range auths {
-		vec := a.OutputVector()
+		vec := a.decided.DigestVector()
 		if vec[i] != cfg.Docs[i].Digest() {
 			t.Fatalf("authority %d's own document excluded under GST=0", i)
 		}
@@ -224,7 +225,7 @@ func TestFiveMinuteOutageRecovery(t *testing.T) {
 		}
 	})
 	for i, a := range auths {
-		if a.Done() {
+		if a.done {
 			t.Fatalf("authority %d finished during the outage", i)
 		}
 	}
@@ -235,11 +236,11 @@ func TestFiveMinuteOutageRecovery(t *testing.T) {
 	}
 	assertDefinition51(t, auths, cfg, nil)
 	for i, a := range auths {
-		if a.DoneAt() < outage {
-			t.Fatalf("authority %d finished at %v, before the outage ended", i, a.DoneAt())
+		if a.doneAt < outage {
+			t.Fatalf("authority %d finished at %v, before the outage ended", i, a.doneAt)
 		}
-		if a.DoneAt() > outage+30*time.Second {
-			t.Fatalf("authority %d took until %v; want seconds after recovery", i, a.DoneAt())
+		if a.doneAt > outage+30*time.Second {
+			t.Fatalf("authority %d took until %v; want seconds after recovery", i, a.doneAt)
 		}
 	}
 }
@@ -258,16 +259,16 @@ func TestLaggardCatchesUpAndAggregates(t *testing.T) {
 		t.Fatalf("run failed: %v", res.Done)
 	}
 	assertDefinition51(t, auths, cfg, nil)
-	if auths[8].DoneAt() < 20*time.Second {
-		t.Fatalf("laggard finished at %v, before its downlink recovered", auths[8].DoneAt())
+	if auths[8].doneAt < 20*time.Second {
+		t.Fatalf("laggard finished at %v, before its downlink recovered", auths[8].doneAt)
 	}
 	for i := 0; i < 8; i++ {
-		if auths[i].DoneAt() >= 20*time.Second {
-			t.Fatalf("authority %d waited for the laggard (done at %v)", i, auths[i].DoneAt())
+		if auths[i].doneAt >= 20*time.Second {
+			t.Fatalf("authority %d waited for the laggard (done at %v)", i, auths[i].doneAt)
 		}
 	}
 	// The laggard's own document was included: uplink was never cut.
-	vec := auths[0].OutputVector()
+	vec := auths[0].decided.DigestVector()
 	if vec[8].IsZero() {
 		t.Fatal("laggard's document excluded despite a working uplink")
 	}
@@ -279,7 +280,7 @@ func TestAgreementUnderAdversarialDelays(t *testing.T) {
 		cfg := baseConfig(t, 9, 30, 0)
 		n := len(cfg.Keys)
 		tn := testkit.NewNet(n, 250e6, 100+seed)
-		rng := tn.Network.Rand()
+		rng := rand.New(rand.NewSource(seed))
 		gst := 40 * time.Second
 		net := tn.Network
 		net.SetDelayFilter(func(from, to simnet.NodeID, m simnet.Message) time.Duration {

@@ -1,7 +1,6 @@
 package dircache
 
 import (
-	"partialtor/internal/attack"
 	"partialtor/internal/chain"
 	"partialtor/internal/sig"
 )
@@ -30,9 +29,6 @@ type ChainContext struct {
 	// as Genuine, different digest, valid signature set) an equivocating
 	// cache serves to its target fleets. Zero Sigs means no fork material.
 	Fork chain.Link
-	// ForkSigners are the authority indices whose keys signed Fork — the
-	// culprit set a ForkProof must name.
-	ForkSigners []int
 }
 
 // SynthChain builds deterministic chain material for a standalone
@@ -54,12 +50,11 @@ func SynthChain(seed int64, authorities int, genuine sig.Digest) *ChainContext {
 	}
 	forkDigest := sig.HashParts([]byte("dircache-fork"), int64Bytes(seed))
 	return &ChainContext{
-		Pubs:        sig.PublicSet(keys),
-		Threshold:   sig.Majority(authorities),
-		Prev:        chain.SignedLink(keys, 1, prevDigest, sig.Digest{}),
-		Genuine:     chain.SignedLink(keys, 2, genuine, prevDigest),
-		Fork:        chain.SignedLink(keys, 2, forkDigest, prevDigest),
-		ForkSigners: attack.MajorityTargets(authorities),
+		Pubs:      sig.PublicSet(keys),
+		Threshold: sig.Majority(authorities),
+		Prev:      chain.SignedLink(keys, 1, prevDigest, sig.Digest{}),
+		Genuine:   chain.SignedLink(keys, 2, genuine, prevDigest),
+		Fork:      chain.SignedLink(keys, 2, forkDigest, prevDigest),
 	}
 }
 

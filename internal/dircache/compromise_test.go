@@ -157,45 +157,17 @@ func TestForkProofNamesCulprits(t *testing.T) {
 		t.Fatal("run synthesized no chain context")
 	}
 	culprits := proof.Culprits()
-	if len(culprits) != len(ctx.ForkSigners) {
-		t.Fatalf("culprits %v, want the fork signers %v", culprits, ctx.ForkSigners)
+	if len(culprits) != len(ctx.Fork.Sigs) {
+		t.Fatalf("culprits %v, want the %d fork signers", culprits, len(ctx.Fork.Sigs))
 	}
 	got := map[int]bool{}
 	for _, c := range culprits {
 		got[c] = true
 	}
-	for _, s := range ctx.ForkSigners {
-		if !got[s] {
-			t.Fatalf("fork signer %d missing from culprits %v", s, culprits)
+	for _, s := range ctx.Fork.Sigs {
+		if !got[s.Signer] {
+			t.Fatalf("fork signer %d missing from culprits %v", s.Signer, culprits)
 		}
-	}
-}
-
-// TestCompromiseOnsetGatesMisbehavior: a plan with Onset 2 leaves periods 0
-// and 1 honest.
-func TestCompromiseOnsetGatesMisbehavior(t *testing.T) {
-	spec := compromiseSpec(attack.CompromiseStale, 3, true)
-	spec.Compromise.Onset = 2
-
-	early, err := Run(spec) // Period 0 < Onset
-	if err != nil {
-		t.Fatal(err)
-	}
-	if early.StaleRejections != 0 || early.Misled != 0 {
-		t.Fatalf("compromise active before onset: stale=%d misled=%d",
-			early.StaleRejections, early.Misled)
-	}
-	if early.Coverage() < 0.999 {
-		t.Fatalf("pre-onset coverage %.3f", early.Coverage())
-	}
-
-	spec.Period = 2
-	late, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if late.StaleRejections == 0 {
-		t.Fatal("compromise inactive at its onset period")
 	}
 }
 
@@ -255,8 +227,6 @@ func TestCompromiseValidation(t *testing.T) {
 	bad := []Spec{
 		{Caches: 4, Compromise: &attack.CompromisePlan{Targets: []int{4}, Mode: attack.CompromiseStale}},
 		{Compromise: &attack.CompromisePlan{Mode: attack.CompromiseMode(9)}},
-		{Compromise: &attack.CompromisePlan{Mode: attack.CompromiseStale, Onset: -1}},
-		{Period: -1},
 	}
 	for i, s := range bad {
 		if _, err := Run(s); err == nil {
@@ -323,9 +293,8 @@ func TestStaleCacheServesWithoutFetching(t *testing.T) {
 func TestMirrorMajorityBeatsVerification(t *testing.T) {
 	spec := smallSpec() // 8 caches
 	spec.Compromise = &attack.CompromisePlan{
-		Targets:           attack.FirstTargets(6),
-		Mode:              attack.CompromiseEquivocate,
-		ForkFleetFraction: 1, // every fleet is a fork target
+		Targets: attack.FirstTargets(6),
+		Mode:    attack.CompromiseEquivocate,
 	}
 	spec.VerifyClients = true
 	res, err := Run(spec)

@@ -59,10 +59,6 @@ type Spec struct {
 	// Clients is the total modelled client population (default 1e6).
 	Clients int
 
-	// Weights biases the fleets' cache selection; len(Weights) == Caches,
-	// nil means uniform. Weights need not be normalized.
-	Weights []float64
-
 	// Topology places the tier in regions (nil = the historical flat
 	// model, byte-identical to pre-topology runs). Authorities and caches
 	// are placed by Topology.Place (contiguous per-region blocks sized by
@@ -114,16 +110,12 @@ type Spec struct {
 	// throttle caches. Target indices are tier-relative.
 	Attacks []attack.Plan
 
-	// Compromise, if non-nil and active (ActiveIn(Period)), makes the
-	// plan's target caches misbehave: CompromiseStale caches keep
-	// re-serving the previous epoch's consensus, CompromiseEquivocate
-	// caches serve an adversary-signed fork to a fraction of the fleets.
-	// Only the hash-chain verification path (VerifyClients) lets clients
-	// catch either.
+	// Compromise, if non-nil, makes the plan's target caches misbehave:
+	// CompromiseStale caches keep re-serving the previous epoch's consensus,
+	// CompromiseEquivocate caches serve an adversary-signed fork to half of
+	// the fleets. Only the hash-chain verification path (VerifyClients) lets
+	// clients catch either.
 	Compromise *attack.CompromisePlan
-	// Period is this run's consensus-period index, checked against
-	// Compromise.Onset (a standalone run is period 0).
-	Period int
 	// VerifyClients turns on the proposal-239 chain-verifying client path
 	// (client.Verifier): fleets check every fetched document against the
 	// hash chain, reject stale or forked documents, distrust the caches
@@ -147,11 +139,10 @@ type Spec struct {
 	Gossip *gossip.Config
 
 	// Faults, if non-nil, schedules deterministic fault injection over the
-	// run: authority/mirror crash+restart, link degradation and flapping,
-	// network partitions, and gossip-mesh churn — all resolved, compiled and
-	// scheduled at wiring time, so a faulted run is exactly as reproducible
-	// as a clean one. nil keeps every legacy code path byte for byte: no
-	// extra RNG draws, no extra events.
+	// run: authority/mirror crash+restart and gossip-mesh churn — resolved,
+	// compiled and scheduled at wiring time, so a faulted run is exactly as
+	// reproducible as a clean one. nil keeps every legacy code path byte for
+	// byte: no extra RNG draws, no extra events.
 	Faults *faults.Plan
 
 	// Backoff, if non-nil, replaces the fleets' fixed-delay coalesced
@@ -214,7 +205,7 @@ func (s Spec) withDefaults() Spec {
 	if s.Seed == 0 {
 		s.Seed = 1
 	}
-	if s.Chain == nil && (s.VerifyClients || s.activeCompromise() != nil) {
+	if s.Chain == nil && (s.VerifyClients || s.Compromise != nil) {
 		s.Chain = SynthChain(s.Seed, s.Authorities, sig.Digest{})
 	}
 	if s.Gossip != nil {
@@ -248,15 +239,6 @@ func (s *Spec) tierSize(t attack.Tier) int {
 	return s.Authorities
 }
 
-// activeCompromise returns the compromise plan if it is active in this run's
-// period, nil otherwise (no plan, or the onset lies in a later period).
-func (s *Spec) activeCompromise() *attack.CompromisePlan {
-	if s.Compromise == nil || !s.Compromise.ActiveIn(s.Period) {
-		return nil
-	}
-	return s.Compromise
-}
-
 // Validate rejects specs the simulation cannot run.
 func (s Spec) Validate() error {
 	s0 := s.withDefaults()
@@ -283,14 +265,6 @@ func (s Spec) Validate() error {
 	if s0.TargetCoverage < 0 || s0.TargetCoverage > 1 {
 		return fmt.Errorf("dircache: target coverage %.2f outside [0, 1]", s0.TargetCoverage)
 	}
-	if s.Weights != nil && len(s.Weights) != s0.Caches {
-		return fmt.Errorf("dircache: %d weights for %d caches", len(s.Weights), s0.Caches)
-	}
-	for i, w := range s.Weights {
-		if w < 0 {
-			return fmt.Errorf("dircache: negative weight %g for cache %d", w, i)
-		}
-	}
 	for i := range s.Attacks {
 		p := &s.Attacks[i]
 		if err := p.Validate(); err != nil {
@@ -299,9 +273,6 @@ func (s Spec) Validate() error {
 		if err := attack.CheckScope(p.Tier, p.Targets, p.TargetRegion, s0.tierSize(p.Tier), s.Topology); err != nil {
 			return fmt.Errorf("dircache: attack %d: %w", i, err)
 		}
-	}
-	if s.Period < 0 {
-		return fmt.Errorf("dircache: negative period %d", s.Period)
 	}
 	if p := s.Compromise; p != nil {
 		if err := p.Validate(); err != nil {

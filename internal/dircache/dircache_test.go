@@ -194,10 +194,12 @@ func TestDiffServingShrinksEgress(t *testing.T) {
 	}
 }
 
+// TestWeightedCacheSelection: a flat tier's fleets weigh every cache alike
+// (uniformWeights), so each cache carries its share of the population and the
+// per-cache loads add up to the covered clients.
 func TestWeightedCacheSelection(t *testing.T) {
 	spec := smallSpec()
 	spec.Caches = 4
-	spec.Weights = []float64{8, 1, 1, 0}
 	res, err := Run(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -205,19 +207,17 @@ func TestWeightedCacheSelection(t *testing.T) {
 	if res.Coverage() < 0.999 {
 		t.Fatalf("coverage %.2f", res.Coverage())
 	}
-	// The 8-weight cache must carry several times the load of a 1-weight
-	// cache, and the zero-weight cache must serve nobody.
 	served := res.CacheServed
 	if len(served) != 4 {
 		t.Fatalf("per-cache load for %d caches", len(served))
 	}
-	if served[3] != 0 {
-		t.Fatalf("zero-weight cache served %d clients", served[3])
+	total := 0
+	for i, n := range served {
+		if share := float64(n) / float64(res.Covered); share < 0.2 || share > 0.3 {
+			t.Fatalf("cache %d served %.1f%% of the clients, want about a quarter: %v", i, 100*share, served)
+		}
+		total += n
 	}
-	if served[0] < 4*served[1] || served[0] < 4*served[2] {
-		t.Fatalf("weight-8 cache served %d vs %d/%d for weight-1 caches", served[0], served[1], served[2])
-	}
-	total := served[0] + served[1] + served[2]
 	if total != res.Covered {
 		t.Fatalf("per-cache loads sum to %d, covered %d", total, res.Covered)
 	}
@@ -288,8 +288,6 @@ func TestSpecValidate(t *testing.T) {
 		{Fleets: 10, Clients: 5},
 		{DiffFraction: 1.5},
 		{TargetCoverage: 2},
-		{Caches: 3, Weights: []float64{1, 2}},
-		{Caches: 2, Weights: []float64{1, -1}},
 		{Attacks: []attack.Plan{{Start: time.Minute, End: 0}}},
 		// Targets beyond the tier would silently under-throttle.
 		{Caches: 10, Attacks: []attack.Plan{{Tier: attack.TierCache, Targets: attack.MajorityTargets(20), End: time.Hour}}},

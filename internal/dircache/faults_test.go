@@ -254,42 +254,10 @@ func TestNilFaultsLeavesRunUntouched(t *testing.T) {
 	}
 }
 
-// TestPartitionHealsAfterWindow: a cache-tier partition drops every message
-// crossing its boundary — partitioned mirrors can neither hear the fleets
-// nor reach the authorities. A racing client's timeouts fail the lost waves
-// over to reachable mirrors (a non-racing fleet has no timeout: its dropped
-// fetches would strand), and after the partition lifts the cut-off mirrors
-// rejoin service.
-func TestPartitionHealsAfterWindow(t *testing.T) {
-	s := smallSpec()
-	s.FetchWindow = 8 * time.Minute
-	s.RaceK = 2
-	s.RaceTimeout = 10 * time.Second
-	s.Faults = &faults.Plan{Faults: []faults.Fault{{
-		Kind:    faults.Partition,
-		Tier:    attack.TierCache,
-		Targets: faults.SpreadTargets(0, 8, 4),
-		Start:   0,
-		End:     2 * time.Minute,
-	}}}
-	res, err := Run(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.MessagesDropped == 0 {
-		t.Fatal("partition dropped no boundary-crossing messages")
-	}
-	if res.TimeToTarget == simnet.Never {
-		t.Fatal("tier never converged after the partition healed")
-	}
-	if res.Coverage() < res.Spec.TargetCoverage {
-		t.Fatalf("covered %.1f%% after heal", 100*res.Coverage())
-	}
-}
-
 // TestDegradeSlowsButCovers: a degraded (not dead) tier still converges,
-// just later than the healthy run. The window spans the whole run so the
-// scaled capacity — 5% of 200 Mb/s per mirror, well under the population's
+// just later than the healthy run — and a slowed link is a flood plan with a
+// residual, there is no fault kind for it. The window spans the whole run so
+// the residual — 5% of 200 Mb/s per mirror, well under the population's
 // aggregate demand — is binding when the tail of the fleet arrives.
 func TestDegradeSlowsButCovers(t *testing.T) {
 	healthy, err := Run(smallSpec())
@@ -297,14 +265,12 @@ func TestDegradeSlowsButCovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := smallSpec()
-	s.Faults = &faults.Plan{Faults: []faults.Fault{{
-		Kind:    faults.Degrade,
-		Tier:    attack.TierCache,
-		Targets: faults.SpreadTargets(0, 8, 8),
-		Start:   0,
-		End:     40 * time.Minute, // the spec's default RunLimit
-		Factor:  0.05,
-	}}}
+	s.Attacks = []attack.Plan{{
+		Tier:     attack.TierCache,
+		Targets:  attack.FirstTargets(8),
+		End:      40 * time.Minute, // the spec's default RunLimit
+		Residual: 0.05 * cacheBandwidth,
+	}}
 	res, err := Run(s)
 	if err != nil {
 		t.Fatal(err)
@@ -315,5 +281,31 @@ func TestDegradeSlowsButCovers(t *testing.T) {
 	if res.TimeToTarget <= healthy.TimeToTarget {
 		t.Fatalf("degrading every cache to 5%% made convergence faster: %v vs %v",
 			res.TimeToTarget, healthy.TimeToTarget)
+	}
+}
+
+// TestDistributionNeverDrops holds the package's test specs to the network
+// model: healthy, flooded, racing, meshed, faulted or compromised, a tier
+// delays its traffic and never loses a message.
+func TestDistributionNeverDrops(t *testing.T) {
+	specs := map[string]Spec{
+		"healthy":     smallSpec(),
+		"flood":       floodSpec(),
+		"failover":    raceSpec(1),
+		"racing":      raceSpec(2),
+		"gossip":      gossipOutageSpec(3),
+		"chaos":       chaosSpec(1),
+		"stale":       compromiseSpec(attack.CompromiseStale, 3, true),
+		"equivocate":  compromiseSpec(attack.CompromiseEquivocate, 2, true),
+		"unverifying": compromiseSpec(attack.CompromiseEquivocate, 2, false),
+	}
+	for name, spec := range specs {
+		res, err := Run(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if st := res.Stats; st.MessagesDropped != 0 {
+			t.Errorf("%s: %d of %d messages dropped", name, st.MessagesDropped, st.MessagesSent)
+		}
 	}
 }

@@ -347,9 +347,7 @@ func (f *fleetNode) Deliver(ctx *simnet.Context, from simnet.NodeID, msg simnet.
 			return
 		}
 		f.failed += int64(m.fulls + m.diffs)
-		f.pendingFulls += m.fulls
-		f.pendingDiffs += m.diffs
-		f.armRetry(ctx)
+		f.repool(ctx, m.fulls, m.diffs)
 	}
 }
 
@@ -470,10 +468,8 @@ func (f *fleetNode) nextUntried(r *raceState) int {
 // still-outstanding response is written off as waste.
 func (f *fleetNode) abandonRace(ctx *simnet.Context, id int64, r *raceState) {
 	r.done = true
-	f.pendingFulls += r.fulls
-	f.pendingDiffs += r.diffs
 	f.finishRace(id, r)
-	f.armRetry(ctx)
+	f.repool(ctx, r.fulls, r.diffs)
 }
 
 // finishRace drops a settled race once all its outstanding answers drained.
@@ -498,11 +494,7 @@ func (f *fleetNode) receiveBatch(ctx *simnet.Context, from simnet.NodeID, m *doc
 		// that accepted a stale or forked document think they are done —
 		// they never re-fetch — but they do not hold the current genuine
 		// consensus, so they count as misled, not covered.
-		if m.link.Digest == f.chainCtx.Genuine.Digest {
-			f.accept(ctx, n)
-		} else {
-			f.misled += n
-		}
+		f.credit(ctx, m.link.Digest, n)
 		return
 	}
 	switch f.verifier.Check(*m.link) {
@@ -516,11 +508,7 @@ func (f *fleetNode) receiveBatch(ctx *simnet.Context, from simnet.NodeID, m *doc
 		// corroboration vote (compromised caches outnumbering honest ones),
 		// verifying clients are still misled — verification narrows the
 		// attack, it cannot beat a mirror majority.
-		if m.link.Digest == f.chainCtx.Genuine.Digest {
-			f.accept(ctx, n)
-		} else {
-			f.misled += n
-		}
+		f.credit(ctx, m.link.Digest, n)
 
 	case client.VerdictStale, client.VerdictInvalid:
 		// The cache is re-serving an old epoch (or garbage): reject the
@@ -543,14 +531,30 @@ func (f *fleetNode) accept(ctx *simnet.Context, n int) {
 	ctx.Trace(obs.Event{Type: obs.EvCoverage, A: int64(n), B: int64(f.covered)})
 }
 
+// credit books n clients that now hold the document with digest d: covered
+// when it is the genuine consensus, misled when it is anything else.
+func (f *fleetNode) credit(ctx *simnet.Context, d sig.Digest, n int) {
+	if d == f.chainCtx.Genuine.Digest {
+		f.accept(ctx, n)
+	} else {
+		f.misled += n
+	}
+}
+
+// repool puts clients whose fetch came to nothing back into the coalesced
+// retry pool, by download kind, and arms the burst that re-issues them.
+func (f *fleetNode) repool(ctx *simnet.Context, fulls, diffs int) {
+	f.pendingFulls += fulls
+	f.pendingDiffs += diffs
+	f.armRetry(ctx)
+}
+
 // reject distrusts the serving cache and queues the batch's clients for a
 // re-fetch from the remaining caches.
 func (f *fleetNode) reject(ctx *simnet.Context, cacheIdx, fulls, diffs int) {
 	f.distrust(cacheIdx)
 	f.extraFetches += int64(fulls + diffs)
-	f.pendingFulls += fulls
-	f.pendingDiffs += diffs
-	f.armRetry(ctx)
+	f.repool(ctx, fulls, diffs)
 }
 
 func (f *fleetNode) digestState(d sig.Digest) *digestState {
@@ -596,7 +600,7 @@ func (f *fleetNode) handleFork(ctx *simnet.Context, cacheIdx int, m *docBatch) {
 		// pinned on that side is rewritten — corroboration verdicts are
 		// revisable, only the proof is permanent. (If the compromised
 		// caches are the majority, this is the fleet being talked out of
-		// the genuine document — the accounting in receiveBatch/retract
+		// the genuine document — the accounting in credit/retract
 		// keeps Covered honest either way.)
 		link := *m.link
 		if f.verifier.Switch(link) {
@@ -610,11 +614,7 @@ func (f *fleetNode) handleFork(ctx *simnet.Context, cacheIdx int, m *docBatch) {
 		// The triggering batch is on the now-trusted side.
 		offSt.fulls += m.fulls
 		offSt.diffs += m.diffs
-		if offered == f.chainCtx.Genuine.Digest {
-			f.accept(ctx, m.fulls+m.diffs)
-		} else {
-			f.misled += m.fulls + m.diffs
-		}
+		f.credit(ctx, offered, m.fulls+m.diffs)
 		f.recordFork(ctx, accepted.Digest)
 
 	case len(accSt.caches) > len(offSt.caches):
@@ -627,9 +627,7 @@ func (f *fleetNode) handleFork(ctx *simnet.Context, cacheIdx int, m *docBatch) {
 		// clients for a retry — by the time it fires, other caches will
 		// have weighed in.
 		f.extraFetches += int64(m.fulls + m.diffs)
-		f.pendingFulls += m.fulls
-		f.pendingDiffs += m.diffs
-		f.armRetry(ctx)
+		f.repool(ctx, m.fulls, m.diffs)
 	}
 }
 
@@ -656,10 +654,8 @@ func (f *fleetNode) retract(ctx *simnet.Context, d sig.Digest, st *digestState) 
 		f.misled -= n
 	}
 	f.extraFetches += int64(n)
-	f.pendingFulls += st.fulls
-	f.pendingDiffs += st.diffs
+	f.repool(ctx, st.fulls, st.diffs)
 	st.fulls, st.diffs = 0, 0
-	f.armRetry(ctx)
 }
 
 // recordFork notes (or refreshes) one fork detection against the blamed

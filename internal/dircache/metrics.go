@@ -148,7 +148,6 @@ type Result struct {
 // client population, how much of it finished, and how long the region's
 // median and tail clients waited.
 type RegionCoverage struct {
-	Region  topo.Region
 	Name    string
 	Clients int
 	Covered int
@@ -325,7 +324,6 @@ func regionBreakdown(spec Spec, fleets []*fleetNode) []RegionCoverage {
 	}
 	out := make([]RegionCoverage, tp.NumRegions())
 	for r := range out {
-		out[r].Region = topo.Region(r)
 		out[r].Name = tp.RegionName(topo.Region(r))
 		out[r].TimeToTarget = simnet.Never
 		out[r].P50 = simnet.Never

@@ -131,9 +131,9 @@ func TestRegionalBreakdown(t *testing.T) {
 		t.Fatalf("%d region rows, want %d", len(res.Regions), spec.Topology.NumRegions())
 	}
 	clients, covered := 0, 0
-	for _, rc := range res.Regions {
-		if rc.Name != spec.Topology.RegionName(rc.Region) {
-			t.Fatalf("region %d named %q", rc.Region, rc.Name)
+	for r, rc := range res.Regions {
+		if rc.Name != spec.Topology.RegionName(topo.Region(r)) {
+			t.Fatalf("region %d named %q", r, rc.Name)
 		}
 		if rc.Clients == 0 {
 			t.Fatalf("region %s got no clients", rc.Name)

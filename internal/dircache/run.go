@@ -3,7 +3,6 @@ package dircache
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"partialtor/internal/attack"
 	"partialtor/internal/faults"
@@ -85,8 +84,7 @@ func Run(spec Spec) (*Result, error) {
 		authIDs[i] = net.AddNodeIn(stub, up, down, region)
 	}
 
-	compromise := spec.activeCompromise()
-	roles := cacheRoles(compromise, spec.Caches)
+	roles := cacheRoles(spec.Compromise, spec.Caches)
 	caches := make([]*cacheNode, spec.Caches)
 	cacheIDs := make([]simnet.NodeID, spec.Caches)
 	// The mesh and per-cache engines exist only when the spec asks for
@@ -120,7 +118,7 @@ func Run(spec Spec) (*Result, error) {
 		cacheIDs[i] = net.AddNodeIn(c, up, down, region)
 	}
 
-	weights := normalizeWeights(spec.Weights, spec.Caches)
+	weights := uniformWeights(spec.Caches)
 	fleets := make([]*fleetNode, spec.Fleets)
 	fleetIDs := make([]simnet.NodeID, spec.Fleets)
 	fleetClients := splitClients(tp, fleetRegions, spec.Fleets, spec.Clients)
@@ -139,9 +137,9 @@ func Run(spec Spec) (*Result, error) {
 	}
 
 	// Equivocating caches fork to a prefix of the fleets: deterministic, so
-	// a sweep's fork exposure scales exactly with ForkFleetFraction.
-	if compromise != nil && compromise.Mode == attack.CompromiseEquivocate {
-		nFork := forkFleetCount(compromise, spec.Fleets)
+	// a sweep's fork exposure scales exactly with the fleet count.
+	if spec.Compromise != nil && spec.Compromise.Mode == attack.CompromiseEquivocate {
+		nFork := forkFleetCount(spec.Fleets)
 		targets := make(map[simnet.NodeID]bool, nFork)
 		for i := 0; i < nFork; i++ {
 			targets[fleetIDs[i]] = true
@@ -151,10 +149,6 @@ func Run(spec Spec) (*Result, error) {
 				c.forkFleets = targets
 			}
 		}
-	}
-
-	if spec.Faults != nil && spec.Faults.HasPartition() {
-		installPartitions(net, spec.Faults, authIDs, cacheIDs)
 	}
 
 	net.Run(spec.RunLimit())
@@ -178,43 +172,6 @@ func cacheFaultWindows(plan *faults.Plan, i int) []faultWindow {
 		}
 	}
 	return out
-}
-
-// installPartitions wires the plan's Partition faults into the transport: a
-// message sent while any partition window is open with exactly one endpoint
-// inside the partitioned group is dropped (counted in Stats.MessagesDropped).
-// Messages already in flight when a window opens still deliver — a partition
-// severs reachability from its onset, it does not reach back in time.
-func installPartitions(net *simnet.Network, plan *faults.Plan, authIDs, cacheIDs []simnet.NodeID) {
-	type partition struct {
-		start, end time.Duration
-		members    map[simnet.NodeID]bool
-	}
-	var parts []partition
-	for i := range plan.Faults {
-		f := &plan.Faults[i]
-		if f.Kind != faults.Partition {
-			continue
-		}
-		ids := authIDs
-		if f.Tier == attack.TierCache {
-			ids = cacheIDs
-		}
-		members := make(map[simnet.NodeID]bool, len(f.Targets))
-		for _, t := range f.Targets {
-			members[ids[t]] = true
-		}
-		parts = append(parts, partition{start: f.Start, end: f.End, members: members})
-	}
-	net.SetDropFilter(func(from, to simnet.NodeID, _ simnet.Message) bool {
-		now := net.Now()
-		for _, p := range parts {
-			if now >= p.start && now < p.end && p.members[from] != p.members[to] {
-				return true
-			}
-		}
-		return false
-	})
 }
 
 // nodePlacement resolves one node's region and tier-scaled bandwidth; the
@@ -308,7 +265,7 @@ func biasWeights(tp topo.Topology, fleetRegion topo.Region, cacheRegions []topo.
 	return out
 }
 
-// cacheRoles maps an active compromise plan onto per-cache behaviors.
+// cacheRoles maps a compromise plan onto per-cache behaviors.
 func cacheRoles(p *attack.CompromisePlan, caches int) []cacheRole {
 	roles := make([]cacheRole, caches)
 	if p == nil {
@@ -325,17 +282,11 @@ func cacheRoles(p *attack.CompromisePlan, caches int) []cacheRole {
 }
 
 // forkFleetCount is how many fleets an equivocating cache serves the fork
-// to: at least one (a compromise that forks to nobody is no compromise),
-// at most all of them.
-func forkFleetCount(p *attack.CompromisePlan, fleets int) int {
-	n := int(p.EffectiveForkFraction() * float64(fleets))
-	if n < 1 {
-		n = 1
-	}
-	if n > fleets {
-		n = fleets
-	}
-	return n
+// to: half of them — the rest get the genuine document, which is what makes
+// it an equivocation rather than a uniform substitution — and at least one
+// (a compromise that forks to nobody is no compromise).
+func forkFleetCount(fleets int) int {
+	return max(1, fleets/2)
 }
 
 // applyAttacks throttles one node's pipes with every plan of its tier.
@@ -369,26 +320,12 @@ func authorityOrder(tp topo.Topology, auths []simnet.NodeID, authRegions []topo.
 	return out
 }
 
-// normalizeWeights returns a positive-sum weight vector over n caches.
-func normalizeWeights(w []float64, n int) []float64 {
+// uniformWeights returns the weight vector of a fleet that prefers no cache:
+// 1/n each.
+func uniformWeights(n int) []float64 {
 	out := make([]float64, n)
-	total := 0.0
 	for i := range out {
-		if w != nil {
-			out[i] = w[i]
-		} else {
-			out[i] = 1
-		}
-		total += out[i]
-	}
-	if total <= 0 {
-		for i := range out {
-			out[i] = 1.0 / float64(n)
-		}
-		return out
-	}
-	for i := range out {
-		out[i] /= total
+		out[i] = 1 / float64(n)
 	}
 	return out
 }

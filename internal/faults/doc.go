@@ -6,24 +6,23 @@
 // A Plan is a list of Fault windows against one tier each, in the same idiom
 // as attack.Plan: validate up front, resolve region scopes against the run's
 // topology, compile the target set, then let the runner apply each fault at
-// wiring time. Five kinds cover the messy ways real deployments fail around
-// a clean link flood:
+// wiring time. Two kinds cover the ways real deployments fail around a clean
+// link flood that a flood cannot say:
 //
 //   - Crash: the node's links drop to zero for the window (crash + restart
-//     with configurable downtime). The fluid model makes this exact: a
-//     zero-rate pipe delivers nothing until the window ends.
-//   - Degrade: link capacity is scaled by Factor over the window — a
-//     congested or rate-limited path rather than a dead one.
-//   - Flap: the link alternates between dead and healthy with period
-//     Period — the first half of each period is down.
-//   - Partition: messages crossing the boundary between the fault's targets
-//     and the rest of the network are dropped for the window (the runner
-//     installs a simnet drop filter). Links stay up; reachability is what
-//     breaks.
+//     with configurable downtime) and a crashed cache forgets its document.
+//     The fluid model makes this exact: a zero-rate pipe delivers nothing
+//     until the window ends.
 //   - Churn: mirrors leave the gossip mesh at Start and rejoin at End. The
 //     overlay absorbs the membership change by rebuilding each survivor's
 //     neighbour list and catching the returnee up via an immediate
 //     anti-entropy round.
+//
+// A slowed link is an attack.Plan with a residual, a flapping one a list of
+// such plans with residual 0: capacity over a window is the flood's
+// vocabulary, and it is said there only. Neither kind drops a message — the
+// network model is partial synchrony, where messages are delayed arbitrarily
+// long and never lost — so no runner installs a simnet drop filter.
 //
 // The package also owns the client-side half of graceful degradation:
 // Backoff replaces the fleet's fixed-delay coalesced retry with a capped,

@@ -21,16 +21,6 @@ const (
 	// pipes drop to zero rate, and a crashed cache forgets its document
 	// (the restart re-fetches or catches up over the mesh).
 	Crash Kind = iota
-	// Degrade scales the target's link capacity by Factor over the window —
-	// a congested or rate-limited path rather than a dead one.
-	Degrade
-	// Flap alternates the target's links between dead and healthy with
-	// period Period; the first half of each period is down.
-	Flap
-	// Partition drops every message crossing the boundary between the
-	// fault's targets and the rest of the network for the window. Links
-	// stay up; reachability is what breaks.
-	Partition
 	// Churn removes the target mirrors from the gossip mesh at Start and
 	// rejoins them at End: the node goes offline like a crash, survivors
 	// rebuild their neighbour lists around the hole, and the returnee
@@ -42,12 +32,6 @@ func (k Kind) String() string {
 	switch k {
 	case Crash:
 		return "crash"
-	case Degrade:
-		return "degrade"
-	case Flap:
-		return "flap"
-	case Partition:
-		return "partition"
 	case Churn:
 		return "churn"
 	}
@@ -74,13 +58,6 @@ type Fault struct {
 	TargetRegion string
 	// Start and End bound the window [Start, End).
 	Start, End time.Duration
-	// Factor is the capacity scale a Degrade fault applies in the window
-	// (0 kills the link, 1 would be a no-op and is rejected). Other kinds
-	// ignore it.
-	Factor float64
-	// Period is a Flap fault's full down+up cycle length. Other kinds
-	// ignore it.
-	Period time.Duration
 
 	// targets is the membership index built by Plan.Resolve; nil until then.
 	targets map[int]struct{}
@@ -99,15 +76,7 @@ func (f *Fault) Validate() error {
 		return fmt.Errorf("faults: %v window ends (%v) at or before its start (%v)", f.Kind, f.End, f.Start)
 	}
 	switch f.Kind {
-	case Crash, Partition:
-	case Degrade:
-		if f.Factor < 0 || f.Factor >= 1 {
-			return fmt.Errorf("faults: degrade factor %g outside [0, 1)", f.Factor)
-		}
-	case Flap:
-		if f.Period < time.Millisecond {
-			return fmt.Errorf("faults: flap period %v below 1ms", f.Period)
-		}
+	case Crash:
 	case Churn:
 		if f.Tier != attack.TierCache {
 			return errors.New("faults: churn is a mesh-membership fault and only applies to the cache tier")
@@ -121,32 +90,18 @@ func (f *Fault) Validate() error {
 // IsTarget reports whether the fault hits the tier-relative node index.
 func (f *Fault) IsTarget(index int) bool { return attack.InScope(f.targets, f.Targets, index) }
 
-// Throttle applies the fault's capacity effect to one node's pipes. It is
-// a no-op for non-targets and for kinds without a capacity effect
-// (Partition breaks reachability, not links). The index is tier-relative.
-// Profiles are precompiled, so the whole fault schedule — including every
-// flap cycle — lands in the piecewise-constant rate function up front.
+// Throttle applies the fault's capacity effect to one node's pipes: both
+// kinds take a target offline for the window, so its pipes drop to zero rate
+// and whatever is in flight waits for the window's end — delayed, never
+// dropped. It is a no-op for non-targets. The index is tier-relative.
+// Profiles are precompiled, so the whole fault schedule lands in the
+// piecewise-constant rate function up front.
 func (f *Fault) Throttle(index int, up, down *simnet.Profile) {
 	if !f.IsTarget(index) {
 		return
 	}
-	switch f.Kind {
-	case Crash, Churn:
-		up.ThrottleMin(f.Start, f.End, 0)
-		down.ThrottleMin(f.Start, f.End, 0)
-	case Degrade:
-		up.Scale(f.Start, f.End, f.Factor)
-		down.Scale(f.Start, f.End, f.Factor)
-	case Flap:
-		for t := f.Start; t < f.End; t += f.Period {
-			downEnd := t + f.Period/2
-			if downEnd > f.End {
-				downEnd = f.End
-			}
-			up.ThrottleMin(t, downEnd, 0)
-			down.ThrottleMin(t, downEnd, 0)
-		}
-	}
+	up.ThrottleMin(f.Start, f.End, 0)
+	down.ThrottleMin(f.Start, f.End, 0)
 }
 
 // Plan is a run's whole fault schedule.
@@ -222,8 +177,8 @@ func (p *Plan) Trace(tr obs.Tracer) {
 		f := &p.Faults[i]
 		label := f.Kind.String()
 		for _, t := range f.Targets {
-			tr.Event(obs.Event{Type: obs.EvFaultOn, At: f.Start, Node: t, A: int64(i), B: int64(f.Tier), F: f.Factor, Label: label})
-			tr.Event(obs.Event{Type: obs.EvFaultOff, At: f.End, Node: t, A: int64(i), B: int64(f.Tier), F: f.Factor, Label: label})
+			tr.Event(obs.Event{Type: obs.EvFaultOn, At: f.Start, Node: t, A: int64(i), B: int64(f.Tier), Label: label})
+			tr.Event(obs.Event{Type: obs.EvFaultOff, At: f.End, Node: t, A: int64(i), B: int64(f.Tier), Label: label})
 		}
 	}
 }
@@ -235,17 +190,6 @@ func (p *Plan) Events() int {
 		n += len(p.Faults[i].Targets)
 	}
 	return n
-}
-
-// HasPartition reports whether any fault in the plan is a Partition — the
-// runner only installs a network drop filter when one is.
-func (p *Plan) HasPartition() bool {
-	for i := range p.Faults {
-		if p.Faults[i].Kind == Partition {
-			return true
-		}
-	}
-	return false
 }
 
 // ChurnedAwayAt reports whether any Churn fault holds the given cache out

@@ -24,13 +24,6 @@ func TestFaultValidate(t *testing.T) {
 		{"negative start", Fault{Kind: Crash, Targets: []int{0}, Start: -1, End: min}, false},
 		{"negative target", Fault{Kind: Crash, Targets: []int{-1}, Start: 0, End: min}, false},
 		{"targets and region", Fault{Kind: Crash, Targets: []int{0}, TargetRegion: "eu", Start: 0, End: min}, false},
-		{"degrade ok", Fault{Kind: Degrade, Targets: []int{0}, Factor: 0.5, Start: 0, End: min}, true},
-		{"degrade zero factor ok", Fault{Kind: Degrade, Targets: []int{0}, Factor: 0, Start: 0, End: min}, true},
-		{"degrade factor 1", Fault{Kind: Degrade, Targets: []int{0}, Factor: 1, Start: 0, End: min}, false},
-		{"degrade negative factor", Fault{Kind: Degrade, Targets: []int{0}, Factor: -0.1, Start: 0, End: min}, false},
-		{"flap ok", Fault{Kind: Flap, Targets: []int{0}, Period: time.Second, Start: 0, End: min}, true},
-		{"flap period too short", Fault{Kind: Flap, Targets: []int{0}, Period: time.Microsecond, Start: 0, End: min}, false},
-		{"partition ok", Fault{Kind: Partition, Tier: attack.TierCache, Targets: []int{0, 1}, Start: 0, End: min}, true},
 		{"churn ok", Fault{Kind: Churn, Tier: attack.TierCache, Targets: []int{2}, Start: 0, End: min}, true},
 		{"churn on authorities", Fault{Kind: Churn, Tier: attack.TierAuthority, Targets: []int{0}, Start: 0, End: min}, false},
 		{"unknown kind", Fault{Kind: Kind(99), Targets: []int{0}, Start: 0, End: min}, false},
@@ -48,7 +41,7 @@ func TestFaultValidate(t *testing.T) {
 }
 
 func TestKindString(t *testing.T) {
-	want := map[Kind]string{Crash: "crash", Degrade: "degrade", Flap: "flap", Partition: "partition", Churn: "churn"}
+	want := map[Kind]string{Crash: "crash", Churn: "churn"}
 	for k, s := range want {
 		if k.String() != s {
 			t.Errorf("Kind(%d).String() = %q, want %q", int(k), k.String(), s)
@@ -201,9 +194,6 @@ func TestPlanHelpers(t *testing.T) {
 	if got := p.Events(); got != 3 {
 		t.Errorf("Events() = %d, want 3", got)
 	}
-	if p.HasPartition() {
-		t.Error("HasPartition() = true for a plan without one")
-	}
 	if !p.ChurnedAwayAt(2, 2*time.Minute) {
 		t.Error("cache 2 should be churned away mid-window")
 	}
@@ -219,7 +209,7 @@ func TestPlanHelpers(t *testing.T) {
 }
 
 func TestFaultThrottle(t *testing.T) {
-	p := Plan{Faults: []Fault{{Kind: Flap, Tier: attack.TierCache, Targets: []int{0}, Start: 0, End: 10 * time.Second, Period: 4 * time.Second}}}
+	p := Plan{Faults: []Fault{{Kind: Crash, Tier: attack.TierCache, Targets: []int{0}, Start: 2 * time.Second, End: 6 * time.Second}}}
 	if err := p.Resolve(nil, 9, 10); err != nil {
 		t.Fatal(err)
 	}
@@ -227,17 +217,19 @@ func TestFaultThrottle(t *testing.T) {
 	up := simnet.NewProfile(1000)
 	down := simnet.NewProfile(1000)
 	f.Throttle(0, up, down)
-	// Cycles: down [0,2s), up [2s,4s), down [4s,6s), up [6s,8s), down [8s,10s).
+	// Offline over [2s, 6s), both directions; healthy on either side.
 	checks := []struct {
 		at   time.Duration
 		rate float64
 	}{
-		{time.Second, 0}, {3 * time.Second, 1000}, {5 * time.Second, 0},
-		{7 * time.Second, 1000}, {9 * time.Second, 0}, {11 * time.Second, 1000},
+		{time.Second, 1000}, {2 * time.Second, 0}, {5 * time.Second, 0}, {6 * time.Second, 1000},
 	}
 	for _, c := range checks {
 		if r := up.RateAt(c.at); r != c.rate {
-			t.Errorf("flap uplink rate at %v = %g, want %g", c.at, r, c.rate)
+			t.Errorf("crashed uplink rate at %v = %g, want %g", c.at, r, c.rate)
+		}
+		if r := down.RateAt(c.at); r != c.rate {
+			t.Errorf("crashed downlink rate at %v = %g, want %g", c.at, r, c.rate)
 		}
 	}
 	// Non-targets keep full capacity.

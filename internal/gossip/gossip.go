@@ -89,9 +89,6 @@ func NewEngine(self int, peers []int) *Engine {
 	return &Engine{self: self, peers: peers}
 }
 
-// Self returns the node's own mesh index.
-func (e *Engine) Self() int { return e.self }
-
 // SetPeers replaces the node's mesh neighbours after a membership change
 // (churned mirrors leaving or rejoining). The anti-entropy cursor is kept:
 // the rotation simply continues over the new list, so a rebuild mid-run

@@ -50,7 +50,6 @@ type EntrySizeParams struct {
 	RelayCounts   []int // scanned in order for the threshold
 	BandwidthMbit float64
 	Round         time.Duration
-	Seed          int64
 }
 
 var (
@@ -88,7 +87,6 @@ func AblationEntrySize(ctx context.Context, p EntrySizeParams, sp sweep.Params) 
 				EntryPadding: entry,
 				Bandwidth:    p.BandwidthMbit * 1e6,
 				Round:        p.Round,
-				Seed:         p.Seed,
 			})
 			if err != nil {
 				return EntrySizeRow{}, err
@@ -128,7 +126,6 @@ type DeltaRow struct {
 type DeltaParams struct {
 	Deltas []time.Duration
 	Relays int
-	Seed   int64
 }
 
 var (
@@ -150,12 +147,12 @@ func AblationDelta(ctx context.Context, p DeltaParams, sp sweep.Params) (*Table[
 	)
 	return sweepTable(ctx, grid, sp, func(_ context.Context, c sweep.Cell) (DeltaRow, error) {
 		row := DeltaRow{Crash: c.Value("crash").(bool), Delta: c.Duration("delta")}
-		keys, docs := Inputs(Scenario{Relays: p.Relays, EntryPadding: -1, Seed: p.Seed}.withDefaults())
+		keys, docs := Inputs(Scenario{Relays: p.Relays, EntryPadding: -1}.withDefaults())
 		cfg := core.Config{Keys: keys, Docs: docs, Delta: row.Delta, BaseTimeout: 10 * time.Second}
 		if row.Crash {
 			cfg.Silent = map[int]bool{8: true}
 		}
-		net, ups, downs, _ := buildNetwork(Scenario{N: 9, Bandwidth: DefaultBandwidth, Seed: p.Seed}.withDefaults())
+		net, ups, downs, _ := buildNetwork(Scenario{N: 9, Bandwidth: DefaultBandwidth}.withDefaults())
 		auths := core.NewAuthorities(cfg)
 		for i, a := range auths {
 			net.AddNode(a, ups[i], downs[i])
@@ -193,7 +190,6 @@ type TimeoutParams struct {
 	BaseTimeouts []time.Duration
 	Outage       time.Duration
 	Relays       int
-	Seed         int64
 }
 
 var (
@@ -218,7 +214,6 @@ func AblationTimeout(ctx context.Context, p TimeoutParams, sp sweep.Params) (*Ta
 			EntryPadding: -1,
 			Attack:       &plan,
 			BaseTimeout:  bt,
-			Seed:         p.Seed,
 		})
 		if err != nil {
 			return TimeoutRow{}, err

@@ -51,13 +51,13 @@ func TestExperimentCompromiseDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ForksDetected == 0 {
+	d := res.Distributions[0]
+	if len(d.ForkDetections) == 0 {
 		t.Fatal("experiment caught no fork")
 	}
-	if res.MisledClients != 0 {
-		t.Fatalf("%d verifying clients misled", res.MisledClients)
+	if d.Misled != 0 {
+		t.Fatalf("%d verifying clients misled", d.Misled)
 	}
-	d := res.Distributions[0]
 	if d.Coverage() < d.Spec.TargetCoverage {
 		t.Fatalf("coverage %.3f below target despite honest majority", d.Coverage())
 	}
@@ -77,14 +77,13 @@ func TestExperimentCompromiseDetection(t *testing.T) {
 	}
 }
 
-// TestExperimentCompromiseOnset: the compromise activates at its onset
-// period, not before.
-func TestExperimentCompromiseOnset(t *testing.T) {
+// TestExperimentCompromiseEveryPeriod: a compromise plan is active when
+// present — every period of the experiment runs under it.
+func TestExperimentCompromiseEveryPeriod(t *testing.T) {
 	dist := compromiseDist()
 	dist.Compromise = &attack.CompromisePlan{
 		Targets: attack.FirstTargets(3),
 		Mode:    attack.CompromiseStale,
-		Onset:   1,
 	}
 	dist.VerifyClients = true
 	exp, err := NewExperiment(WithScenario(compromiseBase()), WithPeriods(2), WithDistribution(dist))
@@ -95,14 +94,10 @@ func TestExperimentCompromiseOnset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := res.Distributions[0]; d.StaleRejections != 0 {
-		t.Fatalf("period 0 compromised before onset: %d rejections", d.StaleRejections)
-	}
-	if d := res.Distributions[1]; d.StaleRejections == 0 {
-		t.Fatal("period 1 not compromised at onset")
-	}
-	if res.StaleRejections != res.Distributions[1].StaleRejections {
-		t.Fatal("experiment total does not match the per-period sum")
+	for i, d := range res.Distributions {
+		if d.StaleRejections == 0 {
+			t.Fatalf("period %d ran uncompromised", i)
+		}
 	}
 }
 
@@ -119,14 +114,6 @@ func TestExperimentCompromiseValidation(t *testing.T) {
 		with(attack.CompromisePlan{Targets: []int{99}, Mode: attack.CompromiseStale}),
 	); err == nil || !strings.Contains(err.Error(), "beyond") {
 		t.Fatalf("out-of-tier target: %v", err)
-	}
-	// An onset beyond the experiment still validates (it simply never
-	// activates) — the dry-validation must handle the active variant.
-	if _, err := NewExperiment(
-		WithScenario(compromiseBase()),
-		with(attack.CompromisePlan{Targets: []int{0}, Mode: attack.CompromiseStale, Onset: 7}),
-	); err != nil {
-		t.Fatalf("late-onset plan rejected: %v", err)
 	}
 }
 
@@ -150,9 +137,8 @@ func TestCompromisedFractionSweep(t *testing.T) {
 		frac := c.Float("frac")
 		if n := int(frac * float64(dist.Caches)); n > 0 {
 			dist.Compromise = &attack.CompromisePlan{
-				Targets:           attack.FirstTargets(n),
-				Mode:              attack.CompromiseEquivocate,
-				ForkFleetFraction: 1,
+				Targets: attack.FirstTargets(n),
+				Mode:    attack.CompromiseEquivocate,
 			}
 		}
 		dist.VerifyClients = c.Value("verify").(bool)
@@ -165,7 +151,7 @@ func TestCompromisedFractionSweep(t *testing.T) {
 			return cell{}, err
 		}
 		d := res.Distributions[0]
-		return cell{coverage: d.Coverage(), forks: res.ForksDetected}, nil
+		return cell{coverage: d.Coverage(), forks: len(d.ForkDetections)}, nil
 	})
 	if err := sweep.FirstErr(results); err != nil {
 		t.Fatal(err)

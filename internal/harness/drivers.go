@@ -76,7 +76,7 @@ type icpsDriver struct{}
 func (icpsDriver) Name() string { return "Ours" }
 
 func (icpsDriver) Build(s Scenario, keys []*sig.KeyPair, docs []*vote.Document) (ProtocolRun, error) {
-	cfg := core.Config{Keys: keys, Docs: docs, Delta: s.Delta, BaseTimeout: s.BaseTimeout}
+	cfg := core.Config{Keys: keys, Docs: docs, BaseTimeout: s.BaseTimeout}
 	auths := core.NewAuthorities(cfg)
 	// ICPS has no lock-step deadline; the horizon just bounds the pacemaker's
 	// patience.

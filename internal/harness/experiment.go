@@ -9,7 +9,6 @@ import (
 	"partialtor/internal/chain"
 	"partialtor/internal/client"
 	"partialtor/internal/dircache"
-	"partialtor/internal/faults"
 	"partialtor/internal/obs"
 	"partialtor/internal/sig"
 )
@@ -195,23 +194,16 @@ func NewExperiment(opts ...ExperimentOption) (*Experiment, error) {
 			return nil, fmt.Errorf("harness: %w", e.attack.Validate())
 		}
 	}
-	// Dry-validate every period variant so period 7 cannot fail on
-	// configuration period 0 already carried: both attack states, and —
-	// when a compromise plan has a later onset — the period it activates.
-	periods := []int{0}
-	if e.dist != nil && e.dist.Compromise != nil && e.dist.Compromise.Onset > 0 {
-		periods = append(periods, e.dist.Compromise.Onset)
-	}
-	for _, period := range periods {
-		for _, attacked := range []bool{false, true} {
-			s := e.scenarioFor(period, attacked).withDefaults()
-			if err := s.validate(); err != nil {
+	// Dry-validate both period variants, attacked and not, so period 7
+	// cannot fail on configuration period 0 already carried.
+	for _, attacked := range []bool{false, true} {
+		s := e.scenarioFor(attacked).withDefaults()
+		if err := s.validate(); err != nil {
+			return nil, err
+		}
+		if s.Distribution != nil {
+			if _, err := effectiveDistribution(s); err != nil {
 				return nil, err
-			}
-			if s.Distribution != nil {
-				if _, err := effectiveDistribution(s); err != nil {
-					return nil, err
-				}
 			}
 		}
 	}
@@ -230,20 +222,15 @@ func (e *Experiment) Phases() []Phase {
 	return phases
 }
 
-// Periods returns how many consensus periods the experiment simulates.
-func (e *Experiment) Periods() int { return e.periods }
-
 func (e *Experiment) hasAvail() bool { return e.avail }
 
 // scenarioFor assembles the scenario one period runs: the base scenario,
-// the distribution spec if the Distribute phase is on (stamped with the
-// period, which a compromise plan's onset is checked against), and — when
-// the period is attacked — the attack plan routed to its tier.
-func (e *Experiment) scenarioFor(period int, attacked bool) Scenario {
+// the distribution spec if the Distribute phase is on, and — when the period
+// is attacked — the attack plan routed to its tier.
+func (e *Experiment) scenarioFor(attacked bool) Scenario {
 	s := e.base
 	if e.dist != nil {
 		spec := *e.dist
-		spec.Period = period
 		s.Distribution = &spec
 	}
 	if e.attack != nil && attacked {
@@ -278,19 +265,6 @@ type ExperimentResult struct {
 	Timeline     *client.Timeline
 	Availability float64
 	FirstOutage  time.Duration // -1 if never down
-	// Detection totals over every period's DistributionResult (all zero
-	// without a compromise plan / verified clients): equivocations caught,
-	// stale/invalid downloads rejected, clients misled (non-verifying
-	// runs).
-	ForksDetected   int
-	StaleRejections int64
-	MisledClients   int
-	// Graceful-degradation totals over every period's DistributionResult
-	// (zero without a fault plan): fault events scheduled and the worst
-	// post-fault recovery time across all periods (simnet.Never if any fault
-	// never recovered).
-	FaultEvents int
-	WorstMTTR   time.Duration
 	// Chain is the proposal-239 consensus hash chain (nil without
 	// WithChain).
 	Chain *chain.Chain
@@ -314,7 +288,7 @@ func (e *Experiment) Run(ctx context.Context) (*ExperimentResult, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("harness: experiment cancelled before period %d: %w", i, err)
 		}
-		run, err := RunE(ctx, e.scenarioFor(i, e.attacked(i)))
+		run, err := RunE(ctx, e.scenarioFor(e.attacked(i)))
 		if err != nil {
 			return nil, fmt.Errorf("harness: period %d: %w", i, err)
 		}
@@ -323,15 +297,6 @@ func (e *Experiment) Run(ctx context.Context) (*ExperimentResult, error) {
 		res.Outcomes = append(res.Outcomes, ok)
 		if e.dist != nil {
 			res.Distributions = append(res.Distributions, run.Distribution)
-			if d := run.Distribution; d != nil {
-				res.ForksDetected += len(d.ForkDetections)
-				res.StaleRejections += d.StaleRejections
-				res.MisledClients += d.Misled
-				res.FaultEvents += d.FaultEvents
-				if m := faults.WorstMTTR(d.Recoveries); m > res.WorstMTTR {
-					res.WorstMTTR = m
-				}
-			}
 		}
 		clientRuns = append(clientRuns, client.Run{At: time.Duration(i) * e.policy.Interval, Success: ok})
 		if !ok {

@@ -45,8 +45,8 @@ func TestExperimentPhases(t *testing.T) {
 			t.Fatalf("phases %v, want %v", got, want)
 		}
 	}
-	if full.Periods() != 3 {
-		t.Fatalf("periods %d", full.Periods())
+	if full.periods != 3 {
+		t.Fatalf("periods %d", full.periods)
 	}
 }
 

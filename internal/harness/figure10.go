@@ -15,7 +15,6 @@ type Fig10Cell struct {
 	Protocol      Protocol
 	BandwidthMbit float64
 	Relays        int
-	Success       bool
 	Latency       time.Duration // Never when the protocol failed
 }
 
@@ -26,7 +25,6 @@ type Figure10Params struct {
 	Protocols      []Protocol
 	Round          time.Duration
 	EntryPadding   int // -1 = calibrated
-	Seed           int64
 }
 
 var (
@@ -72,12 +70,11 @@ func Figure10(ctx context.Context, p Figure10Params, sp sweep.Params) (*Table[Fi
 			EntryPadding: p.EntryPadding,
 			Bandwidth:    cell.BandwidthMbit * 1e6,
 			Round:        p.Round,
-			Seed:         p.Seed,
 		})
 		if err != nil {
 			return Fig10Cell{}, err
 		}
-		if cell.Success = run.Success; run.Success {
+		if run.Success {
 			cell.Latency = run.Latency
 		}
 		return cell, nil

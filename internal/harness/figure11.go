@@ -16,8 +16,6 @@ type Fig11Row struct {
 	Relays int
 	// Recovery is the time our protocol needed after the attack ended.
 	Recovery time.Duration
-	// TotalLatency is the absolute completion instant (attack + recovery).
-	TotalLatency time.Duration
 	// Baseline is the paper's accounting for the lock-step protocols
 	// (2100s: they fail this run and rerun half an hour later).
 	Baseline time.Duration
@@ -28,7 +26,6 @@ type Figure11Params struct {
 	RelayCounts  []int
 	Outage       time.Duration
 	EntryPadding int // -1 = calibrated
-	Seed         int64
 }
 
 var (
@@ -54,16 +51,11 @@ func Figure11(ctx context.Context, p Figure11Params, sp sweep.Params) (*Table[Fi
 			Relays:       relays,
 			EntryPadding: p.EntryPadding,
 			Attack:       &plan,
-			Seed:         p.Seed,
 		})
 		if err != nil {
 			return Fig11Row{}, err
 		}
-		row := Fig11Row{Relays: relays, Baseline: FallbackLatency, TotalLatency: simnet.Never}
-		if row.Recovery = recoveryAfter(run, p.Outage); row.Recovery != simnet.Never {
-			row.TotalLatency = run.DoneAt
-		}
-		return row, nil
+		return Fig11Row{Relays: relays, Recovery: recoveryAfter(run, p.Outage), Baseline: FallbackLatency}, nil
 	}, layout[Fig11Row]{
 		title: fmt.Sprintf("Figure 11: consensus latency after a %v outage of 5 authorities", p.Outage),
 		cols: []column[Fig11Row]{

@@ -30,7 +30,6 @@ type Figure1Params struct {
 	Round        time.Duration
 	EntryPadding int     // -1 = calibrated
 	Residual     float64 // attacker-imposed bandwidth, bits/s
-	Seed         int64
 }
 
 var (
@@ -59,7 +58,6 @@ func Figure1(ctx context.Context, p Figure1Params) (*Figure1Result, error) {
 		Round:        p.Round,
 		FetchTimeout: p.Round / 15, // dead peers are given up on quickly
 		Attack:       &plan,
-		Seed:         p.Seed,
 	})
 	if err != nil {
 		return nil, err
@@ -132,7 +130,6 @@ type Figure7Params struct {
 	EntryPadding int     // -1 = calibrated
 	MaxMbit      float64 // search ceiling
 	Precision    float64 // Mbit
-	Seed         int64
 }
 
 var (
@@ -165,7 +162,6 @@ func Figure7(ctx context.Context, p Figure7Params, sp sweep.Params) (*Table[Fig7
 				EntryPadding: p.EntryPadding,
 				Round:        p.Round,
 				Attack:       &plan,
-				Seed:         p.Seed,
 			})
 			if err != nil {
 				return false, err

@@ -362,12 +362,12 @@ func hashDistribution(w io.Writer, d *dircache.Result) {
 // goldenKinds are the corpus cell kinds, one scenario builder each.
 var goldenKinds = []string{"attacked", "compromised", "regional", "gossip", "faults"}
 
-// goldenDigest runs one corpus cell and returns the hex digest of its
-// observable output. A non-nil tracer is attached to the run — the digest
-// must not change (the observability layer's zero-perturbation contract).
-func goldenDigest(t *testing.T, p Protocol, seed int64, kind string, tracer obs.Tracer) string {
+// goldenCell runs one corpus cell with the tracer attached (nil = none): the
+// protocol runs and, in digest order, every distribution outcome the cell's
+// digest covers — its own and, for the gossip and faults kinds, the
+// counterfactual baseline's.
+func goldenCell(t *testing.T, p Protocol, seed int64, kind string, tracer obs.Tracer) ([]*RunResult, []*dircache.Result) {
 	t.Helper()
-	h := sha256.New()
 	if kind == "compromised" {
 		exp, err := goldenCompromised(p, seed, tracer)
 		if err != nil {
@@ -377,64 +377,98 @@ func goldenDigest(t *testing.T, p Protocol, seed int64, kind string, tracer obs.
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, run := range res.Runs {
-			hashRun(h, run)
-		}
-		for _, d := range res.Distributions {
-			hashDistribution(h, d)
-		}
-		fmt.Fprintf(h, "forks=%d misled=%d\n", res.ForksDetected, res.MisledClients)
-	} else {
-		s := goldenAttacked(p, seed)
-		switch kind {
-		case "regional":
-			s = goldenRegional(p, seed)
-		case "gossip":
-			s = goldenGossip(p, seed)
-		case "faults":
-			s = goldenFaults(p, seed)
-		}
+		return res.Runs, res.Distributions
+	}
+	run := func(s Scenario) *RunResult {
 		s.Tracer = tracer
 		res, err := RunE(t.Context(), s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		hashRun(h, res)
 		if res.Distribution == nil {
 			t.Fatalf("%s corpus scenario produced no distribution phase", kind)
 		}
-		hashDistribution(h, res.Distribution)
-		if kind == "gossip" {
-			// The recovery curve means nothing without the counterfactual:
-			// pin the no-gossip baseline (same flood, no mesh) in the same
-			// digest, so both curves of the acceptance plot are frozen.
-			base := goldenGossip(p, seed)
-			base.Distribution.Gossip = nil
-			base.Tracer = tracer
-			bres, err := RunE(t.Context(), base)
-			if err != nil {
-				t.Fatal(err)
-			}
-			hashDistribution(h, bres.Distribution)
-		}
-		if kind == "faults" {
-			// Pin the legacy counterfactual in the same digest: the identical
-			// flood against fixed-retry star fleets — no mesh, no backoff, no
-			// faults — which strands. The gap between the two curves is the
-			// graceful-degradation claim this cell freezes.
-			base := goldenFaults(p, seed)
-			base.Distribution.Gossip = nil
-			base.Distribution.Backoff = nil
-			base.Distribution.Faults = nil
-			base.Tracer = tracer
-			bres, err := RunE(t.Context(), base)
-			if err != nil {
-				t.Fatal(err)
-			}
-			hashDistribution(h, bres.Distribution)
-		}
+		return res
+	}
+	s := goldenAttacked(p, seed)
+	switch kind {
+	case "regional":
+		s = goldenRegional(p, seed)
+	case "gossip":
+		s = goldenGossip(p, seed)
+	case "faults":
+		s = goldenFaults(p, seed)
+	}
+	res := run(s)
+	dists := []*dircache.Result{res.Distribution}
+	switch kind {
+	case "gossip":
+		// The recovery curve means nothing without the counterfactual:
+		// pin the no-gossip baseline (same flood, no mesh) in the same
+		// digest, so both curves of the acceptance plot are frozen.
+		base := goldenGossip(p, seed)
+		base.Distribution.Gossip = nil
+		dists = append(dists, run(base).Distribution)
+	case "faults":
+		// Pin the legacy counterfactual in the same digest: the identical
+		// flood against fixed-retry star fleets — no mesh, no backoff, no
+		// faults — which strands. The gap between the two curves is the
+		// graceful-degradation claim this cell freezes.
+		base := goldenFaults(p, seed)
+		base.Distribution.Gossip = nil
+		base.Distribution.Backoff = nil
+		base.Distribution.Faults = nil
+		dists = append(dists, run(base).Distribution)
+	}
+	return []*RunResult{res}, dists
+}
+
+// goldenDigest runs one corpus cell and returns the hex digest of its
+// observable output. A non-nil tracer is attached to the run — the digest
+// must not change (the observability layer's zero-perturbation contract).
+func goldenDigest(t *testing.T, p Protocol, seed int64, kind string, tracer obs.Tracer) string {
+	t.Helper()
+	h := sha256.New()
+	runs, dists := goldenCell(t, p, seed, kind, tracer)
+	for _, run := range runs {
+		hashRun(h, run)
+	}
+	forks, misled := 0, 0
+	for _, d := range dists {
+		hashDistribution(h, d)
+		forks += len(d.ForkDetections)
+		misled += d.Misled
+	}
+	if kind == "compromised" {
+		fmt.Fprintf(h, "forks=%d misled=%d\n", forks, misled)
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestDistributionNeverDrops holds every corpus scenario to the network model
+// the paper argues from — partial synchrony: a message is delayed arbitrarily
+// long, never lost. Floods, crashes and churn throttle pipes to zero and the
+// traffic waits; neither the consensus network nor the distribution network
+// of any run may count a dropped message.
+func TestDistributionNeverDrops(t *testing.T) {
+	for _, p := range []Protocol{Current, Synchronous, ICPS} {
+		for _, kind := range goldenKinds {
+			t.Run(fmt.Sprintf("%s/%s", p, kind), func(t *testing.T) {
+				t.Parallel()
+				runs, dists := goldenCell(t, p, 1, kind, nil)
+				for i, run := range runs {
+					if n := run.Net.Stats().MessagesDropped; n != 0 {
+						t.Errorf("consensus network of run %d dropped %d messages", i, n)
+					}
+				}
+				for i, d := range dists {
+					if n := d.Stats.MessagesDropped; n != 0 {
+						t.Errorf("distribution network of outcome %d dropped %d messages", i, n)
+					}
+				}
+			})
+		}
+	}
 }
 
 // timedDigest is goldenDigest with the cell's wall time logged (-v shows it):

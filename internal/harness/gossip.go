@@ -25,9 +25,9 @@ type GossipRow struct {
 	Coverage float64
 	T95      time.Duration
 	MeshFill time.Duration
-	// Pushes/Pulls/Rounds count mesh activity; MeshBytes its wire traffic.
-	Pushes, Pulls, Rounds int
-	MeshBytes             int64
+	// Pushes/Pulls count mesh activity; MeshBytes its wire traffic.
+	Pushes, Pulls int
+	MeshBytes     int64
 	// PartitionCost prices cutting one mirror out of this mesh for the
 	// window (attack.CostModel.MeshPartitionCost); 0 for the baseline.
 	PartitionCost float64
@@ -110,7 +110,6 @@ func GossipTable(ctx context.Context, p GossipParams, sp sweep.Params) (*Table[G
 		}
 		row.Pushes = r.GossipPushes
 		row.Pulls = r.GossipPulls
-		row.Rounds = r.GossipRounds
 		row.MeshBytes = r.GossipBytes
 		if row.Fanout >= 0 {
 			row.PartitionCost = cost.MeshPartitionCost(p.Degree, p.Window, 0)

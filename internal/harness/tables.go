@@ -18,7 +18,6 @@ type Table1Row struct {
 	Protocol         Protocol
 	MeasuredBytes    int64
 	MeasuredMessages int64
-	Success          bool
 }
 
 // Table1Params scales the measurement scenario (unset fields = a scale at
@@ -28,7 +27,6 @@ type Table1Params struct {
 	Bandwidth    float64
 	Round        time.Duration
 	EntryPadding int // -1 = calibrated
-	Seed         int64
 }
 
 var (
@@ -60,16 +58,17 @@ func Table1(ctx context.Context, p Table1Params, sp sweep.Params) (*Table[Table1
 			EntryPadding: p.EntryPadding,
 			Bandwidth:    p.Bandwidth,
 			Round:        p.Round,
-			Seed:         p.Seed,
 		})
 		if err != nil {
 			return Table1Row{}, err
+		}
+		if !run.Success {
+			return Table1Row{}, fmt.Errorf("harness: table 1 compares completed runs, and %v failed at this scale", proto)
 		}
 		return Table1Row{
 			Protocol:         proto,
 			MeasuredBytes:    run.BytesSent,
 			MeasuredMessages: run.Messages,
-			Success:          run.Success,
 		}, nil
 	}, layout[Table1Row]{
 		title: fmt.Sprintf("Table 1: design comparison (measured at %d relays, %g Mbit/s)", p.Relays, p.Bandwidth/1e6),
@@ -90,8 +89,8 @@ func Table1(ctx context.Context, p Table1Params, sp sweep.Params) (*Table[Table1
 type Table2Row struct {
 	SubProtocol string
 	Rounds      int
-	// Kinds are the message kinds that realize the rounds; each must be
-	// observed in the verification run.
+	// Kinds are the message kinds that realize the rounds; Table2 fails
+	// unless each flows in the verification run.
 	Kinds []string
 }
 
@@ -100,9 +99,6 @@ type Table2Row struct {
 type Table2Result struct {
 	Rows  []Table2Row
 	Total int
-	// ObservedKinds maps message kinds to counts from the verification
-	// run, proving each round's message actually flows.
-	ObservedKinds map[string]int64
 }
 
 // Table2 verifies the round structure on a small healthy run.
@@ -118,15 +114,16 @@ func Table2(ctx context.Context) (*Table2Result, error) {
 		{SubProtocol: "Aggregation", Rounds: 2, Kinds: []string{"icps/sig"}},
 	}
 	total := 0
+	observed := run.Net.Stats().KindCount
 	for _, r := range rows {
 		total += r.Rounds
+		for _, kind := range r.Kinds {
+			if observed[kind] == 0 {
+				return nil, fmt.Errorf("harness: table 2: no %q message flowed in the verification run", kind)
+			}
+		}
 	}
-	observed := make(map[string]int64, len(run.KindBytes))
-	st := run.Net.Stats()
-	for k, v := range st.KindCount {
-		observed[k] = v
-	}
-	return &Table2Result{Rows: rows, Total: total, ObservedKinds: observed}, nil
+	return &Table2Result{Rows: rows, Total: total}, nil
 }
 
 // Render prints the round table.

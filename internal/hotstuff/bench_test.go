@@ -29,7 +29,7 @@ func BenchmarkSingleShotDecide(b *testing.B) {
 		tn := testkit.NewNet(9, 250e6, int64(i))
 		tn.Attach(hs)
 		tn.Run(time.Minute)
-		if _, ok := reps[8].Decided(); !ok {
+		if !reps[8].decided {
 			b.Fatal("undecided")
 		}
 	}

@@ -63,9 +63,9 @@ type Config struct {
 	OnDecide func(ctx *simnet.Context, index int, v Value)
 	// OnEnterView fires when a replica enters a view (including view 1).
 	OnEnterView func(ctx *simnet.Context, index, view int)
-	// BaseTimeout/MaxTimeout control the pacemaker; zero = defaults.
+	// BaseTimeout is the pacemaker's first view timeout (0 means
+	// DefaultBaseTimeout); it doubles per view up to DefaultMaxTimeout.
 	BaseTimeout time.Duration
-	MaxTimeout  time.Duration
 	// Silent marks Byzantine replicas that never propose nor vote.
 	Silent map[int]bool
 	// Equivocator marks Byzantine leaders that propose the Propose value
@@ -109,19 +109,12 @@ func (c *Config) baseTimeout() time.Duration {
 	return DefaultBaseTimeout
 }
 
-func (c *Config) maxTimeout() time.Duration {
-	if c.MaxTimeout > 0 {
-		return c.MaxTimeout
-	}
-	return DefaultMaxTimeout
-}
-
 func (c *Config) viewTimeout(view int) time.Duration {
 	d := c.baseTimeout()
 	for i := 1; i < view; i++ {
 		d *= 2
-		if d >= c.maxTimeout() {
-			return c.maxTimeout()
+		if d >= DefaultMaxTimeout {
+			return DefaultMaxTimeout
 		}
 	}
 	return d

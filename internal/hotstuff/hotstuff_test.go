@@ -58,7 +58,7 @@ func assertAgreement(t *testing.T, reps []*Replica, silent map[int]bool) Value {
 		if silent[i] {
 			continue
 		}
-		v, ok := r.Decided()
+		v, ok := r.decidedValue, r.decided
 		if !ok {
 			t.Fatalf("replica %d undecided (view %d)", i, r.View())
 		}
@@ -82,8 +82,8 @@ func TestHappyPathDecidesInViewOne(t *testing.T) {
 		if r.DecidedView() != 1 {
 			t.Fatalf("replica %d decided in view %d, want 1", i, r.DecidedView())
 		}
-		if r.DecidedAt() > 2*time.Second {
-			t.Fatalf("replica %d decided at %v; too slow for a healthy net", i, r.DecidedAt())
+		if r.decidedAt > 2*time.Second {
+			t.Fatalf("replica %d decided at %v; too slow for a healthy net", i, r.decidedAt)
 		}
 	}
 }
@@ -187,15 +187,20 @@ func TestExternalValidityBlocksInvalidProposals(t *testing.T) {
 	}
 }
 
-// ctxNode adapts a Replica and remembers its context so tests can call
-// NotifyReady the way a parent protocol would.
+// ctxNode adapts a Replica whose input turns ready 3s into the run: it then
+// calls onReady and NotifyReady, the way a parent protocol would.
 type ctxNode struct {
-	r   *Replica
-	ctx *simnet.Context
+	r       *Replica
+	onReady func() // nil = the input is ready from the start
 }
 
 func (n *ctxNode) Start(ctx *simnet.Context) {
-	n.ctx = ctx
+	if n.onReady != nil {
+		ctx.After(3*time.Second, func() {
+			n.onReady()
+			n.r.NotifyReady(ctx)
+		})
+	}
 	n.r.Start(ctx)
 }
 func (n *ctxNode) Deliver(ctx *simnet.Context, from simnet.NodeID, msg simnet.Message) {
@@ -218,27 +223,22 @@ func TestLazyInputViaNotifyReady(t *testing.T) {
 		BaseTimeout: 30 * time.Second,
 	}
 	reps := make([]*Replica, 4)
-	nodes := make([]*ctxNode, 4)
 	hs := make([]simnet.Handler, 4)
 	for i := range reps {
 		reps[i] = NewReplica(cfg, i)
-		nodes[i] = &ctxNode{r: reps[i]}
-		hs[i] = nodes[i]
+		hs[i] = &ctxNode{r: reps[i]}
 	}
+	hs[0].(*ctxNode).onReady = func() { ready = true }
 	tn := testkit.NewNet(4, 250e6, 6)
 	tn.Attach(hs)
-	tn.Network.Scheduler().At(3*time.Second, func() {
-		ready = true
-		reps[0].NotifyReady(nodes[0].ctx)
-	})
 	tn.Run(time.Minute)
 	assertAgreement(t, reps, nil)
 	for i, r := range reps {
 		if r.DecidedView() != 1 {
 			t.Fatalf("replica %d decided in view %d, want 1 (NotifyReady should avoid a view change)", i, r.DecidedView())
 		}
-		if r.DecidedAt() >= 30*time.Second {
-			t.Fatalf("replica %d decided only at %v", i, r.DecidedAt())
+		if r.decidedAt >= 30*time.Second {
+			t.Fatalf("replica %d decided only at %v", i, r.decidedAt)
 		}
 	}
 }
@@ -254,18 +254,18 @@ func TestOutageStallsThenRecovers(t *testing.T) {
 	}
 	tn.Network.Run(59 * time.Second)
 	for i, r := range reps {
-		if _, ok := r.Decided(); ok {
+		if r.decided {
 			t.Fatalf("replica %d decided during the outage", i)
 		}
 	}
 	tn.Network.Run(2 * time.Minute)
 	assertAgreement(t, reps, nil)
 	for i, r := range reps {
-		if r.DecidedAt() < time.Minute {
-			t.Fatalf("replica %d decided at %v, before the outage ended", i, r.DecidedAt())
+		if r.decidedAt < time.Minute {
+			t.Fatalf("replica %d decided at %v, before the outage ended", i, r.decidedAt)
 		}
-		if r.DecidedAt() > 80*time.Second {
-			t.Fatalf("replica %d took until %v to recover; want seconds after GST", i, r.DecidedAt())
+		if r.decidedAt > 80*time.Second {
+			t.Fatalf("replica %d took until %v to recover; want seconds after GST", i, r.decidedAt)
 		}
 	}
 }
@@ -287,7 +287,7 @@ func TestAgreementUnderRandomPreGSTDelays(t *testing.T) {
 		tn.Run(20 * time.Minute)
 		var first Value
 		for i, r := range reps {
-			v, ok := r.Decided()
+			v, ok := r.decidedValue, r.decided
 			if !ok {
 				t.Fatalf("seed %d: replica %d undecided", seed, i)
 			}
@@ -337,14 +337,14 @@ func TestQCAndTCVerification(t *testing.T) {
 }
 
 func TestViewTimeoutBackoff(t *testing.T) {
-	cfg := &Config{Keys: testkit.Authorities(4, 1), BaseTimeout: 10 * time.Second, MaxTimeout: 60 * time.Second}
+	cfg := &Config{Keys: testkit.Authorities(4, 1), BaseTimeout: 10 * time.Second}
 	if cfg.viewTimeout(1) != 10*time.Second {
 		t.Fatal("base timeout wrong")
 	}
 	if cfg.viewTimeout(2) != 20*time.Second || cfg.viewTimeout(3) != 40*time.Second {
 		t.Fatal("backoff not doubling")
 	}
-	if cfg.viewTimeout(10) != 60*time.Second {
+	if cfg.viewTimeout(6) != DefaultMaxTimeout || cfg.viewTimeout(10) != DefaultMaxTimeout {
 		t.Fatal("backoff not capped")
 	}
 }

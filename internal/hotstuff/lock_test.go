@@ -43,7 +43,7 @@ func TestLockedValueSurvivesViewChange(t *testing.T) {
 
 	want := (testValue{s: "input-0"}).Digest()
 	for i, r := range reps {
-		v, ok := r.Decided()
+		v, ok := r.decidedValue, r.decided
 		if !ok {
 			t.Fatalf("replica %d undecided", i)
 		}

@@ -75,14 +75,8 @@ func (r *Replica) at(v int) *viewState {
 	return vs
 }
 
-// Decided reports the outcome, if any.
-func (r *Replica) Decided() (Value, bool) { return r.decidedValue, r.decided }
-
 // DecidedView returns the view in which the replica decided (0 if none).
 func (r *Replica) DecidedView() int { return r.decidedView }
-
-// DecidedAt returns the decision instant (simnet.Never if undecided).
-func (r *Replica) DecidedAt() time.Duration { return r.decidedAt }
 
 // View returns the replica's current view.
 func (r *Replica) View() int { return r.view }

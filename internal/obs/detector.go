@@ -34,18 +34,16 @@ const (
 
 // Detection is one flagged attack onset, reported from the victim's chair:
 // the node saw its own pipes deviate from their rolling baseline, without
-// any knowledge of the attack plan. Onset and Latency relate the flag to
-// the plan's ground truth when the trace carries attack events.
+// any knowledge of the attack plan. Latency relates the flag to the plan's
+// ground truth when the trace carries attack events.
 type Detection struct {
 	Layer  string
 	Node   int
 	Signal string // "queue-depth" (sustained high) or "throughput" (sustained low)
 	// At is the simulation time of the flagging sample.
 	At time.Duration
-	// Onset is the matching attack plan's start, or -1 when the trace
-	// carries no attack event for this node.
-	Onset time.Duration
-	// Latency is At - Onset, or -1 when Onset is unknown.
+	// Latency is At minus the matching attack plan's start, or -1 when the
+	// trace carries no attack event for this node.
 	Latency time.Duration
 }
 
@@ -183,14 +181,12 @@ func (d *Detector) flag(ev Event, signal uint8) {
 		Node:    ev.Node,
 		Signal:  "queue-depth",
 		At:      ev.At,
-		Onset:   -1,
 		Latency: -1,
 	}
 	if signal == 1 {
 		det.Signal = "throughput"
 	}
 	if onset, ok := d.onsetFor(ev); ok {
-		det.Onset = onset
 		det.Latency = ev.At - onset
 	}
 	d.dets = append(d.dets, det)

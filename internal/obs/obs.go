@@ -89,8 +89,8 @@ const (
 	// Peer = the partner cache node, A = the sender's current epoch.
 	EvGossipAntiEntropy
 	// EvFaultOn marks an injected fault's onset against one target. Node =
-	// the target, A = the fault's index in its plan, B = the tier, F = the
-	// fault's capacity factor where one applies, Label = the fault kind.
+	// the target, A = the fault's index in its plan, B = the tier, Label =
+	// the fault kind.
 	EvFaultOn
 	// EvFaultOff marks the same fault's offset. Fields as in EvFaultOn.
 	EvFaultOff

@@ -214,8 +214,8 @@ func TestDetectorFlagsSustainedQueueGrowth(t *testing.T) {
 	if det.Latency != 3*time.Second {
 		t.Fatalf("Latency = %v, want 3s", det.Latency)
 	}
-	if det.Onset != 30*time.Second {
-		t.Fatalf("Onset = %v, want 30s", det.Onset)
+	if onset := det.At - det.Latency; onset != 30*time.Second {
+		t.Fatalf("flag scored against an onset at %v, want 30s", onset)
 	}
 }
 

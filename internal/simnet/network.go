@@ -143,18 +143,11 @@ func (n *Network) pairLatency(from, to NodeID) time.Duration {
 	return base + time.Duration(float64(span)*bucket/1000)
 }
 
-// Scheduler exposes the underlying clock (for runners that need to schedule
-// global events such as attack reporting).
-func (n *Network) Scheduler() *Scheduler { return n.sched }
-
 // Now returns the current virtual time.
 func (n *Network) Now() time.Duration { return n.sched.Now() }
 
 // N returns the number of nodes.
 func (n *Network) N() int { return len(n.nodes) }
-
-// Rand returns the network RNG (the simulation is single-threaded).
-func (n *Network) Rand() *rand.Rand { return n.rng }
 
 // Stats returns a copy of the transport statistics. The per-kind maps are
 // rebuilt lazily from the interned counters, so calling Stats in a loop is
@@ -206,8 +199,9 @@ func (n *Network) AddNodeIn(h Handler, up, down *Profile, r topo.Region) NodeID 
 }
 
 // SetDropFilter installs a predicate that silently drops matching messages.
-// Intended for adversarial unit tests; the partial-synchrony experiments
-// never drop.
+// It is for adversarial unit tests alone and no runner installs one: the
+// network model is partial synchrony, where a message is delayed arbitrarily
+// long and never lost, so every run keeps Stats.MessagesDropped at 0.
 func (n *Network) SetDropFilter(f func(from, to NodeID, m Message) bool) { n.drop = f }
 
 // SetDelayFilter installs extra per-message one-way delay (e.g. to model an

@@ -39,9 +39,11 @@ func (r *recorder) Deliver(ctx *Context, from NodeID, msg Message) {
 	r.got = append(r.got, delivery{at: ctx.Now(), from: from, msg: msg})
 }
 
-// fixedLatency is a one-region topology placing every pair exactly d apart.
+// fixedLatency is a one-region topology placing every pair d apart, plus the
+// pair's share of the intra-region jitter: a test that pins a delivery time
+// asks the network for it (pairLatency).
 func fixedLatency(d time.Duration) *topo.Map {
-	return &topo.Map{Names: []string{"all"}, Lat: [][]time.Duration{{d}}, Jit: [][]time.Duration{{0}}}
+	return &topo.Map{Names: []string{"all"}, Lat: [][]time.Duration{{d}}}
 }
 
 func twoNodeNet(t *testing.T, rate float64, lat time.Duration) (*Network, *recorder, *recorder) {
@@ -54,7 +56,7 @@ func twoNodeNet(t *testing.T, rate float64, lat time.Duration) (*Network, *recor
 }
 
 func TestNetworkEndToEndTiming(t *testing.T) {
-	// 1000 bytes at 1 Mbit/s: 8ms uplink + 10ms latency + 8ms downlink.
+	// 1000 bytes at 1 Mbit/s: 8ms uplink + latency + 8ms downlink.
 	net, _, b := twoNodeNet(t, 1e6, 10*time.Millisecond)
 	net.nodes[0].handler.(*recorder).onStart = func(ctx *Context) {
 		ctx.Send(1, testMsg{size: 1000, kind: "t"})
@@ -63,7 +65,7 @@ func TestNetworkEndToEndTiming(t *testing.T) {
 	if len(b.got) != 1 {
 		t.Fatalf("deliveries=%d, want 1", len(b.got))
 	}
-	approxDur(t, b.got[0].at, 26*time.Millisecond, time.Millisecond, "end-to-end")
+	approxDur(t, b.got[0].at, 16*time.Millisecond+net.pairLatency(0, 1), time.Millisecond, "end-to-end")
 	if b.got[0].from != 0 {
 		t.Fatalf("from=%d, want 0", b.got[0].from)
 	}
@@ -85,12 +87,12 @@ func TestNetworkConcurrentSendsShareUplink(t *testing.T) {
 	}
 	net.Run(time.Minute)
 	// Uplink: 3 x 8000 bits over 1 Mbit/s = 24ms shared, all finish at 24ms.
-	// Then 10ms latency + 8ms solo downlink = 42ms.
+	// Then the pair's latency + 8ms solo downlink.
 	for i, r := range receivers {
 		if len(r.got) != 1 {
 			t.Fatalf("receiver %d got %d messages", i, len(r.got))
 		}
-		approxDur(t, r.got[0].at, 42*time.Millisecond, 2*time.Millisecond, "broadcast delivery")
+		approxDur(t, r.got[0].at, 32*time.Millisecond+net.pairLatency(0, NodeID(i+1)), 2*time.Millisecond, "broadcast delivery")
 	}
 }
 
@@ -109,7 +111,7 @@ func TestNetworkOverheadCounted(t *testing.T) {
 		t.Fatalf("kind accounting = %v/%v", st.KindBytes, st.KindCount)
 	}
 	// 1000 bytes = 8000 bits -> 8ms up + 8ms down.
-	approxDur(t, b.got[0].at, 16*time.Millisecond, time.Millisecond, "overhead timing")
+	approxDur(t, b.got[0].at, 16*time.Millisecond+net.pairLatency(0, 1), time.Millisecond, "overhead timing")
 }
 
 func TestNetworkDropFilter(t *testing.T) {
@@ -191,7 +193,7 @@ func TestNetworkDeterminism(t *testing.T) {
 			}
 		}
 		net.Start()
-		return net.Scheduler().RunUntil(time.Minute), net.Stats().BytesDelivered
+		return net.sched.RunUntil(time.Minute), net.Stats().BytesDelivered
 	}
 	s1, b1 := run()
 	s2, b2 := run()

@@ -335,35 +335,6 @@ func TestPipeConservation(t *testing.T) {
 	}
 }
 
-func TestProfileScale(t *testing.T) {
-	p := NewProfile(10e6)
-	p.Scale(5*time.Second, 10*time.Second, 0.25)
-	cases := []struct {
-		at   time.Duration
-		want float64
-	}{
-		{0, 10e6}, {5 * time.Second, 2.5e6}, {9 * time.Second, 2.5e6}, {10 * time.Second, 10e6},
-	}
-	for _, c := range cases {
-		if got := p.RateAt(c.at); got != c.want {
-			t.Errorf("RateAt(%v)=%v, want %v", c.at, got, c.want)
-		}
-	}
-	// Scaling composes multiplicatively with an existing throttle window,
-	// and a negative factor clamps to a dead link rather than going negative.
-	p.Scale(7*time.Second, 12*time.Second, 0.5)
-	if got := p.RateAt(8 * time.Second); got != 1.25e6 {
-		t.Errorf("stacked scale RateAt(8s)=%v, want 1.25e6", got)
-	}
-	if got := p.RateAt(11 * time.Second); got != 5e6 {
-		t.Errorf("stacked scale RateAt(11s)=%v, want 5e6", got)
-	}
-	p.Scale(0, time.Second, -3)
-	if got := p.RateAt(500 * time.Millisecond); got != 0 {
-		t.Errorf("negative factor RateAt(0.5s)=%v, want clamped 0", got)
-	}
-}
-
 func TestPipeRampAllocatesLinearly(t *testing.T) {
 	// A queue that builds up one transfer at a time — every flooded or
 	// fan-in pipe — must grow its scratch geometrically. Exact-size growth

@@ -153,18 +153,6 @@ func (p *Profile) ThrottleMin(from, to time.Duration, r float64) {
 	})
 }
 
-// Scale multiplies the rate by factor over [from, to) — a degraded (or, with
-// factor > 1, upgraded) link rather than a hard cap. Negative factors clamp
-// to 0. Scaling composes multiplicatively with itself and with ThrottleMin
-// caps already in the window, which is the composition rule for a fault
-// window overlapping an attack window.
-func (p *Profile) Scale(from, to time.Duration, factor float64) {
-	if factor < 0 {
-		factor = 0
-	}
-	p.transform(from, to, func(old float64) float64 { return old * factor })
-}
-
 // normalize sorts points, keeps the last point for duplicate instants, and
 // merges consecutive points with equal rates.
 func normalize(pts []ratePoint) []ratePoint {

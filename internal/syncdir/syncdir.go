@@ -38,10 +38,9 @@ const leader = 0
 
 // Signature domains.
 const (
-	domainDoc    = "syncdir/doc"
-	domainChain  = "syncdir/chain"
-	domainBundle = "syncdir/bundle"
-	domainCons   = "syncdir/consensus"
+	domainDoc   = "syncdir/doc"
+	domainChain = "syncdir/chain"
+	domainCons  = "syncdir/consensus"
 )
 
 // Config describes one run.
@@ -50,8 +49,6 @@ type Config struct {
 	Docs []*vote.Document
 	// Round is the document/vote round length; 0 means DefaultRound.
 	Round time.Duration
-	// SyncRound is the Dolev-Strong round length; 0 means Round.
-	SyncRound time.Duration
 	// EquivocateLeader makes the leader Byzantine: it builds two different
 	// bundles and initiates signature chains for both, one per peer parity.
 	EquivocateLeader bool
@@ -72,23 +69,16 @@ func (c *Config) round() time.Duration {
 	return DefaultRound
 }
 
-func (c *Config) syncRound() time.Duration {
-	if c.SyncRound > 0 {
-		return c.SyncRound
-	}
-	return c.round()
-}
-
 // dsStart is when the synchronize phase begins.
 func (c *Config) dsStart() time.Duration { return 2 * c.round() }
 
 // dsEnd is when the Dolev-Strong extraction closes (after f+1 rounds).
 func (c *Config) dsEnd() time.Duration {
-	return c.dsStart() + time.Duration(c.MaxFaults()+1)*c.syncRound()
+	return c.dsStart() + time.Duration(c.MaxFaults()+1)*c.round()
 }
 
 // EndTime is when the run is decided (one signature round after dsEnd).
-func (c *Config) EndTime() time.Duration { return c.dsEnd() + c.syncRound() }
+func (c *Config) EndTime() time.Duration { return c.dsEnd() + c.round() }
 
 // --- messages ---
 
@@ -376,7 +366,7 @@ func (a *Authority) acceptChain(ctx *simnet.Context, m *msgChain) {
 	if k == 0 || k > a.cfg.MaxFaults()+1 {
 		return
 	}
-	deadline := a.cfg.dsStart() + time.Duration(k)*a.cfg.syncRound()
+	deadline := a.cfg.dsStart() + time.Duration(k)*a.cfg.round()
 	if ctx.Now() > deadline {
 		return
 	}

@@ -68,7 +68,7 @@ func TestRoundComplexityOfDolevStrong(t *testing.T) {
 		t.Fatalf("f=%d, want 4 for n=9", cfg.MaxFaults())
 	}
 	// dsEnd - dsStart = (f+1) sync rounds.
-	if got := cfg.dsEnd() - cfg.dsStart(); got != 5*cfg.syncRound() {
+	if got := cfg.dsEnd() - cfg.dsStart(); got != 5*cfg.round() {
 		t.Fatalf("DS window %v, want 5 rounds", got)
 	}
 }
@@ -177,7 +177,6 @@ func TestLateChainRejected(t *testing.T) {
 	// its own value) output bottom.
 	cfg := baseConfig(t, 9, 30, 0)
 	cfg.Round = 5 * time.Second
-	cfg.SyncRound = 2 * time.Second
 	n := len(cfg.Keys)
 	tn := testkit.NewNet(n, 250e6, 1)
 	tn.Network.SetDelayFilter(func(from, to simnet.NodeID, m simnet.Message) time.Duration {

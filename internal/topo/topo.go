@@ -54,8 +54,9 @@ type Topology = *Map
 
 // Map models planet-scale structure over named regions: deterministic
 // placement of a tier's nodes into them by share, a symmetric region-pair
-// latency/jitter matrix and per-region bandwidth scales. The builtin maps
-// (Continents) are Maps; tests and callers can assemble their own.
+// latency matrix under two fixed jitter spans, and per-region bandwidth
+// scales. The builtin maps (Continents) are Maps; tests and callers can
+// assemble their own.
 type Map struct {
 	// Names are the region names; len(Names) is the region count.
 	Names []string
@@ -64,9 +65,6 @@ type Map struct {
 	Share []float64
 	// Lat is the symmetric one-way base-latency matrix, indexed [a][b].
 	Lat [][]time.Duration
-	// Jit is the symmetric per-pair jitter-span matrix; nil selects a
-	// default of 15ms intra-region and 35ms inter-region.
-	Jit [][]time.Duration
 	// Scale is each region's bandwidth multiplier; nil means 1 everywhere.
 	Scale []float64
 }
@@ -149,27 +147,21 @@ func (m *Map) BaseLatency(a, b Region) time.Duration {
 	return m.Lat[a][b]
 }
 
-// Default jitter spans when Map.Jit is nil: per-pair latency varies within
-// this much of the regional floor.
+// The jitter spans: per-pair latency varies within this much of the regional
+// floor.
 const (
-	defaultIntraJitter = 15 * time.Millisecond
-	defaultInterJitter = 35 * time.Millisecond
+	intraJitter = 15 * time.Millisecond
+	interJitter = 35 * time.Millisecond
 )
 
 // Jitter is the span of per-pair latency variation stacked on top of
 // BaseLatency: a concrete node pair's one-way delay is sampled
 // deterministically from [BaseLatency, BaseLatency+Jitter). Symmetric.
 func (m *Map) Jitter(a, b Region) time.Duration {
-	if m.Jit == nil {
-		if a == b {
-			return defaultIntraJitter
-		}
-		return defaultInterJitter
+	if a == b {
+		return intraJitter
 	}
-	if int(a) >= len(m.Jit) || int(b) >= len(m.Jit[a]) || a < 0 || b < 0 {
-		return 0
-	}
-	return m.Jit[a][b]
+	return interJitter
 }
 
 // Bandwidth maps a node's nominal access bandwidth (bits/s) to what the

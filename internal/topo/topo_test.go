@@ -130,8 +130,8 @@ func TestMapZeroValueDefaults(t *testing.T) {
 	if got := m.Bandwidth(0, 5e6); got != 5e6 {
 		t.Errorf("nil scale changed bandwidth: %g", got)
 	}
-	if m.Jitter(0, 0) != defaultIntraJitter {
-		t.Errorf("intra jitter default %v", m.Jitter(0, 0))
+	if m.Jitter(0, 0) != intraJitter {
+		t.Errorf("intra jitter %v", m.Jitter(0, 0))
 	}
 }
 

@@ -24,7 +24,6 @@ type ConsensusRelay struct {
 	Protocols  string
 	ExitPolicy string
 	Bandwidth  uint64
-	VoteCount  int // how many votes listed this relay
 }
 
 // Consensus is the aggregated consensus document.
@@ -195,12 +194,11 @@ func (m *merge) aggregate() ConsensusRelay {
 	entries := m.entries
 	// Name (and endpoint) from the vote with the largest authority ID.
 	out := ConsensusRelay{
-		Nickname:  m.namer.Nickname,
-		Identity:  m.namer.Identity,
-		Address:   m.namer.Address,
-		ORPort:    m.namer.ORPort,
-		DirPort:   m.namer.DirPort,
-		VoteCount: len(entries),
+		Nickname: m.namer.Nickname,
+		Identity: m.namer.Identity,
+		Address:  m.namer.Address,
+		ORPort:   m.namer.ORPort,
+		DirPort:  m.namer.DirPort,
 	}
 
 	// Flags: popular vote among listing votes; a tie leaves the flag unset.

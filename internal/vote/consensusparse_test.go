@@ -41,12 +41,8 @@ func TestConsensusParseRoundTrip(t *testing.T) {
 		t.Fatalf("relays %d vs %d", len(parsed.Relays), len(c.Relays))
 	}
 	for i := range c.Relays {
-		// VoteCount is aggregation-time metadata, deliberately not part of
-		// the wire format; everything else must survive.
-		want := c.Relays[i]
-		want.VoteCount = 0
-		if parsed.Relays[i] != want {
-			t.Fatalf("relay %d mismatch:\n got %+v\nwant %+v", i, parsed.Relays[i], want)
+		if parsed.Relays[i] != c.Relays[i] {
+			t.Fatalf("relay %d mismatch:\n got %+v\nwant %+v", i, parsed.Relays[i], c.Relays[i])
 		}
 	}
 	// The re-encoded document hashes identically: a client can verify

@@ -156,12 +156,11 @@ func referenceAggregateRelay(id relay.Identity, entries []relay.Descriptor, vote
 	namer := entries[maxAt]
 
 	out := ConsensusRelay{
-		Nickname:  namer.Nickname,
-		Identity:  id,
-		Address:   namer.Address,
-		ORPort:    namer.ORPort,
-		DirPort:   namer.DirPort,
-		VoteCount: len(entries),
+		Nickname: namer.Nickname,
+		Identity: id,
+		Address:  namer.Address,
+		ORPort:   namer.ORPort,
+		DirPort:  namer.DirPort,
 	}
 
 	// Flags: popular vote among listing votes; a tie leaves the flag unset.

@@ -159,9 +159,6 @@ func TestAggregateInclusionThreshold(t *testing.T) {
 	if len(c.Relays) != 1 || c.Relays[0].Identity[0] != 1 {
 		t.Fatalf("relays=%v, want only relay 1 (listed twice)", c.Relays)
 	}
-	if c.Relays[0].VoteCount != 2 {
-		t.Fatalf("VoteCount=%d, want 2", c.Relays[0].VoteCount)
-	}
 }
 
 func TestAggregateNameFromLargestAuthorityID(t *testing.T) {

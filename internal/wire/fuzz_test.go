@@ -7,7 +7,7 @@ import "testing"
 func FuzzReader(f *testing.F) {
 	w := NewWriter(0)
 	w.Uvarint(300)
-	w.String("hello")
+	w.BytesLP([]byte("hello"))
 	w.BytesLP([]byte{1, 2, 3})
 	w.Varint(-42)
 	f.Add(w.Bytes())
@@ -17,7 +17,7 @@ func FuzzReader(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewReader(data)
 		_ = r.Uvarint()
-		_ = r.String()
+		_ = string(r.BytesLP())
 		_ = r.BytesLP()
 		_ = r.Varint()
 		_ = r.Bool()

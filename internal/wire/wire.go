@@ -53,9 +53,6 @@ func (w *Writer) BytesLP(b []byte) {
 // Raw appends bytes without a length prefix (fixed-size fields).
 func (w *Writer) Raw(b []byte) { w.buf = append(w.buf, b...) }
 
-// String appends a length-prefixed string.
-func (w *Writer) String(s string) { w.BytesLP([]byte(s)) }
-
 // Reader decodes a buffer produced by Writer.
 type Reader struct {
 	buf []byte
@@ -153,9 +150,6 @@ func (r *Reader) Raw(n int) []byte {
 	r.off += n
 	return out
 }
-
-// String reads a length-prefixed string.
-func (r *Reader) String() string { return string(r.BytesLP()) }
 
 // Close verifies that the whole buffer was consumed and no error occurred.
 func (r *Reader) Close() error {

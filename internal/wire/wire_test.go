@@ -15,7 +15,7 @@ func TestRoundTrip(t *testing.T) {
 	w.Bool(false)
 	w.BytesLP([]byte{1, 2, 3})
 	w.Raw([]byte{9, 9})
-	w.String("hello")
+	w.BytesLP([]byte("hello"))
 
 	r := NewReader(w.Bytes())
 	if v := r.Uvarint(); v != 300 {
@@ -36,7 +36,7 @@ func TestRoundTrip(t *testing.T) {
 	if v := r.Raw(2); !bytes.Equal(v, []byte{9, 9}) {
 		t.Fatalf("Raw=%v", v)
 	}
-	if v := r.String(); v != "hello" {
+	if v := string(r.BytesLP()); v != "hello" {
 		t.Fatalf("String=%q", v)
 	}
 	if err := r.Close(); err != nil {
@@ -73,7 +73,7 @@ func TestStickyError(t *testing.T) {
 		t.Fatal("no error after reading empty buffer")
 	}
 	// Further reads return zero values without panicking.
-	if r.Uvarint() != 0 || r.Varint() != 0 || r.String() != "" {
+	if r.Uvarint() != 0 || r.Varint() != 0 || string(r.BytesLP()) != "" {
 		t.Fatal("reads after error returned nonzero values")
 	}
 }
@@ -104,11 +104,11 @@ func TestQuickRoundTrip(t *testing.T) {
 		w := NewWriter(0)
 		w.Uvarint(a)
 		w.Varint(b)
-		w.String(s)
+		w.BytesLP([]byte(s))
 		w.BytesLP(blob)
 		w.Bool(flag)
 		r := NewReader(w.Bytes())
-		ga, gb, gs, gblob, gflag := r.Uvarint(), r.Varint(), r.String(), r.BytesLP(), r.Bool()
+		ga, gb, gs, gblob, gflag := r.Uvarint(), r.Varint(), string(r.BytesLP()), r.BytesLP(), r.Bool()
 		return r.Close() == nil && ga == a && gb == b && gs == s &&
 			bytes.Equal(gblob, blob) && gflag == flag
 	}

@@ -177,11 +177,11 @@ type GossipConfig = gossip.Config
 // --- fault-injection re-exports ---
 //
 // The chaos layer (internal/faults) injects deterministic faults into the
-// distribution tier: crash-and-restart windows, bandwidth degradation,
-// link flapping, network partitions (optionally region-scoped under a
-// topology) and mesh churn — mirrors leaving and rejoining the gossip
-// mesh. Every fault is a seeded simnet event; the same plan under the same
-// seed replays byte-identically, and the golden corpus pins a compound
+// distribution tier: crash-and-restart windows (optionally region-scoped
+// under a topology) and mesh churn — mirrors leaving and rejoining the
+// gossip mesh. A slowed or flapping link is a flood: an AttackPlan with a
+// residual. Every fault is a seeded simnet event; the same plan under the
+// same seed replays byte-identically, and the golden corpus pins a compound
 // flood + crash + churn scenario. A nil FaultPlan and nil Backoff anywhere
 // keep the historical behavior, bit for bit.
 
