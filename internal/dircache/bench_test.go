@@ -1,6 +1,7 @@
 package dircache
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -57,4 +58,70 @@ func BenchmarkDistributionCacheFlood(b *testing.B) {
 		covered = res.Covered
 	}
 	b.ReportMetric(float64(covered), "covered")
+}
+
+// BenchmarkDistributionFanIn runs the benchmark's fanin op: two million
+// clients over 32 caches while half the caches and a majority of the
+// authorities are flooded — the only shape that queues hundreds of batches
+// on one pipe, where the share-vector memo and stale-wakeup compaction work.
+func BenchmarkDistributionFanIn(b *testing.B) {
+	spec := Spec{
+		Clients: 2_000_000, Caches: 32, Fleets: 8, Seed: 1,
+		Attacks: []attack.Plan{
+			{Tier: attack.TierCache, Targets: attack.FirstTargets(16), End: 10 * time.Minute, Residual: 1e6},
+			{Tier: attack.TierAuthority, Targets: attack.MajorityTargets(9), End: 5 * time.Minute, Residual: 0.5e6},
+		},
+	}
+	var covered int
+	for i := 0; i < b.N; i++ {
+		res, err := Run(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		covered = res.Covered
+	}
+	b.ReportMetric(float64(covered), "covered")
+}
+
+// runAllocs is the allocation count and bytes of one Run of spec.
+func runAllocs(t *testing.T, spec Spec) (allocs float64, bytes uint64) {
+	t.Helper()
+	run := func() {
+		if _, err := Run(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs = testing.AllocsPerRun(1, run)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	return allocs, after.TotalAlloc - before.TotalAlloc
+}
+
+func TestLegacyLoopAllocatesNoMessage(t *testing.T) {
+	// Every tick each fleet sends one fetch to each cache and gets one batch
+	// back: 2 × 24 × 4 = 192 messages. Recycled, the 300 ticks a one-hour
+	// window adds over a ten-minute one must cost fewer allocations than
+	// one per fleet per tick (without the message pool they added about 58 500).
+	short, long := benchSpec(), benchSpec()
+	short.FetchWindow = 10 * time.Minute
+	long.FetchWindow = time.Hour
+	a10, _ := runAllocs(t, short)
+	a60, _ := runAllocs(t, long)
+	if extra, limit := a60-a10, float64(300*long.Fleets); extra >= limit {
+		t.Errorf("300 extra ticks allocated %.0f times (%.0f → %.0f), want fewer than %.0f", extra, a10, a60, limit)
+	}
+}
+
+func TestHealthyRunAllocationCeiling(t *testing.T) {
+	// benchSpec's healthy run: about 3 840 allocations and 1.5 MB; the
+	// code before the message pool and curve merge made about 37 430 and 3.2 MB.
+	allocs, bytes := runAllocs(t, benchSpec())
+	if allocs > 5_000 {
+		t.Errorf("healthy run allocated %.0f times, want at most 5 000", allocs)
+	}
+	if bytes > 2<<20 {
+		t.Errorf("healthy run allocated %d bytes, want at most 2 MiB", bytes)
+	}
 }

@@ -55,6 +55,7 @@ const (
 // forked documents are byte-for-byte as heavy as genuine ones.
 type cacheNode struct {
 	spec *Spec
+	pool *msgPool
 
 	role       cacheRole
 	chainCtx   *ChainContext          // nil when the run carries no chain material
@@ -239,6 +240,7 @@ func (c *cacheNode) Deliver(ctx *simnet.Context, from simnet.NodeID, msg simnet.
 
 	case *fleetFetch:
 		c.serve(ctx, from, m)
+		c.pool.fetches.put(m)
 
 	case *gossipDigest:
 		c.onGossipDigest(ctx, from, m)
@@ -275,7 +277,7 @@ func (c *cacheNode) serve(ctx *simnet.Context, from simnet.NodeID, m *fleetFetch
 	c.diffsServed += m.diffs
 	bytes := int64(m.fulls)*c.spec.DocBytes + int64(m.diffs)*c.spec.DiffBytes()
 	ctx.Trace(obs.Event{Type: obs.EvServe, Peer: int(from), A: int64(m.fulls), B: int64(m.diffs)})
-	ctx.Send(from, &docBatch{fulls: m.fulls, diffs: m.diffs, bytes: bytes, link: link, race: m.race})
+	ctx.Send(from, c.pool.batch(m.fulls, m.diffs, bytes, link, m.race))
 }
 
 // fallbacks reports how many extra authority requests the cache needed

@@ -376,3 +376,54 @@ type fetchNack struct {
 
 func (m *fetchNack) Size() int64  { return int64(m.fulls+m.diffs) * nackBytes }
 func (m *fetchNack) Kind() string { return "fetch-nack" }
+
+// msgPool recycles the two messages every batch sends, so a fleet's fetch →
+// serve → batch loop allocates no message once the first tick's are in
+// circulation. A message goes back when the Deliver it was handed to
+// returns: nothing keeps *m past that (receiveBatch keeps m.link, which
+// points into the run's ChainContext, and handleFork copies *m.link). One
+// Run owns one pool, used by its single goroutine; it is never a sync.Pool
+// and never package-level, because sweeps run Run concurrently.
+type msgPool struct {
+	fetches freeList[fleetFetch]
+	batches freeList[docBatch]
+}
+
+// fetch and batch take a message from the pool, or allocate one while the
+// pool is still filling.
+func (p *msgPool) fetch(fulls, diffs int, race int64) *fleetFetch {
+	m := p.fetches.get()
+	if m == nil {
+		m = new(fleetFetch)
+	}
+	*m = fleetFetch{fulls: fulls, diffs: diffs, race: race}
+	return m
+}
+
+func (p *msgPool) batch(fulls, diffs int, bytes int64, link *chain.Link, race int64) *docBatch {
+	m := p.batches.get()
+	if m == nil {
+		m = new(docBatch)
+	}
+	*m = docBatch{fulls: fulls, diffs: diffs, bytes: bytes, link: link, race: race}
+	return m
+}
+
+// freeList is a stack of spare messages of one type.
+type freeList[T any] []*T
+
+// get pops a spare message, or returns nil when there is none.
+//
+//detlint:hotpath
+func (l *freeList[T]) get() *T {
+	n := len(*l)
+	if n == 0 {
+		return nil
+	}
+	m := (*l)[n-1]
+	*l = (*l)[:n-1]
+	return m
+}
+
+//detlint:hotpath
+func (l *freeList[T]) put(m *T) { *l = append(*l, m) }

@@ -58,6 +58,7 @@ type digestState struct {
 // pure failover client and K>=2 is the drand-style optimizing client.
 type fleetNode struct {
 	spec    *Spec
+	pool    *msgPool
 	clients int
 	caches  []simnet.NodeID
 	weights []float64 // normalized, len == len(caches)
@@ -327,7 +328,7 @@ func (f *fleetNode) tick(ctx *simnet.Context, k int) {
 		if f.spec.RaceK >= 1 {
 			f.startRace(ctx, i, n-diffs, diffs)
 		} else {
-			ctx.Send(f.caches[i], &fleetFetch{fulls: n - diffs, diffs: diffs})
+			ctx.Send(f.caches[i], f.pool.fetch(n-diffs, diffs, 0))
 		}
 	}
 }
@@ -337,9 +338,10 @@ func (f *fleetNode) Deliver(ctx *simnet.Context, from simnet.NodeID, msg simnet.
 	case *docBatch:
 		if m.race != 0 {
 			f.receiveRaceBatch(ctx, from, m)
-			return
+		} else {
+			f.receiveBatch(ctx, from, m)
 		}
-		f.receiveBatch(ctx, from, m)
+		f.pool.batches.put(m)
 
 	case *fetchNack:
 		if m.race != 0 {
@@ -379,7 +381,7 @@ func (f *fleetNode) sendWave(ctx *simnet.Context, id int64, r *raceState, primar
 		r.tried[i] = true
 		r.sent++
 		sent++
-		ctx.Send(f.caches[i], &fleetFetch{fulls: r.fulls, diffs: r.diffs, race: id})
+		ctx.Send(f.caches[i], f.pool.fetch(r.fulls, r.diffs, id))
 	}
 	if primary >= 0 {
 		try(primary)
@@ -527,8 +529,22 @@ func (f *fleetNode) receiveBatch(ctx *simnet.Context, from simnet.NodeID, m *doc
 func (f *fleetNode) accept(ctx *simnet.Context, n int) {
 	f.covered += n
 	f.retryAttempt = 0
-	f.points = append(f.points, CoveragePoint{At: ctx.Now(), Count: n})
+	f.addPoint(ctx.Now(), n)
 	ctx.Trace(obs.Event{Type: obs.EvCoverage, A: int64(n), B: int64(f.covered)})
+}
+
+// addPoint records a coverage change of n clients at instant at, folding it
+// into the last point when that is at the same instant: the merged curve
+// sums each instant anyway, and a flooded fleet completes many batches at
+// one pipe step.
+//
+//detlint:hotpath
+func (f *fleetNode) addPoint(at time.Duration, n int) {
+	if k := len(f.points); k > 0 && f.points[k-1].At == at {
+		f.points[k-1].Count += n
+		return
+	}
+	f.points = append(f.points, CoveragePoint{At: at, Count: n})
 }
 
 // credit books n clients that now hold the document with digest d: covered
@@ -649,7 +665,7 @@ func (f *fleetNode) retract(ctx *simnet.Context, d sig.Digest, st *digestState) 
 	}
 	if d == f.chainCtx.Genuine.Digest {
 		f.covered -= n
-		f.points = append(f.points, CoveragePoint{At: ctx.Now(), Count: -n})
+		f.addPoint(ctx.Now(), -n)
 	} else {
 		f.misled -= n
 	}
@@ -764,7 +780,7 @@ func (f *fleetNode) retryFire(ctx *simnet.Context) {
 		if f.spec.RaceK >= 1 {
 			f.startRace(ctx, i, fullSplit[i], diffSplit[i])
 		} else {
-			ctx.Send(f.caches[i], &fleetFetch{fulls: fullSplit[i], diffs: diffSplit[i]})
+			ctx.Send(f.caches[i], f.pool.fetch(fullSplit[i], diffSplit[i], 0))
 		}
 	}
 }

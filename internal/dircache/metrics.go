@@ -187,11 +187,12 @@ func collect(spec Spec, net *simnet.Network, authIDs, cacheIDs, fleetIDs []simne
 	res := &Result{Spec: spec, TimeToTarget: simnet.Never}
 	distrusted := map[int]bool{}
 	forks := map[[2]sig.Digest]*ForkDetection{}
-	for _, f := range fleets {
+	curves := make([][]CoveragePoint, len(fleets))
+	for i, f := range fleets {
 		res.TotalClients += f.clients
 		res.Covered += f.covered
 		res.FailedFetches += f.failed
-		res.Points = append(res.Points, f.points...)
+		curves[i] = f.points
 		res.Misled += f.misled
 		res.StaleRejections += f.staleRejections
 		res.ExtraFetches += f.extraFetches
@@ -241,7 +242,7 @@ func collect(spec Spec, net *simnet.Network, authIDs, cacheIDs, fleetIDs []simne
 		res.DistrustedCaches = append(res.DistrustedCaches, i)
 	}
 	sort.Ints(res.DistrustedCaches)
-	res.Points = cumulativeCurve(res.Points)
+	res.Points = mergeCurves(curves)
 	res.Regions = regionBreakdown(spec, fleets)
 
 	for _, c := range caches {
@@ -297,14 +298,33 @@ func collect(spec Spec, net *simnet.Network, authIDs, cacheIDs, fleetIDs []simne
 	return res
 }
 
-// cumulativeCurve sorts per-fleet deltas by time and collapses them into a
-// cumulative curve with one point per instant, reusing the input's backing
-// array.
-func cumulativeCurve(points []CoveragePoint) []CoveragePoint {
-	sort.Slice(points, func(i, j int) bool { return points[i].At < points[j].At })
+// mergeCurves merges per-fleet coverage deltas, each in time order, into one
+// cumulative curve with one point per instant: a k-way merge over the curves'
+// heads (k is the fleet count, a handful) into a slice sized for every input
+// point. Nil when there are no points.
+func mergeCurves(curves [][]CoveragePoint) []CoveragePoint {
+	total := 0
+	for _, c := range curves {
+		total += len(c)
+	}
+	if total == 0 {
+		return nil
+	}
+	merged := make([]CoveragePoint, 0, total)
+	heads := make([]int, len(curves))
 	cum := 0
-	merged := points[:0]
-	for _, p := range points {
+	for {
+		next := -1
+		for i, c := range curves {
+			if heads[i] < len(c) && (next < 0 || c[heads[i]].At < curves[next][heads[next]].At) {
+				next = i
+			}
+		}
+		if next < 0 {
+			return merged
+		}
+		p := curves[next][heads[next]]
+		heads[next]++
 		cum += p.Count
 		if n := len(merged); n > 0 && merged[n-1].At == p.At {
 			merged[n-1].Count = cum
@@ -312,7 +332,6 @@ func cumulativeCurve(points []CoveragePoint) []CoveragePoint {
 		}
 		merged = append(merged, CoveragePoint{At: p.At, Count: cum})
 	}
-	return merged
 }
 
 // regionBreakdown groups the fleets by region and derives each region's
@@ -329,15 +348,16 @@ func regionBreakdown(spec Spec, fleets []*fleetNode) []RegionCoverage {
 		out[r].P50 = simnet.Never
 		out[r].P99 = simnet.Never
 	}
+	curves := make([][][]CoveragePoint, len(out))
 	for _, f := range fleets {
 		rc := &out[f.region]
 		rc.Clients += f.clients
 		rc.Covered += f.covered
-		rc.Points = append(rc.Points, f.points...)
+		curves[f.region] = append(curves[f.region], f.points)
 	}
 	for r := range out {
 		rc := &out[r]
-		rc.Points = cumulativeCurve(rc.Points)
+		rc.Points = mergeCurves(curves[r])
 		rc.TimeToTarget = timeToFraction(rc.Points, rc.Clients, spec.TargetCoverage)
 		rc.P50 = timeToFraction(rc.Points, rc.Clients, 0.5)
 		rc.P99 = timeToFraction(rc.Points, rc.Clients, 0.99)

@@ -84,6 +84,7 @@ func Run(spec Spec) (*Result, error) {
 		authIDs[i] = net.AddNodeIn(stub, up, down, region)
 	}
 
+	pool := &msgPool{}
 	roles := cacheRoles(spec.Compromise, spec.Caches)
 	caches := make([]*cacheNode, spec.Caches)
 	cacheIDs := make([]simnet.NodeID, spec.Caches)
@@ -97,6 +98,7 @@ func Run(spec Spec) (*Result, error) {
 	for i := range caches {
 		c := &cacheNode{
 			spec:      &spec,
+			pool:      pool,
 			role:      roles[i],
 			chainCtx:  spec.Chain,
 			authOrder: authorityOrder(tp, authIDs, authRegions, cacheRegions, i),
@@ -123,7 +125,7 @@ func Run(spec Spec) (*Result, error) {
 	fleetIDs := make([]simnet.NodeID, spec.Fleets)
 	fleetClients := splitClients(tp, fleetRegions, spec.Fleets, spec.Clients)
 	for i := range fleets {
-		f := &fleetNode{spec: &spec, clients: fleetClients[i], caches: cacheIDs,
+		f := &fleetNode{spec: &spec, pool: pool, clients: fleetClients[i], caches: cacheIDs,
 			weights: weights, chainCtx: spec.Chain}
 		region, bw := nodePlacement(tp, fleetRegions, i, fleetBandwidth)
 		if tp != nil {

@@ -35,6 +35,14 @@ type pipe struct {
 	rates []float64 // scratch: per-transfer allocation, indexed like active
 	rem   []float64 // scratch: nextCompletion's forward-simulated bits
 
+	// nextCompletion's first-segment scan, carried into the next advance:
+	// the earliest finish (seconds from minAt) at rate minRate. It is current
+	// while p.last is still minAt: every change to active is followed by a
+	// nextCompletion that rewrites it, and p.last only moves forward.
+	minAt     time.Duration
+	minRate   float64
+	minFinish float64
+
 	// metered enables the observability meter: advance then accumulates the
 	// bits actually moved into moved. Off (the default) the meter costs one
 	// branch per segment step and nothing else; the samples never feed back
@@ -67,22 +75,37 @@ func sizeBits(bytes int64) float64 {
 // queued reports the number of in-flight transfers (for tests/metrics).
 func (p *pipe) queued() int { return len(p.active) }
 
-// allocate shares capacity equally among the active transfers, writing
-// into the pipe's scratch buffer; the result is indexed like active and
-// valid until the next allocate call. The fill is progressive — each
-// transfer takes an equal part of what the ones before it left — so the
-// last share is exactly what remains and float rounding never hands out
-// more than the capacity.
+// allocate shares capacity equally among the active transfers; the result
+// is indexed like active and valid until the next allocate call on any pipe
+// of the scheduler. The vector depends on (capacity, len(active)) alone, so
+// a queue of shareMemoMin or more is served from the scheduler's memo; a
+// shorter one is filled into the pipe's scratch.
 //
 //detlint:hotpath
 func (p *pipe) allocate(capacity float64) []float64 {
 	n := len(p.active)
-	p.rates = growScratch(p.rates, n)
-	rates := p.rates
+	if n >= shareMemoMin {
+		if p.sched.shares == nil {
+			p.sched.shares = &shareMemo{}
+		}
+		return p.sched.shares.lookup(capacity, n)
+	}
+	p.rates = fillShares(growScratch(p.rates, n), capacity)
+	return p.rates
+}
+
+// fillShares writes the equal share of capacity into every element of
+// rates. The fill is progressive — each transfer takes an equal part of what
+// the ones before it left — so the last share is exactly what remains and
+// float rounding never hands out more than the capacity.
+//
+//detlint:hotpath
+func fillShares(rates []float64, capacity float64) []float64 {
 	if capacity <= 0 {
 		clear(rates)
 		return rates
 	}
+	n := len(rates)
 	remaining := capacity
 	for i := range rates {
 		share := remaining / float64(n-i)
@@ -90,6 +113,50 @@ func (p *pipe) allocate(capacity float64) []float64 {
 		remaining -= share
 	}
 	return rates
+}
+
+// shareMemoMin is the shortest queue allocate serves from the memo. It is
+// above the nine-authority broadcast fan-out, so the consensus tier never
+// touches the memo; the distribution tier's flooded pipes queue hundreds.
+const shareMemoMin = 16
+
+// shareMemo holds the most recently used share vectors of one scheduler,
+// keyed by (capacity, n). A pipe re-reads its own last vector at its next
+// event, and pipes of one tier share capacities, so nearly every lookup
+// hits; a miss refills the least recently used entry's buffer.
+type shareMemo struct {
+	clock   uint64
+	entries [16]shareEntry
+}
+
+type shareEntry struct {
+	capacity float64
+	n        int    // 0 = unused
+	used     uint64 // clock at the last lookup
+	rates    []float64
+}
+
+// lookup returns the share vector for (capacity, n), valid until the next
+// lookup.
+//
+//detlint:hotpath
+func (m *shareMemo) lookup(capacity float64, n int) []float64 {
+	m.clock++
+	victim := 0
+	for i := range m.entries {
+		e := &m.entries[i]
+		if e.n == n && e.capacity == capacity {
+			e.used = m.clock
+			return e.rates
+		}
+		if e.used < m.entries[victim].used {
+			victim = i
+		}
+	}
+	e := &m.entries[victim]
+	e.capacity, e.n, e.used = capacity, n, m.clock
+	e.rates = fillShares(growScratch(e.rates, n), capacity)
+	return e.rates
 }
 
 // growScratch returns buf resized to n elements, contents unspecified.
@@ -119,13 +186,9 @@ func (p *pipe) advance(now time.Duration) {
 			continue
 		}
 		rates := p.allocate(rate)
-		minFinish := math.Inf(1)
-		for i := range p.active {
-			if rates[i] > 0 {
-				if ft := p.active[i].remaining / rates[i]; ft < minFinish {
-					minFinish = ft
-				}
-			}
+		minFinish := p.minFinish
+		if p.minAt != p.last || p.minRate != rate {
+			minFinish = earliestFinish(p.active, rates)
 		}
 		span := seconds(segEnd - p.last)
 		var step time.Duration
@@ -174,6 +237,22 @@ func (p *pipe) collectDone() {
 	p.active = kept
 }
 
+// earliestFinish is the soonest any transfer finishes at rates, in seconds;
+// +Inf when none is moving.
+//
+//detlint:hotpath
+func earliestFinish(active []transfer, rates []float64) float64 {
+	minFinish := math.Inf(1)
+	for i := range active {
+		if rates[i] > 0 {
+			if ft := active[i].remaining / rates[i]; ft < minFinish {
+				minFinish = ft
+			}
+		}
+	}
+	return minFinish
+}
+
 // nextCompletion simulates forward from p.last (without mutating state) and
 // returns the instant of the earliest transfer completion, or Never if the
 // pipe is stalled forever. The common case — the earliest finisher lands
@@ -201,12 +280,9 @@ func (p *pipe) nextCompletion() time.Duration {
 		rates := p.allocate(rate)
 		minFinish := math.Inf(1)
 		if rem == nil {
-			for i := range p.active {
-				if rates[i] > 0 {
-					if ft := p.active[i].remaining / rates[i]; ft < minFinish {
-						minFinish = ft
-					}
-				}
+			minFinish = earliestFinish(p.active, rates)
+			if t == p.last {
+				p.minAt, p.minRate, p.minFinish = t, rate, minFinish
 			}
 		} else {
 			for i := range rem {
@@ -249,6 +325,9 @@ func (p *pipe) reschedule() {
 	at := p.nextCompletion()
 	if at != Never && at == p.wakeAt {
 		return
+	}
+	if p.wakeAt != Never {
+		p.sched.stale++ // the queued wakeup now pops as a no-op
 	}
 	p.wakeSeq++
 	p.wakeAt = at

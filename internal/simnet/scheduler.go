@@ -83,31 +83,49 @@ func (q *eventQueue) pop() event {
 	h = h[:n]
 	*q = h
 	if n > 0 {
-		i := 0
-		for {
-			first := heapArity*i + 1
-			if first >= n {
-				break
-			}
-			min := first
-			last := first + heapArity
-			if last > n {
-				last = n
-			}
-			for c := first + 1; c < last; c++ {
-				if h[c].before(&h[min]) {
-					min = c
-				}
-			}
-			if !h[min].before(&ev) {
-				break
-			}
-			h[i] = h[min]
-			i = min
-		}
-		h[i] = ev
+		h.siftDown(0, ev)
 	}
 	return top
+}
+
+// siftDown places ev in the hole at i, moving earlier children up until ev
+// precedes all of its own.
+//
+//detlint:hotpath
+func (h eventQueue) siftDown(i int, ev event) {
+	n := len(h)
+	for {
+		first := heapArity*i + 1
+		if first >= n {
+			break
+		}
+		min := first
+		last := first + heapArity
+		if last > n {
+			last = n
+		}
+		for c := first + 1; c < last; c++ {
+			if h[c].before(&h[min]) {
+				min = c
+			}
+		}
+		if !h[min].before(&ev) {
+			break
+		}
+		h[i] = h[min]
+		i = min
+	}
+	h[i] = ev
+}
+
+// heapify restores the heap order over arbitrary contents (Floyd's
+// bottom-up construction).
+//
+//detlint:hotpath
+func (h eventQueue) heapify() {
+	for i := (len(h) - 2) / heapArity; i >= 0; i-- {
+		h.siftDown(i, h[i])
+	}
 }
 
 // globalSteps counts events executed by every Scheduler in the process. It
@@ -124,7 +142,31 @@ type Scheduler struct {
 	now   time.Duration
 	seq   uint64
 	queue eventQueue
+
+	// stale counts the queued guarded wakeups already invalidated: they pop
+	// as no-ops, and RunUntil compacts them away once they crowd the heap.
+	stale      int
+	compaction compactPolicy
+
+	// shares memoises the equal-share vectors of deep pipe queues; nil until
+	// a pipe first queues shareMemoMin transfers, so a run that never does
+	// (the consensus tier) does not carry it.
+	shares *shareMemo
 }
+
+// compactPolicy selects when RunUntil drops stale wakeups. Only the
+// differential tests pick anything but compactAuto.
+type compactPolicy uint8
+
+const (
+	compactAuto   compactPolicy = iota // more than staleCompactMin and half the queue
+	compactNever                       // pop every stale wakeup as a no-op
+	compactAlways                      // before every pop that has a stale wakeup queued
+)
+
+// staleCompactMin is the stale-wakeup count below which compaction is never
+// worth a pass over the heap.
+const staleCompactMin = 64
 
 // NewScheduler returns a scheduler at virtual time zero.
 func NewScheduler() *Scheduler { return &Scheduler{} }
@@ -174,14 +216,22 @@ func (s *Scheduler) After(d time.Duration, fn func()) { s.At(addDur(s.now, d), f
 // RunUntil executes events in timestamp order until the queue is empty or
 // the next event is after the limit; the clock then rests at the limit (or
 // at the last event if the queue drained first). It returns the number of
-// events executed.
+// events executed, stale wakeups included, compacted or popped.
 //
 //detlint:hotpath
 func (s *Scheduler) RunUntil(limit time.Duration) uint64 {
 	var executed uint64
+	// floor is the stale wakeups a compaction in this call left behind: all
+	// of them lie past limit, so none can be removed before the next call.
+	floor := 0
 	for len(s.queue) > 0 {
 		if s.queue[0].at > limit {
 			break
+		}
+		if n := s.stale - floor; n > 0 && s.wantCompact(n) {
+			executed += s.compact(limit)
+			floor = s.stale
+			continue
 		}
 		next := s.queue.pop()
 		s.now = next.at
@@ -191,6 +241,8 @@ func (s *Scheduler) RunUntil(limit time.Duration) uint64 {
 			} else {
 				next.c.complete(s.now)
 			}
+		} else {
+			s.stale--
 		}
 		executed++
 	}
@@ -201,8 +253,64 @@ func (s *Scheduler) RunUntil(limit time.Duration) uint64 {
 	return executed
 }
 
+// wantCompact reports whether n removable stale wakeups justify a pass over
+// the heap: under compactAuto, when they outnumber both staleCompactMin and
+// the live entries, so each pass at least halves the queue.
+//
+//detlint:hotpath
+func (s *Scheduler) wantCompact(n int) bool {
+	switch s.compaction {
+	case compactNever:
+		return false
+	case compactAlways:
+		return true
+	}
+	return n > staleCompactMin && 2*n > len(s.queue)
+}
+
+// compact removes the stale wakeups due by limit and re-heapifies, and
+// returns how many it removed. Each of them would have popped as a no-op
+// inside this RunUntil call, so the caller counts them as executed. The
+// order of what remains is unchanged: (at, seq) is a total order, so any
+// heap over the same events pops the same sequence. The latest candidate
+// stays queued, to pop as a no-op in its turn, so the queue drains exactly
+// when it would have without compaction (the traced sampler's stop
+// condition) and the clock ends where it would have.
+//
+//detlint:hotpath
+func (s *Scheduler) compact(limit time.Duration) uint64 {
+	last := -1
+	for i := range s.queue {
+		if ev := &s.queue[i]; s.removable(ev, limit) && (last < 0 || s.queue[last].before(ev)) {
+			last = i
+		}
+	}
+	kept := s.queue[:0]
+	removed := 0
+	for i := range s.queue {
+		if i != last && s.removable(&s.queue[i], limit) {
+			removed++
+			continue
+		}
+		kept = append(kept, s.queue[i])
+	}
+	clear(s.queue[len(kept):]) // release the callbacks for GC
+	s.queue = kept
+	s.queue.heapify()
+	s.stale -= removed
+	return uint64(removed)
+}
+
+// removable reports whether ev is a stale wakeup due by limit.
+//
+//detlint:hotpath
+func (s *Scheduler) removable(ev *event, limit time.Duration) bool {
+	return ev.at <= limit && ev.guard != nil && *ev.guard != ev.want
+}
+
 // Run executes events until the queue is empty.
 func (s *Scheduler) Run() uint64 { return s.RunUntil(Never) }
 
-// Pending reports how many events are queued.
+// Pending reports how many events are queued. Compaction can lower the count
+// but never to zero while a stale wakeup is still due.
 func (s *Scheduler) Pending() int { return len(s.queue) }

@@ -34,14 +34,21 @@
 //   - Equal share. A pipe divides its instantaneous capacity equally among
 //     its in-flight transfers, filling progressively in index order so the
 //     last share is exactly what remains. Nothing caps an individual
-//     transfer: a flood is a drop in a node's Profile, as in the paper.
+//     transfer: a flood is a drop in a node's Profile, as in the paper. The
+//     vector depends on (capacity, queue length) alone, so queues of 16 or
+//     more read it from a 16-entry per-scheduler memo.
 //
 //   - Completion planning. A pipe schedules exactly one live wakeup (the
 //     earliest completion); stale wakeups are invalidated in place via a
 //     guard counter and pop as no-ops, and a reschedule that computes the
 //     same instant keeps the queued event instead of pushing a duplicate.
+//     When stale wakeups outnumber the live events (and 64), RunUntil drops
+//     the ones due by its limit and re-heapifies; the total order makes that
+//     invisible, and each dropped wakeup still counts as executed.
 //     nextCompletion only clones the remaining-bits vector (into pipe-owned
-//     scratch) when the earliest finisher crosses a profile breakpoint.
+//     scratch) when the earliest finisher crosses a profile breakpoint, and
+//     its first-segment earliest finish carries into the next advance while
+//     the pipe's progress instant and rate are unchanged.
 //
 //   - Profiles are single-simulation state. RateAt/nextChange cache a
 //     segment cursor (pipes advance monotonically through virtual time), so
