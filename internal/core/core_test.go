@@ -13,7 +13,7 @@ import (
 
 // runScenario wires the authorities into a network and runs it.
 func runScenario(t *testing.T, cfg Config, bandwidth float64, limit time.Duration,
-	shape func(*testkit.Net)) ([]*Authority, *testkit.Net) {
+	shape func(*testkit.Net)) []*Authority {
 	t.Helper()
 	n := len(cfg.Keys)
 	tn := testkit.NewNet(n, bandwidth, 1)
@@ -27,7 +27,7 @@ func runScenario(t *testing.T, cfg Config, bandwidth float64, limit time.Duratio
 	}
 	tn.Attach(hs)
 	tn.Run(limit)
-	return auths, tn
+	return auths
 }
 
 func baseConfig(t *testing.T, n, relays, padding int) Config {
@@ -91,7 +91,7 @@ func assertDefinition51(t *testing.T, auths []*Authority, cfg Config, correct fu
 
 func TestHappyPathICPS(t *testing.T) {
 	cfg := baseConfig(t, 9, 100, -1)
-	auths, _ := runScenario(t, cfg, 250e6, 2*time.Minute, nil)
+	auths := runScenario(t, cfg, 250e6, 2*time.Minute, nil)
 	res := Collect(auths, cfg, nil)
 	if !res.Success || res.DoneCount != 9 {
 		t.Fatalf("success=%v done=%d", res.Success, res.DoneCount)
@@ -130,7 +130,7 @@ func TestTwoSilentAuthorities(t *testing.T) {
 	// entries; the silent authorities' entries are ⊥ by timeout.
 	cfg := baseConfig(t, 9, 60, 0)
 	cfg.Silent = map[int]bool{4: true, 7: true}
-	auths, _ := runScenario(t, cfg, 250e6, 5*time.Minute, nil)
+	auths := runScenario(t, cfg, 250e6, 5*time.Minute, nil)
 	correct := func(i int) bool { return !cfg.Silent[i] }
 	res := Collect(auths, cfg, correct)
 	if !res.Success {
@@ -156,7 +156,7 @@ func TestEquivocatorExcludedWithProof(t *testing.T) {
 	cfg := baseConfig(t, 9, 60, 0)
 	altDocs := testkit.Docs(cfg.Keys, 30, 77, 0)
 	cfg.Equivocators = map[int]*vote.Document{3: altDocs[3]}
-	auths, _ := runScenario(t, cfg, 250e6, 5*time.Minute, nil)
+	auths := runScenario(t, cfg, 250e6, 5*time.Minute, nil)
 	correct := func(i int) bool { return i != 3 }
 	res := Collect(auths, cfg, correct)
 	if !res.Success {
@@ -180,7 +180,7 @@ func TestEquivocatorExcludedWithProof(t *testing.T) {
 func TestSilentFirstLeaderViewChange(t *testing.T) {
 	cfg := baseConfig(t, 9, 40, 0)
 	cfg.Silent = map[int]bool{0: true}
-	auths, _ := runScenario(t, cfg, 250e6, 5*time.Minute, nil)
+	auths := runScenario(t, cfg, 250e6, 5*time.Minute, nil)
 	correct := func(i int) bool { return i != 0 }
 	res := Collect(auths, cfg, correct)
 	if !res.Success {
@@ -199,7 +199,7 @@ func TestWorksAtDDoSBandwidth(t *testing.T) {
 	// just takes longer: dissemination streams the documents, agreement
 	// and aggregation ride on small messages.
 	cfg := baseConfig(t, 9, 100, -1) // V ≈ 250 kB
-	auths, _ := runScenario(t, cfg, 1e6, 30*time.Minute, nil)
+	auths := runScenario(t, cfg, 1e6, 30*time.Minute, nil)
 	res := Collect(auths, cfg, nil)
 	if !res.Success {
 		t.Fatalf("ICPS failed at 1 Mbit/s: %v", res.Done)
@@ -219,17 +219,11 @@ func TestFiveMinuteOutageRecovery(t *testing.T) {
 	// the outage (no quorum), and consensus lands seconds after it ends.
 	cfg := baseConfig(t, 9, 60, 0)
 	outage := time.Minute
-	auths, tn := runScenario(t, cfg, 250e6, outage-time.Second, func(tn *testkit.Net) {
+	auths := runScenario(t, cfg, 250e6, outage+10*time.Minute, func(tn *testkit.Net) {
 		for i := 0; i < 5; i++ {
 			tn.Throttle(i, 0, outage, 0)
 		}
 	})
-	for i, a := range auths {
-		if a.done {
-			t.Fatalf("authority %d finished during the outage", i)
-		}
-	}
-	tn.Run(outage + 10*time.Minute)
 	res := Collect(auths, cfg, nil)
 	if !res.Success {
 		t.Fatalf("no recovery after outage: %v", res.Done)
@@ -237,7 +231,7 @@ func TestFiveMinuteOutageRecovery(t *testing.T) {
 	assertDefinition51(t, auths, cfg, nil)
 	for i, a := range auths {
 		if a.doneAt < outage {
-			t.Fatalf("authority %d finished at %v, before the outage ended", i, a.doneAt)
+			t.Fatalf("authority %d finished at %v, during the outage", i, a.doneAt)
 		}
 		if a.doneAt > outage+30*time.Second {
 			t.Fatalf("authority %d took until %v; want seconds after recovery", i, a.doneAt)
@@ -251,7 +245,7 @@ func TestLaggardCatchesUpAndAggregates(t *testing.T) {
 	// its downlink recovers it learns the decision and completes
 	// aggregation from queued traffic.
 	cfg := baseConfig(t, 9, 40, 0)
-	auths, _ := runScenario(t, cfg, 250e6, 5*time.Minute, func(tn *testkit.Net) {
+	auths := runScenario(t, cfg, 250e6, 5*time.Minute, func(tn *testkit.Net) {
 		tn.Down[8].ThrottleMin(0, 20*time.Second, 0)
 	})
 	res := Collect(auths, cfg, nil)

@@ -28,7 +28,7 @@ func sharedMemos(t *testing.T, auths []*Authority) (*sig.Registry, vote.Aggregat
 
 func TestHealthyRunSharesOneAggregateAndVerifiesEachSignatureOnce(t *testing.T) {
 	cfg := baseConfig(t, 9, 80, 0)
-	auths, _ := runScenario(t, cfg, 250e6, 5*time.Minute, nil)
+	auths := runScenario(t, cfg, 250e6, 5*time.Minute, nil)
 	if res := Collect(auths, cfg, nil); res.DoneCount != 9 {
 		t.Fatalf("%d of 9 authorities finished", res.DoneCount)
 	}
@@ -50,14 +50,14 @@ func TestAggregatorHoldsOneEntryPerDistinctVoteSet(t *testing.T) {
 	// equivocator (its document is excluded) ...
 	cfg := baseConfig(t, 9, 60, 0)
 	cfg.Equivocators = map[int]*vote.Document{3: testkit.Docs(cfg.Keys, 30, 77, 0)[3]}
-	auths, _ := runScenario(t, cfg, 250e6, 5*time.Minute, nil)
+	auths := runScenario(t, cfg, 250e6, 5*time.Minute, nil)
 	if _, agg := sharedMemos(t, auths); len(agg) != 1 || auths[0].consensus.NumVotes != 8 {
 		t.Fatalf("aggregator holds %d entries with an equivocator, want 1 over 8 votes", len(agg))
 	}
 	// ... and one after the five-minute outage (scaled to one minute), when
 	// the five silenced authorities catch up and aggregate what the others did.
 	cfg = baseConfig(t, 9, 60, 0)
-	auths, _ = runScenario(t, cfg, 250e6, 11*time.Minute, func(tn *testkit.Net) {
+	auths = runScenario(t, cfg, 250e6, 11*time.Minute, func(tn *testkit.Net) {
 		for i := 0; i < 5; i++ {
 			tn.Throttle(i, 0, time.Minute, 0)
 		}

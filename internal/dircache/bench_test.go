@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"partialtor/internal/attack"
+	"partialtor/internal/topo"
 )
 
 // benchSpec is the distribution tier at paper scale: a million aggregated
@@ -83,6 +84,33 @@ func BenchmarkDistributionFanIn(b *testing.B) {
 	b.ReportMetric(float64(covered), "covered")
 }
 
+// race2Spec is the benchmark's race2 op: 50 k racing clients (K = 2) over
+// the continental placement while every eu cache is flooded to zero until
+// the run's limit, so each fetch sent there parks on a dead downlink.
+func race2Spec() Spec {
+	window := 20 * time.Minute
+	return Spec{
+		Clients: 50_000, Caches: 12, Fleets: 6, Seed: 1,
+		Topology: topo.Continents(), RaceK: 2, FetchWindow: window,
+		Attacks: []attack.Plan{{Tier: attack.TierCache, TargetRegion: "eu", End: window + 30*time.Minute}},
+	}
+}
+
+// BenchmarkDistributionRace runs the race2 op: the racing client's waves,
+// failover timers and laggard accounting, against pipes dead to the end.
+func BenchmarkDistributionRace(b *testing.B) {
+	spec := race2Spec()
+	var covered int
+	for i := 0; i < b.N; i++ {
+		res, err := Run(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		covered = res.Covered
+	}
+	b.ReportMetric(float64(covered), "covered")
+}
+
 // runAllocs is the allocation count and bytes of one Run of spec.
 func runAllocs(t *testing.T, spec Spec) (allocs float64, bytes uint64) {
 	t.Helper()
@@ -123,5 +151,19 @@ func TestHealthyRunAllocationCeiling(t *testing.T) {
 	}
 	if bytes > 2<<20 {
 		t.Errorf("healthy run allocated %d bytes, want at most 2 MiB", bytes)
+	}
+}
+
+func TestRacingRunAllocationCeiling(t *testing.T) {
+	// race2Spec's run: about 23 060 allocations and 2.0 MB. Before a network
+	// knew its end, and before races and wave timers were recycled, it made
+	// about 49 320 and 8.1 MB: every fetch parked on a dead eu downlink was
+	// stored, re-shared and re-planned, and left a stale wakeup behind.
+	allocs, bytes := runAllocs(t, race2Spec())
+	if allocs > 30_000 {
+		t.Errorf("racing run allocated %.0f times, want at most 30 000", allocs)
+	}
+	if bytes > 3<<20 {
+		t.Errorf("racing run allocated %d bytes, want at most 3 MiB", bytes)
 	}
 }

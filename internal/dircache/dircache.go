@@ -3,6 +3,7 @@ package dircache
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"partialtor/internal/attack"
@@ -11,6 +12,7 @@ import (
 	"partialtor/internal/gossip"
 	"partialtor/internal/obs"
 	"partialtor/internal/sig"
+	"partialtor/internal/simnet"
 	"partialtor/internal/topo"
 )
 
@@ -381,12 +383,16 @@ func (m *fetchNack) Kind() string { return "fetch-nack" }
 // serve → batch loop allocates no message once the first tick's are in
 // circulation. A message goes back when the Deliver it was handed to
 // returns: nothing keeps *m past that (receiveBatch keeps m.link, which
-// points into the run's ChainContext, and handleFork copies *m.link). One
+// points into the run's ChainContext, and handleFork copies *m.link). The
+// racing client's state rides the same pool: a race goes back when
+// finishRace drops it from its fleet's map, a wave timer as it fires. One
 // Run owns one pool, used by its single goroutine; it is never a sync.Pool
 // and never package-level, because sweeps run Run concurrently.
 type msgPool struct {
 	fetches freeList[fleetFetch]
 	batches freeList[docBatch]
+	races   freeList[raceState]
+	timers  freeList[waveTimer]
 }
 
 // fetch and batch take a message from the pool, or allocate one while the
@@ -407,6 +413,29 @@ func (p *msgPool) batch(fulls, diffs int, bytes int64, link *chain.Link, race in
 	}
 	*m = docBatch{fulls: fulls, diffs: diffs, bytes: bytes, link: link, race: race}
 	return m
+}
+
+// race takes a fresh race over the given number of caches, none tried yet.
+func (p *msgPool) race(fulls, diffs, caches int) *raceState {
+	r := p.races.get()
+	if r == nil {
+		r = new(raceState)
+	}
+	tried := slices.Grow(r.tried[:0], caches)[:caches]
+	clear(tried)
+	*r = raceState{fulls: fulls, diffs: diffs, tried: tried}
+	return r
+}
+
+// timer takes a wave timer bound to one fleet's race wave.
+func (p *msgPool) timer(f *fleetNode, ctx *simnet.Context, id int64, wave int) *waveTimer {
+	w := p.timers.get()
+	if w == nil {
+		w = new(waveTimer)
+		w.fire = w.run
+	}
+	w.f, w.ctx, w.id, w.wave = f, ctx, id, wave
+	return w
 }
 
 // freeList is a stack of spare messages of one type.

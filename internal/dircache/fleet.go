@@ -361,7 +361,7 @@ func (f *fleetNode) startRace(ctx *simnet.Context, primary, fulls, diffs int) {
 	}
 	f.nextRace++
 	id := f.nextRace
-	r := &raceState{fulls: fulls, diffs: diffs, tried: make([]bool, len(f.caches))}
+	r := f.pool.race(fulls, diffs, len(f.caches))
 	f.races[id] = r
 	f.sendWave(ctx, id, r, primary)
 }
@@ -370,38 +370,65 @@ func (f *fleetNode) startRace(ctx *simnet.Context, primary, fulls, diffs int) {
 // primary first when one is given, then down the weight ranking — and arms
 // the failover timer. With nobody left to ask the race is abandoned into
 // the ordinary retry pool.
+//
+//detlint:hotpath
 func (f *fleetNode) sendWave(ctx *simnet.Context, id int64, r *raceState, primary int) {
 	weights := f.curWeights()
-	k := f.spec.RaceK
 	sent := 0
-	try := func(i int) {
-		if sent >= k || r.tried[i] || weights[i] <= 0 {
-			return
-		}
-		r.tried[i] = true
-		r.sent++
+	if primary >= 0 && f.ask(ctx, id, r, primary, weights) {
 		sent++
-		ctx.Send(f.caches[i], f.pool.fetch(r.fulls, r.diffs, id))
-	}
-	if primary >= 0 {
-		try(primary)
 	}
 	for _, i := range f.cacheRanking() {
-		if sent >= k {
+		if sent >= f.spec.RaceK {
 			break
 		}
-		try(i)
+		if f.ask(ctx, id, r, i, weights) {
+			sent++
+		}
 	}
 	if sent == 0 {
 		f.abandonRace(ctx, id, r)
 		return
 	}
-	wave := r.wave
-	ctx.After(f.spec.RaceTimeout, func() { f.raceTimeout(ctx, id, wave) })
+	ctx.After(f.spec.RaceTimeout, f.pool.timer(f, ctx, id, r.wave).fire)
+}
+
+// ask sends cache i the race's fetch unless the race has asked it already or
+// it has no selection weight left, and reports whether it did.
+//
+//detlint:hotpath
+func (f *fleetNode) ask(ctx *simnet.Context, id int64, r *raceState, i int, weights []float64) bool {
+	if r.tried[i] || weights[i] <= 0 {
+		return false
+	}
+	r.tried[i] = true
+	r.sent++
+	ctx.Send(f.caches[i], f.pool.fetch(r.fulls, r.diffs, id))
+	return true
+}
+
+// waveTimer is one armed failover timer: the wave of race id it guards.
+// Timers come from the run's msgPool and go back as they fire; fire is run
+// bound once, so arming a timer allocates nothing once the pool is warm.
+type waveTimer struct {
+	f    *fleetNode
+	ctx  *simnet.Context
+	id   int64
+	wave int
+	fire func()
+}
+
+//detlint:hotpath
+func (w *waveTimer) run() {
+	f, ctx, id, wave := w.f, w.ctx, w.id, w.wave
+	f.pool.timers.put(w)
+	f.raceTimeout(ctx, id, wave)
 }
 
 // raceTimeout fires when a wave has produced no winner within RaceTimeout:
 // fail over to the next wave of untried caches.
+//
+//detlint:hotpath
 func (f *fleetNode) raceTimeout(ctx *simnet.Context, id int64, wave int) {
 	r := f.races[id]
 	if r == nil || r.done || r.wave != wave {
@@ -469,15 +496,20 @@ func (f *fleetNode) nextUntried(r *raceState) int {
 // same place legacy refused fetches go — and marks it settled so any
 // still-outstanding response is written off as waste.
 func (f *fleetNode) abandonRace(ctx *simnet.Context, id int64, r *raceState) {
+	fulls, diffs := r.fulls, r.diffs // finishRace may recycle r
 	r.done = true
 	f.finishRace(id, r)
-	f.repool(ctx, r.fulls, r.diffs)
+	f.repool(ctx, fulls, diffs)
 }
 
-// finishRace drops a settled race once all its outstanding answers drained.
+// finishRace drops a settled race once all its outstanding answers drained,
+// and recycles its state: no answer or timer can find it under its id again.
+//
+//detlint:hotpath
 func (f *fleetNode) finishRace(id int64, r *raceState) {
 	if r.done && r.answered >= r.sent {
 		delete(f.races, id)
+		f.pool.races.put(r)
 	}
 }
 

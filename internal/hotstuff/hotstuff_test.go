@@ -252,17 +252,11 @@ func TestOutageStallsThenRecovers(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		tn.Throttle(i, 0, time.Minute, 0)
 	}
-	tn.Network.Run(59 * time.Second)
-	for i, r := range reps {
-		if r.decided {
-			t.Fatalf("replica %d decided during the outage", i)
-		}
-	}
-	tn.Network.Run(2 * time.Minute)
+	tn.Run(2 * time.Minute)
 	assertAgreement(t, reps, nil)
 	for i, r := range reps {
 		if r.decidedAt < time.Minute {
-			t.Fatalf("replica %d decided at %v, before the outage ended", i, r.decidedAt)
+			t.Fatalf("replica %d decided at %v, during the outage", i, r.decidedAt)
 		}
 		if r.decidedAt > 80*time.Second {
 			t.Fatalf("replica %d took until %v to recover; want seconds after GST", i, r.decidedAt)

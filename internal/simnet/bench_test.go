@@ -154,7 +154,7 @@ func TestSendPathNilTracerAllocFree(t *testing.T) {
 			net.send(0, 1, msg)
 		}
 		now += time.Second
-		net.Run(now)
+		net.sched.RunUntil(now)
 	}
 	// Warm the transit pool, pipe scratch and event heap capacity.
 	for i := 0; i < 4; i++ {

@@ -69,6 +69,7 @@ type Network struct {
 	delay   func(from, to NodeID, m Message) time.Duration
 	stats   Stats
 	started bool
+	ran     bool
 
 	// obs is the typed event tracer (nil = tracing disabled). Every emit
 	// site guards on the nil check, so the disabled path costs one branch.
@@ -292,7 +293,15 @@ func (n *Network) samplePipe(nd *node, p *pipe, prev *float64, dir string, now t
 }
 
 // Run starts the network (if needed) and executes events until the limit.
+// A network runs once, and a second call panics: the scheduler holds the
+// limit as the run's end from before the first event ("Run end" in the
+// package doc).
 func (n *Network) Run(limit time.Duration) {
+	if n.ran {
+		panic("simnet: Run called twice; a network runs once")
+	}
+	n.ran = true
+	n.sched.end = limit
 	if !n.started {
 		n.Start()
 	}
@@ -343,7 +352,9 @@ func (n *Network) send(from, to NodeID, m Message) {
 			A: t.id, B: size, Label: m.Kind(),
 		})
 	}
-	n.nodes[from].up.enqueue(size, t)
+	if !n.nodes[from].up.enqueue(size, t) {
+		n.releaseTransit(t) // parked: it never leaves before the end
+	}
 }
 
 // transit carries one message across the transport's three legs — uplink
@@ -371,7 +382,9 @@ func (t *transit) complete(at time.Duration) {
 		t.net.sched.atCompletion(addDur(at, t.lat), t)
 	case 1: // arrived: contend for the receiver's downlink
 		t.stage = 2
-		t.net.nodes[t.to].down.enqueue(t.size, t)
+		if !t.net.nodes[t.to].down.enqueue(t.size, t) {
+			t.net.releaseTransit(t) // parked: it never arrives before the end
+		}
 	default: // downlink drained: deliver
 		n := t.net
 		from, to, m, size, id := t.from, t.to, t.msg, t.size, t.id

@@ -32,6 +32,10 @@ type pipe struct {
 	wakeSeq uint64        // invalidates stale scheduled wakeups
 	wakeAt  time.Duration // instant of the live wakeup; Never when none queued
 
+	// parked counts the transfers that arrived while the pipe could not move
+	// a bit before the run's end: they are counted, never stored.
+	parked int
+
 	rates []float64 // scratch: per-transfer allocation, indexed like active
 	rem   []float64 // scratch: nextCompletion's forward-simulated bits
 
@@ -56,11 +60,27 @@ func newPipe(s *Scheduler, prof *Profile) *pipe {
 }
 
 // enqueue adds a transfer of the given size; c completes (via the
-// scheduler) when the last bit has moved.
-func (p *pipe) enqueue(bytes int64, c completion) {
-	p.advance(p.sched.Now())
+// scheduler) when the last bit has moved. It reports false when it parked
+// the transfer instead: the pipe is dead from now until the run's end or
+// later and has no wakeup queued, so nothing moves the transfer before the
+// end and counting it is exact; stored, it would only lengthen the queue.
+func (p *pipe) enqueue(bytes int64, c completion) bool {
+	now := p.sched.Now()
+	p.advance(now)
+	if p.wakeAt == Never && p.prof.RateAt(now) <= 0 {
+		if next := p.prof.nextChange(now); next >= p.sched.end {
+			p.parked++
+			if next != Never {
+				// Stored, it would have planned its finish after the link
+				// returns, past the end; dead forever, it plans nothing.
+				p.sched.beyond = true
+			}
+			return false
+		}
+	}
 	p.active = append(p.active, transfer{remaining: sizeBits(bytes), c: c})
 	p.reschedule()
+	return true
 }
 
 // sizeBits converts a byte count to transferable bits.
@@ -72,8 +92,9 @@ func sizeBits(bytes int64) float64 {
 	return bits
 }
 
-// queued reports the number of in-flight transfers (for tests/metrics).
-func (p *pipe) queued() int { return len(p.active) }
+// queued reports the number of in-flight transfers, parked ones included
+// (for tests/metrics).
+func (p *pipe) queued() int { return len(p.active) + p.parked }
 
 // allocate shares capacity equally among the active transfers; the result
 // is indexed like active and valid until the next allocate call on any pipe
@@ -258,7 +279,10 @@ func earliestFinish(active []transfer, rates []float64) float64 {
 // pipe is stalled forever. The common case — the earliest finisher lands
 // inside the profile segment active at p.last — needs no forward
 // simulation at all: the remaining-bits vector is only cloned (into pipe
-// scratch) once the walk has to cross a segment boundary.
+// scratch) once the walk has to cross a segment boundary. A walk that
+// reaches a moving segment at or after the run's end stops there: every
+// finish from it lands past the end (durCeil rounds up to at least 1 ns), so
+// it returns the earliest such instant without sharing or scanning.
 //
 //detlint:hotpath
 func (p *pipe) nextCompletion() time.Duration {
@@ -276,6 +300,12 @@ func (p *pipe) nextCompletion() time.Duration {
 			}
 			t = segEnd
 			continue
+		}
+		if t >= p.sched.end {
+			if t == p.last {
+				p.minAt = Never // active changed without a first-segment scan
+			}
+			return t + 1
 		}
 		rates := p.allocate(rate)
 		minFinish := math.Inf(1)
@@ -320,9 +350,13 @@ func (p *pipe) nextCompletion() time.Duration {
 // existing event is kept — re-pushing would pile a stale, wakeSeq-
 // invalidated event onto the heap for every enqueue that leaves the
 // earliest completion unchanged. Otherwise any previously scheduled wakeup
-// is invalidated via wakeSeq.
+// is invalidated via wakeSeq. A completion past the run's end plans no
+// wakeup at all, so a later reschedule counts no stale entry for it.
 func (p *pipe) reschedule() {
 	at := p.nextCompletion()
+	if p.sched.pastEnd(at) {
+		at = Never
+	}
 	if at != Never && at == p.wakeAt {
 		return
 	}

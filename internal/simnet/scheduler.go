@@ -152,6 +152,14 @@ type Scheduler struct {
 	// a pipe first queues shareMemoMin transfers, so a run that never does
 	// (the consensus tier) does not carry it.
 	shares *shareMemo
+
+	// end is the run's last instant: Network.Run sets it to its limit before
+	// the first event, and nothing past it is queued or planned. Never (the
+	// default) keeps everything, for a scheduler stepped by RunUntil. beyond
+	// records that something was due past end: it would have stayed queued
+	// for the whole run, so Pending never reports a drained queue.
+	end    time.Duration
+	beyond bool
 }
 
 // compactPolicy selects when RunUntil drops stale wakeups. Only the
@@ -169,7 +177,7 @@ const (
 const staleCompactMin = 64
 
 // NewScheduler returns a scheduler at virtual time zero.
-func NewScheduler() *Scheduler { return &Scheduler{} }
+func NewScheduler() *Scheduler { return &Scheduler{end: Never} }
 
 // Now returns the current virtual time.
 func (s *Scheduler) Now() time.Duration { return s.now }
@@ -205,9 +213,25 @@ func (s *Scheduler) push(ev event) {
 		//detlint:hotpath ok(cold panic path: formatting only runs on a caller bug)
 		panic(fmt.Sprintf("simnet: scheduling event at %v before now %v", ev.at, s.now))
 	}
+	if s.pastEnd(ev.at) {
+		return // it could never run; skipping its seq keeps every other event's order
+	}
 	s.seq++
 	ev.seq = s.seq
 	s.queue.push(ev)
+}
+
+// pastEnd reports whether an instant lies past the run's end, where nothing
+// runs, and notes that something was due there. Never is not past the end:
+// an event at Never is no event at all.
+//
+//detlint:hotpath
+func (s *Scheduler) pastEnd(t time.Duration) bool {
+	if t <= s.end || t == Never {
+		return false
+	}
+	s.beyond = true
+	return true
 }
 
 // After schedules fn after duration d.
@@ -312,5 +336,11 @@ func (s *Scheduler) removable(ev *event, limit time.Duration) bool {
 func (s *Scheduler) Run() uint64 { return s.RunUntil(Never) }
 
 // Pending reports how many events are queued. Compaction can lower the count
-// but never to zero while a stale wakeup is still due.
-func (s *Scheduler) Pending() int { return len(s.queue) }
+// but never to zero while a stale wakeup is still due, and anything due past
+// the run's end counts as one queued event: it would never have drained.
+func (s *Scheduler) Pending() int {
+	if s.beyond {
+		return len(s.queue) + 1
+	}
+	return len(s.queue)
+}

@@ -50,6 +50,17 @@
 //     its first-segment earliest finish carries into the next advance while
 //     the pipe's progress instant and rate are unchanged.
 //
+//   - Run end. A Network runs once (a second Run panics), so its limit is
+//     known before the first event and nothing past it is built: an event
+//     due after the end is never queued (and takes no sequence number, so
+//     the order of the rest is unchanged), a completion planned past it
+//     pushes no wakeup, and a transfer arriving at a pipe that is dead now
+//     and until the end or later is counted as parked instead of stored.
+//     None of them could have run inside the limit; Pending still counts
+//     anything due past the end as queued, so the traced sampler stops
+//     exactly where it would have. A Scheduler stepped by RunUntil has no
+//     end: it parks only what arrives at a pipe dead forever.
+//
 //   - Profiles are single-simulation state. RateAt/nextChange cache a
 //     segment cursor (pipes advance monotonically through virtual time), so
 //     a Profile must not be shared between concurrently running networks —
