@@ -92,7 +92,7 @@ type endTracer struct {
 func (t *endTracer) Event(ev obs.Event) {
 	t.r.trace = append(t.r.trace, ev)
 	if ev.Type == obs.EvPipeSample && ev.Node == 0 && ev.Label == "up" {
-		t.r.drained = append(t.r.drained, t.net.sched.Pending() == 0)
+		t.r.drained = append(t.r.drained, t.net.sched.Pending() == 0 && !t.net.sched.beyond)
 	}
 }
 

@@ -259,10 +259,12 @@ const sampleEvery = time.Second
 
 // sample emits one EvPipeSample per pipe direction per node, then
 // reschedules itself — unless the event queue has drained, so a finished
-// run is not kept alive just to keep sampling. Sampling only reads pipe
-// state; queue depths are exact, moved-bits deltas are accounted up to the
-// pipe's last activity (the fluid model advances lazily, and forcing an
-// advance here would perturb its floating-point step boundaries).
+// run is not kept alive just to keep sampling. A queue that dropped an event
+// past the run's end would have held it to the end, so it never drains.
+// Sampling only reads pipe state; queue depths are exact, moved-bits deltas
+// are accounted up to the pipe's last activity (the fluid model advances
+// lazily, and forcing an advance here would perturb its floating-point step
+// boundaries).
 func (n *Network) sample() {
 	now := n.sched.Now()
 	interval := seconds(sampleEvery)
@@ -270,7 +272,7 @@ func (n *Network) sample() {
 		n.samplePipe(nd, nd.up, &nd.upMovedPrev, "up", now, interval)
 		n.samplePipe(nd, nd.down, &nd.downMovedPrev, "down", now, interval)
 	}
-	if n.sched.Pending() == 0 {
+	if n.sched.Pending() == 0 && !n.sched.beyond {
 		return
 	}
 	n.sched.At(addDur(now, sampleEvery), n.sampleFn)

@@ -279,10 +279,7 @@ func earliestFinish(active []transfer, rates []float64) float64 {
 // pipe is stalled forever. The common case — the earliest finisher lands
 // inside the profile segment active at p.last — needs no forward
 // simulation at all: the remaining-bits vector is only cloned (into pipe
-// scratch) once the walk has to cross a segment boundary. A walk that
-// reaches a moving segment at or after the run's end stops there: every
-// finish from it lands past the end (durCeil rounds up to at least 1 ns), so
-// it returns the earliest such instant without sharing or scanning.
+// scratch) once the walk has to cross a segment boundary.
 //
 //detlint:hotpath
 func (p *pipe) nextCompletion() time.Duration {
@@ -300,12 +297,6 @@ func (p *pipe) nextCompletion() time.Duration {
 			}
 			t = segEnd
 			continue
-		}
-		if t >= p.sched.end {
-			if t == p.last {
-				p.minAt = Never // active changed without a first-segment scan
-			}
-			return t + 1
 		}
 		rates := p.allocate(rate)
 		minFinish := math.Inf(1)

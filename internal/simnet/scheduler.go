@@ -157,7 +157,7 @@ type Scheduler struct {
 	// the first event, and nothing past it is queued or planned. Never (the
 	// default) keeps everything, for a scheduler stepped by RunUntil. beyond
 	// records that something was due past end: it would have stayed queued
-	// for the whole run, so Pending never reports a drained queue.
+	// for the whole run, so the queue never counts as drained.
 	end    time.Duration
 	beyond bool
 }
@@ -336,11 +336,5 @@ func (s *Scheduler) removable(ev *event, limit time.Duration) bool {
 func (s *Scheduler) Run() uint64 { return s.RunUntil(Never) }
 
 // Pending reports how many events are queued. Compaction can lower the count
-// but never to zero while a stale wakeup is still due, and anything due past
-// the run's end counts as one queued event: it would never have drained.
-func (s *Scheduler) Pending() int {
-	if s.beyond {
-		return len(s.queue) + 1
-	}
-	return len(s.queue)
-}
+// but never to zero while a stale wakeup is still due.
+func (s *Scheduler) Pending() int { return len(s.queue) }

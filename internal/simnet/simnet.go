@@ -56,10 +56,11 @@
 //     the order of the rest is unchanged), a completion planned past it
 //     pushes no wakeup, and a transfer arriving at a pipe that is dead now
 //     and until the end or later is counted as parked instead of stored.
-//     None of them could have run inside the limit; Pending still counts
-//     anything due past the end as queued, so the traced sampler stops
-//     exactly where it would have. A Scheduler stepped by RunUntil has no
-//     end: it parks only what arrives at a pipe dead forever.
+//     None of them could have run inside the limit. The scheduler notes
+//     that something was due past the end, and the traced sampler then
+//     never stops on a drained queue, so it stops exactly where it would
+//     have. A Scheduler stepped by RunUntil has no end: it parks only what
+//     arrives at a pipe dead forever.
 //
 //   - Profiles are single-simulation state. RateAt/nextChange cache a
 //     segment cursor (pipes advance monotonically through virtual time), so
