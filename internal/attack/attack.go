@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"time"
 
-	"partialtor/internal/obs"
 	"partialtor/internal/sig"
-	"partialtor/internal/simnet"
 	"partialtor/internal/topo"
 )
 
@@ -56,9 +54,6 @@ type Plan struct {
 	Residual float64
 	// Tier selects the attacked layer; the zero value is TierAuthority.
 	Tier Tier
-
-	// targets is the membership index built by Compile; nil until then.
-	targets map[int]struct{}
 }
 
 // FiveMinuteOutage is the paper's headline attack: knock the majority of the
@@ -86,58 +81,34 @@ func (p *Plan) Validate() error {
 	return nil
 }
 
-// ResolveRegion expands a region-scoped plan against the run's topology
-// (ResolveScope): Targets becomes every node of the plan's tierSize-node tier
-// placed in TargetRegion, and the region name is cleared — a resolved plan is
-// a plain index plan, so a caller that resolved early (e.g. to price the
-// flood) can hand the same plan to a runner that resolves again.
+// ResolveRegion expands a region-scoped plan against the run's topology:
+// Targets becomes every node of the plan's tierSize-node tier placed in
+// TargetRegion, and the region name is cleared — a resolved plan is a plain
+// index plan, so a caller that resolved early (e.g. to price the flood) can
+// hand the same plan to a runner that resolves again. A region that is
+// unknown, or holds none of the tier's nodes, is an error: flooding nobody is
+// a configuration bug.
 func (p *Plan) ResolveRegion(t topo.Topology, tierSize int) error {
-	targets, err := ResolveScope(p.Tier, p.Targets, p.TargetRegion, t, tierSize)
+	if p.TargetRegion == "" {
+		return nil
+	}
+	if err := CheckScope(p.Tier, p.Targets, p.TargetRegion, tierSize, t); err != nil {
+		return fmt.Errorf("attack: %w", err)
+	}
+	r, err := topo.RegionByName(t, p.TargetRegion)
 	if err != nil {
 		return fmt.Errorf("attack: %w", err)
+	}
+	targets := topo.RegionTargets(t, r, tierSize)
+	if len(targets) == 0 {
+		return fmt.Errorf("attack: region %q holds none of the %d-node %v tier", p.TargetRegion, tierSize, p.Tier)
 	}
 	p.Targets, p.TargetRegion = targets, ""
 	return nil
 }
 
-// Compile precomputes the target-membership set so IsTarget is O(1). Call
-// it again after mutating Targets; the compiled set does not track them.
-func (p *Plan) Compile() { p.targets = TargetSet(p.Targets) }
-
-// Throttle applies the plan to one node's pipes. It is a no-op for
-// non-targets, so callers can apply the plan uniformly across their tier.
-// The index is tier-relative; callers are responsible for handing the plan
-// only nodes of its own tier.
-func (p *Plan) Throttle(index int, up, down *simnet.Profile) {
-	if !p.IsTarget(index) {
-		return
-	}
-	up.ThrottleMin(p.Start, p.End, p.Residual)
-	down.ThrottleMin(p.Start, p.End, p.Residual)
-}
-
-// IsTarget reports whether the tier-relative node index is attacked by this
-// plan (InScope). It never mutates the plan, so plans are safe to share
-// across goroutines (Compile once up front for both speed and that safety).
-func (p *Plan) IsTarget(index int) bool { return InScope(p.targets, p.Targets, index) }
-
 // Duration returns the window length.
 func (p *Plan) Duration() time.Duration { return p.End - p.Start }
-
-// Trace emits the plan's ground truth into a trace: one onset/offset event
-// pair per target, carrying the flood window and residual intensity. The
-// runners call it at wiring time (plans are static, so the whole schedule
-// is known up front); a nil tracer is a no-op.
-func (p *Plan) Trace(tr obs.Tracer) {
-	if tr == nil {
-		return
-	}
-	label := p.Tier.String()
-	for _, t := range p.Targets {
-		tr.Event(obs.Event{Type: obs.EvAttackOn, At: p.Start, Node: t, F: p.Residual, Label: label})
-		tr.Event(obs.Event{Type: obs.EvAttackOff, At: p.End, Node: t, F: p.Residual, Label: label})
-	}
-}
 
 // CompromiseMode selects how a compromised directory cache misbehaves.
 // Unlike a flood (Plan), a compromise does not cost bandwidth: the adversary

@@ -8,7 +8,8 @@
 //
 // # Role in the pipeline
 //
-// Plans are pure descriptions; the simulation layers apply them. A Plan
+// Plans are pure descriptions; the runners compile their floods, together
+// with their faults, into one faults.Schedule and throttle from it. A Plan
 // targets one Tier of the directory system: the nine authorities that
 // generate the consensus (TierAuthority, the paper's headline five-minute
 // attack — harness.Scenario.Attack throttles the protocol phase with it) or
@@ -22,7 +23,8 @@
 // The harness routes either kind per experiment period: WithAttack sends a
 // Plan to its tier's phase, and the distribution spec's CompromisePlan acts
 // in the Distribute phase of every period. Both name their victims by one
-// target scope, shared with faults.Fault (scope.go).
+// target scope, shared with faults.Fault (scope.go); only a flood may name a
+// region instead of indices.
 //
 // CostModel prices all of it on one scale — stressor Mbit-hours for floods
 // (PlanCost/CostPerInstance), VPS-months for compromise

@@ -7,32 +7,13 @@ import (
 
 	"partialtor/internal/attack"
 	"partialtor/internal/faults"
+	"partialtor/internal/simnet"
 	"partialtor/internal/topo"
 )
 
-// perturbation is what the target-scope rules are reached through on either
-// type that can name a region: a flood plan and a fault.
-type perturbation interface {
-	Validate() error
-	resolve(t topo.Topology, tierSize int) error
-	scope() (targets []int, region string)
-	isTarget(i int) bool
-}
-
-type floodPlan struct{ attack.Plan }
-
-func (p *floodPlan) resolve(t topo.Topology, n int) error { return p.ResolveRegion(t, n) }
-func (p *floodPlan) scope() ([]int, string)               { return p.Targets, p.TargetRegion }
-func (p *floodPlan) isTarget(i int) bool                  { return p.IsTarget(i) }
-
-type faultPlan struct{ faults.Plan }
-
-func (p *faultPlan) resolve(t topo.Topology, n int) error { return p.Resolve(t, 9, n) }
-func (p *faultPlan) scope() ([]int, string)               { return p.Faults[0].Targets, p.Faults[0].TargetRegion }
-func (p *faultPlan) isTarget(i int) bool                  { return p.Faults[0].IsTarget(i) }
-
-// TestTargetScope runs the shared scope rules through both types: what one
-// rejects or resolves, the other must too.
+// TestTargetScope runs the shared scope rules through the schedule for both
+// perturbation types: what one rejects or resolves, the other must too. A
+// flood may name a region; a fault names its targets by index only.
 func TestTargetScope(t *testing.T) {
 	continents := topo.Continents()
 	eu, err := topo.RegionByName(continents, "eu")
@@ -58,48 +39,82 @@ func TestTargetScope(t *testing.T) {
 		// Continents places a 1-node tier entirely in the largest region.
 		{name: "empty region", region: "oc", topo: continents, tierSize: 1, stranded: true},
 	}
-	kinds := map[string]func(targets []int, region string) perturbation{
-		"plan": func(targets []int, region string) perturbation {
-			return &floodPlan{attack.Plan{Tier: attack.TierCache, Targets: targets, TargetRegion: region, End: time.Minute}}
-		},
-		"fault": func(targets []int, region string) perturbation {
-			return &faultPlan{faults.Plan{Faults: []faults.Fault{{
-				Kind: faults.Crash, Tier: attack.TierCache, Targets: targets, TargetRegion: region, End: time.Minute,
-			}}}}
-		},
-	}
-	for kind, build := range kinds {
+	for _, kind := range []string{"plan", "fault"} {
 		for _, tc := range cases {
+			if kind == "fault" && tc.region != "" {
+				continue
+			}
 			t.Run(kind+"/"+tc.name, func(t *testing.T) {
-				p := build(slices.Clone(tc.targets), tc.region)
-				if err := p.Validate(); (err != nil) != tc.invalid {
+				var floods []attack.Plan
+				var plan *faults.Plan
+				var validate func() error
+				if kind == "plan" {
+					floods = []attack.Plan{{Tier: attack.TierCache, Targets: slices.Clone(tc.targets), TargetRegion: tc.region, End: time.Minute}}
+					validate = floods[0].Validate
+				} else {
+					plan = &faults.Plan{Faults: []faults.Fault{{Kind: faults.Crash, Tier: attack.TierCache, Targets: slices.Clone(tc.targets), End: time.Minute}}}
+					validate = plan.Validate
+				}
+				if err := validate(); (err != nil) != tc.invalid {
 					t.Fatalf("Validate error %v, want refusal %v", err, tc.invalid)
 				}
 				if tc.invalid && !tc.stranded {
 					return
 				}
-				err := p.resolve(tc.topo, tc.tierSize)
+				sched, err := faults.Compile(tc.topo, [2]int{9, tc.tierSize}, floods, plan, nil)
 				if (err != nil) != tc.stranded {
-					t.Fatalf("resolve error %v, want refusal %v", err, tc.stranded)
+					t.Fatalf("Compile error %v, want refusal %v", err, tc.stranded)
 				}
 				if tc.stranded {
 					return
 				}
-				// Resolving again — a caller that priced the plan first, then
-				// the runner — changes nothing, even without the topology.
-				if err := p.resolve(nil, tc.tierSize); err != nil {
-					t.Fatalf("second resolve: %v", err)
-				}
-				targets, region := p.scope()
-				if !slices.Equal(targets, tc.want) || region != "" {
-					t.Fatalf("resolved to targets %v region %q, want %v and no region", targets, region, tc.want)
-				}
 				for i := 0; i < tc.tierSize; i++ {
-					if p.isTarget(i) != slices.Contains(tc.want, i) {
-						t.Fatalf("IsTarget(%d) = %v with targets %v", i, p.isTarget(i), tc.want)
+					if hit := len(sched.Windows(attack.TierCache, i)) > 0; hit != slices.Contains(tc.want, i) {
+						t.Fatalf("node %d has a window: %v, with targets %v", i, hit, tc.want)
 					}
 				}
+				if kind == "fault" {
+					return
+				}
+				// Resolving the plan itself — a caller that prices it first,
+				// then the runner — twice changes nothing, even without the
+				// topology the second time.
+				p := floods[0]
+				if p.TargetRegion != tc.region {
+					t.Fatalf("Compile cleared the caller's region %q", tc.region)
+				}
+				for _, tp := range []topo.Topology{tc.topo, nil} {
+					if err := p.ResolveRegion(tp, tc.tierSize); err != nil {
+						t.Fatalf("resolve: %v", err)
+					}
+				}
+				if !slices.Equal(p.Targets, tc.want) || p.TargetRegion != "" {
+					t.Fatalf("resolved to targets %v region %q, want %v and no region", p.Targets, p.TargetRegion, tc.want)
+				}
 			})
+		}
+	}
+}
+
+// TestPlanThrottle: a flood caps its targets' pipes, both directions, to its
+// residual inside its window, and nothing else.
+func TestPlanThrottle(t *testing.T) {
+	p := attack.Plan{Targets: []int{1, 3}, Start: time.Minute, End: 6 * time.Minute, Residual: attack.ResidualUnderDDoS}
+	sched, err := faults.Compile(nil, [2]int{4}, []attack.Plan{p}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		up, down := simnet.NewProfile(250e6), simnet.NewProfile(250e6)
+		sched.Throttle(attack.TierAuthority, i, up, down)
+		for _, at := range []time.Duration{30 * time.Second, time.Minute, 2 * time.Minute, 6 * time.Minute, 7 * time.Minute} {
+			want := 250e6
+			if (i == 1 || i == 3) && at >= p.Start && at < p.End {
+				want = attack.ResidualUnderDDoS
+			}
+			if up.RateAt(at) != want || down.RateAt(at) != want {
+				t.Errorf("node %d at %v: up %g down %g, want %g", i, at, up.RateAt(at), down.RateAt(at), want)
+			}
 		}
 	}
 }

@@ -68,25 +68,19 @@ type cacheNode struct {
 
 	gossip *gossipState // nil when the run carries no mesh
 
-	// faults are the crash/churn windows this cache acts on (beyond the
-	// capacity throttle); nil for unfaulted caches. down counts the open
-	// windows so overlapping faults restart the node exactly once.
-	faults []faultWindow
-	down   int
+	// sched is the run's perturbation schedule and windows this cache's
+	// part of it, whose fault windows the cache acts on beyond the capacity
+	// throttle. down counts the open fault windows so overlapping faults
+	// restart the node exactly once.
+	sched   *faults.Schedule
+	windows []faults.Window
+	down    int
 
 	fullsServed, diffsServed int
 }
 
-// faultWindow is one crash or churn window scheduled against a cache.
-type faultWindow struct {
-	start, end time.Duration
-	churn      bool
-}
-
 func (c *cacheNode) Start(ctx *simnet.Context) {
-	if c.spec.Faults != nil {
-		c.scheduleFaults(ctx)
-	}
+	c.scheduleFaults(ctx)
 	if c.role == roleStale {
 		// A stale cache has nothing to fetch: its whole misbehavior is
 		// keeping the previous epoch alive. It still answers mesh traffic
@@ -116,27 +110,25 @@ func (c *cacheNode) Start(ctx *simnet.Context) {
 }
 
 // scheduleFaults arms the cache's behavioral fault events at wiring time:
-// one down/up pair per crash or churn window against this cache, plus — on
-// every gossiping cache — a mesh rebuild at each churn boundary in the
-// plan, so survivors route around departed mirrors the instant membership
-// changes. Everything is scheduled before the clock starts; a fault plan
-// adds no RNG draws.
+// one down/up pair per crash or churn window against this cache, in fault
+// order, plus — on every gossiping cache — a mesh rebuild at each churn
+// boundary in the plan, so survivors route around departed mirrors the
+// instant membership changes. Everything is scheduled before the clock
+// starts; a fault plan adds no RNG draws.
 func (c *cacheNode) scheduleFaults(ctx *simnet.Context) {
-	for _, w := range c.faults {
-		w := w
-		ctx.At(w.start, func() { c.faultDown(ctx, w) })
-		ctx.At(w.end, func() { c.faultUp(ctx, w) })
+	for _, w := range c.windows {
+		if w.Fault == nil {
+			continue // a flood is capacity alone
+		}
+		churn := w.Fault.Kind == faults.Churn
+		ctx.At(w.Start, func() { c.faultDown(ctx, churn) })
+		ctx.At(w.End, func() { c.faultUp(ctx, churn) })
 	}
 	if c.gossip == nil {
 		return
 	}
-	for i := range c.spec.Faults.Faults {
-		f := &c.spec.Faults.Faults[i]
-		if f.Kind != faults.Churn {
-			continue
-		}
-		ctx.At(f.Start, func() { c.rebuildPeers(ctx) })
-		ctx.At(f.End, func() { c.rebuildPeers(ctx) })
+	for _, at := range c.sched.ChurnBoundaries() {
+		ctx.At(at, func() { c.rebuildPeers(ctx) })
 	}
 }
 
@@ -149,16 +141,16 @@ func (c *cacheNode) scheduleFaults(ctx *simnet.Context) {
 // The node's own timers keep firing during downtime; anything they send
 // stalls on the zero-rate uplink until the restart, which is the documented
 // (and deterministic) cost of the fluid model.
-func (c *cacheNode) faultDown(ctx *simnet.Context, w faultWindow) {
+func (c *cacheNode) faultDown(ctx *simnet.Context, churn bool) {
 	if c.role != roleHonest {
 		return
 	}
 	c.down++
 	c.have = false
-	ctx.Logf("notice", "fault: down at %v (churn=%v)", ctx.Now(), w.churn)
+	ctx.Logf("notice", "fault: down at %v (churn=%v)", ctx.Now(), churn)
 	if g := c.gossip; g != nil {
 		g.eng.SetEpoch(0)
-		if w.churn {
+		if churn {
 			g.left = true
 		}
 	}
@@ -169,7 +161,7 @@ func (c *cacheNode) faultDown(ctx *simnet.Context, w faultWindow) {
 // a mesh — rejoins its neighbours and immediately reconciles by one
 // anti-entropy round, the catch-up path that revives it when the
 // authorities are still flooded.
-func (c *cacheNode) faultUp(ctx *simnet.Context, w faultWindow) {
+func (c *cacheNode) faultUp(ctx *simnet.Context, churn bool) {
 	if c.role != roleHonest {
 		return
 	}
@@ -177,8 +169,8 @@ func (c *cacheNode) faultUp(ctx *simnet.Context, w faultWindow) {
 	if c.down > 0 {
 		return // an overlapping window still holds the node down
 	}
-	ctx.Logf("notice", "fault: restarted at %v (churn=%v)", ctx.Now(), w.churn)
-	if g := c.gossip; g != nil && w.churn {
+	ctx.Logf("notice", "fault: restarted at %v (churn=%v)", ctx.Now(), churn)
+	if g := c.gossip; g != nil && churn {
 		g.left = false
 		c.rebuildPeers(ctx)
 	}

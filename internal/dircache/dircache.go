@@ -141,10 +141,10 @@ type Spec struct {
 	Gossip *gossip.Config
 
 	// Faults, if non-nil, schedules deterministic fault injection over the
-	// run: authority/mirror crash+restart and gossip-mesh churn — resolved,
-	// compiled and scheduled at wiring time, so a faulted run is exactly as
-	// reproducible as a clean one. nil keeps every legacy code path byte for
-	// byte: no extra RNG draws, no extra events.
+	// run: authority/mirror crash+restart and gossip-mesh churn — compiled
+	// with Attacks into one schedule at wiring time, so a faulted run is
+	// exactly as reproducible as a clean one. nil keeps every legacy code
+	// path byte for byte: no extra RNG draws, no extra events.
 	Faults *faults.Plan
 
 	// Backoff, if non-nil, replaces the fleets' fixed-delay coalesced
@@ -300,7 +300,7 @@ func (s Spec) Validate() error {
 		}
 		for i := range fp.Faults {
 			f := &fp.Faults[i]
-			if err := attack.CheckScope(f.Tier, f.Targets, f.TargetRegion, s0.tierSize(f.Tier), s.Topology); err != nil {
+			if err := attack.CheckScope(f.Tier, f.Targets, "", s0.tierSize(f.Tier), s.Topology); err != nil {
 				return fmt.Errorf("dircache: fault %d: %w", i, err)
 			}
 			if f.Kind == faults.Churn && s.Gossip == nil {

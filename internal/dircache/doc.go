@@ -38,6 +38,11 @@
 // batching: the clients of one tick on one cache complete together when the
 // batch transfer completes, so coverage is step-shaped at tick granularity.
 //
+// Run compiles Spec.Attacks and Spec.Faults into one faults.Schedule against
+// its placement before the clock starts: every node's pipes are throttled
+// from it, a cache arms its crash and churn windows from it, and the mesh
+// asks it which mirrors are churned away. The caller's plans are only read.
+//
 // # Compromised caches and verification
 //
 // Beyond floods, the tier models subverted mirrors: Spec.Compromise (an

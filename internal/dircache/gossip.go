@@ -288,10 +288,9 @@ func (c *cacheNode) rebuildPeers(ctx *simnet.Context) {
 	if g == nil || g.left {
 		return
 	}
-	plan := c.spec.Faults
 	peers := make([]int, 0, len(g.basePeers))
 	for _, p := range g.basePeers {
-		if !plan.ChurnedAwayAt(p, ctx.Now()) {
+		if !c.sched.AwayAt(p, ctx.Now()) {
 			peers = append(peers, p)
 		}
 	}

@@ -284,14 +284,13 @@ func collect(spec Spec, net *simnet.Network, authIDs, cacheIDs, fleetIDs []simne
 	}
 	res.TimeToTarget = res.TimeToCoverage(spec.TargetCoverage)
 	if spec.Faults != nil {
-		res.FaultEvents = spec.Faults.Events()
 		res.TimeBelowTarget = timeBelow(res.Points, res.TotalClients, spec.TargetCoverage, spec.RunLimit())
-		for i := range spec.Faults.Faults {
-			end := spec.Faults.Faults[i].End
+		for i, f := range spec.Faults.Faults {
+			res.FaultEvents += len(f.Targets)
 			res.Recoveries = append(res.Recoveries, faults.Recovery{
 				Fault:     i,
-				ClearedAt: end,
-				MTTR:      recoveryTime(res.Points, res.TotalClients, spec.TargetCoverage, end),
+				ClearedAt: f.End,
+				MTTR:      recoveryTime(res.Points, res.TotalClients, spec.TargetCoverage, f.End),
 			})
 		}
 	}
@@ -365,13 +364,16 @@ func regionBreakdown(spec Spec, fleets []*fleetNode) []RegionCoverage {
 	return out
 }
 
+// coverageMark is how many of total clients make frac of the population:
+// ceil(frac·total), and at least one, so an empty curve never meets a mark.
+func coverageMark(total int, frac float64) int {
+	return max(1, int(math.Ceil(frac*float64(total))))
+}
+
 // timeToFraction is the first instant a cumulative curve reaches frac of a
 // population of total clients, or simnet.Never.
 func timeToFraction(points []CoveragePoint, total int, frac float64) time.Duration {
-	need := int(math.Ceil(frac * float64(total)))
-	if need < 1 {
-		need = 1
-	}
+	need := coverageMark(total, frac)
 	for _, p := range points {
 		if p.Count >= need {
 			return p.At
@@ -384,10 +386,7 @@ func timeToFraction(points []CoveragePoint, total int, frac float64) time.Durati
 // (re)reaches frac of the population: 0 when coverage at `from` already
 // meets the mark, simnet.Never when the curve never gets there.
 func recoveryTime(points []CoveragePoint, total int, frac float64, from time.Duration) time.Duration {
-	need := int(math.Ceil(frac * float64(total)))
-	if need < 1 {
-		need = 1
-	}
+	need := coverageMark(total, frac)
 	cur := 0
 	i := 0
 	for ; i < len(points) && points[i].At <= from; i++ {
@@ -407,10 +406,7 @@ func recoveryTime(points []CoveragePoint, total int, frac float64, from time.Dur
 // timeBelow sums the spans within [0, limit] a cumulative curve spent below
 // frac of the population, retraction dips included.
 func timeBelow(points []CoveragePoint, total int, frac float64, limit time.Duration) time.Duration {
-	need := int(math.Ceil(frac * float64(total)))
-	if need < 1 {
-		need = 1
-	}
+	need := coverageMark(total, frac)
 	below := time.Duration(0)
 	cur := 0
 	last := time.Duration(0)

@@ -101,6 +101,34 @@ func TestRacingTimeoutFailsOver(t *testing.T) {
 	}
 }
 
+// TestRacingBeforePublication races against a tier that has nothing to serve
+// for the first three minutes: every answer is a nack, so races are abandoned
+// into the retry pool, a wave can find no cache left to ask, and the pool
+// re-races once it fires. Every client still ends up covered exactly once.
+func TestRacingBeforePublication(t *testing.T) {
+	s := smallSpec()
+	s.RaceK = 2
+	s.PublishAt = 3 * time.Minute
+	res, err := Run(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Covered != res.TotalClients {
+		t.Fatalf("covered %d of %d clients", res.Covered, res.TotalClients)
+	}
+	last := 0
+	for _, p := range res.Points {
+		if p.Count < last || p.Count > res.TotalClients {
+			t.Fatalf("coverage curve at %v reads %d after %d, of %d clients", p.At, p.Count, last, res.TotalClients)
+		}
+		last = p.Count
+	}
+	if res.FailedFetches == 0 || res.RetryBursts == 0 || res.RaceTimeouts == 0 {
+		t.Fatalf("%d failed fetches, %d retry bursts, %d race timeouts: want all positive",
+			res.FailedFetches, res.RetryBursts, res.RaceTimeouts)
+	}
+}
+
 func TestRacingDeterministic(t *testing.T) {
 	spec := raceSpec(3)
 	spec.Topology = topo.Continents()

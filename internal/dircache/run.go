@@ -39,32 +39,13 @@ func Run(spec Spec) (*Result, error) {
 		}
 	}
 
-	// Compile private copies of the plans so a spec whose Attacks slice is
-	// shared across concurrently running sweeps is never mutated here.
-	// Region-scoped plans resolve against the placement first, so "flood
-	// the EU mirrors" turns into the EU block's indices here and nowhere
-	// else.
-	attacks := append([]attack.Plan(nil), spec.Attacks...)
-	for i := range attacks {
-		if err := attacks[i].ResolveRegion(tp, spec.tierSize(attacks[i].Tier)); err != nil {
-			return nil, fmt.Errorf("dircache: attack %d: %w", i, err)
-		}
-		attacks[i].Compile()
-		attacks[i].Trace(tracer)
-	}
-
-	// The fault plan gets the same private-copy treatment as the attacks:
-	// region scopes resolve against this run's placement, membership sets
-	// compile once, and the whole schedule is traced up front. The resolved
-	// clone replaces the caller's plan in the local spec so every node — and
-	// collect — sees resolved targets.
-	if spec.Faults != nil {
-		plan := spec.Faults.Clone()
-		if err := plan.Resolve(tp, spec.Authorities, spec.Caches); err != nil {
-			return nil, fmt.Errorf("dircache: %w", err)
-		}
-		plan.Trace(tracer)
-		spec.Faults = plan
+	// One schedule holds every flood and fault window of the run, resolved
+	// against this placement, so "flood the EU mirrors" turns into the EU
+	// block's indices here and nowhere else. The caller's plans are only read:
+	// a spec shared across concurrently running sweeps is never mutated.
+	sched, err := faults.Compile(tp, [2]int{spec.Authorities, spec.Caches}, spec.Attacks, spec.Faults, tracer)
+	if err != nil {
+		return nil, fmt.Errorf("dircache: %w", err)
 	}
 
 	// Node layout: [0, A) authorities, [A, A+C) caches, [A+C, A+C+F) fleets.
@@ -74,13 +55,10 @@ func Run(spec Spec) (*Result, error) {
 		region, bw := nodePlacement(tp, authRegions, i, authorityBandwidth)
 		up := simnet.NewProfile(bw)
 		down := simnet.NewProfile(bw)
-		applyAttacks(attacks, attack.TierAuthority, i, up, down)
-		if spec.Faults != nil {
-			// An authority stub is stateless, so its crash is fully captured
-			// by the zero-rate window: nothing reaches it and nothing leaves
-			// until the restart.
-			spec.Faults.Throttle(attack.TierAuthority, i, up, down)
-		}
+		// An authority stub is stateless, so its crash is fully captured by
+		// the zero-rate window: nothing reaches it and nothing leaves until
+		// the restart.
+		sched.Throttle(attack.TierAuthority, i, up, down)
 		authIDs[i] = net.AddNodeIn(stub, up, down, region)
 	}
 
@@ -102,6 +80,8 @@ func Run(spec Spec) (*Result, error) {
 			role:      roles[i],
 			chainCtx:  spec.Chain,
 			authOrder: authorityOrder(tp, authIDs, authRegions, cacheRegions, i),
+			sched:     sched,
+			windows:   sched.Windows(attack.TierCache, i),
 		}
 		if mesh != nil {
 			// cacheIDs is still filling here; handlers only read it from
@@ -111,11 +91,7 @@ func Run(spec Spec) (*Result, error) {
 		region, bw := nodePlacement(tp, cacheRegions, i, cacheBandwidth)
 		up := simnet.NewProfile(bw)
 		down := simnet.NewProfile(bw)
-		applyAttacks(attacks, attack.TierCache, i, up, down)
-		if spec.Faults != nil {
-			spec.Faults.Throttle(attack.TierCache, i, up, down)
-			c.faults = cacheFaultWindows(spec.Faults, i)
-		}
+		sched.Throttle(attack.TierCache, i, up, down)
 		caches[i] = c
 		cacheIDs[i] = net.AddNodeIn(c, up, down, region)
 	}
@@ -155,25 +131,6 @@ func Run(spec Spec) (*Result, error) {
 
 	net.Run(spec.RunLimit())
 	return collect(spec, net, authIDs, cacheIDs, fleetIDs, caches, fleets), nil
-}
-
-// cacheFaultWindows extracts the fault windows cache i must act on beyond
-// the capacity effect: Crash and Churn both lose the node's state (a
-// restarted mirror forgets its document), and Churn additionally changes
-// mesh membership. Nil when the cache is untouched, so an unfaulted cache
-// schedules nothing.
-func cacheFaultWindows(plan *faults.Plan, i int) []faultWindow {
-	var out []faultWindow
-	for k := range plan.Faults {
-		f := &plan.Faults[k]
-		if f.Tier != attack.TierCache || !f.IsTarget(i) {
-			continue
-		}
-		if f.Kind == faults.Crash || f.Kind == faults.Churn {
-			out = append(out, faultWindow{start: f.Start, end: f.End, churn: f.Kind == faults.Churn})
-		}
-	}
-	return out
 }
 
 // nodePlacement resolves one node's region and tier-scaled bandwidth; the
@@ -289,15 +246,6 @@ func cacheRoles(p *attack.CompromisePlan, caches int) []cacheRole {
 // (a compromise that forks to nobody is no compromise).
 func forkFleetCount(fleets int) int {
 	return max(1, fleets/2)
-}
-
-// applyAttacks throttles one node's pipes with every plan of its tier.
-func applyAttacks(plans []attack.Plan, tier attack.Tier, index int, up, down *simnet.Profile) {
-	for i := range plans {
-		if plans[i].Tier == tier {
-			plans[i].Throttle(index, up, down)
-		}
-	}
 }
 
 // authorityOrder is cache i's fallback order. Flat runs rotate the

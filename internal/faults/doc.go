@@ -3,11 +3,15 @@
 // faulted run is exactly as deterministic — and exactly as golden-pinnable —
 // as a clean one.
 //
-// A Plan is a list of Fault windows against one tier each, in the same idiom
-// as attack.Plan: validate up front, resolve region scopes against the run's
-// topology, compile the target set, then let the runner apply each fault at
-// wiring time. Two kinds cover the ways real deployments fail around a clean
-// link flood that a flood cannot say:
+// A Plan is a list of Fault windows against explicit nodes of one tier each.
+// A fault and a flood (attack.Plan) have the same shape, a window and a
+// scope, so a run validates both up front and then compiles both at once:
+// Compile resolves the floods' region scopes against the run's placement,
+// traces the ground truth (EvAttackOn/Off, then EvFaultOn/Off) and files
+// every window under the nodes it hits. The runner throttles each node from
+// the resulting Schedule and arms each cache's fault events from it, all
+// before the clock starts. Two kinds cover the ways real deployments fail
+// around a clean link flood that a flood cannot say:
 //
 //   - Crash: the node's links drop to zero for the window (crash + restart
 //     with configurable downtime) and a crashed cache forgets its document.

@@ -8,9 +8,6 @@ import (
 	"time"
 
 	"partialtor/internal/attack"
-	"partialtor/internal/obs"
-	"partialtor/internal/simnet"
-	"partialtor/internal/topo"
 )
 
 // Kind enumerates the fault varieties a plan can schedule.
@@ -38,11 +35,9 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// Fault is one fault window against a set of nodes in one tier. Its target
-// scope — Tier, Targets, TargetRegion — follows the rules of attack.Plan's
-// (attack.ValidateScope and friends): Validate up front, then Plan.Resolve
-// against the run's topology, then the runner applies it at wiring time — so
-// a faulted run schedules everything before the clock starts and stays
+// Fault is one fault window against a set of nodes in one tier, named by
+// tier-relative indices under attack.ValidateScope's rules. Compile files it
+// under its targets before the clock starts, so a faulted run stays
 // byte-identically deterministic.
 type Fault struct {
 	// Kind selects the failure mode.
@@ -52,21 +47,14 @@ type Fault struct {
 	Tier attack.Tier
 	// Targets are node indices under fault, relative to the fault's tier.
 	Targets []int
-	// TargetRegion, if non-empty, scopes the fault geographically instead
-	// of by explicit indices, resolved against the run's topology exactly
-	// like a region-scoped attack plan.
-	TargetRegion string
 	// Start and End bound the window [Start, End).
 	Start, End time.Duration
-
-	// targets is the membership index built by Plan.Resolve; nil until then.
-	targets map[int]struct{}
 }
 
 // Validate rejects malformed faults. Unlike a flood plan, a fault's window
 // must not be empty: a fault that never turns on has no recovery to measure.
 func (f *Fault) Validate() error {
-	if err := attack.ValidateScope(f.Tier, f.Targets, f.TargetRegion); err != nil {
+	if err := attack.ValidateScope(f.Tier, f.Targets, ""); err != nil {
 		return fmt.Errorf("faults: %w", err)
 	}
 	if f.Start < 0 {
@@ -87,44 +75,10 @@ func (f *Fault) Validate() error {
 	return nil
 }
 
-// IsTarget reports whether the fault hits the tier-relative node index.
-func (f *Fault) IsTarget(index int) bool { return attack.InScope(f.targets, f.Targets, index) }
-
-// Throttle applies the fault's capacity effect to one node's pipes: both
-// kinds take a target offline for the window, so its pipes drop to zero rate
-// and whatever is in flight waits for the window's end — delayed, never
-// dropped. It is a no-op for non-targets. The index is tier-relative.
-// Profiles are precompiled, so the whole fault schedule lands in the
-// piecewise-constant rate function up front.
-func (f *Fault) Throttle(index int, up, down *simnet.Profile) {
-	if !f.IsTarget(index) {
-		return
-	}
-	up.ThrottleMin(f.Start, f.End, 0)
-	down.ThrottleMin(f.Start, f.End, 0)
-}
-
 // Plan is a run's whole fault schedule.
 type Plan struct {
 	// Faults are the scheduled fault windows; they may overlap.
 	Faults []Fault
-}
-
-// Clone returns a deep copy: runners mutate their copy (region resolution,
-// compilation) without touching the caller's plan, the same contract the
-// distribution runner keeps for attack plans.
-func (p *Plan) Clone() *Plan {
-	if p == nil {
-		return nil
-	}
-	out := &Plan{Faults: make([]Fault, len(p.Faults))}
-	for i := range p.Faults {
-		f := p.Faults[i]
-		f.Targets = append([]int(nil), f.Targets...)
-		f.targets = nil
-		out.Faults[i] = f
-	}
-	return out
 }
 
 // Validate rejects a plan with any malformed fault.
@@ -135,74 +89,6 @@ func (p *Plan) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Resolve expands every region-scoped fault against the run's topology and
-// tier sizes (attack.ResolveScope), then compiles every fault's membership
-// set. A resolved fault is a plain index fault, so resolving twice is safe.
-func (p *Plan) Resolve(t topo.Topology, authorities, caches int) error {
-	for i := range p.Faults {
-		f := &p.Faults[i]
-		size := authorities
-		if f.Tier == attack.TierCache {
-			size = caches
-		}
-		targets, err := attack.ResolveScope(f.Tier, f.Targets, f.TargetRegion, t, size)
-		if err != nil {
-			return fmt.Errorf("fault %d: faults: %w", i, err)
-		}
-		f.Targets, f.TargetRegion = targets, ""
-		f.targets = attack.TargetSet(targets)
-	}
-	return nil
-}
-
-// Throttle applies every fault of the given tier to one node's pipes.
-func (p *Plan) Throttle(tier attack.Tier, index int, up, down *simnet.Profile) {
-	for i := range p.Faults {
-		if p.Faults[i].Tier == tier {
-			p.Faults[i].Throttle(index, up, down)
-		}
-	}
-}
-
-// Trace emits the plan's ground truth into a trace: one onset/offset event
-// pair per fault per target. Runners call it at wiring time; a nil tracer
-// is a no-op.
-func (p *Plan) Trace(tr obs.Tracer) {
-	if tr == nil {
-		return
-	}
-	for i := range p.Faults {
-		f := &p.Faults[i]
-		label := f.Kind.String()
-		for _, t := range f.Targets {
-			tr.Event(obs.Event{Type: obs.EvFaultOn, At: f.Start, Node: t, A: int64(i), B: int64(f.Tier), Label: label})
-			tr.Event(obs.Event{Type: obs.EvFaultOff, At: f.End, Node: t, A: int64(i), B: int64(f.Tier), Label: label})
-		}
-	}
-}
-
-// Events counts the scheduled fault events: one per fault per target.
-func (p *Plan) Events() int {
-	n := 0
-	for i := range p.Faults {
-		n += len(p.Faults[i].Targets)
-	}
-	return n
-}
-
-// ChurnedAwayAt reports whether any Churn fault holds the given cache out
-// of the mesh at virtual time t. Membership changes at fault boundaries:
-// away at Start, back at End.
-func (p *Plan) ChurnedAwayAt(cacheIndex int, t time.Duration) bool {
-	for i := range p.Faults {
-		f := &p.Faults[i]
-		if f.Kind == Churn && t >= f.Start && t < f.End && f.IsTarget(cacheIndex) {
-			return true
-		}
-	}
-	return false
 }
 
 // MidWindowChaos is the chaos plan the commands stress a tier of n caches

@@ -23,7 +23,6 @@ func TestFaultValidate(t *testing.T) {
 		{"inverted window", Fault{Kind: Crash, Targets: []int{0}, Start: min, End: 0}, false},
 		{"negative start", Fault{Kind: Crash, Targets: []int{0}, Start: -1, End: min}, false},
 		{"negative target", Fault{Kind: Crash, Targets: []int{-1}, Start: 0, End: min}, false},
-		{"targets and region", Fault{Kind: Crash, Targets: []int{0}, TargetRegion: "eu", Start: 0, End: min}, false},
 		{"churn ok", Fault{Kind: Churn, Tier: attack.TierCache, Targets: []int{2}, Start: 0, End: min}, true},
 		{"churn on authorities", Fault{Kind: Churn, Tier: attack.TierAuthority, Targets: []int{0}, Start: 0, End: min}, false},
 		{"unknown kind", Fault{Kind: Kind(99), Targets: []int{0}, Start: 0, End: min}, false},
@@ -159,84 +158,6 @@ func TestWorstMTTR(t *testing.T) {
 	rs = append(rs, Recovery{MTTR: simnet.Never})
 	if w := WorstMTTR(rs); w != simnet.Never {
 		t.Errorf("WorstMTTR with a stranded fault = %v, want Never", w)
-	}
-}
-
-func TestPlanCloneIsDeep(t *testing.T) {
-	p := &Plan{Faults: []Fault{{Kind: Crash, Tier: attack.TierCache, Targets: []int{1, 2}, Start: 0, End: time.Minute}}}
-	if err := p.Resolve(nil, 9, 10); err != nil {
-		t.Fatal(err)
-	}
-	c := p.Clone()
-	c.Faults[0].Targets[0] = 99
-	if p.Faults[0].Targets[0] != 1 {
-		t.Fatal("Clone shares the Targets backing array")
-	}
-	if c.Faults[0].targets != nil {
-		t.Fatal("Clone carried over the compiled membership set")
-	}
-	if (*Plan)(nil).Clone() != nil {
-		t.Fatal("nil plan should clone to nil")
-	}
-}
-
-func TestPlanHelpers(t *testing.T) {
-	p := &Plan{Faults: []Fault{
-		{Kind: Crash, Tier: attack.TierCache, Targets: []int{1, 4}, Start: time.Minute, End: 2 * time.Minute},
-		{Kind: Churn, Tier: attack.TierCache, Targets: []int{2}, Start: 90 * time.Second, End: 3 * time.Minute},
-	}}
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Resolve(nil, 9, 10); err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Events(); got != 3 {
-		t.Errorf("Events() = %d, want 3", got)
-	}
-	if !p.ChurnedAwayAt(2, 2*time.Minute) {
-		t.Error("cache 2 should be churned away mid-window")
-	}
-	if p.ChurnedAwayAt(2, 3*time.Minute) {
-		t.Error("membership returns at End (half-open window)")
-	}
-	if p.ChurnedAwayAt(2, time.Minute) {
-		t.Error("cache 2 not yet churned at t=1m")
-	}
-	if p.ChurnedAwayAt(1, 2*time.Minute) {
-		t.Error("crash is not a membership fault")
-	}
-}
-
-func TestFaultThrottle(t *testing.T) {
-	p := Plan{Faults: []Fault{{Kind: Crash, Tier: attack.TierCache, Targets: []int{0}, Start: 2 * time.Second, End: 6 * time.Second}}}
-	if err := p.Resolve(nil, 9, 10); err != nil {
-		t.Fatal(err)
-	}
-	f := &p.Faults[0]
-	up := simnet.NewProfile(1000)
-	down := simnet.NewProfile(1000)
-	f.Throttle(0, up, down)
-	// Offline over [2s, 6s), both directions; healthy on either side.
-	checks := []struct {
-		at   time.Duration
-		rate float64
-	}{
-		{time.Second, 1000}, {2 * time.Second, 0}, {5 * time.Second, 0}, {6 * time.Second, 1000},
-	}
-	for _, c := range checks {
-		if r := up.RateAt(c.at); r != c.rate {
-			t.Errorf("crashed uplink rate at %v = %g, want %g", c.at, r, c.rate)
-		}
-		if r := down.RateAt(c.at); r != c.rate {
-			t.Errorf("crashed downlink rate at %v = %g, want %g", c.at, r, c.rate)
-		}
-	}
-	// Non-targets keep full capacity.
-	spare := simnet.NewProfile(1000)
-	f.Throttle(1, spare, spare)
-	if r := spare.RateAt(time.Second); r != 1000 {
-		t.Errorf("non-target throttled to %g", r)
 	}
 }
 

@@ -152,7 +152,10 @@ func AblationDelta(ctx context.Context, p DeltaParams, sp sweep.Params) (*Table[
 		if row.Crash {
 			cfg.Silent = map[int]bool{8: true}
 		}
-		net, ups, downs, _ := buildNetwork(Scenario{N: 9, Bandwidth: DefaultBandwidth}.withDefaults())
+		net, ups, downs, _, err := buildNetwork(Scenario{N: 9, Bandwidth: DefaultBandwidth}.withDefaults())
+		if err != nil {
+			return row, err
+		}
 		auths := core.NewAuthorities(cfg)
 		for i, a := range auths {
 			net.AddNode(a, ups[i], downs[i])

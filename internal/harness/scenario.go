@@ -44,6 +44,7 @@ import (
 	"partialtor/internal/attack"
 	"partialtor/internal/dircache"
 	"partialtor/internal/dirv3"
+	"partialtor/internal/faults"
 	"partialtor/internal/obs"
 	"partialtor/internal/relay"
 	"partialtor/internal/sig"
@@ -266,24 +267,23 @@ func Inputs(s Scenario) ([]*sig.KeyPair, []*vote.Document) {
 // buildNetwork wires an n-node network with the scenario's bandwidth,
 // topology placement and attack plan applied. The returned regions slice is
 // the authorities' placement (all zero under the flat model).
-func buildNetwork(s Scenario) (*simnet.Network, []*simnet.Profile, []*simnet.Profile, []topo.Region) {
+func buildNetwork(s Scenario) (*simnet.Network, []*simnet.Profile, []*simnet.Profile, []topo.Region, error) {
 	net := simnet.New(simnet.Config{Seed: s.Seed, Overhead: 128, Topology: s.Topology})
 	tracer := obs.WithLayer(s.Tracer, "consensus")
 	net.SetObs(tracer)
+	var floods []attack.Plan
+	if s.Attack != nil {
+		floods = []attack.Plan{*s.Attack}
+	}
+	sched, err := faults.Compile(s.Topology, [2]int{s.N}, floods, nil, tracer)
+	if err != nil {
+		return nil, nil, nil, nil, fmt.Errorf("harness: %w", err)
+	}
 	ups := make([]*simnet.Profile, s.N)
 	downs := make([]*simnet.Profile, s.N)
 	regions := make([]topo.Region, s.N)
 	if s.Topology != nil {
 		regions = topo.PlaceTier(s.Topology, s.N)
-	}
-	// Compile a private copy so a plan shared across concurrently running
-	// scenarios is never mutated here.
-	var plan *attack.Plan
-	if s.Attack != nil {
-		pc := *s.Attack
-		pc.Compile()
-		plan = &pc
-		plan.Trace(tracer)
 	}
 	for i := 0; i < s.N; i++ {
 		bw := s.Bandwidth
@@ -292,11 +292,9 @@ func buildNetwork(s Scenario) (*simnet.Network, []*simnet.Profile, []*simnet.Pro
 		}
 		ups[i] = simnet.NewProfile(bw)
 		downs[i] = simnet.NewProfile(bw)
-		if plan != nil {
-			plan.Throttle(i, ups[i], downs[i])
-		}
+		sched.Throttle(attack.TierAuthority, i, ups[i], downs[i])
 	}
-	return net, ups, downs, regions
+	return net, ups, downs, regions, nil
 }
 
 // validateAuthorityAttack is the single validated path for an authority-tier
@@ -370,7 +368,10 @@ func RunE(ctx context.Context, s Scenario) (*RunResult, error) {
 		return nil, fmt.Errorf("harness: scenario cancelled before the protocol phase: %w", err)
 	}
 	keys, docs := Inputs(s)
-	net, ups, downs, regions := buildNetwork(s)
+	net, ups, downs, regions, err := buildNetwork(s)
+	if err != nil {
+		return nil, err
+	}
 	pr, err := drv.Build(s, keys, docs)
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s driver: %w", drv.Name(), err)
