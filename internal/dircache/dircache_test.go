@@ -1,12 +1,14 @@
 package dircache
 
 import (
+	"sort"
 	"testing"
 	"time"
 
 	"partialtor/internal/attack"
 	"partialtor/internal/client"
 	"partialtor/internal/simnet"
+	"partialtor/internal/topo"
 )
 
 // smallSpec is a fast spec for unit tests: 50k clients, 8 caches, 10-minute
@@ -247,6 +249,69 @@ func TestCoverageCurveMonotonic(t *testing.T) {
 	}
 	if res.CoverageAt(0) != 0 {
 		t.Fatal("nonzero coverage at t=0")
+	}
+}
+
+// stepAt is a cumulative curve's value at instant at: the last point's count
+// at or before it, 0 before the first.
+func stepAt(points []CoveragePoint, at time.Duration) int {
+	i := sort.Search(len(points), func(i int) bool { return points[i].At > at })
+	if i == 0 {
+		return 0
+	}
+	return points[i-1].Count
+}
+
+func TestCoverageCurveIsTheSumOfRegions(t *testing.T) {
+	// What merging the fleets' curves used to compute, and what appending
+	// every fleet's changes to one curve must still give: one point per
+	// instant, ending at Covered, equal at each instant to the sum of the
+	// region curves.
+	specs := testSpecs()
+	regional := raceSpec(2)
+	regional.Topology = topo.Continents()
+	specs["regional"] = regional
+	// Five equivocating caches out of eight win the corroboration vote, so
+	// a verifying fleet first covered by an honest cache retracts it: at
+	// this seed the curve falls once.
+	majority := compromiseSpec(attack.CompromiseEquivocate, 5, true)
+	majority.Topology = topo.Continents()
+	majority.Seed = 1
+	specs["mirror-majority"] = majority
+	for name, spec := range specs {
+		res, err := Run(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		pts := res.Points
+		if last := stepAt(pts, simnet.Never); last != res.Covered {
+			t.Fatalf("%s: the curve ends at %d, covered %d", name, last, res.Covered)
+		}
+		falls := false
+		for i := 1; i < len(pts); i++ {
+			if pts[i].At <= pts[i-1].At {
+				t.Fatalf("%s: point %d at %v after %v", name, i, pts[i].At, pts[i-1].At)
+			}
+			falls = falls || pts[i].Count < pts[i-1].Count
+		}
+		if name == "mirror-majority" && !falls {
+			t.Fatalf("%s: the curve never falls, so no coverage change was negative", name)
+		}
+		if (spec.Topology != nil) != (res.Regions != nil) {
+			t.Fatalf("%s: %d regions under topology %v", name, len(res.Regions), spec.Topology)
+		}
+		if res.Regions == nil {
+			continue
+		}
+		for _, p := range pts {
+			sum := 0
+			for _, rc := range res.Regions {
+				sum += stepAt(rc.Points, p.At)
+			}
+			if sum != p.Count {
+				t.Fatalf("%s: %d covered at %v, the regions sum to %d", name, p.Count, p.At, sum)
+			}
+		}
 	}
 }
 

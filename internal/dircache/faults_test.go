@@ -11,6 +11,21 @@ import (
 	"partialtor/internal/simnet"
 )
 
+// testSpecs are the package's test specs by name, one per client path.
+func testSpecs() map[string]Spec {
+	return map[string]Spec{
+		"healthy":     smallSpec(),
+		"flood":       floodSpec(),
+		"failover":    raceSpec(1),
+		"racing":      raceSpec(2),
+		"gossip":      gossipOutageSpec(3),
+		"chaos":       chaosSpec(1),
+		"stale":       compromiseSpec(attack.CompromiseStale, 3, true),
+		"equivocate":  compromiseSpec(attack.CompromiseEquivocate, 2, true),
+		"unverifying": compromiseSpec(attack.CompromiseEquivocate, 2, false),
+	}
+}
+
 // floodSpec is smallSpec under a full-window authority flood: no cache ever
 // acquires the consensus, so every fleet fetch NACKs and the retry machinery
 // runs for the whole window.
@@ -288,18 +303,7 @@ func TestDegradeSlowsButCovers(t *testing.T) {
 // model: healthy, flooded, racing, meshed, faulted or compromised, a tier
 // delays its traffic and never loses a message.
 func TestDistributionNeverDrops(t *testing.T) {
-	specs := map[string]Spec{
-		"healthy":     smallSpec(),
-		"flood":       floodSpec(),
-		"failover":    raceSpec(1),
-		"racing":      raceSpec(2),
-		"gossip":      gossipOutageSpec(3),
-		"chaos":       chaosSpec(1),
-		"stale":       compromiseSpec(attack.CompromiseStale, 3, true),
-		"equivocate":  compromiseSpec(attack.CompromiseEquivocate, 2, true),
-		"unverifying": compromiseSpec(attack.CompromiseEquivocate, 2, false),
-	}
-	for name, spec := range specs {
+	for name, spec := range testSpecs() {
 		res, err := Run(spec)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

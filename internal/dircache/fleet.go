@@ -12,15 +12,52 @@ import (
 	"partialtor/internal/topo"
 )
 
-// CoveragePoint is one step of a coverage curve. In a fleet's local curve
-// Count is the clients that completed at instant At; in Result.Points the
-// curves are merged and Count is the cumulative covered population. Count
-// can be negative in a fleet's local curve: a verifying fleet that accepted
-// the adversary's side of a fork first retracts that coverage the instant
-// the fork is detected.
+// CoveragePoint is one step of a cumulative coverage curve: Count clients
+// held the consensus from instant At on. A curve can fall: a verifying fleet
+// that accepted the adversary's side of a fork first retracts that coverage
+// the instant the fork is detected.
 type CoveragePoint struct {
 	At    time.Duration
 	Count int
+}
+
+// coverageCurve is a cumulative coverage curve built while the run goes.
+// Every fleet adds its coverage changes to the run's curve as they happen,
+// and events run in time order, so appending each change — folded into the
+// last point when that is at the same instant — is the merge of the
+// fleets' curves.
+type coverageCurve struct {
+	points []CoveragePoint
+	count  int
+}
+
+// add records a coverage change of n clients at instant at.
+//
+//detlint:hotpath
+func (c *coverageCurve) add(at time.Duration, n int) {
+	c.count += n
+	if k := len(c.points); k > 0 && c.points[k-1].At == at {
+		c.points[k-1].Count = c.count
+		return
+	}
+	if len(c.points) == cap(c.points) {
+		c.grow()
+	}
+	c.points = append(c.points, CoveragePoint{At: at, Count: c.count})
+}
+
+// grow doubles the curve's storage.
+func (c *coverageCurve) grow() {
+	points := make([]CoveragePoint, len(c.points), max(2*cap(c.points), 64))
+	copy(points, c.points)
+	c.points = points
+}
+
+// runCoverage is the run's coverage curves: one over the whole population
+// and, under a topology, one per region (nil for flat runs).
+type runCoverage struct {
+	total   coverageCurve
+	regions []coverageCurve
 }
 
 // digestState tracks one consensus identity a fleet has been served:
@@ -66,7 +103,7 @@ type fleetNode struct {
 
 	unrequested int // clients that have not yet issued their first fetch
 	covered     int
-	points      []CoveragePoint
+	coverage    *runCoverage // shared by the run's fleets
 
 	pendingFulls, pendingDiffs int // refused fetches awaiting retry
 	retryArmed                 bool
@@ -565,18 +602,15 @@ func (f *fleetNode) accept(ctx *simnet.Context, n int) {
 	ctx.Trace(obs.Event{Type: obs.EvCoverage, A: int64(n), B: int64(f.covered)})
 }
 
-// addPoint records a coverage change of n clients at instant at, folding it
-// into the last point when that is at the same instant: the merged curve
-// sums each instant anyway, and a flooded fleet completes many batches at
-// one pipe step.
+// addPoint records a coverage change of n clients at instant at on the
+// run's curve and on the fleet's region's.
 //
 //detlint:hotpath
 func (f *fleetNode) addPoint(at time.Duration, n int) {
-	if k := len(f.points); k > 0 && f.points[k-1].At == at {
-		f.points[k-1].Count += n
-		return
+	f.coverage.total.add(at, n)
+	if f.coverage.regions != nil {
+		f.coverage.regions[f.region].add(at, n)
 	}
-	f.points = append(f.points, CoveragePoint{At: at, Count: n})
 }
 
 // credit books n clients that now hold the document with digest d: covered

@@ -23,8 +23,8 @@ type Result struct {
 	// their download within the run limit.
 	TotalClients int
 	Covered      int
-	// Points is the merged coverage curve: cumulative covered clients,
-	// sorted by time.
+	// Points is the coverage curve: cumulative covered clients, one point
+	// per instant at which a fleet's coverage changed, in time order.
 	Points []CoveragePoint
 
 	// TimeToTarget is when coverage first reached Spec.TargetCoverage
@@ -183,16 +183,14 @@ type ForkDetection struct {
 	Proof *chain.ForkProof
 }
 
-func collect(spec Spec, net *simnet.Network, authIDs, cacheIDs, fleetIDs []simnet.NodeID, caches []*cacheNode, fleets []*fleetNode) *Result {
+func collect(spec Spec, net *simnet.Network, authIDs, cacheIDs, fleetIDs []simnet.NodeID, caches []*cacheNode, fleets []*fleetNode, coverage *runCoverage) *Result {
 	res := &Result{Spec: spec, TimeToTarget: simnet.Never}
 	distrusted := map[int]bool{}
 	forks := map[[2]sig.Digest]*ForkDetection{}
-	curves := make([][]CoveragePoint, len(fleets))
-	for i, f := range fleets {
+	for _, f := range fleets {
 		res.TotalClients += f.clients
 		res.Covered += f.covered
 		res.FailedFetches += f.failed
-		curves[i] = f.points
 		res.Misled += f.misled
 		res.StaleRejections += f.staleRejections
 		res.ExtraFetches += f.extraFetches
@@ -242,8 +240,8 @@ func collect(spec Spec, net *simnet.Network, authIDs, cacheIDs, fleetIDs []simne
 		res.DistrustedCaches = append(res.DistrustedCaches, i)
 	}
 	sort.Ints(res.DistrustedCaches)
-	res.Points = mergeCurves(curves)
-	res.Regions = regionBreakdown(spec, fleets)
+	res.Points = coverage.total.points
+	res.Regions = regionBreakdown(spec, fleets, coverage.regions)
 
 	for _, c := range caches {
 		res.CacheFallbacks += int64(c.fallbacks())
@@ -297,45 +295,9 @@ func collect(spec Spec, net *simnet.Network, authIDs, cacheIDs, fleetIDs []simne
 	return res
 }
 
-// mergeCurves merges per-fleet coverage deltas, each in time order, into one
-// cumulative curve with one point per instant: a k-way merge over the curves'
-// heads (k is the fleet count, a handful) into a slice sized for every input
-// point. Nil when there are no points.
-func mergeCurves(curves [][]CoveragePoint) []CoveragePoint {
-	total := 0
-	for _, c := range curves {
-		total += len(c)
-	}
-	if total == 0 {
-		return nil
-	}
-	merged := make([]CoveragePoint, 0, total)
-	heads := make([]int, len(curves))
-	cum := 0
-	for {
-		next := -1
-		for i, c := range curves {
-			if heads[i] < len(c) && (next < 0 || c[heads[i]].At < curves[next][heads[next]].At) {
-				next = i
-			}
-		}
-		if next < 0 {
-			return merged
-		}
-		p := curves[next][heads[next]]
-		heads[next]++
-		cum += p.Count
-		if n := len(merged); n > 0 && merged[n-1].At == p.At {
-			merged[n-1].Count = cum
-			continue
-		}
-		merged = append(merged, CoveragePoint{At: p.At, Count: cum})
-	}
-}
-
 // regionBreakdown groups the fleets by region and derives each region's
-// coverage curve and latency marks. Flat runs have no breakdown.
-func regionBreakdown(spec Spec, fleets []*fleetNode) []RegionCoverage {
+// latency marks from its coverage curve. Flat runs have no breakdown.
+func regionBreakdown(spec Spec, fleets []*fleetNode, curves []coverageCurve) []RegionCoverage {
 	tp := spec.Topology
 	if tp == nil {
 		return nil
@@ -343,20 +305,15 @@ func regionBreakdown(spec Spec, fleets []*fleetNode) []RegionCoverage {
 	out := make([]RegionCoverage, tp.NumRegions())
 	for r := range out {
 		out[r].Name = tp.RegionName(topo.Region(r))
-		out[r].TimeToTarget = simnet.Never
-		out[r].P50 = simnet.Never
-		out[r].P99 = simnet.Never
+		out[r].Points = curves[r].points
 	}
-	curves := make([][][]CoveragePoint, len(out))
 	for _, f := range fleets {
 		rc := &out[f.region]
 		rc.Clients += f.clients
 		rc.Covered += f.covered
-		curves[f.region] = append(curves[f.region], f.points)
 	}
 	for r := range out {
 		rc := &out[r]
-		rc.Points = mergeCurves(curves[r])
 		rc.TimeToTarget = timeToFraction(rc.Points, rc.Clients, spec.TargetCoverage)
 		rc.P50 = timeToFraction(rc.Points, rc.Clients, 0.5)
 		rc.P99 = timeToFraction(rc.Points, rc.Clients, 0.99)

@@ -100,9 +100,13 @@ func Run(spec Spec) (*Result, error) {
 	fleets := make([]*fleetNode, spec.Fleets)
 	fleetIDs := make([]simnet.NodeID, spec.Fleets)
 	fleetClients := splitClients(tp, fleetRegions, spec.Fleets, spec.Clients)
+	coverage := &runCoverage{}
+	if tp != nil {
+		coverage.regions = make([]coverageCurve, tp.NumRegions())
+	}
 	for i := range fleets {
 		f := &fleetNode{spec: &spec, pool: pool, clients: fleetClients[i], caches: cacheIDs,
-			weights: weights, chainCtx: spec.Chain}
+			weights: weights, chainCtx: spec.Chain, coverage: coverage}
 		region, bw := nodePlacement(tp, fleetRegions, i, fleetBandwidth)
 		if tp != nil {
 			f.region = region
@@ -130,7 +134,7 @@ func Run(spec Spec) (*Result, error) {
 	}
 
 	net.Run(spec.RunLimit())
-	return collect(spec, net, authIDs, cacheIDs, fleetIDs, caches, fleets), nil
+	return collect(spec, net, authIDs, cacheIDs, fleetIDs, caches, fleets, coverage), nil
 }
 
 // nodePlacement resolves one node's region and tier-scaled bandwidth; the

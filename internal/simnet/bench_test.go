@@ -81,6 +81,17 @@ func BenchmarkPipeFloodFanIn(b *testing.B) {
 	}
 }
 
+func BenchmarkPipeSymmetricFanIn(b *testing.B) {
+	// Sixteen pipes of one capacity ramping in lock step to 300 transfers
+	// and draining: the flooded-tier shape in which the pipes share every
+	// deep share vector through the scheduler's memo.
+	for i := 0; i < b.N; i++ {
+		if _, done := symmetricFanIn(16, 300); done != 16*300 {
+			b.Fatalf("done=%d", done)
+		}
+	}
+}
+
 func TestPipeEqualShareAllocFree(t *testing.T) {
 	// The fluid model must be allocation-free once the pipe's scratch is
 	// warm: share computation, completion planning and mid-segment

@@ -36,8 +36,9 @@ type pipe struct {
 	// a bit before the run's end: they are counted, never stored.
 	parked int
 
-	rates []float64 // scratch: per-transfer allocation, indexed like active
-	rem   []float64 // scratch: nextCompletion's forward-simulated bits
+	rates    []float64 // scratch: per-transfer allocation, indexed like active
+	ratesCap float64   // the capacity rates was last filled for (len(rates) is its n)
+	rem      []float64 // scratch: nextCompletion's forward-simulated bits
 
 	// nextCompletion's first-segment scan, carried into the next advance:
 	// the earliest finish (seconds from minAt) at rate minRate. It is current
@@ -97,21 +98,25 @@ func sizeBits(bytes int64) float64 {
 func (p *pipe) queued() int { return len(p.active) + p.parked }
 
 // allocate shares capacity equally among the active transfers; the result
-// is indexed like active and valid until the next allocate call on any pipe
-// of the scheduler. The vector depends on (capacity, len(active)) alone, so
-// a queue of shareMemoMin or more is served from the scheduler's memo; a
-// shorter one is filled into the pipe's scratch.
+// is indexed like active and read-only, valid until the next allocate call
+// on any pipe of the scheduler. The vector depends on (capacity,
+// len(active)) alone, so a queue of shareMemoMin to shareRingMax transfers
+// is served from the scheduler's memo; any other is filled into the pipe's
+// scratch, unless that already holds the vector for the same key.
 //
 //detlint:hotpath
 func (p *pipe) allocate(capacity float64) []float64 {
 	n := len(p.active)
-	if n >= shareMemoMin {
+	if n >= shareMemoMin && n <= shareRingMax {
 		if p.sched.shares == nil {
 			p.sched.shares = &shareMemo{}
 		}
 		return p.sched.shares.lookup(capacity, n)
 	}
-	p.rates = fillShares(growScratch(p.rates, n), capacity)
+	if n != len(p.rates) || capacity != p.ratesCap {
+		p.rates = fillShares(growScratch(p.rates, n), capacity)
+		p.ratesCap = capacity
+	}
 	return p.rates
 }
 
@@ -136,48 +141,87 @@ func fillShares(rates []float64, capacity float64) []float64 {
 	return rates
 }
 
-// shareMemoMin is the shortest queue allocate serves from the memo. It is
-// above the nine-authority broadcast fan-out, so the consensus tier never
-// touches the memo; the distribution tier's flooded pipes queue hundreds.
-const shareMemoMin = 16
+// shareMemoMin is the shortest queue allocate serves from the memo. The
+// memo's ring costs a run up to 512 KiB, which short queues do not repay:
+// below 128 a pipe refills its own short vector, and only when its key
+// changed. The deepest consensus-tier queue measured is 76 transfers, so
+// the consensus tier never builds the ring.
+const shareMemoMin = 128
 
-// shareMemo holds the most recently used share vectors of one scheduler,
-// keyed by (capacity, n). A pipe re-reads its own last vector at its next
-// event, and pipes of one tier share capacities, so nearly every lookup
-// hits; a miss refills the least recently used entry's buffer.
+// shareRingMax is the memo ring's size in shares (512 KiB), which bounds the
+// memo's memory; a longer queue is filled into its pipe's scratch.
+const shareRingMax = 64 << 10
+
+// shareSlots is the size of the memo's direct-mapped index.
+const shareSlots = 256
+
+// shareMemo holds the share vectors of one scheduler's deep queues, keyed
+// by (capacity, n), back to back in one ring. Flooded pipes of one tier
+// share a capacity and walk through the same queue lengths, so each vector
+// is filled about once per run.
+//
+// The index maps a key to slot (n + hash(capacity)) mod shareSlots, so the
+// consecutive queue lengths of one capacity never collide. A slot's vector
+// stays live until the ring's head has moved a whole ring past its start;
+// a miss fills at the head, skipping the ring's tail when the vector would
+// straddle its end. Ring positions count from the first fill and never
+// wrap, and the ring only grows before its head first reaches the end, so
+// a position is its offset until then.
 type shareMemo struct {
-	clock   uint64
-	entries [16]shareEntry
+	ring  []float64
+	head  uint64 // ring position of the next fill
+	slots [shareSlots]shareSlot
+	fills int // vectors filled, for the tests
 }
 
-type shareEntry struct {
+type shareSlot struct {
 	capacity float64
-	n        int    // 0 = unused
-	used     uint64 // clock at the last lookup
-	rates    []float64
+	n        int // 0 = unused
+	start    uint64
 }
 
-// lookup returns the share vector for (capacity, n), valid until the next
-// lookup.
+// lookup returns the share vector for (capacity, n), for n in
+// [1, shareRingMax]. It stays valid until the ring's head has moved a ring
+// past it, at least until the next lookup.
 //
 //detlint:hotpath
 func (m *shareMemo) lookup(capacity float64, n int) []float64 {
-	m.clock++
-	victim := 0
-	for i := range m.entries {
-		e := &m.entries[i]
-		if e.n == n && e.capacity == capacity {
-			e.used = m.clock
-			return e.rates
-		}
-		if e.used < m.entries[victim].used {
-			victim = i
-		}
+	s := &m.slots[(uint64(n)+capacityHash(capacity))%shareSlots]
+	size := uint64(len(m.ring))
+	if s.n == n && s.capacity == capacity && m.head-s.start <= size {
+		off := s.start % size
+		return m.ring[off : off+uint64(n)]
 	}
-	e := &m.entries[victim]
-	e.capacity, e.n, e.used = capacity, n, m.clock
-	e.rates = fillShares(growScratch(e.rates, n), capacity)
-	return e.rates
+	if m.head+uint64(n) > size && size < shareRingMax {
+		m.grow(n)
+		size = uint64(len(m.ring))
+	}
+	off := m.head % size
+	if off+uint64(n) > size {
+		m.head += size - off
+		off = 0
+	}
+	*s = shareSlot{capacity: capacity, n: n, start: m.head}
+	m.head += uint64(n)
+	m.fills++
+	return fillShares(m.ring[off:off+uint64(n)], capacity)
+}
+
+// grow enlarges the ring, which has not wrapped yet, to hold n more shares
+// past its head: at least double, at most shareRingMax. Every vector keeps
+// its offset.
+func (m *shareMemo) grow(n int) {
+	ring := make([]float64, min(max(2*len(m.ring), int(m.head)+n), shareRingMax))
+	copy(ring, m.ring[:m.head])
+	m.ring = ring
+}
+
+// capacityHash spreads capacities over the memo's slots (Fibonacci hashing:
+// the top byte of the bits times 2⁶⁴/φ).
+//
+//detlint:hotpath
+func capacityHash(capacity float64) uint64 {
+	return math.Float64bits(capacity) * 0x9e3779b97f4a7c15 >> 56
 }
 
 // growScratch returns buf resized to n elements, contents unspecified.
@@ -192,7 +236,9 @@ func growScratch(buf []float64, n int) []float64 {
 
 // advance moves the pipe's accounting from p.last to now, draining bits from
 // active transfers. Completed transfers are removed and their callbacks are
-// scheduled (at the current scheduler time, preserving causality).
+// scheduled (at the current scheduler time, preserving causality); the pass
+// that removes them starts at the first one, and a step that completes none
+// makes no pass.
 //
 //detlint:hotpath
 func (p *pipe) advance(now time.Duration) {
@@ -222,8 +268,13 @@ func (p *pipe) advance(now time.Duration) {
 			}
 		}
 		stepSec := seconds(step)
+		first := -1 // the first transfer this step completed
 		for i := range p.active {
-			p.active[i].remaining -= rates[i] * stepSec
+			t := &p.active[i]
+			t.remaining -= rates[i] * stepSec
+			if t.remaining <= epsBits && first < 0 {
+				first = i
+			}
 		}
 		if p.metered {
 			for i := range p.active {
@@ -231,19 +282,22 @@ func (p *pipe) advance(now time.Duration) {
 			}
 		}
 		p.last += step
-		p.collectDone()
+		if first >= 0 {
+			p.collectDone(first)
+		}
 	}
 	if p.last < now {
 		p.last = now
 	}
 }
 
-// collectDone removes finished transfers and schedules their completions.
+// collectDone removes finished transfers, the first of them at index first,
+// and schedules their completions.
 //
 //detlint:hotpath
-func (p *pipe) collectDone() {
-	kept := p.active[:0]
-	for i := range p.active {
+func (p *pipe) collectDone(first int) {
+	kept := p.active[:first]
+	for i := first; i < len(p.active); i++ {
 		t := &p.active[i]
 		if t.remaining <= epsBits {
 			at := p.last

@@ -149,8 +149,8 @@ type Scheduler struct {
 	compaction compactPolicy
 
 	// shares memoises the equal-share vectors of deep pipe queues; nil until
-	// a pipe first queues shareMemoMin transfers, so a run that never does
-	// (the consensus tier) does not carry it.
+	// a pipe first queues shareMemoMin transfers, so a run whose queues stay
+	// shorter never builds its ring.
 	shares *shareMemo
 
 	// end is the run's last instant: Network.Run sets it to its limit before

@@ -35,8 +35,11 @@
 //     its in-flight transfers, filling progressively in index order so the
 //     last share is exactly what remains. Nothing caps an individual
 //     transfer: a flood is a drop in a node's Profile, as in the paper. The
-//     vector depends on (capacity, queue length) alone, so queues of 16 or
-//     more read it from a 16-entry per-scheduler memo.
+//     vector depends on (capacity, queue length) alone, so queues of 128 or
+//     more read it from a per-scheduler memo: one bounded ring of shares
+//     under a direct-mapped index, which fills each vector about once per
+//     run. A shorter queue refills its pipe's own scratch when its key
+//     changed.
 //
 //   - Completion planning. A pipe schedules exactly one live wakeup (the
 //     earliest completion); stale wakeups are invalidated in place via a
