@@ -381,7 +381,7 @@ func (t *transit) complete(at time.Duration) {
 	switch t.stage {
 	case 0: // uplink drained: propagate
 		t.stage = 1
-		t.net.sched.atCompletion(addDur(at, t.lat), t)
+		t.net.sched.push(addDur(at, t.lat), t)
 	case 1: // arrived: contend for the receiver's downlink
 		t.stage = 2
 		if !t.net.nodes[t.to].down.enqueue(t.size, t) {

@@ -29,7 +29,7 @@ type pipe struct {
 	prof    *Profile
 	active  []transfer
 	last    time.Duration // progress is accounted up to this instant
-	wakeSeq uint64        // invalidates stale scheduled wakeups
+	wakeSeq uint64        // sequence number of the live wakeup; 0 when none queued
 	wakeAt  time.Duration // instant of the live wakeup; Never when none queued
 
 	// parked counts the transfers that arrived while the pipe could not move
@@ -304,7 +304,7 @@ func (p *pipe) collectDone(first int) {
 			if sn := p.sched.Now(); at < sn {
 				at = sn
 			}
-			p.sched.atCompletion(at, t.c)
+			p.sched.push(at, t.c)
 			continue
 		}
 		kept = append(kept, *t)
@@ -392,10 +392,10 @@ func (p *pipe) nextCompletion() time.Duration {
 
 // reschedule plans the next wakeup (earliest completion or stall end). When
 // the computed wakeup equals the one already queued and still live, the
-// existing event is kept — re-pushing would pile a stale, wakeSeq-
-// invalidated event onto the heap for every enqueue that leaves the
-// earliest completion unchanged. Otherwise any previously scheduled wakeup
-// is invalidated via wakeSeq. A completion past the run's end plans no
+// existing event is kept — re-pushing would pile a stale event onto the
+// heap for every enqueue that leaves the earliest completion unchanged.
+// Otherwise the new wakeup's sequence number replaces wakeSeq, which leaves
+// any previously queued one stale. A completion past the run's end plans no
 // wakeup at all, so a later reschedule counts no stale entry for it.
 func (p *pipe) reschedule() {
 	at := p.nextCompletion()
@@ -408,18 +408,18 @@ func (p *pipe) reschedule() {
 	if p.wakeAt != Never {
 		p.sched.stale++ // the queued wakeup now pops as a no-op
 	}
-	p.wakeSeq++
 	p.wakeAt = at
-	if at == Never {
-		return
-	}
-	p.sched.atGuarded(at, &p.wakeSeq, p.wakeSeq, p)
+	p.wakeSeq = p.sched.push(at, p)
 }
 
-// complete is the live wakeup (stale ones die on the wakeSeq guard):
-// account progress up to now — completing at least the transfer the wakeup
-// was computed for — and plan the next one.
+// complete runs a wakeup. A stale one (not the live wakeup's sequence
+// number) is a no-op. The live one accounts progress up to now — completing
+// at least the transfer it was computed for — and plans the next.
 func (p *pipe) complete(now time.Duration) {
+	if p.sched.running != p.wakeSeq {
+		p.sched.stale--
+		return
+	}
 	p.wakeAt = Never // consumed; reschedule must push anew
 	p.advance(now)
 	p.reschedule()

@@ -10,25 +10,23 @@ import (
 // scheduled instant. The transport's pooled transit records implement it,
 // which is what lets a message's three legs (uplink, latency, downlink)
 // ride one reusable value instead of three per-send closures; a pipe
-// implements it for its guarded wake-up.
+// implements it for its wakeups, and funcEvent for a plain callback.
 type completion interface {
 	complete(at time.Duration)
 }
 
-// event is a scheduled callback. Events with equal timestamps run in
+// funcEvent is a plain callback queued by At. A func value is
+// pointer-shaped, so converting one to a completion allocates nothing.
+type funcEvent func()
+
+func (f funcEvent) complete(time.Duration) { f() }
+
+// event is a scheduled completion. Events with equal timestamps run in
 // scheduling order (seq), which keeps the simulation deterministic.
-//
-// A callback is either fn (plain) or c (a completion object, which
-// receives the virtual instant). A non-nil guard makes the event
-// conditional: it fires only while *guard still equals want — the
-// allocation-free form of a "stale wakeup" closure capturing seq.
 type event struct {
-	at    time.Duration
-	seq   uint64
-	fn    func()
-	c     completion
-	guard *uint64
-	want  uint64
+	at  time.Duration
+	seq uint64
+	c   completion
 }
 
 // before reports whether e fires before o: lexicographic (at, seq) order.
@@ -44,8 +42,8 @@ func (e *event) before(o *event) bool {
 
 // heapArity is the fan-out of the event queue. A 4-ary heap halves the tree
 // depth of a binary heap; sift-downs dominate a discrete-event scheduler
-// (every pop replaces the root with the last leaf), and the four children
-// share a cache line of events.
+// (every pop replaces the root with the last leaf), and the four children,
+// 32 bytes each, span two cache lines.
 const heapArity = 4
 
 // eventQueue is a value-typed d-ary min-heap ordered by (at, seq). Events
@@ -130,11 +128,11 @@ func (h eventQueue) heapify() {
 
 // globalSteps counts events executed by every Scheduler in the process. It
 // is bumped once per RunUntil call (not per event), so the hot loop stays
-// atomic-free; cmd/benchtables reads it to report kernel throughput.
+// atomic-free.
 var globalSteps atomic.Uint64
 
-// GlobalSteps returns the total number of events executed process-wide, the
-// kernel-throughput counter behind the committed perf report.
+// GlobalSteps returns the total number of events executed process-wide: the
+// kernel-throughput counter the benchmark's simnet.events metric reads.
 func GlobalSteps() uint64 { return globalSteps.Load() }
 
 // Scheduler is a virtual clock with an event queue.
@@ -143,8 +141,10 @@ type Scheduler struct {
 	seq   uint64
 	queue eventQueue
 
-	// stale counts the queued guarded wakeups already invalidated: they pop
-	// as no-ops, and RunUntil compacts them away once they crowd the heap.
+	// running is the sequence number of the event being run. stale counts
+	// the queued pipe wakeups a reschedule superseded: they pop as no-ops,
+	// and RunUntil compacts them away once they crowd the heap.
+	running    uint64
 	stale      int
 	compaction compactPolicy
 
@@ -185,40 +185,28 @@ func (s *Scheduler) Now() time.Duration { return s.now }
 // At schedules fn at virtual time t. Scheduling in the past is a bug in the
 // caller and panics; scheduling at Never is a no-op (the event can never
 // fire).
-func (s *Scheduler) At(t time.Duration, fn func()) {
-	s.push(event{at: t, fn: fn})
-}
-
-// atGuarded schedules c at t, to fire only while *guard still equals want.
-// Bumping *guard invalidates the event in place — the queued entry stays
-// but pops as a no-op — which lets a caller reschedule without allocating
-// a seq-capturing closure per push.
-func (s *Scheduler) atGuarded(t time.Duration, guard *uint64, want uint64, c completion) {
-	s.push(event{at: t, c: c, guard: guard, want: want})
-}
-
-// atCompletion schedules a completion object at t. It carries no closure:
-// the callee is a value that can hold per-event state (a transit record's
-// current leg) across reschedules.
-func (s *Scheduler) atCompletion(t time.Duration, c completion) {
-	s.push(event{at: t, c: c})
-}
-
+//
 //detlint:hotpath
-func (s *Scheduler) push(ev event) {
-	if ev.at == Never {
-		return
+func (s *Scheduler) At(t time.Duration, fn func()) { s.push(t, funcEvent(fn)) }
+
+// push queues c at t and returns the event's sequence number, or 0 when
+// nothing was queued: t is Never or past the run's end.
+//
+//detlint:hotpath
+func (s *Scheduler) push(t time.Duration, c completion) uint64 {
+	if t == Never {
+		return 0
 	}
-	if ev.at < s.now {
+	if t < s.now {
 		//detlint:hotpath ok(cold panic path: formatting only runs on a caller bug)
-		panic(fmt.Sprintf("simnet: scheduling event at %v before now %v", ev.at, s.now))
+		panic(fmt.Sprintf("simnet: scheduling event at %v before now %v", t, s.now))
 	}
-	if s.pastEnd(ev.at) {
-		return // it could never run; skipping its seq keeps every other event's order
+	if s.pastEnd(t) {
+		return 0 // it could never run; skipping its seq keeps every other event's order
 	}
 	s.seq++
-	ev.seq = s.seq
-	s.queue.push(ev)
+	s.queue.push(event{at: t, seq: s.seq, c: c})
+	return s.seq
 }
 
 // pastEnd reports whether an instant lies past the run's end, where nothing
@@ -258,16 +246,8 @@ func (s *Scheduler) RunUntil(limit time.Duration) uint64 {
 			continue
 		}
 		next := s.queue.pop()
-		s.now = next.at
-		if next.guard == nil || *next.guard == next.want {
-			if next.fn != nil {
-				next.fn()
-			} else {
-				next.c.complete(s.now)
-			}
-		} else {
-			s.stale--
-		}
+		s.now, s.running = next.at, next.seq
+		next.c.complete(s.now)
 		executed++
 	}
 	if s.now < limit && limit != Never {
@@ -325,11 +305,13 @@ func (s *Scheduler) compact(limit time.Duration) uint64 {
 	return uint64(removed)
 }
 
-// removable reports whether ev is a stale wakeup due by limit.
+// removable reports whether ev is a stale wakeup due by limit: a pipe's
+// wakeup that is not the pipe's live one.
 //
 //detlint:hotpath
 func (s *Scheduler) removable(ev *event, limit time.Duration) bool {
-	return ev.at <= limit && ev.guard != nil && *ev.guard != ev.want
+	p, ok := ev.c.(*pipe)
+	return ev.at <= limit && ok && ev.seq != p.wakeSeq
 }
 
 // Run executes events until the queue is empty.

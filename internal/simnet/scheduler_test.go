@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // progressiveFill is the share vector as allocate computed it before the
@@ -243,5 +244,77 @@ func TestCompactionKeepsTheLastStaleWakeup(t *testing.T) {
 	if exec != wantExec || now != wantNow || pending == 0 {
 		t.Fatalf("compacted run: %d events ending at %v, %d pending at the small completion; uncompacted %d at %v, %d pending",
 			exec, now, pending, wantExec, wantNow, wantPending)
+	}
+}
+
+func TestEventShape(t *testing.T) {
+	// An event is (instant, sequence number, completion) and nothing else:
+	// two words and an interface, so four children of the heap span two
+	// cache lines.
+	if size := unsafe.Sizeof(event{}); size != 32 {
+		t.Fatalf("an event is %d bytes, want 32", size)
+	}
+	// A plain callback rides the completion slot without boxing: scheduling
+	// a prebuilt func on a warm queue and running it allocates nothing.
+	s := NewScheduler()
+	ran := 0
+	fn := func() { ran++ }
+	for i := range 64 {
+		s.At(time.Duration(i), fn)
+	}
+	s.Run()
+	now := s.Now()
+	if allocs := testing.AllocsPerRun(100, func() {
+		now += time.Millisecond
+		s.At(now, fn)
+		s.RunUntil(now)
+	}); allocs != 0 {
+		t.Fatalf("At and RunUntil allocated %.1f times per event, want 0", allocs)
+	}
+	if ran != 64+101 {
+		t.Fatalf("ran %d events, want %d", ran, 64+101)
+	}
+}
+
+func TestStaleWakeupIsJudgedBySequence(t *testing.T) {
+	// On a 10 Gbit/s pipe the big transfer alone plans its wakeup at T. A
+	// 1-bit transfer joining at 0 finishes within a nanosecond and strands
+	// that wakeup; once it is gone the big transfer's finish rounds back up
+	// to T, so the stale wakeup and the live one share the instant. Only the
+	// sequence number tells them apart: a plain event queued at T between
+	// the two must still find the big transfer in flight, and the transfer
+	// must complete once.
+	s := NewScheduler()
+	p := newPipe(s, NewProfile(1e10))
+	var order []string
+	inFlight := -1
+	s.At(0, func() {
+		p.enqueue(1_000_004, doneFunc(func(time.Duration) { order = append(order, "big") }))
+	})
+	s.RunUntil(0)
+	T := p.wakeAt
+	s.At(T, func() {
+		order = append(order, "plain")
+		inFlight = p.queued()
+	})
+	s.At(0, func() {
+		p.enqueue(0, doneFunc(func(time.Duration) { order = append(order, "small") }))
+	})
+	s.RunUntil(T - 1)
+	wakeups := 0
+	for _, ev := range s.queue {
+		if ev.c == completion(p) && ev.at == T {
+			wakeups++
+		}
+	}
+	if wakeups != 2 || p.wakeAt != T {
+		t.Fatalf("%d wakeups of the pipe queued at %v, live one at %v; want a stale and a live one at %v", wakeups, T, p.wakeAt, T)
+	}
+	s.Run()
+	if want := []string{"small", "plain", "big"}; !slices.Equal(order, want) || s.Now() != T {
+		t.Fatalf("ran %v ending at %v, want %v ending at %v", order, s.Now(), want, T)
+	}
+	if inFlight != 1 {
+		t.Fatalf("the plain event at %v found %d transfers in flight, want the big one", T, inFlight)
 	}
 }

@@ -41,9 +41,11 @@
 //     run. A shorter queue refills its pipe's own scratch when its key
 //     changed.
 //
-//   - Completion planning. A pipe schedules exactly one live wakeup (the
-//     earliest completion); stale wakeups are invalidated in place via a
-//     guard counter and pop as no-ops, and a reschedule that computes the
+//   - Completion planning. An event is (instant, sequence number,
+//     completion); a plain callback is a completion too. A pipe schedules
+//     exactly one live wakeup (the earliest completion) and remembers its
+//     sequence number; a superseded wakeup stays queued and pops as a no-op,
+//     since its number is not the pipe's. A reschedule that computes the
 //     same instant keeps the queued event instead of pushing a duplicate.
 //     When stale wakeups outnumber the live events (and 64), RunUntil drops
 //     the ones due by its limit and re-heapifies; the total order makes that
