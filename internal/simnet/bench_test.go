@@ -3,6 +3,7 @@ package simnet
 import (
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func BenchmarkSchedulerEvents(b *testing.B) {
@@ -81,44 +82,46 @@ func BenchmarkPipeFloodFanIn(b *testing.B) {
 	}
 }
 
-func BenchmarkPipeSymmetricFanIn(b *testing.B) {
-	// Sixteen pipes of one capacity ramping in lock step to 300 transfers
-	// and draining: the flooded-tier shape in which the pipes share every
-	// deep share vector through the scheduler's memo.
-	for i := 0; i < b.N; i++ {
-		if _, done := symmetricFanIn(16, 300); done != 16*300 {
-			b.Fatalf("done=%d", done)
-		}
-	}
-}
-
 func TestPipeEqualShareAllocFree(t *testing.T) {
-	// The fluid model must be allocation-free once the pipe's scratch is
-	// warm: share computation, completion planning and mid-segment
-	// accounting may not allocate per step, whatever the fan-in.
-	s := NewScheduler()
-	p := newPipe(s, NewProfile(1e6))
-	cb := doneFunc(func(time.Duration) {})
-	s.At(0, func() {
-		for j := 0; j < 128; j++ {
-			p.enqueue(1_000_000, cb)
-		}
-	})
-	s.RunUntil(0)
-	if p.queued() != 128 {
-		t.Fatalf("queued %d transfers", p.queued())
+	// The fluid model must be allocation-free once the pipe's heap and the
+	// event queue are warm: an enqueue (which advances and replans) and a
+	// wakeup (which completes a transfer and replans) may not allocate,
+	// however deep the queue.
+	if size := unsafe.Sizeof(transfer{}); size != 32 {
+		t.Fatalf("a transfer is %d bytes, want 32", size)
 	}
-	// Warm the scratch buffers once; from then on the hot path reuses them.
-	p.allocate(1e6)
-	p.nextCompletion()
-	now := time.Millisecond
-	if allocs := testing.AllocsPerRun(100, func() {
-		p.allocate(1e6)
-		p.nextCompletion()
-		p.advance(now) // mid-transfer: drains bits, completes nothing
-		now += time.Millisecond
-	}); allocs != 0 {
-		t.Fatalf("equal-share pipe allocated %.1f times per step, want 0", allocs)
+	const depth = 10_000
+	s := NewScheduler()
+	p := newPipe(s, NewProfile(1e9))
+	done := 0
+	cb := doneFunc(func(time.Duration) { done++ })
+	for j := 0; j < depth; j++ {
+		p.enqueue(int64(1_000+j), cb)
+	}
+	// Each enqueue adds a transfer at the back of the order, and each of the
+	// pipe's live wakeups completes the front one. A warm-up of as many of
+	// both as the measurement runs sizes the heap and the event queue.
+	size := int64(1_000 + depth)
+	enqueue := func() { p.enqueue(size, cb); size++ }
+	wakeup := func() { s.RunUntil(p.wakeAt) }
+	const runs = 101 // AllocsPerRun(100, f) calls f once more to warm it
+	for range runs {
+		enqueue()
+	}
+	for range runs {
+		wakeup()
+	}
+	if p.queued() != depth || done != runs {
+		t.Fatalf("%d transfers queued and %d done, want %d and %d", p.queued(), done, depth, runs)
+	}
+	if allocs := testing.AllocsPerRun(runs-1, enqueue); allocs != 0 {
+		t.Fatalf("an enqueue on a %d-deep pipe allocated %.1f times, want 0", depth, allocs)
+	}
+	if allocs := testing.AllocsPerRun(runs-1, wakeup); allocs != 0 {
+		t.Fatalf("a wakeup on a %d-deep pipe allocated %.1f times, want 0", depth, allocs)
+	}
+	if p.queued() != depth || done != 2*runs {
+		t.Fatalf("%d transfers queued and %d done, want %d and %d: one per wakeup", p.queued(), done, depth, 2*runs)
 	}
 }
 
@@ -152,7 +155,7 @@ func TestSendPathNilTracerAllocFree(t *testing.T) {
 	// The observability layer's zero-cost contract: with no tracer
 	// installed, the full three-leg send path — uplink contention,
 	// propagation, downlink contention, delivery — allocates nothing in
-	// steady state. The transit pool and pipe scratch absorb per-message
+	// steady state. The transit pool and the pipes' heaps absorb per-message
 	// state; the nil-tracer guard must stay a single untaken branch.
 	net := New(Config{Topology: fixedLatency(time.Millisecond)})
 	net.AddNode(nullHandler{}, NewProfile(1e9), NewProfile(1e9))
@@ -167,7 +170,7 @@ func TestSendPathNilTracerAllocFree(t *testing.T) {
 		now += time.Second
 		net.sched.RunUntil(now)
 	}
-	// Warm the transit pool, pipe scratch and event heap capacity.
+	// Warm the transit pool, the pipes' heaps and the event heap's capacity.
 	for i := 0; i < 4; i++ {
 		step()
 	}

@@ -132,7 +132,7 @@ func (n *Network) pairLatency(from, to NodeID) time.Duration {
 	}
 	bucket := float64(pairHash(n.cfg.Seed, lo, hi) % 1000)
 	if n.cfg.Topology == nil {
-		ms := 20 + bucket/1000*130
+		ms := 20 + float64(bucket/1000*130)
 		return time.Duration(ms * float64(time.Millisecond))
 	}
 	ra, rb := n.nodes[from].region, n.nodes[to].region

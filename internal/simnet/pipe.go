@@ -1,20 +1,89 @@
 package simnet
 
-import (
-	"math"
-	"slices"
-	"time"
-)
+import "time"
 
 // epsBits: a transfer with less than half a bit remaining is complete; this
 // absorbs float rounding in the fluid model.
 const epsBits = 0.5
 
 // transfer is one in-flight transmission on a pipe; c is advanced (via the
-// scheduler) when the last bit has moved.
+// scheduler) when the last bit has moved. finish is the pipe's served count
+// at which the transfer is done: served at its arrival plus its size, so its
+// remaining bits are finish − served. arrival orders transfers with equal
+// finish tags by arrival; a uint32 keeps a transfer at 32 bytes (pinned by
+// TestPipeEqualShareAllocFree), and wrapping it would take 2³² arrivals
+// without the pipe once draining.
 type transfer struct {
-	remaining float64 // bits still to move
-	c         completion
+	finish  float64
+	arrival uint32
+	c       completion
+}
+
+// before reports whether t finishes before o: lexicographic (finish,
+// arrival) order.
+func (t *transfer) before(o *transfer) bool {
+	if t.finish != o.finish {
+		return t.finish < o.finish
+	}
+	return t.arrival < o.arrival
+}
+
+// transferHeap is a value-typed min-heap of transfers ordered by (finish,
+// arrival), laid out like the event queue.
+type transferHeap []transfer
+
+// push appends t and sifts it up to its position.
+//
+//detlint:hotpath
+func (h *transferHeap) push(t transfer) {
+	*h = append(*h, t)
+	q := *h
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / heapArity
+		if !t.before(&q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = t
+}
+
+// pop removes and returns the earliest finisher.
+//
+//detlint:hotpath
+func (h *transferHeap) pop() transfer {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	t := q[n]
+	q[n] = transfer{} // release the completion for GC
+	q = q[:n]
+	*h = q
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		first := heapArity*i + 1
+		if first >= n {
+			break
+		}
+		min := first
+		for c := first + 1; c < first+heapArity && c < n; c++ {
+			if q[c].before(&q[min]) {
+				min = c
+			}
+		}
+		if !q[min].before(&t) {
+			break
+		}
+		q[i] = q[min]
+		i = min
+	}
+	q[i] = t
+	return top
 }
 
 // pipe is a fair-shared resource (an access link direction) with a
@@ -22,31 +91,25 @@ type transfer struct {
 // instantaneous capacity equally: a flood is a drop in the profile, never a
 // cap on one transfer.
 //
-// The hot path is allocation-free: transfers are stored by value and the
-// share computation writes into pipe-owned scratch buffers.
+// The pipe is an exact processor-sharing queue. Since every transfer gets
+// the same share, one counter, served, says how many bits each of them has
+// received, and a transfer is done when served reaches its finish tag. A
+// step adds rate/n × dt to served, the earliest finisher is the heap's top,
+// and nothing walks the queue: enqueue and completion cost O(log n), a step
+// O(1). served and the arrival stamps restart at 0 whenever the pipe drains.
 type pipe struct {
-	sched   *Scheduler
-	prof    *Profile
-	active  []transfer
-	last    time.Duration // progress is accounted up to this instant
-	wakeSeq uint64        // sequence number of the live wakeup; 0 when none queued
-	wakeAt  time.Duration // instant of the live wakeup; Never when none queued
+	sched    *Scheduler
+	prof     *Profile
+	active   transferHeap
+	served   float64       // bits every in-flight transfer has received since the pipe last drained
+	arrivals uint32        // stamp of the next arrival since the pipe last drained
+	last     time.Duration // progress is accounted up to this instant
+	wakeSeq  uint64        // sequence number of the live wakeup; 0 when none queued
+	wakeAt   time.Duration // instant of the live wakeup; Never when none queued
 
 	// parked counts the transfers that arrived while the pipe could not move
 	// a bit before the run's end: they are counted, never stored.
 	parked int
-
-	rates    []float64 // scratch: per-transfer allocation, indexed like active
-	ratesCap float64   // the capacity rates was last filled for (len(rates) is its n)
-	rem      []float64 // scratch: nextCompletion's forward-simulated bits
-
-	// nextCompletion's first-segment scan, carried into the next advance:
-	// the earliest finish (seconds from minAt) at rate minRate. It is current
-	// while p.last is still minAt: every change to active is followed by a
-	// nextCompletion that rewrites it, and p.last only moves forward.
-	minAt     time.Duration
-	minRate   float64
-	minFinish float64
 
 	// metered enables the observability meter: advance then accumulates the
 	// bits actually moved into moved. Off (the default) the meter costs one
@@ -65,6 +128,8 @@ func newPipe(s *Scheduler, prof *Profile) *pipe {
 // the transfer instead: the pipe is dead from now until the run's end or
 // later and has no wakeup queued, so nothing moves the transfer before the
 // end and counting it is exact; stored, it would only lengthen the queue.
+//
+//detlint:hotpath
 func (p *pipe) enqueue(bytes int64, c completion) bool {
 	now := p.sched.Now()
 	p.advance(now)
@@ -79,7 +144,8 @@ func (p *pipe) enqueue(bytes int64, c completion) bool {
 			return false
 		}
 	}
-	p.active = append(p.active, transfer{remaining: sizeBits(bytes), c: c})
+	p.active.push(transfer{finish: p.served + sizeBits(bytes), arrival: p.arrivals, c: c})
+	p.arrivals++
 	p.reschedule()
 	return true
 }
@@ -97,193 +163,36 @@ func sizeBits(bytes int64) float64 {
 // (for tests/metrics).
 func (p *pipe) queued() int { return len(p.active) + p.parked }
 
-// allocate shares capacity equally among the active transfers; the result
-// is indexed like active and read-only, valid until the next allocate call
-// on any pipe of the scheduler. The vector depends on (capacity,
-// len(active)) alone, so a queue of shareMemoMin to shareRingMax transfers
-// is served from the scheduler's memo; any other is filled into the pipe's
-// scratch, unless that already holds the vector for the same key.
-//
-//detlint:hotpath
-func (p *pipe) allocate(capacity float64) []float64 {
-	n := len(p.active)
-	if n >= shareMemoMin && n <= shareRingMax {
-		if p.sched.shares == nil {
-			p.sched.shares = &shareMemo{}
-		}
-		return p.sched.shares.lookup(capacity, n)
-	}
-	if n != len(p.rates) || capacity != p.ratesCap {
-		p.rates = fillShares(growScratch(p.rates, n), capacity)
-		p.ratesCap = capacity
-	}
-	return p.rates
-}
-
-// fillShares writes the equal share of capacity into every element of
-// rates. The fill is progressive — each transfer takes an equal part of what
-// the ones before it left — so the last share is exactly what remains and
-// float rounding never hands out more than the capacity.
-//
-//detlint:hotpath
-func fillShares(rates []float64, capacity float64) []float64 {
-	if capacity <= 0 {
-		clear(rates)
-		return rates
-	}
-	n := len(rates)
-	remaining := capacity
-	for i := range rates {
-		share := remaining / float64(n-i)
-		rates[i] = share
-		remaining -= share
-	}
-	return rates
-}
-
-// shareMemoMin is the shortest queue allocate serves from the memo. The
-// memo's ring costs a run up to 512 KiB, which short queues do not repay:
-// below 128 a pipe refills its own short vector, and only when its key
-// changed. The deepest consensus-tier queue measured is 76 transfers, so
-// the consensus tier never builds the ring.
-const shareMemoMin = 128
-
-// shareRingMax is the memo ring's size in shares (512 KiB), which bounds the
-// memo's memory; a longer queue is filled into its pipe's scratch.
-const shareRingMax = 64 << 10
-
-// shareSlots is the size of the memo's direct-mapped index.
-const shareSlots = 256
-
-// shareMemo holds the share vectors of one scheduler's deep queues, keyed
-// by (capacity, n), back to back in one ring. Flooded pipes of one tier
-// share a capacity and walk through the same queue lengths, so each vector
-// is filled about once per run.
-//
-// The index maps a key to slot (n + hash(capacity)) mod shareSlots, so the
-// consecutive queue lengths of one capacity never collide. A slot's vector
-// stays live until the ring's head has moved a whole ring past its start;
-// a miss fills at the head, skipping the ring's tail when the vector would
-// straddle its end. Ring positions count from the first fill and never
-// wrap, and the ring only grows before its head first reaches the end, so
-// a position is its offset until then.
-type shareMemo struct {
-	ring  []float64
-	head  uint64 // ring position of the next fill
-	slots [shareSlots]shareSlot
-	fills int // vectors filled, for the tests
-}
-
-type shareSlot struct {
-	capacity float64
-	n        int // 0 = unused
-	start    uint64
-}
-
-// lookup returns the share vector for (capacity, n), for n in
-// [1, shareRingMax]. It stays valid until the ring's head has moved a ring
-// past it, at least until the next lookup.
-//
-//detlint:hotpath
-func (m *shareMemo) lookup(capacity float64, n int) []float64 {
-	s := &m.slots[(uint64(n)+capacityHash(capacity))%shareSlots]
-	size := uint64(len(m.ring))
-	if s.n == n && s.capacity == capacity && m.head-s.start <= size {
-		off := s.start % size
-		return m.ring[off : off+uint64(n)]
-	}
-	if m.head+uint64(n) > size && size < shareRingMax {
-		m.grow(n)
-		size = uint64(len(m.ring))
-	}
-	off := m.head % size
-	if off+uint64(n) > size {
-		m.head += size - off
-		off = 0
-	}
-	*s = shareSlot{capacity: capacity, n: n, start: m.head}
-	m.head += uint64(n)
-	m.fills++
-	return fillShares(m.ring[off:off+uint64(n)], capacity)
-}
-
-// grow enlarges the ring, which has not wrapped yet, to hold n more shares
-// past its head: at least double, at most shareRingMax. Every vector keeps
-// its offset.
-func (m *shareMemo) grow(n int) {
-	ring := make([]float64, min(max(2*len(m.ring), int(m.head)+n), shareRingMax))
-	copy(ring, m.ring[:m.head])
-	m.ring = ring
-}
-
-// capacityHash spreads capacities over the memo's slots (Fibonacci hashing:
-// the top byte of the bits times 2⁶⁴/φ).
-//
-//detlint:hotpath
-func capacityHash(capacity float64) uint64 {
-	return math.Float64bits(capacity) * 0x9e3779b97f4a7c15 >> 56
-}
-
-// growScratch returns buf resized to n elements, contents unspecified.
-// Growth is geometric: a queue that builds up one transfer at a time (every
-// flooded or fan-in pipe) would otherwise reallocate the whole buffer per
-// arrival, O(n²) bytes for a queue of n.
-//
-//detlint:hotpath
-func growScratch(buf []float64, n int) []float64 {
-	return slices.Grow(buf[:0], n)[:n]
-}
-
-// advance moves the pipe's accounting from p.last to now, draining bits from
-// active transfers. Completed transfers are removed and their callbacks are
-// scheduled (at the current scheduler time, preserving causality); the pass
-// that removes them starts at the first one, and a step that completes none
-// makes no pass.
+// advance moves the pipe's accounting from p.last to now, one profile
+// segment or completion at a time. Completed transfers leave the heap in
+// (finish, arrival) order and their callbacks are scheduled in that order,
+// at the current scheduler time (preserving causality).
 //
 //detlint:hotpath
 func (p *pipe) advance(now time.Duration) {
 	for p.last < now && len(p.active) > 0 {
-		segEnd := p.prof.nextChange(p.last)
-		if segEnd > now {
-			segEnd = now
-		}
+		segEnd := min(p.prof.nextChange(p.last), now)
 		rate := p.prof.RateAt(p.last)
 		if rate <= 0 {
 			p.last = segEnd
 			continue
 		}
-		rates := p.allocate(rate)
-		minFinish := p.minFinish
-		if p.minAt != p.last || p.minRate != rate {
-			minFinish = earliestFinish(p.active, rates)
+		share := rate / float64(len(p.active))
+		step := segEnd - p.last
+		if finish := (p.active[0].finish - p.served) / share; finish < seconds(step) {
+			step = min(durCeil(finish), step)
 		}
-		span := seconds(segEnd - p.last)
-		var step time.Duration
-		if minFinish >= span {
-			step = segEnd - p.last
-		} else {
-			step = durCeil(minFinish)
-			if p.last+step > segEnd {
-				step = segEnd - p.last
-			}
-		}
-		stepSec := seconds(step)
-		first := -1 // the first transfer this step completed
-		for i := range p.active {
-			t := &p.active[i]
-			t.remaining -= rates[i] * stepSec
-			if t.remaining <= epsBits && first < 0 {
-				first = i
-			}
-		}
+		p.served += float64(share * seconds(step))
 		if p.metered {
-			for i := range p.active {
-				p.moved += rates[i] * stepSec
-			}
+			p.moved += float64(rate * seconds(step))
 		}
 		p.last += step
-		if first >= 0 {
-			p.collectDone(first)
+		at := max(p.last, p.sched.Now())
+		for len(p.active) > 0 && p.active[0].finish-p.served <= epsBits {
+			p.sched.push(at, p.active.pop().c)
+		}
+		if len(p.active) == 0 {
+			p.served, p.arrivals = 0, 0 // drained: rebase
 		}
 	}
 	if p.last < now {
@@ -291,100 +200,34 @@ func (p *pipe) advance(now time.Duration) {
 	}
 }
 
-// collectDone removes finished transfers, the first of them at index first,
-// and schedules their completions.
-//
-//detlint:hotpath
-func (p *pipe) collectDone(first int) {
-	kept := p.active[:first]
-	for i := first; i < len(p.active); i++ {
-		t := &p.active[i]
-		if t.remaining <= epsBits {
-			at := p.last
-			if sn := p.sched.Now(); at < sn {
-				at = sn
-			}
-			p.sched.push(at, t.c)
-			continue
-		}
-		kept = append(kept, *t)
-	}
-	p.active = kept
-}
-
-// earliestFinish is the soonest any transfer finishes at rates, in seconds;
-// +Inf when none is moving.
-//
-//detlint:hotpath
-func earliestFinish(active []transfer, rates []float64) float64 {
-	minFinish := math.Inf(1)
-	for i := range active {
-		if rates[i] > 0 {
-			if ft := active[i].remaining / rates[i]; ft < minFinish {
-				minFinish = ft
-			}
-		}
-	}
-	return minFinish
-}
-
-// nextCompletion simulates forward from p.last (without mutating state) and
-// returns the instant of the earliest transfer completion, or Never if the
-// pipe is stalled forever. The common case — the earliest finisher lands
-// inside the profile segment active at p.last — needs no forward
-// simulation at all: the remaining-bits vector is only cloned (into pipe
-// scratch) once the walk has to cross a segment boundary.
+// nextCompletion returns the instant the heap's top finishes, walking the
+// profile's segments from p.last with its remaining bits (without mutating
+// state), or Never if the pipe is stalled forever. The queue's length is
+// fixed until then, so the top stays the earliest finisher throughout. A
+// top left with at most epsBits at a breakpoint finishes there, as advance
+// completes it on reaching one.
 //
 //detlint:hotpath
 func (p *pipe) nextCompletion() time.Duration {
 	if len(p.active) == 0 {
 		return Never
 	}
-	var rem []float64 // nil until a segment boundary forces the clone
+	n := float64(len(p.active))
+	rem := p.active[0].finish - p.served
 	t := p.last
 	for {
 		segEnd := p.prof.nextChange(t)
-		rate := p.prof.RateAt(t)
-		if rate <= 0 {
-			if segEnd == Never {
-				return Never
+		if rate := p.prof.RateAt(t); rate > 0 {
+			share := rate / n
+			finishAt := addDur(t, durCeil(rem/share))
+			if segEnd == Never || finishAt <= segEnd {
+				return finishAt
 			}
-			t = segEnd
-			continue
-		}
-		rates := p.allocate(rate)
-		minFinish := math.Inf(1)
-		if rem == nil {
-			minFinish = earliestFinish(p.active, rates)
-			if t == p.last {
-				p.minAt, p.minRate, p.minFinish = t, rate, minFinish
+			if rem -= float64(share * seconds(segEnd-t)); rem <= epsBits {
+				return segEnd // advance completes it on reaching the breakpoint
 			}
-		} else {
-			for i := range rem {
-				if rates[i] > 0 {
-					if ft := rem[i] / rates[i]; ft < minFinish {
-						minFinish = ft
-					}
-				}
-			}
-		}
-		finishAt := addDur(t, durCeil(minFinish))
-		if segEnd == Never || finishAt <= segEnd {
-			return finishAt
-		}
-		if rem == nil {
-			p.rem = growScratch(p.rem, len(p.active))
-			rem = p.rem
-			for i := range p.active {
-				rem[i] = p.active[i].remaining
-			}
-		}
-		span := seconds(segEnd - t)
-		for i := range rem {
-			rem[i] -= rates[i] * span
-			if rem[i] < 0 {
-				rem[i] = 0
-			}
+		} else if segEnd == Never {
+			return Never
 		}
 		t = segEnd
 	}

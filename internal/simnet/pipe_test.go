@@ -247,32 +247,6 @@ func TestPipeRateDropMidTransfer(t *testing.T) {
 	approxDur(t, doneAt, 1500*time.Millisecond, time.Millisecond, "throttled transfer")
 }
 
-func TestAllocateWaterFilling(t *testing.T) {
-	s := NewScheduler()
-	p := newPipe(s, NewProfile(9e6))
-	p.active = make([]transfer, 3)
-	rates := p.allocate(9e6)
-	for i, r := range rates {
-		if math.Abs(r-3e6) > 1 {
-			t.Fatalf("transfer %d got %v, want an equal 3e6 share", i, r)
-		}
-	}
-	sum := rates[0] + rates[1] + rates[2]
-	if math.Abs(sum-9e6) > 1 {
-		t.Fatalf("allocation sum %v, want 9e6", sum)
-	}
-}
-
-func TestAllocateZeroCapacity(t *testing.T) {
-	s := NewScheduler()
-	p := newPipe(s, NewProfile(1e6))
-	p.active = make([]transfer, 2)
-	rates := p.allocate(0)
-	if rates[0] != 0 || rates[1] != 0 {
-		t.Fatalf("zero-capacity allocation %v, want zeros", rates)
-	}
-}
-
 func TestPipeQuickSingleTransferTime(t *testing.T) {
 	// For a constant-rate pipe with a single transfer, completion time must
 	// match the analytic value bytes*8/rate to within rounding.
@@ -337,12 +311,12 @@ func TestPipeConservation(t *testing.T) {
 
 func TestPipeRampAllocatesLinearly(t *testing.T) {
 	// A queue that builds up one transfer at a time — every flooded or
-	// fan-in pipe — must grow its scratch geometrically. Exact-size growth
-	// reallocates each buffer on every arrival: 8·n²/2 bytes apiece, 16 MB
-	// at n = 2000, against a few hundred KB for the whole linear ramp.
+	// fan-in pipe — must grow its heap geometrically. Exact-size growth
+	// reallocates it on every arrival: 32·n²/2 bytes, 64 MB at n = 2000,
+	// against a few hundred KB for the whole linear ramp.
 	prof := NewProfile(1e6)
-	// Completions cross a breakpoint, so nextCompletion's rem scratch is
-	// exercised along with allocate's rates.
+	// Completions cross a breakpoint, so completion planning walks
+	// segments on every arrival.
 	prof.ThrottleMin(time.Second, time.Minute, 1e3)
 	s, p := runPipe(prof)
 	cb := doneFunc(func(time.Duration) {})

@@ -148,11 +148,6 @@ type Scheduler struct {
 	stale      int
 	compaction compactPolicy
 
-	// shares memoises the equal-share vectors of deep pipe queues; nil until
-	// a pipe first queues shareMemoMin transfers, so a run whose queues stay
-	// shorter never builds its ring.
-	shares *shareMemo
-
 	// end is the run's last instant: Network.Run sets it to its limit before
 	// the first event, and nothing past it is queued or planned. Never (the
 	// default) keeps everything, for a scheduler stepped by RunUntil. beyond

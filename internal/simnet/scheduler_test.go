@@ -1,145 +1,11 @@
 package simnet
 
 import (
-	"math"
 	"slices"
 	"testing"
 	"time"
 	"unsafe"
 )
-
-// progressiveFill is the share vector as allocate computed it before the
-// memo: the oracle every memoised vector must equal bit for bit.
-func progressiveFill(n int, capacity float64) []float64 {
-	rates := make([]float64, n)
-	if capacity <= 0 {
-		return rates
-	}
-	remaining := capacity
-	for i := range rates {
-		rates[i] = remaining / float64(n-i)
-		remaining -= rates[i]
-	}
-	return rates
-}
-
-func TestShareMemoMatchesProgressiveFill(t *testing.T) {
-	s := NewScheduler()
-	p := newPipe(s, NewProfile(1))
-	all := make([]transfer, shareRingMax+1)
-	check := func(n int, capacity float64) []float64 {
-		t.Helper()
-		p.active = all[:n]
-		got := p.allocate(capacity)
-		want := progressiveFill(n, capacity)
-		if len(got) != n {
-			t.Fatalf("n=%d capacity=%g: %d shares", n, capacity, len(got))
-		}
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("n=%d capacity=%g: share %d is %v, want %v", n, capacity, i, got[i], want[i])
-			}
-		}
-		return got
-	}
-
-	// Three capacities (a flood residual, a cache's nominal link, a dead
-	// link) and two queue lengths per step: below shareMemoMin the pipe's
-	// scratch is refilled or kept, above it the memo fills, hits and wraps.
-	caps := []float64{1e6, 200e6, 0}
-	for n := 1; n <= 600; n++ {
-		for _, c := range caps {
-			check(n, c)
-			if n > 7 {
-				check(n-7, c)
-			}
-		}
-		for _, c := range caps {
-			check(n, c)
-			check(n, c)
-		}
-	}
-	m := s.shares
-	slot := func(n int, capacity float64) uint64 { return (uint64(n) + capacityHash(capacity)) % shareSlots }
-
-	// Two capacities on one slot: each lookup evicts the other's key, and
-	// neither may be served the other's vector.
-	a, b := 3e6, 3e6
-	for b++; capacityHash(b) != capacityHash(a); b++ {
-	}
-	fills := m.fills
-	for range 3 {
-		check(300, a)
-		check(300, b)
-	}
-	if m.fills != fills+6 {
-		t.Fatalf("alternating two keys on one slot filled %d vectors, want 6", m.fills-fills)
-	}
-
-	// A key whose slot still names it but whose shares the ring has since
-	// overwritten must be filled again.
-	const key, keyCap = 200, 5e6
-	check(key, keyCap)
-	start := m.slots[slot(key, keyCap)].start
-	for n := 1000; m.head-start <= uint64(len(m.ring)); n++ {
-		if slot(n, 7e6) != slot(key, keyCap) {
-			check(n, 7e6)
-		}
-	}
-	if e := m.slots[slot(key, keyCap)]; e.n != key || e.capacity != keyCap {
-		t.Fatalf("the key's slot was taken by (%g, %d)", e.capacity, e.n)
-	}
-	fills = m.fills
-	check(key, keyCap)
-	if m.fills != fills+1 {
-		t.Fatal("a key the ring had wrapped over was served without a refill")
-	}
-
-	// A queue longer than the ring is filled into the pipe's scratch and
-	// leaves the memo alone.
-	fills = m.fills
-	if got := check(shareRingMax+1, 1e6); &got[0] != &p.rates[0] || m.fills != fills || len(m.ring) > shareRingMax {
-		t.Fatalf("a queue longer than the ring went to the memo (%d fills, ring %d)", m.fills-fills, len(m.ring))
-	}
-}
-
-// symmetricFanIn runs the deep-queue shape of a flooded tier: pipes at one
-// capacity take the same arrivals at the same instants, ramp in lock step
-// to ramp transfers each, and then drain one completion at a time, since
-// every transfer is 1 000 bytes larger than the one before it.
-func symmetricFanIn(pipes, ramp int) (*Scheduler, int) {
-	s := NewScheduler()
-	ps := make([]*pipe, pipes)
-	for i := range ps {
-		ps[i] = newPipe(s, NewProfile(1e6))
-	}
-	done := 0
-	cb := doneFunc(func(time.Duration) { done++ })
-	for j := 0; j < ramp; j++ {
-		s.At(time.Duration(j)*time.Millisecond, func() {
-			for _, p := range ps {
-				p.enqueue(int64(125_000+1_000*j), cb)
-			}
-		})
-	}
-	s.Run()
-	return s, done
-}
-
-func TestSymmetricFanInFillsEachKeyOnce(t *testing.T) {
-	// Sixteen pipes ask for every queue length from 128 to 300 on the way
-	// up and again on the way down; nothing completes before the ramp ends
-	// (300 ms at 1 Mbit/s moves less than one transfer). The memo must fill
-	// each (capacity, n) once.
-	const pipes, ramp = 16, 300
-	s, done := symmetricFanIn(pipes, ramp)
-	if done != pipes*ramp {
-		t.Fatalf("%d of %d transfers completed", done, pipes*ramp)
-	}
-	if keys := ramp - shareMemoMin + 1; s.shares.fills != keys {
-		t.Fatalf("the memo filled %d vectors for %d keys", s.shares.fills, keys)
-	}
-}
 
 // fanInRun is one differential run: 300 transfers arriving 7 ms apart on a
 // pipe throttled 2–30 s and dead from 45 s on, run up to each limit in turn.
