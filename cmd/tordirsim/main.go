@@ -51,6 +51,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"strings"
@@ -113,6 +114,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "tordirsim: %s %g outside [0, 1]\n", f.name, f.frac)
 			return 2
 		}
+	}
+	if !(*bandwidthMbit > 0 && *bandwidthMbit <= math.MaxFloat64) { // NaN fails every comparison
+		fmt.Fprintf(stderr, "tordirsim: -bandwidth %g is not a positive number of Mbit/s\n", *bandwidthMbit)
+		return 2
 	}
 	if *showLog < -1 || *showLog >= authorities {
 		fmt.Fprintf(stderr, "tordirsim: -log %d outside [-1, %d): there are %d authorities\n", *showLog, authorities, authorities)

@@ -54,3 +54,14 @@ func TestDetectQuietOnHealthyRun(t *testing.T) {
 		t.Errorf("output does not end in %q:\n%s", want, out.Bytes())
 	}
 }
+
+// TestBadBandwidthExits2: a bandwidth that is not a positive number of
+// Mbit/s is a usage error, not a run at the default or on a dead network.
+func TestBadBandwidthExits2(t *testing.T) {
+	for _, bw := range []string{"0", "-5", "NaN"} {
+		var errOut bytes.Buffer
+		if code := run([]string{"-bandwidth", bw}, io.Discard, &errOut); code != 2 {
+			t.Errorf("-bandwidth %s: exit %d, want 2 (%s)", bw, code, errOut.String())
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package attack
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -75,8 +74,8 @@ func (p *Plan) Validate() error {
 	if p.End < p.Start {
 		return fmt.Errorf("attack: window ends (%v) before it starts (%v)", p.End, p.Start)
 	}
-	if p.Residual < 0 {
-		return errors.New("attack: negative residual bandwidth")
+	if !(p.Residual >= 0) { // NaN fails every comparison
+		return fmt.Errorf("attack: residual bandwidth %g is negative or NaN", p.Residual)
 	}
 	return nil
 }

@@ -63,6 +63,7 @@ func TestPlanValidate(t *testing.T) {
 		{Start: 2 * time.Minute, End: time.Minute}, // inverted window
 		{Start: -time.Second, End: time.Minute},    // negative start
 		{End: time.Minute, Residual: -1},           // negative residual
+		{End: time.Minute, Residual: math.NaN()},   // NaN residual
 		{End: time.Minute, Targets: []int{0, -3}},  // negative target
 		{End: time.Minute, Tier: Tier(7)},          // unknown tier
 	}

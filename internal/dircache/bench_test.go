@@ -64,7 +64,8 @@ func BenchmarkDistributionCacheFlood(b *testing.B) {
 // BenchmarkDistributionFanIn runs the benchmark's fanin op: two million
 // clients over 32 caches while half the caches and a majority of the
 // authorities are flooded — the only shape that queues hundreds of batches
-// on one pipe, where the finish-tag heap and stale-wakeup compaction work.
+// on one pipe, where the finish-tag heap and stale-wakeup compaction work
+// (both judged at small scale by simnet's TestKernelMatchesReference).
 func BenchmarkDistributionFanIn(b *testing.B) {
 	spec := Spec{
 		Clients: 2_000_000, Caches: 32, Fleets: 8, Seed: 1,

@@ -261,10 +261,10 @@ func (s Spec) Validate() error {
 	if s.RaceK < 0 {
 		return fmt.Errorf("dircache: negative race width %d", s.RaceK)
 	}
-	if s0.DiffFraction > 1 {
+	if !(s0.DiffFraction <= 1) { // NaN fails every comparison
 		return fmt.Errorf("dircache: diff fraction %.2f > 1", s0.DiffFraction)
 	}
-	if s0.TargetCoverage < 0 || s0.TargetCoverage > 1 {
+	if !(s0.TargetCoverage >= 0 && s0.TargetCoverage <= 1) {
 		return fmt.Errorf("dircache: target coverage %.2f outside [0, 1]", s0.TargetCoverage)
 	}
 	for i := range s.Attacks {

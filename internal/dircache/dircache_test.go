@@ -1,6 +1,7 @@
 package dircache
 
 import (
+	"math"
 	"sort"
 	"testing"
 	"time"
@@ -352,7 +353,9 @@ func TestSpecValidate(t *testing.T) {
 		{Clients: -1},
 		{Fleets: 10, Clients: 5},
 		{DiffFraction: 1.5},
+		{DiffFraction: math.NaN()},
 		{TargetCoverage: 2},
+		{TargetCoverage: math.NaN()},
 		{Attacks: []attack.Plan{{Start: time.Minute, End: 0}}},
 		// Targets beyond the tier would silently under-throttle.
 		{Caches: 10, Attacks: []attack.Plan{{Tier: attack.TierCache, Targets: attack.MajorityTargets(20), End: time.Hour}}},

@@ -23,7 +23,7 @@ func poisson(rng *rand.Rand, lambda float64) int {
 		}
 		return k - 1
 	}
-	n := int(math.Round(lambda + math.Sqrt(lambda)*rng.NormFloat64()))
+	n := int(math.Round(lambda + float64(math.Sqrt(lambda)*rng.NormFloat64())))
 	if n < 0 {
 		n = 0
 	}
@@ -40,7 +40,7 @@ func binomial(rng *rand.Rand, n int, p float64) int {
 		return n
 	}
 	if v := float64(n) * p * (1 - p); v > 25 {
-		k := int(math.Round(float64(n)*p + math.Sqrt(v)*rng.NormFloat64()))
+		k := int(math.Round(float64(float64(n)*p) + float64(math.Sqrt(v)*rng.NormFloat64())))
 		if k < 0 {
 			k = 0
 		}

@@ -163,10 +163,10 @@ func (b *Backoff) Validate() error {
 	if b.Cap < b.Base {
 		return fmt.Errorf("faults: backoff cap %v below base %v", b.Cap, b.Base)
 	}
-	if b.Factor < 1 {
+	if !(b.Factor >= 1) { // NaN fails every comparison
 		return fmt.Errorf("faults: backoff factor %g below 1", b.Factor)
 	}
-	if b.Jitter < 0 || b.Jitter > 1 {
+	if !(b.Jitter >= 0 && b.Jitter <= 1) {
 		return fmt.Errorf("faults: backoff jitter %g outside [0, 1]", b.Jitter)
 	}
 	if b.Budget < 0 {
@@ -192,7 +192,7 @@ func (b *Backoff) Delay(attempt int, rng *rand.Rand) time.Duration {
 		}
 	}
 	if b.Jitter > 0 {
-		d = d*(1-b.Jitter) + rng.Float64()*d*b.Jitter
+		d = float64(d*(1-b.Jitter)) + float64(rng.Float64()*d*b.Jitter)
 	}
 	return time.Duration(d)
 }

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -111,6 +112,8 @@ func TestBackoffValidate(t *testing.T) {
 		{Base: time.Second, Cap: time.Minute, Factor: 0.5, Jitter: 0.5},
 		{Base: time.Second, Cap: time.Minute, Factor: 2, Jitter: 1.5},
 		{Base: time.Second, Cap: time.Minute, Factor: 2, Jitter: -0.5},
+		{Base: time.Second, Cap: time.Minute, Factor: math.NaN(), Jitter: 0.5},
+		{Base: time.Second, Cap: time.Minute, Factor: 2, Jitter: math.NaN()},
 		{Base: time.Second, Cap: time.Minute, Factor: 2, Jitter: 0.5, Budget: -1},
 	}
 	for i, b := range bad {

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -181,6 +182,8 @@ func TestExperimentValidationErrors(t *testing.T) {
 			WithDistribution(dircache.Spec{TargetCoverage: 2}),
 		}, "target coverage"},
 		{"unknown protocol", []ExperimentOption{WithScenario(Scenario{Protocol: Protocol(555)})}, "no driver"},
+		{"negative bandwidth", []ExperimentOption{WithScenario(Scenario{Bandwidth: -5e6})}, "bandwidth"},
+		{"NaN bandwidth", []ExperimentOption{WithScenario(Scenario{Bandwidth: math.NaN()})}, "bandwidth"},
 	}
 	for _, tc := range cases {
 		if _, err := NewExperiment(tc.opts...); err == nil || !strings.Contains(err.Error(), tc.want) {

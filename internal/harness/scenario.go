@@ -38,6 +38,7 @@ package harness
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -317,6 +318,9 @@ func validateAuthorityAttack(p *attack.Plan, n int, t topo.Topology) error {
 // validate rejects scenarios RunE cannot execute. The scenario must already
 // carry its defaults.
 func (s Scenario) validate() error {
+	if !(s.Bandwidth > 0 && s.Bandwidth <= math.MaxFloat64) { // NaN fails every comparison
+		return fmt.Errorf("harness: bandwidth %g bit/s is not positive and finite", s.Bandwidth)
+	}
 	if s.Attack != nil {
 		// A malformed or mis-tiered plan is a configuration bug: silently
 		// running the healthy network would hand back wrong experiment data.

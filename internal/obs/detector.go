@@ -93,7 +93,7 @@ func (b *baseline) count() int {
 func (b *baseline) meanStd() (float64, float64) {
 	n := float64(b.count())
 	mean := b.sum / n
-	variance := b.sumSq/n - mean*mean
+	variance := b.sumSq/n - float64(mean*mean)
 	if variance < 0 {
 		variance = 0
 	}
@@ -104,13 +104,13 @@ func (b *baseline) push(x float64) {
 	if b.full {
 		old := b.win[b.next]
 		b.sum -= old
-		b.sumSq -= old * old
+		b.sumSq -= float64(old * old)
 		b.win[b.next] = x
 	} else {
 		b.win[b.next] = x
 	}
 	b.sum += x
-	b.sumSq += x * x
+	b.sumSq += float64(x * x)
 	b.next++
 	if b.next == len(b.win) {
 		b.next = 0
@@ -152,9 +152,9 @@ func (d *Detector) sample(ev Event, signal uint8, x, floor float64, low bool) {
 		if std < floor {
 			std = floor
 		}
-		deviates := x > mean+detK*std
+		deviates := x > mean+float64(detK*std)
 		if low {
-			deviates = x < mean-detK*std && ev.A > 0
+			deviates = x < mean-float64(detK*std) && ev.A > 0
 		}
 		if deviates {
 			b.streak++

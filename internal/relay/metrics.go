@@ -35,9 +35,9 @@ func MetricsSeries() []MetricPoint {
 	for i := range raw {
 		t := float64(i)
 		// Trend: start high (~8k), dip toward the middle (~6k), recover.
-		trend := 7000 + 900*math.Cos(t/float64(months-1)*2.2*math.Pi)
-		season := 220 * math.Sin(t/3.1)
-		noise := rng.NormFloat64() * 130
+		trend := 7000 + float64(900*math.Cos(t/float64(months-1)*2.2*math.Pi))
+		season := float64(220 * math.Sin(t/3.1))
+		noise := float64(rng.NormFloat64() * 130)
 		raw[i] = trend + season + noise
 	}
 	var sum float64

@@ -195,7 +195,7 @@ func Population(n int, seed int64) []Descriptor {
 			flags |= FlagV2Dir
 		}
 
-		bw := uint64(100 + rng.ExpFloat64()*8000)
+		bw := uint64(100 + float64(rng.ExpFloat64()*8000))
 		policy := exitPolicyPool[0]
 		if flags.Has(FlagExit) {
 			policy = exitPolicyPool[1+rng.Intn(len(exitPolicyPool)-1)]
@@ -212,7 +212,7 @@ func Population(n int, seed int64) []Descriptor {
 			Protocols:   protocolPool[rng.Intn(len(protocolPool))],
 			Bandwidth:   bw,
 			HasMeasured: rng.Float64() < 0.9,
-			Measured:    uint64(float64(bw) * (0.8 + rng.Float64()*0.4)),
+			Measured:    uint64(float64(float64(bw) * (0.8 + float64(rng.Float64()*0.4)))),
 			ExitPolicy:  policy,
 		}
 	}
@@ -244,8 +244,9 @@ func View(pop []Descriptor, auth int, seed int64) []Descriptor {
 		}
 		if rng.Float64() < viewMeasureRate {
 			c.HasMeasured = true
-			j := 1 + (rng.Float64()*2-1)*viewMeasureJitter
-			c.Measured = uint64(float64(d.Measured) * j)
+			// Float64 inlines a product, which the doubling would fuse with.
+			j := 1 + float64((float64(rng.Float64())*2-1)*viewMeasureJitter)
+			c.Measured = uint64(float64(float64(d.Measured) * j))
 			if c.Measured == 0 {
 				c.Measured = 1
 			}

@@ -247,3 +247,14 @@ func TestNodeByteAccounting(t *testing.T) {
 		t.Fatalf("node1 recv=%d", net.NodeBytesReceived(1))
 	}
 }
+
+func TestNetworkRunsOnce(t *testing.T) {
+	net, _, _ := twoNodeNet(t, 1e6, 0)
+	net.Run(time.Second)
+	defer func() {
+		if recover() == nil {
+			t.Error("a second Run did not panic")
+		}
+	}()
+	net.Run(2 * time.Second)
+}

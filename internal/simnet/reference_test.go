@@ -5,17 +5,135 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 	"time"
 )
 
-// This file is the pipe half of a reference kernel. referencePipe is a
-// processor-sharing pipe written the naive way: every transfer keeps its own
-// remaining bits and every step walks all of them, with no heap, no served
-// counter and no state carried between steps. A seeded generator builds
-// small scenarios, and the kernel's pipes must complete every transfer
-// within a nanosecond of the reference, in the same order, and conserve
-// bits at every quiescent instant.
+// This file is the reference kernel's scheduler and links, and the pipe
+// differential. A refLink is a processor-sharing pipe written the naive way:
+// every transfer keeps its own remaining bits and every step walks all of
+// them, with no heap, no served counter and no state carried between steps.
+// It steps only at its own arrivals, breakpoints and finishes, queues a
+// wakeup wherever its planned instant changes, and ignores the superseded
+// ones when they fire, as a kernel without compaction would. A seeded
+// generator builds small pipe scenarios, and the kernel's pipes must
+// complete every transfer within a nanosecond of the reference, in the same
+// order, and conserve bits at every quiescent instant.
+
+// refSched keeps its events sorted by (instant, sequence): a slice in which
+// an event goes after every one queued before it at the same instant.
+type refSched struct {
+	now      time.Duration
+	queue    []refEvent
+	executed uint64
+}
+
+type refEvent struct {
+	at time.Duration
+	fn func()
+}
+
+// at queues fn at t; at Never it queues nothing.
+func (s *refSched) at(t time.Duration, fn func()) {
+	if t != Never {
+		i := sort.Search(len(s.queue), func(i int) bool { return s.queue[i].at > t })
+		s.queue = slices.Insert(s.queue, i, refEvent{t, fn})
+	}
+}
+
+func (s *refSched) run(limit time.Duration) {
+	for len(s.queue) > 0 && s.queue[0].at <= limit {
+		ev := s.queue[0]
+		s.queue, s.now = s.queue[1:], ev.at
+		s.executed++
+		ev.fn()
+	}
+	s.now = max(s.now, limit)
+}
+
+type refLink struct {
+	s       *refSched
+	prof    *Profile
+	flights []refFlight // fewest bits left first, ties in arrival order
+	last    time.Duration
+	wake    time.Duration // the planned instant; Never when none
+	gen     int           // bumped by every new plan: an older plan's wakeup is a no-op
+	moved   float64
+}
+
+type refFlight struct {
+	remaining float64
+	done      func()
+}
+
+func (l *refLink) enqueue(bytes int64, done func()) {
+	l.advance()
+	bits := sizeBits(bytes)
+	i := sort.Search(len(l.flights), func(i int) bool { return l.flights[i].remaining > bits })
+	l.flights = slices.Insert(l.flights, i, refFlight{bits, done})
+	l.plan()
+}
+
+// step returns how far the link steps from t toward limit (to the next
+// breakpoint, limit, or the finish of a transfer with rem bits left, rounded
+// up to the nanosecond) and its rate over the step.
+func (l *refLink) step(t, limit time.Duration, rem float64) (time.Duration, float64) {
+	end := min(l.prof.nextChange(t), limit)
+	rate := l.prof.RateAt(t)
+	if rate <= 0 {
+		return end - t, 0
+	}
+	return min(end-t, durCeil(rem/(rate/float64(len(l.flights))))), rate
+}
+
+// advance steps the link to now. A step takes the same bits from every
+// transfer, so their order holds, and those left with at most epsBits
+// complete at now.
+func (l *refLink) advance() {
+	for now := l.s.now; l.last < now && len(l.flights) > 0; {
+		step, rate := l.step(l.last, now, l.flights[0].remaining)
+		l.last += step
+		l.moved += float64(rate * seconds(step))
+		for i := range l.flights {
+			l.flights[i].remaining -= float64(rate / float64(len(l.flights)) * seconds(step))
+		}
+		for len(l.flights) > 0 && l.flights[0].remaining <= epsBits {
+			l.s.at(now, l.flights[0].done)
+			l.flights = l.flights[1:]
+		}
+	}
+	l.last = max(l.last, l.s.now)
+}
+
+// plan queues a wakeup at the instant stepping would first complete a
+// transfer, unless that instant is the one already planned.
+func (l *refLink) plan() {
+	at := Never
+	if len(l.flights) > 0 {
+		for t, rem := l.last, l.flights[0].remaining; t < Never; {
+			step, rate := l.step(t, Never, rem)
+			t += step
+			if rem -= float64(rate / float64(len(l.flights)) * seconds(step)); rem <= epsBits {
+				at = t
+				break
+			}
+		}
+	}
+	if at != Never && at == l.wake {
+		return
+	}
+	l.wake = at
+	l.gen++
+	gen := l.gen
+	l.s.at(at, func() {
+		if gen == l.gen {
+			l.wake = Never
+			l.advance()
+			l.plan()
+		}
+	})
+}
 
 // refArrival is one transfer offered to a pipe; its index in the arrival
 // list is its id.
@@ -24,9 +142,14 @@ type refArrival struct {
 	bytes int64
 }
 
-// refDone is one completion: which transfer, and when.
-type refDone struct {
-	id int
+// transferID is a transfer's index in its pipe's arrival list.
+type transferID int
+
+func (id transferID) String() string { return fmt.Sprintf("transfer %d", int(id)) }
+
+// refDone is one completion: which transfer or message, and when.
+type refDone[K comparable] struct {
+	id K
 	at time.Duration
 }
 
@@ -47,57 +170,16 @@ type pipeScenario struct {
 // the kernel places at the limit has a reference instant to compare with.
 const refSlack = time.Microsecond
 
-// referencePipe plays arrivals through prof up to limit+refSlack and
-// returns every completion in instant order. Each step runs to the next
-// arrival, profile breakpoint or earliest finish (rounded up to the
-// nanosecond, as the model's clock is), takes (rate/n)·dt from every
-// transfer, and completes those left with at most epsBits.
-func referencePipe(prof *Profile, arrivals []refArrival, limit time.Duration) []refDone {
-	type flight struct {
-		id        int
-		remaining float64
+// referencePipe plays arrivals through one refLink up to limit+refSlack
+// and returns every completion in the order it ran.
+func referencePipe(prof *Profile, arrivals []refArrival, limit time.Duration) []refDone[transferID] {
+	var s refSched
+	l := &refLink{s: &s, prof: prof, wake: Never}
+	var done []refDone[transferID]
+	for id, a := range arrivals {
+		s.at(a.at, func() { l.enqueue(a.bytes, func() { done = append(done, refDone[transferID]{transferID(id), s.now}) }) })
 	}
-	var active []flight
-	var done []refDone
-	end := limit + refSlack
-	now, next := time.Duration(0), 0
-	for now < end {
-		for next < len(arrivals) && arrivals[next].at == now {
-			active = append(active, flight{next, sizeBits(arrivals[next].bytes)})
-			next++
-		}
-		stop := end
-		if next < len(arrivals) {
-			stop = min(stop, arrivals[next].at)
-		}
-		if len(active) == 0 {
-			now = stop
-			continue
-		}
-		step := min(stop, prof.nextChange(now)) - now
-		rate := prof.RateAt(now)
-		if rate <= 0 {
-			now += step
-			continue
-		}
-		share := rate / float64(len(active))
-		first := math.Inf(1)
-		for _, f := range active {
-			first = min(first, f.remaining/share)
-		}
-		step = min(step, durCeil(first))
-		now += step
-		kept := active[:0]
-		for _, f := range active {
-			f.remaining -= float64(share * seconds(step))
-			if f.remaining <= epsBits {
-				done = append(done, refDone{f.id, now})
-				continue
-			}
-			kept = append(kept, f)
-		}
-		active = kept
-	}
+	s.run(limit + refSlack)
 	return done
 }
 
@@ -112,7 +194,7 @@ func referencePipe(prof *Profile, arrivals []refArrival, limit time.Duration) []
 // completion is allowed epsBits + rate·1 ns. It returns each pipe's
 // completions in the order they ran and the worst conservation error past
 // that allowance, relative to the bits enqueued.
-func kernelRun(sc pipeScenario, final bool) (done [][]refDone, worst float64) {
+func kernelRun(sc pipeScenario, final bool) (done [][]refDone[transferID], worst float64) {
 	s := NewScheduler()
 	if final {
 		s.end = sc.limit
@@ -121,7 +203,7 @@ func kernelRun(sc pipeScenario, final bool) (done [][]refDone, worst float64) {
 	enqueued := make([]float64, len(sc.pipes))
 	parked := make([]float64, len(sc.pipes))
 	peak := make([]float64, len(sc.pipes)) // the profile's highest rate
-	done = make([][]refDone, len(sc.pipes))
+	done = make([][]refDone[transferID], len(sc.pipes))
 	stops := []time.Duration{sc.limit}
 	for i, pc := range sc.pipes {
 		p := newPipe(s, pc.prof.Clone())
@@ -132,7 +214,7 @@ func kernelRun(sc pipeScenario, final bool) (done [][]refDone, worst float64) {
 			s.At(a.at, func() {
 				bits := sizeBits(a.bytes)
 				enqueued[i] += bits
-				if !p.enqueue(a.bytes, doneFunc(func(at time.Duration) { done[i] = append(done[i], refDone{id, at}) })) {
+				if !p.enqueue(a.bytes, doneFunc(func(at time.Duration) { done[i] = append(done[i], refDone[transferID]{transferID(id), at}) })) {
 					parked[i] += bits
 				}
 			})
@@ -262,7 +344,11 @@ func TestPipeMatchesReference(t *testing.T) {
 				completed := 0
 				for i, pc := range sc.pipes {
 					want := referencePipe(pc.prof.Clone(), pc.arrivals, sc.limit)
-					if err := sameCompletions(got[i], want, pc.arrivals, sc.limit); err != nil {
+					err := sameCompletions(got[i], want, sc.limit)
+					if err == nil {
+						err = inArrivalOrder(got[i], pc.arrivals)
+					}
+					if err != nil {
 						t.Fatalf("final=%v, pipe %d: %v", final, i, err)
 					}
 					completed += len(got[i])
@@ -278,38 +364,44 @@ func TestPipeMatchesReference(t *testing.T) {
 // sameCompletions reports how the kernel's completions, in the order they
 // ran, differ from the reference's: each instant must be within 1 ns of the
 // reference's, a completion may run before an earlier one only if their
-// reference instants are within 1 ns, identical transfers (one instant, one
-// size) complete in arrival order, and every transfer the reference
-// completes before the limit must complete.
-func sameCompletions(got, want []refDone, arrivals []refArrival, limit time.Duration) error {
-	ref := make(map[int]time.Duration, len(want))
+// reference instants are within 1 ns, and every completion the reference
+// runs before the limit must run.
+func sameCompletions[K comparable](got, want []refDone[K], limit time.Duration) error {
+	ref := make(map[K]time.Duration, len(want))
 	for _, w := range want {
 		ref[w.id] = w.at
 	}
-	seen := make(map[int]bool, len(got))
-	twin := make(map[refArrival]int) // the last completed id of each identical set
 	prev := time.Duration(0)
 	for _, g := range got {
 		r, ok := ref[g.id]
-		last, twinDone := twin[arrivals[g.id]]
 		switch {
 		case !ok:
-			return fmt.Errorf("transfer %d completed at %v; the reference never completes it", g.id, g.at)
+			return fmt.Errorf("%v completed at %v; the reference never completes it", g.id, g.at)
 		case g.at-r > 1 || r-g.at > 1:
-			return fmt.Errorf("transfer %d completed at %v; the reference completes it at %v", g.id, g.at, r)
+			return fmt.Errorf("%v completed at %v; the reference completes it at %v", g.id, g.at, r)
 		case r < prev-1:
-			return fmt.Errorf("transfer %d (reference %v) ran after one the reference completes at %v", g.id, r, prev)
-		case twinDone && last > g.id:
-			return fmt.Errorf("transfer %d completed after the identical transfer %d, which arrived later", g.id, last)
+			return fmt.Errorf("%v (reference %v) ran after one the reference completes at %v", g.id, r, prev)
 		}
-		twin[arrivals[g.id]] = g.id
 		prev = max(prev, r)
-		seen[g.id] = true
+		delete(ref, g.id)
 	}
 	for _, w := range want {
-		if w.at < limit && !seen[w.id] {
-			return fmt.Errorf("the reference completes transfer %d at %v; the kernel never does", w.id, w.at)
+		if _, left := ref[w.id]; left && w.at < limit {
+			return fmt.Errorf("the reference completes %v at %v; the kernel never does", w.id, w.at)
 		}
+	}
+	return nil
+}
+
+// inArrivalOrder reports identical transfers (one instant, one size) that
+// completed out of arrival order.
+func inArrivalOrder(got []refDone[transferID], arrivals []refArrival) error {
+	last := make(map[refArrival]transferID) // the last completed of each identical set
+	for _, g := range got {
+		if id, ok := last[arrivals[g.id]]; ok && id > g.id {
+			return fmt.Errorf("%v completed after the identical %v, which arrived later", g.id, id)
+		}
+		last[arrivals[g.id]] = g.id
 	}
 	return nil
 }

@@ -144,9 +144,8 @@ type Scheduler struct {
 	// running is the sequence number of the event being run. stale counts
 	// the queued pipe wakeups a reschedule superseded: they pop as no-ops,
 	// and RunUntil compacts them away once they crowd the heap.
-	running    uint64
-	stale      int
-	compaction compactPolicy
+	running uint64
+	stale   int
 
 	// end is the run's last instant: Network.Run sets it to its limit before
 	// the first event, and nothing past it is queued or planned. Never (the
@@ -156,16 +155,6 @@ type Scheduler struct {
 	end    time.Duration
 	beyond bool
 }
-
-// compactPolicy selects when RunUntil drops stale wakeups. Only the
-// differential tests pick anything but compactAuto.
-type compactPolicy uint8
-
-const (
-	compactAuto   compactPolicy = iota // more than staleCompactMin and half the queue
-	compactNever                       // pop every stale wakeup as a no-op
-	compactAlways                      // before every pop that has a stale wakeup queued
-)
 
 // staleCompactMin is the stale-wakeup count below which compaction is never
 // worth a pass over the heap.
@@ -253,17 +242,11 @@ func (s *Scheduler) RunUntil(limit time.Duration) uint64 {
 }
 
 // wantCompact reports whether n removable stale wakeups justify a pass over
-// the heap: under compactAuto, when they outnumber both staleCompactMin and
-// the live entries, so each pass at least halves the queue.
+// the heap: when they outnumber both staleCompactMin and the live entries,
+// so each pass at least halves the queue.
 //
 //detlint:hotpath
 func (s *Scheduler) wantCompact(n int) bool {
-	switch s.compaction {
-	case compactNever:
-		return false
-	case compactAlways:
-		return true
-	}
 	return n > staleCompactMin && 2*n > len(s.queue)
 }
 
@@ -312,6 +295,7 @@ func (s *Scheduler) removable(ev *event, limit time.Duration) bool {
 // Run executes events until the queue is empty.
 func (s *Scheduler) Run() uint64 { return s.RunUntil(Never) }
 
-// Pending reports how many events are queued. Compaction can lower the count
-// but never to zero while a stale wakeup is still due.
+// Pending reports how many events are queued, stale wakeups included.
+// Compaction keeps the latest stale wakeup, so the queue drains at the same
+// event as without it (the traced sampler's stop condition).
 func (s *Scheduler) Pending() int { return len(s.queue) }

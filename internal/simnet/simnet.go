@@ -48,11 +48,11 @@
 //     since its number is not the pipe's. A reschedule that computes the
 //     same instant keeps the queued event instead of pushing a duplicate.
 //     When stale wakeups outnumber the live events (and 64), RunUntil drops
-//     the ones due by its limit and re-heapifies; the total order makes that
-//     invisible, and each dropped wakeup still counts as executed. The
-//     wakeup is the heap top's finish: nextCompletion walks the profile's
-//     segments carrying that one transfer's remaining bits, and completed
-//     transfers are scheduled in (finish, arrival) order.
+//     all but the latest of those due by its limit and re-heapifies; the
+//     total order makes that invisible, and each dropped wakeup still counts
+//     as executed. The wakeup is the heap top's finish: nextCompletion walks
+//     the profile's segments carrying that one transfer's remaining bits,
+//     and completed transfers are scheduled in (finish, arrival) order.
 //
 //   - Run end. A Network runs once (a second Run panics), so its limit is
 //     known before the first event and nothing past it is built: an event
@@ -76,11 +76,14 @@
 //     deep (TestPipeEqualShareAllocFree), and a queue built one arrival at
 //     a time allocates O(n) in total (TestPipeRampAllocatesLinearly).
 //
-//   - Checked against a reference. reference_test.go holds a naive pipe that
-//     walks every transfer's remaining bits on every step; on generated
-//     pipes (throttled, dead past the end, dead forever, bursts of 128 and
-//     more, an hour busy at about 10 Gbit/s) every completion must land within a
-//     nanosecond of it, and every pipe must conserve bits.
+//   - Checked against a reference. The _test.go files hold a naive kernel
+//     with no compaction, parking or run end: a sorted-slice scheduler, links
+//     that walk every transfer's remaining bits per step, and the three
+//     transport legs. Generated pipes and networks (throttled, dead until
+//     before, at or past the end, or forever; fan-in bursts; timers past the
+//     end), run final and stepped, must match it within a nanosecond per
+//     completion, event for event (TestKernelMatchesReference). A kernel
+//     change is judged by this differential.
 package simnet
 
 import (
