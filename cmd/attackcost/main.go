@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"time"
 
@@ -67,6 +68,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for _, w := range mins {
 		if w <= 0 {
 			return fail("invalid -minutes: window %g must be positive", w)
+		}
+		if w*float64(time.Minute) >= math.MaxInt64 {
+			return fail("invalid -minutes: window %g overflows a duration", w)
 		}
 		windows = append(windows, time.Duration(w*float64(time.Minute)))
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -21,5 +22,16 @@ func TestGoldenDefaultTables(t *testing.T) {
 	}
 	if !bytes.Equal(out.Bytes(), want) {
 		t.Errorf("output differs from testdata/default.golden:\n%s", out.Bytes())
+	}
+}
+
+// TestBadWindowRejected: a window that is not finite, positive and within a
+// duration is an error, not a priced table.
+func TestBadWindowRejected(t *testing.T) {
+	for _, w := range []string{"NaN", "Inf", "0", "1e12"} {
+		var out, errOut bytes.Buffer
+		if code := run([]string{"-minutes", w}, &out, &errOut); code != 1 || out.Len() != 0 || !strings.Contains(errOut.String(), "invalid -minutes") {
+			t.Errorf("-minutes %s: exit %d, stdout %q, stderr %q", w, code, out.String(), errOut.String())
+		}
 	}
 }

@@ -254,6 +254,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail("invalid -clients: %v", err)
 	}
+	if math.IsNaN(*authResidual) {
+		return fail("invalid -authority-residual: NaN")
+	}
 	residuals, err := partialtor.ParseSweepFloats(*residualsFlag)
 	if err != nil {
 		return fail("invalid -residuals: %v", err)

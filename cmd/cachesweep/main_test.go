@@ -65,3 +65,14 @@ func TestContradictoryFloodScopesRejected(t *testing.T) {
 		t.Errorf("a rejected invocation printed a table:\n%s", out.Bytes())
 	}
 }
+
+// TestNaNAxesRejected: a NaN residual or fraction is an error, not a cell run
+// unattacked or uncompromised.
+func TestNaNAxesRejected(t *testing.T) {
+	for _, arg := range []string{"-residuals=0,NaN", "-compromised=NaN", "-authority-residual=NaN"} {
+		var out, errOut bytes.Buffer
+		if code := run([]string{"-caches", "5", "-clients", "20000", arg}, &out, &errOut); code != 1 || out.Len() != 0 {
+			t.Errorf("%s: exit %d, want 1 and no table (stderr %q)", arg, code, errOut.String())
+		}
+	}
+}

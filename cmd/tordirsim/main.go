@@ -119,6 +119,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "tordirsim: -bandwidth %g is not a positive number of Mbit/s\n", *bandwidthMbit)
 		return 2
 	}
+	if *relays <= 0 {
+		fmt.Fprintf(stderr, "tordirsim: -relays %d is not a positive relay count\n", *relays)
+		return 2
+	}
 	if *showLog < -1 || *showLog >= authorities {
 		fmt.Fprintf(stderr, "tordirsim: -log %d outside [-1, %d): there are %d authorities\n", *showLog, authorities, authorities)
 		return 2

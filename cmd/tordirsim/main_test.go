@@ -65,3 +65,13 @@ func TestBadBandwidthExits2(t *testing.T) {
 		}
 	}
 }
+
+// TestBadRelaysExits2: a relay count that is not positive is a usage error.
+func TestBadRelaysExits2(t *testing.T) {
+	for _, n := range []string{"0", "-1"} {
+		var errOut bytes.Buffer
+		if code := run([]string{"-relays", n}, io.Discard, &errOut); code != 2 || strings.Contains(errOut.String(), "panic:") {
+			t.Errorf("-relays %s: exit %d, want 2 (%s)", n, code, errOut.String())
+		}
+	}
+}

@@ -64,7 +64,7 @@ func BenchmarkDistributionCacheFlood(b *testing.B) {
 // BenchmarkDistributionFanIn runs the benchmark's fanin op: two million
 // clients over 32 caches while half the caches and a majority of the
 // authorities are flooded — the only shape that queues hundreds of batches
-// on one pipe, where the finish-tag heap and stale-wakeup compaction work
+// on one pipe, where the finish-tag heap and the wakeups moved in place work
 // (both judged at small scale by simnet's TestKernelMatchesReference).
 func BenchmarkDistributionFanIn(b *testing.B) {
 	spec := Spec{
@@ -159,7 +159,7 @@ func TestRacingRunAllocationCeiling(t *testing.T) {
 	// race2Spec's run: about 23 060 allocations and 2.0 MB. Before a network
 	// knew its end, and before races and wave timers were recycled, it made
 	// about 49 320 and 8.1 MB: every fetch parked on a dead eu downlink was
-	// stored, re-shared and re-planned, and left a stale wakeup behind.
+	// stored, re-shared and re-planned.
 	allocs, bytes := runAllocs(t, race2Spec())
 	if allocs > 30_000 {
 		t.Errorf("racing run allocated %.0f times, want at most 30 000", allocs)

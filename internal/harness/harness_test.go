@@ -290,6 +290,20 @@ func TestScenarioDefaults(t *testing.T) {
 	}
 }
 
+func TestNegativeCountsAreErrors(t *testing.T) {
+	// Returned before any input is built: the protocols share one input key,
+	// and each try after the first would have found a half-built entry.
+	for _, bad := range []Scenario{{N: -1, Relays: 100}, {Relays: -1}} {
+		for _, p := range []Protocol{Current, Synchronous, ICPS} {
+			bad.Protocol = p
+			if _, err := RunE(bg, bad); err == nil || !strings.Contains(err.Error(), "-1") {
+				t.Fatalf("%+v: error %v, want the negative count named", bad, err)
+			}
+		}
+		mustRun(t, Scenario{Relays: 100, EntryPadding: 0, Round: 10 * time.Second})
+	}
+}
+
 func TestInputsCaching(t *testing.T) {
 	s := Scenario{Relays: 120, Seed: 5, EntryPadding: -1}
 	k1, d1 := Inputs(s)

@@ -318,6 +318,12 @@ func validateAuthorityAttack(p *attack.Plan, n int, t topo.Topology) error {
 // validate rejects scenarios RunE cannot execute. The scenario must already
 // carry its defaults.
 func (s Scenario) validate() error {
+	if s.N < 1 {
+		return fmt.Errorf("harness: %d authorities: need at least one", s.N)
+	}
+	if s.Relays < 0 {
+		return fmt.Errorf("harness: %d relays: the count cannot be negative", s.Relays)
+	}
 	if !(s.Bandwidth > 0 && s.Bandwidth <= math.MaxFloat64) { // NaN fails every comparison
 		return fmt.Errorf("harness: bandwidth %g bit/s is not positive and finite", s.Bandwidth)
 	}

@@ -103,7 +103,7 @@ func TestPipeEqualShareAllocFree(t *testing.T) {
 	// both as the measurement runs sizes the heap and the event queue.
 	size := int64(1_000 + depth)
 	enqueue := func() { p.enqueue(size, cb); size++ }
-	wakeup := func() { s.RunUntil(p.wakeAt) }
+	wakeup := func() { s.RunUntil(s.queue[p.slot].at) }
 	const runs = 101 // AllocsPerRun(100, f) calls f once more to warm it
 	for range runs {
 		enqueue()

@@ -259,8 +259,10 @@ const sampleEvery = time.Second
 
 // sample emits one EvPipeSample per pipe direction per node, then
 // reschedules itself — unless the event queue has drained, so a finished
-// run is not kept alive just to keep sampling. A queue that dropped an event
-// past the run's end would have held it to the end, so it never drains.
+// run is not kept alive just to keep sampling. The queue holds no no-op (a
+// pipe queues only its live wakeup), so it drains once nothing is left to
+// run; one that dropped an event past the run's end would have held it to
+// the end, so it never drains.
 // Sampling only reads pipe state; queue depths are exact, moved-bits deltas
 // are accounted up to the pipe's last activity (the fluid model advances
 // lazily, and forcing an advance here would perturb its floating-point step
@@ -294,11 +296,11 @@ func (n *Network) samplePipe(nd *node, p *pipe, prev *float64, dir string, now t
 	})
 }
 
-// Run starts the network (if needed) and executes events until the limit.
-// A network runs once, and a second call panics: the scheduler holds the
-// limit as the run's end from before the first event ("Run end" in the
-// package doc).
-func (n *Network) Run(limit time.Duration) {
+// Run starts the network (if needed), executes events until the limit and
+// returns the number it executed. A network runs once, and a second call
+// panics: the scheduler holds the limit as the run's end from before the
+// first event ("Run end" in the package doc).
+func (n *Network) Run(limit time.Duration) uint64 {
 	if n.ran {
 		panic("simnet: Run called twice; a network runs once")
 	}
@@ -307,7 +309,7 @@ func (n *Network) Run(limit time.Duration) {
 	if !n.started {
 		n.Start()
 	}
-	n.sched.RunUntil(limit)
+	return n.sched.RunUntil(limit)
 }
 
 // send implements the three-leg transport: uplink, latency, downlink.

@@ -104,8 +104,7 @@ type pipe struct {
 	served   float64       // bits every in-flight transfer has received since the pipe last drained
 	arrivals uint32        // stamp of the next arrival since the pipe last drained
 	last     time.Duration // progress is accounted up to this instant
-	wakeSeq  uint64        // sequence number of the live wakeup; 0 when none queued
-	wakeAt   time.Duration // instant of the live wakeup; Never when none queued
+	slot     int           // the queued wakeup's index in the event queue; -1 when none is queued
 
 	// parked counts the transfers that arrived while the pipe could not move
 	// a bit before the run's end: they are counted, never stored.
@@ -120,7 +119,7 @@ type pipe struct {
 }
 
 func newPipe(s *Scheduler, prof *Profile) *pipe {
-	return &pipe{sched: s, prof: prof, wakeAt: Never}
+	return &pipe{sched: s, prof: prof, slot: -1}
 }
 
 // enqueue adds a transfer of the given size; c completes (via the
@@ -133,7 +132,7 @@ func newPipe(s *Scheduler, prof *Profile) *pipe {
 func (p *pipe) enqueue(bytes int64, c completion) bool {
 	now := p.sched.Now()
 	p.advance(now)
-	if p.wakeAt == Never && p.prof.RateAt(now) <= 0 {
+	if p.slot < 0 && p.prof.RateAt(now) <= 0 {
 		if next := p.prof.nextChange(now); next >= p.sched.end {
 			p.parked++
 			if next != Never {
@@ -233,37 +232,33 @@ func (p *pipe) nextCompletion() time.Duration {
 	}
 }
 
-// reschedule plans the next wakeup (earliest completion or stall end). When
-// the computed wakeup equals the one already queued and still live, the
-// existing event is kept — re-pushing would pile a stale event onto the
-// heap for every enqueue that leaves the earliest completion unchanged.
-// Otherwise the new wakeup's sequence number replaces wakeSeq, which leaves
-// any previously queued one stale. A completion past the run's end plans no
-// wakeup at all, so a later reschedule counts no stale entry for it.
+// reschedule plans the next wakeup (earliest completion or stall end) and
+// keeps the pipe's one queued wakeup on it. An unchanged instant keeps the
+// queued event; a new one moves it in place with a fresh sequence number,
+// exactly as if it had been pushed now; with none queued, it is pushed. A
+// plan of Never or past the run's end removes the queued wakeup.
 func (p *pipe) reschedule() {
 	at := p.nextCompletion()
-	if p.sched.pastEnd(at) {
-		at = Never
+	s := p.sched
+	switch {
+	case at == Never || s.pastEnd(at):
+		if p.slot >= 0 {
+			s.queue.remove(p.slot)
+			p.slot = -1
+		}
+	case p.slot < 0:
+		s.push(at, p)
+	case s.queue[p.slot].at != at:
+		s.seq++
+		s.queue.fix(p.slot, event{at: at, seq: s.seq, c: p})
 	}
-	if at != Never && at == p.wakeAt {
-		return
-	}
-	if p.wakeAt != Never {
-		p.sched.stale++ // the queued wakeup now pops as a no-op
-	}
-	p.wakeAt = at
-	p.wakeSeq = p.sched.push(at, p)
 }
 
-// complete runs a wakeup. A stale one (not the live wakeup's sequence
-// number) is a no-op. The live one accounts progress up to now — completing
-// at least the transfer it was computed for — and plans the next.
+// complete runs the pipe's wakeup, which the queue has just popped: it
+// accounts progress up to now — completing at least the transfer it was
+// computed for — and plans the next.
 func (p *pipe) complete(now time.Duration) {
-	if p.sched.running != p.wakeSeq {
-		p.sched.stale--
-		return
-	}
-	p.wakeAt = Never // consumed; reschedule must push anew
+	p.slot = -1
 	p.advance(now)
 	p.reschedule()
 }

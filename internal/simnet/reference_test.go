@@ -14,10 +14,9 @@ import (
 // differential. A refLink is a processor-sharing pipe written the naive way:
 // every transfer keeps its own remaining bits and every step walks all of
 // them, with no heap, no served counter and no state carried between steps.
-// It steps only at its own arrivals, breakpoints and finishes, queues a
-// wakeup wherever its planned instant changes, and ignores the superseded
-// ones when they fire, as a kernel without compaction would. A seeded
-// generator builds small pipe scenarios, and the kernel's pipes must
+// It steps only at its own arrivals, breakpoints and finishes, and keeps one
+// wakeup queued, deleted and queued anew wherever its instant changes. A
+// seeded generator builds small pipe scenarios, and the kernel's pipes must
 // complete every transfer within a nanosecond of the reference, in the same
 // order, and conserve bits at every quiescent instant.
 
@@ -30,15 +29,18 @@ type refSched struct {
 }
 
 type refEvent struct {
-	at time.Duration
-	fn func()
+	at   time.Duration
+	fn   func()
+	link *refLink // whose wakeup this is; nil for any other event
 }
 
 // at queues fn at t; at Never it queues nothing.
-func (s *refSched) at(t time.Duration, fn func()) {
-	if t != Never {
-		i := sort.Search(len(s.queue), func(i int) bool { return s.queue[i].at > t })
-		s.queue = slices.Insert(s.queue, i, refEvent{t, fn})
+func (s *refSched) at(t time.Duration, fn func()) { s.queueEvent(refEvent{at: t, fn: fn}) }
+
+func (s *refSched) queueEvent(ev refEvent) {
+	if ev.at != Never {
+		i := sort.Search(len(s.queue), func(i int) bool { return s.queue[i].at > ev.at })
+		s.queue = slices.Insert(s.queue, i, ev)
 	}
 }
 
@@ -57,8 +59,6 @@ type refLink struct {
 	prof    *Profile
 	flights []refFlight // fewest bits left first, ties in arrival order
 	last    time.Duration
-	wake    time.Duration // the planned instant; Never when none
-	gen     int           // bumped by every new plan: an older plan's wakeup is a no-op
 	moved   float64
 }
 
@@ -106,8 +106,8 @@ func (l *refLink) advance() {
 	l.last = max(l.last, l.s.now)
 }
 
-// plan queues a wakeup at the instant stepping would first complete a
-// transfer, unless that instant is the one already planned.
+// plan keeps the link's one wakeup at the instant stepping would first
+// complete a transfer, deleting it and queueing it anew if that changed.
 func (l *refLink) plan() {
 	at := Never
 	if len(l.flights) > 0 {
@@ -120,19 +120,13 @@ func (l *refLink) plan() {
 			}
 		}
 	}
-	if at != Never && at == l.wake {
-		return
-	}
-	l.wake = at
-	l.gen++
-	gen := l.gen
-	l.s.at(at, func() {
-		if gen == l.gen {
-			l.wake = Never
-			l.advance()
-			l.plan()
+	if i := slices.IndexFunc(l.s.queue, func(ev refEvent) bool { return ev.link == l }); i >= 0 {
+		if l.s.queue[i].at == at {
+			return
 		}
-	})
+		l.s.queue = slices.Delete(l.s.queue, i, i+1)
+	}
+	l.s.queueEvent(refEvent{at: at, fn: func() { l.advance(); l.plan() }, link: l})
 }
 
 // refArrival is one transfer offered to a pipe; its index in the arrival
@@ -174,7 +168,7 @@ const refSlack = time.Microsecond
 // and returns every completion in the order it ran.
 func referencePipe(prof *Profile, arrivals []refArrival, limit time.Duration) []refDone[transferID] {
 	var s refSched
-	l := &refLink{s: &s, prof: prof, wake: Never}
+	l := &refLink{s: &s, prof: prof}
 	var done []refDone[transferID]
 	for id, a := range arrivals {
 		s.at(a.at, func() { l.enqueue(a.bytes, func() { done = append(done, refDone[transferID]{transferID(id), s.now}) }) })

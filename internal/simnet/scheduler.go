@@ -48,49 +48,88 @@ const heapArity = 4
 
 // eventQueue is a value-typed d-ary min-heap ordered by (at, seq). Events
 // are stored inline: no per-event heap allocation and no container/heap
-// interface boxing on the push/pop hot path.
+// interface boxing on the push/pop hot path. Every placement goes through
+// set, which records a pipe wakeup's slot on its pipe, so a pipe can move or
+// remove its one queued wakeup in place.
 type eventQueue []event
+
+// set places ev at i and, when it is a pipe's wakeup, records the slot.
+//
+//detlint:hotpath
+func (h eventQueue) set(i int, ev event) {
+	h[i] = ev
+	if p, ok := ev.c.(*pipe); ok {
+		p.slot = i
+	}
+}
 
 // push appends ev and sifts it up to its position.
 //
 //detlint:hotpath
 func (q *eventQueue) push(ev event) {
 	*q = append(*q, ev)
-	h := *q
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / heapArity
-		if !ev.before(&h[parent]) {
-			break
-		}
-		h[i] = h[parent]
-		i = parent
-	}
-	h[i] = ev
+	q.siftUp(len(*q)-1, ev)
 }
 
 // pop removes and returns the earliest event.
 //
 //detlint:hotpath
 func (q *eventQueue) pop() event {
+	top := (*q)[0]
+	q.remove(0)
+	return top
+}
+
+// remove deletes the event at i: the last leaf fills the hole and is sifted
+// to its position.
+//
+//detlint:hotpath
+func (q *eventQueue) remove(i int) {
 	h := *q
-	top := h[0]
 	n := len(h) - 1
 	ev := h[n]
 	h[n] = event{} // release the callback for GC
-	h = h[:n]
-	*q = h
-	if n > 0 {
-		h.siftDown(0, ev)
+	*q = h[:n]
+	if i < n {
+		q.fix(i, ev)
 	}
-	return top
+}
+
+// fix places ev in the slot at i, whose event it replaces, and sifts it up
+// or down to its position.
+//
+//detlint:hotpath
+func (q *eventQueue) fix(i int, ev event) {
+	if i > 0 && ev.before(&(*q)[(i-1)/heapArity]) {
+		q.siftUp(i, ev)
+	} else {
+		q.siftDown(i, ev)
+	}
+}
+
+// siftUp places ev in the hole at i, moving later parents down until ev
+// follows its own.
+//
+//detlint:hotpath
+func (q *eventQueue) siftUp(i int, ev event) {
+	h := *q
+	for i > 0 {
+		parent := (i - 1) / heapArity
+		if !ev.before(&h[parent]) {
+			break
+		}
+		h.set(i, h[parent])
+		i = parent
+	}
+	h.set(i, ev)
 }
 
 // siftDown places ev in the hole at i, moving earlier children up until ev
 // precedes all of its own.
 //
 //detlint:hotpath
-func (h eventQueue) siftDown(i int, ev event) {
+func (q *eventQueue) siftDown(i int, ev event) {
+	h := *q
 	n := len(h)
 	for {
 		first := heapArity*i + 1
@@ -110,20 +149,10 @@ func (h eventQueue) siftDown(i int, ev event) {
 		if !h[min].before(&ev) {
 			break
 		}
-		h[i] = h[min]
+		h.set(i, h[min])
 		i = min
 	}
-	h[i] = ev
-}
-
-// heapify restores the heap order over arbitrary contents (Floyd's
-// bottom-up construction).
-//
-//detlint:hotpath
-func (h eventQueue) heapify() {
-	for i := (len(h) - 2) / heapArity; i >= 0; i-- {
-		h.siftDown(i, h[i])
-	}
+	h.set(i, ev)
 }
 
 // globalSteps counts events executed by every Scheduler in the process. It
@@ -141,12 +170,6 @@ type Scheduler struct {
 	seq   uint64
 	queue eventQueue
 
-	// running is the sequence number of the event being run. stale counts
-	// the queued pipe wakeups a reschedule superseded: they pop as no-ops,
-	// and RunUntil compacts them away once they crowd the heap.
-	running uint64
-	stale   int
-
 	// end is the run's last instant: Network.Run sets it to its limit before
 	// the first event, and nothing past it is queued or planned. Never (the
 	// default) keeps everything, for a scheduler stepped by RunUntil. beyond
@@ -155,10 +178,6 @@ type Scheduler struct {
 	end    time.Duration
 	beyond bool
 }
-
-// staleCompactMin is the stale-wakeup count below which compaction is never
-// worth a pass over the heap.
-const staleCompactMin = 64
 
 // NewScheduler returns a scheduler at virtual time zero.
 func NewScheduler() *Scheduler { return &Scheduler{end: Never} }
@@ -173,24 +192,22 @@ func (s *Scheduler) Now() time.Duration { return s.now }
 //detlint:hotpath
 func (s *Scheduler) At(t time.Duration, fn func()) { s.push(t, funcEvent(fn)) }
 
-// push queues c at t and returns the event's sequence number, or 0 when
-// nothing was queued: t is Never or past the run's end.
+// push queues c at t, unless t is Never or past the run's end.
 //
 //detlint:hotpath
-func (s *Scheduler) push(t time.Duration, c completion) uint64 {
+func (s *Scheduler) push(t time.Duration, c completion) {
 	if t == Never {
-		return 0
+		return
 	}
 	if t < s.now {
 		//detlint:hotpath ok(cold panic path: formatting only runs on a caller bug)
 		panic(fmt.Sprintf("simnet: scheduling event at %v before now %v", t, s.now))
 	}
 	if s.pastEnd(t) {
-		return 0 // it could never run; skipping its seq keeps every other event's order
+		return // it could never run; skipping its seq keeps every other event's order
 	}
 	s.seq++
 	s.queue.push(event{at: t, seq: s.seq, c: c})
-	return s.seq
 }
 
 // pastEnd reports whether an instant lies past the run's end, where nothing
@@ -212,25 +229,14 @@ func (s *Scheduler) After(d time.Duration, fn func()) { s.At(addDur(s.now, d), f
 // RunUntil executes events in timestamp order until the queue is empty or
 // the next event is after the limit; the clock then rests at the limit (or
 // at the last event if the queue drained first). It returns the number of
-// events executed, stale wakeups included, compacted or popped.
+// events executed.
 //
 //detlint:hotpath
 func (s *Scheduler) RunUntil(limit time.Duration) uint64 {
 	var executed uint64
-	// floor is the stale wakeups a compaction in this call left behind: all
-	// of them lie past limit, so none can be removed before the next call.
-	floor := 0
-	for len(s.queue) > 0 {
-		if s.queue[0].at > limit {
-			break
-		}
-		if n := s.stale - floor; n > 0 && s.wantCompact(n) {
-			executed += s.compact(limit)
-			floor = s.stale
-			continue
-		}
+	for len(s.queue) > 0 && s.queue[0].at <= limit {
 		next := s.queue.pop()
-		s.now, s.running = next.at, next.seq
+		s.now = next.at
 		next.c.complete(s.now)
 		executed++
 	}
@@ -241,61 +247,10 @@ func (s *Scheduler) RunUntil(limit time.Duration) uint64 {
 	return executed
 }
 
-// wantCompact reports whether n removable stale wakeups justify a pass over
-// the heap: when they outnumber both staleCompactMin and the live entries,
-// so each pass at least halves the queue.
-//
-//detlint:hotpath
-func (s *Scheduler) wantCompact(n int) bool {
-	return n > staleCompactMin && 2*n > len(s.queue)
-}
-
-// compact removes the stale wakeups due by limit and re-heapifies, and
-// returns how many it removed. Each of them would have popped as a no-op
-// inside this RunUntil call, so the caller counts them as executed. The
-// order of what remains is unchanged: (at, seq) is a total order, so any
-// heap over the same events pops the same sequence. The latest candidate
-// stays queued, to pop as a no-op in its turn, so the queue drains exactly
-// when it would have without compaction (the traced sampler's stop
-// condition) and the clock ends where it would have.
-//
-//detlint:hotpath
-func (s *Scheduler) compact(limit time.Duration) uint64 {
-	last := -1
-	for i := range s.queue {
-		if ev := &s.queue[i]; s.removable(ev, limit) && (last < 0 || s.queue[last].before(ev)) {
-			last = i
-		}
-	}
-	kept := s.queue[:0]
-	removed := 0
-	for i := range s.queue {
-		if i != last && s.removable(&s.queue[i], limit) {
-			removed++
-			continue
-		}
-		kept = append(kept, s.queue[i])
-	}
-	clear(s.queue[len(kept):]) // release the callbacks for GC
-	s.queue = kept
-	s.queue.heapify()
-	s.stale -= removed
-	return uint64(removed)
-}
-
-// removable reports whether ev is a stale wakeup due by limit: a pipe's
-// wakeup that is not the pipe's live one.
-//
-//detlint:hotpath
-func (s *Scheduler) removable(ev *event, limit time.Duration) bool {
-	p, ok := ev.c.(*pipe)
-	return ev.at <= limit && ok && ev.seq != p.wakeSeq
-}
-
 // Run executes events until the queue is empty.
 func (s *Scheduler) Run() uint64 { return s.RunUntil(Never) }
 
-// Pending reports how many events are queued, stale wakeups included.
-// Compaction keeps the latest stale wakeup, so the queue drains at the same
-// event as without it (the traced sampler's stop condition).
+// Pending reports how many events are queued. A pipe queues one wakeup at
+// most, its live one, so the queue drains as soon as nothing is left to run
+// (the traced sampler's stop condition).
 func (s *Scheduler) Pending() int { return len(s.queue) }

@@ -42,23 +42,22 @@
 //     stamps restart at 0 whenever the pipe drains.
 //
 //   - Completion planning. An event is (instant, sequence number,
-//     completion); a plain callback is a completion too. A pipe schedules
-//     exactly one live wakeup (the earliest completion) and remembers its
-//     sequence number; a superseded wakeup stays queued and pops as a no-op,
-//     since its number is not the pipe's. A reschedule that computes the
-//     same instant keeps the queued event instead of pushing a duplicate.
-//     When stale wakeups outnumber the live events (and 64), RunUntil drops
-//     all but the latest of those due by its limit and re-heapifies; the
-//     total order makes that invisible, and each dropped wakeup still counts
-//     as executed. The wakeup is the heap top's finish: nextCompletion walks
-//     the profile's segments carrying that one transfer's remaining bits,
-//     and completed transfers are scheduled in (finish, arrival) order.
+//     completion); a plain callback is a completion too. A pipe has at most
+//     one queued wakeup, always the live one (the earliest completion): the
+//     queue records its slot on the pipe whenever a sift places it. A
+//     reschedule that computes the same instant keeps the queued event; a
+//     new instant moves it in place with a fresh sequence number, exactly as
+//     if it had been pushed then; a plan of Never or past the run's end
+//     removes it. So the queue never holds a no-op. The wakeup is the heap
+//     top's finish: nextCompletion walks the profile's segments carrying
+//     that one transfer's remaining bits, and completed transfers are
+//     scheduled in (finish, arrival) order.
 //
 //   - Run end. A Network runs once (a second Run panics), so its limit is
 //     known before the first event and nothing past it is built: an event
 //     due after the end is never queued (and takes no sequence number, so
 //     the order of the rest is unchanged), a completion planned past it
-//     pushes no wakeup, and a transfer arriving at a pipe that is dead now
+//     leaves its pipe no wakeup, and a transfer arriving at a pipe dead now
 //     and until the end or later is counted as parked instead of stored.
 //     None of them could have run inside the limit. The scheduler notes
 //     that something was due past the end, and the traced sampler then
@@ -77,13 +76,15 @@
 //     a time allocates O(n) in total (TestPipeRampAllocatesLinearly).
 //
 //   - Checked against a reference. The _test.go files hold a naive kernel
-//     with no compaction, parking or run end: a sorted-slice scheduler, links
-//     that walk every transfer's remaining bits per step, and the three
-//     transport legs. Generated pipes and networks (throttled, dead until
-//     before, at or past the end, or forever; fan-in bursts; timers past the
-//     end), run final and stepped, must match it within a nanosecond per
-//     completion, event for event (TestKernelMatchesReference). A kernel
-//     change is judged by this differential.
+//     with no parking or run end: a sorted-slice scheduler, links that walk
+//     every transfer's remaining bits per step and delete and requeue their
+//     one wakeup wherever its instant changes, and the three transport legs.
+//     Generated pipes and networks (throttled, dead until before, at or past
+//     the end, or forever; fan-in bursts; timers past the end), run final
+//     and stepped, must match it within a nanosecond per completion, event
+//     for event, with every message accounted for at each sample
+//     (TestKernelMatchesReference). A kernel change is judged by this
+//     differential.
 package simnet
 
 import (

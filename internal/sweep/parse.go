@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -39,12 +40,16 @@ func ParsePositiveInts(s string) ([]int, error) {
 	return out, nil
 }
 
-// ParseFloats is ParseInts for float axes ("0.5,1,2.5").
+// ParseFloats is ParseInts for float axes ("0.5,1,2.5"). A NaN or an
+// infinity is no axis value: it is rejected like a malformed element.
 func ParseFloats(s string) ([]float64, error) {
 	var out []float64
 	for i, f := range strings.Split(s, ",") {
 		f = strings.TrimSpace(f)
 		v, err := strconv.ParseFloat(f, 64)
+		if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+			err = fmt.Errorf("%g is not finite", v)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("element %d (%q) of %q: %v", i+1, f, s, err)
 		}

@@ -275,6 +275,9 @@ func TestParseIntsAndFloats(t *testing.T) {
 	if _, err := ParseFloats("1,x"); err == nil || !strings.Contains(err.Error(), `element 2 ("x")`) {
 		t.Fatalf("ParseFloats bad element: %v", err)
 	}
+	if _, err := ParseFloats("1,NaN"); err == nil || !strings.Contains(err.Error(), `element 2 ("NaN")`) {
+		t.Fatalf("ParseFloats non-finite element: %v", err)
+	}
 }
 
 func TestParsePositiveInts(t *testing.T) {

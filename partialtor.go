@@ -380,7 +380,8 @@ func ParseSweepInts(s string) ([]int, error) { return sweep.ParseInts(s) }
 // axes of counts (caches, clients, targets).
 func ParseSweepCounts(s string) ([]int, error) { return sweep.ParsePositiveInts(s) }
 
-// ParseSweepFloats parses a comma-separated float axis flag ("0.5,1,2.5").
+// ParseSweepFloats parses a comma-separated float axis flag ("0.5,1,2.5");
+// a NaN or infinite element is an error.
 func ParseSweepFloats(s string) ([]float64, error) { return sweep.ParseFloats(s) }
 
 // --- observability re-exports ---
