@@ -257,6 +257,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if math.IsNaN(*authResidual) {
 		return fail("invalid -authority-residual: NaN")
 	}
+	// A zero window, target or seed would select the spec's default
+	// silently, while the flood and fault windows are still computed from
+	// the flag.
+	if *window <= 0 {
+		return fail("invalid -window %v: not a positive fetch window", *window)
+	}
+	if !(*target > 0 && *target <= 1) { // NaN fails every comparison
+		return fail("invalid -target %g: outside (0, 1]", *target)
+	}
+	if *seed == 0 {
+		return fail("invalid -seed 0: a zero seed runs seed 1")
+	}
 	residuals, err := partialtor.ParseSweepFloats(*residualsFlag)
 	if err != nil {
 		return fail("invalid -residuals: %v", err)

@@ -67,9 +67,13 @@ func TestContradictoryFloodScopesRejected(t *testing.T) {
 }
 
 // TestNaNAxesRejected: a NaN residual or fraction is an error, not a cell run
-// unattacked or uncompromised.
+// unattacked or uncompromised; so is a window, target or seed the spec would
+// replace with its default.
 func TestNaNAxesRejected(t *testing.T) {
-	for _, arg := range []string{"-residuals=0,NaN", "-compromised=NaN", "-authority-residual=NaN"} {
+	for _, arg := range []string{
+		"-residuals=0,NaN", "-compromised=NaN", "-authority-residual=NaN",
+		"-window=0", "-window=-5m", "-target=0", "-target=NaN", "-target=1.5", "-seed=0",
+	} {
 		var out, errOut bytes.Buffer
 		if code := run([]string{"-caches", "5", "-clients", "20000", arg}, &out, &errOut); code != 1 || out.Len() != 0 {
 			t.Errorf("%s: exit %d, want 1 and no table (stderr %q)", arg, code, errOut.String())

@@ -119,9 +119,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "tordirsim: -bandwidth %g is not a positive number of Mbit/s\n", *bandwidthMbit)
 		return 2
 	}
-	if *relays <= 0 {
-		fmt.Fprintf(stderr, "tordirsim: -relays %d is not a positive relay count\n", *relays)
-		return 2
+	// The scenario replaces a zero count, round or seed with its default,
+	// and a negative client count skips the distribution phase: each would
+	// run something other than what was asked.
+	for _, bad := range []struct {
+		on  bool
+		msg string
+	}{
+		{*relays <= 0, fmt.Sprintf("-relays %d is not a positive relay count", *relays)},
+		{*round <= 0, fmt.Sprintf("-round %v is not a positive round length", *round)},
+		{*seed == 0, "-seed 0 is not a seed: the scenario would run seed 1"},
+		{*caches <= 0, fmt.Sprintf("-caches %d is not a positive cache count", *caches)},
+		{*clients < 0, fmt.Sprintf("-clients %d is negative (0 skips the distribution phase)", *clients)},
+	} {
+		if bad.on {
+			fmt.Fprintf(stderr, "tordirsim: %s\n", bad.msg)
+			return 2
+		}
 	}
 	if *showLog < -1 || *showLog >= authorities {
 		fmt.Fprintf(stderr, "tordirsim: -log %d outside [-1, %d): there are %d authorities\n", *showLog, authorities, authorities)

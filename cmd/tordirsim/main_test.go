@@ -66,12 +66,23 @@ func TestBadBandwidthExits2(t *testing.T) {
 	}
 }
 
-// TestBadRelaysExits2: a relay count that is not positive is a usage error.
+// TestBadRelaysExits2: a count, round or seed that the scenario would
+// replace with a default, or that would skip a phase, is a usage error: exit
+// 2 with one line on stderr, never a run of something else.
 func TestBadRelaysExits2(t *testing.T) {
-	for _, n := range []string{"0", "-1"} {
+	for _, args := range []string{
+		"-relays 0",
+		"-relays -1",
+		"-round 0",
+		"-round -5s",
+		"-seed 0",
+		"-caches 0 -clients 20000",
+		"-clients -5",
+	} {
 		var errOut bytes.Buffer
-		if code := run([]string{"-relays", n}, io.Discard, &errOut); code != 2 || strings.Contains(errOut.String(), "panic:") {
-			t.Errorf("-relays %s: exit %d, want 2 (%s)", n, code, errOut.String())
+		code := run(strings.Fields(args), io.Discard, &errOut)
+		if code != 2 || strings.Count(errOut.String(), "\n") != 1 || strings.Contains(errOut.String(), "panic:") {
+			t.Errorf("%s: exit %d, want 2 and one line on stderr (%q)", args, code, errOut.String())
 		}
 	}
 }

@@ -620,7 +620,7 @@ var setAndReadOnPurpose = map[string]string{
 	"hotstuff.Config.AltPropose":      "adversarial hook: the value an Equivocator shows the odd-indexed peers",
 	"syncdir.Config.EquivocateLeader": "adversarial hook: the Dolev-Strong tests make the leader sign two bundles",
 	"simnet.Network.SetDelayFilter":   "adversarial hook: an adversarial scheduler before GST, which partial synchrony allows",
-	"simnet.Network.SetDropFilter":    "adversarial hook of unit tests alone: no runner drops, TestDistributionNeverDrops holds them to it",
+	"simnet.Network.SetDropFilter":    "adversarial hook of unit tests alone: no runner drops, harness's TestDistributionNeverDrops and dircache's TestDistributionLaws hold them to it",
 
 	"faults.Backoff.Budget": "without it Result.RetryDropped, pinned in the frozen benchmark's digests, and cachesweep's dropped column can only read 0",
 
@@ -628,6 +628,9 @@ var setAndReadOnPurpose = map[string]string{
 	"core.AgreementValue.DigestVector": "the X_i of Definition 5.1: the agreement tests compare it across authorities",
 	"simnet.Network.Now":               "the GST tests' adversarial delay filters read the clock",
 	"syncdir.Result.Bottoms":           "the Dolev-Strong tests assert how many authorities output ⊥, an outcome no table prints",
+	"syncdir.Result.Digests":           "the agreement tests assert every authority output the same consensus digest",
+	"dirv3.Result.SigCounts":           "the happy-path test asserts each authority holds all 9 matching signatures",
+	"dirv3.Result.VoteCounts":          "the forged-vote test asserts each honest authority holds 3 votes, and the equivocation test counts digests only where votes arrived",
 	"sig.Registry.Memoised":            "the sharing tests pin how many distinct signatures a run verifies",
 	"simnet.Profile.Clone":             "the profile tests edit a copy to show the original untouched",
 	"simnet.Profile.SetRate":           "the pipe tests shape capacity exactly; runners only ever cap it (ThrottleMin)",
@@ -772,6 +775,19 @@ func TestInternalFieldsAreSetAndRead(t *testing.T) {
 			case *ast.AssignStmt:
 				for _, lhs := range n.Lhs {
 					write(lhs)
+				}
+				if len(n.Lhs) != len(n.Rhs) {
+					break
+				}
+				// In x.F = append(x.F, …) the x.F inside append is the
+				// write's own operand, not a read.
+				for i, rhs := range n.Rhs {
+					if call, ok := rhs.(*ast.CallExpr); ok && builtin(call, "append") {
+						id, v := field(call.Args[0])
+						if _, w := field(n.Lhs[i]); v != nil && w == v {
+							writes[id] = true
+						}
+					}
 				}
 			case *ast.IncDecStmt:
 				write(n.X)

@@ -62,7 +62,7 @@ func TestFullRunThroughWireCodec(t *testing.T) {
 	correct := func(i int) bool { return i != 3 && i != 7 }
 	res := Collect(auths, cfg, correct)
 	if !res.Success {
-		t.Fatalf("codec-bounced run failed: %v", res.Done)
+		t.Fatalf("codec-bounced run failed: %v", res.DoneAt)
 	}
 	assertDefinition51(t, auths, cfg, correct)
 	v := auths[0].Decided()

@@ -134,7 +134,7 @@ func TestTwoSilentAuthorities(t *testing.T) {
 	correct := func(i int) bool { return !cfg.Silent[i] }
 	res := Collect(auths, cfg, correct)
 	if !res.Success {
-		t.Fatalf("correct authorities did not all finish: %v", res.Done)
+		t.Fatalf("correct authorities did not all finish: %v", res.DoneAt)
 	}
 	assertDefinition51(t, auths, cfg, correct)
 	if res.OKCount != 7 {
@@ -160,7 +160,7 @@ func TestEquivocatorExcludedWithProof(t *testing.T) {
 	correct := func(i int) bool { return i != 3 }
 	res := Collect(auths, cfg, correct)
 	if !res.Success {
-		t.Fatalf("run failed: %v", res.Done)
+		t.Fatalf("run failed: %v", res.DoneAt)
 	}
 	assertDefinition51(t, auths, cfg, correct)
 	v := auths[0].Decided()
@@ -184,7 +184,7 @@ func TestSilentFirstLeaderViewChange(t *testing.T) {
 	correct := func(i int) bool { return i != 0 }
 	res := Collect(auths, cfg, correct)
 	if !res.Success {
-		t.Fatalf("run failed: %v", res.Done)
+		t.Fatalf("run failed: %v", res.DoneAt)
 	}
 	assertDefinition51(t, auths, cfg, correct)
 	for i := 1; i < 9; i++ {
@@ -202,7 +202,7 @@ func TestWorksAtDDoSBandwidth(t *testing.T) {
 	auths := runScenario(t, cfg, 1e6, 30*time.Minute, nil)
 	res := Collect(auths, cfg, nil)
 	if !res.Success {
-		t.Fatalf("ICPS failed at 1 Mbit/s: %v", res.Done)
+		t.Fatalf("ICPS failed at 1 Mbit/s: %v", res.DoneAt)
 	}
 	assertDefinition51(t, auths, cfg, nil)
 	if res.Latency < 10*time.Second {
@@ -226,7 +226,7 @@ func TestFiveMinuteOutageRecovery(t *testing.T) {
 	})
 	res := Collect(auths, cfg, nil)
 	if !res.Success {
-		t.Fatalf("no recovery after outage: %v", res.Done)
+		t.Fatalf("no recovery after outage: %v", res.DoneAt)
 	}
 	assertDefinition51(t, auths, cfg, nil)
 	for i, a := range auths {
@@ -250,7 +250,7 @@ func TestLaggardCatchesUpAndAggregates(t *testing.T) {
 	})
 	res := Collect(auths, cfg, nil)
 	if !res.Success {
-		t.Fatalf("run failed: %v", res.Done)
+		t.Fatalf("run failed: %v", res.DoneAt)
 	}
 	assertDefinition51(t, auths, cfg, nil)
 	if auths[8].doneAt < 20*time.Second {
@@ -292,7 +292,7 @@ func TestAgreementUnderAdversarialDelays(t *testing.T) {
 		tn.Run(30 * time.Minute)
 		res := Collect(auths, cfg, nil)
 		if !res.Success {
-			t.Fatalf("seed %d: termination failed: %v", seed, res.Done)
+			t.Fatalf("seed %d: termination failed: %v", seed, res.DoneAt)
 		}
 		assertDefinition51(t, auths, cfg, nil)
 	}

@@ -12,7 +12,6 @@ import (
 type Result struct {
 	// Per-authority outcomes (index-aligned; Byzantine/silent authorities
 	// report zero values).
-	Done       []bool
 	DoneAt     []time.Duration
 	ConsDigest []sig.Digest
 
@@ -34,7 +33,6 @@ func Collect(auths []*Authority, cfg Config, correct func(i int) bool) *Result {
 	res := &Result{Latency: simnet.Never, Success: true}
 	honest := make([]bool, len(auths))
 	for i, a := range auths {
-		res.Done = append(res.Done, a.done)
 		res.DoneAt = append(res.DoneAt, a.doneAt)
 		res.ConsDigest = append(res.ConsDigest, a.consDigest)
 		if a.done {

@@ -235,24 +235,6 @@ func TestCompromiseValidation(t *testing.T) {
 	}
 }
 
-// TestCompromiseDeterministic: compromised runs are as reproducible as
-// healthy ones.
-func TestCompromiseDeterministic(t *testing.T) {
-	spec := compromiseSpec(attack.CompromiseEquivocate, 2, true)
-	a, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Covered != b.Covered || a.StaleRejections != b.StaleRejections ||
-		a.ExtraFetches != b.ExtraFetches || len(a.ForkDetections) != len(b.ForkDetections) {
-		t.Fatalf("same seed diverged:\n%s\n%s", a.Summary(), b.Summary())
-	}
-}
-
 // TestStaleCacheServesWithoutFetching: a stale cache never contacts the
 // authorities yet serves from t=0 — it looks *faster* than honest caches,
 // which is what makes the attack insidious.

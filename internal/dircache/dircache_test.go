@@ -2,14 +2,12 @@ package dircache
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"time"
 
 	"partialtor/internal/attack"
 	"partialtor/internal/client"
 	"partialtor/internal/simnet"
-	"partialtor/internal/topo"
 )
 
 // smallSpec is a fast spec for unit tests: 50k clients, 8 caches, 10-minute
@@ -53,28 +51,6 @@ func TestHealthyDistributionCoversPopulation(t *testing.T) {
 	expect := int64(float64(res.TotalClients) * (0.2*float64(res.Spec.DocBytes) + 0.8*float64(res.Spec.DiffBytes())))
 	if res.CacheEgress < expect/2 || res.CacheEgress > 2*expect {
 		t.Fatalf("cache egress %d, expected near %d", res.CacheEgress, expect)
-	}
-}
-
-func TestDistributionDeterministic(t *testing.T) {
-	a, err := Run(smallSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(smallSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Covered != b.Covered || a.TimeToTarget != b.TimeToTarget ||
-		a.CacheEgress != b.CacheEgress || a.FailedFetches != b.FailedFetches {
-		t.Fatalf("same seed diverged: %+v vs %+v", a.Summary(), b.Summary())
-	}
-	c, err := Run(func() Spec { s := smallSpec(); s.Seed = 8; return s }())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.CacheEgress == a.CacheEgress && c.TimeToTarget == a.TimeToTarget {
-		t.Fatal("different seed produced identical run (suspicious)")
 	}
 }
 
@@ -223,96 +199,6 @@ func TestWeightedCacheSelection(t *testing.T) {
 	}
 	if total != res.Covered {
 		t.Fatalf("per-cache loads sum to %d, covered %d", total, res.Covered)
-	}
-}
-
-func TestCoverageCurveMonotonic(t *testing.T) {
-	res, err := Run(smallSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	prevAt := time.Duration(-1)
-	prevCount := -1
-	for _, p := range res.Points {
-		if p.At <= prevAt {
-			t.Fatalf("points not strictly increasing in time: %v after %v", p.At, prevAt)
-		}
-		if p.Count <= prevCount {
-			t.Fatalf("cumulative count not increasing: %d after %d", p.Count, prevCount)
-		}
-		prevAt, prevCount = p.At, p.Count
-	}
-	if res.Points[len(res.Points)-1].Count != res.Covered {
-		t.Fatal("curve does not end at the covered total")
-	}
-	if got := res.CoverageAt(res.Spec.RunLimit()); got != res.Coverage() {
-		t.Fatalf("CoverageAt(end)=%.3f, Coverage()=%.3f", got, res.Coverage())
-	}
-	if res.CoverageAt(0) != 0 {
-		t.Fatal("nonzero coverage at t=0")
-	}
-}
-
-// stepAt is a cumulative curve's value at instant at: the last point's count
-// at or before it, 0 before the first.
-func stepAt(points []CoveragePoint, at time.Duration) int {
-	i := sort.Search(len(points), func(i int) bool { return points[i].At > at })
-	if i == 0 {
-		return 0
-	}
-	return points[i-1].Count
-}
-
-func TestCoverageCurveIsTheSumOfRegions(t *testing.T) {
-	// What merging the fleets' curves used to compute, and what appending
-	// every fleet's changes to one curve must still give: one point per
-	// instant, ending at Covered, equal at each instant to the sum of the
-	// region curves.
-	specs := testSpecs()
-	regional := raceSpec(2)
-	regional.Topology = topo.Continents()
-	specs["regional"] = regional
-	// Five equivocating caches out of eight win the corroboration vote, so
-	// a verifying fleet first covered by an honest cache retracts it: at
-	// this seed the curve falls once.
-	majority := compromiseSpec(attack.CompromiseEquivocate, 5, true)
-	majority.Topology = topo.Continents()
-	majority.Seed = 1
-	specs["mirror-majority"] = majority
-	for name, spec := range specs {
-		res, err := Run(spec)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		pts := res.Points
-		if last := stepAt(pts, simnet.Never); last != res.Covered {
-			t.Fatalf("%s: the curve ends at %d, covered %d", name, last, res.Covered)
-		}
-		falls := false
-		for i := 1; i < len(pts); i++ {
-			if pts[i].At <= pts[i-1].At {
-				t.Fatalf("%s: point %d at %v after %v", name, i, pts[i].At, pts[i-1].At)
-			}
-			falls = falls || pts[i].Count < pts[i-1].Count
-		}
-		if name == "mirror-majority" && !falls {
-			t.Fatalf("%s: the curve never falls, so no coverage change was negative", name)
-		}
-		if (spec.Topology != nil) != (res.Regions != nil) {
-			t.Fatalf("%s: %d regions under topology %v", name, len(res.Regions), spec.Topology)
-		}
-		if res.Regions == nil {
-			continue
-		}
-		for _, p := range pts {
-			sum := 0
-			for _, rc := range res.Regions {
-				sum += stepAt(rc.Points, p.At)
-			}
-			if sum != p.Count {
-				t.Fatalf("%s: %d covered at %v, the regions sum to %d", name, p.Count, p.At, sum)
-			}
-		}
 	}
 }
 

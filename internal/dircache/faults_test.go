@@ -11,21 +11,6 @@ import (
 	"partialtor/internal/simnet"
 )
 
-// testSpecs are the package's test specs by name, one per client path.
-func testSpecs() map[string]Spec {
-	return map[string]Spec{
-		"healthy":     smallSpec(),
-		"flood":       floodSpec(),
-		"failover":    raceSpec(1),
-		"racing":      raceSpec(2),
-		"gossip":      gossipOutageSpec(3),
-		"chaos":       chaosSpec(1),
-		"stale":       compromiseSpec(attack.CompromiseStale, 3, true),
-		"equivocate":  compromiseSpec(attack.CompromiseEquivocate, 2, true),
-		"unverifying": compromiseSpec(attack.CompromiseEquivocate, 2, false),
-	}
-}
-
 // floodSpec is smallSpec under a full-window authority flood: no cache ever
 // acquires the consensus, so every fleet fetch NACKs and the retry machinery
 // runs for the whole window.
@@ -257,18 +242,6 @@ func TestCrashDuringRace(t *testing.T) {
 	}
 }
 
-// TestNilFaultsLeavesRunUntouched: a spec without a fault plan or backoff
-// must leave every chaos counter at zero — the feature gates cleanly.
-func TestNilFaultsLeavesRunUntouched(t *testing.T) {
-	res, err := Run(smallSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FaultEvents != 0 || res.TimeBelowTarget != 0 || len(res.Recoveries) != 0 || res.RetryDropped != 0 {
-		t.Fatalf("nil Spec.Faults leaked chaos accounting: %+v", res.Summary())
-	}
-}
-
 // TestDegradeSlowsButCovers: a degraded (not dead) tier still converges,
 // just later than the healthy run — and a slowed link is a flood plan with a
 // residual, there is no fault kind for it. The window spans the whole run so
@@ -296,20 +269,5 @@ func TestDegradeSlowsButCovers(t *testing.T) {
 	if res.TimeToTarget <= healthy.TimeToTarget {
 		t.Fatalf("degrading every cache to 5%% made convergence faster: %v vs %v",
 			res.TimeToTarget, healthy.TimeToTarget)
-	}
-}
-
-// TestDistributionNeverDrops holds the package's test specs to the network
-// model: healthy, flooded, racing, meshed, faulted or compromised, a tier
-// delays its traffic and never loses a message.
-func TestDistributionNeverDrops(t *testing.T) {
-	for name, spec := range testSpecs() {
-		res, err := Run(spec)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if st := res.Stats; st.MessagesDropped != 0 {
-			t.Errorf("%s: %d of %d messages dropped", name, st.MessagesDropped, st.MessagesSent)
-		}
 	}
 }

@@ -27,26 +27,6 @@ func gossipOutageSpec(fanout int) Spec {
 	return s
 }
 
-// TestNilGossipLeavesRunUntouched: a spec without a mesh must report every
-// gossip counter at zero and produce the exact same outcome as before the
-// gossip layer existed — no extra RNG draws, no extra messages. (The golden
-// corpus pins this across builds; this is the fast in-package check.)
-func TestNilGossipLeavesRunUntouched(t *testing.T) {
-	res, err := Run(smallSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.GossipPushes != 0 || res.GossipPulls != 0 || res.GossipServes != 0 ||
-		res.GossipRounds != 0 || res.CachesFromPeers != 0 || res.GossipBytes != 0 {
-		t.Fatalf("nil Spec.Gossip leaked mesh activity: %+v", res.Summary())
-	}
-	for _, kind := range gossipKinds {
-		if n := res.Stats.KindBytes[kind]; n != 0 {
-			t.Fatalf("nil Spec.Gossip moved %d bytes of %q", n, kind)
-		}
-	}
-}
-
 // TestGossipMeshRevivesStarvedTier: with the authorities flooded out, the
 // mesh is the only path — the seeded mirror's document must reach the tier
 // and the fleet, while the same spec without the mesh strands.

@@ -129,24 +129,6 @@ func TestRacingBeforePublication(t *testing.T) {
 	}
 }
 
-func TestRacingDeterministic(t *testing.T) {
-	spec := raceSpec(3)
-	spec.Topology = topo.Continents()
-	a, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Covered != b.Covered || a.CacheEgress != b.CacheEgress ||
-		a.RaceWasteBytes != b.RaceWasteBytes || a.RaceLaggards != b.RaceLaggards ||
-		a.RaceTimeouts != b.RaceTimeouts {
-		t.Fatalf("same seed diverged:\n%s\n%s", a.Summary(), b.Summary())
-	}
-}
-
 func TestRegionalBreakdown(t *testing.T) {
 	spec := smallSpec()
 	spec.Topology = topo.Continents()

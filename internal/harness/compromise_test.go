@@ -32,50 +32,13 @@ func compromiseDist() dircache.Spec {
 	}
 }
 
-// TestExperimentCompromiseDetection drives the full pipeline: the protocol
-// generates a real consensus, the distribution tier carries an equivocating
-// compromise, and the verifying clients catch it while still reaching
-// target coverage through the honest caches.
-func TestExperimentCompromiseDetection(t *testing.T) {
-	dist := compromiseDist()
-	dist.Compromise = &attack.CompromisePlan{
-		Targets: attack.FirstTargets(2),
-		Mode:    attack.CompromiseEquivocate,
-	}
-	dist.VerifyClients = true
-	exp, err := NewExperiment(WithScenario(compromiseBase()), WithDistribution(dist))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := exp.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := res.Distributions[0]
-	if len(d.ForkDetections) == 0 {
-		t.Fatal("experiment caught no fork")
-	}
-	if d.Misled != 0 {
-		t.Fatalf("%d verifying clients misled", d.Misled)
-	}
-	if d.Coverage() < d.Spec.TargetCoverage {
-		t.Fatalf("coverage %.3f below target despite honest majority", d.Coverage())
-	}
-	det := d.ForkDetections[0]
-	if det.Proof == nil || len(det.Proof.Culprits()) == 0 {
-		t.Fatal("fork proof missing or culprit-free")
-	}
-	for _, c := range det.Caches {
-		if c > 1 {
-			t.Fatalf("detection blames honest cache %d", c)
-		}
-	}
-	// The distribution chain is anchored on the real consensus: the genuine
-	// link's digest must be the document the protocol run agreed on.
-	if got, want := d.Spec.Chain.Genuine.Digest, res.Runs[0].Consensus().Digest(); got != want {
-		t.Fatalf("chain anchored on %s, consensus is %s", got.Short(), want.Short())
-	}
-}
+// TestExperimentCompromiseDetection holds every compromised corpus cell to
+// its kind's claim: the protocol generates a real consensus, the
+// distribution tier carries an equivocating compromise, and the verifying
+// clients catch and prove it, blaming only the equivocators, while still
+// reaching target coverage through the honest caches on a chain anchored on
+// that consensus.
+func TestExperimentCompromiseDetection(t *testing.T) { walkClaim(t, "compromised") }
 
 // TestExperimentCompromiseEveryPeriod: a compromise plan is active when
 // present — every period of the experiment runs under it.

@@ -8,58 +8,14 @@ import (
 	"partialtor/internal/dircache"
 	"partialtor/internal/faults"
 	"partialtor/internal/gossip"
-	"partialtor/internal/simnet"
 )
 
-// TestFaultsCompoundRecovery is the PR's acceptance drill run as an
-// assertion rather than a digest: under the compound scenario — every
-// authority flooded for the whole run, 30% of mirrors crashed mid-run, 20%
-// of the mesh membership churned — the jittered-backoff + gossip fleet
-// recovers to the 90% coverage target after the faults clear, while the
-// legacy fixed-retry star baseline strands for the whole window.
-func TestFaultsCompoundRecovery(t *testing.T) {
-	s := goldenFaults(Current, 1)
-	res, err := RunE(t.Context(), s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := res.Distribution
-	if d == nil {
-		t.Fatal("faults scenario produced no distribution phase")
-	}
-	need := int(0.9 * float64(d.TotalClients))
-	if d.Covered < need {
-		t.Fatalf("chaos fleet stranded: covered %d of %d (need %d)", d.Covered, d.TotalClients, need)
-	}
-	if d.TimeToTarget == simnet.Never {
-		t.Fatal("chaos fleet never reached target coverage")
-	}
-	if d.FaultEvents == 0 {
-		t.Fatal("no fault events scheduled — the plan did not reach the tier")
-	}
-	if d.TimeBelowTarget <= 0 {
-		t.Fatal("TimeBelowTarget is zero under a full-window authority flood")
-	}
-	if w := faults.WorstMTTR(d.Recoveries); w == simnet.Never {
-		t.Fatal("a fault never recovered (worst MTTR = Never)")
-	}
-
-	base := goldenFaults(Current, 1)
-	base.Distribution.Gossip = nil
-	base.Distribution.Backoff = nil
-	base.Distribution.Faults = nil
-	bres, err := RunE(t.Context(), base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bd := bres.Distribution
-	if bd.TimeToTarget != simnet.Never {
-		t.Fatalf("legacy baseline unexpectedly reached target at %v; the counterfactual no longer separates", bd.TimeToTarget)
-	}
-	if bd.Covered >= need {
-		t.Fatalf("legacy baseline covered %d of %d — flood no longer strands it", bd.Covered, bd.TotalClients)
-	}
-}
+// TestFaultsCompoundRecovery holds every faults corpus cell to its kind's
+// claim: under every authority flooded for the whole run, 30% of mirrors
+// crashed mid-run and 20% of the mesh membership churned, the jittered-backoff
+// + gossip fleet recovers to the 90% coverage target after the faults clear,
+// while the legacy fixed-retry star baseline strands for the whole window.
+func TestFaultsCompoundRecovery(t *testing.T) { walkClaim(t, "faults") }
 
 // TestExperimentWithFaults checks the experiment end to end: a fault plan,
 // a gossip mesh and a backoff on the distribution spec run in every period

@@ -1,12 +1,14 @@
 package harness
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"io"
 	"os"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -19,13 +21,31 @@ import (
 	"partialtor/internal/topo"
 )
 
-// The golden kernel corpus pins byte-identical outputs of the simulation
-// kernel: for every registered paper protocol, across several seeds, one
-// DDoS-attacked scenario (authority flood carried into a cache-tier flood
-// during distribution) and one compromised-mirror scenario (equivocating
-// caches against verifying client fleets). The digests cover the coverage
-// curves, the transport stats (including per-kind accounting), every
-// authority's protocol log, and the full distribution outcome.
+// The golden kernel corpus is one table of cell kinds (goldenKinds), each
+// run for every paper protocol at every seed in goldenSeeds: 3 × 3 × 5 = 45
+// cells. A kind is a scenario, an optional counterfactual baseline and an
+// optional claim:
+//
+//   - attacked: an authority flood carried into a cache-tier flood;
+//   - compromised: equivocating caches against verifying fleets;
+//   - regional: the continental topology, a region-scoped flood, racing;
+//   - gossip: the total authority outage recovered through the cache mesh;
+//   - faults: that outage plus mid-run crashes and mesh churn.
+//
+// A baseline is the kind's scenario with the mitigation taken out of its
+// distribution spec (no mesh; no mesh, backoff or faults). It runs on the
+// same flood, and its outcome is hashed into the cell's digest, so both
+// curves of the comparison are frozen. A claim is the paper-level assertion
+// the kind reproduces (gossip and faults recover where their baselines
+// strand, verifying clients catch the equivocation). Each cell runs once per
+// test binary (corpusRun), and every question is asked of that one run:
+// TestGoldenKernelCorpus checks its digest against the pinned one below,
+// TestDistributionNeverDrops checks that neither network dropped a message,
+// and TestGossipOutageRecovery, TestFaultsCompoundRecovery and
+// TestExperimentCompromiseDetection check their kind's claim on all nine of
+// its cells. The digests cover the coverage curves, the transport stats
+// (including per-kind accounting), every authority's protocol log, and the
+// full distribution outcome.
 //
 // These digests were recorded before the flood-scale kernel rewrite
 // (value-heap scheduler, allocation-free fluid pipes, interned kind stats)
@@ -104,180 +124,242 @@ var goldenKernelDigests = map[string]string{
 // and Poisson draws of the runs share nothing.
 var goldenSeeds = []int64{1, 7, 42}
 
-// goldenAttacked is the congested-kernel scenario: a majority authority
-// flood with a small residual during the vote exchange, and a cache-tier
-// flood while the fleets fetch — exactly the high-fan-in contention the
-// fluid model's slow paths serve.
-func goldenAttacked(p Protocol, seed int64) Scenario {
-	return Scenario{
-		Protocol:     p,
-		Relays:       150,
-		EntryPadding: 0,
-		Round:        15 * time.Second,
-		Seed:         seed,
-		Attack: &attack.Plan{
-			Targets:  attack.MajorityTargets(9),
-			Start:    0,
-			End:      90 * time.Second,
-			Residual: 20e3,
-		},
-		Distribution: &dircache.Spec{
-			Clients:     20_000,
-			Caches:      6,
-			Fleets:      2,
-			FetchWindow: 6 * time.Minute,
-			Tick:        5 * time.Second,
-			Attacks: []attack.Plan{{
-				Tier:     attack.TierCache,
-				Targets:  []int{0, 1},
-				Start:    0,
-				End:      2 * time.Minute,
-				Residual: 1e6,
-			}},
-		},
-	}
+// goldenKind is one kind of corpus cell. scenario builds the cell's run;
+// baseline, when set, takes the mitigation out of a copy of its distribution
+// spec, and that counterfactual run's outcome is hashed into the same digest;
+// claim, when set, is the assertion the kind reproduces, checked on the run
+// and its baseline (nil when the kind has none); tally appends the fork and
+// misled totals to the digest.
+type goldenKind struct {
+	name     string
+	scenario func(p Protocol, seed int64) Scenario
+	baseline func(*dircache.Spec)
+	claim    func(t *testing.T, res *RunResult, d, base *dircache.Result)
+	tally    bool
 }
 
-// goldenRegional is the topology-layer scenario: authorities and caches
-// placed on the continental map, an "eu"-scoped cache flood resolved against
-// that placement, and fleets running the K=2 racing client — the regional
-// latency maps, region targeting and racing paths in one deterministic run.
-func goldenRegional(p Protocol, seed int64) Scenario {
-	return Scenario{
-		Protocol:     p,
-		Relays:       150,
-		EntryPadding: 0,
-		Round:        15 * time.Second,
-		Seed:         seed,
-		Topology:     topo.Continents(),
-		Distribution: &dircache.Spec{
-			Clients:     20_000,
-			Caches:      6,
-			Fleets:      6,
-			RaceK:       2,
-			RaceTimeout: 10 * time.Second,
-			FetchWindow: 6 * time.Minute,
-			Tick:        5 * time.Second,
-			Attacks: []attack.Plan{{
-				Tier:         attack.TierCache,
-				TargetRegion: "eu",
-				Start:        0,
-				End:          2 * time.Minute,
-				Residual:     1e6,
-			}},
-		},
-	}
+// corpusScenario is the consensus phase every cell shares (150 relays,
+// 15-second rounds) followed by a 20 000-client distribution phase on spec,
+// fetching over a six-minute window in five-second ticks.
+func corpusScenario(p Protocol, seed int64, spec dircache.Spec) Scenario {
+	spec.Clients, spec.FetchWindow, spec.Tick = 20_000, 6*time.Minute, 5*time.Second
+	return Scenario{Protocol: p, Relays: 150, EntryPadding: 0, Round: 15 * time.Second, Seed: seed, Distribution: &spec}
 }
 
-// goldenGossip is the mesh-dissemination scenario, and the headline outage
-// drill: every authority flooded to zero residual for the whole run — the
-// Figure-10 plan turned all the way up — while one cache (index 0) holds the
-// fresh consensus from t=0. A fanout-3 mesh over 30 mirrors must spread that
-// surviving publication across the tier. The digest also pins the no-gossip
-// baseline curve (same flood, no mesh), which strands the fleet.
-func goldenGossip(p Protocol, seed int64) Scenario {
-	return Scenario{
-		Protocol:     p,
-		Relays:       150,
-		EntryPadding: 0,
-		Round:        15 * time.Second,
-		Seed:         seed,
-		Distribution: &dircache.Spec{
-			Clients:     20_000,
-			Caches:      30,
-			Fleets:      2,
-			FetchWindow: 6 * time.Minute,
-			Tick:        5 * time.Second,
-			Attacks: []attack.Plan{{
-				Tier:     attack.TierAuthority,
-				Targets:  attack.FirstTargets(9),
-				Start:    0,
-				End:      90 * time.Minute,
-				Residual: 0,
-			}},
-			Gossip: &gossip.Config{Fanout: 3, Seeds: []int{0}},
-		},
-	}
+// totalAuthorityFlood floods all nine authorities to zero residual for the
+// whole run: the Figure-10 plan turned all the way up.
+func totalAuthorityFlood() []attack.Plan {
+	return []attack.Plan{{
+		Tier:     attack.TierAuthority,
+		Targets:  attack.FirstTargets(9),
+		Start:    0,
+		End:      90 * time.Minute,
+		Residual: 0,
+	}}
 }
 
-// goldenFaults is the chaos-layer scenario and the PR's compound acceptance
-// drill: every authority flooded to zero residual for the whole run, 30% of
-// the mirrors crashed mid-run (state lost, links dark) and a further 20% of
-// the mesh membership churned away and back — while the fleets retry under
-// capped seeded-jitter backoff and the fanout-3 mesh re-knits around the
-// holes. The digest also pins the legacy baseline (same flood, fixed retry,
-// no mesh, no faults), which strands.
-func goldenFaults(p Protocol, seed int64) Scenario {
-	return Scenario{
-		Protocol:     p,
-		Relays:       150,
-		EntryPadding: 0,
-		Round:        15 * time.Second,
-		Seed:         seed,
-		Distribution: &dircache.Spec{
-			Clients:        20_000,
-			Caches:         20,
-			Fleets:         2,
-			FetchWindow:    6 * time.Minute,
-			Tick:           5 * time.Second,
-			TargetCoverage: 0.9,
-			Attacks: []attack.Plan{{
-				Tier:     attack.TierAuthority,
-				Targets:  attack.FirstTargets(9),
+// goldenKinds are the corpus cell kinds, in corpus order.
+var goldenKinds = []goldenKind{
+	{
+		// The congested kernel: a majority authority flood with a small
+		// residual during the vote exchange, and a cache-tier flood while
+		// the fleets fetch — exactly the high-fan-in contention the fluid
+		// model's slow paths serve.
+		name: "attacked",
+		scenario: func(p Protocol, seed int64) Scenario {
+			s := corpusScenario(p, seed, dircache.Spec{
+				Caches: 6,
+				Fleets: 2,
+				Attacks: []attack.Plan{{
+					Tier:     attack.TierCache,
+					Targets:  []int{0, 1},
+					Start:    0,
+					End:      2 * time.Minute,
+					Residual: 1e6,
+				}},
+			})
+			s.Attack = &attack.Plan{
+				Targets:  attack.MajorityTargets(9),
 				Start:    0,
-				End:      90 * time.Minute,
-				Residual: 0,
-			}},
-			Gossip:  &gossip.Config{Fanout: 3, Seeds: []int{0}},
-			Backoff: &faults.Backoff{Base: 10 * time.Second, Cap: time.Minute, Jitter: 0.5},
-			Faults: &faults.Plan{Faults: []faults.Fault{
-				{
-					Kind:    faults.Crash,
-					Tier:    attack.TierCache,
-					Targets: faults.SpreadTargets(1, 20, 6),
-					Start:   time.Minute,
-					End:     2*time.Minute + 30*time.Second,
+				End:      90 * time.Second,
+				Residual: 20e3,
+			}
+			return s
+		},
+	},
+	{
+		// The verification path: two equivocating caches against
+		// chain-verifying fleets — fork detection, retraction and the
+		// re-fetch retry machinery. The claim: the fork is caught and
+		// proven, nobody is misled, the honest caches carry the fleet to
+		// target, blame lands only on the two equivocators, and the chain
+		// the clients verify is anchored on the run's own consensus.
+		name: "compromised",
+		scenario: func(p Protocol, seed int64) Scenario {
+			return corpusScenario(p, seed, dircache.Spec{
+				Caches: 8,
+				Fleets: 2,
+				Compromise: &attack.CompromisePlan{
+					Targets: attack.FirstTargets(2),
+					Mode:    attack.CompromiseEquivocate,
 				},
-				{
-					Kind:    faults.Churn,
-					Tier:    attack.TierCache,
-					Targets: faults.SpreadTargets(2, 20, 4),
-					Start:   time.Minute + 30*time.Second,
-					End:     3 * time.Minute,
-				},
-			}},
+				VerifyClients: true,
+			})
 		},
-	}
+		claim: func(t *testing.T, res *RunResult, d, _ *dircache.Result) {
+			if len(d.ForkDetections) == 0 {
+				t.Error("verifying fleets caught no fork")
+			}
+			if d.Misled != 0 {
+				t.Errorf("%d verifying clients misled", d.Misled)
+			}
+			if d.Coverage() < d.Spec.TargetCoverage {
+				t.Errorf("coverage %.3f below target %.2f despite an honest majority", d.Coverage(), d.Spec.TargetCoverage)
+			}
+			for _, det := range d.ForkDetections {
+				if det.Proof == nil || len(det.Proof.Culprits()) == 0 {
+					t.Errorf("fork at %v has no proof or no culprits", det.At)
+				}
+				for _, c := range det.Caches {
+					if c > 1 {
+						t.Errorf("fork at %v blames honest cache %d", det.At, c)
+					}
+				}
+			}
+			if got, want := d.Spec.Chain.Genuine.Digest, res.Consensus().Digest(); got != want {
+				t.Errorf("chain anchored on %s, the run's consensus is %s", got.Short(), want.Short())
+			}
+		},
+		tally: true,
+	},
+	{
+		// The topology layer: authorities and caches placed on the
+		// continental map, an "eu"-scoped cache flood resolved against that
+		// placement, and fleets running the K=2 racing client.
+		name: "regional",
+		scenario: func(p Protocol, seed int64) Scenario {
+			s := corpusScenario(p, seed, dircache.Spec{
+				Caches:      6,
+				Fleets:      6,
+				RaceK:       2,
+				RaceTimeout: 10 * time.Second,
+				Attacks: []attack.Plan{{
+					Tier:         attack.TierCache,
+					TargetRegion: "eu",
+					Start:        0,
+					End:          2 * time.Minute,
+					Residual:     1e6,
+				}},
+			})
+			s.Topology = topo.Continents()
+			return s
+		},
+	},
+	{
+		// The outage drill: every authority flooded out while one cache
+		// (index 0) holds the fresh consensus from t=0, and a fanout-3 mesh
+		// over 30 mirrors spreads it. The baseline is the same flood with
+		// no mesh. The claim: the mesh carries ≥ 95 % of the fleet within
+		// the run, ≥ 25 mirrors get the consensus from a peer and the mesh
+		// counters show the work; the baseline strands below 20 % with
+		// silent counters.
+		name: "gossip",
+		scenario: func(p Protocol, seed int64) Scenario {
+			return corpusScenario(p, seed, dircache.Spec{
+				Caches:  30,
+				Fleets:  2,
+				Attacks: totalAuthorityFlood(),
+				Gossip:  &gossip.Config{Fanout: 3, Seeds: []int{0}},
+			})
+		},
+		baseline: func(d *dircache.Spec) { d.Gossip = nil },
+		claim: func(t *testing.T, _ *RunResult, d, base *dircache.Result) {
+			if got := d.Coverage(); got < 0.95 || d.TimeToTarget == simnet.Never || d.TimeToTarget > d.Spec.RunLimit() {
+				t.Errorf("gossip mesh covered %.1f%% of the fleet, target reached at %v: want >= 95%% by %v",
+					100*got, d.TimeToTarget, d.Spec.RunLimit())
+			}
+			if d.CachesFromPeers < 25 {
+				t.Errorf("only %d/30 caches obtained the consensus from peers; the flood should leave the mesh as the only source", d.CachesFromPeers)
+			}
+			if d.GossipBytes == 0 || d.GossipPushes == 0 || d.GossipPulls == 0 {
+				t.Errorf("mesh counters empty (pushes=%d pulls=%d bytes=%d) despite recovery", d.GossipPushes, d.GossipPulls, d.GossipBytes)
+			}
+			if got := base.Coverage(); got >= 0.20 {
+				t.Errorf("no-gossip baseline covered %.1f%% under a total authority flood, want < 20%%", 100*got)
+			}
+			if base.GossipPushes != 0 || base.GossipPulls != 0 || base.GossipBytes != 0 {
+				t.Errorf("baseline without a mesh recorded gossip activity: pushes=%d pulls=%d bytes=%d", base.GossipPushes, base.GossipPulls, base.GossipBytes)
+			}
+		},
+	},
+	{
+		// The compound drill: every authority flooded out, 30 % of the
+		// mirrors crashed mid-run (state lost, links dark) and a further
+		// 20 % of the mesh membership churned away and back, while the
+		// fleets retry under capped seeded-jitter backoff and the fanout-3
+		// mesh re-knits around the holes. The baseline is the same flood
+		// against fixed-retry star fleets: no mesh, no backoff, no faults.
+		// The claim: the drill recovers to the 90 % target after the faults
+		// clear, having spent time below it, with every fault's MTTR
+		// finite; the baseline never reaches target.
+		name: "faults",
+		scenario: func(p Protocol, seed int64) Scenario {
+			return corpusScenario(p, seed, dircache.Spec{
+				Caches:         20,
+				Fleets:         2,
+				TargetCoverage: 0.9,
+				Attacks:        totalAuthorityFlood(),
+				Gossip:         &gossip.Config{Fanout: 3, Seeds: []int{0}},
+				Backoff:        &faults.Backoff{Base: 10 * time.Second, Cap: time.Minute, Jitter: 0.5},
+				Faults: &faults.Plan{Faults: []faults.Fault{
+					{
+						Kind:    faults.Crash,
+						Tier:    attack.TierCache,
+						Targets: faults.SpreadTargets(1, 20, 6),
+						Start:   time.Minute,
+						End:     2*time.Minute + 30*time.Second,
+					},
+					{
+						Kind:    faults.Churn,
+						Tier:    attack.TierCache,
+						Targets: faults.SpreadTargets(2, 20, 4),
+						Start:   time.Minute + 30*time.Second,
+						End:     3 * time.Minute,
+					},
+				}},
+			})
+		},
+		baseline: func(d *dircache.Spec) { d.Gossip, d.Backoff, d.Faults = nil, nil, nil },
+		claim: func(t *testing.T, _ *RunResult, d, base *dircache.Result) {
+			need := int(0.9 * float64(d.TotalClients))
+			if d.Covered < need || d.TimeToTarget == simnet.Never {
+				t.Errorf("chaos fleet stranded: covered %d of %d (need %d), target reached at %v", d.Covered, d.TotalClients, need, d.TimeToTarget)
+			}
+			if d.FaultEvents == 0 {
+				t.Error("no fault events scheduled: the plan did not reach the tier")
+			}
+			if d.TimeBelowTarget <= 0 {
+				t.Error("TimeBelowTarget is zero under a full-window authority flood")
+			}
+			if w := faults.WorstMTTR(d.Recoveries); w == simnet.Never {
+				t.Error("a fault never recovered (worst MTTR = Never)")
+			}
+			if base.TimeToTarget != simnet.Never || base.Covered >= need {
+				t.Errorf("legacy baseline covered %d of %d and reached target at %v; the counterfactual no longer strands", base.Covered, base.TotalClients, base.TimeToTarget)
+			}
+		},
+	},
 }
 
-// goldenCompromised is the verification-path scenario: two equivocating
-// caches against chain-verifying fleets, exercising fork detection,
-// retraction and the re-fetch retry machinery.
-func goldenCompromised(p Protocol, seed int64, tracer obs.Tracer) (*Experiment, error) {
-	// WithScenario replaces the whole base scenario, so WithTracer must
-	// come after it (options layer in order).
-	return NewExperiment(
-		WithScenario(Scenario{
-			Protocol:     p,
-			Relays:       150,
-			EntryPadding: 0,
-			Round:        15 * time.Second,
-			Seed:         seed,
-		}),
-		WithDistribution(dircache.Spec{
-			Clients:     20_000,
-			Caches:      8,
-			Fleets:      2,
-			FetchWindow: 6 * time.Minute,
-			Tick:        5 * time.Second,
-			Compromise: &attack.CompromisePlan{
-				Targets: attack.FirstTargets(2),
-				Mode:    attack.CompromiseEquivocate,
-			},
-			VerifyClients: true,
-		}),
-		WithTracer(tracer),
-	)
+// goldenKindNamed returns the corpus kind called name.
+func goldenKindNamed(t *testing.T, name string) goldenKind {
+	for _, k := range goldenKinds {
+		if k.name == name {
+			return k
+		}
+	}
+	t.Fatalf("no corpus kind %q", name)
+	return goldenKind{}
 }
 
 // hashRun folds one protocol run's observable output into w: verdict,
@@ -362,147 +444,120 @@ func hashDistribution(w io.Writer, d *dircache.Result) {
 	}
 }
 
-// goldenKinds are the corpus cell kinds, one scenario builder each.
-var goldenKinds = []string{"attacked", "compromised", "regional", "gossip", "faults"}
+// corpusProtocols are the paper protocols every corpus kind runs under.
+var corpusProtocols = []Protocol{Current, Synchronous, ICPS}
 
-// goldenCell runs one corpus cell with the tracer attached (nil = none): the
-// protocol runs and, in digest order, every distribution outcome the cell's
-// digest covers — its own and, for the gossip and faults kinds, the
-// counterfactual baseline's.
-func goldenCell(t *testing.T, p Protocol, seed int64, kind string, tracer obs.Tracer) ([]*RunResult, []*dircache.Result) {
-	t.Helper()
-	if kind == "compromised" {
-		exp, err := goldenCompromised(p, seed, tracer)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := exp.Run(t.Context())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Runs, res.Distributions
-	}
-	run := func(s Scenario) *RunResult {
-		s.Tracer = tracer
-		res, err := RunE(t.Context(), s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Distribution == nil {
-			t.Fatalf("%s corpus scenario produced no distribution phase", kind)
-		}
-		return res
-	}
-	s := goldenAttacked(p, seed)
-	switch kind {
-	case "regional":
-		s = goldenRegional(p, seed)
-	case "gossip":
-		s = goldenGossip(p, seed)
-	case "faults":
-		s = goldenFaults(p, seed)
-	}
-	res := run(s)
-	dists := []*dircache.Result{res.Distribution}
-	switch kind {
-	case "gossip":
-		// The recovery curve means nothing without the counterfactual:
-		// pin the no-gossip baseline (same flood, no mesh) in the same
-		// digest, so both curves of the acceptance plot are frozen.
-		base := goldenGossip(p, seed)
-		base.Distribution.Gossip = nil
-		dists = append(dists, run(base).Distribution)
-	case "faults":
-		// Pin the legacy counterfactual in the same digest: the identical
-		// flood against fixed-retry star fleets — no mesh, no backoff, no
-		// faults — which strands. The gap between the two curves is the
-		// graceful-degradation claim this cell freezes.
-		base := goldenFaults(p, seed)
-		base.Distribution.Gossip = nil
-		base.Distribution.Backoff = nil
-		base.Distribution.Faults = nil
-		dists = append(dists, run(base).Distribution)
-	}
-	return []*RunResult{res}, dists
+// corpusCell is one cell's outcome: runs[0] is the kind's scenario and
+// runs[1], when the kind has one, its baseline; d and base are their
+// distribution outcomes.
+type corpusCell struct {
+	runs    []*RunResult
+	d, base *dircache.Result
+	took    time.Duration
 }
 
-// goldenDigest runs one corpus cell and returns the hex digest of its
-// observable output. A non-nil tracer is attached to the run — the digest
-// must not change (the observability layer's zero-perturbation contract).
-func goldenDigest(t *testing.T, p Protocol, seed int64, kind string, tracer obs.Tracer) string {
+// runCell runs one corpus cell with the tracer attached (nil = none).
+func runCell(ctx context.Context, p Protocol, seed int64, k goldenKind, tracer obs.Tracer) (*corpusCell, error) {
+	start := time.Now() //detlint:wallclock ok(times the test around the simulation; never reaches a digest)
+	scenarios := []Scenario{k.scenario(p, seed)}
+	if k.baseline != nil {
+		s := k.scenario(p, seed)
+		k.baseline(s.Distribution)
+		scenarios = append(scenarios, s)
+	}
+	c := &corpusCell{}
+	for _, s := range scenarios {
+		s.Tracer = tracer
+		res, err := RunE(ctx, s)
+		if err != nil {
+			return nil, err
+		}
+		if res.Distribution == nil {
+			return nil, fmt.Errorf("%s corpus scenario produced no distribution phase", k.name)
+		}
+		c.runs = append(c.runs, res)
+	}
+	c.d = c.runs[0].Distribution
+	if len(c.runs) > 1 {
+		c.base = c.runs[1].Distribution
+	}
+	//detlint:wallclock ok(as above)
+	c.took = time.Since(start)
+	return c, nil
+}
+
+// corpus holds each cell's one untraced run, by cell name.
+var corpus sync.Map
+
+// corpusRun returns the cell's one untraced run. The first test that asks
+// for a cell runs it; every other test reads that run.
+func corpusRun(t *testing.T, p Protocol, seed int64, k goldenKind) *corpusCell {
 	t.Helper()
+	type once struct {
+		sync.Once
+		c   *corpusCell
+		err error
+	}
+	v, _ := corpus.LoadOrStore(fmt.Sprintf("%s/seed%d/%s", p, seed, k.name), &once{})
+	o := v.(*once)
+	o.Do(func() { o.c, o.err = runCell(t.Context(), p, seed, k, nil) })
+	if o.err != nil {
+		t.Fatal(o.err)
+	}
+	return o.c
+}
+
+// goldenDigest is the hex digest of one cell's observable output: the
+// protocol run, its distribution outcome and, for kinds with one, the
+// baseline's.
+func goldenDigest(k goldenKind, c *corpusCell) string {
 	h := sha256.New()
-	runs, dists := goldenCell(t, p, seed, kind, tracer)
-	for _, run := range runs {
-		hashRun(h, run)
+	hashRun(h, c.runs[0])
+	hashDistribution(h, c.d)
+	if c.base != nil {
+		hashDistribution(h, c.base)
 	}
-	forks, misled := 0, 0
-	for _, d := range dists {
-		hashDistribution(h, d)
-		forks += len(d.ForkDetections)
-		misled += d.Misled
-	}
-	if kind == "compromised" {
-		fmt.Fprintf(h, "forks=%d misled=%d\n", forks, misled)
+	if k.tally {
+		fmt.Fprintf(h, "forks=%d misled=%d\n", len(c.d.ForkDetections), c.d.Misled)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestDistributionNeverDrops holds every corpus scenario to the network model
-// the paper argues from — partial synchrony: a message is delayed arbitrarily
-// long, never lost. Floods, crashes and churn throttle pipes to zero and the
-// traffic waits; neither the consensus network nor the distribution network
-// of any run may count a dropped message.
-func TestDistributionNeverDrops(t *testing.T) {
-	for _, p := range []Protocol{Current, Synchronous, ICPS} {
-		for _, kind := range goldenKinds {
-			t.Run(fmt.Sprintf("%s/%s", p, kind), func(t *testing.T) {
+// walkClaim holds the one run of every cell of the named kind to the kind's
+// claim, in a parallel subtest per protocol and seed.
+func walkClaim(t *testing.T, kind string) {
+	k := goldenKindNamed(t, kind)
+	for _, p := range corpusProtocols {
+		for _, seed := range goldenSeeds {
+			t.Run(fmt.Sprintf("%s/seed%d", p, seed), func(t *testing.T) {
 				t.Parallel()
-				runs, dists := goldenCell(t, p, 1, kind, nil)
-				for i, run := range runs {
-					if n := run.Net.Stats().MessagesDropped; n != 0 {
-						t.Errorf("consensus network of run %d dropped %d messages", i, n)
-					}
-				}
-				for i, d := range dists {
-					if n := d.Stats.MessagesDropped; n != 0 {
-						t.Errorf("distribution network of outcome %d dropped %d messages", i, n)
-					}
-				}
+				c := corpusRun(t, p, seed, k)
+				k.claim(t, c.runs[0], c.d, c.base)
 			})
 		}
 	}
 }
 
-// timedDigest is goldenDigest with the cell's wall time logged (-v shows it):
-// the corpus is most of this package's test time, and its cells are unequal.
-func timedDigest(t *testing.T, p Protocol, seed int64, kind string, tracer obs.Tracer) string {
-	t.Helper()
-	start := time.Now() //detlint:wallclock ok(times the test around the simulation; never reaches a digest)
-	got := goldenDigest(t, p, seed, kind, tracer)
-	//detlint:wallclock ok(as above)
-	t.Logf("cell ran in %v", time.Since(start).Round(time.Millisecond))
-	return got
-}
-
 // TestGoldenCorpusTracingNeutral re-runs corpus cells with a recording
 // tracer (and a detector teed in) and demands the exact pinned digests: the
 // observability layer must not perturb the simulation by a single byte, in
-// any protocol, attacked or compromised. It also demands a non-empty
-// recording — a trivially-passing nil pipeline would prove nothing.
+// any protocol or kind. It also demands a non-empty recording — a
+// trivially-passing nil pipeline would prove nothing.
 func TestGoldenCorpusTracingNeutral(t *testing.T) {
 	if os.Getenv("GOLDEN_RECORD") != "" {
 		t.Skip("recording digests; the nil-tracer pass owns the corpus")
 	}
-	for _, p := range []Protocol{Current, Synchronous, ICPS} {
-		for _, kind := range goldenKinds {
-			name := fmt.Sprintf("%s/seed1/%s", p, kind)
+	for _, p := range corpusProtocols {
+		for _, k := range goldenKinds {
+			name := fmt.Sprintf("%s/seed1/%s", p, k.name)
 			t.Run(name, func(t *testing.T) {
 				t.Parallel()
 				rec := obs.NewRecorder(0)
-				tracer := obs.Tee(rec, obs.NewDetector())
-				got := timedDigest(t, p, 1, kind, tracer)
-				if want := goldenKernelDigests[name]; got != want {
+				c, err := runCell(t.Context(), p, 1, k, obs.Tee(rec, obs.NewDetector()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := goldenDigest(k, c), goldenKernelDigests[name]; got != want {
 					t.Errorf("recording tracer perturbed the kernel for %s:\n  got  %s\n  want %s", name, got, want)
 				}
 				if rec.Len() == 0 {
@@ -513,18 +568,22 @@ func TestGoldenCorpusTracingNeutral(t *testing.T) {
 	}
 }
 
-// TestGoldenKernelCorpus checks every corpus cell against its pinned digest.
+// TestGoldenKernelCorpus runs every corpus cell once and checks its pinned
+// digest. The cell's wall time is logged (-v shows it): the corpus is most
+// of this package's test time, and its cells are unequal.
 func TestGoldenKernelCorpus(t *testing.T) {
 	record := os.Getenv("GOLDEN_RECORD") != ""
-	for _, p := range []Protocol{Current, Synchronous, ICPS} {
+	for _, p := range corpusProtocols {
 		for _, seed := range goldenSeeds {
-			for _, kind := range goldenKinds {
-				name := fmt.Sprintf("%s/seed%d/%s", p, seed, kind)
+			for _, k := range goldenKinds {
+				name := fmt.Sprintf("%s/seed%d/%s", p, seed, k.name)
 				t.Run(name, func(t *testing.T) {
 					if !record {
 						t.Parallel() // recording prints the cells in corpus order
 					}
-					got := timedDigest(t, p, seed, kind, nil)
+					c := corpusRun(t, p, seed, k)
+					t.Logf("cell ran in %v", c.took.Round(time.Millisecond))
+					got := goldenDigest(k, c)
 					if record {
 						fmt.Printf("\t%q: %q,\n", name, got)
 						return
@@ -539,6 +598,31 @@ func TestGoldenKernelCorpus(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestDistributionNeverDrops holds every corpus run, and every baseline run,
+// to the network model the paper argues from — partial synchrony: a message
+// is delayed arbitrarily long, never lost. Floods, crashes and churn throttle
+// pipes to zero and the traffic waits; neither the consensus network nor the
+// distribution network of any run may count a dropped message.
+func TestDistributionNeverDrops(t *testing.T) {
+	for _, p := range corpusProtocols {
+		for _, k := range goldenKinds {
+			t.Run(fmt.Sprintf("%s/%s", p, k.name), func(t *testing.T) {
+				t.Parallel()
+				for _, seed := range goldenSeeds {
+					for i, run := range corpusRun(t, p, seed, k).runs {
+						if n := run.Net.Stats().MessagesDropped; n != 0 {
+							t.Errorf("seed %d: consensus network of run %d dropped %d messages", seed, i, n)
+						}
+						if n := run.Distribution.Stats.MessagesDropped; n != 0 {
+							t.Errorf("seed %d: distribution network of run %d dropped %d messages", seed, i, n)
+						}
+					}
+				}
+			})
 		}
 	}
 }

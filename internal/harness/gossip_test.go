@@ -1,7 +1,7 @@
 package harness
 
 import (
-	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -9,72 +9,27 @@ import (
 	"partialtor/internal/sweep"
 )
 
-// TestGossipOutageRecovery is the PR's acceptance criterion: with all nine
-// authorities flooded to zero residual (the Figure-10 plan, held for the
-// whole run) and a single cache holding the fresh consensus, a fanout-3 mesh
-// of 30 mirrors must carry ≥95% of the fleet to coverage within the
-// validity window, while the no-gossip baseline strands below 20%.
-func TestGossipOutageRecovery(t *testing.T) {
-	s := goldenGossip(Current, 1)
-	res, err := RunE(t.Context(), s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := res.Distribution
-	if got := d.Coverage(); got < 0.95 {
-		t.Fatalf("gossip mesh covered %.1f%% of the fleet, want >= 95%%", 100*got)
-	}
-	if d.TimeToTarget == simnet.Never || d.TimeToTarget > d.Spec.RunLimit() {
-		t.Fatalf("gossip mesh never reached target coverage (t=%v)", d.TimeToTarget)
-	}
-	if d.CachesFromPeers < 25 {
-		t.Fatalf("only %d/30 caches obtained the consensus from peers; the flood should leave the mesh as the only source", d.CachesFromPeers)
-	}
-	if d.GossipBytes == 0 || d.GossipPushes == 0 || d.GossipPulls == 0 {
-		t.Fatalf("mesh counters empty (pushes=%d pulls=%d bytes=%d) despite recovery", d.GossipPushes, d.GossipPulls, d.GossipBytes)
-	}
+// TestGossipOutageRecovery holds every gossip corpus cell to its kind's
+// claim: with all nine authorities flooded to zero residual and a single
+// cache holding the fresh consensus, a fanout-3 mesh of 30 mirrors carries
+// >= 95% of the fleet to coverage within the validity window, while the
+// no-gossip baseline strands below 20%.
+func TestGossipOutageRecovery(t *testing.T) { walkClaim(t, "gossip") }
 
-	base := goldenGossip(Current, 1)
-	base.Distribution.Gossip = nil
-	bres, err := RunE(t.Context(), base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bd := bres.Distribution
-	if got := bd.Coverage(); got >= 0.20 {
-		t.Fatalf("no-gossip baseline covered %.1f%% under a total authority flood, want < 20%%", 100*got)
-	}
-	if bd.GossipPushes != 0 || bd.GossipBytes != 0 {
-		t.Fatalf("baseline without a mesh still recorded gossip activity: pushes=%d bytes=%d", bd.GossipPushes, bd.GossipBytes)
-	}
-}
-
-// TestGossipRunDeterministic: the same gossip scenario must reproduce the
-// identical coverage curve and mesh counters run over run — the
-// byte-identical half of the acceptance criterion, checked within one
-// process (the golden corpus pins it across builds).
+// TestGossipRunDeterministic: the gossip scenario run again in the same
+// process reproduces its corpus run's coverage curve, mesh counters and the
+// rest of its distribution outcome (the digest pins them across builds).
 func TestGossipRunDeterministic(t *testing.T) {
-	run := func() ([]any, []any) {
-		res, err := RunE(t.Context(), goldenGossip(Synchronous, 7))
-		if err != nil {
-			t.Fatal(err)
-		}
-		d := res.Distribution
-		scalars := []any{d.Covered, d.TimeToTarget, d.GossipPushes, d.GossipPulls,
-			d.GossipServes, d.GossipRounds, d.CachesFromPeers, d.GossipBytes}
-		curve := make([]any, 0, len(d.Points))
-		for _, p := range d.Points {
-			curve = append(curve, p)
-		}
-		return scalars, curve
+	k := goldenKindNamed(t, "gossip")
+	res, err := RunE(t.Context(), k.scenario(Synchronous, 7))
+	if err != nil {
+		t.Fatal(err)
 	}
-	s1, c1 := run()
-	s2, c2 := run()
-	if !reflect.DeepEqual(s1, s2) {
-		t.Fatalf("gossip counters drifted between identical runs:\n  %v\n  %v", s1, s2)
-	}
-	if !reflect.DeepEqual(c1, c2) {
-		t.Fatal("coverage curve drifted between identical runs")
+	var want, got strings.Builder
+	hashDistribution(&want, corpusRun(t, Synchronous, 7, k).d)
+	hashDistribution(&got, res.Distribution)
+	if got.String() != want.String() {
+		t.Fatalf("the gossip run drifted between identical runs:\n%s\n%s", want.String(), got.String())
 	}
 }
 
@@ -88,7 +43,7 @@ func TestGossipFanoutMonotonic(t *testing.T) {
 	prevCovered := -1
 	prevLast := simnet.Never
 	for fanout := 1; fanout <= 4; fanout++ {
-		s := goldenGossip(Current, 42)
+		s := goldenKindNamed(t, "gossip").scenario(Current, 42)
 		s.Distribution.Gossip.Fanout = fanout
 		res, err := RunE(t.Context(), s)
 		if err != nil {
