@@ -205,10 +205,11 @@ func main() {
 
 	// The full pipeline as one declarative experiment: four hourly periods
 	// distributing to the million-client tier, the caches flooded from
-	// hour 1. Each period runs the protocol, distributes the consensus it
-	// produced, and the availability phase starts every validity window
-	// when the document actually reached 95% of clients — not when the
-	// authorities signed it.
+	// hour 1. Each period runs the protocol and distributes the consensus it
+	// produced (hours 1–3 are the same attacked scenario, so the experiment
+	// simulates it once and reuses the run), and the availability phase
+	// starts every validity window when the document actually reached 95% of
+	// clients — not when the authorities signed it.
 	fmt.Println("== experiment: four hourly periods, caches flooded from hour 1 ==")
 	fmt.Println()
 	exp, err := partialtor.NewExperiment(

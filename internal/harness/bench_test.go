@@ -1,0 +1,37 @@
+package harness
+
+import (
+	"testing"
+
+	"partialtor/internal/attack"
+	"partialtor/internal/client"
+	"partialtor/internal/dircache"
+)
+
+// BenchmarkExperimentCampaign runs one three-period campaign against the
+// current protocol under the five-minute outage in every period, at the
+// size of one campaign-sweep cell: 60 relays, 200 000 clients over 10
+// caches, the hash chain and the availability model on. Every period shares
+// one attack flag, so the experiment simulates a single run.
+func BenchmarkExperimentCampaign(b *testing.B) {
+	exp, err := NewExperiment(
+		WithScenario(Scenario{Protocol: Current, Relays: 60, EntryPadding: -1, Seed: 1}),
+		WithPeriods(3),
+		WithDistribution(dircache.Spec{Clients: 200_000, Caches: 10, Fleets: 2}),
+		WithChain(),
+		WithAvailability(client.DefaultPolicy()),
+		WithAttack(attack.FiveMinuteOutage(attack.MajorityTargets(9))),
+	)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var availability float64
+	for b.Loop() {
+		res, err := exp.Run(bg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		availability = res.Availability
+	}
+	b.ReportMetric(availability, "availability")
+}

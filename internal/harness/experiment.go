@@ -63,9 +63,12 @@ func WithScenario(s Scenario) ExperimentOption {
 	}
 }
 
-// WithPeriods runs the scenario n times — one hourly consensus period each —
-// and enables the Avail phase over the period outcomes (even for n = 1:
-// asking for periods is asking for the period timeline).
+// WithPeriods spans the experiment over n hourly consensus periods — each an
+// attacked or a healthy period, per WithAttackSchedule — and enables the
+// Avail phase over the period outcomes (even for n = 1: asking for periods
+// is asking for the period timeline). Periods with the same attack flag are
+// the same simulation, so Run simulates at most two distinct runs however
+// large n is.
 func WithPeriods(n int) ExperimentOption {
 	return func(e *Experiment) error {
 		if n < 1 {
@@ -123,10 +126,13 @@ func WithAvailability(p client.Policy) ExperimentOption {
 }
 
 // WithTracer attaches an observability tracer to every phase of every
-// period: the consensus network's kernel and protocol events, the
-// distribution tier's cache and fleet events, and — when the Avail phase
-// runs — the final outage windows (obs.EvOutage, layer "avail"). A nil
-// tracer is a no-op option; recording never changes results.
+// distinct run (one per attack flag; see Run): the consensus network's
+// kernel and protocol events, the distribution tier's cache and fleet
+// events, and — when the Avail phase runs — the final outage windows
+// (obs.EvOutage, layer "avail"). A period that reuses a run carries that
+// run's Detections; tracing the repeat would add nothing, since every run's
+// timestamps start at zero. A nil tracer is a no-op option; recording never
+// changes results.
 func WithTracer(t obs.Tracer) ExperimentOption {
 	return func(e *Experiment) error {
 		e.base.Tracer = t
@@ -226,7 +232,10 @@ func (e *Experiment) hasAvail() bool { return e.avail }
 
 // scenarioFor assembles the scenario one period runs: the base scenario,
 // the distribution spec if the Distribute phase is on, and — when the period
-// is attacked — the attack plan routed to its tier.
+// is attacked — the attack plan routed to its tier. The attack flag is its
+// only input, and Run relies on that to run each flag's scenario once: a
+// per-period input (a seed, a publication instant) would have to join the
+// memo's key.
 func (e *Experiment) scenarioFor(attacked bool) Scenario {
 	s := e.base
 	if e.dist != nil {
@@ -250,13 +259,15 @@ func (e *Experiment) scenarioFor(attacked bool) Scenario {
 
 // ExperimentResult is the outcome of the full phase chain.
 type ExperimentResult struct {
-	// Runs holds one protocol-phase result per period.
+	// Runs holds one protocol-phase result per period. Periods with the
+	// same attack flag share one *RunResult: treat it as read-only.
 	Runs []*RunResult
 	// Outcomes and Successes summarize the Generate phase.
 	Outcomes  []bool
 	Successes int
 	// Distributions is index-aligned with Runs (nil without a Distribute
-	// phase).
+	// phase); periods that share a run share its read-only
+	// *dircache.Result.
 	Distributions []*dircache.Result
 	// Timeline is the Avail phase's availability model (nil when the phase
 	// did not run). With a Distribute phase each validity window starts
@@ -270,10 +281,15 @@ type ExperimentResult struct {
 	Chain *chain.Chain
 }
 
-// Run executes the phase chain period by period. A cancelled context stops
-// between periods with an error; configuration errors cannot occur here —
-// NewExperiment validated them — so an error mid-run reports a genuine
-// simulation failure, wrapped with the failing period.
+// Run executes the phase chain period by period. A period's scenario is
+// fixed by its attack flag and RunE is deterministic, so the first period
+// with a given flag runs it and every later period with that flag reuses the
+// result; everything else — the outcome, the distribution entry, the chain
+// link for each successful period, the Avail phase — is still per period. A
+// cancelled context stops between periods with an error, whether or not the
+// next period would have run anything; configuration errors cannot occur
+// here — NewExperiment validated them — so an error mid-run reports a
+// genuine simulation failure, wrapped with the failing period.
 func (e *Experiment) Run(ctx context.Context) (*ExperimentResult, error) {
 	res := &ExperimentResult{FirstOutage: -1}
 
@@ -283,14 +299,23 @@ func (e *Experiment) Run(ctx context.Context) (*ExperimentResult, error) {
 		res.Chain = chain.New(sig.PublicSet(keys), sig.Majority(len(keys)))
 	}
 
+	var runs [2]*RunResult // by attack flag: healthy, attacked
 	var clientRuns []client.Run
 	for i := 0; i < e.periods; i++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("harness: experiment cancelled before period %d: %w", i, err)
 		}
-		run, err := RunE(ctx, e.scenarioFor(e.attacked(i)))
-		if err != nil {
-			return nil, fmt.Errorf("harness: period %d: %w", i, err)
+		attacked, slot := e.attacked(i), 0
+		if attacked {
+			slot = 1
+		}
+		run := runs[slot]
+		if run == nil {
+			var err error
+			if run, err = RunE(ctx, e.scenarioFor(attacked)); err != nil {
+				return nil, fmt.Errorf("harness: period %d: %w", i, err)
+			}
+			runs[slot] = run
 		}
 		ok := run.Success
 		res.Runs = append(res.Runs, run)

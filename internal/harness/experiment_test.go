@@ -2,6 +2,8 @@ package harness
 
 import (
 	"context"
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -9,6 +11,8 @@ import (
 
 	"partialtor/internal/attack"
 	"partialtor/internal/dircache"
+	"partialtor/internal/sig"
+	"partialtor/internal/vote"
 )
 
 func TestExperimentPhases(t *testing.T) {
@@ -202,4 +206,139 @@ func TestExperimentCancellation(t *testing.T) {
 	if _, err := exp.Run(ctx); err == nil || !strings.Contains(err.Error(), "cancelled") {
 		t.Fatalf("cancelled experiment error %v", err)
 	}
+}
+
+// countingDriver is the Current driver, counting its builds and calling
+// afterCollect (when set) once each run's outcome is collected.
+type countingDriver struct {
+	Driver
+	builds       int
+	afterCollect func()
+}
+
+func (d *countingDriver) Build(s Scenario, keys []*sig.KeyPair, docs []*vote.Document) (ProtocolRun, error) {
+	d.builds++
+	pr, err := d.Driver.Build(s, keys, docs)
+	if err != nil || d.afterCollect == nil {
+		return pr, err
+	}
+	collect := pr.Collect
+	pr.Collect = func() Outcome {
+		out := collect()
+		d.afterCollect()
+		return out
+	}
+	return pr, nil
+}
+
+// runDigest folds everything a period reports into one digest: success,
+// latency, DoneAt, the consensus digest, the network's stats and logs, and
+// the distribution curve and counters.
+func runDigest(r *RunResult) [sha256.Size]byte {
+	h := sha256.New()
+	hashRun(h, r)
+	hashDistribution(h, r.Distribution)
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
+}
+
+// TestExperimentRunsEachScenarioOnce: a period's scenario is fixed by its
+// attack flag, so Run builds the protocol once per distinct flag, every
+// period still reports exactly what a fresh run of its scenario does, and a
+// cancelled context still stops Run before a period that would only have
+// reused a run.
+func TestExperimentRunsEachScenarioOnce(t *testing.T) {
+	inner, err := DriverFor(Current)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drv := &countingDriver{Driver: inner}
+	base := Scenario{Protocol: NewProtocol(drv), Relays: 100, EntryPadding: -1, Round: 15 * time.Second, Seed: 1}
+	schedules := []struct {
+		name     string
+		attacked func(int) bool // nil = no attack at all
+	}{
+		{"none", nil},
+		{"all", func(int) bool { return true }},
+		{"after-first", afterFirst},
+		{"odd", func(i int) bool { return i%2 == 1 }},
+	}
+	// A fresh run per attack flag: the schedules differ only in which
+	// periods carry which flag, so every experiment's scenarioFor(flag) is
+	// the same scenario.
+	want := map[bool][sha256.Size]byte{}
+	for _, sc := range schedules {
+		for _, periods := range []int{1, 3, 5} {
+			t.Run(fmt.Sprintf("%s/%d", sc.name, periods), func(t *testing.T) {
+				opts := []ExperimentOption{
+					WithScenario(base),
+					WithPeriods(periods),
+					WithDistribution(*testDistSpec()),
+					WithChain(),
+				}
+				if sc.attacked != nil {
+					opts = append(opts,
+						WithAttack(attack.Plan{Targets: attack.MajorityTargets(9), End: 30 * time.Second, Residual: 5e3}),
+						WithAttackSchedule(sc.attacked))
+				}
+				exp, err := NewExperiment(opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				drv.builds = 0
+				er, err := exp.Run(bg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				builds := drv.builds
+				flags := map[bool]bool{}
+				for i := 0; i < periods; i++ {
+					flag := exp.attacked(i)
+					flags[flag] = true
+					if _, ok := want[flag]; !ok {
+						want[flag] = runDigest(mustRun(t, exp.scenarioFor(flag)))
+					}
+				}
+				if builds != len(flags) {
+					t.Errorf("%d builds for %d distinct scenarios", builds, len(flags))
+				}
+				successes := 0
+				for i, run := range er.Runs {
+					if runDigest(run) != want[exp.attacked(i)] {
+						t.Errorf("period %d differs from a fresh run of its scenario", i)
+					}
+					if er.Outcomes[i] != run.Success || er.Distributions[i] != run.Distribution {
+						t.Errorf("period %d: outcome or distribution is not its run's", i)
+					}
+					if run.Success {
+						successes++
+					}
+				}
+				if len(er.Runs) != periods || er.Successes != successes || er.Chain.Len() != successes {
+					t.Errorf("%d runs, %d successes, chain %d; want %d, %d, %d",
+						len(er.Runs), er.Successes, er.Chain.Len(), periods, successes, successes)
+				}
+				if err := er.Chain.Verify(); err != nil {
+					t.Errorf("chain: %v", err)
+				}
+			})
+		}
+	}
+
+	t.Run("cancelled-after-period-0", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		drv.builds, drv.afterCollect = 0, cancel
+		exp, err := NewExperiment(WithScenario(base), WithPeriods(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := exp.Run(ctx); err == nil || !strings.Contains(err.Error(), "cancelled before period 1") {
+			t.Fatalf("error %v, want the experiment cancelled before period 1", err)
+		}
+		if drv.builds != 1 {
+			t.Fatalf("%d builds, want period 0's one", drv.builds)
+		}
+	})
 }

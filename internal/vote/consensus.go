@@ -216,7 +216,12 @@ func (m *merge) aggregate() ConsensusRelay {
 
 	// Version, protocols, exit policy: popular vote; ties broken by the
 	// largest version / largest protocol string / lexicographically larger
-	// policy.
+	// policy. No synthetic population reaches the version tie-break:
+	// relay.View copies each relay's version into every authority's view, so
+	// the listing votes agree and popular returns on the outright majority.
+	// It stays because it is the aggregation rule (dir-spec: the largest
+	// version wins a tie), and a parsed vote or a population whose views
+	// disagree on a version would need it to produce Tor's consensus.
 	out.Version = popular(entries, func(e *relay.Descriptor) string { return e.Version },
 		func(a, b string) bool { return relay.CompareVersions(a, b) > 0 })
 	out.Protocols = popular(entries, func(e *relay.Descriptor) string { return e.Protocols },

@@ -293,8 +293,8 @@ func WithAvailability(p client.Policy) ExperimentOption { return harness.WithAva
 func WithChain() ExperimentOption { return harness.WithChain() }
 
 // WithTracer attaches an observability tracer to every phase of every
-// period; recording never changes results (see the observability
-// re-exports below).
+// distinct run — one per attack flag, shared by the periods that carry it;
+// recording never changes results (see the observability re-exports below).
 func WithTracer(t Tracer) ExperimentOption { return harness.WithTracer(t) }
 
 // RunDistribution executes one standalone distribution phase: authorities
