@@ -24,7 +24,7 @@
 //     receiver nil check, keeping tracing zero-cost when off.
 //   - frozendoc forbids writing a vote.Document or vote.Consensus field
 //     outside internal/vote (a local fresh from vote.NewDocument excepted):
-//     their bytes and digest are fixed once, and the run's memos key on them.
+//     their size and digest are fixed once, and the run's memos key on them.
 //
 // A finding is suppressed by `//detlint:<analyzer> ok(<reason>)` on the
 // flagged line or the line above; the reason is mandatory. The driver in

@@ -9,10 +9,11 @@ import (
 // frozenTypes are the document types, as types.Type.String spells them.
 var frozenTypes = map[string]bool{"partialtor/internal/vote.Document": true, "partialtor/internal/vote.Consensus": true}
 
-// FrozenDoc keeps vote documents immutable outside internal/vote: Encode
-// fixes their bytes and digest and the run-scoped memos key on them. Only a
-// local the same function got from vote.NewDocument may still be written (the
-// EntryPadding idiom). Escape hatch: //detlint:frozendoc ok(<reason>).
+// FrozenDoc keeps vote documents immutable outside internal/vote: a vote's
+// seal fixes its size and digest, a consensus's Encode its bytes and digest,
+// and the run-scoped memos key on them. Only a local the same function got
+// from vote.NewDocument may still be written (the EntryPadding idiom). Escape
+// hatch: //detlint:frozendoc ok(<reason>).
 var FrozenDoc = &Analyzer{
 	Name: "frozendoc",
 	Doc:  "forbid assigning to a field of vote.Document or vote.Consensus outside internal/vote, except on a local fresh from vote.NewDocument",
@@ -40,7 +41,7 @@ func runFrozenDoc(pass *Pass) error {
 				case *ast.SelectorExpr:
 					root, _ := lhs.X.(*ast.Ident)
 					if sel := info.Selections[lhs]; sel != nil && frozenTypes[strings.TrimPrefix(sel.Recv().String(), "*")] && (root == nil || !fresh[info.ObjectOf(root)]) {
-						pass.Reportf(lhs.Pos(), "assignment to field %s of a vote document outside internal/vote: documents are frozen once built (Encode fixes their bytes and digest)", lhs.Sel.Name)
+						pass.Reportf(lhs.Pos(), "assignment to field %s of a vote document outside internal/vote: documents are frozen once built (their size and digest are fixed on first use)", lhs.Sel.Name)
 					}
 				}
 			}

@@ -52,7 +52,7 @@ type Driver interface {
 	// Name is the protocol's display name (it becomes Protocol.String()).
 	Name() string
 	// Build assembles a protocol instance for the scenario from the shared
-	// inputs (authority keys and pre-encoded vote documents). It must not
+	// inputs (authority keys and sealed vote documents). It must not
 	// touch the network; the harness owns node placement and bandwidth.
 	Build(s Scenario, keys []*sig.KeyPair, docs []*vote.Document) (ProtocolRun, error)
 }

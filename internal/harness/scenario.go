@@ -186,9 +186,10 @@ type RunResult struct {
 // is protocol-independent — no type switch on Detail required.
 func (r *RunResult) Consensus() *vote.Consensus { return r.consensus }
 
-// inputsCache avoids rebuilding multi-megabyte document sets when sweeping
-// bandwidths at a fixed relay count (single-entry: sweeps iterate relay
-// counts in the outer loop).
+// inputsCache avoids rebuilding a scenario's keys and sealed votes for every
+// run on the same (authorities, relays, padding, seed): sweeps vary bandwidth,
+// round length or attack at a fixed relay count, and the benchmark's ops
+// repeat their scenarios.
 type inputsKey struct {
 	n, relays, padding int
 	seed               int64
@@ -207,14 +208,12 @@ var inputsCache struct {
 	m  map[inputsKey]*inputsEntry
 }
 
-// inputsCacheLimit bounds the cache. An entry is nine relay views and their
-// nine encoded votes, and the encodings are nearly all of it: 6.7 MB at 300
-// relays, 225 MB at the paper's 10 000, so a full cache is up to 1.8 GB at
-// paper scale. Each encoding is allocated at exactly its length (the doubling
-// buffer it used to grow in kept about twice that). The figure generators
-// sweep Relays over ~10 values, so a small cap keeps a sweep's working set
-// without letting a long-lived process accumulate every combination it ever
-// ran.
+// inputsCacheLimit bounds the cache. An entry is nine keys and nine sealed
+// votes, which keep their relay views and not their encodings: 0.4 MB at 300
+// relays and 14 MB at the paper's 10 000, so a full cache stays near 110 MB at
+// paper scale. The figure generators sweep Relays over ~10 values, so a small
+// cap keeps a sweep's working set without letting a long-lived process
+// accumulate every combination it ever ran.
 const inputsCacheLimit = 8
 
 // Inputs builds (and caches) the authority keys and vote documents for a
@@ -256,10 +255,10 @@ func Inputs(s Scenario) ([]*sig.KeyPair, []*vote.Document) {
 			d := vote.NewDocument(i, name, k.Fingerprint, 1, view)
 			d.EntryPadding = s.EntryPadding
 			e.docs[i] = d
-			// Encode and hash here, once per key: every run on this key
-			// sends, sizes and signs these bytes, and concurrent sweep cells
-			// may only read a document that is already frozen.
-			_ = d.Encode()
+			// Seal here, once per key: every run on this key sizes and
+			// signs this vote by its size and digest, and concurrent sweep
+			// cells may only read a document that is already frozen.
+			_ = d.Digest()
 		}
 	})
 	return e.keys, e.docs

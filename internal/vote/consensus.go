@@ -285,8 +285,9 @@ func lowMedian(vals []uint64) uint64 {
 	return vals[(len(vals)-1)/2]
 }
 
-// Encode renders the consensus document. Like a vote's, the result is cached
-// and its digest fixed on first use.
+// Encode renders the consensus document. Unlike a vote's, the result is
+// cached, and its digest fixed, on first use: a consensus lives for one run,
+// and whoever hashes or compares it reads its bytes.
 func (c *Consensus) Encode() []byte {
 	if c.encoded != nil {
 		return c.encoded

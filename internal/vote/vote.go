@@ -10,19 +10,23 @@
 // the largest version/protocol and the lexicographically larger exit policy
 // win ties; and bandwidth is the median of the measuring votes.
 //
-// Documents are frozen once built: Encode fixes their bytes and digest. Both
-// encoders size the document first and append it into one buffer of exactly
-// that length — no fmt, no growth, no capacity left over on the votes a run
-// caches — so their cost is the padding copy and the SHA-256. Aggregate walks
-// the votes, which list relays in identity order, as a k-way merge of pointers
-// into them: nothing is copied or indexed per relay. An
-// Aggregator memoises Aggregate for one run, keyed by the authority count and
-// the sorted vote digests (a digest covers its vote's authority index). It is
-// run-scoped and lock-free: a run is one goroutine, and no Aggregator is
-// shared between concurrent runs or sweep cells nor outlives its run.
+// Documents are frozen once built. A vote is sealed on first use: Digest or
+// EncodedSize streams its encoding through SHA-256 one entry at a time and
+// keeps only the size and digest, so a cached vote costs its relay view and
+// not the ~2.5 kB per relay its bytes would. Encode renders those bytes afresh
+// on every call; a consensus's Encode renders once and caches them. Both size
+// the document first and append it into one buffer of exactly that length —
+// no fmt, no growth. Aggregate walks the votes, which list relays in identity
+// order, as a k-way merge of pointers into them: nothing is copied or indexed
+// per relay. An Aggregator memoises Aggregate for one run, keyed by the
+// authority count and the sorted vote digests (a digest covers its vote's
+// authority index). It is run-scoped and lock-free: a run is one goroutine,
+// and no Aggregator is shared between concurrent runs or sweep cells nor
+// outlives its run.
 package vote
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"strconv"
 	"strings"
@@ -53,8 +57,8 @@ type Document struct {
 	EntryPadding   int    // pad each relay entry to this many bytes; 0 = natural size
 	Relays         []relay.Descriptor
 
-	encoded []byte     // cache
-	digest  sig.Digest // of encoded, fixed with it
+	size   int64      // of the encoding; 0 until sealed
+	digest sig.Digest // of the encoding, fixed with size
 }
 
 // NewDocument builds a vote for an authority over its relay view.
@@ -69,12 +73,10 @@ func NewDocument(authorityIndex int, name string, fp sig.Fingerprint, epoch uint
 	}
 }
 
-// Encode renders the vote in its text format. The result is cached, and its
-// digest fixed, on first use: votes are immutable once built.
+// Encode renders the vote in its text format, into a fresh buffer on every
+// call: a run needs only the size and digest the seal keeps, so nothing keeps
+// the bytes.
 func (d *Document) Encode() []byte {
-	if d.encoded != nil {
-		return d.encoded
-	}
 	var scratch [128]byte
 	header := d.appendHeader(scratch[:0])
 	size := len(header) + len(footer)
@@ -85,9 +87,29 @@ func (d *Document) Encode() []byte {
 	for i := range d.Relays {
 		b = appendEntry(b, &d.Relays[i], d.EntryPadding)
 	}
+	return append(b, footer...)
+}
+
+// seal fixes the vote's size and digest on first use by streaming its
+// encoding through SHA-256 one entry at a time, in one scratch buffer reused
+// across entries: votes are immutable once built.
+func (d *Document) seal() {
+	if d.size != 0 {
+		return
+	}
+	h := sha256.New()
+	b := d.appendHeader(make([]byte, 0, 4<<10))
+	var size int64
+	for i := range d.Relays {
+		b = appendEntry(b, &d.Relays[i], d.EntryPadding)
+		h.Write(b)
+		size += int64(len(b))
+		b = b[:0]
+	}
 	b = append(b, footer...)
-	d.encoded, d.digest = b, sig.Hash(b)
-	return d.encoded
+	h.Write(b)
+	d.size = size + int64(len(b))
+	h.Sum(d.digest[:0])
 }
 
 const footer = "directory-footer\n"
@@ -188,10 +210,10 @@ func decimalLen(v uint64) int {
 }
 
 // EncodedSize returns the vote's wire size in bytes.
-func (d *Document) EncodedSize() int64 { return int64(len(d.Encode())) }
+func (d *Document) EncodedSize() int64 { d.seal(); return d.size }
 
 // Digest returns the SHA-256 digest of the encoded vote.
-func (d *Document) Digest() sig.Digest { d.Encode(); return d.digest }
+func (d *Document) Digest() sig.Digest { d.seal(); return d.digest }
 
 // Parse inverts Encode.
 func Parse(data []byte) (*Document, error) {

@@ -2,6 +2,7 @@ package vote
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -96,6 +97,31 @@ func TestDigestChangesWithContent(t *testing.T) {
 	if a.Digest() == c.Digest() {
 		t.Fatal("different documents hash equal")
 	}
+}
+
+// TestSealMatchesRendering: the size and digest a vote seals are those of the
+// bytes Encode renders, sealed first or encoded first, empty or large, at no,
+// negative, short and default padding and past the filler's 5 000 bytes, and
+// for a parsed vote.
+func TestSealMatchesRendering(t *testing.T) {
+	check := func(what string, d *Document) {
+		t.Helper()
+		sealed := unsealed(d)
+		digestIsHashOfEncoding(t, what+", sealed first", sealed.Digest, sealed.EncodedSize, sealed.Encode)
+		encoded := unsealed(d)
+		encoded.Encode()
+		digestIsHashOfEncoding(t, what+", encoded first", encoded.Digest, encoded.EncodedSize, encoded.Encode)
+	}
+	for _, relays := range []int{0, 1, 300, 3000} {
+		for _, padding := range []int{-1, 0, DefaultEntryPadding, 50, 12000} {
+			check(fmt.Sprintf("relays=%d padding=%d", relays, padding), seedDocs(1, relays, 1, padding)[0])
+		}
+	}
+	parsed, err := Parse(seedDocs(1, 300, 1, 50)[0].Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("parsed", parsed)
 }
 
 func TestParseRejectsGarbage(t *testing.T) {
