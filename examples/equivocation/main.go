@@ -28,9 +28,10 @@ const n = 9
 func buildDocs(seed int64, relays int) ([]*sig.KeyPair, []*vote.Document) {
 	keys := sig.Authorities(seed, n)
 	pop := relay.Population(relays, seed)
+	order := relay.IdentityOrder(pop)
 	docs := make([]*vote.Document, n)
 	for i, k := range keys {
-		view := relay.View(pop, i, seed)
+		view := relay.View(pop, order, i, seed)
 		d := vote.NewDocument(i, relay.AuthorityNames[i], k.Fingerprint, 1, view)
 		d.EntryPadding = 0
 		docs[i] = d

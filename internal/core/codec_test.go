@@ -80,7 +80,8 @@ func TestValueCodecRejectsGarbage(t *testing.T) {
 func mkDoc(t *testing.T, authority, relays int) (*vote.Document, sig.Signature) {
 	t.Helper()
 	keys := testkit.Authorities(9, 3)
-	view := relay.View(relay.Population(relays, 3), authority, 3)
+	pop := relay.Population(relays, 3)
+	view := relay.View(pop, relay.IdentityOrder(pop), authority, 3)
 	d := vote.NewDocument(authority, relay.AuthorityNames[authority], keys[authority].Fingerprint, 1, view)
 	d.EntryPadding = 0
 	return d, ownerSign(keys[authority], d)

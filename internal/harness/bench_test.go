@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"testing"
 
 	"partialtor/internal/attack"
@@ -34,4 +35,20 @@ func BenchmarkExperimentCampaign(b *testing.B) {
 		availability = res.Availability
 	}
 	b.ReportMetric(availability, "availability")
+}
+
+// BenchmarkInputs times building one scenario's inputs, nine keys and nine
+// sealed votes, at a consensus workload's size and at the paper's. Every
+// iteration asks for a fresh seed, so the cache never serves it.
+func BenchmarkInputs(b *testing.B) {
+	for _, relays := range []int{300, 8000} {
+		b.Run(fmt.Sprintf("relays=%d", relays), func(b *testing.B) {
+			b.ReportAllocs()
+			seed := int64(1_000_000)
+			for b.Loop() {
+				seed++
+				Inputs(Scenario{Relays: relays, EntryPadding: -1, Seed: seed})
+			}
+		})
+	}
 }

@@ -255,22 +255,3 @@ func TestEffectiveDistributionErrors(t *testing.T) {
 		t.Fatalf("oversized targets error %v", err)
 	}
 }
-
-func TestInputsConcurrentUse(t *testing.T) {
-	done := make(chan struct{})
-	for g := 0; g < 8; g++ {
-		g := g
-		go func() {
-			defer func() { done <- struct{}{} }()
-			// Alternate two cache keys to force rebuilds under contention.
-			relays := 200 + 100*(g%2)
-			keys, docs := Inputs(Scenario{Relays: relays, EntryPadding: -1, Seed: 5})
-			if len(keys) != 9 || len(docs) != 9 {
-				t.Errorf("inputs wrong shape: %d keys, %d docs", len(keys), len(docs))
-			}
-		}()
-	}
-	for g := 0; g < 8; g++ {
-		<-done
-	}
-}

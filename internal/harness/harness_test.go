@@ -1,10 +1,12 @@
 package harness
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +17,7 @@ import (
 	"partialtor/internal/sig"
 	"partialtor/internal/simnet"
 	"partialtor/internal/sweep"
+	"partialtor/internal/vote"
 )
 
 // bg is the context the generator tests run under; cancellation behaviour
@@ -314,6 +317,85 @@ func TestInputsCaching(t *testing.T) {
 	_, d3 := Inputs(Scenario{Relays: 140, Seed: 5, EntryPadding: -1})
 	if d3[0] == d1[0] {
 		t.Fatal("cache returned stale inputs")
+	}
+}
+
+// TestInputsConcurrentUse: eight goroutines race on two keys that are not
+// cached yet. Each key is built once, inside its entry's sync.Once, so every
+// caller of a key holds the very keys and votes a later call returns.
+func TestInputsConcurrentUse(t *testing.T) {
+	scenario := func(g int) Scenario { return Scenario{Relays: 211 + 100*(g%2), EntryPadding: -1, Seed: 5} }
+	type held struct {
+		keys []*sig.KeyPair
+		docs []*vote.Document
+	}
+	// Start from an empty cache: were it full, inserting the second key could
+	// evict the first, and a rebuilt entry hands out new pointers by design.
+	inputsCache.mu.Lock()
+	clear(inputsCache.m)
+	inputsCache.mu.Unlock()
+	got := make([]held, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g].keys, got[g].docs = Inputs(scenario(g))
+		}()
+	}
+	wg.Wait()
+	for g, h := range got {
+		keys, docs := Inputs(scenario(g))
+		if len(h.keys) != 9 || len(h.docs) != 9 {
+			t.Fatalf("goroutine %d: %d keys, %d docs", g, len(h.keys), len(h.docs))
+		}
+		for i := range keys {
+			if h.keys[i] != keys[i] || h.docs[i] != docs[i] {
+				t.Fatalf("goroutine %d holds its own authority %d", g, i)
+			}
+		}
+	}
+	if got[0].docs[0] == got[1].docs[0] {
+		t.Fatal("two keys share a vote")
+	}
+}
+
+// TestInputsMatchSerialBuild: the parallel build gives each authority the
+// key, view and sealed vote a serial build gives it, with fewer, as many and
+// more authorities than there are cores, and at the default relay count.
+func TestInputsMatchSerialBuild(t *testing.T) {
+	for _, s := range []Scenario{
+		{N: 1, Relays: 150}, {N: 4, Relays: 150}, {N: 9, Relays: 150}, {N: 13, Relays: 150}, {N: 9, Relays: 0},
+	} {
+		s.EntryPadding, s.Seed = -1, 3
+		keys, docs := Inputs(s)
+		s = s.withDefaults()
+		wantKeys := sig.Authorities(s.Seed, s.N)
+		pop := relay.Population(s.Relays, s.Seed)
+		order := relay.IdentityOrder(pop)
+		if len(keys) != s.N || len(docs) != s.N {
+			t.Fatalf("N=%d relays=%d: %d keys, %d docs", s.N, s.Relays, len(keys), len(docs))
+		}
+		for i, k := range wantKeys {
+			name := fmt.Sprintf("auth%d", i)
+			if i < len(relay.AuthorityNames) {
+				name = relay.AuthorityNames[i]
+			}
+			want := vote.NewDocument(i, name, k.Fingerprint, 1, relay.View(pop, order, i, s.Seed))
+			want.EntryPadding = s.EntryPadding
+			got := docs[i]
+			switch {
+			case !bytes.Equal(keys[i].Public, k.Public) || keys[i].Fingerprint != k.Fingerprint:
+				t.Fatalf("N=%d relays=%d: key %d differs from the serial build", s.N, s.Relays, i)
+			case got.AuthorityIndex != i || got.AuthorityName != name || got.EntryPadding != want.EntryPadding:
+				t.Fatalf("N=%d relays=%d: vote %d header differs from the serial build", s.N, s.Relays, i)
+			case got.EncodedSize() != want.EncodedSize() || got.Digest() != want.Digest():
+				t.Fatalf("N=%d relays=%d: vote %d seals to %d bytes %x, serial %d bytes %x",
+					s.N, s.Relays, i, got.EncodedSize(), got.Digest(), want.EncodedSize(), want.Digest())
+			case !slices.Equal(got.Relays, want.Relays):
+				t.Fatalf("N=%d relays=%d: vote %d lists other relays than the serial build", s.N, s.Relays, i)
+			}
+		}
 	}
 }
 

@@ -39,6 +39,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"time"
 
@@ -196,7 +197,8 @@ type inputsKey struct {
 }
 
 // inputsEntry memoizes one key's build; the sync.Once lets concurrent sweeps
-// build different keys in parallel while building each key exactly once.
+// build different keys in parallel while building each key exactly once, and
+// that build spreads its authorities over every core itself.
 type inputsEntry struct {
 	once sync.Once
 	keys []*sig.KeyPair
@@ -220,6 +222,10 @@ const inputsCacheLimit = 8
 // scenario. It is safe for concurrent use, so sweeps may run scenarios in
 // parallel; the expensive build happens outside the cache lock, and each
 // distinct key is built exactly once while it stays cached.
+//
+// The build runs on every core (buildInputs), and its goroutines all join
+// inside the entry's sync.Once, so every caller, the builder included, reads
+// an entry that is complete and sealed.
 func Inputs(s Scenario) ([]*sig.KeyPair, []*vote.Document) {
 	s = s.withDefaults()
 	key := inputsKey{n: s.N, relays: s.Relays, padding: s.EntryPadding, seed: s.Seed}
@@ -242,26 +248,44 @@ func Inputs(s Scenario) ([]*sig.KeyPair, []*vote.Document) {
 		inputsCache.m[key] = e
 	}
 	inputsCache.mu.Unlock()
-	e.once.Do(func() {
-		e.keys = sig.Authorities(s.Seed, s.N)
-		pop := relay.Population(s.Relays, s.Seed)
-		e.docs = make([]*vote.Document, s.N)
-		for i, k := range e.keys {
-			view := relay.View(pop, i, s.Seed)
-			name := fmt.Sprintf("auth%d", i)
-			if i < len(relay.AuthorityNames) {
-				name = relay.AuthorityNames[i]
-			}
-			d := vote.NewDocument(i, name, k.Fingerprint, 1, view)
-			d.EntryPadding = s.EntryPadding
-			e.docs[i] = d
-			// Seal here, once per key: every run on this key sizes and
-			// signs this vote by its size and digest, and concurrent sweep
-			// cells may only read a document that is already frozen.
-			_ = d.Digest()
-		}
-	})
+	e.once.Do(func() { e.keys, e.docs = buildInputs(s) })
 	return e.keys, e.docs
+}
+
+// buildInputs derives a scenario's keys and sealed votes. The population and
+// its identity order are built once; then each authority's key, view and
+// seal, which cost alike, are dealt round-robin to min(GOMAXPROCS, N)
+// goroutines, each writing only its own indices.
+func buildInputs(s Scenario) ([]*sig.KeyPair, []*vote.Document) {
+	pop := relay.Population(s.Relays, s.Seed)
+	order := relay.IdentityOrder(pop)
+	keys := make([]*sig.KeyPair, s.N)
+	docs := make([]*vote.Document, s.N)
+	workers := min(runtime.GOMAXPROCS(0), s.N)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < s.N; i += workers {
+				k := sig.NewKeyPair(s.Seed, i)
+				name := fmt.Sprintf("auth%d", i)
+				if i < len(relay.AuthorityNames) {
+					name = relay.AuthorityNames[i]
+				}
+				d := vote.NewDocument(i, name, k.Fingerprint, 1, relay.View(pop, order, i, s.Seed))
+				d.EntryPadding = s.EntryPadding
+				// Seal here, once per key: every run on this key sizes and
+				// signs this vote by its size and digest, and concurrent
+				// sweep cells may only read a document that is already
+				// frozen.
+				_ = d.Digest()
+				keys[i], docs[i] = k, d
+			}
+		}()
+	}
+	wg.Wait()
+	return keys, docs
 }
 
 // buildNetwork wires an n-node network with the scenario's bandwidth,

@@ -7,11 +7,12 @@
 package relay
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -140,9 +141,6 @@ type Descriptor struct {
 	ExitPolicy  string // policy summary, e.g. "accept 80,443"
 }
 
-// Clone returns a copy of the descriptor.
-func (d Descriptor) Clone() Descriptor { return d }
-
 var versionPool = []string{
 	"0.4.7.16", "0.4.8.9", "0.4.8.10", "0.4.8.11", "0.4.8.12", "0.4.9.1",
 }
@@ -162,14 +160,18 @@ var protocolPool = []string{
 
 // Population deterministically generates n synthetic relays. Proportions of
 // flags, versions and bandwidths loosely follow the live network so that
-// vote documents carry realistic structure.
+// vote documents carry realistic structure. Identities are SHA-256 digests
+// of (seed, index), distinct in every population, so IdentityOrder is total.
 func Population(n int, seed int64) []Descriptor {
 	rng := rand.New(rand.NewSource(seed ^ 0x52454c4159)) // "RELAY"
 	out := make([]Descriptor, n)
+	var in [16]byte
+	binary.BigEndian.PutUint64(in[:8], uint64(seed))
+	var names [32]byte
 	for i := range out {
 		var id Identity
-		material := sha256.Sum256(binary.BigEndian.AppendUint64(
-			binary.BigEndian.AppendUint64(nil, uint64(seed)), uint64(i)))
+		binary.BigEndian.PutUint64(in[8:], uint64(i))
+		material := sha256.Sum256(in[:])
 		copy(id[:], material[:20])
 		var digest Identity
 		material2 := sha256.Sum256(material[:])
@@ -200,11 +202,15 @@ func Population(n int, seed int64) []Descriptor {
 		if flags.Has(FlagExit) {
 			policy = exitPolicyPool[1+rng.Intn(len(exitPolicyPool)-1)]
 		}
+		// Nickname and address share one string: one allocation per relay.
+		b := appendNickname(names[:0], i)
+		nick := len(b)
+		both := string(appendAddress(b, i))
 		out[i] = Descriptor{
-			Nickname:    fmt.Sprintf("relay%06d", i),
+			Nickname:    both[:nick],
 			Identity:    id,
 			Digest:      digest,
-			Address:     fmt.Sprintf("10.%d.%d.%d", (i>>16)&0xff, (i>>8)&0xff, i&0xff),
+			Address:     both[nick:],
 			ORPort:      9001,
 			DirPort:     9030,
 			Flags:       flags,
@@ -219,6 +225,40 @@ func Population(n int, seed int64) []Descriptor {
 	return out
 }
 
+// appendNickname appends relay i's nickname, fmt's "relay%06d".
+func appendNickname(b []byte, i int) []byte {
+	b = append(b, "relay"...)
+	for d := 100000; d > 1 && i < d; d /= 10 {
+		b = append(b, '0')
+	}
+	return strconv.AppendInt(b, int64(i), 10)
+}
+
+// appendAddress appends relay i's address, fmt's "10.%d.%d.%d" of its low
+// three bytes.
+func appendAddress(b []byte, i int) []byte {
+	b = append(b, "10."...)
+	b = strconv.AppendInt(b, int64((i>>16)&0xff), 10)
+	b = append(b, '.')
+	b = strconv.AppendInt(b, int64((i>>8)&0xff), 10)
+	b = append(b, '.')
+	return strconv.AppendInt(b, int64(i&0xff), 10)
+}
+
+// IdentityOrder returns the indices of pop in fingerprint order, the order
+// votes list relays in. It is computed once per population and shared by
+// every View of it.
+func IdentityOrder(pop []Descriptor) []int32 {
+	order := make([]int32, len(pop))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		return bytes.Compare(pop[a].Identity[:], pop[b].Identity[:])
+	})
+	return order
+}
+
 // How an authority's view of the population is perturbed relative to
 // ground truth: the mild disagreement between live authorities.
 const (
@@ -228,55 +268,50 @@ const (
 	viewMeasureRate   = 0.85 // probability this authority measured the relay
 )
 
-// View derives authority `auth`'s perturbed copy of the population. The
-// result is sorted by identity, as votes list relays in fingerprint order.
-func View(pop []Descriptor, auth int, seed int64) []Descriptor {
+// View derives authority `auth`'s perturbed copy of the population, listed
+// in order, which is IdentityOrder(pop): votes list relays in fingerprint
+// order. It draws its random numbers walking pop in population order, so the
+// shared order only decides where each perturbed relay lands, and no view
+// sorts.
+func View(pop []Descriptor, order []int32, auth int, seed int64) []Descriptor {
 	rng := rand.New(rand.NewSource(seed*1000003 + int64(auth)))
-	out := make([]Descriptor, 0, len(pop))
 	votable := []Flags{FlagFast, FlagStable, FlagGuard, FlagExit, FlagHSDir, FlagV2Dir}
-	for _, d := range pop {
+	// What this authority thinks of relay i; the zero value is "not listed".
+	type seen struct {
+		measured    uint64
+		flags       Flags
+		listed      bool
+		hasMeasured bool
+	}
+	saw := make([]seen, len(pop))
+	listed := 0
+	for i := range pop {
+		d := &pop[i]
 		if rng.Float64() < viewDropRate {
 			continue
 		}
-		c := d.Clone()
+		v := seen{flags: d.Flags, listed: true}
 		if rng.Float64() < viewFlagFlipRate {
-			c.Flags ^= votable[rng.Intn(len(votable))]
+			v.flags ^= votable[rng.Intn(len(votable))]
 		}
 		if rng.Float64() < viewMeasureRate {
-			c.HasMeasured = true
+			v.hasMeasured = true
 			// Float64 inlines a product, which the doubling would fuse with.
 			j := 1 + float64((float64(rng.Float64())*2-1)*viewMeasureJitter)
-			c.Measured = uint64(float64(float64(d.Measured) * j))
-			if c.Measured == 0 {
-				c.Measured = 1
-			}
-		} else {
-			c.HasMeasured = false
-			c.Measured = 0
+			v.measured = max(uint64(float64(float64(d.Measured)*j)), 1)
 		}
-		out = append(out, c)
+		saw[i] = v
+		listed++
 	}
-	SortByIdentity(out)
+	out := make([]Descriptor, 0, listed)
+	for _, i := range order {
+		if v := saw[i]; v.listed {
+			c := pop[i]
+			c.Flags, c.HasMeasured, c.Measured = v.flags, v.hasMeasured, v.measured
+			out = append(out, c)
+		}
+	}
 	return out
-}
-
-// SortByIdentity sorts descriptors in fingerprint order (vote order).
-func SortByIdentity(ds []Descriptor) {
-	sort.Slice(ds, func(i, j int) bool {
-		return compareIdentity(ds[i].Identity, ds[j].Identity) < 0
-	})
-}
-
-func compareIdentity(a, b Identity) int {
-	for i := range a {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	return 0
 }
 
 // CompareVersions compares dotted numeric Tor versions ("0.4.8.10"). It

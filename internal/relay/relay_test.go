@@ -1,7 +1,11 @@
 package relay
 
 import (
+	"bytes"
+	"fmt"
 	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -109,8 +113,9 @@ func TestPopulationInvariants(t *testing.T) {
 
 func TestViewPerturbation(t *testing.T) {
 	pop := Population(1000, 3)
-	v0 := View(pop, 0, 3)
-	v0again := View(pop, 0, 3)
+	order := IdentityOrder(pop)
+	v0 := View(pop, order, 0, 3)
+	v0again := View(pop, order, 0, 3)
 	if len(v0) != len(v0again) {
 		t.Fatal("View not deterministic in size")
 	}
@@ -125,7 +130,7 @@ func TestViewPerturbation(t *testing.T) {
 	if len(v0) < int(0.95*float64(len(pop))) {
 		t.Fatalf("view dropped too many relays: %d of %d", len(v0), len(pop))
 	}
-	v1 := View(pop, 1, 3)
+	v1 := View(pop, order, 1, 3)
 	diff := 0
 	// Compare overlapping identities' flags.
 	byID := make(map[Identity]Descriptor, len(v0))
@@ -140,11 +145,89 @@ func TestViewPerturbation(t *testing.T) {
 	if diff == 0 {
 		t.Fatal("two authority views agree on every flag; perturbation ineffective")
 	}
-	// Views are sorted by identity.
-	for i := 1; i < len(v0); i++ {
-		if compareIdentity(v0[i-1].Identity, v0[i].Identity) >= 0 {
-			t.Fatal("view not sorted by identity")
+}
+
+// referenceView is View as it was before views shared one order: perturb a
+// copy of each relay walking the population, then sort the copies by
+// identity.
+func referenceView(pop []Descriptor, auth int, seed int64) []Descriptor {
+	rng := rand.New(rand.NewSource(seed*1000003 + int64(auth)))
+	out := make([]Descriptor, 0, len(pop))
+	votable := []Flags{FlagFast, FlagStable, FlagGuard, FlagExit, FlagHSDir, FlagV2Dir}
+	for _, d := range pop {
+		if rng.Float64() < viewDropRate {
+			continue
 		}
+		c := d
+		if rng.Float64() < viewFlagFlipRate {
+			c.Flags ^= votable[rng.Intn(len(votable))]
+		}
+		if rng.Float64() < viewMeasureRate {
+			c.HasMeasured = true
+			j := 1 + float64((float64(rng.Float64())*2-1)*viewMeasureJitter)
+			c.Measured = uint64(float64(float64(d.Measured) * j))
+			if c.Measured == 0 {
+				c.Measured = 1
+			}
+		} else {
+			c.HasMeasured = false
+			c.Measured = 0
+		}
+		out = append(out, c)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		return bytes.Compare(out[i].Identity[:], out[j].Identity[:]) < 0
+	})
+	return out
+}
+
+// TestViewMatchesSortedReference: a population's identities are distinct,
+// which is what lets every view share one order, and a view listed in that
+// order is the reference view, which sorts its own copies.
+func TestViewMatchesSortedReference(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 300, 3000} {
+		for _, seed := range []int64{1, 7, -42} {
+			pop := Population(n, seed)
+			seen := make(map[Identity]bool, n)
+			for i, d := range pop {
+				if seen[d.Identity] {
+					t.Fatalf("Population(%d, %d): identity of relay %d repeats", n, seed, i)
+				}
+				seen[d.Identity] = true
+			}
+			order := IdentityOrder(pop)
+			for auth := 0; auth <= 8; auth++ {
+				got, want := View(pop, order, auth, seed), referenceView(pop, auth, seed)
+				if len(got) != len(want) {
+					t.Fatalf("n=%d seed=%d auth=%d: %d relays, reference %d", n, seed, auth, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("n=%d seed=%d auth=%d: relay %d is %+v, reference %+v", n, seed, auth, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPopulationNames: nicknames and addresses are spelled as fmt spelled
+// them, past six digits and past the 16-bit boundary too.
+func TestPopulationNames(t *testing.T) {
+	check := func(i int, nick, addr string) {
+		t.Helper()
+		if want := fmt.Sprintf("relay%06d", i); nick != want {
+			t.Fatalf("relay %d: nickname %q, want %q", i, nick, want)
+		}
+		if want := fmt.Sprintf("10.%d.%d.%d", (i>>16)&0xff, (i>>8)&0xff, i&0xff); addr != want {
+			t.Fatalf("relay %d: address %q, want %q", i, addr, want)
+		}
+	}
+	for i, d := range Population(300, 5) {
+		check(i, d.Nickname, d.Address)
+	}
+	for _, i := range []int{0, 9, 10, 99_999, 100_000, 999_999, 1_000_000, 12_345_678, 65_535, 65_536, 65_537, 1<<24 + 257} {
+		check(i, string(appendNickname(nil, i)), string(appendAddress(nil, i)))
 	}
 }
 

@@ -20,9 +20,10 @@ func Authorities(n int, seed int64) []*sig.KeyPair { return sig.Authorities(seed
 // padding == 0 disables padding (natural entry size).
 func Docs(keys []*sig.KeyPair, relays int, seed int64, padding int) []*vote.Document {
 	pop := relay.Population(relays, seed)
+	order := relay.IdentityOrder(pop)
 	docs := make([]*vote.Document, len(keys))
 	for i, k := range keys {
-		view := relay.View(pop, i, seed)
+		view := relay.View(pop, order, i, seed)
 		name := "auth"
 		if i < len(relay.AuthorityNames) {
 			name = relay.AuthorityNames[i]

@@ -11,9 +11,10 @@ import (
 func aggregated(t *testing.T, relays, voters int) *Consensus {
 	t.Helper()
 	pop := relay.Population(relays, 21)
+	order := relay.IdentityOrder(pop)
 	docs := make([]*Document, voters)
 	for a := range docs {
-		view := relay.View(pop, a, 21)
+		view := relay.View(pop, order, a, 21)
 		keys := sig.NewKeyPair(21, a)
 		docs[a] = NewDocument(a, relay.AuthorityNames[a], keys.Fingerprint, 5, view)
 	}
@@ -57,9 +58,10 @@ func TestConsensusParseQuick(t *testing.T) {
 		r := int(relays%60) + 2
 		v := int(voters%7) + 2
 		pop := relay.Population(r, int64(r*31+v))
+		order := relay.IdentityOrder(pop)
 		docs := make([]*Document, v)
 		for a := range docs {
-			view := relay.View(pop, a, int64(v))
+			view := relay.View(pop, order, a, int64(v))
 			keys := sig.NewKeyPair(3, a)
 			docs[a] = NewDocument(a, relay.AuthorityNames[a], keys.Fingerprint, 1, view)
 		}

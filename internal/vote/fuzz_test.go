@@ -27,7 +27,8 @@ func digestIsHashOfEncoding(t testing.TB, what string, digest func() sig.Digest,
 // re-parse, and its seal must match its rendering.
 func FuzzParse(f *testing.F) {
 	keys := sig.NewKeyPair(1, 0)
-	view := relay.View(relay.Population(5, 1), 0, 1)
+	pop := relay.Population(5, 1)
+	view := relay.View(pop, relay.IdentityOrder(pop), 0, 1)
 	doc := NewDocument(0, "moria1", keys.Fingerprint, 1, view)
 	f.Add(doc.Encode())
 	doc2 := NewDocument(1, "tor26", keys.Fingerprint, 2, nil)

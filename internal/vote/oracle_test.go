@@ -19,9 +19,10 @@ var benchmarkSeeds = []int64{21154162, 382856361, 450008222, 221457682, 88015425
 // seedDocs builds the n votes harness.Inputs would for (relays, seed).
 func seedDocs(n, relays int, seed int64, padding int) []*Document {
 	pop := relay.Population(relays, seed)
+	order := relay.IdentityOrder(pop)
 	docs := make([]*Document, n)
 	for a := range docs {
-		docs[a] = NewDocument(a, relay.AuthorityNames[a], sig.NewKeyPair(seed, a).Fingerprint, 1, relay.View(pop, a, seed))
+		docs[a] = NewDocument(a, relay.AuthorityNames[a], sig.NewKeyPair(seed, a).Fingerprint, 1, relay.View(pop, order, a, seed))
 		docs[a].EntryPadding = padding
 	}
 	return docs

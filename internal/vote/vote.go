@@ -11,12 +11,12 @@
 // win ties; and bandwidth is the median of the measuring votes.
 //
 // Documents are frozen once built. A vote is sealed on first use: Digest or
-// EncodedSize streams its encoding through SHA-256 one entry at a time and
-// keeps only the size and digest, so a cached vote costs its relay view and
-// not the ~2.5 kB per relay its bytes would. Encode renders those bytes afresh
-// on every call; a consensus's Encode renders once and caches them. Both size
-// the document first and append it into one buffer of exactly that length —
-// no fmt, no growth. Aggregate walks the votes, which list relays in identity
+// EncodedSize streams its encoding through SHA-256 one entry at a time, its
+// padding straight from the filler, and keeps only the size and digest, so a
+// cached vote costs its relay view and not the ~2.5 kB per relay its bytes
+// would. Encode renders those bytes afresh on every call; a consensus's
+// Encode renders once and caches them. Both size the document first and
+// append it into one buffer of exactly that length — no fmt, no growth. Aggregate walks the votes, which list relays in identity
 // order, as a k-way merge of pointers into them: nothing is copied or indexed
 // per relay. An Aggregator memoises Aggregate for one run, keyed by the
 // authority count and the sorted vote digests (a digest covers its vote's
@@ -26,6 +26,7 @@
 package vote
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
 	"strconv"
@@ -91,20 +92,34 @@ func (d *Document) Encode() []byte {
 }
 
 // seal fixes the vote's size and digest on first use by streaming its
-// encoding through SHA-256 one entry at a time, in one scratch buffer reused
-// across entries: votes are immutable once built.
+// encoding through SHA-256: votes are immutable once built. Each entry is
+// rendered unpadded into one scratch buffer reused across entries, and its
+// "pad" line goes straight into the hasher as slices of filler, so the ~2.3
+// kB of padding per entry is never copied.
 func (d *Document) seal() {
 	if d.size != 0 {
 		return
 	}
 	h := sha256.New()
-	b := d.appendHeader(make([]byte, 0, 4<<10))
+	b := d.appendHeader(make([]byte, 0, 1<<10))
 	var size int64
 	for i := range d.Relays {
-		b = appendEntry(b, &d.Relays[i], d.EntryPadding)
+		start := len(b)
+		b = appendEntry(b, &d.Relays[i], 0)
+		fill := padFill(len(b)-start, d.EntryPadding)
+		if fill > 0 {
+			b = append(b, "pad "...)
+		}
 		h.Write(b)
 		size += int64(len(b))
 		b = b[:0]
+		if fill > 0 {
+			size += int64(fill) + 1
+			for ; fill > 0; fill -= len(filler) {
+				h.Write(filler[:min(fill, len(filler))])
+			}
+			h.Write(newline)
+		}
 	}
 	b = append(b, footer...)
 	h.Write(b)
@@ -130,11 +145,25 @@ func (d *Document) appendHeader(b []byte) []byte {
 
 // filler is what "pad" lines are cut from: one copy per entry at any padding
 // up to its length, a short loop beyond.
-var filler = strings.Repeat("x", 2*DefaultEntryPadding)
+var filler = bytes.Repeat([]byte{'x'}, 2*DefaultEntryPadding)
+
+// newline ends a "pad" line the seal streams.
+var newline = []byte{'\n'}
 
 // minPadLine is len("pad x\n"), the shortest filler line there is: an entry
 // within that of its padding cannot be brought to it exactly and stays as is.
 const minPadLine = 6
+
+// padFill is the filler length of a "pad" line that brings an entry of n
+// unpadded bytes to pad bytes, or <= 0 when pad is off or the entry leaves
+// no room for one. pad > 0 comes first: a parsed padding may be negative
+// enough for the difference to wrap.
+func padFill(n, pad int) int {
+	if pad <= 0 {
+		return 0
+	}
+	return pad - n - minPadLine + 1
+}
 
 // appendEntry appends one relay entry, filled out to pad bytes when pad > 0
 // and the entry leaves room for a filler line.
@@ -169,13 +198,10 @@ func appendEntry(b []byte, r *relay.Descriptor, pad int) []byte {
 	b = append(b, "\np "...)
 	b = append(b, r.ExitPolicy...)
 	b = append(b, '\n')
-	// pad > 0 first: a parsed padding may be negative enough for fill to wrap.
-	if fill := pad - (len(b) - start) - minPadLine + 1; pad > 0 && fill > 0 {
+	if fill := padFill(len(b)-start, pad); fill > 0 {
 		b = append(b, "pad "...)
-		for fill > 0 {
-			n := min(fill, len(filler))
-			b = append(b, filler[:n]...)
-			fill -= n
+		for ; fill > 0; fill -= len(filler) {
+			b = append(b, filler[:min(fill, len(filler))]...)
 		}
 		b = append(b, '\n')
 	}

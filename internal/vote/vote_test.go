@@ -14,7 +14,8 @@ import (
 func testDoc(t *testing.T, authority, relays int, padding int) *Document {
 	t.Helper()
 	keys := sig.NewKeyPair(1, authority)
-	view := relay.View(relay.Population(relays, 1), authority, 1)
+	pop := relay.Population(relays, 1)
+	view := relay.View(pop, relay.IdentityOrder(pop), authority, 1)
 	d := NewDocument(authority, relay.AuthorityNames[authority], keys.Fingerprint, 42, view)
 	d.EntryPadding = padding
 	return d
@@ -44,7 +45,8 @@ func TestEncodeParseRoundTrip(t *testing.T) {
 func TestEncodeParseQuick(t *testing.T) {
 	f := func(auth uint8, n uint8, seed int64) bool {
 		a := int(auth) % 9
-		view := relay.View(relay.Population(int(n%40)+1, seed), a, seed)
+		pop := relay.Population(int(n%40)+1, seed)
+		view := relay.View(pop, relay.IdentityOrder(pop), a, seed)
 		keys := sig.NewKeyPair(seed, a)
 		d := NewDocument(a, relay.AuthorityNames[a], keys.Fingerprint, 7, view)
 		parsed, err := Parse(d.Encode())
@@ -296,9 +298,10 @@ func TestAggregateBandwidthMedian(t *testing.T) {
 
 func TestAggregateOrderIndependent(t *testing.T) {
 	pop := relay.Population(120, 5)
+	order := relay.IdentityOrder(pop)
 	docs := make([]*Document, 5)
 	for a := range docs {
-		view := relay.View(pop, a, 5)
+		view := relay.View(pop, order, a, 5)
 		keys := sig.NewKeyPair(5, a)
 		docs[a] = NewDocument(a, relay.AuthorityNames[a], keys.Fingerprint, 1, view)
 	}
@@ -321,9 +324,10 @@ func TestAggregateOrderIndependent(t *testing.T) {
 
 func TestAggregateQuickPermutationInvariance(t *testing.T) {
 	pop := relay.Population(40, 11)
+	order := relay.IdentityOrder(pop)
 	docs := make([]*Document, 4)
 	for a := range docs {
-		view := relay.View(pop, a, 11)
+		view := relay.View(pop, order, a, 11)
 		keys := sig.NewKeyPair(11, a)
 		docs[a] = NewDocument(a, relay.AuthorityNames[a], keys.Fingerprint, 1, view)
 	}
