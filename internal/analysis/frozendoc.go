@@ -9,11 +9,11 @@ import (
 // frozenTypes are the document types, as types.Type.String spells them.
 var frozenTypes = map[string]bool{"partialtor/internal/vote.Document": true, "partialtor/internal/vote.Consensus": true}
 
-// FrozenDoc keeps vote documents immutable outside internal/vote: a vote's
-// seal fixes its size and digest, a consensus's Encode its bytes and digest,
-// and the run-scoped memos key on them. Only a local the same function got
-// from vote.NewDocument may still be written (the EntryPadding idiom). Escape
-// hatch: //detlint:frozendoc ok(<reason>).
+// FrozenDoc keeps vote documents immutable outside internal/vote: a
+// document's seal fixes its size and digest, a consensus's Encode keeps its
+// bytes, and the run-scoped memos key on them. Only a local the same function
+// got from vote.NewDocument may still be written (the EntryPadding idiom).
+// Escape hatch: //detlint:frozendoc ok(<reason>).
 var FrozenDoc = &Analyzer{
 	Name: "frozendoc",
 	Doc:  "forbid assigning to a field of vote.Document or vote.Consensus outside internal/vote, except on a local fresh from vote.NewDocument",

@@ -93,10 +93,11 @@ type AgreementValue struct {
 	Entries  []ValueEntry
 
 	encoded []byte
+	digest  sig.Digest // of encoded, fixed with it
 }
 
 // encode produces the canonical byte representation (for digests and size
-// accounting).
+// accounting) and fixes its digest, both on first use.
 func (v *AgreementValue) encode() []byte {
 	if v.encoded != nil {
 		return v.encoded
@@ -106,28 +107,21 @@ func (v *AgreementValue) encode() []byte {
 	w.Uvarint(uint64(len(v.Entries)))
 	for _, e := range v.Entries {
 		w.Byte(byte(e.Status))
-		w.Raw(e.Digest[:])
-		writeSig(w, e.OwnerSig)
-		w.Uvarint(uint64(len(e.Endorsements)))
-		for _, s := range e.Endorsements {
-			writeSig(w, s)
-		}
-		w.Raw(e.EquivDigests[0][:])
-		w.Raw(e.EquivDigests[1][:])
-		writeSig(w, e.EquivSigs[0])
-		writeSig(w, e.EquivSigs[1])
+		sig.WriteDigest(w, e.Digest)
+		sig.WriteSignature(w, e.OwnerSig)
+		sig.WriteSignatures(w, e.Endorsements)
+		sig.WriteDigest(w, e.EquivDigests[0])
+		sig.WriteDigest(w, e.EquivDigests[1])
+		sig.WriteSignature(w, e.EquivSigs[0])
+		sig.WriteSignature(w, e.EquivSigs[1])
 	}
 	v.encoded = w.Bytes()
+	v.digest = sig.Hash(v.encoded)
 	return v.encoded
 }
 
-func writeSig(w *wire.Writer, s sig.Signature) {
-	w.Varint(int64(s.Signer))
-	w.Raw(s.Bytes[:])
-}
-
 // Digest implements hotstuff.Value.
-func (v *AgreementValue) Digest() sig.Digest { return sig.Hash(v.encode()) }
+func (v *AgreementValue) Digest() sig.Digest { v.encode(); return v.digest }
 
 // Size implements hotstuff.Value.
 func (v *AgreementValue) Size() int64 { return int64(len(v.encode())) }

@@ -22,7 +22,7 @@ import (
 var ablationArtifact = Artifact{Name: "ablation", Run: func(ctx context.Context, quick bool, sp sweep.Params) (string, error) {
 	var parts []string
 	for _, a := range []Artifact{
-		artifact("entry-size", entrySizeQuick, AblationEntrySize),
+		artifact("entry-size", entryBytesQuick, AblationEntrySize),
 		artifact("delta", deltaQuick, AblationDelta),
 		artifact("timeout", timeoutQuick, AblationTimeout),
 	} {
@@ -53,13 +53,13 @@ type EntrySizeParams struct {
 }
 
 var (
-	entrySizePaper = EntrySizeParams{
+	entryBytesPaper = EntrySizeParams{
 		EntrySizes:    []int{625, 1250, 2500},
 		RelayCounts:   relayCounts(2000, 40000, 2000),
 		BandwidthMbit: 10,
 		Round:         150 * time.Second,
 	}
-	entrySizeQuick = EntrySizeParams{
+	entryBytesQuick = EntrySizeParams{
 		EntrySizes:    []int{625, 2500},
 		RelayCounts:   []int{500, 1000, 2000, 4000, 8000},
 		BandwidthMbit: 10,
@@ -75,7 +75,7 @@ var (
 // engine; each cell's threshold scan stays sequential because it stops at the
 // first failure.
 func AblationEntrySize(ctx context.Context, p EntrySizeParams, sp sweep.Params) (*Table[EntrySizeRow], error) {
-	p = overlay(p, entrySizePaper)
+	p = overlay(p, entryBytesPaper)
 	grid := sweep.MustNew(sweep.Ints("entry", p.EntrySizes...))
 	return sweepTable(ctx, grid, sp, func(ctx context.Context, c sweep.Cell) (EntrySizeRow, error) {
 		entry := c.Int("entry")

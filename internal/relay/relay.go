@@ -71,17 +71,6 @@ func (f Flags) AppendTo(dst []byte) []byte {
 	return dst
 }
 
-// EncodedLen is len(f.AppendTo(nil)), for sizing a buffer before filling it.
-func (f Flags) EncodedLen() int {
-	n := 0
-	for i := 0; i < flagCount; i++ {
-		if f&(1<<i) != 0 {
-			n += len(flagNames[i]) + 1
-		}
-	}
-	return max(n-1, 0)
-}
-
 // String is AppendTo as a string.
 func (f Flags) String() string { return string(f.AppendTo(make([]byte, 0, 48))) }
 

@@ -2,6 +2,7 @@ package vote
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"slices"
 	"sort"
@@ -34,8 +35,9 @@ type Consensus struct {
 	Voters           []int // authority indices whose votes were aggregated
 	Relays           []ConsensusRelay
 
-	encoded []byte
-	digest  sig.Digest // of encoded, fixed with it
+	encoded []byte     // Encode's bytes, kept from its first call
+	size    int64      // of the encoding; 0 until sealed
+	digest  sig.Digest // of the encoding, fixed with size
 }
 
 // Aggregate combines status votes into a consensus document following the
@@ -285,26 +287,42 @@ func lowMedian(vals []uint64) uint64 {
 	return vals[(len(vals)-1)/2]
 }
 
-// Encode renders the consensus document. Unlike a vote's, the result is
-// cached, and its digest fixed, on first use: a consensus lives for one run,
-// and whoever hashes or compares it reads its bytes.
+// Encode renders the consensus document into a buffer of exactly EncodedSize
+// bytes. Unlike a vote's, the bytes are kept from the first call: a consensus
+// lives for one run, and whoever serves or compares it reads them.
 func (c *Consensus) Encode() []byte {
-	if c.encoded != nil {
-		return c.encoded
+	if c.encoded == nil {
+		b := c.appendHeader(make([]byte, 0, c.EncodedSize()))
+		for i := range c.Relays {
+			b = c.Relays[i].appendTo(b)
+		}
+		c.encoded = append(b, footer...)
 	}
-	var scratch [128]byte
-	header := c.appendHeader(scratch[:0])
-	size := len(header) + len(footer)
-	for i := range c.Relays {
-		size += c.Relays[i].encodedSize()
+	return c.encoded
+}
+
+// seal fixes the consensus's size and digest on first use the way a vote's
+// seal does: its entries are rendered by the appendTo call Encode makes into
+// one scratch buffer, hashed and reused whenever it fills past sealChunk.
+func (c *Consensus) seal() {
+	if c.size != 0 {
+		return
 	}
-	b := append(make([]byte, 0, size), header...)
+	h := sha256.New()
+	b := c.appendHeader(make([]byte, 0, 2*sealChunk))
+	var size int64
 	for i := range c.Relays {
 		b = c.Relays[i].appendTo(b)
+		if len(b) >= sealChunk {
+			h.Write(b)
+			size += int64(len(b))
+			b = b[:0]
+		}
 	}
 	b = append(b, footer...)
-	c.encoded, c.digest = b, sig.Hash(b)
-	return c.encoded
+	h.Write(b)
+	c.size = size + int64(len(b))
+	h.Sum(c.digest[:0])
 }
 
 func (c *Consensus) appendHeader(b []byte) []byte {
@@ -350,20 +368,9 @@ func (r *ConsensusRelay) appendTo(b []byte) []byte {
 	return append(b, '\n')
 }
 
-// encodedSize is len(r.appendTo(nil)), computed without formatting.
-func (r *ConsensusRelay) encodedSize() int {
-	return len("r ") + len(r.Nickname) + 1 + 2*len(r.Identity) + 1 + len(r.Address) +
-		1 + decimalLen(uint64(r.ORPort)) + 1 + decimalLen(uint64(r.DirPort)) +
-		len("\ns ") + r.Flags.EncodedLen() +
-		len("\nv Tor ") + len(r.Version) +
-		len("\npr ") + len(r.Protocols) +
-		len("\nw Bandwidth=") + decimalLen(r.Bandwidth) +
-		len("\np ") + len(r.ExitPolicy) + 1
-}
-
 // EncodedSize returns the consensus wire size in bytes.
-func (c *Consensus) EncodedSize() int64 { return int64(len(c.Encode())) }
+func (c *Consensus) EncodedSize() int64 { c.seal(); return c.size }
 
 // Digest returns the SHA-256 digest of the encoded consensus; this is what
 // authorities sign.
-func (c *Consensus) Digest() sig.Digest { c.Encode(); return c.digest }
+func (c *Consensus) Digest() sig.Digest { c.seal(); return c.digest }

@@ -7,13 +7,20 @@ import (
 	"partialtor/internal/sig"
 )
 
+// document is what both document kinds offer: a seal and a rendering.
+type document interface {
+	Digest() sig.Digest
+	EncodedSize() int64
+	Encode() []byte
+}
+
 // digestIsHashOfEncoding is the seal's invariant: the digest and size a
 // document fixes are the SHA-256 and the length of exactly the bytes Encode
 // renders, whichever of them is called first.
-func digestIsHashOfEncoding(t testing.TB, what string, digest func() sig.Digest, size func() int64, encode func() []byte) {
+func digestIsHashOfEncoding(t testing.TB, what string, d document) {
 	t.Helper()
-	gotDigest, gotSize := digest(), size()
-	enc := encode()
+	gotDigest, gotSize := d.Digest(), d.EncodedSize()
+	enc := d.Encode()
 	if want := sig.Hash(enc); gotDigest != want {
 		t.Fatalf("%s: Digest() = %s, sig.Hash(Encode()) = %s", what, gotDigest.Short(), want.Short())
 	}
@@ -34,9 +41,9 @@ func FuzzParse(f *testing.F) {
 	doc2 := NewDocument(1, "tor26", keys.Fingerprint, 2, nil)
 	doc2.EntryPadding = 0
 	f.Add(doc2.Encode())
-	digestIsHashOfEncoding(f, "built, encoded first", doc.Digest, doc.EncodedSize, doc.Encode)
+	digestIsHashOfEncoding(f, "built, encoded first", doc)
 	doc3 := NewDocument(2, "dizum", keys.Fingerprint, 3, view)
-	digestIsHashOfEncoding(f, "built, digest first", doc3.Digest, doc3.EncodedSize, doc3.Encode)
+	digestIsHashOfEncoding(f, "built, digest first", doc3)
 	f.Add([]byte("network-status-version 3\nvote-status vote\ndirectory-footer\n"))
 	f.Add([]byte("r bad\n"))
 	f.Add([]byte{})
@@ -53,8 +60,8 @@ func FuzzParse(f *testing.F) {
 		if len(re.Relays) != len(d.Relays) {
 			t.Fatal("relay count unstable across round trip")
 		}
-		digestIsHashOfEncoding(t, "parsed and re-encoded", d.Digest, d.EncodedSize, d.Encode)
-		digestIsHashOfEncoding(t, "re-parsed", re.Digest, re.EncodedSize, re.Encode)
+		digestIsHashOfEncoding(t, "parsed and re-encoded", d)
+		digestIsHashOfEncoding(t, "re-parsed", re)
 	})
 }
 
@@ -65,7 +72,7 @@ func FuzzParseConsensus(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	digestIsHashOfEncoding(f, "aggregated, digest first", c.Digest, c.EncodedSize, c.Encode)
+	digestIsHashOfEncoding(f, "aggregated, digest first", c)
 	f.Add(c.Encode())
 	f.Add([]byte("network-status-version 3\nvote-status consensus\ndirectory-footer\n"))
 	f.Add([]byte("voters x y\n"))
@@ -79,6 +86,6 @@ func FuzzParseConsensus(f *testing.F) {
 		if _, err := ParseConsensus(c.Encode()); err != nil {
 			t.Fatalf("re-parse of re-encoded consensus failed: %v", err)
 		}
-		digestIsHashOfEncoding(t, "parsed and re-encoded consensus", c.Digest, c.EncodedSize, c.Encode)
+		digestIsHashOfEncoding(t, "parsed and re-encoded consensus", c)
 	})
 }

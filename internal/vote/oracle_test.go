@@ -106,10 +106,7 @@ func TestEncodeAndAggregateMatchReferenceOnBenchmarkSeeds(t *testing.T) {
 
 func TestEncodeMatchesReferenceAcrossPaddingBoundary(t *testing.T) {
 	base := seedDocs(1, 60, 1, 0)[0]
-	natural := entrySize(&base.Relays[0], 0)
-	if got := len(appendEntry(nil, &base.Relays[0], 0)); got != natural {
-		t.Fatalf("entrySize says %d, appendEntry wrote %d", natural, got)
-	}
+	natural := len(appendEntry(nil, &base.Relays[0], 0))
 	// natural+5 is the last padding an entry cannot be filled to ("pad x\n"
 	// is six bytes), natural+6 the first it can; 5 001 and 12 345 need more
 	// than one cut of the filler.

@@ -10,19 +10,21 @@
 // the largest version/protocol and the lexicographically larger exit policy
 // win ties; and bandwidth is the median of the measuring votes.
 //
-// Documents are frozen once built. A vote is sealed on first use: Digest or
-// EncodedSize streams its encoding through SHA-256 one entry at a time, its
-// padding straight from the filler, and keeps only the size and digest, so a
-// cached vote costs its relay view and not the ~2.5 kB per relay its bytes
-// would. Encode renders those bytes afresh on every call; a consensus's
-// Encode renders once and caches them. Both size the document first and
-// append it into one buffer of exactly that length — no fmt, no growth. Aggregate walks the votes, which list relays in identity
-// order, as a k-way merge of pointers into them: nothing is copied or indexed
-// per relay. An Aggregator memoises Aggregate for one run, keyed by the
-// authority count and the sorted vote digests (a digest covers its vote's
-// authority index). It is run-scoped and lock-free: a run is one goroutine,
-// and no Aggregator is shared between concurrent runs or sweep cells nor
-// outlives its run.
+// Documents are frozen once built, and each is sealed on first use: Digest
+// or EncodedSize streams its encoding through SHA-256 and keeps only the
+// size and digest. A seal renders the entries with the append calls Encode
+// makes, into one reused scratch buffer, so the renderers are the only
+// statement of the format, a cached vote costs its relay view and not the
+// ~2.5 kB per relay its bytes would, and sealing either kind allocates
+// nothing. Encode allocates its buffer at EncodedSize and appends into it —
+// no fmt, no growth. A vote's Encode renders afresh on every call; a
+// consensus keeps its bytes from the first call. Aggregate walks the votes,
+// which list relays in identity order, as a k-way merge of pointers into
+// them: nothing is copied or indexed per relay. An Aggregator memoises
+// Aggregate for one run, keyed by the authority count and the sorted vote
+// digests (a digest covers its vote's authority index). It is run-scoped and
+// lock-free: a run is one goroutine, and no Aggregator is shared between
+// concurrent runs or sweep cells nor outlives its run.
 package vote
 
 import (
@@ -74,17 +76,11 @@ func NewDocument(authorityIndex int, name string, fp sig.Fingerprint, epoch uint
 	}
 }
 
-// Encode renders the vote in its text format, into a fresh buffer on every
-// call: a run needs only the size and digest the seal keeps, so nothing keeps
-// the bytes.
+// Encode renders the vote in its text format into a fresh buffer of exactly
+// EncodedSize bytes on every call: a run needs only the size and digest the
+// seal keeps, so nothing keeps the bytes.
 func (d *Document) Encode() []byte {
-	var scratch [128]byte
-	header := d.appendHeader(scratch[:0])
-	size := len(header) + len(footer)
-	for i := range d.Relays {
-		size += entrySize(&d.Relays[i], d.EntryPadding)
-	}
-	b := append(make([]byte, 0, size), header...)
+	b := d.appendHeader(make([]byte, 0, d.EncodedSize()))
 	for i := range d.Relays {
 		b = appendEntry(b, &d.Relays[i], d.EntryPadding)
 	}
@@ -93,32 +89,21 @@ func (d *Document) Encode() []byte {
 
 // seal fixes the vote's size and digest on first use by streaming its
 // encoding through SHA-256: votes are immutable once built. Each entry is
-// rendered unpadded into one scratch buffer reused across entries, and its
-// "pad" line goes straight into the hasher as slices of filler, so the ~2.3
-// kB of padding per entry is never copied.
+// rendered, padded, by the appendEntry call Encode makes, into one scratch
+// buffer that is hashed and reused whenever it fills past sealChunk.
 func (d *Document) seal() {
 	if d.size != 0 {
 		return
 	}
 	h := sha256.New()
-	b := d.appendHeader(make([]byte, 0, 1<<10))
+	b := d.appendHeader(make([]byte, 0, 2*sealChunk))
 	var size int64
 	for i := range d.Relays {
-		start := len(b)
-		b = appendEntry(b, &d.Relays[i], 0)
-		fill := padFill(len(b)-start, d.EntryPadding)
-		if fill > 0 {
-			b = append(b, "pad "...)
-		}
-		h.Write(b)
-		size += int64(len(b))
-		b = b[:0]
-		if fill > 0 {
-			size += int64(fill) + 1
-			for ; fill > 0; fill -= len(filler) {
-				h.Write(filler[:min(fill, len(filler))])
-			}
-			h.Write(newline)
+		b = appendEntry(b, &d.Relays[i], d.EntryPadding)
+		if len(b) >= sealChunk {
+			h.Write(b)
+			size += int64(len(b))
+			b = b[:0]
 		}
 	}
 	b = append(b, footer...)
@@ -126,6 +111,11 @@ func (d *Document) seal() {
 	d.size = size + int64(len(b))
 	h.Sum(d.digest[:0])
 }
+
+// sealChunk is how many bytes a seal gathers before hashing them: a few
+// consensus entries or one padded vote entry, so the scratch of twice that
+// stays on the stack and is not outgrown at the default padding.
+const sealChunk = 4 << 10
 
 const footer = "directory-footer\n"
 
@@ -147,26 +137,13 @@ func (d *Document) appendHeader(b []byte) []byte {
 // up to its length, a short loop beyond.
 var filler = bytes.Repeat([]byte{'x'}, 2*DefaultEntryPadding)
 
-// newline ends a "pad" line the seal streams.
-var newline = []byte{'\n'}
-
 // minPadLine is len("pad x\n"), the shortest filler line there is: an entry
 // within that of its padding cannot be brought to it exactly and stays as is.
 const minPadLine = 6
 
-// padFill is the filler length of a "pad" line that brings an entry of n
-// unpadded bytes to pad bytes, or <= 0 when pad is off or the entry leaves
-// no room for one. pad > 0 comes first: a parsed padding may be negative
-// enough for the difference to wrap.
-func padFill(n, pad int) int {
-	if pad <= 0 {
-		return 0
-	}
-	return pad - n - minPadLine + 1
-}
-
 // appendEntry appends one relay entry, filled out to pad bytes when pad > 0
-// and the entry leaves room for a filler line.
+// and the entry leaves room for a filler line. pad > 0 is tested before the
+// fill: a parsed padding may be negative enough for the difference to wrap.
 //
 //detlint:hotpath
 func appendEntry(b []byte, r *relay.Descriptor, pad int) []byte {
@@ -198,7 +175,7 @@ func appendEntry(b []byte, r *relay.Descriptor, pad int) []byte {
 	b = append(b, "\np "...)
 	b = append(b, r.ExitPolicy...)
 	b = append(b, '\n')
-	if fill := padFill(len(b)-start, pad); fill > 0 {
+	if fill := pad - (len(b) - start) - minPadLine + 1; pad > 0 && fill > 0 {
 		b = append(b, "pad "...)
 		for ; fill > 0; fill -= len(filler) {
 			b = append(b, filler[:min(fill, len(filler))]...)
@@ -206,33 +183,6 @@ func appendEntry(b []byte, r *relay.Descriptor, pad int) []byte {
 		b = append(b, '\n')
 	}
 	return b
-}
-
-// entrySize is len(appendEntry(nil, r, pad)), computed without formatting.
-func entrySize(r *relay.Descriptor, pad int) int {
-	n := len("r ") + len(r.Nickname) + 1 + 2*len(r.Identity) + 1 + 2*len(r.Digest) + 1 + len(r.Address) +
-		1 + decimalLen(uint64(r.ORPort)) + 1 + decimalLen(uint64(r.DirPort)) +
-		len("\ns ") + r.Flags.EncodedLen() +
-		len("\nv Tor ") + len(r.Version) +
-		len("\npr ") + len(r.Protocols) +
-		len("\nw Bandwidth=") + decimalLen(r.Bandwidth) +
-		len("\np ") + len(r.ExitPolicy) + 1
-	if r.HasMeasured {
-		n += len(" Measured=") + decimalLen(r.Measured)
-	}
-	if n+minPadLine <= pad {
-		return pad
-	}
-	return n
-}
-
-// decimalLen is len(strconv.AppendUint(nil, v, 10)).
-func decimalLen(v uint64) int {
-	n := 1
-	for ; v >= 10; v /= 10 {
-		n++
-	}
-	return n
 }
 
 // EncodedSize returns the vote's wire size in bytes.

@@ -101,29 +101,42 @@ func TestDigestChangesWithContent(t *testing.T) {
 	}
 }
 
-// TestSealMatchesRendering: the size and digest a vote seals are those of the
-// bytes Encode renders, sealed first or encoded first, empty or large, at no,
-// negative, short and default padding and past the filler's 5 000 bytes, and
-// for a parsed vote.
+// TestSealMatchesRendering: the size and digest a document seals are those
+// of the bytes Encode renders, sealed first or encoded first. For a vote:
+// empty or large, at no, negative, short and default padding and past the
+// filler's 5 000 bytes, and parsed. For a consensus: aggregated from
+// populations of 0, 1, 300 and 3 000 relays, and parsed.
 func TestSealMatchesRendering(t *testing.T) {
-	check := func(what string, d *Document) {
+	// check is given two unsealed copies of one document.
+	check := func(what string, sealed, encoded document) {
 		t.Helper()
-		sealed := unsealed(d)
-		digestIsHashOfEncoding(t, what+", sealed first", sealed.Digest, sealed.EncodedSize, sealed.Encode)
-		encoded := unsealed(d)
+		digestIsHashOfEncoding(t, what+", sealed first", sealed)
 		encoded.Encode()
-		digestIsHashOfEncoding(t, what+", encoded first", encoded.Digest, encoded.EncodedSize, encoded.Encode)
+		digestIsHashOfEncoding(t, what+", encoded first", encoded)
 	}
 	for _, relays := range []int{0, 1, 300, 3000} {
 		for _, padding := range []int{-1, 0, DefaultEntryPadding, 50, 12000} {
-			check(fmt.Sprintf("relays=%d padding=%d", relays, padding), seedDocs(1, relays, 1, padding)[0])
+			d := seedDocs(1, relays, 1, padding)[0]
+			check(fmt.Sprintf("relays=%d padding=%d", relays, padding), unsealed(d), unsealed(d))
 		}
 	}
 	parsed, err := Parse(seedDocs(1, 300, 1, 50)[0].Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("parsed", parsed)
+	check("parsed", unsealed(parsed), unsealed(parsed))
+
+	var c *Consensus
+	for _, relays := range []int{0, 1, 300, 3000} {
+		if c, err = Aggregate(seedDocs(9, relays, 1, DefaultEntryPadding), 9); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("consensus of %d relays (%d listed)", relays, len(c.Relays)), unsealedConsensus(c), unsealedConsensus(c))
+	}
+	if c, err = ParseConsensus(c.Encode()); err != nil {
+		t.Fatal(err)
+	}
+	check("parsed consensus", unsealedConsensus(c), unsealedConsensus(c))
 }
 
 func TestParseRejectsGarbage(t *testing.T) {
