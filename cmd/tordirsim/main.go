@@ -119,9 +119,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "tordirsim: -bandwidth %g is not a positive number of Mbit/s\n", *bandwidthMbit)
 		return 2
 	}
-	// The scenario replaces a zero count, round or seed with its default,
-	// and a negative client count skips the distribution phase: each would
-	// run something other than what was asked.
+	// The scenario replaces a zero count, round or seed with its default, a
+	// negative client count skips the distribution phase, an empty attack
+	// window is no attack and a negative fanout is no mesh: each would run
+	// something other than what was asked. The harness rejects the rest, but
+	// only as a failed run, whose exit status is the lost consensus's.
 	for _, bad := range []struct {
 		on  bool
 		msg string
@@ -131,6 +133,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		{*seed == 0, "-seed 0 is not a seed: the scenario would run seed 1"},
 		{*caches <= 0, fmt.Sprintf("-caches %d is not a positive cache count", *caches)},
 		{*clients < 0, fmt.Sprintf("-clients %d is negative (0 skips the distribution phase)", *clients)},
+		{!(*attackMinutes > 0 && *attackMinutes*float64(time.Minute) < math.MaxInt64),
+			fmt.Sprintf("-attack-minutes %g is not a positive window length", *attackMinutes)},
+		{!(*residualMbit >= 0), fmt.Sprintf("-attack-residual %g is not a bandwidth in Mbit/s (0 = offline)", *residualMbit)},
+		{*raceK < 0, fmt.Sprintf("-race %d is negative (0 is the legacy client)", *raceK)},
+		{*gossipFanout < 0, fmt.Sprintf("-gossip %d is negative (0 keeps the star topology)", *gossipFanout)},
 	} {
 		if bad.on {
 			fmt.Fprintf(stderr, "tordirsim: %s\n", bad.msg)

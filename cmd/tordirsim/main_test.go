@@ -67,7 +67,8 @@ func TestBadBandwidthExits2(t *testing.T) {
 }
 
 // TestBadRelaysExits2: a count, round or seed that the scenario would
-// replace with a default, or that would skip a phase, is a usage error: exit
+// replace with a default, that would skip a phase or an attack, or that the
+// harness would reject only once the run has started, is a usage error: exit
 // 2 with one line on stderr, never a run of something else.
 func TestBadRelaysExits2(t *testing.T) {
 	for _, args := range []string{
@@ -78,6 +79,14 @@ func TestBadRelaysExits2(t *testing.T) {
 		"-seed 0",
 		"-caches 0 -clients 20000",
 		"-clients -5",
+		"-attack -attack-minutes 0",
+		"-attack -attack-minutes -5",
+		"-attack -attack-minutes NaN",
+		"-attack -attack-minutes 1e300",
+		"-attack -attack-residual -1",
+		"-attack -attack-residual NaN",
+		"-clients 1000 -race -1",
+		"-clients 1000 -gossip -2",
 	} {
 		var errOut bytes.Buffer
 		code := run(strings.Fields(args), io.Discard, &errOut)

@@ -16,6 +16,7 @@ import (
 	"regexp"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -479,6 +480,7 @@ var unreferencedOnPurpose = map[string]string{
 	"topo.SA":               "region index of Continents(): tests place nodes by it",
 	"topo.AF":               "region index of Continents(): tests place nodes by it",
 	"topo.OC":               "region index of Continents(): tests place nodes by it",
+	"analysis.RunAnalyzers": "the lint runs as a test: the root TestDetlint hands it every package of the module",
 }
 
 // TestInternalExportsAreReferenced keeps the internal surface from
@@ -570,7 +572,13 @@ type typedTree struct {
 	fset  *token.FileSet
 	std   types.Importer
 	info  *types.Info
-	pkgs  map[string]*types.Package
+	pkgs  map[string]*typedPackage // by import path
+	files []*ast.File
+}
+
+// typedPackage is one checked package of the tree with its syntax.
+type typedPackage struct {
+	types *types.Package
 	files []*ast.File
 }
 
@@ -579,7 +587,7 @@ func (tt *typedTree) Import(path string) (*types.Package, error) {
 		return tt.std.Import(path)
 	}
 	if pkg, ok := tt.pkgs[path]; ok {
-		return pkg, nil
+		return pkg.types, nil
 	}
 	dir := "." + strings.TrimPrefix(path, "partialtor")
 	entries, err := os.ReadDir(dir)
@@ -592,7 +600,9 @@ func (tt *typedTree) Import(path string) (*types.Package, error) {
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		f, err := parser.ParseFile(tt.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		// Comments are kept: detlint's waivers and //detlint:hotpath are
+		// comments.
+		f, err := parser.ParseFile(tt.fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}
@@ -602,9 +612,63 @@ func (tt *typedTree) Import(path string) (*types.Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	tt.pkgs[path] = pkg
+	tt.pkgs[path] = &typedPackage{pkg, files}
 	tt.files = append(tt.files, files...)
 	return pkg, nil
+}
+
+var (
+	treeOnce sync.Once
+	tree     *typedTree
+	treeErr  error
+)
+
+// loadTree returns the tree, type-checked once per test binary and shared by
+// TestInternalFieldsAreSetAndRead and TestDetlint. Under -short it skips t.
+func loadTree(t *testing.T) *typedTree {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("type-checks the tree and the standard library from source")
+	}
+	treeOnce.Do(func() {
+		fset := token.NewFileSet()
+		tree = &typedTree{
+			fset: fset,
+			std:  importer.ForCompiler(fset, "source", nil),
+			// Everything the analyzers read, not only what the field guard
+			// does.
+			info: &types.Info{
+				Types:      map[ast.Expr]types.TypeAndValue{},
+				Defs:       map[*ast.Ident]types.Object{},
+				Uses:       map[*ast.Ident]types.Object{},
+				Implicits:  map[ast.Node]types.Object{},
+				Selections: map[*ast.SelectorExpr]*types.Selection{},
+				Scopes:     map[ast.Node]*types.Scope{},
+				Instances:  map[*ast.Ident]types.Instance{},
+			},
+			pkgs: map[string]*typedPackage{},
+		}
+		for _, root := range []string{"partialtor.go", "cmd", "examples", "internal", "benchmark"} {
+			if treeErr = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+				switch {
+				case err != nil:
+					return err
+				case d.IsDir() && d.Name() == "testdata":
+					return filepath.SkipDir
+				case d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go"):
+					return nil
+				}
+				_, err = tree.Import(strings.TrimSuffix("partialtor/"+filepath.ToSlash(filepath.Dir(path)), "/."))
+				return err
+			}); treeErr != nil {
+				return
+			}
+		}
+	})
+	if treeErr != nil {
+		t.Fatal(treeErr)
+	}
+	return tree
 }
 
 // setAndReadOnPurpose is the allowlist of TestInternalFieldsAreSetAndRead:
@@ -612,9 +676,8 @@ func (tt *typedTree) Import(path string) (*types.Package, error) {
 // reads or calls, each with the reason it stays. A key is "pkg.Type.Name", or
 // "pkg.Type" for every field and method of a type.
 var setAndReadOnPurpose = map[string]string{
-	"analysis.vetConfig": "encoding/json fills it from the vet.cfg file cmd/go writes",
-	"obs.chromeEvent":    "encoding/json reads it into the Chrome trace",
-	"testkit.Net":        "the shared fixture type of the protocol tests",
+	"obs.chromeEvent": "encoding/json reads it into the Chrome trace",
+	"testkit.Net":     "the shared fixture type of the protocol tests",
 
 	"hotstuff.Config.Equivocator":     "adversarial hook: the safety tests make a leader Byzantine with it",
 	"hotstuff.Config.AltPropose":      "adversarial hook: the value an Equivocator shows the odd-indexed peers",
@@ -645,30 +708,8 @@ var setAndReadOnPurpose = map[string]string{
 // implements. An input nobody sets is a constant, a result nobody reads is
 // dead, and either goes or sits in setAndReadOnPurpose with a reason.
 func TestInternalFieldsAreSetAndRead(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the tree and the standard library from source")
-	}
-	fset := token.NewFileSet()
-	tt := &typedTree{
-		fset: fset,
-		std:  importer.ForCompiler(fset, "source", nil),
-		info: &types.Info{
-			Types: map[ast.Expr]types.TypeAndValue{},
-			Defs:  map[*ast.Ident]types.Object{},
-			Uses:  map[*ast.Ident]types.Object{},
-		},
-		pkgs: map[string]*types.Package{},
-	}
-	walkGo(t, fset, func(path string, _ *ast.File) {
-		if strings.HasSuffix(path, "_test.go") || strings.Contains(path, "/testdata/") {
-			return
-		}
-		dir := filepath.ToSlash(filepath.Dir(path))
-		if _, err := tt.Import(strings.TrimSuffix("partialtor/"+dir, "/.")); err != nil {
-			t.Fatal(err)
-		}
-	}, "partialtor.go", "cmd", "examples", "internal", "benchmark")
-	info := tt.info
+	tt := loadTree(t)
+	fset, info := tt.fset, tt.info
 
 	// What is held to the rule, under the name the allowlist knows it by.
 	name := map[types.Object]string{}
@@ -852,7 +893,7 @@ func TestInternalFieldsAreSetAndRead(t *testing.T) {
 		}
 	}
 	for _, pkg := range tt.pkgs {
-		visit(pkg)
+		visit(pkg.types)
 	}
 	viaInterface := func(fn *types.Func) bool {
 		recv := fn.Type().(*types.Signature).Recv().Type()

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"go/types"
 	"regexp"
+	"sort"
 	"strings"
 )
 
@@ -15,12 +16,9 @@ import (
 // the repo carries this dependency-free reimplementation of the subset it
 // needs (single-package syntax+types passes, no facts).
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and in waiver comments:
-	// a `//detlint:<Name> ok(<reason>)` comment on the flagged line (or the
-	// line directly above it) suppresses the finding.
+	// Name identifies the analyzer in diagnostics and in its waiver
+	// comments (see the package doc).
 	Name string
-	// Doc is the one-paragraph description printed by `detlint help`.
-	Doc string
 	// Run performs the check over one package and reports findings through
 	// pass.Reportf.
 	Run func(*Pass) error
@@ -36,7 +34,7 @@ type Pass struct {
 	TypesInfo *types.Info
 
 	// Report receives every diagnostic that survives the test-file and
-	// waiver filters. The driver installs it.
+	// waiver filters. RunAnalyzers installs it.
 	Report func(Diagnostic)
 
 	// waived maps file base positions to the set of lines suppressed for
@@ -50,8 +48,8 @@ type Diagnostic struct {
 	Message string
 }
 
-// waiverRe matches a waiver comment: //detlint:<analyzer> ok(<reason>).
-// The reason is mandatory — a waiver without one does not suppress.
+// waiverRe matches a waiver comment (see the package doc). The reason is
+// mandatory — a waiver without one does not suppress.
 var waiverRe = regexp.MustCompile(`^//detlint:([a-z]+) ok\((.+)\)\s*$`)
 
 // HotPathDirective is the annotation that opts a function into the hotpath
@@ -72,8 +70,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-// waivedAt reports whether pos sits on a line suppressed by a
-// //detlint:<name> ok(reason) comment on the same line or the line above.
+// waivedAt reports whether pos sits on a line suppressed by one of this
+// analyzer's waivers, on the same line or the line above.
 func (p *Pass) waivedAt(pos token.Pos) bool {
 	tf := p.Fset.File(pos)
 	if tf == nil {
@@ -169,4 +167,29 @@ func isNilIdent(info *types.Info, e ast.Expr) bool {
 // All returns the detlint suite in reporting order.
 func All() []*Analyzer {
 	return []*Analyzer{MapOrder, WallClock, HotPath, TracerGuard, FrozenDoc}
+}
+
+// RunAnalyzers runs the full suite over one type-checked package and
+// returns its findings as "file:line:col: message", in positional order.
+func RunAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) ([]string, error) {
+	var diags []Diagnostic
+	for _, a := range All() {
+		pass := &Pass{
+			Analyzer:  a,
+			Fset:      fset,
+			Files:     files,
+			Pkg:       pkg,
+			TypesInfo: info,
+			Report:    func(d Diagnostic) { diags = append(diags, d) },
+		}
+		if err := a.Run(pass); err != nil {
+			return nil, fmt.Errorf("%s: %v", a.Name, err)
+		}
+	}
+	sort.SliceStable(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
+	findings := make([]string, len(diags))
+	for i, d := range diags {
+		findings[i] = fmt.Sprintf("%v: %s", fset.Position(d.Pos), d.Message)
+	}
+	return findings, nil
 }

@@ -26,11 +26,14 @@
 //     outside internal/vote (a local fresh from vote.NewDocument excepted):
 //     their size and digest are fixed once, and the run's memos key on them.
 //
-// A finding is suppressed by `//detlint:<analyzer> ok(<reason>)` on the
-// flagged line or the line above; the reason is mandatory. The driver in
-// driver.go speaks the cmd/go vet-tool protocol, so the suite runs as
-// `go vet -vettool=$(pwd)/bin/detlint ./...` with full build-cache
-// integration.
+// A finding is suppressed by a waiver, `//detlint:<analyzer> ok(<reason>)`,
+// on the flagged line or the line above; the reason is mandatory, and
+// findings in _test.go files are never reported.
+//
+// The suite runs as part of `go test ./...`: the root package's TestDetlint
+// hands every package of the module to RunAnalyzers, over the same
+// type-checked tree the exported-field guard reads, and fails on any
+// finding.
 //
 // The Analyzer/Pass shape deliberately mirrors golang.org/x/tools/go/
 // analysis so the suite could migrate onto the upstream framework

@@ -13,10 +13,8 @@ var frozenTypes = map[string]bool{"partialtor/internal/vote.Document": true, "pa
 // document's seal fixes its size and digest, a consensus's Encode keeps its
 // bytes, and the run-scoped memos key on them. Only a local the same function
 // got from vote.NewDocument may still be written (the EntryPadding idiom).
-// Escape hatch: //detlint:frozendoc ok(<reason>).
 var FrozenDoc = &Analyzer{
 	Name: "frozendoc",
-	Doc:  "forbid assigning to a field of vote.Document or vote.Consensus outside internal/vote, except on a local fresh from vote.NewDocument",
 	Run:  runFrozenDoc,
 }
 

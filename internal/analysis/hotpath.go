@@ -23,13 +23,11 @@ import (
 //     — pointers, maps, chans, funcs — fit an interface word without
 //     allocating and stay legal).
 //
-// Amortized slow paths (scratch growth, cold panics) carry a
-// //detlint:hotpath ok(<reason>) waiver on the offending line.
+// Amortized slow paths (scratch growth, cold panics) carry a hotpath waiver
+// on the offending line.
 var HotPath = &Analyzer{
 	Name: "hotpath",
-	Doc: "forbid closures, fmt, map/slice literals, new/make, string concatenation and " +
-		"interface boxing inside functions annotated //detlint:hotpath",
-	Run: runHotPath,
+	Run:  runHotPath,
 }
 
 func runHotPath(pass *Pass) error {

@@ -24,13 +24,10 @@ import (
 //     sets, and if/continue combinations thereof. Float accumulation is
 //     NOT safe (float addition is not associative) and stays flagged.
 //
-// Anything else needs either a fix or a `//detlint:maporder ok(<reason>)`
-// waiver on the range line.
+// Anything else needs either a fix or a maporder waiver on the range line.
 var MapOrder = &Analyzer{
 	Name: "maporder",
-	Doc: "flag map iteration whose effect can depend on Go's randomized map order; " +
-		"collect-and-sort the keys, or waiver with //detlint:maporder ok(reason)",
-	Run: runMapOrder,
+	Run:  runMapOrder,
 }
 
 func runMapOrder(pass *Pass) error {

@@ -25,9 +25,7 @@ const obsPkgSuffix = "internal/obs"
 // panic at worst, a broken zero-cost contract at best.
 var TracerGuard = &Analyzer{
 	Name: "tracerguard",
-	Doc: "require direct obs.Tracer.Event calls to be dominated by a receiver nil check " +
-		"or routed through the obs guard helpers",
-	Run: runTracerGuard,
+	Run:  runTracerGuard,
 }
 
 func runTracerGuard(pass *Pass) error {

@@ -49,14 +49,12 @@ var randConstructors = map[string]bool{
 // WallClock forbids wall-clock reads (time.Now/Since/Sleep/…) and draws
 // from the global math/rand stream inside the simulation packages: both
 // smuggle real-world nondeterminism into runs whose outputs must be
-// byte-identical for a given seed. Methods on a seeded *rand.Rand are the
-// sanctioned randomness; cmd/* wall-time measurement is outside the scope
-// list. Escape hatch: //detlint:wallclock ok(<reason>).
+// byte-identical for a given seed. The simnet virtual clock and methods on
+// a seeded *rand.Rand are the sanctioned sources; cmd/* wall-time
+// measurement is outside the scope list.
 var WallClock = &Analyzer{
 	Name: "wallclock",
-	Doc: "forbid time.Now/Since/Sleep and global math/rand draws in simulation packages; " +
-		"use the simnet virtual clock and seeded *rand.Rand instances",
-	Run: runWallClock,
+	Run:  runWallClock,
 }
 
 // inSimulationScope reports whether pkgPath is one of the simulation

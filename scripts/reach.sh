@@ -6,7 +6,7 @@
 #   the golden corpus (TestGoldenKernelCorpus) and the command goldens;
 #   the eight examples and a traced tordirsim flood + chaos run, each built
 #     with -cover;
-#   benchmark -smoke, and detlint vetting the tree.
+#   benchmark -smoke, and detlint linting the tree (TestDetlint).
 #
 # The tests are `go test -short ./...`. Everything is instrumented with
 # -coverpkg=partialtor/... (a main package built with ./internal/... writes no
@@ -27,6 +27,7 @@ cover=(-cover -coverpkg=partialtor/...)
 go test -short "${cover[@]}" -coverprofile="$out/tests.txt" ./... >/dev/null
 go test "${cover[@]}" -coverprofile="$out/corpus.txt" -run '^TestGoldenKernelCorpus$' ./internal/harness >/dev/null
 go test -short "${cover[@]}" -coverprofile="$out/commands.txt" -run '^TestGolden' ./cmd/... >/dev/null
+go test "${cover[@]}" -coverprofile="$out/detlint.txt" -run '^TestDetlint$' . >/dev/null
 
 # The workloads that are programs write binary counters to one directory.
 export GOCOVERDIR=$out/covdata
@@ -42,8 +43,6 @@ go build "${cover[@]}" -o "$out/bin/tordirsim" ./cmd/tordirsim
     -trace "$out/trace.json" -metrics "$out/metrics.jsonl" >/dev/null || [ $? -eq 1 ]
 (cd benchmark && go build "${cover[@]}" -o "$out/bin/benchmark" .)
 "$out/bin/benchmark" -dir "$out/bench" -smoke >/dev/null
-go build "${cover[@]}" -o "$out/bin/detlint" ./cmd/detlint
-go vet -vettool="$out/bin/detlint" ./...
 unset GOCOVERDIR
 go tool covdata textfmt -i="$out/covdata" -pkg='partialtor/internal/...' -o "$out/programs.txt"
 
@@ -87,4 +86,4 @@ END {
     printf "\n%d statements under internal/: %d (%.1f %%) reached by workloads, %d by tests only, %d by nothing\n",
         all, allWork, 100 * allWork / all, allTest, allNone
     printf "%d functions, %d statements, no workload reaches at all\n", dark, darkStmts
-}' "$out/funcs.txt" "$out/tests.txt" "$out/corpus.txt" "$out/commands.txt" "$out/programs.txt"
+}' "$out/funcs.txt" "$out/tests.txt" "$out/corpus.txt" "$out/commands.txt" "$out/detlint.txt" "$out/programs.txt"
