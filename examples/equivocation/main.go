@@ -36,6 +36,7 @@ func buildDocs(seed int64, relays int) ([]*sig.KeyPair, []*vote.Document) {
 		d.EntryPadding = 0
 		docs[i] = d
 	}
+	vote.Share(docs)
 	return keys, docs
 }
 

@@ -22,9 +22,12 @@
 //     the pipe fluid model, the transit path and the fleet tick.
 //   - tracerguard requires direct obs.Tracer calls to be dominated by a
 //     receiver nil check, keeping tracing zero-cost when off.
-//   - frozendoc forbids writing a vote.Document or vote.Consensus field
-//     outside internal/vote (a local fresh from vote.NewDocument excepted):
-//     their size and digest are fixed once, and the run's memos key on them.
+//   - frozendoc forbids writing a vote.Document or vote.Consensus field,
+//     anything reached through one, or a whole document through its
+//     pointer, outside internal/vote (a local fresh
+//     from vote.NewDocument excepted): their size and digest are fixed once,
+//     the memos key on them, and a consensus is shared by every run on its
+//     inputs entry.
 //
 // A finding is suppressed by a waiver, `//detlint:<analyzer> ok(<reason>)`,
 // on the flagged line or the line above; the reason is mandatory, and

@@ -59,7 +59,6 @@ type Authority struct {
 	index int
 	me    *sig.KeyPair
 	pubs  *sig.Registry
-	agg   vote.Aggregator
 	doc   *vote.Document
 	hs    *hotstuff.Replica
 
@@ -125,7 +124,7 @@ func NewAuthorities(cfg Config) []*Authority {
 			auths[index].onEnterView(ctx, view)
 		},
 	}
-	pubs, agg := hsCfg.Pubs(), vote.Aggregator{}
+	pubs := hsCfg.Pubs()
 	hsCfg.Validate = func(v hotstuff.Value) bool {
 		av, ok := v.(*AgreementValue)
 		return ok && av.Verify(pubs, cfg.n(), cfg.F()) == nil
@@ -136,7 +135,6 @@ func NewAuthorities(cfg Config) []*Authority {
 			index:     i,
 			me:        cfg.Keys[i],
 			pubs:      pubs,
-			agg:       agg,
 			doc:       cfg.Docs[i],
 			hs:        hotstuff.NewReplica(hsCfg, i),
 			docs:      make(map[int]*vote.Document),
@@ -477,7 +475,7 @@ func (a *Authority) tryAggregate(ctx *simnet.Context) {
 	for _, d := range a.aggDocs {
 		docs = append(docs, d)
 	}
-	cons, err := a.agg.Aggregate(docs, a.cfg.n())
+	cons, err := vote.AggregateShared(docs, a.cfg.n())
 	if err != nil {
 		ctx.Logf("warn", "Aggregation failed: %v", err)
 		return

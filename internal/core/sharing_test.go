@@ -1,7 +1,6 @@
 package core
 
 import (
-	"reflect"
 	"testing"
 	"time"
 
@@ -10,20 +9,22 @@ import (
 	"partialtor/internal/vote"
 )
 
-// sharedMemos returns the run's one registry and one aggregator after
-// checking that they really are one, the embedded agreement replicas
-// included: a regression that hands each authority its own fails here.
-func sharedMemos(t *testing.T, auths []*Authority) (*sig.Registry, vote.Aggregator) {
+// sharedMemos returns the run's one registry, after checking that it really
+// is one, the embedded agreement replicas included, and the distinct
+// documents the authorities hold: a regression that hands each authority its
+// own registry or consensus fails here.
+func sharedMemos(t *testing.T, auths []*Authority) (*sig.Registry, int) {
 	t.Helper()
+	docs := map[*vote.Consensus]bool{}
 	for i, a := range auths {
 		if a.pubs != auths[0].pubs {
 			t.Fatalf("authority %d verifies through its own registry", i)
 		}
-		if reflect.ValueOf(a.agg).Pointer() != reflect.ValueOf(auths[0].agg).Pointer() {
-			t.Fatalf("authority %d aggregates through its own aggregator", i)
+		if a.consensus != nil {
+			docs[a.consensus] = true
 		}
 	}
-	return auths[0].pubs, auths[0].agg
+	return auths[0].pubs, len(docs)
 }
 
 func TestHealthyRunSharesOneAggregateAndVerifiesEachSignatureOnce(t *testing.T) {
@@ -32,9 +33,9 @@ func TestHealthyRunSharesOneAggregateAndVerifiesEachSignatureOnce(t *testing.T) 
 	if res := Collect(auths, cfg, nil); res.DoneCount != 9 {
 		t.Fatalf("%d of 9 authorities finished", res.DoneCount)
 	}
-	pubs, agg := sharedMemos(t, auths)
-	if len(agg) != 1 {
-		t.Fatalf("aggregator holds %d entries after a healthy run, want 1: nine authorities aggregate the one agreed vector", len(agg))
+	pubs, docs := sharedMemos(t, auths)
+	if docs != 1 {
+		t.Fatalf("%d documents after a healthy run, want 1: nine authorities aggregate the one agreed vector", docs)
 	}
 	// Nine owner signatures, 9×9 endorsements reported to the view-1 leader,
 	// nine lock-phase votes, the seven commit-phase votes the leader takes
@@ -51,8 +52,8 @@ func TestAggregatorHoldsOneEntryPerDistinctVoteSet(t *testing.T) {
 	cfg := baseConfig(t, 9, 60, 0)
 	cfg.Equivocators = map[int]*vote.Document{3: testkit.Docs(cfg.Keys, 30, 77, 0)[3]}
 	auths := runScenario(t, cfg, 250e6, 5*time.Minute, nil)
-	if _, agg := sharedMemos(t, auths); len(agg) != 1 || auths[0].consensus.NumVotes != 8 {
-		t.Fatalf("aggregator holds %d entries with an equivocator, want 1 over 8 votes", len(agg))
+	if _, docs := sharedMemos(t, auths); docs != 1 || auths[0].consensus.NumVotes != 8 {
+		t.Fatalf("%d documents with an equivocator, want 1 over 8 votes", docs)
 	}
 	// ... and one after the five-minute outage (scaled to one minute), when
 	// the five silenced authorities catch up and aggregate what the others did.
@@ -62,7 +63,7 @@ func TestAggregatorHoldsOneEntryPerDistinctVoteSet(t *testing.T) {
 			tn.Throttle(i, 0, time.Minute, 0)
 		}
 	})
-	if _, agg := sharedMemos(t, auths); len(agg) != 1 || auths[0].consensus == nil || auths[0].consensus != auths[8].consensus {
-		t.Fatalf("aggregator holds %d entries after the outage, want the one document all authorities share", len(agg))
+	if _, docs := sharedMemos(t, auths); docs != 1 || auths[0].consensus == nil || auths[0].consensus != auths[8].consensus {
+		t.Fatalf("%d documents after the outage, want the one document all authorities share", docs)
 	}
 }

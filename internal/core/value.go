@@ -23,7 +23,9 @@
 package core
 
 import (
+	"encoding/hex"
 	"fmt"
+	"strconv"
 
 	"partialtor/internal/sig"
 	"partialtor/internal/wire"
@@ -60,7 +62,8 @@ func (s EntryStatus) String() string {
 // entryInput is the message all per-entry signatures cover: the index bound
 // to a digest (the zero digest encodes ⊥).
 func entryInput(j int, d sig.Digest) []byte {
-	return []byte(fmt.Sprintf("%d|%x", j, d[:]))
+	b := strconv.AppendInt(make([]byte, 0, 20+1+2*sig.DigestSize), int64(j), 10)
+	return hex.AppendEncode(append(b, '|'), d[:])
 }
 
 // Signature domains.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"partialtor/internal/sig"
@@ -207,5 +209,20 @@ func TestValueDigestStable(t *testing.T) {
 func TestEntryStatusString(t *testing.T) {
 	if EntryOK.String() != "OK" || EntryStatus(9).String() == "" {
 		t.Fatal("status strings broken")
+	}
+}
+
+// TestEntryInputMatchesFmt pins entryInput byte for byte to the fmt rendering
+// "%d|%x" it replaced: every per-entry signature covers these bytes.
+func TestEntryInputMatchesFmt(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var random sig.Digest
+	rng.Read(random[:])
+	for _, j := range []int{0, 8, 10, 123} {
+		for _, d := range []sig.Digest{{}, random} {
+			if got, want := string(entryInput(j, d)), fmt.Sprintf("%d|%x", j, d[:]); got != want {
+				t.Errorf("entryInput(%d, %x) = %q, want %q", j, d[:4], got, want)
+			}
+		}
 	}
 }

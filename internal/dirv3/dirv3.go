@@ -135,7 +135,6 @@ type Authority struct {
 	index int
 	me    *sig.KeyPair
 	pubs  *sig.Registry
-	agg   vote.Aggregator
 	doc   *vote.Document
 
 	votes    map[int]*vote.Document
@@ -162,7 +161,7 @@ func NewAuthorities(cfg Config) []*Authority {
 	if len(cfg.Docs) != cfg.n() {
 		panic("dirv3: len(Docs) != len(Keys)")
 	}
-	pubs, agg := sig.PublicSet(cfg.Keys), vote.Aggregator{}
+	pubs := sig.PublicSet(cfg.Keys)
 	out := make([]*Authority, cfg.n())
 	for i := range out {
 		out[i] = &Authority{
@@ -170,7 +169,6 @@ func NewAuthorities(cfg Config) []*Authority {
 			index:               i,
 			me:                  cfg.Keys[i],
 			pubs:                pubs,
-			agg:                 agg,
 			doc:                 cfg.Docs[i],
 			votes:               make(map[int]*vote.Document),
 			voteSigs:            make(map[int]sig.Signature),
@@ -340,7 +338,7 @@ func (a *Authority) computeConsensus(ctx *simnet.Context) {
 	for _, d := range a.votes {
 		docs = append(docs, d)
 	}
-	cons, err := a.agg.Aggregate(docs, a.cfg.n())
+	cons, err := vote.AggregateShared(docs, a.cfg.n())
 	if err != nil {
 		ctx.Logf("warn", "Consensus aggregation failed: %v", err)
 		return

@@ -213,9 +213,11 @@ var inputsCache struct {
 // inputsCacheLimit bounds the cache. An entry is nine keys and nine sealed
 // votes, which keep their relay views and not their encodings: 0.4 MB at 300
 // relays and 14 MB at the paper's 10 000, so a full cache stays near 110 MB at
-// paper scale. The figure generators sweep Relays over ~10 values, so a small
-// cap keeps a sweep's working set without letting a long-lived process
-// accumulate every combination it ever ran.
+// paper scale. The votes' memo adds each distinct vote set's consensus, whose
+// entries point into the votes' strings: about 1 MB a set at 8 000 relays.
+// The figure generators sweep Relays over ~10 values, so a small cap keeps a
+// sweep's working set without letting a long-lived process accumulate every
+// combination it ever ran.
 const inputsCacheLimit = 8
 
 // Inputs builds (and caches) the authority keys and vote documents for a
@@ -255,7 +257,9 @@ func Inputs(s Scenario) ([]*sig.KeyPair, []*vote.Document) {
 // buildInputs derives a scenario's keys and sealed votes. The population and
 // its identity order are built once; then each authority's key, view and
 // seal, which cost alike, are dealt round-robin to min(GOMAXPROCS, N)
-// goroutines, each writing only its own indices.
+// goroutines, each writing only its own indices. Last, the votes are linked
+// to one consensus memo (vote.Share), so every run on this entry aggregates
+// each distinct vote set once.
 func buildInputs(s Scenario) ([]*sig.KeyPair, []*vote.Document) {
 	pop := relay.Population(s.Relays, s.Seed)
 	order := relay.IdentityOrder(pop)
@@ -285,6 +289,7 @@ func buildInputs(s Scenario) ([]*sig.KeyPair, []*vote.Document) {
 		}()
 	}
 	wg.Wait()
+	vote.Share(docs)
 	return keys, docs
 }
 

@@ -123,20 +123,19 @@ type Signature struct {
 // WireSize is the accounting size of one Signature on the wire.
 const WireSize = SignatureSize + 4
 
-// signingInput binds the domain label to the message.
-func signingInput(domain string, msg []byte) []byte {
-	out := make([]byte, 0, len(domain)+1+len(msg))
-	out = append(out, domain...)
-	out = append(out, 0)
-	out = append(out, msg...)
-	return out
+// signingInput appends domain‖0‖msg, which binds the domain label to the
+// message, to dst.
+func signingInput(dst []byte, domain string, msg []byte) []byte {
+	dst = append(dst, domain...)
+	dst = append(dst, 0)
+	return append(dst, msg...)
 }
 
 // Sign produces a signature over msg under the given domain label.
 func (k *KeyPair) Sign(domain string, msg []byte) Signature {
 	var s Signature
 	s.Signer = k.Index
-	copy(s.Bytes[:], ed25519.Sign(k.private, signingInput(domain, msg)))
+	copy(s.Bytes[:], ed25519.Sign(k.private, signingInput(make([]byte, 0, len(domain)+1+len(msg)), domain, msg)))
 	return s
 }
 
@@ -165,17 +164,22 @@ func (r *Registry) Len() int      { return len(r.keys) }
 func (r *Registry) Memoised() int { return len(r.verdicts) }
 
 // Verify checks a signature against the registry (indexed by authority). It
-// returns false for out-of-range signers, before any lookup.
+// returns false for out-of-range signers, before any lookup. domain‖0‖msg is
+// built in a stack buffer (on the heap only past 256 bytes), so a verdict
+// already judged allocates nothing.
 func Verify(r *Registry, domain string, msg []byte, s Signature) bool {
 	if s.Signer < 0 || s.Signer >= len(r.keys) {
 		return false
 	}
-	input := signingInput(domain, msg)
+	var buf [256]byte
+	input := signingInput(buf[:0], domain, msg)
 	key := verdictKey{Hash(input), s}
-	if _, seen := r.verdicts[key]; !seen {
-		r.verdicts[key] = ed25519.Verify(r.keys[s.Signer], input, s.Bytes[:])
+	verdict, seen := r.verdicts[key]
+	if !seen {
+		verdict = ed25519.Verify(r.keys[s.Signer], input, s.Bytes[:])
+		r.verdicts[key] = verdict
 	}
-	return r.verdicts[key]
+	return verdict
 }
 
 // Majority is the Tor consensus-signature threshold ⌊n/2⌋+1 (5 of 9): the

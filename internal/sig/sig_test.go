@@ -245,6 +245,35 @@ func TestRegistryNeverLaundersAVerdict(t *testing.T) {
 	}
 }
 
+// TestVerifyMemoHitAllocatesNothing: a verdict already judged is looked up
+// from a stack-hashed input, so it allocates nothing; an input past the stack
+// buffer still gets the verdict it earned.
+func TestVerifyMemoHitAllocatesNothing(t *testing.T) {
+	keys := Authorities(5, 4)
+	pubs := PublicSet(keys)
+	msg := []byte("0|" + strings.Repeat("ab", DigestSize)) // an ICPS entry input's size
+	s := keys[2].Sign("icps/endorse", msg)
+	if !Verify(pubs, "icps/endorse", msg, s) {
+		t.Fatal("genuine signature rejected")
+	}
+	if got := testing.AllocsPerRun(100, func() { Verify(pubs, "icps/endorse", msg, s) }); got != 0 {
+		t.Fatalf("a memo hit allocated %.0f times, want 0", got)
+	}
+
+	long := bytes.Repeat([]byte{7}, 1000)
+	ls := keys[1].Sign("long", long)
+	tampered := bytes.Clone(long)
+	tampered[999] ^= 1
+	for try := 1; try <= 2; try++ {
+		if !Verify(pubs, "long", long, ls) || Verify(pubs, "long", tampered, ls) {
+			t.Fatalf("try %d: a %d-byte input got the wrong verdict", try, len(long))
+		}
+	}
+	if got := pubs.Memoised(); got != 3 {
+		t.Fatalf("registry holds %d verdicts, want 3", got)
+	}
+}
+
 // TestTally runs twice over one registry: the second tally meets a memo that
 // has already judged every signature, and must keep every rule.
 func TestTally(t *testing.T) {

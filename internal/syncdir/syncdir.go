@@ -147,7 +147,6 @@ type Authority struct {
 	index int
 	me    *sig.KeyPair
 	pubs  *sig.Registry
-	agg   vote.Aggregator
 	doc   *vote.Document
 
 	docs    map[int]*vote.Document
@@ -179,7 +178,7 @@ func NewAuthorities(cfg Config) []*Authority {
 	if len(cfg.Docs) != cfg.n() {
 		panic("syncdir: len(Docs) != len(Keys)")
 	}
-	pubs, agg := sig.PublicSet(cfg.Keys), vote.Aggregator{}
+	pubs := sig.PublicSet(cfg.Keys)
 	out := make([]*Authority, cfg.n())
 	for i := range out {
 		out[i] = &Authority{
@@ -187,7 +186,6 @@ func NewAuthorities(cfg Config) []*Authority {
 			index:          i,
 			me:             cfg.Keys[i],
 			pubs:           pubs,
-			agg:            agg,
 			doc:            cfg.Docs[i],
 			docs:           make(map[int]*vote.Document),
 			docSigs:        make(map[int]sig.Signature),
@@ -416,7 +414,7 @@ func (a *Authority) decide(ctx *simnet.Context) {
 		a.agreed = false
 		return
 	}
-	cons, err := a.agg.Aggregate(a.leaderBundle.Docs, a.cfg.n())
+	cons, err := vote.AggregateShared(a.leaderBundle.Docs, a.cfg.n())
 	if err != nil {
 		ctx.Logf("warn", "Aggregation failed: %v", err)
 		a.agreed = false

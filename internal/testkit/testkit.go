@@ -17,7 +17,8 @@ func Authorities(n int, seed int64) []*sig.KeyPair { return sig.Authorities(seed
 
 // Docs builds one vote document per authority over perturbed views of a
 // shared synthetic population. padding < 0 selects the calibrated default;
-// padding == 0 disables padding (natural entry size).
+// padding == 0 disables padding (natural entry size). The votes are sealed and
+// share one consensus memo, as an inputs entry's do.
 func Docs(keys []*sig.KeyPair, relays int, seed int64, padding int) []*vote.Document {
 	pop := relay.Population(relays, seed)
 	order := relay.IdentityOrder(pop)
@@ -34,6 +35,7 @@ func Docs(keys []*sig.KeyPair, relays int, seed int64, padding int) []*vote.Docu
 		}
 		docs[i] = d
 	}
+	vote.Share(docs)
 	return docs
 }
 

@@ -89,11 +89,10 @@ func BenchmarkConsensusDigest(b *testing.B) {
 	}
 }
 
-// unsealedConsensus is a copy of c with neither its bytes nor its size and
-// digest fixed yet.
+// unsealedConsensus is a copy of c whose size and digest are not fixed yet.
 func unsealedConsensus(c *Consensus) *Consensus {
 	cc := *c
-	cc.encoded, cc.size, cc.digest = nil, 0, sig.Digest{}
+	cc.size, cc.digest = 0, sig.Digest{}
 	return &cc
 }
 

@@ -7,7 +7,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"strings"
+	"sync"
 
 	"partialtor/internal/relay"
 	"partialtor/internal/sig"
@@ -35,9 +35,8 @@ type Consensus struct {
 	Voters           []int // authority indices whose votes were aggregated
 	Relays           []ConsensusRelay
 
-	encoded []byte     // Encode's bytes, kept from its first call
-	size    int64      // of the encoding; 0 until sealed
-	digest  sig.Digest // of the encoding, fixed with size
+	size   int64      // of the encoding; 0 until sealed
+	digest sig.Digest // of the encoding, fixed with size
 }
 
 // Aggregate combines status votes into a consensus document following the
@@ -163,30 +162,73 @@ func (m *merge) next() bool {
 	return true
 }
 
-// Aggregator is Aggregate memoised for one run (see the package comment):
-// authorities holding the same vote set share one document, hashed once.
-type Aggregator map[string]*Consensus
+// memo is Aggregate memoised for the votes Share links to it (see the package
+// comment): one sync.OnceValues per vote set's key. It is safe for concurrent
+// use.
+type memo struct {
+	mu   sync.Mutex
+	sets map[string]func() (*Consensus, error)
+}
 
-// Aggregate is Aggregate(votes, totalAuthorities) once per distinct vote set; errors are not stored.
-func (g Aggregator) Aggregate(votes []*Document, totalAuthorities int) (*Consensus, error) {
-	digests := make([]string, len(votes))
+// Share seals docs and links them to one fresh memo, which AggregateShared
+// consults for every vote set holding one of them. Call it once, before docs
+// are handed to anyone.
+func Share(docs []*Document) {
+	m := &memo{sets: make(map[string]func() (*Consensus, error))}
+	for _, d := range docs {
+		d.seal()
+		d.memo = m
+	}
+}
+
+// AggregateShared is Aggregate(votes, totalAuthorities) once per distinct vote
+// set, through the memo of the linked vote with the smallest authority index,
+// so a mixed set (an equivocator's second vote among an entry's) resolves to
+// one memo whatever order it arrives in; a set with no linked vote is
+// aggregated afresh. The shared document is sealed before anyone gets it, and
+// must not be changed.
+func AggregateShared(votes []*Document, totalAuthorities int) (*Consensus, error) {
+	var first *Document
+	for _, v := range votes {
+		if v != nil && v.memo != nil && (first == nil || v.AuthorityIndex < first.AuthorityIndex) {
+			first = v
+		}
+	}
+	if first == nil {
+		return Aggregate(votes, totalAuthorities)
+	}
+	m := first.memo
+	digests := make([]sig.Digest, len(votes))
 	for i, v := range votes {
-		var dg sig.Digest // stays zero for a nil vote, which Aggregate rejects
-		if v != nil {
-			dg = v.Digest()
+		if v != nil { // a nil vote keeps the zero digest; Aggregate rejects it
+			digests[i] = v.Digest()
 		}
-		digests[i] = string(dg[:])
 	}
-	sort.Strings(digests)
-	key := strconv.Itoa(totalAuthorities) + strings.Join(digests, "")
-	if g[key] == nil {
-		c, err := Aggregate(votes, totalAuthorities)
-		if err != nil {
-			return nil, err
-		}
-		g[key] = c
+	slices.SortFunc(digests, func(a, b sig.Digest) int { return bytes.Compare(a[:], b[:]) })
+	key := strconv.AppendInt(make([]byte, 0, 20+len(digests)*sig.DigestSize), int64(totalAuthorities), 10)
+	for _, dg := range digests {
+		key = append(key, dg[:]...)
 	}
-	return g[key], nil
+	m.mu.Lock()
+	aggregate := m.sets[string(key)]
+	if aggregate == nil {
+		aggregate = sync.OnceValues(func() (*Consensus, error) {
+			c, err := Aggregate(votes, totalAuthorities)
+			if err == nil {
+				c.seal()
+			}
+			return c, err
+		})
+		m.sets[string(key)] = aggregate
+	}
+	m.mu.Unlock()
+	c, err := aggregate()
+	if err != nil { // a rejected set is not kept: it is rejected afresh each time
+		m.mu.Lock()
+		delete(m.sets, string(key))
+		m.mu.Unlock()
+	}
+	return c, err
 }
 
 var allFlags = relay.AllFlags()
@@ -287,18 +329,15 @@ func lowMedian(vals []uint64) uint64 {
 	return vals[(len(vals)-1)/2]
 }
 
-// Encode renders the consensus document into a buffer of exactly EncodedSize
-// bytes. Unlike a vote's, the bytes are kept from the first call: a consensus
-// lives for one run, and whoever serves or compares it reads them.
+// Encode renders the consensus document into a fresh buffer of exactly
+// EncodedSize bytes on every call, as a vote's Encode does: a shared
+// consensus has no field that is written after it is sealed.
 func (c *Consensus) Encode() []byte {
-	if c.encoded == nil {
-		b := c.appendHeader(make([]byte, 0, c.EncodedSize()))
-		for i := range c.Relays {
-			b = c.Relays[i].appendTo(b)
-		}
-		c.encoded = append(b, footer...)
+	b := c.appendHeader(make([]byte, 0, c.EncodedSize()))
+	for i := range c.Relays {
+		b = c.Relays[i].appendTo(b)
 	}
-	return c.encoded
+	return append(b, footer...)
 }
 
 // seal fixes the consensus's size and digest on first use the way a vote's

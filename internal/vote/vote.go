@@ -17,14 +17,17 @@
 // statement of the format, a cached vote costs its relay view and not the
 // ~2.5 kB per relay its bytes would, and sealing either kind allocates
 // nothing. Encode allocates its buffer at EncodedSize and appends into it —
-// no fmt, no growth. A vote's Encode renders afresh on every call; a
-// consensus keeps its bytes from the first call. Aggregate walks the votes,
-// which list relays in identity order, as a k-way merge of pointers into
-// them: nothing is copied or indexed per relay. An Aggregator memoises
-// Aggregate for one run, keyed by the authority count and the sorted vote
-// digests (a digest covers its vote's authority index). It is run-scoped and
-// lock-free: a run is one goroutine, and no Aggregator is shared between
-// concurrent runs or sweep cells nor outlives its run.
+// no fmt, no growth — and renders afresh on every call, for either kind.
+// Aggregate walks the votes, which list relays in identity order, as a k-way
+// merge of pointers into them: nothing is copied or indexed per relay.
+// AggregateShared memoises Aggregate per vote set: Share links sealed votes
+// (an inputs entry's) to one memo, keyed by the authority count and the
+// sorted vote digests (a digest covers its vote's authority index), so every
+// authority, run and concurrent sweep cell holding the same votes gets one
+// document, aggregated and sealed once behind a per-set sync.Once and
+// read-only from then on. A set Aggregate rejects is not kept. The memo lives
+// as long as the votes linked to it; a set with no linked vote is aggregated
+// afresh.
 package vote
 
 import (
@@ -62,6 +65,7 @@ type Document struct {
 
 	size   int64      // of the encoding; 0 until sealed
 	digest sig.Digest // of the encoding, fixed with size
+	memo   *memo      // the consensus memo Share linked the vote to; nil if none
 }
 
 // NewDocument builds a vote for an authority over its relay view.

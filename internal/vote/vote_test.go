@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -406,9 +407,11 @@ func TestAggregateErrors(t *testing.T) {
 	}
 }
 
-// TestAggregatorSharesPerVoteSet: one document per distinct vote set,
-// whatever order the set arrives in, and nothing at all for a set Aggregate
-// rejects.
+// TestAggregatorSharesPerVoteSet: through the memo Share links, one sealed
+// document per distinct vote set, whatever order the set arrives in and
+// however many goroutines ask at once; a mixed set resolves to one memo; an
+// unlinked set is aggregated afresh; and a set Aggregate rejects gets
+// Aggregate's own error every time and is not stored.
 func TestAggregatorSharesPerVoteSet(t *testing.T) {
 	docs := make([]*Document, 5)
 	for a := range docs {
@@ -418,41 +421,78 @@ func TestAggregatorSharesPerVoteSet(t *testing.T) {
 	// equivocator's second vote does not list it.
 	docs[2], docs[3] = mkVote(2, mkRelay(1, nil), mkRelay(3, nil)), mkVote(3, mkRelay(1, nil), mkRelay(3, nil))
 	alt := mkVote(2, mkRelay(1, nil))
-	agg := Aggregator{}
-	base, err := agg.Aggregate(docs, 9)
-	if err != nil {
-		t.Fatal(err)
+	Share(docs)
+	Share([]*Document{alt})
+	sets := func(d *Document) int { return len(d.memo.sets) }
+
+	shared := make([]*Consensus, 8)
+	var wg sync.WaitGroup
+	for g := range shared {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			shared[g], _ = AggregateShared(docs, 9)
+		}()
+	}
+	wg.Wait()
+	base := shared[0]
+	if base == nil || base.size == 0 {
+		t.Fatal("the shared document is missing or was handed out unsealed")
 	}
 	pure, _ := Aggregate(docs, 9)
-	if base.Digest() != pure.Digest() {
-		t.Fatal("the aggregator's document differs from Aggregate's")
+	if base.Digest() != pure.Digest() || string(base.Encode()) != string(pure.Encode()) {
+		t.Fatal("the shared document differs from Aggregate's")
+	}
+	for g, c := range shared {
+		if c != base {
+			t.Fatalf("goroutine %d got its own document", g)
+		}
 	}
 	for _, perm := range [][]int{{3, 0, 4, 2, 1}, {4, 3, 2, 1, 0}, {0, 1, 2, 3, 4}} {
 		in := make([]*Document, len(perm))
 		for i, j := range perm {
 			in[i] = docs[j]
 		}
-		if c, err := agg.Aggregate(in, 9); err != nil || c != base {
+		if c, err := AggregateShared(in, 9); err != nil || c != base {
 			t.Fatalf("order %v: got %p, %v; want the shared document %p", perm, c, err, base)
 		}
 	}
-	if len(agg) != 1 {
-		t.Fatalf("%d entries for one vote set", len(agg))
+	if sets(docs[0]) != 1 {
+		t.Fatalf("%d entries for one vote set", sets(docs[0]))
 	}
 
+	// The mixed set lives in the memo of its smallest linked authority,
+	// docs[0]'s, in whatever order it arrives.
 	swapped := []*Document{docs[0], docs[1], alt, docs[3], docs[4]}
-	other, err := agg.Aggregate(swapped, 9)
+	other, err := AggregateShared(swapped, 9)
 	if err != nil || other == base || other.Digest() == base.Digest() {
 		t.Fatalf("an alternate vote from authority 2 got the first set's document (err %v)", err)
 	}
-	if c, _ := agg.Aggregate(docs[:4], 9); c == base || c == other {
+	if c, _ := AggregateShared([]*Document{alt, docs[4], docs[3], docs[1], docs[0]}, 9); c != other {
+		t.Fatal("the mixed set in another order got another document")
+	}
+	if sets(alt) != 0 {
+		t.Fatalf("the alternate vote's own memo holds %d entries, want the mixed set in docs[0]'s", sets(alt))
+	}
+	if c, _ := AggregateShared(docs[:4], 9); c == base || c == other {
 		t.Fatal("a subset of the votes got another set's document")
 	}
-	if c, _ := agg.Aggregate(docs, 7); c == base {
+	if c, _ := AggregateShared(docs, 7); c == base {
 		t.Fatal("another authority count got the first set's document")
 	}
-	if len(agg) != 4 {
-		t.Fatalf("%d entries for four distinct vote sets", len(agg))
+	if sets(docs[0]) != 4 {
+		t.Fatalf("%d entries for four distinct vote sets", sets(docs[0]))
+	}
+
+	// Votes Share never linked (parsed ones here) are aggregated afresh.
+	parsed := make([]*Document, len(docs))
+	for i, d := range docs {
+		if parsed[i], err = Parse(d.Encode()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c, err := AggregateShared(parsed, 9); err != nil || c == base || c.Digest() != base.Digest() {
+		t.Fatalf("an unlinked vote set got %p, %v; want a fresh copy of the shared document", c, err)
 	}
 
 	// Rejected sets: Aggregate's own error text, every time, nothing stored —
@@ -466,13 +506,13 @@ func TestAggregatorSharesPerVoteSet(t *testing.T) {
 	} {
 		_, want := Aggregate(bad, 9)
 		for try := 1; try <= 2; try++ {
-			if c, err := agg.Aggregate(bad, 9); c != nil || err == nil || err.Error() != want.Error() {
+			if c, err := AggregateShared(bad, 9); c != nil || err == nil || err.Error() != want.Error() {
 				t.Errorf("%s, try %d: got %v, %v; want nil and %q", name, try, c, err, want)
 			}
 		}
 	}
-	if len(agg) != 4 {
-		t.Fatalf("a rejected vote set was stored: %d entries", len(agg))
+	if sets(docs[0]) != 4 {
+		t.Fatalf("a rejected vote set was stored: %d entries", sets(docs[0]))
 	}
 }
 
