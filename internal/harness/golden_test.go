@@ -22,7 +22,7 @@ import (
 )
 
 // The golden kernel corpus is one table of cell kinds (goldenKinds), each
-// run for every paper protocol at every seed in goldenSeeds: 3 × 3 × 5 = 45
+// run for every paper protocol at every seed in goldenSeeds: 3 × 3 × 6 = 54
 // cells. A kind is a scenario, an optional counterfactual baseline and an
 // optional claim:
 //
@@ -30,7 +30,9 @@ import (
 //   - compromised: equivocating caches against verifying fleets;
 //   - regional: the continental topology, a region-scoped flood, racing;
 //   - gossip: the total authority outage recovered through the cache mesh;
-//   - faults: that outage plus mid-run crashes and mesh churn.
+//   - faults: that outage plus mid-run crashes and mesh churn;
+//   - outage: the paper's headline, the five-minute majority outage, on
+//     votes at the calibrated entry padding and with no distribution phase.
 //
 // A baseline is the kind's scenario with the mitigation taken out of its
 // distribution spec (no mesh; no mesh, backoff or faults). It runs on the
@@ -45,7 +47,7 @@ import (
 // TestExperimentCompromiseDetection check their kind's claim on all nine of
 // its cells. The digests cover the coverage curves, the transport stats
 // (including per-kind accounting), every authority's protocol log, and the
-// full distribution outcome.
+// full distribution outcome of the kinds that have one.
 //
 // These digests were recorded before the flood-scale kernel rewrite
 // (value-heap scheduler, allocation-free fluid pipes, interned kind stats)
@@ -118,6 +120,21 @@ var goldenKernelDigests = map[string]string{
 	"Ours/seed1/faults":         "d07c9947995e1011822667d350ab2a49adbc3cc8cc2ca835bc6ff0d90d61370c",
 	"Ours/seed7/faults":         "f4f5438383e3666dd16312bd94eddf63117a3b6ee5591a73cb8215e2c915c5e1",
 	"Ours/seed42/faults":        "c729b423b8f5edb5bd9c55d2670b9fa9eea160b629a08a13ac45480b2d81f69f",
+
+	// The outage cells are the only ones whose votes carry the calibrated
+	// entry padding (every other kind runs at EntryPadding 0), so they pin
+	// what the padding moves: vote sizes, transfer instants and, through
+	// the logs, vote and consensus digests. Recorded after the cells above;
+	// no earlier digest changed.
+	"Current/seed1/outage":      "a8ee887e30a2ddee7196b40ab4d7d1fa484c0e84e9de907041092ee44c731dbb",
+	"Current/seed7/outage":      "c4a2fb20fefb3e23db9bb7f5e2259fe77101e73361869e323b14ae0ec43a1681",
+	"Current/seed42/outage":     "520d19f374dabb15d42008e6a8f1c8ad630c5ef8c5cf2f5519129a3e3a992f60",
+	"Synchronous/seed1/outage":  "91e4456689bd33b301e5b53f8d7d7ce85ba685f6f5f7ad00282d546571610a36",
+	"Synchronous/seed7/outage":  "0707d305f56eac4f3b9fdf2b1bdab845a46ff0d1cbbad0370f90cf48a0b82f5d",
+	"Synchronous/seed42/outage": "a9d330c5a58ebb1c28c2155d30558dc7d396d07fd99f16c494fd886ed5a4946b",
+	"Ours/seed1/outage":         "ee2449c6e1348775bef6e1ff19b999ed469d4b27d3ef860c92afdcb09d0160c9",
+	"Ours/seed7/outage":         "8d065a4f84b9d278a350be82c8a8b5bc639063d09001c5f3b3805770034a6760",
+	"Ours/seed42/outage":        "f23019bf35ed67ee07322a40b9717017e28ffc527d93d10d368f689e7bedb23f",
 }
 
 // goldenSeeds are the corpus seeds; small primes apart so the latency maps
@@ -127,14 +144,14 @@ var goldenSeeds = []int64{1, 7, 42}
 // goldenKind is one kind of corpus cell. scenario builds the cell's run;
 // baseline, when set, takes the mitigation out of a copy of its distribution
 // spec, and that counterfactual run's outcome is hashed into the same digest;
-// claim, when set, is the assertion the kind reproduces, checked on the run
-// and its baseline (nil when the kind has none); tally appends the fork and
-// misled totals to the digest.
+// claim, when set, is the assertion the kind reproduces, checked on the
+// cell's protocol, its run and the run's baseline (nil when the kind has
+// none); tally appends the fork and misled totals to the digest.
 type goldenKind struct {
 	name     string
 	scenario func(p Protocol, seed int64) Scenario
 	baseline func(*dircache.Spec)
-	claim    func(t *testing.T, res *RunResult, d, base *dircache.Result)
+	claim    func(t *testing.T, p Protocol, res *RunResult, d, base *dircache.Result)
 	tally    bool
 }
 
@@ -206,7 +223,7 @@ var goldenKinds = []goldenKind{
 				VerifyClients: true,
 			})
 		},
-		claim: func(t *testing.T, res *RunResult, d, _ *dircache.Result) {
+		claim: func(t *testing.T, _ Protocol, res *RunResult, d, _ *dircache.Result) {
 			if len(d.ForkDetections) == 0 {
 				t.Error("verifying fleets caught no fork")
 			}
@@ -273,7 +290,7 @@ var goldenKinds = []goldenKind{
 			})
 		},
 		baseline: func(d *dircache.Spec) { d.Gossip = nil },
-		claim: func(t *testing.T, _ *RunResult, d, base *dircache.Result) {
+		claim: func(t *testing.T, _ Protocol, _ *RunResult, d, base *dircache.Result) {
 			if got := d.Coverage(); got < 0.95 || d.TimeToTarget == simnet.Never || d.TimeToTarget > d.Spec.RunLimit() {
 				t.Errorf("gossip mesh covered %.1f%% of the fleet, target reached at %v: want >= 95%% by %v",
 					100*got, d.TimeToTarget, d.Spec.RunLimit())
@@ -330,7 +347,7 @@ var goldenKinds = []goldenKind{
 			})
 		},
 		baseline: func(d *dircache.Spec) { d.Gossip, d.Backoff, d.Faults = nil, nil, nil },
-		claim: func(t *testing.T, _ *RunResult, d, base *dircache.Result) {
+		claim: func(t *testing.T, _ Protocol, _ *RunResult, d, base *dircache.Result) {
 			need := int(0.9 * float64(d.TotalClients))
 			if d.Covered < need || d.TimeToTarget == simnet.Never {
 				t.Errorf("chaos fleet stranded: covered %d of %d (need %d), target reached at %v", d.Covered, d.TotalClients, need, d.TimeToTarget)
@@ -346,6 +363,28 @@ var goldenKinds = []goldenKind{
 			}
 			if base.TimeToTarget != simnet.Never || base.Covered >= need {
 				t.Errorf("legacy baseline covered %d of %d and reached target at %v; the counterfactual no longer strands", base.Covered, base.TotalClients, base.TimeToTarget)
+			}
+		},
+	},
+	{
+		// The paper's headline (Figure 11's five-minute point) at the
+		// calibrated entry size: a majority of the authorities flooded to
+		// zero for five minutes over 300 relays, default round and
+		// bandwidth, and no distribution phase. The claim: both lock-step
+		// protocols lose the consensus, and ICPS decides it once the flood
+		// lifts, within half a minute.
+		name: "outage",
+		scenario: func(p Protocol, seed int64) Scenario {
+			a := attack.FiveMinuteOutage(attack.MajorityTargets(9))
+			return Scenario{Protocol: p, Relays: 300, EntryPadding: -1, Seed: seed, Attack: &a}
+		},
+		claim: func(t *testing.T, p Protocol, res *RunResult, _, _ *dircache.Result) {
+			if p == ICPS {
+				if !res.Success || res.Latency <= 5*time.Minute || res.Latency > 5*time.Minute+30*time.Second {
+					t.Errorf("ICPS success=%v latency %v, want the consensus within (5m, 5m30s]", res.Success, res.Latency)
+				}
+			} else if res.Success {
+				t.Errorf("%s produced a consensus through a five-minute majority outage (latency %v)", p, res.Latency)
 			}
 		},
 	},
@@ -449,7 +488,7 @@ var corpusProtocols = []Protocol{Current, Synchronous, ICPS}
 
 // corpusCell is one cell's outcome: runs[0] is the kind's scenario and
 // runs[1], when the kind has one, its baseline; d and base are their
-// distribution outcomes.
+// distribution outcomes (d is nil for a kind with no distribution phase).
 type corpusCell struct {
 	runs    []*RunResult
 	d, base *dircache.Result
@@ -472,7 +511,7 @@ func runCell(ctx context.Context, p Protocol, seed int64, k goldenKind, tracer o
 		if err != nil {
 			return nil, err
 		}
-		if res.Distribution == nil {
+		if s.Distribution != nil && res.Distribution == nil {
 			return nil, fmt.Errorf("%s corpus scenario produced no distribution phase", k.name)
 		}
 		c.runs = append(c.runs, res)
@@ -513,7 +552,9 @@ func corpusRun(t *testing.T, p Protocol, seed int64, k goldenKind) *corpusCell {
 func goldenDigest(k goldenKind, c *corpusCell) string {
 	h := sha256.New()
 	hashRun(h, c.runs[0])
-	hashDistribution(h, c.d)
+	if c.d != nil {
+		hashDistribution(h, c.d)
+	}
 	if c.base != nil {
 		hashDistribution(h, c.base)
 	}
@@ -532,11 +573,15 @@ func walkClaim(t *testing.T, kind string) {
 			t.Run(fmt.Sprintf("%s/seed%d", p, seed), func(t *testing.T) {
 				t.Parallel()
 				c := corpusRun(t, p, seed, k)
-				k.claim(t, c.runs[0], c.d, c.base)
+				k.claim(t, p, c.runs[0], c.d, c.base)
 			})
 		}
 	}
 }
+
+// TestFiveMinuteOutageHeadline holds the outage cells to the paper's
+// headline at the calibrated entry size.
+func TestFiveMinuteOutageHeadline(t *testing.T) { walkClaim(t, "outage") }
 
 // TestGoldenCorpusTracingNeutral re-runs corpus cells with a recording
 // tracer (and a detector teed in) and demands the exact pinned digests: the
@@ -616,6 +661,9 @@ func TestDistributionNeverDrops(t *testing.T) {
 					for i, run := range corpusRun(t, p, seed, k).runs {
 						if n := run.Net.Stats().MessagesDropped; n != 0 {
 							t.Errorf("seed %d: consensus network of run %d dropped %d messages", seed, i, n)
+						}
+						if run.Distribution == nil {
+							continue
 						}
 						if n := run.Distribution.Stats.MessagesDropped; n != 0 {
 							t.Errorf("seed %d: distribution network of run %d dropped %d messages", seed, i, n)
