@@ -125,16 +125,20 @@ var goldenKernelDigests = map[string]string{
 	// entry padding (every other kind runs at EntryPadding 0), so they pin
 	// what the padding moves: vote sizes, transfer instants and, through
 	// the logs, vote and consensus digests. Recorded after the cells above;
-	// no earlier digest changed.
+	// no earlier digest changed. The Synchronous and Ours cells were
+	// re-recorded once, when a vote's digest became the hash of its natural
+	// rendering: only the hex digests in their log text moved (the bundle
+	// digest Synchronous agrees on, the value ICPS decides), and every size,
+	// instant and byte count held.
 	"Current/seed1/outage":      "a8ee887e30a2ddee7196b40ab4d7d1fa484c0e84e9de907041092ee44c731dbb",
 	"Current/seed7/outage":      "c4a2fb20fefb3e23db9bb7f5e2259fe77101e73361869e323b14ae0ec43a1681",
 	"Current/seed42/outage":     "520d19f374dabb15d42008e6a8f1c8ad630c5ef8c5cf2f5519129a3e3a992f60",
-	"Synchronous/seed1/outage":  "91e4456689bd33b301e5b53f8d7d7ce85ba685f6f5f7ad00282d546571610a36",
-	"Synchronous/seed7/outage":  "0707d305f56eac4f3b9fdf2b1bdab845a46ff0d1cbbad0370f90cf48a0b82f5d",
-	"Synchronous/seed42/outage": "a9d330c5a58ebb1c28c2155d30558dc7d396d07fd99f16c494fd886ed5a4946b",
-	"Ours/seed1/outage":         "ee2449c6e1348775bef6e1ff19b999ed469d4b27d3ef860c92afdcb09d0160c9",
-	"Ours/seed7/outage":         "8d065a4f84b9d278a350be82c8a8b5bc639063d09001c5f3b3805770034a6760",
-	"Ours/seed42/outage":        "f23019bf35ed67ee07322a40b9717017e28ffc527d93d10d368f689e7bedb23f",
+	"Synchronous/seed1/outage":  "b7894c098cac96a3c47088e13d17bee4209ae6be7fcef7193e2bfee34cb4fac6",
+	"Synchronous/seed7/outage":  "68bd1500547b04e91559eb16f0002cef74beb2ad813200bd620cb7bfc307515e",
+	"Synchronous/seed42/outage": "15ee17b0be260a78a03d455e478cd3e15696c3f3ba1cbbe3d07259d3188e3776",
+	"Ours/seed1/outage":         "310dec05103c3675c1c9fbb02434f29bd7b34d5cc7dbcc82b25493aa79e3a4c4",
+	"Ours/seed7/outage":         "13bdec51b83a0c5cce60abd7b8c8910ebe2e12d0545c482a62e41ec70715a645",
+	"Ours/seed42/outage":        "5d8d2d485bfb055f10cffce84011c3fc9f055cf90f5d19e98b7900d5f2543a6d",
 }
 
 // goldenSeeds are the corpus seeds; small primes apart so the latency maps

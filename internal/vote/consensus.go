@@ -340,9 +340,11 @@ func (c *Consensus) Encode() []byte {
 	return append(b, footer...)
 }
 
-// seal fixes the consensus's size and digest on first use the way a vote's
-// seal does: its entries are rendered by the appendTo call Encode makes into
-// one scratch buffer, hashed and reused whenever it fills past sealChunk.
+// seal fixes the consensus's size and digest on first use by streaming its
+// encoding through SHA-256: a consensus is not padded, so what it hashes is
+// what Encode renders. Its entries are rendered by the appendTo call Encode
+// makes into one scratch buffer, hashed and reused whenever it fills past
+// sealChunk.
 func (c *Consensus) seal() {
 	if c.size != 0 {
 		return

@@ -28,8 +28,9 @@ func seedDocs(n, relays int, seed int64, padding int) []*Document {
 	return docs
 }
 
-// checkEncode holds d.Encode to the fmt-based reference: the same bytes, the
-// digest of those bytes, and a buffer with no capacity beyond them.
+// checkEncode holds d.Encode to the fmt-based reference: the same bytes, a
+// buffer with no capacity beyond them and a sealed size of their length, and
+// a digest of the reference's natural rendering.
 func checkEncode(t testing.TB, what string, d *Document) {
 	t.Helper()
 	want := referenceEncode(d)
@@ -41,9 +42,27 @@ func checkEncode(t testing.TB, what string, d *Document) {
 	if cap(got) != len(got) {
 		t.Fatalf("%s: Encode sized its buffer %d for %d bytes", what, cap(got), len(got))
 	}
-	if d.Digest() != sig.Hash(want) {
-		t.Fatalf("%s: Digest is not the hash of the reference encoding", what)
+	if d.EncodedSize() != int64(len(got)) {
+		t.Fatalf("%s: EncodedSize() = %d, len(Encode()) = %d", what, d.EncodedSize(), len(got))
 	}
+	if d.Digest() != sig.Hash(referenceNatural(d)) {
+		t.Fatalf("%s: Digest is not the hash of the reference's natural rendering", what)
+	}
+}
+
+// referenceNatural is the reference encoding of d without its pad lines,
+// rendered by the reference with every entry at padding 0: unlike deleting
+// the lines afterwards, that keeps a fuzzed field which itself holds a line
+// starting "pad ".
+func referenceNatural(d *Document) []byte {
+	head := *d
+	head.Relays = nil
+	b := bytes.NewBuffer(bytes.TrimSuffix(referenceEncode(&head), []byte(footer)))
+	for i := range d.Relays {
+		referenceEncodeEntry(b, &d.Relays[i], 0)
+	}
+	b.WriteString(footer)
+	return b.Bytes()
 }
 
 // checkAggregate holds Aggregate and the encoding of its result to the

@@ -11,9 +11,11 @@
 // win ties; and bandwidth is the median of the measuring votes.
 //
 // Documents are frozen once built, and each is sealed on first use: Digest
-// or EncodedSize streams its encoding through SHA-256 and keeps only the
-// size and digest. A seal renders the entries with the append calls Encode
-// makes, into one reused scratch buffer, so the renderers are the only
+// or EncodedSize streams the document's rendering through SHA-256 and keeps
+// only the size and digest. A vote's entry padding is counted in its size
+// and not hashed (DefaultEntryPadding); a consensus is not padded. A seal
+// renders the entries with the append calls Encode makes, into one reused
+// scratch buffer, so the renderers and one size rule (paddedLen) are the only
 // statement of the format, a cached vote costs its relay view and not the
 // ~2.5 kB per relay its bytes would, and sealing either kind allocates
 // nothing. Encode allocates its buffer at EncodedSize and appends into it —
@@ -51,7 +53,8 @@ import (
 // We calibrate the document format to that effective size instead of
 // simulating TCP; harness.AblationEntrySize shows what depends on the choice:
 // the failure threshold scales inversely with the entry size, the shape of
-// the results does not move.
+// the results does not move. No signature covers framing, so the padding is
+// counted in a vote's EncodedSize and not hashed into its Digest (see seal).
 const DefaultEntryPadding = 2500
 
 // Document is one authority's status vote.
@@ -64,7 +67,7 @@ type Document struct {
 	Relays         []relay.Descriptor
 
 	size   int64      // of the encoding; 0 until sealed
-	digest sig.Digest // of the encoding, fixed with size
+	digest sig.Digest // of the natural rendering, fixed with size
 	memo   *memo      // the consensus memo Share linked the vote to; nil if none
 }
 
@@ -91,9 +94,12 @@ func (d *Document) Encode() []byte {
 	return append(b, footer...)
 }
 
-// seal fixes the vote's size and digest on first use by streaming its
-// encoding through SHA-256: votes are immutable once built. Each entry is
-// rendered, padded, by the appendEntry call Encode makes, into one scratch
+// seal fixes the vote's size and digest on first use: votes are immutable
+// once built. The digest is the SHA-256 of the natural rendering, every
+// entry unpadded, which still binds the padding: the header's entry-padding
+// line is hashed, and the padded bytes are a fixed function of the natural
+// ones. The size is that of the padded bytes Encode renders, each entry
+// counted at paddedLen. Entries are rendered by appendEntry into one scratch
 // buffer that is hashed and reused whenever it fills past sealChunk.
 func (d *Document) seal() {
 	if d.size != 0 {
@@ -101,24 +107,23 @@ func (d *Document) seal() {
 	}
 	h := sha256.New()
 	b := d.appendHeader(make([]byte, 0, 2*sealChunk))
-	var size int64
+	size := int64(len(b)) + int64(len(footer))
 	for i := range d.Relays {
-		b = appendEntry(b, &d.Relays[i], d.EntryPadding)
+		n := len(b)
+		b = appendEntry(b, &d.Relays[i], 0)
+		size += int64(paddedLen(len(b)-n, d.EntryPadding))
 		if len(b) >= sealChunk {
 			h.Write(b)
-			size += int64(len(b))
 			b = b[:0]
 		}
 	}
-	b = append(b, footer...)
-	h.Write(b)
-	d.size = size + int64(len(b))
+	h.Write(append(b, footer...))
+	d.size = size
 	h.Sum(d.digest[:0])
 }
 
-// sealChunk is how many bytes a seal gathers before hashing them: a few
-// consensus entries or one padded vote entry, so the scratch of twice that
-// stays on the stack and is not outgrown at the default padding.
+// sealChunk is how many bytes a seal gathers before hashing them: a dozen or
+// so natural entries, so the scratch of twice that stays on the stack.
 const sealChunk = 4 << 10
 
 const footer = "directory-footer\n"
@@ -141,13 +146,22 @@ func (d *Document) appendHeader(b []byte) []byte {
 // up to its length, a short loop beyond.
 var filler = bytes.Repeat([]byte{'x'}, 2*DefaultEntryPadding)
 
-// minPadLine is len("pad x\n"), the shortest filler line there is: an entry
-// within that of its padding cannot be brought to it exactly and stays as is.
+// minPadLine is len("pad x\n"), the shortest filler line there is.
 const minPadLine = 6
 
-// appendEntry appends one relay entry, filled out to pad bytes when pad > 0
-// and the entry leaves room for a filler line. pad > 0 is tested before the
-// fill: a parsed padding may be negative enough for the difference to wrap.
+// paddedLen is the one size rule of a padded entry: an entry of natural
+// length n is filled out to pad bytes when pad > 0 and it leaves room for a
+// filler line, and stays n bytes otherwise. pad > 0 is tested first: a parsed
+// padding may be negative enough for pad-n to wrap.
+func paddedLen(n, pad int) int {
+	if pad > 0 && pad-n >= minPadLine {
+		return pad
+	}
+	return n
+}
+
+// appendEntry appends one relay entry, filled out to paddedLen by a filler
+// line.
 //
 //detlint:hotpath
 func appendEntry(b []byte, r *relay.Descriptor, pad int) []byte {
@@ -179,9 +193,10 @@ func appendEntry(b []byte, r *relay.Descriptor, pad int) []byte {
 	b = append(b, "\np "...)
 	b = append(b, r.ExitPolicy...)
 	b = append(b, '\n')
-	if fill := pad - (len(b) - start) - minPadLine + 1; pad > 0 && fill > 0 {
+	n := len(b) - start
+	if fill := paddedLen(n, pad) - n; fill > 0 {
 		b = append(b, "pad "...)
-		for ; fill > 0; fill -= len(filler) {
+		for fill -= len("pad \n"); fill > 0; fill -= len(filler) {
 			b = append(b, filler[:min(fill, len(filler))]...)
 		}
 		b = append(b, '\n')
@@ -192,7 +207,8 @@ func appendEntry(b []byte, r *relay.Descriptor, pad int) []byte {
 // EncodedSize returns the vote's wire size in bytes.
 func (d *Document) EncodedSize() int64 { d.seal(); return d.size }
 
-// Digest returns the SHA-256 digest of the encoded vote.
+// Digest returns the SHA-256 digest of the vote's natural rendering: its
+// encoding with every entry unpadded.
 func (d *Document) Digest() sig.Digest { d.seal(); return d.digest }
 
 // Parse inverts Encode.
