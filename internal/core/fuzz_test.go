@@ -45,6 +45,8 @@ func FuzzDecodeValue(f *testing.F) {
 }
 
 // FuzzDecodeAny: the combined ICPS/agreement demultiplexer must not panic.
+// Its last seed carries a padded two-relay vote, so the fuzzer reaches the
+// vote grammar through the codec.
 func FuzzDecodeAny(f *testing.F) {
 	b, err := EncodeMessage(&MsgFetch{Index: 2, WantDigest: sig.Hash([]byte("x"))})
 	if err != nil {
@@ -54,6 +56,12 @@ func FuzzDecodeAny(f *testing.F) {
 	f.Add([]byte{0x11})
 	f.Add([]byte{0x25, 0xFF})
 	f.Add([]byte{})
+	keys := testkit.Authorities(2, 1)
+	doc := testkit.Docs(keys, 2, 1, 400)[1]
+	if b, err = EncodeMessage(&MsgDocument{Doc: doc, OwnerSig: keys[1].Sign(domainDoc, entryInput(1, doc.Digest()))}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(b)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, _ = DecodeAny(data)

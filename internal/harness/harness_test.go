@@ -295,12 +295,21 @@ func TestScenarioDefaults(t *testing.T) {
 
 func TestNegativeCountsAreErrors(t *testing.T) {
 	// Returned before any input is built: the protocols share one input key,
-	// and each try after the first would have found a half-built entry.
-	for _, bad := range []Scenario{{N: -1, Relays: 100}, {Relays: -1}} {
+	// and each try after the first would have found a half-built entry. So is
+	// an entry padding past the bound, which would overflow a vote's size.
+	for _, tc := range []struct {
+		bad   Scenario
+		value string // as the error must name it
+	}{
+		{Scenario{N: -1, Relays: 100}, "-1"},
+		{Scenario{Relays: -1}, "-1"},
+		{Scenario{Relays: 100, EntryPadding: vote.MaxEntryPadding + 1}, fmt.Sprint(vote.MaxEntryPadding + 1)},
+	} {
+		bad := tc.bad
 		for _, p := range []Protocol{Current, Synchronous, ICPS} {
 			bad.Protocol = p
-			if _, err := RunE(bg, bad); err == nil || !strings.Contains(err.Error(), "-1") {
-				t.Fatalf("%+v: error %v, want the negative count named", bad, err)
+			if _, err := RunE(bg, bad); err == nil || !strings.Contains(err.Error(), tc.value) {
+				t.Fatalf("%+v: error %v, want the bad count named", bad, err)
 			}
 		}
 		mustRun(t, Scenario{Relays: 100, EntryPadding: 0, Round: 10 * time.Second})

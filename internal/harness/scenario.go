@@ -94,7 +94,8 @@ type Scenario struct {
 	// Relays sizes the synthetic population (and thus the vote documents).
 	Relays int
 	// EntryPadding is the calibrated per-relay entry size; <0 selects
-	// vote.DefaultEntryPadding, 0 disables padding.
+	// vote.DefaultEntryPadding, 0 disables padding. RunE rejects one above
+	// vote.MaxEntryPadding.
 	EntryPadding int
 	// Bandwidth is the uniform authority access capacity in bits/s
 	// (default DefaultBandwidth).
@@ -351,6 +352,9 @@ func (s Scenario) validate() error {
 	}
 	if s.Relays < 0 {
 		return fmt.Errorf("harness: %d relays: the count cannot be negative", s.Relays)
+	}
+	if s.EntryPadding > vote.MaxEntryPadding {
+		return fmt.Errorf("harness: entry padding %d bytes: above vote.MaxEntryPadding (%d)", s.EntryPadding, vote.MaxEntryPadding)
 	}
 	if !(s.Bandwidth > 0 && s.Bandwidth <= math.MaxFloat64) { // NaN fails every comparison
 		return fmt.Errorf("harness: bandwidth %g bit/s is not positive and finite", s.Bandwidth)

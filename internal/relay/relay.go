@@ -15,6 +15,8 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+
+	"partialtor/internal/sig"
 )
 
 // Flags are the router status flags assigned by authorities (dir-spec §3.4).
@@ -96,22 +98,10 @@ func ParseFlags(s string) (Flags, error) {
 	return f, nil
 }
 
-// Identity is a relay's 20-byte fingerprint.
-type Identity [20]byte
-
-// AppendTo appends the identity as 40 upper-case hex characters.
-//
-//detlint:hotpath
-func (id Identity) AppendTo(dst []byte) []byte {
-	const hexUpper = "0123456789ABCDEF"
-	for _, b := range id {
-		dst = append(dst, hexUpper[b>>4], hexUpper[b&0xf])
-	}
-	return dst
-}
-
-// String is AppendTo as a string.
-func (id Identity) String() string { return string(id.AppendTo(make([]byte, 0, 2*len(id)))) }
+// Identity is a relay's 20-byte fingerprint: the authority fingerprint's
+// type, so both render by one rule (AppendTo, String: 40 upper-case hex
+// characters).
+type Identity = sig.Fingerprint
 
 // Descriptor is one relay entry as it appears in an authority's status vote.
 type Descriptor struct {

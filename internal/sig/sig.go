@@ -67,7 +67,8 @@ func (d Digest) Short() string { return d.Hex()[:8] }
 // IsZero reports whether the digest is all zeroes (used as "no digest").
 func (d Digest) IsZero() bool { return d == Digest{} }
 
-// Fingerprint identifies an authority, Tor-style (20 bytes, upper hex).
+// Fingerprint identifies an authority, Tor-style (20 bytes, upper hex). A
+// relay's identity (relay.Identity) is the same type.
 type Fingerprint [FingerprintSize]byte
 
 // AppendTo appends the fingerprint as Tor renders it in logs and documents:

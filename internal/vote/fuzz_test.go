@@ -64,6 +64,7 @@ func FuzzParse(f *testing.F) {
 	f.Add([]byte("network-status-version 3\nvote-status vote\ndirectory-footer\n"))
 	f.Add([]byte("r bad\n"))
 	f.Add([]byte{})
+	f.Add(repadded("4611686018427387904")) // rejected: would wrap the padded size to 0
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := Parse(data)

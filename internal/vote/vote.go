@@ -30,14 +30,15 @@
 // read-only from then on. A set Aggregate rejects is not kept. The memo lives
 // as long as the votes linked to it; a set with no linked vote is aggregated
 // afresh.
+//
+// One grammar serves both kinds: Parse and ParseConsensus share one line
+// scanner, and each kind adds only its own keywords and r and w line shapes.
 package vote
 
 import (
 	"bytes"
 	"crypto/sha256"
-	"fmt"
 	"strconv"
-	"strings"
 
 	"partialtor/internal/relay"
 	"partialtor/internal/sig"
@@ -56,6 +57,11 @@ import (
 // the results does not move. No signature covers framing, so the padding is
 // counted in a vote's EncodedSize and not hashed into its Digest (see seal).
 const DefaultEntryPadding = 2500
+
+// MaxEntryPadding bounds the entry padding Parse accepts and a scenario may
+// ask for, far above any calibration in use, so that a vote's padded size
+// (relays × padding) cannot overflow.
+const MaxEntryPadding = 1 << 16
 
 // Document is one authority's status vote.
 type Document struct {
@@ -210,171 +216,3 @@ func (d *Document) EncodedSize() int64 { d.seal(); return d.size }
 // Digest returns the SHA-256 digest of the vote's natural rendering: its
 // encoding with every entry unpadded.
 func (d *Document) Digest() sig.Digest { d.seal(); return d.digest }
-
-// Parse inverts Encode.
-func Parse(data []byte) (*Document, error) {
-	d := &Document{}
-	var cur *relay.Descriptor
-	flush := func() {
-		if cur != nil {
-			d.Relays = append(d.Relays, *cur)
-			cur = nil
-		}
-	}
-	sawFooter := false
-	sawSource := false
-	for lineNo, line := range strings.Split(string(data), "\n") {
-		if line == "" {
-			continue
-		}
-		key, rest, _ := strings.Cut(line, " ")
-		fail := func(why string) error {
-			return fmt.Errorf("vote: line %d (%q): %s", lineNo+1, key, why)
-		}
-		switch key {
-		case "network-status-version":
-			if rest != "3" {
-				return nil, fail("unsupported version")
-			}
-		case "vote-status":
-			if rest != "vote" {
-				return nil, fail("not a vote")
-			}
-		case "valid-after":
-			v, err := strconv.ParseUint(rest, 10, 64)
-			if err != nil {
-				return nil, fail(err.Error())
-			}
-			d.ValidAfter = v
-		case "entry-padding":
-			v, err := strconv.Atoi(rest)
-			if err != nil {
-				return nil, fail(err.Error())
-			}
-			d.EntryPadding = v
-		case "dir-source":
-			f := strings.Fields(rest)
-			if len(f) != 3 {
-				return nil, fail("want 3 fields")
-			}
-			d.AuthorityName = f[0]
-			if err := parseHex20(f[1], d.Fingerprint[:]); err != nil {
-				return nil, fail(err.Error())
-			}
-			idx, err := strconv.Atoi(f[2])
-			if err != nil {
-				return nil, fail(err.Error())
-			}
-			d.AuthorityIndex = idx
-			sawSource = true
-		case "r":
-			flush()
-			f := strings.Fields(rest)
-			if len(f) != 6 {
-				return nil, fail("want 6 fields")
-			}
-			cur = &relay.Descriptor{Nickname: f[0], Address: f[3]}
-			if err := parseHex20(f[1], cur.Identity[:]); err != nil {
-				return nil, fail(err.Error())
-			}
-			if err := parseHex20(f[2], cur.Digest[:]); err != nil {
-				return nil, fail(err.Error())
-			}
-			or, err := strconv.ParseUint(f[4], 10, 16)
-			if err != nil {
-				return nil, fail(err.Error())
-			}
-			dir, err := strconv.ParseUint(f[5], 10, 16)
-			if err != nil {
-				return nil, fail(err.Error())
-			}
-			cur.ORPort, cur.DirPort = uint16(or), uint16(dir)
-		case "s":
-			if cur == nil {
-				return nil, fail("flags before relay")
-			}
-			fl, err := relay.ParseFlags(rest)
-			if err != nil {
-				return nil, fail(err.Error())
-			}
-			cur.Flags = fl
-		case "v":
-			if cur == nil {
-				return nil, fail("version before relay")
-			}
-			cur.Version = strings.TrimPrefix(rest, "Tor ")
-		case "pr":
-			if cur == nil {
-				return nil, fail("protocols before relay")
-			}
-			cur.Protocols = rest
-		case "w":
-			if cur == nil {
-				return nil, fail("bandwidth before relay")
-			}
-			for _, kv := range strings.Fields(rest) {
-				k, v, ok := strings.Cut(kv, "=")
-				if !ok {
-					return nil, fail("malformed w item")
-				}
-				n, err := strconv.ParseUint(v, 10, 64)
-				if err != nil {
-					return nil, fail(err.Error())
-				}
-				switch k {
-				case "Bandwidth":
-					cur.Bandwidth = n
-				case "Measured":
-					cur.HasMeasured = true
-					cur.Measured = n
-				}
-			}
-		case "p":
-			if cur == nil {
-				return nil, fail("policy before relay")
-			}
-			cur.ExitPolicy = rest
-		case "pad":
-			// filler; ignored
-		case "directory-footer":
-			flush()
-			sawFooter = true
-		default:
-			return nil, fail("unknown keyword")
-		}
-	}
-	if !sawFooter {
-		return nil, fmt.Errorf("vote: missing directory-footer")
-	}
-	if !sawSource {
-		return nil, fmt.Errorf("vote: missing dir-source")
-	}
-	return d, nil
-}
-
-func parseHex20(s string, dst []byte) error {
-	if len(s) != 40 {
-		return fmt.Errorf("want 40 hex chars, got %d", len(s))
-	}
-	for i := 0; i < 20; i++ {
-		hi, ok1 := hexVal(s[2*i])
-		lo, ok2 := hexVal(s[2*i+1])
-		if !ok1 || !ok2 {
-			return fmt.Errorf("bad hex at %d", 2*i)
-		}
-		dst[i] = hi<<4 | lo
-	}
-	return nil
-}
-
-func hexVal(c byte) (byte, bool) {
-	switch {
-	case c >= '0' && c <= '9':
-		return c - '0', true
-	case c >= 'a' && c <= 'f':
-		return c - 'a' + 10, true
-	case c >= 'A' && c <= 'F':
-		return c - 'A' + 10, true
-	}
-	return 0, false
-}

@@ -3,6 +3,7 @@ package vote
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -22,40 +23,49 @@ func testDoc(t *testing.T, authority, relays int, padding int) *Document {
 	return d
 }
 
-func TestEncodeParseRoundTrip(t *testing.T) {
-	d := testDoc(t, 2, 50, DefaultEntryPadding)
-	parsed, err := Parse(d.Encode())
+// docKinds are the two document kinds the parser tests walk: a kind's
+// document from seedDocs' population (a vote of the last of the authorities,
+// or their consensus), and its parser.
+var docKinds = []struct {
+	name  string
+	build func(authorities, relays int, seed int64) document
+	parse func([]byte) (document, error)
+}{
+	{"vote", func(a, relays int, seed int64) document {
+		return seedDocs(a, relays, seed, DefaultEntryPadding)[a-1]
+	}, func(b []byte) (document, error) { return Parse(b) }},
+	{"consensus", func(a, relays int, seed int64) document {
+		c, _ := Aggregate(seedDocs(a, relays, seed, DefaultEntryPadding), 9)
+		return c
+	}, func(b []byte) (document, error) { return ParseConsensus(b) }},
+}
+
+// parsesBack reports whether doc's encoding parses back to doc, field for
+// field, and seals to its size and digest: a client can verify authority
+// signatures over the digest of what it parsed.
+func parsesBack(parse func([]byte) (document, error), doc document) bool {
+	got, err := parse(doc.Encode())
 	if err != nil {
-		t.Fatalf("Parse: %v", err)
+		return false
 	}
-	if parsed.AuthorityIndex != d.AuthorityIndex || parsed.AuthorityName != d.AuthorityName ||
-		parsed.Fingerprint != d.Fingerprint || parsed.ValidAfter != d.ValidAfter ||
-		parsed.EntryPadding != d.EntryPadding {
-		t.Fatalf("header mismatch: %+v", parsed)
-	}
-	if len(parsed.Relays) != len(d.Relays) {
-		t.Fatalf("relay count %d, want %d", len(parsed.Relays), len(d.Relays))
-	}
-	for i := range d.Relays {
-		if parsed.Relays[i] != d.Relays[i] {
-			t.Fatalf("relay %d mismatch:\n got %+v\nwant %+v", i, parsed.Relays[i], d.Relays[i])
+	got.Digest()
+	return reflect.DeepEqual(got, doc)
+}
+
+func TestEncodeParseRoundTrip(t *testing.T) {
+	for _, k := range docKinds {
+		for _, size := range [][2]int{{3, 50}, {5, 80}} {
+			if doc := k.build(size[0], size[1], 21); !parsesBack(k.parse, doc) {
+				t.Fatalf("%s of %d authorities and %d relays does not parse back", k.name, size[0], size[1])
+			}
 		}
 	}
 }
 
 func TestEncodeParseQuick(t *testing.T) {
 	f := func(auth uint8, n uint8, seed int64) bool {
-		a := int(auth) % 9
-		pop := relay.Population(int(n%40)+1, seed)
-		view := relay.View(pop, relay.IdentityOrder(pop), a, seed)
-		keys := sig.NewKeyPair(seed, a)
-		d := NewDocument(a, relay.AuthorityNames[a], keys.Fingerprint, 7, view)
-		parsed, err := Parse(d.Encode())
-		if err != nil || len(parsed.Relays) != len(d.Relays) {
-			return false
-		}
-		for i := range d.Relays {
-			if parsed.Relays[i] != d.Relays[i] {
+		for _, k := range docKinds {
+			if !parsesBack(k.parse, k.build(int(auth)%9+1, int(n)%60+1, seed)) {
 				return false
 			}
 		}
@@ -191,17 +201,43 @@ func TestSealMatchesRendering(t *testing.T) {
 	check("parsed consensus", unsealedConsensus(c), unsealedConsensus(c))
 }
 
+// repadded is a 4-relay vote's natural encoding, declaring entry-padding p
+// instead of 0.
+func repadded(p string) []byte {
+	enc := seedDocs(1, 4, 1, 0)[0].Encode()
+	return bytes.Replace(enc, []byte("entry-padding 0\n"), []byte("entry-padding "+p+"\n"), 1)
+}
+
+// TestParseRejectsGarbage: each kind rejects the other's status line, an
+// entry line before any relay, a missing footer and unknown keywords; a vote
+// rejects a padding past MaxEntryPadding (4 × 2⁶² would wrap its padded size
+// to 0), a consensus a bandwidth line that is not one Bandwidth= item.
 func TestParseRejectsGarbage(t *testing.T) {
-	cases := []string{
-		"",
-		"network-status-version 4\ndirectory-footer\n",
-		"bogus-line x\ndirectory-footer\n",
-		"network-status-version 3\nvote-status vote\n", // missing footer
-		"s Running\ndirectory-footer\n",                // flags before relay
+	if _, err := Parse(repadded(fmt.Sprint(MaxEntryPadding))); err != nil {
+		t.Fatalf("Parse rejected entry-padding MaxEntryPadding: %v", err)
 	}
-	for _, c := range cases {
-		if _, err := Parse([]byte(c)); err == nil {
-			t.Fatalf("Parse accepted %q", c)
+	vote, consensus := docKinds[0].parse, docKinds[1].parse
+	for _, c := range []struct {
+		parse func([]byte) (document, error)
+		doc   []byte
+	}{
+		{vote, nil},
+		{vote, []byte("network-status-version 4\ndirectory-footer\n")},
+		{vote, []byte("bogus-line x\ndirectory-footer\n")},
+		{vote, []byte("network-status-version 3\nvote-status vote\n")}, // missing footer
+		{vote, []byte("s Running\ndirectory-footer\n")},                // flags before relay
+		{vote, bytes.Replace(repadded("0"), []byte("vote-status vote"), []byte("vote-status consensus"), 1)},
+		{vote, repadded(fmt.Sprint(MaxEntryPadding + 1))},
+		{vote, repadded("4611686018427387904")},
+		{consensus, nil},
+		{consensus, []byte("network-status-version 3\nvote-status vote\ndirectory-footer\n")},
+		{consensus, []byte("num-votes five of 9\ndirectory-footer\n")},
+		{consensus, []byte("network-status-version 3\nvote-status consensus\n")}, // missing footer
+		{consensus, []byte("s Running\ndirectory-footer\n")},
+		{consensus, []byte("w Measured=5\ndirectory-footer\n")},
+	} {
+		if _, err := c.parse(c.doc); err == nil {
+			t.Errorf("accepted %q", c.doc)
 		}
 	}
 }
