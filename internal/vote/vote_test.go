@@ -23,22 +23,23 @@ func testDoc(t *testing.T, authority, relays int, padding int) *Document {
 	return d
 }
 
-// docKinds are the two document kinds the parser tests walk: a kind's
-// document from seedDocs' population (a vote of the last of the authorities,
-// or their consensus), and its parser.
-var docKinds = []struct {
+// docKind is a document kind the parser tests walk: a kind's document from
+// seedDocs' population (a vote of the last of the authorities, or their
+// consensus), and its parser.
+type docKind struct {
 	name  string
 	build func(authorities, relays int, seed int64) document
 	parse func([]byte) (document, error)
-}{
-	{"vote", func(a, relays int, seed int64) document {
-		return seedDocs(a, relays, seed, DefaultEntryPadding)[a-1]
-	}, func(b []byte) (document, error) { return Parse(b) }},
-	{"consensus", func(a, relays int, seed int64) document {
-		c, _ := Aggregate(seedDocs(a, relays, seed, DefaultEntryPadding), 9)
-		return c
-	}, func(b []byte) (document, error) { return ParseConsensus(b) }},
 }
+
+var voteKind = docKind{"vote", func(a, relays int, seed int64) document {
+	return seedDocs(a, relays, seed, DefaultEntryPadding)[a-1]
+}, func(b []byte) (document, error) { return Parse(b) }}
+
+var consensusKind = docKind{"consensus", func(a, relays int, seed int64) document {
+	c, _ := Aggregate(seedDocs(a, relays, seed, DefaultEntryPadding), 9)
+	return c
+}, func(b []byte) (document, error) { return ParseConsensus(b) }}
 
 // parsesBack reports whether doc's encoding parses back to doc, field for
 // field, and seals to its size and digest: a client can verify authority
@@ -52,29 +53,34 @@ func parsesBack(parse func([]byte) (document, error), doc document) bool {
 	return reflect.DeepEqual(got, doc)
 }
 
-func TestEncodeParseRoundTrip(t *testing.T) {
-	for _, k := range docKinds {
-		for _, size := range [][2]int{{3, 50}, {5, 80}} {
-			if doc := k.build(size[0], size[1], 21); !parsesBack(k.parse, doc) {
-				t.Fatalf("%s of %d authorities and %d relays does not parse back", k.name, size[0], size[1])
-			}
+// checkRoundTrip parses back k's documents of 3 authorities over 50 relays
+// and of 5 authorities over 80 relays.
+func checkRoundTrip(t *testing.T, k docKind) {
+	t.Helper()
+	for _, size := range [][2]int{{3, 50}, {5, 80}} {
+		if doc := k.build(size[0], size[1], 21); !parsesBack(k.parse, doc) {
+			t.Fatalf("%s of %d authorities and %d relays does not parse back", k.name, size[0], size[1])
 		}
 	}
 }
 
-func TestEncodeParseQuick(t *testing.T) {
+func TestEncodeParseRoundTrip(t *testing.T)    { checkRoundTrip(t, voteKind) }
+func TestConsensusParseRoundTrip(t *testing.T) { checkRoundTrip(t, consensusKind) }
+
+// checkQuick parses back k's documents over generated authority counts,
+// relay counts and seeds.
+func checkQuick(t *testing.T, k docKind) {
+	t.Helper()
 	f := func(auth uint8, n uint8, seed int64) bool {
-		for _, k := range docKinds {
-			if !parsesBack(k.parse, k.build(int(auth)%9+1, int(n)%60+1, seed)) {
-				return false
-			}
-		}
-		return true
+		return parsesBack(k.parse, k.build(int(auth)%9+1, int(n)%60+1, seed))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
 }
+
+func TestEncodeParseQuick(t *testing.T)    { checkQuick(t, voteKind) }
+func TestConsensusParseQuick(t *testing.T) { checkQuick(t, consensusKind) }
 
 func TestEntryPaddingCalibration(t *testing.T) {
 	const n = 400
@@ -208,38 +214,47 @@ func repadded(p string) []byte {
 	return bytes.Replace(enc, []byte("entry-padding 0\n"), []byte("entry-padding "+p+"\n"), 1)
 }
 
-// TestParseRejectsGarbage: each kind rejects the other's status line, an
-// entry line before any relay, a missing footer and unknown keywords; a vote
-// rejects a padding past MaxEntryPadding (4 × 2⁶² would wrap its padded size
-// to 0), a consensus a bandwidth line that is not one Bandwidth= item.
+// rejectsAll checks that parse rejects every one of docs.
+func rejectsAll(t *testing.T, parse func([]byte) (document, error), docs ...[]byte) {
+	t.Helper()
+	for _, doc := range docs {
+		if _, err := parse(doc); err == nil {
+			t.Errorf("accepted %q", doc)
+		}
+	}
+}
+
+// TestParseRejectsGarbage: a vote rejects a consensus status line, an entry
+// line before any relay, a missing footer, unknown keywords and a padding
+// past MaxEntryPadding (4 × 2⁶² would wrap its padded size to 0).
 func TestParseRejectsGarbage(t *testing.T) {
 	if _, err := Parse(repadded(fmt.Sprint(MaxEntryPadding))); err != nil {
 		t.Fatalf("Parse rejected entry-padding MaxEntryPadding: %v", err)
 	}
-	vote, consensus := docKinds[0].parse, docKinds[1].parse
-	for _, c := range []struct {
-		parse func([]byte) (document, error)
-		doc   []byte
-	}{
-		{vote, nil},
-		{vote, []byte("network-status-version 4\ndirectory-footer\n")},
-		{vote, []byte("bogus-line x\ndirectory-footer\n")},
-		{vote, []byte("network-status-version 3\nvote-status vote\n")}, // missing footer
-		{vote, []byte("s Running\ndirectory-footer\n")},                // flags before relay
-		{vote, bytes.Replace(repadded("0"), []byte("vote-status vote"), []byte("vote-status consensus"), 1)},
-		{vote, repadded(fmt.Sprint(MaxEntryPadding + 1))},
-		{vote, repadded("4611686018427387904")},
-		{consensus, nil},
-		{consensus, []byte("network-status-version 3\nvote-status vote\ndirectory-footer\n")},
-		{consensus, []byte("num-votes five of 9\ndirectory-footer\n")},
-		{consensus, []byte("network-status-version 3\nvote-status consensus\n")}, // missing footer
-		{consensus, []byte("s Running\ndirectory-footer\n")},
-		{consensus, []byte("w Measured=5\ndirectory-footer\n")},
-	} {
-		if _, err := c.parse(c.doc); err == nil {
-			t.Errorf("accepted %q", c.doc)
-		}
-	}
+	rejectsAll(t, voteKind.parse,
+		nil,
+		[]byte("network-status-version 4\ndirectory-footer\n"),
+		[]byte("bogus-line x\ndirectory-footer\n"),
+		[]byte("network-status-version 3\nvote-status vote\n"), // missing footer
+		[]byte("s Running\ndirectory-footer\n"),                // flags before relay
+		bytes.Replace(repadded("0"), []byte("vote-status vote"), []byte("vote-status consensus"), 1),
+		repadded(fmt.Sprint(MaxEntryPadding+1)),
+		repadded("4611686018427387904"),
+	)
+}
+
+// TestConsensusParseRejectsGarbage: a consensus rejects a vote status line,
+// an unreadable num-votes, a missing footer, an entry line before any relay
+// and a bandwidth line that is not one Bandwidth= item.
+func TestConsensusParseRejectsGarbage(t *testing.T) {
+	rejectsAll(t, consensusKind.parse,
+		nil,
+		[]byte("network-status-version 3\nvote-status vote\ndirectory-footer\n"),
+		[]byte("num-votes five of 9\ndirectory-footer\n"),
+		[]byte("network-status-version 3\nvote-status consensus\n"), // missing footer
+		[]byte("s Running\ndirectory-footer\n"),
+		[]byte("w Measured=5\ndirectory-footer\n"),
+	)
 }
 
 // mkRelay builds a descriptor with a small identity tag for aggregation
