@@ -148,8 +148,9 @@ func NewAuthorities(cfg Config) []*Authority {
 	return auths
 }
 
-func ownerSign(k *sig.KeyPair, d *vote.Document) sig.Signature {
-	return k.Sign(domainDoc, entryInput(k.Index, d.Digest()))
+func ownerSign(pubs *sig.Registry, k *sig.KeyPair, d *vote.Document) sig.Signature {
+	var in [entryInputCap]byte
+	return pubs.Sign(k, domainDoc, entryInput(in[:0], k.Index, d.Digest()))
 }
 
 // Start broadcasts the document and arms the Δ timer; the agreement replica
@@ -159,11 +160,11 @@ func (a *Authority) Start(ctx *simnet.Context) {
 		return
 	}
 	a.docs[a.index] = a.doc
-	a.ownerSigs[a.index] = ownerSign(a.me, a.doc)
+	a.ownerSigs[a.index] = ownerSign(a.pubs, a.me, a.doc)
 	ctx.Logf("notice", "Dissemination: broadcasting status document (%d bytes).", a.doc.EncodedSize())
 	ctx.Trace(obs.Event{Type: obs.EvPhase, Label: "dissemination"})
 	if alt := a.cfg.Equivocators[a.index]; alt != nil {
-		altSig := a.me.Sign(domainDoc, entryInput(a.index, alt.Digest()))
+		altSig := ownerSign(a.pubs, a.me, alt)
 		for p := 0; p < ctx.N(); p++ {
 			if p == a.index {
 				continue
@@ -216,7 +217,8 @@ func (a *Authority) acceptDocument(ctx *simnet.Context, m *MsgDocument) {
 		return
 	}
 	dg := m.Doc.Digest()
-	if m.OwnerSig.Signer != j || !sig.Verify(a.pubs, domainDoc, entryInput(j, dg), m.OwnerSig) {
+	var in [entryInputCap]byte
+	if m.OwnerSig.Signer != j || !sig.Verify(a.pubs, domainDoc, entryInput(in[:0], j, dg), m.OwnerSig) {
 		ctx.Logf("warn", "Rejecting document with bad owner signature for authority %d.", j)
 		return
 	}
@@ -266,12 +268,13 @@ func (a *Authority) sendProposal(ctx *simnet.Context, view int) {
 	}
 	vs.sentProposal = true
 	entries := make([]ProposalEntry, a.cfg.n())
+	var in [entryInputCap]byte
 	for j := range entries {
 		e := &entries[j] // the zero digest endorses ⊥
 		if d, ok := a.docs[j]; ok {
 			e.Digest, e.OwnerSig = d.Digest(), a.ownerSigs[j]
 		}
-		e.Endorse = a.me.Sign(domainEndorse, entryInput(j, e.Digest))
+		e.Endorse = a.pubs.Sign(a.me, domainEndorse, entryInput(in[:0], j, e.Digest))
 	}
 	m := &MsgProposal{View: view, From: a.index, Entries: entries}
 	leader := (view - 1) % a.cfg.n()
@@ -290,12 +293,13 @@ func (a *Authority) acceptProposal(ctx *simnet.Context, m *MsgProposal) {
 	// Verify every entry before admitting the proposal: the proposer's
 	// endorsement always, the owner signature when non-⊥.
 	var zero sig.Digest
+	var in [entryInputCap]byte
 	for j, e := range m.Entries {
-		if e.Endorse.Signer != m.From || !sig.Verify(a.pubs, domainEndorse, entryInput(j, e.Digest), e.Endorse) {
+		if e.Endorse.Signer != m.From || !sig.Verify(a.pubs, domainEndorse, entryInput(in[:0], j, e.Digest), e.Endorse) {
 			return
 		}
 		if e.Digest != zero {
-			if e.OwnerSig.Signer != j || !sig.Verify(a.pubs, domainDoc, entryInput(j, e.Digest), e.OwnerSig) {
+			if e.OwnerSig.Signer != j || !sig.Verify(a.pubs, domainDoc, entryInput(in[:0], j, e.Digest), e.OwnerSig) {
 				return
 			}
 		}

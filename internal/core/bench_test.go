@@ -65,10 +65,10 @@ func buildOKValueForBench(keys []*sig.KeyPair, f int) *AgreementValue {
 		e := ValueEntry{
 			Status:   EntryOK,
 			Digest:   d,
-			OwnerSig: keys[j].Sign(domainDoc, entryInput(j, d)),
+			OwnerSig: keys[j].Sign(domainDoc, entryInput(nil, j, d)),
 		}
 		for k := 0; k < f+1; k++ {
-			e.Endorsements = append(e.Endorsements, keys[k].Sign(domainEndorse, entryInput(j, d)))
+			e.Endorsements = append(e.Endorsements, keys[k].Sign(domainEndorse, entryInput(nil, j, d)))
 		}
 		v.Entries[j] = e
 	}

@@ -30,13 +30,13 @@ func (h *leaderHarness) entryFor(from, j int, d *sig.Digest) ProposalEntry {
 	if d == nil {
 		return ProposalEntry{
 			Digest:  zero,
-			Endorse: h.keys[from].Sign(domainEndorse, entryInput(j, zero)),
+			Endorse: h.keys[from].Sign(domainEndorse, entryInput(nil, j, zero)),
 		}
 	}
 	return ProposalEntry{
 		Digest:   *d,
-		OwnerSig: h.keys[j].Sign(domainDoc, entryInput(j, *d)),
-		Endorse:  h.keys[from].Sign(domainEndorse, entryInput(j, *d)),
+		OwnerSig: h.keys[j].Sign(domainDoc, entryInput(nil, j, *d)),
+		Endorse:  h.keys[from].Sign(domainEndorse, entryInput(nil, j, *d)),
 	}
 }
 
@@ -218,8 +218,8 @@ func TestBuildValueInvalidProposalRejected(t *testing.T) {
 	for j := range entries {
 		entries[j] = ProposalEntry{
 			Digest:   d,
-			OwnerSig: h.keys[(j+1)%9].Sign(domainDoc, entryInput(j, d)), // wrong signer
-			Endorse:  h.keys[1].Sign(domainEndorse, entryInput(j, d)),
+			OwnerSig: h.keys[(j+1)%9].Sign(domainDoc, entryInput(nil, j, d)), // wrong signer
+			Endorse:  h.keys[1].Sign(domainEndorse, entryInput(nil, j, d)),
 		}
 	}
 	// Feed through the real acceptance path; the forged entry is rejected

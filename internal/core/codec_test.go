@@ -25,15 +25,15 @@ func TestValueCodecRoundTrip(t *testing.T) {
 	v.Entries[7] = ValueEntry{Status: EntryBotTimeout}
 	for k := 0; k < 3; k++ {
 		v.Entries[7].Endorsements = append(v.Entries[7].Endorsements,
-			keys[k].Sign(domainEndorse, entryInput(7, zero)))
+			keys[k].Sign(domainEndorse, entryInput(nil, 7, zero)))
 	}
 	dA, dB := sig.Hash([]byte("a")), sig.Hash([]byte("b"))
 	v.Entries[8] = ValueEntry{
 		Status:       EntryBotEquivocation,
 		EquivDigests: [2]sig.Digest{dA, dB},
 		EquivSigs: [2]sig.Signature{
-			keys[8].Sign(domainDoc, entryInput(8, dA)),
-			keys[8].Sign(domainDoc, entryInput(8, dB)),
+			keys[8].Sign(domainDoc, entryInput(nil, 8, dA)),
+			keys[8].Sign(domainDoc, entryInput(nil, 8, dB)),
 		},
 	}
 	v.encoded = nil
@@ -84,7 +84,7 @@ func mkDoc(t *testing.T, authority, relays int) (*vote.Document, sig.Signature) 
 	view := relay.View(pop, relay.IdentityOrder(pop), authority, 3)
 	d := vote.NewDocument(authority, relay.AuthorityNames[authority], keys[authority].Fingerprint, 1, view)
 	d.EntryPadding = 0
-	return d, ownerSign(keys[authority], d)
+	return d, ownerSign(sig.PublicSet(keys), keys[authority], d)
 }
 
 func TestMessageCodecRoundTrips(t *testing.T) {
@@ -100,8 +100,8 @@ func TestMessageCodecRoundTrips(t *testing.T) {
 		}
 		entries[j] = ProposalEntry{
 			Digest:   d,
-			OwnerSig: keys[j].Sign(domainDoc, entryInput(j, d)),
-			Endorse:  keys[1].Sign(domainEndorse, entryInput(j, d)),
+			OwnerSig: keys[j].Sign(domainDoc, entryInput(nil, j, d)),
+			Endorse:  keys[1].Sign(domainEndorse, entryInput(nil, j, d)),
 		}
 	}
 
@@ -161,7 +161,7 @@ func TestDocumentSurvivesCodec(t *testing.T) {
 	}
 	// The owner signature still verifies against the decoded digest.
 	keys := testkit.Authorities(9, 3)
-	if !sig.Verify(sig.PublicSet(keys), domainDoc, entryInput(5, gd.Digest()), got.(*MsgDocument).OwnerSig) {
+	if !sig.Verify(sig.PublicSet(keys), domainDoc, entryInput(nil, 5, gd.Digest()), got.(*MsgDocument).OwnerSig) {
 		t.Fatal("owner signature broken by codec")
 	}
 }
@@ -198,8 +198,8 @@ func TestProposalEntryQuickRoundTrip(t *testing.T) {
 			From: int(from) % 4,
 			Entries: []ProposalEntry{{
 				Digest:   d,
-				OwnerSig: keys[0].Sign(domainDoc, entryInput(0, d)),
-				Endorse:  keys[1].Sign(domainEndorse, entryInput(0, d)),
+				OwnerSig: keys[0].Sign(domainDoc, entryInput(nil, 0, d)),
+				Endorse:  keys[1].Sign(domainEndorse, entryInput(nil, 0, d)),
 			}},
 		}
 		b, err := EncodeMessage(m)

@@ -17,10 +17,10 @@ func FuzzDecodeValue(f *testing.F) {
 		v.Entries[j] = ValueEntry{
 			Status:   EntryOK,
 			Digest:   d,
-			OwnerSig: keys[j].Sign(domainDoc, entryInput(j, d)),
+			OwnerSig: keys[j].Sign(domainDoc, entryInput(nil, j, d)),
 			Endorsements: []sig.Signature{
-				keys[0].Sign(domainEndorse, entryInput(j, d)),
-				keys[1].Sign(domainEndorse, entryInput(j, d)),
+				keys[0].Sign(domainEndorse, entryInput(nil, j, d)),
+				keys[1].Sign(domainEndorse, entryInput(nil, j, d)),
 			},
 		}
 	}
@@ -58,7 +58,7 @@ func FuzzDecodeAny(f *testing.F) {
 	f.Add([]byte{})
 	keys := testkit.Authorities(2, 1)
 	doc := testkit.Docs(keys, 2, 1, 400)[1]
-	if b, err = EncodeMessage(&MsgDocument{Doc: doc, OwnerSig: keys[1].Sign(domainDoc, entryInput(1, doc.Digest()))}); err != nil {
+	if b, err = EncodeMessage(&MsgDocument{Doc: doc, OwnerSig: keys[1].Sign(domainDoc, entryInput(nil, 1, doc.Digest()))}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(b)

@@ -59,12 +59,15 @@ func (s EntryStatus) String() string {
 	return "⊥(?)"
 }
 
-// entryInput is the message all per-entry signatures cover: the index bound
-// to a digest (the zero digest encodes ⊥).
-func entryInput(j int, d sig.Digest) []byte {
-	b := strconv.AppendInt(make([]byte, 0, 20+1+2*sig.DigestSize), int64(j), 10)
-	return hex.AppendEncode(append(b, '|'), d[:])
+// entryInput appends the message all per-entry signatures cover to dst: the
+// index bound to a digest (the zero digest encodes ⊥). Callers pass a stack
+// buffer of entryInputCap bytes, so building it allocates nothing.
+func entryInput(dst []byte, j int, d sig.Digest) []byte {
+	return hex.AppendEncode(append(strconv.AppendInt(dst, int64(j), 10), '|'), d[:])
 }
+
+// entryInputCap holds any entryInput.
+const entryInputCap = 20 + 1 + 2*sig.DigestSize
 
 // Signature domains.
 const (
@@ -164,20 +167,21 @@ func (v *AgreementValue) Verify(pubs *sig.Registry, n, f int) error {
 	}
 	endorseQuorum := f + 1
 	var zero sig.Digest
+	var in [entryInputCap]byte
 	for j, e := range v.Entries {
 		switch e.Status {
 		case EntryOK:
 			if e.Digest.IsZero() {
 				return fmt.Errorf("core: entry %d OK with zero digest", j)
 			}
-			if e.OwnerSig.Signer != j || !sig.Verify(pubs, domainDoc, entryInput(j, e.Digest), e.OwnerSig) {
+			if e.OwnerSig.Signer != j || !sig.Verify(pubs, domainDoc, entryInput(in[:0], j, e.Digest), e.OwnerSig) {
 				return fmt.Errorf("core: entry %d owner signature invalid", j)
 			}
-			if err := sig.VerifyQuorum(pubs, domainEndorse, entryInput(j, e.Digest), e.Endorsements, endorseQuorum); err != nil {
+			if err := sig.VerifyQuorum(pubs, domainEndorse, entryInput(in[:0], j, e.Digest), e.Endorsements, endorseQuorum); err != nil {
 				return fmt.Errorf("core: entry %d: %w", j, err)
 			}
 		case EntryBotTimeout:
-			if err := sig.VerifyQuorum(pubs, domainEndorse, entryInput(j, zero), e.Endorsements, endorseQuorum); err != nil {
+			if err := sig.VerifyQuorum(pubs, domainEndorse, entryInput(in[:0], j, zero), e.Endorsements, endorseQuorum); err != nil {
 				return fmt.Errorf("core: entry %d (⊥ timeout): %w", j, err)
 			}
 		case EntryBotEquivocation:
@@ -186,7 +190,7 @@ func (v *AgreementValue) Verify(pubs *sig.Registry, n, f int) error {
 			}
 			for k := 0; k < 2; k++ {
 				if e.EquivSigs[k].Signer != j ||
-					!sig.Verify(pubs, domainDoc, entryInput(j, e.EquivDigests[k]), e.EquivSigs[k]) {
+					!sig.Verify(pubs, domainDoc, entryInput(in[:0], j, e.EquivDigests[k]), e.EquivSigs[k]) {
 					return fmt.Errorf("core: entry %d equivocation proof signature %d invalid", j, k)
 				}
 			}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -19,10 +20,10 @@ func buildOKValue(t *testing.T, keys []*sig.KeyPair, f int) *AgreementValue {
 		e := ValueEntry{
 			Status:   EntryOK,
 			Digest:   d,
-			OwnerSig: keys[j].Sign(domainDoc, entryInput(j, d)),
+			OwnerSig: keys[j].Sign(domainDoc, entryInput(nil, j, d)),
 		}
 		for k := 0; k < f+1; k++ {
-			e.Endorsements = append(e.Endorsements, keys[k].Sign(domainEndorse, entryInput(j, d)))
+			e.Endorsements = append(e.Endorsements, keys[k].Sign(domainEndorse, entryInput(nil, j, d)))
 		}
 		v.Entries[j] = e
 	}
@@ -61,7 +62,7 @@ func TestValueVerifyRejectsTampering(t *testing.T) {
 			e.Status = EntryBotTimeout
 			var zero sig.Digest
 			for k := 0; k < 3; k++ {
-				e.Endorsements = append(e.Endorsements, keys[k].Sign(domainEndorse, entryInput(j, zero)))
+				e.Endorsements = append(e.Endorsements, keys[k].Sign(domainEndorse, entryInput(nil, j, zero)))
 			}
 			v.Entries[j] = e
 		}
@@ -73,7 +74,7 @@ func TestValueVerifyRejectsTampering(t *testing.T) {
 
 	t.Run("forged owner signature", func(t *testing.T) {
 		v := buildOKValue(t, keys, 2)
-		v.Entries[4].OwnerSig = keys[5].Sign(domainDoc, entryInput(4, v.Entries[4].Digest))
+		v.Entries[4].OwnerSig = keys[5].Sign(domainDoc, entryInput(nil, 4, v.Entries[4].Digest))
 		v.encoded = nil
 		if v.Verify(pubs, 9, 2) == nil {
 			t.Fatal("owner signature by wrong key accepted")
@@ -101,7 +102,7 @@ func TestValueVerifyRejectsTampering(t *testing.T) {
 	t.Run("endorsement for different digest", func(t *testing.T) {
 		v := buildOKValue(t, keys, 2)
 		other := sig.Hash([]byte("other"))
-		v.Entries[2].Endorsements[0] = keys[0].Sign(domainEndorse, entryInput(2, other))
+		v.Entries[2].Endorsements[0] = keys[0].Sign(domainEndorse, entryInput(nil, 2, other))
 		v.encoded = nil
 		if v.Verify(pubs, 9, 2) == nil {
 			t.Fatal("mismatched endorsement accepted")
@@ -129,8 +130,8 @@ func TestValueVerifyEquivocationProof(t *testing.T) {
 		Status:       EntryBotEquivocation,
 		EquivDigests: [2]sig.Digest{dA, dB},
 		EquivSigs: [2]sig.Signature{
-			keys[6].Sign(domainDoc, entryInput(6, dA)),
-			keys[6].Sign(domainDoc, entryInput(6, dB)),
+			keys[6].Sign(domainDoc, entryInput(nil, 6, dA)),
+			keys[6].Sign(domainDoc, entryInput(nil, 6, dB)),
 		},
 	}
 	v.encoded = nil
@@ -150,7 +151,7 @@ func TestValueVerifyEquivocationProof(t *testing.T) {
 	// A proof signed by a different authority is invalid.
 	bad2 := *v
 	bad2.Entries = append([]ValueEntry{}, v.Entries...)
-	bad2.Entries[6].EquivSigs[0] = keys[5].Sign(domainDoc, entryInput(6, dA))
+	bad2.Entries[6].EquivSigs[0] = keys[5].Sign(domainDoc, entryInput(nil, 6, dA))
 	bad2.encoded = nil
 	if bad2.Verify(pubs, 9, 2) == nil {
 		t.Fatal("equivocation proof by wrong signer accepted")
@@ -164,7 +165,7 @@ func TestValueVerifyBotTimeout(t *testing.T) {
 	var zero sig.Digest
 	e := ValueEntry{Status: EntryBotTimeout}
 	for k := 0; k < 3; k++ {
-		e.Endorsements = append(e.Endorsements, keys[k].Sign(domainEndorse, entryInput(5, zero)))
+		e.Endorsements = append(e.Endorsements, keys[k].Sign(domainEndorse, entryInput(nil, 5, zero)))
 	}
 	v.Entries[5] = e
 	v.encoded = nil
@@ -177,7 +178,7 @@ func TestValueVerifyBotTimeout(t *testing.T) {
 	bad.Entries[5].Endorsements = nil
 	for k := 0; k < 3; k++ {
 		bad.Entries[5].Endorsements = append(bad.Entries[5].Endorsements,
-			keys[k].Sign(domainEndorse, entryInput(4, zero)))
+			keys[k].Sign(domainEndorse, entryInput(nil, 4, zero)))
 	}
 	bad.encoded = nil
 	if bad.Verify(pubs, 9, 2) == nil {
@@ -213,16 +214,21 @@ func TestEntryStatusString(t *testing.T) {
 }
 
 // TestEntryInputMatchesFmt pins entryInput byte for byte to the fmt rendering
-// "%d|%x" it replaced: every per-entry signature covers these bytes.
+// "%d|%x" it replaced: every per-entry signature covers these bytes. Built
+// into an entryInputCap buffer, it allocates nothing.
 func TestEntryInputMatchesFmt(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var random sig.Digest
 	rng.Read(random[:])
+	var buf [entryInputCap]byte
 	for _, j := range []int{0, 8, 10, 123} {
 		for _, d := range []sig.Digest{{}, random} {
-			if got, want := string(entryInput(j, d)), fmt.Sprintf("%d|%x", j, d[:]); got != want {
+			if got, want := string(entryInput(buf[:0], j, d)), fmt.Sprintf("%d|%x", j, d[:]); got != want {
 				t.Errorf("entryInput(%d, %x) = %q, want %q", j, d[:4], got, want)
 			}
 		}
+	}
+	if n := testing.AllocsPerRun(10, func() { entryInput(buf[:0], math.MaxInt, random) }); n != 0 {
+		t.Errorf("entryInput into a stack buffer allocated %.0f times, want 0", n)
 	}
 }

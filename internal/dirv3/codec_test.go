@@ -13,7 +13,7 @@ func TestCodecRoundTrips(t *testing.T) {
 	keys := testkit.Authorities(9, 1)
 	docs := testkit.Docs(keys, 15, 1, 0)
 	doc := docs[4]
-	ds := signDoc(keys[4], doc)
+	ds := signDoc(sig.PublicSet(keys), keys[4], doc)
 	digest := sig.Hash([]byte("consensus"))
 	cs := keys[2].Sign(domainConsensus, digest[:])
 
@@ -50,7 +50,7 @@ func TestCodecRoundTrips(t *testing.T) {
 func TestCodecPreservesVoteSignature(t *testing.T) {
 	keys := testkit.Authorities(9, 1)
 	docs := testkit.Docs(keys, 20, 1, -1)
-	m := &msgVote{Doc: docs[3], Sig: signDoc(keys[3], docs[3])}
+	m := &msgVote{Doc: docs[3], Sig: signDoc(sig.PublicSet(keys), keys[3], docs[3])}
 	b, err := EncodeMessage(m)
 	if err != nil {
 		t.Fatal(err)

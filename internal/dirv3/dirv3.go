@@ -181,21 +181,21 @@ func NewAuthorities(cfg Config) []*Authority {
 	return out
 }
 
-func signDoc(k *sig.KeyPair, d *vote.Document) sig.Signature {
+func signDoc(pubs *sig.Registry, k *sig.KeyPair, d *vote.Document) sig.Signature {
 	dg := d.Digest()
-	return k.Sign(domainVote, dg[:])
+	return pubs.Sign(k, domainVote, dg[:])
 }
 
 // Start begins round 1 and schedules the remaining rounds.
 func (a *Authority) Start(ctx *simnet.Context) {
 	a.votes[a.index] = a.doc
-	a.voteSigs[a.index] = signDoc(a.me, a.doc)
+	a.voteSigs[a.index] = signDoc(a.pubs, a.me, a.doc)
 	ctx.Logf("notice", "Time to vote.")
 	ctx.Trace(obs.Event{Type: obs.EvPhase, Label: "vote"})
 	own := &msgVote{Doc: a.doc, Sig: a.voteSigs[a.index]}
 	byParity := [2]*msgVote{own, own}
 	if alt := a.cfg.Equivocators[a.index]; alt != nil {
-		byParity[1] = &msgVote{Doc: alt, Sig: signDoc(a.me, alt)}
+		byParity[1] = &msgVote{Doc: alt, Sig: signDoc(a.pubs, a.me, alt)}
 	}
 	for p := 0; p < ctx.N(); p++ {
 		if p != a.index {

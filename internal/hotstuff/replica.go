@@ -224,7 +224,7 @@ func (r *Replica) castVote(ctx *simnet.Context, view, phase int, digest sig.Dige
 	}
 	vs.voted[phase-1] = true
 	ctx.Trace(obs.Event{Type: obs.EvVote, A: int64(view), B: int64(phase)})
-	s := r.me.Sign(voteDomain(phase), qcInput(phase, view, digest))
+	s := r.cfg.Pubs().Sign(r.me, voteDomain(phase), qcInput(phase, view, digest))
 	v := &MsgVote{View: view, Phase: phase, Digest: digest, Sig: s}
 	leader := r.cfg.Leader(view)
 	if leader == r.index {
@@ -332,7 +332,7 @@ func (r *Replica) onLocalTimeout(ctx *simnet.Context, view int, gen int) {
 	vs.sentTimeout = true
 	ctx.Logf("info", "hotstuff: view %d timed out", view)
 	ctx.Trace(obs.Event{Type: obs.EvTimeout, A: int64(view), Label: "pacemaker"})
-	m := &MsgTimeout{View: view, HighQC: r.lockedQC, Sig: r.me.Sign(domainTimeout, tcInput(view))}
+	m := &MsgTimeout{View: view, HighQC: r.lockedQC, Sig: r.cfg.Pubs().Sign(r.me, domainTimeout, tcInput(view))}
 	ctx.Broadcast(m)
 	r.handleTimeout(ctx, m)
 }

@@ -16,8 +16,18 @@
 // All of them verify through a Registry (PublicSet): the public keys plus the
 // verdict, accept or reject, on every (signer, SHA-256 of domain‖0‖message,
 // signature bytes) judged so far, so a run pays Ed25519 once per distinct
-// signature. It is run-scoped and lock-free: a run is one goroutine, and no
-// Registry is shared between concurrent runs or sweep cells nor outlives its run.
+// signature. A signature made through the registry (Registry.Sign) is judged
+// ahead of need: it files a pending verdict for that key and hands it to a
+// background judge, at most GOMAXPROCS−1 of them per registry, started on
+// first use and gone when their queue drains. Verify takes a pending verdict
+// when it is ready, or judges it inline if no judge has started on it.
+//
+// A Registry is run-scoped: no Registry is shared between concurrent runs or
+// sweep cells nor outlives its run, and its maps are touched by the run's one
+// goroutine alone. The only state crossing goroutines is each pending
+// verdict, published through its sync.Once, and the mutex-guarded queue that
+// hands it to a judge: a judge writes the verdict of the record it judges and,
+// under the mutex, the queue, nothing else.
 package sig
 
 import (
@@ -26,6 +36,8 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"runtime"
+	"sync"
 )
 
 // DigestSize is the size of a document digest in bytes.
@@ -133,17 +145,24 @@ func signingInput(dst []byte, domain string, msg []byte) []byte {
 }
 
 // Sign produces a signature over msg under the given domain label.
+// domain‖0‖msg is built in a stack buffer (on the heap only past 256 bytes).
 func (k *KeyPair) Sign(domain string, msg []byte) Signature {
-	var s Signature
-	s.Signer = k.Index
-	copy(s.Bytes[:], ed25519.Sign(k.private, signingInput(make([]byte, 0, len(domain)+1+len(msg)), domain, msg)))
+	var buf [256]byte
+	return k.sign(signingInput(buf[:0], domain, msg))
+}
+
+func (k *KeyPair) sign(input []byte) Signature {
+	s := Signature{Signer: k.Index}
+	copy(s.Bytes[:], ed25519.Sign(k.private, input))
 	return s
 }
 
 // Registry is one run's verification registry (see the package comment).
 type Registry struct {
 	keys     []ed25519.PublicKey
-	verdicts map[verdictKey]bool
+	verdicts map[verdictKey]*pending // accepted, rejected or a pending verdict
+	judged   int                     // keys whose verdict Verify has taken
+	judges   judges
 }
 
 type verdictKey struct {
@@ -153,21 +172,46 @@ type verdictKey struct {
 
 // PublicSet builds a run's verification registry from its key pairs.
 func PublicSet(keys []*KeyPair) *Registry {
-	r := &Registry{verdicts: make(map[verdictKey]bool)}
+	r := &Registry{verdicts: make(map[verdictKey]*pending)}
 	for _, k := range keys {
 		r.keys = append(r.keys, k.Public)
 	}
+	r.judges.max = runtime.GOMAXPROCS(0) - 1
 	return r
 }
 
-// Len is the authority count, Memoised the distinct signatures judged so far.
+// Len is the authority count, Memoised the distinct signatures judged so far
+// for a Verify caller, whether a background judge or Verify itself ran
+// Ed25519 on them.
 func (r *Registry) Len() int      { return len(r.keys) }
-func (r *Registry) Memoised() int { return len(r.verdicts) }
+func (r *Registry) Memoised() int { return r.judged }
+
+// Sign signs as k.Sign does and files a pending verdict on the signature for
+// the key Verify will look it up by, which a background judge settles while
+// the run goes on. With no spare core (GOMAXPROCS 1), for a signer outside
+// the registry or an input past a pending record's storage, it files nothing
+// and the signature is judged when first verified.
+func (r *Registry) Sign(k *KeyPair, domain string, msg []byte) Signature {
+	n := len(domain) + 1 + len(msg)
+	if r.judges.max <= 0 || n > pendingInput || k.Index < 0 || k.Index >= len(r.keys) {
+		return k.Sign(domain, msg)
+	}
+	p := &pending{signer: int32(k.Index), n: uint8(n)}
+	input := signingInput(p.input[:0], domain, msg)
+	s := k.sign(input)
+	p.sig = s.Bytes
+	key := verdictKey{Hash(input), s}
+	if _, seen := r.verdicts[key]; !seen {
+		r.verdicts[key] = p
+		r.judges.hand(p, r.keys)
+	}
+	return s
+}
 
 // Verify checks a signature against the registry (indexed by authority). It
 // returns false for out-of-range signers, before any lookup. domain‖0‖msg is
 // built in a stack buffer (on the heap only past 256 bytes), so a verdict
-// already judged allocates nothing.
+// already taken allocates nothing.
 func Verify(r *Registry, domain string, msg []byte, s Signature) bool {
 	if s.Signer < 0 || s.Signer >= len(r.keys) {
 		return false
@@ -175,12 +219,95 @@ func Verify(r *Registry, domain string, msg []byte, s Signature) bool {
 	var buf [256]byte
 	input := signingInput(buf[:0], domain, msg)
 	key := verdictKey{Hash(input), s}
-	verdict, seen := r.verdicts[key]
-	if !seen {
-		verdict = ed25519.Verify(r.keys[s.Signer], input, s.Bytes[:])
-		r.verdicts[key] = verdict
+	p := r.verdicts[key]
+	if p == accepted || p == rejected {
+		return p == accepted
 	}
-	return verdict
+	var ok bool
+	if p != nil {
+		ok = p.judge(r.keys)
+	} else {
+		ok = ed25519.Verify(r.keys[s.Signer], input, s.Bytes[:])
+	}
+	if ok {
+		r.verdicts[key] = accepted
+	} else {
+		r.verdicts[key] = rejected
+	}
+	r.judged++
+	return ok
+}
+
+// pendingInput is the longest domain‖0‖msg a pending record holds: the
+// longest protocol input, a HotStuff vote's, is 85 bytes, and 94 makes the
+// record 176 bytes, an allocation size class.
+const pendingInput = 94
+
+// pending is a verdict filed by Registry.Sign: the signature and the exact
+// bytes it signs, judged once, by a background judge or by Verify, whichever
+// claims it first.
+type pending struct {
+	once   sync.Once
+	signer int32
+	ok     bool  // the verdict, written inside once
+	n      uint8 // len(domain‖0‖msg)
+	sig    [SignatureSize]byte
+	input  [pendingInput]byte
+}
+
+// accepted and rejected stand for every verdict already taken: a judged key
+// points at one of them, so a settled verdict holds no record of its own.
+// Neither is ever judged or written.
+var accepted, rejected = new(pending), new(pending)
+
+// judge runs Ed25519 on the record once and returns the verdict; a second
+// caller waits for the first.
+func (p *pending) judge(keys []ed25519.PublicKey) bool {
+	p.once.Do(func() { p.ok = ed25519.Verify(keys[p.signer], p.input[:p.n], p.sig[:]) })
+	return p.ok
+}
+
+// judges is a registry's background verification: a queue of pending records
+// and at most max goroutines draining it, each started when a record arrives
+// while fewer than max run, and each exiting when it finds the queue empty.
+// Judges take the newest record first: the run verifies roughly in signing
+// order, so it judges the old end inline while the judges work from the new
+// one, and the two seldom wait on one record.
+type judges struct {
+	max     int // GOMAXPROCS−1 when the registry was built
+	mu      sync.Mutex
+	queue   []*pending
+	running int
+}
+
+func (j *judges) hand(p *pending, keys []ed25519.PublicKey) {
+	j.mu.Lock()
+	j.queue = append(j.queue, p)
+	start := j.running < j.max
+	if start {
+		j.running++
+	}
+	j.mu.Unlock()
+	if start {
+		go j.drain(keys)
+	}
+}
+
+func (j *judges) drain(keys []ed25519.PublicKey) {
+	for {
+		j.mu.Lock()
+		last := len(j.queue) - 1
+		if last < 0 {
+			j.running--
+			j.mu.Unlock()
+			return
+		}
+		p := j.queue[last]
+		j.queue[last] = nil
+		j.queue = j.queue[:last]
+		j.mu.Unlock()
+		p.judge(keys)
+	}
 }
 
 // Majority is the Tor consensus-signature threshold ⌊n/2⌋+1 (5 of 9): the
@@ -217,24 +344,27 @@ func VerifyQuorum(publics *Registry, domain string, msg []byte, sigs []Signature
 type Tally struct {
 	publics *Registry
 	domain  string
-	held    map[int]tallied // by signer
+	held    []tallied // by signer
+	n       int       // signers on record
 }
 
 type tallied struct {
 	digest Digest
 	sig    Signature
+	ok     bool // on record
 }
 
 // NewTally returns an empty tally of signatures under domain by the
 // authorities in publics.
 func NewTally(publics *Registry, domain string) *Tally {
-	return &Tally{publics: publics, domain: domain, held: make(map[int]tallied)}
+	return &Tally{publics: publics, domain: domain, held: make([]tallied, publics.Len())}
 }
 
-// Sign records and returns k's own signature over digest.
+// Sign records and returns k's own signature over digest; k is one of the
+// authorities in publics.
 func (t *Tally) Sign(k *KeyPair, digest Digest) Signature {
-	s := k.Sign(t.domain, digest[:])
-	t.held[k.Index] = tallied{digest, s}
+	s := t.publics.Sign(k, t.domain, digest[:])
+	t.record(k.Index, digest, s)
 	return s
 }
 
@@ -245,27 +375,37 @@ func (t *Tally) Add(from int, digest Digest, s Signature) (valid, added bool) {
 	if s.Signer != from || !Verify(t.publics, t.domain, digest[:], s) {
 		return false, false
 	}
-	if _, dup := t.held[from]; dup {
+	if t.held[from].ok {
 		return true, false
 	}
-	t.held[from] = tallied{digest, s}
+	t.record(from, digest, s)
 	return true, true
 }
 
+func (t *Tally) record(signer int, digest Digest, s Signature) {
+	if !t.held[signer].ok {
+		t.n++
+	}
+	t.held[signer] = tallied{digest, s, true}
+}
+
 // Len returns the number of signers on record.
-func (t *Tally) Len() int { return len(t.held) }
+func (t *Tally) Len() int { return t.n }
 
 // Lookup returns the digest and signature on record for signer.
 func (t *Tally) Lookup(signer int) (Digest, Signature, bool) {
-	h, ok := t.held[signer]
-	return h.digest, h.sig, ok
+	if signer < 0 || signer >= len(t.held) {
+		return Digest{}, Signature{}, false
+	}
+	h := t.held[signer]
+	return h.digest, h.sig, h.ok
 }
 
 // Matching counts the recorded signatures that are over digest.
 func (t *Tally) Matching(digest Digest) int {
 	n := 0
 	for _, h := range t.held {
-		if h.digest == digest {
+		if h.ok && h.digest == digest {
 			n++
 		}
 	}

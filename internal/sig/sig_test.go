@@ -2,10 +2,14 @@ package sig
 
 import (
 	"bytes"
+	"crypto/ed25519"
 	"encoding/hex"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestDeterministicKeys(t *testing.T) {
@@ -271,6 +275,194 @@ func TestVerifyMemoHitAllocatesNothing(t *testing.T) {
 	}
 	if got := pubs.Memoised(); got != 3 {
 		t.Fatalf("registry holds %d verdicts, want 3", got)
+	}
+}
+
+// settle waits until every judge of r has drained the queue and exited.
+func settle(t *testing.T, r *Registry) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		r.judges.mu.Lock()
+		running, queued := r.judges.running, len(r.judges.queue)
+		r.judges.mu.Unlock()
+		if running == 0 && queued == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d judges still running, %d records queued", running, queued)
+		}
+	}
+}
+
+// TestKeyPairSignAllocatesNothing: KeyPair.Sign builds domain‖0‖msg in a
+// stack buffer, as Verify does.
+func TestKeyPairSignAllocatesNothing(t *testing.T) {
+	k := NewKeyPair(5, 2)
+	msg := []byte("0|" + strings.Repeat("ab", DigestSize))
+	if got := testing.AllocsPerRun(100, func() { k.Sign("icps/endorse", msg) }); got != 0 {
+		t.Fatalf("KeyPair.Sign allocated %.0f times, want 0", got)
+	}
+}
+
+// TestRegistrySignAllocatesOneRecord: Registry.Sign allocates the pending
+// record and nothing else (the input lives in it); the verdict map's and
+// the judges' queue's growth amortise to nothing per signature.
+func TestRegistrySignAllocatesOneRecord(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2)) // exactly one judge
+	keys := Authorities(5, 4)
+	pubs := PublicSet(keys)
+	msg := []byte("0|" + strings.Repeat("ab", DigestSize)) // an ICPS entry input's size
+	i := 0
+	got := testing.AllocsPerRun(200, func() {
+		i++
+		msg[0] = byte(i) // a distinct signature each time: each files a record
+		msg[1] = byte(i >> 8)
+		pubs.Sign(keys[i%4], "icps/endorse", msg)
+	})
+	if got != 1 {
+		t.Fatalf("Registry.Sign allocated %.2f times, want 1", got)
+	}
+	settle(t, pubs)
+}
+
+// TestRegistrySignJudgesLikeEd25519 is a differential: for signatures made
+// through Registry.Sign, Verify's verdict on the signature and on each
+// tampered variant equals a fresh ed25519.Verify of the same bytes, whether
+// a background judge (one, or three at once) or Verify itself ran Ed25519 on
+// the pending record. A pending record is only ever taken under its own key,
+// and Memoised counts each distinct signature once either way.
+func TestRegistrySignJudgesLikeEd25519(t *testing.T) {
+	keys := Authorities(11, 4)
+	type signed struct {
+		domain string
+		msg    []byte
+		s      Signature
+	}
+	type variant struct {
+		name   string
+		domain string
+		msg    []byte
+		s      Signature
+	}
+	variants := func(g signed) []variant {
+		flip := func(i int) Signature { s := g.s; s.Bytes[i] ^= 0x40; return s }
+		relabel := func(signer int) Signature { s := g.s; s.Signer = signer; return s }
+		return []variant{
+			{"untouched", g.domain, g.msg, g.s},
+			{"first byte flipped", g.domain, g.msg, flip(0)},
+			{"last byte flipped", g.domain, g.msg, flip(SignatureSize - 1)},
+			{"another message", g.domain, append(bytes.Clone(g.msg), '!'), g.s},
+			{"another domain", g.domain + "2", g.msg, g.s},
+			{"another signer", g.domain, g.msg, relabel((g.s.Signer + 1) % len(keys))},
+			{"signer past the key set", g.domain, g.msg, relabel(len(keys))},
+			{"negative signer", g.domain, g.msg, relabel(-1)},
+		}
+	}
+	fresh := func(v variant) bool {
+		if v.s.Signer < 0 || v.s.Signer >= len(keys) {
+			return false
+		}
+		return ed25519.Verify(keys[v.s.Signer].Public, signingInput(nil, v.domain, v.msg), v.s.Bytes[:])
+	}
+
+	for _, c := range []struct {
+		path  string
+		procs int
+	}{{"judge", 2}, {"judge", 4}, {"event loop", 2}} {
+		path := c.path
+		t.Run(fmt.Sprintf("%s/GOMAXPROCS=%d", path, c.procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(c.procs))
+			pubs := PublicSet(keys)
+			if path == "event loop" {
+				// A judge slot taken by no goroutine: records queue and no
+				// judge claims them, so Verify judges every one inline.
+				pubs.judges.running = pubs.judges.max
+			}
+			var sigs []signed
+			for i, k := range keys {
+				for _, domain := range []string{"hotstuff/vote1", "icps/endorse"} {
+					msg := []byte(fmt.Sprintf("%d|%d|%x", i, len(sigs), Hash([]byte(domain))))
+					sigs = append(sigs, signed{domain, msg, pubs.Sign(k, domain, msg)})
+				}
+			}
+			if path == "judge" {
+				settle(t, pubs)
+			}
+			if pubs.Memoised() != 0 {
+				t.Fatalf("Memoised = %d before any Verify, want 0", pubs.Memoised())
+			}
+			owns := map[verdictKey]*pending{}
+			for _, g := range sigs {
+				key := verdictKey{Hash(signingInput(nil, g.domain, g.msg)), g.s}
+				p := pubs.verdicts[key]
+				if p == nil || p == accepted || p == rejected {
+					t.Fatalf("%s: no pending record filed", g.msg)
+				}
+				if p.signer != int32(g.s.Signer) || p.sig != g.s.Bytes || Hash(p.input[:p.n]) != key.input {
+					t.Fatalf("%s: record filed under another key", g.msg)
+				}
+				if path == "judge" && !p.ok {
+					t.Fatalf("%s: the judge drained the queue without accepting the record", g.msg)
+				}
+				owns[key] = p
+			}
+
+			// Every tampered variant first: each misses the pending records
+			// and leaves them untaken.
+			judged := 0
+			for _, g := range sigs {
+				for _, v := range variants(g)[1:] {
+					if got, want := Verify(pubs, v.domain, v.msg, v.s), fresh(v); got != want || got {
+						t.Errorf("%s %s: Verify = %v, ed25519.Verify = %v", g.msg, v.name, got, want)
+					}
+					if v.s.Signer >= 0 && v.s.Signer < len(keys) {
+						judged++
+					}
+				}
+			}
+			for key, p := range owns {
+				if pubs.verdicts[key] != p {
+					t.Fatalf("a pending record was taken for a key other than its own")
+				}
+			}
+			if pubs.Memoised() != judged {
+				t.Fatalf("Memoised = %d after the variants, want %d", pubs.Memoised(), judged)
+			}
+			// Then the signatures themselves, twice: the first takes each
+			// record, the second reads the settled verdict.
+			for pass := 1; pass <= 2; pass++ {
+				for _, g := range sigs {
+					v := variants(g)[0]
+					if got, want := Verify(pubs, v.domain, v.msg, v.s), fresh(v); got != want || !got {
+						t.Errorf("pass %d, %s: Verify = %v, ed25519.Verify = %v", pass, g.msg, got, want)
+					}
+				}
+				if want := judged + len(sigs); pubs.Memoised() != want {
+					t.Fatalf("pass %d: Memoised = %d, want %d", pass, pubs.Memoised(), want)
+				}
+			}
+			for key := range owns {
+				if pubs.verdicts[key] != accepted {
+					t.Fatalf("%x: verdict not settled as accepted", key.input[:4])
+				}
+			}
+		})
+	}
+}
+
+// TestRegistrySignWithoutSpareCore: on one core a registry files nothing and
+// signs exactly as KeyPair.Sign does; the signature is judged when verified.
+func TestRegistrySignWithoutSpareCore(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	keys := Authorities(5, 4)
+	pubs := PublicSet(keys)
+	msg := []byte("digest")
+	s := pubs.Sign(keys[1], "qc", msg)
+	if s != keys[1].Sign("qc", msg) || len(pubs.verdicts) != 0 {
+		t.Fatalf("signature %v, %d verdicts filed; want KeyPair.Sign's and none", s.Signer, len(pubs.verdicts))
+	}
+	if !Verify(pubs, "qc", msg, s) || pubs.Memoised() != 1 {
+		t.Fatal("the signature did not verify once")
 	}
 }
 

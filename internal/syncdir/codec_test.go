@@ -14,7 +14,7 @@ func TestCodecRoundTrips(t *testing.T) {
 	docs := testkit.Docs(keys, 10, 1, 0)
 	var docSigs []sig.Signature
 	for i, d := range docs[:3] {
-		docSigs = append(docSigs, signDoc(keys[i], d))
+		docSigs = append(docSigs, signDoc(sig.PublicSet(keys), keys[i], d))
 	}
 	bundle := &msgBundle{From: 0, Docs: docs[:3], DocSigs: docSigs}
 	bundle.Digest = bundleDigest(bundle.Docs)
@@ -26,7 +26,7 @@ func TestCodecRoundTrips(t *testing.T) {
 	}}
 
 	cases := []simnet.Message{
-		&msgDoc{Doc: docs[1], Sig: signDoc(keys[1], docs[1])},
+		&msgDoc{Doc: docs[1], Sig: signDoc(sig.PublicSet(keys), keys[1], docs[1])},
 		bundle,
 		chain,
 		&msgConsSig{Digest: digest, Sig: keys[4].Sign(domainCons, digest[:])},
@@ -58,7 +58,7 @@ func TestBundleCodecPreservesDigest(t *testing.T) {
 	docs := testkit.Docs(keys, 25, 1, -1)
 	var docSigs []sig.Signature
 	for i, d := range docs[:5] {
-		docSigs = append(docSigs, signDoc(keys[i], d))
+		docSigs = append(docSigs, signDoc(sig.PublicSet(keys), keys[i], d))
 	}
 	bundle := &msgBundle{From: 0, Docs: docs[:5], DocSigs: docSigs}
 	bundle.Digest = bundleDigest(bundle.Docs)
@@ -89,7 +89,7 @@ func TestCodecErrors(t *testing.T) {
 	// Mismatched bundle docs/sigs refuse to encode.
 	keys := testkit.Authorities(9, 1)
 	docs := testkit.Docs(keys, 5, 1, 0)
-	bad := &msgBundle{From: 0, Docs: docs[:2], DocSigs: []sig.Signature{signDoc(keys[0], docs[0])}}
+	bad := &msgBundle{From: 0, Docs: docs[:2], DocSigs: []sig.Signature{signDoc(sig.PublicSet(keys), keys[0], docs[0])}}
 	if _, err := EncodeMessage(bad); err == nil {
 		t.Fatal("lopsided bundle encoded")
 	}

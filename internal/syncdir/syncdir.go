@@ -201,15 +201,15 @@ func NewAuthorities(cfg Config) []*Authority {
 	return out
 }
 
-func signDoc(k *sig.KeyPair, d *vote.Document) sig.Signature {
+func signDoc(pubs *sig.Registry, k *sig.KeyPair, d *vote.Document) sig.Signature {
 	dg := d.Digest()
-	return k.Sign(domainDoc, dg[:])
+	return pubs.Sign(k, domainDoc, dg[:])
 }
 
 // Start kicks off the propose round and schedules the rest.
 func (a *Authority) Start(ctx *simnet.Context) {
 	a.docs[a.index] = a.doc
-	a.docSigs[a.index] = signDoc(a.me, a.doc)
+	a.docSigs[a.index] = signDoc(a.pubs, a.me, a.doc)
 	ctx.Logf("notice", "Propose round: sending relay list.")
 	ctx.Trace(obs.Event{Type: obs.EvPhase, Label: "propose"})
 	ctx.Broadcast(&msgDoc{Doc: a.doc, Sig: a.docSigs[a.index]})
@@ -278,7 +278,7 @@ func (a *Authority) startSync(ctx *simnet.Context) {
 	mark := func(d sig.Digest) *msgChain {
 		a.extracted[d] = true
 		a.relayed[d] = true
-		return &msgChain{Digest: d, Chain: []sig.Signature{a.me.Sign(domainChain, d[:])}}
+		return &msgChain{Digest: d, Chain: []sig.Signature{a.pubs.Sign(a.me, domainChain, d[:])}}
 	}
 	full := mark(a.leaderBundle.Digest)
 	if a.cfg.EquivocateLeader {
@@ -391,7 +391,7 @@ func (a *Authority) acceptChain(ctx *simnet.Context, m *msgChain) {
 	}
 	a.relayed[m.Digest] = true
 	ext := &msgChain{Digest: m.Digest, Chain: append(append([]sig.Signature{}, m.Chain...),
-		a.me.Sign(domainChain, m.Digest[:]))}
+		a.pubs.Sign(a.me, domainChain, m.Digest[:]))}
 	ctx.Broadcast(ext)
 }
 
