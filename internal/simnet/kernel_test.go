@@ -81,6 +81,7 @@ type netRun struct {
 
 	parked                          int
 	beyond, later, earlier, dropped bool
+	laneSampled, laneAfterHeap      bool
 	broken                          error
 }
 
@@ -155,11 +156,25 @@ type kernelProbe struct {
 	sc  *netScenario
 	net *Network
 	r   *netRun
+
+	// The scheduler's sequence number at the last inspection (last) and at
+	// the last one before the current instant (floor), which is at: a
+	// transit in the lane numbered floor or lower was queued before now.
+	at          time.Duration
+	floor, last uint64
 }
 
+// Start plays the script on node 0. A timer is a queue event: one running
+// while the lane holds transits is due now with an earlier sequence number
+// than theirs, and they run after it.
 func (k *kernelProbe) Start(ctx *Context) {
 	if ctx.id == 0 {
-		k.sc.script(ctx.At, k.send)
+		k.sc.script(func(t time.Duration, fire func()) {
+			ctx.At(t, func() {
+				k.r.laneAfterHeap = k.r.laneAfterHeap || k.net.sched.lane != nil
+				fire()
+			})
+		}, k.send)
 	}
 }
 
@@ -208,19 +223,41 @@ func (k *kernelProbe) Event(ev obs.Event) {
 			}
 		}
 	}
+	for tr := s.lane; tr != nil; tr = tr.next { // due now, so by the limit
+		smp.pending++
+		smp.adrift--
+		k.r.laneSampled = true
+	}
 	k.r.samples = append(k.r.samples, smp)
 	k.inspect()
 }
 
-// inspect notes the first broken invariant of the queue: an event past a
-// final run's end, or a pipe's wakeup at a slot other than the one its pipe
-// records, so each pipe has one queued wakeup at most and its slot points
-// at it.
+// inspect notes the first broken invariant of the queue and the lane: an
+// event past a final run's end, or a pipe's wakeup at a slot other than the
+// one its pipe records, so each pipe has one queued wakeup at most and its
+// slot points at it; a lane past the end, one whose sequence numbers do not
+// rise from a number given out at this instant (its transits are all due
+// now), or one that does not end at its tail.
 func (k *kernelProbe) inspect() {
-	for i, ev := range k.net.sched.queue {
-		if p, ok := ev.c.(*pipe); ev.at > k.net.sched.end || (ok && p.slot != i) {
-			k.r.broken = cmp.Or(k.r.broken, fmt.Errorf("at %v, the event at slot %d, due %v, is past the end or not at its pipe's slot", k.net.Now(), i, ev.at))
+	s := k.net.sched
+	for i, ev := range s.queue {
+		if p, ok := ev.c.(*pipe); ev.at > s.end || (ok && p.slot != i) {
+			k.r.broken = cmp.Or(k.r.broken, fmt.Errorf("at %v, the event at slot %d, due %v, is past the end or not at its pipe's slot", s.now, i, ev.at))
 		}
+	}
+	if s.now != k.at {
+		k.at, k.floor = s.now, k.last
+	}
+	k.last = s.seq
+	prev, tail := k.floor, (*transit)(nil)
+	for tr := s.lane; tr != nil; tr = tr.next {
+		if tr.seq <= prev || s.now > s.end {
+			k.r.broken = cmp.Or(k.r.broken, fmt.Errorf("at %v, a lane transit numbered %d follows %d (the last number given out before now is %d) or is past the end", s.now, tr.seq, prev, k.floor))
+		}
+		prev, tail = tr.seq, tr
+	}
+	if tail != s.laneTail {
+		k.r.broken = cmp.Or(k.r.broken, fmt.Errorf("at %v, the lane does not end at its tail", s.now))
 	}
 }
 
@@ -309,6 +346,8 @@ func checkKernel(sc *netScenario, seen map[string]bool) (stepped, final netRun, 
 		"a queued wakeup dropped (its plan went to Never or past the end)": stepped.dropped || final.dropped,
 		"parking":              final.parked > stepped.parked,
 		"a timer past the end": final.beyond && slices.ContainsFunc(sc.sends, func(m netSend) bool { return m.at > sc.limit }),
+		"a sample taken while transits wait in the lane":                               stepped.laneSampled || final.laneSampled,
+		"a lane transit run after an earlier-sequenced heap event of the same instant": stepped.laneAfterHeap || final.laneAfterHeap,
 	} {
 		seen[what] = seen[what] || ok
 	}
@@ -430,6 +469,23 @@ func fanIn() *netScenario {
 	return sc
 }
 
+// laneBeforeSample: four 49 152-byte messages leave node 0 at 0.5 s through a
+// 2²⁰ bit/s uplink. Each gets a quarter of it, so all four finish at exactly
+// 2 s, where the last enqueue moved the wakeup before the sampler's event was
+// queued (at 1 s); a fifth send's timer, queued when the fourth fires, falls
+// between them. The wakeup puts the four transits into the lane, and the
+// timer and then the sample run while they wait there: the sample must count
+// them as events due.
+func laneBeforeSample() *netScenario {
+	fast := NewProfile(1e10)
+	sc := &netScenario{seed: 1, limit: 5 * time.Second, links: [][2]*Profile{{NewProfile(1 << 20), fast}, {fast, fast}}}
+	for range 4 {
+		sc.sends = append(sc.sends, netSend{at: 500 * time.Millisecond, from: 0, to: 1, bytes: 49_152})
+	}
+	sc.sends = append(sc.sends, netSend{at: 2 * time.Second, from: 0, to: 1, bytes: 1_000, chained: true})
+	return sc
+}
+
 // netSeeds are the generated networks the table runs. Seeds 17 and 26 are
 // the first that need a dropped plan's wakeup removed and the event moved
 // into its hole re-sifted.
@@ -441,6 +497,7 @@ func TestKernelMatchesReference(t *testing.T) {
 		"a wakeup moved onto a sample":                    movedOntoSample(),
 		"a link dies holding the last message of a burst": deadAfterBurst(),
 		"fan-in through a throttled link":                 fanIn(),
+		"a wakeup fills the lane before a sample":         laneBeforeSample(),
 	}
 	for _, seed := range netSeeds {
 		cases[fmt.Sprintf("seed %d", seed)] = genNetwork(seed)

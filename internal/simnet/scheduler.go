@@ -170,6 +170,12 @@ type Scheduler struct {
 	seq   uint64
 	queue eventQueue
 
+	// lane holds the transits due at now, in sequence order, threaded
+	// through transit.next: a pipe hands every finished transfer on at now,
+	// and these need no heap. RunUntil merges the lane with the queue in
+	// (at, seq) order. lane is its head, laneTail its tail.
+	lane, laneTail *transit
+
 	// end is the run's last instant: Network.Run sets it to its limit before
 	// the first event, and nothing past it is queued or planned. Never (the
 	// default) keeps everything, for a scheduler stepped by RunUntil. beyond
@@ -207,6 +213,16 @@ func (s *Scheduler) push(t time.Duration, c completion) {
 		return // it could never run; skipping its seq keeps every other event's order
 	}
 	s.seq++
+	if tr, ok := c.(*transit); ok && t == s.now {
+		tr.seq = s.seq // tr.next is nil: a transit in flight is on no list
+		if s.laneTail == nil {
+			s.lane = tr
+		} else {
+			s.laneTail.next = tr
+		}
+		s.laneTail = tr
+		return
+	}
 	s.queue.push(event{at: t, seq: s.seq, c: c})
 }
 
@@ -229,15 +245,28 @@ func (s *Scheduler) After(d time.Duration, fn func()) { s.At(addDur(s.now, d), f
 // RunUntil executes events in timestamp order until the queue is empty or
 // the next event is after the limit; the clock then rests at the limit (or
 // at the last event if the queue drained first). It returns the number of
-// events executed.
+// events executed. The lane's head runs before the queue's top unless the
+// top is due now with an earlier sequence number: the lane is due now in
+// rising sequence order, so the merge is the queue's own (at, seq) order.
 //
 //detlint:hotpath
 func (s *Scheduler) RunUntil(limit time.Duration) uint64 {
 	var executed uint64
-	for len(s.queue) > 0 && s.queue[0].at <= limit {
-		next := s.queue.pop()
-		s.now = next.at
-		next.c.complete(s.now)
+	for {
+		if tr := s.lane; tr != nil && s.now <= limit &&
+			(len(s.queue) == 0 || s.queue[0].at > s.now || s.queue[0].seq > tr.seq) {
+			s.lane, tr.next = tr.next, nil
+			if s.lane == nil {
+				s.laneTail = nil
+			}
+			tr.complete(s.now)
+		} else if len(s.queue) > 0 && s.queue[0].at <= limit {
+			next := s.queue.pop()
+			s.now = next.at
+			next.c.complete(s.now)
+		} else {
+			break
+		}
 		executed++
 	}
 	if s.now < limit && limit != Never {
@@ -250,7 +279,13 @@ func (s *Scheduler) RunUntil(limit time.Duration) uint64 {
 // Run executes events until the queue is empty.
 func (s *Scheduler) Run() uint64 { return s.RunUntil(Never) }
 
-// Pending reports how many events are queued. A pipe queues one wakeup at
-// most, its live one, so the queue drains as soon as nothing is left to run
-// (the traced sampler's stop condition).
-func (s *Scheduler) Pending() int { return len(s.queue) }
+// Pending reports how many events are queued, the lane's included. A pipe
+// queues one wakeup at most, its live one, so the queue drains as soon as
+// nothing is left to run (the traced sampler's stop condition).
+func (s *Scheduler) Pending() int {
+	n := len(s.queue)
+	for tr := s.lane; tr != nil; tr = tr.next {
+		n++
+	}
+	return n
+}

@@ -29,7 +29,15 @@
 //     order. The sequence number is unique, so the order is total and does
 //     not depend on the heap's internal shape; the queue is a value-typed
 //     4-ary heap purely as an optimization (no per-event allocation, no
-//     container/heap boxing, half the sift depth of a binary heap).
+//     container/heap boxing, half the sift depth of a binary heap). A
+//     transit queued for the current instant skips the heap: it takes its
+//     sequence number and joins a FIFO lane, and RunUntil runs the lane's
+//     head or the heap's top, whichever is first in (timestamp, sequence)
+//     order. A pipe hands every finished transfer on at once, so two of a
+//     message's three transit legs are due now. The lane's transits are
+//     all due now, in rising sequence order, so the merge executes the
+//     heap's own order, event for event; pipe wakeups, timers and latency
+//     legs stay in the heap.
 //
 //   - Equal share. A pipe divides its instantaneous capacity equally among
 //     its in-flight transfers: each gets exactly rate/n. Nothing caps an
@@ -73,7 +81,12 @@
 //   - No per-step garbage. A transfer is a 32-byte heap entry stored by
 //     value; a warm pipe allocates nothing per enqueue or wakeup, however
 //     deep (TestPipeEqualShareAllocFree), and a queue built one arrival at
-//     a time allocates O(n) in total (TestPipeRampAllocatesLinearly).
+//     a time allocates O(n) in total (TestPipeRampAllocatesLinearly). The
+//     lane is threaded through the transits' own next field, the transit
+//     pool's free-list link, which no in-flight transit uses, and a transit
+//     with its sequence number stays in the 80-byte size class
+//     (TestTransitShape), so a same-instant burst allocates nothing
+//     (TestSameInstantBurstAllocFree).
 //
 //   - Checked against a reference. The _test.go files hold a naive kernel
 //     with no parking or run end: a sorted-slice scheduler, links that walk
