@@ -78,6 +78,8 @@ func NewVerifier(pubs *sig.Registry, threshold int, epoch uint64, prev sig.Diges
 // Check classifies one fetched document's chain link. The first validly
 // signed successor is accepted and becomes the reference; a later valid link
 // with a different digest yields VerdictFork and a recorded ForkProof.
+//
+//detlint:hotpath
 func (v *Verifier) Check(l chain.Link) Verdict {
 	if l.Epoch < v.epoch || l.Digest == v.prev {
 		return VerdictStale
@@ -109,6 +111,8 @@ func (v *Verifier) Check(l chain.Link) Verdict {
 }
 
 // validSigs memoizes the threshold signature check per document digest.
+//
+//detlint:hotpath
 func (v *Verifier) validSigs(l chain.Link) bool {
 	if ok, seen := v.valid[l.Digest]; seen {
 		return ok

@@ -6,6 +6,9 @@ import (
 	"time"
 
 	"partialtor/internal/attack"
+	"partialtor/internal/faults"
+	"partialtor/internal/gossip"
+	"partialtor/internal/simnet"
 	"partialtor/internal/topo"
 )
 
@@ -26,16 +29,7 @@ func benchSpec() Spec {
 // BenchmarkDistributionMillionClients runs one healthy distribution phase —
 // the fleet tier's per-tick draw machinery is the hot path.
 func BenchmarkDistributionMillionClients(b *testing.B) {
-	spec := benchSpec()
-	var covered int
-	for i := 0; i < b.N; i++ {
-		res, err := Run(spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		covered = res.Covered
-	}
-	b.ReportMetric(float64(covered), "covered")
+	benchRun(b, benchSpec())
 }
 
 // BenchmarkDistributionCacheFlood runs the same phase under a cache-tier
@@ -50,15 +44,7 @@ func BenchmarkDistributionCacheFlood(b *testing.B) {
 		End:      10 * time.Minute,
 		Residual: 2e6,
 	}}
-	var covered int
-	for i := 0; i < b.N; i++ {
-		res, err := Run(spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		covered = res.Covered
-	}
-	b.ReportMetric(float64(covered), "covered")
+	benchRun(b, spec)
 }
 
 // BenchmarkDistributionFanIn runs the benchmark's fanin op: two million
@@ -67,22 +53,13 @@ func BenchmarkDistributionCacheFlood(b *testing.B) {
 // on one pipe, where the finish-tag heap and the wakeups moved in place work
 // (both judged at small scale by simnet's TestKernelMatchesReference).
 func BenchmarkDistributionFanIn(b *testing.B) {
-	spec := Spec{
+	benchRun(b, Spec{
 		Clients: 2_000_000, Caches: 32, Fleets: 8, Seed: 1,
 		Attacks: []attack.Plan{
 			{Tier: attack.TierCache, Targets: attack.FirstTargets(16), End: 10 * time.Minute, Residual: 1e6},
 			{Tier: attack.TierAuthority, Targets: attack.MajorityTargets(9), End: 5 * time.Minute, Residual: 0.5e6},
 		},
-	}
-	var covered int
-	for i := 0; i < b.N; i++ {
-		res, err := Run(spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		covered = res.Covered
-	}
-	b.ReportMetric(float64(covered), "covered")
+	})
 }
 
 // race2Spec is the benchmark's race2 op: 50 k racing clients (K = 2) over
@@ -100,7 +77,58 @@ func race2Spec() Spec {
 // BenchmarkDistributionRace runs the race2 op: the racing client's waves,
 // failover timers and laggard accounting, against pipes dead to the end.
 func BenchmarkDistributionRace(b *testing.B) {
-	spec := race2Spec()
+	benchRun(b, race2Spec())
+}
+
+// benchChaosSpec is the benchmark's chaos op at seed 1: every authority
+// flooded out, a fanout-3 mesh from one seeded mirror, jittered backoff, and
+// 30 % of the 50 mirrors crashed while a further 20 % churn away and back.
+func benchChaosSpec() Spec {
+	const caches = 50
+	return Spec{
+		Clients: 1_000_000, Caches: caches, Seed: 1,
+		TargetCoverage: 0.9,
+		Attacks: []attack.Plan{{
+			Tier: attack.TierAuthority, Targets: attack.FirstTargets(9),
+			End: 90 * time.Minute, Residual: 0,
+		}},
+		Gossip:  &gossip.Config{Fanout: 3, Seeds: []int{0}},
+		Backoff: &faults.Backoff{Base: 10 * time.Second, Cap: time.Minute, Jitter: 0.5},
+		Faults: &faults.Plan{Faults: []faults.Fault{
+			{
+				Kind: faults.Crash, Tier: attack.TierCache,
+				Targets: faults.SpreadTargets(1, caches, caches*3/10),
+				Start:   5 * time.Minute, End: 10 * time.Minute,
+			},
+			{
+				Kind: faults.Churn, Tier: attack.TierCache,
+				Targets: faults.SpreadTargets(2, caches, caches*2/10),
+				Start:   6 * time.Minute, End: 12 * time.Minute,
+			},
+		}},
+	}
+}
+
+// BenchmarkDistributionChaos runs the chaos op: the gossip push, pull and
+// anti-entropy timers, the fault windows and the backoff bursts.
+func BenchmarkDistributionChaos(b *testing.B) {
+	benchRun(b, benchChaosSpec())
+}
+
+// BenchmarkDistributionVerify runs the benchmark's verify op at seed 1:
+// chain-verifying fleets against four equivocating caches of twenty.
+func BenchmarkDistributionVerify(b *testing.B) {
+	benchRun(b, Spec{
+		Clients: 200_000, Caches: 20, Seed: 1,
+		VerifyClients: true,
+		Compromise: &attack.CompromisePlan{
+			Targets: attack.FirstTargets(4), Mode: attack.CompromiseEquivocate,
+		},
+	})
+}
+
+// benchRun runs spec b.N times and reports the clients it covered.
+func benchRun(b *testing.B, spec Spec) {
 	var covered int
 	for i := 0; i < b.N; i++ {
 		res, err := Run(spec)
@@ -144,8 +172,10 @@ func TestLegacyLoopAllocatesNoMessage(t *testing.T) {
 }
 
 func TestHealthyRunAllocationCeiling(t *testing.T) {
-	// benchSpec's healthy run: about 3 840 allocations and 1.5 MB; the
-	// code before the message pool and curve merge made about 37 430 and 3.2 MB.
+	// benchSpec's healthy run: about 1 590 allocations and 0.46 MB (3 840
+	// and 1.5 MB before its curve was reserved once and its ticks bound);
+	// the code before the message pool and curve merge made about 37 430
+	// and 3.2 MB.
 	allocs, bytes := runAllocs(t, benchSpec())
 	if allocs > 5_000 {
 		t.Errorf("healthy run allocated %.0f times, want at most 5 000", allocs)
@@ -156,7 +186,7 @@ func TestHealthyRunAllocationCeiling(t *testing.T) {
 }
 
 func TestRacingRunAllocationCeiling(t *testing.T) {
-	// race2Spec's run: about 23 060 allocations and 2.0 MB. Before a network
+	// race2Spec's run: about 20 060 allocations and 1.4 MB. Before a network
 	// knew its end, and before races and wave timers were recycled, it made
 	// about 49 320 and 8.1 MB: every fetch parked on a dead eu downlink was
 	// stored, re-shared and re-planned.
@@ -166,5 +196,88 @@ func TestRacingRunAllocationCeiling(t *testing.T) {
 	}
 	if bytes > 3<<20 {
 		t.Errorf("racing run allocated %d bytes, want at most 3 MiB", bytes)
+	}
+}
+
+func TestCoverageCurveReservedOnce(t *testing.T) {
+	// Every fleet's clients outnumber its caches × ticks here, so each curve
+	// is reserved at one point per fleet, cache and tick plus an eighth; a
+	// capacity equal to that reservation means the curve was allocated once
+	// and never grown.
+	spec := benchSpec()
+	res, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slots := res.Spec.Fleets * res.Spec.Caches * res.Spec.numTicks()
+	if want := slots + slots/8; cap(res.Points) != want || len(res.Points) == 0 {
+		t.Errorf("healthy curve holds %d points in %d, want it reserved once at %d", len(res.Points), cap(res.Points), want)
+	}
+
+	race := race2Spec()
+	res, err = Run(race)
+	if err != nil {
+		t.Fatal(err)
+	}
+	regions := race.Topology.NumRegions()
+	if race.Fleets%regions != 0 {
+		t.Fatalf("%d fleets do not split evenly over %d regions", race.Fleets, regions)
+	}
+	slots = race.Fleets / regions * res.Spec.Caches * res.Spec.numTicks()
+	for _, rc := range res.Regions {
+		if want := slots + slots/8; cap(rc.Points) != want || len(rc.Points) == 0 {
+			t.Errorf("region %s curve holds %d points in %d, want it reserved once at %d", rc.Name, len(rc.Points), cap(rc.Points), want)
+		}
+	}
+
+	// A consensus that is never published covers nobody: no curve at all.
+	never := benchSpec()
+	never.PublishAt = simnet.Never
+	res, err = Run(never)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Points != nil {
+		t.Errorf("unpublished run allocated a curve of %d points", cap(res.Points))
+	}
+}
+
+func TestSteadyStateTimersAllocateNothing(t *testing.T) {
+	// Two runs of one shape, the second twenty minutes longer: its 480 extra
+	// fleet ticks, and, with every authority flooded out for good, its 40
+	// extra retry bursts and 640 extra cache fetch timeouts, must allocate
+	// nothing. Ticks and bursts re-arm bound callbacks, cache timers and
+	// nacks come back to the run's pool, and the curve is reserved once.
+	// With a closure per timer and a nack per refusal, the flooded pair's
+	// longer run made about 6 000 more allocations.
+	shape := func(window time.Duration, flooded bool) Spec {
+		s := Spec{Clients: 200_000, Caches: 8, Fleets: 2, FetchWindow: window, Tick: 5 * time.Second, Seed: 3}
+		if flooded {
+			s.Attacks = []attack.Plan{{Tier: attack.TierAuthority, Targets: attack.FirstTargets(9), End: 24 * time.Hour}}
+		}
+		return s
+	}
+	for _, flooded := range []bool{false, true} {
+		short, long := shape(10*time.Minute, flooded), shape(30*time.Minute, flooded)
+		a10, _ := runAllocs(t, short)
+		a30, _ := runAllocs(t, long)
+		if extra := a30 - a10; extra > 16 {
+			t.Errorf("flooded=%v: twenty more minutes allocated %.0f times (%.0f → %.0f), want none", flooded, extra, a10, a30)
+		}
+		if !flooded {
+			continue
+		}
+		r10, err := Run(short)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r30, err := Run(long)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r30.RetryBursts <= r10.RetryBursts || r30.CacheFallbacks <= r10.CacheFallbacks {
+			t.Errorf("the longer flood fired no extra bursts (%d → %d) or timeouts (%d → %d)",
+				r10.RetryBursts, r30.RetryBursts, r10.CacheFallbacks, r30.CacheFallbacks)
+		}
 	}
 }

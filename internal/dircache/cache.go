@@ -77,9 +77,19 @@ type cacheNode struct {
 	down    int
 
 	fullsServed, diffsServed int
+
+	// ctx is the cache's context, kept for its timers: the fetch and pull
+	// timers come from the run's msgPool (cacheTimer), and the mesh's two
+	// recurring timers are bound once in Start.
+	ctx *simnet.Context
 }
 
 func (c *cacheNode) Start(ctx *simnet.Context) {
+	c.ctx = ctx
+	if g := c.gossip; g != nil {
+		g.onAnnounce = func() { c.gossipAnnounce(ctx) }
+		g.onAntiEntropy = func() { c.antiEntropyRound(ctx) }
+	}
 	c.scheduleFaults(ctx)
 	if c.role == roleStale {
 		// A stale cache has nothing to fetch: its whole misbehavior is
@@ -115,19 +125,24 @@ func (c *cacheNode) Start(ctx *simnet.Context) {
 // boundary in the plan, so survivors route around departed mirrors the
 // instant membership changes. Everything is scheduled before the clock
 // starts; a fault plan adds no RNG draws.
+//
+//detlint:hotpath
 func (c *cacheNode) scheduleFaults(ctx *simnet.Context) {
 	for _, w := range c.windows {
 		if w.Fault == nil {
 			continue // a flood is capacity alone
 		}
 		churn := w.Fault.Kind == faults.Churn
-		ctx.At(w.Start, func() { c.faultDown(ctx, churn) })
+		//detlint:hotpath ok(wiring time: one closure per window edge, armed once before the clock starts)
+		ctx.At(w.Start, func() { c.faultDown(churn) })
+		//detlint:hotpath ok(as above)
 		ctx.At(w.End, func() { c.faultUp(ctx, churn) })
 	}
 	if c.gossip == nil {
 		return
 	}
 	for _, at := range c.sched.ChurnBoundaries() {
+		//detlint:hotpath ok(wiring time: one closure per churn boundary, armed once before the clock starts)
 		ctx.At(at, func() { c.rebuildPeers(ctx) })
 	}
 }
@@ -141,13 +156,12 @@ func (c *cacheNode) scheduleFaults(ctx *simnet.Context) {
 // The node's own timers keep firing during downtime; anything they send
 // stalls on the zero-rate uplink until the restart, which is the documented
 // (and deterministic) cost of the fluid model.
-func (c *cacheNode) faultDown(ctx *simnet.Context, churn bool) {
+func (c *cacheNode) faultDown(churn bool) {
 	if c.role != roleHonest {
 		return
 	}
 	c.down++
 	c.have = false
-	ctx.Logf("notice", "fault: down at %v (churn=%v)", ctx.Now(), churn)
 	if g := c.gossip; g != nil {
 		g.eng.SetEpoch(0)
 		if churn {
@@ -169,7 +183,6 @@ func (c *cacheNode) faultUp(ctx *simnet.Context, churn bool) {
 	if c.down > 0 {
 		return // an overlapping window still holds the node down
 	}
-	ctx.Logf("notice", "fault: restarted at %v (churn=%v)", ctx.Now(), churn)
 	if g := c.gossip; g != nil && churn {
 		g.left = false
 		c.rebuildPeers(ctx)
@@ -193,13 +206,53 @@ func (c *cacheNode) requestNext(ctx *simnet.Context) {
 	seq := c.attempt
 	ctx.Trace(obs.Event{Type: obs.EvCacheFetch, Peer: int(auth), A: int64(seq)})
 	ctx.Send(auth, dirRequest{seq: seq})
-	ctx.After(cacheFetchTimeout, func() {
+	ctx.After(cacheFetchTimeout, c.pool.cacheTimer(c, timerFetch, seq).fire)
+}
+
+// cacheTimerKind is what a cacheTimer does when it fires.
+type cacheTimerKind uint8
+
+const (
+	// timerFetch gives up on authority attempt seq and falls back to the
+	// next authority; timerRefused asks the next one after attempt seq was
+	// refused. Both do nothing once the cache holds the document or has
+	// moved past attempt seq.
+	timerFetch cacheTimerKind = iota
+	timerRefused
+	// timerPull expires mesh pull seq if it is still outstanding.
+	timerPull
+)
+
+// cacheTimer is one armed cache timer: its kind and the attempt or pull
+// sequence number it guards. Timers come from the run's msgPool and go back
+// as they fire, like waveTimer, so arming one allocates nothing once the
+// pool is warm.
+type cacheTimer struct {
+	c    *cacheNode
+	seq  int
+	kind cacheTimerKind
+	fire func()
+}
+
+//detlint:hotpath
+func (t *cacheTimer) run() {
+	c, seq, kind := t.c, t.seq, t.kind
+	c.pool.cacheTimers.put(t)
+	ctx := c.ctx
+	switch kind {
+	case timerPull:
+		c.gossip.eng.PullExpired(seq)
+	case timerFetch:
 		if !c.have && c.attempt == seq {
-			ctx.Logf("info", "authority %d timed out, falling back", auth)
+			auth := c.authOrder[(seq-1)%len(c.authOrder)]
 			ctx.Trace(obs.Event{Type: obs.EvCacheFallback, Peer: int(auth), A: int64(seq)})
 			c.requestNext(ctx)
 		}
-	})
+	case timerRefused:
+		if !c.have && c.attempt == seq {
+			c.requestNext(ctx)
+		}
+	}
 }
 
 func (c *cacheNode) Deliver(ctx *simnet.Context, from simnet.NodeID, msg simnet.Message) {
@@ -210,7 +263,6 @@ func (c *cacheNode) Deliver(ctx *simnet.Context, from simnet.NodeID, msg simnet.
 		}
 		c.have = true
 		c.fetchedAt = ctx.Now()
-		ctx.Logf("notice", "consensus cached at %v after %d attempt(s)", c.fetchedAt, c.attempt)
 		if c.gossip != nil {
 			c.gossipAcquire(ctx)
 		}
@@ -223,12 +275,7 @@ func (c *cacheNode) Deliver(ctx *simnet.Context, from simnet.NodeID, msg simnet.
 		if m.seq != c.attempt {
 			return
 		}
-		seq := m.seq
-		ctx.After(cacheRetry, func() {
-			if !c.have && c.attempt == seq {
-				c.requestNext(ctx)
-			}
-		})
+		ctx.After(cacheRetry, c.pool.cacheTimer(c, timerRefused, m.seq).fire)
 
 	case *fleetFetch:
 		c.serve(ctx, from, m)
@@ -258,7 +305,7 @@ func (c *cacheNode) serve(ctx *simnet.Context, from simnet.NodeID, m *fleetFetch
 		link = &c.chainCtx.Fork
 	default:
 		if !c.have {
-			ctx.Send(from, &fetchNack{fulls: m.fulls, diffs: m.diffs, race: m.race})
+			ctx.Send(from, c.pool.nack(m.fulls, m.diffs, m.race))
 			return
 		}
 		if c.chainCtx != nil {

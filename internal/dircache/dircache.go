@@ -229,6 +229,12 @@ func (s *Spec) DiffBytes() int64 {
 	return max(1, s.DocBytes*DefaultDiffBytes/DefaultDocBytes)
 }
 
+// numTicks is how many fleet ticks cover the fetch window: one per Tick, the
+// last clamped to the window's end. Call it on a defaulted spec.
+func (s *Spec) numTicks() int {
+	return max(1, int((s.FetchWindow+s.Tick-1)/s.Tick))
+}
+
 // RunLimit bounds the simulation: the fetch window plus 30 minutes for the
 // stragglers' retries. Call it on a defaulted spec.
 func (s *Spec) RunLimit() time.Duration { return s.FetchWindow + 30*time.Minute }
@@ -379,24 +385,27 @@ type fetchNack struct {
 func (m *fetchNack) Size() int64  { return int64(m.fulls+m.diffs) * nackBytes }
 func (m *fetchNack) Kind() string { return "fetch-nack" }
 
-// msgPool recycles the two messages every batch sends, so a fleet's fetch →
-// serve → batch loop allocates no message once the first tick's are in
+// msgPool recycles the messages of a fleet's fetch → serve → batch (or
+// nack) loop, so it allocates no message once the first tick's are in
 // circulation. A message goes back when the Deliver it was handed to
 // returns: nothing keeps *m past that (receiveBatch keeps m.link, which
 // points into the run's ChainContext, and handleFork copies *m.link). The
 // racing client's state rides the same pool: a race goes back when
-// finishRace drops it from its fleet's map, a wave timer as it fires. One
-// Run owns one pool, used by its single goroutine; it is never a sync.Pool
-// and never package-level, because sweeps run Run concurrently.
+// finishRace drops it from its fleet's map, a wave timer or a cache's
+// fetch, refusal or pull timer as it fires. One Run owns one pool, used by
+// its single goroutine; it is never a sync.Pool and never package-level,
+// because sweeps run Run concurrently.
 type msgPool struct {
-	fetches freeList[fleetFetch]
-	batches freeList[docBatch]
-	races   freeList[raceState]
-	timers  freeList[waveTimer]
+	fetches     freeList[fleetFetch]
+	batches     freeList[docBatch]
+	nacks       freeList[fetchNack]
+	races       freeList[raceState]
+	timers      freeList[waveTimer]
+	cacheTimers freeList[cacheTimer]
 }
 
-// fetch and batch take a message from the pool, or allocate one while the
-// pool is still filling.
+// fetch, batch and nack take a message from the pool, or allocate one
+// while the pool is still filling.
 func (p *msgPool) fetch(fulls, diffs int, race int64) *fleetFetch {
 	m := p.fetches.get()
 	if m == nil {
@@ -412,6 +421,15 @@ func (p *msgPool) batch(fulls, diffs int, bytes int64, link *chain.Link, race in
 		m = new(docBatch)
 	}
 	*m = docBatch{fulls: fulls, diffs: diffs, bytes: bytes, link: link, race: race}
+	return m
+}
+
+func (p *msgPool) nack(fulls, diffs int, race int64) *fetchNack {
+	m := p.nacks.get()
+	if m == nil {
+		m = new(fetchNack)
+	}
+	*m = fetchNack{fulls: fulls, diffs: diffs, race: race}
 	return m
 }
 
@@ -436,6 +454,18 @@ func (p *msgPool) timer(f *fleetNode, ctx *simnet.Context, id int64, wave int) *
 	}
 	w.f, w.ctx, w.id, w.wave = f, ctx, id, wave
 	return w
+}
+
+// cacheTimer takes a timer of the given kind bound to cache c and sequence
+// number seq.
+func (p *msgPool) cacheTimer(c *cacheNode, kind cacheTimerKind, seq int) *cacheTimer {
+	t := p.cacheTimers.get()
+	if t == nil {
+		t = new(cacheTimer)
+		t.fire = t.run
+	}
+	t.c, t.kind, t.seq = c, kind, seq
+	return t
 }
 
 // freeList is a stack of spare messages of one type.

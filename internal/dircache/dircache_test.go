@@ -298,7 +298,7 @@ func TestConcurrentRunsSharedAttacks(t *testing.T) {
 func TestFinalTickSpanShortened(t *testing.T) {
 	spec := (&Spec{FetchWindow: 25 * time.Second, Tick: 10 * time.Second}).withDefaults()
 	f := &fleetNode{spec: &spec}
-	if n := f.numTicks(); n != 3 {
+	if n := f.spec.numTicks(); n != 3 {
 		t.Fatalf("numTicks=%d, want 3", n)
 	}
 	for k, want := range map[int][2]time.Duration{
@@ -314,7 +314,7 @@ func TestFinalTickSpanShortened(t *testing.T) {
 	// An exactly dividing window has no shortened tick.
 	even := (&Spec{FetchWindow: 30 * time.Second, Tick: 10 * time.Second}).withDefaults()
 	f2 := &fleetNode{spec: &even}
-	if n := f2.numTicks(); n != 3 {
+	if n := f2.spec.numTicks(); n != 3 {
 		t.Fatalf("even numTicks=%d, want 3", n)
 	}
 	if start, end := f2.tickSpan(3); start != 20*time.Second || end != 30*time.Second {

@@ -26,9 +26,23 @@ type CoveragePoint struct {
 // and events run in time order, so appending each change — folded into the
 // last point when that is at the same instant — is the merge of the
 // fleets' curves.
+//
+// Its storage is taken once, at the first point, sized by what the fleets it
+// covers can add: a fleet asks each cache once a tick and each answer lands
+// at one instant, so one point per fleet, cache and tick, and never more
+// points than the fleet has clients (covers sums that bound), plus an eighth
+// for retry bursts and retractions. A curve that outgrows it grows by a
+// quarter; a run that covers nobody allocates no curve.
 type coverageCurve struct {
-	points []CoveragePoint
-	count  int
+	points  []CoveragePoint
+	count   int
+	reserve int // the points the covered fleets can add without retries
+}
+
+// covers adds one fleet's share to the curve's reservation: a point per
+// cache and tick, capped at the fleet's clients.
+func (c *coverageCurve) covers(caches, ticks, clients int) {
+	c.reserve += min(caches*ticks, clients)
 }
 
 // add records a coverage change of n clients at instant at.
@@ -46,9 +60,14 @@ func (c *coverageCurve) add(at time.Duration, n int) {
 	c.points = append(c.points, CoveragePoint{At: at, Count: c.count})
 }
 
-// grow doubles the curve's storage.
+// grow takes the curve's reserved storage at its first point and adds a
+// quarter whenever it is full after that.
 func (c *coverageCurve) grow() {
-	points := make([]CoveragePoint, len(c.points), max(2*cap(c.points), 64))
+	n := c.reserve + c.reserve/8
+	if k := cap(c.points); k > 0 {
+		n = k + max(k/4, 1)
+	}
+	points := make([]CoveragePoint, len(c.points), n)
 	copy(points, c.points)
 	c.points = points
 }
@@ -151,6 +170,14 @@ type fleetNode struct {
 	// slice per cache — the distribution tier's hot-path garbage.
 	counts  []int
 	scratch drawScratch
+
+	// The fleet's two timers, bound once in Start: at most one tick and one
+	// retry burst are armed at a time, so neither needs a closure per event.
+	// nextTick is the tick onTick runs.
+	ctx      *simnet.Context
+	nextTick int
+	onTick   func()
+	onRetry  func()
 }
 
 // forkEvent is a fleet's evolving record of one detected fork: which digest
@@ -178,6 +205,9 @@ type raceState struct {
 }
 
 func (f *fleetNode) Start(ctx *simnet.Context) {
+	f.ctx = ctx
+	f.onTick = f.runTick
+	f.onRetry = f.retryFire
 	f.unrequested = f.clients
 	if f.chainCtx != nil {
 		f.cacheIdx = make(map[simnet.NodeID]int, len(f.caches))
@@ -199,26 +229,28 @@ func (f *fleetNode) Start(ctx *simnet.Context) {
 	f.scheduleTick(ctx, 1)
 }
 
-func (f *fleetNode) numTicks() int {
-	n := int((f.spec.FetchWindow + f.spec.Tick - 1) / f.spec.Tick)
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
+// scheduleTick arms tick k, unless the window has no tick k.
+//
+//detlint:hotpath
 func (f *fleetNode) scheduleTick(ctx *simnet.Context, k int) {
-	if k > f.numTicks() {
+	if k > f.spec.numTicks() {
 		return
 	}
 	at := time.Duration(k) * f.spec.Tick
 	if at > f.spec.FetchWindow {
 		at = f.spec.FetchWindow
 	}
-	ctx.At(at, func() {
-		f.tick(ctx, k)
-		f.scheduleTick(ctx, k+1)
-	})
+	f.nextTick = k
+	ctx.At(at, f.onTick)
+}
+
+// runTick issues the armed tick and arms the next.
+//
+//detlint:hotpath
+func (f *fleetNode) runTick() {
+	k := f.nextTick
+	f.tick(f.ctx, k)
+	f.scheduleTick(f.ctx, k+1)
 }
 
 // tickSpan returns the (start, end] interval tick k covers. Only the final
@@ -349,7 +381,7 @@ func (f *fleetNode) tick(ctx *simnet.Context, k int) {
 		// whatever the low-index caches left over — a first-come clamp
 		// systematically starves the high-index caches.
 		counts = clampDraws(&f.scratch, counts, f.unrequested)
-	} else if k == f.numTicks() {
+	} else if k == f.spec.numTicks() {
 		// Final tick: flush the clients the Poisson draws left behind.
 		extra := splitCounts(&f.scratch.splitA, ctx.Rand(), f.unrequested-total, weights)
 		for i := range counts {
@@ -383,10 +415,11 @@ func (f *fleetNode) Deliver(ctx *simnet.Context, from simnet.NodeID, msg simnet.
 	case *fetchNack:
 		if m.race != 0 {
 			f.receiveRaceNack(ctx, m)
-			return
+		} else {
+			f.failed += int64(m.fulls + m.diffs)
+			f.repool(ctx, m.fulls, m.diffs)
 		}
-		f.failed += int64(m.fulls + m.diffs)
-		f.repool(ctx, m.fulls, m.diffs)
+		f.pool.nacks.put(m)
 	}
 }
 
@@ -814,13 +847,16 @@ func (f *fleetNode) armRetry(ctx *simnet.Context) {
 	}
 	f.retryArmed = true
 	f.retryBursts++
-	ctx.After(delay, func() { f.retryFire(ctx) }) //detlint:hotpath ok(one closure per armed burst, amortized over the backoff wait; the delay math itself is allocation-free)
+	ctx.After(delay, f.onRetry)
 }
 
 // retryFire re-issues the coalesced pool across the caches by the current
 // selection weights — the body of the retry burst, shared by the legacy
 // fixed-delay and the backoff schedules.
-func (f *fleetNode) retryFire(ctx *simnet.Context) {
+//
+//detlint:hotpath
+func (f *fleetNode) retryFire() {
+	ctx := f.ctx
 	f.retryArmed = false
 	fulls, diffs := f.pendingFulls, f.pendingDiffs
 	f.pendingFulls, f.pendingDiffs = 0, 0

@@ -474,7 +474,10 @@ func (r *Result) FleetRun(slot time.Duration) client.Run {
 // policy interval. This is the population-level analogue of the per-client
 // timeline: validity windows start when the document has actually reached
 // the target coverage, not when the authorities published it.
+//
+//detlint:hotpath
 func FleetTimeline(p client.Policy, results []*Result) *client.Timeline {
+	//detlint:hotpath ok(once per campaign: the period runs NewTimeline sorts a copy of)
 	runs := make([]client.Run, len(results))
 	for i, r := range results {
 		runs[i] = r.FleetRun(time.Duration(i) * p.Interval)

@@ -104,13 +104,16 @@ func Run(spec Spec) (*Result, error) {
 	if tp != nil {
 		coverage.regions = make([]coverageCurve, tp.NumRegions())
 	}
+	ticks := spec.numTicks()
 	for i := range fleets {
 		f := &fleetNode{spec: &spec, pool: pool, clients: fleetClients[i], caches: cacheIDs,
 			weights: weights, chainCtx: spec.Chain, coverage: coverage}
+		coverage.total.covers(spec.Caches, ticks, f.clients)
 		region, bw := nodePlacement(tp, fleetRegions, i, fleetBandwidth)
 		if tp != nil {
 			f.region = region
 			f.weights = biasWeights(tp, region, cacheRegions, weights)
+			coverage.regions[region].covers(spec.Caches, ticks, f.clients)
 		}
 		up := simnet.NewProfile(bw)
 		down := simnet.NewProfile(bw)

@@ -22,7 +22,7 @@ import (
 )
 
 // The golden kernel corpus is one table of cell kinds (goldenKinds), each
-// run for every paper protocol at every seed in goldenSeeds: 3 × 3 × 6 = 54
+// run for every paper protocol at every seed in goldenSeeds: 3 × 3 × 7 = 63
 // cells. A kind is a scenario, an optional counterfactual baseline and an
 // optional claim:
 //
@@ -32,7 +32,9 @@ import (
 //   - gossip: the total authority outage recovered through the cache mesh;
 //   - faults: that outage plus mid-run crashes and mesh churn;
 //   - outage: the paper's headline, the five-minute majority outage, on
-//     votes at the calibrated entry padding and with no distribution phase.
+//     votes at the calibrated entry padding and with no distribution phase;
+//   - sameinstant: a mirror's fetch timeout and a mesh transfer finishing
+//     at one instant, which pins the kernel's same-instant order.
 //
 // A baseline is the kind's scenario with the mitigation taken out of its
 // distribution spec (no mesh; no mesh, backoff or faults). It runs on the
@@ -139,6 +141,21 @@ var goldenKernelDigests = map[string]string{
 	"Ours/seed1/outage":         "310dec05103c3675c1c9fbb02434f29bd7b34d5cc7dbcc82b25493aa79e3a4c4",
 	"Ours/seed7/outage":         "13bdec51b83a0c5cce60abd7b8c8910ebe2e12d0545c482a62e41ec70715a645",
 	"Ours/seed42/outage":        "5d8d2d485bfb055f10cffce84011c3fc9f055cf90f5d19e98b7900d5f2543a6d",
+
+	// The sameinstant cells pin the order of a timer and a transfer
+	// completion due at one instant (the heap's (at, seq) order, which the
+	// scheduler's same-instant lane keeps): a lane run before the
+	// earlier-armed timeout moves every one of them. Recorded after the
+	// cells above; no earlier digest changed.
+	"Current/seed1/sameinstant":      "672437739f8d27bd51d1e7e81b4473e9d7a87171d13017d7247d98c7ec817824",
+	"Current/seed7/sameinstant":      "371cf93dc2cf447691345d63328da7a9ab71d79d71bc74b0d9064afedae942c7",
+	"Current/seed42/sameinstant":     "470dfa58a47762c3353332c8976eb0e4e1e8aff67168b2b12e21eec6776aa4ab",
+	"Synchronous/seed1/sameinstant":  "2e0b5fbcfbeec8936c8c7c3ba2f75a36999e3f5cbcd4c2b80f24b2aa7bfcbffe",
+	"Synchronous/seed7/sameinstant":  "19aaf7dd3e974ad072da339a8db3eb8f464e3da0926c5824f18b599818ac2dd2",
+	"Synchronous/seed42/sameinstant": "b320ee0b94795caa8fdc7fc32bc6a66b6fde8b62865773c3afb87203e09dbf71",
+	"Ours/seed1/sameinstant":         "4ed0ee2bfbd250994442d2c51d52f57d93289037b10b6b950a7b51dde2f88e17",
+	"Ours/seed7/sameinstant":         "1a6bf5f12b3a81373f1592a6d714262dd904a3e093a002b475891e680e761e1e",
+	"Ours/seed42/sameinstant":        "bc81423f0b8208511d797faecd95cd74d55d9cea0eba5261a1202551c3407bd1",
 }
 
 // goldenSeeds are the corpus seeds; small primes apart so the latency maps
@@ -392,6 +409,44 @@ var goldenKinds = []goldenKind{
 			}
 		},
 	},
+	{
+		// The same-instant drill: a timer and a transfer completion due at
+		// one instant, the timer armed after the completion was planned.
+		// Mirror 1 pulls the 375 MB document from the seeded mirror 0 and
+		// crashes at 10 s, before it arrives; the document waits on its dark
+		// downlink. Mirror 0 goes dark from 20 s to 70 s, so nothing else
+		// reaches mirror 1, and every authority is flooded out for good. At
+		// 25 s mirror 1 restarts, asks an authority and arms its 15-second
+		// fetch timeout; the document's last bit lands at 40 s too (3 Gbit
+		// at 200 Mbit/s). The kernel runs the earlier-armed timeout first,
+		// so the mirror falls back once more before it holds the document:
+		// the digest pins that order. The claim: the coincidence is there.
+		name: "sameinstant",
+		scenario: func(p Protocol, seed int64) Scenario {
+			return Scenario{Protocol: p, Relays: 150, EntryPadding: 0, Round: 15 * time.Second, Seed: seed, Distribution: &dircache.Spec{
+				Caches:      2,
+				Fleets:      1,
+				Clients:     1,
+				FetchWindow: 2 * time.Minute,
+				Tick:        5 * time.Second,
+				DocBytes:    375_000_000 - 64, // 3 Gbit on the wire: 15 s at a mirror's 200 Mbit/s
+				Gossip:      &gossip.Config{Fanout: 1, Seeds: []int{0}},
+				Attacks: append(totalAuthorityFlood(), attack.Plan{
+					Tier: attack.TierCache, Targets: []int{0}, Start: 20 * time.Second, End: 70 * time.Second,
+				}),
+				Faults: &faults.Plan{Faults: []faults.Fault{{
+					Kind: faults.Crash, Tier: attack.TierCache, Targets: []int{1},
+					Start: 10 * time.Second, End: 25 * time.Second,
+				}}},
+			}}
+		},
+		claim: func(t *testing.T, _ Protocol, _ *RunResult, d, _ *dircache.Result) {
+			if got, want := d.CacheFetchedAt[1], 40*time.Second; got != want || d.CachesFromPeers != 1 {
+				t.Errorf("mirror 1 took the document from %d peer(s) at %v, want from the mesh at %v, its fetch timeout's instant",
+					d.CachesFromPeers, got, want)
+			}
+		},
+	},
 }
 
 // goldenKindNamed returns the corpus kind called name.
@@ -586,6 +641,10 @@ func walkClaim(t *testing.T, kind string) {
 // TestFiveMinuteOutageHeadline holds the outage cells to the paper's
 // headline at the calibrated entry size.
 func TestFiveMinuteOutageHeadline(t *testing.T) { walkClaim(t, "outage") }
+
+// TestSameInstantDrill holds the sameinstant cells to their coincidence: a
+// timer and a transfer completion due at one instant.
+func TestSameInstantDrill(t *testing.T) { walkClaim(t, "sameinstant") }
 
 // TestGoldenCorpusTracingNeutral re-runs corpus cells with a recording
 // tracer (and a detector teed in) and demands the exact pinned digests: the
