@@ -17,7 +17,6 @@ import (
 
 	"partialtor/internal/core"
 	"partialtor/internal/dirv3"
-	"partialtor/internal/relay"
 	"partialtor/internal/sig"
 	"partialtor/internal/simnet"
 	"partialtor/internal/vote"
@@ -27,17 +26,7 @@ const n = 9
 
 func buildDocs(seed int64, relays int) ([]*sig.KeyPair, []*vote.Document) {
 	keys := sig.Authorities(seed, n)
-	pop := relay.Population(relays, seed)
-	order := relay.IdentityOrder(pop)
-	docs := make([]*vote.Document, n)
-	for i, k := range keys {
-		view := relay.View(pop, order, i, seed)
-		d := vote.NewDocument(i, relay.AuthorityNames[i], k.Fingerprint, 1, view)
-		d.EntryPadding = 0
-		docs[i] = d
-	}
-	vote.Share(docs)
-	return keys, docs
+	return keys, vote.Votes(keys, relays, seed, 0)
 }
 
 func buildNet(seed int64) (*simnet.Network, []*simnet.Profile, []*simnet.Profile) {

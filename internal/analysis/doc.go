@@ -17,17 +17,18 @@
 //     the simulation packages; the simnet virtual clock and seeded
 //     *rand.Rand instances are the only sanctioned sources.
 //   - hotpath enforces the allocation discipline (no closures, fmt,
-//     map/slice literals, new/make, string concatenation or interface
-//     boxing) on functions annotated //detlint:hotpath: the event heap,
-//     the pipe fluid model, the transit path and the fleet tick.
+//     map/slice literals, the address of a composite literal, new/make,
+//     string concatenation or interface boxing) on functions annotated
+//     //detlint:hotpath: the event heap, the pipe fluid model, the transit
+//     path, the fleet tick and the vote renderers.
 //   - tracerguard requires direct obs.Tracer calls to be dominated by a
 //     receiver nil check, keeping tracing zero-cost when off.
-//   - frozendoc forbids writing a vote.Document or vote.Consensus field,
-//     anything reached through one, or a whole document through its
-//     pointer, outside internal/vote (a local fresh
-//     from vote.NewDocument excepted): their size and digest are fixed once,
-//     the memos key on them, and a consensus is shared by every run on its
-//     inputs entry.
+//   - frozendoc forbids writing a vote.Document, vote.Consensus or
+//     vote.View field, anything reached through one, or a whole document
+//     through its pointer, outside internal/vote (a local fresh from
+//     vote.NewDocument excepted): their size and digest are fixed once, the
+//     memos key on them, and a consensus, like a vote's listings, is shared
+//     by every run on its inputs entry.
 //
 // A finding is suppressed by a waiver, `//detlint:<analyzer> ok(<reason>)`,
 // on the flagged line or the line above; the reason is mandatory, and

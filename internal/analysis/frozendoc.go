@@ -6,17 +6,24 @@ import (
 	"strings"
 )
 
-// frozenTypes are the document types, as types.Type.String spells them.
-var frozenTypes = map[string]bool{"partialtor/internal/vote.Document": true, "partialtor/internal/vote.Consensus": true}
+// frozenTypes are the document types and a vote's view, as types.Type.String
+// spells them.
+var frozenTypes = map[string]bool{
+	"partialtor/internal/vote.Document":  true,
+	"partialtor/internal/vote.Consensus": true,
+	"partialtor/internal/vote.View":      true,
+}
 
 // FrozenDoc keeps vote documents immutable outside internal/vote: a
 // document's seal fixes its size and digest, and a consensus is shared, read
-// only, by every run on its inputs entry. It flags an assignment or ++/--
-// whose target reaches a field of a document, however deep the index and
-// selector expressions go (c.Relays[0].Nickname, c.Voters[0]), and a write
-// of a whole document through its pointer (*c = vote.Consensus{}). Only a local
-// the same function got from vote.NewDocument may still be written (the
-// EntryPadding idiom).
+// only, by every run on its inputs entry. A vote's View is frozen with it:
+// its listings are what the seal rendered, and a copy of a view still shares
+// them. It flags an assignment or ++/-- whose target reaches a field of a
+// document or a view, however deep the index and selector expressions go
+// (c.Relays[0].Flags, d.Relays.Listings[0].Measured, v.Listings[0].Flags),
+// and a write of a whole document through its pointer (*c =
+// vote.Consensus{}). Only a local the same function got from
+// vote.NewDocument may still be written (the EntryPadding idiom).
 var FrozenDoc = &Analyzer{
 	Name: "frozendoc",
 	Run:  runFrozenDoc,

@@ -17,6 +17,9 @@ import (
 //     output);
 //   - map and slice composite literals (always heap-backed once they
 //     escape; array and struct literals stay legal);
+//   - the address of a composite literal (&T{...}), which allocates the
+//     value whenever the pointer escapes, as a message handed to the network
+//     does;
 //   - the new and make builtins;
 //   - non-constant string concatenation (+ / += on strings allocates);
 //   - boxing a non-pointer value into an interface (pointer-shaped values
@@ -62,6 +65,10 @@ func checkHotPathBody(pass *Pass, fd *ast.FuncDecl) {
 				pass.Reportf(n.Pos(), "map literal in hotpath function %s allocates", name)
 			case *types.Slice:
 				pass.Reportf(n.Pos(), "slice literal in hotpath function %s allocates", name)
+			}
+		case *ast.UnaryExpr:
+			if _, ok := ast.Unparen(n.X).(*ast.CompositeLit); ok && n.Op == token.AND {
+				pass.Reportf(n.Pos(), "address of a composite literal in hotpath function %s allocates once it escapes", name)
 			}
 		case *ast.BinaryExpr:
 			if n.Op == token.ADD && isStringExpr(pass, n.X) && !isConstExpr(pass, n) {

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"partialtor/internal/hotstuff"
-	"partialtor/internal/relay"
 	"partialtor/internal/sig"
 	"partialtor/internal/testkit"
 	"partialtor/internal/vote"
@@ -80,10 +79,7 @@ func TestValueCodecRejectsGarbage(t *testing.T) {
 func mkDoc(t *testing.T, authority, relays int) (*vote.Document, sig.Signature) {
 	t.Helper()
 	keys := testkit.Authorities(9, 3)
-	pop := relay.Population(relays, 3)
-	view := relay.View(pop, relay.IdentityOrder(pop), authority, 3)
-	d := vote.NewDocument(authority, relay.AuthorityNames[authority], keys[authority].Fingerprint, 1, view)
-	d.EntryPadding = 0
+	d := testkit.Docs(keys, relays, 3, 0)[authority]
 	return d, ownerSign(sig.PublicSet(keys), keys[authority], d)
 }
 
@@ -156,7 +152,7 @@ func TestDocumentSurvivesCodec(t *testing.T) {
 	if gd.Digest() != doc.Digest() {
 		t.Fatal("document digest changed")
 	}
-	if len(gd.Relays) != len(doc.Relays) {
+	if len(gd.Relays.Listings) != len(doc.Relays.Listings) {
 		t.Fatal("relays lost")
 	}
 	// The owner signature still verifies against the decoded digest.

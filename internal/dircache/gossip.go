@@ -144,6 +144,7 @@ func (c *cacheNode) gossipAnnounce(ctx *simnet.Context) {
 	for _, p := range g.eng.SelectPeers(ctx.Rand(), g.cfg.Fanout) {
 		g.pushes++
 		ctx.Trace(obs.Event{Type: obs.EvGossipPush, Peer: int(g.ids[p]), A: int64(d.Epoch), B: int64(d.TTL)})
+		//detlint:hotpath ok(a mesh message lives until the network delivers it, and nothing returns it to a pool: one allocation a send)
 		ctx.Send(g.ids[p], &gossipDigest{d: d})
 	}
 	g.pushesLeft--
@@ -174,6 +175,7 @@ func (c *cacheNode) onGossipDigest(ctx *simnet.Context, from simnet.NodeID, m *g
 			}
 			g.pushes++
 			ctx.Trace(obs.Event{Type: obs.EvGossipPush, Peer: int(g.ids[p]), A: int64(d.Epoch), B: int64(d.TTL)})
+			//detlint:hotpath ok(a mesh message lives until the network delivers it, and nothing returns it to a pool: one allocation a send)
 			ctx.Send(g.ids[p], &gossipDigest{d: d})
 		}
 	}
@@ -211,6 +213,7 @@ func (c *cacheNode) onGossipPull(ctx *simnet.Context, from simnet.NodeID, m goss
 	if full {
 		bytes = c.spec.DocBytes
 	}
+	//detlint:hotpath ok(a mesh message lives until the network delivers it, and nothing returns it to a pool: one allocation a send)
 	ctx.Send(from, &gossipDoc{epoch: g.eng.Epoch(), bytes: bytes, full: full})
 }
 
@@ -253,6 +256,7 @@ func (c *cacheNode) onGossipVector(ctx *simnet.Context, from simnet.NodeID, m *g
 			c.gossipPull(ctx, from, peerEpoch)
 		}
 	case peerEpoch < g.eng.Epoch():
+		//detlint:hotpath ok(a mesh message lives until the network delivers it, and nothing returns it to a pool: one allocation a send)
 		ctx.Send(from, &gossipVector{v: g.eng.Vector()})
 	}
 }
@@ -290,6 +294,7 @@ func (c *cacheNode) gossipCatchUp(ctx *simnet.Context) {
 	if p, ok := g.eng.NextPeer(); ok {
 		g.rounds++
 		ctx.Trace(obs.Event{Type: obs.EvGossipAntiEntropy, Peer: int(g.ids[p]), A: int64(g.eng.Epoch())})
+		//detlint:hotpath ok(a mesh message lives until the network delivers it, and nothing returns it to a pool: one allocation a send)
 		ctx.Send(g.ids[p], &gossipVector{v: g.eng.Vector()})
 	}
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"partialtor/internal/attack"
@@ -39,7 +40,9 @@ func BenchmarkExperimentCampaign(b *testing.B) {
 
 // BenchmarkInputs times building one scenario's inputs, nine keys and nine
 // sealed votes, at a consensus workload's size and at the paper's. Every
-// iteration asks for a fresh seed, so the cache never serves it.
+// iteration asks for a fresh seed, so the cache never serves it. It reports
+// what one entry keeps (retained-B/entry): the live heap after a collection
+// with a fresh entry held, less the live heap before it was built.
 func BenchmarkInputs(b *testing.B) {
 	for _, relays := range []int{300, 8000} {
 		b.Run(fmt.Sprintf("relays=%d", relays), func(b *testing.B) {
@@ -49,6 +52,23 @@ func BenchmarkInputs(b *testing.B) {
 				seed++
 				Inputs(Scenario{Relays: relays, EntryPadding: -1, Seed: seed})
 			}
+			s := Scenario{Relays: relays, EntryPadding: -1, Seed: seed + 1}.withDefaults()
+			b.ReportMetric(float64(retainedBytes(func() any {
+				keys, docs := buildInputs(s)
+				return []any{keys, docs}
+			})), "retained-B/entry")
 		})
 	}
+}
+
+// retainedBytes is how much of the heap what build returns keeps live.
+func retainedBytes(build func() any) uint64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	kept := build()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(kept)
+	return after.HeapAlloc - before.HeapAlloc
 }

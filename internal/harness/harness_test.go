@@ -372,6 +372,8 @@ func TestInputsConcurrentUse(t *testing.T) {
 // TestInputsMatchSerialBuild: the parallel build gives each authority the
 // key, view and sealed vote a serial build gives it, with fewer, as many and
 // more authorities than there are cores, and at the default relay count.
+// The serial build lists each authority's own relay.View over the shared
+// roster, which every vote must hold.
 func TestInputsMatchSerialBuild(t *testing.T) {
 	for _, s := range []Scenario{
 		{N: 1, Relays: 150}, {N: 4, Relays: 150}, {N: 9, Relays: 150}, {N: 13, Relays: 150}, {N: 9, Relays: 0},
@@ -381,7 +383,7 @@ func TestInputsMatchSerialBuild(t *testing.T) {
 		s = s.withDefaults()
 		wantKeys := sig.Authorities(s.Seed, s.N)
 		pop := relay.Population(s.Relays, s.Seed)
-		order := relay.IdentityOrder(pop)
+		_, rank := relay.IdentityOrder(pop)
 		if len(keys) != s.N || len(docs) != s.N {
 			t.Fatalf("N=%d relays=%d: %d keys, %d docs", s.N, s.Relays, len(keys), len(docs))
 		}
@@ -390,19 +392,21 @@ func TestInputsMatchSerialBuild(t *testing.T) {
 			if i < len(relay.AuthorityNames) {
 				name = relay.AuthorityNames[i]
 			}
-			want := vote.NewDocument(i, name, k.Fingerprint, 1, relay.View(pop, order, i, s.Seed))
+			want := vote.NewDocument(i, name, k.Fingerprint, 1, vote.View{Roster: docs[0].Relays.Roster, Listings: relay.View(pop, rank, i, s.Seed)})
 			want.EntryPadding = s.EntryPadding
 			got := docs[i]
 			switch {
 			case !bytes.Equal(keys[i].Public, k.Public) || keys[i].Fingerprint != k.Fingerprint:
 				t.Fatalf("N=%d relays=%d: key %d differs from the serial build", s.N, s.Relays, i)
-			case got.AuthorityIndex != i || got.AuthorityName != name || got.EntryPadding != want.EntryPadding:
+			case got.AuthorityIndex != i || got.AuthorityName != name || got.EntryPadding != want.EntryPadding || got.Fingerprint != k.Fingerprint:
 				t.Fatalf("N=%d relays=%d: vote %d header differs from the serial build", s.N, s.Relays, i)
 			case got.EncodedSize() != want.EncodedSize() || got.Digest() != want.Digest():
 				t.Fatalf("N=%d relays=%d: vote %d seals to %d bytes %x, serial %d bytes %x",
 					s.N, s.Relays, i, got.EncodedSize(), got.Digest(), want.EncodedSize(), want.Digest())
-			case !slices.Equal(got.Relays, want.Relays):
+			case !slices.Equal(got.Relays.Listings, want.Relays.Listings):
 				t.Fatalf("N=%d relays=%d: vote %d lists other relays than the serial build", s.N, s.Relays, i)
+			case got.Relays.Roster != docs[0].Relays.Roster:
+				t.Fatalf("N=%d relays=%d: vote %d lists another roster than vote 0", s.N, s.Relays, i)
 			}
 		}
 	}

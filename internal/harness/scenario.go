@@ -39,7 +39,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"time"
 
@@ -48,7 +47,6 @@ import (
 	"partialtor/internal/dirv3"
 	"partialtor/internal/faults"
 	"partialtor/internal/obs"
-	"partialtor/internal/relay"
 	"partialtor/internal/sig"
 	"partialtor/internal/simnet"
 	"partialtor/internal/topo"
@@ -212,10 +210,12 @@ var inputsCache struct {
 }
 
 // inputsCacheLimit bounds the cache. An entry is nine keys and nine sealed
-// votes, which keep their relay views and not their encodings: 0.4 MB at 300
-// relays and 14 MB at the paper's 10 000, so a full cache stays near 110 MB at
-// paper scale. The votes' memo adds each distinct vote set's consensus, whose
-// entries point into the votes' strings: about 1 MB a set at 8 000 relays.
+// votes over one roster, which keep no encodings: the roster's relays and
+// rendered lines, and nine views of 16 bytes a listed relay. That is 0.16 MB
+// at 300 relays, 3.9 MB at 8 000 and 4.9 MB at the paper's 10 000
+// (BenchmarkInputs' retained-B/entry), so a full cache stays under 40 MB at
+// paper scale. The votes' memo adds each distinct vote set's consensus, 16
+// bytes a relay that index the votes' roster: about 0.13 MB a set at 8 000.
 // The figure generators sweep Relays over ~10 values, so a small cap keeps a
 // sweep's working set without letting a long-lived process accumulate every
 // combination it ever ran.
@@ -255,43 +255,13 @@ func Inputs(s Scenario) ([]*sig.KeyPair, []*vote.Document) {
 	return e.keys, e.docs
 }
 
-// buildInputs derives a scenario's keys and sealed votes. The population and
-// its identity order are built once; then each authority's key, view and
-// seal, which cost alike, are dealt round-robin to min(GOMAXPROCS, N)
-// goroutines, each writing only its own indices. Last, the votes are linked
-// to one consensus memo (vote.Share), so every run on this entry aggregates
-// each distinct vote set once.
+// buildInputs derives a scenario's keys and sealed votes: the votes come
+// from vote.Votes, which builds them on every core and links them to one
+// consensus memo, so every run on this entry aggregates each distinct vote
+// set once.
 func buildInputs(s Scenario) ([]*sig.KeyPair, []*vote.Document) {
-	pop := relay.Population(s.Relays, s.Seed)
-	order := relay.IdentityOrder(pop)
-	keys := make([]*sig.KeyPair, s.N)
-	docs := make([]*vote.Document, s.N)
-	workers := min(runtime.GOMAXPROCS(0), s.N)
-	var wg sync.WaitGroup
-	for w := range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := w; i < s.N; i += workers {
-				k := sig.NewKeyPair(s.Seed, i)
-				name := fmt.Sprintf("auth%d", i)
-				if i < len(relay.AuthorityNames) {
-					name = relay.AuthorityNames[i]
-				}
-				d := vote.NewDocument(i, name, k.Fingerprint, 1, relay.View(pop, order, i, s.Seed))
-				d.EntryPadding = s.EntryPadding
-				// Seal here, once per key: every run on this key sizes and
-				// signs this vote by its size and digest, and concurrent
-				// sweep cells may only read a document that is already
-				// frozen.
-				_ = d.Digest()
-				keys[i], docs[i] = k, d
-			}
-		}()
-	}
-	wg.Wait()
-	vote.Share(docs)
-	return keys, docs
+	keys := sig.Authorities(s.Seed, s.N)
+	return keys, vote.Votes(keys, s.Relays, s.Seed, s.EntryPadding)
 }
 
 // buildNetwork wires an n-node network with the scenario's bandwidth,

@@ -1,9 +1,15 @@
 // Package relay models Tor relays as seen by directory authorities: relay
 // descriptors with flags, versions, exit policies and bandwidths;
-// deterministic synthetic relay populations; per-authority perturbed views
-// (each authority knows a slightly different subset with slightly different
-// measurements, which is what makes vote aggregation meaningful); and a
-// Tor-Metrics-style relay-count time series (paper Figure 6).
+// deterministic synthetic relay populations and their identity order;
+// per-authority perturbed views (each authority knows a slightly different
+// subset with slightly different flags and measurements, which is what makes
+// vote aggregation meaningful); and a Tor-Metrics-style relay-count time
+// series (paper Figure 6).
+//
+// A view does not copy descriptors. It is a list of Listings, one per relay
+// the authority knows, each the relay's rank in the population's identity
+// order plus its flags and measurement: the only fields views disagree on.
+// Everything else stays with the one population every view indexes.
 package relay
 
 import (
@@ -55,10 +61,25 @@ func AllFlags() []Flags {
 func (f Flags) Has(q Flags) bool { return f&q == q }
 
 // AppendTo appends the set flags in Tor's "s" line order (alphabetical here,
-// matching the canonical names' order of declaration), space-separated.
+// matching the canonical names' order of declaration), space-separated. Bits
+// past the last flag are not rendered.
 //
 //detlint:hotpath
 func (f Flags) AppendTo(dst []byte) []byte {
+	return append(dst, flagText[f&(1<<flagCount-1)]...)
+}
+
+// flagText is every combination of flags rendered once: an entry's s line is
+// one copy.
+var flagText = func() (text [1 << flagCount]string) {
+	for f := range text {
+		text[f] = string(Flags(f).appendNames(nil))
+	}
+	return text
+}()
+
+// appendNames is AppendTo spelled out, which flagText is built with.
+func (f Flags) appendNames(dst []byte) []byte {
 	sep := false
 	for i := 0; i < flagCount; i++ {
 		if f&(1<<i) == 0 {
@@ -225,17 +246,34 @@ func appendAddress(b []byte, i int) []byte {
 }
 
 // IdentityOrder returns the indices of pop in fingerprint order, the order
-// votes list relays in. It is computed once per population and shared by
-// every View of it.
-func IdentityOrder(pop []Descriptor) []int32 {
-	order := make([]int32, len(pop))
+// votes list relays in, and each relay's rank in that order
+// (rank[order[k]] == k). Both are computed once per population: a roster
+// lists its relays in order, and every View of the population places each
+// listing at its rank.
+func IdentityOrder(pop []Descriptor) (order, rank []int32) {
+	order = make([]int32, len(pop))
 	for i := range order {
 		order[i] = int32(i)
 	}
 	slices.SortFunc(order, func(a, b int32) int {
 		return bytes.Compare(pop[a].Identity[:], pop[b].Identity[:])
 	})
-	return order
+	rank = make([]int32, len(pop))
+	for k, i := range order {
+		rank[i] = int32(k)
+	}
+	return order, rank
+}
+
+// Listing is one relay as one authority's view lists it: the relay's rank in
+// its population's identity order, and what authorities disagree on, its
+// flags and its measurement. Everything else about the relay is the
+// population's, the same in every view.
+type Listing struct {
+	Measured    uint64 // bwauth-measured, in kB/s; 0 unless HasMeasured
+	Index       int32  // rank in IdentityOrder of the population
+	Flags       Flags
+	HasMeasured bool
 }
 
 // How an authority's view of the population is perturbed relative to
@@ -247,50 +285,44 @@ const (
 	viewMeasureRate   = 0.85 // probability this authority measured the relay
 )
 
-// View derives authority `auth`'s perturbed copy of the population, listed
-// in order, which is IdentityOrder(pop): votes list relays in fingerprint
-// order. It draws its random numbers walking pop in population order, so the
-// shared order only decides where each perturbed relay lands, and no view
-// sorts.
-func View(pop []Descriptor, order []int32, auth int, seed int64) []Descriptor {
+// votable are the flags a view may toggle.
+var votable = [...]Flags{FlagFast, FlagStable, FlagGuard, FlagExit, FlagHSDir, FlagV2Dir}
+
+// View derives authority `auth`'s perturbed listing of the population, in
+// identity order: rank is IdentityOrder(pop)'s. It draws its random numbers
+// walking pop in population order and writes each relay's listing at its
+// rank, so the shared order only decides where each listing lands, and no
+// view sorts. A view allocates its listings, 16 bytes a relay, and its
+// random source.
+func View(pop []Descriptor, rank []int32, auth int, seed int64) []Listing {
 	rng := rand.New(rand.NewSource(seed*1000003 + int64(auth)))
-	votable := []Flags{FlagFast, FlagStable, FlagGuard, FlagExit, FlagHSDir, FlagV2Dir}
-	// What this authority thinks of relay i; the zero value is "not listed".
-	type seen struct {
-		measured    uint64
-		flags       Flags
-		listed      bool
-		hasMeasured bool
-	}
-	saw := make([]seen, len(pop))
-	listed := 0
+	out := make([]Listing, len(pop))
 	for i := range pop {
 		d := &pop[i]
+		at := &out[rank[i]]
 		if rng.Float64() < viewDropRate {
+			at.Index = -1 // not listed
 			continue
 		}
-		v := seen{flags: d.Flags, listed: true}
+		l := Listing{Index: rank[i], Flags: d.Flags}
 		if rng.Float64() < viewFlagFlipRate {
-			v.flags ^= votable[rng.Intn(len(votable))]
+			l.Flags ^= votable[rng.Intn(len(votable))]
 		}
 		if rng.Float64() < viewMeasureRate {
-			v.hasMeasured = true
+			l.HasMeasured = true
 			// Float64 inlines a product, which the doubling would fuse with.
 			j := 1 + float64((float64(rng.Float64())*2-1)*viewMeasureJitter)
-			v.measured = max(uint64(float64(float64(d.Measured)*j)), 1)
+			l.Measured = max(uint64(float64(float64(d.Measured)*j)), 1)
 		}
-		saw[i] = v
-		listed++
+		*at = l
 	}
-	out := make([]Descriptor, 0, listed)
-	for _, i := range order {
-		if v := saw[i]; v.listed {
-			c := pop[i]
-			c.Flags, c.HasMeasured, c.Measured = v.flags, v.hasMeasured, v.measured
-			out = append(out, c)
+	listed := out[:0]
+	for _, l := range out {
+		if l.Index >= 0 {
+			listed = append(listed, l)
 		}
 	}
-	return out
+	return listed
 }
 
 // CompareVersions compares dotted numeric Tor versions ("0.4.8.10"). It

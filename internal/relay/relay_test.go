@@ -5,10 +5,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestFlagsStringRoundTrip(t *testing.T) {
@@ -111,18 +114,24 @@ func TestPopulationInvariants(t *testing.T) {
 	}
 }
 
+// materialise is what a view lists: each listed relay of pop with the
+// listing's flags and measurement, in the view's order.
+func materialise(pop []Descriptor, order []int32, view []Listing) []Descriptor {
+	out := make([]Descriptor, len(view))
+	for i, l := range view {
+		out[i] = pop[order[l.Index]]
+		out[i].Flags, out[i].HasMeasured, out[i].Measured = l.Flags, l.HasMeasured, l.Measured
+	}
+	return out
+}
+
 func TestViewPerturbation(t *testing.T) {
 	pop := Population(1000, 3)
-	order := IdentityOrder(pop)
-	v0 := View(pop, order, 0, 3)
-	v0again := View(pop, order, 0, 3)
-	if len(v0) != len(v0again) {
-		t.Fatal("View not deterministic in size")
-	}
-	for i := range v0 {
-		if v0[i] != v0again[i] {
-			t.Fatal("View not deterministic")
-		}
+	order, rank := IdentityOrder(pop)
+	v0 := View(pop, rank, 0, 3)
+	v0again := View(pop, rank, 0, 3)
+	if !slices.Equal(v0, v0again) {
+		t.Fatal("View not deterministic")
 	}
 	if len(v0) == len(pop) {
 		t.Fatal("view dropped no relays; viewDropRate ineffective")
@@ -130,14 +139,14 @@ func TestViewPerturbation(t *testing.T) {
 	if len(v0) < int(0.95*float64(len(pop))) {
 		t.Fatalf("view dropped too many relays: %d of %d", len(v0), len(pop))
 	}
-	v1 := View(pop, order, 1, 3)
+	v1 := View(pop, rank, 1, 3)
 	diff := 0
 	// Compare overlapping identities' flags.
 	byID := make(map[Identity]Descriptor, len(v0))
-	for _, d := range v0 {
+	for _, d := range materialise(pop, order, v0) {
 		byID[d.Identity] = d
 	}
-	for _, d := range v1 {
+	for _, d := range materialise(pop, order, v1) {
 		if o, ok := byID[d.Identity]; ok && o.Flags != d.Flags {
 			diff++
 		}
@@ -145,6 +154,46 @@ func TestViewPerturbation(t *testing.T) {
 	if diff == 0 {
 		t.Fatal("two authority views agree on every flag; perturbation ineffective")
 	}
+}
+
+// TestViewIsCompact: a view allocates its listings and its random source,
+// and nothing per relay but its 16-byte listing: at most 2 allocations, and
+// at most 32 bytes per listed relay beyond what the random source alone
+// allocates. A view used to copy each listed relay's 152-byte descriptor.
+func TestViewIsCompact(t *testing.T) {
+	if n := unsafe.Sizeof(Listing{}); n != 16 {
+		t.Errorf("a listing is %d bytes, want 16", n)
+	}
+	source := allocated(func() { sinkRand = rand.New(rand.NewSource(1)) })
+	for _, n := range []int{300, 3000} {
+		pop := Population(n, 1)
+		_, rank := IdentityOrder(pop)
+		var view []Listing
+		if allocs := testing.AllocsPerRun(10, func() { view = View(pop, rank, 4, 1) }); allocs > 2 {
+			t.Errorf("a view of %d relays allocated %.0f times, want at most 2", n, allocs)
+		}
+		bytes := allocated(func() { view = View(pop, rank, 4, 1) })
+		if perRelay := float64(bytes-source) / float64(len(view)); perRelay > 32 {
+			t.Errorf("a view of %d relays allocated %d bytes, %d of them the random source's: %.1f bytes per listed relay, want at most 32",
+				n, bytes, source, perRelay)
+		}
+	}
+}
+
+var sinkRand *rand.Rand
+
+// allocated is how many bytes of heap f allocates, the mean over ten calls on
+// this goroutine.
+func allocated(f func()) uint64 {
+	const runs = 10
+	f() // warm up
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / runs
 }
 
 // referenceView is View as it was before views shared one order: perturb a
@@ -195,9 +244,14 @@ func TestViewMatchesSortedReference(t *testing.T) {
 				}
 				seen[d.Identity] = true
 			}
-			order := IdentityOrder(pop)
+			order, rank := IdentityOrder(pop)
+			for k, i := range order {
+				if rank[i] != int32(k) {
+					t.Fatalf("n=%d seed=%d: relay %d is %d-th in order, ranked %d", n, seed, i, k, rank[i])
+				}
+			}
 			for auth := 0; auth <= 8; auth++ {
-				got, want := View(pop, order, auth, seed), referenceView(pop, auth, seed)
+				got, want := materialise(pop, order, View(pop, rank, auth, seed)), referenceView(pop, auth, seed)
 				if len(got) != len(want) {
 					t.Fatalf("n=%d seed=%d auth=%d: %d relays, reference %d", n, seed, auth, len(got), len(want))
 				}

@@ -420,6 +420,7 @@ func (n *Network) allocTransit() *transit {
 		t.next = nil
 		return t
 	}
+	//detlint:hotpath ok(a pool miss: the pool grows to the most transits ever in flight, then recycles them)
 	return &transit{net: n}
 }
 

@@ -6,7 +6,6 @@ package testkit
 import (
 	"time"
 
-	"partialtor/internal/relay"
 	"partialtor/internal/sig"
 	"partialtor/internal/simnet"
 	"partialtor/internal/vote"
@@ -16,27 +15,14 @@ import (
 func Authorities(n int, seed int64) []*sig.KeyPair { return sig.Authorities(seed, n) }
 
 // Docs builds one vote document per authority over perturbed views of a
-// shared synthetic population. padding < 0 selects the calibrated default;
-// padding == 0 disables padding (natural entry size). The votes are sealed and
-// share one consensus memo, as an inputs entry's do.
+// shared synthetic population (vote.Votes). padding < 0 selects the
+// calibrated default; padding == 0 disables padding (natural entry size). The
+// votes are sealed and share one consensus memo, as an inputs entry's do.
 func Docs(keys []*sig.KeyPair, relays int, seed int64, padding int) []*vote.Document {
-	pop := relay.Population(relays, seed)
-	order := relay.IdentityOrder(pop)
-	docs := make([]*vote.Document, len(keys))
-	for i, k := range keys {
-		view := relay.View(pop, order, i, seed)
-		name := "auth"
-		if i < len(relay.AuthorityNames) {
-			name = relay.AuthorityNames[i]
-		}
-		d := vote.NewDocument(i, name, k.Fingerprint, 1, view)
-		if padding >= 0 {
-			d.EntryPadding = padding
-		}
-		docs[i] = d
+	if padding < 0 {
+		padding = vote.DefaultEntryPadding
 	}
-	vote.Share(docs)
-	return docs
+	return vote.Votes(keys, relays, seed, padding)
 }
 
 // Net bundles a network with its per-node profiles so tests can throttle

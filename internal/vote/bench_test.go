@@ -126,19 +126,31 @@ func TestEncodeAllocatesOnlyItsBuffer(t *testing.T) {
 }
 
 func TestAggregateAllocationsDoNotGrowWithRelays(t *testing.T) {
-	allocs := func(relays int) float64 {
+	// mixed replaces one vote by its parsed copy: the set shares no roster,
+	// so Aggregate merges on identities and builds the consensus a roster.
+	allocs := func(relays int, mixed bool) float64 {
 		docs := benchDocs(9, relays)
+		if mixed {
+			p, err := Parse(docs[0].Encode())
+			if err != nil {
+				t.Fatal(err)
+			}
+			docs[0] = p
+		}
 		return testing.AllocsPerRun(5, func() {
 			if _, err := Aggregate(docs, 9); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
-	at300, at3000 := allocs(300), allocs(3000)
+	at300, at3000 := allocs(300, false), allocs(3000, false)
 	if at3000 > at300 {
 		t.Errorf("Aggregate allocated %.0f times over 9 × 300 relays and %.0f over 9 × 3000", at300, at3000)
 	}
 	if at300 > 40 {
 		t.Errorf("Aggregate allocated %.0f times over nine votes, want a few per vote (at most 40)", at300)
+	}
+	if at300, at3000 := allocs(300, true), allocs(3000, true); at3000 > at300 {
+		t.Errorf("Aggregate allocated %.0f times over 9 × 300 relays and %.0f over 9 × 3000, one vote parsed", at300, at3000)
 	}
 }

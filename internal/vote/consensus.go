@@ -13,18 +13,13 @@ import (
 	"partialtor/internal/sig"
 )
 
-// ConsensusRelay is one relay entry of the aggregated consensus document.
+// ConsensusRelay is one relay entry of the aggregated consensus document: a
+// relay of the consensus's roster, which names it and gives its version,
+// protocols and exit policy, and the flags and bandwidth the votes agreed on.
 type ConsensusRelay struct {
-	Nickname   string
-	Identity   relay.Identity
-	Address    string
-	ORPort     uint16
-	DirPort    uint16
-	Flags      relay.Flags
-	Version    string
-	Protocols  string
-	ExitPolicy string
-	Bandwidth  uint64
+	Bandwidth uint64
+	Index     int32 // into the consensus's roster
+	Flags     relay.Flags
 }
 
 // Consensus is the aggregated consensus document.
@@ -35,6 +30,7 @@ type Consensus struct {
 	Voters           []int // authority indices whose votes were aggregated
 	Relays           []ConsensusRelay
 
+	roster *Roster    // what Relays index; the votes' own when they share one
 	size   int64      // of the encoding; 0 until sealed
 	digest sig.Digest // of the encoding, fixed with size
 }
@@ -75,19 +71,56 @@ func Aggregate(votes []*Document, totalAuthorities int) (*Consensus, error) {
 		TotalAuthorities: totalAuthorities,
 		Voters:           make([]int, n),
 	}
-	lists := make([][]*relay.Descriptor, n)
 	for i, v := range ordered {
 		c.Voters[i] = v.AuthorityIndex
-		lists[i] = identityOrder(v.Relays)
 	}
+	if r := sharedRoster(ordered); r != nil {
+		c.roster = r
+		c.Relays = aggregateIndices(ordered, r, threshold)
+	} else {
+		c.roster, c.Relays = aggregateIdentities(ordered, threshold)
+	}
+	return c, nil
+}
 
-	// Two walks over the same merge: one to count the relays that make the
-	// threshold, so c.Relays is allocated once at its final size, one to
-	// aggregate them.
-	m := merge{
-		lists:   append([][]*relay.Descriptor(nil), lists...),
-		entries: make([]*relay.Descriptor, 0, n),
-		values:  make([]uint64, 0, n),
+// sharedRoster returns the roster every vote lists from, if there is one, it
+// is ordered and every vote lists each of its relays once, in index order:
+// then index order is identity order, and the merge may compare indices.
+func sharedRoster(votes []*Document) *Roster {
+	r := votes[0].Relays.Roster
+	if r == nil || !r.ordered {
+		return nil
+	}
+	for _, v := range votes {
+		if v.Relays.Roster != r {
+			return nil
+		}
+		ls := v.Relays.Listings
+		for i := 1; i < len(ls); i++ {
+			if ls[i-1].Index >= ls[i].Index {
+				return nil
+			}
+		}
+	}
+	return r
+}
+
+// aggregateIndices is Aggregate over votes listing from one ordered roster r,
+// by ascending authority index: a k-way merge on roster indices. Every
+// listing of a relay is of the same roster relay, so its name, version,
+// protocols, exit policy and advertised bandwidth are the roster's, and
+// only flags and measurements are voted on. Two walks over the same merge:
+// one to count the relays that make the threshold, so the result is
+// allocated once at its final size, one to aggregate them.
+func aggregateIndices(votes []*Document, r *Roster, threshold int) []ConsensusRelay {
+	n := len(votes)
+	lists := make([][]relay.Listing, n)
+	for i, v := range votes {
+		lists[i] = v.Relays.Listings
+	}
+	m := indexMerge{
+		lists:   append([][]relay.Listing(nil), lists...),
+		entries: make([]*relay.Listing, 0, n),
 	}
 	included := 0
 	for m.next() {
@@ -96,31 +129,145 @@ func Aggregate(votes []*Document, totalAuthorities int) (*Consensus, error) {
 		}
 	}
 	if included == 0 {
-		return c, nil // Relays stays nil, as ParseConsensus leaves it for an empty document
+		return nil // as ParseConsensus leaves it for an empty document
 	}
 	m.lists = lists
-	c.Relays = make([]ConsensusRelay, 0, included)
+	out := make([]ConsensusRelay, 0, included)
+	values := make([]uint64, 0, n)
 	for m.next() {
-		if len(m.entries) >= threshold {
-			c.Relays = append(c.Relays, m.aggregate())
+		if len(m.entries) < threshold {
+			continue
 		}
+		bw, ok := measuredMedian(m.entries, values)
+		if !ok {
+			bw = r.relays[m.index].Bandwidth
+		}
+		out = append(out, ConsensusRelay{Index: m.index, Flags: popularFlags(m.entries), Bandwidth: bw})
 	}
-	return c, nil
+	return out
 }
 
-// identityOrder indexes a vote's entries in identity order, entries of one
-// identity in vote order. Votes built from relay.View are already sorted
-// (dir-spec vote order); Parse enforces neither that nor uniqueness, so a
-// vote out of order is sorted here and the merge takes repeats as they come.
-func identityOrder(relays []relay.Descriptor) []*relay.Descriptor {
-	out := make([]*relay.Descriptor, len(relays))
+// indexMerge is a k-way merge over views of one ordered roster: each next
+// gathers the listings of the smallest roster index not yet seen.
+type indexMerge struct {
+	lists   [][]relay.Listing // per vote by ascending authority index; consumed from the front
+	entries []*relay.Listing  // the current relay's listings, by authority index
+	index   int32             // its roster index
+}
+
+// next advances to the next relay, reporting false once the votes are
+// exhausted.
+func (m *indexMerge) next() bool {
+	least := int32(-1)
+	for _, l := range m.lists {
+		if len(l) > 0 && (least < 0 || l[0].Index < least) {
+			least = l[0].Index
+		}
+	}
+	if least < 0 {
+		return false
+	}
+	m.entries = m.entries[:0]
+	for i, l := range m.lists {
+		if len(l) > 0 && l[0].Index == least {
+			m.entries = append(m.entries, &l[0])
+			m.lists[i] = l[1:]
+		}
+	}
+	m.index = least
+	return true
+}
+
+// popularFlags sets each flag a strict majority of the listings set: the
+// popular vote, with a tie leaving the flag unset.
+func popularFlags(entries []*relay.Listing) relay.Flags {
+	var out relay.Flags
+	for _, f := range allFlags {
+		set := 0
+		for _, e := range entries {
+			if e.Flags.Has(f) {
+				set++
+			}
+		}
+		if 2*set > len(entries) {
+			out |= f
+		}
+	}
+	return out
+}
+
+// measuredMedian is the low median of the listings' measurements, as Tor
+// computes it, reporting false if none measured the relay. values is
+// scratch.
+func measuredMedian(entries []*relay.Listing, values []uint64) (uint64, bool) {
+	values = values[:0]
+	for _, e := range entries {
+		if e.HasMeasured {
+			values = append(values, e.Measured)
+		}
+	}
+	return lowMedian(values), len(values) > 0
+}
+
+// aggregateIdentities is Aggregate over votes that do not share an ordered
+// roster: a k-way merge on identities over each vote's relays in identity
+// order. The consensus gets a roster of its own, of the relays it lists.
+func aggregateIdentities(votes []*Document, threshold int) (*Roster, []ConsensusRelay) {
+	n := len(votes)
+	lists := make([][]listed, n)
+	for i, v := range votes {
+		lists[i] = identityOrder(v.Relays)
+	}
+	// Two walks over the same merge, as in aggregateIndices.
+	m := merge{
+		lists:    append([][]listed(nil), lists...),
+		entries:  make([]listed, 0, n),
+		listings: make([]*relay.Listing, 0, n),
+		values:   make([]uint64, 0, n),
+	}
+	included := 0
+	for m.next() {
+		if len(m.entries) >= threshold {
+			included++
+		}
+	}
+	if included == 0 {
+		return nil, nil
+	}
+	m.lists = lists
+	relays := make([]relay.Descriptor, 0, included)
+	out := make([]ConsensusRelay, 0, included)
+	for m.next() {
+		if len(m.entries) >= threshold {
+			d := m.aggregate()
+			out = append(out, ConsensusRelay{Index: int32(len(relays)), Flags: d.Flags, Bandwidth: d.Bandwidth})
+			relays = append(relays, d)
+		}
+	}
+	return newRoster(relays), out
+}
+
+// listed is one vote's listing of a relay, with the roster relay it lists.
+type listed struct {
+	d *relay.Descriptor
+	l *relay.Listing
+}
+
+// identityOrder pairs a vote's listings with their relays, in identity
+// order, entries of one identity in vote order. The votes Votes builds are
+// already sorted (dir-spec vote order); Parse enforces neither that nor
+// uniqueness, so a vote out of order is sorted here and the merge takes
+// repeats as they come.
+func identityOrder(v View) []listed {
+	out := make([]listed, len(v.Listings))
 	sorted := true
-	for i := range relays {
-		out[i] = &relays[i]
-		sorted = sorted && (i == 0 || bytes.Compare(relays[i-1].Identity[:], relays[i].Identity[:]) <= 0)
+	for i := range v.Listings {
+		l := &v.Listings[i]
+		out[i] = listed{&v.Roster.relays[l.Index], l}
+		sorted = sorted && (i == 0 || bytes.Compare(out[i-1].d.Identity[:], out[i].d.Identity[:]) <= 0)
 	}
 	if !sorted {
-		sort.SliceStable(out, func(i, j int) bool { return bytes.Compare(out[i].Identity[:], out[j].Identity[:]) < 0 })
+		sort.SliceStable(out, func(i, j int) bool { return bytes.Compare(out[i].d.Identity[:], out[j].d.Identity[:]) < 0 })
 	}
 	return out
 }
@@ -128,10 +275,11 @@ func identityOrder(relays []relay.Descriptor) []*relay.Descriptor {
 // merge is a k-way merge over votes in identity order: each next gathers the
 // entries of the smallest identity not yet seen, pointing into the votes.
 type merge struct {
-	lists   [][]*relay.Descriptor // per vote by ascending authority index, each in identityOrder; consumed from the front
-	entries []*relay.Descriptor   // the current relay, one entry per listing, by authority index
-	namer   *relay.Descriptor     // its entry in the vote with the largest authority index
-	values  []uint64              // scratch for the bandwidth median
+	lists    [][]listed        // per vote by ascending authority index, each in identityOrder; consumed from the front
+	entries  []listed          // the current relay, one entry per listing, by authority index
+	namer    *relay.Descriptor // its relay in the vote with the largest authority index
+	listings []*relay.Listing  // scratch: the entries' listings
+	values   []uint64          // scratch for the bandwidth median
 }
 
 // next advances to the next identity, reporting false once the votes are
@@ -139,8 +287,8 @@ type merge struct {
 func (m *merge) next() bool {
 	var least *relay.Identity
 	for _, l := range m.lists {
-		if len(l) > 0 && (least == nil || bytes.Compare(l[0].Identity[:], least[:]) < 0) {
-			least = &l[0].Identity
+		if len(l) > 0 && (least == nil || bytes.Compare(l[0].d.Identity[:], least[:]) < 0) {
+			least = &l[0].d.Identity
 		}
 	}
 	if least == nil {
@@ -149,11 +297,11 @@ func (m *merge) next() bool {
 	id := *least
 	m.entries = m.entries[:0]
 	for i, l := range m.lists {
-		if len(l) == 0 || l[0].Identity != id {
+		if len(l) == 0 || l[0].d.Identity != id {
 			continue
 		}
-		m.namer = l[0]
-		for len(l) > 0 && l[0].Identity == id {
+		m.namer = l[0].d
+		for len(l) > 0 && l[0].d.Identity == id {
 			m.entries = append(m.entries, l[0])
 			l = l[1:]
 		}
@@ -233,11 +381,13 @@ func AggregateShared(votes []*Document, totalAuthorities int) (*Consensus, error
 
 var allFlags = relay.AllFlags()
 
-// aggregate applies the per-relay rules of Figure 2 to the current relay.
-func (m *merge) aggregate() ConsensusRelay {
+// aggregate applies the per-relay rules of Figure 2 to the current relay,
+// returning its consensus entry as a descriptor: the consensus roster's relay,
+// with the aggregated flags and bandwidth.
+func (m *merge) aggregate() relay.Descriptor {
 	entries := m.entries
 	// Name (and endpoint) from the vote with the largest authority ID.
-	out := ConsensusRelay{
+	out := relay.Descriptor{
 		Nickname: m.namer.Nickname,
 		Identity: m.namer.Identity,
 		Address:  m.namer.Address,
@@ -245,67 +395,55 @@ func (m *merge) aggregate() ConsensusRelay {
 		DirPort:  m.namer.DirPort,
 	}
 
-	// Flags: popular vote among listing votes; a tie leaves the flag unset.
-	for _, f := range allFlags {
-		set := 0
-		for _, e := range entries {
-			if e.Flags.Has(f) {
-				set++
-			}
-		}
-		if 2*set > len(entries) {
-			out.Flags |= f
-		}
+	m.listings = m.listings[:0]
+	for _, e := range entries {
+		m.listings = append(m.listings, e.l)
 	}
+	out.Flags = popularFlags(m.listings)
 
 	// Version, protocols, exit policy: popular vote; ties broken by the
 	// largest version / largest protocol string / lexicographically larger
-	// policy. No synthetic population reaches the version tie-break:
-	// relay.View copies each relay's version into every authority's view, so
-	// the listing votes agree and popular returns on the outright majority.
-	// It stays because it is the aggregation rule (dir-spec: the largest
-	// version wins a tie), and a parsed vote or a population whose views
-	// disagree on a version would need it to produce Tor's consensus.
-	out.Version = popular(entries, func(e *relay.Descriptor) string { return e.Version },
+	// policy. Votes of one population share their relays' versions, and
+	// aggregateIndices takes them from the roster; this merge meets them
+	// only in parsed votes or votes of different populations, which need the
+	// tie-break (dir-spec: the largest version wins a tie) to produce Tor's
+	// consensus.
+	out.Version = popular(entries, func(d *relay.Descriptor) string { return d.Version },
 		func(a, b string) bool { return relay.CompareVersions(a, b) > 0 })
-	out.Protocols = popular(entries, func(e *relay.Descriptor) string { return e.Protocols },
+	out.Protocols = popular(entries, func(d *relay.Descriptor) string { return d.Protocols },
 		func(a, b string) bool { return a > b })
-	out.ExitPolicy = popular(entries, func(e *relay.Descriptor) string { return e.ExitPolicy },
+	out.ExitPolicy = popular(entries, func(d *relay.Descriptor) string { return d.ExitPolicy },
 		func(a, b string) bool { return a > b })
 
 	// Bandwidth: median of the votes that measured the relay (low median,
 	// as Tor computes it); fall back to the median of advertised values.
-	m.values = m.values[:0]
-	for _, e := range entries {
-		if e.HasMeasured {
-			m.values = append(m.values, e.Measured)
-		}
-	}
-	if len(m.values) == 0 {
+	var ok bool
+	if out.Bandwidth, ok = measuredMedian(m.listings, m.values); !ok {
+		m.values = m.values[:0]
 		for _, e := range entries {
-			m.values = append(m.values, e.Bandwidth)
+			m.values = append(m.values, e.d.Bandwidth)
 		}
+		out.Bandwidth = lowMedian(m.values)
 	}
-	out.Bandwidth = lowMedian(m.values)
 	return out
 }
 
 // popular returns the most frequent value; among equally frequent values the
 // one for which better(a, b) holds over all others wins. A relay has at most
 // a handful of entries, so values are counted by scanning, not in a map.
-func popular(entries []*relay.Descriptor, get func(*relay.Descriptor) string, better func(a, b string) bool) string {
+func popular(entries []listed, get func(*relay.Descriptor) string, better func(a, b string) bool) string {
 	best, bestCount := "", 0
 next:
 	for i, e := range entries {
-		v := get(e)
+		v := get(e.d)
 		for _, earlier := range entries[:i] {
-			if get(earlier) == v {
+			if get(earlier.d) == v {
 				continue next // counted when first met
 			}
 		}
 		count := 1
 		for _, later := range entries[i+1:] {
-			if get(later) == v {
+			if get(later.d) == v {
 				count++
 			}
 		}
@@ -335,15 +473,15 @@ func lowMedian(vals []uint64) uint64 {
 func (c *Consensus) Encode() []byte {
 	b := c.appendHeader(make([]byte, 0, c.EncodedSize()))
 	for i := range c.Relays {
-		b = c.Relays[i].appendTo(b)
+		b = c.roster.appendConsensusEntry(b, &c.Relays[i])
 	}
 	return append(b, footer...)
 }
 
 // seal fixes the consensus's size and digest on first use by streaming its
 // encoding through SHA-256: a consensus is not padded, so what it hashes is
-// what Encode renders. Its entries are rendered by the appendTo call Encode
-// makes into one scratch buffer, hashed and reused whenever it fills past
+// what Encode renders. Its entries are rendered by the roster's
+// appendConsensusEntry, as Encode renders them, into one scratch buffer, hashed and reused whenever it fills past
 // sealChunk.
 func (c *Consensus) seal() {
 	if c.size != 0 {
@@ -353,7 +491,7 @@ func (c *Consensus) seal() {
 	b := c.appendHeader(make([]byte, 0, 2*sealChunk))
 	var size int64
 	for i := range c.Relays {
-		b = c.Relays[i].appendTo(b)
+		b = c.roster.appendConsensusEntry(b, &c.Relays[i])
 		if len(b) >= sealChunk {
 			h.Write(b)
 			size += int64(len(b))
@@ -378,34 +516,6 @@ func (c *Consensus) appendHeader(b []byte) []byte {
 		b = append(b, ' ')
 		b = strconv.AppendInt(b, int64(v), 10)
 	}
-	return append(b, '\n')
-}
-
-// appendTo appends the relay's consensus entry: a vote entry without the
-// descriptor digest, the measurement and the padding.
-//
-//detlint:hotpath
-func (r *ConsensusRelay) appendTo(b []byte) []byte {
-	b = append(b, "r "...)
-	b = append(b, r.Nickname...)
-	b = append(b, ' ')
-	b = r.Identity.AppendTo(b)
-	b = append(b, ' ')
-	b = append(b, r.Address...)
-	b = append(b, ' ')
-	b = strconv.AppendUint(b, uint64(r.ORPort), 10)
-	b = append(b, ' ')
-	b = strconv.AppendUint(b, uint64(r.DirPort), 10)
-	b = append(b, "\ns "...)
-	b = r.Flags.AppendTo(b)
-	b = append(b, "\nv Tor "...)
-	b = append(b, r.Version...)
-	b = append(b, "\npr "...)
-	b = append(b, r.Protocols...)
-	b = append(b, "\nw Bandwidth="...)
-	b = strconv.AppendUint(b, r.Bandwidth, 10)
-	b = append(b, "\np "...)
-	b = append(b, r.ExitPolicy...)
 	return append(b, '\n')
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"partialtor/internal/relay"
 	"partialtor/internal/sig"
 )
 
@@ -51,11 +50,10 @@ func withoutPadLines(enc []byte) []byte {
 // bytes, the digest of the natural ones.
 func FuzzParse(f *testing.F) {
 	keys := sig.NewKeyPair(1, 0)
-	pop := relay.Population(5, 1)
-	view := relay.View(pop, relay.IdentityOrder(pop), 0, 1)
+	view := seedDocs(1, 5, 1, DefaultEntryPadding)[0].Relays
 	doc := NewDocument(0, "moria1", keys.Fingerprint, 1, view)
 	f.Add(doc.Encode())
-	doc2 := NewDocument(1, "tor26", keys.Fingerprint, 2, nil)
+	doc2 := NewDocument(1, "tor26", keys.Fingerprint, 2, View{})
 	doc2.EntryPadding = 0
 	f.Add(doc2.Encode())
 	sealMatchesRendering(f, "built, encoded first", doc)
@@ -75,7 +73,7 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-parse of re-encoded document failed: %v", err)
 		}
-		if len(re.Relays) != len(d.Relays) {
+		if len(re.Relays.Listings) != len(d.Relays.Listings) {
 			t.Fatal("relay count unstable across round trip")
 		}
 		sealMatchesRendering(t, "parsed and re-encoded", d)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"partialtor/internal/relay"
@@ -16,14 +17,12 @@ import (
 // the documents every consensus-* and campaign-sweep op is built from.
 var benchmarkSeeds = []int64{21154162, 382856361, 450008222, 221457682, 880154258, 177053761}
 
-// seedDocs builds the n votes harness.Inputs would for (relays, seed).
+// seedDocs builds the n votes harness.Inputs would for (relays, seed), each
+// unsealed, so that a test may still change it.
 func seedDocs(n, relays int, seed int64, padding int) []*Document {
-	pop := relay.Population(relays, seed)
-	order := relay.IdentityOrder(pop)
-	docs := make([]*Document, n)
-	for a := range docs {
-		docs[a] = NewDocument(a, relay.AuthorityNames[a], sig.NewKeyPair(seed, a).Fingerprint, 1, relay.View(pop, order, a, seed))
-		docs[a].EntryPadding = padding
+	docs := Votes(sig.Authorities(seed, n), relays, seed, padding)
+	for a, d := range docs {
+		docs[a] = unsealed(d)
 	}
 	return docs
 }
@@ -56,10 +55,11 @@ func checkEncode(t testing.TB, what string, d *Document) {
 // starting "pad ".
 func referenceNatural(d *Document) []byte {
 	head := *d
-	head.Relays = nil
+	head.Relays = View{}
 	b := bytes.NewBuffer(bytes.TrimSuffix(referenceEncode(&head), []byte(footer)))
-	for i := range d.Relays {
-		referenceEncodeEntry(b, &d.Relays[i], 0)
+	relays := relaysOf(d.Relays)
+	for i := range relays {
+		referenceEncodeEntry(b, &relays[i], 0)
 	}
 	b.WriteString(footer)
 	return b.Bytes()
@@ -77,7 +77,7 @@ func checkAggregate(t testing.TB, what string, votes []*Document, total int) {
 	if err != nil {
 		return
 	}
-	if !reflect.DeepEqual(got, want) {
+	if !reflect.DeepEqual(flatten(got), want) {
 		t.Fatalf("%s: Aggregate differs from the reference (%d vs %d relays)", what, len(got.Relays), len(want.Relays))
 	}
 	wantBytes := referenceConsensusEncode(want)
@@ -125,7 +125,7 @@ func TestEncodeAndAggregateMatchReferenceOnBenchmarkSeeds(t *testing.T) {
 
 func TestEncodeMatchesReferenceAcrossPaddingBoundary(t *testing.T) {
 	base := seedDocs(1, 60, 1, 0)[0]
-	natural := len(appendEntry(nil, &base.Relays[0], 0))
+	natural := len(base.Relays.Roster.appendEntry(nil, &base.Relays.Listings[0], 0))
 	// natural+5 is the last padding an entry cannot be filled to ("pad x\n"
 	// is six bytes), natural+6 the first it can; 5 001 and 12 345 need more
 	// than one cut of the filler.
@@ -133,8 +133,8 @@ func TestEncodeMatchesReferenceAcrossPaddingBoundary(t *testing.T) {
 	for _, measured := range []bool{false, true} {
 		for _, padding := range paddings {
 			d := *base
-			d.Relays = append([]relay.Descriptor(nil), base.Relays...)
-			d.Relays[0].HasMeasured = measured
+			d.Relays.Listings = slices.Clone(base.Relays.Listings)
+			d.Relays.Listings[0].HasMeasured = measured
 			d.EntryPadding = padding
 			checkEncode(t, fmt.Sprintf("padding=%d (natural %d) measured=%v", padding, natural, measured), &d)
 		}
@@ -143,7 +143,7 @@ func TestEncodeMatchesReferenceAcrossPaddingBoundary(t *testing.T) {
 
 func TestEmptyVoteMatchesReference(t *testing.T) {
 	for _, padding := range []int{0, DefaultEntryPadding} {
-		d := NewDocument(3, "gabelmoo", sig.NewKeyPair(1, 3).Fingerprint, 7, nil)
+		d := NewDocument(3, "gabelmoo", sig.NewKeyPair(1, 3).Fingerprint, 7, View{})
 		d.EntryPadding = padding
 		checkEncode(t, "no relays", d)
 		checkAggregate(t, "no relays", []*Document{d}, 9)
@@ -165,31 +165,81 @@ func TestAggregateMatchesReferenceOnVoteSubsets(t *testing.T) {
 	}
 }
 
+// TestParsedAndBuiltVotesAggregateAlike: a built vote lists its population's
+// roster and a parsed one a roster of its own, and Aggregate makes one
+// consensus of either. Aggregating every vote of a set parsed back from its
+// encoding, or a mix of parsed and built votes, gives the bytes aggregating
+// the built votes gives, at no padding and at the calibrated one, and each
+// set's consensus is held to the fmt reference. The built set merges on
+// roster indices and the others on identities, so the test holds the two
+// merges to each other.
+func TestParsedAndBuiltVotesAggregateAlike(t *testing.T) {
+	for _, padding := range []int{0, DefaultEntryPadding} {
+		built := seedDocs(9, 300, benchmarkSeeds[4], padding)
+		parsed := make([]*Document, len(built))
+		mixed := make([]*Document, len(built))
+		for i, d := range built {
+			p, err := Parse(d.Encode())
+			if err != nil {
+				t.Fatal(err)
+			}
+			parsed[i], mixed[i] = p, d
+			if i%2 == 0 {
+				mixed[i] = p
+			}
+		}
+		want, err := Aggregate(built, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sharedRoster(built) == nil || sharedRoster(parsed) != nil || sharedRoster(mixed) != nil {
+			t.Fatal("the built votes do not share their roster, or parsed ones do")
+		}
+		for _, set := range []struct {
+			name  string
+			votes []*Document
+		}{{"built", built}, {"parsed", parsed}, {"mixed", mixed}} {
+			what := fmt.Sprintf("%s votes, padding %d", set.name, padding)
+			checkAggregate(t, what, set.votes, 9)
+			got, err := Aggregate(set.votes, 9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Encode(), want.Encode()) || got.Digest() != want.Digest() {
+				t.Fatalf("%s: the consensus differs from the built votes' (first difference at %d)", what, firstDifference(got.Encode(), want.Encode()))
+			}
+		}
+	}
+}
+
 // Parse enforces neither identity order nor one entry per identity; whatever
 // the old Aggregate made of such votes, the merge makes too.
 func TestAggregateMatchesReferenceOnIrregularVotes(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	shuffled := seedDocs(9, 300, benchmarkSeeds[1], 0)
 	for _, i := range []int{0, 4, 8} {
-		rs := shuffled[i].Relays
-		rng.Shuffle(len(rs), func(a, b int) { rs[a], rs[b] = rs[b], rs[a] })
+		ls := shuffled[i].Relays.Listings
+		rng.Shuffle(len(ls), func(a, b int) { ls[a], ls[b] = ls[b], ls[a] })
 	}
 	checkAggregate(t, "three votes out of identity order", shuffled, 9)
 
 	// One identity listed twice: back to back by the highest authority, whose
 	// vote stays in identity order, and far apart by an out-of-order one. Both
 	// listings count, and the first of the highest authority's names the relay.
+	// Each such vote lists a roster of its own, as a parsed one does.
 	twice := seedDocs(9, 60, benchmarkSeeds[2], 0)
 	for _, i := range []int{2, 8} {
-		rs := twice[i].Relays
+		rs := relaysOf(twice[i].Relays)
 		again := rs[10]
 		again.Nickname, again.Address, again.Version = "again", "10.9.9.9", "0.4.9.1"
 		again.Flags ^= relay.FlagExit | relay.FlagGuard
 		again.HasMeasured, again.Measured = true, 1
-		twice[i].Relays = append(append(append([]relay.Descriptor(nil), rs[:11]...), again), rs[11:]...)
+		rs = append(append(append([]relay.Descriptor(nil), rs[:11]...), again), rs[11:]...)
+		if i == 2 {
+			rs[0], rs[11] = rs[11], rs[0]
+		}
+		twice[i].Relays = oneVote(rs)
 	}
-	rs := twice[2].Relays
-	rs[0], rs[11] = rs[11], rs[0]
 	checkAggregate(t, "an identity listed twice", twice, 9)
 	checkAggregate(t, "an identity listed twice, alone", twice[8:], 9)
 	checkAggregate(t, "an identity listed twice, out of order, alone", twice[2:3], 9)
@@ -197,21 +247,21 @@ func TestAggregateMatchesReferenceOnIrregularVotes(t *testing.T) {
 	// Every identity twice, shuffled: only a stable sort keeps each pair in
 	// vote order, and the first of a pair names the relay.
 	doubled := seedDocs(1, 60, benchmarkSeeds[3], 0)[0]
-	for _, r := range doubled.Relays {
+	rs := relaysOf(doubled.Relays)
+	for _, r := range rs {
 		r.Nickname = "again"
-		doubled.Relays = append(doubled.Relays, r)
+		rs = append(rs, r)
 	}
-	rng.Shuffle(len(doubled.Relays), func(a, b int) {
-		doubled.Relays[a], doubled.Relays[b] = doubled.Relays[b], doubled.Relays[a]
-	})
+	rng.Shuffle(len(rs), func(a, b int) { rs[a], rs[b] = rs[b], rs[a] })
+	doubled.Relays = oneVote(rs)
 	checkAggregate(t, "every identity twice, shuffled", []*Document{doubled}, 9)
 
 	parsed, err := Parse(twice[2].Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(parsed.Relays) != len(twice[2].Relays) {
-		t.Fatalf("Parse kept %d of %d entries", len(parsed.Relays), len(twice[2].Relays))
+	if len(parsed.Relays.Listings) != len(twice[2].Relays.Listings) {
+		t.Fatalf("Parse kept %d of %d entries", len(parsed.Relays.Listings), len(twice[2].Relays.Listings))
 	}
 	checkAggregate(t, "parsed back", []*Document{parsed, twice[8]}, 9)
 }
@@ -245,7 +295,7 @@ func FuzzEncodeMatchesReference(f *testing.F) {
 		}
 		var fp sig.Fingerprint
 		copy(fp[:], id)
-		d := NewDocument(index, name, fp, epoch, []relay.Descriptor{r, other})
+		d := NewDocument(index, name, fp, epoch, oneVote([]relay.Descriptor{r, other}))
 		d.EntryPadding = padding
 		checkEncode(t, "fuzzed vote", d)
 		checkAggregate(t, "fuzzed vote", []*Document{d}, 9)

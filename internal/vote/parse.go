@@ -11,10 +11,11 @@ import (
 	"partialtor/internal/sig"
 )
 
-// Parse inverts Document.Encode. It rejects an entry-padding above
-// MaxEntryPadding.
+// Parse inverts Document.Encode: the vote lists a roster of its own relays,
+// in its order. It rejects an entry-padding above MaxEntryPadding.
 func Parse(data []byte) (*Document, error) {
 	d := &Document{}
+	var relays []relay.Descriptor
 	sawSource := false
 	err := scan(data, grammar{status: "vote", validAfter: &d.ValidAfter,
 		line: func(cur *relay.Descriptor, key, rest string) (err error) {
@@ -58,7 +59,7 @@ func Parse(data []byte) (*Document, error) {
 			}
 			return err
 		},
-		add: func(r *relay.Descriptor) { d.Relays = append(d.Relays, *r) },
+		add: func(r *relay.Descriptor) { relays = append(relays, *r) },
 	})
 	if err != nil {
 		return nil, err
@@ -66,13 +67,16 @@ func Parse(data []byte) (*Document, error) {
 	if !sawSource {
 		return nil, errors.New("vote: missing dir-source")
 	}
+	d.Relays = oneVote(relays)
 	return d, nil
 }
 
 // ParseConsensus inverts Consensus.Encode: the wire-format reference the
-// round-trip and fuzz tests hold the consensus renderer to.
+// round-trip and fuzz tests hold the consensus renderer to. The consensus
+// lists a roster of its own relays, in its order.
 func ParseConsensus(data []byte) (*Consensus, error) {
 	c := &Consensus{}
+	var relays []relay.Descriptor
 	err := scan(data, grammar{status: "consensus", validAfter: &c.ValidAfter,
 		line: func(cur *relay.Descriptor, key, rest string) (err error) {
 			switch key {
@@ -109,14 +113,14 @@ func ParseConsensus(data []byte) (*Consensus, error) {
 			return err
 		},
 		add: func(r *relay.Descriptor) {
-			c.Relays = append(c.Relays, ConsensusRelay{Nickname: r.Nickname, Identity: r.Identity,
-				Address: r.Address, ORPort: r.ORPort, DirPort: r.DirPort, Flags: r.Flags, Version: r.Version,
-				Protocols: r.Protocols, ExitPolicy: r.ExitPolicy, Bandwidth: r.Bandwidth})
+			c.Relays = append(c.Relays, ConsensusRelay{Index: int32(len(relays)), Flags: r.Flags, Bandwidth: r.Bandwidth})
+			relays = append(relays, *r)
 		},
 	})
 	if err != nil {
 		return nil, err
 	}
+	c.roster = newRoster(relays)
 	return c, nil
 }
 

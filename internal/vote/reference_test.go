@@ -1,7 +1,9 @@
 package vote
 
 // The encoders and the aggregation core as they were before the append
-// encoder and the merge (PR 22), bodies verbatim: fmt.Fprintf into a growing
+// encoder and the merge replaced them, bodies verbatim but for reading a vote's
+// relays as materialised descriptors (relaysOf) and returning the consensus
+// as the flat referenceConsensus it then was: fmt.Fprintf into a growing
 // bytes.Buffer, and one map slot of copied descriptors per relay. They are the
 // oracle the tests in oracle_test.go hold the new code to, byte for byte.
 
@@ -20,8 +22,9 @@ func referenceEncode(d *Document) []byte {
 	fmt.Fprintf(&b, "valid-after %d\n", d.ValidAfter)
 	fmt.Fprintf(&b, "entry-padding %d\n", d.EntryPadding)
 	fmt.Fprintf(&b, "dir-source %s %s %d\n", d.AuthorityName, d.Fingerprint, d.AuthorityIndex)
-	for i := range d.Relays {
-		referenceEncodeEntry(&b, &d.Relays[i], d.EntryPadding)
+	relays := relaysOf(d.Relays)
+	for i := range relays {
+		referenceEncodeEntry(&b, &relays[i], d.EntryPadding)
 	}
 	fmt.Fprintf(&b, "directory-footer\n")
 	return b.Bytes()
@@ -54,7 +57,57 @@ func referenceEncodeEntry(b *bytes.Buffer, r *relay.Descriptor, pad int) {
 	}
 }
 
-func referenceConsensusEncode(c *Consensus) []byte {
+// referenceRelay and referenceConsensus are the consensus as it was: every
+// field of an entry copied out of the votes.
+type referenceRelay struct {
+	Nickname   string
+	Identity   relay.Identity
+	Address    string
+	ORPort     uint16
+	DirPort    uint16
+	Flags      relay.Flags
+	Version    string
+	Protocols  string
+	ExitPolicy string
+	Bandwidth  uint64
+}
+
+type referenceConsensus struct {
+	ValidAfter       uint64
+	NumVotes         int
+	TotalAuthorities int
+	Voters           []int
+	Relays           []referenceRelay
+}
+
+// relaysOf materialises a view: each listed relay's roster descriptor with the
+// listing's flags and measurement.
+func relaysOf(v View) []relay.Descriptor {
+	if len(v.Listings) == 0 {
+		return nil
+	}
+	out := make([]relay.Descriptor, len(v.Listings))
+	for i, l := range v.Listings {
+		out[i] = v.Roster.relays[l.Index]
+		out[i].Flags, out[i].HasMeasured, out[i].Measured = l.Flags, l.HasMeasured, l.Measured
+	}
+	return out
+}
+
+// flatten is c as a referenceConsensus: each entry's roster relay with its
+// aggregated flags and bandwidth.
+func flatten(c *Consensus) *referenceConsensus {
+	out := &referenceConsensus{ValidAfter: c.ValidAfter, NumVotes: c.NumVotes, TotalAuthorities: c.TotalAuthorities, Voters: c.Voters}
+	for _, e := range c.Relays {
+		d := &c.roster.relays[e.Index]
+		out.Relays = append(out.Relays, referenceRelay{Nickname: d.Nickname, Identity: d.Identity, Address: d.Address,
+			ORPort: d.ORPort, DirPort: d.DirPort, Flags: e.Flags, Version: d.Version, Protocols: d.Protocols,
+			ExitPolicy: d.ExitPolicy, Bandwidth: e.Bandwidth})
+	}
+	return out
+}
+
+func referenceConsensusEncode(c *referenceConsensus) []byte {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "network-status-version 3\n")
 	fmt.Fprintf(&b, "vote-status consensus\n")
@@ -78,7 +131,7 @@ func referenceConsensusEncode(c *Consensus) []byte {
 	return b.Bytes()
 }
 
-func referenceAggregate(votes []*Document, totalAuthorities int) (*Consensus, error) {
+func referenceAggregate(votes []*Document, totalAuthorities int) (*referenceConsensus, error) {
 	if len(votes) == 0 {
 		return nil, fmt.Errorf("vote: aggregate of zero votes")
 	}
@@ -112,8 +165,9 @@ func referenceAggregate(votes []*Document, totalAuthorities int) (*Consensus, er
 	byID := make(map[relay.Identity]*slot)
 	var order []relay.Identity
 	for _, v := range ordered {
-		for i := range v.Relays {
-			r := &v.Relays[i]
+		relays := relaysOf(v.Relays)
+		for i := range relays {
+			r := &relays[i]
 			s, ok := byID[r.Identity]
 			if !ok {
 				s = &slot{}
@@ -126,7 +180,7 @@ func referenceAggregate(votes []*Document, totalAuthorities int) (*Consensus, er
 	}
 	sort.Slice(order, func(i, j int) bool { return bytes.Compare(order[i][:], order[j][:]) < 0 })
 
-	c := &Consensus{
+	c := &referenceConsensus{
 		ValidAfter:       ordered[0].ValidAfter,
 		NumVotes:         n,
 		TotalAuthorities: totalAuthorities,
@@ -145,7 +199,7 @@ func referenceAggregate(votes []*Document, totalAuthorities int) (*Consensus, er
 }
 
 // referenceAggregateRelay applies the per-relay rules of Figure 2.
-func referenceAggregateRelay(id relay.Identity, entries []relay.Descriptor, voters []int) ConsensusRelay {
+func referenceAggregateRelay(id relay.Identity, entries []relay.Descriptor, voters []int) referenceRelay {
 	// Name (and endpoint) from the vote with the largest authority ID.
 	maxAt := 0
 	for i, v := range voters {
@@ -155,7 +209,7 @@ func referenceAggregateRelay(id relay.Identity, entries []relay.Descriptor, vote
 	}
 	namer := entries[maxAt]
 
-	out := ConsensusRelay{
+	out := referenceRelay{
 		Nickname: namer.Nickname,
 		Identity: id,
 		Address:  namer.Address,

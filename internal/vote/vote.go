@@ -10,18 +10,31 @@
 // the largest version/protocol and the lexicographically larger exit policy
 // win ties; and bandwidth is the median of the measuring votes.
 //
+// A vote is a view of a population. A Roster holds the relays votes list,
+// with the entry lines no vote changes rendered once: each relay's r line
+// and advertised bandwidth into one arena, and each distinct v, pr and w
+// segment and p line once; a vote's View keeps, per relay it lists, only the
+// relay's roster index, flags and measurement (relay.Listing, 16 bytes). The votes Votes builds share one
+// roster of one population, in identity order; a parsed vote builds a roster
+// of the relays it lists, so there is one representation. A consensus is
+// the same: per relay, a roster index and the aggregated flags and bandwidth.
+//
 // Documents are frozen once built, and each is sealed on first use: Digest
 // or EncodedSize streams the document's rendering through SHA-256 and keeps
 // only the size and digest. A vote's entry padding is counted in its size
 // and not hashed (DefaultEntryPadding); a consensus is not padded. A seal
-// renders the entries with the append calls Encode makes, into one reused
-// scratch buffer, so the renderers and one size rule (paddedLen) are the only
-// statement of the format, a cached vote costs its relay view and not the
+// renders each entry with the append calls Encode makes, arena segments
+// around the entry's own flags and bandwidth, into one reused scratch
+// buffer, so the roster's renderers and one size rule (paddedLen) are the
+// only statement of the format, a cached vote costs its listings and not the
 // ~2.5 kB per relay its bytes would, and sealing either kind allocates
 // nothing. Encode allocates its buffer at EncodedSize and appends into it —
 // no fmt, no growth — and renders afresh on every call, for either kind.
-// Aggregate walks the votes, which list relays in identity order, as a k-way
-// merge of pointers into them: nothing is copied or indexed per relay.
+// Aggregate merges the votes' listings: on roster indices when the votes
+// share an ordered roster (an inputs entry's do), taking everything but flags
+// and bandwidth from the roster; on identities otherwise (parsed votes, an
+// equivocator's vote from another population), where the consensus gets a
+// roster of its own.
 // AggregateShared memoises Aggregate per vote set: Share links sealed votes
 // (an inputs entry's) to one memo, keyed by the authority count and the
 // sorted vote digests (a digest covers its vote's authority index), so every
@@ -40,7 +53,6 @@ import (
 	"crypto/sha256"
 	"strconv"
 
-	"partialtor/internal/relay"
 	"partialtor/internal/sig"
 )
 
@@ -70,7 +82,7 @@ type Document struct {
 	Fingerprint    sig.Fingerprint
 	ValidAfter     uint64 // vote epoch (hours)
 	EntryPadding   int    // pad each relay entry to this many bytes; 0 = natural size
-	Relays         []relay.Descriptor
+	Relays         View
 
 	size   int64      // of the encoding; 0 until sealed
 	digest sig.Digest // of the natural rendering, fixed with size
@@ -78,7 +90,7 @@ type Document struct {
 }
 
 // NewDocument builds a vote for an authority over its relay view.
-func NewDocument(authorityIndex int, name string, fp sig.Fingerprint, epoch uint64, relays []relay.Descriptor) *Document {
+func NewDocument(authorityIndex int, name string, fp sig.Fingerprint, epoch uint64, relays View) *Document {
 	return &Document{
 		AuthorityIndex: authorityIndex,
 		AuthorityName:  name,
@@ -94,8 +106,9 @@ func NewDocument(authorityIndex int, name string, fp sig.Fingerprint, epoch uint
 // seal keeps, so nothing keeps the bytes.
 func (d *Document) Encode() []byte {
 	b := d.appendHeader(make([]byte, 0, d.EncodedSize()))
-	for i := range d.Relays {
-		b = appendEntry(b, &d.Relays[i], d.EntryPadding)
+	r, listings := d.Relays.Roster, d.Relays.Listings
+	for i := range listings {
+		b = r.appendEntry(b, &listings[i], d.EntryPadding)
 	}
 	return append(b, footer...)
 }
@@ -105,8 +118,9 @@ func (d *Document) Encode() []byte {
 // entry unpadded, which still binds the padding: the header's entry-padding
 // line is hashed, and the padded bytes are a fixed function of the natural
 // ones. The size is that of the padded bytes Encode renders, each entry
-// counted at paddedLen. Entries are rendered by appendEntry into one scratch
-// buffer that is hashed and reused whenever it fills past sealChunk.
+// counted at paddedLen. Entries are rendered by the roster's appendEntry into
+// one scratch buffer that is hashed and reused whenever it fills past
+// sealChunk.
 func (d *Document) seal() {
 	if d.size != 0 {
 		return
@@ -114,9 +128,10 @@ func (d *Document) seal() {
 	h := sha256.New()
 	b := d.appendHeader(make([]byte, 0, 2*sealChunk))
 	size := int64(len(b)) + int64(len(footer))
-	for i := range d.Relays {
+	r, listings := d.Relays.Roster, d.Relays.Listings
+	for i := range listings {
 		n := len(b)
-		b = appendEntry(b, &d.Relays[i], 0)
+		b = r.appendEntry(b, &listings[i], 0)
 		size += int64(paddedLen(len(b)-n, d.EntryPadding))
 		if len(b) >= sealChunk {
 			h.Write(b)
@@ -164,50 +179,6 @@ func paddedLen(n, pad int) int {
 		return pad
 	}
 	return n
-}
-
-// appendEntry appends one relay entry, filled out to paddedLen by a filler
-// line.
-//
-//detlint:hotpath
-func appendEntry(b []byte, r *relay.Descriptor, pad int) []byte {
-	start := len(b)
-	b = append(b, "r "...)
-	b = append(b, r.Nickname...)
-	b = append(b, ' ')
-	b = r.Identity.AppendTo(b)
-	b = append(b, ' ')
-	b = r.Digest.AppendTo(b)
-	b = append(b, ' ')
-	b = append(b, r.Address...)
-	b = append(b, ' ')
-	b = strconv.AppendUint(b, uint64(r.ORPort), 10)
-	b = append(b, ' ')
-	b = strconv.AppendUint(b, uint64(r.DirPort), 10)
-	b = append(b, "\ns "...)
-	b = r.Flags.AppendTo(b)
-	b = append(b, "\nv Tor "...)
-	b = append(b, r.Version...)
-	b = append(b, "\npr "...)
-	b = append(b, r.Protocols...)
-	b = append(b, "\nw Bandwidth="...)
-	b = strconv.AppendUint(b, r.Bandwidth, 10)
-	if r.HasMeasured {
-		b = append(b, " Measured="...)
-		b = strconv.AppendUint(b, r.Measured, 10)
-	}
-	b = append(b, "\np "...)
-	b = append(b, r.ExitPolicy...)
-	b = append(b, '\n')
-	n := len(b) - start
-	if fill := paddedLen(n, pad) - n; fill > 0 {
-		b = append(b, "pad "...)
-		for fill -= len("pad \n"); fill > 0; fill -= len(filler) {
-			b = append(b, filler[:min(fill, len(filler))]...)
-		}
-		b = append(b, '\n')
-	}
-	return b
 }
 
 // EncodedSize returns the vote's wire size in bytes.
