@@ -283,12 +283,15 @@ func (c *cacheNode) Deliver(ctx *simnet.Context, from simnet.NodeID, msg simnet.
 
 	case *gossipDigest:
 		c.onGossipDigest(ctx, from, m)
+		c.pool.digests.put(m)
 	case gossipPull:
 		c.onGossipPull(ctx, from, m)
 	case *gossipDoc:
 		c.onGossipDoc(ctx, from, m)
+		c.pool.docs.put(m)
 	case *gossipVector:
 		c.onGossipVector(ctx, from, m)
+		c.pool.vectors.put(m)
 	}
 }
 

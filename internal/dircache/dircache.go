@@ -386,22 +386,48 @@ func (m *fetchNack) Size() int64  { return int64(m.fulls+m.diffs) * nackBytes }
 func (m *fetchNack) Kind() string { return "fetch-nack" }
 
 // msgPool recycles the messages of a fleet's fetch → serve → batch (or
-// nack) loop, so it allocates no message once the first tick's are in
-// circulation. A message goes back when the Deliver it was handed to
-// returns: nothing keeps *m past that (receiveBatch keeps m.link, which
-// points into the run's ChainContext, and handleFork copies *m.link). The
-// racing client's state rides the same pool: a race goes back when
-// finishRace drops it from its fleet's map, a wave timer or a cache's
-// fetch, refusal or pull timer as it fires. One Run owns one pool, used by
-// its single goroutine; it is never a sync.Pool and never package-level,
-// because sweeps run Run concurrently.
+// nack) loop and of the cache mesh, so it allocates no message once the
+// first tick's are in circulation. A message goes back when the Deliver it
+// was handed to returns: nothing keeps *m past that (receiveBatch keeps
+// m.link, which points into the run's ChainContext, and handleFork copies
+// *m.link; the mesh handlers copy what they read). A message the network
+// parks on a link dead to the end comes back through reclaim, the hand-back
+// Run installs. The racing client's state rides the same pool: a race goes
+// back when finishRace settles it, a wave timer or a cache's fetch, refusal
+// or pull timer as it fires. One Run owns one pool, used by its single
+// goroutine; it is never a sync.Pool and never package-level, because
+// sweeps run Run concurrently.
 type msgPool struct {
 	fetches     freeList[fleetFetch]
 	batches     freeList[docBatch]
 	nacks       freeList[fetchNack]
+	digests     freeList[gossipDigest]
+	docs        freeList[gossipDoc]
+	vectors     freeList[gossipVector]
 	races       freeList[raceState]
 	timers      freeList[waveTimer]
 	cacheTimers freeList[cacheTimer]
+}
+
+// reclaim takes back a message of the pool's own kinds that the network
+// parked: it never arrives, so nothing else will return it.
+//
+//detlint:hotpath
+func (p *msgPool) reclaim(m simnet.Message) {
+	switch m := m.(type) {
+	case *fleetFetch:
+		p.fetches.put(m)
+	case *docBatch:
+		p.batches.put(m)
+	case *fetchNack:
+		p.nacks.put(m)
+	case *gossipDigest:
+		p.digests.put(m)
+	case *gossipDoc:
+		p.docs.put(m)
+	case *gossipVector:
+		p.vectors.put(m)
+	}
 }
 
 // fetch, batch and nack take a message from the pool, or allocate one
@@ -430,6 +456,35 @@ func (p *msgPool) nack(fulls, diffs int, race int64) *fetchNack {
 		m = new(fetchNack)
 	}
 	*m = fetchNack{fulls: fulls, diffs: diffs, race: race}
+	return m
+}
+
+// digest, doc and vector take a mesh message from the pool. A vector keeps
+// its entry slice across uses: the engine refills it in place.
+func (p *msgPool) digest(d gossip.Digest) *gossipDigest {
+	m := p.digests.get()
+	if m == nil {
+		m = new(gossipDigest)
+	}
+	m.d = d
+	return m
+}
+
+func (p *msgPool) doc(epoch uint64, bytes int64, full bool) *gossipDoc {
+	m := p.docs.get()
+	if m == nil {
+		m = new(gossipDoc)
+	}
+	*m = gossipDoc{epoch: epoch, bytes: bytes, full: full}
+	return m
+}
+
+func (p *msgPool) vector(eng *gossip.Engine) *gossipVector {
+	m := p.vectors.get()
+	if m == nil {
+		m = new(gossipVector)
+	}
+	m.v = eng.Vector(m.v.Entries)
 	return m
 }
 

@@ -190,18 +190,17 @@ type forkEvent struct {
 	blamed sig.Digest
 }
 
-// raceState tracks one racing batch: the clients it carries, which caches
-// have been asked, and how many answers are still outstanding. A finished
-// race (done) lingers in the map until every outstanding answer has drained
-// so laggards can be recognized and their bytes charged as racing waste.
+// raceState tracks one racing batch while it is live: the clients it
+// carries, which caches have been asked and how many of them refused. A race
+// leaves its fleet's map the moment it settles, won or abandoned, so an
+// answer or wave timer that finds no race under its id belongs to a settled
+// one: a late batch is racing waste, a late nack only counts its refusal.
 type raceState struct {
 	fulls, diffs int
 	sent         int // requests issued across all waves
-	answered     int // batches plus nacks received back
-	nacks        int // refusals among the answers
+	nacks        int // refusals received back
 	wave         int // guards stale wave timers
 	tried        []bool
-	done         bool
 }
 
 func (f *fleetNode) Start(ctx *simnet.Context) {
@@ -501,7 +500,7 @@ func (w *waveTimer) run() {
 //detlint:hotpath
 func (f *fleetNode) raceTimeout(ctx *simnet.Context, id int64, wave int) {
 	r := f.races[id]
-	if r == nil || r.done || r.wave != wave {
+	if r == nil || r.wave != wave {
 		return
 	}
 	r.wave++
@@ -514,20 +513,14 @@ func (f *fleetNode) raceTimeout(ctx *simnet.Context, id int64, wave int) {
 // later response off as racing waste.
 func (f *fleetNode) receiveRaceBatch(ctx *simnet.Context, from simnet.NodeID, m *docBatch) {
 	r := f.races[m.race]
-	if r == nil || r.done {
+	if r == nil {
 		// A laggard (or a response to an abandoned race): its clients were
 		// satisfied — or re-pooled — elsewhere, but the download still
 		// crossed the network. That duplicate egress is the price of racing.
 		f.raceDup++
 		f.raceWaste += m.bytes
-		if r != nil {
-			r.answered++
-			f.finishRace(m.race, r)
-		}
 		return
 	}
-	r.answered++
-	r.done = true
 	f.finishRace(m.race, r)
 	f.receiveBatch(ctx, from, m)
 }
@@ -541,13 +534,10 @@ func (f *fleetNode) receiveRaceNack(ctx *simnet.Context, m *fetchNack) {
 	if r == nil {
 		return
 	}
-	r.answered++
 	r.nacks++
-	if !r.done && r.nacks == r.sent && f.nextUntried(r) < 0 {
+	if r.nacks == r.sent && f.nextUntried(r) < 0 {
 		f.abandonRace(ctx, m.race, r)
-		return
 	}
-	f.finishRace(m.race, r)
 }
 
 // nextUntried is the first cache (by failover ranking) the race has not
@@ -563,24 +553,22 @@ func (f *fleetNode) nextUntried(r *raceState) int {
 }
 
 // abandonRace pools a race's clients into the coalesced retry path — the
-// same place legacy refused fetches go — and marks it settled so any
+// same place legacy refused fetches go — and settles it so any
 // still-outstanding response is written off as waste.
 func (f *fleetNode) abandonRace(ctx *simnet.Context, id int64, r *raceState) {
-	fulls, diffs := r.fulls, r.diffs // finishRace may recycle r
-	r.done = true
+	fulls, diffs := r.fulls, r.diffs // finishRace recycles r
 	f.finishRace(id, r)
 	f.repool(ctx, fulls, diffs)
 }
 
-// finishRace drops a settled race once all its outstanding answers drained,
-// and recycles its state: no answer or timer can find it under its id again.
+// finishRace settles a race: it leaves the fleet's map and its state goes
+// back to the run's pool, so no answer or timer can find it under its id
+// again.
 //
 //detlint:hotpath
 func (f *fleetNode) finishRace(id int64, r *raceState) {
-	if r.done && r.answered >= r.sent {
-		delete(f.races, id)
-		f.pool.races.put(r)
-	}
+	delete(f.races, id)
+	f.pool.races.put(r)
 }
 
 // receiveBatch counts one completed batch download, running the

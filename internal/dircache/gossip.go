@@ -19,6 +19,9 @@ const aePhaseStep = 50 * time.Millisecond
 var gossipKinds = []string{"gossip-digest", "gossip-pull", "gossip-doc", "gossip-antientropy"}
 
 // --- gossip wire messages ---
+//
+// The pointer kinds come from the run's msgPool and go back when the
+// receiving cache's Deliver returns.
 
 // gossipDigest is one push announcement, cache → mesh peer. Its wire size is
 // the codec's real encoded size.
@@ -144,8 +147,7 @@ func (c *cacheNode) gossipAnnounce(ctx *simnet.Context) {
 	for _, p := range g.eng.SelectPeers(ctx.Rand(), g.cfg.Fanout) {
 		g.pushes++
 		ctx.Trace(obs.Event{Type: obs.EvGossipPush, Peer: int(g.ids[p]), A: int64(d.Epoch), B: int64(d.TTL)})
-		//detlint:hotpath ok(a mesh message lives until the network delivers it, and nothing returns it to a pool: one allocation a send)
-		ctx.Send(g.ids[p], &gossipDigest{d: d})
+		ctx.Send(g.ids[p], c.pool.digest(d))
 	}
 	g.pushesLeft--
 	if g.pushesLeft > 0 {
@@ -175,8 +177,7 @@ func (c *cacheNode) onGossipDigest(ctx *simnet.Context, from simnet.NodeID, m *g
 			}
 			g.pushes++
 			ctx.Trace(obs.Event{Type: obs.EvGossipPush, Peer: int(g.ids[p]), A: int64(d.Epoch), B: int64(d.TTL)})
-			//detlint:hotpath ok(a mesh message lives until the network delivers it, and nothing returns it to a pool: one allocation a send)
-			ctx.Send(g.ids[p], &gossipDigest{d: d})
+			ctx.Send(g.ids[p], c.pool.digest(d))
 		}
 	}
 }
@@ -213,8 +214,7 @@ func (c *cacheNode) onGossipPull(ctx *simnet.Context, from simnet.NodeID, m goss
 	if full {
 		bytes = c.spec.DocBytes
 	}
-	//detlint:hotpath ok(a mesh message lives until the network delivers it, and nothing returns it to a pool: one allocation a send)
-	ctx.Send(from, &gossipDoc{epoch: g.eng.Epoch(), bytes: bytes, full: full})
+	ctx.Send(from, c.pool.doc(g.eng.Epoch(), bytes, full))
 }
 
 // onGossipDoc lands a pulled document. Only the genuine current epoch makes
@@ -256,8 +256,7 @@ func (c *cacheNode) onGossipVector(ctx *simnet.Context, from simnet.NodeID, m *g
 			c.gossipPull(ctx, from, peerEpoch)
 		}
 	case peerEpoch < g.eng.Epoch():
-		//detlint:hotpath ok(a mesh message lives until the network delivers it, and nothing returns it to a pool: one allocation a send)
-		ctx.Send(from, &gossipVector{v: g.eng.Vector()})
+		ctx.Send(from, c.pool.vector(g.eng))
 	}
 }
 
@@ -294,8 +293,7 @@ func (c *cacheNode) gossipCatchUp(ctx *simnet.Context) {
 	if p, ok := g.eng.NextPeer(); ok {
 		g.rounds++
 		ctx.Trace(obs.Event{Type: obs.EvGossipAntiEntropy, Peer: int(g.ids[p]), A: int64(g.eng.Epoch())})
-		//detlint:hotpath ok(a mesh message lives until the network delivers it, and nothing returns it to a pool: one allocation a send)
-		ctx.Send(g.ids[p], &gossipVector{v: g.eng.Vector()})
+		ctx.Send(g.ids[p], c.pool.vector(g.eng))
 	}
 }
 

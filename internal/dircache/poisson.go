@@ -7,8 +7,10 @@ import (
 )
 
 // poisson samples a Poisson(lambda) count. Small rates use Knuth's product
-// method; large rates the normal approximation, which keeps every fleet tick
-// O(1) regardless of population size.
+// method, which draws lambda+1 uniforms on average, so fewer than 31 below
+// the switch at lambda = 30; large rates the normal approximation, one
+// normal draw. A fleet tick's draws are so bounded whatever the population,
+// but the exact branches are not O(1).
 func poisson(rng *rand.Rand, lambda float64) int {
 	if lambda <= 0 {
 		return 0
@@ -31,7 +33,10 @@ func poisson(rng *rand.Rand, lambda float64) int {
 }
 
 // binomial samples a Binomial(n, p) count, switching to the normal
-// approximation when the variance is large enough for it to be accurate.
+// approximation (one normal draw) when the variance n·p·(1−p) exceeds 25,
+// large enough for it to be accurate. Below that it draws one uniform per
+// client: up to 156 draws at DiffFraction 0.8, where the switch is at
+// n > 156.
 func binomial(rng *rand.Rand, n int, p float64) int {
 	if n <= 0 || p <= 0 {
 		return 0

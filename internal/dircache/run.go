@@ -62,7 +62,9 @@ func Run(spec Spec) (*Result, error) {
 		authIDs[i] = net.AddNodeIn(stub, up, down, region)
 	}
 
+	// A message parked on a link dead to the end comes back to the pool.
 	pool := &msgPool{}
+	net.SetHandBack(pool.reclaim)
 	roles := cacheRoles(spec.Compromise, spec.Caches)
 	caches := make([]*cacheNode, spec.Caches)
 	cacheIDs := make([]simnet.NodeID, spec.Caches)

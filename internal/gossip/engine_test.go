@@ -10,7 +10,7 @@ import (
 // vector if a is behind, and a then pulls. This is exactly the dircache
 // wiring minus latency.
 func exchange(a, b *Engine) {
-	av := a.Vector().EpochFor(0)
+	av := a.Vector(nil).EpochFor(0)
 	if b.NeedsPull(av) {
 		b.BeginPull(av)
 		if serve, _ := a.OnPull(b.Epoch()); serve {

@@ -167,9 +167,13 @@ func (e *Engine) OnPull(have uint64) (serve, full bool) {
 	return true, have != e.epoch-1
 }
 
-// Vector is the node's current epoch vector for an anti-entropy exchange.
-func (e *Engine) Vector() Vector {
-	return Vector{Entries: []VectorEntry{{Key: 0, Epoch: e.epoch}}}
+// Vector is the node's current epoch vector for an anti-entropy exchange,
+// written over dst's entries so a caller that keeps its vectors reuses
+// their storage (nil allocates).
+//
+//detlint:hotpath
+func (e *Engine) Vector(dst []VectorEntry) Vector {
+	return Vector{Entries: append(dst[:0], VectorEntry{Key: 0, Epoch: e.epoch})}
 }
 
 // NextPeer returns the next anti-entropy partner, rotating round-robin

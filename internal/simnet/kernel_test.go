@@ -72,7 +72,8 @@ func (sc *netScenario) delivered(r *netRun, at time.Duration, from, to NodeID, t
 
 // netRun is what a run shows: its deliveries in order, the sampler's
 // readings, the events executed by the limit and the clock there; and of a
-// kernel run what its shortcuts did and the first broken invariant.
+// kernel run what its shortcuts did, the tags of the messages it handed back
+// and the first broken invariant.
 type netRun struct {
 	deliveries []refDone[netKey]
 	samples    []netSample
@@ -80,6 +81,7 @@ type netRun struct {
 	clock      time.Duration
 
 	parked                          int
+	handedBack                      []int
 	beyond, later, earlier, dropped bool
 	laneSampled, laneAfterHeap      bool
 	broken                          error
@@ -271,6 +273,7 @@ func (sc *netScenario) kernel(final bool) netRun {
 		net.AddNode(k, l[0].Clone(), l[1].Clone())
 	}
 	net.SetObs(k)
+	net.SetHandBack(func(m Message) { r.handedBack = append(r.handedBack, m.(testMsg).tag) })
 	if final {
 		r.executed = net.Run(sc.limit)
 	} else {
@@ -296,6 +299,9 @@ func (sc *netScenario) diff(got, want netRun) error {
 	if got.broken != nil {
 		return got.broken
 	}
+	if err := got.handBacks(); err != nil {
+		return err
+	}
 	if err := sameCompletions(got.deliveries, want.deliveries, sc.limit); err != nil {
 		return err
 	}
@@ -320,6 +326,28 @@ func (sc *netScenario) diff(got, want netRun) error {
 			if math.Abs(moved-w.moved[j]) > 1e-9*w.moved[j]+float64(2*len(sc.sends))*(epsBits+float64(peak*1e-9)) {
 				return fmt.Errorf("sample %d: link %d metered %.0f bits; the reference %.0f", i+1, j, moved, w.moved[j])
 			}
+		}
+	}
+	return nil
+}
+
+// handBacks reports a kernel run that did not hand back exactly the messages
+// its pipes parked: as many as they counted, each once, and none delivered.
+// A tag names one message (netKey).
+func (r *netRun) handBacks() error {
+	if len(r.handedBack) != r.parked {
+		return fmt.Errorf("handed back %d messages; its pipes parked %d", len(r.handedBack), r.parked)
+	}
+	back := make(map[int]bool, len(r.handedBack))
+	for _, tag := range r.handedBack {
+		if back[tag] {
+			return fmt.Errorf("handed back message %d twice", tag)
+		}
+		back[tag] = true
+	}
+	for _, d := range r.deliveries {
+		if back[d.id.tag] {
+			return fmt.Errorf("handed back %v, which it delivered at %v", d.id, d.at)
 		}
 	}
 	return nil

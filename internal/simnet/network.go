@@ -67,6 +67,7 @@ type Network struct {
 	rng     *rand.Rand
 	drop    func(from, to NodeID, m Message) bool
 	delay   func(from, to NodeID, m Message) time.Duration
+	parked  func(m Message) // SetHandBack's hook, nil until one is installed
 	stats   Stats
 	started bool
 	ran     bool
@@ -208,6 +209,14 @@ func (n *Network) SetDropFilter(f func(from, to NodeID, m Message) bool) { n.dro
 // SetDelayFilter installs extra per-message one-way delay (e.g. to model an
 // adversarial scheduler before GST).
 func (n *Network) SetDelayFilter(f func(from, to NodeID, m Message) time.Duration) { n.delay = f }
+
+// SetHandBack installs f to receive every message the network parks: one
+// that can never leave its sender's dead uplink, or cross its receiver's dead
+// downlink, before the run's end ("Run end" in the package doc). f gets each
+// such message once, at the instant it parks, and never one it delivers, so
+// a sender can take the message back into its pool. f must not send or
+// schedule anything: a parked message changes no other part of the run.
+func (n *Network) SetHandBack(f func(m Message)) { n.parked = f }
 
 // SetObs installs the typed event tracer (nil disables tracing) and turns
 // on the per-pipe byte meters it samples. Install before Start: the
@@ -357,7 +366,7 @@ func (n *Network) send(from, to NodeID, m Message) {
 		})
 	}
 	if !n.nodes[from].up.enqueue(size, t) {
-		n.releaseTransit(t) // parked: it never leaves before the end
+		n.park(t) // it never leaves before the end
 	}
 }
 
@@ -393,7 +402,7 @@ func (t *transit) complete(at time.Duration) {
 	case 1: // arrived: contend for the receiver's downlink
 		t.stage = 2
 		if !t.net.nodes[t.to].down.enqueue(t.size, t) {
-			t.net.releaseTransit(t) // parked: it never arrives before the end
+			t.net.park(t) // it never arrives before the end
 		}
 	default: // downlink drained: deliver
 		n := t.net
@@ -435,6 +444,18 @@ func (n *Network) releaseTransit(t *transit) {
 	t.stage = 0
 	t.next = n.freeTransit
 	n.freeTransit = t
+}
+
+// park recycles the transit of a message a pipe parked and hands the message
+// back through SetHandBack's hook.
+//
+//detlint:hotpath
+func (n *Network) park(t *transit) {
+	m := t.msg
+	n.releaseTransit(t)
+	if n.parked != nil {
+		n.parked(m)
+	}
 }
 
 // NodeLog returns the protocol log of a node.

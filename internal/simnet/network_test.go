@@ -258,3 +258,56 @@ func TestNetworkRunsOnce(t *testing.T) {
 	}()
 	net.Run(2 * time.Second)
 }
+
+func TestParkedMessagesAreHandedBack(t *testing.T) {
+	// Node 0's uplink and node 1's downlink die at 10 s until past the end;
+	// node 2's uplink is dead from 10 to 20 s only; node 3 is healthy. At
+	// 5 s node 0 sends to node 1 (tag 1), delivered before either link
+	// dies. At 15 s node 0 sends to node 3 (tag 2), parked at the send;
+	// node 3 to node 1 (tag 3), parked on arrival; and node 2 to node 3
+	// (tag 4), which waits out the outage and is delivered.
+	net := New(Config{Topology: fixedLatency(10 * time.Millisecond)})
+	deadFrom := func(from, to time.Duration) *Profile {
+		p := NewProfile(1e6)
+		p.SetRate(from, to, 0)
+		return p
+	}
+	nodes := []*recorder{{}, {}, {}, {}}
+	net.AddNode(nodes[0], deadFrom(10*time.Second, 2*time.Minute), NewProfile(1e6))
+	net.AddNode(nodes[1], NewProfile(1e6), deadFrom(10*time.Second, 2*time.Minute))
+	net.AddNode(nodes[2], deadFrom(10*time.Second, 20*time.Second), NewProfile(1e6))
+	net.AddNode(nodes[3], NewProfile(1e6), NewProfile(1e6))
+	sends := []struct {
+		at       time.Duration
+		from, to NodeID
+	}{{5 * time.Second, 0, 1}, {15 * time.Second, 0, 3}, {15 * time.Second, 3, 1}, {15 * time.Second, 2, 3}}
+	nodes[0].onStart = func(ctx *Context) {
+		for i, m := range sends {
+			ctx.At(m.at, func() { net.nodes[m.from].ctx.Send(m.to, testMsg{size: 1000, kind: "t", tag: i + 1}) })
+		}
+	}
+	// 1000 bytes at 1 Mbit/s cross a link in 8 ms.
+	parksAt := map[int]time.Duration{2: 15 * time.Second, 3: 15*time.Second + 8*time.Millisecond + net.pairLatency(3, 1)}
+	var back []int
+	net.SetHandBack(func(m Message) {
+		tag := m.(testMsg).tag
+		approxDur(t, net.Now(), parksAt[tag], time.Millisecond, "hand-back")
+		back = append(back, tag)
+	})
+	net.Run(time.Minute)
+	if len(back) != 2 || back[0] != 2 || back[1] != 3 {
+		t.Fatalf("handed back %v, want [2 3]: the messages parked at the send and on arrival, once each", back)
+	}
+	var delivered []int
+	for _, r := range nodes {
+		for _, d := range r.got {
+			delivered = append(delivered, d.msg.(testMsg).tag)
+		}
+	}
+	if len(delivered) != 2 || delivered[0] != 1 || delivered[1] != 4 {
+		t.Fatalf("delivered %v, want [1 4]", delivered)
+	}
+	if parked := net.nodes[0].up.parked + net.nodes[1].down.parked; parked != 2 {
+		t.Fatalf("the dead links parked %d messages, want 2", parked)
+	}
+}

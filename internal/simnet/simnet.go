@@ -66,11 +66,12 @@
 //     due after the end is never queued (and takes no sequence number, so
 //     the order of the rest is unchanged), a completion planned past it
 //     leaves its pipe no wakeup, and a transfer arriving at a pipe dead now
-//     and until the end or later is counted as parked instead of stored.
-//     None of them could have run inside the limit. The scheduler notes
-//     that something was due past the end, and the traced sampler then
-//     never stops on a drained queue, so it stops exactly where it would
-//     have. A Scheduler stepped by RunUntil has no end: it parks only what
+//     and until the end or later is counted as parked instead of stored,
+//     its message handed once to the hook SetHandBack installs, so the
+//     sender can reuse it. None of them could have run inside the limit.
+//     The scheduler notes that something was due past the end, and the
+//     traced sampler then never stops on a drained queue, so it stops
+//     exactly where it would have. A Scheduler stepped by RunUntil has no end: it parks only what
 //     arrives at a pipe dead forever.
 //
 //   - Profiles are single-simulation state. RateAt/nextChange cache a
