@@ -146,7 +146,6 @@ func TestFacadeExperimentPipeline(t *testing.T) {
 			Caches:      5,
 			Fleets:      2,
 			FetchWindow: 10 * time.Minute,
-			Tick:        5 * time.Second,
 		}),
 	)
 	if err != nil {
@@ -230,7 +229,6 @@ func TestFacadeCompromisedCaches(t *testing.T) {
 		Caches:      8,
 		Fleets:      2,
 		FetchWindow: 10 * time.Minute,
-		Tick:        5 * time.Second,
 		Seed:        7,
 		Compromise: &partialtor.CompromisePlan{
 			Targets: partialtor.FirstTargets(2),
@@ -703,13 +701,23 @@ var setAndReadOnPurpose = map[string]string{
 // for what they cannot see. Every exported field of a struct declared under
 // internal/ must be written by a non-test file of this module or of
 // benchmark/ (a composite-literal key or position, an assignment, ++/--, a
-// copy into it, its address taken) and read by one (any other mention); every
-// exported method must be called by one, or belong to an interface its type
-// implements. An input nobody sets is a constant, a result nobody reads is
+// copy into it, its address taken) other than its own type's withDefaults or
+// WithDefaults, and read by one (any other mention); every exported method
+// must be called by one, or belong to an interface its type implements. An
+// input nobody sets but its default is a constant, a result nobody reads is
 // dead, and either goes or sits in setAndReadOnPurpose with a reason.
 func TestInternalFieldsAreSetAndRead(t *testing.T) {
 	tt := loadTree(t)
 	fset, info := tt.fset, tt.info
+
+	// receiver is a method's receiver type, pointer or not.
+	receiver := func(fn *types.Func) types.Type {
+		recv := fn.Type().(*types.Signature).Recv().Type()
+		if p, ok := recv.(*types.Pointer); ok {
+			return p.Elem()
+		}
+		return recv
+	}
 
 	// What is held to the rule, under the name the allowlist knows it by.
 	name := map[types.Object]string{}
@@ -727,11 +735,7 @@ func TestInternalFieldsAreSetAndRead(t *testing.T) {
 			switch d := d.(type) {
 			case *ast.FuncDecl:
 				if fn := info.Defs[d.Name].(*types.Func); d.Recv != nil {
-					recv := fn.Type().(*types.Signature).Recv().Type()
-					if p, ok := recv.(*types.Pointer); ok {
-						recv = p.Elem()
-					}
-					track(fn, recv.(*types.Named).Obj().Name())
+					track(fn, receiver(fn).(*types.Named).Obj().Name())
 				}
 			case *ast.GenDecl:
 				for _, spec := range d.Specs {
@@ -758,10 +762,22 @@ func TestInternalFieldsAreSetAndRead(t *testing.T) {
 	}
 
 	// Writes first, so that the identifiers they go through are not taken
-	// for reads below.
+	// for reads below. A type's own withDefaults or WithDefaults fills in
+	// its zero fields, which is no caller setting them: there, a write to a
+	// field of the receiver is not counted, so a default no caller overrides
+	// shows as the constant it is.
 	written, read := map[types.Object]bool{}, map[types.Object]bool{}
 	writes := map[*ast.Ident]bool{}
-	field := func(e ast.Expr) (*ast.Ident, types.Object) {
+	var defaulting *types.Struct // the receiver's fields, inside a withDefaults
+	set := func(v *types.Var) {
+		for i := 0; defaulting != nil && i < defaulting.NumFields(); i++ {
+			if defaulting.Field(i) == v {
+				return
+			}
+		}
+		written[v] = true
+	}
+	field := func(e ast.Expr) (*ast.Ident, *types.Var) {
 		if sel, ok := e.(*ast.SelectorExpr); ok {
 			if v, ok := info.Uses[sel.Sel].(*types.Var); ok && v.IsField() {
 				return sel.Sel, v.Origin()
@@ -782,7 +798,8 @@ func TestInternalFieldsAreSetAndRead(t *testing.T) {
 				e = x.X
 			default:
 				if id, v := field(e); v != nil {
-					written[v], writes[id] = true, true
+					set(v)
+					writes[id] = true
 				}
 				return
 			}
@@ -794,56 +811,63 @@ func TestInternalFieldsAreSetAndRead(t *testing.T) {
 		return ok && isBuiltin && id.Name == name
 	}
 	for _, f := range tt.files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CompositeLit:
-				typ := info.TypeOf(n)
-				if p, ok := typ.Underlying().(*types.Pointer); ok {
-					typ = p.Elem()
-				}
-				st, ok := typ.Underlying().(*types.Struct)
-				if !ok {
-					break
-				}
-				for i, elt := range n.Elts {
-					if kv, ok := elt.(*ast.KeyValueExpr); ok {
-						key := kv.Key.(*ast.Ident)
-						written[info.Uses[key].(*types.Var).Origin()], writes[key] = true, true
-					} else {
-						written[st.Field(i).Origin()] = true
+		for _, d := range f.Decls {
+			defaulting = nil
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil && (fd.Name.Name == "withDefaults" || fd.Name.Name == "WithDefaults") {
+				defaulting, _ = receiver(info.Defs[fd.Name].(*types.Func)).Underlying().(*types.Struct)
+			}
+			ast.Inspect(d, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					typ := info.TypeOf(n)
+					if p, ok := typ.Underlying().(*types.Pointer); ok {
+						typ = p.Elem()
 					}
-				}
-			case *ast.AssignStmt:
-				for _, lhs := range n.Lhs {
-					write(lhs)
-				}
-				if len(n.Lhs) != len(n.Rhs) {
-					break
-				}
-				// In x.F = append(x.F, …) the x.F inside append is the
-				// write's own operand, not a read.
-				for i, rhs := range n.Rhs {
-					if call, ok := rhs.(*ast.CallExpr); ok && builtin(call, "append") {
-						id, v := field(call.Args[0])
-						if _, w := field(n.Lhs[i]); v != nil && w == v {
-							writes[id] = true
+					st, ok := typ.Underlying().(*types.Struct)
+					if !ok {
+						break
+					}
+					for i, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							key := kv.Key.(*ast.Ident)
+							set(info.Uses[key].(*types.Var).Origin())
+							writes[key] = true
+						} else {
+							set(st.Field(i).Origin())
 						}
 					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						write(lhs)
+					}
+					if len(n.Lhs) != len(n.Rhs) {
+						break
+					}
+					// In x.F = append(x.F, …) the x.F inside append is the
+					// write's own operand, not a read.
+					for i, rhs := range n.Rhs {
+						if call, ok := rhs.(*ast.CallExpr); ok && builtin(call, "append") {
+							id, v := field(call.Args[0])
+							if _, w := field(n.Lhs[i]); v != nil && w == v {
+								writes[id] = true
+							}
+						}
+					}
+				case *ast.IncDecStmt:
+					write(n.X)
+				case *ast.CallExpr:
+					if builtin(n, "copy") {
+						write(n.Args[0])
+					}
+				case *ast.UnaryExpr:
+					// An address escapes: whoever holds it may do either.
+					if _, v := field(n.X); n.Op == token.AND && v != nil {
+						set(v)
+					}
 				}
-			case *ast.IncDecStmt:
-				write(n.X)
-			case *ast.CallExpr:
-				if builtin(n, "copy") {
-					write(n.Args[0])
-				}
-			case *ast.UnaryExpr:
-				// An address escapes: whoever holds it may do either.
-				if _, v := field(n.X); n.Op == token.AND && v != nil {
-					written[v] = true
-				}
-			}
-			return true
-		})
+				return true
+			})
+		}
 	}
 	for id, obj := range info.Uses {
 		switch obj := obj.(type) {
@@ -896,10 +920,7 @@ func TestInternalFieldsAreSetAndRead(t *testing.T) {
 		visit(pkg.types)
 	}
 	viaInterface := func(fn *types.Func) bool {
-		recv := fn.Type().(*types.Signature).Recv().Type()
-		if p, ok := recv.(*types.Pointer); ok {
-			recv = p.Elem()
-		}
+		recv := receiver(fn)
 		for _, it := range ifaces[fn.Name()] {
 			if types.Implements(recv, it) || types.Implements(types.NewPointer(recv), it) {
 				return true

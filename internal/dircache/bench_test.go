@@ -20,7 +20,6 @@ func benchSpec() Spec {
 		Caches:      24,
 		Fleets:      4,
 		FetchWindow: 30 * time.Minute,
-		Tick:        10 * time.Second,
 		PublishAt:   90 * time.Second,
 		Seed:        1,
 	}
@@ -260,7 +259,7 @@ func TestCoverageCurveReservedOnce(t *testing.T) {
 }
 
 func TestSteadyStateTimersAllocateNothing(t *testing.T) {
-	// Two runs of one shape, the second twenty minutes longer: its 480 extra
+	// Two runs of one shape, the second twenty minutes longer: its 240 extra
 	// fleet ticks, and, with every authority flooded out for good, its 40
 	// extra retry bursts and 640 extra cache fetch timeouts, must allocate
 	// nothing. Ticks and bursts re-arm bound callbacks, cache timers and
@@ -268,7 +267,7 @@ func TestSteadyStateTimersAllocateNothing(t *testing.T) {
 	// With a closure per timer and a nack per refusal, the flooded pair's
 	// longer run made about 6 000 more allocations.
 	shape := func(window time.Duration, flooded bool) Spec {
-		s := Spec{Clients: 200_000, Caches: 8, Fleets: 2, FetchWindow: window, Tick: 5 * time.Second, Seed: 3}
+		s := Spec{Clients: 200_000, Caches: 8, Fleets: 2, FetchWindow: window, Seed: 3}
 		if flooded {
 			s.Attacks = []attack.Plan{{Tier: attack.TierAuthority, Targets: attack.FirstTargets(9), End: 24 * time.Hour}}
 		}

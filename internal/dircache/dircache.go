@@ -42,6 +42,15 @@ const (
 	// retryDelay is how long a refused client batch waits before retrying
 	// when no Spec.Backoff replaces the fixed delay.
 	retryDelay = time.Minute
+	// tick is the aggregation granularity of fleet arrivals: a fleet batches
+	// the clients whose fetches fall in one tick.
+	tick = 10 * time.Second
+	// raceFailover is the racing client's failover delay: how long a race
+	// waits for any response before re-racing against the next RaceK caches.
+	raceFailover = 20 * time.Second
+	// diffFraction is the share of clients that hold the previous consensus
+	// and therefore fetch only a diff.
+	diffFraction = 0.8
 	// cacheFetchTimeout is a cache's per-authority give-up delay before
 	// falling back to the next authority; cacheRetry how long it waits after
 	// a "not ready" refusal before asking the next one.
@@ -76,22 +85,15 @@ type Spec struct {
 	// client: every batch is raced against up to RaceK caches in parallel,
 	// the fastest response wins, laggards are cancelled (their transferred
 	// bytes are accounted in Result.RaceWasteBytes), and a race that is
-	// still unanswered after RaceTimeout fails over to the next caches in
-	// the fleet's preference order. 0 (the default) keeps the historical
-	// single-fetch path bit for bit; 1 is the failover client (no
-	// parallelism, timeout re-race only).
+	// still unanswered after raceFailover (20 s) fails over to the next
+	// caches in the fleet's preference order. 0 (the default) keeps the
+	// historical single-fetch path bit for bit; 1 is the failover client
+	// (no parallelism, timeout re-race only).
 	RaceK int
-	// RaceTimeout is the racing client's failover delay: how long a race
-	// waits for any response before re-racing against the next RaceK
-	// caches (default 20s).
-	RaceTimeout time.Duration
 
 	// DocBytes is the full consensus size; 0 selects DefaultDocBytes. The
 	// consensus diff scales with it (DiffBytes).
 	DocBytes int64
-	// DiffFraction is the share of clients that hold the previous consensus
-	// and therefore fetch only a diff (default 0.8; set negative for 0).
-	DiffFraction float64
 
 	// PublishAt is the instant the authorities have the consensus; the
 	// harness sets it to the generation latency of the protocol run.
@@ -100,8 +102,6 @@ type Spec struct {
 	// FetchWindow is the span over which the client population spreads its
 	// fetches (default 30 min, the first half of the freshness interval).
 	FetchWindow time.Duration
-	// Tick is the aggregation granularity of fleet arrivals (default 10s).
-	Tick time.Duration
 
 	// TargetCoverage is the population fraction defining "distributed"
 	// (default 0.95).
@@ -184,19 +184,8 @@ func (s Spec) withDefaults() Spec {
 	if s.DocBytes == 0 {
 		s.DocBytes = DefaultDocBytes
 	}
-	if s.DiffFraction == 0 {
-		s.DiffFraction = 0.8
-	} else if s.DiffFraction < 0 {
-		s.DiffFraction = 0
-	}
 	if s.FetchWindow == 0 {
 		s.FetchWindow = 30 * time.Minute
-	}
-	if s.Tick == 0 {
-		s.Tick = 10 * time.Second
-	}
-	if s.RaceTimeout == 0 {
-		s.RaceTimeout = 20 * time.Second
 	}
 	if s.RaceK > s.Caches {
 		s.RaceK = s.Caches
@@ -229,10 +218,10 @@ func (s *Spec) DiffBytes() int64 {
 	return max(1, s.DocBytes*DefaultDiffBytes/DefaultDocBytes)
 }
 
-// numTicks is how many fleet ticks cover the fetch window: one per Tick, the
+// numTicks is how many fleet ticks cover the fetch window: one per tick, the
 // last clamped to the window's end. Call it on a defaulted spec.
 func (s *Spec) numTicks() int {
-	return max(1, int((s.FetchWindow+s.Tick-1)/s.Tick))
+	return max(1, int((s.FetchWindow+tick-1)/tick))
 }
 
 // RunLimit bounds the simulation: the fetch window plus 30 minutes for the
@@ -259,16 +248,11 @@ func (s Spec) Validate() error {
 	if s.DocBytes < 0 {
 		return errors.New("dircache: negative document size")
 	}
-	for _, d := range []time.Duration{s.PublishAt, s.FetchWindow, s.Tick, s.RaceTimeout} {
-		if d < 0 {
-			return errors.New("dircache: negative duration")
-		}
+	if s.PublishAt < 0 || s.FetchWindow < 0 {
+		return errors.New("dircache: negative duration")
 	}
 	if s.RaceK < 0 {
 		return fmt.Errorf("dircache: negative race width %d", s.RaceK)
-	}
-	if !(s0.DiffFraction <= 1) { // NaN fails every comparison
-		return fmt.Errorf("dircache: diff fraction %.2f > 1", s0.DiffFraction)
 	}
 	if !(s0.TargetCoverage >= 0 && s0.TargetCoverage <= 1) {
 		return fmt.Errorf("dircache: target coverage %.2f outside [0, 1]", s0.TargetCoverage)

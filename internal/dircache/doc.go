@@ -73,6 +73,7 @@
 // first response wins. The simulator cannot cancel an in-flight transfer,
 // so a lost race's response still crosses the wire and is accounted as
 // Result.RaceWasteBytes/RaceLaggards — the honest price of racing. A wave
-// unanswered for Spec.RaceTimeout re-races against the next caches in the
-// fleet's weight ranking (Result.RaceTimeouts counts the re-races).
+// unanswered for 20 seconds (the raceFailover constant) re-races against
+// the next caches in the fleet's weight ranking (Result.RaceTimeouts counts
+// the re-races).
 package dircache

@@ -27,16 +27,31 @@ func floodSpec() Spec {
 	return s
 }
 
-// retryInstantsByFleet extracts each fleet's EvRetry fire times from a
-// recording, keyed by the fleet's node id.
-func retryInstantsByFleet(rec *obs.Recorder) map[int][]time.Duration {
+// retryInstantsByFleet runs s with a recorder sized to hold the whole run and
+// returns its result and each fleet's EvRetry fire times, keyed by the
+// fleet's node id. A recording that dropped events fails the test: the
+// instants must be every burst's, not the last few the ring kept.
+func retryInstantsByFleet(t *testing.T, s Spec) (*Result, map[int][]time.Duration) {
+	t.Helper()
+	rec := obs.NewRecorder(1 << 17)
+	s.Tracer = rec
+	res, err := Run(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Dropped() != 0 {
+		t.Fatalf("recorder dropped %d events: size it to the run", rec.Dropped())
+	}
 	out := map[int][]time.Duration{}
 	for _, e := range rec.Events() {
 		if e.Type == obs.EvRetry {
 			out[e.Node] = append(out[e.Node], e.At)
 		}
 	}
-	return out
+	if len(out) != s.Fleets {
+		t.Fatalf("retry events from %d fleets, want %d", len(out), s.Fleets)
+	}
+	return res, out
 }
 
 // TestBackoffDesynchronizesFleetRetries is the retry-burst regression test:
@@ -45,47 +60,48 @@ func retryInstantsByFleet(rec *obs.Recorder) map[int][]time.Duration {
 // jitter backoff pulls the two fleets' retry instants apart and grows the
 // gaps between bursts.
 func TestBackoffDesynchronizesFleetRetries(t *testing.T) {
-	legacy := floodSpec()
-	lrec := obs.NewRecorder(4096)
-	legacy.Tracer = lrec
-	lres, err := Run(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lres, lfleets := retryInstantsByFleet(t, floodSpec())
 	if lres.RetryBursts == 0 {
 		t.Fatal("flooded legacy run fired no retry bursts")
 	}
 	if lres.RetryDropped != 0 {
 		t.Fatalf("legacy run shed %d fetches without a budget", lres.RetryDropped)
 	}
-	lfleets := retryInstantsByFleet(lrec)
-	if len(lfleets) != legacy.Fleets {
-		t.Fatalf("retry events from %d fleets, want %d", len(lfleets), legacy.Fleets)
-	}
-	// Legacy re-arms at the fixed retryDelay: after the first burst,
-	// consecutive retries within one fleet sit exactly one delay apart.
+	// Legacy re-arms retryDelay after the first refusal that follows a burst
+	// comes back, so consecutive bursts of one fleet sit one delay plus a
+	// request-and-refusal round trip apart: more than retryDelay, by less
+	// than a second.
 	for node, instants := range lfleets {
-		for i := 2; i < len(instants); i++ {
-			if gap := instants[i] - instants[i-1]; gap != retryDelay {
-				t.Fatalf("fleet %d legacy retry gap %v, want fixed %v", node, gap, retryDelay)
+		if len(instants) < 2 {
+			t.Fatalf("fleet %d fired %d legacy bursts: no gap to check", node, len(instants))
+		}
+		for i := 1; i < len(instants); i++ {
+			if gap := instants[i] - instants[i-1]; gap <= retryDelay || gap >= retryDelay+time.Second {
+				t.Fatalf("fleet %d legacy retry gap %v, want in (%v, %v)", node, gap, retryDelay, retryDelay+time.Second)
 			}
+		}
+	}
+	// And both fleets, refused together, keep bursting together: the same
+	// number of bursts, each within a second of the other fleet's.
+	var lnodes []int
+	for n := range lfleets {
+		lnodes = append(lnodes, n)
+	}
+	la, lb := lfleets[lnodes[0]], lfleets[lnodes[1]]
+	if len(la) != len(lb) {
+		t.Fatalf("legacy fleets fired %d and %d bursts, want one synchronized schedule", len(la), len(lb))
+	}
+	for i := range la {
+		if d := la[i] - lb[i]; d <= -time.Second || d >= time.Second {
+			t.Fatalf("legacy burst %d at %v and %v: the fleets drifted apart", i, la[i], lb[i])
 		}
 	}
 
 	jittered := floodSpec()
 	jittered.Backoff = &faults.Backoff{Base: 30 * time.Second, Cap: 2 * time.Minute, Jitter: 0.5}
-	jrec := obs.NewRecorder(4096)
-	jittered.Tracer = jrec
-	jres, err := Run(jittered)
-	if err != nil {
-		t.Fatal(err)
-	}
+	jres, jfleets := retryInstantsByFleet(t, jittered)
 	if jres.RetryBursts == 0 {
 		t.Fatal("flooded backoff run fired no retry bursts")
-	}
-	jfleets := retryInstantsByFleet(jrec)
-	if len(jfleets) != jittered.Fleets {
-		t.Fatalf("retry events from %d fleets, want %d", len(jfleets), jittered.Fleets)
 	}
 	// The two fleets draw independent jitter: their retry instants must
 	// diverge rather than land as one synchronized burst.
@@ -209,7 +225,6 @@ func TestCrashDuringRace(t *testing.T) {
 	s := smallSpec()
 	s.FetchWindow = 6 * time.Minute
 	s.RaceK = 2
-	s.RaceTimeout = 10 * time.Second
 	// Two mirrors die with waves outstanding against them; the racing
 	// fleets must fail over to the six survivors. The stalled responses
 	// drain when the crash lifts and land as racing waste, never coverage.

@@ -109,7 +109,7 @@ type digestState struct {
 // downloads are discarded client-side with their bytes charged to
 // Result.RaceWasteBytes — the simulator cannot cancel an in-flight
 // transfer, so the duplicate egress is the honestly measured price of
-// racing. A wave that produces no response within Spec.RaceTimeout fails
+// racing. A wave that produces no response within raceFailover fails
 // over to the next K untried caches (weight-descending order), so K=1 is a
 // pure failover client and K>=2 is the drand-style optimizing client.
 type fleetNode struct {
@@ -165,7 +165,7 @@ type fleetNode struct {
 	raceDup      int   // laggard batches discarded
 	raceTimeouts int   // waves that expired and failed over
 
-	// Per-fleet scratch: tick and armRetry run once per Tick per fleet for
+	// Per-fleet scratch: tick and armRetry run once per tick per fleet for
 	// the whole fetch window, and without reuse each run allocates one
 	// slice per cache — the distribution tier's hot-path garbage.
 	counts  []int
@@ -235,7 +235,7 @@ func (f *fleetNode) scheduleTick(ctx *simnet.Context, k int) {
 	if k > f.spec.numTicks() {
 		return
 	}
-	at := time.Duration(k) * f.spec.Tick
+	at := time.Duration(k) * tick
 	if at > f.spec.FetchWindow {
 		at = f.spec.FetchWindow
 	}
@@ -253,11 +253,11 @@ func (f *fleetNode) runTick() {
 }
 
 // tickSpan returns the (start, end] interval tick k covers. Only the final
-// tick can be shortened: its end is clamped to FetchWindow when Tick does
+// tick can be shortened: its end is clamped to FetchWindow when tick does
 // not divide the window.
 func (f *fleetNode) tickSpan(k int) (start, end time.Duration) {
-	start = time.Duration(k-1) * f.spec.Tick
-	end = time.Duration(k) * f.spec.Tick
+	start = time.Duration(k-1) * tick
+	end = time.Duration(k) * tick
 	if end > f.spec.FetchWindow {
 		end = f.spec.FetchWindow
 	}
@@ -392,7 +392,7 @@ func (f *fleetNode) tick(ctx *simnet.Context, k int) {
 			continue
 		}
 		f.unrequested -= n
-		diffs := binomial(ctx.Rand(), n, f.spec.DiffFraction)
+		diffs := binomial(ctx.Rand(), n, diffFraction)
 		if f.spec.RaceK >= 1 {
 			f.startRace(ctx, i, n-diffs, diffs)
 		} else {
@@ -459,7 +459,7 @@ func (f *fleetNode) sendWave(ctx *simnet.Context, id int64, r *raceState, primar
 		f.abandonRace(ctx, id, r)
 		return
 	}
-	ctx.After(f.spec.RaceTimeout, f.pool.timer(f, ctx, id, r.wave).fire)
+	ctx.After(raceFailover, f.pool.timer(f, ctx, id, r.wave).fire)
 }
 
 // ask sends cache i the race's fetch unless the race has asked it already or
@@ -494,7 +494,7 @@ func (w *waveTimer) run() {
 	f.raceTimeout(ctx, id, wave)
 }
 
-// raceTimeout fires when a wave has produced no winner within RaceTimeout:
+// raceTimeout fires when a wave has produced no winner within raceFailover:
 // fail over to the next wave of untried caches.
 //
 //detlint:hotpath
@@ -808,12 +808,13 @@ func (f *fleetNode) dropForkBlame(d sig.Digest) {
 
 // armRetry coalesces refused fetches into one pending retry burst. Without
 // a Spec.Backoff the burst fires after the fixed retryDelay — the legacy
-// schedule, kept byte for byte: every fleet refused in the same tick
-// re-arms at the same multiple of retryDelay, so the bursts land on the
-// flooded tier as one synchronized spike. With a Backoff the delay grows
-// exponentially per consecutive burst, capped, and jittered from the run's
-// deterministic RNG — fleets desynchronize, and an optional budget sheds
-// the pool once retries stop paying.
+// schedule, kept byte for byte: a fleet re-arms when the first refusal
+// after its last burst comes back, so its bursts sit retryDelay plus a
+// round trip apart, and fleets refused together keep bursting together,
+// landing on the flooded tier as one synchronized spike. With a Backoff the
+// delay grows exponentially per consecutive burst, capped, and jittered
+// from the run's deterministic RNG — fleets desynchronize, and an optional
+// budget sheds the pool once retries stop paying.
 //
 //detlint:hotpath
 func (f *fleetNode) armRetry(ctx *simnet.Context) {

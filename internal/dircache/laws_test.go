@@ -35,10 +35,11 @@ func testSpecs() map[string]Spec {
 		specs[name] = spec
 	}
 	// Five equivocating caches out of eight win the corroboration vote, so
-	// a verifying fleet first covered by an honest cache retracts it.
+	// a verifying fleet first covered by an honest cache retracts it. Not
+	// every seed's draws put an honest cache first; seed 2's do.
 	majority := compromiseSpec(attack.CompromiseEquivocate, 5, true)
 	majority.Topology = topo.Continents()
-	majority.Seed = 1
+	majority.Seed = 2
 	specs["mirror-majority"] = majority
 	return specs
 }

@@ -35,7 +35,7 @@ func poisson(rng *rand.Rand, lambda float64) int {
 // binomial samples a Binomial(n, p) count, switching to the normal
 // approximation (one normal draw) when the variance n·p·(1−p) exceeds 25,
 // large enough for it to be accurate. Below that it draws one uniform per
-// client: up to 156 draws at DiffFraction 0.8, where the switch is at
+// client: up to 156 draws at diffFraction 0.8, where the switch is at
 // n > 156.
 func binomial(rng *rand.Rand, n int, p float64) int {
 	if n <= 0 || p <= 0 {
@@ -64,7 +64,7 @@ func binomial(rng *rand.Rand, n int, p float64) int {
 }
 
 // drawScratch holds the reusable buffers of the per-tick draw helpers. The
-// fleet tier runs one tick per fleet per Spec.Tick over the whole fetch
+// fleet tier runs one tick per fleet every 10 seconds over the whole fetch
 // window; without scratch reuse every tick allocates per cache, which at
 // 10⁵–10⁷ aggregated clients is the distribution tier's dominant garbage.
 type drawScratch struct {

@@ -13,7 +13,6 @@ import (
 func raceSpec(k int) Spec {
 	s := smallSpec()
 	s.RaceK = k
-	s.RaceTimeout = 10 * time.Second
 	return s
 }
 

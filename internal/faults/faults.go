@@ -116,6 +116,10 @@ func MidWindowChaos(n int, window time.Duration, crashFrac, churnFrac float64) *
 	return &Plan{Faults: faults}
 }
 
+// backoffFactor is the backoff's per-attempt multiplier: each retry delay
+// doubles the one before, up to Backoff.Cap.
+const backoffFactor = 2
+
 // Backoff configures the client fleets' retry schedule: a capped, seeded-
 // jitter exponential backoff replacing the fixed-delay coalesced retry.
 // Jittering from the run's deterministic RNG keeps the simulation
@@ -127,8 +131,6 @@ type Backoff struct {
 	Base time.Duration
 	// Cap bounds the grown delay. 0 selects the default 4m.
 	Cap time.Duration
-	// Factor is the per-attempt multiplier. 0 selects the default 2.
-	Factor float64
 	// Jitter is the fraction of each delay that is randomized: the delay
 	// becomes d·(1−Jitter) + U[0,1)·d·Jitter. 0 selects the default 0.5.
 	Jitter float64
@@ -146,9 +148,6 @@ func (b Backoff) WithDefaults() Backoff {
 	if b.Cap == 0 {
 		b.Cap = 4 * time.Minute
 	}
-	if b.Factor == 0 {
-		b.Factor = 2
-	}
 	if b.Jitter == 0 {
 		b.Jitter = 0.5
 	}
@@ -163,9 +162,6 @@ func (b *Backoff) Validate() error {
 	if b.Cap < b.Base {
 		return fmt.Errorf("faults: backoff cap %v below base %v", b.Cap, b.Base)
 	}
-	if !(b.Factor >= 1) { // NaN fails every comparison
-		return fmt.Errorf("faults: backoff factor %g below 1", b.Factor)
-	}
 	if !(b.Jitter >= 0 && b.Jitter <= 1) {
 		return fmt.Errorf("faults: backoff jitter %g outside [0, 1]", b.Jitter)
 	}
@@ -175,17 +171,17 @@ func (b *Backoff) Validate() error {
 	return nil
 }
 
-// Delay returns the attempt-th retry delay (0-based): Base grown by Factor
-// per attempt, capped at Cap, then jittered from rng. It draws exactly one
-// rng value per call when Jitter > 0 and none otherwise, so the RNG stream
-// consumed by a run is a pure function of the retry sequence.
+// Delay returns the attempt-th retry delay (0-based): Base grown by
+// backoffFactor per attempt, capped at Cap, then jittered from rng. It draws
+// exactly one rng value per call when Jitter > 0 and none otherwise, so the
+// RNG stream consumed by a run is a pure function of the retry sequence.
 //
 //detlint:hotpath
 func (b *Backoff) Delay(attempt int, rng *rand.Rand) time.Duration {
 	d := float64(b.Base)
 	limit := float64(b.Cap)
 	for i := 0; i < attempt; i++ {
-		d *= b.Factor
+		d *= backoffFactor
 		if d >= limit {
 			d = limit
 			break

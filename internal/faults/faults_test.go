@@ -50,7 +50,7 @@ func TestKindString(t *testing.T) {
 }
 
 func TestBackoffDelayGrowthAndCap(t *testing.T) {
-	b := Backoff{Base: 10 * time.Second, Cap: time.Minute, Factor: 2, Jitter: 0}
+	b := Backoff{Base: 10 * time.Second, Cap: time.Minute, Jitter: 0}
 	want := []time.Duration{
 		10 * time.Second, 20 * time.Second, 40 * time.Second,
 		time.Minute, time.Minute, time.Minute, // capped from attempt 3 on
@@ -63,10 +63,10 @@ func TestBackoffDelayGrowthAndCap(t *testing.T) {
 }
 
 func TestBackoffDelayJitterBounds(t *testing.T) {
-	b := Backoff{}.WithDefaults() // Base 15s, Cap 4m, Factor 2, Jitter 0.5
+	b := Backoff{}.WithDefaults() // Base 15s, Cap 4m, Jitter 0.5
 	rng := rand.New(rand.NewSource(1))
 	for attempt := 0; attempt < 12; attempt++ {
-		flat := Backoff{Base: b.Base, Cap: b.Cap, Factor: b.Factor, Jitter: 0}
+		flat := Backoff{Base: b.Base, Cap: b.Cap, Jitter: 0}
 		full := flat.Delay(attempt, nil)
 		lo := time.Duration(float64(full) * (1 - b.Jitter))
 		for i := 0; i < 50; i++ {
@@ -107,14 +107,12 @@ func TestBackoffValidate(t *testing.T) {
 		t.Fatalf("defaults invalid: %v", err)
 	}
 	bad := []Backoff{
-		{Base: -time.Second, Cap: time.Minute, Factor: 2, Jitter: 0.5},
-		{Base: time.Minute, Cap: time.Second, Factor: 2, Jitter: 0.5},
-		{Base: time.Second, Cap: time.Minute, Factor: 0.5, Jitter: 0.5},
-		{Base: time.Second, Cap: time.Minute, Factor: 2, Jitter: 1.5},
-		{Base: time.Second, Cap: time.Minute, Factor: 2, Jitter: -0.5},
-		{Base: time.Second, Cap: time.Minute, Factor: math.NaN(), Jitter: 0.5},
-		{Base: time.Second, Cap: time.Minute, Factor: 2, Jitter: math.NaN()},
-		{Base: time.Second, Cap: time.Minute, Factor: 2, Jitter: 0.5, Budget: -1},
+		{Base: -time.Second, Cap: time.Minute, Jitter: 0.5},
+		{Base: time.Minute, Cap: time.Second, Jitter: 0.5},
+		{Base: time.Second, Cap: time.Minute, Jitter: 1.5},
+		{Base: time.Second, Cap: time.Minute, Jitter: -0.5},
+		{Base: time.Second, Cap: time.Minute, Jitter: math.NaN()},
+		{Base: time.Second, Cap: time.Minute, Jitter: 0.5, Budget: -1},
 	}
 	for i, b := range bad {
 		if err := b.Validate(); err == nil {

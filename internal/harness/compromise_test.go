@@ -28,7 +28,6 @@ func compromiseDist() dircache.Spec {
 		Caches:      8,
 		Fleets:      2,
 		FetchWindow: 10 * time.Minute,
-		Tick:        5 * time.Second,
 	}
 }
 

@@ -17,7 +17,6 @@ func testDistSpec() *dircache.Spec {
 		Caches:      5,
 		Fleets:      2,
 		FetchWindow: 10 * time.Minute,
-		Tick:        5 * time.Second,
 	}
 }
 

@@ -28,7 +28,6 @@ func TestExperimentWithFaults(t *testing.T) {
 			Caches:         10,
 			Fleets:         2,
 			FetchWindow:    4 * time.Minute,
-			Tick:           5 * time.Second,
 			TargetCoverage: 0.9,
 			Gossip:         &gossip.Config{Fanout: 2, Seeds: []int{0}},
 			Backoff:        &faults.Backoff{Base: 5 * time.Second, Cap: 30 * time.Second},
@@ -76,7 +75,6 @@ func TestScenarioDistributionFaults(t *testing.T) {
 			Caches:      6,
 			Fleets:      1,
 			FetchWindow: 3 * time.Minute,
-			Tick:        5 * time.Second,
 			Faults:      plan,
 		},
 	}

@@ -58,70 +58,74 @@ import (
 // intentional semantic change. That happened once: 39 cells (every
 // compromised, regional, gossip and faults cell, and the attacked cells of
 // Ours) were re-recorded when every pipe share became exactly rate/n, which
-// moved their instants by 1 to 62 ns and nothing else. To re-record:
+// moved their instants by 1 to 62 ns and nothing else. The inputs changed
+// once: the 54 cells with a distribution phase (every kind but outage) were
+// re-recorded when the fleet tick and the racing failover delay became
+// constants, 10 s and 20 s, where the corpus had set 5 s and 10 s; each new
+// digest is the one the code before gave for those two inputs. To re-record:
 //
 //	GOLDEN_RECORD=1 go test ./internal/harness -run TestGoldenKernelCorpus -v
 var goldenKernelDigests = map[string]string{
-	"Current/seed1/attacked":         "aaa713c37d7478f9177daf590344e9b375bbd45d3a05f7e47fc5c69c354241fd",
-	"Current/seed1/compromised":      "a1ed9f563c22d1b532e47e949a7363eb01a75ab3e0c857a1f819f6356df72317",
-	"Current/seed7/attacked":         "3463d65c02b5804893441955e55887351e1faf93502599b808179fe9de1071c1",
-	"Current/seed7/compromised":      "e78169f504f7645eb3483838fa8ae280f35d087f9ec876122c26c03908e07411",
-	"Current/seed42/attacked":        "7335c059fb488b92bda6e0da5ea9ba5e40a99440513a18915938587e4fc1de65",
-	"Current/seed42/compromised":     "dbff00ed52c9ed56084106d154f435a87bb32e7cb1d89749f1db33a210e61b4b",
-	"Synchronous/seed1/attacked":     "2f583c41757468a249efa4e5c822244812fac6da1f2b729b27b22d2d00629d5c",
-	"Synchronous/seed1/compromised":  "7a41f6eac34d0c74a654bf6476bc6ebfc64dce2a6252d1e0f548f9c6ef88e90a",
-	"Synchronous/seed7/attacked":     "ab5ca6acd88722ee84c6874c51605a15d28578faeb4dfbd8af9b0539c91782ed",
-	"Synchronous/seed7/compromised":  "3a630d0775895f0511871edbd5824001a92b2f7a19643778bcefbcf3155c779c",
-	"Synchronous/seed42/attacked":    "24d2de2f60e506f66d07051dd892d76d1aecedc8d82f50b3cc683728f02c3db3",
-	"Synchronous/seed42/compromised": "b7a4a4f10ece0b0e4ff6ac2d007d2b58ab6a05dab0435e0683367846c32cfbfe",
-	"Ours/seed1/attacked":            "5b496c57ca972a02539acc95b735638f6a4527f75176bc91020ce71a6e8e6cd7",
-	"Ours/seed1/compromised":         "8fc93fb5d02d669ff468aa467d90640e962d50792f18be7cb55936100fb00748",
-	"Ours/seed7/attacked":            "137512b3051f2d09fd0b55c6d21346564dc06065fc7b1c638bb2fe720921f352",
-	"Ours/seed7/compromised":         "6e4c73a77faafe4d678740fe09d14a8935ebbb4e561fbcd88af0fc8d31431025",
-	"Ours/seed42/attacked":           "20216e85141f9ec8805e24dfcfb768685a23bd42a246fa1cb626312ecc41251c",
-	"Ours/seed42/compromised":        "a823c0b3dcfff5b5bcbdb9c214dba17df2664def87f7efe159f740a395e1bcd3",
+	"Current/seed1/attacked":         "5c83e9e2ca8c17482dc8217c6ea7d715c2bea1b25812cfc244f626898e1c999e",
+	"Current/seed1/compromised":      "5ca0e1a7772a18a4927ba20870909aa80a0b34a91706708c9a92a4a39ea89c29",
+	"Current/seed7/attacked":         "45d0da1d2e86edb288c5d0b92ac057de872f0769feaf8c1b0a3c6186440b552a",
+	"Current/seed7/compromised":      "79bceff729ef23266449298cbf57c2a5dccb3da40b900228fa0ed1ee0a1f35ed",
+	"Current/seed42/attacked":        "68353c9200d661114e98dccd5f445d62a135ae2ee207343960f576126a053d88",
+	"Current/seed42/compromised":     "ae4ec87fa4ce7acd26fc5d7a370f668f7319d72fcbbb31c24e56929b901b07e2",
+	"Synchronous/seed1/attacked":     "3e162f34c4e61482aad0a3411ab896eeb4cb8a36a82fb6d0c860c49c27e09701",
+	"Synchronous/seed1/compromised":  "48aafdb7c45aad82d6b101a6997aacf16e4bd9c12a75291bd28ee8da9f25552a",
+	"Synchronous/seed7/attacked":     "ffff0544b6ad929780474be68bce9e70f0bb00a5039568b079be159185fde874",
+	"Synchronous/seed7/compromised":  "72e5378f837c54abd144375daab39d8e194abdff3d4e4b3a9ea75a56a17cf392",
+	"Synchronous/seed42/attacked":    "44b4143e87dfd69a91b3d51698d88bfd3333e88b69f463ed02d6867170cb0f7e",
+	"Synchronous/seed42/compromised": "a1b40fd03155a37270ad9281e4ab808fac25a2fdd35171149ae334eee1cf82a4",
+	"Ours/seed1/attacked":            "dd508e0202ebfb3296dc75766a8b86d40e02a8713b90d8017d2a9d3743b69a0e",
+	"Ours/seed1/compromised":         "b772690447cd9e75677a747a28a0a346828f88365b26f628a415006c702f6e01",
+	"Ours/seed7/attacked":            "d1375a57c52a5120d68e7182b9c8f825e37d73a8a0c795713b457ec6179089ea",
+	"Ours/seed7/compromised":         "b43dd0f9835498cacae4fea65484b6de8d7f1cd379865a2cf3d628103fb50e31",
+	"Ours/seed42/attacked":           "86c66a1479258c0edcb2a3cc729070ce4ccacf97b922172ece0ad96efa3576bf",
+	"Ours/seed42/compromised":        "b52ef1da419b6b4c2f50f5db0bb95407308bd859e774ecd0c899298eaef7f564",
 
 	// The regional cells pin the topology layer: continental placement and
 	// latencies, a region-scoped mirror flood, and the K=2 racing client.
 	// They were recorded after the cells above and extend the corpus — the
 	// flat cells' digests did not change when the topology layer landed.
-	"Current/seed1/regional":      "a78b8765301e545aebc621895f989f46fcb75a998e6c6ebf20c0303c24adc67e",
-	"Current/seed7/regional":      "6cc8026be973ae4f0dd71b1251298111c258284da3275af1050d3d39d516c4fb",
-	"Current/seed42/regional":     "5d412c66d9c7ec93be94193a03386e6e081455a0e0fd41e564c9aee9a9a8eff1",
-	"Synchronous/seed1/regional":  "cf4a8fe39a4d9cb5ea3268042e382abca8168898e4ac112bfebf7fd876b7d20c",
-	"Synchronous/seed7/regional":  "7a0e75fb42318d23f5fb69e6f7782547619f5d707eea4b0d6a683b36bd544e4d",
-	"Synchronous/seed42/regional": "44cdd814a75be8d181e6a097143750b0f0d0666c225892cd7d173a2cd88e1329",
-	"Ours/seed1/regional":         "31a8a9055817a3adcba364238da5c2afe08797ad97cf9fa34ccaa34b58585431",
-	"Ours/seed7/regional":         "59505dc6d8ecf6a6543e9fdafe61a113b288de93635d5096c9f57d3f41000ac5",
-	"Ours/seed42/regional":        "7833eeb06b9d9a61885ad9607d3be1f4a9369fd55e0b190a1b3aa2b33d12e8ad",
+	"Current/seed1/regional":      "94a1dc56dcceb7296bc9f658a39dc5059d800dcd70c5475a1b4f449aadc3822b",
+	"Current/seed7/regional":      "cc6faaa4d70fc1e1e76eee86615d1dc967e55461249539160fc0b27df6e88923",
+	"Current/seed42/regional":     "05135acf9fba4a8d350713aa0cafb77e894ee2f60b37c27973338702a60920e3",
+	"Synchronous/seed1/regional":  "e7d1eb770f66a32bfdd819e424fcc7837d4ca26eb44a1bb1cdcd0b7da73418d9",
+	"Synchronous/seed7/regional":  "5fb016c4d31878a2434368bb72bc99035a0ccd0152931d97d0890279b94df778",
+	"Synchronous/seed42/regional": "77cc7159c114b04737532565f41eb747cd87b1f5ef64cc76da8ca164a51d5f81",
+	"Ours/seed1/regional":         "b1081b03525953b54736e66cd69b7f6d6d33390c014a9bd92cb799717adab27f",
+	"Ours/seed7/regional":         "8e80915e2af495c24a93e8466e0d28b93fad30572095fa18d12bfb66e703c675",
+	"Ours/seed42/regional":        "dbcc189f4755e2412561f9eaffe78dc82ff8e09b6707fb98be7e10417be3b9b2",
 
 	// The gossip cells pin the cache mesh: a total authority flood with one
 	// seeded mirror, recovery over the fanout-3 mesh, plus the no-gossip
 	// baseline curve hashed into the same digest. Recorded after the cells
 	// above — no earlier digest changed when the mesh landed.
-	"Current/seed1/gossip":      "ca98008f9e632c07508b587b587cdaa7e5aa88364fa3f1ca972ef870095d4e32",
-	"Current/seed7/gossip":      "9f31df0c316aaa1a533e36d9ae17cc80f8cb1d3ea66785db50f2c8528e7d07b1",
-	"Current/seed42/gossip":     "1e955245b8fcacbb980edfcb020b26d3ee6bae2df99e3a9d34d101d0d909a458",
-	"Synchronous/seed1/gossip":  "eff1b78078f65592fece295b21bd861ca1db54e80d4a9b6f586007e560217541",
-	"Synchronous/seed7/gossip":  "9f2eb12ff0d838596366d05d109cafdc1c5a68d36815bb48da758f75ffd7c86f",
-	"Synchronous/seed42/gossip": "ffeb481ca9053100dda16a45e41a5243a953b8f0e10efc46f5ca8739f63c7ded",
-	"Ours/seed1/gossip":         "bb38eeee25f21691bd10440925473ce58d931ec4f352a45714d9f8d0967e6354",
-	"Ours/seed7/gossip":         "471de341fe0747eadd61eb0fe93a29873c5d6546054044b36a4d822fa6b549e7",
-	"Ours/seed42/gossip":        "a63eb9fd6532c1bb1a0abc2b950b7f6f2edf8518bba7126a4fb6b4bd9e1deb34",
+	"Current/seed1/gossip":      "d971c5d6431e16501517529835d7739b780d9e0aada4e31ec82067b928b71514",
+	"Current/seed7/gossip":      "d4cea4073c91ba8baac434447d0b86bc7100a97a3d94a29236da78701761f41a",
+	"Current/seed42/gossip":     "3eda2aac1b1ff0f988cdf548785c6cd1cedd8d627ba112718d77dd54642797a4",
+	"Synchronous/seed1/gossip":  "978e168ede5dcd3e844716084b538a2456884b61c09b7429824e75e53a685743",
+	"Synchronous/seed7/gossip":  "a5a3545f757feb09c2420ac71bc5671d302031b31b645afc92ab8e92d9d5e917",
+	"Synchronous/seed42/gossip": "e853854c4eac74e07bd577024e1a5ce7d793631a03da430f1b3b650d35b1ca8b",
+	"Ours/seed1/gossip":         "e3d2c3c44b7d7ccb848bddfde5846982a1dc3a924d9c7502c54aa7912c844a12",
+	"Ours/seed7/gossip":         "abedaaa09974567545c0d74f73dd4c42d61d60460474241a1b28fc0aba8dd2a5",
+	"Ours/seed42/gossip":        "cabf19b2e4e361922686e8edb0b87278d55333ca3b8d37b603739bc8f3b8eaa9",
 
 	// The faults cells pin the chaos layer: the compound flood + crash +
 	// churn drill with jittered-backoff fleets, plus the legacy fixed-retry
 	// baseline curve hashed into the same digest. Recorded after the cells
 	// above — no earlier digest changed when the fault layer landed.
-	"Current/seed1/faults":      "16f56c14daf38712b4fa8e446b21a8dc26611afb0abbbef24e6a3abb70ca72ee",
-	"Current/seed7/faults":      "bdef287d8d0c2450fa785fb4333286f581cac31288b7206c3e6db3edbdca76a0",
-	"Current/seed42/faults":     "5b3812f0c792a5e9ca16b9a35a719ef70a6aa64a9a25c357b5229bb818f6547d",
-	"Synchronous/seed1/faults":  "7c18f8e483df6357be81c0383c7cdccac9c234af0bbe1cb073d78a52364470a0",
-	"Synchronous/seed7/faults":  "c4d01ac1cc58ba338dc83844abfd659abf6e0b5aec1f0dabafc5cbfa0c8c73c3",
-	"Synchronous/seed42/faults": "9459f2b4281bdf7a386a02fb4a3d8378971591a561465f37a8d548898b3ea107",
-	"Ours/seed1/faults":         "d07c9947995e1011822667d350ab2a49adbc3cc8cc2ca835bc6ff0d90d61370c",
-	"Ours/seed7/faults":         "f4f5438383e3666dd16312bd94eddf63117a3b6ee5591a73cb8215e2c915c5e1",
-	"Ours/seed42/faults":        "c729b423b8f5edb5bd9c55d2670b9fa9eea160b629a08a13ac45480b2d81f69f",
+	"Current/seed1/faults":      "e0b9483c0dadd2f3b0c99a2a63eb6cfcd94421b4e952ebbaefa55147d472878e",
+	"Current/seed7/faults":      "f10909d0fde01ac138c3e4d230835bf4023106928edf1ff6dc5e2441d2be4a5f",
+	"Current/seed42/faults":     "a050c062796fb00e1f43a288f8d55e9bfbe6ec3a4cb6d6c64439f07830eb6e76",
+	"Synchronous/seed1/faults":  "16ef950253e6cd04789d89c7f7ab4082da71ae77dd69a970c1813098859a2412",
+	"Synchronous/seed7/faults":  "8010c9ac091b68b73d20f766a2a994353bae07ffd4d18159e856661aa0569ebd",
+	"Synchronous/seed42/faults": "ce9df014de3ae4d34ecc8b9dcae1ab7ed72047e2c241ed2c61c4fd67dc2aca48",
+	"Ours/seed1/faults":         "e1b197280c19d3ba279a31277357127b760774cdb62cd68603ac541c5dc94806",
+	"Ours/seed7/faults":         "a20f77b25568e4312408ce36508b66dd0d358aa4e8af1dc08bb88a6192beb1fe",
+	"Ours/seed42/faults":        "032199c0a89ec073b0b2e0d9a18ac941b6d0354611ec8af20e991664cf43ad06",
 
 	// The outage cells are the only ones whose votes carry the calibrated
 	// entry padding (every other kind runs at EntryPadding 0), so they pin
@@ -147,15 +151,15 @@ var goldenKernelDigests = map[string]string{
 	// scheduler's same-instant lane keeps): a lane run before the
 	// earlier-armed timeout moves every one of them. Recorded after the
 	// cells above; no earlier digest changed.
-	"Current/seed1/sameinstant":      "672437739f8d27bd51d1e7e81b4473e9d7a87171d13017d7247d98c7ec817824",
-	"Current/seed7/sameinstant":      "371cf93dc2cf447691345d63328da7a9ab71d79d71bc74b0d9064afedae942c7",
-	"Current/seed42/sameinstant":     "470dfa58a47762c3353332c8976eb0e4e1e8aff67168b2b12e21eec6776aa4ab",
-	"Synchronous/seed1/sameinstant":  "2e0b5fbcfbeec8936c8c7c3ba2f75a36999e3f5cbcd4c2b80f24b2aa7bfcbffe",
-	"Synchronous/seed7/sameinstant":  "19aaf7dd3e974ad072da339a8db3eb8f464e3da0926c5824f18b599818ac2dd2",
-	"Synchronous/seed42/sameinstant": "b320ee0b94795caa8fdc7fc32bc6a66b6fde8b62865773c3afb87203e09dbf71",
-	"Ours/seed1/sameinstant":         "4ed0ee2bfbd250994442d2c51d52f57d93289037b10b6b950a7b51dde2f88e17",
-	"Ours/seed7/sameinstant":         "1a6bf5f12b3a81373f1592a6d714262dd904a3e093a002b475891e680e761e1e",
-	"Ours/seed42/sameinstant":        "bc81423f0b8208511d797faecd95cd74d55d9cea0eba5261a1202551c3407bd1",
+	"Current/seed1/sameinstant":      "6c8c0cef090cb3f7856063db0a9b8459b5f36ba6813c9338019455d0e58eda2e",
+	"Current/seed7/sameinstant":      "1c335a9c1833a9d5797b2eaeebfe8d580743a95b317ff27d47818465c38df183",
+	"Current/seed42/sameinstant":     "44769b960c4e63e399b21f320eae9fa26583f239b455660a6bcde59633493d86",
+	"Synchronous/seed1/sameinstant":  "6c9dce608b72b3801783e8a1934330c728ec8e19d515bdad7f6a58def9cf0054",
+	"Synchronous/seed7/sameinstant":  "2b1d1955aadec9ee2143ca55b36e7c9440f546d0f8ece31ab2528acadf8c111a",
+	"Synchronous/seed42/sameinstant": "4bb04b6df4e53ef9cc8d4d20a95bfe99322f5d7e0c2dc779a29399f8dfe69031",
+	"Ours/seed1/sameinstant":         "cf26baf3cc688cc27a0590beff38cee23b0c17f5f54a285e8b2cc17cf2a5faa2",
+	"Ours/seed7/sameinstant":         "aaaea952b744e32dc59e500c4740e57e9b0f8000ff426c6eb1310e1cf521aa3d",
+	"Ours/seed42/sameinstant":        "e651f7876f5363444ca3cfe2259d266aee7ec84c570a3a2b15c0a8928aad1d0b",
 }
 
 // goldenSeeds are the corpus seeds; small primes apart so the latency maps
@@ -178,9 +182,9 @@ type goldenKind struct {
 
 // corpusScenario is the consensus phase every cell shares (150 relays,
 // 15-second rounds) followed by a 20 000-client distribution phase on spec,
-// fetching over a six-minute window in five-second ticks.
+// fetching over a six-minute window.
 func corpusScenario(p Protocol, seed int64, spec dircache.Spec) Scenario {
-	spec.Clients, spec.FetchWindow, spec.Tick = 20_000, 6*time.Minute, 5*time.Second
+	spec.Clients, spec.FetchWindow = 20_000, 6*time.Minute
 	return Scenario{Protocol: p, Relays: 150, EntryPadding: 0, Round: 15 * time.Second, Seed: seed, Distribution: &spec}
 }
 
@@ -277,10 +281,9 @@ var goldenKinds = []goldenKind{
 		name: "regional",
 		scenario: func(p Protocol, seed int64) Scenario {
 			s := corpusScenario(p, seed, dircache.Spec{
-				Caches:      6,
-				Fleets:      6,
-				RaceK:       2,
-				RaceTimeout: 10 * time.Second,
+				Caches: 6,
+				Fleets: 6,
+				RaceK:  2,
 				Attacks: []attack.Plan{{
 					Tier:         attack.TierCache,
 					TargetRegion: "eu",
@@ -428,7 +431,6 @@ var goldenKinds = []goldenKind{
 				Fleets:      1,
 				Clients:     1,
 				FetchWindow: 2 * time.Minute,
-				Tick:        5 * time.Second,
 				DocBytes:    375_000_000 - 64, // 3 Gbit on the wire: 15 s at a mirror's 200 Mbit/s
 				Gossip:      &gossip.Config{Fanout: 1, Seeds: []int{0}},
 				Attacks: append(totalAuthorityFlood(), attack.Plan{

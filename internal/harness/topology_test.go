@@ -24,7 +24,6 @@ func TestScenarioTopologyThreadsThroughPhases(t *testing.T) {
 			Caches:      6,
 			Fleets:      6,
 			FetchWindow: 5 * time.Minute,
-			Tick:        5 * time.Second,
 		},
 	}
 	res, err := RunE(context.Background(), s)
@@ -54,7 +53,6 @@ func TestExperimentTopology(t *testing.T) {
 			Caches:      6,
 			Fleets:      6,
 			FetchWindow: 5 * time.Minute,
-			Tick:        5 * time.Second,
 		}),
 	)
 	if err != nil {

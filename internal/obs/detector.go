@@ -27,9 +27,6 @@ const (
 	// variance; without a floor the first queued message would be an
 	// "attack".
 	detQueueFloor = 2.0
-	// detRateFloor is the standard-deviation floor for the throughput
-	// signal in bits per sample.
-	detRateFloor = 1e6
 )
 
 // Detection is one flagged attack onset, reported from the victim's chair:
@@ -39,7 +36,7 @@ const (
 type Detection struct {
 	Layer  string
 	Node   int
-	Signal string // "queue-depth" (sustained high) or "throughput" (sustained low)
+	Signal string // "queue-depth": the queue stayed high
 	// At is the simulation time of the flagging sample.
 	At time.Duration
 	// Latency is At minus the matching attack plan's start, or -1 when the
@@ -49,12 +46,10 @@ type Detection struct {
 
 // Detector consumes the metrics stream as a Tracer and flags attack onsets
 // Danner-style: per node and pipe direction it keeps a rolling baseline
-// (mean/std over the last detWindow samples) of queue depth and throughput,
-// and flags when detM consecutive samples deviate by more than detK standard
-// deviations — queue depth deviating high, throughput deviating low while
-// the pipe's queue shows demand. Each (node, direction, signal) flags at
-// most once; detection latency is measured against the EvAttackOn events
-// in the same stream.
+// (mean/std over the last detWindow samples) of queue depth, and flags when
+// detM consecutive samples deviate high by more than detK standard
+// deviations. Each (node, direction) flags at most once; detection latency
+// is measured against the EvAttackOn events in the same stream.
 //
 // Like every Tracer, a Detector observes without perturbing: it keeps all
 // state internally and never touches the simulation.
@@ -65,13 +60,12 @@ type Detector struct {
 }
 
 type detKey struct {
-	layer  string
-	node   int
-	dir    string
-	signal uint8 // 0 = queue depth, 1 = throughput
+	layer string
+	node  int
+	dir   string
 }
 
-// baseline is one signal's rolling window with incrementally maintained
+// baseline is one pipe's rolling window with incrementally maintained
 // sum and sum of squares.
 type baseline struct {
 	win     []float64
@@ -131,17 +125,15 @@ func (d *Detector) Event(ev Event) {
 	case EvAttackOn:
 		d.onsets = append(d.onsets, ev)
 	case EvPipeSample:
-		d.sample(ev, 0, float64(ev.A), detQueueFloor, false)
-		d.sample(ev, 1, float64(ev.B), detRateFloor, true)
+		d.sample(ev)
 	}
 }
 
-// sample checks one signal value against its baseline, then admits it.
-// low selects deviate-low semantics (throughput collapses under a flood);
-// the throughput signal additionally requires queued demand — an idle pipe
-// moving nothing is not an attack.
-func (d *Detector) sample(ev Event, signal uint8, x, floor float64, low bool) {
-	key := detKey{layer: ev.Layer, node: ev.Node, dir: ev.Label, signal: signal}
+// sample checks one queue-depth sample against its pipe's baseline, then
+// admits it.
+func (d *Detector) sample(ev Event) {
+	x := float64(ev.A)
+	key := detKey{layer: ev.Layer, node: ev.Node, dir: ev.Label}
 	b := d.states[key]
 	if b == nil {
 		b = &baseline{win: make([]float64, detWindow)}
@@ -149,18 +141,15 @@ func (d *Detector) sample(ev Event, signal uint8, x, floor float64, low bool) {
 	}
 	if b.count() >= detMinSamples && !b.flagged {
 		mean, std := b.meanStd()
-		if std < floor {
-			std = floor
+		if std < detQueueFloor {
+			std = detQueueFloor
 		}
 		deviates := x > mean+float64(detK*std)
-		if low {
-			deviates = x < mean-float64(detK*std) && ev.A > 0
-		}
 		if deviates {
 			b.streak++
 			if b.streak >= detM {
 				b.flagged = true
-				d.flag(ev, signal)
+				d.flag(ev)
 			}
 		} else {
 			b.streak = 0
@@ -175,16 +164,13 @@ func (d *Detector) sample(ev Event, signal uint8, x, floor float64, low bool) {
 	b.push(x)
 }
 
-func (d *Detector) flag(ev Event, signal uint8) {
+func (d *Detector) flag(ev Event) {
 	det := Detection{
 		Layer:   ev.Layer,
 		Node:    ev.Node,
 		Signal:  "queue-depth",
 		At:      ev.At,
 		Latency: -1,
-	}
-	if signal == 1 {
-		det.Signal = "throughput"
 	}
 	if onset, ok := d.onsetFor(ev); ok {
 		det.Latency = ev.At - onset

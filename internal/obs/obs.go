@@ -20,8 +20,8 @@
 // recorder, and WriteChromeTrace, a Chrome trace_event exporter whose
 // output opens directly in chrome://tracing or Perfetto. On top of the
 // metrics stream, Detector implements Danner-style attack detection from
-// the victim's chair: rolling per-node baselines over queue depth and
-// throughput flag the onset of a flood and report the detection latency.
+// the victim's chair: rolling per-pipe baselines over queue depth flag the
+// onset of a flood and report the detection latency.
 package obs
 
 import "time"
