@@ -216,6 +216,14 @@ var inputsCache struct {
 // (BenchmarkInputs' retained-B/entry), so a full cache stays under 40 MB at
 // paper scale. The votes' memo adds each distinct vote set's consensus, 16
 // bytes a relay that index the votes' roster: about 0.13 MB a set at 8 000.
+// The keys' memos add each distinct signature the entry's runs made through
+// sig.Registry.Sign, a 176-byte record and its map slot, whatever the relay
+// count. The records grow with the distinct inputs signed (vote sets,
+// consensus digests, views), not with the cells run: campaign-sweep's 2x2
+// grid of three-period campaigns leaves 180-189 on its entry, and as many
+// after a second pass; at 300 relays the three protocols, healthy and under
+// the outage, make ~220, 90 cells over ten outage lengths and three
+// bandwidths 183, and 120 cells over forty outage start times 218.
 // The figure generators sweep Relays over ~10 values, so a small cap keeps a
 // sweep's working set without letting a long-lived process accumulate every
 // combination it ever ran.

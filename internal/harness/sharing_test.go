@@ -2,7 +2,9 @@ package harness
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -46,38 +48,68 @@ func TestSharedConsensusDigestHolds(t *testing.T) {
 	}
 }
 
-// TestSweepCellsShareOneConsensus: four sweep workers run cells on one inputs
-// entry and read the one consensus they share, rendering, sealing and sizing
-// it at once. Under -race this fails if reading a shared consensus writes to
+// TestSweepCellsShareOneConsensus: four sweep workers run the three
+// protocols, healthy and under the five-minute outage, at two bandwidths, on
+// one freshly built inputs entry. They sign into its key pairs' memos at once
+// and take one another's records, and the healthy cells read the one
+// consensus they share, rendering, sealing and sizing it at once. Every
+// cell's digest equals that of the same cell in a one-worker sweep on a fresh
+// entry. Under -race this fails if reading a shared consensus writes to it,
+// or if a key memo or a shared record is read while another worker writes
 // it; CI's race job runs it.
 func TestSweepCellsShareOneConsensus(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(runtime.GOMAXPROCS(0), 2)))
 	base := Scenario{Relays: 80, EntryPadding: -1, Round: 15 * time.Second, Seed: 17}
-	grid := sweep.MustNew(sweep.Of("protocol", Current, Synchronous, ICPS), sweep.Floats("mbit", 250, 100))
-	results := sweep.RunParams(bg, grid, sweep.Params{Workers: 4}, func(ctx context.Context, c sweep.Cell) (*vote.Consensus, error) {
-		s := base
-		s.Protocol, s.Bandwidth = c.Value("protocol").(Protocol), c.Float("mbit")*1e6
-		res, err := RunE(ctx, s)
-		if err != nil {
-			return nil, err
-		}
-		cons := res.Consensus()
-		if cons == nil {
-			return nil, fmt.Errorf("cell %v: no consensus", c)
-		}
-		for range 3 {
-			enc := cons.Encode()
-			if sig.Hash(enc) != cons.Digest() || int64(len(enc)) != cons.EncodedSize() {
-				return nil, fmt.Errorf("cell %v: the shared consensus's rendering disagrees with its seal", c)
-			}
-		}
-		return cons, nil
-	})
-	if err := sweep.FirstErr(results); err != nil {
-		t.Fatal(err)
+	outage := attack.FiveMinuteOutage(attack.MajorityTargets(9))
+	grid := sweep.MustNew(sweep.Of("protocol", Current, Synchronous, ICPS),
+		sweep.Of("attack", (*attack.Plan)(nil), &outage), sweep.Floats("mbit", 250, 100))
+	type cell struct {
+		cons   *vote.Consensus
+		digest [sha256.Size]byte
 	}
-	for _, r := range results {
-		if r.Value != results[0].Value {
-			t.Fatalf("cell %v holds consensus %p, cell %v holds %p: want one", r.Cell, r.Value, results[0].Cell, results[0].Value)
+	run := func(workers int) []sweep.Result[cell] {
+		evictInputs(base)
+		results := sweep.RunParams(bg, grid, sweep.Params{Workers: workers}, func(ctx context.Context, c sweep.Cell) (cell, error) {
+			s := base
+			s.Protocol, s.Attack = c.Value("protocol").(Protocol), c.Value("attack").(*attack.Plan)
+			s.Bandwidth = c.Float("mbit") * 1e6
+			res, err := RunE(ctx, s)
+			if err != nil {
+				return cell{}, err
+			}
+			cons := res.Consensus()
+			if cons == nil && s.Attack == nil {
+				return cell{}, fmt.Errorf("cell %v: no consensus", c)
+			}
+			for range 3 {
+				if cons == nil {
+					break
+				}
+				enc := cons.Encode()
+				if sig.Hash(enc) != cons.Digest() || int64(len(enc)) != cons.EncodedSize() {
+					return cell{}, fmt.Errorf("cell %v: the shared consensus's rendering disagrees with its seal", c)
+				}
+			}
+			return cell{cons, protocolDigest(res)}, nil
+		})
+		if err := sweep.FirstErr(results); err != nil {
+			t.Fatal(err)
+		}
+		return results
+	}
+	parallel, serial := run(4), run(1)
+	var healthy *sweep.Result[cell]
+	for i, r := range parallel {
+		if r.Value.digest != serial[i].Value.digest {
+			t.Fatalf("cell %v: digest %x on four workers, %x on one", r.Cell, r.Value.digest[:8], serial[i].Value.digest[:8])
+		}
+		if r.Cell.Value("attack").(*attack.Plan) != nil {
+			continue
+		}
+		if healthy == nil {
+			healthy = &parallel[i]
+		} else if r.Value.cons != healthy.Value.cons {
+			t.Fatalf("cell %v holds consensus %p, cell %v holds %p: want one", r.Cell, r.Value.cons, healthy.Cell, healthy.Value.cons)
 		}
 	}
 }

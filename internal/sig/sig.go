@@ -22,12 +22,24 @@
 // first use and gone when their queue drains. Verify takes a pending verdict
 // when it is ready, or judges it inline if no judge has started on it.
 //
+// Ed25519 signing is deterministic (RFC 8032), so a signature is a pure
+// function of (key, input): each KeyPair remembers the pending record
+// Registry.Sign filed for each input it signed, and a later registry signing
+// that input again under that key files the same record, runs no Ed25519 and
+// hands nothing to a judge. Only Registry.Sign reads or writes the memo; a
+// signature that arrives from elsewhere, forged and relabelled ones
+// included, is judged per run as before.
+//
 // A Registry is run-scoped: no Registry is shared between concurrent runs or
 // sweep cells nor outlives its run, and its maps are touched by the run's one
-// goroutine alone. The only state crossing goroutines is each pending
-// verdict, published through its sync.Once, and the mutex-guarded queue that
-// hands it to a judge: a judge writes the verdict of the record it judges and,
-// under the mutex, the queue, nothing else.
+// goroutine alone. A key pair's memo lives as long as the key pair, so it is
+// shared by every run on one key set (harness.Inputs keeps one per inputs
+// entry). The state crossing goroutines is each pending verdict, published
+// through its sync.Once, the mutex-guarded queue that hands it to a judge and
+// each key pair's mutex-guarded memo: a judge writes the verdict of the
+// record it judges and, under the mutex, the queue, nothing else; a record
+// is complete before it enters a memo and never written after, but for its
+// verdict.
 package sig
 
 import (
@@ -104,6 +116,38 @@ type KeyPair struct {
 	Public      ed25519.PublicKey
 	private     ed25519.PrivateKey
 	Fingerprint Fingerprint
+	memo        signMemo
+}
+
+// signMemo is a key pair's signatures made through Registry.Sign: the
+// pending record filed for each, by SHA-256 of the domain‖0‖msg it signs.
+// The map is made at the first record, so a key pair that never signs
+// through a registry allocates nothing for it.
+type signMemo struct {
+	mu sync.Mutex
+	m  map[Digest]*pending
+}
+
+func (m *signMemo) get(input Digest) *pending {
+	m.mu.Lock()
+	p := m.m[input]
+	m.mu.Unlock()
+	return p
+}
+
+// put files p unless a concurrent run filed a record for the input first,
+// and returns the record on file.
+func (m *signMemo) put(input Digest, p *pending) *pending {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if q := m.m[input]; q != nil {
+		return q
+	}
+	if m.m == nil {
+		m.m = make(map[Digest]*pending)
+	}
+	m.m[input] = p
+	return p
 }
 
 // NewKeyPair derives the authority key for index deterministically from the
@@ -187,23 +231,38 @@ func (r *Registry) Len() int      { return len(r.keys) }
 func (r *Registry) Memoised() int { return r.judged }
 
 // Sign signs as k.Sign does and files a pending verdict on the signature for
-// the key Verify will look it up by, which a background judge settles while
-// the run goes on. With no spare core (GOMAXPROCS 1), for a signer outside
-// the registry or an input past a pending record's storage, it files nothing
-// and the signature is judged when first verified.
+// the key Verify will look it up by. If k has signed the input through a
+// registry before, the signature and the record are k's memo's: Sign runs no
+// Ed25519 and hands nothing to a judge. Otherwise it signs, records the
+// signature in k's memo and, with a spare core, hands the record to a
+// background judge, which settles it while the run goes on; on one core
+// (GOMAXPROCS 1) the record is judged when first verified. For a signer
+// outside the registry, a registry holding another key at k's index or an
+// input past a pending record's storage, it files nothing and the signature
+// is judged when first verified.
 func (r *Registry) Sign(k *KeyPair, domain string, msg []byte) Signature {
 	n := len(domain) + 1 + len(msg)
-	if r.judges.max <= 0 || n > pendingInput || k.Index < 0 || k.Index >= len(r.keys) {
+	if n > pendingInput || k.Index < 0 || k.Index >= len(r.keys) || !r.keys[k.Index].Equal(k.Public) {
 		return k.Sign(domain, msg)
 	}
-	p := &pending{signer: int32(k.Index), n: uint8(n)}
-	input := signingInput(p.input[:0], domain, msg)
-	s := k.sign(input)
-	p.sig = s.Bytes
-	key := verdictKey{Hash(input), s}
+	var buf [pendingInput]byte
+	input := signingInput(buf[:0], domain, msg)
+	h := Hash(input)
+	p := k.memo.get(h)
+	hit := p != nil
+	if !hit {
+		p = &pending{signer: int32(k.Index), n: uint8(n)}
+		copy(p.input[:], input)
+		p.sig = k.sign(input).Bytes
+		p = k.memo.put(h, p)
+	}
+	s := Signature{Signer: k.Index, Bytes: p.sig}
+	key := verdictKey{h, s}
 	if _, seen := r.verdicts[key]; !seen {
 		r.verdicts[key] = p
-		r.judges.hand(p, r.keys)
+		if !hit && r.judges.max > 0 {
+			r.judges.hand(p, r.keys)
+		}
 	}
 	return s
 }
@@ -244,8 +303,8 @@ func Verify(r *Registry, domain string, msg []byte, s Signature) bool {
 const pendingInput = 94
 
 // pending is a verdict filed by Registry.Sign: the signature and the exact
-// bytes it signs, judged once, by a background judge or by Verify, whichever
-// claims it first.
+// bytes it signs, judged once, by a background judge or by Verify of any run
+// that filed it, whichever claims it first.
 type pending struct {
 	once   sync.Once
 	signer int32

@@ -5,6 +5,7 @@ import (
 	"crypto/ed25519"
 	"encoding/hex"
 	"fmt"
+	"maps"
 	"runtime"
 	"strings"
 	"testing"
@@ -304,9 +305,10 @@ func TestKeyPairSignAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestRegistrySignAllocatesOneRecord: Registry.Sign allocates the pending
-// record and nothing else (the input lives in it); the verdict map's and
-// the judges' queue's growth amortise to nothing per signature.
+// TestRegistrySignAllocatesOneRecord: on a cold key set, where every input
+// misses the memo, Registry.Sign allocates the pending record and nothing
+// else (the input lives in it); the verdict map's, the memo's and the
+// judges' queue's growth amortise to nothing per signature.
 func TestRegistrySignAllocatesOneRecord(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2)) // exactly one judge
 	keys := Authorities(5, 4)
@@ -372,6 +374,9 @@ func TestRegistrySignJudgesLikeEd25519(t *testing.T) {
 		path := c.path
 		t.Run(fmt.Sprintf("%s/GOMAXPROCS=%d", path, c.procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(c.procs))
+			// A cold key set (the same keys, fresh memos), so every
+			// signature misses the memo and its record is judged here.
+			keys := Authorities(11, 4)
 			pubs := PublicSet(keys)
 			if path == "event loop" {
 				// A judge slot taken by no goroutine: records queue and no
@@ -450,19 +455,159 @@ func TestRegistrySignJudgesLikeEd25519(t *testing.T) {
 	}
 }
 
-// TestRegistrySignWithoutSpareCore: on one core a registry files nothing and
-// signs exactly as KeyPair.Sign does; the signature is judged when verified.
+// TestRegistrySignWithoutSpareCore: on one core no judge starts, but the
+// memo still applies. A cold key set signs exactly as KeyPair.Sign does and
+// files a record that Verify judges inline; a second registry on the warm key
+// set files that same record and takes its verdict without Ed25519.
 func TestRegistrySignWithoutSpareCore(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	keys := Authorities(5, 4)
-	pubs := PublicSet(keys)
 	msg := []byte("digest")
-	s := pubs.Sign(keys[1], "qc", msg)
-	if s != keys[1].Sign("qc", msg) || len(pubs.verdicts) != 0 {
-		t.Fatalf("signature %v, %d verdicts filed; want KeyPair.Sign's and none", s.Signer, len(pubs.verdicts))
+	key := verdictKey{Hash(signingInput(nil, "qc", msg)), keys[1].Sign("qc", msg)}
+	var first *pending
+	for run := 1; run <= 2; run++ {
+		pubs := PublicSet(keys)
+		s := pubs.Sign(keys[1], "qc", msg)
+		p := pubs.verdicts[key]
+		if s != key.sig || len(pubs.verdicts) != 1 || p == nil || p == accepted || p == rejected {
+			t.Fatalf("run %d: signature %v, %d verdicts filed; want KeyPair.Sign's and its one pending record", run, s.Signer, len(pubs.verdicts))
+		}
+		if run == 1 {
+			first = p
+		} else if p != first {
+			t.Fatalf("run 2 filed record %p, want the memo's %p", p, first)
+		}
+		if pubs.judges.running != 0 || len(pubs.judges.queue) != 0 {
+			t.Fatalf("run %d: %d judges, %d records queued on one core; want none", run, pubs.judges.running, len(pubs.judges.queue))
+		}
+		if !Verify(pubs, "qc", msg, s) || pubs.Memoised() != 1 {
+			t.Fatalf("run %d: the signature did not verify once", run)
+		}
 	}
-	if !Verify(pubs, "qc", msg, s) || pubs.Memoised() != 1 {
-		t.Fatal("the signature did not verify once")
+}
+
+// TestSignMemoSharesRecordsAcrossRegistries: a second registry on a warm key
+// set returns the signatures the first returned, byte for byte, files the
+// very records the first filed and hands nothing to its judges.
+func TestSignMemoSharesRecordsAcrossRegistries(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2)) // one judge a registry
+	keys := Authorities(13, 4)
+	type signed struct {
+		domain string
+		msg    []byte
+	}
+	var inputs []signed
+	for i := range keys {
+		for _, domain := range []string{"hotstuff/vote1", "icps/endorse", "cons"} {
+			inputs = append(inputs, signed{domain, []byte(fmt.Sprintf("%d|%s", i, domain))})
+		}
+	}
+	first := PublicSet(keys)
+	var sigs []Signature
+	for i, in := range inputs {
+		sigs = append(sigs, first.Sign(keys[i%len(keys)], in.domain, in.msg))
+	}
+	settle(t, first)
+
+	second := PublicSet(keys)
+	for i, in := range inputs {
+		k := keys[i%len(keys)]
+		s := second.Sign(k, in.domain, in.msg)
+		if s != sigs[i] || s != k.Sign(in.domain, in.msg) {
+			t.Fatalf("%s: the warm key set signed other bytes", in.msg)
+		}
+		key := verdictKey{Hash(signingInput(nil, in.domain, in.msg)), s}
+		if p := second.verdicts[key]; p == nil || p != first.verdicts[key] {
+			t.Fatalf("%s: filed record %p, the first registry filed %p", in.msg, p, first.verdicts[key])
+		}
+	}
+	second.judges.mu.Lock()
+	running, queued := second.judges.running, len(second.judges.queue)
+	second.judges.mu.Unlock()
+	if running != 0 || queued != 0 {
+		t.Fatalf("%d judges started, %d records queued for memo hits; want none", running, queued)
+	}
+	for i, in := range inputs {
+		if !Verify(second, in.domain, in.msg, sigs[i]) {
+			t.Fatalf("%s: a memoised signature was rejected", in.msg)
+		}
+	}
+	if second.Memoised() != len(inputs) {
+		t.Fatalf("Memoised = %d, want %d: the count stays per registry", second.Memoised(), len(inputs))
+	}
+}
+
+// TestSignMemoNeverVouchesForAForgery: a forged or relabelled signature over
+// an input the key set has memoised is rejected by a fresh registry, and
+// judging it leaves every key pair's memo as it was.
+func TestSignMemoNeverVouchesForAForgery(t *testing.T) {
+	keys := Authorities(17, 4)
+	msg := []byte("digest")
+	warm := PublicSet(keys)
+	genuine := warm.Sign(keys[1], "qc", msg)
+	if !Verify(warm, "qc", msg, genuine) {
+		t.Fatal("genuine signature rejected")
+	}
+	snapshot := func() map[int]map[Digest]*pending {
+		out := map[int]map[Digest]*pending{}
+		for _, k := range keys {
+			k.memo.mu.Lock()
+			out[k.Index] = maps.Clone(k.memo.m)
+			k.memo.mu.Unlock()
+		}
+		return out
+	}
+	before := snapshot()
+	record := before[1][Hash(signingInput(nil, "qc", msg))]
+	recSig, recInput := record.sig, record.input
+
+	forged := genuine
+	forged.Bytes[7] ^= 1
+	relabelled := genuine
+	relabelled.Signer = 2
+	fresh := PublicSet(keys)
+	for _, c := range []struct {
+		name string
+		s    Signature
+	}{{"forged", forged}, {"relabelled", relabelled}} {
+		for try := 1; try <= 2; try++ {
+			if Verify(fresh, "qc", msg, c.s) {
+				t.Fatalf("%s, try %d: accepted over a memoised input", c.name, try)
+			}
+		}
+	}
+	if !Verify(fresh, "qc", msg, genuine) || fresh.Memoised() != 3 {
+		t.Fatalf("genuine after the forgeries: Memoised = %d, want 3", fresh.Memoised())
+	}
+	after := snapshot()
+	for i, m := range before {
+		if !maps.Equal(m, after[i]) {
+			t.Fatalf("key %d's memo changed: %d records before, %d after", i, len(m), len(after[i]))
+		}
+	}
+	if record.sig != recSig || record.input != recInput || !record.ok {
+		t.Fatal("the memoised record was rewritten")
+	}
+}
+
+// TestSignMemoSkipsAForeignRegistry: a registry holding another key at the
+// signer's index files nothing and leaves the signer's memo empty, so its
+// rejection can never become the verdict a later registry on the signer's
+// own key set takes.
+func TestSignMemoSkipsAForeignRegistry(t *testing.T) {
+	keys, foreign := Authorities(19, 4), Authorities(20, 4)
+	msg := []byte("digest")
+	other := PublicSet(foreign)
+	s := other.Sign(keys[2], "qc", msg)
+	if len(other.verdicts) != 0 || keys[2].memo.m != nil {
+		t.Fatalf("%d verdicts filed, memo %v; want none", len(other.verdicts), keys[2].memo.m)
+	}
+	if Verify(other, "qc", msg, s) {
+		t.Fatal("a signature under another key at its index was accepted")
+	}
+	own := PublicSet(keys)
+	if own.Sign(keys[2], "qc", msg) != s || !Verify(own, "qc", msg, s) {
+		t.Fatal("the signer's own registry did not accept its signature")
 	}
 }
 
