@@ -38,8 +38,9 @@ func TestGoldenQuickArtifacts(t *testing.T) {
 
 // TestGoldenPaperScaleFigure11 pins one artifact at the paper's own scale:
 // the quick presets stop at 300 relays, and this one builds, hashes and
-// aggregates the 25 MB votes of a 10 000-relay network. It is the only test
-// -short skips (CI's race job passes -short for that reason).
+// aggregates the 25 MB votes of a 10 000-relay network. -short skips it; the
+// four tests -short skips, and why, are listed once, beside the race job in
+// scripts/check.sh.
 func TestGoldenPaperScaleFigure11(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper scale: a 10 000-relay sweep")

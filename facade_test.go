@@ -14,6 +14,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -441,6 +442,59 @@ func TestREADMEListsCommandsAndExamples(t *testing.T) {
 		if !headingAnchors(target)[anchor] {
 			t.Errorf("README.md links to %s#%s, but %s has no heading with that anchor", file, anchor, file)
 		}
+	}
+}
+
+// TestCIRunsCheckScript keeps the list of checks written once, in
+// scripts/check.sh: every `run:` of the CI workflow must be exactly `bash
+// scripts/check.sh <job>` naming a function of the script, every function
+// but `all` must be named by the workflow, and the script's jobs array (what
+// `all` runs) must list them in the workflow's order.
+func TestCIRunsCheckScript(t *testing.T) {
+	workflow, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	script, err := os.ReadFile("scripts/check.sh")
+	if err != nil {
+		t.Fatal(err)
+	}
+	funcs := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^([a-z]+)\(\) \{$`).FindAllSubmatch(script, -1) {
+		funcs[string(m[1])] = true
+	}
+	runLine := regexp.MustCompile(`^(- )?run:`)
+	call := regexp.MustCompile(`^(- )?run: bash scripts/check\.sh ([a-z]+)$`)
+	var named []string
+	for i, line := range strings.Split(string(workflow), "\n") {
+		line = strings.TrimSpace(line)
+		if !runLine.MatchString(line) {
+			continue
+		}
+		m := call.FindStringSubmatch(line)
+		switch {
+		case m == nil:
+			t.Errorf("ci.yml:%d: %q; every step runs `bash scripts/check.sh <job>`, the commands live in the script", i+1, line)
+		case !funcs[m[2]] || m[2] == "all":
+			t.Errorf("ci.yml:%d: scripts/check.sh has no job %q", i+1, m[2])
+		default:
+			named = append(named, m[2])
+		}
+	}
+	if len(named) == 0 || !funcs["all"] {
+		t.Fatalf("found jobs %v in ci.yml and functions %v in scripts/check.sh: the test is looking in the wrong place", named, funcs)
+	}
+	for f := range funcs {
+		if f != "all" && !slices.Contains(named, f) {
+			t.Errorf("scripts/check.sh's %s is not run by ci.yml", f)
+		}
+	}
+	var order string
+	if m := regexp.MustCompile(`(?m)^jobs=\(([a-z ]+)\)$`).FindSubmatch(script); m != nil {
+		order = string(m[1])
+	}
+	if want := strings.Join(named, " "); order != want {
+		t.Errorf("scripts/check.sh's jobs array (what `all` runs) is %q, want ci.yml's order %q", order, want)
 	}
 }
 

@@ -26,7 +26,9 @@
 // function of (key, input): each KeyPair remembers the pending record
 // Registry.Sign filed for each input it signed, and a later registry signing
 // that input again under that key files the same record, runs no Ed25519 and
-// hands nothing to a judge. Only Registry.Sign reads or writes the memo; a
+// hands nothing to a judge. The first registry to miss an input signs it
+// under the memo's mutex, so concurrent runs on one key set sign each input
+// once between them. Only Registry.Sign reads or writes the memo; a
 // signature that arrives from elsewhere, forged and relabelled ones
 // included, is judged per run as before.
 //
@@ -128,26 +130,23 @@ type signMemo struct {
 	m  map[Digest]*pending
 }
 
-func (m *signMemo) get(input Digest) *pending {
-	m.mu.Lock()
-	p := m.m[input]
-	m.mu.Unlock()
-	return p
-}
-
-// put files p unless a concurrent run filed a record for the input first,
-// and returns the record on file.
-func (m *signMemo) put(input Digest, p *pending) *pending {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if q := m.m[input]; q != nil {
-		return q
+// record returns the record on file for input, whose SHA-256 is h. With none
+// on file it signs input and files the new record, made true, all under the
+// memo's mutex: a concurrent run signing the same input waits for that
+// record instead of running Ed25519 a second time.
+func (k *KeyPair) record(h Digest, input []byte) (p *pending, made bool) {
+	k.memo.mu.Lock()
+	defer k.memo.mu.Unlock()
+	if p = k.memo.m[h]; p != nil {
+		return p, false
 	}
-	if m.m == nil {
-		m.m = make(map[Digest]*pending)
+	p = &pending{signer: int32(k.Index), n: uint8(len(input)), sig: k.sign(input).Bytes}
+	copy(p.input[:], input)
+	if k.memo.m == nil {
+		k.memo.m = make(map[Digest]*pending)
 	}
-	m.m[input] = p
-	return p
+	k.memo.m[h] = p
+	return p, true
 }
 
 // NewKeyPair derives the authority key for index deterministically from the
@@ -232,9 +231,10 @@ func (r *Registry) Memoised() int { return r.judged }
 
 // Sign signs as k.Sign does and files a pending verdict on the signature for
 // the key Verify will look it up by. If k has signed the input through a
-// registry before, the signature and the record are k's memo's: Sign runs no
-// Ed25519 and hands nothing to a judge. Otherwise it signs, records the
-// signature in k's memo and, with a spare core, hands the record to a
+// registry before, or is signing it for another registry now, the signature
+// and the record are k's memo's: Sign runs no Ed25519 (it waits for the
+// signer, if any) and hands nothing to a judge. Otherwise it signs, records
+// the signature in k's memo and, with a spare core, hands the record to a
 // background judge, which settles it while the run goes on; on one core
 // (GOMAXPROCS 1) the record is judged when first verified. For a signer
 // outside the registry, a registry holding another key at k's index or an
@@ -248,19 +248,12 @@ func (r *Registry) Sign(k *KeyPair, domain string, msg []byte) Signature {
 	var buf [pendingInput]byte
 	input := signingInput(buf[:0], domain, msg)
 	h := Hash(input)
-	p := k.memo.get(h)
-	hit := p != nil
-	if !hit {
-		p = &pending{signer: int32(k.Index), n: uint8(n)}
-		copy(p.input[:], input)
-		p.sig = k.sign(input).Bytes
-		p = k.memo.put(h, p)
-	}
+	p, made := k.record(h, input)
 	s := Signature{Signer: k.Index, Bytes: p.sig}
 	key := verdictKey{h, s}
 	if _, seen := r.verdicts[key]; !seen {
 		r.verdicts[key] = p
-		if !hit && r.judges.max > 0 {
+		if made && r.judges.max > 0 {
 			r.judges.hand(p, r.keys)
 		}
 	}

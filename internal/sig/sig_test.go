@@ -8,6 +8,7 @@ import (
 	"maps"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -534,6 +535,57 @@ func TestSignMemoSharesRecordsAcrossRegistries(t *testing.T) {
 	}
 	if second.Memoised() != len(inputs) {
 		t.Fatalf("Memoised = %d, want %d: the count stays per registry", second.Memoised(), len(inputs))
+	}
+}
+
+// TestSignMemoSignsEachInputOnce: registries on one cold key set that sign
+// the same inputs at once, as the sweep workers on one inputs entry do, run
+// Ed25519 on each input once between them: one registry makes the record and
+// hands it to its judge, the others file that record and hand nothing. Each
+// registry's judge counts as running, so the records handed stay queued.
+func TestSignMemoSignsEachInputOnce(t *testing.T) {
+	const workers, inputs = 8, 64
+	keys := Authorities(23, 4)
+	regs := make([]*Registry, workers)
+	for w := range regs {
+		regs[w] = PublicSet(keys)
+		regs[w].judges.max, regs[w].judges.running = 1, 1
+	}
+	var start, done sync.WaitGroup
+	start.Add(1)
+	for _, r := range regs {
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			start.Wait()
+			for i := range inputs {
+				r.Sign(keys[i%len(keys)], "cons", []byte{byte(i)})
+			}
+		}()
+	}
+	start.Done()
+	done.Wait()
+	handed := map[*pending]int{}
+	for _, r := range regs {
+		for _, p := range r.judges.queue {
+			handed[p]++
+		}
+	}
+	for i := range inputs {
+		k := keys[i%len(keys)]
+		key := verdictKey{Hash(signingInput(nil, "cons", []byte{byte(i)})), k.Sign("cons", []byte{byte(i)})}
+		p := regs[0].verdicts[key]
+		for w, r := range regs {
+			if r.verdicts[key] != p {
+				t.Fatalf("input %d: registry %d filed record %p, registry 0 %p", i, w, r.verdicts[key], p)
+			}
+		}
+		if handed[p] != 1 {
+			t.Fatalf("input %d: record handed to %d judges; want 1, from the one registry that signed", i, handed[p])
+		}
+	}
+	if len(handed) != inputs {
+		t.Fatalf("%d records handed to judges for %d inputs", len(handed), inputs)
 	}
 }
 
