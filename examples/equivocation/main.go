@@ -26,7 +26,7 @@ const n = 9
 
 func buildDocs(seed int64, relays int) ([]*sig.KeyPair, []*vote.Document) {
 	keys := sig.Authorities(seed, n)
-	return keys, vote.Votes(keys, relays, seed, 0)
+	return keys, vote.Votes(keys, vote.Views(n, relays, seed), 0)
 }
 
 func buildNet(seed int64) (*simnet.Network, []*simnet.Profile, []*simnet.Profile) {

@@ -8,6 +8,8 @@ import (
 	"partialtor/internal/attack"
 	"partialtor/internal/client"
 	"partialtor/internal/dircache"
+	"partialtor/internal/sig"
+	"partialtor/internal/vote"
 )
 
 // BenchmarkExperimentCampaign runs one three-period campaign against the
@@ -38,15 +40,19 @@ func BenchmarkExperimentCampaign(b *testing.B) {
 	b.ReportMetric(availability, "availability")
 }
 
-// BenchmarkInputs times building one scenario's inputs, nine keys and nine
-// sealed votes, at a consensus workload's size and at the paper's. Every
-// iteration asks for a fresh seed, so the cache never serves it. It reports
+// BenchmarkInputs times building one scenario's inputs at a consensus
+// workload's size and at the paper's: the population's roster and nine views,
+// nine keys, and nine votes sealed over the views. Every iteration asks an
+// emptied cache for a fresh seed, so the cache never serves it. It reports
 // what one entry keeps (retained-B/entry): the live heap after a collection
-// with a fresh entry held, less the live heap before it was built.
+// with a fresh entry held, less the live heap before it was built. The
+// padding sub-case seals nine more votes over a warm population's views,
+// which is all another entry padding costs.
 func BenchmarkInputs(b *testing.B) {
 	for _, relays := range []int{300, 8000} {
 		b.Run(fmt.Sprintf("relays=%d", relays), func(b *testing.B) {
 			b.ReportAllocs()
+			clearInputs()
 			seed := int64(1_000_000)
 			for b.Loop() {
 				seed++
@@ -54,9 +60,17 @@ func BenchmarkInputs(b *testing.B) {
 			}
 			s := Scenario{Relays: relays, EntryPadding: -1, Seed: seed + 1}.withDefaults()
 			b.ReportMetric(float64(retainedBytes(func() any {
-				keys, docs := buildInputs(s)
-				return []any{keys, docs}
+				keys := sig.Authorities(s.Seed, s.N)
+				return []any{keys, vote.Votes(keys, vote.Views(s.N, s.Relays, s.Seed), s.EntryPadding)}
 			})), "retained-B/entry")
+		})
+		b.Run(fmt.Sprintf("relays=%d/padding", relays), func(b *testing.B) {
+			b.ReportAllocs()
+			warm := inputsFor(Scenario{Relays: relays, EntryPadding: -1, Seed: 1}.withDefaults())
+			views := warm.views()
+			for b.Loop() {
+				vote.Votes(warm.keys, views, 0)
+			}
 		})
 	}
 }

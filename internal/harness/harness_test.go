@@ -294,9 +294,10 @@ func TestScenarioDefaults(t *testing.T) {
 }
 
 func TestNegativeCountsAreErrors(t *testing.T) {
-	// Returned before any input is built: the protocols share one input key,
-	// and each try after the first would have found a half-built entry. So is
-	// an entry padding past the bound, which would overflow a vote's size.
+	// Returned before any input is built: the protocols share one inputs
+	// entry, and each try after the first would have met its failed build.
+	// So is an entry padding past the bound, which would overflow a vote's
+	// size.
 	for _, tc := range []struct {
 		bad   Scenario
 		value string // as the error must name it
@@ -316,6 +317,11 @@ func TestNegativeCountsAreErrors(t *testing.T) {
 	}
 }
 
+// TestInputsCaching: each part of an entry is shared by every entry it does
+// not differ from. Two paddings of one population share its keys and views
+// (so its roster), another relay count at the same (N, seed) shares the keys,
+// and another seed shares nothing. Past the relay budget the least recently
+// used entry goes, and an entry larger than the budget is kept alone.
 func TestInputsCaching(t *testing.T) {
 	s := Scenario{Relays: 120, Seed: 5, EntryPadding: -1}
 	k1, d1 := Inputs(s)
@@ -323,10 +329,54 @@ func TestInputsCaching(t *testing.T) {
 	if &k1[0] != &k2[0] || d1[0] != d2[0] {
 		t.Fatal("inputs not cached for identical scenarios")
 	}
-	_, d3 := Inputs(Scenario{Relays: 140, Seed: 5, EntryPadding: -1})
-	if d3[0] == d1[0] {
+	if allocs := testing.AllocsPerRun(10, func() { Inputs(s) }); allocs != 0 {
+		t.Fatalf("a cache hit allocates %v times", allocs)
+	}
+	unpadded := s
+	unpadded.EntryPadding = 0
+	k3, d3 := Inputs(unpadded)
+	if &k3[0] != &k1[0] || d3[0].Relays.Roster != d1[0].Relays.Roster {
+		t.Fatal("two paddings of one population hold their own keys or roster")
+	}
+	if d3[0] == d1[0] || d3[0].EncodedSize() >= d1[0].EncodedSize() {
+		t.Fatal("two paddings share a sealed vote")
+	}
+	k4, d4 := Inputs(Scenario{Relays: 140, Seed: 5, EntryPadding: -1})
+	if d4[0] == d1[0] || d4[0].Relays.Roster == d1[0].Relays.Roster {
 		t.Fatal("cache returned stale inputs")
 	}
+	if k4[0] != k1[0] {
+		t.Fatal("another relay count at the same (N, seed) holds its own key pairs")
+	}
+	if k5, _ := Inputs(Scenario{Relays: 120, Seed: 6, EntryPadding: -1}); k5[0] == k1[0] {
+		t.Fatal("another seed shares the key pairs")
+	}
+
+	// Entries are added unbuilt, so the budget is passed without building
+	// populations of its size.
+	defer clearInputs()
+	clearInputs()
+	third := inputsRelayBudget / 3
+	oldest, touched := inputsFor(Scenario{Relays: third, Seed: 1}.withDefaults()), inputsFor(Scenario{Relays: third, Seed: 2}.withDefaults())
+	inputsFor(Scenario{Relays: third, Seed: 3}.withDefaults())
+	if inputsFor(Scenario{Relays: third, Seed: 1}.withDefaults()) != oldest {
+		t.Fatal("an entry within the budget was not kept")
+	}
+	newest := inputsFor(Scenario{Relays: third, Seed: 4}.withDefaults())
+	if got := inputsCache.entries; len(got) != 3 || slices.Contains(got, touched) || got[1] != oldest || got[2] != newest {
+		t.Fatalf("past the budget the cache holds %d entries, want the three touched last", len(got))
+	}
+	huge := inputsFor(Scenario{Relays: inputsRelayBudget + 1, Seed: 1}.withDefaults())
+	if got := inputsCache.entries; len(got) != 1 || got[0] != huge || got[0].keys[0] != oldest.keys[0] {
+		t.Fatalf("the cache holds %d entries, want the one past the budget alone, on its (N, seed)'s keys", len(got))
+	}
+}
+
+// clearInputs empties the inputs cache.
+func clearInputs() {
+	inputsCache.mu.Lock()
+	inputsCache.entries = nil
+	inputsCache.mu.Unlock()
 }
 
 // TestInputsConcurrentUse: eight goroutines race on two keys that are not
@@ -340,9 +390,7 @@ func TestInputsConcurrentUse(t *testing.T) {
 	}
 	// Start from an empty cache: were it full, inserting the second key could
 	// evict the first, and a rebuilt entry hands out new pointers by design.
-	inputsCache.mu.Lock()
-	clear(inputsCache.m)
-	inputsCache.mu.Unlock()
+	clearInputs()
 	got := make([]held, 8)
 	var wg sync.WaitGroup
 	for g := range got {
@@ -371,42 +419,46 @@ func TestInputsConcurrentUse(t *testing.T) {
 
 // TestInputsMatchSerialBuild: the parallel build gives each authority the
 // key, view and sealed vote a serial build gives it, with fewer, as many and
-// more authorities than there are cores, and at the default relay count.
-// The serial build lists each authority's own relay.View over the shared
-// roster, which every vote must hold.
+// more authorities than there are cores, and at the default relay count, at
+// the calibrated padding and unpadded. The serial build lists each
+// authority's own relay.View over the shared roster, which every vote must
+// hold.
 func TestInputsMatchSerialBuild(t *testing.T) {
-	for _, s := range []Scenario{
+	for _, shape := range []Scenario{
 		{N: 1, Relays: 150}, {N: 4, Relays: 150}, {N: 9, Relays: 150}, {N: 13, Relays: 150}, {N: 9, Relays: 0},
 	} {
-		s.EntryPadding, s.Seed = -1, 3
-		keys, docs := Inputs(s)
-		s = s.withDefaults()
-		wantKeys := sig.Authorities(s.Seed, s.N)
-		pop := relay.Population(s.Relays, s.Seed)
-		_, rank := relay.IdentityOrder(pop)
-		if len(keys) != s.N || len(docs) != s.N {
-			t.Fatalf("N=%d relays=%d: %d keys, %d docs", s.N, s.Relays, len(keys), len(docs))
-		}
-		for i, k := range wantKeys {
-			name := fmt.Sprintf("auth%d", i)
-			if i < len(relay.AuthorityNames) {
-				name = relay.AuthorityNames[i]
+		for _, padding := range []int{-1, 0} {
+			s := shape
+			s.EntryPadding, s.Seed = padding, 3
+			keys, docs := Inputs(s)
+			s = s.withDefaults()
+			wantKeys := sig.Authorities(s.Seed, s.N)
+			pop := relay.Population(s.Relays, s.Seed)
+			_, rank := relay.IdentityOrder(pop)
+			if len(keys) != s.N || len(docs) != s.N {
+				t.Fatalf("N=%d relays=%d padding=%d: %d keys, %d docs", s.N, s.Relays, s.EntryPadding, len(keys), len(docs))
 			}
-			want := vote.NewDocument(i, name, k.Fingerprint, 1, vote.View{Roster: docs[0].Relays.Roster, Listings: relay.View(pop, rank, i, s.Seed)})
-			want.EntryPadding = s.EntryPadding
-			got := docs[i]
-			switch {
-			case !bytes.Equal(keys[i].Public, k.Public) || keys[i].Fingerprint != k.Fingerprint:
-				t.Fatalf("N=%d relays=%d: key %d differs from the serial build", s.N, s.Relays, i)
-			case got.AuthorityIndex != i || got.AuthorityName != name || got.EntryPadding != want.EntryPadding || got.Fingerprint != k.Fingerprint:
-				t.Fatalf("N=%d relays=%d: vote %d header differs from the serial build", s.N, s.Relays, i)
-			case got.EncodedSize() != want.EncodedSize() || got.Digest() != want.Digest():
-				t.Fatalf("N=%d relays=%d: vote %d seals to %d bytes %x, serial %d bytes %x",
-					s.N, s.Relays, i, got.EncodedSize(), got.Digest(), want.EncodedSize(), want.Digest())
-			case !slices.Equal(got.Relays.Listings, want.Relays.Listings):
-				t.Fatalf("N=%d relays=%d: vote %d lists other relays than the serial build", s.N, s.Relays, i)
-			case got.Relays.Roster != docs[0].Relays.Roster:
-				t.Fatalf("N=%d relays=%d: vote %d lists another roster than vote 0", s.N, s.Relays, i)
+			for i, k := range wantKeys {
+				name := fmt.Sprintf("auth%d", i)
+				if i < len(relay.AuthorityNames) {
+					name = relay.AuthorityNames[i]
+				}
+				want := vote.NewDocument(i, name, k.Fingerprint, 1, vote.View{Roster: docs[0].Relays.Roster, Listings: relay.View(pop, rank, i, s.Seed)})
+				want.EntryPadding = s.EntryPadding
+				got := docs[i]
+				switch {
+				case !bytes.Equal(keys[i].Public, k.Public) || keys[i].Fingerprint != k.Fingerprint:
+					t.Fatalf("N=%d relays=%d padding=%d: key %d differs from the serial build", s.N, s.Relays, s.EntryPadding, i)
+				case got.AuthorityIndex != i || got.AuthorityName != name || got.EntryPadding != want.EntryPadding || got.Fingerprint != k.Fingerprint:
+					t.Fatalf("N=%d relays=%d padding=%d: vote %d header differs from the serial build", s.N, s.Relays, s.EntryPadding, i)
+				case got.EncodedSize() != want.EncodedSize() || got.Digest() != want.Digest():
+					t.Fatalf("N=%d relays=%d padding=%d: vote %d seals to %d bytes %x, serial %d bytes %x",
+						s.N, s.Relays, s.EntryPadding, i, got.EncodedSize(), got.Digest(), want.EncodedSize(), want.Digest())
+				case !slices.Equal(got.Relays.Listings, want.Relays.Listings):
+					t.Fatalf("N=%d relays=%d padding=%d: vote %d lists other relays than the serial build", s.N, s.Relays, s.EntryPadding, i)
+				case got.Relays.Roster != docs[0].Relays.Roster:
+					t.Fatalf("N=%d relays=%d padding=%d: vote %d lists another roster than vote 0", s.N, s.Relays, s.EntryPadding, i)
+				}
 			}
 		}
 	}

@@ -4,10 +4,12 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"partialtor/internal/attack"
+	"partialtor/internal/sig"
 )
 
 // TestBackgroundJudgesMatchInlineRuns: the three protocols, healthy and under
@@ -27,8 +29,7 @@ func TestBackgroundJudgesMatchInlineRuns(t *testing.T) {
 		for _, plan := range []*attack.Plan{nil, &outage} {
 			s := Scenario{Protocol: p, N: 9, Relays: 300, EntryPadding: -1, Seed: 1, Attack: plan}
 			t.Run(fmt.Sprintf("%v/attacked=%v", p, plan != nil), func(t *testing.T) {
-				evictInputs(s)
-				Inputs(s) // built on every core before the baseline is read
+				evictInputs(t, s) // built on every core before the baseline is read
 				baseline := runtime.NumGoroutine()
 				judged := protocolDigest(mustRun(t, s))
 				for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
@@ -37,7 +38,7 @@ func TestBackgroundJudgesMatchInlineRuns(t *testing.T) {
 					}
 				}
 
-				evictInputs(s)
+				evictInputs(t, s)
 				runtime.GOMAXPROCS(1)
 				inline := protocolDigest(mustRun(t, s))
 				runtime.GOMAXPROCS(procs)
@@ -52,14 +53,21 @@ func TestBackgroundJudgesMatchInlineRuns(t *testing.T) {
 	}
 }
 
-// evictInputs drops s's inputs entry, so the next run on s builds a fresh key
-// set whose memos are empty. Key derivation is deterministic, so the fresh
-// keys sign exactly as the evicted ones did.
-func evictInputs(s Scenario) {
+// evictInputs drops every inputs entry of s's (N, seed), any of which would
+// lend a new entry its warm keys, and builds s's entry afresh on every core:
+// the next run on s signs with a fresh key set whose memos are empty. Key
+// derivation is deterministic, so the fresh keys sign exactly as the evicted
+// ones did.
+func evictInputs(t *testing.T, s Scenario) {
+	t.Helper()
 	s = s.withDefaults()
+	warm, _ := Inputs(s)
 	inputsCache.mu.Lock()
-	delete(inputsCache.m, inputsKey{n: s.N, relays: s.Relays, padding: s.EntryPadding, seed: s.Seed})
+	inputsCache.entries = slices.DeleteFunc(inputsCache.entries, func(e *inputsEntry) bool { return e.n == s.N && e.seed == s.Seed })
 	inputsCache.mu.Unlock()
+	if fresh, _ := Inputs(s); slices.ContainsFunc(fresh, func(k *sig.KeyPair) bool { return slices.Contains(warm, k) }) {
+		t.Fatal("an evicted entry's key pair is handed out again")
+	}
 }
 
 // protocolDigest is runDigest for a run with no distribution phase.

@@ -39,6 +39,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -186,90 +187,88 @@ type RunResult struct {
 // is protocol-independent — no type switch on Detail required.
 func (r *RunResult) Consensus() *vote.Consensus { return r.consensus }
 
-// inputsCache avoids rebuilding a scenario's keys and sealed votes for every
-// run on the same (authorities, relays, padding, seed): sweeps vary bandwidth,
-// round length or attack at a fixed relay count, and the benchmark's ops
-// repeat their scenarios.
-type inputsKey struct {
+// inputsEntry is one scenario's inputs, each part keyed by what it depends
+// on: the keys by (N, seed), the views by (N, relays, seed), and the sealed
+// votes by the padding as well. Sweeps vary bandwidth, round length or attack
+// at a fixed relay count, the ablation re-seals one population at several
+// entry sizes, and the benchmark's ops repeat their scenarios. The views and
+// votes are built once, by whichever caller first asks, inside their
+// sync.OnceValue: the build spreads its authorities over every core, and its
+// goroutines join before any caller reads the result.
+type inputsEntry struct {
 	n, relays, padding int
 	seed               int64
+	keys               []*sig.KeyPair
+	views              func() []vote.View
+	votes              func() []*vote.Document
 }
 
-// inputsEntry memoizes one key's build; the sync.Once lets concurrent sweeps
-// build different keys in parallel while building each key exactly once, and
-// that build spreads its authorities over every core itself.
-type inputsEntry struct {
-	once sync.Once
-	keys []*sig.KeyPair
-	docs []*vote.Document
-}
-
+// inputsCache holds the entries least recently used first.
 var inputsCache struct {
-	mu sync.Mutex
-	m  map[inputsKey]*inputsEntry
+	mu      sync.Mutex
+	entries []*inputsEntry
 }
 
-// inputsCacheLimit bounds the cache. An entry is nine keys and nine sealed
-// votes over one roster, which keep no encodings: the roster's relays and
-// rendered lines, and nine views of 16 bytes a listed relay. That is 0.16 MB
-// at 300 relays, 3.9 MB at 8 000 and 4.9 MB at the paper's 10 000
-// (BenchmarkInputs' retained-B/entry), so a full cache stays under 40 MB at
-// paper scale. The votes' memo adds each distinct vote set's consensus, 16
-// bytes a relay that index the votes' roster: about 0.13 MB a set at 8 000.
-// The keys' memos add each distinct signature the entry's runs made through
-// sig.Registry.Sign, a 176-byte record and its map slot, whatever the relay
-// count. The records grow with the distinct inputs signed (vote sets,
-// consensus digests, views), not with the cells run: campaign-sweep's 2x2
-// grid of three-period campaigns leaves 180-189 on its entry, and as many
-// after a second pass; at 300 relays the three protocols, healthy and under
-// the outage, make ~220, 90 cells over ten outage lengths and three
-// bandwidths 183, and 120 cells over forty outage start times 218.
-// The figure generators sweep Relays over ~10 values, so a small cap keeps a
-// sweep's working set without letting a long-lived process accumulate every
-// combination it ever ran.
-const inputsCacheLimit = 8
+// inputsRelayBudget bounds the relays the cached entries hold, all 55 000 of
+// Figures 7, 10 and 11 with room to spare. An entry keeps its roster and N
+// views, shared with every entry of its population: 16 bytes a listed relay
+// and the roster's lines, 3.9 MB for nine votes at 8 000 relays
+// (BenchmarkInputs' retained-B/entry), ~30 MB for a budget's worth. Its
+// votes' consensus memo adds 16 bytes a relay a distinct vote set, and its
+// keys' memos a 176-byte record a distinct signature its runs made, shared
+// with every entry of its (N, seed): 3 814 over the paper-scale run. An
+// entry larger than the budget is kept alone.
+const inputsRelayBudget = 60_000
 
-// Inputs builds (and caches) the authority keys and vote documents for a
-// scenario. It is safe for concurrent use, so sweeps may run scenarios in
-// parallel; the expensive build happens outside the cache lock, and each
-// distinct key is built exactly once while it stays cached.
-//
-// The build runs on every core (buildInputs), and its goroutines all join
-// inside the entry's sync.Once, so every caller, the builder included, reads
-// an entry that is complete and sealed.
+// Inputs returns the authority keys and sealed votes of a scenario, building
+// only what no cached entry shares: a new entry takes its keys from any
+// entry of its (N, seed) and its views from any of its (N, relays, seed). It
+// is safe for concurrent use; the builds happen outside the cache lock.
 func Inputs(s Scenario) ([]*sig.KeyPair, []*vote.Document) {
-	s = s.withDefaults()
-	key := inputsKey{n: s.N, relays: s.Relays, padding: s.EntryPadding, seed: s.Seed}
-	inputsCache.mu.Lock()
-	if inputsCache.m == nil {
-		inputsCache.m = make(map[inputsKey]*inputsEntry)
-	}
-	e, ok := inputsCache.m[key]
-	if !ok {
-		if len(inputsCache.m) >= inputsCacheLimit {
-			// Evict an arbitrary entry; callers mid-build hold their own
-			// references, so eviction only costs a potential rebuild.
-			//detlint:maporder ok(eviction victim is deliberately arbitrary; cache contents never reach simulation outputs)
-			for k := range inputsCache.m {
-				delete(inputsCache.m, k)
-				break
-			}
-		}
-		e = &inputsEntry{}
-		inputsCache.m[key] = e
-	}
-	inputsCache.mu.Unlock()
-	e.once.Do(func() { e.keys, e.docs = buildInputs(s) })
-	return e.keys, e.docs
+	e := inputsFor(s.withDefaults())
+	return e.keys, e.votes()
 }
 
-// buildInputs derives a scenario's keys and sealed votes: the votes come
-// from vote.Votes, which builds them on every core and links them to one
-// consensus memo, so every run on this entry aggregates each distinct vote
-// set once.
-func buildInputs(s Scenario) ([]*sig.KeyPair, []*vote.Document) {
-	keys := sig.Authorities(s.Seed, s.N)
-	return keys, vote.Votes(keys, s.Relays, s.Seed, s.EntryPadding)
+// inputsFor finds or adds s's entry, unbuilt, as the most recently used, and
+// evicts the least recently used ones while the entries hold more relays than
+// inputsRelayBudget. A hit allocates nothing.
+func inputsFor(s Scenario) *inputsEntry {
+	inputsCache.mu.Lock()
+	defer inputsCache.mu.Unlock()
+	entries := inputsCache.entries
+	var keys []*sig.KeyPair
+	var views func() []vote.View
+	held := s.Relays
+	for i, e := range entries {
+		held += e.relays
+		if e.n != s.N || e.seed != s.Seed {
+			continue
+		}
+		if e.relays == s.Relays && e.padding == s.EntryPadding {
+			copy(entries[i:], entries[i+1:])
+			entries[len(entries)-1] = e
+			return e
+		}
+		keys = e.keys
+		if e.relays == s.Relays {
+			views = e.views
+		}
+	}
+	n, relays, padding, seed := s.N, s.Relays, s.EntryPadding, s.Seed
+	if keys == nil {
+		keys = sig.Authorities(seed, n)
+	}
+	if views == nil {
+		views = sync.OnceValue(func() []vote.View { return vote.Views(n, relays, seed) })
+	}
+	e := &inputsEntry{n: n, relays: relays, padding: padding, seed: seed, keys: keys, views: views,
+		votes: sync.OnceValue(func() []*vote.Document { return vote.Votes(keys, views(), padding) })}
+	drop := 0
+	for ; held > inputsRelayBudget && drop < len(entries); drop++ {
+		held -= entries[drop].relays
+	}
+	inputsCache.entries = append(slices.Delete(entries, 0, drop), e)
+	return e
 }
 
 // buildNetwork wires an n-node network with the scenario's bandwidth,

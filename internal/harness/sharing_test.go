@@ -68,7 +68,7 @@ func TestSweepCellsShareOneConsensus(t *testing.T) {
 		digest [sha256.Size]byte
 	}
 	run := func(workers int) []sweep.Result[cell] {
-		evictInputs(base)
+		evictInputs(t, base)
 		results := sweep.RunParams(bg, grid, sweep.Params{Workers: workers}, func(ctx context.Context, c sweep.Cell) (cell, error) {
 			s := base
 			s.Protocol, s.Attack = c.Value("protocol").(Protocol), c.Value("attack").(*attack.Plan)

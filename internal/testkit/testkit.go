@@ -15,14 +15,14 @@ import (
 func Authorities(n int, seed int64) []*sig.KeyPair { return sig.Authorities(seed, n) }
 
 // Docs builds one vote document per authority over perturbed views of a
-// shared synthetic population (vote.Votes). padding < 0 selects the
-// calibrated default; padding == 0 disables padding (natural entry size). The
-// votes are sealed and share one consensus memo, as an inputs entry's do.
+// shared synthetic population (vote.Views, vote.Votes). padding < 0 selects
+// the calibrated default; padding == 0 disables padding (natural entry size).
+// The votes are sealed and share one consensus memo, as an inputs entry's do.
 func Docs(keys []*sig.KeyPair, relays int, seed int64, padding int) []*vote.Document {
 	if padding < 0 {
 		padding = vote.DefaultEntryPadding
 	}
-	return vote.Votes(keys, relays, seed, padding)
+	return vote.Votes(keys, vote.Views(len(keys), relays, seed), padding)
 }
 
 // Net bundles a network with its per-node profiles so tests can throttle

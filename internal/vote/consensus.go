@@ -254,7 +254,7 @@ type listed struct {
 }
 
 // identityOrder pairs a vote's listings with their relays, in identity
-// order, entries of one identity in vote order. The votes Votes builds are
+// order, entries of one identity in vote order. A view Views builds is
 // already sorted (dir-spec vote order); Parse enforces neither that nor
 // uniqueness, so a vote out of order is sorted here and the merge takes
 // repeats as they come.

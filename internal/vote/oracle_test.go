@@ -20,7 +20,7 @@ var benchmarkSeeds = []int64{21154162, 382856361, 450008222, 221457682, 88015425
 // seedDocs builds the n votes harness.Inputs would for (relays, seed), each
 // unsealed, so that a test may still change it.
 func seedDocs(n, relays int, seed int64, padding int) []*Document {
-	docs := Votes(sig.Authorities(seed, n), relays, seed, padding)
+	docs := Votes(sig.Authorities(seed, n), Views(n, relays, seed), padding)
 	for a, d := range docs {
 		docs[a] = unsealed(d)
 	}

@@ -173,15 +173,10 @@ func (r *Roster) appendConsensusEntry(b []byte, e *ConsensusRelay) []byte {
 	return append(b, r.shared[rec.policy]...)
 }
 
-// Votes builds the votes of len(keys) authorities over one synthetic
-// population of the given size and seed: authority i lists relay.View(…, i,
-// seed) under relay.AuthorityNames[i] ("auth<i>" past them) and key i's
-// fingerprint, at epoch 1 and the given entry padding. The population, its
-// identity order and its roster are built once; then each authority's view
-// and seal, which cost alike, are dealt round-robin to min(GOMAXPROCS,
-// len(keys)) goroutines, each writing only its own indices. Last, the votes
-// are linked to one consensus memo (Share).
-func Votes(keys []*sig.KeyPair, relays int, seed int64, padding int) []*Document {
+// Views lists n authorities' views of one synthetic population of the given
+// size and seed: view i is relay.View(…, i, seed) over the population's one
+// roster, in identity order, built on min(GOMAXPROCS, n) goroutines.
+func Views(n, relays int, seed int64) []View {
 	pop := relay.Population(relays, seed)
 	order, rank := relay.IdentityOrder(pop)
 	sorted := make([]relay.Descriptor, len(pop))
@@ -189,26 +184,41 @@ func Votes(keys []*sig.KeyPair, relays int, seed int64, padding int) []*Document
 		sorted[k] = pop[i]
 	}
 	roster := newRoster(sorted)
+	views := make([]View, n)
+	eachAuthority(n, func(i int) { views[i] = View{Roster: roster, Listings: relay.View(pop, rank, i, seed)} })
+	return views
+}
+
+// Votes seals authority i's vote over views[i], under relay.AuthorityNames[i]
+// ("auth<i>" past them) and key i's fingerprint, at epoch 1 and the given
+// entry padding, on min(GOMAXPROCS, len(keys)) goroutines, and links the
+// votes to one consensus memo (Share). Any number of vote sets share views.
+func Votes(keys []*sig.KeyPair, views []View, padding int) []*Document {
 	docs := make([]*Document, len(keys))
-	workers := min(runtime.GOMAXPROCS(0), len(keys))
+	eachAuthority(len(keys), func(i int) {
+		name := fmt.Sprintf("auth%d", i)
+		if i < len(relay.AuthorityNames) {
+			name = relay.AuthorityNames[i]
+		}
+		docs[i] = &Document{AuthorityIndex: i, AuthorityName: name, Fingerprint: keys[i].Fingerprint, ValidAfter: 1, EntryPadding: padding, Relays: views[i]}
+		docs[i].seal()
+	})
+	Share(docs)
+	return docs
+}
+
+// eachAuthority calls f(i) for each i < n on min(GOMAXPROCS, n) goroutines.
+func eachAuthority(n int, f func(i int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
 	var wg sync.WaitGroup
 	for w := range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := w; i < len(keys); i += workers {
-				name := fmt.Sprintf("auth%d", i)
-				if i < len(relay.AuthorityNames) {
-					name = relay.AuthorityNames[i]
-				}
-				d := NewDocument(i, name, keys[i].Fingerprint, 1, View{Roster: roster, Listings: relay.View(pop, rank, i, seed)})
-				d.EntryPadding = padding
-				d.seal()
-				docs[i] = d
+			for i := w; i < n; i += workers {
+				f(i)
 			}
 		}()
 	}
 	wg.Wait()
-	Share(docs)
-	return docs
 }

@@ -14,10 +14,11 @@
 // with the entry lines no vote changes rendered once: each relay's r line
 // and advertised bandwidth into one arena, and each distinct v, pr and w
 // segment and p line once; a vote's View keeps, per relay it lists, only the
-// relay's roster index, flags and measurement (relay.Listing, 16 bytes). The votes Votes builds share one
-// roster of one population, in identity order; a parsed vote builds a roster
-// of the relays it lists, so there is one representation. A consensus is
-// the same: per relay, a roster index and the aggregated flags and bandwidth.
+// relay's roster index, flags and measurement (relay.Listing, 16 bytes). The
+// views Views builds share one roster of one population, in identity order,
+// and so do the vote sets Votes seals over them; a parsed vote builds a roster
+// of the relays it lists, so there is one representation. A consensus is the
+// same: per relay, a roster index and the aggregated flags and bandwidth.
 //
 // Documents are frozen once built, and each is sealed on first use: Digest
 // or EncodedSize streams the document's rendering through SHA-256 and keeps

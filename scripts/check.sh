@@ -93,8 +93,9 @@ micro() {
     # campaign-sweep cell. Its periods share one attack flag, so the
     # experiment simulates one run; TestExperimentRunsEachScenarioOnce beside
     # it pins one build per distinct flag. Inputs builds one fresh scenario's
-    # keys and sealed votes at 300 and 8 000 relays, on every core;
-    # TestInputsMatchSerialBuild holds it to a serial build.
+    # keys, views and sealed votes at 300 and 8 000 relays, on every core, and
+    # its padding sub-case seals one more padding over a warm population's
+    # views; TestInputsMatchSerialBuild holds both to a serial build.
     go test -run '^$' -bench 'ExperimentCampaign|Inputs' -benchtime 1x -benchmem ./internal/harness
 }
 
@@ -133,9 +134,10 @@ fuzz() {
 # the registry is still run-scoped and its maps single-goroutine; the state
 # crossing goroutines is each pending verdict, published through its
 # sync.Once, the queue handing it to a judge, and each key pair's
-# mutex-guarded memo of the records it signed, which every run and sweep cell
-# on one inputs entry reads and fills, the first to miss an input signing it
-# under the mutex (the outage cells of TestSweepCellsShareOneConsensus). Keep
+# mutex-guarded memo of the records it signed. Key pairs are shared per
+# (N, seed), so every run and sweep cell on any inputs entry of that (N, seed)
+# reads and fills the memo, the first to miss an input signing it under the
+# mutex (the outage cells of TestSweepCellsShareOneConsensus). Keep
 # them all data-race-free. This dynamic check is the runtime half of the
 # determinism story; the static half (map-order, wall-clock and hot-path
 # invariants) is TestDetlint in the test job.
