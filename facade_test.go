@@ -515,12 +515,6 @@ func headingAnchors(markdown []byte) map[string]bool {
 // Methods and struct fields are TestInternalFieldsAreSetAndRead's, below.
 var unreferencedOnPurpose = map[string]string{
 	"testkit.*":             "the shared fixture package of the protocol tests",
-	"dirv3.EncodeMessage":   "wire-format reference: round-trip and fuzz tests compare Size() against it",
-	"dirv3.DecodeMessage":   "wire-format reference: round-trip and fuzz tests decode through it",
-	"syncdir.EncodeMessage": "wire-format reference: round-trip and fuzz tests compare Size() against it",
-	"syncdir.DecodeMessage": "wire-format reference: round-trip and fuzz tests decode through it",
-	"core.EncodeMessage":    "wire-format reference: round-trip and fuzz tests compare Size() against it",
-	"core.DecodeAny":        "wire-format reference: the fuzz target decodes arbitrary bytes through it",
 	"gossip.EncodeDigest":   "wire-format reference: the digest Size() the mesh charges is pinned against it",
 	"gossip.DecodeDigest":   "wire-format reference: round-trip and fuzz tests decode through it",
 	"gossip.EncodeVector":   "wire-format reference: the vector Size() the mesh charges is pinned against it",

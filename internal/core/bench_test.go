@@ -43,19 +43,6 @@ func BenchmarkValueVerify(b *testing.B) {
 	}
 }
 
-func BenchmarkValueCodec(b *testing.B) {
-	keys := testkit.Authorities(9, 1)
-	v := buildOKValueForBench(keys, 2)
-	enc := EncodeValue(v)
-	b.SetBytes(int64(len(enc)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecodeValue(enc); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // buildOKValueForBench mirrors the test helper without a *testing.T.
 func buildOKValueForBench(keys []*sig.KeyPair, f int) *AgreementValue {
 	n := len(keys)

@@ -32,7 +32,8 @@ func FuzzDecodeDigest(f *testing.F) {
 }
 
 // FuzzDecodeVector: arbitrary bytes must never panic the epoch-vector
-// decoder, and anything it accepts must round-trip stably.
+// decoder, and anything it accepts must round-trip stably, re-encoded in the
+// EncodedSize the mesh charges for it.
 func FuzzDecodeVector(f *testing.F) {
 	f.Add(EncodeVector(Vector{}))
 	f.Add(EncodeVector(Vector{Entries: []VectorEntry{{Key: 0, Epoch: 2}}}))
@@ -47,6 +48,9 @@ func FuzzDecodeVector(f *testing.F) {
 			return
 		}
 		re := EncodeVector(got)
+		if len(re) != got.EncodedSize() {
+			t.Fatalf("encoded %d bytes, EncodedSize says %d", len(re), got.EncodedSize())
+		}
 		back, err := DecodeVector(re)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)

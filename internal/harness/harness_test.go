@@ -321,7 +321,8 @@ func TestNegativeCountsAreErrors(t *testing.T) {
 // not differ from. Two paddings of one population share its keys and views
 // (so its roster), another relay count at the same (N, seed) shares the keys,
 // and another seed shares nothing. Past the relay budget the least recently
-// used entry goes, and an entry larger than the budget is kept alone.
+// used entry goes, and an entry larger than the budget is kept alone. The
+// budget counts a population once, however many entries share it.
 func TestInputsCaching(t *testing.T) {
 	s := Scenario{Relays: 120, Seed: 5, EntryPadding: -1}
 	k1, d1 := Inputs(s)
@@ -369,6 +370,23 @@ func TestInputsCaching(t *testing.T) {
 	huge := inputsFor(Scenario{Relays: inputsRelayBudget + 1, Seed: 1}.withDefaults())
 	if got := inputsCache.entries; len(got) != 1 || got[0] != huge || got[0].keys[0] != oldest.keys[0] {
 		t.Fatalf("the cache holds %d entries, want the one past the budget alone, on its (N, seed)'s keys", len(got))
+	}
+
+	// Two paddings of one population hold its relays once: the four entries
+	// below hold three populations, exactly the budget. One more population
+	// evicts the least recently used entries until it fits, and the first of
+	// them frees nothing, since the other padding still holds its population.
+	clearInputs()
+	padded := inputsFor(Scenario{Relays: third, Seed: 1, EntryPadding: -1}.withDefaults())
+	other := inputsFor(Scenario{Relays: third, Seed: 2}.withDefaults())
+	unpaddedToo := inputsFor(Scenario{Relays: third, Seed: 1}.withDefaults())
+	last := inputsFor(Scenario{Relays: third, Seed: 3}.withDefaults())
+	if got := inputsCache.entries; !slices.Equal(got, []*inputsEntry{padded, other, unpaddedToo, last}) {
+		t.Fatalf("the cache holds %d entries, want all four: two paddings of one population count its relays once", len(got))
+	}
+	small := inputsFor(Scenario{Relays: third / 4, Seed: 4}.withDefaults())
+	if got := inputsCache.entries; !slices.Equal(got, []*inputsEntry{unpaddedToo, last, small}) {
+		t.Fatalf("the cache holds %d entries, want the three touched last: dropping one padding of a population still held frees nothing", len(got))
 	}
 }
 

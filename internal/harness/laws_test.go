@@ -1,0 +1,110 @@
+package harness
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"partialtor/internal/simnet"
+)
+
+// lawPoint indexes TestConsensusLaws' grid: protocol, seed, relay count and
+// bandwidth rung.
+type lawPoint struct{ p, s, r, b int }
+
+// consensusLaw relates two runs of one scenario that differ in one knob:
+// lower ran one step below higher along step, which moves one index.
+type consensusLaw struct {
+	name  string
+	step  lawPoint
+	check func(lower, higher *RunResult) error
+}
+
+// consensusLaws are the consensus tier's metamorphic laws: more bandwidth
+// never hurts, and a larger population never helps.
+var consensusLaws = []consensusLaw{
+	{"success is monotone in bandwidth", lawPoint{b: 1}, func(lower, higher *RunResult) error {
+		if lower.Success && !higher.Success {
+			return fmt.Errorf("succeeded, then failed with more bandwidth")
+		}
+		return nil
+	}},
+	{"latency does not rise with bandwidth", lawPoint{b: 1}, func(lower, higher *RunResult) error {
+		if l, h := lawLatency(lower), lawLatency(higher); h > l {
+			return fmt.Errorf("latency rose from %v to %v", l, h)
+		}
+		return nil
+	}},
+	{"latency does not fall with relays", lawPoint{r: 1}, func(lower, higher *RunResult) error {
+		if l, h := lawLatency(lower), lawLatency(higher); h < l {
+			return fmt.Errorf("latency fell from %v to %v", l, h)
+		}
+		return nil
+	}},
+}
+
+// lawLatency is a run's latency, a failed run's being simnet.Never.
+func lawLatency(r *RunResult) time.Duration {
+	if !r.Success {
+		return simnet.Never
+	}
+	return r.Latency
+}
+
+// TestConsensusLaws runs a quick-scale grid, 15 s rounds over three relay
+// counts and a log-spaced bandwidth ladder under the three protocols and two
+// seeds, and checks each law on every pair of runs one step apart along its
+// knob. The ladder spans both lock-step protocols' failure edge at every
+// relay count; ICPS succeeds on every rung, only later on the low ones.
+func TestConsensusLaws(t *testing.T) {
+	protocols := []Protocol{Current, Synchronous, ICPS}
+	seeds := []int64{1, 2}
+	relays := []int{300, 900, 1500}
+	var mbits []float64
+	for m := 0.25; m <= 64; m *= 2 {
+		mbits = append(mbits, m)
+	}
+	size := lawPoint{len(protocols), len(seeds), len(relays), len(mbits)}
+	index := func(q lawPoint) int { return ((q.p*size.s+q.s)*size.r+q.r)*size.b + q.b }
+	runs := make([]*RunResult, size.p*size.s*size.r*size.b)
+	var points []lawPoint
+	for p := range size.p {
+		for s := range size.s {
+			for r := range size.r {
+				for b := range size.b {
+					q := lawPoint{p, s, r, b}
+					res, err := RunE(t.Context(), Scenario{
+						Protocol:  protocols[p],
+						Relays:    relays[r],
+						Bandwidth: mbits[b] * 1e6,
+						Round:     15 * time.Second,
+						Seed:      seeds[s],
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					runs[index(q)] = res
+					points = append(points, q)
+				}
+			}
+		}
+	}
+
+	for _, law := range consensusLaws {
+		pairs := 0
+		for _, q := range points {
+			up := lawPoint{q.p, q.s, q.r + law.step.r, q.b + law.step.b}
+			if up.r == size.r || up.b == size.b {
+				continue
+			}
+			pairs++
+			if err := law.check(runs[index(q)], runs[index(up)]); err != nil {
+				t.Errorf("%s: %v, seed %d, %d -> %d relays, %g -> %g Mbit/s: %v", law.name, protocols[q.p],
+					seeds[q.s], relays[q.r], relays[up.r], mbits[q.b], mbits[up.b], err)
+			}
+		}
+		if pairs == 0 {
+			t.Errorf("%s: no pair of runs to check", law.name)
+		}
+	}
+}

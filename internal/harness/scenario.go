@@ -196,11 +196,18 @@ func (r *RunResult) Consensus() *vote.Consensus { return r.consensus }
 // sync.OnceValue: the build spreads its authorities over every core, and its
 // goroutines join before any caller reads the result.
 type inputsEntry struct {
-	n, relays, padding int
-	seed               int64
-	keys               []*sig.KeyPair
-	views              func() []vote.View
-	votes              func() []*vote.Document
+	population
+	padding int
+	keys    []*sig.KeyPair
+	views   func() []vote.View
+	votes   func() []*vote.Document
+}
+
+// population is what an entry's views depend on. The entries of one
+// population share its views, so the relay budget counts it once.
+type population struct {
+	n, relays int
+	seed      int64
 }
 
 // inputsCache holds the entries least recently used first.
@@ -209,8 +216,9 @@ var inputsCache struct {
 	entries []*inputsEntry
 }
 
-// inputsRelayBudget bounds the relays the cached entries hold, all 55 000 of
-// Figures 7, 10 and 11 with room to spare. An entry keeps its roster and N
+// inputsRelayBudget bounds the relays of the populations the cached entries
+// hold, a population counted once however many paddings share it: all 55 000
+// of Figures 7, 10 and 11 with room to spare. An entry keeps its roster and N
 // views, shared with every entry of its population: 16 bytes a listed relay
 // and the roster's lines, 3.9 MB for nine votes at 8 000 relays
 // (BenchmarkInputs' retained-B/entry), ~30 MB for a budget's worth. Its
@@ -230,44 +238,55 @@ func Inputs(s Scenario) ([]*sig.KeyPair, []*vote.Document) {
 }
 
 // inputsFor finds or adds s's entry, unbuilt, as the most recently used, and
-// evicts the least recently used ones while the entries hold more relays than
-// inputsRelayBudget. A hit allocates nothing.
+// evicts the least recently used ones while the populations they hold have
+// more relays than inputsRelayBudget. A hit allocates nothing.
 func inputsFor(s Scenario) *inputsEntry {
 	inputsCache.mu.Lock()
 	defer inputsCache.mu.Unlock()
 	entries := inputsCache.entries
+	p := population{n: s.N, relays: s.Relays, seed: s.Seed}
 	var keys []*sig.KeyPair
 	var views func() []vote.View
-	held := s.Relays
 	for i, e := range entries {
-		held += e.relays
-		if e.n != s.N || e.seed != s.Seed {
+		if e.n != p.n || e.seed != p.seed {
 			continue
 		}
-		if e.relays == s.Relays && e.padding == s.EntryPadding {
-			copy(entries[i:], entries[i+1:])
-			entries[len(entries)-1] = e
-			return e
-		}
-		keys = e.keys
-		if e.relays == s.Relays {
+		if e.population == p {
+			if e.padding == s.EntryPadding {
+				copy(entries[i:], entries[i+1:])
+				entries[len(entries)-1] = e
+				return e
+			}
 			views = e.views
 		}
+		keys = e.keys
 	}
-	n, relays, padding, seed := s.N, s.Relays, s.EntryPadding, s.Seed
+	padding := s.EntryPadding
 	if keys == nil {
-		keys = sig.Authorities(seed, n)
+		keys = sig.Authorities(p.seed, p.n)
 	}
 	if views == nil {
-		views = sync.OnceValue(func() []vote.View { return vote.Views(n, relays, seed) })
+		views = sync.OnceValue(func() []vote.View { return vote.Views(p.n, p.relays, p.seed) })
 	}
-	e := &inputsEntry{n: n, relays: relays, padding: padding, seed: seed, keys: keys, views: views,
+	e := &inputsEntry{population: p, padding: padding, keys: keys, views: views,
 		votes: sync.OnceValue(func() []*vote.Document { return vote.Votes(keys, views(), padding) })}
-	drop := 0
-	for ; held > inputsRelayBudget && drop < len(entries); drop++ {
-		held -= entries[drop].relays
+	entries = append(entries, e)
+	// The entries holding each population, and the relays of them all.
+	holders := make(map[population]int, len(entries))
+	held := 0
+	for _, x := range entries {
+		if holders[x.population]++; holders[x.population] == 1 {
+			held += x.relays
+		}
 	}
-	inputsCache.entries = append(slices.Delete(entries, 0, drop), e)
+	drop := 0
+	for ; held > inputsRelayBudget && drop < len(entries)-1; drop++ {
+		old := entries[drop].population
+		if holders[old]--; holders[old] == 0 {
+			held -= old.relays
+		}
+	}
+	inputsCache.entries = slices.Delete(entries, 0, drop)
 	return e
 }
 

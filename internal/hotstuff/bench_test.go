@@ -50,20 +50,3 @@ func BenchmarkQCVerify(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkMessageCodec(b *testing.B) {
-	keys := testkit.Authorities(9, 1)
-	qc := mkQC(keys, 1, 3, "block")
-	m := &MsgProposal{View: 3, Value: testValue{s: "payload"}, Justify: qc, EntryTC: mkTC(keys, 2, qc)}
-	vc := stringCodec{}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		enc, err := EncodeMessage(m, vc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := DecodeMessage(enc, vc); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -1,10 +1,6 @@
 package sig
 
-import (
-	"fmt"
-
-	"partialtor/internal/wire"
-)
+import "partialtor/internal/wire"
 
 // WriteSignature appends a signature (signer + raw bytes) to a wire writer.
 func WriteSignature(w *wire.Writer, s Signature) {
@@ -12,23 +8,8 @@ func WriteSignature(w *wire.Writer, s Signature) {
 	w.Raw(s.Bytes[:])
 }
 
-// ReadSignature reads a signature written by WriteSignature.
-func ReadSignature(r *wire.Reader) Signature {
-	var s Signature
-	s.Signer = int(r.Varint())
-	copy(s.Bytes[:], r.Raw(SignatureSize))
-	return s
-}
-
 // WriteDigest appends a digest to a wire writer.
 func WriteDigest(w *wire.Writer, d Digest) { w.Raw(d[:]) }
-
-// ReadDigest reads a digest.
-func ReadDigest(r *wire.Reader) Digest {
-	var d Digest
-	copy(d[:], r.Raw(DigestSize))
-	return d
-}
 
 // WriteSignatures appends a length-prefixed signature list.
 func WriteSignatures(w *wire.Writer, sigs []Signature) {
@@ -36,21 +17,4 @@ func WriteSignatures(w *wire.Writer, sigs []Signature) {
 	for _, s := range sigs {
 		WriteSignature(w, s)
 	}
-}
-
-// MaxSignatureList bounds decoded signature lists (a full authority set is
-// at most a few dozen entries; anything larger is malformed input).
-const MaxSignatureList = 1024
-
-// ReadSignatures reads a list written by WriteSignatures.
-func ReadSignatures(r *wire.Reader) ([]Signature, error) {
-	n := r.Uvarint()
-	if n > MaxSignatureList {
-		return nil, fmt.Errorf("sig: signature list of %d entries", n)
-	}
-	out := make([]Signature, 0, n)
-	for i := uint64(0); i < n; i++ {
-		out = append(out, ReadSignature(r))
-	}
-	return out, r.Err()
 }

@@ -7,9 +7,9 @@ import "testing"
 func FuzzReader(f *testing.F) {
 	w := NewWriter(0)
 	w.Uvarint(300)
-	w.BytesLP([]byte("hello"))
-	w.BytesLP([]byte{1, 2, 3})
-	w.Varint(-42)
+	w.Byte(7)
+	w.Raw([]byte("abc"))
+	w.Uvarint(5)
 	f.Add(w.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
@@ -17,13 +17,12 @@ func FuzzReader(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewReader(data)
 		_ = r.Uvarint()
-		_ = string(r.BytesLP())
-		_ = r.BytesLP()
-		_ = r.Varint()
-		_ = r.Bool()
+		_ = r.Byte()
 		_ = r.Raw(3)
-		if r.Err() == nil && r.Remaining() < 0 {
+		_ = r.Uvarint()
+		if r.Remaining() < 0 {
 			t.Fatal("negative remaining")
 		}
+		_ = r.Close()
 	})
 }

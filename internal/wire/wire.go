@@ -1,6 +1,10 @@
-// Package wire provides tiny length-prefixed binary encoding helpers used
-// by document and message codecs. Encoders never fail; decoders carry a
-// sticky error so call sites stay linear and check once at the end.
+// Package wire provides tiny varint and fixed-width binary encoding helpers.
+// Two callers use them: the agreement value's canonical encoding
+// (internal/core), whose bytes fix its digest and the size the simulator
+// charges for it, and the gossip codec (internal/gossip), whose encoders pin
+// the size the mesh charges per push and per vector. Encoders never fail;
+// decoders carry a sticky error so call sites stay linear and check once, at
+// Close.
 package wire
 
 import (
@@ -35,21 +39,6 @@ func (w *Writer) Varint(v int64) { w.buf = binary.AppendVarint(w.buf, v) }
 // Byte appends a single byte.
 func (w *Writer) Byte(b byte) { w.buf = append(w.buf, b) }
 
-// Bool appends a boolean as one byte.
-func (w *Writer) Bool(b bool) {
-	if b {
-		w.Byte(1)
-	} else {
-		w.Byte(0)
-	}
-}
-
-// Bytes appends a length-prefixed byte slice.
-func (w *Writer) BytesLP(b []byte) {
-	w.Uvarint(uint64(len(b)))
-	w.buf = append(w.buf, b...)
-}
-
 // Raw appends bytes without a length prefix (fixed-size fields).
 func (w *Writer) Raw(b []byte) { w.buf = append(w.buf, b...) }
 
@@ -62,9 +51,6 @@ type Reader struct {
 
 // NewReader wraps an encoded buffer.
 func NewReader(b []byte) *Reader { return &Reader{buf: b} }
-
-// Err returns the sticky decoding error, if any.
-func (r *Reader) Err() error { return r.err }
 
 // Remaining returns the number of unread bytes.
 func (r *Reader) Remaining() int { return len(r.buf) - r.off }
@@ -89,20 +75,6 @@ func (r *Reader) Uvarint() uint64 {
 	return v
 }
 
-// Varint reads a varint-encoded signed integer.
-func (r *Reader) Varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.buf[r.off:])
-	if n <= 0 {
-		r.fail(ErrTruncated)
-		return 0
-	}
-	r.off += n
-	return v
-}
-
 // Byte reads one byte.
 func (r *Reader) Byte() byte {
 	if r.err != nil {
@@ -115,25 +87,6 @@ func (r *Reader) Byte() byte {
 	b := r.buf[r.off]
 	r.off++
 	return b
-}
-
-// Bool reads one byte as a boolean.
-func (r *Reader) Bool() bool { return r.Byte() != 0 }
-
-// BytesLP reads a length-prefixed byte slice (copied).
-func (r *Reader) BytesLP() []byte {
-	n := r.Uvarint()
-	if r.err != nil {
-		return nil
-	}
-	if uint64(r.Remaining()) < n {
-		r.fail(ErrTooLong)
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, r.buf[r.off:r.off+int(n)])
-	r.off += int(n)
-	return out
 }
 
 // Raw reads exactly n bytes without a length prefix.

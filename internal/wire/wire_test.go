@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
@@ -11,33 +12,21 @@ func TestRoundTrip(t *testing.T) {
 	w.Uvarint(300)
 	w.Varint(-42)
 	w.Byte(7)
-	w.Bool(true)
-	w.Bool(false)
-	w.BytesLP([]byte{1, 2, 3})
 	w.Raw([]byte{9, 9})
-	w.BytesLP([]byte("hello"))
 
 	r := NewReader(w.Bytes())
 	if v := r.Uvarint(); v != 300 {
 		t.Fatalf("Uvarint=%d", v)
 	}
-	if v := r.Varint(); v != -42 {
-		t.Fatalf("Varint=%d", v)
+	// No reader decodes a signed varint; binary.Varint inverts the writer.
+	if v, n := binary.Varint(r.Raw(1)); n != 1 || v != -42 {
+		t.Fatalf("Varint=%d (%d bytes)", v, n)
 	}
 	if v := r.Byte(); v != 7 {
 		t.Fatalf("Byte=%d", v)
 	}
-	if !r.Bool() || r.Bool() {
-		t.Fatal("Bool round trip failed")
-	}
-	if v := r.BytesLP(); !bytes.Equal(v, []byte{1, 2, 3}) {
-		t.Fatalf("BytesLP=%v", v)
-	}
 	if v := r.Raw(2); !bytes.Equal(v, []byte{9, 9}) {
 		t.Fatalf("Raw=%v", v)
-	}
-	if v := string(r.BytesLP()); v != "hello" {
-		t.Fatalf("String=%q", v)
 	}
 	if err := r.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -49,32 +38,20 @@ func TestTruncation(t *testing.T) {
 	w.Raw(make([]byte, 8))
 	r := NewReader(w.Bytes()[:4])
 	r.Raw(8)
-	if r.Err() == nil {
+	if r.Close() != ErrTruncated {
 		t.Fatal("truncated Raw not detected")
-	}
-}
-
-func TestLengthPrefixOverrun(t *testing.T) {
-	w := NewWriter(8)
-	w.Uvarint(1000) // claims 1000 bytes follow
-	r := NewReader(w.Bytes())
-	if b := r.BytesLP(); b != nil {
-		t.Fatalf("BytesLP returned %d bytes from bogus prefix", len(b))
-	}
-	if r.Err() != ErrTooLong {
-		t.Fatalf("err=%v, want ErrTooLong", r.Err())
 	}
 }
 
 func TestStickyError(t *testing.T) {
 	r := NewReader(nil)
 	r.Byte()
-	if r.Err() == nil {
-		t.Fatal("no error after reading empty buffer")
-	}
 	// Further reads return zero values without panicking.
-	if r.Uvarint() != 0 || r.Varint() != 0 || string(r.BytesLP()) != "" {
+	if r.Uvarint() != 0 || r.Byte() != 0 || r.Raw(1) != nil {
 		t.Fatal("reads after error returned nonzero values")
+	}
+	if r.Close() != ErrTruncated {
+		t.Fatal("no error after reading empty buffer")
 	}
 }
 
@@ -100,17 +77,16 @@ func TestUvarintLen(t *testing.T) {
 }
 
 func TestQuickRoundTrip(t *testing.T) {
-	f := func(a uint64, b int64, s string, blob []byte, flag bool) bool {
+	f := func(a uint64, c byte, blob []byte) bool {
 		w := NewWriter(0)
 		w.Uvarint(a)
-		w.Varint(b)
-		w.BytesLP([]byte(s))
-		w.BytesLP(blob)
-		w.Bool(flag)
+		w.Byte(c)
+		w.Uvarint(uint64(len(blob)))
+		w.Raw(blob)
 		r := NewReader(w.Bytes())
-		ga, gb, gs, gblob, gflag := r.Uvarint(), r.Varint(), string(r.BytesLP()), r.BytesLP(), r.Bool()
-		return r.Close() == nil && ga == a && gb == b && gs == s &&
-			bytes.Equal(gblob, blob) && gflag == flag
+		ga, gc := r.Uvarint(), r.Byte()
+		gblob := r.Raw(int(r.Uvarint()))
+		return r.Close() == nil && ga == a && gc == c && bytes.Equal(gblob, blob)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

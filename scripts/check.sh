@@ -119,10 +119,11 @@ fuzz() {
     # must re-encode and re-parse, and the size and digest its seal streams
     # must be those of the bytes Encode renders.
     go test -run '^$' -fuzz '^FuzzParseConsensus$' -fuzztime 10s ./internal/vote
-    # The ICPS/agreement demultiplexer on arbitrary bytes: it must never
-    # panic. One seed is an encoded document message holding a padded vote,
-    # so the fuzzer also reaches the vote grammar through the codec.
-    go test -run '^$' -fuzz '^FuzzDecodeAny$' -fuzztime 10s ./internal/core
+    # The gossip epoch vector, the one decoder of a variable-length binary
+    # frame: arbitrary bytes must never panic it, and whatever it accepts
+    # must re-encode and decode again to as many entries, in as many bytes as
+    # the mesh charges for it (EncodedSize).
+    go test -run '^$' -fuzz '^FuzzDecodeVector$' -fuzztime 10s ./internal/gossip
 }
 
 # The sweep engine's worker pool and the harness Inputs cache are genuinely
@@ -206,7 +207,8 @@ docs() {
     bash scripts/loc.sh
     # Per function, the statements no workload reaches (tests only, or
     # nothing): a report, not a guard, since validation branches and the
-    # wire-format oracles are test-only on purpose.
+    # decoders the gossip and vote fuzz targets drive are test-only on
+    # purpose.
     bash scripts/reach.sh
 }
 

@@ -11,8 +11,8 @@
 # The tests are `go test -short ./...`. Everything is instrumented with
 # -coverpkg=partialtor/... (a main package built with ./internal/... writes no
 # counters) and the report keeps partialtor/internal/... alone. It is a
-# report, not a guard: validation branches and wire-format oracles are
-# test-only on purpose.
+# report, not a guard: validation branches, the gossip decoders and the
+# consensus parser are test-only on purpose.
 #
 # Takes a few minutes; everything it writes goes to bin/reach/. Run from
 # anywhere; the docs job of CI logs it beside loc.sh.
