@@ -740,7 +740,7 @@ var setAndReadOnPurpose = map[string]string{
 	"syncdir.Result.Digests":           "the agreement tests assert every authority output the same consensus digest",
 	"dirv3.Result.SigCounts":           "the happy-path test asserts each authority holds all 9 matching signatures",
 	"dirv3.Result.VoteCounts":          "the forged-vote test asserts each honest authority holds 3 votes, and the equivocation test counts digests only where votes arrived",
-	"sig.Registry.Memoised":            "the sharing tests pin how many distinct signatures a run verifies",
+	"sig.Registry.Memoised":            "the sharing tests pin that a healthy run runs Ed25519 on no signature, and the sig tests how many forgeries a run judges",
 	"simnet.Profile.Clone":             "the profile tests edit a copy to show the original untouched",
 	"simnet.Profile.SetRate":           "the pipe tests shape capacity exactly; runners only ever cap it (ThrottleMin)",
 }

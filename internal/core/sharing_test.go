@@ -39,9 +39,10 @@ func TestHealthyRunSharesOneAggregateAndVerifiesEachSignatureOnce(t *testing.T) 
 	}
 	// Nine owner signatures, 9×9 endorsements reported to the view-1 leader,
 	// nine lock-phase votes, the seven commit-phase votes the leader takes
-	// before it decides, nine consensus signatures.
-	if got := pubs.Memoised(); got != 115 {
-		t.Fatalf("registry judged %d distinct signatures, want 115", got)
+	// before it decides, nine consensus signatures: the run made every one, so
+	// the registry accepts each as it is signed and runs Ed25519 on none.
+	if got := pubs.Memoised(); got != 0 {
+		t.Fatalf("registry ran Ed25519 on %d signatures, want 0", got)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -51,12 +52,13 @@ func TestSharedConsensusDigestHolds(t *testing.T) {
 // TestSweepCellsShareOneConsensus: four sweep workers run the three
 // protocols, healthy and under the five-minute outage, at two bandwidths, on
 // one freshly built inputs entry. They sign into its key pairs' memos at once
-// and take one another's records, and the healthy cells read the one
+// and take one another's signatures, and the healthy cells read the one
 // consensus they share, rendering, sealing and sizing it at once. Every
 // cell's digest equals that of the same cell in a one-worker sweep on a fresh
-// entry. Under -race this fails if reading a shared consensus writes to it,
-// or if a key memo or a shared record is read while another worker writes
-// it; CI's race job runs it.
+// entry, and in one more one-worker sweep on that entry once it is warm,
+// which takes every signature from the key memos. Under -race this fails if
+// reading a shared consensus writes to it, or if a key memo is read while
+// another worker writes it; CI's race job runs it.
 func TestSweepCellsShareOneConsensus(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(runtime.GOMAXPROCS(0), 2)))
 	base := Scenario{Relays: 80, EntryPadding: -1, Round: 15 * time.Second, Seed: 17}
@@ -67,8 +69,10 @@ func TestSweepCellsShareOneConsensus(t *testing.T) {
 		cons   *vote.Consensus
 		digest [sha256.Size]byte
 	}
-	run := func(workers int) []sweep.Result[cell] {
-		evictInputs(t, base)
+	run := func(workers int, fresh bool) []sweep.Result[cell] {
+		if fresh {
+			evictInputs(t, base)
+		}
 		results := sweep.RunParams(bg, grid, sweep.Params{Workers: workers}, func(ctx context.Context, c sweep.Cell) (cell, error) {
 			s := base
 			s.Protocol, s.Attack = c.Value("protocol").(Protocol), c.Value("attack").(*attack.Plan)
@@ -97,11 +101,14 @@ func TestSweepCellsShareOneConsensus(t *testing.T) {
 		}
 		return results
 	}
-	parallel, serial := run(4), run(1)
+	parallel, serial, warm := run(4, true), run(1, true), run(1, false)
 	var healthy *sweep.Result[cell]
 	for i, r := range parallel {
 		if r.Value.digest != serial[i].Value.digest {
 			t.Fatalf("cell %v: digest %x on four workers, %x on one", r.Cell, r.Value.digest[:8], serial[i].Value.digest[:8])
+		}
+		if warm[i].Value.digest != serial[i].Value.digest {
+			t.Fatalf("cell %v: digest %x on warm keys, %x signed cold", r.Cell, warm[i].Value.digest[:8], serial[i].Value.digest[:8])
 		}
 		if r.Cell.Value("attack").(*attack.Plan) != nil {
 			continue
@@ -112,4 +119,30 @@ func TestSweepCellsShareOneConsensus(t *testing.T) {
 			t.Fatalf("cell %v holds consensus %p, cell %v holds %p: want one", r.Cell, r.Value.cons, healthy.Cell, healthy.Value.cons)
 		}
 	}
+}
+
+// evictInputs drops every inputs entry of s's (N, seed), any of which would
+// lend a new entry its warm keys, and builds s's entry afresh on every core:
+// the next run on s signs with a fresh key set whose memos are empty. Key
+// derivation is deterministic, so the fresh keys sign exactly as the evicted
+// ones did.
+func evictInputs(t *testing.T, s Scenario) {
+	t.Helper()
+	s = s.withDefaults()
+	warm, _ := Inputs(s)
+	inputsCache.mu.Lock()
+	inputsCache.entries = slices.DeleteFunc(inputsCache.entries, func(e *inputsEntry) bool { return e.n == s.N && e.seed == s.Seed })
+	inputsCache.mu.Unlock()
+	if fresh, _ := Inputs(s); slices.ContainsFunc(fresh, func(k *sig.KeyPair) bool { return slices.Contains(warm, k) }) {
+		t.Fatal("an evicted entry's key pair is handed out again")
+	}
+}
+
+// protocolDigest is runDigest for a run with no distribution phase.
+func protocolDigest(res *RunResult) [sha256.Size]byte {
+	h := sha256.New()
+	hashRun(h, res)
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
 }

@@ -32,9 +32,8 @@ func BenchmarkVerifyMemoHit(b *testing.B) {
 }
 
 // BenchmarkSignThenVerify signs a fresh message through a registry and
-// verifies it at once, so the handoff to the background judge (a pending
-// record, the queue, the sync.Once) is paid on every iteration; on one core
-// it is KeyPair.Sign followed by an inline Verify.
+// verifies it at once, so every iteration pays Ed25519 signing, one insert
+// in the key pair's memo and one lookup of the verdict Sign filed.
 func BenchmarkSignThenVerify(b *testing.B) {
 	keys := Authorities(1, 9)
 	pubs := PublicSet(keys)
@@ -64,8 +63,8 @@ func warmInputs(keys []*KeyPair, n int) [][]byte {
 
 // BenchmarkSignMemoHit signs inputs the key set has already signed, each
 // through a registry that has not: one SHA-256 of a stack-built input, a
-// lookup in the key pair's memo and the record filed in the run's verdict
-// map; no Ed25519, nothing handed to a judge. A fresh registry every
+// lookup in the key pair's memo and the accept verdict filed in the run's
+// verdict map; no Ed25519. A fresh registry every
 // len(msgs) signatures keeps every one a first sight for its registry.
 func BenchmarkSignMemoHit(b *testing.B) {
 	keys := Authorities(1, 9)
@@ -98,7 +97,7 @@ func TestSignMemoHitAllocatesNothing(t *testing.T) {
 		t.Fatalf("a memo hit allocated %.2f times, want 0", got)
 	}
 	if len(pubs.verdicts) != runs+1 {
-		t.Fatalf("%d records filed, want %d", len(pubs.verdicts), runs+1)
+		t.Fatalf("%d verdicts filed, want %d", len(pubs.verdicts), runs+1)
 	}
 }
 

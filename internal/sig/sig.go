@@ -15,33 +15,26 @@
 //
 // All of them verify through a Registry (PublicSet): the public keys plus the
 // verdict, accept or reject, on every (signer, SHA-256 of domain‖0‖message,
-// signature bytes) judged so far, so a run pays Ed25519 once per distinct
-// signature. A signature made through the registry (Registry.Sign) is judged
-// ahead of need: it files a pending verdict for that key and hands it to a
-// background judge, at most GOMAXPROCS−1 of them per registry, started on
-// first use and gone when their queue drains. Verify takes a pending verdict
-// when it is ready, or judges it inline if no judge has started on it.
+// signature bytes) on file. A signature the run made (Registry.Sign, with the
+// key the registry holds at the signer's index) is accepted by construction:
+// Sign files the accept verdict as it signs, because RFC 8032 makes every such
+// signature verify, and checking that again models nothing simulated. Every
+// other signature, forged, relabelled, Byzantine or made for another
+// registry, gets one Ed25519 judgement the first time Verify meets it.
 //
 // Ed25519 signing is deterministic (RFC 8032), so a signature is a pure
-// function of (key, input): each KeyPair remembers the pending record
-// Registry.Sign filed for each input it signed, and a later registry signing
-// that input again under that key files the same record, runs no Ed25519 and
-// hands nothing to a judge. The first registry to miss an input signs it
-// under the memo's mutex, so concurrent runs on one key set sign each input
-// once between them. Only Registry.Sign reads or writes the memo; a
-// signature that arrives from elsewhere, forged and relabelled ones
-// included, is judged per run as before.
+// function of (key, input): each KeyPair remembers the signature
+// Registry.Sign made for each input, and a later registry signing that input
+// again under that key takes it from the memo and runs no Ed25519. The first
+// registry to miss an input signs it under the memo's mutex, so concurrent
+// runs on one key set sign each input once between them. Only Registry.Sign
+// reads or writes the memo.
 //
 // A Registry is run-scoped: no Registry is shared between concurrent runs or
 // sweep cells nor outlives its run, and its maps are touched by the run's one
 // goroutine alone. A key pair's memo lives as long as the key pair, so it is
-// shared by every run on one key set (harness.Inputs keeps one per inputs
-// entry). The state crossing goroutines is each pending verdict, published
-// through its sync.Once, the mutex-guarded queue that hands it to a judge and
-// each key pair's mutex-guarded memo: a judge writes the verdict of the
-// record it judges and, under the mutex, the queue, nothing else; a record
-// is complete before it enters a memo and never written after, but for its
-// verdict.
+// shared by every run on one key set (harness.Inputs shares key pairs per
+// (N, seed)).
 package sig
 
 import (
@@ -50,7 +43,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"runtime"
 	"sync"
 )
 
@@ -121,32 +113,30 @@ type KeyPair struct {
 	memo        signMemo
 }
 
-// signMemo is a key pair's signatures made through Registry.Sign: the
-// pending record filed for each, by SHA-256 of the domain‖0‖msg it signs.
-// The map is made at the first record, so a key pair that never signs
-// through a registry allocates nothing for it.
+// signMemo is a key pair's signatures made through Registry.Sign, by SHA-256
+// of the domain‖0‖msg each signs. The map is made at the first signature, so
+// a key pair that never signs through a registry allocates nothing for it.
 type signMemo struct {
 	mu sync.Mutex
-	m  map[Digest]*pending
+	m  map[Digest][SignatureSize]byte
 }
 
-// record returns the record on file for input, whose SHA-256 is h. With none
-// on file it signs input and files the new record, made true, all under the
-// memo's mutex: a concurrent run signing the same input waits for that
-// record instead of running Ed25519 a second time.
-func (k *KeyPair) record(h Digest, input []byte) (p *pending, made bool) {
+// memoSign returns the signature on file for input, whose SHA-256 is h. With
+// none on file it signs input and files the signature, under the memo's
+// mutex: a concurrent run signing the same input waits for that signature
+// instead of running Ed25519 a second time.
+func (k *KeyPair) memoSign(h Digest, input []byte) [SignatureSize]byte {
 	k.memo.mu.Lock()
 	defer k.memo.mu.Unlock()
-	if p = k.memo.m[h]; p != nil {
-		return p, false
+	if s, ok := k.memo.m[h]; ok {
+		return s
 	}
-	p = &pending{signer: int32(k.Index), n: uint8(len(input)), sig: k.sign(input).Bytes}
-	copy(p.input[:], input)
+	s := k.sign(input).Bytes
 	if k.memo.m == nil {
-		k.memo.m = make(map[Digest]*pending)
+		k.memo.m = make(map[Digest][SignatureSize]byte)
 	}
-	k.memo.m[h] = p
-	return p, true
+	k.memo.m[h] = s
+	return s
 }
 
 // NewKeyPair derives the authority key for index deterministically from the
@@ -203,9 +193,8 @@ func (k *KeyPair) sign(input []byte) Signature {
 // Registry is one run's verification registry (see the package comment).
 type Registry struct {
 	keys     []ed25519.PublicKey
-	verdicts map[verdictKey]*pending // accepted, rejected or a pending verdict
-	judged   int                     // keys whose verdict Verify has taken
-	judges   judges
+	verdicts map[verdictKey]bool // accept or reject
+	judged   int                 // Ed25519 verifications Verify ran
 }
 
 type verdictKey struct {
@@ -215,55 +204,43 @@ type verdictKey struct {
 
 // PublicSet builds a run's verification registry from its key pairs.
 func PublicSet(keys []*KeyPair) *Registry {
-	r := &Registry{verdicts: make(map[verdictKey]*pending)}
+	r := &Registry{verdicts: make(map[verdictKey]bool)}
 	for _, k := range keys {
 		r.keys = append(r.keys, k.Public)
 	}
-	r.judges.max = runtime.GOMAXPROCS(0) - 1
 	return r
 }
 
-// Len is the authority count, Memoised the distinct signatures judged so far
-// for a Verify caller, whether a background judge or Verify itself ran
-// Ed25519 on them.
+// Len is the authority count, Memoised the Ed25519 verifications Verify has
+// run: one per distinct signature Registry.Sign did not file.
 func (r *Registry) Len() int      { return len(r.keys) }
 func (r *Registry) Memoised() int { return r.judged }
 
-// Sign signs as k.Sign does and files a pending verdict on the signature for
-// the key Verify will look it up by. If k has signed the input through a
-// registry before, or is signing it for another registry now, the signature
-// and the record are k's memo's: Sign runs no Ed25519 (it waits for the
-// signer, if any) and hands nothing to a judge. Otherwise it signs, records
-// the signature in k's memo and, with a spare core, hands the record to a
-// background judge, which settles it while the run goes on; on one core
-// (GOMAXPROCS 1) the record is judged when first verified. For a signer
-// outside the registry, a registry holding another key at k's index or an
-// input past a pending record's storage, it files nothing and the signature
-// is judged when first verified.
+// Sign signs as k.Sign does and, when the registry holds k's own key at
+// k.Index, files the accept verdict on the signature for the key Verify will
+// look it up by. The key compared is the public half of k's private key, not
+// the exported k.Public, so a key pair whose Public was changed cannot vouch
+// for itself. If k has signed the input through a registry before, or is
+// signing it for another registry now, the signature is k's memo's and Sign
+// runs no Ed25519 (it waits for the signer, if any). For a signer outside the
+// registry or a registry holding another key at k's index, it files nothing
+// and the signature is judged when first verified.
 func (r *Registry) Sign(k *KeyPair, domain string, msg []byte) Signature {
-	n := len(domain) + 1 + len(msg)
-	if n > pendingInput || k.Index < 0 || k.Index >= len(r.keys) || !r.keys[k.Index].Equal(k.Public) {
+	if k.Index < 0 || k.Index >= len(r.keys) || !r.keys[k.Index].Equal(ed25519.PublicKey(k.private[ed25519.SeedSize:])) {
 		return k.Sign(domain, msg)
 	}
-	var buf [pendingInput]byte
+	var buf [256]byte
 	input := signingInput(buf[:0], domain, msg)
 	h := Hash(input)
-	p, made := k.record(h, input)
-	s := Signature{Signer: k.Index, Bytes: p.sig}
-	key := verdictKey{h, s}
-	if _, seen := r.verdicts[key]; !seen {
-		r.verdicts[key] = p
-		if made && r.judges.max > 0 {
-			r.judges.hand(p, r.keys)
-		}
-	}
+	s := Signature{Signer: k.Index, Bytes: k.memoSign(h, input)}
+	r.verdicts[verdictKey{h, s}] = true
 	return s
 }
 
 // Verify checks a signature against the registry (indexed by authority). It
 // returns false for out-of-range signers, before any lookup. domain‖0‖msg is
-// built in a stack buffer (on the heap only past 256 bytes), so a verdict
-// already taken allocates nothing.
+// built in a stack buffer (on the heap only past 256 bytes), so a verdict on
+// file allocates nothing.
 func Verify(r *Registry, domain string, msg []byte, s Signature) bool {
 	if s.Signer < 0 || s.Signer >= len(r.keys) {
 		return false
@@ -271,95 +248,13 @@ func Verify(r *Registry, domain string, msg []byte, s Signature) bool {
 	var buf [256]byte
 	input := signingInput(buf[:0], domain, msg)
 	key := verdictKey{Hash(input), s}
-	p := r.verdicts[key]
-	if p == accepted || p == rejected {
-		return p == accepted
-	}
-	var ok bool
-	if p != nil {
-		ok = p.judge(r.keys)
-	} else {
+	ok, judged := r.verdicts[key]
+	if !judged {
 		ok = ed25519.Verify(r.keys[s.Signer], input, s.Bytes[:])
+		r.verdicts[key] = ok
+		r.judged++
 	}
-	if ok {
-		r.verdicts[key] = accepted
-	} else {
-		r.verdicts[key] = rejected
-	}
-	r.judged++
 	return ok
-}
-
-// pendingInput is the longest domain‖0‖msg a pending record holds: the
-// longest protocol input, a HotStuff vote's, is 85 bytes, and 94 makes the
-// record 176 bytes, an allocation size class.
-const pendingInput = 94
-
-// pending is a verdict filed by Registry.Sign: the signature and the exact
-// bytes it signs, judged once, by a background judge or by Verify of any run
-// that filed it, whichever claims it first.
-type pending struct {
-	once   sync.Once
-	signer int32
-	ok     bool  // the verdict, written inside once
-	n      uint8 // len(domain‖0‖msg)
-	sig    [SignatureSize]byte
-	input  [pendingInput]byte
-}
-
-// accepted and rejected stand for every verdict already taken: a judged key
-// points at one of them, so a settled verdict holds no record of its own.
-// Neither is ever judged or written.
-var accepted, rejected = new(pending), new(pending)
-
-// judge runs Ed25519 on the record once and returns the verdict; a second
-// caller waits for the first.
-func (p *pending) judge(keys []ed25519.PublicKey) bool {
-	p.once.Do(func() { p.ok = ed25519.Verify(keys[p.signer], p.input[:p.n], p.sig[:]) })
-	return p.ok
-}
-
-// judges is a registry's background verification: a queue of pending records
-// and at most max goroutines draining it, each started when a record arrives
-// while fewer than max run, and each exiting when it finds the queue empty.
-// Judges take the newest record first: the run verifies roughly in signing
-// order, so it judges the old end inline while the judges work from the new
-// one, and the two seldom wait on one record.
-type judges struct {
-	max     int // GOMAXPROCS−1 when the registry was built
-	mu      sync.Mutex
-	queue   []*pending
-	running int
-}
-
-func (j *judges) hand(p *pending, keys []ed25519.PublicKey) {
-	j.mu.Lock()
-	j.queue = append(j.queue, p)
-	start := j.running < j.max
-	if start {
-		j.running++
-	}
-	j.mu.Unlock()
-	if start {
-		go j.drain(keys)
-	}
-}
-
-func (j *judges) drain(keys []ed25519.PublicKey) {
-	for {
-		j.mu.Lock()
-		last := len(j.queue) - 1
-		if last < 0 {
-			j.running--
-			j.mu.Unlock()
-			return
-		}
-		p := j.queue[last]
-		j.queue[last] = nil
-		j.queue = j.queue[:last]
-		j.mu.Unlock()
-		p.judge(keys)
-	}
 }
 
 // Majority is the Tor consensus-signature threshold ⌊n/2⌋+1 (5 of 9): the

@@ -63,11 +63,12 @@ micro() {
     # SHA-256 of a stack-built input and a map lookup;
     # TestVerifyMemoHitAllocatesNothing pins zero allocations. SignThenVerify
     # signs inputs the key set has not signed through the registry and
-    # verifies at once, so Ed25519 and the handoff to the background judge
-    # are paid every time; TestRegistrySignAllocatesOneRecord pins its one
-    # allocation. SignMemoHit signs inputs the key set has signed before,
-    # through a registry that has not: one SHA-256, a lookup in the key
-    # pair's memo and the record filed, no Ed25519 and no judge;
+    # verifies at once, so every iteration pays Ed25519 signing, one insert
+    # in the key pair's memo and one lookup of the verdict Sign filed;
+    # TestRegistrySignAllocatesNothingAmortised pins zero allocations, the
+    # maps' growth amortised. SignMemoHit signs inputs the key set has signed
+    # before, through a registry that has not: one SHA-256, a lookup in the
+    # key pair's memo and the accept verdict filed, no Ed25519;
     # TestSignMemoHitAllocatesNothing pins zero allocations.
     go test -run '^$' -bench 'VerifyMemoHit|SignThenVerify|SignMemoHit' -benchtime 1x -benchmem ./internal/sig
     # The distribution tier: a healthy and a cache-flooded million-client
@@ -130,15 +131,13 @@ fuzz() {
 # concurrent, internal/obs tracers ride along on sweep workers, the gossip
 # sweeps run mesh cells concurrently (TestConcurrentGossipSweep), and sweep
 # cells on one inputs entry read the one consensus its votes' memo sealed
-# (TestSweepCellsShareOneConsensus). Each run's signature registry judges
-# what it signs on background goroutines (TestBackgroundJudgesMatchInlineRuns):
-# the registry is still run-scoped and its maps single-goroutine; the state
-# crossing goroutines is each pending verdict, published through its
-# sync.Once, the queue handing it to a judge, and each key pair's
-# mutex-guarded memo of the records it signed. Key pairs are shared per
-# (N, seed), so every run and sweep cell on any inputs entry of that (N, seed)
-# reads and fills the memo, the first to miss an input signing it under the
-# mutex (the outage cells of TestSweepCellsShareOneConsensus). Keep
+# (TestSweepCellsShareOneConsensus). Each run's signature registry is
+# run-scoped and its maps single-goroutine; the one piece of internal/sig
+# state that crosses goroutines is each key pair's mutex-guarded memo of the
+# signatures it made. Key pairs are shared per (N, seed), so every run and
+# sweep cell on any inputs entry of that (N, seed) reads and fills the memo,
+# the first to miss an input signing it under the mutex (the cells of
+# TestSweepCellsShareOneConsensus, and TestSignMemoSignsEachInputOnce). Keep
 # them all data-race-free. This dynamic check is the runtime half of the
 # determinism story; the static half (map-order, wall-clock and hot-path
 # invariants) is TestDetlint in the test job.
