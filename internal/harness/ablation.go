@@ -47,7 +47,7 @@ type EntrySizeRow struct {
 // EntrySizeParams scales the ablation (unset fields = paper scale).
 type EntrySizeParams struct {
 	EntrySizes    []int
-	RelayCounts   []int // scanned in order for the threshold
+	RelayCounts   []int // ascending; failure must be monotone along them
 	BandwidthMbit float64
 	Round         time.Duration
 }
@@ -72,31 +72,27 @@ var (
 // per-relay byte cost while the qualitative shape is unchanged — the
 // justification for calibrating entries to 2.5 kB (the calibration itself is
 // argued at vote.DefaultEntryPadding). The entry sizes fan out over the sweep
-// engine; each cell's threshold scan stays sequential because it stops at the
-// first failure.
+// engine; each cell bisects the relay ladder for its threshold.
 func AblationEntrySize(ctx context.Context, p EntrySizeParams, sp sweep.Params) (*Table[EntrySizeRow], error) {
 	p = overlay(p, entryBytesPaper)
 	grid := sweep.MustNew(sweep.Ints("entry", p.EntrySizes...))
 	return sweepTable(ctx, grid, sp, func(ctx context.Context, c sweep.Cell) (EntrySizeRow, error) {
 		entry := c.Int("entry")
-		threshold := 0
-		for _, relays := range p.RelayCounts {
+		i, err := firstTurn(len(p.RelayCounts), func(i int) (bool, error) {
 			run, err := RunE(ctx, Scenario{
 				Protocol:     Current,
-				Relays:       relays,
+				Relays:       p.RelayCounts[i],
 				EntryPadding: entry,
 				Bandwidth:    p.BandwidthMbit * 1e6,
 				Round:        p.Round,
 			})
-			if err != nil {
-				return EntrySizeRow{}, err
-			}
-			if !run.Success {
-				threshold = relays
-				break
-			}
+			return err == nil && !run.Success, err
+		})
+		row := EntrySizeRow{EntryBytes: entry}
+		if i < len(p.RelayCounts) {
+			row.ThresholdRelays = p.RelayCounts[i]
 		}
-		return EntrySizeRow{EntryBytes: entry, ThresholdRelays: threshold}, nil
+		return row, err
 	}, layout[EntrySizeRow]{
 		title: fmt.Sprintf("Ablation: current-protocol failure threshold vs entry size (%g Mbit/s)", p.BandwidthMbit),
 		cols: []column[EntrySizeRow]{

@@ -125,3 +125,24 @@ func relayCounts(first, last, step int) []int {
 	}
 	return out
 }
+
+// firstTurn returns the least i in [0, n) at which turned(i) holds, or n if
+// none does — sort.Search over a ladder whose probes can fail. turned must be
+// monotone along the ladder (once it holds, it holds on every later rung); it
+// is called at most ⌈log₂(n+1)⌉ times, and its first error is returned.
+func firstTurn(n int, turned func(i int) (bool, error)) (int, error) {
+	lo, hi := -1, n // sentinels: turned(lo) is false, turned(hi) true
+	for hi-lo > 1 {
+		mid := (lo + hi) / 2
+		ok, err := turned(mid)
+		if err != nil {
+			return 0, err
+		}
+		if ok {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi, nil
+}

@@ -139,23 +139,24 @@ var (
 	figure7Artifact = artifact("fig7", figure7Quick, Figure7)
 )
 
-// Figure7 binary-searches, per relay count, the minimal bandwidth the five
-// attacked authorities need for the current protocol to still succeed. The
-// relay counts fan out over the sweep engine; each cell runs its own
-// (inherently sequential) binary search. The footer is the dashed "under
-// attack" line (0.5 Mbit/s).
+// Figure7 finds, per relay count, the minimal bandwidth the five attacked
+// authorities need for the current protocol to still succeed: the first rung
+// of a bandwidth ladder up to MaxMbit, in steps of at most Precision, at which
+// it succeeds. Success must be monotone in bandwidth, so each cell bisects the
+// ladder. The relay counts fan out over the sweep engine. The footer is the
+// dashed "under attack" line (0.5 Mbit/s).
 func Figure7(ctx context.Context, p Figure7Params, sp sweep.Params) (*Table[Fig7Row], error) {
 	p = overlay(p, figure7Paper)
 	grid := sweep.MustNew(sweep.Ints("relays", p.RelayCounts...))
 	return sweepTable(ctx, grid, sp, func(ctx context.Context, c sweep.Cell) (Fig7Row, error) {
 		relays := c.Int("relays")
-		succeeds := func(mbit float64) (bool, error) {
-			plan := attack.Plan{
-				Targets:  attack.MajorityTargets(9),
-				Start:    0,
-				End:      2 * p.Round,
-				Residual: mbit * 1e6,
-			}
+		n := 1 // the rungs: MaxMbit·k/n for k = 1…n, exact dyadic values
+		for p.MaxMbit/float64(n) > p.Precision {
+			n *= 2
+		}
+		rung := func(i int) float64 { return p.MaxMbit * float64(i+1) / float64(n) }
+		i, err := firstTurn(n, func(i int) (bool, error) {
+			plan := attack.Plan{Targets: attack.MajorityTargets(9), End: 2 * p.Round, Residual: rung(i) * 1e6}
 			run, err := RunE(ctx, Scenario{
 				Protocol:     Current,
 				Relays:       relays,
@@ -163,32 +164,13 @@ func Figure7(ctx context.Context, p Figure7Params, sp sweep.Params) (*Table[Fig7
 				Round:        p.Round,
 				Attack:       &plan,
 			})
-			if err != nil {
-				return false, err
-			}
-			return run.Success, nil
+			return err == nil && run.Success, err
+		})
+		row := Fig7Row{Relays: relays, RequiredMbit: -1}
+		if i < n {
+			row.RequiredMbit = rung(i)
 		}
-		lo, hi := 0.0, p.MaxMbit
-		ok, err := succeeds(hi)
-		if err != nil {
-			return Fig7Row{}, err
-		}
-		if !ok {
-			return Fig7Row{Relays: relays, RequiredMbit: -1}, nil
-		}
-		for hi-lo > p.Precision {
-			mid := (lo + hi) / 2
-			ok, err := succeeds(mid)
-			if err != nil {
-				return Fig7Row{}, err
-			}
-			if ok {
-				hi = mid
-			} else {
-				lo = mid
-			}
-		}
-		return Fig7Row{Relays: relays, RequiredMbit: hi}, nil
+		return row, err
 	}, layout[Fig7Row]{
 		title: "Figure 7: bandwidth requirement for the directory protocol (5 authorities attacked)",
 		cols: []column[Fig7Row]{

@@ -3,8 +3,10 @@ package harness
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"reflect"
 	"slices"
 	"strings"
@@ -280,6 +282,42 @@ func TestOverlayFillsUnsetFields(t *testing.T) {
 	want.Round = time.Second
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("overlay = %+v, want %+v", got, want)
+	}
+}
+
+// TestFirstTurnMatchesALinearScan holds the threshold searches' bisection,
+// on every ladder of 0-64 rungs and every turn point (n: never), to what a
+// scan from the bottom finds, within ⌈log₂(n+1)⌉ in-range probes; and a
+// probe's error, at whichever call, ends the search and is returned.
+func TestFirstTurnMatchesALinearScan(t *testing.T) {
+	errProbe := errors.New("probe failed")
+	for n := 0; n <= 64; n++ {
+		bound := bits.Len(uint(n)) // ⌈log₂(n+1)⌉
+		for turn := 0; turn <= n; turn++ {
+			calls := 0
+			got, err := firstTurn(n, func(i int) (bool, error) {
+				calls++
+				if i < 0 || i >= n {
+					t.Fatalf("n=%d: probed rung %d", n, i)
+				}
+				return i >= turn, nil
+			})
+			if err != nil || got != turn || calls > bound {
+				t.Fatalf("n=%d, turn at %d: got %d, %v after %d probes; want %d within %d", n, turn, got, err, calls, turn, bound)
+			}
+			for fail := 1; fail <= calls; fail++ {
+				probes := 0
+				_, err := firstTurn(n, func(i int) (bool, error) {
+					if probes++; probes == fail {
+						return false, errProbe
+					}
+					return i >= turn, nil
+				})
+				if !errors.Is(err, errProbe) || probes != fail {
+					t.Fatalf("n=%d, turn at %d, probe %d fails: got %v after %d probes", n, turn, fail, err, probes)
+				}
+			}
+		}
 	}
 }
 

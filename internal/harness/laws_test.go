@@ -1,10 +1,12 @@
 package harness
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
 
+	"partialtor/internal/attack"
 	"partialtor/internal/simnet"
 )
 
@@ -105,6 +107,45 @@ func TestConsensusLaws(t *testing.T) {
 		}
 		if pairs == 0 {
 			t.Errorf("%s: no pair of runs to check", law.name)
+		}
+	}
+}
+
+// TestOutageLadderFindsFiveMinutes finds the title's number instead of
+// assuming it: at the outage golden's scale (300 relays, calibrated entries,
+// a majority of authorities flooded to zero from the start) it runs outage
+// lengths 0, 30 s, …, 10 min and bisects each ladder with the threshold
+// searches' helper. The current protocol first fails at five minutes, the
+// synchronous one at two and a half, and ICPS never. Each full ladder must
+// be monotone, the helper's premise.
+func TestOutageLadderFindsFiveMinutes(t *testing.T) {
+	var ends []time.Duration
+	for d := time.Duration(0); d <= 10*time.Minute; d += 30 * time.Second {
+		ends = append(ends, d)
+	}
+	want := map[Protocol]time.Duration{Current: 5 * time.Minute, Synchronous: 150 * time.Second, ICPS: simnet.Never}
+	for _, p := range []Protocol{Current, Synchronous, ICPS} {
+		for _, seed := range []int64{1, 7} {
+			ladder := make([]byte, len(ends))
+			for i, end := range ends {
+				plan := attack.FiveMinuteOutage(attack.MajorityTargets(9))
+				plan.End = end
+				ladder[i] = '.'
+				if !mustRun(t, Scenario{Protocol: p, Relays: 300, EntryPadding: -1, Seed: seed, Attack: &plan}).Success {
+					ladder[i] = 'F'
+				}
+			}
+			i, _ := firstTurn(len(ends), func(i int) (bool, error) { return ladder[i] == 'F', nil })
+			got := simnet.Never
+			if i < len(ends) {
+				got = ends[i]
+			}
+			if first := bytes.IndexByte(ladder, 'F'); first >= 0 && bytes.IndexByte(ladder[first:], '.') >= 0 {
+				t.Errorf("%s seed %d: outage ladder %s is not monotone", p, seed, ladder)
+			}
+			if got != want[p] {
+				t.Errorf("%s seed %d: first failing outage %v, want %v (ladder %s)", p, seed, got, want[p], ladder)
+			}
 		}
 	}
 }

@@ -43,13 +43,16 @@ test() {
     # that same type-checked tree and fails on any finding; a waiver needs an
     # ok(reason) on the flagged line.
     go test -shuffle=on ./...
-    # Every artifact at the paper's scale (8 000-10 000 relays; ~3.5-4 s),
+    # Every artifact at the paper's scale (8 000-10 000 relays; ~1.5 s),
     # hashed and checked against cmd/benchtables/testdata/paper.sha256. The
     # goldens beside it pin the -quick tables and paper-scale Figure 11 alone;
     # this pins the rest byte for byte at the relay counts the paper's
     # thresholds live at. A change that moves the tables on purpose re-pins
     # the hash with the reason.
     go run ./cmd/benchtables 2>/dev/null | sha256sum -c cmd/benchtables/testdata/paper.sha256
+    # Again on one worker: which populations the inputs cache rebuilds
+    # depends on the worker schedule, and stdout must not.
+    go run ./cmd/benchtables -workers 1 2>/dev/null | sha256sum -c cmd/benchtables/testdata/paper.sha256
 }
 
 # One iteration each, so the benchmarks keep compiling and running; their
