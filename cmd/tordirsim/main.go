@@ -241,6 +241,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "SUCCESS: consensus generated, network-time latency %.1fs\n", res.Latency.Seconds())
 	} else {
 		fmt.Fprintln(stdout, "FAILURE: no valid consensus document this period")
+		fmt.Fprintf(stdout, "cause: %s\n", res.Cause())
 	}
 	fmt.Fprintf(stdout, "transport: %d messages, %.2f MB sent\n", res.Messages, float64(res.BytesSent)/1e6)
 	if d := res.Distribution; d != nil {

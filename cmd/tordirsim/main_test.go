@@ -37,8 +37,9 @@ func TestGoldenDistributionRun(t *testing.T) {
 // traced fork carried before the fork was folded back in, and those were
 // captured from the binary whose detector was still configured through
 // obs.DetectorConfig: neither move changed a detection. The run loses its
-// consensus and still exits 0: under -detect the exit status is the
-// detector's verdict.
+// consensus, with no authority holding the votes to aggregate one (the
+// cause line, read off the run's records), and still exits 0: under
+// -detect the exit status is the detector's verdict.
 func TestGoldenDetect(t *testing.T) {
 	checkGolden(t, "detect", "-protocol current -attack -relays 300 -round 15s -detect")
 }

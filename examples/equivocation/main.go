@@ -12,7 +12,9 @@ package main
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"os"
+	"slices"
 	"time"
 
 	"partialtor/internal/core"
@@ -59,25 +61,14 @@ func main() {
 		net.AddNode(a, ups[i], downs[i])
 	}
 	net.Run(cfgCur.EndTime() + time.Second)
-	cur := dirv3.Collect(curAuths, cfgCur)
+	curCamps, curPublished := camps(curAuths, -1)
 
-	digests := map[string][]int{}
-	for i, d := range cur.Digests {
-		if !d.IsZero() {
-			digests[d.Short()] = append(digests[d.Short()], i)
-		}
-	}
 	fmt.Println("current protocol (dirv3):")
-	shorts := make([]string, 0, len(digests))
-	for d := range digests {
-		shorts = append(shorts, d)
-	}
-	sort.Strings(shorts)
-	for _, d := range shorts {
-		fmt.Printf("  consensus %s… computed by authorities %v\n", d, digests[d])
+	for _, d := range slices.Sorted(maps.Keys(curCamps)) {
+		fmt.Printf("  consensus %s… computed by authorities %v\n", d, curCamps[d])
 	}
 	fmt.Printf("  => %d distinct consensus documents; %d of %d authorities published\n",
-		len(digests), cur.SuccessCount, n)
+		len(curCamps), curPublished, n)
 	fmt.Println()
 
 	// --- ICPS: equivocator excluded with proof --------------------------
@@ -93,22 +84,43 @@ func main() {
 		net2.AddNode(a, ups2[i], downs2[i])
 	}
 	net2.Run(10 * time.Minute)
-	res := core.Collect(icpsAuths, cfgICPS, func(i int) bool { return i != evil })
+	icpsCamps, icpsPublished := camps(icpsAuths, evil)
 
 	fmt.Println("ICPS (this paper):")
 	v := icpsAuths[0].Decided()
 	fmt.Printf("  agreed vector: %d OK entries; entry %d = %v\n",
 		v.OKCount(), evil, v.Entries[evil].Status)
-	uniq := map[string]bool{}
-	for i, d := range res.ConsDigest {
-		if i != evil && !d.IsZero() {
-			uniq[d.Short()] = true
-		}
-	}
 	fmt.Printf("  => %d distinct consensus document(s) among correct authorities; all %d published: %v\n",
-		len(uniq), n-1, res.Success)
+		len(icpsCamps), n-1, icpsPublished == n-1)
 	fmt.Println()
 	fmt.Println("The equivocation proof (two digests signed by authority 3) travels inside")
 	fmt.Println("the agreed value, so every correct authority excludes the same vote and")
 	fmt.Println("signs the same consensus document.")
+
+	if len(curCamps) < 2 || len(icpsCamps) != 1 || icpsPublished != n-1 {
+		fmt.Fprintln(os.Stderr, "equivocation: the demo's claim failed: Current must split into camps, and every correct ICPS authority must publish one document")
+		os.Exit(1)
+	}
+}
+
+// camps groups the authorities but skip by the digest of the consensus each
+// aggregated, and counts those of them that published.
+func camps[A interface {
+	Record() (*vote.Consensus, int, bool, time.Duration)
+}](auths []A, skip int) (map[string][]int, int) {
+	byDigest, published := map[string][]int{}, 0
+	for i, a := range auths {
+		if i == skip {
+			continue
+		}
+		cons, _, ok, _ := a.Record()
+		if cons != nil {
+			d := cons.Digest().Short()
+			byDigest[d] = append(byDigest[d], i)
+		}
+		if ok {
+			published++
+		}
+	}
+	return byDigest, published
 }

@@ -4,8 +4,8 @@
 //
 // The experiment API is error-returning and context-aware: RunE reports
 // invalid configuration as an error (no panics), and the typed
-// res.Consensus() accessor hands back the agreed document for any protocol
-// — no type switch on the protocol-specific Detail. Multi-phase setups
+// res.Consensus() accessor hands back the agreed document for any protocol,
+// as res.Records hands back each authority's part in it. Multi-phase setups
 // (consensus → cache distribution → client availability) compose with
 // partialtor.NewExperiment; see examples/cachedistribution.
 package main

@@ -22,8 +22,6 @@ import (
 	"time"
 
 	"partialtor"
-	"partialtor/internal/core"
-	"partialtor/internal/dirv3"
 )
 
 // These tests exercise the public facade end to end: a downstream user
@@ -77,8 +75,10 @@ func TestFacadeHeadlineAttack(t *testing.T) {
 	if cur.Consensus() != nil {
 		t.Fatal("failed run reports a consensus document")
 	}
-	if _, ok := cur.Detail.(*dirv3.Result); !ok {
-		t.Fatalf("detail type %T", cur.Detail)
+	for i, r := range cur.Records {
+		if r.Published {
+			t.Fatalf("authority %d published under the outage", i)
+		}
 	}
 
 	ours, err := partialtor.RunE(context.Background(), partialtor.Scenario{
@@ -98,12 +98,16 @@ func TestFacadeHeadlineAttack(t *testing.T) {
 	if recovery < 0 || recovery > 30*time.Second {
 		t.Fatalf("recovery %v, want within seconds of the attack end", recovery)
 	}
-	// The typed accessor replaces reaching through Detail.
 	if ours.Consensus() == nil {
 		t.Fatal("successful run lost its consensus document")
 	}
-	if _, ok := ours.Detail.(*core.Result); !ok {
-		t.Fatalf("detail type %T", ours.Detail)
+	if len(ours.Records) != 9 {
+		t.Fatalf("%d records, want one per authority", len(ours.Records))
+	}
+	for i, r := range ours.Records {
+		if !r.Published || r.Consensus.Digest() != ours.Consensus().Digest() {
+			t.Fatalf("authority %d: published=%v, or a consensus other than the run's", i, r.Published)
+		}
 	}
 }
 
@@ -736,10 +740,6 @@ var setAndReadOnPurpose = map[string]string{
 	"core.Authority.DecidedView":       "the view-change tests assert which view decided",
 	"core.AgreementValue.DigestVector": "the X_i of Definition 5.1: the agreement tests compare it across authorities",
 	"simnet.Network.Now":               "the GST tests' adversarial delay filters read the clock",
-	"syncdir.Result.Bottoms":           "the Dolev-Strong tests assert how many authorities output ⊥, an outcome no table prints",
-	"syncdir.Result.Digests":           "the agreement tests assert every authority output the same consensus digest",
-	"dirv3.Result.SigCounts":           "the happy-path test asserts each authority holds all 9 matching signatures",
-	"dirv3.Result.VoteCounts":          "the forged-vote test asserts each honest authority holds 3 votes, and the equivocation test counts digests only where votes arrived",
 	"sig.Registry.Memoised":            "the sharing tests pin that a healthy run runs Ed25519 on no signature, and the sig tests how many forgeries a run judges",
 	"simnet.Profile.Clone":             "the profile tests edit a copy to show the original untouched",
 	"simnet.Profile.SetRate":           "the pipe tests shape capacity exactly; runners only ever cap it (ThrottleMin)",

@@ -516,6 +516,13 @@ func (a *Authority) checkDone(ctx *simnet.Context) {
 	}
 }
 
+// Record reports the authority's part in the run: the consensus it
+// aggregated, the matching signatures it holds on it, whether it published,
+// and when (simnet.Never if it did not).
+func (a *Authority) Record() (*vote.Consensus, int, bool, time.Duration) {
+	return a.consensus, a.consSigs.Matching(a.consDigest), a.done, a.doneAt
+}
+
 // Decided returns the agreed (H, π) value, if any.
 func (a *Authority) Decided() *AgreementValue { return a.decided }
 

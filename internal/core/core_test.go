@@ -30,6 +30,46 @@ func runScenario(t *testing.T, cfg Config, bandwidth float64, limit time.Duratio
 	return auths
 }
 
+// result is what the tests read off a run's authorities.
+type result struct {
+	DoneAt     []time.Duration // per authority; Never if it did not publish
+	ConsDigest []sig.Digest
+	Success    bool          // every correct authority published
+	DoneCount  int           // authorities that published
+	Latency    time.Duration // max DoneAt over correct authorities
+	OKCount    int           // non-⊥ entries of the agreed vector
+	Consensus  *vote.Consensus
+}
+
+// collect reads the run's outcome off the authorities. correct(i)
+// distinguishes honest authorities (Byzantine ones are exempt from the
+// success criteria); nil means all but the silent and the equivocators.
+func collect(auths []*Authority, cfg Config, correct func(i int) bool) *result {
+	if correct == nil {
+		correct = func(i int) bool { return !cfg.Silent[i] && cfg.Equivocators[i] == nil }
+	}
+	res := &result{Latency: simnet.Never, Success: true}
+	latest := time.Duration(0)
+	for i, a := range auths {
+		cons, _, done, at := a.Record()
+		res.DoneAt = append(res.DoneAt, at)
+		res.ConsDigest = append(res.ConsDigest, a.consDigest)
+		if done {
+			if res.DoneCount++; res.Consensus == nil {
+				res.Consensus, res.OKCount = cons, a.decided.OKCount()
+			}
+		}
+		if correct(i) {
+			res.Success = res.Success && done
+			latest = max(latest, at)
+		}
+	}
+	if res.Success = res.Success && res.DoneCount > 0; res.Success {
+		res.Latency = latest
+	}
+	return res
+}
+
 func baseConfig(t *testing.T, n, relays, padding int) Config {
 	t.Helper()
 	keys := testkit.Authorities(n, 1)
@@ -92,7 +132,7 @@ func assertDefinition51(t *testing.T, auths []*Authority, cfg Config, correct fu
 func TestHappyPathICPS(t *testing.T) {
 	cfg := baseConfig(t, 9, 100, -1)
 	auths := runScenario(t, cfg, 250e6, 2*time.Minute, nil)
-	res := Collect(auths, cfg, nil)
+	res := collect(auths, cfg, nil)
 	if !res.Success || res.DoneCount != 9 {
 		t.Fatalf("success=%v done=%d", res.Success, res.DoneCount)
 	}
@@ -132,7 +172,7 @@ func TestTwoSilentAuthorities(t *testing.T) {
 	cfg.Silent = map[int]bool{4: true, 7: true}
 	auths := runScenario(t, cfg, 250e6, 5*time.Minute, nil)
 	correct := func(i int) bool { return !cfg.Silent[i] }
-	res := Collect(auths, cfg, correct)
+	res := collect(auths, cfg, correct)
 	if !res.Success {
 		t.Fatalf("correct authorities did not all finish: %v", res.DoneAt)
 	}
@@ -158,7 +198,7 @@ func TestEquivocatorExcludedWithProof(t *testing.T) {
 	cfg.Equivocators = map[int]*vote.Document{3: altDocs[3]}
 	auths := runScenario(t, cfg, 250e6, 5*time.Minute, nil)
 	correct := func(i int) bool { return i != 3 }
-	res := Collect(auths, cfg, correct)
+	res := collect(auths, cfg, correct)
 	if !res.Success {
 		t.Fatalf("run failed: %v", res.DoneAt)
 	}
@@ -182,7 +222,7 @@ func TestSilentFirstLeaderViewChange(t *testing.T) {
 	cfg.Silent = map[int]bool{0: true}
 	auths := runScenario(t, cfg, 250e6, 5*time.Minute, nil)
 	correct := func(i int) bool { return i != 0 }
-	res := Collect(auths, cfg, correct)
+	res := collect(auths, cfg, correct)
 	if !res.Success {
 		t.Fatalf("run failed: %v", res.DoneAt)
 	}
@@ -200,7 +240,7 @@ func TestWorksAtDDoSBandwidth(t *testing.T) {
 	// and aggregation ride on small messages.
 	cfg := baseConfig(t, 9, 100, -1) // V ≈ 250 kB
 	auths := runScenario(t, cfg, 1e6, 30*time.Minute, nil)
-	res := Collect(auths, cfg, nil)
+	res := collect(auths, cfg, nil)
 	if !res.Success {
 		t.Fatalf("ICPS failed at 1 Mbit/s: %v", res.DoneAt)
 	}
@@ -224,7 +264,7 @@ func TestFiveMinuteOutageRecovery(t *testing.T) {
 			tn.Throttle(i, 0, outage, 0)
 		}
 	})
-	res := Collect(auths, cfg, nil)
+	res := collect(auths, cfg, nil)
 	if !res.Success {
 		t.Fatalf("no recovery after outage: %v", res.DoneAt)
 	}
@@ -248,7 +288,7 @@ func TestLaggardCatchesUpAndAggregates(t *testing.T) {
 	auths := runScenario(t, cfg, 250e6, 5*time.Minute, func(tn *testkit.Net) {
 		tn.Down[8].ThrottleMin(0, 20*time.Second, 0)
 	})
-	res := Collect(auths, cfg, nil)
+	res := collect(auths, cfg, nil)
 	if !res.Success {
 		t.Fatalf("run failed: %v", res.DoneAt)
 	}
@@ -290,7 +330,7 @@ func TestAgreementUnderAdversarialDelays(t *testing.T) {
 		}
 		tn.Attach(hs)
 		tn.Run(30 * time.Minute)
-		res := Collect(auths, cfg, nil)
+		res := collect(auths, cfg, nil)
 		if !res.Success {
 			t.Fatalf("seed %d: termination failed: %v", seed, res.DoneAt)
 		}

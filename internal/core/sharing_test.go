@@ -30,7 +30,7 @@ func sharedMemos(t *testing.T, auths []*Authority) (*sig.Registry, int) {
 func TestHealthyRunSharesOneAggregateAndVerifiesEachSignatureOnce(t *testing.T) {
 	cfg := baseConfig(t, 9, 80, 0)
 	auths := runScenario(t, cfg, 250e6, 5*time.Minute, nil)
-	if res := Collect(auths, cfg, nil); res.DoneCount != 9 {
+	if res := collect(auths, cfg, nil); res.DoneCount != 9 {
 		t.Fatalf("%d of 9 authorities finished", res.DoneCount)
 	}
 	pubs, docs := sharedMemos(t, auths)

@@ -143,7 +143,6 @@ type Authority struct {
 
 	consensus  *vote.Consensus
 	consDigest sig.Digest
-	computed   bool
 
 	voteFullAt time.Duration
 	sigFullAt  time.Duration
@@ -151,8 +150,7 @@ type Authority struct {
 	respondedSinceFetch map[simnet.NodeID]bool
 	fetchedMissing      []int
 
-	succeeded     bool
-	finalSigCount int
+	finalSigCount int // matching signatures held when the run was decided
 }
 
 // NewAuthorities constructs the authority set for a run. The i-th authority
@@ -345,7 +343,6 @@ func (a *Authority) computeConsensus(ctx *simnet.Context) {
 	}
 	a.consensus = cons
 	a.consDigest = cons.Digest()
-	a.computed = true
 	own := a.sigs.Sign(a.me, a.consDigest)
 	ctx.Logf("notice", "Consensus computed from %d votes; digest %s.", len(docs), a.consDigest.Short())
 	ctx.Broadcast(&msgSig{Digest: a.consDigest, Sig: own})
@@ -363,14 +360,13 @@ func (a *Authority) fetchSignatures(ctx *simnet.Context) {
 
 func (a *Authority) finish(ctx *simnet.Context) {
 	ctx.Trace(obs.Event{Type: obs.EvPhase, Label: "publish"})
-	if !a.computed {
+	if a.consensus == nil {
 		ctx.Logf("warn", "No consensus was computed this period.")
 		return
 	}
 	matching := a.sigs.Matching(a.consDigest)
 	a.finalSigCount = matching
 	if matching >= a.cfg.Majority() {
-		a.succeeded = true
 		ctx.Logf("notice", "Consensus published with %d of %d signatures.", matching, a.cfg.n())
 	} else {
 		ctx.Logf("warn", "A consensus needs %d good signatures from recognized authorities for us to accept it. This one has %d.",
@@ -378,47 +374,15 @@ func (a *Authority) finish(ctx *simnet.Context) {
 	}
 }
 
-// --- results ---
-
-// Result summarizes one protocol run.
-type Result struct {
-	Succeeded    []bool
-	Success      bool // at least one authority published a valid consensus
-	SigCounts    []int
-	VoteCounts   []int
-	Digests      []sig.Digest
-	Latency      time.Duration   // max latency across succeeded authorities
-	Consensus    *vote.Consensus // from the lowest-index succeeded authority
-	SuccessCount int
-}
-
-// Collect extracts the outcome after the network has run past EndTime.
-func Collect(auths []*Authority, cfg Config) *Result {
-	res := &Result{}
-	var latencies []time.Duration
-	round := cfg.round()
-	for _, a := range auths {
-		res.Succeeded = append(res.Succeeded, a.succeeded)
-		res.SigCounts = append(res.SigCounts, a.finalSigCount)
-		res.VoteCounts = append(res.VoteCounts, len(a.votes))
-		res.Digests = append(res.Digests, a.consDigest)
-		lat := simnet.Never
-		if a.voteFullAt != simnet.Never && a.sigFullAt != simnet.Never {
-			sigPhase := a.sigFullAt - 2*round
-			if sigPhase < 0 {
-				sigPhase = 0
-			}
-			lat = a.voteFullAt + sigPhase
-		}
-		latencies = append(latencies, lat)
-		if a.succeeded {
-			res.SuccessCount++
-			if res.Consensus == nil {
-				res.Consensus = a.consensus
-			}
-		}
+// Record reports the authority's part in the run: the consensus it
+// aggregated, the matching signatures it held when the run was decided,
+// whether they were a majority (it published), and its latency: when it
+// held every vote, plus how long past the signature round's start it took
+// to hold every signature (simnet.Never unless both happened).
+func (a *Authority) Record() (*vote.Consensus, int, bool, time.Duration) {
+	lat := simnet.Never
+	if a.voteFullAt != simnet.Never && a.sigFullAt != simnet.Never {
+		lat = a.voteFullAt + max(0, a.sigFullAt-2*a.cfg.round())
 	}
-	res.Success = res.SuccessCount > 0
-	res.Latency = simnet.Latest(latencies, res.Succeeded)
-	return res
+	return a.consensus, a.finalSigCount, a.finalSigCount >= a.cfg.Majority(), lat
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"partialtor/internal/sig"
 	"partialtor/internal/simnet"
 	"partialtor/internal/testkit"
 	"partialtor/internal/vote"
@@ -12,10 +13,42 @@ import (
 
 // runScenario executes a dirv3 run and returns the result and network.
 func runScenario(t *testing.T, cfg Config, relays int, bandwidth float64,
-	shape func(*testkit.Net)) (*Result, *testkit.Net) {
+	shape func(*testkit.Net)) (*result, *testkit.Net) {
 	t.Helper()
 	auths, tn := runAuthorities(t, cfg, bandwidth, shape)
-	return Collect(auths, cfg), tn
+	return collect(auths), tn
+}
+
+// result is what the tests read off a run's authorities.
+type result struct {
+	Success      bool // at least one authority published
+	SuccessCount int
+	SigCounts    []int
+	VoteCounts   []int // votes held at the end of the run
+	Digests      []sig.Digest
+	Latency      time.Duration   // the latest publisher's
+	Consensus    *vote.Consensus // the lowest-index publisher's
+}
+
+func collect(auths []*Authority) *result {
+	res := &result{Latency: simnet.Never}
+	for _, a := range auths {
+		cons, sigs, published, lat := a.Record()
+		res.SigCounts = append(res.SigCounts, sigs)
+		res.VoteCounts = append(res.VoteCounts, len(a.votes))
+		res.Digests = append(res.Digests, a.consDigest)
+		if !published {
+			continue
+		}
+		if res.SuccessCount++; res.Consensus == nil {
+			res.Consensus = cons
+		}
+		if lat != simnet.Never && (res.Latency == simnet.Never || lat > res.Latency) {
+			res.Latency = lat
+		}
+	}
+	res.Success = res.SuccessCount > 0
+	return res
 }
 
 // runAuthorities executes a dirv3 run and returns the authorities as it

@@ -29,7 +29,7 @@ func runShared(t *testing.T, cfg Config, shape func(*testkit.Net)) ([]*Authority
 func distinctConsensuses(auths []*Authority) (digests, documents int) {
 	byDigest, byPointer := map[sig.Digest]bool{}, map[*vote.Consensus]bool{}
 	for _, a := range auths {
-		if a.computed {
+		if a.consensus != nil {
 			byDigest[a.consDigest], byPointer[a.consensus] = true, true
 		}
 	}
@@ -38,7 +38,7 @@ func distinctConsensuses(auths []*Authority) (digests, documents int) {
 
 func TestHealthyRunSharesOneAggregateAndVerifiesEachSignatureOnce(t *testing.T) {
 	auths, pubs := runShared(t, baseConfig(t, 9, 100, -1), nil)
-	if res := Collect(auths, *auths[0].cfg); res.SuccessCount != 9 {
+	if res := collect(auths); res.SuccessCount != 9 {
 		t.Fatalf("%d of 9 authorities succeeded", res.SuccessCount)
 	}
 	if _, docs := distinctConsensuses(auths); docs != 1 {
@@ -87,7 +87,7 @@ func TestEquivocatorMixedSetDigestsHold(t *testing.T) {
 	auths, _ := runShared(t, cfg, nil)
 	got := map[string]bool{}
 	for _, a := range auths {
-		if a.computed {
+		if a.consensus != nil {
 			got[a.consDigest.Hex()] = true
 		}
 	}

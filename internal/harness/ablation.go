@@ -157,8 +157,14 @@ func AblationDelta(ctx context.Context, p DeltaParams, sp sweep.Params) (*Table[
 			net.AddNode(a, ups[i], downs[i])
 		}
 		net.Run(time.Hour)
-		r := core.Collect(auths, cfg, func(i int) bool { return !cfg.Silent[i] })
-		row.Latency, row.OKCount = r.Latency, r.OKCount
+		if row.Crash {
+			auths = auths[:8] // the silent authority 8 need not publish
+		}
+		out := fold(auths, true)
+		row.Latency = out.Latency
+		if out.Consensus != nil { // aggregated from every OK entry of the agreed vector
+			row.OKCount = len(out.Consensus.Voters)
+		}
 		return row, nil
 	}, func(rows []DeltaRow) string {
 		crashed := len(rows) / 2 // crash is the slow axis, true first

@@ -11,9 +11,9 @@ import (
 )
 
 // Outcome is the protocol-independent result a Driver hands back after the
-// network has run: the success verdict, the paper's latency metric, and —
-// crucially for the downstream phases — the consensus document itself, so
-// no caller ever has to type-switch on the protocol-specific Detail.
+// network has run: the success verdict, the paper's latency metric, the
+// consensus document itself for the downstream phases, and each
+// authority's record of its part.
 type Outcome struct {
 	// Success reports whether the run produced a valid consensus.
 	Success bool
@@ -25,8 +25,24 @@ type Outcome struct {
 	DoneAt time.Duration
 	// Consensus is the agreed document (nil on failure).
 	Consensus *vote.Consensus
-	// Detail is the protocol-specific result for deep inspection.
-	Detail any
+	// Records are the authorities' records, index-aligned with Nodes (nil
+	// for a driver that keeps none).
+	Records []Record
+}
+
+// Record is one authority's part in a run, as its protocol reports it.
+type Record struct {
+	// Consensus is the document the authority aggregated (nil if none);
+	// its Voters are the votes it decided on.
+	Consensus *vote.Consensus
+	// Sigs counts the signatures it gathered on Consensus's digest, its
+	// own included.
+	Sigs int
+	// Published reports whether it published Consensus.
+	Published bool
+	// Latency is its latency as its protocol defines it (simnet.Never if
+	// it has none).
+	Latency time.Duration
 }
 
 // ProtocolRun is one prepared protocol instance, ready to be placed on a

@@ -13,7 +13,7 @@ import (
 
 // The three paper protocols as registered drivers. Each Build constructs the
 // protocol config from the scenario, instantiates the authorities, and hands
-// protocolRun the package's Collect.
+// them to protocolRun.
 
 func init() {
 	RegisterDriver(Current, dirv3Driver{})
@@ -21,24 +21,52 @@ func init() {
 	RegisterDriver(ICPS, icpsDriver{})
 }
 
-// protocolRun packages an authority set and what its package's Collect has
-// to say to the harness: success, the latency metric, the consensus, and
-// itself as Detail. absolute marks a protocol whose latency is also its
-// completion instant (ICPS); the lock-step protocols report none.
-func protocolRun[A simnet.Handler](auths []A, end time.Duration, absolute bool,
-	collect func() (ok bool, latency time.Duration, cons *vote.Consensus, detail any)) ProtocolRun {
+// authority is what every protocol's Authority reports once the network has
+// run: the consensus it aggregated, the signatures it gathered on that
+// document's digest, whether it published, and its latency.
+type authority interface {
+	simnet.Handler
+	Record() (cons *vote.Consensus, sigs int, published bool, latency time.Duration)
+}
+
+// protocolRun packages an authority set whose Collect folds the authorities'
+// records. every marks a protocol in which every authority must publish
+// (ICPS); the lock-step protocols succeed when any does.
+func protocolRun[A authority](auths []A, end time.Duration, every bool) ProtocolRun {
 	nodes := make([]simnet.Handler, len(auths))
 	for i, a := range auths {
 		nodes[i] = a
 	}
-	return ProtocolRun{Nodes: nodes, EndTime: end, Collect: func() Outcome {
-		out := Outcome{DoneAt: simnet.Never}
-		out.Success, out.Latency, out.Consensus, out.Detail = collect()
-		if absolute {
-			out.DoneAt = out.Latency
+	return ProtocolRun{Nodes: nodes, EndTime: end, Collect: func() Outcome { return fold(auths, every) }}
+}
+
+// fold derives a run's Outcome from its authorities' records. The run
+// succeeds when any authority published, or, with every, when each did; its
+// latency is then the latest publisher's, with every also its completion
+// instant. Its consensus is the lowest-index publisher's.
+func fold[A authority](auths []A, every bool) Outcome {
+	out := Outcome{Latency: simnet.Never, DoneAt: simnet.Never, Records: make([]Record, len(auths))}
+	published := 0
+	for i, a := range auths {
+		r := &out.Records[i]
+		if r.Consensus, r.Sigs, r.Published, r.Latency = a.Record(); !r.Published {
+			continue
 		}
-		return out
-	}}
+		if published++; published == 1 {
+			out.Consensus = r.Consensus
+		}
+		if r.Latency != simnet.Never && (out.Latency == simnet.Never || r.Latency > out.Latency) {
+			out.Latency = r.Latency
+		}
+	}
+	out.Success = published > 0 && (!every || published == len(auths))
+	if every {
+		if !out.Success {
+			out.Latency = simnet.Never
+		}
+		out.DoneAt = out.Latency
+	}
+	return out
 }
 
 // dirv3Driver runs the deployed Tor directory protocol v3.
@@ -49,10 +77,7 @@ func (dirv3Driver) Name() string { return "Current" }
 func (dirv3Driver) Build(s Scenario, keys []*sig.KeyPair, docs []*vote.Document) (ProtocolRun, error) {
 	cfg := dirv3.Config{Keys: keys, Docs: docs, Round: s.Round, FetchTimeout: s.FetchTimeout}
 	auths := dirv3.NewAuthorities(cfg)
-	return protocolRun(auths, cfg.EndTime()+time.Second, false, func() (bool, time.Duration, *vote.Consensus, any) {
-		r := dirv3.Collect(auths, cfg)
-		return r.Success, r.Latency, r.Consensus, r
-	}), nil
+	return protocolRun(auths, cfg.EndTime()+time.Second, false), nil
 }
 
 // syncdirDriver runs Luo et al.'s Dolev-Strong-based synchronous protocol.
@@ -63,10 +88,7 @@ func (syncdirDriver) Name() string { return "Synchronous" }
 func (syncdirDriver) Build(s Scenario, keys []*sig.KeyPair, docs []*vote.Document) (ProtocolRun, error) {
 	cfg := syncdir.Config{Keys: keys, Docs: docs, Round: s.Round}
 	auths := syncdir.NewAuthorities(cfg)
-	return protocolRun(auths, cfg.EndTime()+time.Second, false, func() (bool, time.Duration, *vote.Consensus, any) {
-		r := syncdir.Collect(auths, cfg)
-		return r.Success, r.Latency, r.Consensus, r
-	}), nil
+	return protocolRun(auths, cfg.EndTime()+time.Second, false), nil
 }
 
 // icpsDriver runs the paper's protocol: interactive consistency under
@@ -80,8 +102,5 @@ func (icpsDriver) Build(s Scenario, keys []*sig.KeyPair, docs []*vote.Document) 
 	auths := core.NewAuthorities(cfg)
 	// ICPS has no lock-step deadline; the horizon just bounds the pacemaker's
 	// patience.
-	return protocolRun(auths, 6*time.Hour, true, func() (bool, time.Duration, *vote.Consensus, any) {
-		r := core.Collect(auths, cfg, nil)
-		return r.Success, r.Latency, r.Consensus, r
-	}), nil
+	return protocolRun(auths, 6*time.Hour, true), nil
 }

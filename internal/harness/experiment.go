@@ -331,7 +331,7 @@ func (e *Experiment) Run(ctx context.Context) (*ExperimentResult, error) {
 		if e.chain {
 			c := run.Consensus()
 			if c == nil {
-				return nil, fmt.Errorf("harness: period %d succeeded without a consensus document (driver detail %T)", i, run.Detail)
+				return nil, fmt.Errorf("harness: period %d: the %v driver reported success without a consensus document", i, e.base.Protocol)
 			}
 			// Before genesis the head is the zero link: epoch 1, no parent.
 			head, _ := res.Chain.Head()

@@ -140,11 +140,15 @@ var (
 )
 
 // Figure7 finds, per relay count, the minimal bandwidth the five attacked
-// authorities need for the current protocol to still succeed: the first rung
-// of a bandwidth ladder up to MaxMbit, in steps of at most Precision, at which
-// it succeeds. Success must be monotone in bandwidth, so each cell bisects the
-// ladder. The relay counts fan out over the sweep engine. The footer is the
-// dashed "under attack" line (0.5 Mbit/s).
+// authorities need for the current protocol to still succeed: a rung of a
+// bandwidth ladder up to MaxMbit, in steps of at most Precision, found by
+// bisecting the ladder. Success is not monotone along it: above the first
+// success lies a failure band, where each flooded authority's vote reaches
+// the unflooded ones before the fetch round, so the two sides aggregate
+// different vote sets and split into six camps, none with a majority
+// (TestFigure7BandCause). Where the bisection's probes land decides which
+// edge of the band a cell prints. The relay counts fan out over the sweep
+// engine. The footer is the dashed "under attack" line (0.5 Mbit/s).
 func Figure7(ctx context.Context, p Figure7Params, sp sweep.Params) (*Table[Fig7Row], error) {
 	p = overlay(p, figure7Paper)
 	grid := sweep.MustNew(sweep.Ints("relays", p.RelayCounts...))

@@ -17,6 +17,7 @@ import (
 	"partialtor/internal/faults"
 	"partialtor/internal/gossip"
 	"partialtor/internal/obs"
+	"partialtor/internal/sig"
 	"partialtor/internal/simnet"
 	"partialtor/internal/topo"
 )
@@ -395,20 +396,35 @@ var goldenKinds = []goldenKind{
 		// calibrated entry size: a majority of the authorities flooded to
 		// zero for five minutes over 300 relays, default round and
 		// bandwidth, and no distribution phase. The claim: both lock-step
-		// protocols lose the consensus, and ICPS decides it once the flood
-		// lifts, within half a minute.
+		// protocols lose the consensus, Current with no authority
+		// aggregating one and Synchronous with no camp reaching a majority,
+		// and ICPS decides it once the flood lifts, within half a minute.
 		name: "outage",
 		scenario: func(p Protocol, seed int64) Scenario {
 			a := attack.FiveMinuteOutage(attack.MajorityTargets(9))
 			return Scenario{Protocol: p, Relays: 300, EntryPadding: -1, Seed: seed, Attack: &a}
 		},
 		claim: func(t *testing.T, p Protocol, res *RunResult, _, _ *dircache.Result) {
-			if p == ICPS {
+			switch {
+			case p == ICPS:
 				if !res.Success || res.Latency <= 5*time.Minute || res.Latency > 5*time.Minute+30*time.Second {
 					t.Errorf("ICPS success=%v latency %v, want the consensus within (5m, 5m30s]", res.Success, res.Latency)
 				}
-			} else if res.Success {
+			case res.Success:
 				t.Errorf("%s produced a consensus through a five-minute majority outage (latency %v)", p, res.Latency)
+			case p == Current:
+				// No authority holds a majority of votes at the compute deadline.
+				if cause := res.Cause(); cause != "no authority aggregated a consensus" {
+					t.Errorf("Current lost the consensus as %q, want no authority aggregating one", cause)
+				}
+			default:
+				// The flooded leader aggregates its own bundle alone, and no
+				// camp gathers a majority of signatures.
+				for i, r := range res.Records {
+					if r.Sigs >= sig.Majority(len(res.Records)) || (r.Consensus != nil) != (i == 0) {
+						t.Errorf("%s: authority %d aggregated %v and holds %d signatures; cause: %s", p, i, r.Consensus != nil, r.Sigs, res.Cause())
+					}
+				}
 			}
 		},
 	},

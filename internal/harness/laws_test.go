@@ -3,10 +3,12 @@ package harness
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"partialtor/internal/attack"
+	"partialtor/internal/sig"
 	"partialtor/internal/simnet"
 )
 
@@ -146,6 +148,52 @@ func TestOutageLadderFindsFiveMinutes(t *testing.T) {
 			if got != want[p] {
 				t.Errorf("%s seed %d: first failing outage %v, want %v (ladder %s)", p, seed, got, want[p], ladder)
 			}
+		}
+	}
+}
+
+// TestFigure7BandCause reads the cause of a run inside Figure 7's failure
+// band, at quick and at paper scale: Current, the five flooded authorities
+// at a residual above the first success, two rounds of flood. Each flooded
+// authority's own vote reaches the four unflooded ones before the fetch, so
+// those four fetch nothing and aggregate all nine votes, while each flooded
+// one aggregates itself and the four unflooded: six camps, the largest
+// holding 4 of the 5 signatures it needs.
+func TestFigure7BandCause(t *testing.T) {
+	for _, c := range []struct {
+		relays int
+		round  time.Duration
+		mbit   float64
+	}{
+		{600, 15 * time.Second, 60 * 10.0 / 128}, // a rung of the -quick ladder
+		{8000, 150 * time.Second, 8.9},
+	} {
+		plan := attack.Plan{Targets: attack.MajorityTargets(9), End: 2 * c.round, Residual: c.mbit * 1e6}
+		res := mustRun(t, Scenario{Protocol: Current, Relays: c.relays, EntryPadding: -1, Round: c.round, Attack: &plan})
+		if res.Success {
+			t.Fatalf("%d relays at %g Mbit/s: the run succeeded inside the failure band", c.relays, c.mbit)
+		}
+		digests := map[sig.Digest]bool{}
+		for i, r := range res.Records {
+			voters, sigs := []int{i, 5, 6, 7, 8}, 1
+			if i >= 5 {
+				voters, sigs = []int{0, 1, 2, 3, 4, 5, 6, 7, 8}, 4
+			}
+			if r.Consensus == nil {
+				t.Fatalf("%d relays: authority %d aggregated no consensus", c.relays, i)
+			}
+			if !slices.Equal(r.Consensus.Voters, voters) || r.Sigs != sigs || r.Published {
+				t.Fatalf("%d relays: authority %d aggregated votes %v with %d signatures (published %v), want %v with %d",
+					c.relays, i, r.Consensus.Voters, r.Sigs, r.Published, voters, sigs)
+			}
+			digests[r.Consensus.Digest()] = true
+		}
+		if len(digests) != 6 {
+			t.Errorf("%d relays: %d distinct digests, want 6", c.relays, len(digests))
+		}
+		want := "6 camps by digest; the largest, authorities [5 6 7 8], holds 4 of the 5 signatures a consensus needs; authorities [0 1 2 3 4] aggregated 5 of 9 votes"
+		if got := res.Cause(); got != want {
+			t.Errorf("%d relays: cause\n%s\nwant\n%s", c.relays, got, want)
 		}
 	}
 }

@@ -40,6 +40,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -172,8 +173,9 @@ type RunResult struct {
 	// Distribution is the outcome of the cache/fleet phase (nil unless the
 	// scenario requested one).
 	Distribution *dircache.Result
-	// Protocol-specific result for detailed inspection.
-	Detail any
+	// Records are the authorities' records of the protocol phase; Cause
+	// reads them.
+	Records []Record
 	// Detections are the attack onsets the scenario's tracer flagged (set
 	// when Scenario.Tracer is an obs.DetectionSource; nil otherwise).
 	Detections []obs.Detection
@@ -182,10 +184,58 @@ type RunResult struct {
 	consensus *vote.Consensus
 }
 
-// Consensus returns the agreed consensus document of a successful run, or
-// nil. Every driver reports its consensus through Outcome, so this accessor
-// is protocol-independent — no type switch on Detail required.
+// Consensus returns the consensus document the run published, the
+// lowest-index publisher's, or nil. Every driver reports its consensus
+// through Outcome, so this accessor is protocol-independent.
 func (r *RunResult) Consensus() *vote.Consensus { return r.consensus }
+
+// Cause says why the run lost its consensus, worked out from its records:
+// the camps by digest of the authorities that aggregated one, the largest
+// camp's signatures against the majority a consensus needs, and who
+// aggregated fewer than every vote, or none. It is "" for a run that
+// succeeded or kept no records.
+func (r *RunResult) Cause() string {
+	n := len(r.Records)
+	if r.Success || n == 0 {
+		return ""
+	}
+	var camps [][]int // in order of first member
+	for i, rec := range r.Records {
+		if rec.Consensus == nil {
+			continue
+		}
+		c := slices.IndexFunc(camps, func(c []int) bool { return r.Records[c[0]].Consensus.Digest() == rec.Consensus.Digest() })
+		if c < 0 {
+			c, camps = len(camps), append(camps, nil)
+		}
+		camps[c] = append(camps[c], i)
+	}
+	if camps == nil {
+		return "no authority aggregated a consensus"
+	}
+	largest, sigs, plural := slices.MaxFunc(camps, func(x, y []int) int { return len(x) - len(y) }), 0, ""
+	for _, i := range largest {
+		sigs = max(sigs, r.Records[i].Sigs)
+	}
+	if len(camps) > 1 {
+		plural = "s"
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "%d camp%s by digest; the largest, authorities %v, holds %d of the %d signatures a consensus needs",
+		len(camps), plural, largest, sigs, sig.Majority(n))
+	for v := n - 1; v >= 0; v-- {
+		var short []int
+		for i, rec := range r.Records {
+			if rec.Consensus == nil && v == 0 || rec.Consensus != nil && len(rec.Consensus.Voters) == v {
+				short = append(short, i)
+			}
+		}
+		if short != nil {
+			fmt.Fprintf(&b, "; authorities %v aggregated %d of %d votes", short, v, n)
+		}
+	}
+	return b.String()
+}
 
 // inputsEntry is one scenario's inputs, each part keyed by what it depends
 // on: the keys by (N, seed), the views by (N, relays, seed), and the sealed
@@ -428,7 +478,7 @@ func RunE(ctx context.Context, s Scenario) (*RunResult, error) {
 		Latency:   out.Latency,
 		DoneAt:    out.DoneAt,
 		Net:       net,
-		Detail:    out.Detail,
+		Records:   out.Records,
 		consensus: out.Consensus,
 	}
 	st := net.Stats()

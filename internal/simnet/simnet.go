@@ -110,19 +110,6 @@ import (
 // occur" (an unbounded stall, e.g. a permanently zero-rate pipe).
 const Never = time.Duration(math.MaxInt64)
 
-// Latest returns the latest of the instants at[i] for which ok[i] holds,
-// skipping those that never happened; Never when none is left. It is the
-// lock-step protocols' run latency: the last succeeded authority's.
-func Latest(at []time.Duration, ok []bool) time.Duration {
-	latest := Never
-	for i, t := range at {
-		if ok[i] && t != Never && (latest == Never || t > latest) {
-			latest = t
-		}
-	}
-	return latest
-}
-
 // NodeID identifies a node within a Network. IDs are dense and start at 0.
 type NodeID int
 

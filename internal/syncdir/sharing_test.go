@@ -32,7 +32,7 @@ func TestHealthyRunSharesOneAggregateAndVerifiesEachSignatureOnce(t *testing.T) 
 	cfg := baseConfig(t, 9, 80, 0)
 	cfg.Round = 20 * time.Second
 	auths, pubs, docs := runShared(t, cfg, nil)
-	if res := Collect(auths, cfg); res.SuccessCount != 9 {
+	if res := collect(auths); res.SuccessCount != 9 {
 		t.Fatalf("%d of 9 authorities succeeded", res.SuccessCount)
 	}
 	if docs != 1 {

@@ -161,16 +161,13 @@ type Authority struct {
 
 	consensus  *vote.Consensus
 	consDigest sig.Digest
-	computed   bool
 	sigs       *sig.Tally
 
 	docsFullAt time.Duration
 	sigsFullAt time.Duration
 
-	agreed        bool
-	agreedDigest  sig.Digest
 	decidedBottom bool
-	succeeded     bool
+	finalSigCount int // matching signatures held when the run was decided
 }
 
 // NewAuthorities constructs the authority set; authority i must be node i.
@@ -404,25 +401,22 @@ func (a *Authority) decide(ctx *simnet.Context) {
 		ctx.Logf("warn", "Dolev-Strong extracted %d values; outputting bottom.", len(a.extracted))
 		return
 	}
+	var agreed sig.Digest
 	//detlint:maporder ok(guarded singleton: the len check above returned unless extracted holds exactly one digest)
 	for d := range a.extracted {
-		a.agreedDigest = d
+		agreed = d
 	}
-	a.agreed = true
-	if a.leaderBundle == nil || a.leaderBundle.Digest != a.agreedDigest {
-		ctx.Logf("warn", "Agreed on digest %s but do not hold a matching bundle in time.", a.agreedDigest.Short())
-		a.agreed = false
+	if a.leaderBundle == nil || a.leaderBundle.Digest != agreed {
+		ctx.Logf("warn", "Agreed on digest %s but do not hold a matching bundle in time.", agreed.Short())
 		return
 	}
 	cons, err := vote.AggregateShared(a.leaderBundle.Docs, a.cfg.n())
 	if err != nil {
 		ctx.Logf("warn", "Aggregation failed: %v", err)
-		a.agreed = false
 		return
 	}
 	a.consensus = cons
 	a.consDigest = cons.Digest()
-	a.computed = true
 	own := a.sigs.Sign(a.me, a.consDigest)
 	ctx.Logf("notice", "Consensus computed from agreed bundle (%d documents); digest %s.",
 		len(a.leaderBundle.Docs), a.consDigest.Short())
@@ -440,65 +434,33 @@ func (a *Authority) acceptConsSig(ctx *simnet.Context, from int, m *msgConsSig) 
 
 func (a *Authority) finish(ctx *simnet.Context) {
 	ctx.Trace(obs.Event{Type: obs.EvPhase, Label: "publish"})
-	if !a.computed {
+	if a.consensus == nil {
 		ctx.Logf("warn", "No consensus was computed this period.")
 		return
 	}
 	matching := a.sigs.Matching(a.consDigest)
+	a.finalSigCount = matching
 	if matching >= a.cfg.Majority() {
-		a.succeeded = true
 		ctx.Logf("notice", "Consensus published with %d of %d signatures.", matching, a.cfg.n())
 	} else {
 		ctx.Logf("warn", "Only %d matching signatures; consensus not valid.", matching)
 	}
 }
 
-// --- results ---
-
-// Result summarizes one run.
-type Result struct {
-	Succeeded    []bool
-	Success      bool
-	SuccessCount int
-	Bottoms      int // authorities that output ⊥ from Dolev-Strong
-	Digests      []sig.Digest
-	Latency      time.Duration
-	Consensus    *vote.Consensus
-}
-
-// Collect extracts the outcome after the network has run past EndTime.
-func Collect(auths []*Authority, cfg Config) *Result {
-	res := &Result{}
-	var latencies []time.Duration
-	for _, a := range auths {
-		res.Succeeded = append(res.Succeeded, a.succeeded)
-		res.Digests = append(res.Digests, a.consDigest)
-		if a.decidedBottom {
-			res.Bottoms++
-		}
-		lat := simnet.Never
-		if a.docsFullAt != simnet.Never && a.leaderBundleAt != simnet.Never &&
-			a.extractedAt != simnet.Never && a.sigsFullAt != simnet.Never {
-			phase := func(at, start time.Duration) time.Duration {
-				if at <= start {
-					return 0
-				}
-				return at - start
-			}
-			lat = a.docsFullAt +
-				phase(a.leaderBundleAt, cfg.round()) +
-				phase(a.extractedAt, cfg.dsStart()) +
-				phase(a.sigsFullAt, cfg.dsEnd())
-		}
-		latencies = append(latencies, lat)
-		if a.succeeded {
-			res.SuccessCount++
-			if res.Consensus == nil {
-				res.Consensus = a.consensus
-			}
-		}
+// Record reports the authority's part in the run: the consensus it
+// aggregated from the agreed bundle, the matching signatures it held when
+// the run was decided, whether they were a majority (it published), and its
+// latency: when it held every document, plus how long past each later
+// phase's start it took to hold the leader's bundle, extract a digest and
+// hold every signature (simnet.Never unless all four happened).
+func (a *Authority) Record() (*vote.Consensus, int, bool, time.Duration) {
+	lat := simnet.Never
+	if a.docsFullAt != simnet.Never && a.leaderBundleAt != simnet.Never &&
+		a.extractedAt != simnet.Never && a.sigsFullAt != simnet.Never {
+		lat = a.docsFullAt +
+			max(0, a.leaderBundleAt-a.cfg.round()) +
+			max(0, a.extractedAt-a.cfg.dsStart()) +
+			max(0, a.sigsFullAt-a.cfg.dsEnd())
 	}
-	res.Success = res.SuccessCount > 0
-	res.Latency = simnet.Latest(latencies, res.Succeeded)
-	return res
+	return a.consensus, a.finalSigCount, a.finalSigCount >= a.cfg.Majority(), lat
 }

@@ -4,14 +4,50 @@ import (
 	"testing"
 	"time"
 
+	"partialtor/internal/sig"
 	"partialtor/internal/simnet"
 	"partialtor/internal/testkit"
+	"partialtor/internal/vote"
 )
 
-func runScenario(t *testing.T, cfg Config, bandwidth float64, shape func(*testkit.Net)) (*Result, *testkit.Net) {
+func runScenario(t *testing.T, cfg Config, bandwidth float64, shape func(*testkit.Net)) (*result, *testkit.Net) {
 	t.Helper()
 	auths, tn := runAuthorities(t, cfg, bandwidth, shape)
-	return Collect(auths, cfg), tn
+	return collect(auths), tn
+}
+
+// result is what the tests read off a run's authorities.
+type result struct {
+	Succeeded    []bool
+	Success      bool // at least one authority published
+	SuccessCount int
+	Bottoms      int // authorities that output ⊥ from Dolev-Strong
+	Digests      []sig.Digest
+	Latency      time.Duration   // the latest publisher's
+	Consensus    *vote.Consensus // the lowest-index publisher's
+}
+
+func collect(auths []*Authority) *result {
+	res := &result{Latency: simnet.Never}
+	for _, a := range auths {
+		cons, _, published, lat := a.Record()
+		res.Succeeded = append(res.Succeeded, published)
+		res.Digests = append(res.Digests, a.consDigest)
+		if a.decidedBottom {
+			res.Bottoms++
+		}
+		if !published {
+			continue
+		}
+		if res.SuccessCount++; res.Consensus == nil {
+			res.Consensus = cons
+		}
+		if lat != simnet.Never && (res.Latency == simnet.Never || lat > res.Latency) {
+			res.Latency = lat
+		}
+	}
+	res.Success = res.SuccessCount > 0
+	return res
 }
 
 // runAuthorities executes a run and returns the authorities as it left them.
@@ -192,7 +228,7 @@ func TestLateChainRejected(t *testing.T) {
 	}
 	tn.Attach(hs)
 	tn.Run(cfg.EndTime() + 2*time.Minute)
-	res := Collect(auths, cfg)
+	res := collect(auths)
 	if res.SuccessCount > 1 {
 		t.Fatalf("%d authorities succeeded despite delayed chains", res.SuccessCount)
 	}

@@ -60,7 +60,7 @@
 //     Distribute → Avail — from functional options, unifying single runs,
 //     multi-period campaigns and distribution scenarios on one spec;
 //   - RunResult.Consensus() returns the agreed document for any protocol,
-//     replacing type switches on the protocol-specific Detail.
+//     and RunResult.Cause() says from the authorities' Records why one was lost.
 //
 // Every parameter sweep — the figure generators, the ablations,
 // cmd/cachesweep — runs on one grid engine (internal/sweep, re-exported
